@@ -87,12 +87,13 @@ func (a *admission) queue(origin string) *originQueue {
 // be stamped with). Unlike Submit, it is safe to call from any number of
 // goroutines concurrently — with itself on any origins, and with a
 // running Tick or Checkpoint: it touches only immutable engine state,
-// the atomic buffer reservation, and the origin's own queue. The queued
-// commands are stamped and enter the pending buffer and journal at the
-// next drain (tick or checkpoint boundary), each origin's in queue
-// order, origins in canonical sorted order.
+// the published read view's tick, the atomic buffer reservation, and the
+// origin's own queue. The queued commands are stamped and enter the
+// pending buffer and journal at the next drain (tick or checkpoint
+// boundary), each origin's in queue order, origins in canonical sorted
+// order.
 func (e *Engine) SubmitSharded(origin string, cmds ...Command) (int64, error) {
-	tick := e.atick.Load()
+	tick := e.view.Load().tick
 	if len(origin) > MaxOriginLen {
 		return tick, fmt.Errorf("engine: origin longer than %d bytes", MaxOriginLen)
 	}

@@ -11,16 +11,19 @@
 //     below Options.IncrementalThreshold — exec.Answer re-evaluates just
 //     the dirty rows and refolds (Stats.AnswerPatches), bit-identical to
 //     a fresh scan;
-//   - rederived: everything else falls back to the existing shared
-//     queryProvider path, or to a from-scratch state rebuild for
+//   - rederived: everything else falls back to the current read view's
+//     shared index provider, or to a from-scratch state rebuild for
 //     divisible answers below the threshold (Stats.AnswerRederives).
 //
 // The cache hangs off the per-Query cache in query.go: an answer lives
 // inside its query's cache entry, is maintained by maintainAnswers at
 // the end of every Tick (the delta is fresh then), and dies with the
-// entry when invalidateQueries evicts it. Like Query*, QueryMaintained*
-// may be called from any number of goroutines but never concurrently
-// with Tick — the Session facade enforces that.
+// entry when evictIdleQueries drops it. Unlike Query*, QueryMaintained*
+// reads the live environment and the tick's delta: it may be called from
+// any number of goroutines but never concurrently with Tick — the
+// Session facade's reader lock enforces that, and it is also what makes
+// the provider fallback sound: while the lock is held the current read
+// view is the live tick.
 //
 // The per-answer verdict counters (AnswerHits/Patches/Rederives) are
 // deliberately not checkpoint-serialized: like IndexStats, they depend
@@ -137,8 +140,8 @@ func (e *Engine) MaintainedPlan(q *Query) *exec.AnswerPlan {
 
 // maintainedRow returns the cached answer for (q, key), deriving it if
 // absent or stale. Lock order: queryEntry's qmu section completes before
-// amu is taken; the provider fallback nests qmu→ent.mu under amu, which
-// nothing inverts.
+// amu is taken; the provider fallback takes qmu, ent.mu and the view's
+// mu (one at a time) under amu, which nothing inverts.
 func (e *Engine) maintainedRow(q *Query, key answerKey, unit, args []float64) ([]float64, error) {
 	if err := q.checkArgs(args); err != nil {
 		return nil, err
@@ -157,18 +160,7 @@ func (e *Engine) maintainedRow(q *Query, key answerKey, unit, args []float64) ([
 		a = &answerEntry{}
 		ent.answers[key] = a
 		for len(ent.answers) > maxAnswersPerQuery {
-			var lruKey answerKey
-			var lru *answerEntry
-			//sgl:unordered LRU victim search is a min-fold; a lastSeq tie evicts an arbitrary entry, which costs one rederive but never changes answer values
-			for k, cand := range ent.answers {
-				if k == key {
-					continue
-				}
-				if lru == nil || cand.lastSeq < lru.lastSeq {
-					lruKey, lru = k, cand
-				}
-			}
-			delete(ent.answers, lruKey)
+			evictLRU(ent.answers, key, func(a *answerEntry) uint64 { return a.lastSeq })
 		}
 	}
 	a.lastGen, a.lastSeq = gen, seq
@@ -185,7 +177,7 @@ func (e *Engine) maintainedRow(q *Query, key answerKey, unit, args []float64) ([
 		a.stale = false
 		return append([]float64(nil), a.vals...), nil
 	}
-	vals := e.queryProvider(q).Fork().EvalAgg(q.def, unit, args)
+	vals := e.ReadView().provider(q).Fork().EvalAgg(q.def, unit, args)
 	a.ans = nil
 	a.vals = vals
 	a.stale = false
@@ -196,10 +188,10 @@ func (e *Engine) maintainedRow(q *Query, key answerKey, unit, args []float64) ([
 }
 
 // maintainAnswers classifies every cached answer against the tick's
-// delta. Called at the end of Tick, after captureIncremental and before
-// invalidateQueries: the delta spans exactly the tick that just ran, and
-// Tick never runs concurrently with readers, so the per-entry locking is
-// uncontended and the Stats counters are safe to bump.
+// delta. Called at the end of Tick, after captureIncremental: the delta
+// spans exactly the tick that just ran. Maintained reads hold the session
+// reader lock and so never overlap a Tick; view readers do, but touch
+// only qmu-guarded recency stamps, so the Stats counters are safe to bump.
 func (e *Engine) maintainAnswers() {
 	type qe struct {
 		q   *Query

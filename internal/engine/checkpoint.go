@@ -411,7 +411,7 @@ func buildRestored(p *checkpointPayload, prog *sem.Program, g Game, tune Options
 	// Decode rows against prog's schema so the environment shares the
 	// program's schema object (pointer identity matters to plan operators).
 	p.env.Schema = prog.Schema
-	e, err := New(prog, g, p.env, Options{
+	e, err := build(prog, g, p.env, Options{
 		Mode:                 p.mode,
 		Categoricals:         p.cats,
 		Seed:                 p.seed,
@@ -428,7 +428,6 @@ func buildRestored(p *checkpointPayload, prog *sem.Program, g Game, tune Options
 		return nil, fmt.Errorf("engine: restore: %w", err)
 	}
 	e.tick = p.tick
-	e.atick.Store(p.tick)
 	e.Stats.Ticks = int(p.counters[0])
 	e.Stats.EffectsApplied = int(p.counters[1])
 	e.Stats.Moves = int(p.counters[2])
@@ -462,6 +461,9 @@ func buildRestored(p *checkpointPayload, prog *sem.Program, g Game, tune Options
 		e.pending = p.pending
 		e.inflight.Store(int64(len(p.pending)))
 	}
+	// Readers start where the writer stopped: the first published view
+	// carries the checkpoint's tick and counters.
+	e.publishView()
 	return e, nil
 }
 

@@ -59,6 +59,8 @@ type Game interface {
 	// column; untouched effect columns hold their fold identities) into the
 	// unit row, mutating state columns in place. It returns the unit's
 	// desired movement for the movement phase and whether it survives.
+	// Neither slice may be retained past the call: the engine reuses the
+	// effects buffer on the next tick.
 	//
 	// ApplyEffects must be safe for concurrent calls on distinct rows:
 	// with Options.Workers > 1 (the default resolves to all cores) the
@@ -171,12 +173,17 @@ type Engine struct {
 	journalBase int64
 
 	// Sharded admission state (admission.go): the per-origin queues of
-	// submitted-but-unstamped commands, the atomic (queued + pending)
-	// occupancy the buffer bound is enforced against, and a lock-free
-	// mirror of the tick counter for admission-time acknowledgments.
+	// submitted-but-unstamped commands and the atomic (queued + pending)
+	// occupancy the buffer bound is enforced against.
 	adm      admission
 	inflight atomic.Int64
-	atick    atomic.Int64
+
+	// view is the published read view of the last committed tick (see
+	// query.go): every observation read — queries, the tick counter, the
+	// status counters, admission-time acknowledgments — loads it and takes
+	// no lock. Stored at construction, at restore and at every tick
+	// commit; never nil once New has returned.
+	view atomic.Pointer[ReadView]
 
 	// constNames is the immutable set of tunable constant names, fixed at
 	// construction: OpTune updates values, never the key set, so the
@@ -189,7 +196,8 @@ type Engine struct {
 
 	posX, posY int // schema columns
 	fxCols     []int
-	workers    int // resolved Options.Workers (>= 1)
+	workers    int          // resolved Options.Workers (>= 1)
+	acc        *accumulator // the tick's effect accumulator, reused across ticks
 
 	// Incremental-maintenance state (Options.Incremental, Indexed mode):
 	// the provider the current tick used, the provider and delta to
@@ -208,9 +216,9 @@ type Engine struct {
 	// re-add these rows to the fresh delta for maintainAnswers.
 	cmdSetRows []int
 
-	// Observation-query state (see query.go): qmu guards the cached
-	// per-query analyzers and frozen providers, so any number of reader
-	// goroutines can share one index build per tick.
+	// Observation-query state (see query.go): qmu guards the per-query
+	// cache of analyzers and maintained answers. Frozen index providers
+	// are not here — they belong to the read view they index.
 	qmu     sync.Mutex
 	queries queryState
 
@@ -253,6 +261,17 @@ type RunStats struct {
 // effect columns must be at their game defaults (normally all zero); the
 // engine keeps that invariant across ticks.
 func New(prog *sem.Program, game Game, initial *table.Table, opts Options) (*Engine, error) {
+	e, err := build(prog, game, initial, opts)
+	if err != nil {
+		return nil, err
+	}
+	e.publishView()
+	return e, nil
+}
+
+// build is New without the initial publish: restore adopts the
+// checkpoint's tick and counters first and publishes once.
+func build(prog *sem.Program, game Game, initial *table.Table, opts Options) (*Engine, error) {
 	if !initial.Keyed() {
 		return nil, fmt.Errorf("engine: initial environment must be keyed")
 	}
@@ -315,7 +334,9 @@ func New(prog *sem.Program, game Game, initial *table.Table, opts Options) (*Eng
 // Env returns the live environment table (do not mutate).
 func (e *Engine) Env() *table.Table { return e.env }
 
-// TickCount returns the number of completed ticks.
+// TickCount returns the number of completed ticks. Like Env it reads the
+// live engine and must not race a Tick; concurrent readers use
+// ReadView().Tick().
 func (e *Engine) TickCount() int64 { return e.tick }
 
 // Workers returns the resolved worker count ticks run with (Options.
@@ -372,7 +393,7 @@ func (e *Engine) Tick() error {
 
 	r := e.src.Tick(e.tick)
 	n := e.env.Len()
-	acc := newAccumulator(e.prog.Schema, n)
+	acc := e.tickAccumulator(n)
 	keyIdx := make(map[int64]int, n)
 	kc := e.prog.Schema.KeyCol()
 	for i, row := range e.env.Rows {
@@ -426,17 +447,17 @@ func (e *Engine) Tick() error {
 	// previous indexes instead of rebuilding them.
 	e.captureIncremental()
 
-	// Classify every maintained answer against the fresh delta before the
-	// query caches are invalidated.
+	// Classify every maintained answer against the fresh delta, then age
+	// the per-query cache.
 	e.maintainAnswers()
+	e.evictIdleQueries()
 
-	// The environment mutated: every cached observation-query provider
-	// indexes a stale snapshot now.
-	e.invalidateQueries()
-
+	// Commit: from here on readers see this tick. The previous view (and
+	// the index providers readers built on it) is garbage once the last
+	// reader holding it returns.
 	e.tick++
-	e.atick.Store(e.tick)
 	e.Stats.Ticks++
+	e.publishView()
 	if e.opts.CompactJournal {
 		// Fold the entries this tick just applied into the base: the
 		// journal stays proportional to the pending window.
@@ -470,11 +491,34 @@ func newAccumulator(s *table.Schema, n int) *accumulator {
 	flat := make([]float64, n*width)
 	for i := range a.vals {
 		a.vals[i] = flat[i*width : (i+1)*width]
-		for _, c := range s.EffectCols() {
-			a.vals[i][c] = s.Attr(c).Kind.Identity()
+	}
+	a.reset()
+	return a
+}
+
+// reset returns every effect column to its fold identity. Folds write
+// effect columns only, so the rest of each row stays zero.
+func (a *accumulator) reset() {
+	fx := a.schema.EffectCols()
+	for _, row := range a.vals {
+		for _, c := range fx {
+			row[c] = a.schema.Attr(c).Kind.Identity()
 		}
 	}
-	return a
+}
+
+// tickAccumulator returns the tick's effect accumulator, reusing the
+// previous tick's buffer while the population holds. Nothing outlives
+// the tick that reads it (Game.ApplyEffects must not retain its
+// arguments), and reusing it is what pays, byte for byte, for the row
+// copy each commit publishes.
+func (e *Engine) tickAccumulator(n int) *accumulator {
+	if e.acc == nil || len(e.acc.vals) != n {
+		e.acc = newAccumulator(e.prog.Schema, n)
+	} else {
+		e.acc.reset()
+	}
+	return e.acc
 }
 
 func (a *accumulator) fold(rowIdx, col int, v float64) {

@@ -1,26 +1,30 @@
-// Ad-hoc observation queries over the live world: the read half of the
+// Ad-hoc observation queries over the world: the read half of the
 // session API. A Query is a compiled, read-only SGL aggregate evaluated
-// against the engine's current environment — the same "game AI as query
-// processing" machinery the tick uses, opened up to spectators,
+// against a committed tick of the environment — the same "game AI as
+// query processing" machinery the tick uses, opened up to spectators,
 // observers, and tooling.
 //
-// Execution reuses the indexed evaluator end to end: the first query
-// evaluated after a tick builds (and freezes) that query's per-partition
-// index structures over the current snapshot, and every subsequent
-// evaluation — including concurrent ones — probes the frozen structures
-// through a private exec.Indexed.Fork. N readers therefore share one
-// index build per tick, and each probe costs what a unit's own aggregate
-// costs inside a tick: O(log n) for divisible range aggregates, a
-// kD-descent for nearest-neighbour, O(1) for global extrema. The
-// QueryScan* variants evaluate the same query with the naive O(n) scan
-// provider; they are the semantics oracle the differential tests (and
-// the fan-out benchmark's baseline) use.
+// Reads never touch the live environment. Every tick commit publishes an
+// immutable ReadView (a copy of the rows, the tick number, that tick's
+// random source) through an atomic pointer, and every Query* evaluates
+// against the view current when it was called. Execution reuses the
+// indexed evaluator end to end: the first query evaluated on a view
+// builds (and freezes) that query's per-partition index structures over
+// the view's rows, and every subsequent evaluation — including
+// concurrent ones — probes the frozen structures through a private
+// exec.Indexed.Fork. N readers therefore share one index build per
+// (query, tick), and each probe costs what a unit's own aggregate costs
+// inside a tick: O(log n) for divisible range aggregates, a kD-descent
+// for nearest-neighbour, O(1) for global extrema. The QueryScan*
+// variants evaluate the same query with the naive O(n) scan provider;
+// they are the semantics oracle the differential tests (and the fan-out
+// benchmark's baseline) use.
 //
-// Concurrency: Query/QueryAt/QueryUnit may be called from any number of
-// goroutines simultaneously, but never concurrently with Tick — the
-// Session facade enforces that with a reader/writer lock. Tick
-// invalidates all cached query providers (the environment mutated under
-// them).
+// Concurrency: Query*/QueryScan* may be called from any number of
+// goroutines at any time, concurrently with Tick. A query issued while
+// tick t+1 is computing answers for tick t at once — its index build
+// runs beside the tick, not in front of it — and a view's providers are
+// released with the view, so nothing is invalidated at the boundary.
 package engine
 
 import (
@@ -29,6 +33,7 @@ import (
 	"sync"
 
 	"github.com/epicscale/sgl/internal/exec"
+	"github.com/epicscale/sgl/internal/rng"
 	"github.com/epicscale/sgl/internal/sgl/ast"
 	"github.com/epicscale/sgl/internal/sgl/interp"
 	"github.com/epicscale/sgl/internal/sgl/parser"
@@ -171,13 +176,12 @@ func unitCols(def *ast.AggDef, schema *table.Schema) []int {
 }
 
 // ---------------------------------------------------------------------------
-// Engine-side execution
+// Per-query cache (engine side)
 
 // queryState lives on the Engine (see engine.go fields): a generation
-// counter bumped by Tick plus one cache entry per Query. The engine-wide
-// qmu guards only the map and the recency bookkeeping; each entry has
-// its own mutex for the (possibly expensive) analyzer and index builds,
-// so readers of different queries never wait on each other's builds.
+// counter bumped once per Tick plus one cache entry per Query, holding
+// what outlives a tick — the query's analyzer and its maintained answers.
+// The engine-wide qmu guards only the map and the recency bookkeeping.
 type queryState struct {
 	gen   uint64
 	seq   uint64 // global use counter, for LRU over the cap
@@ -185,14 +189,12 @@ type queryState struct {
 }
 
 type queryCacheEntry struct {
-	mu      sync.Mutex // guards an/prov/provGen (build coordination)
-	an      *exec.Analyzer
-	prov    *exec.Indexed
-	provGen uint64
-	// Maintained answers (answers.go). amu guards plan and answers; it
-	// is never held while qmu is taken... except through queryProvider on
-	// the re-derive path, which nests qmu (then ent.mu) under amu — safe
-	// because no code path takes amu while holding qmu or ent.mu.
+	mu sync.Mutex // guards an (built by the first reader)
+	an *exec.Analyzer
+	// Maintained answers (answers.go). amu guards plan and answers; the
+	// provider fallback on the re-derive path nests qmu, ent.mu and the
+	// read view's mu under it — safe because no code path takes amu while
+	// holding any of those.
 	amu     sync.Mutex
 	plan    *exec.AnswerPlan
 	answers map[answerKey]*answerEntry
@@ -207,36 +209,33 @@ type queryCacheEntry struct {
 // its program and analyzer for the engine's lifetime.
 const queryEvictAfter = 2
 
-// maxCachedQueries bounds the cache between ticks: a paused world served
-// one-shot queries would otherwise grow an analyzer plus a frozen index
-// set per distinct Query with nothing to evict them until the next Tick.
-// Past the cap the least-recently-used entry is dropped.
+// maxCachedQueries bounds both per-query caches between ticks — the
+// engine's analyzers and a read view's frozen providers: a paused world
+// served one-shot queries would otherwise grow an analyzer plus a frozen
+// index set per distinct Query with no tick to release them. Past the
+// cap the least-recently-used entry is dropped.
 const maxCachedQueries = 64
 
-// invalidateQueries drops every cached query provider (the environment
-// they indexed has mutated) and evicts per-query state that has not been
-// used for queryEvictAfter generations; called at the end of Tick. Tick
-// never runs concurrently with Query* (the Session lock enforces it), so
-// the brief per-entry locking here is uncontended.
-func (e *Engine) invalidateQueries() {
+// evictIdleQueries starts a new cache generation and drops per-query
+// state that has not been used for queryEvictAfter generations; called
+// once per Tick. Index providers need no invalidation here: they hang
+// off the read view they were built on and die with it.
+func (e *Engine) evictIdleQueries() {
 	e.qmu.Lock()
 	e.queries.gen++
-	//sgl:unordered per-entry invalidation and eviction touch only their own entry
+	//sgl:unordered per-entry eviction touches only its own entry
 	for q, ent := range e.queries.cache {
 		if e.queries.gen-ent.lastGen > queryEvictAfter {
 			delete(e.queries.cache, q)
-			continue
 		}
-		ent.mu.Lock()
-		ent.prov = nil
-		ent.mu.Unlock()
 	}
 	e.qmu.Unlock()
 }
 
 // queryEntry returns (creating if needed) q's cache entry and stamps its
 // recency, evicting the least-recently-used entry past the cap. Returns
-// the current generation and the use stamp just assigned.
+// the current generation and the use stamp just assigned. Readers call
+// it while a Tick runs; everything it touches is under qmu.
 func (e *Engine) queryEntry(q *Query) (*queryCacheEntry, uint64, uint64) {
 	e.qmu.Lock()
 	if e.queries.cache == nil {
@@ -247,17 +246,7 @@ func (e *Engine) queryEntry(q *Query) (*queryCacheEntry, uint64, uint64) {
 		ent = &queryCacheEntry{}
 		e.queries.cache[q] = ent
 		for len(e.queries.cache) > maxCachedQueries {
-			var lru *Query
-			//sgl:unordered LRU victim search is a min-fold; a lastSeq tie evicts an arbitrary entry, which costs one recompile but never changes answer values
-			for cand, ce := range e.queries.cache {
-				if cand == q {
-					continue
-				}
-				if lru == nil || ce.lastSeq < e.queries.cache[lru].lastSeq {
-					lru = cand
-				}
-			}
-			delete(e.queries.cache, lru)
+			evictLRU(e.queries.cache, q, func(ce *queryCacheEntry) uint64 { return ce.lastSeq })
 		}
 	}
 	e.queries.seq++
@@ -267,34 +256,142 @@ func (e *Engine) queryEntry(q *Query) (*queryCacheEntry, uint64, uint64) {
 	return ent, gen, seq
 }
 
-// queryProvider returns the frozen indexed provider for q over the
-// current environment, building it at most once per tick. The first
-// caller after a tick pays the build; everyone else forks it. The build
-// runs under the entry's own lock, so concurrent queries for other
-// shapes proceed, and concurrent callers for the same shape wait for the
-// one build instead of duplicating it.
-func (e *Engine) queryProvider(q *Query) *exec.Indexed {
-	ent, gen, _ := e.queryEntry(q)
+// evictLRU deletes the entry of m with the smallest use stamp, sparing
+// keep (the entry just inserted). Stamps come from the engine's query-use
+// counter and are unique, so the victim never depends on iteration order;
+// evicting costs a rebuild, never an answer.
+func evictLRU[K comparable, V any](m map[K]V, keep K, stamp func(V) uint64) {
+	var victim K
+	var oldest uint64
+	found := false
+	//sgl:unordered LRU victim search is a min-fold over unique use stamps
+	for k, v := range m {
+		if k == keep {
+			continue
+		}
+		if s := stamp(v); !found || s < oldest {
+			victim, oldest, found = k, s, true
+		}
+	}
+	if found {
+		delete(m, victim)
+	}
+}
 
+// queryAnalyzer returns q's index-usability analysis, built once per
+// cache entry, and the use stamp of this evaluation.
+func (e *Engine) queryAnalyzer(q *Query) (*exec.Analyzer, uint64) {
+	ent, _, seq := e.queryEntry(q)
 	ent.mu.Lock()
 	defer ent.mu.Unlock()
 	if ent.an == nil {
 		ent.an = exec.NewAnalyzer(q.prog, e.opts.Categoricals)
 	}
-	if ent.prov == nil || ent.provGen != gen {
-		prov := exec.NewIndexed(ent.an, e.env, e.src.Tick(e.tick))
-		prov.Freeze()
-		ent.prov, ent.provGen = prov, gen
-	}
-	return ent.prov
+	return ent.an, seq
 }
 
-// checkQueryArgs validates the evaluation's argument count.
+// checkArgs validates the evaluation's argument count.
 func (q *Query) checkArgs(args []float64) error {
 	if want := len(q.def.Params) - 1; len(args) != want {
 		return fmt.Errorf("engine: query %s takes %d argument(s), got %d", q.def.Name, want, len(args))
 	}
 	return nil
+}
+
+// ---------------------------------------------------------------------------
+// Read views
+
+// ReadView is one committed tick of the world, published for readers: an
+// immutable copy of the environment, the tick it is the state after, that
+// tick's random source, and the run counters a status line shows. The
+// paper's state-effect pattern makes the environment of a tick a relation
+// nobody writes until effects combine at the boundary; a view is that
+// relation handed to spectators, so a read never waits for the tick in
+// flight — it answers for the last committed tick, and says so.
+//
+// Everything read through one view is mutually consistent: Tick labels
+// exactly the state every Query* on the same view evaluates against. A
+// view stays valid for as long as a reader holds it, however far the
+// world has moved on. All methods are safe for concurrent use.
+type ReadView struct {
+	e      *Engine // immutable facts (schema, categoricals) and the analyzer cache
+	tick   int64
+	env    *table.Table // private flat copy; never written after publish
+	rs     rng.TickSource
+	deaths int
+	moves  int
+
+	// provs caches one frozen indexed provider per query evaluated on
+	// this view, built by the first reader that asks. Bounded by
+	// maxCachedQueries for worlds that never tick.
+	mu    sync.Mutex
+	provs map[*Query]*viewProvider
+}
+
+// viewProvider is one (query, view) index build. The once serializes
+// readers of the same query behind a single build without making readers
+// of other queries wait on it.
+type viewProvider struct {
+	once sync.Once
+	prov *exec.Indexed
+	seq  uint64 // recency stamp, guarded by the view's mu
+}
+
+// publishView copies the committed environment into a fresh read view
+// and swaps it in. Called with the engine quiescent: at construction, at
+// restore, and as the last step of a tick.
+func (e *Engine) publishView() {
+	e.view.Store(&ReadView{
+		e:      e,
+		tick:   e.tick,
+		env:    e.env.Clone(),
+		rs:     e.src.Tick(e.tick),
+		deaths: e.Stats.Deaths,
+		moves:  e.Stats.Moves,
+	})
+}
+
+// ReadView returns the view of the last committed tick. It takes no
+// lock and never blocks, whatever the engine is doing.
+func (e *Engine) ReadView() *ReadView { return e.view.Load() }
+
+// Tick returns the number of ticks committed when the view was published.
+func (v *ReadView) Tick() int64 { return v.tick }
+
+// Units returns the view's population.
+func (v *ReadView) Units() int { return v.env.Len() }
+
+// Deaths returns the run's cumulative death count as of the view's tick.
+func (v *ReadView) Deaths() int { return v.deaths }
+
+// Moves returns the run's cumulative move count as of the view's tick.
+func (v *ReadView) Moves() int { return v.moves }
+
+// provider returns the frozen indexed provider for q over this view,
+// building it at most once. The first caller pays the build; everyone
+// else forks it.
+func (v *ReadView) provider(q *Query) *exec.Indexed {
+	an, seq := v.e.queryAnalyzer(q)
+	v.mu.Lock()
+	if v.provs == nil {
+		v.provs = map[*Query]*viewProvider{}
+	}
+	p := v.provs[q]
+	if p == nil {
+		p = &viewProvider{}
+		v.provs[q] = p
+		for len(v.provs) > maxCachedQueries {
+			evictLRU(v.provs, q, func(cp *viewProvider) uint64 { return cp.seq })
+		}
+	}
+	p.seq = seq
+	v.mu.Unlock()
+	p.once.Do(func() {
+		prov := exec.NewIndexed(an, v.env, v.rs)
+		prov.Freeze()
+		p.prov = prov
+	})
+	return p.prov
 }
 
 // syntheticUnit builds the probe row for world and positional queries:
@@ -309,34 +406,33 @@ func (e *Engine) syntheticUnit(x, y float64) []float64 {
 
 // Query evaluates a world query — one that reads no attribute of a probe
 // unit — and returns the entry aggregate's outputs in declaration order.
-// Safe for concurrent use with other Query* calls (not with Tick).
-func (e *Engine) Query(q *Query, args ...float64) ([]float64, error) {
+func (v *ReadView) Query(q *Query, args ...float64) ([]float64, error) {
 	if len(q.unitCols) > 0 {
 		return nil, fmt.Errorf("engine: query %s reads unit attributes %s; use QueryAt or QueryUnit", q.def.Name, q.unitAttrNames())
 	}
-	return e.queryRow(q, e.syntheticUnit(0, 0), args, false)
+	return v.queryRow(q, v.e.syntheticUnit(0, 0), args, false)
 }
 
 // QueryAt evaluates a positional query from the observer position
 // (x, y): the probe unit is synthetic, carrying only that position, so
 // the query may reference u.posx/u.posy (and nearest-neighbour outputs
 // measure from it) but no other unit attribute.
-func (e *Engine) QueryAt(q *Query, x, y float64, args ...float64) ([]float64, error) {
+func (v *ReadView) QueryAt(q *Query, x, y float64, args ...float64) ([]float64, error) {
 	if q.NeedsUnit() {
 		return nil, fmt.Errorf("engine: query %s reads unit attributes %s beyond position; use QueryUnit", q.def.Name, q.unitAttrNames())
 	}
-	return e.queryRow(q, e.syntheticUnit(x, y), args, false)
+	return v.queryRow(q, v.e.syntheticUnit(x, y), args, false)
 }
 
-// QueryUnit evaluates a query from the perspective of the live unit with
-// the given key, exactly as the unit's own script would observe the
-// world this instant. The key resolves through the frozen provider's
-// key index, so the whole call stays O(log n).
-func (e *Engine) QueryUnit(q *Query, key int64, args ...float64) ([]float64, error) {
+// QueryUnit evaluates a query from the perspective of the unit with the
+// given key, exactly as the unit's own script would observe the view's
+// world. The key resolves through the frozen provider's key index, so
+// the whole call stays O(log n).
+func (v *ReadView) QueryUnit(q *Query, key int64, args ...float64) ([]float64, error) {
 	if err := q.checkArgs(args); err != nil {
 		return nil, err
 	}
-	prov := e.queryProvider(q)
+	prov := v.provider(q)
 	row, ok := prov.RowByKey(key)
 	if !ok {
 		return nil, fmt.Errorf("engine: query %s: no unit with key %d", q.def.Name, key)
@@ -346,45 +442,80 @@ func (e *Engine) QueryUnit(q *Query, key int64, args ...float64) ([]float64, err
 
 // QueryScan, QueryScanAt and QueryScanUnit are the naive counterparts of
 // Query, QueryAt and QueryUnit: the same semantics evaluated by a full
-// O(n) environment scan, mirroring the paper's pluggable-evaluator
+// O(n) scan of the view, mirroring the paper's pluggable-evaluator
 // design. They exist as the differential oracle and the baseline the
 // fan-out benchmark measures against; results agree with the indexed
 // path up to floating-point association (exactly like Naive vs Indexed
 // engine mode).
-func (e *Engine) QueryScan(q *Query, args ...float64) ([]float64, error) {
+func (v *ReadView) QueryScan(q *Query, args ...float64) ([]float64, error) {
 	if len(q.unitCols) > 0 {
 		return nil, fmt.Errorf("engine: query %s reads unit attributes %s; use QueryScanAt or QueryScanUnit", q.def.Name, q.unitAttrNames())
 	}
-	return e.queryRow(q, e.syntheticUnit(0, 0), args, true)
+	return v.queryRow(q, v.e.syntheticUnit(0, 0), args, true)
 }
 
 // QueryScanAt is the naive-scan QueryAt.
-func (e *Engine) QueryScanAt(q *Query, x, y float64, args ...float64) ([]float64, error) {
+func (v *ReadView) QueryScanAt(q *Query, x, y float64, args ...float64) ([]float64, error) {
 	if q.NeedsUnit() {
 		return nil, fmt.Errorf("engine: query %s reads unit attributes %s beyond position; use QueryScanUnit", q.def.Name, q.unitAttrNames())
 	}
-	return e.queryRow(q, e.syntheticUnit(x, y), args, true)
+	return v.queryRow(q, v.e.syntheticUnit(x, y), args, true)
 }
 
 // QueryScanUnit is the naive-scan QueryUnit.
-func (e *Engine) QueryScanUnit(q *Query, key int64, args ...float64) ([]float64, error) {
-	row := e.env.Lookup(key)
+func (v *ReadView) QueryScanUnit(q *Query, key int64, args ...float64) ([]float64, error) {
+	row := v.env.Lookup(key)
 	if row == nil {
 		return nil, fmt.Errorf("engine: query %s: no unit with key %d", q.def.Name, key)
 	}
-	return e.queryRow(q, row, args, true)
+	return v.queryRow(q, row, args, true)
 }
 
-func (e *Engine) queryRow(q *Query, unit []float64, args []float64, scan bool) ([]float64, error) {
+func (v *ReadView) queryRow(q *Query, unit []float64, args []float64, scan bool) ([]float64, error) {
 	if err := q.checkArgs(args); err != nil {
 		return nil, err
 	}
 	if scan {
-		prov := interp.NewNaive(q.prog, e.env, e.src.Tick(e.tick))
-		return prov.EvalAgg(q.def, unit, args), nil
+		return interp.NewNaive(q.prog, v.env, v.rs).EvalAgg(q.def, unit, args), nil
 	}
-	fork := e.queryProvider(q).Fork()
-	return fork.EvalAgg(q.def, unit, args), nil
+	return v.provider(q).Fork().EvalAgg(q.def, unit, args), nil
+}
+
+// The Engine's six query methods evaluate against the current read view:
+// the last committed tick. Unlike the rest of the Engine they are safe to
+// call from any goroutine at any time, including while Tick runs.
+
+// Query evaluates a world query on the current read view (see
+// ReadView.Query).
+func (e *Engine) Query(q *Query, args ...float64) ([]float64, error) {
+	return e.ReadView().Query(q, args...)
+}
+
+// QueryAt evaluates a positional query on the current read view (see
+// ReadView.QueryAt).
+func (e *Engine) QueryAt(q *Query, x, y float64, args ...float64) ([]float64, error) {
+	return e.ReadView().QueryAt(q, x, y, args...)
+}
+
+// QueryUnit evaluates a unit-perspective query on the current read view
+// (see ReadView.QueryUnit).
+func (e *Engine) QueryUnit(q *Query, key int64, args ...float64) ([]float64, error) {
+	return e.ReadView().QueryUnit(q, key, args...)
+}
+
+// QueryScan is the naive-scan twin of Query (see ReadView.QueryScan).
+func (e *Engine) QueryScan(q *Query, args ...float64) ([]float64, error) {
+	return e.ReadView().QueryScan(q, args...)
+}
+
+// QueryScanAt is the naive-scan twin of QueryAt.
+func (e *Engine) QueryScanAt(q *Query, x, y float64, args ...float64) ([]float64, error) {
+	return e.ReadView().QueryScanAt(q, x, y, args...)
+}
+
+// QueryScanUnit is the naive-scan twin of QueryUnit.
+func (e *Engine) QueryScanUnit(q *Query, key int64, args ...float64) ([]float64, error) {
+	return e.ReadView().QueryScanUnit(q, key, args...)
 }
 
 // unitAttrNames renders the unit attributes a query reads, for error

@@ -266,22 +266,25 @@ aggregate Zone(u, x, y, r) :=
 			t.Fatal(err)
 		}
 	}
-	// One provider exists for q, and it was built exactly once this tick.
-	e.qmu.Lock()
-	ent := e.queries.cache[q]
-	e.qmu.Unlock()
-	if ent == nil || ent.prov == nil {
-		t.Fatal("no cached provider after queries")
+	// One provider exists for q on the view, and it was built exactly
+	// once this tick.
+	v := e.ReadView()
+	v.mu.Lock()
+	p := v.provs[q]
+	cached := len(v.provs)
+	v.mu.Unlock()
+	if p == nil || p.prov == nil || cached != 1 {
+		t.Fatalf("want exactly one built provider on the view, have %d (q's: %v)", cached, p)
 	}
-	if ent.prov.Stats.IndexBuilds == 0 {
+	if p.prov.Stats.IndexBuilds == 0 {
 		t.Fatal("provider reports no index builds")
 	}
-	builds := ent.prov.Stats.IndexBuilds
+	builds := p.prov.Stats.IndexBuilds
 	if _, err := e.Query(q, 12, 12, 10); err != nil {
 		t.Fatal(err)
 	}
-	if ent.prov.Stats.IndexBuilds != builds {
-		t.Fatalf("extra index builds within one tick: %d -> %d", builds, ent.prov.Stats.IndexBuilds)
+	if e.ReadView().provider(q) != p.prov || p.prov.Stats.IndexBuilds != builds {
+		t.Fatalf("extra index builds within one tick: %d -> %d", builds, p.prov.Stats.IndexBuilds)
 	}
 }
 
@@ -385,9 +388,10 @@ func TestQueryCacheEviction(t *testing.T) {
 		t.Fatalf("query cache grew to %d entries; one-shot queries are not evicted", cached)
 	}
 
-	// Between ticks the cache is capped: a paused world answering
-	// one-shot queries must not grow without bound.
-	for i := 0; i < maxCachedQueries+20; i++ {
+	// Between ticks both caches are capped: a paused world answering
+	// one-shot queries must grow neither the engine's analyzers nor the
+	// read view's frozen providers without bound.
+	for i := 0; i < 200; i++ {
 		oneShot := compileQuery(t, `aggregate Flood(u) := count(*) over e;`)
 		if _, err := e.Query(oneShot); err != nil {
 			t.Fatal(err)
@@ -398,5 +402,12 @@ func TestQueryCacheEviction(t *testing.T) {
 	e.qmu.Unlock()
 	if cached > maxCachedQueries {
 		t.Fatalf("query cache grew to %d entries without a tick (cap %d)", cached, maxCachedQueries)
+	}
+	v := e.ReadView()
+	v.mu.Lock()
+	frozen := len(v.provs)
+	v.mu.Unlock()
+	if frozen > maxCachedQueries {
+		t.Fatalf("read view holds %d frozen providers without a tick (cap %d)", frozen, maxCachedQueries)
 	}
 }

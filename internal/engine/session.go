@@ -4,13 +4,16 @@
 // observed by many concurrent readers, and checkpointed, with the
 // synchronization those uses need built in:
 //
-//   - Step takes the writer lock, so the environment never mutates under
-//     a reader;
-//   - Query/QueryAt/QueryUnit take the reader lock, so any number of
-//     spectators run simultaneously (sharing one index build per tick,
-//     see query.go) while Step waits;
-//   - Checkpoint takes the reader lock too — persisting a world does not
-//     block its observers, only its clock;
+//   - Step takes the writer lock, so the live environment never mutates
+//     under anything that reads it;
+//   - Query*/QueryScan*/Tick/ReadView take NO lock: they read the view
+//     the last tick commit published (see query.go), so any number of
+//     spectators run simultaneously with each other and with a Step in
+//     progress, answering for the last committed tick;
+//   - QueryMaintained*, Checkpoint, Journal, Pending, Stats and View take
+//     the reader lock: they read live mutable engine state (the tick's
+//     delta, the input journal, the run counters), so they run together
+//     but wait for — and hold off — the clock;
 //   - Submit takes NO session lock at all: it routes through the sharded
 //     per-origin admission queues (admission.go), so N concurrent actors
 //     never contend with each other, with spectators, or with the clock.
@@ -68,12 +71,17 @@ func (s *Session) OnTick(fn StatsFunc) {
 // locking.
 func (s *Session) Engine() *Engine { return s.e }
 
-// Tick returns the number of completed ticks.
-func (s *Session) Tick() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.e.TickCount()
-}
+// Tick returns the number of committed ticks. It never blocks: while a
+// Step is in progress it reports the tick before it, and once Step has
+// returned it reports the stepped-to tick.
+func (s *Session) Tick() int64 { return s.e.ReadView().Tick() }
+
+// ReadView returns the read view of the last committed tick (see
+// ReadView). Use it when several reads must describe the same tick — a
+// query's values and the tick they are labelled with, or the counters of
+// one status line — which separate Session calls cannot promise while
+// the clock runs. It takes no lock.
+func (s *Session) ReadView() *ReadView { return s.e.ReadView() }
 
 // Stats returns a snapshot of the cumulative run counters.
 func (s *Session) Stats() RunStats {
@@ -85,10 +93,10 @@ func (s *Session) Stats() RunStats {
 }
 
 // Step advances the world n ticks, invoking the OnTick hook after each.
-// The writer lock is acquired per tick, not for the whole call: readers
-// always observe a completed tick, never a torn one, and long steps
-// leave windows between ticks for queued spectators instead of starving
-// them for the entire batch.
+// The writer lock is acquired per tick, not for the whole call: locked
+// readers (checkpoints, journal and maintained reads) always observe a
+// completed tick, never a torn one, and long steps leave windows between
+// ticks for them instead of starving them for the entire batch.
 func (s *Session) Step(n int) error {
 	if n < 0 {
 		return fmt.Errorf("engine: session: negative step %d", n)
@@ -117,27 +125,22 @@ func (s *Session) stepOne() error {
 	return nil
 }
 
-// Query evaluates a world query against the current state. Any number of
-// Query/QueryAt/QueryUnit calls may run concurrently; they block only
-// while a Step is in progress.
+// Query evaluates a world query against the last committed tick. Any
+// number of Query*/QueryScan* calls may run concurrently, with each other
+// and with Step: none takes the session lock, and none waits for a tick
+// in progress (see ReadView).
 func (s *Session) Query(q *Query, args ...float64) ([]float64, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	return s.e.Query(q, args...)
 }
 
 // QueryAt evaluates a positional query from the observer position (x, y).
 func (s *Session) QueryAt(q *Query, x, y float64, args ...float64) ([]float64, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	return s.e.QueryAt(q, x, y, args...)
 }
 
-// QueryUnit evaluates a query from the perspective of the live unit with
-// the given key.
+// QueryUnit evaluates a query from the perspective of the unit with the
+// given key.
 func (s *Session) QueryUnit(q *Query, key int64, args ...float64) ([]float64, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	return s.e.QueryUnit(q, key, args...)
 }
 
@@ -164,36 +167,32 @@ func (s *Session) QueryMaintainedUnit(q *Query, key int64, args ...float64) ([]f
 	return s.e.QueryMaintainedUnit(q, key, args...)
 }
 
-// QueryScan is the naive-scan twin of Query under the same reader lock
-// (see Engine.QueryScan): identical semantics evaluated by an O(n)
-// environment scan instead of the shared per-tick indexes.
+// QueryScan is the naive-scan twin of Query (see Engine.QueryScan):
+// identical semantics evaluated by an O(n) scan of the same read view
+// instead of its shared indexes.
 func (s *Session) QueryScan(q *Query, args ...float64) ([]float64, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	return s.e.QueryScan(q, args...)
 }
 
-// QueryScanAt is the naive-scan twin of QueryAt under the reader lock.
+// QueryScanAt is the naive-scan twin of QueryAt.
 func (s *Session) QueryScanAt(q *Query, x, y float64, args ...float64) ([]float64, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	return s.e.QueryScanAt(q, x, y, args...)
 }
 
-// QueryScanUnit is the naive-scan twin of QueryUnit under the reader lock.
+// QueryScanUnit is the naive-scan twin of QueryUnit.
 func (s *Session) QueryScanUnit(q *Query, key int64, args ...float64) ([]float64, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	return s.e.QueryScanUnit(q, key, args...)
 }
 
-// View runs fn against the engine under the reader lock: everything fn
-// reads — multiple queries, the tick counter, stats — comes from one
-// consistent between-ticks snapshot, which a sequence of individual
-// Session calls cannot guarantee while the clock runs. fn must treat
-// the engine as read-only and must not call back into the session (the
-// lock is not reentrant); use the Engine's own Query*/QueryScan*
-// methods inside fn, not the Session's.
+// View runs fn against the live engine under the reader lock: the clock
+// is held off for the duration, so everything fn reads — the journal,
+// maintained answers, the tick counter, stats, and (because the current
+// read view is the live tick while the lock is held) plain queries —
+// comes from one consistent between-ticks state. It exists for reads
+// coupled to live mutable engine state; plain observation reads should
+// use ReadView, which gives the same consistency without stalling the
+// clock. fn must treat the engine as read-only and must not call a
+// session method that takes the lock (it is not reentrant).
 func (s *Session) View(fn func(e *Engine)) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -201,10 +200,10 @@ func (s *Session) View(fn func(e *Engine)) {
 }
 
 // Checkpoint writes the world's resumable state to w (see
-// Engine.Checkpoint). It runs under the reader lock: concurrent queries
-// proceed, the clock waits. Queued sharded admissions are stamped and
-// drained into the stream first, so every acknowledged Submit is in the
-// checkpoint it should survive through.
+// Engine.Checkpoint). It runs under the reader lock: the clock waits for
+// the write (queries never wait for either). Queued sharded admissions
+// are stamped and drained into the stream first, so every acknowledged
+// Submit is in the checkpoint it should survive through.
 func (s *Session) Checkpoint(w io.Writer) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -50,9 +50,10 @@ func TestSessionStepAndHook(t *testing.T) {
 	}
 }
 
-// The session's locking makes concurrent spectators safe against a
-// running clock: readers hammer queries while the main goroutine steps.
-// Run under -race this is the core safety proof for the session API.
+// Concurrent spectators are safe against a running clock: readers hammer
+// queries — each on the read view the last commit published — while the
+// main goroutine steps. Run under -race this is the core safety proof
+// for the session API.
 func TestSessionConcurrentQueryAndStep(t *testing.T) {
 	s := newSession(t, 90, 13)
 	q := compileQuery(t, `
@@ -106,10 +107,10 @@ aggregate Zone(u, x, y, r) :=
 	}
 }
 
-// The naive-scan twins run under the same reader lock, so they too are
-// safe against a running clock (regression: the server once called the
-// engine's scan methods directly, bypassing the session lock), and they
-// agree with the indexed path between steps.
+// The naive-scan twins read the same published view, so they too are
+// safe against a running clock (regression: the server once scanned the
+// live environment while it ticked), and they agree with the indexed
+// path between steps.
 func TestSessionQueryScanLockedAndAgrees(t *testing.T) {
 	s := newSession(t, 80, 17)
 	q := compileQuery(t, `

@@ -1,0 +1,341 @@
+package engine
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"sort"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"github.com/epicscale/sgl/internal/exec"
+	"github.com/epicscale/sgl/internal/geom"
+	"github.com/epicscale/sgl/internal/sgl/sem"
+)
+
+// parkingGame is the battle mechanics with a gate in the middle of the
+// tick: once armed, the first ApplyEffects call announces itself and every
+// call waits for release. It pins a Step inside the post-processing phase
+// — environment half-mutated, writer lock held — for as long as a test
+// needs to look at what readers can still do.
+type parkingGame struct {
+	Game
+	armed   atomic.Bool
+	once    sync.Once
+	parked  chan struct{}
+	release chan struct{}
+}
+
+func (g *parkingGame) ApplyEffects(row, effects []float64) (geom.Vec, bool) {
+	if g.armed.Load() {
+		g.once.Do(func() { close(g.parked) })
+		<-g.release
+	}
+	return g.Game.ApplyEffects(row, effects)
+}
+
+// sameBits compares answer vectors bit for bit (NaN-stable).
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestReadsDoNotWaitForTick pins the read view's point: while a Step is
+// stuck mid-tick holding the writer lock, every observation read returns
+// at once, answering for — and labelled with — the last committed tick;
+// after the Step returns, the same reads see the new tick.
+func TestReadsDoNotWaitForTick(t *testing.T) {
+	const units, seed, warm = 60, 29, 3
+	g := &parkingGame{parked: make(chan struct{}), release: make(chan struct{})}
+	e := newEngine(t, battleProg(t), units, Indexed, seed, func(o *Options) { o.Workers = 1 })
+	g.Game = e.game
+	e.game = g
+	s := NewSession(e)
+	ref := newSession(t, units, seed) // the same world, never parked
+	if err := s.Step(warm); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Step(warm); err != nil {
+		t.Fatal(err)
+	}
+
+	pos := compileQuery(t, `
+aggregate Near(u, r) :=
+  count(*) as n, sum(e.posx) as sx
+  over e where e.posx >= u.posx - r and e.posx <= u.posx + r
+    and e.posy >= u.posy - r and e.posy <= u.posy + r;`)
+	type reads struct {
+		tick         int64
+		at, scan, by []float64
+	}
+	// read performs the four lock-free reads; on a hang it fails the test
+	// instead of deadlocking it.
+	read := func(s *Session, when string) reads {
+		t.Helper()
+		done := make(chan reads, 1)
+		errs := make(chan error, 1)
+		go func() {
+			var r reads
+			var err error
+			if r.at, err = s.QueryAt(pos, 10, 12, 9); err != nil {
+				errs <- err
+				return
+			}
+			if r.scan, err = s.QueryScanAt(pos, 10, 12, 9); err != nil {
+				errs <- err
+				return
+			}
+			if r.by, err = s.QueryUnit(pos, 7, 9); err != nil {
+				errs <- err
+				return
+			}
+			r.tick = s.Tick()
+			done <- r
+		}()
+		select {
+		case r := <-done:
+			return r
+		case err := <-errs:
+			t.Fatalf("%s: %v", when, err)
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: reads blocked behind the tick", when)
+		}
+		return reads{}
+	}
+	agree := func(when string, got, want reads) {
+		t.Helper()
+		if got.tick != want.tick {
+			t.Fatalf("%s: Tick() = %d, want %d", when, got.tick, want.tick)
+		}
+		if !sameBits(got.at, want.at) || !sameBits(got.scan, want.scan) || !sameBits(got.by, want.by) {
+			t.Fatalf("%s: answers %v / %v / %v, want %v / %v / %v",
+				when, got.at, got.scan, got.by, want.at, want.scan, want.by)
+		}
+	}
+
+	before := read(ref, "reference at the warm tick")
+	if before.tick != warm {
+		t.Fatalf("reference Tick() = %d, want %d", before.tick, warm)
+	}
+
+	g.armed.Store(true)
+	stepped := make(chan error, 1)
+	go func() { stepped <- s.Step(1) }()
+	select {
+	case <-g.parked:
+	case err := <-stepped:
+		t.Fatalf("Step returned without reaching ApplyEffects: %v", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("Step never reached ApplyEffects")
+	}
+	// The Step is parked mid-tick. Reads answer for the committed tick.
+	agree("while Step is parked", read(s, "while Step is parked"), before)
+	if v := s.ReadView(); v.Tick() != warm || v.Units() != units {
+		t.Fatalf("view while parked: tick %d units %d", v.Tick(), v.Units())
+	}
+
+	close(g.release)
+	if err := <-stepped; err != nil {
+		t.Fatal(err)
+	}
+	// Read-your-step: once Step has returned, reads see its tick.
+	if err := ref.Step(1); err != nil {
+		t.Fatal(err)
+	}
+	after := read(ref, "reference after the step")
+	if after.tick != warm+1 {
+		t.Fatalf("reference Tick() = %d, want %d", after.tick, warm+1)
+	}
+	agree("after Step returned", read(s, "after Step returned"), after)
+}
+
+// viewProbe is one observation read the snapshot differential issues: a
+// zoo query in its probe form, through the indexed or the scan evaluator.
+type viewProbe struct {
+	zoo  int // index into queryZoo
+	x, y float64
+	key  int64
+	scan bool
+}
+
+func (p viewProbe) eval(v *ReadView, q *Query) ([]float64, error) {
+	zq := queryZoo[p.zoo]
+	switch {
+	case zq.kind == qUnit && p.scan:
+		return v.QueryScanUnit(q, p.key, zq.args...)
+	case zq.kind == qUnit:
+		return v.QueryUnit(q, p.key, zq.args...)
+	case zq.kind == qAt && p.scan:
+		return v.QueryScanAt(q, p.x, p.y, zq.args...)
+	case zq.kind == qAt:
+		return v.QueryAt(q, p.x, p.y, zq.args...)
+	case p.scan:
+		return v.QueryScan(q, zq.args...)
+	default:
+		return v.Query(q, zq.args...)
+	}
+}
+
+// viewRecord is what a reader saw: which probe, at which tick label.
+type viewRecord struct {
+	probe viewProbe
+	tick  int64
+	vals  []float64
+}
+
+// TestSnapshotReadsMatchStandalone is the read-view member of the
+// contract-#4 family (served ≡ standalone): under a free-running clock,
+// reader goroutines record (tick, values) for every zoo query, indexed
+// and scan, through one view handle per read. A serial standalone engine
+// stepped to each recorded tick must reproduce every answer bit for bit
+// — so a response labelled t is the state after exactly t ticks, never a
+// torn or mislabelled one — indexed must agree with scan at equal
+// labels, and the watched world's final checkpoint must equal an
+// unwatched run's byte for byte: readers and the published copies are
+// invisible to the simulation.
+func TestSnapshotReadsMatchStandalone(t *testing.T) {
+	const units, seed, minTicks, maxTicks, readers = 48, 41, 12, 400, 3
+	type world struct {
+		name string
+		prog *sem.Program
+	}
+	progs := []world{{"battle", battleProg(t)}}
+	for _, zp := range exec.Zoo {
+		progs = append(progs, world{zp.Name, compileZoo(t, zp.Src)})
+	}
+	queries := make([]*Query, len(queryZoo))
+	for i, zq := range queryZoo {
+		queries[i] = compileQuery(t, zq.src)
+	}
+	for _, p := range progs {
+		for _, workers := range []int{1, 4} {
+			for _, inc := range []bool{false, true} {
+				p, workers, inc := p, workers, inc
+				t.Run(fmt.Sprintf("%s/w%d-inc%v", p.name, workers, inc), func(t *testing.T) {
+					tune := func(o *Options) { o.Workers, o.Incremental = workers, inc }
+					s := NewSession(newEngine(t, p.prog, units, Indexed, seed, tune))
+
+					// Readers: each cycles through the whole zoo, both
+					// evaluators, taking a fresh view per read.
+					var stop atomic.Bool
+					var wg sync.WaitGroup
+					recs := make([][]viewRecord, readers)
+					errs := make(chan error, readers)
+					var done atomic.Int64 // full zoo passes completed, all readers
+					for r := 0; r < readers; r++ {
+						wg.Add(1)
+						go func(r int) {
+							defer wg.Done()
+							for pass := 0; !stop.Load(); pass++ {
+								for zi := range queryZoo {
+									for _, scan := range []bool{false, true} {
+										pr := viewProbe{zoo: zi, scan: scan,
+											x: float64((3*r + pass) % 20), y: float64((7*r + 2*pass) % 20),
+											key: int64((11*r + pass) % units)}
+										v := s.ReadView()
+										vals, err := pr.eval(v, queries[zi])
+										if err != nil {
+											errs <- fmt.Errorf("reader %d, %s: %w", r, queryZoo[zi].name, err)
+											return
+										}
+										recs[r] = append(recs[r], viewRecord{pr, v.Tick(), vals})
+									}
+								}
+								done.Add(1)
+							}
+						}(r)
+					}
+					// The clock runs free until every reader has demonstrably
+					// overlapped it (a single-core scheduler may not run them
+					// at all for the first few ticks).
+					ticks := 0
+					for ; ticks < maxTicks && (ticks < minTicks || done.Load() < 2*readers); ticks++ {
+						if err := s.Step(1); err != nil {
+							t.Fatal(err)
+						}
+					}
+					stop.Store(true)
+					wg.Wait()
+					close(errs)
+					for err := range errs {
+						t.Fatal(err)
+					}
+
+					var all []viewRecord
+					for _, rr := range recs {
+						all = append(all, rr...)
+					}
+					sort.SliceStable(all, func(i, j int) bool { return all[i].tick < all[j].tick })
+					if len(all) == 0 {
+						t.Fatal("readers recorded nothing")
+					}
+					if last := all[len(all)-1].tick; last > int64(ticks) {
+						t.Fatalf("a read was labelled tick %d; the world only reached %d", last, ticks)
+					}
+					if all[0].tick == all[len(all)-1].tick {
+						t.Fatalf("every read was labelled tick %d: readers never overlapped the clock", all[0].tick)
+					}
+
+					// Standalone: serial, rebuild-every-tick, nobody watching.
+					// Stepped to each recorded label, it must reproduce the
+					// recorded answer exactly; its other evaluator gives the
+					// indexed ≡ scan cross-check at that label.
+					alone := newEngine(t, p.prog, units, Indexed, seed, func(o *Options) { o.Workers = 1 })
+					for _, rec := range all {
+						for alone.TickCount() < rec.tick {
+							if err := alone.Tick(); err != nil {
+								t.Fatal(err)
+							}
+						}
+						zq, q := queryZoo[rec.probe.zoo], queries[rec.probe.zoo]
+						want, err := rec.probe.eval(alone.ReadView(), q)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !sameBits(rec.vals, want) {
+							t.Fatalf("tick %d, %s (scan=%v): served %v, standalone %v",
+								rec.tick, zq.name, rec.probe.scan, rec.vals, want)
+						}
+						twin := rec.probe
+						twin.scan = !twin.scan
+						other, err := twin.eval(alone.ReadView(), q)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for i := range want {
+							if !closeEnough(rec.vals[i], other[i]) {
+								t.Fatalf("tick %d, %s, output %s: scan=%v %v vs scan=%v %v",
+									rec.tick, zq.name, q.Outputs()[i], rec.probe.scan, rec.vals[i], twin.scan, other[i])
+							}
+						}
+					}
+
+					// Observed ≡ unobserved: same tuning, same ticks, no readers.
+					quiet := NewSession(newEngine(t, p.prog, units, Indexed, seed, tune))
+					if err := quiet.Step(ticks); err != nil {
+						t.Fatal(err)
+					}
+					var watched, unwatched bytes.Buffer
+					if err := s.Checkpoint(&watched); err != nil {
+						t.Fatal(err)
+					}
+					if err := quiet.Checkpoint(&unwatched); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(watched.Bytes(), unwatched.Bytes()) {
+						t.Fatal("checkpoint of the watched world differs from the unwatched run")
+					}
+				})
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"fmt"
 	"net/http"
 	"sync"
 	"testing"
@@ -241,5 +242,107 @@ func TestServedIncrementalMatchesStandalone(t *testing.T) {
 
 	if served := fetchCheckpoint(t, ts.URL, "inc"); !bytes.Equal(standalone.Bytes(), served) {
 		t.Error("served-under-load incremental world diverged from standalone incremental run")
+	}
+}
+
+// TestQueryPairsAgreeAtEqualTick is the served face of the read view: a
+// response's tick names the committed state its values were computed on.
+// Against a free-running clock, spectators fire the indexed and the scan
+// form of the same probe concurrently; whenever two responses — from any
+// spectator, either evaluator — carry the same tick, their values must be
+// bit-identical. A query evaluated on one tick and labelled with another
+// (the failure a lock-free read path invites) shows up as a disagreement
+// within a tick's group. The outputs are a count and two extrema, exact
+// in any fold order, so indexed ≡ scan holds bitwise.
+func TestQueryPairsAgreeAtEqualTick(t *testing.T) {
+	const spectators, pairsEach = 4, 40
+	ts, _ := newTestServer(t)
+	create(t, ts.URL, "pairs", func(r *CreateRequest) { r.Units, r.Seed = 300, 31 })
+	base := ts.URL + "/v1/sessions/pairs"
+	if code := do(t, http.MethodPost, base+"/run", RunRequest{}, nil); code != http.StatusOK {
+		t.Fatalf("run: %d", code)
+	}
+
+	const src = `
+aggregate Near(u, r) :=
+  count(*) as n, max(e.posx) as east, min(e.posy) as south
+  over e where e.posx >= u.posx - r and e.posx <= u.posx + r
+    and e.posy >= u.posy - r and e.posy <= u.posy + r;`
+	x, y, unit := 40.0, 35.0, int64(5)
+	forms := []QueryRequest{
+		{Src: src, X: &x, Y: &y, Args: []float64{30}},
+		{Src: src, Unit: &unit, Args: []float64{30}},
+	}
+
+	type seenKey struct {
+		form int
+		tick int64
+	}
+	var mu sync.Mutex
+	seen := map[seenKey][]float64{}
+	ticks := map[int64]bool{}
+	compared := 0
+	record := func(form int, r QueryResponse) error {
+		mu.Lock()
+		defer mu.Unlock()
+		ticks[r.Tick] = true
+		k := seenKey{form, r.Tick}
+		first, ok := seen[k]
+		if !ok {
+			seen[k] = r.Values
+			return nil
+		}
+		compared++
+		if !sameValues(first, r.Values) {
+			return fmt.Errorf("form %d at tick %d: %v vs %v", form, r.Tick, first, r.Values)
+		}
+		return nil
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan error, 2*spectators)
+	for g := 0; g < spectators; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < pairsEach; i++ {
+				form := (g + i) % len(forms)
+				var pair sync.WaitGroup
+				for _, scan := range []bool{false, true} {
+					pair.Add(1)
+					go func(scan bool) {
+						defer pair.Done()
+						req := forms[form]
+						req.Scan = scan
+						var resp QueryResponse
+						code, err := try(http.MethodPost, base+"/query", req, &resp)
+						if err == nil && code != http.StatusOK {
+							err = fmt.Errorf("query: status %d", code)
+						}
+						if err == nil {
+							err = record(form, resp)
+						}
+						if err != nil {
+							select {
+							case errs <- err:
+							default:
+							}
+						}
+					}(scan)
+				}
+				pair.Wait()
+			}
+		}(g)
+	}
+	wg.Wait()
+	if code := do(t, http.MethodPost, base+"/stop", map[string]any{}, nil); code != http.StatusOK {
+		t.Fatalf("stop: %d", code)
+	}
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if compared == 0 || len(ticks) < 2 {
+		t.Fatalf("%d same-tick comparisons over %d distinct ticks: the spectators never exercised the clock", compared, len(ticks))
 	}
 }

@@ -3,14 +3,14 @@
 // and "heavy traffic from millions of users".
 //
 // A Registry owns a set of named Worlds. Each World wraps an
-// engine.Session — so it inherits the session's reader/writer discipline
-// (spectator queries fan out under the read lock, the clock and
-// checkpointing interleave safely) — and adds what a daemon needs on
-// top: an optional clock goroutine stepping the world at a target tick
-// rate, a compile-once observation-query cache keyed by source text
-// (every request for the same source shares one engine-side index build
-// per tick through the existing Fork path), and per-session Prometheus
-// counters in a metrics.Registry.
+// engine.Session — so it inherits the session's discipline (spectator
+// queries fan out lock-free over the read view each tick publishes; the
+// clock and checkpointing interleave safely under its lock) — and adds
+// what a daemon needs on top: an optional clock goroutine stepping the
+// world at a target tick rate, a compile-once observation-query cache
+// keyed by source text (every request for the same source shares one
+// engine-side index build per tick through the existing Fork path), and
+// per-session Prometheus counters in a metrics.Registry.
 //
 // The fourth exactness contract lives here: a world served under
 // concurrent spectator load produces checkpoints byte-identical to the
@@ -207,9 +207,10 @@ func (w *World) Warnings() []lint.Diagnostic { return w.warnings }
 
 // SubmitCommands injects a validated command batch into the world's
 // input buffer (see engine.Submit), counting acceptances and rejections
-// in the per-session metrics. The returned tick is the stamp the batch
-// carries, read under the same lock as the enqueue — a running clock
-// cannot skew it.
+// in the per-session metrics. The returned tick is the world's committed
+// tick at admission — a lower bound on the stamp the batch will carry:
+// admission takes no session lock, and the batch is stamped at the next
+// tick or checkpoint boundary that drains it.
 func (w *World) SubmitCommands(origin string, cmds []engine.Command) (int64, error) {
 	if w.replica {
 		w.commandErrs.Inc()
@@ -243,19 +244,17 @@ type Status struct {
 	Created time.Time `json:"created"`
 }
 
-// Status snapshots the world's serving state. Engine reads go through
-// one Session.View, so tick, population, and counters all describe the
-// same between-ticks snapshot (and the session's lock discipline is
-// honored even for reads that happen to be race-free today).
+// Status snapshots the world's serving state. Tick, population and the
+// run counters come from one read view, so they all describe the same
+// committed tick; no session lock is taken, so a status read (and a
+// listing of many worlds) never waits for a tick in progress.
 func (w *World) Status() Status {
-	st := Status{Name: w.Name, Created: w.created, Replica: w.replica, LagTicks: w.lagTicks.Load()}
-	w.sess.View(func(e *engine.Engine) {
-		st.Tick = e.TickCount()
-		st.Units = e.Env().Len()
-		st.Workers = e.Workers()
-		st.Deaths = e.Stats.Deaths
-		st.Moves = e.Stats.Moves
-	})
+	v := w.sess.ReadView()
+	st := Status{
+		Name: w.Name, Created: w.created, Replica: w.replica, LagTicks: w.lagTicks.Load(),
+		Tick: v.Tick(), Units: v.Units(), Deaths: v.Deaths(), Moves: v.Moves(),
+		Workers: w.sess.Engine().Workers(),
+	}
 	w.mu.Lock()
 	st.Running = w.clk != nil
 	st.TickRate = w.rate
@@ -351,6 +350,15 @@ func (w *World) clockLoop(clk *clock, rate float64) {
 			period = time.Duration(p)
 		}
 	}
+	// One timer for the clock's whole run: every wait below either
+	// receives from it or ends the loop, so each Reset finds it expired
+	// and drained, and a capped clock allocates nothing between ticks.
+	var timer *time.Timer
+	defer func() {
+		if timer != nil {
+			timer.Stop()
+		}
+	}()
 	start := time.Now()
 	for n := int64(1); ; n++ {
 		select {
@@ -372,10 +380,15 @@ func (w *World) clockLoop(clk *clock, rate float64) {
 		if period > 0 {
 			next := start.Add(time.Duration(n) * period)
 			if d := time.Until(next); d > 0 {
+				if timer == nil {
+					timer = time.NewTimer(d)
+				} else {
+					timer.Reset(d)
+				}
 				select {
 				case <-clk.stop:
 					return
-				case <-time.After(d):
+				case <-timer.C:
 				}
 			} else if -d > 4*period {
 				// Badly behind (CPU contention, a long checkpoint):
@@ -497,11 +510,12 @@ func (w *World) bumpTick() {
 	w.tmu.Unlock()
 }
 
-// WaitTick blocks until the world's tick count exceeds after, the
-// timeout elapses, or the world is deleted, and reports whether the tick
-// now exceeds after. This is the long-poll primitive behind GET
-// …/journal?since=N&wait=…: a follower replica parks here instead of
-// hammering the endpoint between ticks.
+// WaitTick blocks until the world's committed tick count exceeds after,
+// the timeout elapses, or the world is deleted, and reports whether the
+// tick now exceeds after. Its tick reads take no session lock, so the
+// wait wakes on the commit itself, not a whole tick later. This is the
+// long-poll primitive behind GET …/journal?since=N&wait=…: a follower
+// replica parks here instead of hammering the endpoint between ticks.
 func (w *World) WaitTick(after int64, timeout time.Duration) bool {
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()

@@ -151,7 +151,10 @@ type QueryRequest struct {
 	Scan bool      `json:"scan,omitempty"`
 }
 
-// QueryResponse carries one evaluation's outputs. Warnings holds the
+// QueryResponse carries one evaluation's outputs. Tick is the last tick
+// the world had committed when the query arrived — the state Values was
+// computed on; while a later tick is still computing, responses keep
+// answering for (and naming) this one. Warnings holds the
 // query's lint findings (computed once per cached source, all
 // warn-severity since the query compiled) so clients see the SGL1xx
 // performance classification of what they just ran.
@@ -553,34 +556,31 @@ func (s *Server) evalQuery(wd *World, req QueryRequest) (*QueryResponse, error) 
 	if req.Unit != nil && req.X != nil {
 		return nil, errors.New("unit and x/y probes are mutually exclusive")
 	}
-	// Evaluation and tick capture happen inside one Session.View, so the
-	// response's tick is exactly the tick the values were computed at —
-	// a free-running clock between "evaluate" and "read tick" would
-	// otherwise mislabel the snapshot.
+	// Values and tick label come from one read view: the response's tick
+	// is exactly the committed tick the values were computed at, however
+	// many ticks the clock commits while the query runs. No session lock
+	// is taken, so the request never waits for the tick in flight.
+	v := wd.Session().ReadView()
 	var vals []float64
-	var tick int64
-	wd.Session().View(func(e *engine.Engine) {
-		tick = e.TickCount()
-		switch {
-		case req.Unit != nil && req.Scan:
-			vals, err = e.QueryScanUnit(q, *req.Unit, req.Args...)
-		case req.Unit != nil:
-			vals, err = e.QueryUnit(q, *req.Unit, req.Args...)
-		case req.X != nil && req.Scan:
-			vals, err = e.QueryScanAt(q, *req.X, *req.Y, req.Args...)
-		case req.X != nil:
-			vals, err = e.QueryAt(q, *req.X, *req.Y, req.Args...)
-		case req.Scan:
-			vals, err = e.QueryScan(q, req.Args...)
-		default:
-			vals, err = e.Query(q, req.Args...)
-		}
-	})
+	switch {
+	case req.Unit != nil && req.Scan:
+		vals, err = v.QueryScanUnit(q, *req.Unit, req.Args...)
+	case req.Unit != nil:
+		vals, err = v.QueryUnit(q, *req.Unit, req.Args...)
+	case req.X != nil && req.Scan:
+		vals, err = v.QueryScanAt(q, *req.X, *req.Y, req.Args...)
+	case req.X != nil:
+		vals, err = v.QueryAt(q, *req.X, *req.Y, req.Args...)
+	case req.Scan:
+		vals, err = v.QueryScan(q, req.Args...)
+	default:
+		vals, err = v.Query(q, req.Args...)
+	}
 	if err != nil {
 		return nil, err
 	}
 	return &QueryResponse{
-		Name: q.Name(), Tick: tick,
+		Name: q.Name(), Tick: v.Tick(),
 		Outputs: q.Outputs(), Values: vals,
 		Warnings: warns,
 	}, nil

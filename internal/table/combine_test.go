@@ -210,6 +210,27 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
+// Clone's rows share one backing array: the copy costs a fixed number of
+// allocations whatever the row count, and a row is capped at its own end
+// so growing it cannot write into the next one.
+func TestCloneIsFlat(t *testing.T) {
+	tb := New(effectSchema(t), 0)
+	for k := 0; k < 500; k++ {
+		tb.Append([]float64{float64(k), 0, 1, 2, 3})
+	}
+	var c *Table
+	if allocs := testing.AllocsPerRun(10, func() { c = tb.Clone() }); allocs > 3 {
+		t.Fatalf("Clone of 500 rows made %v allocations, want a constant (<= 3)", allocs)
+	}
+	if len(c.Rows) != 500 || c.Rows[499][0] != 499 || c.Rows[7][4] != 3 {
+		t.Fatal("Clone lost rows")
+	}
+	_ = append(c.Rows[0], 42)
+	if c.Rows[1][0] != 1 {
+		t.Fatal("appending to a cloned row overwrote its neighbour")
+	}
+}
+
 func TestEqualContents(t *testing.T) {
 	a := New(effectSchema(t), 0)
 	a.Append([]float64{1, 0, 5, 0, 0})

@@ -39,11 +39,21 @@ func (t *Table) Append(row []float64) {
 	t.Rows = append(t.Rows, row)
 }
 
-// Clone returns a deep copy of the table (rows are copied).
+// Clone returns a deep copy of the table. The copied rows share one flat
+// backing array (two allocations, whatever the row count); each row slice
+// is capped at its own end, so appending to a row reallocates it instead
+// of overwriting its neighbour.
 func (t *Table) Clone() *Table {
-	c := New(t.Schema, len(t.Rows))
+	total := 0
 	for _, r := range t.Rows {
-		c.Rows = append(c.Rows, append([]float64(nil), r...))
+		total += len(r)
+	}
+	flat := make([]float64, 0, total)
+	c := &Table{Schema: t.Schema, Rows: make([][]float64, len(t.Rows))}
+	for i, r := range t.Rows {
+		lo := len(flat)
+		flat = append(flat, r...)
+		c.Rows[i] = flat[lo:len(flat):len(flat)]
 	}
 	return c
 }

@@ -108,7 +108,7 @@
 // read-only SGL subset — aggregate definitions with filters, categorical
 // and range predicates, nearest-neighbour and extremum outputs; no
 // actions, no effects, no Random — and an engine evaluates one against
-// its live environment:
+// its last committed tick:
 //
 //	q, err := sgl.CompileQuery(`
 //	  aggregate Zone(u, x, y, r) :=
@@ -121,14 +121,16 @@
 //
 // Queries run on the same machinery as the tick: the first evaluation
 // after a tick builds and freezes that query's index structures over the
-// current snapshot, and every further evaluation — including concurrent
+// committed snapshot, and every further evaluation — including concurrent
 // ones — probes them through a private fork, so N spectators share one
 // index build per tick and each probe costs O(log n) where a scan costs
 // O(n). The QueryScan* variants evaluate the same query by scanning
 // (the pluggable-evaluator duality of the paper, applied to reads);
-// differential tests prove both agree on every output class. Session
-// routes queries under a read lock, so any number of reader goroutines
-// run safely against Step.
+// differential tests prove both agree on every output class. Reads take
+// no lock: every tick commit publishes an immutable ReadView, so any
+// number of reader goroutines run beside Step, never behind it, and a
+// query issued mid-tick answers for the tick before. Session.ReadView
+// hands out the view itself when several reads must share one tick.
 //
 // # Interactive sessions: injected commands
 //
@@ -239,6 +241,10 @@ type (
 	StatsFunc = engine.StatsFunc
 	// Query is a compiled read-only observation query.
 	Query = engine.Query
+	// ReadView is one committed tick published for lock-free readers: the
+	// tick number, the status counters and the six Query* forms, all
+	// describing the same state (Engine.ReadView, Session.ReadView).
+	ReadView = engine.ReadView
 	// Command is one externally injected world mutation (spawn, despawn,
 	// set-column, tune-const), submitted through Session.Submit.
 	Command = engine.Command
@@ -322,7 +328,8 @@ func NewEngine(prog *Program, mech Mechanics, initial *Table, opts EngineOptions
 }
 
 // NewSession wraps an engine in the session facade, adding the locking
-// that makes Step, Checkpoint and concurrent Query* calls safe together.
+// that makes Step, Checkpoint and the journal reads safe together (the
+// Query* reads need none: they evaluate on the published ReadView).
 func NewSession(e *Engine) *Session { return engine.NewSession(e) }
 
 // Open reopens a self-contained checkpoint (format version 2 or later)
@@ -375,8 +382,8 @@ func RestoreSession(r io.Reader, prog *Program, mech Mechanics, tune EngineOptio
 // SGL aggregate-definition subset: filters, categorical and range
 // predicates, and aggregate outputs; no actions, no effects, no Random.
 // The last aggregate declared is the entry point. Evaluate the result
-// with Engine.Query / QueryAt / QueryUnit (or their Session
-// counterparts, which add reader locking).
+// with Engine.Query / QueryAt / QueryUnit, their Session counterparts,
+// or on a ReadView.
 func CompileQuery(src string, schema *Schema, consts map[string]float64) (*Query, error) {
 	return engine.CompileQuery(src, schema, consts)
 }
