@@ -27,7 +27,12 @@ type BatchAggProvider interface {
 // (the engine's decision phase walks Apply nodes itself to defer area
 // effects, Section 5.4). It always uses the materializing path; walkers
 // on the hot path should prefer EachUnit, which streams.
-func (x *Executor) UnitsOf(n Node) ([]*Row, error) { return x.units(n) }
+func (x *Executor) UnitsOf(n Node) ([]*Row, error) {
+	if x.codeErr != nil {
+		return nil, x.codeErr
+	}
+	return x.units(n)
+}
 
 // EachUnit invokes yield for every row of unit-set node n, in base-row
 // order — the serial effect fold order. By default rows stream through
@@ -35,6 +40,9 @@ func (x *Executor) UnitsOf(n Node) ([]*Row, error) { return x.units(n) }
 // come from the memoized units() slices instead. The two paths yield the
 // same rows, in the same order, with the same extension values.
 func (x *Executor) EachUnit(n Node, yield func(*Row) error) error {
+	if x.codeErr != nil {
+		return x.codeErr
+	}
 	if x.materialize {
 		rows, err := x.units(n)
 		if err != nil {
@@ -50,110 +58,103 @@ func (x *Executor) EachUnit(n Node, yield func(*Row) error) error {
 	return x.streamUnits(n, yield)
 }
 
-// ApplyArgs evaluates an Apply node's argument terms for one row.
-func (x *Executor) ApplyArgs(a *Apply, row *Row) ([]float64, error) {
-	args := make([]float64, len(a.Args))
-	for i, t := range a.Args {
-		v, err := x.evalTerm(t, a.Env, row)
-		if err != nil {
-			return nil, err
-		}
-		args[i] = v.Num
+// ApplyArgs evaluates an Apply node's argument terms for one row,
+// appending them to dst (pass nil for a slice safe to retain). It is
+// valid for rows EachUnit yields.
+func (x *Executor) ApplyArgs(dst []float64, a *Apply, row *Row) []float64 {
+	f := x.at(row)
+	for _, arg := range x.code.apply[a] {
+		dst = append(dst, arg(f))
 	}
-	return args, nil
+	return dst
 }
 
-// BuildEffectRow forwards to the shared effect-row builder.
-func (x *Executor) BuildEffectRow(def *ast.ActDef, unit, args, target []float64) ([]float64, error) {
-	return x.ev.BuildEffectRow(def, unit, args, target)
+// BuildEffectRow materializes the effect row an action produces for one
+// target: const columns from the target, SET columns evaluated, all other
+// effect columns at their fold identities so ⊕ ignores them. It writes
+// into dst when dst has the schema's width and allocates otherwise.
+func (x *Executor) BuildEffectRow(dst []float64, def *ast.ActDef, unit, args, target []float64) []float64 {
+	code := x.code
+	if len(dst) != len(code.effect) {
+		dst = make([]float64, len(code.effect))
+	}
+	copy(dst, code.effect)
+	for _, c := range x.prog.Schema.ConstCols() {
+		dst[c] = target[c]
+	}
+	f := &x.def
+	f.Unit, f.Args, f.Target = unit, args, target
+	act := code.acts[def]
+	for i, set := range act.sets {
+		dst[act.cols[i]] = set(f)
+	}
+	return dst
 }
 
-// collectAggCalls gathers the aggregate calls inside a term in evaluation
-// order (inner calls before the calls whose arguments contain them), so a
-// batched outer call can read the cached results of its inner calls.
-func (x *Executor) collectAggCalls(t ast.Term, out *[]*ast.Call) {
-	switch n := t.(type) {
-	case *ast.Field:
-		x.collectAggCalls(n.X, out)
-	case *ast.Pair:
-		x.collectAggCalls(n.X, out)
-		x.collectAggCalls(n.Y, out)
-	case *ast.Neg:
-		x.collectAggCalls(n.X, out)
-	case *ast.Binary:
-		x.collectAggCalls(n.X, out)
-		x.collectAggCalls(n.Y, out)
-	case *ast.Call:
-		for _, a := range n.Args {
-			x.collectAggCalls(a, out)
-		}
-		if _, ok := x.prog.AggCalls[n]; ok {
-			*out = append(*out, n)
+// extendBlocking reports whether an Extend's value contains an aggregate
+// call whose batch evaluation is genuinely set-at-a-time (the MIN/MAX
+// sweep line). Everything else evaluates per row with identical results
+// — for non-MinMax classes EvalAggBatch is literally a loop over the
+// per-probe evaluator.
+func (x *Executor) extendBlocking(code *extCode) bool {
+	if x.batcher == nil {
+		return false
+	}
+	for _, s := range code.sites {
+		if x.batcher.BatchBeneficial(s.def) {
+			return true
 		}
 	}
+	return false
 }
 
 // batchExtend pre-evaluates every aggregate call in an Extend's value term
-// for all rows at once, caching per-(call, row) results that evalCall then
-// consumes. Returns true if batching was performed.
-func (x *Executor) batchExtend(v *Extend, rows []*Row) (bool, error) {
-	bp, ok := x.prov.(BatchAggProvider)
-	if !ok {
-		return false, nil
+// for all rows at once, recording per-(site, row) results that probe then
+// consumes. Sites are visited inner first, so a batched outer call reads
+// the recorded results of the calls inside its arguments rather than
+// going back to the provider.
+func (x *Executor) batchExtend(code *extCode, rows []*Row) {
+	if x.batcher == nil || len(code.sites) == 0 {
+		return
 	}
-	var calls []*ast.Call
-	x.collectAggCalls(v.Value, &calls)
-	if len(calls) == 0 {
-		return false, nil
+	if len(x.batch) < x.code.sites {
+		x.batch = append(x.batch, make([]siteResults, x.code.sites-len(x.batch))...)
 	}
-	if x.batchCache == nil {
-		x.batchCache = map[*ast.Call]map[*Row]interp.Value{}
-	}
-	for _, call := range calls {
-		def := x.prog.AggCalls[call]
+	n := len(x.baseRows())
+	for _, s := range code.sites {
 		units := make([][]float64, len(rows))
 		var args [][]float64
-		if len(call.Args) > 1 {
+		if len(s.args) > 0 {
 			args = make([][]float64, len(rows))
 		}
 		for i, row := range rows {
 			units[i] = row.Unit
 			if args != nil {
-				vals := make([]float64, len(call.Args)-1)
-				for j, at := range call.Args[1:] {
-					// Inner calls were batched first, so this per-row
-					// evaluation hits the cache rather than the provider.
-					av, err := x.evalTerm(at, v.Env, row)
-					if err != nil {
-						return false, err
-					}
-					vals[j] = av.Num
+				f := x.at(row)
+				vals := make([]float64, len(s.args))
+				for j, a := range s.args {
+					vals[j] = a(f)
 				}
 				args[i] = vals
 			}
 		}
-		results := bp.EvalAggBatch(def, units, args)
+		results := x.batcher.EvalAggBatch(s.def, units, args)
 		// Merge rather than replace: the streaming pipelines may batch the
-		// same call for different row subsets (two Apply chains sharing the
+		// same site for different row subsets (two Apply chains sharing the
 		// Extend reach it with different survivor sets), and earlier rows'
-		// results must stay visible to evalCall.
-		cache := x.batchCache[call]
-		if cache == nil {
-			cache = make(map[*Row]interp.Value, len(rows))
-			x.batchCache[call] = cache
+		// results must stay visible to probe.
+		b := &x.batch[s.id]
+		w := len(s.def.Outputs)
+		if len(b.vals) != n*w {
+			b.vals = make([]float64, n*w)
+		}
+		if len(b.have) != (n+63)/64 {
+			b.have = make([]uint64, (n+63)/64)
 		}
 		for i, row := range rows {
-			outs := results[i]
-			if len(def.Outputs) == 1 {
-				cache[row] = interp.NumVal(outs[0])
-			} else {
-				fields := make([]string, len(def.Outputs))
-				for j, o := range def.Outputs {
-					fields[j] = o.As
-				}
-				cache[row] = interp.RecVal(fields, outs)
-			}
+			ord := int(row.ord)
+			copy(b.vals[ord*w:(ord+1)*w], results[i])
+			b.have[ord>>6] |= 1 << uint(ord&63)
 		}
 	}
-	return true, nil
 }

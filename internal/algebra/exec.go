@@ -2,10 +2,10 @@ package algebra
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/epicscale/sgl/internal/rng"
 	"github.com/epicscale/sgl/internal/sgl/ast"
+	"github.com/epicscale/sgl/internal/sgl/expr"
 	"github.com/epicscale/sgl/internal/sgl/interp"
 	"github.com/epicscale/sgl/internal/sgl/sem"
 	"github.com/epicscale/sgl/internal/table"
@@ -19,69 +19,93 @@ type Row struct {
 	Unit []float64
 	Ext  []interp.Value
 	// ord is the row's ordinal within the executor's base shard — the
-	// index of the streaming path's flat memos (done bitset, Select
-	// verdicts). Rows built by the materializing path leave it zero.
+	// index of the flat memos (done bitset, Select verdicts, batched
+	// aggregate results).
 	ord int32
 }
 
-// Executor evaluates a plan over one tick's environment. Node results are
-// memoized, so the DAG sharing produced by translation (and improved by the
-// optimizer) directly becomes shared computation.
+// Executor evaluates a plan over one tick's environment. It owns no
+// expression logic: every condition, extension value, action argument and
+// SET clause is a closure the plan compiled once (compile.go, package
+// expr), and the executor's job is to bind rows to those closures in the
+// right order — streaming by default (stream.go), or node-at-a-time with
+// memoized unit sets after SetMaterialize. Both paths run the same
+// closures, so they agree bit for bit by construction.
 //
 // Concurrency contract: one Executor per goroutine, snapshot shared. An
-// Executor owns mutable scratch state (the node memo cache and the batch
-// aggregate cache) and must never be shared between goroutines; the inputs
-// it closes over — the program, the plan, the environment table, and the
-// tick source — are all read-only during a tick and may be shared freely.
-// The provider must likewise be private to the goroutine (see
-// exec.Indexed.Fork) or stateless (interp.Naive).
+// Executor owns mutable scratch state (its frames, row storage, memos and
+// the batch aggregate cache) and must never be shared between goroutines;
+// the inputs it closes over — the program, the compiled plan, the
+// environment table, and the tick source — are all read-only during a
+// tick and may be shared freely. The provider must likewise be private to
+// the goroutine (see exec.Indexed.Fork) or stateless (interp.Naive).
 //
 // The parallel engine exploits this by giving every worker its own Executor
 // over a disjoint row range of the same frozen environment snapshot: plan
 // evaluation restricted to rows [lo, hi) while aggregates and target
 // selection still see the whole environment through the provider.
+//
+// An Executor outlives a tick when its owner wants it to: Rebind points it
+// at the next tick's environment, provider and random source and keeps
+// the row storage while the shard size holds.
 type Executor struct {
-	prog  *sem.Program
-	plan  *Plan
-	env   *table.Table
-	prov  interp.Provider
-	r     rng.TickSource
-	ev    *interp.Evaluator // for BuildEffectRow reuse
-	cache map[Node][]*Row
-	// batchCache holds per-(aggregate call, row) results produced by
-	// batchExtend when the provider supports set-at-a-time evaluation.
-	batchCache map[*ast.Call]map[*Row]interp.Value
+	prog *sem.Program
+	plan *Plan
+	env  *table.Table
+	prov interp.Provider
+	// code is the plan's compiled form; codeErr is why there is none.
+	code    *planCode
+	codeErr error
 	// lo/hi restrict the Base node to env.Rows[lo:hi) — the unit shard this
 	// executor is responsible for. hi < 0 means the full table.
 	lo, hi int
 
-	// materialize selects the legacy node-at-a-time path (units(), one
-	// []*Row slice memoized per plan node) over the streaming pipelines of
+	// row is the frame plan-scope closures evaluate against, rebound to
+	// each row as it flows; def is the frame of definition-scope closures
+	// (an action's SET clauses).
+	row, def expr.Frame
+
+	// materialize selects the node-at-a-time path (units(), one []*Row
+	// slice memoized per plan node) over the streaming pipelines of
 	// stream.go. Both are byte-identical; the flag exists for differential
 	// tests and the allocation/throughput comparison.
 	materialize bool
+	cache       map[Node][]*Row
 
-	// Streaming state (stream.go): flat row storage over the base shard,
-	// the per-(row, slot) extension done bitset, compiled pipelines per
-	// Apply input, shared Select verdict memos, and the survivor-index
-	// scratch buffer reused between blocking batch stages.
+	// Flat row storage over the base shard, shared by both paths' memos:
+	// the streaming rows and their extension backing array, the
+	// per-(row, slot) extension done bitset, one verdict memo per shared
+	// Select, and the survivor-index scratch buffer reused between
+	// blocking batch stages. rowsBound says the storage reflects the
+	// current binding.
 	srows     []Row
 	done      []uint64
-	pipes     map[Node]*pipeline
-	selShares map[*Select]int
-	selMemo   map[*Select][]int8
+	selMemo   [][]int8
 	scratch   []int32
+	rowsBound bool
 
-	// aggInto is the provider's zero-alloc probe API when it offers one
-	// (exec.Indexed does). The streaming path carves result destinations
-	// out of valArena — results are retained in Extend slots for their
-	// row's lifetime, so they cannot share one buffer, but chunked arena
-	// carving amortizes the per-probe allocation away. recFields caches
-	// the output-name slice of each multi-output aggregate (static per
-	// definition, shared read-only across rows).
-	aggInto   aggIntoProvider
-	valArena  []float64
-	recFields map[*ast.AggDef][]string
+	// Aggregate probing. aggInto is the provider's zero-alloc probe API
+	// when it offers one (exec.Indexed does) and batcher its set-at-a-time
+	// API. Multi-output results are retained in Extend slots for their
+	// row's lifetime, so their destinations are carved out of arena chunks
+	// that live until the next Rebind; single-output results are copied
+	// out of one. argStack holds the argument vectors of the (possibly
+	// nested) calls in flight. batch holds, per call site, the results
+	// batchExtend precomputed.
+	aggInto  aggIntoProvider
+	batcher  BatchAggProvider
+	arena    [][]float64
+	arenaTop int
+	one      [1]float64
+	argStack []float64
+	batch    []siteResults
+}
+
+// siteResults are one call site's batched results: width values per base
+// row, valid where the have bit is set.
+type siteResults struct {
+	vals []float64
+	have []uint64
 }
 
 // aggIntoProvider is the optional provider fast path: EvalAgg writing
@@ -91,21 +115,23 @@ type aggIntoProvider interface {
 	EvalAggInto(dst []float64, def *ast.AggDef, unit, args []float64) []float64
 }
 
+const arenaChunk = 4096
+
 // arenaSlice carves an n-float destination out of the executor's arena,
-// starting a fresh chunk when the current one is exhausted. Full chunks
-// stay alive as long as any Extend slot references them — the executor
-// (and so the arena) lives for one tick.
+// moving to the next chunk when the current one is exhausted. Chunks are
+// kept across Rebind and refilled from the start.
 func (x *Executor) arenaSlice(n int) []float64 {
-	if len(x.valArena)+n > cap(x.valArena) {
-		size := 4096
-		if n > size {
-			size = n
+	for {
+		if x.arenaTop == len(x.arena) {
+			x.arena = append(x.arena, make([]float64, 0, max(arenaChunk, n)))
 		}
-		x.valArena = make([]float64, 0, size)
+		c := x.arena[x.arenaTop]
+		if len(c)+n <= cap(c) {
+			x.arena[x.arenaTop] = c[:len(c)+n]
+			return c[len(c) : len(c)+n : len(c)+n]
+		}
+		x.arenaTop++
 	}
-	s := x.valArena[len(x.valArena) : len(x.valArena)+n : len(x.valArena)+n]
-	x.valArena = x.valArena[:len(x.valArena)+n]
-	return s
 }
 
 // RangeError reports invalid shard bounds passed to NewExecutorRange.
@@ -118,14 +144,14 @@ func (e *RangeError) Error() string {
 }
 
 // NewExecutor binds a plan to an environment, provider, and tick source.
+// The plan is compiled on its first executor and shared by every later
+// one; a plan that does not compile (its AST was not checked against
+// prog) surfaces the error from the first evaluation.
 func NewExecutor(prog *sem.Program, plan *Plan, env *table.Table, prov interp.Provider, r rng.TickSource) *Executor {
-	x := &Executor{
-		prog: prog, plan: plan, env: env, prov: prov, r: r,
-		ev:    interp.New(prog, env, prov, r),
-		cache: map[Node][]*Row{},
-		lo:    0, hi: -1,
-	}
-	x.aggInto, _ = prov.(aggIntoProvider)
+	x := &Executor{prog: prog, plan: plan}
+	x.code, x.codeErr = plan.compiled(prog)
+	x.row.Host = x
+	x.bind(env, prov, r, 0, -1)
 	return x
 }
 
@@ -140,16 +166,53 @@ func NewExecutor(prog *sem.Program, plan *Plan, env *table.Table, prov interp.Pr
 // long as each has its own provider view (see the concurrency contract
 // on Executor).
 func NewExecutorRange(prog *sem.Program, plan *Plan, env *table.Table, prov interp.Provider, r rng.TickSource, lo, hi int) (*Executor, error) {
-	if hi < 0 {
-		if hi != -1 || lo != 0 {
-			return nil, &RangeError{Lo: lo, Hi: hi, Len: env.Len()}
-		}
-	} else if lo < 0 || lo > hi || hi > env.Len() {
-		return nil, &RangeError{Lo: lo, Hi: hi, Len: env.Len()}
+	if err := checkRange(env, lo, hi); err != nil {
+		return nil, err
 	}
 	x := NewExecutor(prog, plan, env, prov, r)
 	x.lo, x.hi = lo, hi
 	return x, nil
+}
+
+func checkRange(env *table.Table, lo, hi int) error {
+	if hi < 0 {
+		if hi != -1 || lo != 0 {
+			return &RangeError{Lo: lo, Hi: hi, Len: env.Len()}
+		}
+	} else if lo < 0 || lo > hi || hi > env.Len() {
+		return &RangeError{Lo: lo, Hi: hi, Len: env.Len()}
+	}
+	return nil
+}
+
+// Rebind points the executor at another tick: a new environment snapshot,
+// provider and tick source over the row range [lo, hi) (bounds as for
+// NewExecutorRange). Everything computed under the previous binding is
+// forgotten; the row storage and arena are kept and reused while the
+// shard size holds, which is what makes a steady-state tick allocate no
+// per-row executor state.
+func (x *Executor) Rebind(env *table.Table, prov interp.Provider, r rng.TickSource, lo, hi int) error {
+	if err := checkRange(env, lo, hi); err != nil {
+		return err
+	}
+	x.bind(env, prov, r, lo, hi)
+	return nil
+}
+
+func (x *Executor) bind(env *table.Table, prov interp.Provider, r rng.TickSource, lo, hi int) {
+	x.env, x.prov, x.lo, x.hi = env, prov, lo, hi
+	x.row.R, x.def.R = r, r
+	x.aggInto, _ = prov.(aggIntoProvider)
+	x.batcher, _ = prov.(BatchAggProvider)
+	x.cache = nil
+	x.rowsBound = false
+	for i := range x.arena {
+		x.arena[i] = x.arena[i][:0]
+	}
+	x.arenaTop = 0
+	for i := range x.batch {
+		clear(x.batch[i].have)
+	}
 }
 
 // SetMaterialize switches the executor to the legacy materializing
@@ -168,10 +231,33 @@ func (x *Executor) baseRows() [][]float64 {
 	return x.env.Rows[x.lo:x.hi]
 }
 
+// at binds the plan-scope frame to a row.
+func (x *Executor) at(row *Row) *expr.Frame {
+	x.row.Unit, x.row.Ext, x.row.Ord = row.Unit, row.Ext, int(row.ord)
+	return &x.row
+}
+
 // Effects evaluates the plan, emitting every effect row it produces. This
-// is main⊕(E) without the final ⊕ E.
+// is main⊕(E) without the final ⊕ E. Emitted rows are freshly allocated
+// and may be retained.
 func (x *Executor) Effects(emit func(row []float64)) error {
-	return x.effects(x.plan.Root, emit)
+	if x.codeErr != nil {
+		return x.codeErr
+	}
+	var args []float64
+	for _, ap := range x.code.applies {
+		err := x.EachUnit(ap.In, func(row *Row) error {
+			args = x.ApplyArgs(args[:0], ap, row)
+			x.prov.SelectTargets(ap.Def, row.Unit, args, func(tgt []float64) {
+				emit(x.BuildEffectRow(nil, ap.Def, row.Unit, args, tgt))
+			})
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Tick computes the full semantics of Eq. (6) — the plan's effects
@@ -183,47 +269,6 @@ func (x *Executor) Tick() (*table.Table, error) {
 		return nil, err
 	}
 	return effects.Union(x.env).Combine(), nil
-}
-
-func (x *Executor) effects(n Node, emit func([]float64)) error {
-	switch v := n.(type) {
-	case *Combine:
-		for _, k := range v.Kids {
-			if err := x.effects(k, emit); err != nil {
-				return err
-			}
-		}
-		return nil
-	case *Apply:
-		args := make([]float64, len(v.Args))
-		return x.EachUnit(v.In, func(row *Row) error {
-			for i, a := range v.Args {
-				val, err := x.evalTerm(a, v.Env, row)
-				if err != nil {
-					return err
-				}
-				if val.Rec {
-					return fmt.Errorf("algebra: unexpanded record argument at %s", a.Pos())
-				}
-				args[i] = val.Num
-			}
-			var applyErr error
-			x.prov.SelectTargets(v.Def, row.Unit, args, func(tgt []float64) {
-				if applyErr != nil {
-					return
-				}
-				eff, err := x.ev.BuildEffectRow(v.Def, row.Unit, args, tgt)
-				if err != nil {
-					applyErr = err
-					return
-				}
-				emit(eff)
-			})
-			return applyErr
-		})
-	default:
-		return fmt.Errorf("algebra: node %T does not produce effects", n)
-	}
 }
 
 // units evaluates a unit-set node, memoized.
@@ -238,7 +283,7 @@ func (x *Executor) units(n Node) ([]*Row, error) {
 		base := x.baseRows()
 		rows = make([]*Row, len(base))
 		for i, u := range base {
-			rows[i] = &Row{Unit: u, Ext: make([]interp.Value, x.plan.Slots)}
+			rows[i] = &Row{Unit: u, Ext: make([]interp.Value, x.plan.Slots), ord: int32(i)}
 		}
 	case *Select:
 		var in []*Row
@@ -246,13 +291,10 @@ func (x *Executor) units(n Node) ([]*Row, error) {
 		if err != nil {
 			return nil, err
 		}
+		conds := x.code.sel[v].conds
 		rows = make([]*Row, 0, len(in))
 		for _, row := range in {
-			ok, cerr := x.evalCond(v.Cond, v.Env, row)
-			if cerr != nil {
-				return nil, cerr
-			}
-			if ok {
+			if allHold(conds, x.at(row)) {
 				rows = append(rows, row)
 			}
 		}
@@ -261,280 +303,62 @@ func (x *Executor) units(n Node) ([]*Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, berr := x.batchExtend(v, rows); berr != nil {
-			return nil, berr
-		}
+		code := x.code.ext[v]
+		x.batchExtend(code, rows)
 		for _, row := range rows {
-			val, verr := x.evalTerm(v.Value, v.Env, row)
-			if verr != nil {
-				return nil, verr
-			}
-			row.Ext[v.Slot] = val
+			row.Ext[v.Slot] = code.value.Value(x.at(row))
 		}
 	default:
 		return nil, fmt.Errorf("algebra: node %T does not produce a unit set", n)
+	}
+	if x.cache == nil {
+		x.cache = map[Node][]*Row{}
 	}
 	x.cache[n] = rows
 	return rows, nil
 }
 
-// ---------------------------------------------------------------------------
-// Slot-based term and condition evaluation (mirrors interp semantics)
-
-func (x *Executor) evalCond(c ast.Cond, env *Env, row *Row) (bool, error) {
-	switch n := c.(type) {
-	case *ast.BoolLit:
-		return n.Val, nil
-	case *ast.Not:
-		v, err := x.evalCond(n.X, env, row)
-		return !v, err
-	case *ast.And:
-		a, err := x.evalCond(n.X, env, row)
-		if err != nil || !a {
-			return false, err
-		}
-		return x.evalCond(n.Y, env, row)
-	case *ast.Or:
-		a, err := x.evalCond(n.X, env, row)
-		if err != nil || a {
-			return a, err
-		}
-		return x.evalCond(n.Y, env, row)
-	case *ast.Compare:
-		xv, err := x.evalTerm(n.X, env, row)
-		if err != nil {
-			return false, err
-		}
-		yv, err := x.evalTerm(n.Y, env, row)
-		if err != nil {
-			return false, err
-		}
-		switch n.Op {
-		case ast.Eq:
-			return xv.Num == yv.Num, nil
-		case ast.Ne:
-			return xv.Num != yv.Num, nil
-		case ast.Lt:
-			return xv.Num < yv.Num, nil
-		case ast.Le:
-			return xv.Num <= yv.Num, nil
-		case ast.Gt:
-			return xv.Num > yv.Num, nil
-		default:
-			return xv.Num >= yv.Num, nil
+// allHold evaluates greedy-ordered conjuncts with short-circuit.
+func allHold(conds []expr.Cond, f *expr.Frame) bool {
+	for _, c := range conds {
+		if !c(f) {
+			return false
 		}
 	}
-	return false, fmt.Errorf("algebra: unknown condition node %T", c)
+	return true
 }
 
-func (x *Executor) evalTerm(t ast.Term, env *Env, row *Row) (interp.Value, error) {
-	switch n := t.(type) {
-	case *ast.NumLit:
-		return interp.NumVal(n.Val), nil
-
-	case *ast.ConstRef:
-		return interp.NumVal(x.prog.Consts[n.Name]), nil
-
-	case *ast.VarRef:
-		slot, ok := env.Lookup(n.Name)
-		if !ok {
-			return interp.Value{}, fmt.Errorf("algebra: unresolved name %q at %s", n.Name, n.P)
-		}
-		return row.Ext[slot], nil
-
-	case *ast.FieldRef:
-		if n.Base == env.Unit {
-			return interp.NumVal(row.Unit[x.prog.Schema.MustCol(n.Field)]), nil
-		}
-		slot, ok := env.Lookup(n.Base)
-		if !ok {
-			return interp.Value{}, fmt.Errorf("algebra: unresolved name %q at %s", n.Base, n.P)
-		}
-		f, ok := row.Ext[slot].Field(n.Field)
-		if !ok {
-			return interp.Value{}, fmt.Errorf("algebra: record %q has no field %q at %s", n.Base, n.Field, n.P)
-		}
-		return interp.NumVal(f), nil
-
-	case *ast.Field:
-		base, err := x.evalTerm(n.X, env, row)
-		if err != nil {
-			return interp.Value{}, err
-		}
-		f, ok := base.Field(n.Field)
-		if !ok {
-			return interp.Value{}, fmt.Errorf("algebra: no field %q at %s", n.Field, n.P)
-		}
-		return interp.NumVal(f), nil
-
-	case *ast.Pair:
-		xv, err := x.evalTerm(n.X, env, row)
-		if err != nil {
-			return interp.Value{}, err
-		}
-		yv, err := x.evalTerm(n.Y, env, row)
-		if err != nil {
-			return interp.Value{}, err
-		}
-		return interp.RecVal([]string{"x", "y"}, []float64{xv.Num, yv.Num}), nil
-
-	case *ast.Neg:
-		v, err := x.evalTerm(n.X, env, row)
-		if err != nil {
-			return interp.Value{}, err
-		}
-		if v.Rec {
-			out := make([]float64, len(v.Vals))
-			for i, f := range v.Vals {
-				out[i] = -f
-			}
-			return interp.RecVal(v.Fields, out), nil
-		}
-		return interp.NumVal(-v.Num), nil
-
-	case *ast.Binary:
-		xv, err := x.evalTerm(n.X, env, row)
-		if err != nil {
-			return interp.Value{}, err
-		}
-		yv, err := x.evalTerm(n.Y, env, row)
-		if err != nil {
-			return interp.Value{}, err
-		}
-		return applyBinop(n.Op, xv, yv), nil
-
-	case *ast.Call:
-		return x.evalCall(n, env, row)
-	}
-	return interp.Value{}, fmt.Errorf("algebra: unknown term node %T", t)
-}
-
-// applyBinop evaluates arithmetic with IEEE-754 semantics, exactly like
-// the interpreter: it is total — no operand combination is an error.
-// Division by zero yields ±Inf (x/0), NaN (0/0), and Mod with a zero
-// divisor yields NaN through math.Mod; every operator propagates NaN.
-// Comparisons over these values follow IEEE too: NaN compares false
-// under =, <, <=, >, >= and true under <> (see evalCond). These bits
-// flow into effect rows, the fold, and checkpoint bytes unchanged —
-// poisoned floats are deterministic, not rejected, which is what keeps
-// replayed ≡ live over any script (pinned by the NaN/Inf tests).
-func applyBinop(op ast.BinOp, x, y interp.Value) interp.Value {
-	apply := func(a, b float64) float64 {
-		switch op {
-		case ast.Add:
-			return a + b
-		case ast.Sub:
-			return a - b
-		case ast.Mul:
-			return a * b
-		case ast.Div:
-			return a / b
-		default:
-			return math.Trunc(math.Mod(a, b))
+// probe answers one aggregate call site for the row bound to f: from the
+// batch cache when batchExtend got there first, otherwise through the
+// provider. The result is only valid until the next probe unless the
+// site is multi-output (then it lives in the arena until Rebind).
+func (x *Executor) probe(s *aggSite, f *expr.Frame) []float64 {
+	w := len(s.def.Outputs)
+	if s.id < len(x.batch) {
+		if b := &x.batch[s.id]; f.Ord>>6 < len(b.have) && b.have[f.Ord>>6]&(1<<uint(f.Ord&63)) != 0 {
+			return b.vals[f.Ord*w : (f.Ord+1)*w]
 		}
 	}
-	switch {
-	case !x.Rec && !y.Rec:
-		return interp.NumVal(apply(x.Num, y.Num))
-	case x.Rec && y.Rec:
-		out := make([]float64, len(x.Vals))
-		for i := range out {
-			out[i] = apply(x.Vals[i], y.Vals[i])
-		}
-		return interp.RecVal(x.Fields, out)
-	case x.Rec:
-		out := make([]float64, len(x.Vals))
-		for i := range out {
-			out[i] = apply(x.Vals[i], y.Num)
-		}
-		return interp.RecVal(x.Fields, out)
-	default:
-		out := make([]float64, len(y.Vals))
-		for i := range out {
-			out[i] = apply(x.Num, y.Vals[i])
-		}
-		return interp.RecVal(y.Fields, out)
+	// Arguments may themselves contain calls, so each call in flight owns
+	// a segment of the argument stack.
+	base := len(x.argStack)
+	for _, a := range s.args {
+		v := a(f) // may push and pop a nested call's segment above ours
+		x.argStack = append(x.argStack, v)
 	}
-}
-
-func (x *Executor) evalCall(n *ast.Call, env *Env, row *Row) (interp.Value, error) {
-	if cache, ok := x.batchCache[n]; ok {
-		if v, ok := cache[row]; ok {
-			return v, nil
-		}
-	}
-	switch n.Name {
-	case "Random", "random":
-		seed, err := x.evalTerm(n.Args[0], env, row)
-		if err != nil {
-			return interp.Value{}, err
-		}
-		key := int64(row.Unit[x.prog.Schema.KeyCol()])
-		return interp.NumVal(float64(x.r.Random(key, int64(seed.Num)))), nil
-	case "abs", "sqrt", "floor":
-		v, err := x.evalTerm(n.Args[0], env, row)
-		if err != nil {
-			return interp.Value{}, err
-		}
-		switch n.Name {
-		case "abs":
-			return interp.NumVal(math.Abs(v.Num)), nil
-		case "sqrt":
-			return interp.NumVal(math.Sqrt(v.Num)), nil
-		default:
-			return interp.NumVal(math.Floor(v.Num)), nil
-		}
-	case "min", "max":
-		a, err := x.evalTerm(n.Args[0], env, row)
-		if err != nil {
-			return interp.Value{}, err
-		}
-		b, err := x.evalTerm(n.Args[1], env, row)
-		if err != nil {
-			return interp.Value{}, err
-		}
-		if n.Name == "min" {
-			return interp.NumVal(math.Min(a.Num, b.Num)), nil
-		}
-		return interp.NumVal(math.Max(a.Num, b.Num)), nil
-	}
-
-	def := x.prog.AggCalls[n]
-	if def == nil {
-		return interp.Value{}, fmt.Errorf("algebra: unresolved call %q at %s", n.Name, n.P)
-	}
-	args := make([]float64, len(n.Args)-1)
-	for i, a := range n.Args[1:] {
-		v, err := x.evalTerm(a, env, row)
-		if err != nil {
-			return interp.Value{}, err
-		}
-		args[i] = v.Num
-	}
+	unit := f.Unit
+	args := x.argStack[base:len(x.argStack):len(x.argStack)]
 	var outs []float64
-	if x.aggInto != nil && !x.materialize {
-		// Streaming fast path: the destination comes from the arena (the
-		// result is retained in an Extend slot, so no shared scratch) and
-		// the probe itself runs allocation-free on provider scratch.
-		outs = x.aggInto.EvalAggInto(x.arenaSlice(len(def.Outputs)), def, row.Unit, args)
-	} else {
-		outs = x.prov.EvalAgg(def, row.Unit, args)
+	switch {
+	case x.aggInto == nil || x.materialize:
+		outs = x.prov.EvalAgg(s.def, unit, args)
+	case w == 1:
+		outs = x.aggInto.EvalAggInto(x.one[:], s.def, unit, args)
+	default:
+		outs = x.aggInto.EvalAggInto(x.arenaSlice(w), s.def, unit, args)
 	}
-	if len(def.Outputs) == 1 {
-		return interp.NumVal(outs[0]), nil
-	}
-	fields := x.recFields[def]
-	if fields == nil {
-		fields = make([]string, len(def.Outputs))
-		for i, o := range def.Outputs {
-			fields[i] = o.As
-		}
-		if x.recFields == nil {
-			x.recFields = map[*ast.AggDef][]string{}
-		}
-		x.recFields[def] = fields
-	}
-	return interp.RecVal(fields, outs), nil
+	x.argStack = x.argStack[:base]
+	return outs
 }
 
 // RunTick translates, optimizes, and executes a program for one tick — the

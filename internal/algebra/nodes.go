@@ -28,6 +28,7 @@ package algebra
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"github.com/epicscale/sgl/internal/sgl/ast"
 )
@@ -120,6 +121,11 @@ type Plan struct {
 	Root   *Combine
 	Slots  int // number of extension slots
 	labels []string
+
+	// code is the plan compiled for execution (compile.go), built by the
+	// first executor bound to the plan and dropped by Optimize.
+	mu   sync.Mutex
+	code *planCode
 }
 
 // Applies returns the plan's Apply nodes in deterministic walk order — the

@@ -28,6 +28,9 @@ import (
 //
 // Optimize is idempotent; running it twice yields the same plan.
 func Optimize(p *Plan) *Plan {
+	p.mu.Lock()
+	p.code = nil // compiled against the topology about to change
+	p.mu.Unlock()
 	for {
 		changed := false
 		if applyRuleA(p) {

@@ -3,7 +3,7 @@
 // lint pass (internal/sgl/lint) can diagnose guard placement and conjunct
 // selectivity with the executor's own code. Report and
 // Executor.PipelineReports both render through chainStages — the exact
-// function the live executor compiles pipelines with — so a static report
+// function plan compilation lays pipelines out with — so a static report
 // over a plan is byte-identical to the live executor's placement for that
 // plan. (Batch segmentation is provider-dependent and deliberately absent
 // from the report.)
@@ -119,34 +119,17 @@ func Report(prog *sem.Program, p *Plan) ([]PipelineReport, error) {
 	return out, nil
 }
 
-// PipelineReports reports the pipelines this executor actually compiled
-// (compiling them if it has not yet run). The stage order is read back
-// from the live pipeline structures, so a test comparing this against the
+// PipelineReports reports the pipelines this executor actually runs. The
+// stage order is read back from the plan's compiled stage lists — the
+// structures streamUnits executes — so a test comparing this against the
 // static Report proves the lint pass and the executor share one placement.
 func (x *Executor) PipelineReports() ([]PipelineReport, error) {
-	if x.pipes == nil {
-		if err := x.compilePipelines(); err != nil {
-			return nil, err
-		}
+	if x.codeErr != nil {
+		return nil, x.codeErr
 	}
-	applies, err := x.plan.Applies()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]PipelineReport, 0, len(applies))
-	for _, ap := range applies {
-		p, ok := x.pipes[ap.In]
-		if !ok {
-			return nil, fmt.Errorf("algebra: no compiled pipeline for apply of %s", ap.Def.Name)
-		}
-		var stages []stage
-		for _, seg := range p.segs {
-			stages = append(stages, seg.stages...)
-			if seg.batch != nil {
-				stages = append(stages, stage{ext: seg.batch})
-			}
-		}
-		out = append(out, reportChain(x.prog, ap, stages))
+	out := make([]PipelineReport, 0, len(x.code.applies))
+	for _, ap := range x.code.applies {
+		out = append(out, reportChain(x.prog, ap, x.code.chains[ap.In]))
 	}
 	return out, nil
 }

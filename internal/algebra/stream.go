@@ -24,7 +24,7 @@
 //
 //   - Purity. Conditions and terms are total functions of the frozen
 //     snapshot: arithmetic is IEEE-754 (division by zero yields ±Inf or
-//     NaN, never an error — see applyBinop), and Random is counter-based
+//     NaN, never an error — see package expr), and Random is counter-based
 //     on the unit key, so a term evaluates to the same bits no matter
 //     when, how often, or in which pipeline it runs. This is what makes
 //     the two reorderings below safe.
@@ -35,8 +35,9 @@
 //     memo, so shared work is still done once even though each Apply
 //     pulls its own pipeline (set-at-a-time sharing, paper Section 5.2).
 //
-// Two plan-order rewrites happen at pipeline-compile time, per pipeline,
-// without mutating the shared plan DAG:
+// Two plan-order rewrites happen when a plan's pipelines are laid out
+// (once per plan, compile.go), per pipeline, without mutating the shared
+// plan DAG:
 //
 //   - Guard pushdown: a Select stage moves below (i.e. runs before) every
 //     Extend stage whose slot its condition does not read. Rows that fail
@@ -66,6 +67,7 @@ import (
 	"sort"
 
 	"github.com/epicscale/sgl/internal/sgl/ast"
+	"github.com/epicscale/sgl/internal/sgl/expr"
 	"github.com/epicscale/sgl/internal/sgl/interp"
 )
 
@@ -76,51 +78,53 @@ const (
 )
 
 // stage is one per-row pipeline step: exactly one of sel/ext is set.
+// chainStages fills the placement (sel, conjs, ext); plan compilation
+// (compile.go) attaches what the executor runs.
 type stage struct {
 	sel   *Select
 	conjs []ast.Cond // sel.Cond's AND-conjuncts in greedy order
-	memo  []int8     // shared verdict memo when sel feeds several pipelines
 	ext   *Extend
+
+	conds []expr.Cond // conjs compiled
+	memo  int         // shared verdict memo ordinal; -1 when sel feeds one chain
+	code  *extCode    // ext's compiled value and call sites
 }
 
-// segment is a maximal run of per-row stages, optionally closed by a
-// blocking set-at-a-time Extend.
-type segment struct {
-	stages []stage
-	batch  *Extend // nil for the final segment
-}
-
-// pipeline is one Apply input chain compiled to streaming form.
-type pipeline struct {
-	segs []segment
-}
-
-// ensureStreamRows builds the executor's flat row storage: every base row
-// of the shard gets a Row backed by one shared extension array, plus a
-// done bit per (row, slot). Built once per executor; Row pointers stay
-// stable for the batch cache.
-func (x *Executor) ensureStreamRows() {
-	if x.srows != nil {
+// bindStreamRows points the executor's flat row storage at the current
+// base shard: every base row gets a Row backed by one shared extension
+// array, plus a done bit per (row, slot) and a verdict memo per shared
+// Select. The arrays are allocated when the shard size (or the plan)
+// changes and merely re-pointed and cleared otherwise; Row pointers stay
+// stable for the duration of a binding.
+func (x *Executor) bindStreamRows() {
+	if x.rowsBound {
 		return
 	}
+	x.rowsBound = true
 	base := x.baseRows()
 	n := len(base)
 	slots := x.plan.Slots
-	x.srows = make([]Row, n)
-	var back []interp.Value
-	if slots > 0 {
-		back = make([]interp.Value, n*slots)
-	}
-	for i, u := range base {
-		r := &x.srows[i]
-		r.Unit = u
-		r.ord = int32(i)
-		if slots > 0 {
-			r.Ext = back[i*slots : (i+1)*slots : (i+1)*slots]
+	words := (n*slots + 63) / 64
+	if len(x.srows) != n || len(x.done) != words || len(x.selMemo) != x.code.memos {
+		x.srows = make([]Row, n)
+		back := make([]interp.Value, n*slots)
+		for i := range x.srows {
+			x.srows[i].ord = int32(i)
+			x.srows[i].Ext = back[i*slots : (i+1)*slots : (i+1)*slots]
+		}
+		x.done = make([]uint64, words)
+		x.selMemo = make([][]int8, x.code.memos)
+		for i := range x.selMemo {
+			x.selMemo[i] = make([]int8, n)
+		}
+	} else {
+		clear(x.done)
+		for _, m := range x.selMemo {
+			clear(m)
 		}
 	}
-	if slots > 0 && n > 0 {
-		x.done = make([]uint64, (n*slots+63)/64)
+	for i, u := range base {
+		x.srows[i].Unit = u
 	}
 }
 
@@ -135,95 +139,29 @@ func (x *Executor) markSlotDone(row *Row, slot int) {
 }
 
 // ---------------------------------------------------------------------------
-// Pipeline compilation
+// Pipeline placement
 
-// pipelineFor returns the compiled pipeline for a unit-set node,
-// compiling every Apply input chain of the plan on first use so that
-// Selects shared between pipelines get their verdict memo.
-func (x *Executor) pipelineFor(n Node) (*pipeline, error) {
-	if x.pipes == nil {
-		if err := x.compilePipelines(); err != nil {
-			return nil, err
-		}
+// stagesFor returns the compiled stage list of a unit-set node: the
+// plan's own for an Apply input, compiled on demand for any other node
+// an external walker asks about.
+func (x *Executor) stagesFor(n Node) ([]stage, error) {
+	if stages, ok := x.code.chains[n]; ok {
+		return stages, nil
 	}
-	if p, ok := x.pipes[n]; ok {
-		return p, nil
-	}
-	// A walker asked for a node that is not an Apply input (possible for
-	// external callers): compile it on demand.
-	p, err := x.compileChain(n, x.selectShares())
+	stages, err := chainStages(n)
 	if err != nil {
 		return nil, err
 	}
-	x.pipes[n] = p
-	return p, nil
-}
-
-// compilePipelines compiles the input chain of every Apply in the plan.
-// Selects appearing in more than one chain get a shared tri-state memo so
-// their condition is evaluated once per row across all pipelines.
-func (x *Executor) compilePipelines() error {
-	x.ensureStreamRows()
-	applies, err := x.plan.Applies()
-	if err != nil {
-		return err
-	}
-	// Count how many distinct chains each Select participates in.
-	shares := map[*Select]int{}
-	seen := map[Node]bool{}
-	for _, ap := range applies {
-		if seen[ap.In] {
-			continue
-		}
-		seen[ap.In] = true
-		for cur := ap.In; ; {
-			switch v := cur.(type) {
-			case *Select:
-				shares[v]++
-				cur = v.In
-			case *Extend:
-				cur = v.In
-			default:
-				cur = nil
-			}
-			if cur == nil {
-				break
-			}
+	for i := range stages {
+		st := &stages[i]
+		if st.sel != nil {
+			// Unshared by construction: the plan's chains never saw it.
+			st.conds, st.memo = x.code.sel[st.sel].conds, -1
+		} else {
+			st.code = x.code.ext[st.ext]
 		}
 	}
-	x.selShares = shares
-	x.pipes = make(map[Node]*pipeline, len(seen))
-	for _, ap := range applies {
-		if _, ok := x.pipes[ap.In]; ok {
-			continue
-		}
-		p, err := x.compileChain(ap.In, shares)
-		if err != nil {
-			return err
-		}
-		x.pipes[ap.In] = p
-	}
-	return nil
-}
-
-func (x *Executor) selectShares() map[*Select]int {
-	if x.selShares == nil {
-		x.selShares = map[*Select]int{}
-	}
-	return x.selShares
-}
-
-// selMemoFor returns the shared verdict memo for a multi-pipeline Select.
-func (x *Executor) selMemoFor(s *Select) []int8 {
-	if x.selMemo == nil {
-		x.selMemo = map[*Select][]int8{}
-	}
-	m, ok := x.selMemo[s]
-	if !ok {
-		m = make([]int8, len(x.srows))
-		x.selMemo[s] = m
-	}
-	return m
+	return stages, nil
 }
 
 // chainStages turns the Base→…→n operator chain into its per-row stage
@@ -265,22 +203,6 @@ func chainStages(n Node) ([]stage, error) {
 	return stages, nil
 }
 
-// compileChain turns the Base→…→n operator chain into a pipeline:
-// collect stages base-first, push guards below independent extensions,
-// order conjuncts greedily, and split at blocking batch extensions.
-func (x *Executor) compileChain(n Node, shares map[*Select]int) (*pipeline, error) {
-	stages, err := chainStages(n)
-	if err != nil {
-		return nil, err
-	}
-	for i := range stages {
-		if stages[i].sel != nil && shares[stages[i].sel] > 1 {
-			stages[i].memo = x.selMemoFor(stages[i].sel)
-		}
-	}
-	return splitSegments(x, stages), nil
-}
-
 // pushdownGuards moves every Select stage below (before) the Extend
 // stages whose slots its condition does not read, preserving the relative
 // order of Selects. Safe because conditions are pure and total: filtering
@@ -307,42 +229,6 @@ func pushdownGuards(stages []stage) {
 			j--
 		}
 	}
-}
-
-// splitSegments cuts the stage list at every blocking (set-at-a-time)
-// Extend: stages before it stream per row, then the extension is batched
-// over the surviving row set, then streaming resumes.
-func splitSegments(x *Executor, stages []stage) *pipeline {
-	p := &pipeline{}
-	start := 0
-	for i := range stages {
-		if stages[i].ext != nil && x.extendBlocking(stages[i].ext) {
-			p.segs = append(p.segs, segment{stages: stages[start:i], batch: stages[i].ext})
-			start = i + 1
-		}
-	}
-	p.segs = append(p.segs, segment{stages: stages[start:]})
-	return p
-}
-
-// extendBlocking reports whether an Extend's value contains an aggregate
-// call whose batch evaluation is genuinely set-at-a-time (the MIN/MAX
-// sweep line). Everything else evaluates per row with identical results
-// — for non-MinMax classes EvalAggBatch is literally a loop over the
-// per-probe evaluator.
-func (x *Executor) extendBlocking(e *Extend) bool {
-	bp, ok := x.prov.(BatchAggProvider)
-	if !ok {
-		return false
-	}
-	var calls []*ast.Call
-	x.collectAggCalls(e.Value, &calls)
-	for _, c := range calls {
-		if def := x.prog.AggCalls[c]; def != nil && bp.BatchBeneficial(def) {
-			return true
-		}
-	}
-	return false
 }
 
 // ---------------------------------------------------------------------------
@@ -444,142 +330,111 @@ func termHasCall(t ast.Term) bool {
 
 // runStages pushes one row through a run of per-row stages; false means
 // the row was filtered out.
-func (x *Executor) runStages(stages []stage, row *Row) (bool, error) {
+func (x *Executor) runStages(stages []stage, row *Row) bool {
+	f := x.at(row)
 	for i := range stages {
 		st := &stages[i]
 		if st.sel != nil {
-			if st.memo != nil {
-				switch st.memo[row.ord] {
+			if st.memo >= 0 {
+				switch x.selMemo[st.memo][row.ord] {
 				case memoPass:
 					continue
 				case memoFail:
-					return false, nil
+					return false
 				}
 			}
-			pass := true
-			for _, c := range st.conjs {
-				ok, err := x.evalCond(c, st.sel.Env, row)
-				if err != nil {
-					return false, err
-				}
-				if !ok {
-					pass = false
-					break
-				}
-			}
-			if st.memo != nil {
+			pass := allHold(st.conds, f)
+			if st.memo >= 0 {
 				if pass {
-					st.memo[row.ord] = memoPass
+					x.selMemo[st.memo][row.ord] = memoPass
 				} else {
-					st.memo[row.ord] = memoFail
+					x.selMemo[st.memo][row.ord] = memoFail
 				}
 			}
 			if !pass {
-				return false, nil
+				return false
 			}
 			continue
 		}
 		if !x.slotDone(row, st.ext.Slot) {
-			val, err := x.evalTerm(st.ext.Value, st.ext.Env, row)
-			if err != nil {
-				return false, err
-			}
-			row.Ext[st.ext.Slot] = val
+			row.Ext[st.ext.Slot] = st.code.value.Value(f)
 			x.markSlotDone(row, st.ext.Slot)
 		}
 	}
-	return true, nil
+	return true
 }
 
 // runBatchStage evaluates a blocking Extend for the surviving rows that
 // do not have it yet, through the same batchExtend the materializing path
 // uses — so the sweep-line technique is preserved verbatim.
-func (x *Executor) runBatchStage(e *Extend, work []int32) error {
+func (x *Executor) runBatchStage(st *stage, work []int32) {
 	rows := make([]*Row, 0, len(work))
 	for _, i := range work {
 		row := &x.srows[i]
-		if !x.slotDone(row, e.Slot) {
+		if !x.slotDone(row, st.ext.Slot) {
 			rows = append(rows, row)
 		}
 	}
 	if len(rows) == 0 {
-		return nil
+		return
 	}
-	if _, err := x.batchExtend(e, rows); err != nil {
-		return err
-	}
+	x.batchExtend(st.code, rows)
 	for _, row := range rows {
-		val, err := x.evalTerm(e.Value, e.Env, row)
-		if err != nil {
-			return err
-		}
-		row.Ext[e.Slot] = val
-		x.markSlotDone(row, e.Slot)
+		row.Ext[st.ext.Slot] = st.code.value.Value(x.at(row))
+		x.markSlotDone(row, st.ext.Slot)
 	}
-	return nil
 }
 
 // streamUnits yields the rows of unit-set node n one at a time, in base
 // order — the streaming equivalent of units(n). The common case (no
 // blocking batch stage) runs a single tight loop with no per-row
-// bookkeeping beyond the shared memos; pipelines with batch stages
-// collect survivor indexes into a reused scratch buffer between blocking
-// points.
+// bookkeeping beyond the shared memos. A chain with blocking stages is
+// cut at each of them: the stages before it stream per row, the
+// extension is batched over the survivors (collected as indexes in a
+// reused scratch buffer), and streaming resumes after it.
 func (x *Executor) streamUnits(n Node, yield func(*Row) error) error {
-	p, err := x.pipelineFor(n)
+	stages, err := x.stagesFor(n)
 	if err != nil {
 		return err
 	}
-	x.ensureStreamRows()
-	if len(p.segs) == 1 {
-		stages := p.segs[0].stages
+	x.bindStreamRows()
+	cut := -1
+	for i := range stages {
+		if stages[i].ext != nil && x.extendBlocking(stages[i].code) {
+			cut = i
+			break
+		}
+	}
+	if cut < 0 {
 		for i := range x.srows {
 			row := &x.srows[i]
-			ok, err := x.runStages(stages, row)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				continue
-			}
-			if err := yield(row); err != nil {
-				return err
+			if x.runStages(stages, row) {
+				if err := yield(row); err != nil {
+					return err
+				}
 			}
 		}
 		return nil
 	}
 	work := x.scratch[:0]
 	for i := range x.srows {
-		row := &x.srows[i]
-		ok, err := x.runStages(p.segs[0].stages, row)
-		if err != nil {
-			return err
-		}
-		if ok {
+		if x.runStages(stages[:cut], &x.srows[i]) {
 			work = append(work, int32(i))
 		}
 	}
-	for si := range p.segs {
-		seg := &p.segs[si]
-		if si > 0 {
-			kept := work[:0]
-			for _, i := range work {
-				row := &x.srows[i]
-				ok, err := x.runStages(seg.stages, row)
-				if err != nil {
-					return err
-				}
-				if ok {
-					kept = append(kept, i)
-				}
-			}
-			work = kept
+	for start := cut; start < len(stages); {
+		x.runBatchStage(&stages[start], work)
+		end := start + 1
+		for end < len(stages) && !(stages[end].ext != nil && x.extendBlocking(stages[end].code)) {
+			end++
 		}
-		if seg.batch != nil {
-			if err := x.runBatchStage(seg.batch, work); err != nil {
-				return err
+		kept := work[:0]
+		for _, i := range work {
+			if x.runStages(stages[start+1:end], &x.srows[i]) {
+				kept = append(kept, i)
 			}
 		}
+		work, start = kept, end
 	}
 	for _, i := range work {
 		if err := yield(&x.srows[i]); err != nil {

@@ -151,23 +151,11 @@ func TestStreamingShardsConcatenate(t *testing.T) {
 		}
 		for j, ap := range applies {
 			err := x.EachUnit(ap.In, func(row *Row) error {
-				args, err := x.ApplyArgs(ap, row)
-				if err != nil {
-					return err
-				}
-				var applyErr error
+				args := x.ApplyArgs(nil, ap, row)
 				x.prov.SelectTargets(ap.Def, row.Unit, args, func(tgt []float64) {
-					if applyErr != nil {
-						return
-					}
-					eff, err := x.BuildEffectRow(ap.Def, row.Unit, args, tgt)
-					if err != nil {
-						applyErr = err
-						return
-					}
-					perApply[j] = append(perApply[j], append([]float64(nil), eff...))
+					perApply[j] = append(perApply[j], x.BuildEffectRow(nil, ap.Def, row.Unit, args, tgt))
 				})
-				return applyErr
+				return nil
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -345,13 +333,9 @@ func TestPipelineGuardPushdown(t *testing.T) {
 	if move == nil {
 		t.Fatal("no MoveInDirection apply in figure3 plan")
 	}
-	p, err := x.pipelineFor(move.In)
+	stages, err := x.stagesFor(move.In)
 	if err != nil {
 		t.Fatal(err)
-	}
-	var stages []stage
-	for _, seg := range p.segs {
-		stages = append(stages, seg.stages...)
 	}
 	if len(stages) != 3 {
 		t.Fatalf("stage count = %d, want 3", len(stages))
@@ -384,21 +368,22 @@ func TestPipelineConjunctOrdering(t *testing.T) {
 	}
 	found := false
 	for _, ap := range applies {
-		p, err := x.pipelineFor(ap.In)
+		stages, err := x.stagesFor(ap.In)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, seg := range p.segs {
-			for _, st := range seg.stages {
-				if st.sel == nil || len(st.conjs) < 2 {
-					continue
-				}
-				found = true
-				for i := 1; i < len(st.conjs); i++ {
-					if ClassifyConjunct(st.conjs[i-1]) > ClassifyConjunct(st.conjs[i]) {
-						t.Fatalf("conjuncts out of greedy order: class %d before class %d",
-							ClassifyConjunct(st.conjs[i-1]), ClassifyConjunct(st.conjs[i]))
-					}
+		for _, st := range stages {
+			if st.sel == nil || len(st.conjs) < 2 {
+				continue
+			}
+			found = true
+			if len(st.conds) != len(st.conjs) {
+				t.Fatalf("stage runs %d compiled conjuncts for %d ordered ones", len(st.conds), len(st.conjs))
+			}
+			for i := 1; i < len(st.conjs); i++ {
+				if ClassifyConjunct(st.conjs[i-1]) > ClassifyConjunct(st.conjs[i]) {
+					t.Fatalf("conjuncts out of greedy order: class %d before class %d",
+						ClassifyConjunct(st.conjs[i-1]), ClassifyConjunct(st.conjs[i]))
 				}
 			}
 		}
@@ -457,70 +442,9 @@ func TestConjClass(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// IEEE totality: poisoned floats are deterministic, not errors.
-
-func TestApplyBinopIEEE(t *testing.T) {
-	n := interp.NumVal
-	inf := math.Inf(1)
-	cases := []struct {
-		name string
-		op   ast.BinOp
-		x, y float64
-		want float64
-	}{
-		{"pos-div-zero", ast.Div, 1, 0, inf},
-		{"neg-div-zero", ast.Div, -1, 0, -inf},
-		{"zero-div-zero", ast.Div, 0, 0, math.NaN()},
-		{"mod-by-zero", ast.Mod, 5, 0, math.NaN()},
-		{"inf-minus-inf", ast.Sub, inf, inf, math.NaN()},
-		{"inf-plus-neginf", ast.Add, inf, -inf, math.NaN()},
-		{"nan-add", ast.Add, math.NaN(), 1, math.NaN()},
-		{"nan-mul", ast.Mul, math.NaN(), 0, math.NaN()},
-		{"inf-mul-zero", ast.Mul, inf, 0, math.NaN()},
-		{"inf-propagates", ast.Add, inf, 1, inf},
-	}
-	for _, c := range cases {
-		got := applyBinop(c.op, n(c.x), n(c.y))
-		if got.Rec {
-			t.Errorf("%s: got a record", c.name)
-			continue
-		}
-		if math.Float64bits(got.Num) != math.Float64bits(c.want) &&
-			!(math.IsNaN(got.Num) && math.IsNaN(c.want)) {
-			t.Errorf("%s: %v %v %v = %v, want %v", c.name, c.x, c.op, c.y, got.Num, c.want)
-		}
-	}
-}
-
-func TestEvalCondNaNComparisons(t *testing.T) {
-	x := &Executor{}
-	nan := num(math.NaN())
-	one := num(1)
-	cases := []struct {
-		op   ast.CmpOp
-		want bool
-	}{
-		{ast.Eq, false}, {ast.Lt, false}, {ast.Le, false},
-		{ast.Gt, false}, {ast.Ge, false}, {ast.Ne, true},
-	}
-	for _, c := range cases {
-		got, err := x.evalCond(&ast.Compare{Op: c.op, X: nan, Y: one}, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != c.want {
-			t.Errorf("NaN %v 1 = %v, want %v", c.op, got, c.want)
-		}
-		// NaN on both sides behaves identically.
-		got, err = x.evalCond(&ast.Compare{Op: c.op, X: nan, Y: nan}, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != c.want {
-			t.Errorf("NaN %v NaN = %v, want %v", c.op, got, c.want)
-		}
-	}
-}
+// IEEE totality: poisoned floats are deterministic, not errors. (The
+// operator-level cases live with the compiler: expr.TestArithmeticIEEE and
+// expr.TestNaNComparisons.)
 
 // A script that actually produces Inf and NaN effect values must fold
 // them bit-identically across the interpreter and both executor paths —

@@ -445,7 +445,7 @@ func buildRestored(p *checkpointPayload, prog *sem.Program, g Game, tune Options
 		// embedded text whenever the programs match (the ast printer is a
 		// parse/print fixed point), which keeps restore → checkpoint a
 		// byte fixed point.
-		e.prog.Consts = p.consts
+		e.prog.AdoptConsts(p.consts)
 		e.rebuildConstNames()
 		e.journal = p.journal
 		e.journalBase = p.base

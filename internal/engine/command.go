@@ -352,10 +352,21 @@ func (e *Engine) applyCommands() {
 	// Occupancy mirror of the live environment, maintained through the
 	// batch so each command observes its predecessors' placements — the
 	// same one-unit-per-square rule movement and resurrection enforce.
-	occ := grid.NewOccupancy(e.env.Len())
-	kc := e.prog.Schema.KeyCol()
-	for _, row := range e.env.Rows {
-		occ.Place(row[e.posX], row[e.posY], int64(row[kc]))
+	// Filled by the first command that places, removes or moves a unit:
+	// the commands before it cannot have changed a position, so the late
+	// fill sees what an up-front one would, and a batch of plain sets and
+	// tunes never pays for it.
+	var occ *grid.Occupancy
+	mirror := func() *grid.Occupancy {
+		if occ == nil {
+			occ = e.occ
+			occ.Reset()
+			kc := e.prog.Schema.KeyCol()
+			for _, row := range e.env.Rows {
+				occ.Place(row[e.posX], row[e.posY], int64(row[kc]))
+			}
+		}
+		return occ
 	}
 
 	popChanged, tuned := false, false
@@ -368,12 +379,12 @@ func (e *Engine) applyCommands() {
 				e.Stats.CommandsRejected++ // duplicate key
 				continue
 			}
-			if !occ.Place(c.Row[e.posX], c.Row[e.posY], c.Key) {
+			if !mirror().Place(c.Row[e.posX], c.Row[e.posY], c.Key) {
 				e.Stats.CommandsRejected++ // square occupied
 				continue
 			}
 			e.env.Append(append([]float64(nil), c.Row...))
-			popChanged = true
+			popChanged, e.keyIdx = true, nil
 		case OpDespawn:
 			i := e.rowIndexByKey(c.Key)
 			if i < 0 {
@@ -381,9 +392,9 @@ func (e *Engine) applyCommands() {
 				continue
 			}
 			row := e.env.Rows[i]
-			occ.Remove(row[e.posX], row[e.posY], c.Key)
+			mirror().Remove(row[e.posX], row[e.posY], c.Key)
 			e.env.Rows = append(e.env.Rows[:i], e.env.Rows[i+1:]...)
-			popChanged = true
+			popChanged, e.keyIdx = true, nil
 		case OpSet:
 			i := e.rowIndexByKey(c.Key)
 			if i < 0 {
@@ -399,7 +410,7 @@ func (e *Engine) applyCommands() {
 				} else {
 					ny = c.Val
 				}
-				if !occ.Move(row[e.posX], row[e.posY], nx, ny, c.Key) {
+				if !mirror().Move(row[e.posX], row[e.posY], nx, ny, c.Key) {
 					e.Stats.CommandsRejected++ // target square occupied
 					continue
 				}
@@ -407,7 +418,7 @@ func (e *Engine) applyCommands() {
 			row[col] = c.Val
 			setRows[i] = true
 		case OpTune:
-			e.prog.Consts[c.Col] = c.Val
+			e.prog.SetConst(c.Col, c.Val)
 			tuned = true
 		}
 		e.Stats.CommandsApplied++
@@ -467,9 +478,16 @@ func (e *Engine) applyCommands() {
 	}
 }
 
-// rowIndexByKey scans for the row index of a key (commands are rare;
-// a linear scan per command keeps zero cross-tick state).
+// rowIndexByKey resolves a key to its row index: through the engine's
+// key index while it is valid, by a linear scan once a spawn or despawn
+// earlier in the batch has dropped it (row indexes shift under the map).
 func (e *Engine) rowIndexByKey(key int64) int {
+	if e.keyIdx != nil {
+		if i, ok := e.keyIdx[key]; ok {
+			return i
+		}
+		return -1
+	}
 	kc := e.prog.Schema.KeyCol()
 	fk := float64(key)
 	for i, row := range e.env.Rows {

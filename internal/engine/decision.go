@@ -1,16 +1,17 @@
 package engine
 
 import (
-	"fmt"
 	"math"
 
 	"github.com/epicscale/sgl/internal/algebra"
+	"github.com/epicscale/sgl/internal/exec"
 	"github.com/epicscale/sgl/internal/geom"
 	"github.com/epicscale/sgl/internal/index/rangetree"
 	"github.com/epicscale/sgl/internal/index/segtree"
 	"github.com/epicscale/sgl/internal/index/sweepline"
 	"github.com/epicscale/sgl/internal/rng"
 	"github.com/epicscale/sgl/internal/sgl/ast"
+	"github.com/epicscale/sgl/internal/sgl/expr"
 	"github.com/epicscale/sgl/internal/sgl/interp"
 	"github.com/epicscale/sgl/internal/table"
 )
@@ -42,58 +43,68 @@ func (e *Engine) decideNaive(r rng.TickSource, acc *accumulator, keyIdx map[int6
 	return nil
 }
 
+// shardExecutor returns shard s's plan executor bound to this tick: built
+// on the shard's first tick, rebound — row storage and arena kept — on
+// every later one. Shards run concurrently, each touching only its slot.
+func (e *Engine) shardExecutor(s int, prov interp.Provider, r rng.TickSource, lo, hi int) (*algebra.Executor, error) {
+	if x := e.execs[s]; x != nil {
+		return x, x.Rebind(e.env, prov, r, lo, hi)
+	}
+	x, err := algebra.NewExecutorRange(e.prog, e.plan, e.env, prov, r, lo, hi)
+	if err != nil {
+		return nil, err
+	}
+	x.SetMaterialize(e.opts.MaterializeExec)
+	e.execs[s] = x
+	return x, nil
+}
+
 // decideIndexed runs the compiled set-at-a-time plan over the indexed
 // provider. Apply nodes with deferrable area actions are collected and
 // applied through the Section 5.4 effect index instead of per-performer
 // target enumeration.
 //
-// Both this serial path and decideIndexedParallel iterate Plan.Applies()
-// — sharing one traversal is what guarantees the parallel merge folds
-// effects in the same order the serial path does.
+// Both this serial path and decideIndexedParallel iterate e.applies —
+// Plan.Applies(), taken once at construction; sharing one traversal is
+// what guarantees the parallel merge folds effects in the same order the
+// serial path does.
 func (e *Engine) decideIndexed(r rng.TickSource, acc *accumulator, keyIdx map[int64]int) error {
 	prov := e.newIndexedProvider(r, keyIdx)
-	x := algebra.NewExecutor(e.prog, e.plan, e.env, prov, r)
-	x.SetMaterialize(e.opts.MaterializeExec)
+	x, err := e.shardExecutor(0, prov, r, 0, -1)
+	if err != nil {
+		return err
+	}
 	kc := e.prog.Schema.KeyCol()
 
 	deferred := map[*ast.ActDef][]performer{}
 	var deferredOrder []*ast.ActDef
 
-	applies, err := e.plan.Applies()
-	if err != nil {
-		return err
-	}
-	for _, ap := range applies {
-		ap := ap
-		deferThis := e.an.Act(ap.Def).Deferrable && !e.opts.DisableAreaDefer
-		err := x.EachUnit(ap.In, func(row *algebra.Row) error {
-			args, err := x.ApplyArgs(ap, row)
-			if err != nil {
-				return err
+	for j, ap := range e.applies {
+		// One target visitor per Apply, not per row: the row and its
+		// arguments reach it through these two variables. Arguments and the
+		// effect row live in engine scratch — both are consumed before the
+		// next row overwrites them.
+		var unit, args []float64
+		fold := func(tgt []float64) {
+			e.effRow = x.BuildEffectRow(e.effRow, ap.Def, unit, args, tgt)
+			if idx, ok := keyIdx[int64(e.effRow[kc])]; ok {
+				acc.foldRow(idx, e.effRow)
+				e.countEffect(0)
 			}
+		}
+		deferThis := e.deferApply[j]
+		err := x.EachUnit(ap.In, func(row *algebra.Row) error {
 			if deferThis {
 				if _, seen := deferred[ap.Def]; !seen {
 					deferredOrder = append(deferredOrder, ap.Def)
 				}
-				deferred[ap.Def] = append(deferred[ap.Def], performer{unit: row.Unit, args: args})
+				deferred[ap.Def] = append(deferred[ap.Def], performer{unit: row.Unit, args: x.ApplyArgs(nil, ap, row)})
 				return nil
 			}
-			var applyErr error
-			prov.SelectTargets(ap.Def, row.Unit, args, func(tgt []float64) {
-				if applyErr != nil {
-					return
-				}
-				eff, err := x.BuildEffectRow(ap.Def, row.Unit, args, tgt)
-				if err != nil {
-					applyErr = err
-					return
-				}
-				if idx, ok := keyIdx[int64(eff[kc])]; ok {
-					acc.foldRow(idx, eff)
-					e.countEffect(0)
-				}
-			})
-			return applyErr
+			e.argBuf = x.ApplyArgs(e.argBuf[:0], ap, row)
+			unit, args = row.Unit, e.argBuf
+			prov.SelectTargets(ap.Def, unit, args, fold)
+			return nil
 		})
 		if err != nil {
 			return err
@@ -101,10 +112,7 @@ func (e *Engine) decideIndexed(r rng.TickSource, acc *accumulator, keyIdx map[in
 	}
 
 	for _, def := range deferredOrder {
-		perf := deferred[def]
-		if err := e.applyDeferredArea(def, perf, r, acc); err != nil {
-			return err
-		}
+		e.applyDeferredArea(def, deferred[def], r, acc)
 	}
 	e.Stats.IndexStats.Add(prov.Stats)
 	return nil
@@ -121,10 +129,8 @@ func (e *Engine) decideIndexed(r rng.TickSource, acc *accumulator, keyIdx map[in
 // requirements form one group; each group's centers are indexed once and
 // every unit recovers its combined contribution with one probe per SET
 // column.
-func (e *Engine) applyDeferredArea(def *ast.ActDef, performers []performer, r rng.TickSource, acc *accumulator) error {
+func (e *Engine) applyDeferredArea(def *ast.ActDef, performers []performer, r rng.TickSource, acc *accumulator) {
 	a := e.an.Act(def)
-	dl := interp.DefParams(def)
-	schema := e.prog.Schema
 
 	type center struct {
 		x, y float64
@@ -132,7 +138,7 @@ func (e *Engine) applyDeferredArea(def *ast.ActDef, performers []performer, r rn
 	}
 	type groupKey struct {
 		offLoX, offHiX, offLoY, offHiY float64
-		eq                             string
+		eq                             string // the eq values' bits
 	}
 	type group struct {
 		key     groupKey
@@ -148,72 +154,48 @@ func (e *Engine) applyDeferredArea(def *ast.ActDef, performers []performer, r rn
 		}
 		return -1
 	}
-	evalAxisOffsets := func(unit, args []float64, ax int) (lo, hi float64, err error) {
-		if ax >= len(a.Axes) {
-			return math.Inf(-1), math.Inf(1), nil
-		}
-		base := unit[a.Axes[ax].Col]
+	axisOffsets := func(f *expr.Frame, ax int) (lo, hi float64) {
 		lo, hi = math.Inf(-1), math.Inf(1)
-		if a.Axes[ax].Lo != nil {
-			v, err := interp.EvalDefTermWith(a.Axes[ax].Lo, dl, unit, args, unit, e.prog, r)
-			if err != nil {
-				return 0, 0, err
-			}
-			lo = v - base
+		if ax >= len(a.Axes) {
+			return lo, hi
 		}
-		if a.Axes[ax].Hi != nil {
-			v, err := interp.EvalDefTermWith(a.Axes[ax].Hi, dl, unit, args, unit, e.prog, r)
-			if err != nil {
-				return 0, 0, err
-			}
-			hi = v - base
+		base := f.Unit[a.Axes[ax].Col]
+		if fn := a.Axes[ax].LoFn; fn != nil {
+			lo = fn(f) - base
 		}
-		return lo, hi, nil
+		if fn := a.Axes[ax].HiFn; fn != nil {
+			hi = fn(f) - base
+		}
+		return lo, hi
 	}
 
+	// Everything evaluated per performer is a function of the performer
+	// alone (that is what made the action deferrable), so the performer
+	// row stands in for e as well.
+	f := &expr.Frame{R: r}
+	var eqKey []byte
+performers:
 	for _, p := range performers {
+		f.Unit, f.Args, f.Target = p.unit, p.args, p.unit
 		// u-only conjuncts gate the performer entirely.
-		skip := false
-		for _, c := range a.UOnly {
-			ok, err := interp.EvalDefCond(c, dl, p.unit, p.args, p.unit, e.prog, r)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				skip = true
-				break
+		for _, c := range a.UOnlyFn {
+			if !c(f) {
+				continue performers
 			}
 		}
-		if skip {
-			continue
-		}
-		loX, hiX, err := evalAxisOffsets(p.unit, p.args, 0)
-		if err != nil {
-			return err
-		}
-		loY, hiY, err := evalAxisOffsets(p.unit, p.args, 1)
-		if err != nil {
-			return err
-		}
+		loX, hiX := axisOffsets(f, 0)
+		loY, hiY := axisOffsets(f, 1)
 		eqVals := make([]float64, len(a.Eqs))
-		eqKey := ""
-		for i, eq := range a.Eqs {
-			v, err := interp.EvalDefTermWith(eq.Term, dl, p.unit, p.args, p.unit, e.prog, r)
-			if err != nil {
-				return err
-			}
-			eqVals[i] = v
-			eqKey += fmt.Sprintf("%g|", v)
+		eqKey = eqKey[:0]
+		for i := range a.Eqs {
+			eqVals[i] = a.Eqs[i].Fn(f)
+			eqKey = exec.AppendValueKey(eqKey, eqVals[i])
 		}
-		vals := make([]float64, len(def.Sets))
-		for i, set := range def.Sets {
-			v, err := interp.EvalDefTermWith(set.Value, dl, p.unit, p.args, p.unit, e.prog, r)
-			if err != nil {
-				return err
-			}
-			vals[i] = v
+		vals := make([]float64, len(a.SetFn))
+		for i, set := range a.SetFn {
+			vals[i] = set(f)
 		}
-		gk := groupKey{loX, hiX, loY, hiY, eqKey}
+		gk := groupKey{loX, hiX, loY, hiY, string(eqKey)}
 		g := groups[gk]
 		if g == nil {
 			g = &group{key: gk, eqVals: eqVals}
@@ -233,26 +215,21 @@ func (e *Engine) applyDeferredArea(def *ast.ActDef, performers []performer, r rn
 	// Target eligibility: e-only conjuncts, evaluated once per row. Pure
 	// per row, so the scan shards across the worker pool.
 	eligible := make([]bool, e.env.Len())
-	if err := runShardsErr(e.shards(e.env.Len()), func(_, lo, hi int) error {
+	runShards(e.shards(e.env.Len()), func(_, lo, hi int) {
+		f := &expr.Frame{R: r}
 		for i := lo; i < hi; i++ {
 			row := e.env.Rows[i]
+			f.Unit, f.Target = row, row
 			ok := true
-			for _, c := range a.EOnly {
-				pass, err := interp.EvalDefCond(c, dl, row, nil, row, e.prog, r)
-				if err != nil {
-					return err
-				}
-				if !pass {
+			for _, c := range a.EOnlyFn {
+				if !c(f) {
 					ok = false
 					break
 				}
 			}
 			eligible[i] = ok
 		}
-		return nil
-	}); err != nil {
-		return err
-	}
+	})
 
 	for _, gk := range order {
 		g := groups[gk]
@@ -280,9 +257,8 @@ func (e *Engine) applyDeferredArea(def *ast.ActDef, performers []performer, r rn
 			continue
 		}
 
-		for si, set := range def.Sets {
-			col := schema.MustCol(set.Attr)
-			kind := schema.Attr(col).Kind
+		for si, col := range a.SetCols {
+			kind := e.prog.Schema.Attr(col).Kind
 			// Reflected probe window for target t:
 			// performer at c affects t iff t ∈ [c+lo, c+hi] iff c ∈ [t−hi, t−lo].
 			switch kind {
@@ -367,7 +343,6 @@ func (e *Engine) applyDeferredArea(def *ast.ActDef, performers []performer, r rn
 			}
 		}
 	}
-	return nil
 }
 
 // reflectedRect is the probe window of a target at (tx, ty): a performer

@@ -72,7 +72,10 @@ type Game interface {
 
 	// Respawn re-rolls a dead unit's state in place. The engine assigns a
 	// fresh free position afterwards ("resurrected at a position chosen
-	// uniformly at random on the grid").
+	// uniformly at random on the grid"). Like ApplyEffects it must leave
+	// the key column alone: a respawned unit is the same unit, and the
+	// engine's key index and the maintained indexes carry keys from tick
+	// to tick.
 	Respawn(row []float64, st *rng.Stream)
 }
 
@@ -193,11 +196,32 @@ type Engine struct {
 
 	an   *exec.Analyzer
 	plan *algebra.Plan
+	// applies is plan.Applies() — the order every decision path folds
+	// effects in — and deferApply says, per Apply, whether its action goes
+	// through the Section 5.4 effect index. Both are fixed with the plan.
+	applies    []*algebra.Apply
+	deferApply []bool
 
 	posX, posY int // schema columns
 	fxCols     []int
-	workers    int          // resolved Options.Workers (>= 1)
-	acc        *accumulator // the tick's effect accumulator, reused across ticks
+	workers    int // resolved Options.Workers (>= 1)
+
+	// Per-tick scratch kept across ticks while the population holds, so a
+	// steady-state tick allocates none of it: the effect accumulator, the
+	// key → row-index map (rebuilt only when the key set changes: spawn
+	// and despawn commands, restore), one plan executor per shard, the
+	// post-processing and movement buffers, the occupancy table of the
+	// movement and resurrection phases, and the serial path's argument and
+	// effect-row buffers.
+	acc    *accumulator
+	keyIdx map[int64]int
+	execs  []*algebra.Executor
+	moves  []geom.Vec
+	dead   []bool
+	plans  []movePlan
+	occ    *grid.Occupancy
+	argBuf []float64
+	effRow []float64
 
 	// Incremental-maintenance state (Options.Incremental, Indexed mode):
 	// the provider the current tick used, the provider and delta to
@@ -294,17 +318,11 @@ func build(prog *sem.Program, game Game, initial *table.Table, opts Options) (*E
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	// Clone the program shallowly with a private Consts map: OpTune
+	// Clone the program shallowly with a private constant table: OpTune
 	// commands retune THIS engine's constants; the caller's program (and
 	// any sibling engine compiled from it) must stay untouched. The AST,
 	// schema and resolution maps are immutable and stay shared.
-	p := *prog
-	p.Consts = make(map[string]float64, len(prog.Consts))
-	//sgl:unordered map copy; insertion order cannot reach the resulting map
-	for k, v := range prog.Consts {
-		p.Consts[k] = v
-	}
-	prog = &p
+	prog = prog.WithPrivateConsts()
 	e := &Engine{
 		prog:    prog,
 		source:  prog.Script.String(),
@@ -328,6 +346,15 @@ func build(prog *sem.Program, game Game, initial *table.Table, opts Options) (*E
 		algebra.Optimize(plan)
 	}
 	e.plan = plan
+	if e.applies, err = plan.Applies(); err != nil {
+		return nil, err
+	}
+	e.deferApply = make([]bool, len(e.applies))
+	for j, ap := range e.applies {
+		e.deferApply[j] = e.an.Act(ap.Def).Deferrable && !opts.DisableAreaDefer
+	}
+	e.execs = make([]*algebra.Executor, w)
+	e.occ = grid.NewOccupancy(initial.Len())
 	return e, nil
 }
 
@@ -394,11 +421,7 @@ func (e *Engine) Tick() error {
 	r := e.src.Tick(e.tick)
 	n := e.env.Len()
 	acc := e.tickAccumulator(n)
-	keyIdx := make(map[int64]int, n)
-	kc := e.prog.Schema.KeyCol()
-	for i, row := range e.env.Rows {
-		keyIdx[int64(row[kc])] = i
-	}
+	keyIdx := e.keyIndex()
 
 	// Decision + action stages (query/decide/update of Section 2.2). With
 	// Workers > 1 the effect query runs sharded over the frozen snapshot
@@ -419,16 +442,14 @@ func (e *Engine) Tick() error {
 	// Post-processing query (Example 4.1): combine effects into state.
 	// Each row folds only its own accumulator slot, so the loop shards
 	// cleanly; per-shard death counts merge in shard order.
-	moves := make([]geom.Vec, n)
-	dead := make([]bool, n)
+	moves, dead := e.tickBuffers(n)
 	bounds := e.shards(n)
 	deaths := make([]int, len(bounds))
 	runShards(bounds, func(s, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			mv, alive := e.game.ApplyEffects(e.env.Rows[i], acc.vals[i])
-			moves[i] = mv
+			moves[i], dead[i] = mv, !alive
 			if !alive {
-				dead[i] = true
 				deaths[s]++
 			}
 		}
@@ -464,6 +485,32 @@ func (e *Engine) Tick() error {
 		e.Compact()
 	}
 	return nil
+}
+
+// keyIndex returns the key → row-index map of the current environment.
+// Keys are immutable and rows never reorder within a run, so the map
+// survives from tick to tick; whatever changes the key set (spawn and
+// despawn commands, restore) drops it, and it is rebuilt here. A rebuild
+// allocates a new map rather than editing the old one: the previous
+// tick's provider may still hold that one.
+func (e *Engine) keyIndex() map[int64]int {
+	if e.keyIdx == nil {
+		e.keyIdx = make(map[int64]int, e.env.Len())
+		kc := e.prog.Schema.KeyCol()
+		for i, row := range e.env.Rows {
+			e.keyIdx[int64(row[kc])] = i
+		}
+	}
+	return e.keyIdx
+}
+
+// tickBuffers returns the post-processing outputs — desired moves and
+// death flags, every slot of which the post-processing loop overwrites.
+func (e *Engine) tickBuffers(n int) ([]geom.Vec, []bool) {
+	if len(e.moves) != n {
+		e.moves, e.dead = make([]geom.Vec, n), make([]bool, n)
+	}
+	return e.moves, e.dead
 }
 
 // countEffect records one applied effect attributed to a worker shard.
@@ -553,10 +600,14 @@ type movePlan struct {
 // bit-identical at any Workers value.
 func (e *Engine) movementPhase(moves []geom.Vec, dead []bool) {
 	n := e.env.Len()
-	plans := make([]movePlan, n)
+	if len(e.plans) != n {
+		e.plans = make([]movePlan, n)
+	}
+	plans := e.plans // every slot is rewritten below
 	runShards(e.shards(n), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			if dead[i] || (moves[i].X == 0 && moves[i].Y == 0) {
+				plans[i].active = false
 				continue
 			}
 			row := e.env.Rows[i]
@@ -570,7 +621,8 @@ func (e *Engine) movementPhase(moves []geom.Vec, dead []bool) {
 		}
 	})
 
-	occ := grid.NewOccupancy(n)
+	occ := e.occ
+	occ.Reset()
 	kc := e.prog.Schema.KeyCol()
 	for _, row := range e.env.Rows {
 		occ.Place(row[e.posX], row[e.posY], int64(row[kc]))
@@ -608,7 +660,8 @@ func (e *Engine) clampToWorld(p geom.Point) geom.Point {
 }
 
 func (e *Engine) resurrect(dead []bool) {
-	occ := grid.NewOccupancy(e.env.Len())
+	occ := e.occ
+	occ.Reset()
 	kc := e.prog.Schema.KeyCol()
 	for i, row := range e.env.Rows {
 		if !dead[i] {

@@ -160,10 +160,7 @@ type shardDecision struct {
 func (e *Engine) decideIndexedParallel(r rng.TickSource, acc *accumulator, keyIdx map[int64]int) error {
 	master := e.newIndexedProvider(r, keyIdx)
 	master.Freeze()
-	applies, err := e.plan.Applies()
-	if err != nil {
-		return err
-	}
+	applies := e.applies
 	bounds := e.shards(e.env.Len())
 	outs := make([]shardDecision, len(bounds))
 
@@ -172,36 +169,28 @@ func (e *Engine) decideIndexedParallel(r rng.TickSource, acc *accumulator, keyId
 		out.effects = make([][][]float64, len(applies))
 		out.perf = make([][]performer, len(applies))
 		prov := master.Fork()
-		x, err := algebra.NewExecutorRange(e.prog, e.plan, e.env, prov, r, lo, hi)
+		x, err := e.shardExecutor(s, prov, r, lo, hi)
 		if err != nil {
 			return err
 		}
-		x.SetMaterialize(e.opts.MaterializeExec)
+		var argBuf []float64
 		for j, ap := range applies {
-			j, ap := j, ap
-			deferThis := e.an.Act(ap.Def).Deferrable && !e.opts.DisableAreaDefer
+			// One visitor per Apply (see decideIndexed); effect rows are
+			// buffered until the barrier, so each is its own allocation.
+			var unit, args []float64
+			buffer := func(tgt []float64) {
+				out.effects[j] = append(out.effects[j], x.BuildEffectRow(nil, ap.Def, unit, args, tgt))
+			}
+			deferThis := e.deferApply[j]
 			err := x.EachUnit(ap.In, func(row *algebra.Row) error {
-				args, err := x.ApplyArgs(ap, row)
-				if err != nil {
-					return err
-				}
 				if deferThis {
-					out.perf[j] = append(out.perf[j], performer{unit: row.Unit, args: args})
+					out.perf[j] = append(out.perf[j], performer{unit: row.Unit, args: x.ApplyArgs(nil, ap, row)})
 					return nil
 				}
-				var applyErr error
-				prov.SelectTargets(ap.Def, row.Unit, args, func(tgt []float64) {
-					if applyErr != nil {
-						return
-					}
-					eff, err := x.BuildEffectRow(ap.Def, row.Unit, args, tgt)
-					if err != nil {
-						applyErr = err
-						return
-					}
-					out.effects[j] = append(out.effects[j], eff)
-				})
-				return applyErr
+				argBuf = x.ApplyArgs(argBuf[:0], ap, row)
+				unit, args = row.Unit, argBuf
+				prov.SelectTargets(ap.Def, unit, args, buffer)
+				return nil
 			})
 			if err != nil {
 				return err
@@ -246,9 +235,7 @@ func (e *Engine) decideIndexedParallel(r rng.TickSource, acc *accumulator, keyId
 		}
 	}
 	for _, def := range deferredOrder {
-		if err := e.applyDeferredArea(def, deferred[def], r, acc); err != nil {
-			return err
-		}
+		e.applyDeferredArea(def, deferred[def], r, acc)
 	}
 
 	e.Stats.IndexStats.Add(master.Stats)

@@ -1,0 +1,119 @@
+package engine
+
+import (
+	"fmt"
+	"testing"
+
+	"github.com/epicscale/sgl/internal/table"
+)
+
+// tuneScript mentions a constant in every place an expression is compiled:
+// an axis bound, an e-only filter and an output argument of an aggregate;
+// the axis bound and SET value of a (deferrable) area action; the SET
+// value of a by-key action; and, in the plan, a let value, an
+// if-condition and a perform argument.
+const tuneScript = `
+aggregate Near(u) :=
+  count(*) as n, sum(e.health * _HEAL_AURA) as hp
+  over e where e.posx >= u.posx - _HEALER_RANGE and e.posx <= u.posx + _HEALER_RANGE
+    and e.posy >= u.posy - _HEALER_RANGE and e.posy <= u.posy + _HEALER_RANGE
+    and e.health >= _PACK_COUNT;
+action Aura(u) :=
+  on e where e.posx >= u.posx - _HEALER_RANGE and e.posx <= u.posx + _HEALER_RANGE
+    and e.posy >= u.posy - _HEALER_RANGE and e.posy <= u.posy + _HEALER_RANGE
+    and e.player = u.player
+  set inaura = _HEAL_AURA;
+action Hit(u, d) :=
+  on e where e.key = u.key
+  set damage = d + _SPREAD_LIMIT;
+function main(u) {
+  (let n = Near(u))
+  (let k = n.n * _TIME_RELOAD + n.hp) {
+    if k > _PACK_COUNT then perform Hit(u, _TIME_RELOAD);
+    if u.unittype = 2 then perform Aura(u)
+  }
+}
+`
+
+// An OpTune stamped at tick t must change tick t+1 on every evaluation
+// path alike. The compiled paths read constants through the engine's
+// cells when a closure runs; a constant baked into a closure at compile
+// time would leave Indexed (any Workers, any Incremental) on the old
+// value while Naive — which walks the AST against the live table — moves.
+func TestTuneReachesCompiledExprs(t *testing.T) {
+	prog := compileZoo(t, tuneScript)
+	const units, tuneAt, ticks = 120, 5, 12
+	consts := []string{"_HEAL_AURA", "_HEALER_RANGE", "_PACK_COUNT", "_SPREAD_LIMIT", "_TIME_RELOAD"}
+
+	run := func(mode Mode, workers int, inc, tune bool) *table.Table {
+		e := newEngine(t, prog, units, mode, 9, func(o *Options) { o.Workers, o.Incremental = workers, inc })
+		for tick := 0; tick < ticks; tick++ {
+			if tune && tick == tuneAt {
+				for i, name := range consts {
+					v, _ := e.ConstValue(name)
+					if err := e.Submit("ops", Command{Op: OpTune, Col: name, Val: v + float64(i+1)}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := e.Tick(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return e.Env()
+	}
+
+	naive := run(Naive, 1, false, true)
+	if untuned := run(Naive, 1, false, false); identicalTables(naive, untuned) {
+		t.Fatal("tuning every constant changed nothing: the fixture does not observe its constants")
+	}
+	ref := run(Indexed, 1, false, true)
+	// Naive and Indexed fold sums in different association; they agree to
+	// rounding, like every other Naive/Indexed comparison in this package.
+	if !naive.AlmostEqualContents(ref, 1e-9) {
+		t.Fatal("Indexed diverged from Naive after OpTune: a compiled expression did not see the retune")
+	}
+	for _, workers := range []int{1, 4} {
+		for _, inc := range []bool{false, true} {
+			t.Run(fmt.Sprintf("w%d/inc=%v", workers, inc), func(t *testing.T) {
+				if got := run(Indexed, workers, inc, true); !identicalTables(got, ref) {
+					t.Fatal("diverged from serial rebuild after OpTune")
+				}
+			})
+		}
+	}
+}
+
+// Two engines built from one checked program share its AST, and with it
+// every compiled-expression site; each must read its own constant table.
+func TestTunedEnginesStayIndependent(t *testing.T) {
+	prog := compileZoo(t, tuneScript)
+	const units, ticks = 120, 10
+	mk := func() *Engine { return newEngine(t, prog, units, Indexed, 9, nil) }
+
+	alone := mk()
+	if err := alone.Run(ticks); err != nil {
+		t.Fatal(err)
+	}
+
+	tuned, sibling := mk(), mk()
+	for tick := 0; tick < ticks; tick++ {
+		if tick == 3 {
+			if err := tuned.Submit("ops", Command{Op: OpTune, Col: "_HEALER_RANGE", Val: 11}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tuned.Tick(); err != nil {
+			t.Fatal(err)
+		}
+		if err := sibling.Tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !identicalTables(sibling.Env(), alone.Env()) {
+		t.Fatal("an engine's OpTune leaked into a sibling built from the same program")
+	}
+	if identicalTables(tuned.Env(), alone.Env()) {
+		t.Fatal("OpTune had no effect on the tuned engine")
+	}
+}

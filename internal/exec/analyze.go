@@ -27,6 +27,7 @@ package exec
 
 import (
 	"github.com/epicscale/sgl/internal/sgl/ast"
+	"github.com/epicscale/sgl/internal/sgl/expr"
 	"github.com/epicscale/sgl/internal/sgl/sem"
 )
 
@@ -57,17 +58,20 @@ type Bound struct {
 }
 
 // EqCond is a join (in)equality conjunct e.Attr = Term or e.Attr ≠ Term
-// with Term over u/params/consts.
+// with Term over u/params/consts. Fn is Term compiled.
 type EqCond struct {
 	Col  int
 	Neq  bool
 	Term ast.Term
+	Fn   expr.Num
 }
 
-// RangeAxis pairs the bounds of one range attribute.
+// RangeAxis pairs the bounds of one range attribute. LoFn and HiFn are
+// the bound terms compiled (nil exactly where the term is).
 type RangeAxis struct {
-	Col    int
-	Lo, Hi ast.Term // nil = unbounded on that side
+	Col        int
+	Lo, Hi     ast.Term // nil = unbounded on that side
+	LoFn, HiFn expr.Num
 }
 
 // AggAnalysis is the classification of one aggregate definition.
@@ -86,6 +90,31 @@ type AggAnalysis struct {
 	// reads; MaintainFrom consults it to decide what a dirty row actually
 	// invalidates.
 	Deps AggDeps
+
+	// Compiled forms, built once by NewAnalyzer: the whole WHERE clause
+	// (nil when the definition has none), the u-only and e-only conjuncts
+	// parallel to UOnly and EOnly, and each output's argument (nil where
+	// the function takes none).
+	Where   expr.Cond
+	UOnlyFn []expr.Cond
+	EOnlyFn []expr.Cond
+	ArgFn   []expr.Num
+
+	// ProbeInvariant marks a definition whose answer depends on the
+	// probing unit only through which partitions its categorical
+	// equalities select: no range axes, no u-only conjuncts, no
+	// parameters, and every output served from per-partition state
+	// (divisible payloads, global extrema). Every probe matching the same
+	// partition set gets the same answer, so a provider computes it once.
+	ProbeInvariant bool
+
+	// Build-time layout of the per-partition structures, static per
+	// definition: the range-tree payload columns, which of them serve each
+	// divisible output, and which structures the outputs demand at all.
+	payload                   payloadSpec
+	div                       []divCols // by output position; unused entries are -1s
+	needRT, needKD, anyGlobal bool
+	eqCols                    []int // distinct eq columns, the partition key
 }
 
 // depMask is a bitset over schema columns. Columns ≥ 63 alias into bit
@@ -154,11 +183,30 @@ type ActAnalysis struct {
 	// values do not reference e, so the per-performer contribution can be
 	// computed once and applied to all targets through an effect index.
 	Deferrable bool
+
+	// Compiled forms, built once by NewAnalyzer: the whole WHERE clause
+	// (nil when the definition has none), KeyTerm, the u-only and e-only
+	// conjuncts, and the SET clauses as (schema column, value) pairs in
+	// declaration order.
+	Where   expr.Cond
+	KeyFn   expr.Num
+	UOnlyFn []expr.Cond
+	EOnlyFn []expr.Cond
+	SetCols []int
+	SetFn   []expr.Num
+
+	eqCols []int // distinct eq columns, the partition key
 }
 
-// Analyzer caches per-definition classifications for a program. After
-// NewAnalyzer returns, an Analyzer is immutable and safe for concurrent
-// use.
+// Analyzer holds, per definition of a program, everything that is fixed
+// for the program's lifetime: the index-usability classification and the
+// definition's terms and conditions compiled to closures (package expr) —
+// WHERE conjuncts, axis bounds, equality right-hand sides, output
+// arguments, SET values. Providers and the engine evaluate those closures
+// per probe; nothing walks the AST or resolves a name after NewAnalyzer.
+// The closures read game constants through the program's cells at call
+// time, so an analyzer stays valid across OpTune. After NewAnalyzer
+// returns, an Analyzer is immutable and safe for concurrent use.
 type Analyzer struct {
 	prog *sem.Program
 	aggs map[*ast.AggDef]*AggAnalysis
@@ -166,16 +214,21 @@ type Analyzer struct {
 	// Categorical is the set of schema columns eligible for equality
 	// partitioning (the paper's player and unit type).
 	categorical map[int]bool
+	// posX and posY are the schema's position columns (-1 when absent):
+	// what nearest-neighbour outputs measure between.
+	posX, posY int
 }
 
 // NewAnalyzer builds an analyzer. categoricalAttrs names the low-volatility
 // attributes used for partitioning (e.g. "player", "unittype"); names not
 // in the schema are ignored.
 //
-// Every definition of the program is classified eagerly here, so the memo
-// maps are never written after construction: Agg and Act are read-only and
-// safe to call from concurrent shard workers. (Classification is per-
-// program, not per-tick, so the eager cost is paid exactly once.)
+// Every definition of the program is classified and compiled eagerly
+// here, so the memo maps are never written after construction: Agg and
+// Act are read-only and safe to call from concurrent shard workers.
+// (Both are per-program, not per-tick, so the eager cost is paid exactly
+// once.) A semantically checked program always compiles; anything else is
+// an internal invariant violation and panics.
 func NewAnalyzer(prog *sem.Program, categoricalAttrs []string) *Analyzer {
 	cat := map[int]bool{}
 	for _, name := range categoricalAttrs {
@@ -188,6 +241,14 @@ func NewAnalyzer(prog *sem.Program, categoricalAttrs []string) *Analyzer {
 		aggs:        map[*ast.AggDef]*AggAnalysis{},
 		acts:        map[*ast.ActDef]*ActAnalysis{},
 		categorical: cat,
+		posX:        -1,
+		posY:        -1,
+	}
+	if c, ok := prog.Schema.Col("posx"); ok {
+		an.posX = c
+	}
+	if c, ok := prog.Schema.Col("posy"); ok {
+		an.posY = c
 	}
 	for _, def := range prog.Script.Aggs {
 		an.Agg(def)
@@ -419,7 +480,105 @@ func (an *Analyzer) analyzeAgg(def *ast.AggDef) *AggAnalysis {
 		a.OutClass[i] = an.classifyOutput(a, out)
 	}
 	a.Deps = an.aggDeps(a)
+	a.eqCols = eqCols(a.Eqs)
+	an.layoutAgg(a)
+	an.compileAgg(a)
 	return a
+}
+
+// layoutAgg fixes the per-partition structures the definition's outputs
+// demand and the payload columns of its range trees.
+func (an *Analyzer) layoutAgg(a *AggAnalysis) {
+	a.div = make([]divCols, len(a.Def.Outputs))
+	a.ProbeInvariant = a.Indexable && len(a.Axes) == 0 && len(a.UOnly) == 0 && len(a.Def.Params) == 1
+	for i, out := range a.Def.Outputs {
+		a.div[i] = divCols{cnt: -1, sum: -1, sumSq: -1}
+		switch a.OutClass[i] {
+		case ClassDivisible:
+			a.needRT = true
+			switch out.Func {
+			case ast.Count:
+				a.div[i].cnt = a.payload.col(nil, false)
+			case ast.Sum:
+				a.div[i].sum = a.payload.col(out.Arg, false)
+			case ast.Avg:
+				a.div[i].cnt = a.payload.col(nil, false)
+				a.div[i].sum = a.payload.col(out.Arg, false)
+			case ast.Stddev:
+				a.div[i].cnt = a.payload.col(nil, false)
+				a.div[i].sum = a.payload.col(out.Arg, false)
+				a.div[i].sumSq = a.payload.col(out.Arg, true)
+			}
+		case ClassNearest:
+			a.needKD = true
+			a.ProbeInvariant = false
+		case ClassGlobal:
+			a.anyGlobal = true
+		default:
+			a.ProbeInvariant = false
+		}
+	}
+}
+
+// must unwraps a compile result. Definitions of a checked program always
+// compile (sem admits nothing the compiler rejects), so a failure here is
+// a bug, not an input error.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic("exec: " + err.Error())
+	}
+	return v
+}
+
+// compileDef compiles the parts shared by aggregate and action
+// definitions: the WHERE clause, its classified conjuncts, and the
+// probe-time terms of the equality and range conjuncts.
+func compileDef(c *expr.Compiler, where ast.Cond, uOnly, eOnly []ast.Cond, eqs []EqCond, axes []RangeAxis) (whereFn expr.Cond, uFn, eFn []expr.Cond) {
+	if where != nil {
+		whereFn = must(c.Cond(where))
+	}
+	for i := range eqs {
+		eqs[i].Fn = must(c.Num(eqs[i].Term))
+	}
+	for i := range axes {
+		if axes[i].Lo != nil {
+			axes[i].LoFn = must(c.Num(axes[i].Lo))
+		}
+		if axes[i].Hi != nil {
+			axes[i].HiFn = must(c.Num(axes[i].Hi))
+		}
+	}
+	return whereFn, must(c.Conds(uOnly)), must(c.Conds(eOnly))
+}
+
+func (an *Analyzer) compileAgg(a *AggAnalysis) {
+	c := expr.New(an.prog, expr.Def{Params: a.Def.Params})
+	a.Where, a.UOnlyFn, a.EOnlyFn = compileDef(c, a.Def.Where, a.UOnly, a.EOnly, a.Eqs, a.Axes)
+	a.ArgFn = make([]expr.Num, len(a.Def.Outputs))
+	for i, out := range a.Def.Outputs {
+		if out.Arg != nil {
+			a.ArgFn[i] = must(c.Num(out.Arg))
+		}
+	}
+	a.payload.fns = make([]expr.Num, len(a.payload.terms))
+	for i, t := range a.payload.terms {
+		if t != nil {
+			a.payload.fns[i] = must(c.Num(t))
+		}
+	}
+}
+
+func (an *Analyzer) compileAct(a *ActAnalysis) {
+	c := expr.New(an.prog, expr.Def{Params: a.Def.Params})
+	a.eqCols = eqCols(a.Eqs)
+	a.Where, a.UOnlyFn, a.EOnlyFn = compileDef(c, a.Def.Where, a.UOnly, a.EOnly, a.Eqs, a.Axes)
+	if a.KeyTerm != nil {
+		a.KeyFn = must(c.Num(a.KeyTerm))
+	}
+	for _, set := range a.Def.Sets {
+		a.SetCols = append(a.SetCols, an.prog.Schema.MustCol(set.Attr))
+		a.SetFn = append(a.SetFn, must(c.Num(set.Value)))
+	}
 }
 
 // termECols collects the schema columns of every e.Attr reference in t.
@@ -496,11 +655,11 @@ func (an *Analyzer) aggDeps(a *AggAnalysis) AggDeps {
 				d.Vals |= an.termECols(out.Arg)
 			}
 		case ClassNearest:
-			if px, ok := an.prog.Schema.Col("posx"); ok {
-				d.KD |= colBit(px)
+			if an.posX >= 0 {
+				d.KD |= colBit(an.posX)
 			}
-			if py, ok := an.prog.Schema.Col("posy"); ok {
-				d.KD |= colBit(py)
+			if an.posY >= 0 {
+				d.KD |= colBit(an.posY)
 			}
 		case ClassGlobal:
 			d.Global |= an.termECols(out.Arg)
@@ -550,6 +709,12 @@ func (an *Analyzer) classifyOutput(a *AggAnalysis, out ast.AggOutput) OutputClas
 }
 
 func (an *Analyzer) analyzeAct(def *ast.ActDef) *ActAnalysis {
+	a := an.classifyAct(def)
+	an.compileAct(a)
+	return a
+}
+
+func (an *Analyzer) classifyAct(def *ast.ActDef) *ActAnalysis {
 	a := &ActAnalysis{Def: def}
 	var bounds []Bound
 	if def.Where != nil {

@@ -29,7 +29,7 @@ import (
 
 	"github.com/epicscale/sgl/internal/rng"
 	"github.com/epicscale/sgl/internal/sgl/ast"
-	"github.com/epicscale/sgl/internal/sgl/interp"
+	"github.com/epicscale/sgl/internal/sgl/expr"
 	"github.com/epicscale/sgl/internal/sgl/sem"
 	"github.com/epicscale/sgl/internal/table"
 )
@@ -47,19 +47,26 @@ type AnswerPlan struct {
 	// outputs (which implicitly measure from posx/posy).
 	read      depMask
 	divisible bool
+	// where and argFn are the WHERE clause (nil when absent) and each
+	// output's argument (nil where the function takes none), compiled once.
+	where expr.Cond
+	argFn []expr.Num
 }
 
 // NewAnswerPlan builds the maintenance classification for def. The
 // column walkers only consult the schema, so no analyzer is needed.
 func NewAnswerPlan(prog *sem.Program, def *ast.AggDef) *AnswerPlan {
 	an := &Analyzer{prog: prog}
-	p := &AnswerPlan{prog: prog, def: def, divisible: true}
+	c := expr.New(prog, expr.Def{Params: def.Params})
+	p := &AnswerPlan{prog: prog, def: def, divisible: true, argFn: make([]expr.Num, len(def.Outputs))}
 	if def.Where != nil {
 		p.read |= an.condECols(def.Where)
+		p.where = must(c.Cond(def.Where))
 	}
-	for _, out := range def.Outputs {
+	for i, out := range def.Outputs {
 		if out.Arg != nil {
 			p.read |= an.termECols(out.Arg)
+			p.argFn[i] = must(c.Num(out.Arg))
 		}
 		switch out.Func {
 		case ast.Count, ast.Sum, ast.Avg, ast.Stddev:
@@ -111,9 +118,7 @@ func (p *AnswerPlan) RelevantDirty(d Delta) int { return relevantDirty(d, p.read
 // caller serializes Patch/Values against each other.
 type Answer struct {
 	plan *AnswerPlan
-	dl   interp.DefLike
-	unit []float64 // private copy of the probe row
-	args []float64
+	f    expr.Frame // Unit and Args: private copies of the probe row and arguments
 
 	n       int // population the state covers
 	member  []bool
@@ -132,43 +137,32 @@ func NewAnswer(plan *AnswerPlan, env *table.Table, unit, args []float64, r rng.T
 	k := len(plan.def.Outputs)
 	a := &Answer{
 		plan: plan,
-		dl:   interp.DefParams(plan.def),
-		unit: append([]float64(nil), unit...),
-		args: append([]float64(nil), args...),
+		f:    expr.Frame{Unit: append([]float64(nil), unit...), Args: append([]float64(nil), args...)},
 		n:    env.Len(),
 	}
 	a.member = make([]bool, a.n)
 	a.contrib = make([]float64, a.n*k)
 	for i, row := range env.Rows {
-		if err := a.refresh(i, row, r); err != nil {
-			return nil, err
-		}
+		a.refresh(i, row, r)
 	}
 	return a, nil
 }
 
 // refresh re-evaluates one row's membership and contributions.
-func (a *Answer) refresh(i int, row []float64, r rng.TickSource) error {
-	ok, err := interp.EvalDefCond(a.plan.def.Where, a.dl, a.unit, a.args, row, a.plan.prog, r)
-	if err != nil {
-		return err
-	}
+func (a *Answer) refresh(i int, row []float64, r rng.TickSource) {
+	f := &a.f
+	f.Target, f.R = row, r
+	ok := a.plan.where == nil || a.plan.where(f)
 	a.member[i] = ok
 	if !ok {
-		return nil
+		return
 	}
-	k := len(a.plan.def.Outputs)
-	for oi, out := range a.plan.def.Outputs {
-		if out.Arg == nil {
-			continue
+	k := len(a.plan.argFn)
+	for oi, arg := range a.plan.argFn {
+		if arg != nil {
+			a.contrib[i*k+oi] = arg(f)
 		}
-		v, err := interp.EvalDefTermWith(out.Arg, a.dl, a.unit, a.args, row, a.plan.prog, r)
-		if err != nil {
-			return err
-		}
-		a.contrib[i*k+oi] = v
 	}
-	return nil
 }
 
 // Patch brings the state current after a tick: every dirty row whose
@@ -185,9 +179,7 @@ func (a *Answer) Patch(env *table.Table, d Delta, r rng.TickSource) error {
 		if depMask(d.Masks[j])&a.plan.read == 0 {
 			continue
 		}
-		if err := a.refresh(i, env.Rows[i], r); err != nil {
-			return err
-		}
+		a.refresh(i, env.Rows[i], r)
 	}
 	return nil
 }

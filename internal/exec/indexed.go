@@ -1,9 +1,8 @@
 package exec
 
 import (
-	"fmt"
+	"encoding/binary"
 	"math"
-	"strings"
 
 	"github.com/epicscale/sgl/internal/geom"
 	"github.com/epicscale/sgl/internal/index/kdtree"
@@ -12,6 +11,7 @@ import (
 	"github.com/epicscale/sgl/internal/index/sweepline"
 	"github.com/epicscale/sgl/internal/rng"
 	"github.com/epicscale/sgl/internal/sgl/ast"
+	"github.com/epicscale/sgl/internal/sgl/expr"
 	"github.com/epicscale/sgl/internal/sgl/interp"
 	"github.com/epicscale/sgl/internal/sgl/sem"
 	"github.com/epicscale/sgl/internal/table"
@@ -34,11 +34,14 @@ import (
 // own Fork — a view that shares the frozen read-only indexes but owns its
 // Stats and batch scratch.
 type Indexed struct {
-	prog  *sem.Program
-	an    *Analyzer
-	env   *table.Table
-	r     rng.TickSource
-	naive *interp.Naive
+	prog *sem.Program
+	an   *Analyzer
+	env  *table.Table
+
+	// f is the frame every compiled definition term of this view
+	// evaluates against: rebound per probe, never shared between views
+	// (Fork copies it by value), carrying the tick's random source.
+	f expr.Frame
 
 	keyIndex map[int64]int
 	aggIdx   map[*ast.AggDef]*aggIndex
@@ -62,6 +65,17 @@ type Indexed struct {
 	probeReqs    []matchReq
 	probeParts   []*aggPart
 	probePayload []float64
+
+	// invariant memoises the answers of probe-invariant definitions
+	// (AggAnalysis.ProbeInvariant) per matched partition set, for the
+	// lifetime of this view — one tick. A handful of entries (definitions
+	// × partition sets), searched linearly; Fork starts empty so sibling
+	// views never share it.
+	invariant []invariantAnswer
+
+	// keyBuf is partition-key scratch for index builds and maintenance,
+	// which run on the provider's single goroutine before any Fork.
+	keyBuf []byte
 
 	// Stats counts index builds and probes for the benchmark reports.
 	Stats Stats
@@ -90,8 +104,8 @@ var _ interp.Provider = (*Indexed)(nil)
 // shared across ticks (classification is per-program).
 func NewIndexed(an *Analyzer, env *table.Table, r rng.TickSource) *Indexed {
 	return &Indexed{
-		prog: an.prog, an: an, env: env, r: r,
-		naive:  interp.NewNaive(an.prog, env, r),
+		prog: an.prog, an: an, env: env,
+		f:      expr.Frame{R: r},
 		aggIdx: map[*ast.AggDef]*aggIndex{},
 		actIdx: map[*ast.ActDef]*actIndex{},
 	}
@@ -144,6 +158,7 @@ func (p *Indexed) Fork() *Indexed {
 	c.Stats = Stats{}
 	c.argFold = nil
 	c.probeReqs, c.probeParts, c.probePayload = nil, nil, nil
+	c.invariant, c.keyBuf = nil, nil
 	c.forked = true
 	return &c
 }
@@ -178,6 +193,7 @@ func (s *Stats) Add(o Stats) {
 // carries: literal 1s (counts), argument terms, and squared argument terms.
 type payloadSpec struct {
 	terms   []ast.Term // nil entry = constant 1
+	fns     []expr.Num // terms compiled (nil entry = constant 1)
 	squared []bool
 	index   map[string]int
 }
@@ -208,28 +224,25 @@ type divCols struct {
 }
 
 type aggIndex struct {
-	a       *AggAnalysis
-	payload payloadSpec
-	div     []divCols // indexed by output position (unused entries zeroed)
-	// minPayCol is the payload column of each MinMax output's argument in
-	// the per-partition value arrays (separate from the range tree).
-	minArg []ast.Term
-	parts  map[string]*aggPart
-	order  []string // deterministic partition iteration order
-	// Which per-partition structures this definition demands.
-	needRT, needKD, anyGlobal bool
+	a     *AggAnalysis
+	parts map[string]*aggPart
+	order []string   // deterministic partition iteration order
+	list  []*aggPart // parts[order[i]], so probes never hash a key
 	// rowPart maps every environment row to its partition ordinal in
 	// order, or -1 when the e-only filter excludes it. MaintainFrom uses
 	// it to find the partition a dirty row used to live in.
 	rowPart []int32
 }
 
-// buildRowPart recomputes the row → partition-ordinal map from parts and
+// finish derives list and the row → partition-ordinal map from parts and
 // order (called after membership is final).
-func (idx *aggIndex) buildRowPart(n int) {
+func (idx *aggIndex) finish(n int) {
+	idx.list = make([]*aggPart, len(idx.order))
 	idx.rowPart = makeRowPart(n)
 	for ord, key := range idx.order {
-		for _, ri := range idx.parts[key].rows {
+		part := idx.parts[key]
+		idx.list[ord] = part
+		for _, ri := range part.rows {
 			idx.rowPart[ri] = int32(ord)
 		}
 	}
@@ -256,12 +269,34 @@ type globalExt struct {
 	ok  bool
 }
 
-func (p *Indexed) partitionKey(row []float64, cols []int) string {
-	var b strings.Builder
-	for _, c := range cols {
-		fmt.Fprintf(&b, "%g|", row[c])
+// AppendValueKey appends v's equality class to buf as eight big-endian
+// bytes of math.Float64bits: two values get the same bytes exactly when
+// they are the same float64 — −0 and +0 differ, as they do under the %g
+// rendering this replaces — except that every NaN is one class, as "NaN"
+// was. The bytes are only ever compared for equality.
+func AppendValueKey(buf []byte, v float64) []byte {
+	if v != v {
+		v = math.NaN()
 	}
-	return b.String()
+	return binary.BigEndian.AppendUint64(buf, math.Float64bits(v))
+}
+
+// appendPartitionKey appends row's partition key over cols to buf: one
+// fixed-width value key per column. Partition order comes from first-row
+// order, never from key order.
+func appendPartitionKey(buf []byte, row []float64, cols []int) []byte {
+	for _, c := range cols {
+		buf = AppendValueKey(buf, row[c])
+	}
+	return buf
+}
+
+// partitionKey returns row's partition key in the view's scratch buffer,
+// valid until the next call. Looking a map up with string(key) does not
+// allocate; only inserting a new partition does.
+func (p *Indexed) partitionKey(row []float64, cols []int) []byte {
+	p.keyBuf = appendPartitionKey(p.keyBuf[:0], row, cols)
+	return p.keyBuf
 }
 
 // eqCols returns the sorted distinct columns of the analysis' eq conjuncts.
@@ -281,15 +316,27 @@ func eqCols(eqs []EqCond) []int {
 	return cols
 }
 
-// passesEOnly evaluates the e-only conjuncts against one row (u/args are
-// irrelevant; the row stands in for both).
-func (p *Indexed) passesEOnly(conds []ast.Cond, dl interp.DefLike, row []float64) bool {
+// onRow binds the view's frame to one environment row standing in for
+// both u and e — the build-time evaluation context of e-only conjuncts
+// and index payload terms, which mention no probe unit and no parameter.
+func (p *Indexed) onRow(row []float64) *expr.Frame {
+	p.f.Unit, p.f.Args, p.f.Target = row, nil, row
+	return &p.f
+}
+
+// onProbe binds the view's frame to a probing unit and its arguments,
+// with u standing in for e: the context of probe-time terms (u-only
+// conjuncts, equality right-hand sides, axis bounds).
+func (p *Indexed) onProbe(unit, args []float64) *expr.Frame {
+	p.f.Unit, p.f.Args, p.f.Target = unit, args, unit
+	return &p.f
+}
+
+// passesEOnly evaluates the e-only conjuncts against one row.
+func (p *Indexed) passesEOnly(conds []expr.Cond, row []float64) bool {
+	f := p.onRow(row)
 	for _, c := range conds {
-		ok, err := interp.EvalDefCond(c, dl, row, nil, row, p.prog, p.r)
-		if err != nil {
-			panic("exec: " + err.Error())
-		}
-		if !ok {
+		if !c(f) {
 			return false
 		}
 	}
@@ -305,57 +352,25 @@ func (p *Indexed) aggIndexFor(def *ast.AggDef) *aggIndex {
 	a := p.an.Agg(def)
 	idx := &aggIndex{a: a, parts: map[string]*aggPart{}}
 
-	// Payload layout for divisible outputs.
-	idx.div = make([]divCols, len(def.Outputs))
-	idx.minArg = make([]ast.Term, len(def.Outputs))
-	for i, out := range def.Outputs {
-		idx.div[i] = divCols{cnt: -1, sum: -1, sumSq: -1}
-		switch a.OutClass[i] {
-		case ClassDivisible:
-			idx.needRT = true
-			switch out.Func {
-			case ast.Count:
-				idx.div[i].cnt = idx.payload.col(nil, false)
-			case ast.Sum:
-				idx.div[i].sum = idx.payload.col(out.Arg, false)
-			case ast.Avg:
-				idx.div[i].cnt = idx.payload.col(nil, false)
-				idx.div[i].sum = idx.payload.col(out.Arg, false)
-			case ast.Stddev:
-				idx.div[i].cnt = idx.payload.col(nil, false)
-				idx.div[i].sum = idx.payload.col(out.Arg, false)
-				idx.div[i].sumSq = idx.payload.col(out.Arg, true)
-			}
-		case ClassNearest:
-			idx.needKD = true
-		case ClassGlobal:
-			idx.anyGlobal = true
-			idx.minArg[i] = out.Arg
-		case ClassMinMax:
-			idx.minArg[i] = out.Arg
-		}
-	}
-
 	// Partition rows by the eq columns, applying e-only filters at build.
-	cols := eqCols(a.Eqs)
-	dl := interp.DefParams(def)
 	for i, row := range p.env.Rows {
-		if !p.passesEOnly(a.EOnly, dl, row) {
+		if !p.passesEOnly(a.EOnlyFn, row) {
 			continue
 		}
-		key := p.partitionKey(row, cols)
-		part := idx.parts[key]
+		key := p.partitionKey(row, a.eqCols)
+		part := idx.parts[string(key)]
 		if part == nil {
+			k := string(key)
 			part = &aggPart{}
-			idx.parts[key] = part
-			idx.order = append(idx.order, key)
+			idx.parts[k] = part
+			idx.order = append(idx.order, k)
 		}
 		part.rows = append(part.rows, i)
 	}
-	idx.buildRowPart(p.env.Len())
+	idx.finish(p.env.Len())
 
-	for _, key := range idx.order {
-		p.buildAggPart(def, a, idx, idx.parts[key])
+	for _, part := range idx.list {
+		p.buildAggPart(a, part)
 	}
 	p.aggIdx[def] = idx
 	return idx
@@ -365,52 +380,47 @@ func (p *Indexed) aggIndexFor(def *ast.AggDef) *aggIndex {
 // partition from the current environment rows. The result is a pure
 // function of the member rows' values, which is what lets MaintainFrom
 // reuse a partition whose members did not change.
-func (p *Indexed) buildAggPart(def *ast.AggDef, a *AggAnalysis, idx *aggIndex, part *aggPart) {
-	if idx.needRT {
-		pts, vals := p.aggPartPayload(def, a, idx, part.rows)
-		part.rt = rangetree.Build(pts, len(idx.payload.terms), vals)
+func (p *Indexed) buildAggPart(a *AggAnalysis, part *aggPart) {
+	if a.needRT {
+		pts, vals := p.aggPartPayload(a, part.rows)
+		part.rt = rangetree.Build(pts, len(a.payload.terms), vals)
 		p.Stats.IndexBuilds++
 	}
-	if idx.needKD {
+	if a.needKD {
 		p.buildAggKD(part)
 		p.Stats.IndexBuilds++
 	}
-	if idx.anyGlobal {
-		p.buildAggGlobal(def, a, idx, part)
+	if a.anyGlobal {
+		p.buildAggGlobal(a, part)
 		p.Stats.IndexBuilds++
 	}
 }
 
 // aggPartPayload evaluates the range-tree points and flattened payload
 // columns for one partition's rows, in row order.
-func (p *Indexed) aggPartPayload(def *ast.AggDef, a *AggAnalysis, idx *aggIndex, rows []int) ([]rangetree.Point, []float64) {
-	xCol, yCol := p.axisCols(a.Axes)
+func (p *Indexed) aggPartPayload(a *AggAnalysis, rows []int) ([]rangetree.Point, []float64) {
+	xCol, yCol := axisCols(a.Axes)
 	pts := make([]rangetree.Point, len(rows))
 	for j, ri := range rows {
 		row := p.env.Rows[ri]
-		pts[j] = rangetree.Point{X: p.axisVal(row, xCol), Y: p.axisVal(row, yCol)}
+		pts[j] = rangetree.Point{X: axisVal(row, xCol), Y: axisVal(row, yCol)}
 	}
-	return pts, p.aggPartVals(def, idx, rows)
+	return pts, p.aggPartVals(a, rows)
 }
 
 // aggPartVals evaluates only the flattened payload columns — what a
 // payload-preserving Repatch needs (the points are unchanged by
 // definition there).
-func (p *Indexed) aggPartVals(def *ast.AggDef, idx *aggIndex, rows []int) []float64 {
-	dl := interp.DefParams(def)
-	w := len(idx.payload.terms)
+func (p *Indexed) aggPartVals(a *AggAnalysis, rows []int) []float64 {
+	w := len(a.payload.fns)
 	vals := make([]float64, len(rows)*w)
 	for j, ri := range rows {
-		row := p.env.Rows[ri]
-		for c, term := range idx.payload.terms {
+		f := p.onRow(p.env.Rows[ri])
+		for c, fn := range a.payload.fns {
 			v := 1.0
-			if term != nil {
-				var err error
-				v, err = interp.EvalDefTermWith(term, dl, row, nil, row, p.prog, p.r)
-				if err != nil {
-					panic("exec: " + err.Error())
-				}
-				if idx.payload.squared[c] {
+			if fn != nil {
+				v = fn(f)
+				if a.payload.squared[c] {
 					v *= v
 				}
 			}
@@ -422,22 +432,20 @@ func (p *Indexed) aggPartVals(def *ast.AggDef, idx *aggIndex, rows []int) []floa
 
 // buildAggKD builds the partition's kD-tree over unit positions.
 func (p *Indexed) buildAggKD(part *aggPart) {
-	schema := p.prog.Schema
-	xc, yc := schema.MustCol("posx"), schema.MustCol("posy")
+	xc, yc, kc := p.an.posX, p.an.posY, p.prog.Schema.KeyCol()
 	pts := make([]kdtree.Point, len(part.rows))
 	for j, ri := range part.rows {
 		row := p.env.Rows[ri]
-		pts[j] = kdtree.Point{X: row[xc], Y: row[yc], Key: int64(row[schema.KeyCol()])}
+		pts[j] = kdtree.Point{X: row[xc], Y: row[yc], Key: int64(row[kc])}
 	}
 	part.kd = kdtree.Build(pts)
 }
 
 // buildAggGlobal precomputes the partition's per-output global extrema.
-func (p *Indexed) buildAggGlobal(def *ast.AggDef, a *AggAnalysis, idx *aggIndex, part *aggPart) {
-	dl := interp.DefParams(def)
-	schema := p.prog.Schema
-	part.global = make([]globalExt, len(def.Outputs))
-	for i, out := range def.Outputs {
+func (p *Indexed) buildAggGlobal(a *AggAnalysis, part *aggPart) {
+	kc := p.prog.Schema.KeyCol()
+	part.global = make([]globalExt, len(a.Def.Outputs))
+	for i, out := range a.Def.Outputs {
 		if a.OutClass[i] != ClassGlobal {
 			continue
 		}
@@ -445,11 +453,8 @@ func (p *Indexed) buildAggGlobal(def *ast.AggDef, a *AggAnalysis, idx *aggIndex,
 		isMin := out.Func == ast.Min || out.Func == ast.ArgMin
 		for _, ri := range part.rows {
 			row := p.env.Rows[ri]
-			v, err := interp.EvalDefTermWith(out.Arg, dl, row, nil, row, p.prog, p.r)
-			if err != nil {
-				panic("exec: " + err.Error())
-			}
-			k := int64(row[schema.KeyCol()])
+			v := a.ArgFn[i](p.onRow(row))
+			k := int64(row[kc])
 			if !ext.ok || (isMin && v < ext.val) || (!isMin && v > ext.val) ||
 				(v == ext.val && k < ext.key) {
 				ext = globalExt{val: v, key: k, ok: true}
@@ -461,7 +466,7 @@ func (p *Indexed) buildAggGlobal(def *ast.AggDef, a *AggAnalysis, idx *aggIndex,
 
 // axisCols maps the analysis' range axes to the (x, y) of the 2-d indices;
 // a missing axis contributes a constant 0 coordinate and ±Inf bounds.
-func (p *Indexed) axisCols(axes []RangeAxis) (int, int) {
+func axisCols(axes []RangeAxis) (int, int) {
 	xCol, yCol := -1, -1
 	if len(axes) >= 1 {
 		xCol = axes[0].Col
@@ -472,116 +477,91 @@ func (p *Indexed) axisCols(axes []RangeAxis) (int, int) {
 	return xCol, yCol
 }
 
-func (p *Indexed) axisVal(row []float64, col int) float64 {
+func axisVal(row []float64, col int) float64 {
 	if col < 0 {
 		return 0
 	}
 	return row[col]
 }
 
-// probeRect evaluates the axis bound terms for one probing unit.
-func (p *Indexed) probeRect(a *AggAnalysis, dl interp.DefLike, unit, args []float64) (geom.Rect, error) {
+// probeRect evaluates the axis bound terms for the probe bound to f. A
+// degenerate second axis (only one range attribute) keeps Y unbounded
+// around the constant-0 coordinate: Inf bounds already cover it.
+func probeRect(axes []RangeAxis, f *expr.Frame) geom.Rect {
 	r := geom.Rect{MinX: math.Inf(-1), MinY: math.Inf(-1), MaxX: math.Inf(1), MaxY: math.Inf(1)}
-	evalBound := func(t ast.Term) (float64, error) {
-		return interp.EvalDefTermWith(t, dl, unit, args, unit, p.prog, p.r)
-	}
-	if len(a.Axes) >= 1 {
-		ax := a.Axes[0]
-		if ax.Lo != nil {
-			v, err := evalBound(ax.Lo)
-			if err != nil {
-				return r, err
-			}
-			r.MinX = v
+	if len(axes) >= 1 {
+		if fn := axes[0].LoFn; fn != nil {
+			r.MinX = fn(f)
 		}
-		if ax.Hi != nil {
-			v, err := evalBound(ax.Hi)
-			if err != nil {
-				return r, err
-			}
-			r.MaxX = v
+		if fn := axes[0].HiFn; fn != nil {
+			r.MaxX = fn(f)
 		}
 	}
-	if len(a.Axes) >= 2 {
-		ax := a.Axes[1]
-		if ax.Lo != nil {
-			v, err := evalBound(ax.Lo)
-			if err != nil {
-				return r, err
-			}
-			r.MinY = v
+	if len(axes) >= 2 {
+		if fn := axes[1].LoFn; fn != nil {
+			r.MinY = fn(f)
 		}
-		if ax.Hi != nil {
-			v, err := evalBound(ax.Hi)
-			if err != nil {
-				return r, err
-			}
-			r.MaxY = v
+		if fn := axes[1].HiFn; fn != nil {
+			r.MaxY = fn(f)
 		}
 	}
-	// A degenerate second axis (only one range attribute) keeps Y unbounded
-	// around the constant-0 coordinate: Inf bounds already cover it.
-	return r, nil
+	return r
 }
 
-// matchReq is one compiled eq/neq requirement of a partition probe.
+// matchReq is one evaluated eq/neq requirement of a partition probe.
 type matchReq struct {
 	col int
 	val float64
 	neq bool
 }
 
+// evalReqs evaluates the eq conjuncts' right-hand sides for the probe
+// bound to f, appending to reqs.
+func evalReqs(reqs []matchReq, eqs []EqCond, f *expr.Frame) []matchReq {
+	for i := range eqs {
+		reqs = append(reqs, matchReq{col: eqs[i].Col, val: eqs[i].Fn(f), neq: eqs[i].Neq})
+	}
+	return reqs
+}
+
+// partMatches tests a partition — through any member row; every member
+// agrees on the eq columns — against the evaluated requirements.
+func partMatches(sample []float64, reqs []matchReq) bool {
+	for _, rq := range reqs {
+		if (sample[rq.col] == rq.val) == rq.neq {
+			return false
+		}
+	}
+	return true
+}
+
 // matchParts returns the partitions consistent with the eq conjuncts for
-// one probing unit, in deterministic order. With scratch set it reuses the
+// the probe bound to f, in deterministic order, plus the set of their
+// ordinals as a bitmask (ok is false when the index has more than 64
+// partitions and the set does not fit). With scratch set it reuses the
 // per-instance probe buffers — the result is only valid until the next
 // scratch call on this view.
-func (p *Indexed) matchParts(idx *aggIndex, dl interp.DefLike, eqs []EqCond, unit, args []float64, scratch bool) ([]*aggPart, error) {
+func (p *Indexed) matchParts(idx *aggIndex, f *expr.Frame, scratch bool) (out []*aggPart, mask uint64, ok bool) {
 	var reqs []matchReq
-	var out []*aggPart
 	if scratch {
 		reqs, out = p.probeReqs[:0], p.probeParts[:0]
 	} else {
-		reqs = make([]matchReq, 0, len(eqs))
+		reqs = make([]matchReq, 0, len(idx.a.Eqs))
 	}
-	for _, eq := range eqs {
-		v, err := interp.EvalDefTermWith(eq.Term, dl, unit, args, unit, p.prog, p.r)
-		if err != nil {
-			return nil, err
-		}
-		reqs = append(reqs, matchReq{col: eq.Col, val: v, neq: eq.Neq})
-	}
-	if scratch {
-		p.probeReqs = reqs
-	}
-	for _, key := range idx.order {
-		part := idx.parts[key]
+	reqs = evalReqs(reqs, idx.a.Eqs, f)
+	for ord, part := range idx.list {
 		if len(part.rows) == 0 {
 			continue
 		}
-		sample := p.env.Rows[part.rows[0]]
-		ok := true
-		for _, rq := range reqs {
-			if rq.neq {
-				if sample[rq.col] == rq.val {
-					ok = false
-				}
-			} else if sample[rq.col] != rq.val {
-				ok = false
-			}
-		}
-		if ok {
+		if partMatches(p.env.Rows[part.rows[0]], reqs) {
 			out = append(out, part)
+			mask |= 1 << uint(ord&63)
 		}
 	}
 	if scratch {
-		p.probeParts = out
+		p.probeReqs, p.probeParts = reqs, out
 	}
-	return out, nil
-}
-
-// identityResults fills the empty-set identities for every output.
-func identityResults(def *ast.AggDef) []float64 {
-	return fillIdentities(make([]float64, len(def.Outputs)), def)
+	return out, mask, len(idx.list) <= 64
 }
 
 // fillIdentities writes the empty-set identity of every output into out,
@@ -624,6 +604,13 @@ func (p *Indexed) EvalAggInto(dst []float64, def *ast.AggDef, unit []float64, ar
 	return p.evalCore(dst, def, unit, args, false)
 }
 
+// invariantAnswer is one memoised answer of a probe-invariant definition.
+type invariantAnswer struct {
+	def  *ast.AggDef
+	mask uint64 // matched partition ordinals
+	vals []float64
+}
+
 // evalCore answers one probe. A nil dst allocates fresh result (and
 // internal) slices, so the return is safe to retain; a non-nil dst of
 // length len(def.Outputs) receives the results in place and switches the
@@ -632,46 +619,40 @@ func (p *Indexed) EvalAggInto(dst []float64, def *ast.AggDef, unit []float64, ar
 func (p *Indexed) evalCore(dst []float64, def *ast.AggDef, unit []float64, args []float64, skipMinMax bool) []float64 {
 	scratch := dst != nil
 	a := p.an.Agg(def)
+	if !scratch {
+		dst = make([]float64, len(def.Outputs))
+	}
 	if !a.Indexable {
 		p.Stats.ScanProbes++
-		out := p.naive.EvalAgg(def, unit, args)
-		if scratch {
-			copy(dst, out)
-			return dst
-		}
-		return out
+		return p.scanAgg(dst, a, unit, args)
 	}
-	dl := interp.DefParams(def)
+	f := p.onProbe(unit, args)
 	// u-only conjuncts: false ⇒ empty set ⇒ identities.
-	for _, c := range a.UOnly {
-		ok, err := interp.EvalDefCond(c, dl, unit, args, unit, p.prog, p.r)
-		if err != nil {
-			panic("exec: " + err.Error())
-		}
-		if !ok {
-			if scratch {
-				return fillIdentities(dst, def)
-			}
-			return identityResults(def)
+	for _, c := range a.UOnlyFn {
+		if !c(f) {
+			return fillIdentities(dst, def)
 		}
 	}
 	idx := p.aggIndexFor(def)
-	parts, err := p.matchParts(idx, dl, a.Eqs, unit, args, scratch)
-	if err != nil {
-		panic("exec: " + err.Error())
-	}
-	rect, err := p.probeRect(a, dl, unit, args)
-	if err != nil {
-		panic("exec: " + err.Error())
-	}
+	f = p.onProbe(unit, args) // a lazy index build rebinds the frame row by row
+	parts, mask, maskOK := p.matchParts(idx, f, scratch)
 
-	var out []float64
-	if scratch {
-		out = fillIdentities(dst, def)
-	} else {
-		out = identityResults(def)
+	// A probe-invariant definition answers every probe that matched the
+	// same partitions identically: the rectangle is unbounded whoever
+	// asks, and the fold below visits the same parts in the same order.
+	memo := a.ProbeInvariant && maskOK
+	if memo {
+		for i := range p.invariant {
+			if m := &p.invariant[i]; m.def == def && m.mask == mask {
+				copy(dst, m.vals)
+				return dst
+			}
+		}
 	}
-	w := len(idx.payload.terms)
+	rect := probeRect(a.Axes, f)
+
+	out := fillIdentities(dst, def)
+	w := len(a.payload.terms)
 	var payload []float64
 	if w > 0 {
 		if scratch {
@@ -685,14 +666,7 @@ func (p *Indexed) evalCore(dst []float64, def *ast.AggDef, unit []float64, args 
 		} else {
 			payload = make([]float64, w)
 		}
-	}
-	needPayload := false
-	for i := range def.Outputs {
-		if a.OutClass[i] == ClassDivisible {
-			needPayload = true
-		}
-	}
-	if needPayload {
+		// w > 0 exactly when some output is divisible.
 		for _, part := range parts {
 			if part.rt != nil {
 				part.rt.Aggregate(rect, payload)
@@ -701,11 +675,11 @@ func (p *Indexed) evalCore(dst []float64, def *ast.AggDef, unit []float64, args 
 		}
 	}
 
-	schema := p.prog.Schema
+	kc := p.prog.Schema.KeyCol()
 	for i, o := range def.Outputs {
 		switch a.OutClass[i] {
 		case ClassDivisible:
-			d := idx.div[i]
+			d := a.div[i]
 			switch o.Func {
 			case ast.Count:
 				out[i] = payload[d.cnt]
@@ -727,13 +701,14 @@ func (p *Indexed) evalCore(dst []float64, def *ast.AggDef, unit []float64, args 
 			}
 		case ClassNearest:
 			best := kdtree.Result{DistSq: math.Inf(1)}
-			self := int64(unit[schema.KeyCol()])
+			self := int64(unit[kc])
+			ux, uy := unit[p.an.posX], unit[p.an.posY]
 			for _, part := range parts {
 				if part.kd == nil {
 					continue
 				}
 				p.Stats.KDProbes++
-				r := part.kd.Nearest(unit[schema.MustCol("posx")], unit[schema.MustCol("posy")], self, math.Inf(1))
+				r := part.kd.Nearest(ux, uy, self, math.Inf(1))
 				if r.Found && (!best.Found || r.DistSq < best.DistSq ||
 					(r.DistSq == best.DistSq && r.Key < best.Key)) {
 					best = r
@@ -774,39 +749,64 @@ func (p *Indexed) evalCore(dst []float64, def *ast.AggDef, unit []float64, args 
 			}
 		case ClassMinMax:
 			if !skipMinMax {
-				out[i] = p.scanOutput(def, a, i, parts, rect, unit, args)
+				out[i] = p.scanOutput(a, i, parts, rect, unit, args)
 			}
 		case ClassScan:
-			out[i] = p.scanOutput(def, a, i, parts, rect, unit, args)
+			out[i] = p.scanOutput(a, i, parts, rect, unit, args)
 		}
+	}
+	if memo {
+		p.invariant = append(p.invariant, invariantAnswer{def: def, mask: mask, vals: append([]float64(nil), out...)})
 	}
 	return out
 }
 
+// scanAgg evaluates a non-indexable definition by scanning the whole
+// environment, folding every output in one pass with the interpreter's
+// accumulators — interp.Naive.EvalAgg over compiled terms.
+func (p *Indexed) scanAgg(dst []float64, a *AggAnalysis, unit, args []float64) []float64 {
+	accs := interp.NewAggAccs(a.Def, p.prog.Schema, unit)
+	f := &p.f
+	f.Unit, f.Args = unit, args
+	var arg expr.Num
+	eval := func(ast.Term) float64 { return arg(f) }
+	for _, row := range p.env.Rows {
+		f.Target = row
+		if a.Where != nil && !a.Where(f) {
+			continue
+		}
+		for i, acc := range accs {
+			arg = a.ArgFn[i]
+			acc.Add(row, eval)
+		}
+	}
+	for i, acc := range accs {
+		dst[i] = acc.Result()
+	}
+	return dst
+}
+
 // scanOutput evaluates one output by scanning the matching partitions with
 // the axis bounds applied — the correct fallback for outputs the indices
-// cannot serve on the single-probe path.
-func (p *Indexed) scanOutput(def *ast.AggDef, a *AggAnalysis, outIdx int, parts []*aggPart, rect geom.Rect, unit, args []float64) float64 {
+// cannot serve on the single-probe path. Residual conjuncts cannot exist
+// here (Indexable implies none).
+func (p *Indexed) scanOutput(a *AggAnalysis, outIdx int, parts []*aggPart, rect geom.Rect, unit, args []float64) float64 {
 	p.Stats.ScanProbes++
-	dl := interp.DefParams(def)
-	accs := interp.NewAggAccs(def, p.prog.Schema, unit)
-	acc := accs[outIdx]
-	xCol, yCol := p.axisCols(a.Axes)
+	acc := interp.NewAggAccs(a.Def, p.prog.Schema, unit)[outIdx]
+	xCol, yCol := axisCols(a.Axes)
+	f := &p.f
+	f.Unit, f.Args = unit, args
+	arg := a.ArgFn[outIdx]
+	eval := func(ast.Term) float64 { return arg(f) }
 	for _, part := range parts {
 		for _, ri := range part.rows {
 			row := p.env.Rows[ri]
-			x, y := p.axisVal(row, xCol), p.axisVal(row, yCol)
+			x, y := axisVal(row, xCol), axisVal(row, yCol)
 			if x < rect.MinX || x > rect.MaxX || y < rect.MinY || y > rect.MaxY {
 				continue
 			}
-			// Residual conjuncts cannot exist here (Indexable implies none).
-			acc.Add(row, func(t ast.Term) float64 {
-				v, err := interp.EvalDefTermWith(t, dl, unit, args, row, p.prog, p.r)
-				if err != nil {
-					panic("exec: " + err.Error())
-				}
-				return v
-			})
+			f.Target = row
+			acc.Add(row, eval)
 		}
 	}
 	return acc.Result()
@@ -822,28 +822,20 @@ func (p *Indexed) scanOutput(def *ast.AggDef, a *AggAnalysis, outIdx int, parts 
 func (p *Indexed) EvalAggBatch(def *ast.AggDef, units [][]float64, args [][]float64) [][]float64 {
 	a := p.an.Agg(def)
 	results := make([][]float64, len(units))
-	anyMinMax := false
-	for i := range def.Outputs {
-		if a.OutClass[i] == ClassMinMax {
-			anyMinMax = true
-		}
-	}
+	sweep := p.BatchBeneficial(def)
 	for i := range units {
 		var arg []float64
 		if args != nil {
 			arg = args[i]
 		}
-		if anyMinMax && a.Indexable {
-			results[i] = p.evalNonMinMax(def, a, units[i], arg)
-		} else {
-			results[i] = p.EvalAgg(def, units[i], arg)
-		}
+		// With a sweep to follow, MinMax outputs stay at their identities
+		// for it to overwrite.
+		results[i] = p.evalCore(nil, def, units[i], arg, sweep)
 	}
-	if !anyMinMax || !a.Indexable {
-		return results
+	if sweep {
+		p.argFold = nil
+		p.evalMinMaxBatch(a, units, args, results)
 	}
-	p.argFold = nil
-	p.evalMinMaxBatch(def, a, units, args, results)
 	return results
 }
 
@@ -871,24 +863,17 @@ func (p *Indexed) BatchBeneficial(def *ast.AggDef) bool {
 	return false
 }
 
-// evalNonMinMax computes every output except MinMax ones, which stay at
-// their identities for the sweep to overwrite.
-func (p *Indexed) evalNonMinMax(def *ast.AggDef, a *AggAnalysis, unit, args []float64) []float64 {
-	return p.evalCore(nil, def, unit, args, true)
-}
-
 type sweepGroup struct {
 	height float64
 	probes []sweepline.Probe
 	rowIdx []int // result row per probe
-	rects  []geom.Rect
 }
 
 // evalMinMaxBatch fills the MinMax-class outputs of results via sweeps.
-func (p *Indexed) evalMinMaxBatch(def *ast.AggDef, a *AggAnalysis, units [][]float64, args [][]float64, results [][]float64) {
-	dl := interp.DefParams(def)
+func (p *Indexed) evalMinMaxBatch(a *AggAnalysis, units [][]float64, args [][]float64, results [][]float64) {
+	def := a.Def
 	idx := p.aggIndexFor(def)
-	schema := p.prog.Schema
+	kc := p.prog.Schema.KeyCol()
 
 	// Partition probes: each probe goes to the partitions its eq conjuncts
 	// select. Group by (partition, window height). To keep the grouping
@@ -901,37 +886,24 @@ func (p *Indexed) evalMinMaxBatch(def *ast.AggDef, a *AggAnalysis, units [][]flo
 		active bool
 	}
 	infos := make([]probeInfo, len(units))
+probes:
 	for i, unit := range units {
 		var arg []float64
 		if args != nil {
 			arg = args[i]
 		}
-		ok := true
-		for _, c := range a.UOnly {
-			pass, err := interp.EvalDefCond(c, dl, unit, arg, unit, p.prog, p.r)
-			if err != nil {
-				panic("exec: " + err.Error())
-			}
-			if !pass {
-				ok = false
-				break
+		f := p.onProbe(unit, arg)
+		for _, c := range a.UOnlyFn {
+			if !c(f) {
+				continue probes
 			}
 		}
-		if !ok {
-			continue
-		}
-		rect, err := p.probeRect(a, dl, unit, arg)
-		if err != nil {
-			panic("exec: " + err.Error())
-		}
-		parts, err := p.matchParts(idx, dl, a.Eqs, unit, arg, false)
-		if err != nil {
-			panic("exec: " + err.Error())
-		}
+		rect := probeRect(a.Axes, f)
+		parts, _, _ := p.matchParts(idx, f, false)
 		infos[i] = probeInfo{row: i, rect: rect, parts: parts, active: true}
 	}
 
-	xCol, yCol := p.axisCols(a.Axes)
+	xCol, yCol := axisCols(a.Axes)
 	for outIdx, o := range def.Outputs {
 		if a.OutClass[outIdx] != ClassMinMax {
 			continue
@@ -977,15 +949,11 @@ func (p *Indexed) evalMinMaxBatch(def *ast.AggDef, a *AggAnalysis, units [][]flo
 			pts := make([]sweepline.Point, len(part.rows))
 			for j, ri := range part.rows {
 				row := p.env.Rows[ri]
-				v, err := interp.EvalDefTermWith(o.Arg, dl, row, nil, row, p.prog, p.r)
-				if err != nil {
-					panic("exec: " + err.Error())
-				}
 				pts[j] = sweepline.Point{
-					X:     p.axisVal(row, xCol),
-					Y:     p.axisVal(row, yCol),
-					Value: v,
-					Key:   int64(row[schema.KeyCol()]),
+					X:     axisVal(row, xCol),
+					Y:     axisVal(row, yCol),
+					Value: a.ArgFn[outIdx](p.onRow(row)),
+					Key:   int64(row[kc]),
 				}
 			}
 			p.Stats.Sweeps++
@@ -1051,14 +1019,19 @@ type actIndex struct {
 	a     *ActAnalysis
 	parts map[string]*actPart
 	order []string
+	list  []*actPart // parts[order[i]]
 	// rowPart mirrors aggIndex.rowPart for maintenance.
 	rowPart []int32
 }
 
-func (idx *actIndex) buildRowPart(n int) {
+// finish mirrors aggIndex.finish.
+func (idx *actIndex) finish(n int) {
+	idx.list = make([]*actPart, len(idx.order))
 	idx.rowPart = makeRowPart(n)
 	for ord, key := range idx.order {
-		for _, ri := range idx.parts[key].rows {
+		part := idx.parts[key]
+		idx.list[ord] = part
+		for _, ri := range part.rows {
 			idx.rowPart[ri] = int32(ord)
 		}
 	}
@@ -1076,24 +1049,23 @@ func (p *Indexed) actIndexFor(def *ast.ActDef) *actIndex {
 	p.guardLazyBuild("action index")
 	a := p.an.Act(def)
 	idx := &actIndex{a: a, parts: map[string]*actPart{}}
-	cols := eqCols(a.Eqs)
-	dl := interp.DefParams(def)
 	for i, row := range p.env.Rows {
-		if !p.passesEOnly(a.EOnly, dl, row) {
+		if !p.passesEOnly(a.EOnlyFn, row) {
 			continue
 		}
-		key := p.partitionKey(row, cols)
-		part := idx.parts[key]
+		key := p.partitionKey(row, a.eqCols)
+		part := idx.parts[string(key)]
 		if part == nil {
+			k := string(key)
 			part = &actPart{}
-			idx.parts[key] = part
-			idx.order = append(idx.order, key)
+			idx.parts[k] = part
+			idx.order = append(idx.order, k)
 		}
 		part.rows = append(part.rows, i)
 	}
-	idx.buildRowPart(p.env.Len())
-	for _, key := range idx.order {
-		p.buildActPart(a, idx.parts[key])
+	idx.finish(p.env.Len())
+	for _, part := range idx.list {
+		p.buildActPart(a, part)
 	}
 	p.actIdx[def] = idx
 	return idx
@@ -1102,11 +1074,11 @@ func (p *Indexed) actIndexFor(def *ast.ActDef) *actIndex {
 // buildActPart (re)builds one partition's spatial tree from the current
 // environment rows.
 func (p *Indexed) buildActPart(a *ActAnalysis, part *actPart) {
-	xCol, yCol := p.axisCols(a.Axes)
+	xCol, yCol := axisCols(a.Axes)
 	pts := make([]rangetree.Point, len(part.rows))
 	for j, ri := range part.rows {
 		row := p.env.Rows[ri]
-		pts[j] = rangetree.Point{X: p.axisVal(row, xCol), Y: p.axisVal(row, yCol)}
+		pts[j] = rangetree.Point{X: axisVal(row, xCol), Y: axisVal(row, yCol)}
 	}
 	part.rt = rangetree.Build(pts, 0, nil)
 	p.Stats.IndexBuilds++
@@ -1140,73 +1112,34 @@ func (p *Indexed) RowByKey(key int64) ([]float64, bool) {
 // everything else scans (matching the naive provider exactly).
 func (p *Indexed) SelectTargets(def *ast.ActDef, unit []float64, args []float64, visit func([]float64)) {
 	a := p.an.Act(def)
-	dl := interp.DefParams(def)
-	for _, c := range a.UOnly {
-		ok, err := interp.EvalDefCond(c, dl, unit, args, unit, p.prog, p.r)
-		if err != nil {
-			panic("exec: " + err.Error())
-		}
-		if !ok {
+	f := p.onProbe(unit, args)
+	for _, c := range a.UOnlyFn {
+		if !c(f) {
 			return
 		}
 	}
 	switch a.Class {
 	case ActByKey:
-		keyVal, err := interp.EvalDefTermWith(a.KeyTerm, dl, unit, args, unit, p.prog, p.r)
-		if err != nil {
-			panic("exec: " + err.Error())
-		}
+		keyVal := a.KeyFn(f)
 		if ri, ok := p.keyLookup()[int64(keyVal)]; ok {
 			row := p.env.Rows[ri]
 			if float64(int64(keyVal)) == row[p.prog.Schema.KeyCol()] {
 				// Verify the full WHERE clause on the one candidate: the
 				// classifier only guarantees the key conjunct.
-				pass, err := interp.EvalDefCond(def.Where, dl, unit, args, row, p.prog, p.r)
-				if err != nil {
-					panic("exec: " + err.Error())
-				}
-				if pass {
+				f.Target = row
+				if a.Where(f) {
 					visit(row)
 				}
 			}
 		}
 	case ActArea:
 		idx := p.actIndexFor(def)
-		aggA := AggAnalysis{Def: nil, Axes: a.Axes} // reuse probeRect shape
-		rect, err := p.probeRect(&aggA, dl, unit, args)
-		if err != nil {
-			panic("exec: " + err.Error())
-		}
-		type req struct {
-			col int
-			val float64
-			neq bool
-		}
-		reqs := make([]req, len(a.Eqs))
-		for i, eq := range a.Eqs {
-			v, err := interp.EvalDefTermWith(eq.Term, dl, unit, args, unit, p.prog, p.r)
-			if err != nil {
-				panic("exec: " + err.Error())
-			}
-			reqs[i] = req{col: eq.Col, val: v, neq: eq.Neq}
-		}
-		for _, key := range idx.order {
-			part := idx.parts[key]
-			if len(part.rows) == 0 {
-				continue
-			}
-			sample := p.env.Rows[part.rows[0]]
-			ok := true
-			for _, rq := range reqs {
-				if rq.neq {
-					if sample[rq.col] == rq.val {
-						ok = false
-					}
-				} else if sample[rq.col] != rq.val {
-					ok = false
-				}
-			}
-			if !ok {
+		f = p.onProbe(unit, args) // a lazy index build rebinds the frame row by row
+		rect := probeRect(a.Axes, f)
+		reqs := evalReqs(p.probeReqs[:0], a.Eqs, f)
+		p.probeReqs = reqs
+		for _, part := range idx.list {
+			if len(part.rows) == 0 || !partMatches(p.env.Rows[part.rows[0]], reqs) {
 				continue
 			}
 			part.rt.Report(rect, func(j int) {
@@ -1215,7 +1148,13 @@ func (p *Indexed) SelectTargets(def *ast.ActDef, unit []float64, args []float64,
 		}
 	default:
 		p.Stats.ScanProbes++
-		p.naive.SelectTargets(def, unit, args, visit)
+		for _, row := range p.env.Rows {
+			// Rebound every row: visit may evaluate on this view's frame.
+			f.Unit, f.Args, f.Target = unit, args, row
+			if a.Where == nil || a.Where(f) {
+				visit(row)
+			}
+		}
 	}
 }
 

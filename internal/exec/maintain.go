@@ -34,8 +34,7 @@ import (
 	"sort"
 
 	"github.com/epicscale/sgl/internal/index/rangetree"
-	"github.com/epicscale/sgl/internal/sgl/ast"
-	"github.com/epicscale/sgl/internal/sgl/interp"
+	"github.com/epicscale/sgl/internal/sgl/expr"
 )
 
 // Delta describes which environment rows changed between the snapshot the
@@ -150,7 +149,7 @@ func (p *Indexed) MaintainFrom(prev *Indexed, d Delta, threshold float64) bool {
 			p.Stats.MaintainFallbacks++
 			continue
 		}
-		p.aggIdx[def] = p.maintainAgg(def, a, old, d)
+		p.aggIdx[def] = p.maintainAgg(a, old, d)
 		maintained = true
 	}
 	//sgl:unordered per-definition maintenance writes only its own index; fallback counters are sums
@@ -163,7 +162,7 @@ func (p *Indexed) MaintainFrom(prev *Indexed, d Delta, threshold float64) bool {
 			p.Stats.MaintainFallbacks++
 			continue
 		}
-		p.actIdx[def] = p.maintainAct(def, a, old, d)
+		p.actIdx[def] = p.maintainAct(a, old, d)
 		maintained = true
 	}
 	// Keys are constant and rows never reorder, so the key lookup carries
@@ -204,7 +203,7 @@ type partFate struct {
 func (p *Indexed) classifyDirty(
 	d Delta, member, shape, vals, kd, global depMask,
 	rowPart []int32, order []string,
-	eonly []ast.Cond, dl interp.DefLike, cols []int,
+	eonly []expr.Cond, cols []int,
 ) (fates map[string]*partFate, arrivals map[string][]int, departed map[int]bool) {
 	fates = map[string]*partFate{}
 	arrivals = map[string][]int{}
@@ -228,8 +227,8 @@ func (p *Indexed) classifyDirty(
 				departed[r] = true
 			}
 			row := p.env.Rows[r]
-			if p.passesEOnly(eonly, dl, row) {
-				nk := p.partitionKey(row, cols)
+			if p.passesEOnly(eonly, row) {
+				nk := string(p.partitionKey(row, cols))
 				fateOf(nk).relabel = true
 				arrivals[nk] = append(arrivals[nk], r)
 			}
@@ -277,18 +276,12 @@ func sortedByFirstRow(keys []string, firstRow func(key string) int) {
 	})
 }
 
-func (p *Indexed) maintainAgg(def *ast.AggDef, a *AggAnalysis, old *aggIndex, d Delta) *aggIndex {
-	idx := &aggIndex{
-		a: a, payload: old.payload, div: old.div, minArg: old.minArg,
-		needRT: old.needRT, needKD: old.needKD, anyGlobal: old.anyGlobal,
-		parts: make(map[string]*aggPart, len(old.parts)),
-	}
-	dl := interp.DefParams(def)
-	cols := eqCols(a.Eqs)
+func (p *Indexed) maintainAgg(a *AggAnalysis, old *aggIndex, d Delta) *aggIndex {
+	idx := &aggIndex{a: a, parts: make(map[string]*aggPart, len(old.parts))}
 	deps := a.Deps
 	fates, arrivals, departed := p.classifyDirty(
 		d, deps.Member, deps.Shape, deps.Vals, deps.KD, deps.Global,
-		old.rowPart, old.order, a.EOnly, dl, cols)
+		old.rowPart, old.order, a.EOnlyFn, a.eqCols)
 
 	for _, key := range old.order {
 		part := old.parts[key]
@@ -297,7 +290,7 @@ func (p *Indexed) maintainAgg(def *ast.AggDef, a *AggAnalysis, old *aggIndex, d 
 		case f == nil:
 			// No relevant dirty member: every structure is a pure function
 			// of unchanged rows, so the whole partition carries over.
-			p.countReuse(idx)
+			p.countReuse(a)
 		case f.relabel:
 			rows := mergeMembership(part.rows, arrivals[key], departed)
 			delete(arrivals, key)
@@ -305,23 +298,23 @@ func (p *Indexed) maintainAgg(def *ast.AggDef, a *AggAnalysis, old *aggIndex, d 
 				continue // partition vanished; drop it like the scan would
 			}
 			part = &aggPart{rows: rows}
-			p.buildAggPart(def, a, idx, part)
+			p.buildAggPart(a, part)
 		default:
 			// Membership intact: refresh only the invalidated structures.
-			if idx.needRT {
+			if a.needRT {
 				switch {
 				case f.rtShape:
-					pts, vals := p.aggPartPayload(def, a, idx, part.rows)
-					part.rt = rangetree.Build(pts, len(idx.payload.terms), vals)
+					pts, vals := p.aggPartPayload(a, part.rows)
+					part.rt = rangetree.Build(pts, len(a.payload.terms), vals)
 					p.Stats.IndexBuilds++
 				case f.rtVals:
-					part.rt.Repatch(p.aggPartVals(def, idx, part.rows))
+					part.rt.Repatch(p.aggPartVals(a, part.rows))
 					p.Stats.IndexPatches++
 				default:
 					p.Stats.IndexReuses++
 				}
 			}
-			if idx.needKD {
+			if a.needKD {
 				if f.kd {
 					p.buildAggKD(part)
 					p.Stats.IndexBuilds++
@@ -329,9 +322,9 @@ func (p *Indexed) maintainAgg(def *ast.AggDef, a *AggAnalysis, old *aggIndex, d 
 					p.Stats.IndexReuses++
 				}
 			}
-			if idx.anyGlobal {
+			if a.anyGlobal {
 				if f.global {
-					p.buildAggGlobal(def, a, idx, part)
+					p.buildAggGlobal(a, part)
 					p.Stats.IndexBuilds++
 				} else {
 					p.Stats.IndexReuses++
@@ -350,7 +343,7 @@ func (p *Indexed) maintainAgg(def *ast.AggDef, a *AggAnalysis, old *aggIndex, d 
 	sort.Strings(newKeys)
 	for _, key := range newKeys {
 		part := &aggPart{rows: arrivals[key]}
-		p.buildAggPart(def, a, idx, part)
+		p.buildAggPart(a, part)
 		idx.parts[key] = part
 	}
 
@@ -360,31 +353,29 @@ func (p *Indexed) maintainAgg(def *ast.AggDef, a *AggAnalysis, old *aggIndex, d 
 		idx.order = append(idx.order, key)
 	}
 	sortedByFirstRow(idx.order, func(key string) int { return idx.parts[key].rows[0] })
-	idx.buildRowPart(p.env.Len())
+	idx.finish(p.env.Len())
 	return idx
 }
 
 // countReuse books the reuse of a fully clean aggregate partition's
 // structures.
-func (p *Indexed) countReuse(idx *aggIndex) {
-	if idx.needRT {
+func (p *Indexed) countReuse(a *AggAnalysis) {
+	if a.needRT {
 		p.Stats.IndexReuses++
 	}
-	if idx.needKD {
+	if a.needKD {
 		p.Stats.IndexReuses++
 	}
-	if idx.anyGlobal {
+	if a.anyGlobal {
 		p.Stats.IndexReuses++
 	}
 }
 
-func (p *Indexed) maintainAct(def *ast.ActDef, a *ActAnalysis, old *actIndex, d Delta) *actIndex {
+func (p *Indexed) maintainAct(a *ActAnalysis, old *actIndex, d Delta) *actIndex {
 	idx := &actIndex{a: a, parts: make(map[string]*actPart, len(old.parts))}
-	dl := interp.DefParams(def)
-	cols := eqCols(a.Eqs)
 	fates, arrivals, departed := p.classifyDirty(
 		d, a.Deps.Member, a.Deps.Shape, 0, 0, 0,
-		old.rowPart, old.order, a.EOnly, dl, cols)
+		old.rowPart, old.order, a.EOnlyFn, a.eqCols)
 
 	for _, key := range old.order {
 		part := old.parts[key]
@@ -426,6 +417,6 @@ func (p *Indexed) maintainAct(def *ast.ActDef, a *ActAnalysis, old *actIndex, d 
 		idx.order = append(idx.order, key)
 	}
 	sortedByFirstRow(idx.order, func(key string) int { return idx.parts[key].rows[0] })
-	idx.buildRowPart(p.env.Len())
+	idx.finish(p.env.Len())
 	return idx
 }

@@ -233,6 +233,9 @@ func NewOccupancy(capacity int) *Occupancy {
 	return &Occupancy{taken: make(map[[2]int32]int64, capacity)}
 }
 
+// Reset empties the map, keeping its storage for the next fill.
+func (o *Occupancy) Reset() { clear(o.taken) }
+
 func square(x, y float64) [2]int32 {
 	return [2]int32{int32(math.Floor(x)), int32(math.Floor(y))}
 }

@@ -71,11 +71,13 @@ func Analyzers() []*Analyzer {
 // criticalPkgs are the import paths (and, for index, the subtree) whose
 // code must be a pure function of (environment, seed, tick): the tick
 // executor, the streaming/indexed evaluators, the plan optimizer, the
+// expression compiler whose closures all of those evaluate through, the
 // deterministic random source, and every spatial index.
 var criticalPkgs = []string{
 	"github.com/epicscale/sgl/internal/engine",
 	"github.com/epicscale/sgl/internal/exec",
 	"github.com/epicscale/sgl/internal/algebra",
+	"github.com/epicscale/sgl/internal/sgl/expr",
 	"github.com/epicscale/sgl/internal/rng",
 	"github.com/epicscale/sgl/internal/index",
 }

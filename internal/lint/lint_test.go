@@ -241,6 +241,8 @@ func TestCritical(t *testing.T) {
 		{"github.com/epicscale/sgl/internal/engine", true},
 		{"github.com/epicscale/sgl/internal/exec", true},
 		{"github.com/epicscale/sgl/internal/algebra", true},
+		{"github.com/epicscale/sgl/internal/sgl/expr", true},
+		{"github.com/epicscale/sgl/internal/sgl/sem", false},
 		{"github.com/epicscale/sgl/internal/rng", true},
 		{"github.com/epicscale/sgl/internal/index/grid", true},
 		{"github.com/epicscale/sgl/internal/index/kdtree", true},

@@ -17,6 +17,14 @@
 // Provider interface — the paper's "two 'pluggable' versions of our
 // aggregate query evaluator". This package supplies the naive O(n)-scan
 // Provider; package exec supplies the indexed one.
+//
+// This package stays a tree walker on purpose. The production evaluators
+// (the plan executor, the indexed provider, the engine's deferred-area
+// path) run closures compiled once by package expr; interp re-derives
+// every value from the AST on every call, sharing no code with the
+// compiler, which is what makes it an independent oracle. Its callers are
+// the engine's Naive mode, the scan twins of the observation queries, and
+// the differential tests.
 package interp
 
 import (
@@ -239,6 +247,19 @@ func (e *Evaluator) BuildEffectRow(def *ast.ActDef, unit, args, target []float64
 // ---------------------------------------------------------------------------
 // Script-context terms and conditions
 
+// EvalTerm evaluates one action-function term for unit, with unitName
+// naming the unit parameter and vars the let bindings in scope. It is the
+// oracle's term-level entry point: the differential tests hold every
+// compiled closure against it (no production path evaluates through it).
+func (e *Evaluator) EvalTerm(t ast.Term, unitName string, unit []float64, vars map[string]Value) (Value, error) {
+	return e.evalTerm(t, &scope{unitName: unitName, unit: unit, vars: vars})
+}
+
+// EvalCond is EvalTerm for conditions.
+func (e *Evaluator) EvalCond(c ast.Cond, unitName string, unit []float64, vars map[string]Value) (bool, error) {
+	return e.evalCond(c, &scope{unitName: unitName, unit: unit, vars: vars})
+}
+
 func (e *Evaluator) evalCond(c ast.Cond, sc *scope) (bool, error) {
 	switch n := c.(type) {
 	case *ast.BoolLit:
@@ -375,14 +396,32 @@ func (e *Evaluator) evalTerm(t ast.Term, sc *scope) (Value, error) {
 	return Value{}, fmt.Errorf("interp: unknown term node %T", t)
 }
 
+// leftNaN is the result of a + b or a * b when a is NaN: a's payload,
+// quieted, exactly as the hardware returns it when a is its first source
+// operand. IEEE-754 leaves the surviving payload of NaN ∘ NaN to the
+// implementation; the hardware keeps its first source operand, and for a
+// commutative operator the Go compiler chooses which operand that is —
+// differently in different inlining contexts. SGL pins it: the left
+// operand wins, whatever code is generated. (Subtraction and division
+// are not commutative, so the hardware rule already is the left operand.)
+func leftNaN(a float64) float64 {
+	return math.Float64frombits(math.Float64bits(a) | 1<<51)
+}
+
 func binop(op ast.BinOp, x, y Value) (Value, error) {
 	apply := func(a, b float64) float64 {
 		switch op {
 		case ast.Add:
+			if a != a {
+				return leftNaN(a)
+			}
 			return a + b
 		case ast.Sub:
 			return a - b
 		case ast.Mul:
+			if a != a {
+				return leftNaN(a)
+			}
 			return a * b
 		case ast.Div:
 			return a / b
@@ -513,7 +552,11 @@ func DefParams(def any) DefLike {
 }
 
 // EvalDefTermWith evaluates a definition term with explicit program and
-// random source, for providers outside this package.
+// random source by walking its AST. No provider outside this package
+// calls it any more — exec and the engine evaluate definitions through
+// closures compiled by package expr — so, like EvalDefCond, it is the
+// oracle's entry point for the tests that hold those closures against
+// the walker (TestCompiledMatchesInterpreted, FuzzCompileScript).
 func EvalDefTermWith(t ast.Term, def DefLike, unit, args, target []float64, prog *sem.Program, r rng.TickSource) (float64, error) {
 	return evalDefTerm(t, def, unit, args, target, prog, r)
 }
@@ -600,7 +643,8 @@ func evalDefTerm(t ast.Term, def DefLike, unit, args, target []float64, prog *se
 	return eval(t)
 }
 
-// EvalDefCond evaluates a definition WHERE clause for (unit, target, args).
+// EvalDefCond evaluates a definition WHERE clause for (unit, target, args)
+// by walking its AST; a nil clause is true.
 func EvalDefCond(c ast.Cond, def DefLike, unit, args, target []float64, prog *sem.Program, r rng.TickSource) (bool, error) {
 	if c == nil {
 		return true, nil

@@ -129,6 +129,76 @@ type Program struct {
 	// types it was checked under (call-site polymorphic; keyed by func
 	// then a signature string).
 	funcSigs map[*ast.FuncDef]map[string]bool
+
+	// cells holds one addressable slot per constant. Compiled expressions
+	// (package expr) capture these addresses and read through them at call
+	// time, so a SetConst reaches every closure compiled from this Program
+	// without a name lookup per evaluation. Consts stays the table the
+	// tree-walking interpreter and the checkpoint codec read; SetConst and
+	// AdoptConsts keep the two in step.
+	cells map[string]*float64
+}
+
+// newProgram is the shared constructor of Check and CheckQuery.
+func newProgram(script *ast.Script, schema *table.Schema, consts map[string]float64) *Program {
+	return &Program{
+		Script:   script,
+		Schema:   schema,
+		Consts:   consts,
+		AggCalls: make(map[*ast.Call]*ast.AggDef),
+		Performs: make(map[*ast.Perform]*PerformTarget),
+		funcSigs: make(map[*ast.FuncDef]map[string]bool),
+		cells:    newCells(consts),
+	}
+}
+
+func newCells(consts map[string]float64) map[string]*float64 {
+	vals := make([]float64, 0, len(consts))
+	cells := make(map[string]*float64, len(consts))
+	for name, v := range consts {
+		vals = append(vals, v)
+		cells[name] = &vals[len(vals)-1]
+	}
+	return cells
+}
+
+// ConstCell returns the address compiled expressions read the named
+// constant through. The address is stable for the Program's lifetime.
+func (p *Program) ConstCell(name string) (*float64, bool) {
+	c, ok := p.cells[name]
+	return c, ok
+}
+
+// SetConst retunes one constant: the table entry and, when the name has a
+// cell, the value every compiled expression reads.
+func (p *Program) SetConst(name string, v float64) {
+	p.Consts[name] = v
+	if c, ok := p.cells[name]; ok {
+		*c = v
+	}
+}
+
+// AdoptConsts replaces the constant table wholesale (a restored
+// checkpoint's table) and rewrites every cell from it. A name the new
+// table lacks reads as 0, exactly like a missing map entry.
+func (p *Program) AdoptConsts(consts map[string]float64) {
+	p.Consts = consts
+	for name, c := range p.cells {
+		*c = consts[name]
+	}
+}
+
+// WithPrivateConsts returns a shallow clone of p that owns its constant
+// table and cells: retuning the clone leaves p, and every other clone,
+// untouched. The AST, schema and resolution maps stay shared.
+func (p *Program) WithPrivateConsts() *Program {
+	c := *p
+	c.Consts = make(map[string]float64, len(p.Consts))
+	for k, v := range p.Consts {
+		c.Consts[k] = v
+	}
+	c.cells = newCells(c.Consts)
+	return &c
 }
 
 // AggResultType returns the type of a call to the given aggregate
@@ -155,14 +225,7 @@ var scalarBuiltins = map[string]int{
 // the returned Program carries all resolution tables; on failure the error
 // is the first problem found, with its source position.
 func Check(script *ast.Script, schema *table.Schema, consts map[string]float64) (*Program, error) {
-	p := &Program{
-		Script:   script,
-		Schema:   schema,
-		Consts:   consts,
-		AggCalls: make(map[*ast.Call]*ast.AggDef),
-		Performs: make(map[*ast.Perform]*PerformTarget),
-		funcSigs: make(map[*ast.FuncDef]map[string]bool),
-	}
+	p := newProgram(script, schema, consts)
 	c := &checker{p: p}
 
 	// Duplicate declaration names (one namespace across all three kinds,
@@ -245,14 +308,7 @@ func CheckQuery(script *ast.Script, schema *table.Schema, consts map[string]floa
 	if len(script.Aggs) == 0 {
 		return nil, errf(token.Pos{Line: 1, Col: 1}, "query declares no aggregate")
 	}
-	p := &Program{
-		Script:   script,
-		Schema:   schema,
-		Consts:   consts,
-		AggCalls: make(map[*ast.Call]*ast.AggDef),
-		Performs: make(map[*ast.Perform]*PerformTarget),
-		funcSigs: make(map[*ast.FuncDef]map[string]bool),
-	}
+	p := newProgram(script, schema, consts)
 	c := &checker{p: p, query: true}
 	seen := map[string]token.Pos{}
 	for _, a := range script.Aggs {
