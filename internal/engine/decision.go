@@ -118,6 +118,44 @@ func (e *Engine) decideIndexed(r rng.TickSource, acc *accumulator, keyIdx map[in
 	return nil
 }
 
+// effectIndex is the engine-owned storage of the Section 5.4 effect
+// index: one range tree and one sweep order/sweeper — one structure per
+// combine kind — rebuilt in place for every (group, SET column), plus the
+// grouping tables and build inputs, all kept from tick to tick.
+type effectIndex struct {
+	groups   []effectGroup
+	groupOf  map[effectGroupKey]int32
+	eqIDs    map[string]int32 // eq values' bits → class number, per call
+	eqKey    []byte
+	eqVals   []float64
+	eligible []bool
+	targets  []int
+
+	rt      rangetree.Tree
+	pts     []rangetree.Point
+	order   sweepline.Order
+	sweeper sweepline.Sweeper
+	sites   []sweepline.Site
+	probes  []sweepline.Probe
+	vals    []float64
+}
+
+// effectGroupKey identifies performers whose effect areas have the same
+// shape and the same categorical requirements.
+type effectGroupKey struct {
+	offLoX, offHiX, offLoY, offHiY float64
+	eq                             int32
+}
+
+// effectGroup is one group's centers of effect: positions, and the SET
+// values flattened center-major.
+type effectGroup struct {
+	key    effectGroupKey
+	eqVals []float64
+	xs, ys []float64
+	vals   []float64
+}
+
 // applyDeferredArea implements the paper's Section 5.4 ⊕-optimization:
 // "to optimize ⊕, we arrange our query plan to group together all actions
 // of the same type. For each such action we construct an index that
@@ -131,28 +169,21 @@ func (e *Engine) decideIndexed(r rng.TickSource, acc *accumulator, keyIdx map[in
 // column.
 func (e *Engine) applyDeferredArea(def *ast.ActDef, performers []performer, r rng.TickSource, acc *accumulator) {
 	a := e.an.Act(def)
-
-	type center struct {
-		x, y float64
-		vals []float64 // one per SET clause
-	}
-	type groupKey struct {
-		offLoX, offHiX, offLoY, offHiY float64
-		eq                             string // the eq values' bits
-	}
-	type group struct {
-		key     groupKey
-		eqVals  []float64
-		centers []center
-	}
-	groups := map[groupKey]*group{}
-	var order []groupKey
+	fx := &e.fx
+	nSet := len(a.SetFn)
 
 	axCol := func(i int) int {
 		if i < len(a.Axes) {
 			return a.Axes[i].Col
 		}
 		return -1
+	}
+	// at reads a row's coordinate on axis i, 0 where the axis is absent.
+	at := func(row []float64, i int) float64 {
+		if c := axCol(i); c >= 0 {
+			return row[c]
+		}
+		return 0
 	}
 	axisOffsets := func(f *expr.Frame, ax int) (lo, hi float64) {
 		lo, hi = math.Inf(-1), math.Inf(1)
@@ -172,8 +203,13 @@ func (e *Engine) applyDeferredArea(def *ast.ActDef, performers []performer, r rn
 	// Everything evaluated per performer is a function of the performer
 	// alone (that is what made the action deferrable), so the performer
 	// row stands in for e as well.
+	if fx.groupOf == nil {
+		fx.groupOf, fx.eqIDs = map[effectGroupKey]int32{}, map[string]int32{}
+	}
+	clear(fx.groupOf)
+	clear(fx.eqIDs)
+	fx.groups = fx.groups[:0]
 	f := &expr.Frame{R: r}
-	var eqKey []byte
 performers:
 	for _, p := range performers {
 		f.Unit, f.Args, f.Target = p.unit, p.args, p.unit
@@ -183,39 +219,49 @@ performers:
 				continue performers
 			}
 		}
-		loX, hiX := axisOffsets(f, 0)
-		loY, hiY := axisOffsets(f, 1)
-		eqVals := make([]float64, len(a.Eqs))
-		eqKey = eqKey[:0]
+		var gk effectGroupKey
+		gk.offLoX, gk.offHiX = axisOffsets(f, 0)
+		gk.offLoY, gk.offHiY = axisOffsets(f, 1)
+		fx.eqKey, fx.eqVals = fx.eqKey[:0], fx.eqVals[:0]
 		for i := range a.Eqs {
-			eqVals[i] = a.Eqs[i].Fn(f)
-			eqKey = exec.AppendValueKey(eqKey, eqVals[i])
+			v := a.Eqs[i].Fn(f)
+			fx.eqVals = append(fx.eqVals, v)
+			fx.eqKey = exec.AppendValueKey(fx.eqKey, v)
 		}
-		vals := make([]float64, len(a.SetFn))
-		for i, set := range a.SetFn {
-			vals[i] = set(f)
+		eq, ok := fx.eqIDs[string(fx.eqKey)]
+		if !ok {
+			eq = int32(len(fx.eqIDs))
+			fx.eqIDs[string(fx.eqKey)] = eq
 		}
-		gk := groupKey{loX, hiX, loY, hiY, string(eqKey)}
-		g := groups[gk]
-		if g == nil {
-			g = &group{key: gk, eqVals: eqVals}
-			groups[gk] = g
-			order = append(order, gk)
+		gk.eq = eq
+		gi, ok := fx.groupOf[gk]
+		if !ok {
+			gi = int32(len(fx.groups))
+			fx.groupOf[gk] = gi
+			if len(fx.groups) < cap(fx.groups) {
+				fx.groups = fx.groups[:gi+1] // reuse the slot's buffers
+			} else {
+				fx.groups = append(fx.groups, effectGroup{})
+			}
+			g := &fx.groups[gi]
+			g.key, g.eqVals = gk, append(g.eqVals[:0], fx.eqVals...)
+			g.xs, g.ys, g.vals = g.xs[:0], g.ys[:0], g.vals[:0]
 		}
-		cx, cy := 0.0, 0.0
-		if c := axCol(0); c >= 0 {
-			cx = p.unit[c]
+		g := &fx.groups[gi]
+		g.xs, g.ys = append(g.xs, at(p.unit, 0)), append(g.ys, at(p.unit, 1))
+		for _, set := range a.SetFn {
+			g.vals = append(g.vals, set(f))
 		}
-		if c := axCol(1); c >= 0 {
-			cy = p.unit[c]
-		}
-		g.centers = append(g.centers, center{x: cx, y: cy, vals: vals})
 	}
 
 	// Target eligibility: e-only conjuncts, evaluated once per row. Pure
 	// per row, so the scan shards across the worker pool.
-	eligible := make([]bool, e.env.Len())
-	runShards(e.shards(e.env.Len()), func(_, lo, hi int) {
+	n := e.env.Len()
+	if cap(fx.eligible) < n {
+		fx.eligible = make([]bool, n)
+	}
+	eligible := fx.eligible[:n]
+	runShards(e.shards(n), func(_, lo, hi int) {
 		f := &expr.Frame{R: r}
 		for i := lo; i < hi; i++ {
 			row := e.env.Rows[i]
@@ -231,10 +277,11 @@ performers:
 		}
 	})
 
-	for _, gk := range order {
-		g := groups[gk]
+	for gi := range fx.groups {
+		g := &fx.groups[gi]
+		gk := g.key
 		// Targets matching this group's categorical requirements.
-		var targets []int
+		targets := fx.targets[:0]
 		for i, row := range e.env.Rows {
 			if !eligible[i] {
 				continue
@@ -253,23 +300,36 @@ performers:
 				targets = append(targets, i)
 			}
 		}
+		fx.targets = targets
 		if len(targets) == 0 {
 			continue
 		}
+		// Reflected probe window for target t:
+		// performer at c affects t iff t ∈ [c+lo, c+hi] iff c ∈ [t−hi, t−lo].
+		window := func(ti int) geom.Rect {
+			row := e.env.Rows[ti]
+			return reflectedRect(at(row, 0), at(row, 1), gk.offLoX, gk.offHiX, gk.offLoY, gk.offHiY)
+		}
+		// vals gathers SET column si over the group's centers.
+		vals := func(si int) []float64 {
+			fx.vals = fx.vals[:0]
+			for j := range g.xs {
+				fx.vals = append(fx.vals, g.vals[j*nSet+si])
+			}
+			return fx.vals
+		}
+		swept := false // the group's sweep order and probes exist
 
 		for si, col := range a.SetCols {
 			kind := e.prog.Schema.Attr(col).Kind
-			// Reflected probe window for target t:
-			// performer at c affects t iff t ∈ [c+lo, c+hi] iff c ∈ [t−hi, t−lo].
 			switch kind {
 			case table.Sum:
-				pts := make([]rangetree.Point, len(g.centers))
-				vals := make([]float64, len(g.centers))
-				for j, c := range g.centers {
-					pts[j] = rangetree.Point{X: c.x, Y: c.y}
-					vals[j] = c.vals[si]
+				fx.pts = fx.pts[:0]
+				for j := range g.xs {
+					fx.pts = append(fx.pts, rangetree.Point{X: g.xs[j], Y: g.ys[j]})
 				}
-				rt := rangetree.Build(pts, 1, vals)
+				rt := &fx.rt
+				rt.Rebuild(fx.pts, 1, vals(si))
 				e.Stats.IndexStats.IndexBuilds++
 				// Each target folds into its own accumulator row exactly
 				// once here, and the tree is read-only, so the probe loop
@@ -281,16 +341,8 @@ performers:
 				runShards(tb, func(s, lo, hi int) {
 					out := []float64{0}
 					for _, ti := range targets[lo:hi] {
-						row := e.env.Rows[ti]
-						tx, ty := 0.0, 0.0
-						if c := axCol(0); c >= 0 {
-							tx = row[c]
-						}
-						if c := axCol(1); c >= 0 {
-							ty = row[c]
-						}
 						out[0] = 0
-						rt.Aggregate(reflectedRect(tx, ty, gk.offLoX, gk.offHiX, gk.offLoY, gk.offHiY), out)
+						rt.Aggregate(window(ti), out)
 						probeCnt[s]++
 						if out[0] != 0 {
 							acc.fold(ti, col, out[0])
@@ -310,29 +362,26 @@ performers:
 				if kind == table.Min {
 					op = segtree.Min
 				}
-				pts := make([]sweepline.Point, len(g.centers))
-				for j, c := range g.centers {
-					pts[j] = sweepline.Point{X: c.x, Y: c.y, Value: c.vals[si], Key: int64(j)}
-				}
-				probes := make([]sweepline.Probe, len(targets))
-				for j, ti := range targets {
-					row := e.env.Rows[ti]
-					tx, ty := 0.0, 0.0
-					if c := axCol(0); c >= 0 {
-						tx = row[c]
+				if !swept {
+					// Centers and probes are the same for every SET column.
+					swept = true
+					fx.sites = fx.sites[:0]
+					for j := range g.xs {
+						fx.sites = append(fx.sites, sweepline.Site{X: g.xs[j], Y: g.ys[j], Key: int64(j)})
 					}
-					if c := axCol(1); c >= 0 {
-						ty = row[c]
+					fx.order.Rebuild(fx.sites)
+					fx.probes = fx.probes[:0]
+					for _, ti := range targets {
+						rect := window(ti)
+						cx, rx := intervalCenterHalf(rect.MinX, rect.MaxX)
+						cy, _ := intervalCenterHalf(rect.MinY, rect.MaxY)
+						fx.probes = append(fx.probes, sweepline.Probe{X: cx, Y: cy, RX: rx, Exclude: sweepline.NoExclude})
 					}
-					rect := reflectedRect(tx, ty, gk.offLoX, gk.offHiX, gk.offLoY, gk.offHiY)
-					cx, rx := intervalCenterHalf(rect.MinX, rect.MaxX)
-					cy, _ := intervalCenterHalf(rect.MinY, rect.MaxY)
-					probes[j] = sweepline.Probe{X: cx, Y: cy, RX: rx, Exclude: sweepline.NoExclude}
 				}
 				// The reflected y-window height is constant within a group.
-				var rect0 = reflectedRect(0, 0, gk.offLoX, gk.offHiX, gk.offLoY, gk.offHiY)
+				rect0 := reflectedRect(0, 0, gk.offLoX, gk.offHiX, gk.offLoY, gk.offHiY)
 				_, ry := intervalCenterHalf(rect0.MinY, rect0.MaxY)
-				res := sweepline.Sweep(pts, probes, ry, op)
+				res := fx.sweeper.Sweep(&fx.order, vals(si), fx.probes, ry, op)
 				e.Stats.IndexStats.Sweeps++
 				for j, rres := range res {
 					if rres.Found {

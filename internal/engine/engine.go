@@ -222,6 +222,7 @@ type Engine struct {
 	occ    *grid.Occupancy
 	argBuf []float64
 	effRow []float64
+	fx     effectIndex // the deferred-area effect index (decision.go)
 
 	// Incremental-maintenance state (Options.Incremental, Indexed mode):
 	// the provider the current tick used, the provider and delta to

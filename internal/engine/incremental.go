@@ -37,19 +37,23 @@ func (e *Engine) incThreshold() float64 {
 	}
 }
 
-// newIndexedProvider builds the tick's indexed provider, patched from the
-// previous tick's structures when incremental maintenance is on and a
-// valid delta exists. decideIndexed probes it lazily; the parallel path
-// calls Freeze on it afterwards (which only builds what maintenance did
-// not install).
+// newIndexedProvider builds the tick's indexed provider out of the
+// previous tick's: patched from its structures when incremental
+// maintenance is on and a valid delta exists, and in every case rebuilt
+// into its storage (exec.Indexed.Recycle) — the retired provider was
+// this engine's alone, nothing can still be reading it. decideIndexed
+// probes the result lazily; the parallel path freezes it afterwards
+// (which only builds what maintenance did not install).
 func (e *Engine) newIndexedProvider(r rng.TickSource, keyIdx map[int64]int) *exec.Indexed {
 	prov := exec.NewIndexed(e.an, e.env, r)
 	prov.SeedKeyIndex(keyIdx)
-	if e.opts.Incremental && e.deltaOK && e.prevProv != nil {
-		if prov.MaintainFrom(e.prevProv, e.delta, e.incThreshold()) {
+	if prev := e.prevProv; prev != nil {
+		if e.opts.Incremental && e.deltaOK && prov.MaintainFrom(prev, e.delta, e.incThreshold()) {
 			e.Stats.MaintainTicks++
 			e.Stats.DirtyRows += len(e.delta.Dirty)
 		}
+		prov.Recycle(prev)
+		e.prevProv = nil
 	}
 	e.tickProv = prov
 	return prov
@@ -61,6 +65,11 @@ func (e *Engine) newIndexedProvider(r rng.TickSource, keyIdx map[int64]int) *exe
 // index build pipeline is a pure function of row bits, so bit equality is
 // exactly the "nothing this index consumed changed" predicate.
 func (e *Engine) captureIncremental() {
+	// The tick's provider retires whatever else happens here: the next
+	// tick maintains its indexes from it when it can, and rebuilds into
+	// its storage either way.
+	e.prevProv, e.tickProv = e.tickProv, nil
+
 	// Rows OpSet commands edited this tick under a synced snapshot (see
 	// applyCommands): the sync makes the diff below blind to those edits,
 	// so they are re-added to the fresh delta by hand. Consumed (and
@@ -77,7 +86,6 @@ func (e *Engine) captureIncremental() {
 	if !incIdx && !e.hasMaintainedAnswers() {
 		e.incSnap = nil
 		e.deltaOK = false
-		e.prevProv, e.tickProv = nil, nil
 		return
 	}
 	n, w := e.env.Len(), e.prog.Schema.NumAttrs()
@@ -89,7 +97,6 @@ func (e *Engine) captureIncremental() {
 			copy(e.incSnap[i*w:(i+1)*w], row)
 		}
 		e.deltaOK = false
-		e.retireTickProv(incIdx)
 		return
 	}
 	dirty, masks := e.incDirty[:0], e.incMasks[:0]
@@ -125,16 +132,4 @@ func (e *Engine) captureIncremental() {
 		}
 	}
 	e.deltaOK = true
-	e.retireTickProv(incIdx)
-}
-
-// retireTickProv rotates the tick's provider into prevProv when index
-// maintenance will patch from it next tick, and drops both otherwise
-// (answer-only capture has no use for a frozen index set).
-func (e *Engine) retireTickProv(incIdx bool) {
-	if incIdx {
-		e.prevProv, e.tickProv = e.tickProv, nil
-	} else {
-		e.prevProv, e.tickProv = nil, nil
-	}
 }

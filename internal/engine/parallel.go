@@ -150,8 +150,9 @@ type shardDecision struct {
 }
 
 // decideIndexedParallel shards the compiled set-at-a-time plan. One
-// master provider builds every per-tick index up front (Freeze); each
-// worker probes the frozen indexes through its own Fork and evaluates the
+// master provider builds every per-tick index up front (FreezeParallel:
+// the partition builds themselves spread over the workers); each worker
+// then probes the frozen indexes through its own Fork and evaluates the
 // plan restricted to its row range with a private Executor. Non-deferred
 // effects are buffered per Apply node; deferrable area performers are
 // collected per Apply node and applied after the barrier through the
@@ -159,7 +160,7 @@ type shardDecision struct {
 // walk would have discovered them.
 func (e *Engine) decideIndexedParallel(r rng.TickSource, acc *accumulator, keyIdx map[int64]int) error {
 	master := e.newIndexedProvider(r, keyIdx)
-	master.Freeze()
+	master.FreezeParallel(e.workers)
 	applies := e.applies
 	bounds := e.shards(e.env.Len())
 	outs := make([]shardDecision, len(bounds))

@@ -339,3 +339,74 @@ func TestSnapshotReadsMatchStandalone(t *testing.T) {
 		}
 	}
 }
+
+// TestRecycledStorageNeverReachesAView pins the ownership rule the
+// rebuild-into-owned-storage tick relies on: the engine overwrites the
+// index storage of its own retired tick provider and nothing else — never
+// a provider a published read view built. A view is pinned and made to
+// build every zoo query's indexes; the world then runs 20 rebuild-mode
+// ticks, each rebuilding the tick's indexes into the previous tick's
+// storage; afterwards the pinned view must still answer every query, from
+// those same indexes, exactly as it did before the ticks — and as a scan
+// of its own row copy does.
+func TestRecycledStorageNeverReachesAView(t *testing.T) {
+	const units, seed, warm, ticks = 48, 17, 3, 20
+	queries := make([]*Query, len(queryZoo))
+	for i, zq := range queryZoo {
+		queries[i] = compileQuery(t, zq.src)
+	}
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
+			e := newEngine(t, battleProg(t), units, Indexed, seed, func(o *Options) { o.Workers = workers })
+			if err := e.Run(warm); err != nil {
+				t.Fatal(err)
+			}
+			pinned := e.ReadView()
+			var probes []viewProbe
+			for zi := range queryZoo {
+				for k := 0; k < 4; k++ {
+					probes = append(probes, viewProbe{zoo: zi, x: float64(3 * k), y: float64(5 * k), key: int64(7 * k % units)})
+				}
+			}
+			before := make([][]float64, len(probes))
+			for i, pr := range probes {
+				vals, err := pr.eval(pinned, queries[pr.zoo])
+				if err != nil {
+					t.Fatal(err)
+				}
+				before[i] = vals
+			}
+
+			if err := e.Run(ticks); err != nil {
+				t.Fatal(err)
+			}
+			if e.Stats.MaintainTicks != 0 {
+				t.Fatalf("%d ticks maintained their indexes; this test is about rebuild mode", e.Stats.MaintainTicks)
+			}
+
+			for i, pr := range probes {
+				zq, q := queryZoo[pr.zoo], queries[pr.zoo]
+				after, err := pr.eval(pinned, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameBits(after, before[i]) {
+					t.Fatalf("%s: pinned view answered %v before the ticks and %v after", zq.name, before[i], after)
+				}
+				pr.scan = true
+				scanned, err := pr.eval(pinned, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for o := range after {
+					if !closeEnough(after[o], scanned[o]) {
+						t.Fatalf("%s output %s: pinned view indexed %v, scan %v", zq.name, q.Outputs()[o], after[o], scanned[o])
+					}
+				}
+			}
+			if pinned.Tick() != warm || e.ReadView().Tick() != warm+ticks {
+				t.Fatalf("pinned view at tick %d, live view at %d", pinned.Tick(), e.ReadView().Tick())
+			}
+		})
+	}
+}

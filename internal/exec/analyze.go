@@ -114,6 +114,7 @@ type AggAnalysis struct {
 	payload                   payloadSpec
 	div                       []divCols // by output position; unused entries are -1s
 	needRT, needKD, anyGlobal bool
+	needSweep                 bool  // some output is MinMax-class: partitions carry sweep orderings
 	eqCols                    []int // distinct eq columns, the partition key
 }
 
@@ -514,6 +515,9 @@ func (an *Analyzer) layoutAgg(a *AggAnalysis) {
 			a.ProbeInvariant = false
 		case ClassGlobal:
 			a.anyGlobal = true
+		case ClassMinMax:
+			a.needSweep = true
+			a.ProbeInvariant = false
 		default:
 			a.ProbeInvariant = false
 		}

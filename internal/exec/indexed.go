@@ -3,6 +3,8 @@ package exec
 import (
 	"encoding/binary"
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"github.com/epicscale/sgl/internal/geom"
 	"github.com/epicscale/sgl/internal/index/kdtree"
@@ -32,7 +34,7 @@ import (
 // counters mutate shared maps. For parallel tick execution, call Freeze
 // once to build every index the program can use, then give each worker its
 // own Fork — a view that shares the frozen read-only indexes but owns its
-// Stats and batch scratch.
+// Stats and scratch.
 type Indexed struct {
 	prog *sem.Program
 	an   *Analyzer
@@ -47,6 +49,13 @@ type Indexed struct {
 	aggIdx   map[*ast.AggDef]*aggIndex
 	actIdx   map[*ast.ActDef]*actIndex
 
+	// spareAgg and spareAct hold the indexes of a retired provider
+	// (Recycle), per definition, until this tick builds that definition:
+	// the build then overwrites the retired index — partition table, row
+	// lists, trees, sweep orders — instead of allocating a new one.
+	spareAgg map[*ast.AggDef]*aggIndex
+	spareAct map[*ast.ActDef]*actIndex
+
 	// frozen is set by Freeze: every index the program can demand exists
 	// and the shared state is read-only from here on. forked marks a view
 	// returned by Fork; a fork must never build an index lazily (that
@@ -54,31 +63,38 @@ type Indexed struct {
 	frozen bool
 	forked bool
 
-	// argFold holds cross-partition arg-extremum state during one batch
-	// call; reset at the start of every EvalAggBatch.
-	argFold map[[2]int]argState
+	scratch
 
-	// probeReqs, probeParts and probePayload are per-instance scratch for
-	// the EvalAggInto probe path. EvalAgg never touches them, so its
-	// returned slices stay safe to retain; Fork resets them so sibling
-	// views never share backing arrays.
+	// Stats counts index builds and probes for the benchmark reports.
+	Stats Stats
+}
+
+// scratch is what one view writes while it builds and probes, none of it
+// index state: every view starts with its own (empty) one, so sibling
+// views never share a backing array, and a provider inherits its retired
+// predecessor's (Recycle) so a steady tick allocates none of it again.
+type scratch struct {
+	// probeReqs, probeParts and probePayload serve the EvalAggInto probe
+	// path. EvalAgg never touches them, so its returned slices stay safe
+	// to retain.
 	probeReqs    []matchReq
-	probeParts   []*aggPart
+	probeParts   []*part
 	probePayload []float64
 
 	// invariant memoises the answers of probe-invariant definitions
 	// (AggAnalysis.ProbeInvariant) per matched partition set, for the
 	// lifetime of this view — one tick. A handful of entries (definitions
-	// × partition sets), searched linearly; Fork starts empty so sibling
-	// views never share it.
+	// × partition sets), searched linearly.
 	invariant []invariantAnswer
 
-	// keyBuf is partition-key scratch for index builds and maintenance,
-	// which run on the provider's single goroutine before any Fork.
+	// keyBuf is partition-key scratch; pts, vals and sites are the inputs
+	// of one partition's structure builds, none of which retains them.
 	keyBuf []byte
+	pts    []rangetree.Point
+	vals   []float64
+	sites  []sweepline.Site
 
-	// Stats counts index builds and probes for the benchmark reports.
-	Stats Stats
+	batch batchScratch
 }
 
 // Stats counts the work the indexed evaluator performed in one tick.
@@ -120,6 +136,49 @@ func (p *Indexed) SeedKeyIndex(idx map[int64]int) {
 	}
 }
 
+// Recycle hands p the index storage and scratch of prev, a provider whose
+// tick is over: every definition p has not built yet will be rebuilt into
+// prev's index for it — same partitions matched by key, trees and sweep
+// orders overwritten in place — so a world whose population is steady
+// rebuilds its indexes without allocating. What is recycled is capacity,
+// never content: the result of a build is a pure function of the current
+// rows, whatever the storage held.
+//
+// Recycle takes ownership of prev, which must not be probed afterwards and
+// must be a provider nobody else can still read — the engine's own tick
+// provider, never one published to readers. It composes with MaintainFrom
+// (call it second): definitions maintenance installed keep their
+// structures, the rest of prev becomes rebuild storage.
+func (p *Indexed) Recycle(prev *Indexed) {
+	if prev == nil || prev.an != p.an {
+		return
+	}
+	p.spareAgg = adoptSpare(prev.aggIdx, prev.spareAgg, p.aggIdx)
+	p.spareAct = adoptSpare(prev.actIdx, prev.spareAct, p.actIdx)
+	p.scratch = prev.scratch
+	p.invariant = p.invariant[:0] // answers of prev's tick
+	prev.aggIdx, prev.actIdx, prev.spareAgg, prev.spareAct = nil, nil, nil, nil
+	prev.scratch = scratch{}
+}
+
+// adoptSpare pools a retired provider's indexes — the ones it built and
+// the ones it inherited and never claimed — minus the definitions live
+// already holds (maintained: their partitions live on there). The result
+// reuses built.
+func adoptSpare[K comparable, V any](built, unclaimed, live map[K]V) map[K]V {
+	//sgl:unordered moves storage between per-definition slots; no slot depends on another
+	for def, idx := range unclaimed {
+		if _, ok := built[def]; !ok {
+			built[def] = idx
+		}
+	}
+	//sgl:unordered removes per-definition slots, each independently
+	for def := range live {
+		delete(built, def)
+	}
+	return built
+}
+
 // Freeze eagerly builds every index structure the program can demand this
 // tick: the key lookup table, one aggregate index per indexable aggregate
 // definition, and one spatial index per area action. After Freeze the
@@ -130,37 +189,101 @@ func (p *Indexed) SeedKeyIndex(idx map[int64]int) {
 // definitions a tick never probes, so a frozen provider may build more
 // indexes (and report higher Stats.IndexBuilds) than a serial tick over
 // the same environment. Game outcomes are unaffected.
-func (p *Indexed) Freeze() {
+func (p *Indexed) Freeze() { p.FreezeParallel(1) }
+
+// FreezeParallel is Freeze with the structure builds spread over up to
+// workers goroutines. The membership scans — one pass over the rows per
+// definition — stay on the caller's goroutine; what fans out is the
+// (definition, partition) build units, each of which reads the shared
+// rows and writes only its own partition, on a private view (own frame,
+// own build scratch, own Stats). Every unit's result is a pure function
+// of its partition's rows, so which worker builds it changes nothing, and
+// the per-view Stats are integer counts summed after the barrier: the
+// frozen provider — structures and Stats — is identical at any workers.
+func (p *Indexed) FreezeParallel(workers int) {
 	p.keyLookup()
+	var units []buildUnit
 	for _, def := range p.prog.Script.Aggs {
-		if p.an.Agg(def).Indexable {
-			p.aggIndexFor(def)
+		if a := p.an.Agg(def); a.Indexable && p.aggIdx[def] == nil {
+			for _, pt := range p.scanAggIndex(a).list {
+				units = append(units, buildUnit{agg: a, part: pt})
+			}
 		}
 	}
 	for _, def := range p.prog.Script.Acts {
-		if p.an.Act(def).Class == ActArea {
-			p.actIndexFor(def)
+		if a := p.an.Act(def); a.Class == ActArea && p.actIdx[def] == nil {
+			for _, pt := range p.scanActIndex(a).list {
+				units = append(units, buildUnit{act: a, part: pt})
+			}
+		}
+	}
+	if workers > len(units) {
+		workers = len(units)
+	}
+	if workers <= 1 {
+		for _, u := range units {
+			p.build(u)
+		}
+	} else {
+		views := make([]*Indexed, workers)
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for w := range views {
+			v := p.view()
+			views[w] = v
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for u := next.Add(1) - 1; u < int64(len(units)); u = next.Add(1) - 1 {
+					v.build(units[u])
+				}
+			}()
+		}
+		wg.Wait()
+		for _, v := range views {
+			p.Stats.Add(v.Stats)
 		}
 	}
 	p.frozen = true
 }
 
+// buildUnit is one partition's structures for one definition — the grain
+// FreezeParallel distributes. Exactly one of agg and act is set.
+type buildUnit struct {
+	agg  *AggAnalysis
+	act  *ActAnalysis
+	part *part
+}
+
+func (p *Indexed) build(u buildUnit) {
+	if u.agg != nil {
+		p.buildAggPart(u.agg, u.part)
+	} else {
+		p.buildActPart(u.act, u.part)
+	}
+}
+
+// view returns a copy of p that shares its indexes and environment but
+// owns its frame, scratch and Stats.
+func (p *Indexed) view() *Indexed {
+	c := *p
+	c.Stats = Stats{}
+	c.scratch = scratch{}
+	return &c
+}
+
 // Fork returns a worker-private view of a frozen provider: it shares the
 // immutable per-tick indexes (and the environment snapshot) with the
-// receiver but owns its Stats counters and batch scratch state. Fork
-// without a prior Freeze is unsafe — a lazy index build in one fork would
-// race with reads in another — and panics rather than racing silently.
+// receiver but owns its Stats counters and scratch state. Fork without a
+// prior Freeze is unsafe — a lazy index build in one fork would race with
+// reads in another — and panics rather than racing silently.
 func (p *Indexed) Fork() *Indexed {
 	if !p.frozen {
 		panic("exec: Fork before Freeze — forked views share index state and must not build lazily")
 	}
-	c := *p
-	c.Stats = Stats{}
-	c.argFold = nil
-	c.probeReqs, c.probeParts, c.probePayload = nil, nil, nil
-	c.invariant, c.keyBuf = nil, nil
+	c := p.view()
 	c.forked = true
-	return &c
+	return c
 }
 
 // guardLazyBuild panics when a forked view is about to build an index
@@ -223,50 +346,111 @@ type divCols struct {
 	cnt, sum, sumSq int // -1 when unused
 }
 
-type aggIndex struct {
-	a     *AggAnalysis
-	parts map[string]*aggPart
-	order []string   // deterministic partition iteration order
-	list  []*aggPart // parts[order[i]], so probes never hash a key
+// partIndex is the categorical partitioning of the environment for one
+// definition: the rows that pass its e-only filter, grouped by the values
+// of its equality columns.
+type partIndex struct {
+	parts map[string]*part
+	order []string // deterministic partition iteration order
+	list  []*part  // parts[order[i]], so probes never hash a key
 	// rowPart maps every environment row to its partition ordinal in
 	// order, or -1 when the e-only filter excludes it. MaintainFrom uses
 	// it to find the partition a dirty row used to live in.
 	rowPart []int32
 }
 
-// finish derives list and the row → partition-ordinal map from parts and
-// order (called after membership is final).
-func (idx *aggIndex) finish(n int) {
-	idx.list = make([]*aggPart, len(idx.order))
-	idx.rowPart = makeRowPart(n)
-	for ord, key := range idx.order {
-		part := idx.parts[key]
-		idx.list[ord] = part
-		for _, ri := range part.rows {
-			idx.rowPart[ri] = int32(ord)
-		}
-	}
+type aggIndex struct {
+	a *AggAnalysis
+	partIndex
 }
 
-func makeRowPart(n int) []int32 {
-	rp := make([]int32, n)
-	for i := range rp {
-		rp[i] = -1
-	}
-	return rp
+type actIndex struct {
+	a *ActAnalysis
+	partIndex
 }
 
-type aggPart struct {
-	rows   []int // env row indexes
+// part is one partition: its member rows and whichever structures the
+// owning definition demands over them. A part owns its structures'
+// storage for as long as the index it belongs to is rebuilt or
+// maintained — a rebuild overwrites them in place.
+type part struct {
+	key    string // partition key, as in partIndex.parts
+	ord    int32  // position in partIndex.list
+	rows   []int  // env row indexes, ascending
 	rt     *rangetree.Tree
 	kd     *kdtree.Tree
 	global []globalExt // per output: precomputed extremum (ClassGlobal)
+	// sweep holds the point orderings every MIN/MAX sweep over this
+	// partition shares (definitions with a MinMax-class output): sorted
+	// once per build, read by every (output, window height, view).
+	sweep *sweepline.Order
 }
 
 type globalExt struct {
 	val float64
 	key int64
 	ok  bool
+}
+
+// finish derives list, the parts' ordinals and the row → partition-ordinal
+// map from parts and order (called after membership is final).
+func (idx *partIndex) finish(n int) {
+	idx.list = idx.list[:0]
+	if cap(idx.rowPart) < n {
+		idx.rowPart = make([]int32, n)
+	}
+	idx.rowPart = idx.rowPart[:n]
+	for i := range idx.rowPart {
+		idx.rowPart[i] = -1
+	}
+	for ord, key := range idx.order {
+		pt := idx.parts[key]
+		pt.ord = int32(ord)
+		idx.list = append(idx.list, pt)
+		for _, ri := range pt.rows {
+			idx.rowPart[ri] = int32(ord)
+		}
+	}
+}
+
+// scanMembers (re)partitions the environment: rows passing the e-only
+// conjuncts, grouped by their values in cols, partitions ordered by first
+// member row. Partitions an earlier scan left in idx keep their part —
+// and with it the structures the coming build will overwrite — when their
+// key still has members, and are dropped when it has none.
+func (p *Indexed) scanMembers(idx *partIndex, eonly []expr.Cond, cols []int) {
+	if idx.parts == nil {
+		idx.parts = map[string]*part{}
+	}
+	idx.order = idx.order[:0]
+	//sgl:unordered each part is emptied independently
+	for _, pt := range idx.parts {
+		pt.rows = pt.rows[:0]
+	}
+	for i, row := range p.env.Rows {
+		if !p.passesEOnly(eonly, row) {
+			continue
+		}
+		key := p.partitionKey(row, cols)
+		pt := idx.parts[string(key)]
+		if pt == nil {
+			pt = &part{key: string(key)}
+			idx.parts[pt.key] = pt
+		}
+		if len(pt.rows) == 0 {
+			idx.order = append(idx.order, pt.key)
+		}
+		pt.rows = append(pt.rows, i)
+	}
+	if len(idx.order) < len(idx.parts) {
+		//sgl:unordered deletes exactly the memberless parts, in any order
+		for key, pt := range idx.parts {
+			if len(pt.rows) == 0 {
+				delete(idx.parts, key)
+			}
+		}
+	}
+	idx.finish(p.env.Len())
 }
 
 // AppendValueKey appends v's equality class to buf as eight big-endian
@@ -350,71 +534,78 @@ func (p *Indexed) aggIndexFor(def *ast.AggDef) *aggIndex {
 	}
 	p.guardLazyBuild("aggregate index")
 	a := p.an.Agg(def)
-	idx := &aggIndex{a: a, parts: map[string]*aggPart{}}
-
-	// Partition rows by the eq columns, applying e-only filters at build.
-	for i, row := range p.env.Rows {
-		if !p.passesEOnly(a.EOnlyFn, row) {
-			continue
-		}
-		key := p.partitionKey(row, a.eqCols)
-		part := idx.parts[string(key)]
-		if part == nil {
-			k := string(key)
-			part = &aggPart{}
-			idx.parts[k] = part
-			idx.order = append(idx.order, k)
-		}
-		part.rows = append(part.rows, i)
+	idx := p.scanAggIndex(a)
+	for _, pt := range idx.list {
+		p.buildAggPart(a, pt)
 	}
-	idx.finish(p.env.Len())
+	return idx
+}
 
-	for _, part := range idx.list {
-		p.buildAggPart(a, part)
+// scanAggIndex installs the definition's index with its membership final
+// and no structure built yet: a recycled index when the provider holds
+// one for the definition, a new one otherwise.
+func (p *Indexed) scanAggIndex(a *AggAnalysis) *aggIndex {
+	idx := p.spareAgg[a.Def]
+	if idx == nil {
+		idx = &aggIndex{a: a}
+	} else {
+		delete(p.spareAgg, a.Def)
 	}
-	p.aggIdx[def] = idx
+	p.scanMembers(&idx.partIndex, a.EOnlyFn, a.eqCols)
+	p.aggIdx[a.Def] = idx
 	return idx
 }
 
 // buildAggPart (re)builds every structure the definition demands for one
-// partition from the current environment rows. The result is a pure
-// function of the member rows' values, which is what lets MaintainFrom
-// reuse a partition whose members did not change.
-func (p *Indexed) buildAggPart(a *AggAnalysis, part *aggPart) {
+// partition from the current environment rows, into the partition's own
+// storage where it has some. The result is a pure function of the member
+// rows' values, which is what lets MaintainFrom reuse a partition whose
+// members did not change. The sweep orderings are not counted as an index
+// build: they are the sort every sweep used to repeat.
+func (p *Indexed) buildAggPart(a *AggAnalysis, pt *part) {
 	if a.needRT {
-		pts, vals := p.aggPartPayload(a, part.rows)
-		part.rt = rangetree.Build(pts, len(a.payload.terms), vals)
+		p.buildAggRT(a, pt)
 		p.Stats.IndexBuilds++
 	}
 	if a.needKD {
-		p.buildAggKD(part)
+		p.buildAggKD(pt)
 		p.Stats.IndexBuilds++
 	}
 	if a.anyGlobal {
-		p.buildAggGlobal(a, part)
+		p.buildAggGlobal(a, pt)
 		p.Stats.IndexBuilds++
 	}
-}
-
-// aggPartPayload evaluates the range-tree points and flattened payload
-// columns for one partition's rows, in row order.
-func (p *Indexed) aggPartPayload(a *AggAnalysis, rows []int) ([]rangetree.Point, []float64) {
-	xCol, yCol := axisCols(a.Axes)
-	pts := make([]rangetree.Point, len(rows))
-	for j, ri := range rows {
-		row := p.env.Rows[ri]
-		pts[j] = rangetree.Point{X: axisVal(row, xCol), Y: axisVal(row, yCol)}
+	if a.needSweep {
+		p.buildSweepOrder(a, pt)
 	}
-	return pts, p.aggPartVals(a, rows)
 }
 
-// aggPartVals evaluates only the flattened payload columns — what a
-// payload-preserving Repatch needs (the points are unchanged by
-// definition there).
+// buildAggRT (re)builds the partition's range tree in place.
+func (p *Indexed) buildAggRT(a *AggAnalysis, pt *part) {
+	if pt.rt == nil {
+		pt.rt = &rangetree.Tree{}
+	}
+	pt.rt.Rebuild(p.partPoints(a.Axes, pt.rows), len(a.payload.fns), p.aggPartVals(a, pt.rows))
+}
+
+// partPoints evaluates the range-tree points of a partition's rows, in
+// row order, into the view's scratch.
+func (p *Indexed) partPoints(axes []RangeAxis, rows []int) []rangetree.Point {
+	xCol, yCol := axisCols(axes)
+	p.pts = p.pts[:0]
+	for _, ri := range rows {
+		row := p.env.Rows[ri]
+		p.pts = append(p.pts, rangetree.Point{X: axisVal(row, xCol), Y: axisVal(row, yCol)})
+	}
+	return p.pts
+}
+
+// aggPartVals evaluates the flattened payload columns of a partition's
+// rows, in row order, into the view's scratch — all a payload-preserving
+// Repatch needs (the points are unchanged by definition there).
 func (p *Indexed) aggPartVals(a *AggAnalysis, rows []int) []float64 {
-	w := len(a.payload.fns)
-	vals := make([]float64, len(rows)*w)
-	for j, ri := range rows {
+	p.vals = p.vals[:0]
+	for _, ri := range rows {
 		f := p.onRow(p.env.Rows[ri])
 		for c, fn := range a.payload.fns {
 			v := 1.0
@@ -424,34 +615,51 @@ func (p *Indexed) aggPartVals(a *AggAnalysis, rows []int) []float64 {
 					v *= v
 				}
 			}
-			vals[j*w+c] = v
+			p.vals = append(p.vals, v)
 		}
 	}
-	return vals
+	return p.vals
+}
+
+// buildSweepOrder (re)sorts the partition's sweep orderings in place.
+func (p *Indexed) buildSweepOrder(a *AggAnalysis, pt *part) {
+	xCol, yCol := axisCols(a.Axes)
+	kc := p.prog.Schema.KeyCol()
+	p.sites = p.sites[:0]
+	for _, ri := range pt.rows {
+		row := p.env.Rows[ri]
+		p.sites = append(p.sites, sweepline.Site{X: axisVal(row, xCol), Y: axisVal(row, yCol), Key: int64(row[kc])})
+	}
+	if pt.sweep == nil {
+		pt.sweep = &sweepline.Order{}
+	}
+	pt.sweep.Rebuild(p.sites)
 }
 
 // buildAggKD builds the partition's kD-tree over unit positions.
-func (p *Indexed) buildAggKD(part *aggPart) {
+func (p *Indexed) buildAggKD(pt *part) {
 	xc, yc, kc := p.an.posX, p.an.posY, p.prog.Schema.KeyCol()
-	pts := make([]kdtree.Point, len(part.rows))
-	for j, ri := range part.rows {
+	pts := make([]kdtree.Point, len(pt.rows))
+	for j, ri := range pt.rows {
 		row := p.env.Rows[ri]
 		pts[j] = kdtree.Point{X: row[xc], Y: row[yc], Key: int64(row[kc])}
 	}
-	part.kd = kdtree.Build(pts)
+	pt.kd = kdtree.Build(pts)
 }
 
 // buildAggGlobal precomputes the partition's per-output global extrema.
-func (p *Indexed) buildAggGlobal(a *AggAnalysis, part *aggPart) {
+func (p *Indexed) buildAggGlobal(a *AggAnalysis, pt *part) {
 	kc := p.prog.Schema.KeyCol()
-	part.global = make([]globalExt, len(a.Def.Outputs))
+	if len(pt.global) != len(a.Def.Outputs) {
+		pt.global = make([]globalExt, len(a.Def.Outputs))
+	}
 	for i, out := range a.Def.Outputs {
 		if a.OutClass[i] != ClassGlobal {
 			continue
 		}
 		ext := globalExt{}
 		isMin := out.Func == ast.Min || out.Func == ast.ArgMin
-		for _, ri := range part.rows {
+		for _, ri := range pt.rows {
 			row := p.env.Rows[ri]
 			v := a.ArgFn[i](p.onRow(row))
 			k := int64(row[kc])
@@ -460,7 +668,7 @@ func (p *Indexed) buildAggGlobal(a *AggAnalysis, part *aggPart) {
 				ext = globalExt{val: v, key: k, ok: true}
 			}
 		}
-		part.global[i] = ext
+		pt.global[i] = ext
 	}
 }
 
@@ -541,7 +749,7 @@ func partMatches(sample []float64, reqs []matchReq) bool {
 // partitions and the set does not fit). With scratch set it reuses the
 // per-instance probe buffers — the result is only valid until the next
 // scratch call on this view.
-func (p *Indexed) matchParts(idx *aggIndex, f *expr.Frame, scratch bool) (out []*aggPart, mask uint64, ok bool) {
+func (p *Indexed) matchParts(idx *aggIndex, f *expr.Frame, scratch bool) (out []*part, mask uint64, ok bool) {
 	var reqs []matchReq
 	if scratch {
 		reqs, out = p.probeReqs[:0], p.probeParts[:0]
@@ -549,12 +757,12 @@ func (p *Indexed) matchParts(idx *aggIndex, f *expr.Frame, scratch bool) (out []
 		reqs = make([]matchReq, 0, len(idx.a.Eqs))
 	}
 	reqs = evalReqs(reqs, idx.a.Eqs, f)
-	for ord, part := range idx.list {
-		if len(part.rows) == 0 {
+	for ord, pt := range idx.list {
+		if len(pt.rows) == 0 {
 			continue
 		}
-		if partMatches(p.env.Rows[part.rows[0]], reqs) {
-			out = append(out, part)
+		if partMatches(p.env.Rows[pt.rows[0]], reqs) {
+			out = append(out, pt)
 			mask |= 1 << uint(ord&63)
 		}
 	}
@@ -652,7 +860,7 @@ func (p *Indexed) evalCore(dst []float64, def *ast.AggDef, unit []float64, args 
 	rect := probeRect(a.Axes, f)
 
 	out := fillIdentities(dst, def)
-	w := len(a.payload.terms)
+	w := len(a.payload.fns)
 	var payload []float64
 	if w > 0 {
 		if scratch {
@@ -790,7 +998,7 @@ func (p *Indexed) scanAgg(dst []float64, a *AggAnalysis, unit, args []float64) [
 // the axis bounds applied — the correct fallback for outputs the indices
 // cannot serve on the single-probe path. Residual conjuncts cannot exist
 // here (Indexable implies none).
-func (p *Indexed) scanOutput(a *AggAnalysis, outIdx int, parts []*aggPart, rect geom.Rect, unit, args []float64) float64 {
+func (p *Indexed) scanOutput(a *AggAnalysis, outIdx int, parts []*part, rect geom.Rect, unit, args []float64) float64 {
 	p.Stats.ScanProbes++
 	acc := interp.NewAggAccs(a.Def, p.prog.Schema, unit)[outIdx]
 	xCol, yCol := axisCols(a.Axes)
@@ -818,9 +1026,13 @@ func (p *Indexed) scanOutput(a *AggAnalysis, outIdx int, parts []*aggPart, rect 
 // EvalAggBatch answers the same probe for many units at once. Divisible,
 // nearest and global outputs delegate to the per-probe path (already
 // O(log n) each); MinMax-class outputs are batched through the sweep line
-// of Section 5.3.1, grouping probes by their constant window height.
+// of Section 5.3.1, grouping probes by their constant window height. The
+// result rows share one backing array allocated by this call; the caller
+// owns it.
 func (p *Indexed) EvalAggBatch(def *ast.AggDef, units [][]float64, args [][]float64) [][]float64 {
 	a := p.an.Agg(def)
+	w := len(def.Outputs)
+	flat := make([]float64, len(units)*w)
 	results := make([][]float64, len(units))
 	sweep := p.BatchBeneficial(def)
 	for i := range units {
@@ -830,10 +1042,9 @@ func (p *Indexed) EvalAggBatch(def *ast.AggDef, units [][]float64, args [][]floa
 		}
 		// With a sweep to follow, MinMax outputs stay at their identities
 		// for it to overwrite.
-		results[i] = p.evalCore(nil, def, units[i], arg, sweep)
+		results[i] = p.evalCore(flat[i*w:(i+1)*w:(i+1)*w], def, units[i], arg, sweep)
 	}
 	if sweep {
-		p.argFold = nil
 		p.evalMinMaxBatch(a, units, args, results)
 	}
 	return results
@@ -863,29 +1074,53 @@ func (p *Indexed) BatchBeneficial(def *ast.AggDef) bool {
 	return false
 }
 
+// batchScratch is a view's working storage for evalMinMaxBatch, kept from
+// batch to batch.
+type batchScratch struct {
+	sweeper  sweepline.Sweeper
+	groups   []sweepGroup
+	groupOf  map[groupKey]int32
+	vals     [][]float64 // by partition ordinal: the current output's value column
+	valsDone []bool
+	argFold  []argState // by result row: the current output's winning (value, key)
+}
+
+// groupKey identifies one sweep: a partition and a window height.
+type groupKey struct {
+	ord    int32
+	height float64
+}
+
 type sweepGroup struct {
+	part   *part
 	height float64
 	probes []sweepline.Probe
-	rowIdx []int // result row per probe
+	rowIdx []int32 // result row per probe
+}
+
+// argState is the running answer of an arg-extremum output for one row:
+// the result row stores the winning key, the value it won with is here.
+type argState struct {
+	val float64
+	key int64
+	ok  bool
 }
 
 // evalMinMaxBatch fills the MinMax-class outputs of results via sweeps.
 func (p *Indexed) evalMinMaxBatch(a *AggAnalysis, units [][]float64, args [][]float64, results [][]float64) {
 	def := a.Def
 	idx := p.aggIndexFor(def)
-	kc := p.prog.Schema.KeyCol()
+	b := &p.batch
 
-	// Partition probes: each probe goes to the partitions its eq conjuncts
-	// select. Group by (partition, window height). To keep the grouping
-	// tractable we group first by height, then sweep each matching
-	// partition with the group's probes filtered per-partition.
-	type probeInfo struct {
-		row    int
-		rect   geom.Rect
-		parts  []*aggPart
-		active bool
+	// Each probe goes to the partitions its eq conjuncts select; probes
+	// are grouped by (partition, window height), groups in order of first
+	// appearance, probes within a group in unit order. The grouping is the
+	// same for every output.
+	b.groups = b.groups[:0]
+	if b.groupOf == nil {
+		b.groupOf = map[groupKey]int32{}
 	}
-	infos := make([]probeInfo, len(units))
+	clear(b.groupOf)
 probes:
 	for i, unit := range units {
 		var arg []float64
@@ -899,11 +1134,33 @@ probes:
 			}
 		}
 		rect := probeRect(a.Axes, f)
-		parts, _, _ := p.matchParts(idx, f, false)
-		infos[i] = probeInfo{row: i, rect: rect, parts: parts, active: true}
+		matched, _, _ := p.matchParts(idx, f, true)
+		cx, rx := centerHalf(rect.MinX, rect.MaxX)
+		cy, ryHalf := centerHalf(rect.MinY, rect.MaxY)
+		for _, pt := range matched {
+			gk := groupKey{pt.ord, 2 * ryHalf}
+			gi, ok := b.groupOf[gk]
+			if !ok {
+				gi = int32(len(b.groups))
+				b.groupOf[gk] = gi
+				if len(b.groups) < cap(b.groups) {
+					b.groups = b.groups[:gi+1] // reuse the slot's probe buffers
+				} else {
+					b.groups = append(b.groups, sweepGroup{})
+				}
+				g := &b.groups[gi]
+				g.part, g.height, g.probes, g.rowIdx = pt, gk.height, g.probes[:0], g.rowIdx[:0]
+			}
+			g := &b.groups[gi]
+			g.probes = append(g.probes, sweepline.Probe{X: cx, Y: cy, RX: rx, Exclude: sweepline.NoExclude})
+			g.rowIdx = append(g.rowIdx, int32(i))
+		}
 	}
 
-	xCol, yCol := axisCols(a.Axes)
+	if len(b.vals) < len(idx.list) {
+		b.vals = append(b.vals, make([][]float64, len(idx.list)-len(b.vals))...)
+		b.valsDone = make([]bool, len(idx.list))
+	}
 	for outIdx, o := range def.Outputs {
 		if a.OutClass[outIdx] != ClassMinMax {
 			continue
@@ -912,135 +1169,60 @@ probes:
 		if o.Func == ast.Max || o.Func == ast.ArgMax {
 			op = segtree.Max
 		}
-		// Group (partition, height) → probes.
-		type groupKey struct {
-			part   *aggPart
-			height float64
-		}
-		groups := map[groupKey]*sweepGroup{}
-		var order []groupKey
-		for i := range infos {
-			if !infos[i].active {
-				continue
+		isArg := o.Func == ast.ArgMin || o.Func == ast.ArgMax
+		if isArg {
+			if cap(b.argFold) < len(units) {
+				b.argFold = make([]argState, len(units))
 			}
-			_, ryHalf := centerHalf(infos[i].rect.MinY, infos[i].rect.MaxY)
-			h := 2 * ryHalf
-			for _, part := range infos[i].parts {
-				gk := groupKey{part, h}
-				g := groups[gk]
-				if g == nil {
-					g = &sweepGroup{height: h}
-					groups[gk] = g
-					order = append(order, gk)
-				}
-				cx, rx := centerHalf(infos[i].rect.MinX, infos[i].rect.MaxX)
-				cy, _ := centerHalf(infos[i].rect.MinY, infos[i].rect.MaxY)
-				g.probes = append(g.probes, sweepline.Probe{
-					X: cx, Y: cy, RX: rx,
-					Exclude: sweepline.NoExclude,
-				})
-				g.rowIdx = append(g.rowIdx, infos[i].row)
-			}
+			b.argFold = b.argFold[:len(units)]
+			clear(b.argFold)
 		}
-
-		for _, gk := range order {
-			g := groups[gk]
-			part := gk.part
-			pts := make([]sweepline.Point, len(part.rows))
-			for j, ri := range part.rows {
-				row := p.env.Rows[ri]
-				pts[j] = sweepline.Point{
-					X:     axisVal(row, xCol),
-					Y:     axisVal(row, yCol),
-					Value: a.ArgFn[outIdx](p.onRow(row)),
-					Key:   int64(row[kc]),
+		clear(b.valsDone)
+		for gi := range b.groups {
+			g := &b.groups[gi]
+			// The output's value column over the partition, evaluated once
+			// however many window heights sweep it.
+			vals := b.vals[g.part.ord]
+			if !b.valsDone[g.part.ord] {
+				vals = vals[:0]
+				for _, ri := range g.part.rows {
+					vals = append(vals, a.ArgFn[outIdx](p.onRow(p.env.Rows[ri])))
 				}
+				b.vals[g.part.ord], b.valsDone[g.part.ord] = vals, true
 			}
 			p.Stats.Sweeps++
-			ry := g.height / 2
-			if math.IsInf(g.height, 1) {
-				ry = math.Inf(1)
-			}
-			res := sweepline.Sweep(pts, g.probes, ry, op)
-			for j, r := range res {
+			for j, r := range b.sweeper.Sweep(g.part.sweep, vals, g.probes, g.height/2, op) {
+				if !r.Found {
+					continue
+				}
 				ri := g.rowIdx[j]
-				cur := results[ri][outIdx]
-				switch o.Func {
-				case ast.Min:
-					if r.Found && r.Value < cur {
-						results[ri][outIdx] = r.Value
+				cur := &results[ri][outIdx]
+				switch {
+				case isArg:
+					// Arg-extrema fold across partitions on the value, which
+					// the result row (holding the key) does not carry.
+					st := &b.argFold[ri]
+					if !st.ok || (op == segtree.Min && r.Value < st.val) || (op == segtree.Max && r.Value > st.val) ||
+						(r.Value == st.val && r.Key < st.key) {
+						*st = argState{val: r.Value, key: r.Key, ok: true}
+						*cur = float64(r.Key)
 					}
-				case ast.Max:
-					if r.Found && r.Value > cur {
-						results[ri][outIdx] = r.Value
+				case op == segtree.Min:
+					if r.Value < *cur {
+						*cur = r.Value
 					}
-				case ast.ArgMin, ast.ArgMax:
-					// Fold arg-extrema across partitions: track via a
-					// shadow value array.
-					p.foldArg(results, ri, outIdx, r, o.Func)
+				default:
+					if r.Value > *cur {
+						*cur = r.Value
+					}
 				}
 			}
 		}
-	}
-}
-
-// foldArg folds an arg-extremum sweep result into the running answer. The
-// running value is stored as the key; to compare across partitions we keep
-// the winning value in a side map keyed by (row, out).
-type argState struct {
-	val float64
-	key int64
-	ok  bool
-}
-
-func (p *Indexed) foldArg(results [][]float64, row, out int, r sweepline.Result, f ast.AggFunc) {
-	if !r.Found {
-		return
-	}
-	if p.argFold == nil {
-		p.argFold = map[[2]int]argState{}
-	}
-	k := [2]int{row, out}
-	cur, ok := p.argFold[k]
-	isMin := f == ast.ArgMin
-	better := !ok ||
-		(isMin && r.Value < cur.val) || (!isMin && r.Value > cur.val) ||
-		(r.Value == cur.val && r.Key < cur.key)
-	if better {
-		p.argFold[k] = argState{val: r.Value, key: r.Key, ok: true}
-		results[row][out] = float64(r.Key)
 	}
 }
 
 // ---------------------------------------------------------------------------
 // Action target selection
-
-type actIndex struct {
-	a     *ActAnalysis
-	parts map[string]*actPart
-	order []string
-	list  []*actPart // parts[order[i]]
-	// rowPart mirrors aggIndex.rowPart for maintenance.
-	rowPart []int32
-}
-
-// finish mirrors aggIndex.finish.
-func (idx *actIndex) finish(n int) {
-	idx.list = make([]*actPart, len(idx.order))
-	idx.rowPart = makeRowPart(n)
-	for ord, key := range idx.order {
-		part := idx.parts[key]
-		idx.list[ord] = part
-		for _, ri := range part.rows {
-			idx.rowPart[ri] = int32(ord)
-		}
-	}
-}
-
-type actPart struct {
-	rows []int
-	rt   *rangetree.Tree
-}
 
 func (p *Indexed) actIndexFor(def *ast.ActDef) *actIndex {
 	if idx, ok := p.actIdx[def]; ok {
@@ -1048,39 +1230,33 @@ func (p *Indexed) actIndexFor(def *ast.ActDef) *actIndex {
 	}
 	p.guardLazyBuild("action index")
 	a := p.an.Act(def)
-	idx := &actIndex{a: a, parts: map[string]*actPart{}}
-	for i, row := range p.env.Rows {
-		if !p.passesEOnly(a.EOnlyFn, row) {
-			continue
-		}
-		key := p.partitionKey(row, a.eqCols)
-		part := idx.parts[string(key)]
-		if part == nil {
-			k := string(key)
-			part = &actPart{}
-			idx.parts[k] = part
-			idx.order = append(idx.order, k)
-		}
-		part.rows = append(part.rows, i)
+	idx := p.scanActIndex(a)
+	for _, pt := range idx.list {
+		p.buildActPart(a, pt)
 	}
-	idx.finish(p.env.Len())
-	for _, part := range idx.list {
-		p.buildActPart(a, part)
-	}
-	p.actIdx[def] = idx
 	return idx
 }
 
-// buildActPart (re)builds one partition's spatial tree from the current
-// environment rows.
-func (p *Indexed) buildActPart(a *ActAnalysis, part *actPart) {
-	xCol, yCol := axisCols(a.Axes)
-	pts := make([]rangetree.Point, len(part.rows))
-	for j, ri := range part.rows {
-		row := p.env.Rows[ri]
-		pts[j] = rangetree.Point{X: axisVal(row, xCol), Y: axisVal(row, yCol)}
+// scanActIndex mirrors scanAggIndex for an area action.
+func (p *Indexed) scanActIndex(a *ActAnalysis) *actIndex {
+	idx := p.spareAct[a.Def]
+	if idx == nil {
+		idx = &actIndex{a: a}
+	} else {
+		delete(p.spareAct, a.Def)
 	}
-	part.rt = rangetree.Build(pts, 0, nil)
+	p.scanMembers(&idx.partIndex, a.EOnlyFn, a.eqCols)
+	p.actIdx[a.Def] = idx
+	return idx
+}
+
+// buildActPart (re)builds one partition's spatial tree, in place, from
+// the current environment rows.
+func (p *Indexed) buildActPart(a *ActAnalysis, pt *part) {
+	if pt.rt == nil {
+		pt.rt = &rangetree.Tree{}
+	}
+	pt.rt.Rebuild(p.partPoints(a.Axes, pt.rows), 0, nil)
 	p.Stats.IndexBuilds++
 }
 

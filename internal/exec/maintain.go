@@ -33,7 +33,6 @@ package exec
 import (
 	"sort"
 
-	"github.com/epicscale/sgl/internal/index/rangetree"
 	"github.com/epicscale/sgl/internal/sgl/expr"
 )
 
@@ -277,14 +276,14 @@ func sortedByFirstRow(keys []string, firstRow func(key string) int) {
 }
 
 func (p *Indexed) maintainAgg(a *AggAnalysis, old *aggIndex, d Delta) *aggIndex {
-	idx := &aggIndex{a: a, parts: make(map[string]*aggPart, len(old.parts))}
+	idx := &aggIndex{a: a, partIndex: partIndex{parts: make(map[string]*part, len(old.parts))}}
 	deps := a.Deps
 	fates, arrivals, departed := p.classifyDirty(
 		d, deps.Member, deps.Shape, deps.Vals, deps.KD, deps.Global,
 		old.rowPart, old.order, a.EOnlyFn, a.eqCols)
 
 	for _, key := range old.order {
-		part := old.parts[key]
+		pt := old.parts[key]
 		f := fates[key]
 		switch {
 		case f == nil:
@@ -292,23 +291,22 @@ func (p *Indexed) maintainAgg(a *AggAnalysis, old *aggIndex, d Delta) *aggIndex 
 			// of unchanged rows, so the whole partition carries over.
 			p.countReuse(a)
 		case f.relabel:
-			rows := mergeMembership(part.rows, arrivals[key], departed)
+			rows := mergeMembership(pt.rows, arrivals[key], departed)
 			delete(arrivals, key)
 			if len(rows) == 0 {
 				continue // partition vanished; drop it like the scan would
 			}
-			part = &aggPart{rows: rows}
-			p.buildAggPart(a, part)
+			pt.rows = rows
+			p.buildAggPart(a, pt)
 		default:
 			// Membership intact: refresh only the invalidated structures.
 			if a.needRT {
 				switch {
 				case f.rtShape:
-					pts, vals := p.aggPartPayload(a, part.rows)
-					part.rt = rangetree.Build(pts, len(a.payload.terms), vals)
+					p.buildAggRT(a, pt)
 					p.Stats.IndexBuilds++
 				case f.rtVals:
-					part.rt.Repatch(p.aggPartVals(a, part.rows))
+					pt.rt.Repatch(p.aggPartVals(a, pt.rows))
 					p.Stats.IndexPatches++
 				default:
 					p.Stats.IndexReuses++
@@ -316,7 +314,7 @@ func (p *Indexed) maintainAgg(a *AggAnalysis, old *aggIndex, d Delta) *aggIndex 
 			}
 			if a.needKD {
 				if f.kd {
-					p.buildAggKD(part)
+					p.buildAggKD(pt)
 					p.Stats.IndexBuilds++
 				} else {
 					p.Stats.IndexReuses++
@@ -324,14 +322,17 @@ func (p *Indexed) maintainAgg(a *AggAnalysis, old *aggIndex, d Delta) *aggIndex 
 			}
 			if a.anyGlobal {
 				if f.global {
-					p.buildAggGlobal(a, part)
+					p.buildAggGlobal(a, pt)
 					p.Stats.IndexBuilds++
 				} else {
 					p.Stats.IndexReuses++
 				}
 			}
+			if a.needSweep && f.rtShape {
+				p.buildSweepOrder(a, pt)
+			}
 		}
-		idx.parts[key] = part
+		idx.parts[key] = pt
 	}
 
 	// Partitions born this tick (arrivals to keys the old index lacked).
@@ -342,9 +343,9 @@ func (p *Indexed) maintainAgg(a *AggAnalysis, old *aggIndex, d Delta) *aggIndex 
 	}
 	sort.Strings(newKeys)
 	for _, key := range newKeys {
-		part := &aggPart{rows: arrivals[key]}
-		p.buildAggPart(a, part)
-		idx.parts[key] = part
+		pt := &part{key: key, rows: arrivals[key]}
+		p.buildAggPart(a, pt)
+		idx.parts[key] = pt
 	}
 
 	idx.order = make([]string, 0, len(idx.parts))
@@ -372,31 +373,31 @@ func (p *Indexed) countReuse(a *AggAnalysis) {
 }
 
 func (p *Indexed) maintainAct(a *ActAnalysis, old *actIndex, d Delta) *actIndex {
-	idx := &actIndex{a: a, parts: make(map[string]*actPart, len(old.parts))}
+	idx := &actIndex{a: a, partIndex: partIndex{parts: make(map[string]*part, len(old.parts))}}
 	fates, arrivals, departed := p.classifyDirty(
 		d, a.Deps.Member, a.Deps.Shape, 0, 0, 0,
 		old.rowPart, old.order, a.EOnlyFn, a.eqCols)
 
 	for _, key := range old.order {
-		part := old.parts[key]
+		pt := old.parts[key]
 		f := fates[key]
 		switch {
 		case f == nil:
 			p.Stats.IndexReuses++
 		case f.relabel:
-			rows := mergeMembership(part.rows, arrivals[key], departed)
+			rows := mergeMembership(pt.rows, arrivals[key], departed)
 			delete(arrivals, key)
 			if len(rows) == 0 {
 				continue
 			}
-			part = &actPart{rows: rows}
-			p.buildActPart(a, part)
+			pt.rows = rows
+			p.buildActPart(a, pt)
 		case f.rtShape:
-			p.buildActPart(a, part)
+			p.buildActPart(a, pt)
 		default:
 			p.Stats.IndexReuses++
 		}
-		idx.parts[key] = part
+		idx.parts[key] = pt
 	}
 
 	newKeys := make([]string, 0, len(arrivals))
@@ -406,9 +407,9 @@ func (p *Indexed) maintainAct(a *ActAnalysis, old *actIndex, d Delta) *actIndex 
 	}
 	sort.Strings(newKeys)
 	for _, key := range newKeys {
-		part := &actPart{rows: arrivals[key]}
-		p.buildActPart(a, part)
-		idx.parts[key] = part
+		pt := &part{key: key, rows: arrivals[key]}
+		p.buildActPart(a, pt)
+		idx.parts[key] = pt
 	}
 
 	idx.order = make([]string, 0, len(idx.parts))

@@ -1,10 +1,13 @@
 package exec
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"github.com/epicscale/sgl/internal/rng"
+	"github.com/epicscale/sgl/internal/sgl/sem"
 	"github.com/epicscale/sgl/internal/table"
 )
 
@@ -135,48 +138,123 @@ func TestMaintainFromMatchesFreshBuild(t *testing.T) {
 			t.Error("expected some structures to be reused")
 		}
 
-		for _, def := range prog.Script.Aggs {
-			args := [][]float64{nil}
-			if len(def.Params) > 1 {
-				args[0] = []float64{8}
-			}
-			units := env.Rows
-			batchFresh := fresh.EvalAggBatch(def, units, repeatArgs(args[0], len(units)))
-			batchMaint := maint.EvalAggBatch(def, units, repeatArgs(args[0], len(units)))
-			for i := range units {
-				pf := fresh.EvalAgg(def, units[i], args[0])
-				pm := maint.EvalAgg(def, units[i], args[0])
-				for c := range pf {
-					if math.Float64bits(pf[c]) != math.Float64bits(pm[c]) {
-						t.Fatalf("seed %d %s unit %d out %d: fresh %v maintained %v",
-							seed, def.Name, i, c, pf[c], pm[c])
-					}
-					if math.Float64bits(batchFresh[i][c]) != math.Float64bits(batchMaint[i][c]) {
-						t.Fatalf("seed %d %s unit %d out %d (batch): fresh %v maintained %v",
-							seed, def.Name, i, c, batchFresh[i][c], batchMaint[i][c])
-					}
+		assertSameAnswers(t, fmt.Sprintf("seed %d maintained", seed), prog, env, fresh, maint)
+	}
+}
+
+// assertSameAnswers probes two providers over the same environment with
+// every aggregate definition (per probe and batched) and every action's
+// target selection, and fails unless they agree bit for bit and row for
+// row. want is the reference.
+func assertSameAnswers(t *testing.T, label string, prog *sem.Program, env *table.Table, want, got *Indexed) {
+	t.Helper()
+	for _, def := range prog.Script.Aggs {
+		var arg []float64
+		if len(def.Params) > 1 {
+			arg = []float64{8}
+		}
+		units := env.Rows
+		batchWant := want.EvalAggBatch(def, units, repeatArgs(arg, len(units)))
+		batchGot := got.EvalAggBatch(def, units, repeatArgs(arg, len(units)))
+		for i := range units {
+			pw := want.EvalAgg(def, units[i], arg)
+			pg := got.EvalAgg(def, units[i], arg)
+			for c := range pw {
+				if math.Float64bits(pw[c]) != math.Float64bits(pg[c]) {
+					t.Fatalf("%s: %s unit %d out %d: want %v, got %v", label, def.Name, i, c, pw[c], pg[c])
+				}
+				if math.Float64bits(batchWant[i][c]) != math.Float64bits(batchGot[i][c]) {
+					t.Fatalf("%s: %s unit %d out %d (batch): want %v, got %v", label, def.Name, i, c, batchWant[i][c], batchGot[i][c])
 				}
 			}
 		}
+	}
+	for _, def := range prog.Script.Acts {
+		for i, unit := range env.Rows {
+			args := make([]float64, len(def.Params)-1)
+			for j := range args {
+				args[j] = float64(i % 7)
+			}
+			var a, b [][]float64
+			want.SelectTargets(def, unit, args, func(row []float64) { a = append(a, row) })
+			got.SelectTargets(def, unit, args, func(row []float64) { b = append(b, row) })
+			if len(a) != len(b) {
+				t.Fatalf("%s: %s unit %d: want %d targets, got %d", label, def.Name, i, len(a), len(b))
+			}
+			for j := range a {
+				if &a[j][0] != &b[j][0] {
+					t.Fatalf("%s: %s unit %d: target %d differs", label, def.Name, i, j)
+				}
+			}
+		}
+	}
+}
 
-		for _, def := range prog.Script.Acts {
+// TestParallelFreezeMatchesSerial is the sharded Freeze's differential: a
+// provider frozen across 1, 2, 4 or 8 build workers must hold the same
+// structures as a serially frozen one — same answers to every probe form,
+// and the same Stats, since the counters are per-partition integers
+// summed after the barrier, whichever worker built what. From the second
+// round on the provider is built the way a tick builds it — into the
+// storage of the previous round's retired provider (Recycle), over
+// mutated rows —
+// so recycled capacity is shown not to leak into results at any worker
+// count either. Forks of the parallel-frozen provider probe concurrently,
+// which is what -race is watching.
+func TestParallelFreezeMatchesSerial(t *testing.T) {
+	prog := compile(t, kitchenSinkScript)
+	an := NewAnalyzer(prog, categoricals())
+	for _, workers := range []int{1, 2, 4, 8} {
+		env := randomArmy(t, 11, 64, 24)
+		var retired *Indexed
+		for round := 0; round < 4; round++ {
+			r := rng.New(11).Tick(int64(round))
+			serial := NewIndexed(an, env, r)
+			serial.Freeze()
+
+			par := NewIndexed(an, env, r)
+			par.Recycle(retired)
+			par.FreezeParallel(workers)
+			label := fmt.Sprintf("workers %d round %d", workers, round)
+			if par.Stats != serial.Stats {
+				t.Fatalf("%s: Stats %+v, serial Freeze %+v", label, par.Stats, serial.Stats)
+			}
+			assertSameAnswers(t, label, prog, env, serial, par)
+
+			// Concurrent forks, as a parallel tick probes them: every fork
+			// sweeps the same shared orderings on its own scratch.
+			var wg sync.WaitGroup
+			swept := make([][][]float64, 4)
+			def := prog.Script.Agg("WeakestEnemyInRange")
+			args := make([][]float64, env.Len())
 			for i, unit := range env.Rows {
-				args := make([]float64, len(def.Params)-1)
-				for j := range args {
-					args[j] = float64(i % 7)
-				}
-				var a, b [][]float64
-				fresh.SelectTargets(def, unit, args, func(row []float64) { a = append(a, row) })
-				maint.SelectTargets(def, unit, args, func(row []float64) { b = append(b, row) })
-				if len(a) != len(b) {
-					t.Fatalf("seed %d %s unit %d: fresh %d targets, maintained %d", seed, def.Name, i, len(a), len(b))
-				}
-				for j := range a {
-					if &a[j][0] != &b[j][0] {
-						t.Fatalf("seed %d %s unit %d: target %d differs", seed, def.Name, i, j)
+				args[i] = []float64{unit[env.Schema.MustCol("range")]}
+			}
+			for w := range swept {
+				wg.Add(1)
+				go func(w int, f *Indexed) {
+					defer wg.Done()
+					swept[w] = f.EvalAggBatch(def, env.Rows, args)
+				}(w, par.Fork())
+			}
+			wg.Wait()
+			want := serial.EvalAggBatch(def, env.Rows, args)
+			for w := range swept {
+				for i := range want {
+					for c := range want[i] {
+						if math.Float64bits(swept[w][i][c]) != math.Float64bits(want[i][c]) {
+							t.Fatalf("%s: fork %d unit %d out %d swept %v, serial %v", label, w, i, c, swept[w][i][c], want[i][c])
+						}
 					}
 				}
 			}
+
+			snap := make([][]float64, env.Len())
+			for i, row := range env.Rows {
+				snap[i] = append([]float64(nil), row...)
+			}
+			mutateRows(env, snap)
+			retired = par
 		}
 	}
 }
@@ -226,4 +304,68 @@ func TestMaintainFromRejectsMismatch(t *testing.T) {
 	if cur.MaintainFrom(prev, Delta{}, 1) {
 		t.Fatal("MaintainFrom should reject mismatched populations")
 	}
+}
+
+// TestRecycleCarriesUnclaimedStorage walks the chain of custody Recycle
+// documents. A serial tick builds lazily, so a definition it never probes
+// leaves its recycled index unclaimed — and the next tick must still find
+// it (tick 2 below rebuilds into tick 0's storage for everything tick 1
+// skipped). After MaintainFrom, Recycle must leave the maintained
+// definitions alone: their partitions are live in the new provider, not
+// spare. At every step the provider answers exactly like a fresh one.
+func TestRecycleCarriesUnclaimedStorage(t *testing.T) {
+	prog := compile(t, kitchenSinkScript)
+	an := NewAnalyzer(prog, categoricals())
+	env := randomArmy(t, 21, 48, 24)
+	fresh := func(tick int64) *Indexed {
+		p := NewIndexed(an, env, rng.New(21).Tick(tick))
+		p.Freeze()
+		return p
+	}
+
+	tick0 := fresh(0)
+	built := len(tick0.aggIdx)
+
+	tick1 := NewIndexed(an, env, rng.New(21).Tick(1))
+	tick1.Recycle(tick0)
+	probed := prog.Script.Agg("CountEnemiesInRange")
+	tick1.EvalAgg(probed, env.Rows[0], []float64{8})
+	if len(tick1.aggIdx) != 1 || len(tick1.spareAgg) != built-1 {
+		t.Fatalf("after one lazy probe: %d indexes built, %d spare; want 1 and %d", len(tick1.aggIdx), len(tick1.spareAgg), built-1)
+	}
+
+	tick2 := NewIndexed(an, env, rng.New(21).Tick(2))
+	tick2.Recycle(tick1)
+	if len(tick2.spareAgg) != built {
+		t.Fatalf("tick 2 inherited %d spare indexes, want all %d (built and unclaimed alike)", len(tick2.spareAgg), built)
+	}
+	tick2.Freeze()
+	if len(tick2.spareAgg) != 0 || len(tick2.spareAct) != 0 {
+		t.Fatalf("Freeze left %d/%d spare indexes unclaimed", len(tick2.spareAgg), len(tick2.spareAct))
+	}
+	assertSameAnswers(t, "tick 2 (recycled)", prog, env, fresh(2), tick2)
+
+	snap := make([][]float64, env.Len())
+	for i, row := range env.Rows {
+		snap[i] = append([]float64(nil), row...)
+	}
+	d := mutateRows(env, snap)
+	tick3 := NewIndexed(an, env, rng.New(21).Tick(3))
+	// A threshold between the definitions' relevant dirty fractions:
+	// some are maintained, the rest fall back to a rebuild.
+	if !tick3.MaintainFrom(tick2, d, 0.15) || tick3.Stats.MaintainFallbacks == 0 {
+		t.Fatalf("want a mix of maintained and fallen-back definitions, got %d maintained, %d fallbacks",
+			len(tick3.aggIdx)+len(tick3.actIdx), tick3.Stats.MaintainFallbacks)
+	}
+	tick3.Recycle(tick2)
+	for def := range tick3.aggIdx {
+		if tick3.spareAgg[def] != nil {
+			t.Fatalf("%s was maintained and is also spare: a rebuild would overwrite live partitions", def.Name)
+		}
+	}
+	if len(tick3.spareAgg) == 0 {
+		t.Fatal("fallen-back definitions left no storage to rebuild into")
+	}
+	tick3.Freeze()
+	assertSameAnswers(t, "tick 3 (maintained + recycled)", prog, env, fresh(3), tick3)
 }

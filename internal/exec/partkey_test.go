@@ -64,7 +64,7 @@ func TestPartitionKeyMatchesFormatter(t *testing.T) {
 	}
 	// A lookup by key must not allocate: the key is built in view scratch
 	// and string(key) as a map index is free.
-	p := &Indexed{keyBuf: make([]byte, 0, 64)}
+	p := &Indexed{scratch: scratch{keyBuf: make([]byte, 0, 64)}}
 	m := map[string]int{string(appendPartitionKey(nil, rows[0], []int{0, 1})): 1}
 	if allocs := testing.AllocsPerRun(100, func() {
 		_ = m[string(p.partitionKey(rows[0], []int{0, 1}))]

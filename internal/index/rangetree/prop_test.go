@@ -3,159 +3,169 @@ package rangetree
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"testing"
 
 	"github.com/epicscale/sgl/internal/geom"
 	"github.com/epicscale/sgl/internal/rng"
 )
 
-// propModel is the brute-force reference: a flat list of live points with
-// payloads, mutated in lockstep with the tree under test.
-type propModel struct {
+// scene is one generated point set: coordinates on a coarse lattice (so
+// duplicates are the rule), salted with ±0 and ±Inf, under a payload that
+// is either small integers — every float sum exact, so the brute-force
+// model must agree whatever the association — or adversarial fractions,
+// where only an identical association reproduces the bits.
+type scene struct {
 	pts   []Point
-	vals  [][]float64
-	live  []bool
 	width int
+	vals  []float64
+	exact bool
 }
 
-func (m *propModel) aggregate(r geom.Rect) []float64 {
-	out := make([]float64, m.width)
-	for i, p := range m.pts {
-		if !m.live[i] || !r.Contains(geom.Point{X: p.X, Y: p.Y}) {
-			continue
+// coord draws one lattice coordinate: mostly 0..11, sometimes a special.
+func coord(next func(n int) int) float64 {
+	switch v := next(20); v {
+	case 0:
+		return math.Copysign(0, -1)
+	case 1:
+		return math.Inf(1)
+	case 2:
+		return math.Inf(-1)
+	default:
+		return float64(v % 12)
+	}
+}
+
+func genScene(n, width int, exact bool, next func(n int) int) scene {
+	sc := scene{pts: make([]Point, n), width: width, vals: make([]float64, n*width), exact: exact}
+	for i := range sc.pts {
+		sc.pts[i] = Point{X: coord(next), Y: coord(next)}
+	}
+	for i := range sc.vals {
+		if exact {
+			sc.vals[i] = float64(next(19) - 9)
+		} else {
+			sc.vals[i] = float64(next(1<<20))/3 - 1e5
 		}
-		for c := 0; c < m.width; c++ {
-			out[c] += m.vals[i][c]
+		if next(16) == 0 {
+			sc.vals[i] = math.Copysign(0, -1)
 		}
 	}
-	return out
+	return sc
 }
 
-func (m *propModel) report(r geom.Rect) []int {
-	var ids []int
-	for i, p := range m.pts {
-		if m.live[i] && r.Contains(geom.Point{X: p.X, Y: p.Y}) {
-			ids = append(ids, i)
+func genRect(next func(n int) int) geom.Rect {
+	r := geom.Rect{MinX: coord(next), MinY: coord(next)}
+	r.MaxX, r.MaxY = r.MinX+float64(next(8)), r.MinY+float64(next(8))
+	if next(6) == 0 {
+		r.MinY, r.MaxY = math.Inf(-1), math.Inf(1)
+	}
+	if next(6) == 0 {
+		r.MinX, r.MaxX = math.Inf(-1), math.Inf(1)
+	}
+	return r
+}
+
+// checkAgainstFreshBuild asserts that tr — however it got its contents —
+// answers every query form exactly like a tree built from nothing over
+// the same scene, and like the brute-force scan.
+func checkAgainstFreshBuild(t testing.TB, tr *Tree, sc scene, next func(n int) int) {
+	t.Helper()
+	fresh := Build(sc.pts, sc.width, sc.vals)
+	if tr.Len() != len(sc.pts) || tr.Width() != sc.width {
+		t.Fatalf("Len/Width = %d/%d, want %d/%d", tr.Len(), tr.Width(), len(sc.pts), sc.width)
+	}
+	sameBits := func(what string, r geom.Rect, got, want []float64) {
+		t.Helper()
+		for c := range want {
+			if math.Float64bits(got[c]) != math.Float64bits(want[c]) {
+				t.Fatalf("n=%d width=%d %s(%+v)[%d] = %v, fresh Build says %v", len(sc.pts), sc.width, what, r, c, got[c], want[c])
+			}
 		}
 	}
-	return ids
+	for probe := 0; probe < 24; probe++ {
+		r := genRect(next)
+		got, want := make([]float64, sc.width), make([]float64, sc.width)
+		tr.Aggregate(r, got)
+		fresh.Aggregate(r, want)
+		sameBits("Aggregate", r, got, want)
+		if sc.exact {
+			for c, b := range bruteAggregate(sc.pts, sc.vals, sc.width, r) {
+				if got[c] != b {
+					t.Fatalf("n=%d Aggregate(%+v)[%d] = %v, brute force says %v", len(sc.pts), r, c, got[c], b)
+				}
+			}
+		}
+		got, want = make([]float64, sc.width), make([]float64, sc.width)
+		tr.AggregateNoCascade(r, got)
+		fresh.AggregateNoCascade(r, want)
+		sameBits("AggregateNoCascade", r, got, want)
+
+		var ids, freshIDs, brute []int
+		tr.Report(r, func(i int) { ids = append(ids, i) })
+		fresh.Report(r, func(i int) { freshIDs = append(freshIDs, i) })
+		if !slices.Equal(ids, freshIDs) {
+			t.Fatalf("n=%d Report(%+v) = %v, fresh Build reports %v", len(sc.pts), r, ids, freshIDs)
+		}
+		for i, p := range sc.pts {
+			if r.Contains(geom.Point{X: p.X, Y: p.Y}) {
+				brute = append(brute, i)
+			}
+		}
+		slices.Sort(ids)
+		if !slices.Equal(ids, brute) {
+			t.Fatalf("n=%d Report(%+v) = %v, brute force says %v", len(sc.pts), r, ids, brute)
+		}
+		if cnt := tr.Count(r); cnt != len(brute) {
+			t.Fatalf("n=%d Count(%+v) = %d, want %d", len(sc.pts), r, cnt, len(brute))
+		}
+	}
 }
 
-// TestDynamicOpsAgainstModel drives random Insert/Remove/Patch
-// interleavings against the brute-force model and cross-checks Aggregate,
-// AggregateNoCascade, Count and Report after every operation batch.
-// Payloads are small integers so float sums are exact regardless of
-// association. Each seed is its own subtest, so a failure names the seed
-// to replay (`-run 'DynamicOps/seed=42'`).
-func TestDynamicOpsAgainstModel(t *testing.T) {
-	const width = 2
+// TestRebuildMatchesFreshBuild drives one Tree through a random walk of
+// populations — growing, shrinking, empty, single, powers of two and not,
+// payload widths 0..4 — and checks after every Rebuild that nothing of the
+// previous contents (stale slab tails, old bridges, spare slots) shows
+// through. Each seed is its own subtest (`-run 'Rebuild/seed=7'`).
+func TestRebuildMatchesFreshBuild(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 42, 99, 1234} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			st := rng.NewStream(rng.New(seed), 11)
-			n := 20 + st.Intn(40)
-			m := &propModel{width: width}
-			var vals []float64
-			var pts []Point
-			for i := 0; i < n; i++ {
-				p := Point{X: float64(st.Intn(30)), Y: float64(st.Intn(30))}
-				v := []float64{1, float64(st.Intn(9))}
-				pts = append(pts, p)
-				vals = append(vals, v...)
-				m.pts = append(m.pts, p)
-				m.vals = append(m.vals, v)
-				m.live = append(m.live, true)
-			}
-			tr := Build(pts, width, vals)
-
-			check := func(op int) {
-				t.Helper()
-				for probe := 0; probe < 8; probe++ {
-					r := geom.RectAround(geom.Point{
-						X: float64(st.Intn(30)), Y: float64(st.Intn(30)),
-					}, float64(1+st.Intn(12)))
-					want := m.aggregate(r)
-					got := make([]float64, width)
-					tr.Aggregate(r, got)
-					for c := range want {
-						if want[c] != got[c] {
-							t.Fatalf("op %d: Aggregate[%d] = %v, want %v (rect %+v)", op, c, got[c], want[c], r)
-						}
-					}
-					got2 := make([]float64, width)
-					tr.AggregateNoCascade(r, got2)
-					for c := range want {
-						if want[c] != got2[c] {
-							t.Fatalf("op %d: AggregateNoCascade[%d] = %v, want %v", op, c, got2[c], want[c])
-						}
-					}
-					wantIDs := m.report(r)
-					if cnt := tr.Count(r); cnt != len(wantIDs) {
-						t.Fatalf("op %d: Count = %d, want %d", op, cnt, len(wantIDs))
-					}
-					var gotIDs []int
-					tr.Report(r, func(i int) { gotIDs = append(gotIDs, i) })
-					sort.Ints(gotIDs)
-					if len(gotIDs) != len(wantIDs) {
-						t.Fatalf("op %d: Report %v, want %v", op, gotIDs, wantIDs)
-					}
-					for j := range gotIDs {
-						if gotIDs[j] != wantIDs[j] {
-							t.Fatalf("op %d: Report %v, want %v", op, gotIDs, wantIDs)
-						}
-					}
+			tr := &Tree{}
+			sizes := []int{0, 1, 2, 3, 64, 65, 5, 127, 128, 1, 0, 33}
+			for step := 0; step < 60; step++ {
+				n := st.Intn(90)
+				if step < len(sizes) {
+					n = sizes[step]
 				}
-			}
-
-			check(-1)
-			liveIDs := func() []int {
-				var ids []int
-				for i, l := range m.live {
-					if l {
-						ids = append(ids, i)
-					}
-				}
-				return ids
-			}
-			for op := 0; op < 60; op++ {
-				switch st.Intn(3) {
-				case 0: // insert
-					p := Point{X: float64(st.Intn(40)) - 5, Y: float64(st.Intn(40)) - 5}
-					v := []float64{1, float64(st.Intn(9))}
-					id := tr.Insert(p, v)
-					if id != len(m.pts) {
-						t.Fatalf("op %d: Insert id = %d, want %d", op, id, len(m.pts))
-					}
-					m.pts = append(m.pts, p)
-					m.vals = append(m.vals, v)
-					m.live = append(m.live, true)
-				case 1: // remove
-					ids := liveIDs()
-					if len(ids) == 0 {
-						continue
-					}
-					i := ids[st.Intn(len(ids))]
-					if !tr.Remove(i) {
-						t.Fatalf("op %d: Remove(%d) said already removed", op, i)
-					}
-					if tr.Remove(i) {
-						t.Fatalf("op %d: double Remove(%d) said live", op, i)
-					}
-					m.live[i] = false
-				case 2: // patch payload
-					ids := liveIDs()
-					if len(ids) == 0 {
-						continue
-					}
-					i := ids[st.Intn(len(ids))]
-					v := []float64{1, float64(st.Intn(9))}
-					tr.Patch(i, v)
-					copy(m.vals[i], v)
-				}
-				check(op)
+				sc := genScene(n, st.Intn(5), st.Intn(2) == 0, st.Intn)
+				tr.Rebuild(sc.pts, sc.width, sc.vals)
+				checkAgainstFreshBuild(t, tr, sc, st.Intn)
 			}
 		})
 	}
+}
+
+// FuzzRebuildMatchesBuild is the same property with the fuzzer choosing
+// the walk: every byte pair of the input is one (size, width) step, the
+// rest of the scene comes from a stream seeded by the input.
+func FuzzRebuildMatchesBuild(f *testing.F) {
+	f.Add(uint64(1), []byte{0, 0, 1, 1, 2, 2, 3, 3})
+	f.Add(uint64(2), []byte{200, 4, 3, 0, 255, 1, 0, 2, 16, 3, 17, 4})
+	f.Add(uint64(3), []byte{64, 1, 63, 1, 65, 1, 128, 2, 127, 2})
+	f.Add(uint64(4), []byte{9, 3})
+	f.Fuzz(func(t *testing.T, seed uint64, walk []byte) {
+		if len(walk) > 64 {
+			walk = walk[:64]
+		}
+		st := rng.NewStream(rng.New(seed), 13)
+		tr := &Tree{}
+		for i := 0; i+1 < len(walk); i += 2 {
+			sc := genScene(int(walk[i]), int(walk[i+1])%5, walk[i+1]&0x80 == 0, st.Intn)
+			tr.Rebuild(sc.pts, sc.width, sc.vals)
+			checkAgainstFreshBuild(t, tr, sc, st.Intn)
+		}
+	})
 }
 
 // Repatch must be bit-identical to a fresh Build over the same points

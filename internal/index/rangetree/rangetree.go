@@ -18,16 +18,22 @@
 // O(n log n) probes-for-all-units per tick as the paper claims. Both query
 // paths are exposed so the benefit is benchmarkable (ablation A1/A5).
 //
-// The tree is static: it is rebuilt from scratch each tick, which the paper
-// argues is cheaper than dynamic maintenance for rapidly changing attributes
-// such as position ("we discard the index and build a new one from scratch").
-// Layering by low-volatility categorical attributes (player, unit type) is
-// done above this package by building one tree per partition, exactly like
-// the paper's "6 range trees — one for each player/unit type combination".
+// The tree's shape is fixed by a build: positions change only through a
+// rebuild, which the paper argues is cheaper than dynamic maintenance for
+// rapidly changing attributes ("we discard the index and build a new one
+// from scratch"). What makes that affordable every tick is the layout —
+// no node objects, one slab per component with the nodes of a level side
+// by side — and Rebuild, which overwrites a tree's slabs in place, so a
+// steady population rebuilds without allocating. Payloads alone can be
+// replaced in place by Repatch. Layering by low-volatility categorical
+// attributes (player, unit type) is done above this package by building
+// one tree per partition, exactly like the paper's "6 range trees — one
+// for each player/unit type combination".
 package rangetree
 
 import (
-	"sort"
+	"math/bits"
+	"slices"
 
 	"github.com/epicscale/sgl/internal/geom"
 )
@@ -38,229 +44,288 @@ type Point struct {
 	X, Y float64
 }
 
-type node struct {
-	left, right *node
-	lo, hi      int       // x-rank interval [lo, hi) this node covers
-	ys          []float64 // y values of covered points, ascending
-	ids         []int32   // original point index per y-position
-	prefix      []float64 // (len(ys)+1) * width prefix aggregates
-	bl, br      []int32   // fractional-cascading bridges into children
-}
-
-// Tree is a layered range tree. Build one per tick per categorical
-// partition; it is safe for concurrent reads. Between rebuilds the tree
-// also absorbs small updates: Repatch recomputes every prefix aggregate
-// in place (bit-identical to a fresh Build when positions are unchanged),
-// Patch updates one point's payload, Remove tombstones a point, and
-// Insert adds "young" points held in a side buffer that queries scan
-// linearly. None of the mutating methods are safe for concurrent use.
+// Tree is a layered range tree in a level-major flat layout. The node at
+// level d (root = 0) that is the k-th of its level and covers the x-ranks
+// [lo, hi) owns slots off .. off+(hi−lo) of every slab, where
+// off = d·n + 2^d − 1 + lo + k: each level is the n points plus one spare
+// slot per node, because bridges and prefix aggregates have one more entry
+// than the node has points. A node splits at (lo+hi)/2 into the nodes
+// 2k and 2k+1 of the next level; a node of one point is a leaf.
+//
+// A Tree is safe for concurrent reads. Rebuild and Repatch overwrite it
+// and need exclusive access.
 type Tree struct {
-	root  *node
-	xs    []float64 // x values in sorted order (rank → x)
-	width int
-
-	// Dynamic-maintenance state, materialized lazily on first mutation so
-	// the rebuild-every-tick path pays nothing for it. nBuilt is the
-	// number of points Build saw (xs is shared post-build state).
-	nBuilt   int
-	vals     []float64 // flattened payloads, indexed like Build's input
-	rankOf   []int32   // original point index → x-rank
-	removed  []bool    // tombstones (payload already zeroed), nil until used
-	nRemoved int
-	young    []youngPoint // points inserted since Build
+	n, width int
+	xs       []float64 // x-rank → x
+	order    []int32   // x-rank → point index
+	ys       []float64 // per node: y values of covered points, ascending
+	ids      []int32   // per node: original point index per y-position
+	bl, br   []int32   // per node: fractional-cascading bridges into the children (size+1 entries)
+	prefix   []float64 // per node: (size+1)·width prefix aggregates
 }
 
-// youngPoint is a point added after Build; ids continue past the built
-// points' indexes.
-type youngPoint struct {
-	pt      Point
-	vals    []float64
-	removed bool
+// node names one tree node: its level, its ordinal within the level and
+// the x-rank interval it covers.
+type node struct{ d, k, lo, hi int }
+
+func (nd node) size() int { return nd.hi - nd.lo }
+
+func (nd node) children() (node, node) {
+	mid := (nd.lo + nd.hi) / 2
+	return node{nd.d + 1, 2 * nd.k, nd.lo, mid}, node{nd.d + 1, 2*nd.k + 1, mid, nd.hi}
 }
 
-// Build constructs the tree over pts with a payload of `width` float64
-// values per point, flattened in vals (len(vals) == len(pts)*width, point
-// i owning vals[i*width : (i+1)*width]). Payloads are combined by addition;
-// a payload column of all 1s yields COUNT, a column of e.posx yields
-// SUM(posx), and so on. Build is O(n log n).
+// off is nd's first slot in every slab.
+func (t *Tree) off(nd node) int { return nd.d*t.n + 1<<nd.d - 1 + nd.lo + nd.k }
+
+func (t *Tree) root() node { return node{hi: t.n} }
+
+// Build constructs a new tree; see Rebuild.
 func Build(pts []Point, width int, vals []float64) *Tree {
+	t := &Tree{}
+	t.Rebuild(pts, width, vals)
+	return t
+}
+
+// Rebuild makes t the tree over pts with a payload of `width` float64
+// values per point, flattened in vals (len(vals) == len(pts)*width, point
+// i owning vals[i*width : (i+1)*width]), discarding whatever t held.
+// Payloads are combined by addition; a payload column of all 1s yields
+// COUNT, a column of e.posx yields SUM(posx), and so on.
+//
+// Rebuild is O(n log n) and reuses t's slabs whenever their capacity
+// suffices, so rebuilding a tree over a population of steady size
+// allocates nothing. Neither pts nor vals is retained. The result is a
+// pure function of the arguments: a rebuilt tree answers every query
+// bit-identically to a fresh Build, whatever t held before.
+func (t *Tree) Rebuild(pts []Point, width int, vals []float64) {
 	if width < 0 {
 		panic("rangetree: negative width")
 	}
 	if len(vals) != len(pts)*width {
 		panic("rangetree: vals length does not match points*width")
 	}
-	t := &Tree{width: width}
 	n := len(pts)
+	t.n, t.width = n, width
 	if n == 0 {
-		return t
-	}
-	// Sort point indexes by x; ties by y then index for determinism.
-	order := make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.Slice(order, func(a, b int) bool {
-		pa, pb := pts[order[a]], pts[order[b]]
-		if pa.X != pb.X {
-			return pa.X < pb.X
-		}
-		if pa.Y != pb.Y {
-			return pa.Y < pb.Y
-		}
-		return order[a] < order[b]
-	})
-	t.xs = make([]float64, n)
-	for r, id := range order {
-		t.xs[r] = pts[id].X
-	}
-	t.nBuilt = n
-	t.root = t.build(pts, vals, order, 0, n)
-	return t
-}
-
-// ensureDynamic materializes the per-point rank map and payload copy the
-// mutating APIs need, reconstructing both from the leaves (a leaf's
-// x-rank is its lo, its payload is prefix[width:2·width]) so Build stays
-// allocation-free for the rebuild-every-tick path.
-func (t *Tree) ensureDynamic() {
-	if t.rankOf != nil || t.root == nil {
 		return
 	}
-	t.rankOf = make([]int32, t.nBuilt)
-	t.vals = make([]float64, t.nBuilt*t.width)
-	var walk func(nd *node)
-	walk = func(nd *node) {
-		if nd.left != nil {
-			walk(nd.left)
-			walk(nd.right)
-			return
-		}
-		id := nd.ids[0]
-		t.rankOf[id] = int32(nd.lo)
-		copy(t.vals[int(id)*t.width:(int(id)+1)*t.width], nd.prefix[t.width:])
+	levels := bits.Len(uint(n-1)) + 1
+	slots := levels*n + 1<<levels - 1
+	t.xs, t.order = resize(t.xs, n), resize(t.order, n)
+	t.ys, t.ids = resize(t.ys, slots), resize(t.ids, slots)
+	t.bl, t.br = resize(t.bl, slots), resize(t.br, slots)
+	t.prefix = resize(t.prefix, slots*width)
+
+	// Sort point indexes by x; ties by y then index, so the order is total.
+	for i := range t.order {
+		t.order[i] = int32(i)
 	}
-	walk(t.root)
+	slices.SortFunc(t.order, func(a, b int32) int {
+		pa, pb := pts[a], pts[b]
+		if c := cmpFloat(pa.X, pb.X); c != 0 {
+			return c
+		}
+		if c := cmpFloat(pa.Y, pb.Y); c != 0 {
+			return c
+		}
+		return int(a - b)
+	})
+	for r, id := range t.order {
+		t.xs[r] = pts[id].X
+	}
+	t.build(pts, vals, t.root())
 }
 
-// build constructs the subtree over x-ranks [lo, hi), returning a node
-// whose y-list is the merge of its children's (mergesort over y, computing
-// cascading bridges in the same pass).
-func (t *Tree) build(pts []Point, vals []float64, order []int32, lo, hi int) *node {
-	nd := &node{lo: lo, hi: hi}
-	if hi-lo == 1 {
-		id := order[lo]
-		nd.ys = []float64{pts[id].Y}
-		nd.ids = []int32{id}
-		nd.prefix = make([]float64, 2*t.width)
-		copy(nd.prefix[t.width:], vals[int(id)*t.width:(int(id)+1)*t.width])
-		return nd
+// resize returns s with length n, reallocating (with headroom, so a
+// slowly growing population does not reallocate every rebuild) only when
+// the capacity is short. The contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, n+n/4)
 	}
-	mid := (lo + hi) / 2
-	l := t.build(pts, vals, order, lo, mid)
-	r := t.build(pts, vals, order, mid, hi)
-	nd.left, nd.right = l, r
+	return s[:n]
+}
 
-	nl, nr := len(l.ys), len(r.ys)
-	nd.ys = make([]float64, 0, nl+nr)
-	nd.ids = make([]int32, 0, nl+nr)
-	i, j := 0, 0
-	for i < nl || j < nr {
-		takeLeft := j >= nr || (i < nl && (l.ys[i] < r.ys[j] || (l.ys[i] == r.ys[j] && l.ids[i] <= r.ids[j])))
-		if takeLeft {
-			nd.ys = append(nd.ys, l.ys[i])
-			nd.ids = append(nd.ids, l.ids[i])
+func cmpFloat(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
+}
+
+// build fills the subtree under nd bottom-up: a node's y-list is the
+// stable merge of its children's (mergesort over y, ties by point index),
+// its bridges come from a monotone two-pointer walk over the same lists,
+// and its prefix aggregates are summed left to right over the merged
+// order.
+func (t *Tree) build(pts []Point, vals []float64, nd node) {
+	off, size := t.off(nd), nd.size()
+	if size == 1 {
+		id := t.order[nd.lo]
+		t.ys[off], t.ids[off] = pts[id].Y, id
+		t.fillPrefix(vals, off, 1)
+		return
+	}
+	l, r := nd.children()
+	t.build(pts, vals, l)
+	t.build(pts, vals, r)
+
+	nl, nr := l.size(), r.size()
+	lo, ro := t.off(l), t.off(r)
+	lys, lids := t.ys[lo:lo+nl], t.ids[lo:lo+nl]
+	rys, rids := t.ys[ro:ro+nr], t.ids[ro:ro+nr]
+	ys, ids := t.ys[off:off+size], t.ids[off:off+size]
+	// bl[p] = lowerBound(lys, ys[p]), likewise br; the spare last entry
+	// holds the child's size.
+	bl, br := t.bl[off:off+size+1], t.br[off:off+size+1]
+	i, j, li, ri := 0, 0, 0, 0
+	for p := range ys {
+		if j >= nr || (i < nl && (lys[i] < rys[j] || (lys[i] == rys[j] && lids[i] <= rids[j]))) {
+			ys[p], ids[p] = lys[i], lids[i]
 			i++
 		} else {
-			nd.ys = append(nd.ys, r.ys[j])
-			nd.ids = append(nd.ids, r.ids[j])
+			ys[p], ids[p] = rys[j], rids[j]
 			j++
 		}
-	}
-
-	// Prefix aggregates over the merged y-order.
-	w := t.width
-	nd.prefix = make([]float64, (len(nd.ys)+1)*w)
-	for p, id := range nd.ids {
-		base, prev := (p+1)*w, p*w
-		vbase := int(id) * w
-		for c := 0; c < w; c++ {
-			nd.prefix[base+c] = nd.prefix[prev+c] + vals[vbase+c]
-		}
-	}
-
-	// Bridges: bl[p] = lowerBound(l.ys, nd.ys[p]); computed by a monotone
-	// two-pointer walk since nd.ys is sorted. bl[len] = len(l.ys).
-	nd.bl = make([]int32, len(nd.ys)+1)
-	nd.br = make([]int32, len(nd.ys)+1)
-	li, ri := 0, 0
-	for p, y := range nd.ys {
-		for li < nl && l.ys[li] < y {
+		y := ys[p]
+		for li < nl && lys[li] < y {
 			li++
 		}
-		for ri < nr && r.ys[ri] < y {
+		for ri < nr && rys[ri] < y {
 			ri++
 		}
-		nd.bl[p], nd.br[p] = int32(li), int32(ri)
+		bl[p], br[p] = int32(li), int32(ri)
 	}
-	nd.bl[len(nd.ys)], nd.br[len(nd.ys)] = int32(nl), int32(nr)
-	return nd
+	bl[size], br[size] = int32(nl), int32(nr)
+	t.fillPrefix(vals, off, size)
+}
+
+// fillPrefix recomputes the prefix aggregates of the node at off from the
+// payloads, left to right over its y-order — the one association every
+// build and repatch uses, which is what makes them bit-identical.
+func (t *Tree) fillPrefix(vals []float64, off, size int) {
+	w := t.width
+	prefix := t.prefix[off*w : (off+size+1)*w]
+	clear(prefix[:w])
+	for p, id := range t.ids[off : off+size] {
+		base, vbase := (p+1)*w, int(id)*w
+		for c := 0; c < w; c++ {
+			prefix[base+c] = prefix[base-w+c] + vals[vbase+c]
+		}
+	}
+}
+
+// Repatch replaces every point's payload and recomputes all prefix
+// aggregates in place: O(n log n) additions, no sorting, no allocation.
+// vals is indexed exactly like Rebuild's. The resulting tree answers every
+// query bit-identically to a Build over the same points with the new
+// payloads.
+func (t *Tree) Repatch(vals []float64) {
+	if len(vals) != t.n*t.width {
+		panic("rangetree: Repatch vals length mismatch")
+	}
+	if t.n > 0 {
+		t.repatch(vals, t.root())
+	}
+}
+
+func (t *Tree) repatch(vals []float64, nd node) {
+	t.fillPrefix(vals, t.off(nd), nd.size())
+	if nd.size() > 1 {
+		l, r := nd.children()
+		t.repatch(vals, l)
+		t.repatch(vals, r)
+	}
 }
 
 // Len returns the number of indexed points.
-func (t *Tree) Len() int { return len(t.xs) }
+func (t *Tree) Len() int { return t.n }
 
 // Width returns the payload width.
 func (t *Tree) Width() int { return t.width }
 
 func lowerBound(a []float64, v float64) int {
-	return sort.Search(len(a), func(i int) bool { return a[i] >= v })
+	lo, hi := 0, len(a)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); !(a[m] >= v) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 func upperBound(a []float64, v float64) int {
-	return sort.Search(len(a), func(i int) bool { return a[i] > v })
+	lo, hi := 0, len(a)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); !(a[m] > v) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// probe is one query's x-rank interval and, for the visiting queries,
+// where its results go.
+type probe struct {
+	xlo, xhi int
+	out      []float64
+	fn       func(i int)
+}
+
+// locate resolves r to the x-rank interval it spans and its y-position
+// interval in the root's list; either comes back empty when nothing can
+// match.
+func (t *Tree) locate(r geom.Rect) (q probe, plo, phi int) {
+	if t.n == 0 || r.Empty() {
+		return q, 0, 0
+	}
+	q.xlo, q.xhi = lowerBound(t.xs, r.MinX), upperBound(t.xs, r.MaxX)
+	if q.xlo >= q.xhi {
+		return q, 0, 0
+	}
+	rootYs := t.ys[:t.n]
+	return q, lowerBound(rootYs, r.MinY), upperBound(rootYs, r.MaxY)
 }
 
 // Aggregate adds the payload sum over all points inside r (boundary
 // inclusive) into out, which must have length Width(). This is the
-// fractional-cascading fast path: O(log n), plus a linear scan over any
-// young points added since Build.
+// fractional-cascading fast path: O(log n).
 func (t *Tree) Aggregate(r geom.Rect, out []float64) {
 	if len(out) != t.width {
 		panic("rangetree: out width mismatch")
 	}
-	if r.Empty() {
-		return
-	}
-	if t.root != nil {
-		xlo, xhi := lowerBound(t.xs, r.MinX), upperBound(t.xs, r.MaxX)
-		if xlo < xhi {
-			plo, phi := lowerBound(t.root.ys, r.MinY), upperBound(t.root.ys, r.MaxY)
-			if plo < phi {
-				t.aggCascade(t.root, xlo, xhi, plo, phi, out)
-			}
-		}
-	}
-	t.aggYoung(r, out)
+	q, plo, phi := t.locate(r)
+	q.out = out
+	t.aggCascade(&q, t.root(), plo, phi)
 }
 
-func (t *Tree) aggCascade(nd *node, xlo, xhi, plo, phi int, out []float64) {
-	if plo >= phi || xlo >= nd.hi || xhi <= nd.lo {
+func (t *Tree) aggCascade(q *probe, nd node, plo, phi int) {
+	if plo >= phi || q.xlo >= nd.hi || q.xhi <= nd.lo {
 		return
 	}
-	if xlo <= nd.lo && nd.hi <= xhi {
+	off := t.off(nd)
+	if q.xlo <= nd.lo && nd.hi <= q.xhi {
 		w := t.width
-		hiBase, loBase := phi*w, plo*w
-		for c := 0; c < w; c++ {
-			out[c] += nd.prefix[hiBase+c] - nd.prefix[loBase+c]
+		hiBase, loBase := (off+phi)*w, (off+plo)*w
+		for c := range q.out {
+			q.out[c] += t.prefix[hiBase+c] - t.prefix[loBase+c]
 		}
 		return
 	}
-	if nd.left == nil {
+	if nd.size() == 1 {
 		return
 	}
-	t.aggCascade(nd.left, xlo, xhi, int(nd.bl[plo]), int(nd.bl[phi]), out)
-	t.aggCascade(nd.right, xlo, xhi, int(nd.br[plo]), int(nd.br[phi]), out)
+	l, r := nd.children()
+	t.aggCascade(q, l, int(t.bl[off+plo]), int(t.bl[off+phi]))
+	t.aggCascade(q, r, int(t.br[off+plo]), int(t.br[off+phi]))
 }
 
 // AggregateNoCascade is Aggregate without fractional cascading: each
@@ -270,277 +335,74 @@ func (t *Tree) AggregateNoCascade(r geom.Rect, out []float64) {
 	if len(out) != t.width {
 		panic("rangetree: out width mismatch")
 	}
-	if r.Empty() {
-		return
-	}
-	if t.root != nil {
-		xlo, xhi := lowerBound(t.xs, r.MinX), upperBound(t.xs, r.MaxX)
-		if xlo < xhi {
-			t.aggSearch(t.root, xlo, xhi, r.MinY, r.MaxY, out)
-		}
-	}
-	t.aggYoung(r, out)
+	q, _, _ := t.locate(r)
+	q.out = out
+	t.aggSearch(&q, t.root(), r.MinY, r.MaxY)
 }
 
-func (t *Tree) aggSearch(nd *node, xlo, xhi int, ymin, ymax float64, out []float64) {
-	if xlo >= nd.hi || xhi <= nd.lo {
+func (t *Tree) aggSearch(q *probe, nd node, ymin, ymax float64) {
+	if q.xlo >= nd.hi || q.xhi <= nd.lo {
 		return
 	}
-	if xlo <= nd.lo && nd.hi <= xhi {
-		plo, phi := lowerBound(nd.ys, ymin), upperBound(nd.ys, ymax)
+	if q.xlo <= nd.lo && nd.hi <= q.xhi {
+		off := t.off(nd)
+		ys := t.ys[off : off+nd.size()]
+		plo, phi := lowerBound(ys, ymin), upperBound(ys, ymax)
 		if plo >= phi {
 			return
 		}
 		w := t.width
-		hiBase, loBase := phi*w, plo*w
-		for c := 0; c < w; c++ {
-			out[c] += nd.prefix[hiBase+c] - nd.prefix[loBase+c]
+		hiBase, loBase := (off+phi)*w, (off+plo)*w
+		for c := range q.out {
+			q.out[c] += t.prefix[hiBase+c] - t.prefix[loBase+c]
 		}
 		return
 	}
-	if nd.left == nil {
+	if nd.size() == 1 {
 		return
 	}
-	t.aggSearch(nd.left, xlo, xhi, ymin, ymax, out)
-	t.aggSearch(nd.right, xlo, xhi, ymin, ymax, out)
+	l, r := nd.children()
+	t.aggSearch(q, l, ymin, ymax)
+	t.aggSearch(q, r, ymin, ymax)
 }
 
 // Report calls fn with the original index of every point inside r, in
-// canonical-node order (young points follow, in insertion order, with
-// removed points skipped). This is the classic O(log n + k) layered range
+// canonical-node order. This is the classic O(log n + k) layered range
 // tree enumeration, used when a plan genuinely needs the qualifying rows
 // rather than an aggregate over them.
 func (t *Tree) Report(r geom.Rect, fn func(i int)) {
-	if r.Empty() {
-		return
-	}
-	if t.root != nil {
-		xlo, xhi := lowerBound(t.xs, r.MinX), upperBound(t.xs, r.MaxX)
-		if xlo < xhi {
-			plo, phi := lowerBound(t.root.ys, r.MinY), upperBound(t.root.ys, r.MaxY)
-			if plo < phi {
-				t.report(t.root, xlo, xhi, plo, phi, fn)
-			}
-		}
-	}
-	for j := range t.young {
-		yp := &t.young[j]
-		if !yp.removed && r.Contains(geom.Point{X: yp.pt.X, Y: yp.pt.Y}) {
-			fn(t.nBuilt + j)
-		}
-	}
-}
-
-func (t *Tree) report(nd *node, xlo, xhi, plo, phi int, fn func(i int)) {
-	if plo >= phi || xlo >= nd.hi || xhi <= nd.lo {
-		return
-	}
-	if xlo <= nd.lo && nd.hi <= xhi {
-		for _, id := range nd.ids[plo:phi] {
-			if t.removed != nil && t.removed[id] {
-				continue
-			}
-			fn(int(id))
-		}
-		return
-	}
-	if nd.left == nil {
-		return
-	}
-	t.report(nd.left, xlo, xhi, int(nd.bl[plo]), int(nd.bl[phi]), fn)
-	t.report(nd.right, xlo, xhi, int(nd.br[plo]), int(nd.br[phi]), fn)
+	q, plo, phi := t.locate(r)
+	q.fn = fn
+	t.report(&q, t.root(), plo, phi)
 }
 
 // Count returns the number of points inside r without needing a payload
 // column: it reuses Report's canonical decomposition but sums interval
-// lengths instead of visiting points, so it is O(log n). With tombstones
-// or young points present it falls back to enumeration.
+// lengths instead of visiting points, so it is O(log n).
 func (t *Tree) Count(r geom.Rect) int {
-	if t.nRemoved > 0 || len(t.young) > 0 {
-		n := 0
-		t.Report(r, func(int) { n++ })
-		return n
-	}
-	if t.root == nil || r.Empty() {
-		return 0
-	}
-	xlo, xhi := lowerBound(t.xs, r.MinX), upperBound(t.xs, r.MaxX)
-	if xlo >= xhi {
-		return 0
-	}
-	plo, phi := lowerBound(t.root.ys, r.MinY), upperBound(t.root.ys, r.MaxY)
-	if plo >= phi {
-		return 0
-	}
-	return t.count(t.root, xlo, xhi, plo, phi)
+	q, plo, phi := t.locate(r)
+	return t.report(&q, t.root(), plo, phi)
 }
 
-func (t *Tree) count(nd *node, xlo, xhi, plo, phi int) int {
-	if plo >= phi || xlo >= nd.hi || xhi <= nd.lo {
+// report visits (when q.fn is set) and counts the points of the canonical
+// nodes under nd.
+func (t *Tree) report(q *probe, nd node, plo, phi int) int {
+	if plo >= phi || q.xlo >= nd.hi || q.xhi <= nd.lo {
 		return 0
 	}
-	if xlo <= nd.lo && nd.hi <= xhi {
+	off := t.off(nd)
+	if q.xlo <= nd.lo && nd.hi <= q.xhi {
+		if q.fn != nil {
+			for _, id := range t.ids[off+plo : off+phi] {
+				q.fn(int(id))
+			}
+		}
 		return phi - plo
 	}
-	if nd.left == nil {
+	if nd.size() == 1 {
 		return 0
 	}
-	return t.count(nd.left, xlo, xhi, int(nd.bl[plo]), int(nd.bl[phi])) +
-		t.count(nd.right, xlo, xhi, int(nd.br[plo]), int(nd.br[phi]))
+	l, r := nd.children()
+	return t.report(q, l, int(t.bl[off+plo]), int(t.bl[off+phi])) +
+		t.report(q, r, int(t.br[off+plo]), int(t.br[off+phi]))
 }
-
-// ---------------------------------------------------------------------------
-// Incremental maintenance
-//
-// The paper's trees are rebuilt from scratch each tick; the APIs below
-// let a caller amortize that cost when only part of the point set
-// changed. Repatch is the exact one: with unchanged positions it
-// reproduces a fresh Build bit for bit, because the prefix aggregates are
-// recomputed with the same left-to-right association over the same
-// y-order. Patch/Remove/Insert are the general dynamic operations; they
-// preserve query *values* (sums may associate differently, and young
-// points are enumerated after canonical nodes), so use them where value
-// equality — not bit equality with a rebuild — is the contract.
-
-// aggYoung folds the young points inside r into out.
-func (t *Tree) aggYoung(r geom.Rect, out []float64) {
-	for j := range t.young {
-		yp := &t.young[j]
-		if yp.removed || !r.Contains(geom.Point{X: yp.pt.X, Y: yp.pt.Y}) {
-			continue
-		}
-		for c := 0; c < t.width; c++ {
-			out[c] += yp.vals[c]
-		}
-	}
-}
-
-// Repatch replaces every built point's payload and recomputes all prefix
-// aggregates in place: O(n log n) additions, no sorting, no allocation.
-// vals is indexed exactly like Build's (point i owns
-// vals[i*width:(i+1)*width]). The resulting tree answers every query
-// bit-identically to Build over the same points with the new payloads.
-// Repatch requires that no Insert or Remove has occurred since Build.
-func (t *Tree) Repatch(vals []float64) {
-	if len(vals) != t.nBuilt*t.width {
-		panic("rangetree: Repatch vals length mismatch")
-	}
-	if t.nRemoved > 0 || len(t.young) > 0 {
-		panic("rangetree: Repatch after Insert/Remove")
-	}
-	if t.root == nil {
-		return
-	}
-	if t.vals == nil {
-		t.vals = make([]float64, len(vals))
-	}
-	copy(t.vals, vals)
-	t.repatch(t.root)
-}
-
-func (t *Tree) repatch(nd *node) {
-	t.recomputePrefix(nd, 0)
-	if nd.left != nil {
-		t.repatch(nd.left)
-		t.repatch(nd.right)
-	}
-}
-
-// recomputePrefix redoes nd's prefix aggregates from y-position q onward,
-// reading the payloads from t.vals.
-func (t *Tree) recomputePrefix(nd *node, q int) {
-	w := t.width
-	for p := q; p < len(nd.ids); p++ {
-		base, prev, vbase := (p+1)*w, p*w, int(nd.ids[p])*w
-		for c := 0; c < w; c++ {
-			nd.prefix[base+c] = nd.prefix[prev+c] + t.vals[vbase+c]
-		}
-	}
-}
-
-// Patch replaces one point's payload (its position is fixed) and repairs
-// the prefix aggregates along its root-to-leaf path. Worst case O(n) per
-// call (the root's suffix), still far below a rebuild's sort-and-allocate
-// cost. i is a Build index or an Insert id.
-func (t *Tree) Patch(i int, vals []float64) {
-	if len(vals) != t.width {
-		panic("rangetree: Patch vals width mismatch")
-	}
-	if i >= t.nBuilt {
-		yp := &t.young[i-t.nBuilt]
-		if yp.removed {
-			panic("rangetree: Patch of removed point")
-		}
-		copy(yp.vals, vals)
-		return
-	}
-	if t.removed != nil && t.removed[i] {
-		panic("rangetree: Patch of removed point")
-	}
-	t.ensureDynamic()
-	copy(t.vals[i*t.width:(i+1)*t.width], vals)
-	t.patchPath(t.root, int32(i), int(t.rankOf[i]))
-}
-
-func (t *Tree) patchPath(nd *node, id int32, rank int) {
-	q := 0
-	for ; q < len(nd.ids); q++ {
-		if nd.ids[q] == id {
-			break
-		}
-	}
-	t.recomputePrefix(nd, q)
-	if nd.left == nil {
-		return
-	}
-	if rank < nd.left.hi {
-		t.patchPath(nd.left, id, rank)
-	} else {
-		t.patchPath(nd.right, id, rank)
-	}
-}
-
-// Remove tombstones a point: its payload is zeroed (so aggregates no
-// longer see it) and Report/Count skip it. Returns false if the point was
-// already removed. i is a Build index or an Insert id.
-func (t *Tree) Remove(i int) bool {
-	if i >= t.nBuilt {
-		yp := &t.young[i-t.nBuilt]
-		if yp.removed {
-			return false
-		}
-		yp.removed = true
-		return true
-	}
-	if t.removed == nil {
-		t.removed = make([]bool, t.nBuilt)
-	}
-	if t.removed[i] {
-		return false
-	}
-	if t.width > 0 {
-		t.ensureDynamic()
-		zero := make([]float64, t.width)
-		copy(t.vals[i*t.width:(i+1)*t.width], zero)
-		t.patchPath(t.root, int32(i), int(t.rankOf[i]))
-	}
-	t.removed[i] = true
-	t.nRemoved++
-	return true
-}
-
-// Insert adds a point to the young buffer and returns its id (usable with
-// Patch and Remove). Young points cost O(1) to add and O(k) extra per
-// query; rebuild once the buffer grows past a few percent of the tree.
-func (t *Tree) Insert(pt Point, vals []float64) int {
-	if len(vals) != t.width {
-		panic("rangetree: Insert vals width mismatch")
-	}
-	id := t.nBuilt + len(t.young)
-	t.young = append(t.young, youngPoint{pt: pt, vals: append([]float64(nil), vals...)})
-	return id
-}
-
-// Young returns the number of points in the young buffer (including
-// removed ones), a rebuild heuristic for callers.
-func (t *Tree) Young() int { return len(t.young) }

@@ -274,8 +274,21 @@ func BenchmarkAggregateNoCascade(b *testing.B) {
 
 func BenchmarkBuild(b *testing.B) {
 	pts, vals := randomPoints(42, 10000, 1000)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Build(pts, 2, vals)
+	}
+}
+
+// BenchmarkRebuild is the rebuild-every-tick cost: the same build into
+// the storage the tree already owns.
+func BenchmarkRebuild(b *testing.B) {
+	pts, vals := randomPoints(42, 10000, 1000)
+	tr := Build(pts, 2, vals)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.Rebuild(pts, 2, vals)
 	}
 }

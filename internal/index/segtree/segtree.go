@@ -23,8 +23,9 @@ const (
 // NoKey is the payload reported for identity (empty) ranges.
 const NoKey int64 = -1
 
-// Tree is a fixed-size segment tree over positions 0..n-1. The zero value
-// is not usable; construct with New. Not safe for concurrent mutation.
+// Tree is a segment tree over positions 0..n-1, n fixed between Resets.
+// The zero value is not usable; construct with New. Not safe for
+// concurrent mutation.
 type Tree struct {
 	op   Op
 	n    int
@@ -34,10 +35,28 @@ type Tree struct {
 	id   float64
 }
 
-// New returns a tree of n leaves, all initialized to the identity
-// (+∞ for Min, −∞ for Max) with payload NoKey — the "default value"
-// annotation of the paper's sweep description.
+// Identity returns op's identity value: +∞ for Min, −∞ for Max.
+func Identity(op Op) float64 {
+	if op == Min {
+		return math.Inf(1)
+	}
+	return math.Inf(-1)
+}
+
+// New returns a tree of n leaves, all initialized to the identity with
+// payload NoKey — the "default value" annotation of the paper's sweep
+// description.
 func New(n int, op Op) *Tree {
+	t := &Tree{op: op, id: Identity(op)}
+	t.Reset(n)
+	return t
+}
+
+// Reset re-dimensions the tree to n leaves and restores every position to
+// the identity in O(n) — a fresh New(n, op) in the storage the tree
+// already has, so a sweep caller reuses one tree across many sweeps over
+// point sets of any size instead of allocating per sweep.
+func (t *Tree) Reset(n int) {
 	if n < 0 {
 		panic("segtree: negative size")
 	}
@@ -45,27 +64,19 @@ func New(n int, op Op) *Tree {
 	for size < n {
 		size *= 2
 	}
-	if n == 0 {
-		size = 1
+	t.n, t.size = n, size
+	if cap(t.val) < 2*size {
+		t.val, t.key = make([]float64, 2*size), make([]int64, 2*size)
 	}
-	t := &Tree{op: op, n: n, size: size, val: make([]float64, 2*size), key: make([]int64, 2*size)}
-	if op == Min {
-		t.id = math.Inf(1)
-	} else {
-		t.id = math.Inf(-1)
-	}
+	t.val, t.key = t.val[:2*size], t.key[:2*size]
 	for i := range t.val {
 		t.val[i] = t.id
 		t.key[i] = NoKey
 	}
-	return t
 }
 
 // Len returns the number of leaf positions.
 func (t *Tree) Len() int { return t.n }
-
-// Identity returns the identity value of the tree's aggregate.
-func (t *Tree) Identity() float64 { return t.id }
 
 // better reports whether (v1,k1) beats (v2,k2) under the tree's op. Ties
 // break toward the smaller key so results are deterministic regardless of
@@ -95,29 +106,20 @@ func (t *Tree) Set(i int, value float64, key int64) {
 	p := t.size + i
 	t.val[p], t.key[p] = value, key
 	for p >>= 1; p >= 1; p >>= 1 {
-		l, r := 2*p, 2*p+1
-		if t.better(t.val[l], t.key[l], t.val[r], t.key[r]) {
-			t.val[p], t.key[p] = t.val[l], t.key[l]
-		} else {
-			t.val[p], t.key[p] = t.val[r], t.key[r]
+		c := 2 * p
+		if !t.better(t.val[c], t.key[c], t.val[c+1], t.key[c+1]) {
+			c++
 		}
+		if t.val[p] == t.val[c] && t.key[p] == t.key[c] {
+			return // this node keeps its winner, so every ancestor keeps its own
+		}
+		t.val[p], t.key[p] = t.val[c], t.key[c]
 	}
 }
 
 // Clear resets position i to the identity — the sweep line's "replace the
 // actual value with the default value" when a unit exits the sweep region.
 func (t *Tree) Clear(i int) { t.Set(i, t.id, NoKey) }
-
-// Reset restores every position to the identity in O(n) — equivalent to n
-// Clear calls (or a fresh New) at a fraction of the cost. It lets a sweep
-// caller reuse one tree across many sweeps instead of allocating per
-// sweep.
-func (t *Tree) Reset() {
-	for i := range t.val {
-		t.val[i] = t.id
-		t.key[i] = NoKey
-	}
-}
 
 // Query returns the aggregate value and arg-key over positions [lo, hi).
 // An empty or out-of-bounds-clamped-to-empty interval yields the identity

@@ -23,11 +23,45 @@ func TestNegativeSizePanics(t *testing.T) {
 }
 
 func TestIdentity(t *testing.T) {
-	if !math.IsInf(New(4, Min).Identity(), 1) {
+	if !math.IsInf(Identity(Min), 1) {
 		t.Error("Min identity should be +Inf")
 	}
-	if !math.IsInf(New(4, Max).Identity(), -1) {
+	if !math.IsInf(Identity(Max), -1) {
 		t.Error("Max identity should be -Inf")
+	}
+}
+
+// Reset must leave a tree indistinguishable from New at the new size,
+// whatever size and contents it had: smaller (stale leaves beyond n must
+// not answer), larger (storage grows), and back.
+func TestResetRedimensions(t *testing.T) {
+	tr := New(8, Min)
+	for i := 0; i < 8; i++ {
+		tr.Set(i, float64(i-10), int64(i))
+	}
+	for _, n := range []int{3, 100, 0, 8} {
+		tr.Reset(n)
+		if tr.Len() != n {
+			t.Fatalf("Reset(%d): Len = %d", n, tr.Len())
+		}
+		if v, k := tr.Query(0, 1000); !math.IsInf(v, 1) || k != NoKey {
+			t.Fatalf("Reset(%d): root = (%v,%d), want the identity", n, v, k)
+		}
+		if n == 0 {
+			continue
+		}
+		tr.Set(n-1, 5, 77)
+		if v, k := tr.Root(); v != 5 || k != 77 {
+			t.Fatalf("Reset(%d) then Set: root = (%v,%d)", n, v, k)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Reset(%d): Set(%d) should be out of range", n, n)
+				}
+			}()
+			tr.Set(n, 1, 1)
+		}()
 	}
 }
 
@@ -143,21 +177,21 @@ func TestAgainstBruteForce(t *testing.T) {
 			brute := make([]float64, n)
 			keys := make([]int64, n)
 			for i := range brute {
-				brute[i] = tr.Identity()
+				brute[i] = Identity(op)
 				keys[i] = NoKey
 			}
 			for si, s := range steps {
 				p := int(s.Pos) % n
 				if s.Clear {
 					tr.Clear(p)
-					brute[p], keys[p] = tr.Identity(), NoKey
+					brute[p], keys[p] = Identity(op), NoKey
 				} else {
 					tr.Set(p, float64(s.Val), int64(si))
 					brute[p], keys[p] = float64(s.Val), int64(si)
 				}
 				lo, hi := int(s.QLo)%n, int(s.QHi)%(n+1)
 				gv, gk := tr.Query(lo, hi)
-				wv, wk := tr.Identity(), NoKey
+				wv, wk := Identity(op), NoKey
 				for i := lo; i < hi; i++ {
 					if tr.better(brute[i], keys[i], wv, wk) {
 						wv, wk = brute[i], keys[i]

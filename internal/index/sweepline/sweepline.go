@@ -20,30 +20,37 @@
 // the paper's O(n log^{d-1} n) with d = 2.
 //
 // Probes may carry different x half-extents (only the sweep axis must be
-// constant) and may exclude one key, so "the weakest *other* friendly unit
-// in my range" is expressible.
+// constant) and may exclude one point, so "the weakest *other* friendly
+// unit in my range" is expressible.
+//
+// The work splits in two. What depends only on where the points are — the
+// x-order the tree is laid out in and the y-order they enter and leave the
+// window in — is an Order, sorted once per point set and read by every
+// sweep over it, from any goroutine. What a single sweep writes — the
+// tree, the window membership, the probe order, the results — lives in a
+// Sweeper, one per goroutine, reused from sweep to sweep.
 package sweepline
 
 import (
-	"sort"
+	"slices"
 
 	"github.com/epicscale/sgl/internal/index/segtree"
 )
 
-// Point is a unit being aggregated over: a location, the value entering the
-// MIN/MAX (e.g. health), and the unit key reported as the arg-extremum.
-type Point struct {
-	X, Y  float64
-	Value float64
-	Key   int64
+// Site is where one aggregated-over unit stands, and the key reported when
+// it is the arg-extremum. The value entering the MIN/MAX is not part of
+// the site: one point set is swept under many value columns.
+type Site struct {
+	X, Y float64
+	Key  int64
 }
 
-// Probe is one unit's query: its location, its x half-extent, and an
-// optional key to exclude from its own answer (negative to disable).
+// Probe is one unit's query: its location, its x half-extent, and
+// optionally the site (by index) to leave out of its own answer.
 type Probe struct {
 	X, Y    float64
 	RX      float64
-	Exclude int64
+	Exclude int // site index, NoExclude to disable
 }
 
 // Result is the answer for one probe, in probe input order.
@@ -54,165 +61,183 @@ type Result struct {
 }
 
 // NoExclude disables a probe's self-exclusion.
-const NoExclude int64 = -1
+const NoExclude = -1
 
-// Order caches a point set's x-ordering (and the segment trees sweeping
-// it) so that consecutive sweeps over a slowly changing population do not
-// re-sort from scratch: Patch re-inserts only the displaced entry into
-// the sorted order, shifting its neighbours. An Order is not safe for
-// concurrent use.
+// Order holds the two orderings of a point set that every sweep over it
+// needs: by (X, key) — the leaf layout of the sweep's tree — and by
+// (Y, X, key) — the order points enter and, ry later, leave the window.
+// Both are pure functions of the sites, so whoever owns the point set
+// sorts once (Rebuild) and every sweep, whatever its value column, window
+// height, aggregate or goroutine, shares the result. An Order is
+// read-only between Rebuilds and safe for concurrent sweeps. The zero
+// value is an empty point set.
 type Order struct {
-	pts   []Point
-	byX   []int     // x-rank → point index
-	xs    []float64 // x-rank → x value
-	rank  []int     // point index → x-rank
-	trees [2]*segtree.Tree
+	sites []Site
+	xs    []float64 // x-rank → x
+	rank  []int32   // site index → x-rank
+	byY   []int32   // sweep position → site index
 }
 
-// NewOrder copies and x-sorts the points (ties broken by key, matching
-// Sweep's deterministic order).
-func NewOrder(points []Point) *Order {
-	return newOrder(append([]Point(nil), points...))
-}
-
-// newOrder builds an Order around the caller's slice without copying.
-func newOrder(points []Point) *Order {
-	o := &Order{pts: points}
-	o.byX = make([]int, len(points))
-	for i := range o.byX {
-		o.byX[i] = i
+// Rebuild makes o the orderings of sites (copied; the argument is not
+// retained), reusing o's storage when its capacity suffices. Site i is the
+// point a sweep's vals[i] and a probe's Exclude refer to.
+func (o *Order) Rebuild(sites []Site) {
+	n := len(sites)
+	o.sites = append(o.sites[:0], sites...)
+	o.xs, o.rank, o.byY = resize(o.xs, n), resize(o.rank, n), resize(o.byY, n)
+	byX := o.byY // sorted by x first, then stably by y
+	for i := range byX {
+		byX[i] = int32(i)
 	}
-	sort.Slice(o.byX, func(a, b int) bool { return xLess(points[o.byX[a]], points[o.byX[b]]) })
-	o.xs = make([]float64, len(points))
-	o.rank = make([]int, len(points))
-	for r, i := range o.byX {
-		o.xs[r] = points[i].X
-		o.rank[i] = r
+	slices.SortFunc(byX, func(a, b int32) int {
+		sa, sb := &sites[a], &sites[b]
+		switch {
+		case sa.X < sb.X:
+			return -1
+		case sa.X > sb.X:
+			return 1
+		case sa.Key != sb.Key:
+			if sa.Key < sb.Key {
+				return -1
+			}
+			return 1
+		}
+		return int(a - b)
+	})
+	for r, i := range byX {
+		o.xs[r], o.rank[i] = sites[i].X, int32(r)
 	}
-	return o
+	slices.SortStableFunc(o.byY, func(a, b int32) int { return cmpFloat(sites[a].Y, sites[b].Y) })
 }
 
-// xLess is the sweep's total x-order: by X, ties by key.
-func xLess(a, b Point) bool {
-	if a.X != b.X {
-		return a.X < b.X
+// Len returns the number of sites.
+func (o *Order) Len() int { return len(o.sites) }
+
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, n+n/4)
 	}
-	return a.Key < b.Key
+	return s[:n]
 }
 
-// Len returns the number of points.
-func (o *Order) Len() int { return len(o.pts) }
-
-// Point returns point i's current value.
-func (o *Order) Point(i int) Point { return o.pts[i] }
-
-// Patch replaces point i and restores sortedness by shifting only the
-// entries the move displaced: O(d + 1) for displacement d, against
-// O(n log n) for a full re-sort. The resulting permutation is identical
-// to re-sorting from scratch (the order is total), so sweeps over a
-// patched Order match sweeps over a freshly built one exactly.
-func (o *Order) Patch(i int, p Point) {
-	o.pts[i] = p
-	r := o.rank[i]
-	for r > 0 && xLess(p, o.pts[o.byX[r-1]]) {
-		j := o.byX[r-1]
-		o.byX[r], o.rank[j], o.xs[r] = j, r, o.pts[j].X
-		r--
+func cmpFloat(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
 	}
-	for r < len(o.byX)-1 && xLess(o.pts[o.byX[r+1]], p) {
-		j := o.byX[r+1]
-		o.byX[r], o.rank[j], o.xs[r] = j, r, o.pts[j].X
-		r++
-	}
-	o.byX[r], o.rank[i], o.xs[r] = i, r, p.X
+	return 0
 }
 
-// Sweep computes, for every probe, the op-extremum of Value over points
-// with |p.X−probe.X| ≤ probe.RX and |p.Y−probe.Y| ≤ ry. All boundaries are
-// inclusive, matching the paper's SQL range conditions. ry must be the same
-// for all probes — the precondition the sweep technique requires; the
-// planner only selects this operator when the script's range is a per-type
-// constant.
-func Sweep(points []Point, probes []Probe, ry float64, op segtree.Op) []Result {
-	return newOrder(points).Sweep(probes, ry, op)
+// Sweeper is the scratch one goroutine sweeps on: a segment tree per
+// aggregate, the window-membership table, the probe order and the result
+// buffer, all kept between sweeps. The zero value is ready to use.
+type Sweeper struct {
+	trees   [2]*segtree.Tree
+	active  []bool // site index → currently inside the window
+	probeY  []probeY
+	results []Result
 }
 
-// Sweep runs one sweep over the ordered points, reusing the Order's
-// cached x-permutation and (Reset) segment tree. It is identical in
-// results and result order to the package-level Sweep.
-func (o *Order) Sweep(probes []Probe, ry float64, op segtree.Op) []Result {
-	points := o.pts
-	results := make([]Result, len(probes))
-	if len(points) == 0 || len(probes) == 0 {
+type probeY struct {
+	y   float64
+	idx int32
+}
+
+// Sweep computes, for every probe, the op-extremum of vals over the sites
+// with |site.X−probe.X| ≤ probe.RX and |site.Y−probe.Y| ≤ ry, vals[i]
+// being site i's value. All boundaries are inclusive, matching the paper's
+// SQL range conditions. ry must be the same for all probes — the
+// precondition the sweep technique requires; the planner only selects this
+// operator when the script's range is a per-type constant. The returned
+// slice is the Sweeper's own: valid until its next Sweep.
+func (s *Sweeper) Sweep(o *Order, vals []float64, probes []Probe, ry float64, op segtree.Op) []Result {
+	results := resize(s.results, len(probes))
+	s.results = results
+	n := o.Len()
+	if n == 0 || len(probes) == 0 {
 		for i := range results {
-			results[i] = Result{Value: identity(op), Key: segtree.NoKey}
+			results[i] = Result{Value: segtree.Identity(op), Key: segtree.NoKey}
 		}
 		return results
 	}
-	xs, rank := o.xs, o.rank
 
-	// Points sorted by y drive both the enter stream (at y−ry) and the
-	// exit stream (at y+ry): with constant ry both streams are the same
-	// order.
-	byY := make([]int, len(points))
-	copy(byY, o.byX) // start from a deterministic order
-	sort.SliceStable(byY, func(a, b int) bool { return points[byY[a]].Y < points[byY[b]].Y })
-
-	// Probes sorted by y; ties keep input order for determinism.
-	probeOrder := make([]int, len(probes))
-	for i := range probeOrder {
-		probeOrder[i] = i
+	// Probes in ascending y; ties keep input order for determinism.
+	order := resize(s.probeY, len(probes))
+	s.probeY = order
+	for i := range probes {
+		order[i] = probeY{probes[i].Y, int32(i)}
 	}
-	sort.SliceStable(probeOrder, func(a, b int) bool { return probes[probeOrder[a]].Y < probes[probeOrder[b]].Y })
+	slices.SortStableFunc(order, func(a, b probeY) int { return cmpFloat(a.y, b.y) })
 
-	tree := o.trees[op]
-	if tree == nil || tree.Len() != len(points) {
-		tree = segtree.New(len(points), op)
-		o.trees[op] = tree
+	tree := s.trees[op]
+	if tree == nil {
+		tree = segtree.New(n, op)
+		s.trees[op] = tree
 	} else {
-		tree.Reset()
+		tree.Reset(n)
 	}
-	active := make(map[int64]int, len(points)) // key → point index, for exclusion
+	s.active = resize(s.active, n)
+	clear(s.active)
+
+	// Sites in y-order drive both the enter stream (at y−ry) and the exit
+	// stream (at y+ry): with constant ry both streams are the same order.
+	sites, xs, rank, byY := o.sites, o.xs, o.rank, o.byY
 	enter, exit := 0, 0
-	for _, pi := range probeOrder {
-		pr := probes[pi]
-		// Activate points whose window includes pr.Y: y−ry ≤ pr.Y.
-		for enter < len(byY) && points[byY[enter]].Y-ry <= pr.Y {
-			pt := points[byY[enter]]
-			tree.Set(rank[byY[enter]], pt.Value, pt.Key)
-			active[pt.Key] = byY[enter]
-			enter++
+	for _, po := range order {
+		pr := &probes[po.idx]
+		// Activate sites whose window includes pr.Y: y−ry ≤ pr.Y.
+		for ; enter < n && sites[byY[enter]].Y-ry <= pr.Y; enter++ {
+			i := byY[enter]
+			tree.Set(int(rank[i]), vals[i], sites[i].Key)
+			s.active[i] = true
 		}
-		// Deactivate points that have fallen behind: y+ry < pr.Y.
-		for exit < len(byY) && points[byY[exit]].Y+ry < pr.Y {
-			pt := points[byY[exit]]
-			tree.Clear(rank[byY[exit]])
-			delete(active, pt.Key)
-			exit++
+		// Deactivate sites that have fallen behind: y+ry < pr.Y.
+		for ; exit < n && sites[byY[exit]].Y+ry < pr.Y; exit++ {
+			i := byY[exit]
+			tree.Clear(int(rank[i]))
+			s.active[i] = false
 		}
+		lo, hi := lowerBound(xs, pr.X-pr.RX), upperBound(xs, pr.X+pr.RX)
 
-		lo := sort.SearchFloat64s(xs, pr.X-pr.RX)
-		hi := sort.Search(len(xs), func(i int) bool { return xs[i] > pr.X+pr.RX })
-
-		// Self-exclusion: temporarily blank the excluded unit's leaf.
-		var restored bool
-		var exIdx int
-		if pr.Exclude >= 0 {
-			if idx, ok := active[pr.Exclude]; ok {
-				tree.Clear(rank[idx])
-				restored, exIdx = true, idx
-			}
+		// Self-exclusion: blank the excluded site's leaf around the query.
+		ex := pr.Exclude
+		excluded := ex >= 0 && s.active[ex]
+		if excluded {
+			tree.Clear(int(rank[ex]))
 		}
 		v, k := tree.Query(lo, hi)
-		if restored {
-			pt := points[exIdx]
-			tree.Set(rank[exIdx], pt.Value, pt.Key)
+		if excluded {
+			tree.Set(int(rank[ex]), vals[ex], sites[ex].Key)
 		}
-		results[pi] = Result{Value: v, Key: k, Found: k != segtree.NoKey}
+		results[po.idx] = Result{Value: v, Key: k, Found: k != segtree.NoKey}
 	}
 	return results
 }
 
-func identity(op segtree.Op) float64 {
-	return segtree.New(0, op).Identity()
+// lowerBound returns the first index whose value is at least v,
+// upperBound the first whose value exceeds it.
+func lowerBound(a []float64, v float64) int {
+	lo, hi := 0, len(a)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); !(a[m] >= v) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+func upperBound(a []float64, v float64) int {
+	lo, hi := 0, len(a)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); !(a[m] > v) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }

@@ -2,6 +2,7 @@ package sweepline
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -9,13 +10,106 @@ import (
 	"github.com/epicscale/sgl/internal/rng"
 )
 
+// Point is a site together with its value: the tests' scenes carry one
+// value column.
+type Point struct {
+	X, Y  float64
+	Value float64
+	Key   int64
+}
+
+func split(points []Point) ([]Site, []float64) {
+	sites, vals := make([]Site, len(points)), make([]float64, len(points))
+	for i, p := range points {
+		sites[i], vals[i] = Site{X: p.X, Y: p.Y, Key: p.Key}, p.Value
+	}
+	return sites, vals
+}
+
+// Sweep is the one-shot form: a fresh Order and a fresh Sweeper.
+func Sweep(points []Point, probes []Probe, ry float64, op segtree.Op) []Result {
+	sites, vals := split(points)
+	var order Order
+	order.Rebuild(sites)
+	return new(Sweeper).Sweep(&order, vals, probes, ry, op)
+}
+
+// refSweep is the sweep as it was before the orderings were hoisted into
+// Order: every call sorts the points by (x, key) and stably by y, keeps
+// the window membership in a map from key, and allocates its tree. It is
+// the reference the shared-order sweeps are held to.
+func refSweep(points []Point, probes []Probe, ry float64, op segtree.Op) []Result {
+	results := make([]Result, len(probes))
+	if len(points) == 0 || len(probes) == 0 {
+		for i := range results {
+			results[i] = Result{Value: segtree.Identity(op), Key: segtree.NoKey}
+		}
+		return results
+	}
+	byX := make([]int, len(points))
+	for i := range byX {
+		byX[i] = i
+	}
+	sort.Slice(byX, func(a, b int) bool {
+		pa, pb := points[byX[a]], points[byX[b]]
+		if pa.X != pb.X {
+			return pa.X < pb.X
+		}
+		return pa.Key < pb.Key
+	})
+	xs, rank := make([]float64, len(points)), make([]int, len(points))
+	for r, i := range byX {
+		xs[r], rank[i] = points[i].X, r
+	}
+	byY := append([]int(nil), byX...)
+	sort.SliceStable(byY, func(a, b int) bool { return points[byY[a]].Y < points[byY[b]].Y })
+	probeOrder := make([]int, len(probes))
+	for i := range probeOrder {
+		probeOrder[i] = i
+	}
+	sort.SliceStable(probeOrder, func(a, b int) bool { return probes[probeOrder[a]].Y < probes[probeOrder[b]].Y })
+
+	tree := segtree.New(len(points), op)
+	active := make(map[int64]int, len(points))
+	enter, exit := 0, 0
+	for _, pi := range probeOrder {
+		pr := probes[pi]
+		for enter < len(byY) && points[byY[enter]].Y-ry <= pr.Y {
+			pt := points[byY[enter]]
+			tree.Set(rank[byY[enter]], pt.Value, pt.Key)
+			active[pt.Key] = byY[enter]
+			enter++
+		}
+		for exit < len(byY) && points[byY[exit]].Y+ry < pr.Y {
+			tree.Clear(rank[byY[exit]])
+			delete(active, points[byY[exit]].Key)
+			exit++
+		}
+		lo := sort.SearchFloat64s(xs, pr.X-pr.RX)
+		hi := sort.Search(len(xs), func(i int) bool { return xs[i] > pr.X+pr.RX })
+		exIdx, restored := 0, false
+		if pr.Exclude >= 0 {
+			if idx, ok := active[points[pr.Exclude].Key]; ok {
+				tree.Clear(rank[idx])
+				exIdx, restored = idx, true
+			}
+		}
+		v, k := tree.Query(lo, hi)
+		if restored {
+			tree.Set(rank[exIdx], points[exIdx].Value, points[exIdx].Key)
+		}
+		results[pi] = Result{Value: v, Key: k, Found: k != segtree.NoKey}
+	}
+	return results
+}
+
 // brute mirrors the contract of Sweep exactly, with tie-break on key.
 func brute(points []Point, probes []Probe, ry float64, op segtree.Op) []Result {
 	out := make([]Result, len(probes))
 	for i, pr := range probes {
-		best := Result{Value: identity(op), Key: segtree.NoKey}
-		for _, p := range points {
-			if p.Key == pr.Exclude {
+		best := Result{Value: segtree.Identity(op), Key: segtree.NoKey}
+		for j, p := range points {
+			if j == pr.Exclude {
 				continue
 			}
 			if math.Abs(p.X-pr.X) > pr.RX || math.Abs(p.Y-pr.Y) > ry {
@@ -98,9 +192,8 @@ func TestExclusion(t *testing.T) {
 		{X: 1, Y: 0, Value: 20, Key: 2},
 	}
 	probes := []Probe{
-		{X: 0, Y: 0, RX: 5, Exclude: 1},
+		{X: 0, Y: 0, RX: 5, Exclude: 0},
 		{X: 0, Y: 0, RX: 5, Exclude: NoExclude},
-		{X: 0, Y: 0, RX: 5, Exclude: 99}, // excluding an absent key is a no-op
 	}
 	res := Sweep(pts, probes, 5, segtree.Min)
 	if res[0].Key != 2 || res[0].Value != 20 {
@@ -109,9 +202,6 @@ func TestExclusion(t *testing.T) {
 	if res[1].Key != 1 || res[1].Value != 10 {
 		t.Fatalf("no-exclusion wrong: %+v", res[1])
 	}
-	if res[2].Key != 1 {
-		t.Fatalf("absent exclusion wrong: %+v", res[2])
-	}
 }
 
 func TestExclusionRestoresLeaf(t *testing.T) {
@@ -119,7 +209,7 @@ func TestExclusionRestoresLeaf(t *testing.T) {
 	// second must still see it (the leaf must be restored).
 	pts := []Point{{X: 0, Y: 0, Value: 1, Key: 5}, {X: 1, Y: 0, Value: 9, Key: 6}}
 	probes := []Probe{
-		{X: 0, Y: 0, RX: 5, Exclude: 5},
+		{X: 0, Y: 0, RX: 5, Exclude: 0},
 		{X: 0, Y: 0, RX: 5, Exclude: NoExclude},
 	}
 	res := Sweep(pts, probes, 5, segtree.Min)
@@ -183,7 +273,7 @@ func TestAgainstBruteRandom(t *testing.T) {
 		// Give some probes an exclusion.
 		for i := range probes {
 			if i%3 == 0 {
-				probes[i].Exclude = int64(i % len(pts))
+				probes[i].Exclude = i % len(pts)
 			}
 		}
 		got := Sweep(pts, probes, 7, op)
@@ -215,11 +305,68 @@ func TestSweepProperty(t *testing.T) {
 	}
 }
 
+// TestSharedOrderSweepMatchesSweep holds sweeps over one hoisted Order, on
+// one reused Sweeper, to what the per-call sweep computed: both aggregates,
+// window heights from 0 to +Inf, self-exclusion, and scenes dense enough
+// that coordinates, values and sweep positions all tie. The Sweeper goes
+// from scene to scene of different sizes, so a stale tree, membership
+// table or result buffer would show.
+func TestSharedOrderSweepMatchesSweep(t *testing.T) {
+	var sw Sweeper
+	order := &Order{}
+	for seed := int64(1); seed <= 12; seed++ {
+		st := rng.NewStream(rng.New(uint64(seed)), 37)
+		pts, probes := randomScene(seed, st.Intn(120), 1+st.Intn(90), float64(4+st.Intn(12)))
+		for i := range pts {
+			pts[i].Value = float64(st.Intn(5)) // few distinct values: ties
+		}
+		for i := range probes {
+			if len(pts) > 0 && i%3 == 0 {
+				probes[i].Exclude = st.Intn(len(pts))
+			}
+		}
+		sites, vals := split(pts)
+		order.Rebuild(sites)
+		for _, ry := range []float64{0, 1, 2.5, 7, math.Inf(1)} {
+			for _, op := range []segtree.Op{segtree.Min, segtree.Max} {
+				want := refSweep(pts, probes, ry, op)
+				got := sw.Sweep(order, vals, probes, ry, op)
+				if len(got) != len(want) {
+					t.Fatalf("seed %d: %d results for %d probes", seed, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("seed %d ry=%v op=%v probe %d (%+v): shared-order %+v, per-call %+v",
+							seed, ry, op, i, probes[i], got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkSweep is one sweep over a standing Order on a warm Sweeper;
+// BenchmarkOrderRebuild is the sort that Order saves every such sweep.
 func BenchmarkSweep(b *testing.B) {
 	pts, probes := randomScene(42, 10000, 10000, 1000)
+	sites, vals := split(pts)
+	order, sw := new(Order), new(Sweeper)
+	order.Rebuild(sites)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Sweep(pts, probes, 50, segtree.Min)
+		sw.Sweep(order, vals, probes, 50, segtree.Min)
+	}
+}
+
+func BenchmarkOrderRebuild(b *testing.B) {
+	pts, _ := randomScene(42, 10000, 1, 1000)
+	sites, _ := split(pts)
+	order := new(Order)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		order.Rebuild(sites)
 	}
 }
 
