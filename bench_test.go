@@ -12,6 +12,7 @@ package sgl
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"github.com/epicscale/sgl/internal/exec"
@@ -555,6 +556,52 @@ func TestBattleTickAllocRatchet(t *testing.T) {
 	}
 }
 
+// zoneQuery is the spectator's question the read-side ratchet and the
+// fan-out benchmark ask: a windowed divisible aggregate.
+const zoneQuery = `
+aggregate Zone(u, x, y, r) :=
+  count(*) as n, sum(e.health) as hp
+  over e where e.posx >= x - r and e.posx <= x + r
+    and e.posy >= y - r and e.posy <= y + r;`
+
+// TestFirstReadAllocRatchet is the read side's ratchet: the first Zone
+// read on a freshly published view of the 2000-unit battle — the only
+// read a view gets when the clock outruns its spectators — allocates the
+// query's membership and one probe's scratch, not an index. Measured
+// ≈104 KB when introduced, against ≈1.72 MB at the parent commit (a whole
+// layered range tree plus a key map per read); the ceiling only moves
+// down.
+func TestFirstReadAllocRatchet(t *testing.T) {
+	const ceiling = 128 << 10 // measured ≈104 KB; the slack absorbs runtime-version noise, not regressions
+	q, err := CompileQuery(zoneQuery, BattleSchema(), BattleConsts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := newBattle(t, Indexed, 2000, 0.01, func(o *EngineOptions) { o.Workers = 1 })
+	if _, err := e.Query(q, 40, 40, 12); err != nil { // the query's analyzer is per engine, not per view
+		t.Fatal(err)
+	}
+	const views = 10
+	var bytes uint64
+	var before, after runtime.MemStats
+	for i := 0; i < views; i++ {
+		if err := e.Tick(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&before)
+		if _, err := e.Query(q, float64(7*i%97), float64(13*i%89), 12); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		bytes += after.TotalAlloc - before.TotalAlloc
+	}
+	perRead := bytes / views
+	t.Logf("first read on a fresh view of %d units allocates %d bytes", e.Env().Len(), perRead)
+	if perRead > ceiling {
+		t.Fatalf("first read allocates %d bytes (ceiling %d): a fresh view is building an index to answer one probe again", perRead, ceiling)
+	}
+}
+
 func BenchmarkTickIncrementalSentry(b *testing.B) {
 	for _, n := range []int{2000, 10000} {
 		for _, w := range []int{1, 4} {
@@ -584,20 +631,25 @@ func BenchmarkTickIncrementalSentry(b *testing.B) {
 
 // ---------------------------------------------------------------------------
 // S1 — observation-query fan-out: per-query cost of serving spectators
-// against the live world. The /indexed rows share one frozen index build
-// per tick and probe in O(log n), so per-query cost is sublinear in army
-// size; the /scan rows pay the naive O(n) evaluation per query. The
-// first indexed iteration of each run amortizes the shared build.
+// against the live world. A read view builds no index (engine/query.go):
+// /indexed is one view probed over and over, every probe a one-shot
+// evaluation against the query's membership; /scan pays the naive O(n)
+// evaluation per query. The /first and /fanout64 rows take a fresh view
+// per iteration (a tick runs, untimed, in between) and give the cost of
+// its first 1 or 64 probes — ns/op is per view:
 //
-//	go test -bench=QueryFanout -benchtime=1000x
+//	first    = S + O          S: membership scan, O: one one-shot probe
+//	fanout64 = S + 64·O
+//
+// An index over the view would replace O by a ≈1 µs tree probe at the
+// price of one build (rangetree's BenchmarkBuild: the same two-column
+// tree over 10 000 points), so build ÷ O is the per-(query, view)
+// fan-out past which building would pay:
+//
+//	go test -run xxx -bench=QueryFanout -benchtime=200x
 
 func BenchmarkQueryFanout(b *testing.B) {
-	src := `
-aggregate Zone(u, x, y, r) :=
-  count(*) as n, sum(e.health) as hp
-  over e where e.posx >= x - r and e.posx <= x + r
-    and e.posy >= y - r and e.posy <= y + r;`
-	q, err := CompileQuery(src, BattleSchema(), BattleConsts())
+	q, err := CompileQuery(zoneQuery, BattleSchema(), BattleConsts())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -621,6 +673,27 @@ aggregate Zone(u, x, y, r) :=
 					}
 					if err != nil {
 						b.Fatal(err)
+					}
+				}
+			})
+		}
+		for _, fan := range []struct {
+			name   string
+			probes int
+		}{{"first", 1}, {"fanout64", 64}} {
+			b.Run(fmt.Sprintf("n%d/%s", n, fan.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					if err := e.Tick(); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+					for k := 0; k < fan.probes; k++ {
+						j := i*fan.probes + k
+						if _, err := e.Query(q, float64(7*j%97), float64(13*j%89), 12); err != nil {
+							b.Fatal(err)
+						}
 					}
 				}
 			})

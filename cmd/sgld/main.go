@@ -239,7 +239,7 @@ func runLoadGen(cfg runConfig, out io.Writer) error {
 	metrics.WriteLoadGen(out, rows)
 	if reg != nil {
 		fmt.Fprintln(out, "\nserver counters:")
-		reg.Metrics.WritePrometheus(out)
+		reg.WritePrometheus(out)
 	}
 	return nil
 }

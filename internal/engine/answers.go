@@ -1,6 +1,6 @@
 // Maintained query answers: the engine half of answering observation
-// queries under updates. Where Query/QueryAt/QueryUnit rebuild (and
-// share) a per-tick index set, QueryMaintained* keeps the *result* of a
+// queries under updates. Where Query/QueryAt/QueryUnit evaluate afresh
+// on every committed tick, QueryMaintained* keeps the *result* of a
 // specific (query, probe, args) evaluation cached across ticks and uses
 // the tick's exec.Delta to decide, per answer, the cheapest way to stay
 // current:
@@ -12,8 +12,9 @@
 //     the dirty rows and refolds (Stats.AnswerPatches), bit-identical to
 //     a fresh scan;
 //   - rederived: everything else falls back to the current read view's
-//     shared index provider, or to a from-scratch state rebuild for
-//     divisible answers below the threshold (Stats.AnswerRederives).
+//     one-shot indexed evaluation (query.go), or to a from-scratch state
+//     rebuild for divisible answers below the threshold
+//     (Stats.AnswerRederives).
 //
 // The cache hangs off the per-Query cache in query.go: an answer lives
 // inside its query's cache entry, is maintained by maintainAnswers at
@@ -177,7 +178,7 @@ func (e *Engine) maintainedRow(q *Query, key answerKey, unit, args []float64) ([
 		a.stale = false
 		return append([]float64(nil), a.vals...), nil
 	}
-	vals := e.ReadView().provider(q).Fork().EvalAgg(q.def, unit, args)
+	vals := e.ReadView().evalIndexed(q, unit, args)
 	a.ans = nil
 	a.vals = vals
 	a.stale = false

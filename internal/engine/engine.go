@@ -242,10 +242,13 @@ type Engine struct {
 	cmdSetRows []int
 
 	// Observation-query state (see query.go): qmu guards the per-query
-	// cache of analyzers and maintained answers. Frozen index providers
-	// are not here — they belong to the read view they index.
-	qmu     sync.Mutex
-	queries queryState
+	// cache of analyzers and maintained answers. Index providers are not
+	// here — they belong to the read view they index. queryOneShots counts
+	// the probes views answered (QueryOneShots); readers bump it while a
+	// tick runs, so it is an atomic outside Stats and reaches no checkpoint.
+	qmu           sync.Mutex
+	queries       queryState
+	queryOneShots atomic.Int64
 
 	// Stats accumulates counters across ticks.
 	Stats RunStats
@@ -496,13 +499,19 @@ func (e *Engine) Tick() error {
 // tick's provider may still hold that one.
 func (e *Engine) keyIndex() map[int64]int {
 	if e.keyIdx == nil {
-		e.keyIdx = make(map[int64]int, e.env.Len())
-		kc := e.prog.Schema.KeyCol()
-		for i, row := range e.env.Rows {
-			e.keyIdx[int64(row[kc])] = i
-		}
+		e.keyIdx = buildKeyIndex(e.env)
 	}
 	return e.keyIdx
+}
+
+// buildKeyIndex maps every row's key to its row index.
+func buildKeyIndex(env *table.Table) map[int64]int {
+	idx := make(map[int64]int, env.Len())
+	kc := env.Schema.KeyCol()
+	for i, row := range env.Rows {
+		idx[int64(row[kc])] = i
+	}
+	return idx
 }
 
 // tickBuffers returns the post-processing outputs — desired moves and

@@ -8,23 +8,26 @@
 // immutable ReadView (a copy of the rows, the tick number, that tick's
 // random source) through an atomic pointer, and every Query* evaluates
 // against the view current when it was called. Execution reuses the
-// indexed evaluator end to end: the first query evaluated on a view
-// builds (and freezes) that query's per-partition index structures over
-// the view's rows, and every subsequent evaluation — including
-// concurrent ones — probes the frozen structures through a private
-// exec.Indexed.Fork. N readers therefore share one index build per
-// (query, tick), and each probe costs what a unit's own aggregate costs
-// inside a tick: O(log n) for divisible range aggregates, a kD-descent
-// for nearest-neighbour, O(1) for global extrema. The QueryScan*
-// variants evaluate the same query with the naive O(n) scan provider;
-// they are the semantics oracle the differential tests (and the fan-out
-// benchmark's baseline) use.
+// indexed evaluator end to end, but a view builds no index: the first
+// reader of a query on a view scans that query's membership (which rows
+// pass its filter, in which partition), and every probe of it on that
+// view — including concurrent ones, each through a private
+// exec.Indexed.Fork — is evaluated one-shot against the membership: one
+// pass over the matching partitions' rows that adds the same floats in
+// the same order as a probe of the built index would
+// (exec.FreezeUnbuilt). The tick builds its indexes because n units
+// probe each one; a view sees a handful of probes per query, fewer than
+// an index over it needs to pay for itself (docs/ARCHITECTURE.md, "Read
+// views"). The QueryScan* variants evaluate the same query with the
+// naive O(n) scan provider; they are the semantics oracle the
+// differential tests (and the fan-out benchmark's baseline) use.
 //
 // Concurrency: Query*/QueryScan* may be called from any number of
 // goroutines at any time, concurrently with Tick. A query issued while
-// tick t+1 is computing answers for tick t at once — its index build
-// runs beside the tick, not in front of it — and a view's providers are
-// released with the view, so nothing is invalidated at the boundary.
+// tick t+1 is computing answers for tick t at once. Readers of one query
+// wait for nothing longer than its membership scan, and a view's
+// providers are released with the view, so nothing is invalidated at the
+// boundary.
 package engine
 
 import (
@@ -210,10 +213,10 @@ type queryCacheEntry struct {
 const queryEvictAfter = 2
 
 // maxCachedQueries bounds both per-query caches between ticks — the
-// engine's analyzers and a read view's frozen providers: a paused world
-// served one-shot queries would otherwise grow an analyzer plus a frozen
-// index set per distinct Query with no tick to release them. Past the
-// cap the least-recently-used entry is dropped.
+// engine's analyzers and a read view's providers: a paused world served
+// ad-hoc queries would otherwise grow an analyzer plus a membership per
+// distinct Query with no tick to release them. Past the cap the
+// least-recently-used entry is dropped.
 const maxCachedQueries = 64
 
 // evictIdleQueries starts a new cache generation and drops per-query
@@ -321,20 +324,30 @@ type ReadView struct {
 	deaths int
 	moves  int
 
-	// provs caches one frozen indexed provider per query evaluated on
-	// this view, built by the first reader that asks. Bounded by
-	// maxCachedQueries for worlds that never tick.
+	// provs holds one provider per query evaluated on this view, created
+	// by the first reader that asks. Bounded by maxCachedQueries for
+	// worlds that never tick.
 	mu    sync.Mutex
 	provs map[*Query]*viewProvider
+
+	// keys is the key → row-index map QueryUnit resolves through, shared by
+	// every query on the view: the engine's own when it had one at publish
+	// (after every tick; the engine only ever reads that map or drops it
+	// for a new one, and the copy has the same rows in the same order),
+	// built under keysOnce otherwise (construction, restore).
+	keysOnce sync.Once
+	keys     map[int64]int
 }
 
-// viewProvider is one (query, view) index build. The once serializes
-// readers of the same query behind a single build without making readers
-// of other queries wait on it.
+// viewProvider is one query's evaluation state on one view: q's
+// membership over the view's rows and no index structure (see
+// evalIndexed). The once serializes readers of the same query behind a
+// single membership scan without making readers of other queries wait.
 type viewProvider struct {
-	once sync.Once
-	prov *exec.Indexed
-	seq  uint64 // recency stamp, guarded by the view's mu
+	once  sync.Once
+	prov  *exec.Indexed
+	forks sync.Pool // idle forks of prov: a probe reuses one's scratch
+	seq   uint64    // recency stamp, guarded by the view's mu
 }
 
 // publishView copies the committed environment into a fresh read view
@@ -348,6 +361,7 @@ func (e *Engine) publishView() {
 		rs:     e.src.Tick(e.tick),
 		deaths: e.Stats.Deaths,
 		moves:  e.Stats.Moves,
+		keys:   e.keyIdx,
 	})
 }
 
@@ -367,10 +381,12 @@ func (v *ReadView) Deaths() int { return v.deaths }
 // Moves returns the run's cumulative move count as of the view's tick.
 func (v *ReadView) Moves() int { return v.moves }
 
-// provider returns the frozen indexed provider for q over this view,
-// building it at most once. The first caller pays the build; everyone
-// else forks it.
-func (v *ReadView) provider(q *Query) *exec.Indexed {
+// evalIndexed answers one probe of q on this view through the indexed
+// evaluator, one-shot: the first reader scans q's membership, and every
+// probe — this one, later ones, concurrent ones — is evaluated directly
+// against it through a private fork. A view never builds an index (the
+// package comment says why). unit and args are only read.
+func (v *ReadView) evalIndexed(q *Query, unit, args []float64) []float64 {
 	an, seq := v.e.queryAnalyzer(q)
 	v.mu.Lock()
 	if v.provs == nil {
@@ -387,11 +403,36 @@ func (v *ReadView) provider(q *Query) *exec.Indexed {
 	p.seq = seq
 	v.mu.Unlock()
 	p.once.Do(func() {
-		prov := exec.NewIndexed(an, v.env, v.rs)
-		prov.Freeze()
-		p.prov = prov
+		p.prov = exec.NewIndexed(an, v.env, v.rs)
+		p.prov.FreezeUnbuilt(q.def)
 	})
-	return p.prov
+	v.e.queryOneShots.Add(1)
+	f, _ := p.forks.Get().(*exec.Indexed)
+	if f == nil {
+		f = p.prov.Fork()
+	}
+	vals := f.EvalAgg(q.def, unit, args)
+	p.forks.Put(f)
+	return vals
+}
+
+// QueryOneShots reports how many indexed observation-query probes this
+// engine's read views have answered. An operational counter for the
+// serving layer: atomic, safe to read at any time, and — unlike Stats —
+// in no checkpoint.
+func (e *Engine) QueryOneShots() int64 { return e.queryOneShots.Load() }
+
+// rowByKey resolves a unit of the view by key, or nil.
+func (v *ReadView) rowByKey(key int64) []float64 {
+	v.keysOnce.Do(func() {
+		if v.keys == nil {
+			v.keys = buildKeyIndex(v.env)
+		}
+	})
+	if ri, ok := v.keys[key]; ok {
+		return v.env.Rows[ri]
+	}
+	return nil
 }
 
 // syntheticUnit builds the probe row for world and positional queries:
@@ -426,18 +467,14 @@ func (v *ReadView) QueryAt(q *Query, x, y float64, args ...float64) ([]float64, 
 
 // QueryUnit evaluates a query from the perspective of the unit with the
 // given key, exactly as the unit's own script would observe the view's
-// world. The key resolves through the frozen provider's key index, so
-// the whole call stays O(log n).
+// world. The key resolves through the view's key index — one per view,
+// whatever the queries — so the call builds nothing of its own.
 func (v *ReadView) QueryUnit(q *Query, key int64, args ...float64) ([]float64, error) {
-	if err := q.checkArgs(args); err != nil {
-		return nil, err
-	}
-	prov := v.provider(q)
-	row, ok := prov.RowByKey(key)
-	if !ok {
+	row := v.rowByKey(key)
+	if row == nil {
 		return nil, fmt.Errorf("engine: query %s: no unit with key %d", q.def.Name, key)
 	}
-	return prov.Fork().EvalAgg(q.def, row, args), nil
+	return v.queryRow(q, row, args, false)
 }
 
 // QueryScan, QueryScanAt and QueryScanUnit are the naive counterparts of
@@ -478,7 +515,7 @@ func (v *ReadView) queryRow(q *Query, unit []float64, args []float64, scan bool)
 	if scan {
 		return interp.NewNaive(q.prog, v.env, v.rs).EvalAgg(q.def, unit, args), nil
 	}
-	return v.provider(q).Fork().EvalAgg(q.def, unit, args), nil
+	return v.evalIndexed(q, unit, args), nil
 }
 
 // The Engine's six query methods evaluate against the current read view:

@@ -220,8 +220,9 @@ func TestQuerySeesLiveState(t *testing.T) {
 	}
 }
 
-// N concurrent readers share one frozen index build per (query, tick):
-// the provider is built once and forked per call.
+// N concurrent readers share one membership scan per (query, view) and
+// build no index, however many probes the view sees: the provider is
+// scanned once, forked per call, and every answer carries the same bits.
 func TestQueryConcurrentReadersShareBuild(t *testing.T) {
 	prog := battleProg(t)
 	e := newEngine(t, prog, 90, Indexed, 13, nil)
@@ -234,7 +235,8 @@ aggregate Zone(u, x, y, r) :=
   over e where e.posx >= x - r and e.posx <= x + r
     and e.posy >= y - r and e.posy <= y + r;`)
 
-	want, err := e.Query(q, 12, 12, 10)
+	v := e.ReadView()
+	want, err := v.Query(q, 12, 12, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,16 +248,14 @@ aggregate Zone(u, x, y, r) :=
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perReader; i++ {
-				got, err := e.Query(q, 12, 12, 10)
+				got, err := v.Query(q, 12, 12, 10)
 				if err != nil {
 					errs[g] = err
 					return
 				}
-				for c := range got {
-					if got[c] != want[c] {
-						errs[g] = errAt{g, i}
-						return
-					}
+				if !sameBits(got, want) {
+					errs[g] = errAt{g, i}
+					return
 				}
 			}
 		}(g)
@@ -266,25 +266,18 @@ aggregate Zone(u, x, y, r) :=
 			t.Fatal(err)
 		}
 	}
-	// One provider exists for q on the view, and it was built exactly
-	// once this tick.
-	v := e.ReadView()
 	v.mu.Lock()
 	p := v.provs[q]
 	cached := len(v.provs)
 	v.mu.Unlock()
 	if p == nil || p.prov == nil || cached != 1 {
-		t.Fatalf("want exactly one built provider on the view, have %d (q's: %v)", cached, p)
+		t.Fatalf("want exactly one provider on the view, have %d (q's: %v)", cached, p)
 	}
-	if p.prov.Stats.IndexBuilds == 0 {
-		t.Fatal("provider reports no index builds")
+	if n := p.prov.Stats.IndexBuilds; n != 0 {
+		t.Fatalf("%d probes of one view built %d index structures, want none", readers*perReader+1, n)
 	}
-	builds := p.prov.Stats.IndexBuilds
-	if _, err := e.Query(q, 12, 12, 10); err != nil {
-		t.Fatal(err)
-	}
-	if e.ReadView().provider(q) != p.prov || p.prov.Stats.IndexBuilds != builds {
-		t.Fatalf("extra index builds within one tick: %d -> %d", builds, p.prov.Stats.IndexBuilds)
+	if got := e.QueryOneShots(); got != readers*perReader+1 {
+		t.Fatalf("QueryOneShots() = %d, want %d", got, readers*perReader+1)
 	}
 }
 
@@ -389,8 +382,8 @@ func TestQueryCacheEviction(t *testing.T) {
 	}
 
 	// Between ticks both caches are capped: a paused world answering
-	// one-shot queries must grow neither the engine's analyzers nor the
-	// read view's frozen providers without bound.
+	// ad-hoc queries must grow neither the engine's analyzers nor the
+	// read view's providers without bound.
 	for i := 0; i < 200; i++ {
 		oneShot := compileQuery(t, `aggregate Flood(u) := count(*) over e;`)
 		if _, err := e.Query(oneShot); err != nil {
@@ -408,6 +401,6 @@ func TestQueryCacheEviction(t *testing.T) {
 	frozen := len(v.provs)
 	v.mu.Unlock()
 	if frozen > maxCachedQueries {
-		t.Fatalf("read view holds %d frozen providers without a tick (cap %d)", frozen, maxCachedQueries)
+		t.Fatalf("read view holds %d providers without a tick (cap %d)", frozen, maxCachedQueries)
 	}
 }

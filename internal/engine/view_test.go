@@ -410,3 +410,40 @@ func TestRecycledStorageNeverReachesAView(t *testing.T) {
 		})
 	}
 }
+
+// TestViewMatchesBuiltIndex is the engine-level member of the unbuilt ≡
+// built contract, for the whole zoo: a read view answers every probe
+// one-shot, and each answer must carry the bits the same probe gets from
+// the fully built, frozen indexes over the same rows — what the view
+// would have served had it paid for a build.
+func TestViewMatchesBuiltIndex(t *testing.T) {
+	const units, seed, ticks = 64, 23, 5
+	e := newEngine(t, battleProg(t), units, Indexed, seed, func(o *Options) { o.Workers = 1 })
+	if err := e.Run(ticks); err != nil {
+		t.Fatal(err)
+	}
+	v := e.ReadView()
+	for zi, zq := range queryZoo {
+		q := compileQuery(t, zq.src)
+		an, _ := e.queryAnalyzer(q)
+		built := exec.NewIndexed(an, v.env, v.rs)
+		built.Freeze()
+		for k := 0; k < 12; k++ {
+			pr := viewProbe{zoo: zi, x: float64(4 * k % 20), y: float64((3*k + 1) % 20), key: int64(11 * k % units)}
+			got, err := pr.eval(v, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			unit := e.syntheticUnit(0, 0)
+			switch zq.kind {
+			case qUnit:
+				unit = v.rowByKey(pr.key)
+			case qAt:
+				unit = e.syntheticUnit(pr.x, pr.y)
+			}
+			if want := built.Fork().EvalAgg(q.def, unit, zq.args); !sameBits(got, want) {
+				t.Fatalf("%s, probe %d: the view answered %v, the built index %v", zq.name, k, got, want)
+			}
+		}
+	}
+}

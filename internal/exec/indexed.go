@@ -62,6 +62,10 @@ type Indexed struct {
 	// would race with sibling forks), so the lazy builders panic on one.
 	frozen bool
 	forked bool
+	// unbuilt is set by FreezeUnbuilt: the one definition this provider
+	// answers has its membership and no structure, and probes evaluate
+	// one-shot (see evalCore).
+	unbuilt bool
 
 	scratch
 
@@ -87,12 +91,16 @@ type scratch struct {
 	// × partition sets), searched linearly.
 	invariant []invariantAnswer
 
-	// keyBuf is partition-key scratch; pts, vals and sites are the inputs
-	// of one partition's structure builds, none of which retains them.
+	// keyBuf is partition-key scratch; pts, vals, kdPts and sites are the
+	// inputs of one partition's structure builds (or one-shot evaluations),
+	// none of which retains them; once is the one-shot range aggregate's
+	// working memory.
 	keyBuf []byte
 	pts    []rangetree.Point
 	vals   []float64
+	kdPts  []kdtree.Point
 	sites  []sweepline.Site
+	once   rangetree.Scratch
 
 	batch batchScratch
 }
@@ -263,6 +271,22 @@ func (p *Indexed) build(u buildUnit) {
 	}
 }
 
+// FreezeUnbuilt freezes a provider that will only ever be asked def — an
+// observation query's entry point — without building anything: def's
+// membership is scanned (which rows pass its e-only filter, grouped into
+// partitions), no structure is built over it and no key lookup table.
+// Forks answer EvalAgg one-shot, each probe evaluated directly against
+// the matching partitions' rows, bit-identically to a fork of a Freeze'd
+// provider over the same rows (TestUnbuiltMatchesFrozen): the choice for
+// a row set that will see too few probes to repay its indexes. A fork
+// asked any other definition panics like any lazy build on a fork.
+func (p *Indexed) FreezeUnbuilt(def *ast.AggDef) {
+	if a := p.an.Agg(def); a.Indexable && p.aggIdx[def] == nil {
+		p.scanAggIndex(a)
+	}
+	p.unbuilt, p.frozen = true, true
+}
+
 // view returns a copy of p that shares its indexes and environment but
 // owns its frame, scratch and Stats.
 func (p *Indexed) view() *Indexed {
@@ -427,15 +451,16 @@ func (p *Indexed) scanMembers(idx *partIndex, eonly []expr.Cond, cols []int) {
 	for _, pt := range idx.parts {
 		pt.rows = pt.rows[:0]
 	}
+	var pt *part // the previous member's partition: neighbours mostly share one
 	for i, row := range p.env.Rows {
 		if !p.passesEOnly(eonly, row) {
 			continue
 		}
-		key := p.partitionKey(row, cols)
-		pt := idx.parts[string(key)]
-		if pt == nil {
-			pt = &part{key: string(key)}
-			idx.parts[pt.key] = pt
+		if key := p.partitionKey(row, cols); pt == nil || pt.key != string(key) {
+			if pt = idx.parts[string(key)]; pt == nil {
+				pt = &part{key: string(key)}
+				idx.parts[pt.key] = pt
+			}
 		}
 		if len(pt.rows) == 0 {
 			idx.order = append(idx.order, pt.key)
@@ -592,10 +617,13 @@ func (p *Indexed) buildAggRT(a *AggAnalysis, pt *part) {
 // row order, into the view's scratch.
 func (p *Indexed) partPoints(axes []RangeAxis, rows []int) []rangetree.Point {
 	xCol, yCol := axisCols(axes)
-	p.pts = p.pts[:0]
-	for _, ri := range rows {
+	if cap(p.pts) < len(rows) {
+		p.pts = make([]rangetree.Point, len(rows))
+	}
+	p.pts = p.pts[:len(rows)]
+	for j, ri := range rows {
 		row := p.env.Rows[ri]
-		p.pts = append(p.pts, rangetree.Point{X: axisVal(row, xCol), Y: axisVal(row, yCol)})
+		p.pts[j] = rangetree.Point{X: axisVal(row, xCol), Y: axisVal(row, yCol)}
 	}
 	return p.pts
 }
@@ -604,21 +632,30 @@ func (p *Indexed) partPoints(axes []RangeAxis, rows []int) []rangetree.Point {
 // rows, in row order, into the view's scratch — all a payload-preserving
 // Repatch needs (the points are unchanged by definition there).
 func (p *Indexed) aggPartVals(a *AggAnalysis, rows []int) []float64 {
-	p.vals = p.vals[:0]
-	for _, ri := range rows {
-		f := p.onRow(p.env.Rows[ri])
-		for c, fn := range a.payload.fns {
-			v := 1.0
-			if fn != nil {
-				v = fn(f)
-				if a.payload.squared[c] {
-					v *= v
-				}
-			}
-			p.vals = append(p.vals, v)
-		}
+	w := len(a.payload.fns)
+	if cap(p.vals) < len(rows)*w {
+		p.vals = make([]float64, len(rows)*w)
+	}
+	p.vals = p.vals[:len(rows)*w]
+	for j, ri := range rows {
+		p.rowPayload(a, p.env.Rows[ri], p.vals[j*w:(j+1)*w])
 	}
 	return p.vals
+}
+
+// rowPayload evaluates one row's payload columns into dst.
+func (p *Indexed) rowPayload(a *AggAnalysis, row, dst []float64) {
+	f := p.onRow(row)
+	for c, fn := range a.payload.fns {
+		v := 1.0
+		if fn != nil {
+			v = fn(f)
+			if a.payload.squared[c] {
+				v *= v
+			}
+		}
+		dst[c] = v
+	}
 }
 
 // buildSweepOrder (re)sorts the partition's sweep orderings in place.
@@ -638,38 +675,54 @@ func (p *Indexed) buildSweepOrder(a *AggAnalysis, pt *part) {
 
 // buildAggKD builds the partition's kD-tree over unit positions.
 func (p *Indexed) buildAggKD(pt *part) {
+	pt.kd = kdtree.Build(p.partKDPoints(pt.rows))
+}
+
+// partKDPoints evaluates the kD-tree points of a partition's rows, in row
+// order, into the view's scratch.
+func (p *Indexed) partKDPoints(rows []int) []kdtree.Point {
 	xc, yc, kc := p.an.posX, p.an.posY, p.prog.Schema.KeyCol()
-	pts := make([]kdtree.Point, len(pt.rows))
-	for j, ri := range pt.rows {
-		row := p.env.Rows[ri]
-		pts[j] = kdtree.Point{X: row[xc], Y: row[yc], Key: int64(row[kc])}
+	if cap(p.kdPts) < len(rows) {
+		p.kdPts = make([]kdtree.Point, len(rows))
 	}
-	pt.kd = kdtree.Build(pts)
+	p.kdPts = p.kdPts[:len(rows)]
+	for j, ri := range rows {
+		row := p.env.Rows[ri]
+		p.kdPts[j] = kdtree.Point{X: row[xc], Y: row[yc], Key: int64(row[kc])}
+	}
+	return p.kdPts
 }
 
 // buildAggGlobal precomputes the partition's per-output global extrema.
 func (p *Indexed) buildAggGlobal(a *AggAnalysis, pt *part) {
-	kc := p.prog.Schema.KeyCol()
 	if len(pt.global) != len(a.Def.Outputs) {
 		pt.global = make([]globalExt, len(a.Def.Outputs))
 	}
-	for i, out := range a.Def.Outputs {
-		if a.OutClass[i] != ClassGlobal {
-			continue
+	for i := range a.Def.Outputs {
+		if a.OutClass[i] == ClassGlobal {
+			pt.global[i] = p.foldGlobal(a, i, pt.rows)
 		}
-		ext := globalExt{}
-		isMin := out.Func == ast.Min || out.Func == ast.ArgMin
-		for _, ri := range pt.rows {
-			row := p.env.Rows[ri]
-			v := a.ArgFn[i](p.onRow(row))
-			k := int64(row[kc])
-			if !ext.ok || (isMin && v < ext.val) || (!isMin && v > ext.val) ||
-				(v == ext.val && k < ext.key) {
-				ext = globalExt{val: v, key: k, ok: true}
-			}
-		}
-		pt.global[i] = ext
 	}
+}
+
+// foldGlobal folds output i's extremum over a partition's rows, in row
+// order: the first row wins among equal values unless a later one has a
+// smaller key.
+func (p *Indexed) foldGlobal(a *AggAnalysis, i int, rows []int) globalExt {
+	kc := p.prog.Schema.KeyCol()
+	fn := a.Def.Outputs[i].Func
+	isMin := fn == ast.Min || fn == ast.ArgMin
+	ext := globalExt{}
+	for _, ri := range rows {
+		row := p.env.Rows[ri]
+		v := a.ArgFn[i](p.onRow(row))
+		k := int64(row[kc])
+		if !ext.ok || (isMin && v < ext.val) || (!isMin && v > ext.val) ||
+			(v == ext.val && k < ext.key) {
+			ext = globalExt{val: v, key: k, ok: true}
+		}
+	}
+	return ext
 }
 
 // axisCols maps the analysis' range axes to the (x, y) of the 2-d indices;
@@ -874,11 +927,19 @@ func (p *Indexed) evalCore(dst []float64, def *ast.AggDef, unit []float64, args 
 		} else {
 			payload = make([]float64, w)
 		}
-		// w > 0 exactly when some output is divisible.
+		// w > 0 exactly when some output is divisible. A partition of an
+		// unbuilt provider has no tree: the same sum comes out of one pass
+		// over its rows.
 		for _, part := range parts {
 			if part.rt != nil {
 				part.rt.Aggregate(rect, payload)
 				p.Stats.TreeProbes++
+			} else {
+				rows := part.rows
+				rangetree.AggregateOnce(&p.once, p.partPoints(a.Axes, rows), func(i int, dst []float64) {
+					p.rowPayload(a, p.env.Rows[rows[i]], dst)
+				}, rect, payload)
+				p.Stats.ScanProbes++
 			}
 		}
 	}
@@ -912,11 +973,14 @@ func (p *Indexed) evalCore(dst []float64, def *ast.AggDef, unit []float64, args 
 			self := int64(unit[kc])
 			ux, uy := unit[p.an.posX], unit[p.an.posY]
 			for _, part := range parts {
-				if part.kd == nil {
-					continue
+				var r kdtree.Result
+				if part.kd != nil {
+					p.Stats.KDProbes++
+					r = part.kd.Nearest(ux, uy, self, math.Inf(1))
+				} else {
+					p.Stats.ScanProbes++
+					r = kdtree.NearestOnce(p.partKDPoints(part.rows), ux, uy, self)
 				}
-				p.Stats.KDProbes++
-				r := part.kd.Nearest(ux, uy, self, math.Inf(1))
 				if r.Found && (!best.Found || r.DistSq < best.DistSq ||
 					(r.DistSq == best.DistSq && r.Key < best.Key)) {
 					best = r
@@ -938,10 +1002,15 @@ func (p *Indexed) evalCore(dst []float64, def *ast.AggDef, unit []float64, args 
 			isMin := o.Func == ast.Min || o.Func == ast.ArgMin
 			ext := globalExt{}
 			for _, part := range parts {
-				if i >= len(part.global) || !part.global[i].ok {
+				var g globalExt
+				if part.global != nil {
+					g = part.global[i]
+				} else {
+					g = p.foldGlobal(a, i, part.rows)
+				}
+				if !g.ok {
 					continue
 				}
-				g := part.global[i]
 				if !ext.ok || (isMin && g.val < ext.val) || (!isMin && g.val > ext.val) ||
 					(g.val == ext.val && g.key < ext.key) {
 					ext = g
@@ -1063,8 +1132,8 @@ func (p *Indexed) EvalAggBatch(def *ast.AggDef, units [][]float64, args [][]floa
 // would.
 func (p *Indexed) BatchBeneficial(def *ast.AggDef) bool {
 	a := p.an.Agg(def)
-	if !a.Indexable {
-		return false
+	if !a.Indexable || p.unbuilt {
+		return false // an unbuilt provider has no sweep orderings to batch over
 	}
 	for i := range def.Outputs {
 		if a.OutClass[i] == ClassMinMax {
@@ -1270,17 +1339,6 @@ func (p *Indexed) keyLookup() map[int64]int {
 		}
 	}
 	return p.keyIndex
-}
-
-// RowByKey resolves an environment row through the key index in O(1).
-// On a frozen provider (or a fork of one) the index already exists and
-// the call is read-only, so concurrent readers may share it.
-func (p *Indexed) RowByKey(key int64) ([]float64, bool) {
-	ri, ok := p.keyLookup()[key]
-	if !ok {
-		return nil, false
-	}
-	return p.env.Rows[ri], true
 }
 
 // SelectTargets visits the action's targets using the classified strategy:

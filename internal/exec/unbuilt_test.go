@@ -1,0 +1,198 @@
+package exec
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"github.com/epicscale/sgl/internal/rng"
+	"github.com/epicscale/sgl/internal/sgl/parser"
+	"github.com/epicscale/sgl/internal/sgl/sem"
+	"github.com/epicscale/sgl/internal/table"
+)
+
+// observationZoo is the engine's observation-query zoo restated over this
+// package's test schema: every output class in each probe form — world
+// (parameters only), positional (u.posx/u.posy, nearest outputs) and
+// unit-perspective (other attributes of u).
+var observationZoo = []struct {
+	name, src string
+	args      []float64
+}{
+	{"count-by-player", `aggregate Army(u, p) := count(*) as n, sum(e.health) as hp over e where e.player = p;`, []float64{1}},
+	{"zone-divisible", `
+aggregate Zone(u, x, y, r) :=
+  count(*) as n, sum(e.health) as hp, avg(e.health) as mean, stddev(e.health) as sd
+  over e where e.posx >= x - r and e.posx <= x + r
+    and e.posy >= y - r and e.posy <= y + r;`, []float64{6, 5, 4}},
+	{"zone-one-sided", `aggregate East(u, x) := count(*) over e where e.posx >= x;`, []float64{5}},
+	{"zone-inverted", `aggregate Nowhere(u, x) := count(*) as n, sum(e.health) as hp over e where e.posx >= x and e.posx <= x - 3;`, []float64{5}},
+	{"global-extrema", `
+aggregate Strongest(u) :=
+  max(e.health) as top, argmax(e.health) as who,
+  min(e.health) as low, argmin(e.health) as frail
+  over e where e.unittype = 0;`, nil},
+	{"window-minmax", `
+aggregate WeakestNear(u, x, y, r) :=
+  min(e.health) as hp, argmin(e.health) as key
+  over e where e.posx >= x - r and e.posx <= x + r
+    and e.posy >= y - r and e.posy <= y + r;`, []float64{5, 6, 4}},
+	{"mixed-classes", `
+aggregate Recon(u, r) :=
+  count(*) as n, argmin(e.health) as weak, avg(e.posx) as cx, nearestkey() as near
+  over e where e.posx >= u.posx - r and e.posx <= u.posx + r
+    and e.posy >= u.posy - r and e.posy <= u.posy + r;`, []float64{4}},
+	{"residual-scan-fallback", `aggregate Diagonal(u, c) := count(*) over e where e.posx + e.posy <= c;`, []float64{11}},
+	{"wounded-filter", `
+aggregate Wounded(u, p) :=
+  count(*) as n, avg(e.maxhealth - e.health) as missing
+  over e where e.player = p and e.health < e.maxhealth;`, []float64{0}},
+	{"knn-from-position", `
+aggregate Closest(u) :=
+  nearestkey() as key, nearestdist() as dist, nearestx() as x, nearesty() as y
+  over e;`, nil},
+	{"knn-filtered", `
+aggregate ClosestHealer(u, p) := nearestkey() as key, nearestdist() as dist
+  over e where e.player = p and e.unittype = 2;`, []float64{0}},
+	{"window-from-position", `
+aggregate Here(u, r) :=
+  count(*) as n, avg(e.posx) as cx, avg(e.posy) as cy
+  over e where e.posx >= u.posx - r and e.posx <= u.posx + r
+    and e.posy >= u.posy - r and e.posy <= u.posy + r;`, []float64{3}},
+	{"unit-perspective-range", `
+aggregate SeenBy(u) :=
+  count(*) as n, avg(e.health) as hp
+  over e where e.posx >= u.posx - u.range and e.posx <= u.posx + u.range
+    and e.posy >= u.posy - u.range and e.posy <= u.posy + u.range
+    and e.player <> u.player;`, nil},
+	{"unit-perspective-nearest-foe", `
+aggregate Foe(u) := nearestkey() as key, nearestdist() as dist
+  over e where e.player <> u.player;`, nil},
+	{"unit-perspective-extrema", `
+aggregate Rival(u) := max(e.health) as top, argmax(e.health) as who
+  over e where e.player <> u.player and e.unittype = u.unittype;`, nil},
+}
+
+// unbuiltProbes are the probe rows of one environment: every live unit
+// (the unit-perspective form), and synthetic observers — key −1, zeros,
+// a position — on and off the lattice, at the origin (the world form) and
+// at the specials the salted armies carry.
+func unbuiltProbes(env *table.Table) [][]float64 {
+	probes := append([][]float64(nil), env.Rows...)
+	kc, xc, yc := env.Schema.KeyCol(), env.Schema.MustCol("posx"), env.Schema.MustCol("posy")
+	for _, at := range [][2]float64{{0, 0}, {3, 7}, {5.5, 5.5}, {11, 0}, {-4, 30},
+		{math.Inf(1), 2}, {2, math.Inf(-1)}, {math.NaN(), 3}, {math.Copysign(0, -1), 6}} {
+		row := make([]float64, env.Schema.NumAttrs())
+		row[kc], row[xc], row[yc] = -1, at[0], at[1]
+		probes = append(probes, row)
+	}
+	return probes
+}
+
+// TestUnbuiltMatchesFrozen is the exec-level member of the unbuilt ≡
+// built contract: a provider holding a definition's membership and no
+// structure (FreezeUnbuilt) answers every probe exactly as the provider
+// with every index built (Freeze) — Float64bits, every
+// NaN one value. The definitions are the observation zoo above plus every
+// aggregate of the script zoo and the kitchen-sink script; the probes are
+// every unit and a set of synthetic observers; the armies stand on a
+// 12×12 lattice, so nearest-neighbour distance ties and equal extrema are
+// the rule, and the salted ones carry ±0, ±Inf and NaN in positions and
+// health — where the one-shot evaluations must notice and build.
+func TestUnbuiltMatchesFrozen(t *testing.T) {
+	type program struct {
+		name string
+		prog *sem.Program
+		args func(params int) []float64
+	}
+	sixes := func(params int) []float64 {
+		args := make([]float64, params)
+		for i := range args {
+			args[i] = 6
+		}
+		return args
+	}
+	progs := []program{{"kitchen-sink", compile(t, kitchenSinkScript), sixes}}
+	for _, zp := range Zoo {
+		progs = append(progs, program{zp.Name, compile(t, zp.Src), sixes})
+	}
+	for _, oq := range observationZoo {
+		script, err := parser.Parse(oq.src)
+		if err != nil {
+			t.Fatalf("%s: %v", oq.name, err)
+		}
+		prog, err := sem.CheckQuery(script, testSchema(t), testConsts)
+		if err != nil {
+			t.Fatalf("%s: %v", oq.name, err)
+		}
+		args := oq.args
+		progs = append(progs, program{oq.name, prog, func(int) []float64 { return args }})
+	}
+
+	xc, yc, hc := testSchema(t).MustCol("posx"), testSchema(t).MustCol("posy"), testSchema(t).MustCol("health")
+	salts := []float64{math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()}
+	for _, p := range progs {
+		p := p
+		t.Run(p.name, func(t *testing.T) {
+			an := NewAnalyzer(p.prog, categoricals())
+			for seed := uint64(1); seed <= 4; seed++ {
+				env := randomArmy(t, seed, 90+int(seed)*20, 12)
+				// Seeds 3 and 4: salt positions without NaN, then with.
+				if seed >= 3 {
+					st := rng.NewStream(rng.New(seed), 71)
+					for k := 0; k < 8; k++ {
+						col := []int{xc, yc, hc}[st.Intn(3)]
+						env.Rows[st.Intn(env.Len())][col] = salts[st.Intn(int(seed))]
+					}
+				}
+				r := rng.New(seed).Tick(int64(seed))
+				probes := unbuiltProbes(env)
+				frozen := NewIndexed(an, env, r)
+				frozen.Freeze()
+				for _, def := range p.prog.Script.Aggs {
+					args := p.args(len(def.Params) - 1)
+					unbuilt := NewIndexed(an, env, r)
+					unbuilt.FreezeUnbuilt(def)
+					if unbuilt.Stats.IndexBuilds != 0 {
+						t.Fatalf("%s: FreezeUnbuilt built %d structures", def.Name, unbuilt.Stats.IndexBuilds)
+					}
+					ff, uf := frozen.Fork(), unbuilt.Fork()
+					batch := unbuilt.Fork().EvalAggBatch(def, probes, repeatArgs(args, len(probes)))
+					for i, unit := range probes {
+						want := ff.EvalAgg(def, unit, args)
+						got := uf.EvalAgg(def, unit, args)
+						into := uf.EvalAggInto(make([]float64, len(want)), def, unit, args)
+						for c := range want {
+							for how, v := range map[string]float64{"EvalAgg": got[c], "EvalAggInto": into[c], "EvalAggBatch": batch[i][c]} {
+								if math.Float64bits(v) != math.Float64bits(want[c]) && !(v != v && want[c] != want[c]) {
+									t.Fatalf("seed %d, %s, probe %d %v, output %d (%s): unbuilt %s %v (%#x), frozen %v (%#x)",
+										seed, def.Name, i, unit[:5], c, an.Agg(def).OutClass[c], how,
+										v, math.Float64bits(v), want[c], math.Float64bits(want[c]))
+								}
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// An unbuilt provider never batches: it has no sweep orderings, and its
+// per-probe path already is the scan a sweep would replace.
+func TestUnbuiltNeverBatches(t *testing.T) {
+	prog := compile(t, kitchenSinkScript)
+	an := NewAnalyzer(prog, categoricals())
+	env := randomArmy(t, 5, 60, 20)
+	def := prog.Script.Agg("WeakestEnemyInRange")
+	frozen, unbuilt := NewIndexed(an, env, rng.New(5).Tick(1)), NewIndexed(an, env, rng.New(5).Tick(1))
+	frozen.Freeze()
+	unbuilt.FreezeUnbuilt(def)
+	if !frozen.BatchBeneficial(def) || unbuilt.BatchBeneficial(def) {
+		t.Fatalf("BatchBeneficial: frozen %v (want true), unbuilt %v (want false)",
+			frozen.BatchBeneficial(def), unbuilt.BatchBeneficial(def))
+	}
+	mustPanic(t, fmt.Sprintf("probing %s on a fork frozen around another definition", "NearestEnemy"), func() {
+		unbuilt.Fork().EvalAgg(prog.Script.Agg("NearestEnemy"), env.Rows[0], nil)
+	})
+}

@@ -171,6 +171,37 @@ func (t *Tree) Nearest(x, y float64, exclude int64, maxDist float64) Result {
 	return best
 }
 
+// NearestOnce returns what Build(pts).Nearest(x, y, exclude, +Inf)
+// returns, without building the tree: one pass under the search's own
+// acceptance rule — least squared distance, ties toward the smaller key,
+// a point at unbounded distance still found when nothing is nearer. The
+// tree's answer is that minimum whatever its shape, because the search
+// only prunes a half-plane farther than the best so far and visits it on
+// a tie. The exception is a coordinate difference that is NaN (a NaN
+// coordinate, or the probe and a point at the same infinity): it
+// compares false with everything, so what the tree prunes then depends
+// on its layout — such a point set is answered by building the tree, at
+// the full build's cost on every call: correct for hostile rows, not fast.
+func NearestOnce(pts []Point, x, y float64, exclude int64) Result {
+	best := Result{DistSq: math.Inf(1)}
+	for _, p := range pts {
+		dx, dy := p.X-x, p.Y-y
+		if dx != dx || dy != dy {
+			return Build(pts).Nearest(x, y, exclude, math.Inf(1))
+		}
+		if p.Key == exclude {
+			continue
+		}
+		d := dx*dx + dy*dy
+		if d < best.DistSq ||
+			(d == best.DistSq && best.Found && p.Key < best.Key) ||
+			(d <= best.DistSq && !best.Found) {
+			best.Key, best.X, best.Y, best.DistSq, best.Found = p.Key, p.X, p.Y, d, true
+		}
+	}
+	return best
+}
+
 // isDead reports whether a built point's key is tombstoned.
 func (t *Tree) isDead(key int64) bool {
 	return t.deadBuilt != nil && t.deadBuilt[key]

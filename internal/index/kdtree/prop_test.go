@@ -173,3 +173,48 @@ func TestInsertLiveKeyPanics(t *testing.T) {
 	}()
 	tr.Insert(Point{X: 2, Y: 2, Key: 5})
 }
+
+// TestNearestOnceMatchesBuild is the kD member of the unbuilt ≡ built
+// contract: over lattice point sets — distance ties are the rule —
+// salted with ±0, ±Inf and NaN coordinates, probed from lattice, infinite
+// and NaN positions with and without an excluded key, the one-pass
+// NearestOnce returns the built tree's Result field for field, bit for
+// bit.
+func TestNearestOnceMatchesBuild(t *testing.T) {
+	special := []float64{math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()}
+	for _, seed := range []uint64{3, 19, 77, 2048} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			st := rng.NewStream(rng.New(seed), 29)
+			coord := func(specials int) float64 {
+				if v := st.Intn(40); v < specials {
+					return special[v]
+				}
+				return float64(st.Intn(9))
+			}
+			for scene := 0; scene < 120; scene++ {
+				// A third of the scenes are plain lattices, a third add ±0
+				// and ±Inf, a third add NaN as well.
+				specials := []int{0, 3, 4}[scene%3]
+				n := []int{0, 1, 2, 3, 17, 64, 65}[scene%7] + st.Intn(3)
+				pts := make([]Point, n)
+				for i := range pts {
+					pts[i] = Point{X: coord(specials), Y: coord(specials), Key: int64(i)}
+				}
+				tr := Build(pts)
+				for probe := 0; probe < 30; probe++ {
+					x, y := coord(specials), coord(specials)
+					exclude := int64(st.Intn(n+2)) - 1
+					got := NearestOnce(pts, x, y, exclude)
+					want := tr.Nearest(x, y, exclude, math.Inf(1))
+					if got.Found != want.Found || got.Key != want.Key ||
+						math.Float64bits(got.X) != math.Float64bits(want.X) ||
+						math.Float64bits(got.Y) != math.Float64bits(want.Y) ||
+						math.Float64bits(got.DistSq) != math.Float64bits(want.DistSq) {
+						t.Fatalf("scene %d (n=%d): NearestOnce(%v, %v, exclude %d) = %+v, built tree says %+v",
+							scene, n, x, y, exclude, got, want)
+					}
+				}
+			}
+		})
+	}
+}

@@ -25,10 +25,16 @@
 // no node objects, one slab per component with the nodes of a level side
 // by side — and Rebuild, which overwrites a tree's slabs in place, so a
 // steady population rebuilds without allocating. Payloads alone can be
-// replaced in place by Repatch. Layering by low-volatility categorical
-// attributes (player, unit type) is done above this package by building
-// one tree per partition, exactly like the paper's "6 range trees — one
-// for each player/unit type combination".
+// replaced in place by Repatch. And a build is not the only way to the
+// tree's answers: O(n log n) is repaid by the n probes of a tick, not by
+// the one or two a spectator's read view sees, so AggregateOnce evaluates
+// a single probe straight off the points — same canonical nodes, same
+// prefix association, the same bits as the built tree would return.
+//
+// Layering by low-volatility categorical attributes (player, unit type)
+// is done above this package by building one tree per partition, exactly
+// like the paper's "6 range trees — one for each player/unit type
+// combination".
 package rangetree
 
 import (
@@ -117,20 +123,10 @@ func (t *Tree) Rebuild(pts []Point, width int, vals []float64) {
 	t.bl, t.br = resize(t.bl, slots), resize(t.br, slots)
 	t.prefix = resize(t.prefix, slots*width)
 
-	// Sort point indexes by x; ties by y then index, so the order is total.
 	for i := range t.order {
 		t.order[i] = int32(i)
 	}
-	slices.SortFunc(t.order, func(a, b int32) int {
-		pa, pb := pts[a], pts[b]
-		if c := cmpFloat(pa.X, pb.X); c != 0 {
-			return c
-		}
-		if c := cmpFloat(pa.Y, pb.Y); c != 0 {
-			return c
-		}
-		return int(a - b)
-	})
+	slices.SortFunc(t.order, xRankOrder(pts))
 	for r, id := range t.order {
 		t.xs[r] = pts[id].X
 	}
@@ -145,6 +141,22 @@ func resize[T any](s []T, n int) []T {
 		return make([]T, n, n+n/4)
 	}
 	return s[:n]
+}
+
+// xRankOrder compares point indexes in the tree's x-rank order: by x,
+// ties by y then index, so the order is total. AggregateOnce ranks its
+// slab by the same function.
+func xRankOrder(pts []Point) func(a, b int32) int {
+	return func(a, b int32) int {
+		pa, pb := pts[a], pts[b]
+		if c := cmpFloat(pa.X, pb.X); c != 0 {
+			return c
+		}
+		if c := cmpFloat(pa.Y, pb.Y); c != 0 {
+			return c
+		}
+		return int(a - b)
+	}
 }
 
 func cmpFloat(a, b float64) int {
@@ -405,4 +417,149 @@ func (t *Tree) report(q *probe, nd node, plo, phi int) int {
 	l, r := nd.children()
 	return t.report(q, l, int(t.bl[off+plo]), int(t.bl[off+phi])) +
 		t.report(q, r, int(t.br[off+plo]), int(t.br[off+phi]))
+}
+
+// AggregateOnce adds into out exactly what Build(pts, len(out), vals)
+// .Aggregate(r, out) adds — the same floats, in the same order, by the
+// same association — without building the tree: O(n + k log k) for k
+// points inside r's x-range, nothing retained. It is the evaluation for a
+// point set that will be probed too few times to repay an O(n log n)
+// build. The payloads are not passed flattened: payload(i, dst) writes
+// point i's len(out) values into dst, and is called only for the points
+// the probe actually sums — typically a small fraction — at most once per
+// point.
+//
+// The identity rests on three facts about the tree. A probe's x-rank
+// interval [xlo, xhi) is a count: the points left of r, and the points
+// not right of it, under the comparisons lowerBound and upperBound make.
+// The canonical nodes are arithmetic on that interval and n alone (a node
+// [lo, hi) splits at (lo+hi)/2), and which point holds which rank inside
+// the interval follows from sorting just those points by the tree's
+// (x, y, index) order. And a node's contribution is prefix[phi] −
+// prefix[plo] over its points in (y, index) order, summed left to right
+// from zero — reproduced here per canonical node; the points above r's
+// y-range sit at positions ≥ phi, so they are never summed and need no
+// place in the order. (A sum that is NaN is NaN on both paths; the sign
+// and payload bits of a NaN are the hardware's choice of operand and no
+// part of the identity.)
+//
+// NaN coordinates have no place in the order the tree sorts by — its
+// shape then depends on the sort's internals — so a point set holding one
+// is answered by building the tree after all, at the full O(n log n) and
+// its allocations on every call: correct for hostile rows, not fast.
+//
+// s is working memory kept between calls (nil for none); with it a call
+// allocates nothing once the slices have grown to the point set's size.
+func AggregateOnce(s *Scratch, pts []Point, payload func(i int, dst []float64), r geom.Rect, out []float64) {
+	if len(pts) == 0 || r.Empty() {
+		return
+	}
+	if s == nil {
+		s = new(Scratch)
+	}
+	q := once{Scratch: s, pts: pts, payload: payload, r: r, out: out}
+	s.slab = s.slab[:0]
+	for i, p := range pts {
+		if p.X != p.X || p.Y != p.Y {
+			w := len(out)
+			vals := make([]float64, len(pts)*w)
+			for j := range pts {
+				payload(j, vals[j*w:(j+1)*w])
+			}
+			Build(pts, w, vals).Aggregate(r, out)
+			return
+		}
+		// lowerBound(xs, MinX) and upperBound(xs, MaxX), as counts.
+		switch {
+		case !(p.X >= r.MinX):
+			q.xlo++
+			q.xhi++
+		case !(p.X > r.MaxX):
+			q.xhi++
+			s.slab = append(s.slab, int32(i))
+		}
+	}
+	if q.xlo >= q.xhi {
+		return
+	}
+	slices.SortFunc(s.slab, xRankOrder(pts))
+	q.walk(0, len(pts))
+}
+
+// Scratch is AggregateOnce's working memory. The zero value is ready to
+// use; one Scratch serves one call at a time.
+type Scratch struct {
+	slab    []int32   // point index at x-rank xlo+i
+	members []int32   // the points of one canonical node it sums
+	vals    []float64 // their payloads, flattened
+}
+
+// once is one AggregateOnce evaluation: the probe and the x-rank interval
+// it spans; Scratch.slab holds the point indexes at those ranks, in rank
+// order.
+type once struct {
+	*Scratch
+	pts      []Point
+	payload  func(i int, dst []float64)
+	r        geom.Rect
+	out      []float64
+	xlo, xhi int
+}
+
+// walk visits the canonical nodes under the node of x-ranks [lo, hi) in
+// aggCascade's order.
+func (q *once) walk(lo, hi int) {
+	if q.xlo >= hi || q.xhi <= lo {
+		return
+	}
+	if q.xlo <= lo && hi <= q.xhi {
+		q.node(q.slab[lo-q.xlo : hi-q.xlo])
+		return
+	}
+	if hi-lo == 1 {
+		return
+	}
+	mid := (lo + hi) / 2
+	q.walk(lo, mid)
+	q.walk(mid, hi)
+}
+
+// node adds one canonical node's contribution: over its points at
+// y-positions [0, phi) of the node's (y, index) order, the prefix sums
+// from zero that fillPrefix computes, taken at phi and at plo.
+func (q *once) node(ids []int32) {
+	members, plo := q.members[:0], 0
+	for _, id := range ids {
+		if y := q.pts[id].Y; !(y > q.r.MaxY) {
+			members = append(members, id)
+			if !(y >= q.r.MinY) {
+				plo++
+			}
+		}
+	}
+	q.members = members
+	if plo >= len(members) {
+		return
+	}
+	slices.SortFunc(members, func(a, b int32) int {
+		if c := cmpFloat(q.pts[a].Y, q.pts[b].Y); c != 0 {
+			return c
+		}
+		return int(a - b)
+	})
+	w := len(q.out)
+	q.vals = resize(q.vals, len(members)*w)
+	for p, id := range members {
+		q.payload(int(id), q.vals[p*w:(p+1)*w])
+	}
+	for c := range q.out {
+		var prefix, atLo float64
+		for p := range members {
+			if p == plo {
+				atLo = prefix
+			}
+			prefix = prefix + q.vals[p*w+c]
+		}
+		q.out[c] += prefix - atLo
+	}
 }

@@ -54,6 +54,20 @@ func (c *Counter) Add(v float64) {
 	}
 }
 
+// Raise lifts the counter to v if it is below it: the way to export a
+// total that is kept elsewhere (an atomic inside the engine, read at
+// scrape time) without a second copy to reconcile. Concurrent raises
+// leave the largest value, so the series stays monotone whatever order
+// scrapes finish in.
+func (c *Counter) Raise(v float64) {
+	for {
+		old := c.bits.Load()
+		if !(v > math.Float64frombits(old)) || c.bits.CompareAndSwap(old, math.Float64bits(v)) {
+			return
+		}
+	}
+}
+
 // Value returns the current counter value.
 func (c *Counter) Value() float64 { return math.Float64frombits(c.bits.Load()) }
 

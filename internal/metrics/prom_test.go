@@ -49,6 +49,11 @@ func TestCounterGaugeSemantics(t *testing.T) {
 	if got := c.Value(); got != 3.5 {
 		t.Errorf("counter = %v, want 3.5", got)
 	}
+	c.Raise(2) // below the current value: a stale total never lowers the series
+	c.Raise(7)
+	if got := c.Value(); got != 7 {
+		t.Errorf("counter after Raise = %v, want 7", got)
+	}
 	var g Gauge
 	g.Set(10)
 	g.Add(-4)

@@ -174,6 +174,9 @@ type World struct {
 	subscribers   *metrics.Gauge
 	pushes        *metrics.Counter
 	pushDrops     *metrics.Counter
+	// The read path's total lives in the engine (readers bump it
+	// lock-free); WritePrometheus copies it here at scrape time.
+	queryOneShot *metrics.Counter
 }
 
 // cachedQuery is one compile-once cache slot; seq is the recency stamp
@@ -621,6 +624,7 @@ func NewRegistry() *Registry {
 	r.Metrics.Help("sgld_queries_total", "Observation queries served, per session.")
 	r.Metrics.Help("sgld_query_seconds_total", "Time spent evaluating observation queries, per session.")
 	r.Metrics.Help("sgld_query_errors_total", "Observation queries rejected or failed, per session.")
+	r.Metrics.Help("sgld_query_oneshot_total", "Indexed query probes evaluated one-shot on a read view, without an index (every indexed probe that a maintained answer did not serve). Per session.")
 	r.Metrics.Help("sgld_checkpoints_total", "Checkpoints written, per session.")
 	r.Metrics.Help("sgld_commands_total", "Injected commands accepted, per session.")
 	r.Metrics.Help("sgld_command_seconds_total", "Time spent accepting injected commands, per session.")
@@ -674,6 +678,18 @@ func (r *Registry) attachCounters(w *World) {
 	w.subscribers = r.Metrics.Gauge("sgld_subscribers", l)
 	w.pushes = r.Metrics.Counter("sgld_pushes_total", l)
 	w.pushDrops = r.Metrics.Counter("sgld_push_drops_total", l)
+	w.queryOneShot = r.Metrics.Counter("sgld_query_oneshot_total", l)
+}
+
+// WritePrometheus renders the registry's metrics, first refreshing the
+// series whose total the engines keep: each world's one-shot probes.
+func (r *Registry) WritePrometheus(out io.Writer) {
+	r.mu.Lock()
+	for _, w := range r.worlds {
+		w.queryOneShot.Raise(float64(w.sess.Engine().QueryOneShots()))
+	}
+	r.mu.Unlock()
+	r.Metrics.WritePrometheus(out)
 }
 
 // Create builds a fresh world from spec and registers it under name.

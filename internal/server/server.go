@@ -942,5 +942,5 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.reg.Metrics.WritePrometheus(w)
+	s.reg.WritePrometheus(w)
 }

@@ -882,6 +882,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`sgld_sessions_created_total 1`,
 		`sgld_ticks_total{session="m"} 3`,
 		`sgld_queries_total{session="m"} 1`,
+		// The engine's own total, copied at scrape time.
+		`sgld_query_oneshot_total{session="m"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics missing %q:\n%s", want, out)
