@@ -503,9 +503,11 @@ func newSentry(b testing.TB, n int, workers int, inc bool) *Engine {
 // executor's row storage and arena, the accumulator, the movement buffers
 // and the occupancy table all persist. Measured 64 allocs/tick when
 // introduced (1017 at the parent commit, which rebuilt all of those every
-// tick); the ceiling only moves down.
+// tick), 60 before membership groups (PR 21) gave a partition's
+// definitions one set of structures and the kD-tree its recycled storage,
+// 28 after; the ceiling only moves down.
 func TestTickAllocRatchet(t *testing.T) {
-	const ceiling = 72 // measured 64; the slack absorbs runtime-version noise, not regressions
+	const ceiling = 32 // measured 28; the slack absorbs runtime-version noise, not regressions
 	e := newSentry(t, 2000, 1, true)
 	if err := e.Run(5); err != nil { // past the ticks that size the scratch
 		t.Fatal(err)
@@ -525,12 +527,13 @@ func TestTickAllocRatchet(t *testing.T) {
 // the 2000-unit battle, serial, every index rebuilt every tick. The tick
 // rebuilds its range trees and sweep orders into the storage the previous
 // tick's provider retired with, and probes on scratch inherited the same
-// way, so what it still allocates is per tick (the provider, the read
-// view), per batched aggregate call (one result block) or per kD-tree —
-// nothing per tree node, per probe or per sweep. Measured 41 allocs/tick
-// when introduced, against ≈100 000 at the parent commit (a node object
-// and five slices per range-tree node, four slices per batched probe);
-// the ceiling only moves down.
+// way — kD-trees included, since PR 21 — so what it still allocates is
+// per tick (the provider, the read view) or per batched aggregate call
+// (one result block): nothing per tree node, per probe or per sweep.
+// Measured 41 allocs/tick when introduced, against ≈100 000 at the parent
+// commit (a node object and five slices per range-tree node, four slices
+// per batched probe); 39 before PR 21, 30 after. The ceiling only moves
+// down.
 //
 // The window measured (ticks 13–33 of the seeded battle) is before the
 // lines meet, and that is deliberate: it holds only what the index layer
@@ -540,7 +543,7 @@ func TestTickAllocRatchet(t *testing.T) {
 // the height of the battle, still a fiftieth of the parent's count, and
 // not this ratchet's subject.
 func TestBattleTickAllocRatchet(t *testing.T) {
-	const ceiling = 48 // measured 41; the slack absorbs runtime-version noise, not regressions
+	const ceiling = 34 // measured 30; the slack absorbs runtime-version noise, not regressions
 	e := newBattle(t, Indexed, 2000, 0.01, func(o *EngineOptions) { o.Workers = 1 })
 	if err := e.Run(10); err != nil { // past the ticks that size the storage
 		t.Fatal(err)

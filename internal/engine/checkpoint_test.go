@@ -339,6 +339,18 @@ func FuzzRestore(f *testing.F) {
 		return cbuf.Bytes(), pbuf.Bytes(), bbuf.Bytes(), v2buf.Bytes()
 	}()
 
+	// A checksum-valid stream whose keys collide as unit identities: row
+	// 1's key 0.5 is row 0's key 0 under int64 (the key rule rejects it).
+	collidingKeys := func() []byte {
+		e := newEngine(f, prog, 32, Indexed, 13, nil)
+		e.env.Rows[1][prog.Schema.KeyCol()] = 0.5
+		var buf bytes.Buffer
+		if err := e.Checkpoint(&buf); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}()
+
 	f.Add(valid)
 	f.Add(interactive)
 	f.Add(compacted)
@@ -363,6 +375,7 @@ func FuzzRestore(f *testing.F) {
 	f.Add(synthesizeV1(f, 48, 11))
 	f.Add([]byte(checkpointMagic))
 	f.Add([]byte{})
+	f.Add(collidingKeys)
 	mech := game.NewMechanics()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if sess, err := Open(bytes.NewReader(data), mech, Options{}); err == nil {

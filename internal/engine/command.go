@@ -284,8 +284,8 @@ func (e *Engine) validateCommand(c *Command) error {
 			}
 		}
 		key := c.Row[e.prog.Schema.KeyCol()]
-		if key != math.Trunc(key) || key < 0 {
-			return fmt.Errorf("spawn key %v must be a non-negative integer", key)
+		if err := checkKey(key); err != nil {
+			return fmt.Errorf("spawn %w", err)
 		}
 		c.Key = int64(key)
 		if err := e.validatePos(c.Row[e.posX], c.Row[e.posY]); err != nil {

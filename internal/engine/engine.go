@@ -300,8 +300,8 @@ func New(prog *sem.Program, game Game, initial *table.Table, opts Options) (*Eng
 // build is New without the initial publish: restore adopts the
 // checkpoint's tick and counters first and publishes once.
 func build(prog *sem.Program, game Game, initial *table.Table, opts Options) (*Engine, error) {
-	if !initial.Keyed() {
-		return nil, fmt.Errorf("engine: initial environment must be keyed")
+	if err := checkKeys(initial); err != nil {
+		return nil, err
 	}
 	px, ok := prog.Schema.Col("posx")
 	if !ok {
@@ -360,6 +360,57 @@ func build(prog *sem.Program, game Game, initial *table.Table, opts Options) (*E
 	e.execs = make([]*algebra.Executor, w)
 	e.occ = grid.NewOccupancy(initial.Len())
 	return e, nil
+}
+
+// maxKey is the largest unit key. Every integer up to it is a float64, so
+// a key is the same unit identity in the row (float64) and in every index
+// keyed by it (int64).
+const maxKey = 1 << 53
+
+// checkKey is the rule a unit key obeys however the unit enters a world —
+// spawned by a command, or in the initial environment of New, Open,
+// Restore, a PUT checkpoint or a replica bootstrap: a finite, non-negative
+// integer of at most 2^53.
+func checkKey(key float64) error {
+	if !(key >= 0 && key <= maxKey) || key != math.Trunc(key) {
+		return fmt.Errorf("key %v must be a non-negative integer of at most 2^53", key)
+	}
+	return nil
+}
+
+// KeyError rejects an initial environment whose key column does not name
+// its units: row Row's key breaks the key rule (Dup < 0), or row Dup
+// already holds the same key. Keys are compared as the int64 unit
+// identities every index uses, so no two rows can collapse into one.
+type KeyError struct {
+	Row int
+	Key float64
+	Dup int
+}
+
+func (e *KeyError) Error() string {
+	if e.Dup >= 0 {
+		return fmt.Sprintf("engine: initial environment rows %d and %d share key %v", e.Dup, e.Row, e.Key)
+	}
+	return fmt.Sprintf("engine: initial environment row %d: %v", e.Row, checkKey(e.Key))
+}
+
+// checkKeys applies the key rule to every row of an initial environment,
+// and requires the keys to be unique.
+func checkKeys(t *table.Table) error {
+	kc := t.Schema.KeyCol()
+	seen := make(map[int64]int, t.Len())
+	for i, row := range t.Rows {
+		key := row[kc]
+		if checkKey(key) != nil {
+			return &KeyError{Row: i, Key: key, Dup: -1}
+		}
+		if j, ok := seen[int64(key)]; ok {
+			return &KeyError{Row: i, Key: key, Dup: j}
+		}
+		seen[int64(key)] = i
+	}
+	return nil
 }
 
 // Env returns the live environment table (do not mutate).

@@ -86,10 +86,6 @@ type AggAnalysis struct {
 	// Indexable is false when residual conjuncts or >2 range axes force
 	// every output to a scan.
 	Indexable bool
-	// Deps records which schema columns each build-time index component
-	// reads; MaintainFrom consults it to decide what a dirty row actually
-	// invalidates.
-	Deps AggDeps
 
 	// Compiled forms, built once by NewAnalyzer: the whole WHERE clause
 	// (nil when the definition has none), the u-only and e-only conjuncts
@@ -108,14 +104,21 @@ type AggAnalysis struct {
 	// partition set gets the same answer, so a provider computes it once.
 	ProbeInvariant bool
 
-	// Build-time layout of the per-partition structures, static per
-	// definition: the range-tree payload columns, which of them serve each
-	// divisible output, and which structures the outputs demand at all.
-	payload                   payloadSpec
-	div                       []divCols // by output position; unused entries are -1s
-	needRT, needKD, anyGlobal bool
-	needSweep                 bool  // some output is MinMax-class: partitions carry sweep orderings
-	eqCols                    []int // distinct eq columns, the partition key
+	// Where the answers come from, fixed by NewAnalyzer (membership.go):
+	// the membership group whose partitions serve the definition, the
+	// group slots its per-probe outputs read, its surface (-1 without
+	// range axes), the slot its divisible outputs sum (the surface's tree
+	// or, without axes, the group's fold; -1 when none is divisible) and
+	// the slot of its MIN/MAX sweep orderings (-1 when none). Per output:
+	// the payload columns of a divisible output, the group extremum of a
+	// global one.
+	group   *membership
+	need    slotMask
+	surf    int
+	divSlot int
+	sweep   int
+	div     []divCols // unused entries are -1s
+	ext     []int     // -1 where unused
 }
 
 // depMask is a bitset over schema columns. Columns ≥ 63 alias into bit
@@ -129,32 +132,6 @@ func colBit(col int) depMask {
 	}
 	return 1 << col
 }
-
-// AggDeps are the per-component build-time column dependencies of an
-// indexable aggregate definition. Probe-time terms (axis bounds, eq
-// right-hand sides, u-only conjuncts, sweep/scan arguments) evaluate
-// against the live environment on every probe and so never appear here.
-type AggDeps struct {
-	Member depMask // partition membership: eq columns + e-only conjunct columns
-	Shape  depMask // range-tree sort keys: the range-axis columns
-	Vals   depMask // range-tree payload term columns (divisible outputs)
-	KD     depMask // kD-tree point columns (posx/posy) when any nearest output
-	Global depMask // global-extremum argument columns
-}
-
-// All returns the union of every component mask.
-func (d AggDeps) All() depMask {
-	return d.Member | d.Shape | d.Vals | d.KD | d.Global
-}
-
-// ActDeps are the build-time column dependencies of an area action index.
-type ActDeps struct {
-	Member depMask
-	Shape  depMask
-}
-
-// All returns the union of the component masks.
-func (d ActDeps) All() depMask { return d.Member | d.Shape }
 
 // ActClass says how an action's target set is computed.
 type ActClass uint8
@@ -178,8 +155,6 @@ type ActAnalysis struct {
 	Eqs      []EqCond
 	Axes     []RangeAxis
 	Residual []ast.Cond
-	// Deps mirrors AggAnalysis.Deps for ActArea index maintenance.
-	Deps ActDeps
 	// Deferrable reports the Section 5.4 condition: an ActArea whose SET
 	// values do not reference e, so the per-performer contribution can be
 	// computed once and applied to all targets through an effect index.
@@ -196,7 +171,11 @@ type ActAnalysis struct {
 	SetCols []int
 	SetFn   []expr.Num
 
-	eqCols []int // distinct eq columns, the partition key
+	// An ActArea's index, fixed by NewAnalyzer: its membership group, the
+	// surface it reports targets from and that surface's tree slot.
+	group *membership
+	surf  int
+	need  slotMask
 }
 
 // Analyzer holds, per definition of a program, everything that is fixed
@@ -218,6 +197,9 @@ type Analyzer struct {
 	// posX and posY are the schema's position columns (-1 when absent):
 	// what nearest-neighbour outputs measure between.
 	posX, posY int
+	// groups are the membership groups of the indexable definitions, by
+	// ordinal, in order of their first definition.
+	groups []*membership
 }
 
 // NewAnalyzer builds an analyzer. categoricalAttrs names the low-volatility
@@ -480,48 +462,72 @@ func (an *Analyzer) analyzeAgg(def *ast.AggDef) *AggAnalysis {
 	for i, out := range def.Outputs {
 		a.OutClass[i] = an.classifyOutput(a, out)
 	}
-	a.Deps = an.aggDeps(a)
-	a.eqCols = eqCols(a.Eqs)
-	an.layoutAgg(a)
 	an.compileAgg(a)
+	an.layoutAgg(a)
 	return a
 }
 
-// layoutAgg fixes the per-partition structures the definition's outputs
-// demand and the payload columns of its range trees.
+// layoutAgg places an indexable definition in its membership group and
+// fixes which of the group's structures its outputs read: the payload
+// columns of its divisible outputs (in its surface's tree, or in the
+// group's fold without axes), the kD-tree, the extrema, the sweep
+// orderings.
 func (an *Analyzer) layoutAgg(a *AggAnalysis) {
-	a.div = make([]divCols, len(a.Def.Outputs))
 	a.ProbeInvariant = a.Indexable && len(a.Axes) == 0 && len(a.UOnly) == 0 && len(a.Def.Params) == 1
-	for i, out := range a.Def.Outputs {
+	a.surf, a.divSlot, a.sweep = -1, -1, -1
+	a.div = make([]divCols, len(a.Def.Outputs))
+	a.ext = make([]int, len(a.Def.Outputs))
+	for i := range a.Def.Outputs {
 		a.div[i] = divCols{cnt: -1, sum: -1, sumSq: -1}
+		a.ext[i] = -1
+	}
+	if !a.Indexable {
+		return
+	}
+	g := an.membershipOf(a.EOnly, a.EOnlyFn, a.Eqs)
+	a.group = g
+	if len(a.Axes) > 0 {
+		a.surf = g.surfaceAt(axisCols(a.Axes))
+	}
+	for i, out := range a.Def.Outputs {
 		switch a.OutClass[i] {
 		case ClassDivisible:
-			a.needRT = true
+			spec := g.payload(a.surf)
+			if a.surf >= 0 {
+				a.divSlot = g.treeSlot(a.surf)
+			} else {
+				a.divSlot = g.foldSlotFor()
+			}
+			a.need |= slotBit(a.divSlot)
+			count := func() int { return spec.col("1", nil, false, 0) }
+			arg := func(squared bool) int {
+				return spec.col(exactForm(out.Arg), a.ArgFn[i], squared, an.termECols(out.Arg))
+			}
 			switch out.Func {
 			case ast.Count:
-				a.div[i].cnt = a.payload.col(nil, false)
+				a.div[i].cnt = count()
 			case ast.Sum:
-				a.div[i].sum = a.payload.col(out.Arg, false)
+				a.div[i].sum = arg(false)
 			case ast.Avg:
-				a.div[i].cnt = a.payload.col(nil, false)
-				a.div[i].sum = a.payload.col(out.Arg, false)
+				a.div[i].cnt, a.div[i].sum = count(), arg(false)
 			case ast.Stddev:
-				a.div[i].cnt = a.payload.col(nil, false)
-				a.div[i].sum = a.payload.col(out.Arg, false)
-				a.div[i].sumSq = a.payload.col(out.Arg, true)
+				a.div[i].cnt, a.div[i].sum, a.div[i].sumSq = count(), arg(false), arg(true)
 			}
 		case ClassNearest:
-			a.needKD = true
+			a.need |= slotBit(g.kdSlotFor(an.posX, an.posY))
 			a.ProbeInvariant = false
 		case ClassGlobal:
-			a.anyGlobal = true
+			isMin := out.Func == ast.Min || out.Func == ast.ArgMin
+			a.ext[i] = g.extremumFor(isMin, exactForm(out.Arg), a.ArgFn[i], an.termECols(out.Arg))
+			a.need |= slotBit(g.extSlot)
 		case ClassMinMax:
-			a.needSweep = true
+			a.sweep = g.sweepSlot(a.surf)
 			a.ProbeInvariant = false
 		default:
 			a.ProbeInvariant = false
 		}
 	}
+	g.needs = append(g.needs, a.need|slotBit(a.sweep))
 }
 
 // must unwraps a compile result. Definitions of a checked program always
@@ -564,17 +570,10 @@ func (an *Analyzer) compileAgg(a *AggAnalysis) {
 			a.ArgFn[i] = must(c.Num(out.Arg))
 		}
 	}
-	a.payload.fns = make([]expr.Num, len(a.payload.terms))
-	for i, t := range a.payload.terms {
-		if t != nil {
-			a.payload.fns[i] = must(c.Num(t))
-		}
-	}
 }
 
 func (an *Analyzer) compileAct(a *ActAnalysis) {
 	c := expr.New(an.prog, expr.Def{Params: a.Def.Params})
-	a.eqCols = eqCols(a.Eqs)
 	a.Where, a.UOnlyFn, a.EOnlyFn = compileDef(c, a.Def.Where, a.UOnly, a.EOnly, a.Eqs, a.Axes)
 	if a.KeyTerm != nil {
 		a.KeyFn = must(c.Num(a.KeyTerm))
@@ -639,39 +638,6 @@ func (an *Analyzer) condECols(c ast.Cond) depMask {
 	return m
 }
 
-// aggDeps computes the build-time column dependencies of an aggregate's
-// index structures from its (already computed) classification.
-func (an *Analyzer) aggDeps(a *AggAnalysis) AggDeps {
-	var d AggDeps
-	for _, eq := range a.Eqs {
-		d.Member |= colBit(eq.Col)
-	}
-	for _, c := range a.EOnly {
-		d.Member |= an.condECols(c)
-	}
-	for _, ax := range a.Axes {
-		d.Shape |= colBit(ax.Col)
-	}
-	for i, out := range a.Def.Outputs {
-		switch a.OutClass[i] {
-		case ClassDivisible:
-			if out.Arg != nil {
-				d.Vals |= an.termECols(out.Arg)
-			}
-		case ClassNearest:
-			if an.posX >= 0 {
-				d.KD |= colBit(an.posX)
-			}
-			if an.posY >= 0 {
-				d.KD |= colBit(an.posY)
-			}
-		case ClassGlobal:
-			d.Global |= an.termECols(out.Arg)
-		}
-	}
-	return d
-}
-
 func (an *Analyzer) classifyOutput(a *AggAnalysis, out ast.AggOutput) OutputClass {
 	if !a.Indexable {
 		return ClassScan
@@ -715,6 +681,15 @@ func (an *Analyzer) classifyOutput(a *AggAnalysis, out ast.AggOutput) OutputClas
 func (an *Analyzer) analyzeAct(def *ast.ActDef) *ActAnalysis {
 	a := an.classifyAct(def)
 	an.compileAct(a)
+	if a.Class == ActArea {
+		// An area action reports its targets off a range tree over its
+		// membership and axes — the tree of that surface in its group,
+		// shared with every aggregate summing over the same.
+		a.group = an.membershipOf(a.EOnly, a.EOnlyFn, a.Eqs)
+		a.surf = a.group.surfaceAt(axisCols(a.Axes))
+		a.need = slotBit(a.group.treeSlot(a.surf))
+		a.group.needs = append(a.group.needs, a.need)
+	}
 	return a
 }
 
@@ -751,15 +726,6 @@ func (an *Analyzer) classifyAct(def *ast.ActDef) *ActAnalysis {
 	}
 	if len(a.Residual) == 0 && catsOK && len(a.Axes) >= 1 && len(a.Axes) <= 2 {
 		a.Class = ActArea
-		for _, eq := range a.Eqs {
-			a.Deps.Member |= colBit(eq.Col)
-		}
-		for _, c := range a.EOnly {
-			a.Deps.Member |= an.condECols(c)
-		}
-		for _, ax := range a.Axes {
-			a.Deps.Shape |= colBit(ax.Col)
-		}
 		a.Deferrable = true
 		for _, set := range def.Sets {
 			refs := an.termRefs(set.Value, def.Params[0], def.Params)

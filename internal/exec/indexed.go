@@ -3,6 +3,7 @@ package exec
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -20,15 +21,18 @@ import (
 )
 
 // Indexed is the paper's optimized aggregate query evaluator (Section 5.3):
-// per-tick, per-definition index structures — layered range trees for
-// divisible aggregates, kD-trees for nearest-neighbour, sweep lines for
-// MIN/MAX — built over categorical partitions of E and probed per unit.
+// per-tick index structures — layered range trees for divisible
+// aggregates, kD-trees for nearest-neighbour, sweep lines for MIN/MAX —
+// built over categorical partitions of E and probed per unit, one set per
+// membership group (membership.go), whichever definitions share it.
 //
-// Construct one Indexed per tick; indices are built lazily on first use of
-// each definition (the paper's two index-building phases fall out of this:
-// decision-phase aggregates trigger builds before probing, action-phase
-// structures are built when actions run). Indexed must agree exactly with
-// interp.Naive; the differential tests in this package enforce that.
+// Construct one Indexed per tick; a group's partitions are scanned on the
+// first probe of any of its definitions and each structure is built on
+// the first probe that reads it (the paper's two index-building phases
+// fall out of this: decision-phase aggregates trigger builds before
+// probing, action-phase structures are built when actions run). Indexed
+// must agree exactly with interp.Naive; the differential tests in this
+// package enforce that.
 //
 // An Indexed is not safe for concurrent use: index builds and the Stats
 // counters mutate shared maps. For parallel tick execution, call Freeze
@@ -46,15 +50,15 @@ type Indexed struct {
 	f expr.Frame
 
 	keyIndex map[int64]int
-	aggIdx   map[*ast.AggDef]*aggIndex
-	actIdx   map[*ast.ActDef]*actIndex
 
-	// spareAgg and spareAct hold the indexes of a retired provider
-	// (Recycle), per definition, until this tick builds that definition:
-	// the build then overwrites the retired index — partition table, row
-	// lists, trees, sweep orders — instead of allocating a new one.
-	spareAgg map[*ast.AggDef]*aggIndex
-	spareAct map[*ast.ActDef]*actIndex
+	// groups holds this tick's index of each membership group, by group
+	// ordinal: nil until the group's rows are first scanned. spare holds
+	// the group indexes of a retired provider (Recycle) until this tick
+	// scans that group: the scan then reuses the retired index — partition
+	// table, row lists, and every structure's storage, which the builds
+	// overwrite — instead of allocating a new one.
+	groups []*groupIndex
+	spare  []*groupIndex
 
 	// frozen is set by Freeze: every index the program can demand exists
 	// and the shared state is read-only from here on. forked marks a view
@@ -63,9 +67,9 @@ type Indexed struct {
 	frozen bool
 	forked bool
 	// unbuilt is set by FreezeUnbuilt: the one definition this provider
-	// answers has its membership and no structure, and probes evaluate
-	// one-shot (see evalCore).
-	unbuilt bool
+	// answers, whose group has its membership and no structure; probes
+	// evaluate one-shot (see evalCore).
+	unbuilt *ast.AggDef
 
 	scratch
 
@@ -94,32 +98,39 @@ type scratch struct {
 	// keyBuf is partition-key scratch; pts, vals, kdPts and sites are the
 	// inputs of one partition's structure builds (or one-shot evaluations),
 	// none of which retains them; once is the one-shot range aggregate's
-	// working memory.
+	// working memory, and fold a one-shot fold's.
 	keyBuf []byte
 	pts    []rangetree.Point
 	vals   []float64
 	kdPts  []kdtree.Point
 	sites  []sweepline.Site
 	once   rangetree.Scratch
+	fold   []float64
 
 	batch batchScratch
 }
 
 // Stats counts the work the indexed evaluator performed in one tick.
 type Stats struct {
+	// IndexBuilds counts per-partition structure builds: range trees,
+	// folds, kD-trees, extrema (sweep orderings are the sort every sweep
+	// used to repeat, and are not counted).
 	IndexBuilds int
-	// IndexReuses counts index structures carried over unchanged from the
+	// IndexReuses counts structures carried over unchanged from the
 	// previous tick by MaintainFrom, and IndexPatches counts range trees
-	// whose payload prefix aggregates were recomputed in place (shape
-	// reused). MaintainFallbacks counts definitions whose relevant dirty
-	// fraction exceeded the threshold, forcing a from-scratch rebuild.
+	// and folds whose payload sums were recomputed in place (shape
+	// reused). MaintainFallbacks counts definitions MaintainFrom left
+	// reading a structure rebuilt from scratch, its relevant dirty
+	// fraction past the threshold.
 	IndexReuses       int
 	IndexPatches      int
 	MaintainFallbacks int
-	TreeProbes        int
-	KDProbes          int
-	Sweeps            int
-	ScanProbes        int
+	// TreeProbes counts range-tree probes, a read of a fold (the root of
+	// the tree no axes would build) included.
+	TreeProbes int
+	KDProbes   int
+	Sweeps     int
+	ScanProbes int
 }
 
 var _ interp.Provider = (*Indexed)(nil)
@@ -130,8 +141,7 @@ func NewIndexed(an *Analyzer, env *table.Table, r rng.TickSource) *Indexed {
 	return &Indexed{
 		prog: an.prog, an: an, env: env,
 		f:      expr.Frame{R: r},
-		aggIdx: map[*ast.AggDef]*aggIndex{},
-		actIdx: map[*ast.ActDef]*actIndex{},
+		groups: make([]*groupIndex, len(an.groups)),
 	}
 }
 
@@ -145,84 +155,77 @@ func (p *Indexed) SeedKeyIndex(idx map[int64]int) {
 }
 
 // Recycle hands p the index storage and scratch of prev, a provider whose
-// tick is over: every definition p has not built yet will be rebuilt into
-// prev's index for it — same partitions matched by key, trees and sweep
-// orders overwritten in place — so a world whose population is steady
-// rebuilds its indexes without allocating. What is recycled is capacity,
-// never content: the result of a build is a pure function of the current
-// rows, whatever the storage held.
+// tick is over: every group p has not scanned yet will be rebuilt into
+// prev's index for it — same partitions matched by key, every structure
+// overwritten in place — so a world whose population is steady rebuilds
+// its indexes without allocating. What is recycled is capacity, never
+// content: the result of a build is a pure function of the current rows,
+// whatever the storage held.
 //
 // Recycle takes ownership of prev, which must not be probed afterwards and
 // must be a provider nobody else can still read — the engine's own tick
 // provider, never one published to readers. It composes with MaintainFrom
-// (call it second): definitions maintenance installed keep their
-// structures, the rest of prev becomes rebuild storage.
+// (call it second): groups maintenance installed keep their structures,
+// the rest of prev — the groups it scanned and the ones it inherited and
+// never claimed — becomes rebuild storage.
 func (p *Indexed) Recycle(prev *Indexed) {
 	if prev == nil || prev.an != p.an {
 		return
 	}
-	p.spareAgg = adoptSpare(prev.aggIdx, prev.spareAgg, p.aggIdx)
-	p.spareAct = adoptSpare(prev.actIdx, prev.spareAct, p.actIdx)
+	spare := prev.spare
+	if spare == nil {
+		spare = make([]*groupIndex, len(prev.groups))
+	}
+	for ord, idx := range prev.groups {
+		if idx != nil {
+			spare[ord] = idx // prev scanned it: prev.spare[ord] is nil
+		}
+		if p.groups[ord] != nil {
+			spare[ord] = nil // maintained: its partitions live on in p
+		}
+	}
+	p.spare = spare
 	p.scratch = prev.scratch
 	p.invariant = p.invariant[:0] // answers of prev's tick
-	prev.aggIdx, prev.actIdx, prev.spareAgg, prev.spareAct = nil, nil, nil, nil
+	prev.groups, prev.spare = nil, nil
 	prev.scratch = scratch{}
 }
 
-// adoptSpare pools a retired provider's indexes — the ones it built and
-// the ones it inherited and never claimed — minus the definitions live
-// already holds (maintained: their partitions live on there). The result
-// reuses built.
-func adoptSpare[K comparable, V any](built, unclaimed, live map[K]V) map[K]V {
-	//sgl:unordered moves storage between per-definition slots; no slot depends on another
-	for def, idx := range unclaimed {
-		if _, ok := built[def]; !ok {
-			built[def] = idx
-		}
-	}
-	//sgl:unordered removes per-definition slots, each independently
-	for def := range live {
-		delete(built, def)
-	}
-	return built
-}
-
 // Freeze eagerly builds every index structure the program can demand this
-// tick: the key lookup table, one aggregate index per indexable aggregate
-// definition, and one spatial index per area action. After Freeze the
-// provider's shared state is only ever read, so Forked views may probe it
-// from concurrent goroutines. Build work lands on the receiver's Stats.
+// tick: the key lookup table and every structure of every membership
+// group. After Freeze the provider's shared state is only ever read, so
+// Forked views may probe it from concurrent goroutines. Build work lands
+// on the receiver's Stats.
 //
 // Eagerness is the price of lock-free sharing: the lazy serial path skips
-// definitions a tick never probes, so a frozen provider may build more
+// structures a tick never probes, so a frozen provider may build more
 // indexes (and report higher Stats.IndexBuilds) than a serial tick over
 // the same environment. Game outcomes are unaffected.
 func (p *Indexed) Freeze() { p.FreezeParallel(1) }
 
 // FreezeParallel is Freeze with the structure builds spread over up to
 // workers goroutines. The membership scans — one pass over the rows per
-// definition — stay on the caller's goroutine; what fans out is the
-// (definition, partition) build units, each of which reads the shared
-// rows and writes only its own partition, on a private view (own frame,
-// own build scratch, own Stats). Every unit's result is a pure function
-// of its partition's rows, so which worker builds it changes nothing, and
-// the per-view Stats are integer counts summed after the barrier: the
-// frozen provider — structures and Stats — is identical at any workers.
+// membership group — stay on the caller's goroutine; what fans out is the
+// (group, partition) build units, each of which reads the shared rows and
+// writes only its own partition's structures, on a private view (own
+// frame, own build scratch, own Stats). Every unit's result is a pure
+// function of its partition's rows, so which worker builds it changes
+// nothing, and the per-view Stats are integer counts summed after the
+// barrier: the frozen provider — structures and Stats — is identical at
+// any workers.
 func (p *Indexed) FreezeParallel(workers int) {
 	p.keyLookup()
 	var units []buildUnit
-	for _, def := range p.prog.Script.Aggs {
-		if a := p.an.Agg(def); a.Indexable && p.aggIdx[def] == nil {
-			for _, pt := range p.scanAggIndex(a).list {
-				units = append(units, buildUnit{agg: a, part: pt})
-			}
+	for _, g := range p.an.groups {
+		idx := p.groups[g.ord]
+		if idx == nil {
+			idx = p.scanGroup(g)
 		}
-	}
-	for _, def := range p.prog.Script.Acts {
-		if a := p.an.Act(def); a.Class == ActArea && p.actIdx[def] == nil {
-			for _, pt := range p.scanActIndex(a).list {
-				units = append(units, buildUnit{act: a, part: pt})
+		if miss := g.all() &^ idx.built; miss != 0 {
+			for _, pt := range idx.list {
+				units = append(units, buildUnit{g: g, part: pt, slots: miss})
 			}
+			idx.built |= miss
 		}
 	}
 	if workers > len(units) {
@@ -230,7 +233,7 @@ func (p *Indexed) FreezeParallel(workers int) {
 	}
 	if workers <= 1 {
 		for _, u := range units {
-			p.build(u)
+			p.buildSlots(u.g, u.part, u.slots)
 		}
 	} else {
 		views := make([]*Indexed, workers)
@@ -243,7 +246,7 @@ func (p *Indexed) FreezeParallel(workers int) {
 			go func() {
 				defer wg.Done()
 				for u := next.Add(1) - 1; u < int64(len(units)); u = next.Add(1) - 1 {
-					v.build(units[u])
+					v.buildSlots(units[u].g, units[u].part, units[u].slots)
 				}
 			}()
 		}
@@ -255,20 +258,12 @@ func (p *Indexed) FreezeParallel(workers int) {
 	p.frozen = true
 }
 
-// buildUnit is one partition's structures for one definition — the grain
-// FreezeParallel distributes. Exactly one of agg and act is set.
+// buildUnit is the missing structures of one partition of one group — the
+// grain FreezeParallel distributes.
 type buildUnit struct {
-	agg  *AggAnalysis
-	act  *ActAnalysis
-	part *part
-}
-
-func (p *Indexed) build(u buildUnit) {
-	if u.agg != nil {
-		p.buildAggPart(u.agg, u.part)
-	} else {
-		p.buildActPart(u.act, u.part)
-	}
+	g     *membership
+	part  *part
+	slots slotMask
 }
 
 // FreezeUnbuilt freezes a provider that will only ever be asked def — an
@@ -281,10 +276,10 @@ func (p *Indexed) build(u buildUnit) {
 // a row set that will see too few probes to repay its indexes. A fork
 // asked any other definition panics like any lazy build on a fork.
 func (p *Indexed) FreezeUnbuilt(def *ast.AggDef) {
-	if a := p.an.Agg(def); a.Indexable && p.aggIdx[def] == nil {
-		p.scanAggIndex(a)
+	if a := p.an.Agg(def); a.Indexable && p.groups[a.group.ord] == nil {
+		p.scanGroup(a.group)
 	}
-	p.unbuilt, p.frozen = true, true
+	p.unbuilt, p.frozen = def, true
 }
 
 // view returns a copy of p that shares its indexes and environment but
@@ -334,45 +329,11 @@ func (s *Stats) Add(o Stats) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-definition aggregate indices
-
-// payloadSpec lays out the flattened per-point payload columns a range tree
-// carries: literal 1s (counts), argument terms, and squared argument terms.
-type payloadSpec struct {
-	terms   []ast.Term // nil entry = constant 1
-	fns     []expr.Num // terms compiled (nil entry = constant 1)
-	squared []bool
-	index   map[string]int
-}
-
-func (ps *payloadSpec) col(t ast.Term, squared bool) int {
-	key := "1"
-	if t != nil {
-		key = t.String()
-	}
-	if squared {
-		key += "²"
-	}
-	if ps.index == nil {
-		ps.index = map[string]int{}
-	}
-	if i, ok := ps.index[key]; ok {
-		return i
-	}
-	ps.terms = append(ps.terms, t)
-	ps.squared = append(ps.squared, squared)
-	ps.index[key] = len(ps.terms) - 1
-	return len(ps.terms) - 1
-}
-
-// divCols records which payload columns serve one divisible output.
-type divCols struct {
-	cnt, sum, sumSq int // -1 when unused
-}
+// Per-group partitions and structures
 
 // partIndex is the categorical partitioning of the environment for one
-// definition: the rows that pass its e-only filter, grouped by the values
-// of its equality columns.
+// membership group: the rows that pass its e-only filter, grouped by the
+// values of its partition columns.
 type partIndex struct {
 	parts map[string]*part
 	order []string // deterministic partition iteration order
@@ -383,31 +344,29 @@ type partIndex struct {
 	rowPart []int32
 }
 
-type aggIndex struct {
-	a *AggAnalysis
+// groupIndex is one membership group's partitions for one tick and the
+// set of its slots built over them so far.
+type groupIndex struct {
+	built slotMask
 	partIndex
 }
 
-type actIndex struct {
-	a *ActAnalysis
-	partIndex
-}
-
-// part is one partition: its member rows and whichever structures the
-// owning definition demands over them. A part owns its structures'
-// storage for as long as the index it belongs to is rebuilt or
-// maintained — a rebuild overwrites them in place.
+// part is one partition: its member rows and the group's structures over
+// them, each valid when its slot is in the group index's built set. A part
+// owns its structures' storage for as long as the index it belongs to is
+// rebuilt or maintained — a rebuild overwrites them in place.
 type part struct {
-	key    string // partition key, as in partIndex.parts
-	ord    int32  // position in partIndex.list
-	rows   []int  // env row indexes, ascending
-	rt     *rangetree.Tree
-	kd     *kdtree.Tree
-	global []globalExt // per output: precomputed extremum (ClassGlobal)
-	// sweep holds the point orderings every MIN/MAX sweep over this
-	// partition shares (definitions with a MinMax-class output): sorted
-	// once per build, read by every (output, window height, view).
-	sweep *sweepline.Order
+	key  string // partition key, as in partIndex.parts
+	ord  int32  // position in partIndex.list
+	rows []int  // env row indexes, ascending
+	// trees and sweeps are by surface: the range tree and the sweep
+	// orderings (sorted once per build, read by every output, window
+	// height and view sweeping this partition).
+	trees  []rangetree.Tree
+	sweeps []sweepline.Order
+	fold   []float64 // the fold's payload sums over rows, in row order
+	kd     kdtree.Tree
+	ext    []globalExt // by group extremum
 }
 
 type globalExt struct {
@@ -512,16 +471,11 @@ func (p *Indexed) partitionKey(row []float64, cols []int) []byte {
 func eqCols(eqs []EqCond) []int {
 	var cols []int
 	for _, eq := range eqs {
-		dup := false
-		for _, c := range cols {
-			if c == eq.Col {
-				dup = true
-			}
-		}
-		if !dup {
+		if !slices.Contains(cols, eq.Col) {
 			cols = append(cols, eq.Col)
 		}
 	}
+	slices.Sort(cols)
 	return cols
 }
 
@@ -552,71 +506,88 @@ func (p *Indexed) passesEOnly(conds []expr.Cond, row []float64) bool {
 	return true
 }
 
-// aggIndexFor builds (once per tick) the index structures for a definition.
-func (p *Indexed) aggIndexFor(def *ast.AggDef) *aggIndex {
-	if idx, ok := p.aggIdx[def]; ok {
-		return idx
-	}
-	p.guardLazyBuild("aggregate index")
-	a := p.an.Agg(def)
-	idx := p.scanAggIndex(a)
-	for _, pt := range idx.list {
-		p.buildAggPart(a, pt)
-	}
-	return idx
-}
-
-// scanAggIndex installs the definition's index with its membership final
-// and no structure built yet: a recycled index when the provider holds
-// one for the definition, a new one otherwise.
-func (p *Indexed) scanAggIndex(a *AggAnalysis) *aggIndex {
-	idx := p.spareAgg[a.Def]
+// groupFor returns this tick's index of g with at least the slots in need
+// built over it: the group's rows are scanned on its first use, and each
+// structure is built on the first use that needs it.
+func (p *Indexed) groupFor(g *membership, need slotMask) *groupIndex {
+	idx := p.groups[g.ord]
 	if idx == nil {
-		idx = &aggIndex{a: a}
-	} else {
-		delete(p.spareAgg, a.Def)
+		p.guardLazyBuild("membership")
+		idx = p.scanGroup(g)
 	}
-	p.scanMembers(&idx.partIndex, a.EOnlyFn, a.eqCols)
-	p.aggIdx[a.Def] = idx
+	if miss := need &^ idx.built; miss != 0 {
+		p.guardLazyBuild("index")
+		for _, pt := range idx.list {
+			p.buildSlots(g, pt, miss)
+		}
+		idx.built |= miss
+	}
 	return idx
 }
 
-// buildAggPart (re)builds every structure the definition demands for one
-// partition from the current environment rows, into the partition's own
-// storage where it has some. The result is a pure function of the member
-// rows' values, which is what lets MaintainFrom reuse a partition whose
-// members did not change. The sweep orderings are not counted as an index
-// build: they are the sort every sweep used to repeat.
-func (p *Indexed) buildAggPart(a *AggAnalysis, pt *part) {
-	if a.needRT {
-		p.buildAggRT(a, pt)
-		p.Stats.IndexBuilds++
+// scanGroup installs the group's index with its membership final and no
+// structure built yet: a recycled index when the provider holds one for
+// the group, a new one otherwise.
+func (p *Indexed) scanGroup(g *membership) *groupIndex {
+	var idx *groupIndex
+	if p.spare != nil {
+		idx, p.spare[g.ord] = p.spare[g.ord], nil
 	}
-	if a.needKD {
-		p.buildAggKD(pt)
-		p.Stats.IndexBuilds++
+	if idx == nil {
+		idx = &groupIndex{}
 	}
-	if a.anyGlobal {
-		p.buildAggGlobal(a, pt)
-		p.Stats.IndexBuilds++
-	}
-	if a.needSweep {
-		p.buildSweepOrder(a, pt)
+	idx.built = 0
+	p.scanMembers(&idx.partIndex, g.eonly, g.cols)
+	p.groups[g.ord] = idx
+	return idx
+}
+
+// buildSlots (re)builds the given structures of one partition from the
+// current environment rows, into the partition's own storage. Each is a
+// pure function of the member rows' values, which is what lets
+// MaintainFrom reuse a partition whose members did not change.
+func (p *Indexed) buildSlots(g *membership, pt *part, slots slotMask) {
+	for s, sl := range g.slots {
+		if !slots.has(s) {
+			continue
+		}
+		switch sl.kind {
+		case slotTree:
+			pt.trees = sized(pt.trees, len(g.surfaces))
+			sf := &g.surfaces[sl.at]
+			pt.trees[sl.at].Rebuild(p.partPoints(sf.x, sf.y, pt.rows), len(sf.payload.fns), p.partVals(&sf.payload, pt.rows))
+			p.Stats.IndexBuilds++
+		case slotSweep:
+			pt.sweeps = sized(pt.sweeps, len(g.surfaces))
+			p.buildSweep(&g.surfaces[sl.at], &pt.sweeps[sl.at], pt.rows)
+		case slotFold:
+			pt.fold = p.foldRows(&g.fold, pt.rows, pt.fold)
+			p.Stats.IndexBuilds++
+		case slotKD:
+			pt.kd.Rebuild(p.partKDPoints(pt.rows))
+			p.Stats.IndexBuilds++
+		case slotExt:
+			pt.ext = sized(pt.ext, len(g.exts))
+			for i := range g.exts {
+				pt.ext[i] = p.foldExt(&g.exts[i], pt.rows)
+			}
+			p.Stats.IndexBuilds++
+		}
 	}
 }
 
-// buildAggRT (re)builds the partition's range tree in place.
-func (p *Indexed) buildAggRT(a *AggAnalysis, pt *part) {
-	if pt.rt == nil {
-		pt.rt = &rangetree.Tree{}
+// sized returns s with length n, keeping it (and its elements' storage)
+// when it already has that length.
+func sized[T any](s []T, n int) []T {
+	if len(s) != n {
+		return make([]T, n)
 	}
-	pt.rt.Rebuild(p.partPoints(a.Axes, pt.rows), len(a.payload.fns), p.aggPartVals(a, pt.rows))
+	return s
 }
 
-// partPoints evaluates the range-tree points of a partition's rows, in
-// row order, into the view's scratch.
-func (p *Indexed) partPoints(axes []RangeAxis, rows []int) []rangetree.Point {
-	xCol, yCol := axisCols(axes)
+// partPoints evaluates the range-tree points of a partition's rows over
+// the axis columns (x, y), in row order, into the view's scratch.
+func (p *Indexed) partPoints(xCol, yCol int, rows []int) []rangetree.Point {
 	if cap(p.pts) < len(rows) {
 		p.pts = make([]rangetree.Point, len(rows))
 	}
@@ -628,29 +599,29 @@ func (p *Indexed) partPoints(axes []RangeAxis, rows []int) []rangetree.Point {
 	return p.pts
 }
 
-// aggPartVals evaluates the flattened payload columns of a partition's
-// rows, in row order, into the view's scratch — all a payload-preserving
+// partVals evaluates the flattened payload columns of a partition's rows,
+// in row order, into the view's scratch — all a payload-preserving
 // Repatch needs (the points are unchanged by definition there).
-func (p *Indexed) aggPartVals(a *AggAnalysis, rows []int) []float64 {
-	w := len(a.payload.fns)
+func (p *Indexed) partVals(spec *payloadSpec, rows []int) []float64 {
+	w := len(spec.fns)
 	if cap(p.vals) < len(rows)*w {
 		p.vals = make([]float64, len(rows)*w)
 	}
 	p.vals = p.vals[:len(rows)*w]
 	for j, ri := range rows {
-		p.rowPayload(a, p.env.Rows[ri], p.vals[j*w:(j+1)*w])
+		p.rowPayload(spec, p.env.Rows[ri], p.vals[j*w:(j+1)*w])
 	}
 	return p.vals
 }
 
 // rowPayload evaluates one row's payload columns into dst.
-func (p *Indexed) rowPayload(a *AggAnalysis, row, dst []float64) {
+func (p *Indexed) rowPayload(spec *payloadSpec, row, dst []float64) {
 	f := p.onRow(row)
-	for c, fn := range a.payload.fns {
+	for c, fn := range spec.fns {
 		v := 1.0
 		if fn != nil {
 			v = fn(f)
-			if a.payload.squared[c] {
+			if spec.squared[c] {
 				v *= v
 			}
 		}
@@ -658,24 +629,37 @@ func (p *Indexed) rowPayload(a *AggAnalysis, row, dst []float64) {
 	}
 }
 
-// buildSweepOrder (re)sorts the partition's sweep orderings in place.
-func (p *Indexed) buildSweepOrder(a *AggAnalysis, pt *part) {
-	xCol, yCol := axisCols(a.Axes)
-	kc := p.prog.Schema.KeyCol()
-	p.sites = p.sites[:0]
-	for _, ri := range pt.rows {
-		row := p.env.Rows[ri]
-		p.sites = append(p.sites, sweepline.Site{X: axisVal(row, xCol), Y: axisVal(row, yCol), Key: int64(row[kc])})
+// foldRows sums the payload columns of a partition's rows into dst (grown
+// to the payload's width), each column left to right in row order from
+// zero — the root prefix of the range tree no axes would build — and
+// returns it.
+func (p *Indexed) foldRows(spec *payloadSpec, rows []int, dst []float64) []float64 {
+	w := len(spec.fns)
+	dst = sized(dst, w)
+	clear(dst)
+	if cap(p.vals) < w {
+		p.vals = make([]float64, w)
 	}
-	if pt.sweep == nil {
-		pt.sweep = &sweepline.Order{}
+	vals := p.vals[:w]
+	for _, ri := range rows {
+		p.rowPayload(spec, p.env.Rows[ri], vals)
+		for c, v := range vals {
+			dst[c] = dst[c] + v
+		}
 	}
-	pt.sweep.Rebuild(p.sites)
+	return dst
 }
 
-// buildAggKD builds the partition's kD-tree over unit positions.
-func (p *Indexed) buildAggKD(pt *part) {
-	pt.kd = kdtree.Build(p.partKDPoints(pt.rows))
+// buildSweep (re)sorts a partition's sweep orderings over the surface in
+// place.
+func (p *Indexed) buildSweep(sf *surface, o *sweepline.Order, rows []int) {
+	kc := p.prog.Schema.KeyCol()
+	p.sites = p.sites[:0]
+	for _, ri := range rows {
+		row := p.env.Rows[ri]
+		p.sites = append(p.sites, sweepline.Site{X: axisVal(row, sf.x), Y: axisVal(row, sf.y), Key: int64(row[kc])})
+	}
+	o.Rebuild(p.sites)
 }
 
 // partKDPoints evaluates the kD-tree points of a partition's rows, in row
@@ -693,31 +677,16 @@ func (p *Indexed) partKDPoints(rows []int) []kdtree.Point {
 	return p.kdPts
 }
 
-// buildAggGlobal precomputes the partition's per-output global extrema.
-func (p *Indexed) buildAggGlobal(a *AggAnalysis, pt *part) {
-	if len(pt.global) != len(a.Def.Outputs) {
-		pt.global = make([]globalExt, len(a.Def.Outputs))
-	}
-	for i := range a.Def.Outputs {
-		if a.OutClass[i] == ClassGlobal {
-			pt.global[i] = p.foldGlobal(a, i, pt.rows)
-		}
-	}
-}
-
-// foldGlobal folds output i's extremum over a partition's rows, in row
-// order: the first row wins among equal values unless a later one has a
-// smaller key.
-func (p *Indexed) foldGlobal(a *AggAnalysis, i int, rows []int) globalExt {
+// foldExt folds an extremum over a partition's rows, in row order: the
+// first row wins among equal values unless a later one has a smaller key.
+func (p *Indexed) foldExt(e *extremum, rows []int) globalExt {
 	kc := p.prog.Schema.KeyCol()
-	fn := a.Def.Outputs[i].Func
-	isMin := fn == ast.Min || fn == ast.ArgMin
 	ext := globalExt{}
 	for _, ri := range rows {
 		row := p.env.Rows[ri]
-		v := a.ArgFn[i](p.onRow(row))
+		v := e.fn(p.onRow(row))
 		k := int64(row[kc])
-		if !ext.ok || (isMin && v < ext.val) || (!isMin && v > ext.val) ||
+		if !ext.ok || (e.isMin && v < ext.val) || (!e.isMin && v > ext.val) ||
 			(v == ext.val && k < ext.key) {
 			ext = globalExt{val: v, key: k, ok: true}
 		}
@@ -802,14 +771,14 @@ func partMatches(sample []float64, reqs []matchReq) bool {
 // partitions and the set does not fit). With scratch set it reuses the
 // per-instance probe buffers — the result is only valid until the next
 // scratch call on this view.
-func (p *Indexed) matchParts(idx *aggIndex, f *expr.Frame, scratch bool) (out []*part, mask uint64, ok bool) {
+func (p *Indexed) matchParts(idx *groupIndex, eqs []EqCond, f *expr.Frame, scratch bool) (out []*part, mask uint64, ok bool) {
 	var reqs []matchReq
 	if scratch {
 		reqs, out = p.probeReqs[:0], p.probeParts[:0]
 	} else {
-		reqs = make([]matchReq, 0, len(idx.a.Eqs))
+		reqs = make([]matchReq, 0, len(eqs))
 	}
-	reqs = evalReqs(reqs, idx.a.Eqs, f)
+	reqs = evalReqs(reqs, eqs, f)
 	for ord, pt := range idx.list {
 		if len(pt.rows) == 0 {
 			continue
@@ -894,9 +863,18 @@ func (p *Indexed) evalCore(dst []float64, def *ast.AggDef, unit []float64, args 
 			return fillIdentities(dst, def)
 		}
 	}
-	idx := p.aggIndexFor(def)
+	need := a.need
+	if p.unbuilt != nil {
+		// An unbuilt provider answers one definition, one-shot.
+		if def != p.unbuilt {
+			p.guardLazyBuild("index")
+		}
+		need = 0
+	}
+	g := a.group
+	idx := p.groupFor(g, need)
 	f = p.onProbe(unit, args) // a lazy index build rebinds the frame row by row
-	parts, mask, maskOK := p.matchParts(idx, f, scratch)
+	parts, mask, maskOK := p.matchParts(idx, a.Eqs, f, scratch)
 
 	// A probe-invariant definition answers every probe that matched the
 	// same partitions identically: the rectangle is unbounded whoever
@@ -913,31 +891,44 @@ func (p *Indexed) evalCore(dst []float64, def *ast.AggDef, unit []float64, args 
 	rect := probeRect(a.Axes, f)
 
 	out := fillIdentities(dst, def)
-	w := len(a.payload.fns)
 	var payload []float64
-	if w > 0 {
+	if a.divSlot >= 0 {
+		spec := g.payload(a.surf)
+		w := len(spec.fns)
 		if scratch {
 			if cap(p.probePayload) < w {
 				p.probePayload = make([]float64, w)
 			}
 			payload = p.probePayload[:w]
-			for i := range payload {
-				payload[i] = 0
-			}
+			clear(payload)
 		} else {
 			payload = make([]float64, w)
 		}
-		// w > 0 exactly when some output is divisible. A partition of an
-		// unbuilt provider has no tree: the same sum comes out of one pass
-		// over its rows.
+		// A structure an unbuilt provider lacks is replaced by one pass
+		// over the partition's rows that adds the same sums.
+		built := idx.built.has(a.divSlot)
 		for _, part := range parts {
-			if part.rt != nil {
-				part.rt.Aggregate(rect, payload)
+			switch {
+			case a.surf < 0:
+				fold := part.fold
+				if built {
+					p.Stats.TreeProbes++
+				} else {
+					p.fold = p.foldRows(spec, part.rows, p.fold)
+					fold = p.fold
+					p.Stats.ScanProbes++
+				}
+				for c, v := range fold {
+					payload[c] += v
+				}
+			case built:
+				part.trees[a.surf].Aggregate(rect, payload)
 				p.Stats.TreeProbes++
-			} else {
+			default:
 				rows := part.rows
-				rangetree.AggregateOnce(&p.once, p.partPoints(a.Axes, rows), func(i int, dst []float64) {
-					p.rowPayload(a, p.env.Rows[rows[i]], dst)
+				sf := &g.surfaces[a.surf]
+				rangetree.AggregateOnce(&p.once, p.partPoints(sf.x, sf.y, rows), func(i int, dst []float64) {
+					p.rowPayload(spec, p.env.Rows[rows[i]], dst)
 				}, rect, payload)
 				p.Stats.ScanProbes++
 			}
@@ -972,9 +963,10 @@ func (p *Indexed) evalCore(dst []float64, def *ast.AggDef, unit []float64, args 
 			best := kdtree.Result{DistSq: math.Inf(1)}
 			self := int64(unit[kc])
 			ux, uy := unit[p.an.posX], unit[p.an.posY]
+			built := idx.built.has(g.kdSlot)
 			for _, part := range parts {
 				var r kdtree.Result
-				if part.kd != nil {
+				if built {
 					p.Stats.KDProbes++
 					r = part.kd.Nearest(ux, uy, self, math.Inf(1))
 				} else {
@@ -999,21 +991,22 @@ func (p *Indexed) evalCore(dst []float64, def *ast.AggDef, unit []float64, args 
 				}
 			}
 		case ClassGlobal:
-			isMin := o.Func == ast.Min || o.Func == ast.ArgMin
+			e := &g.exts[a.ext[i]]
+			built := idx.built.has(g.extSlot)
 			ext := globalExt{}
 			for _, part := range parts {
-				var g globalExt
-				if part.global != nil {
-					g = part.global[i]
+				var pe globalExt
+				if built {
+					pe = part.ext[a.ext[i]]
 				} else {
-					g = p.foldGlobal(a, i, part.rows)
+					pe = p.foldExt(e, part.rows)
 				}
-				if !g.ok {
+				if !pe.ok {
 					continue
 				}
-				if !ext.ok || (isMin && g.val < ext.val) || (!isMin && g.val > ext.val) ||
-					(g.val == ext.val && g.key < ext.key) {
-					ext = g
+				if !ext.ok || (e.isMin && pe.val < ext.val) || (!e.isMin && pe.val > ext.val) ||
+					(pe.val == ext.val && pe.key < ext.key) {
+					ext = pe
 				}
 			}
 			if ext.ok {
@@ -1132,7 +1125,7 @@ func (p *Indexed) EvalAggBatch(def *ast.AggDef, units [][]float64, args [][]floa
 // would.
 func (p *Indexed) BatchBeneficial(def *ast.AggDef) bool {
 	a := p.an.Agg(def)
-	if !a.Indexable || p.unbuilt {
+	if !a.Indexable || p.unbuilt != nil {
 		return false // an unbuilt provider has no sweep orderings to batch over
 	}
 	for i := range def.Outputs {
@@ -1178,7 +1171,7 @@ type argState struct {
 // evalMinMaxBatch fills the MinMax-class outputs of results via sweeps.
 func (p *Indexed) evalMinMaxBatch(a *AggAnalysis, units [][]float64, args [][]float64, results [][]float64) {
 	def := a.Def
-	idx := p.aggIndexFor(def)
+	idx := p.groupFor(a.group, a.need|slotBit(a.sweep))
 	b := &p.batch
 
 	// Each probe goes to the partitions its eq conjuncts select; probes
@@ -1203,7 +1196,7 @@ probes:
 			}
 		}
 		rect := probeRect(a.Axes, f)
-		matched, _, _ := p.matchParts(idx, f, true)
+		matched, _, _ := p.matchParts(idx, a.Eqs, f, true)
 		cx, rx := centerHalf(rect.MinX, rect.MaxX)
 		cy, ryHalf := centerHalf(rect.MinY, rect.MaxY)
 		for _, pt := range matched {
@@ -1260,7 +1253,7 @@ probes:
 				b.vals[g.part.ord], b.valsDone[g.part.ord] = vals, true
 			}
 			p.Stats.Sweeps++
-			for j, r := range b.sweeper.Sweep(g.part.sweep, vals, g.probes, g.height/2, op) {
+			for j, r := range b.sweeper.Sweep(&g.part.sweeps[a.surf], vals, g.probes, g.height/2, op) {
 				if !r.Found {
 					continue
 				}
@@ -1292,42 +1285,6 @@ probes:
 
 // ---------------------------------------------------------------------------
 // Action target selection
-
-func (p *Indexed) actIndexFor(def *ast.ActDef) *actIndex {
-	if idx, ok := p.actIdx[def]; ok {
-		return idx
-	}
-	p.guardLazyBuild("action index")
-	a := p.an.Act(def)
-	idx := p.scanActIndex(a)
-	for _, pt := range idx.list {
-		p.buildActPart(a, pt)
-	}
-	return idx
-}
-
-// scanActIndex mirrors scanAggIndex for an area action.
-func (p *Indexed) scanActIndex(a *ActAnalysis) *actIndex {
-	idx := p.spareAct[a.Def]
-	if idx == nil {
-		idx = &actIndex{a: a}
-	} else {
-		delete(p.spareAct, a.Def)
-	}
-	p.scanMembers(&idx.partIndex, a.EOnlyFn, a.eqCols)
-	p.actIdx[a.Def] = idx
-	return idx
-}
-
-// buildActPart (re)builds one partition's spatial tree, in place, from
-// the current environment rows.
-func (p *Indexed) buildActPart(a *ActAnalysis, pt *part) {
-	if pt.rt == nil {
-		pt.rt = &rangetree.Tree{}
-	}
-	pt.rt.Rebuild(p.partPoints(a.Axes, pt.rows), 0, nil)
-	p.Stats.IndexBuilds++
-}
 
 func (p *Indexed) keyLookup() map[int64]int {
 	if p.keyIndex == nil {
@@ -1367,7 +1324,7 @@ func (p *Indexed) SelectTargets(def *ast.ActDef, unit []float64, args []float64,
 			}
 		}
 	case ActArea:
-		idx := p.actIndexFor(def)
+		idx := p.groupFor(a.group, a.need)
 		f = p.onProbe(unit, args) // a lazy index build rebinds the frame row by row
 		rect := probeRect(a.Axes, f)
 		reqs := evalReqs(p.probeReqs[:0], a.Eqs, f)
@@ -1376,7 +1333,7 @@ func (p *Indexed) SelectTargets(def *ast.ActDef, unit []float64, args []float64,
 			if len(part.rows) == 0 || !partMatches(p.env.Rows[part.rows[0]], reqs) {
 				continue
 			}
-			part.rt.Report(rect, func(j int) {
+			part.trees[a.surf].Report(rect, func(j int) {
 				visit(p.env.Rows[part.rows[j]])
 			})
 		}

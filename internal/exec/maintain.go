@@ -30,11 +30,7 @@
 // the whole script zoo and the battle simulation at several worker counts.
 package exec
 
-import (
-	"sort"
-
-	"github.com/epicscale/sgl/internal/sgl/expr"
-)
+import "sort"
 
 // Delta describes which environment rows changed between the snapshot the
 // previous provider was built on and the current environment.
@@ -118,50 +114,55 @@ func (d *Delta) AddRows(rows []int, mask uint64) {
 }
 
 // MaintainFrom patches the previous tick's index structures to reflect
-// the current environment instead of rebuilding them, definition by
-// definition. For each definition it counts the dirty rows whose changed
-// columns intersect the definition's build-time dependencies; if that
-// count exceeds threshold × rows the definition is left to rebuild from
-// scratch (Stats.MaintainFallbacks), otherwise only the affected
-// partitions are rebuilt or payload-patched and the rest are reused.
+// the current environment instead of rebuilding them, membership group by
+// membership group. Churn is judged against threshold × rows, counting
+// the dirty rows whose changed columns intersect what is judged: a group
+// whose membership columns churn past it is left to rescan and rebuild
+// from scratch; otherwise its partitions are maintained, and so is each
+// structure built over them, unless that structure's own columns churn
+// past it too — then it is dropped and rebuilt whole on its next use.
+// Stats.MaintainFallbacks counts the member definitions left reading a
+// rebuilt structure. A maintained structure is rebuilt or payload-patched
+// only in the partitions a relevant dirty row touches, and reused in the
+// rest.
 //
-// MaintainFrom takes ownership of prev: patched structures may be mutated
-// in place, so prev must not be probed afterwards. It must run before
-// Freeze/Fork, on the tick's single goroutine. The receiver must wrap the
-// same environment table (same row order and keys) and analyzer as prev;
-// if the populations disagree, MaintainFrom is a no-op and everything
-// rebuilds lazily. It returns whether any definition was maintained.
+// MaintainFrom takes ownership of prev: maintained group indexes move
+// into p and are mutated in place, so prev must not be probed afterwards.
+// It must run before Freeze/Fork, on the tick's single goroutine. The
+// receiver must wrap the same environment table (same row order and keys)
+// and analyzer as prev; if the populations disagree, MaintainFrom is a
+// no-op and everything rebuilds lazily. It returns whether any group was
+// maintained.
 func (p *Indexed) MaintainFrom(prev *Indexed, d Delta, threshold float64) bool {
 	if prev == nil || prev.an != p.an || prev.env.Len() != p.env.Len() {
 		return false
 	}
 	n := p.env.Len()
-	limit := threshold * float64(n)
+	churned := func(m depMask) bool { return float64(relevantDirty(d, m)) > threshold*float64(n) }
 	maintained := false
-	//sgl:unordered per-definition maintenance writes only its own index; fallback counters are sums
-	for def, old := range prev.aggIdx {
-		a := p.an.Agg(def)
-		if !a.Indexable || len(old.rowPart) != n {
+	for ord, idx := range prev.groups {
+		if idx == nil || len(idx.rowPart) != n {
 			continue
 		}
-		if float64(relevantDirty(d, a.Deps.All())) > limit {
-			p.Stats.MaintainFallbacks++
+		g := p.an.groups[ord]
+		if churned(g.deps) {
+			p.Stats.MaintainFallbacks += len(g.needs)
 			continue
 		}
-		p.aggIdx[def] = p.maintainAgg(a, old, d)
-		maintained = true
-	}
-	//sgl:unordered per-definition maintenance writes only its own index; fallback counters are sums
-	for def, old := range prev.actIdx {
-		a := p.an.Act(def)
-		if a.Class != ActArea || len(old.rowPart) != n {
-			continue
+		var dropped slotMask
+		for s := range g.slots {
+			if shape, vals := g.slotDeps(s); idx.built.has(s) && churned(g.deps|shape|vals) {
+				dropped |= slotBit(s)
+			}
 		}
-		if float64(relevantDirty(d, a.Deps.All())) > limit {
-			p.Stats.MaintainFallbacks++
-			continue
+		idx.built &^= dropped
+		for _, need := range g.needs {
+			if need&dropped != 0 {
+				p.Stats.MaintainFallbacks++
+			}
 		}
-		p.actIdx[def] = p.maintainAct(a, old, d)
+		p.maintainGroup(g, idx, d)
+		p.groups[ord] = idx
 		maintained = true
 	}
 	// Keys are constant and rows never reorder, so the key lookup carries
@@ -186,24 +187,18 @@ func relevantDirty(d Delta, m depMask) int {
 // partFate accumulates what one partition needs after classifying every
 // relevant dirty row.
 type partFate struct {
-	relabel bool // membership changed: rebuild everything from new rows
-	rtShape bool // a sort-key column changed: rebuild the range tree
-	rtVals  bool // only payload columns changed: recompute prefixes in place
-	kd      bool // a kD point column changed: rebuild the kD-tree
-	global  bool // a global-extremum argument changed: recompute extrema
+	relabel bool     // membership changed: rebuild everything from new rows
+	rebuild slotMask // a structure's shape column changed: rebuild it
+	repatch slotMask // only payload columns changed: recompute its sums in place
 }
 
-// classifyDirty walks the delta once for a definition, assigning a fate
-// to every touched partition and collecting, per new partition key, the
+// classifyDirty walks the delta once for a group, assigning a fate to
+// every touched partition and collecting, per new partition key, the
 // dirty rows that now belong to it (ascending, since d.Dirty is).
 // departed marks dirty rows whose membership was re-evaluated; they are
 // dropped from their old partition and re-added via arrivals if they
 // stayed.
-func (p *Indexed) classifyDirty(
-	d Delta, member, shape, vals, kd, global depMask,
-	rowPart []int32, order []string,
-	eonly []expr.Cond, cols []int,
-) (fates map[string]*partFate, arrivals map[string][]int, departed map[int]bool) {
+func (p *Indexed) classifyDirty(g *membership, idx *groupIndex, d Delta) (fates map[string]*partFate, arrivals map[string][]int, departed map[int]bool) {
 	fates = map[string]*partFate{}
 	arrivals = map[string][]int{}
 	departed = map[int]bool{}
@@ -217,17 +212,17 @@ func (p *Indexed) classifyDirty(
 	}
 	for j, r := range d.Dirty {
 		mask := depMask(d.Masks[j])
-		hasOld := rowPart[r] >= 0
-		if mask&member != 0 {
+		hasOld := idx.rowPart[r] >= 0
+		if mask&g.deps != 0 {
 			// Membership may have changed: pull the row out of its old
 			// partition and re-insert it where it belongs now.
 			if hasOld {
-				fateOf(order[rowPart[r]]).relabel = true
+				fateOf(idx.order[idx.rowPart[r]]).relabel = true
 				departed[r] = true
 			}
 			row := p.env.Rows[r]
-			if p.passesEOnly(eonly, row) {
-				nk := string(p.partitionKey(row, cols))
+			if p.passesEOnly(g.eonly, row) {
+				nk := string(p.partitionKey(row, g.cols))
 				fateOf(nk).relabel = true
 				arrivals[nk] = append(arrivals[nk], r)
 			}
@@ -236,17 +231,21 @@ func (p *Indexed) classifyDirty(
 		if !hasOld {
 			continue // still filtered out; nothing indexed depends on it
 		}
-		f := fateOf(order[rowPart[r]])
-		if mask&shape != 0 {
-			f.rtShape = true
-		} else if mask&vals != 0 {
-			f.rtVals = true
+		var rebuild, repatch slotMask
+		for s := range g.slots {
+			if !idx.built.has(s) {
+				continue
+			}
+			if shape, vals := g.slotDeps(s); mask&shape != 0 {
+				rebuild |= slotBit(s)
+			} else if mask&vals != 0 {
+				repatch |= slotBit(s)
+			}
 		}
-		if mask&kd != 0 {
-			f.kd = true
-		}
-		if mask&global != 0 {
-			f.global = true
+		if rebuild|repatch != 0 {
+			f := fateOf(idx.order[idx.rowPart[r]])
+			f.rebuild |= rebuild
+			f.repatch |= repatch
 		}
 	}
 	return fates, arrivals, departed
@@ -275,64 +274,36 @@ func sortedByFirstRow(keys []string, firstRow func(key string) int) {
 	})
 }
 
-func (p *Indexed) maintainAgg(a *AggAnalysis, old *aggIndex, d Delta) *aggIndex {
-	idx := &aggIndex{a: a, partIndex: partIndex{parts: make(map[string]*part, len(old.parts))}}
-	deps := a.Deps
-	fates, arrivals, departed := p.classifyDirty(
-		d, deps.Member, deps.Shape, deps.Vals, deps.KD, deps.Global,
-		old.rowPart, old.order, a.EOnlyFn, a.eqCols)
-
-	for _, key := range old.order {
-		pt := old.parts[key]
+// maintainGroup brings a group index built over the previous tick's rows
+// up to date in place: the same structures built, each now a function of
+// the current rows.
+func (p *Indexed) maintainGroup(g *membership, idx *groupIndex, d Delta) {
+	fates, arrivals, departed := p.classifyDirty(g, idx, d)
+	for _, key := range idx.order {
+		pt := idx.parts[key]
 		f := fates[key]
 		switch {
 		case f == nil:
 			// No relevant dirty member: every structure is a pure function
 			// of unchanged rows, so the whole partition carries over.
-			p.countReuse(a)
+			p.countReuses(g, idx.built)
 		case f.relabel:
 			rows := mergeMembership(pt.rows, arrivals[key], departed)
 			delete(arrivals, key)
 			if len(rows) == 0 {
-				continue // partition vanished; drop it like the scan would
+				delete(idx.parts, key) // partition vanished; drop it like the scan would
+				continue
 			}
 			pt.rows = rows
-			p.buildAggPart(a, pt)
+			p.buildSlots(g, pt, idx.built)
 		default:
 			// Membership intact: refresh only the invalidated structures.
-			if a.needRT {
-				switch {
-				case f.rtShape:
-					p.buildAggRT(a, pt)
-					p.Stats.IndexBuilds++
-				case f.rtVals:
-					pt.rt.Repatch(p.aggPartVals(a, pt.rows))
-					p.Stats.IndexPatches++
-				default:
-					p.Stats.IndexReuses++
-				}
-			}
-			if a.needKD {
-				if f.kd {
-					p.buildAggKD(pt)
-					p.Stats.IndexBuilds++
-				} else {
-					p.Stats.IndexReuses++
-				}
-			}
-			if a.anyGlobal {
-				if f.global {
-					p.buildAggGlobal(a, pt)
-					p.Stats.IndexBuilds++
-				} else {
-					p.Stats.IndexReuses++
-				}
-			}
-			if a.needSweep && f.rtShape {
-				p.buildSweepOrder(a, pt)
-			}
+			rebuild := f.rebuild & idx.built
+			repatch := f.repatch & idx.built &^ rebuild
+			p.buildSlots(g, pt, rebuild)
+			p.repatchSlots(g, pt, repatch)
+			p.countReuses(g, idx.built&^(rebuild|repatch))
 		}
-		idx.parts[key] = pt
 	}
 
 	// Partitions born this tick (arrivals to keys the old index lacked).
@@ -344,80 +315,42 @@ func (p *Indexed) maintainAgg(a *AggAnalysis, old *aggIndex, d Delta) *aggIndex 
 	sort.Strings(newKeys)
 	for _, key := range newKeys {
 		pt := &part{key: key, rows: arrivals[key]}
-		p.buildAggPart(a, pt)
+		p.buildSlots(g, pt, idx.built)
 		idx.parts[key] = pt
 	}
 
-	idx.order = make([]string, 0, len(idx.parts))
+	idx.order = idx.order[:0]
 	//sgl:unordered partition order is re-derived by sortedByFirstRow below
 	for key := range idx.parts {
 		idx.order = append(idx.order, key)
 	}
 	sortedByFirstRow(idx.order, func(key string) int { return idx.parts[key].rows[0] })
 	idx.finish(p.env.Len())
-	return idx
 }
 
-// countReuse books the reuse of a fully clean aggregate partition's
-// structures.
-func (p *Indexed) countReuse(a *AggAnalysis) {
-	if a.needRT {
-		p.Stats.IndexReuses++
-	}
-	if a.needKD {
-		p.Stats.IndexReuses++
-	}
-	if a.anyGlobal {
-		p.Stats.IndexReuses++
+// repatchSlots recomputes the payload sums of the given range trees and
+// folds of one partition in place: their points did not move.
+func (p *Indexed) repatchSlots(g *membership, pt *part, slots slotMask) {
+	for s, sl := range g.slots {
+		if !slots.has(s) {
+			continue
+		}
+		switch sl.kind {
+		case slotTree:
+			pt.trees[sl.at].Repatch(p.partVals(&g.surfaces[sl.at].payload, pt.rows))
+		case slotFold:
+			pt.fold = p.foldRows(&g.fold, pt.rows, pt.fold)
+		}
+		p.Stats.IndexPatches++
 	}
 }
 
-func (p *Indexed) maintainAct(a *ActAnalysis, old *actIndex, d Delta) *actIndex {
-	idx := &actIndex{a: a, partIndex: partIndex{parts: make(map[string]*part, len(old.parts))}}
-	fates, arrivals, departed := p.classifyDirty(
-		d, a.Deps.Member, a.Deps.Shape, 0, 0, 0,
-		old.rowPart, old.order, a.EOnlyFn, a.eqCols)
-
-	for _, key := range old.order {
-		pt := old.parts[key]
-		f := fates[key]
-		switch {
-		case f == nil:
-			p.Stats.IndexReuses++
-		case f.relabel:
-			rows := mergeMembership(pt.rows, arrivals[key], departed)
-			delete(arrivals, key)
-			if len(rows) == 0 {
-				continue
-			}
-			pt.rows = rows
-			p.buildActPart(a, pt)
-		case f.rtShape:
-			p.buildActPart(a, pt)
-		default:
+// countReuses books the reuse of a partition's structures in slots (sweep
+// orderings are not counted, as they are not counted when built).
+func (p *Indexed) countReuses(g *membership, slots slotMask) {
+	for s, sl := range g.slots {
+		if slots.has(s) && sl.kind != slotSweep {
 			p.Stats.IndexReuses++
 		}
-		idx.parts[key] = pt
 	}
-
-	newKeys := make([]string, 0, len(arrivals))
-	//sgl:unordered keys are collected and sorted before partitions are built
-	for key := range arrivals {
-		newKeys = append(newKeys, key)
-	}
-	sort.Strings(newKeys)
-	for _, key := range newKeys {
-		pt := &part{key: key, rows: arrivals[key]}
-		p.buildActPart(a, pt)
-		idx.parts[key] = pt
-	}
-
-	idx.order = make([]string, 0, len(idx.parts))
-	//sgl:unordered partition order is re-derived by sortedByFirstRow below
-	for key := range idx.parts {
-		idx.order = append(idx.order, key)
-	}
-	sortedByFirstRow(idx.order, func(key string) int { return idx.parts[key].rows[0] })
-	idx.finish(p.env.Len())
-	return idx
 }

@@ -307,12 +307,13 @@ func TestMaintainFromRejectsMismatch(t *testing.T) {
 }
 
 // TestRecycleCarriesUnclaimedStorage walks the chain of custody Recycle
-// documents. A serial tick builds lazily, so a definition it never probes
-// leaves its recycled index unclaimed — and the next tick must still find
-// it (tick 2 below rebuilds into tick 0's storage for everything tick 1
-// skipped). After MaintainFrom, Recycle must leave the maintained
-// definitions alone: their partitions are live in the new provider, not
-// spare. At every step the provider answers exactly like a fresh one.
+// documents, membership group by membership group. A serial tick scans and
+// builds lazily, so a group it never probes leaves its recycled index
+// unclaimed — and the next tick must still find it (tick 2 below rebuilds
+// into tick 0's storage for everything tick 1 skipped). After MaintainFrom,
+// Recycle must leave the maintained groups alone: their partitions are
+// live in the new provider, not spare. At every step the provider answers
+// exactly like a fresh one.
 func TestRecycleCarriesUnclaimedStorage(t *testing.T) {
 	prog := compile(t, kitchenSinkScript)
 	an := NewAnalyzer(prog, categoricals())
@@ -322,49 +323,74 @@ func TestRecycleCarriesUnclaimedStorage(t *testing.T) {
 		p.Freeze()
 		return p
 	}
+	count := func(idxs []*groupIndex) int {
+		n := 0
+		for _, idx := range idxs {
+			if idx != nil {
+				n++
+			}
+		}
+		return n
+	}
 
 	tick0 := fresh(0)
-	built := len(tick0.aggIdx)
+	built := count(tick0.groups)
+	if built < 3 {
+		t.Fatalf("kitchen sink has %d membership groups, the test needs at least 3", built)
+	}
 
 	tick1 := NewIndexed(an, env, rng.New(21).Tick(1))
 	tick1.Recycle(tick0)
 	probed := prog.Script.Agg("CountEnemiesInRange")
 	tick1.EvalAgg(probed, env.Rows[0], []float64{8})
-	if len(tick1.aggIdx) != 1 || len(tick1.spareAgg) != built-1 {
-		t.Fatalf("after one lazy probe: %d indexes built, %d spare; want 1 and %d", len(tick1.aggIdx), len(tick1.spareAgg), built-1)
+	if count(tick1.groups) != 1 || count(tick1.spare) != built-1 {
+		t.Fatalf("after one lazy probe: %d groups scanned, %d spare; want 1 and %d", count(tick1.groups), count(tick1.spare), built-1)
 	}
 
 	tick2 := NewIndexed(an, env, rng.New(21).Tick(2))
 	tick2.Recycle(tick1)
-	if len(tick2.spareAgg) != built {
-		t.Fatalf("tick 2 inherited %d spare indexes, want all %d (built and unclaimed alike)", len(tick2.spareAgg), built)
+	if count(tick2.spare) != built {
+		t.Fatalf("tick 2 inherited %d spare groups, want all %d (scanned and unclaimed alike)", count(tick2.spare), built)
 	}
 	tick2.Freeze()
-	if len(tick2.spareAgg) != 0 || len(tick2.spareAct) != 0 {
-		t.Fatalf("Freeze left %d/%d spare indexes unclaimed", len(tick2.spareAgg), len(tick2.spareAct))
+	if count(tick2.spare) != 0 {
+		t.Fatalf("Freeze left %d spare groups unclaimed", count(tick2.spare))
 	}
 	assertSameAnswers(t, "tick 2 (recycled)", prog, env, fresh(2), tick2)
 
-	snap := make([][]float64, env.Len())
+	// A quarter of the rows gain maximum health: a membership column of
+	// the wounded-friend group only (e.health < e.maxhealth). One row in
+	// sixteen moves, which every group reads. At a threshold between the
+	// two fractions the wounded group falls back and the rest maintain.
+	s := env.Schema
+	var d Delta
 	for i, row := range env.Rows {
-		snap[i] = append([]float64(nil), row...)
-	}
-	d := mutateRows(env, snap)
-	tick3 := NewIndexed(an, env, rng.New(21).Tick(3))
-	// A threshold between the definitions' relevant dirty fractions:
-	// some are maintained, the rest fall back to a rebuild.
-	if !tick3.MaintainFrom(tick2, d, 0.15) || tick3.Stats.MaintainFallbacks == 0 {
-		t.Fatalf("want a mix of maintained and fallen-back definitions, got %d maintained, %d fallbacks",
-			len(tick3.aggIdx)+len(tick3.actIdx), tick3.Stats.MaintainFallbacks)
-	}
-	tick3.Recycle(tick2)
-	for def := range tick3.aggIdx {
-		if tick3.spareAgg[def] != nil {
-			t.Fatalf("%s was maintained and is also spare: a rebuild would overwrite live partitions", def.Name)
+		var m uint64
+		if i%4 == 1 {
+			row[s.MustCol("maxhealth")]++
+			m |= 1 << s.MustCol("maxhealth")
+		}
+		if i%16 == 0 {
+			row[s.MustCol("posx")]++
+			m |= 1 << s.MustCol("posx")
+		}
+		if m != 0 {
+			d.Dirty, d.Masks = append(d.Dirty, i), append(d.Masks, m)
 		}
 	}
-	if len(tick3.spareAgg) == 0 {
-		t.Fatal("fallen-back definitions left no storage to rebuild into")
+	tick3 := NewIndexed(an, env, rng.New(21).Tick(3))
+	if !tick3.MaintainFrom(tick2, d, 0.15) || tick3.Stats.MaintainFallbacks == 0 {
+		t.Fatalf("want a mix of maintained and fallen-back groups, got %d maintained, %d fallbacks",
+			count(tick3.groups), tick3.Stats.MaintainFallbacks)
+	}
+	tick3.Recycle(tick2)
+	for ord, idx := range tick3.groups {
+		if idx != nil && tick3.spare[ord] != nil {
+			t.Fatalf("group %d was maintained and is also spare: a rebuild would overwrite live partitions", ord)
+		}
+	}
+	if count(tick3.spare) == 0 {
+		t.Fatal("fallen-back groups left no storage to rebuild into")
 	}
 	tick3.Freeze()
 	assertSameAnswers(t, "tick 3 (maintained + recycled)", prog, env, fresh(3), tick3)

@@ -126,4 +126,32 @@ aggregate Foes(u) :=
   over e where e.player <> u.player and e.unittype = 7;
 action Tag(u, v) := on e where e.key = u.key set damage = v;
 function main(u) { perform Tag(u, Foes(u)) }`},
+
+	// Four definitions over one membership (partitioned by player, no
+	// e-only filter): two windowed divisible ones with different payloads
+	// share one range tree carrying their union, a probe-invariant one
+	// reads the row-order fold, and a nearest-neighbour one the shared
+	// kD-tree.
+	{"shared-membership", `
+aggregate Pack(u) :=
+  count(*)
+  over e where e.posx >= u.posx - 6 and e.posx <= u.posx + 6
+    and e.posy >= u.posy - 6 and e.posy <= u.posy + 6
+    and e.player = u.player;
+aggregate Vigor(u) :=
+  avg(e.health) as mean, stddev(e.health) as sd
+  over e where e.posx >= u.posx - 9 and e.posx <= u.posx + 9
+    and e.posy >= u.posy - 9 and e.posy <= u.posy + 9
+    and e.player <> u.player;
+aggregate Roster(u) :=
+  avg(e.health) as mean, stddev(e.health) as sd
+  over e where e.player = u.player;
+aggregate Closest(u) := nearestkey() over e where e.player <> u.player;
+action Tag(u, v) := on e where e.key = u.key set damage = v;
+function main(u) {
+  (let v = Vigor(u)) (let r = Roster(u)) {
+    if Pack(u) > 2 then perform Tag(u, v.mean - r.mean + v.sd + r.sd);
+    else perform Tag(u, Closest(u))
+  }
+}`},
 }

@@ -1,6 +1,5 @@
 // Package kdtree implements the 2-d tree used for spatial aggregates such
-// as nearest-neighbour queries (paper Section 5.3.2, citing Bentley's
-// semidynamic k-d trees).
+// as nearest-neighbour queries (paper Section 5.3.2).
 //
 // The paper places kD-trees at the lowest level of a layered structure:
 // categorical selections (player, unit type, "whose armor we can
@@ -8,11 +7,16 @@
 // package, then each probe is answered by the partition's tree. Queries
 // support an exclusion key (a unit is never its own nearest enemy) and an
 // optional maximum radius (visibility range).
+//
+// Like the other per-tick indexes, a tree is rebuilt rather than updated:
+// Rebuild lays a new point set out in the storage the tree already has, so
+// a population of steady size rebuilds without allocating.
 package kdtree
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Point is an indexed location with its unit key.
@@ -21,34 +25,78 @@ type Point struct {
 	Key  int64
 }
 
-// Tree is a 2-d tree, rebuilt per tick like the other indices and safe
-// for concurrent reads. In Bentley's semidynamic spirit it also absorbs
-// updates between rebuilds: Remove tombstones a point by key, Insert adds
-// the point to a young buffer scanned linearly by queries, and Patch
-// moves a point (remove + insert). Because nearest-neighbour answers are
-// a pure function of the live point set (ties break by key), query
-// results after any update sequence are identical to a fresh Build over
-// the same live points. The mutating methods are not concurrency-safe.
+// Tree is a 2-d tree, safe for concurrent reads; Rebuild needs exclusive
+// access. The zero value is an empty tree.
+//
+// The tree is implicit: the node covering pts[lo:hi] splits at mid =
+// lo + (hi−lo)/2, its children cover pts[lo:mid] and pts[mid+1:hi], and
+// boxes[mid] is the bounding box of its points. Every position is the
+// split point of exactly one node, so the boxes take one flat slot per
+// point and no node structs exist.
 type Tree struct {
-	pts []Point // points in tree layout order
-	// The tree is stored implicitly: node i covers pts[lo:hi] with the
-	// median at mid; children are the sub-slices. Recursion boundaries are
-	// recomputed during search, so no explicit node structs are needed.
-
-	// Dynamic state: tombstoned built keys, young points (with their own
-	// tombstones), and a lazily built key → liveness index.
-	deadBuilt map[int64]bool
-	young     []Point
-	youngDead []bool
-	builtKeys map[int64]bool // lazily built on first mutation
+	pts   []Point // points in tree layout order
+	boxes []box   // by split position: the bounding box of that node's points
 }
 
-// Build constructs a balanced 2-d tree in O(n log n). The input slice is
-// not modified.
+// box is an axis-aligned bounding box over the non-NaN coordinates of a
+// node's points. An axis on which every point is NaN is empty (min +Inf,
+// max −Inf).
+type box struct{ minX, minY, maxX, maxY float64 }
+
+var emptyBox = box{math.Inf(1), math.Inf(1), math.Inf(-1), math.Inf(-1)}
+
+func (b *box) add(o box) {
+	if o.minX < b.minX {
+		b.minX = o.minX
+	}
+	if o.maxX > b.maxX {
+		b.maxX = o.maxX
+	}
+	if o.minY < b.minY {
+		b.minY = o.minY
+	}
+	if o.maxY > b.maxY {
+		b.maxY = o.maxY
+	}
+}
+
+// distSq is the squared distance from (x, y) to b — a lower bound, under
+// any monotone rounding, on the squared distance from (x, y) to every
+// point in b that is not at a NaN distance. Never NaN: a NaN probe
+// coordinate contributes 0.
+func (b *box) distSq(x, y float64) float64 {
+	var dx, dy float64
+	if x < b.minX {
+		dx = b.minX - x
+	} else if x > b.maxX {
+		dx = x - b.maxX
+	}
+	if y < b.minY {
+		dy = b.minY - y
+	} else if y > b.maxY {
+		dy = y - b.maxY
+	}
+	return dx*dx + dy*dy
+}
+
+// Build constructs a new tree; see Rebuild.
 func Build(pts []Point) *Tree {
-	cp := append([]Point(nil), pts...)
-	build(cp, 0)
-	return &Tree{pts: cp}
+	t := &Tree{}
+	t.Rebuild(pts)
+	return t
+}
+
+// Rebuild makes t the balanced 2-d tree over pts in O(n log n), discarding
+// whatever t held and reusing its storage when the capacity suffices. pts
+// is neither modified nor retained. The result is a pure function of pts:
+// a rebuilt tree answers every query bit-identically to a fresh Build.
+func (t *Tree) Rebuild(pts []Point) {
+	t.pts = append(t.pts[:0], pts...)
+	build(t.pts, 0)
+	t.boxes = slices.Grow(t.boxes[:0], len(pts))[:len(pts)]
+	if len(pts) > 0 {
+		t.fillBoxes(0, len(pts))
+	}
 }
 
 // build recursively partitions pts around the median along the split axis
@@ -61,6 +109,23 @@ func build(pts []Point, axis int) {
 	nthElement(pts, mid, axis)
 	build(pts[:mid], 1-axis)
 	build(pts[mid+1:], 1-axis)
+}
+
+// fillBoxes computes the boxes of the subtree over pts[lo:hi] bottom-up
+// and returns its root's.
+func (t *Tree) fillBoxes(lo, hi int) box {
+	mid := lo + (hi-lo)/2
+	p := t.pts[mid]
+	b := emptyBox
+	b.add(box{p.X, p.Y, p.X, p.Y})
+	if lo < mid {
+		b.add(t.fillBoxes(lo, mid))
+	}
+	if mid+1 < hi {
+		b.add(t.fillBoxes(mid+1, hi))
+	}
+	t.boxes[mid] = b
+	return b
 }
 
 // nthElement partially sorts pts so pts[k] holds the k-th smallest element
@@ -146,6 +211,17 @@ type Result struct {
 	Found  bool
 }
 
+// accept folds one point at squared distance d into best under the
+// search's rule: strictly closer, or an equidistant tie with a smaller
+// key, or the first point found within the radius bound (inclusive).
+func accept(best *Result, p Point, d float64) {
+	if d < best.DistSq ||
+		(d == best.DistSq && best.Found && p.Key < best.Key) ||
+		(d <= best.DistSq && !best.Found) {
+		best.Key, best.X, best.Y, best.DistSq, best.Found = p.Key, p.X, p.Y, d, true
+	}
+}
+
 // Nearest returns the point closest (Euclidean) to (x, y), excluding any
 // point whose key equals exclude (pass a negative key to exclude nothing),
 // and ignoring points farther than maxDist (pass +Inf for unbounded).
@@ -155,18 +231,8 @@ func (t *Tree) Nearest(x, y float64, exclude int64, maxDist float64) Result {
 	if math.IsInf(maxDist, 1) {
 		best.DistSq = math.Inf(1)
 	}
-	t.search(t.pts, 0, x, y, exclude, &best)
-	for j, p := range t.young {
-		if t.youngDead[j] || p.Key == exclude {
-			continue
-		}
-		dx, dy := p.X-x, p.Y-y
-		d := dx*dx + dy*dy
-		if d < best.DistSq ||
-			(d == best.DistSq && best.Found && p.Key < best.Key) ||
-			(d <= best.DistSq && !best.Found) {
-			best.Key, best.X, best.Y, best.DistSq, best.Found = p.Key, p.X, p.Y, d, true
-		}
+	if len(t.pts) > 0 {
+		t.search(0, len(t.pts), 0, x, y, exclude, &best)
 	}
 	return best
 }
@@ -176,12 +242,13 @@ func (t *Tree) Nearest(x, y float64, exclude int64, maxDist float64) Result {
 // acceptance rule — least squared distance, ties toward the smaller key,
 // a point at unbounded distance still found when nothing is nearer. The
 // tree's answer is that minimum whatever its shape, because the search
-// only prunes a half-plane farther than the best so far and visits it on
-// a tie. The exception is a coordinate difference that is NaN (a NaN
-// coordinate, or the probe and a point at the same infinity): it
-// compares false with everything, so what the tree prunes then depends
-// on its layout — such a point set is answered by building the tree, at
-// the full build's cost on every call: correct for hostile rows, not fast.
+// only prunes a region (half-plane or bounding box) farther than the best
+// so far and visits it on a tie. The exception is a coordinate difference
+// that is NaN (a NaN coordinate, or the probe and a point at the same
+// infinity): it compares false with everything, so what the tree prunes
+// then depends on its layout — such a point set is answered by building
+// the tree, at the full build's cost on every call: correct for hostile
+// rows, not fast.
 func NearestOnce(pts []Point, x, y float64, exclude int64) Result {
 	best := Result{DistSq: math.Inf(1)}
 	for _, p := range pts {
@@ -189,40 +256,32 @@ func NearestOnce(pts []Point, x, y float64, exclude int64) Result {
 		if dx != dx || dy != dy {
 			return Build(pts).Nearest(x, y, exclude, math.Inf(1))
 		}
-		if p.Key == exclude {
-			continue
-		}
-		d := dx*dx + dy*dy
-		if d < best.DistSq ||
-			(d == best.DistSq && best.Found && p.Key < best.Key) ||
-			(d <= best.DistSq && !best.Found) {
-			best.Key, best.X, best.Y, best.DistSq, best.Found = p.Key, p.X, p.Y, d, true
+		if p.Key != exclude {
+			accept(&best, p, dx*dx+dy*dy)
 		}
 	}
 	return best
 }
 
-// isDead reports whether a built point's key is tombstoned.
-func (t *Tree) isDead(key int64) bool {
-	return t.deadBuilt != nil && t.deadBuilt[key]
-}
-
-func (t *Tree) search(pts []Point, axis int, x, y float64, exclude int64, best *Result) {
-	if len(pts) == 0 {
+// search visits the node over pts[lo:hi] (nonempty), near child first.
+//
+// A subtree is skipped when its box is strictly farther than the best so
+// far: every point in it lies at least that far (monotone rounding keeps
+// the box's bound below each member's computed distance, and a point at a
+// NaN distance is never accepted), and the best distance never grows, so
+// no point skipped could have been accepted then or later — the search
+// ends in exactly the state it would have without the box test, ties
+// included. The splitting-plane test stays as it was, so where a NaN
+// difference prunes nothing changes either.
+func (t *Tree) search(lo, hi, axis int, x, y float64, exclude int64, best *Result) {
+	mid := lo + (hi-lo)/2
+	if t.boxes[mid].distSq(x, y) > best.DistSq {
 		return
 	}
-	mid := len(pts) / 2
-	p := pts[mid]
-	if p.Key != exclude && !t.isDead(p.Key) {
+	p := t.pts[mid]
+	if p.Key != exclude {
 		dx, dy := p.X-x, p.Y-y
-		d := dx*dx + dy*dy
-		// Accept if strictly closer, or the first point found within the
-		// radius bound (inclusive), or an equidistant tie with smaller key.
-		if d < best.DistSq ||
-			(d == best.DistSq && best.Found && p.Key < best.Key) ||
-			(d <= best.DistSq && !best.Found) {
-			best.Key, best.X, best.Y, best.DistSq, best.Found = p.Key, p.X, p.Y, d, true
-		}
+		accept(best, p, dx*dx+dy*dy)
 	}
 	var diff float64
 	if axis == 0 {
@@ -230,216 +289,23 @@ func (t *Tree) search(pts []Point, axis int, x, y float64, exclude int64, best *
 	} else {
 		diff = y - p.Y
 	}
-	near, far := pts[:mid], pts[mid+1:]
+	nearLo, nearHi, farLo, farHi := lo, mid, mid+1, hi
 	if diff > 0 {
-		near, far = far, near
+		nearLo, nearHi, farLo, farHi = farLo, farHi, nearLo, nearHi
 	}
-	t.search(near, 1-axis, x, y, exclude, best)
+	if nearLo < nearHi {
+		t.search(nearLo, nearHi, 1-axis, x, y, exclude, best)
+	}
 	// Visit the far side only if the splitting plane is within the best
 	// radius; use <= so equidistant ties are found for determinism.
-	if diff*diff <= best.DistSq {
-		t.search(far, 1-axis, x, y, exclude, best)
+	if farLo < farHi && diff*diff <= best.DistSq {
+		t.search(farLo, farHi, 1-axis, x, y, exclude, best)
 	}
 }
 
-// KNearest returns up to k points nearest to (x, y) (excluding the given
-// key), ordered by ascending distance with key tiebreak. It is used by
-// scripts that examine a small neighbourhood ("the three nearest healers").
-func (t *Tree) KNearest(x, y float64, exclude int64, k int) []Result {
-	if k <= 0 {
-		return nil
-	}
-	h := &resultHeap{}
-	t.kSearch(t.pts, 0, x, y, exclude, k, h)
-	for j, p := range t.young {
-		if t.youngDead[j] || p.Key == exclude {
-			continue
-		}
-		dx, dy := p.X-x, p.Y-y
-		h.push(Result{Key: p.Key, X: p.X, Y: p.Y, DistSq: dx*dx + dy*dy, Found: true}, k)
-	}
-	out := make([]Result, len(*h))
-	for i := len(*h) - 1; i >= 0; i-- {
-		out[i] = h.pop()
-	}
-	return out
-}
-
-func (t *Tree) kSearch(pts []Point, axis int, x, y float64, exclude int64, k int, h *resultHeap) {
-	if len(pts) == 0 {
-		return
-	}
-	mid := len(pts) / 2
-	p := pts[mid]
-	if p.Key != exclude && !t.isDead(p.Key) {
-		dx, dy := p.X-x, p.Y-y
-		d := dx*dx + dy*dy
-		h.push(Result{Key: p.Key, X: p.X, Y: p.Y, DistSq: d, Found: true}, k)
-	}
-	var diff float64
-	if axis == 0 {
-		diff = x - p.X
-	} else {
-		diff = y - p.Y
-	}
-	near, far := pts[:mid], pts[mid+1:]
-	if diff > 0 {
-		near, far = far, near
-	}
-	t.kSearch(near, 1-axis, x, y, exclude, k, h)
-	if len(*h) < k || diff*diff <= (*h)[0].DistSq {
-		t.kSearch(far, 1-axis, x, y, exclude, k, h)
-	}
-}
-
-// resultHeap is a max-heap by (DistSq, Key) holding the current k best.
-type resultHeap []Result
-
-func worse(a, b Result) bool {
-	if a.DistSq != b.DistSq {
-		return a.DistSq > b.DistSq
-	}
-	return a.Key > b.Key
-}
-
-func (h *resultHeap) push(r Result, k int) {
-	if len(*h) == k {
-		if !worse((*h)[0], r) {
-			return
-		}
-		(*h)[0] = r
-		h.siftDown(0)
-		return
-	}
-	*h = append(*h, r)
-	i := len(*h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !worse((*h)[i], (*h)[parent]) {
-			break
-		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
-		i = parent
-	}
-}
-
-func (h *resultHeap) pop() Result {
-	top := (*h)[0]
-	last := len(*h) - 1
-	(*h)[0] = (*h)[last]
-	*h = (*h)[:last]
-	if last > 0 {
-		h.siftDown(0)
-	}
-	return top
-}
-
-func (h *resultHeap) siftDown(i int) {
-	n := len(*h)
-	for {
-		l, r := 2*i+1, 2*i+2
-		largest := i
-		if l < n && worse((*h)[l], (*h)[largest]) {
-			largest = l
-		}
-		if r < n && worse((*h)[r], (*h)[largest]) {
-			largest = r
-		}
-		if largest == i {
-			return
-		}
-		(*h)[i], (*h)[largest] = (*h)[largest], (*h)[i]
-		i = largest
-	}
-}
-
-// All returns the live indexed points sorted by key, primarily for tests.
+// All returns the indexed points sorted by key, primarily for tests.
 func (t *Tree) All() []Point {
-	cp := make([]Point, 0, len(t.pts)+len(t.young))
-	for _, p := range t.pts {
-		if !t.isDead(p.Key) {
-			cp = append(cp, p)
-		}
-	}
-	for j, p := range t.young {
-		if !t.youngDead[j] {
-			cp = append(cp, p)
-		}
-	}
-	sort.Slice(cp, func(i, j int) bool { return cp[i].Key < cp[j].Key })
+	cp := slices.Clone(t.pts)
+	slices.SortFunc(cp, func(a, b Point) int { return cmp.Compare(a.Key, b.Key) })
 	return cp
 }
-
-// ---------------------------------------------------------------------------
-// Incremental maintenance (Bentley's semidynamic scheme)
-
-// ensureKeys builds the built-point key set lazily on first mutation.
-func (t *Tree) ensureKeys() {
-	if t.builtKeys != nil {
-		return
-	}
-	t.builtKeys = make(map[int64]bool, len(t.pts))
-	for _, p := range t.pts {
-		t.builtKeys[p.Key] = true
-	}
-}
-
-// live reports whether key currently names a live point.
-func (t *Tree) live(key int64) bool {
-	t.ensureKeys()
-	if t.builtKeys[key] && !t.isDead(key) {
-		return true
-	}
-	for j, p := range t.young {
-		if p.Key == key && !t.youngDead[j] {
-			return true
-		}
-	}
-	return false
-}
-
-// Insert adds a point to the young buffer, scanned linearly by queries
-// (rebuild once the buffer grows past a few percent of the tree). It
-// panics if the key is already live — keys are unit identities.
-func (t *Tree) Insert(p Point) {
-	if t.live(p.Key) {
-		panic("kdtree: Insert of a live key")
-	}
-	t.young = append(t.young, p)
-	t.youngDead = append(t.youngDead, false)
-}
-
-// Remove deletes the point with the given key (tombstoning it, per the
-// semidynamic scheme). It returns false if no live point has that key.
-func (t *Tree) Remove(key int64) bool {
-	t.ensureKeys()
-	if t.builtKeys[key] && !t.isDead(key) {
-		if t.deadBuilt == nil {
-			t.deadBuilt = make(map[int64]bool)
-		}
-		t.deadBuilt[key] = true
-		return true
-	}
-	for j, p := range t.young {
-		if p.Key == key && !t.youngDead[j] {
-			t.youngDead[j] = true
-			return true
-		}
-	}
-	return false
-}
-
-// Patch moves the point with the given key to a new position (remove +
-// young insert). It returns false if no live point has that key.
-func (t *Tree) Patch(key int64, x, y float64) bool {
-	if !t.Remove(key) {
-		return false
-	}
-	t.young = append(t.young, Point{X: x, Y: y, Key: key})
-	t.youngDead = append(t.youngDead, false)
-	return true
-}
-
-// Young returns the young-buffer size (including tombstoned entries), a
-// rebuild heuristic for callers.
-func (t *Tree) Young() int { return len(t.young) }

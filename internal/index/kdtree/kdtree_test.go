@@ -2,7 +2,6 @@ package kdtree
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -47,9 +46,6 @@ func TestEmptyTree(t *testing.T) {
 	tr := Build(nil)
 	if r := tr.Nearest(0, 0, -1, math.Inf(1)); r.Found {
 		t.Fatalf("empty tree found %+v", r)
-	}
-	if got := tr.KNearest(0, 0, -1, 3); len(got) != 0 {
-		t.Fatalf("empty KNearest = %v", got)
 	}
 }
 
@@ -112,51 +108,6 @@ func TestNearestWithRadiusMatchesBrute(t *testing.T) {
 		if got != want {
 			t.Fatalf("Nearest radius: got %+v, want %+v", got, want)
 		}
-	}
-}
-
-func TestKNearestOrderedAndComplete(t *testing.T) {
-	pts := randomPoints(8, 200, 40)
-	tr := Build(pts)
-	st := rng.NewStream(rng.New(9), 24)
-	for q := 0; q < 100; q++ {
-		x, y := st.Float64()*40, st.Float64()*40
-		k := 1 + st.Intn(10)
-		got := tr.KNearest(x, y, -1, k)
-		// Brute: sort all by (dist, key), take k.
-		all := append([]Point(nil), pts...)
-		sort.Slice(all, func(i, j int) bool {
-			di := (all[i].X-x)*(all[i].X-x) + (all[i].Y-y)*(all[i].Y-y)
-			dj := (all[j].X-x)*(all[j].X-x) + (all[j].Y-y)*(all[j].Y-y)
-			if di != dj {
-				return di < dj
-			}
-			return all[i].Key < all[j].Key
-		})
-		want := all
-		if len(want) > k {
-			want = want[:k]
-		}
-		if len(got) != len(want) {
-			t.Fatalf("KNearest len = %d, want %d", len(got), len(want))
-		}
-		for i := range got {
-			if got[i].Key != want[i].Key {
-				t.Fatalf("KNearest[%d].Key = %d, want %d", i, got[i].Key, want[i].Key)
-			}
-		}
-	}
-}
-
-func TestKNearestExcludes(t *testing.T) {
-	pts := []Point{{0, 0, 1}, {1, 0, 2}, {2, 0, 3}}
-	tr := Build(pts)
-	got := tr.KNearest(0, 0, 1, 3)
-	if len(got) != 2 || got[0].Key != 2 || got[1].Key != 3 {
-		t.Fatalf("KNearest with exclusion = %v", got)
-	}
-	if got := tr.KNearest(0, 0, -1, 0); got != nil {
-		t.Fatalf("k=0 should return nil, got %v", got)
 	}
 }
 

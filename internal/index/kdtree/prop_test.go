@@ -8,132 +8,81 @@ import (
 	"github.com/epicscale/sgl/internal/rng"
 )
 
-// bruteNearest is the reference nearest-neighbour over a live point list,
-// with the tree's exact tie rules (smaller key wins).
-func bruteNearestLive(pts []Point, live []bool, x, y float64, exclude int64, maxDist float64) Result {
-	best := Result{DistSq: maxDist * maxDist}
-	if math.IsInf(maxDist, 1) {
-		best.DistSq = math.Inf(1)
-	}
-	for i, p := range pts {
-		if !live[i] || p.Key == exclude {
-			continue
-		}
-		dx, dy := p.X-x, p.Y-y
-		d := dx*dx + dy*dy
-		if d < best.DistSq ||
-			(d == best.DistSq && best.Found && p.Key < best.Key) ||
-			(d <= best.DistSq && !best.Found) {
-			best = Result{Key: p.Key, X: p.X, Y: p.Y, DistSq: d, Found: true}
-		}
-	}
-	return best
+// sameResult reports whether two answers agree field for field, the
+// coordinates and distance bit for bit.
+func sameResult(a, b Result) bool {
+	return a.Found == b.Found && a.Key == b.Key &&
+		math.Float64bits(a.X) == math.Float64bits(b.X) &&
+		math.Float64bits(a.Y) == math.Float64bits(b.Y) &&
+		math.Float64bits(a.DistSq) == math.Float64bits(b.DistSq)
 }
 
-// TestDynamicOpsAgainstModel interleaves Insert/Remove/Patch with Nearest
-// and KNearest probes against a brute-force model. Nearest answers are a
-// pure function of the live point set (ties break by key), so equality is
-// exact. Failures name the seed subtest to replay.
+// TestDynamicOpsAgainstModel drives one tree through a random walk of
+// point-set updates — fresh keys inserted, keys removed, keys moved — the
+// way the tick does: every update is followed by a Rebuild into the same
+// tree, so each rebuild lands on storage an earlier point set of another
+// size and layout left behind. After every step the rebuilt tree must
+// answer exactly like a fresh Build over the same points (bit for bit) and
+// like a brute-force model, with and without an excluded key and a
+// radius. Failures name the seed subtest to replay.
 func TestDynamicOpsAgainstModel(t *testing.T) {
 	for _, seed := range []uint64{2, 13, 42, 512} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			st := rng.NewStream(rng.New(seed), 23)
 			n := 15 + st.Intn(40)
 			pts := make([]Point, n)
-			live := make([]bool, n)
 			for i := range pts {
 				pts[i] = Point{X: float64(st.Intn(50)), Y: float64(st.Intn(50)), Key: int64(i)}
-				live[i] = true
 			}
-			tr := Build(pts)
 			nextKey := int64(n)
+			tr := Build(pts)
 
 			check := func(op int) {
 				t.Helper()
+				fresh := Build(pts)
 				for probe := 0; probe < 10; probe++ {
 					x, y := float64(st.Intn(50)), float64(st.Intn(50))
-					exclude := int64(st.Intn(n)) // may or may not be live
+					exclude := int64(st.Intn(int(nextKey) + 1)) // may or may not be present
 					maxDist := math.Inf(1)
 					if st.Intn(2) == 0 {
 						maxDist = float64(5 + st.Intn(20))
 					}
-					want := bruteNearestLive(pts, live, x, y, exclude, maxDist)
 					got := tr.Nearest(x, y, exclude, maxDist)
-					if want != got {
-						t.Fatalf("op %d: Nearest(%v,%v,excl=%d,max=%v) = %+v, want %+v",
+					if want := fresh.Nearest(x, y, exclude, maxDist); !sameResult(got, want) {
+						t.Fatalf("op %d: rebuilt Nearest(%v,%v,excl=%d,max=%v) = %+v, fresh build %+v",
 							op, x, y, exclude, maxDist, got, want)
 					}
-					k := 1 + st.Intn(4)
-					kn := tr.KNearest(x, y, exclude, k)
-					// Verify KNearest against repeated brute nearest with
-					// progressive exclusion by checking order and membership.
-					prev := Result{DistSq: -1}
-					seen := map[int64]bool{}
-					for _, r := range kn {
-						if !live[keyIndex(pts, r.Key)] {
-							t.Fatalf("op %d: KNearest returned dead key %d", op, r.Key)
-						}
-						if r.DistSq < prev.DistSq || (r.DistSq == prev.DistSq && r.Key < prev.Key) {
-							t.Fatalf("op %d: KNearest out of order: %+v after %+v", op, r, prev)
-						}
-						if seen[r.Key] || r.Key == exclude {
-							t.Fatalf("op %d: KNearest bad key %d", op, r.Key)
-						}
-						seen[r.Key] = true
-						prev = r
-					}
-					liveCount := 0
-					for i := range pts {
-						if live[i] && pts[i].Key != exclude {
-							liveCount++
-						}
-					}
-					wantLen := k
-					if liveCount < k {
-						wantLen = liveCount
-					}
-					if len(kn) != wantLen {
-						t.Fatalf("op %d: KNearest returned %d results, want %d", op, len(kn), wantLen)
+					if want := bruteNearest(pts, x, y, exclude, maxDist); got != want {
+						t.Fatalf("op %d: Nearest(%v,%v,excl=%d,max=%v) = %+v, model %+v",
+							op, x, y, exclude, maxDist, got, want)
 					}
 				}
 			}
 
 			check(-1)
-			for op := 0; op < 50; op++ {
-				switch st.Intn(3) {
+			for op := 0; op < 60; op++ {
+				switch st.Intn(4) {
 				case 0: // insert a fresh key
-					p := Point{X: float64(st.Intn(60)), Y: float64(st.Intn(60)), Key: nextKey}
+					pts = append(pts, Point{X: float64(st.Intn(60)), Y: float64(st.Intn(60)), Key: nextKey})
 					nextKey++
-					tr.Insert(p)
-					pts = append(pts, p)
-					live = append(live, true)
-				case 1: // remove a random live key
-					ids := liveKeys(pts, live)
-					if len(ids) == 0 {
-						continue
+				case 1: // remove a random key
+					if len(pts) > 0 {
+						i := st.Intn(len(pts))
+						pts = append(pts[:i], pts[i+1:]...)
 					}
-					key := ids[st.Intn(len(ids))]
-					if !tr.Remove(key) {
-						t.Fatalf("op %d: Remove(%d) failed on live key", op, key)
+				case 2: // move a random key
+					if len(pts) > 0 {
+						i := st.Intn(len(pts))
+						pts[i].X, pts[i].Y = float64(st.Intn(60)), float64(st.Intn(60))
 					}
-					if tr.Remove(key) {
-						t.Fatalf("op %d: double Remove(%d) succeeded", op, key)
+				default: // a burst of removals: the tree shrinks under its storage
+					for k := st.Intn(8); k > 0 && len(pts) > 0; k-- {
+						pts = pts[1:]
 					}
-					live[keyIndex(pts, key)] = false
-				case 2: // move a random live key
-					ids := liveKeys(pts, live)
-					if len(ids) == 0 {
-						continue
-					}
-					key := ids[st.Intn(len(ids))]
-					x, y := float64(st.Intn(60)), float64(st.Intn(60))
-					if !tr.Patch(key, x, y) {
-						t.Fatalf("op %d: Patch(%d) failed on live key", op, key)
-					}
-					i := keyIndex(pts, key)
-					live[i] = false
-					pts = append(pts, Point{X: x, Y: y, Key: key})
-					live = append(live, true)
+				}
+				tr.Rebuild(pts)
+				if tr.Len() != len(pts) {
+					t.Fatalf("op %d: rebuilt tree holds %d points, want %d", op, tr.Len(), len(pts))
 				}
 				check(op)
 			}
@@ -141,37 +90,48 @@ func TestDynamicOpsAgainstModel(t *testing.T) {
 	}
 }
 
-// keyIndex finds the last occurrence of key (patched points re-appear at
-// the tail, mirroring the tree's young buffer).
-func keyIndex(pts []Point, key int64) int {
-	for i := len(pts) - 1; i >= 0; i-- {
-		if pts[i].Key == key {
-			return i
-		}
+// nearestScene decodes a fuzz input into a point set: two bytes per point
+// (x, y), keys 0, 1, 2, …. Most bytes land on a 9×9 lattice, so duplicate
+// points and equidistant ties are the rule; the rest pick a special value —
+// ±0, subnormal, huge magnitudes whose squares overflow, ±Inf and NaN.
+func nearestScene(data []byte) []Point {
+	special := []float64{
+		math.Copysign(0, -1), 0.5, 5e-324, 1e154, -1e154, 1e300, -1e300,
+		math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN(),
 	}
-	return -1
+	coord := func(b byte) float64 {
+		if b < 200 {
+			return float64(b % 9)
+		}
+		return special[int(b-200)%len(special)]
+	}
+	pts := make([]Point, 0, len(data)/2)
+	for i := 0; i+1 < len(data) && len(pts) < 256; i += 2 {
+		pts = append(pts, Point{X: coord(data[i]), Y: coord(data[i+1]), Key: int64(len(pts))})
+	}
+	return pts
 }
 
-func liveKeys(pts []Point, live []bool) []int64 {
-	seen := map[int64]bool{}
-	var out []int64
-	for i := len(pts) - 1; i >= 0; i-- {
-		if live[i] && !seen[pts[i].Key] {
-			seen[pts[i].Key] = true
-			out = append(out, pts[i].Key)
+// FuzzNearestMatchesOnce: whatever the point set and the probe, the built
+// tree's box-pruned search and the one-pass NearestOnce return the same
+// Result — Key, Found, and X, Y, DistSq bit for bit — with the excluded
+// key present in the set or absent from it. A tree rebuilt in place from
+// another scene must say the same.
+func FuzzNearestMatchesOnce(f *testing.F) {
+	f.Add([]byte{}, 0.0, 0.0, int64(-1))
+	f.Add([]byte{0, 4, 4, 0, 8, 4, 4, 8}, 4.0, 4.0, int64(-1)) // four equidistant ties
+	f.Fuzz(func(t *testing.T, data []byte, x, y float64, exclude int64) {
+		pts := nearestScene(data)
+		want := NearestOnce(pts, x, y, exclude)
+		if got := Build(pts).Nearest(x, y, exclude, math.Inf(1)); !sameResult(got, want) {
+			t.Fatalf("%d points, probe (%v, %v) excluding %d: tree %+v, NearestOnce %+v", len(pts), x, y, exclude, got, want)
 		}
-	}
-	return out
-}
-
-func TestInsertLiveKeyPanics(t *testing.T) {
-	tr := Build([]Point{{X: 1, Y: 1, Key: 5}})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Insert of a live key should panic")
+		recycled := Build(nearestScene(append([]byte{7, 1, 2, 8}, data...)))
+		recycled.Rebuild(pts)
+		if got := recycled.Nearest(x, y, exclude, math.Inf(1)); !sameResult(got, want) {
+			t.Fatalf("%d points, probe (%v, %v) excluding %d: rebuilt tree %+v, NearestOnce %+v", len(pts), x, y, exclude, got, want)
 		}
-	}()
-	tr.Insert(Point{X: 2, Y: 2, Key: 5})
+	})
 }
 
 // TestNearestOnceMatchesBuild is the kD member of the unbuilt ≡ built
@@ -205,11 +165,7 @@ func TestNearestOnceMatchesBuild(t *testing.T) {
 					x, y := coord(specials), coord(specials)
 					exclude := int64(st.Intn(n+2)) - 1
 					got := NearestOnce(pts, x, y, exclude)
-					want := tr.Nearest(x, y, exclude, math.Inf(1))
-					if got.Found != want.Found || got.Key != want.Key ||
-						math.Float64bits(got.X) != math.Float64bits(want.X) ||
-						math.Float64bits(got.Y) != math.Float64bits(want.Y) ||
-						math.Float64bits(got.DistSq) != math.Float64bits(want.DistSq) {
+					if want := tr.Nearest(x, y, exclude, math.Inf(1)); !sameResult(got, want) {
 						t.Fatalf("scene %d (n=%d): NearestOnce(%v, %v, exclude %d) = %+v, built tree says %+v",
 							scene, n, x, y, exclude, got, want)
 					}

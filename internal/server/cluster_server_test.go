@@ -8,6 +8,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -21,6 +22,7 @@ import (
 
 	"github.com/epicscale/sgl/internal/engine"
 	"github.com/epicscale/sgl/internal/game"
+	"github.com/epicscale/sgl/internal/table"
 )
 
 // putCheckpoint streams ck as a PUT …/checkpoint body and decodes the
@@ -213,6 +215,40 @@ func TestCheckpointPutRestores(t *testing.T) {
 	}
 	if code := putCheckpoint(t, ts.URL+"/v1/sessions/d3/checkpoint", ck[:len(ck)/2], nil); code != http.StatusBadRequest {
 		t.Errorf("truncated stream: %d, want 400", code)
+	}
+}
+
+// TestCheckpointPutRejectsCollidingKeys: a checksum-valid checkpoint whose
+// rows share a unit key (row 1's key rewritten to row 0's, the trailer
+// recomputed) is refused with 400 like any invalid restore, and no world
+// comes up under the name.
+func TestCheckpointPutRejectsCollidingKeys(t *testing.T) {
+	ts, _ := newTestServer(t)
+	create(t, ts.URL, "src", nil)
+	ck := fetchCheckpoint(t, ts.URL, "src")
+
+	// The rows section follows the schema section: a row count, then the
+	// rows row-major as float64 bits.
+	var schema bytes.Buffer
+	table.WriteSchema(table.NewWriter(&schema), game.Schema())
+	at := bytes.Index(ck, schema.Bytes())
+	if at < 0 {
+		t.Fatal("schema section not found in the checkpoint")
+	}
+	width, kc := game.Schema().NumAttrs(), game.Schema().KeyCol()
+	key := func(row int) int { return at + schema.Len() + 4 + (row*width+kc)*8 }
+	copy(ck[key(1):key(1)+8], ck[key(0):key(0)+8])
+	sum := table.NewWriter(io.Discard)
+	sum.Bytes(ck[:len(ck)-8])
+	binary.LittleEndian.PutUint64(ck[len(ck)-8:], sum.Sum())
+
+	var resp errorResponse
+	if code := putCheckpoint(t, ts.URL+"/v1/sessions/dst/checkpoint", ck, &resp); code != http.StatusBadRequest ||
+		!strings.Contains(resp.Error, "share key") {
+		t.Fatalf("PUT checkpoint with colliding keys: %d %q, want 400 naming the shared key", code, resp.Error)
+	}
+	if code := do(t, http.MethodGet, ts.URL+"/v1/sessions/dst", nil, nil); code != http.StatusNotFound {
+		t.Errorf("a rejected PUT left a world behind: GET status %d", code)
 	}
 }
 
