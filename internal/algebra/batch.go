@@ -23,17 +23,6 @@ type BatchAggProvider interface {
 	BatchBeneficial(def *ast.AggDef) bool
 }
 
-// UnitsOf exposes memoized unit-set evaluation for external plan walkers
-// (the engine's decision phase walks Apply nodes itself to defer area
-// effects, Section 5.4). It always uses the materializing path; walkers
-// on the hot path should prefer EachUnit, which streams.
-func (x *Executor) UnitsOf(n Node) ([]*Row, error) {
-	if x.codeErr != nil {
-		return nil, x.codeErr
-	}
-	return x.units(n)
-}
-
 // EachUnit invokes yield for every row of unit-set node n, in base-row
 // order — the serial effect fold order. By default rows stream through
 // the compiled pipeline of stream.go; after SetMaterialize(true) they
@@ -97,64 +86,65 @@ func (x *Executor) BuildEffectRow(dst []float64, def *ast.ActDef, unit, args, ta
 // — for non-MinMax classes EvalAggBatch is literally a loop over the
 // per-probe evaluator.
 func (x *Executor) extendBlocking(code *extCode) bool {
-	if x.batcher == nil {
-		return false
-	}
 	for _, s := range code.sites {
-		if x.batcher.BatchBeneficial(s.def) {
+		if x.memo[s.class.id].batch {
 			return true
 		}
 	}
 	return false
 }
 
-// batchExtend pre-evaluates every aggregate call in an Extend's value term
-// for all rows at once, recording per-(site, row) results that probe then
-// consumes. Sites are visited inner first, so a batched outer call reads
-// the recorded results of the calls inside its arguments rather than
-// going back to the provider.
+// batchExtend answers every set-at-a-time call in an Extend's value term
+// at once for the rows its class memo does not hold yet, into that memo,
+// where probe then finds them. Sites are visited inner first, so a
+// batched outer call reads the memoized results of the batched calls
+// inside its arguments rather than going back to the provider. The probe
+// set lives in executor scratch; only the provider's result block is
+// allocated per batch.
 func (x *Executor) batchExtend(code *extCode, rows []*Row) {
-	if x.batcher == nil || len(code.sites) == 0 {
-		return
-	}
-	if len(x.batch) < x.code.sites {
-		x.batch = append(x.batch, make([]siteResults, x.code.sites-len(x.batch))...)
-	}
-	n := len(x.baseRows())
 	for _, s := range code.sites {
-		units := make([][]float64, len(rows))
-		var args [][]float64
-		if len(s.args) > 0 {
-			args = make([][]float64, len(rows))
+		m := &x.memo[s.class.id]
+		if !m.batch {
+			continue
 		}
-		for i, row := range rows {
-			units[i] = row.Unit
-			if args != nil {
+		units, vals := x.batchUnits[:0], x.batchVals[:0]
+		for _, row := range rows {
+			if m.has(int(row.ord)) {
+				continue // an earlier site or batch of the class answered it
+			}
+			units = append(units, row.Unit)
+			if len(s.args) > 0 {
 				f := x.at(row)
-				vals := make([]float64, len(s.args))
-				for j, a := range s.args {
-					vals[j] = a(f)
+				for _, a := range s.args {
+					vals = append(vals, a(f))
 				}
-				args[i] = vals
 			}
 		}
-		results := x.batcher.EvalAggBatch(s.def, units, args)
-		// Merge rather than replace: the streaming pipelines may batch the
-		// same site for different row subsets (two Apply chains sharing the
-		// Extend reach it with different survivor sets), and earlier rows'
-		// results must stay visible to probe.
-		b := &x.batch[s.id]
-		w := len(s.def.Outputs)
-		if len(b.vals) != n*w {
-			b.vals = make([]float64, n*w)
+		x.batchUnits, x.batchVals = units, vals
+		if len(units) == 0 {
+			continue
 		}
-		if len(b.have) != (n+63)/64 {
-			b.have = make([]uint64, (n+63)/64)
+		var args [][]float64
+		if k := len(s.args); k > 0 {
+			args = x.batchArgs[:0]
+			for i := range units {
+				args = append(args, vals[i*k:(i+1)*k:(i+1)*k])
+			}
+			x.batchArgs = args
 		}
-		for i, row := range rows {
+		results := x.batcher.EvalAggBatch(s.class.def, units, args)
+		w := len(s.class.def.Outputs)
+		i := 0
+		for _, row := range rows {
 			ord := int(row.ord)
-			copy(b.vals[ord*w:(ord+1)*w], results[i])
-			b.have[ord>>6] |= 1 << uint(ord&63)
+			if m.has(ord) {
+				continue
+			}
+			copy(m.vals[ord*w:(ord+1)*w], results[i])
+			i++
+		}
+		for _, row := range rows {
+			m.set(int(row.ord))
 		}
 	}
 }

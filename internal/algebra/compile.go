@@ -4,18 +4,20 @@
 // A plan's terms and conditions are compiled to closures (package expr)
 // over the plan scope: `u.attr` is a column index into the row, a let
 // name is an extension slot (with a record field its offset), an
-// aggregate call is a numbered call site with its arguments compiled in
-// turn, an action's SET clauses are (column, closure) pairs. Alongside,
-// every Apply input chain is laid out as its streaming stage list — guard
-// pushdown, greedy conjunct order, shared-Select memo ordinals — so an
-// Executor built per tick only binds rows, a provider and a random
-// source. Constants are read through the program's cells when a closure
-// runs (see package expr), which is what keeps one compiled plan valid
-// across OpTune.
+// aggregate call is a call site of its call class with its arguments
+// compiled in turn, an action's SET clauses are (column, closure) pairs.
+// Alongside, every Apply input chain is laid out as its streaming stage
+// list — guard pushdown, greedy conjunct order, shared-Select memo
+// ordinals — so an Executor built per tick only binds rows, a provider
+// and a random source. Constants are read through the program's cells
+// when a closure runs (see package expr), which is what keeps one
+// compiled plan valid across OpTune.
 package algebra
 
 import (
 	"fmt"
+	"math"
+	"strings"
 
 	"github.com/epicscale/sgl/internal/sgl/ast"
 	"github.com/epicscale/sgl/internal/sgl/expr"
@@ -31,8 +33,8 @@ type planCode struct {
 	sel     map[*Select]*selCode
 	ext     map[*Extend]*extCode
 	chains  map[Node][]stage // per Apply input: the streaming stage list
-	sites   int              // aggregate call sites
-	memos   int              // Selects shared between chains
+	classes []*callClass     // aggregate call classes, by id
+	memos   int              // Selects shared between Applies
 	// effect is the effect-row template: fold identities in the effect
 	// columns, zero elsewhere.
 	effect []float64
@@ -61,17 +63,29 @@ type extCode struct {
 
 // aggSite is one aggregate call in a plan term.
 type aggSite struct {
-	id   int
-	def  *ast.AggDef
-	args []expr.Num
+	class *callClass
+	args  []expr.Num
+}
+
+// callClass is every call of one definition with the same arguments in
+// canonical form (classKey: let names resolved to slots, literals by
+// their bits). A call's value is a pure function of the frozen snapshot
+// and its row (see stream.go), so every site of a class answers a row
+// with the same bits, and the class's per-row memo (Executor.memo) probes
+// it once per row however many sites reach it.
+type callClass struct {
+	id    int
+	def   *ast.AggDef
+	sites int // call sites in the plan
 }
 
 // planCompiler carries the state of one plan compilation: the static type
-// of every extension slot compiled so far and the call-site counter.
+// of every extension slot compiled so far and the call classes met so far.
 type planCompiler struct {
 	code      *planCode
 	slotKnown []bool
 	slotRec   [][]string // record field names; nil for a number slot
+	classes   map[string]*callClass
 	sites     []*aggSite // call sites of the term being compiled
 }
 
@@ -95,7 +109,7 @@ func (s scope) Var(name string) (expr.Term, bool) {
 		return expr.Term{}, false
 	}
 	if fields := s.pc.slotRec[slot]; fields != nil {
-		return expr.Term{Fields: fields, Rec: func(f *expr.Frame) []float64 { return f.Ext[slot].Vals }}, true
+		return expr.Record(fields, func(f *expr.Frame) []float64 { return f.Ext[slot].Vals }), true
 	}
 	return expr.Term{Num: func(f *expr.Frame) float64 { return f.Ext[slot].Num }}, true
 }
@@ -107,8 +121,15 @@ func (s scope) Call(n *ast.Call, args []expr.Num) (expr.Term, error) {
 	if def == nil {
 		return expr.Term{}, fmt.Errorf("algebra: unresolved call %q at %s", n.Name, n.P)
 	}
-	site := &aggSite{id: s.pc.code.sites, def: def, args: args}
-	s.pc.code.sites++
+	key := s.classKey(n)
+	class := s.pc.classes[key]
+	if class == nil {
+		class = &callClass{id: len(s.pc.code.classes), def: def}
+		s.pc.classes[key] = class
+		s.pc.code.classes = append(s.pc.code.classes, class)
+	}
+	class.sites++
+	site := &aggSite{class: class, args: args}
 	s.pc.sites = append(s.pc.sites, site)
 	if len(def.Outputs) == 1 {
 		return expr.Term{Num: func(f *expr.Frame) float64 {
@@ -119,9 +140,37 @@ func (s scope) Call(n *ast.Call, args []expr.Num) (expr.Term, error) {
 	for i, o := range def.Outputs {
 		fields[i] = o.As
 	}
-	return expr.Term{Fields: fields, Rec: func(f *expr.Frame) []float64 {
+	return expr.Record(fields, func(f *expr.Frame) []float64 {
 		return f.Host.(*Executor).probe(site, f)
-	}}, nil
+	}), nil
+}
+
+// classKey is a call's canonical form in this scope: its printed form
+// (the definition and the structure of its arguments), then, in order of
+// appearance, every literal's bits (the printer rounds them) and the slot
+// every let name is bound to here (equal names may be different lets).
+// The unit is the scope's unit parameter, one name across the plan. Two
+// calls with one key evaluate to the same bits on every row.
+func (s scope) classKey(n *ast.Call) string {
+	var b strings.Builder
+	fmt.Fprint(&b, n)
+	slot := func(name string) {
+		if slot, ok := s.env.Lookup(name); ok {
+			fmt.Fprintf(&b, "|$%d", slot)
+		}
+	}
+	ast.Inspect(n, func(x any) bool {
+		switch t := x.(type) {
+		case *ast.NumLit:
+			fmt.Fprintf(&b, "|%x", math.Float64bits(t.Val))
+		case *ast.VarRef:
+			slot(t.Name)
+		case *ast.FieldRef:
+			slot(t.Base)
+		}
+		return true
+	})
+	return b.String()
 }
 
 // compilePlan compiles p for prog. Nodes are visited inputs first, so an
@@ -144,7 +193,12 @@ func compilePlan(prog *sem.Program, p *Plan) (*planCode, error) {
 	for _, c := range prog.Schema.EffectCols() {
 		code.effect[c] = prog.Schema.Attr(c).Kind.Identity()
 	}
-	pc := &planCompiler{code: code, slotKnown: make([]bool, p.Slots), slotRec: make([][]string, p.Slots)}
+	pc := &planCompiler{
+		code:      code,
+		slotKnown: make([]bool, p.Slots),
+		slotRec:   make([][]string, p.Slots),
+		classes:   map[string]*callClass{},
+	}
 	for _, n := range p.Nodes() {
 		switch v := n.(type) {
 		case *Select:
@@ -184,19 +238,19 @@ func compilePlan(prog *sem.Program, p *Plan) (*planCode, error) {
 		}
 	}
 
-	// Stage lists, one per distinct Apply input. A Select reached by more
-	// than one chain gets a verdict memo so its condition runs once per
-	// row across all of them.
+	// Stage lists, one per distinct Apply input. A Select more than one
+	// Apply pulls rows through — by two chains, or by one chain feeding two
+	// performs — gets a verdict memo so its condition runs once per row
+	// across all of them.
 	shares := map[*Select]int{}
 	for _, ap := range applies {
-		if _, ok := code.chains[ap.In]; ok {
-			continue
+		stages, ok := code.chains[ap.In]
+		if !ok {
+			if stages, err = chainStages(ap.In); err != nil {
+				return nil, err
+			}
+			code.chains[ap.In] = stages
 		}
-		stages, err := chainStages(ap.In)
-		if err != nil {
-			return nil, err
-		}
-		code.chains[ap.In] = stages
 		for i := range stages {
 			if stages[i].sel != nil {
 				shares[stages[i].sel]++

@@ -46,7 +46,9 @@ function main(u) {
 
 // arithmeticScript puts every operator and builtin, record arithmetic in
 // all three broadcast shapes and a field select on each through both
-// scopes, with operands the poisoned rows drive to zero and below.
+// scopes, with operands the poisoned rows drive to zero and below. The
+// second perform splits record arithmetic over a call into action
+// arguments, so each argument runs one field's component closure.
 const arithmeticScript = `
 aggregate Odd(u, k) :=
   sum(e.health % k) as m, sum(abs(e.posx - u.posx) / (e.cooldown - u.cooldown)) as q,
@@ -60,7 +62,8 @@ function main(u) {
   (let p = (u.posx, u.posy) - (o.m, o.q))
   (let q = p * 2 + (1, 0 - 1) / u.cooldown)
   (let s = 3 % q - (0 - p)) {
-    if s.x <> s.y or o.z % (0 - 2) >= 0 - 1 then perform Tag(u, q, s.y % u.health)
+    if s.x <> s.y or o.z % (0 - 2) >= 0 - 1 then perform Tag(u, q, s.y % u.health);
+    if o.m > 0 then perform Tag(u, q * (o.m, o.q) - -(p / Odd(u, 2).z), (3 % -s).x)
   }
 }
 `

@@ -19,8 +19,8 @@ type Row struct {
 	Unit []float64
 	Ext  []interp.Value
 	// ord is the row's ordinal within the executor's base shard — the
-	// index of the flat memos (done bitset, Select verdicts, batched
-	// aggregate results).
+	// index of the flat memos (done bitset, Select verdicts, call-class
+	// results).
 	ord int32
 }
 
@@ -34,7 +34,7 @@ type Row struct {
 //
 // Concurrency contract: one Executor per goroutine, snapshot shared. An
 // Executor owns mutable scratch state (its frames, row storage, memos and
-// the batch aggregate cache) and must never be shared between goroutines;
+// batch scratch) and must never be shared between goroutines;
 // the inputs it closes over — the program, the compiled plan, the
 // environment table, and the tick source — are all read-only during a
 // tick and may be shared freely. The provider must likewise be private to
@@ -86,52 +86,41 @@ type Executor struct {
 
 	// Aggregate probing. aggInto is the provider's zero-alloc probe API
 	// when it offers one (exec.Indexed does) and batcher its set-at-a-time
-	// API. Multi-output results are retained in Extend slots for their
-	// row's lifetime, so their destinations are carved out of arena chunks
-	// that live until the next Rebind; single-output results are copied
-	// out of one. argStack holds the argument vectors of the (possibly
-	// nested) calls in flight. batch holds, per call site, the results
-	// batchExtend precomputed.
-	aggInto  aggIntoProvider
-	batcher  BatchAggProvider
-	arena    [][]float64
-	arenaTop int
-	one      [1]float64
-	argStack []float64
-	batch    []siteResults
+	// API. memo holds, per call class, the results already answered for a
+	// row — every probe's destination, so a result (retained in an Extend
+	// slot for a multi-output call) lives until the next Rebind. argStack
+	// holds the argument vectors of the (possibly nested) calls in flight.
+	// batchRows, batchUnits, batchArgs and batchVals are batchExtend's
+	// probe-set scratch.
+	aggInto    aggIntoProvider
+	batcher    BatchAggProvider
+	argStack   []float64
+	memo       []callMemo
+	batchRows  []*Row
+	batchUnits [][]float64
+	batchArgs  [][]float64
+	batchVals  []float64
 }
 
-// siteResults are one call site's batched results: width values per base
-// row, valid where the have bit is set.
-type siteResults struct {
-	vals []float64
-	have []uint64
+// callMemo is one call class's per-row results under the current binding:
+// width values per base row, valid where the have bit is set. batch says
+// the provider answers the class set-at-a-time (batchExtend fills the
+// memo ahead of probe). Storage is kept across Rebind.
+type callMemo struct {
+	batch bool
+	vals  []float64
+	have  []uint64
 }
+
+func (m *callMemo) has(ord int) bool { return m.have[ord>>6]&(1<<uint(ord&63)) != 0 }
+
+func (m *callMemo) set(ord int) { m.have[ord>>6] |= 1 << uint(ord&63) }
 
 // aggIntoProvider is the optional provider fast path: EvalAgg writing
 // into a caller-owned destination of length len(def.Outputs) instead of
 // allocating. Implemented by exec.Indexed.
 type aggIntoProvider interface {
 	EvalAggInto(dst []float64, def *ast.AggDef, unit, args []float64) []float64
-}
-
-const arenaChunk = 4096
-
-// arenaSlice carves an n-float destination out of the executor's arena,
-// moving to the next chunk when the current one is exhausted. Chunks are
-// kept across Rebind and refilled from the start.
-func (x *Executor) arenaSlice(n int) []float64 {
-	for {
-		if x.arenaTop == len(x.arena) {
-			x.arena = append(x.arena, make([]float64, 0, max(arenaChunk, n)))
-		}
-		c := x.arena[x.arenaTop]
-		if len(c)+n <= cap(c) {
-			x.arena[x.arenaTop] = c[:len(c)+n]
-			return c[len(c) : len(c)+n : len(c)+n]
-		}
-		x.arenaTop++
-	}
 }
 
 // RangeError reports invalid shard bounds passed to NewExecutorRange.
@@ -148,10 +137,14 @@ func (e *RangeError) Error() string {
 // one; a plan that does not compile (its AST was not checked against
 // prog) surfaces the error from the first evaluation.
 func NewExecutor(prog *sem.Program, plan *Plan, env *table.Table, prov interp.Provider, r rng.TickSource) *Executor {
+	return newExecutor(prog, plan, env, prov, r, 0, -1)
+}
+
+func newExecutor(prog *sem.Program, plan *Plan, env *table.Table, prov interp.Provider, r rng.TickSource, lo, hi int) *Executor {
 	x := &Executor{prog: prog, plan: plan}
 	x.code, x.codeErr = plan.compiled(prog)
 	x.row.Host = x
-	x.bind(env, prov, r, 0, -1)
+	x.bind(env, prov, r, lo, hi)
 	return x
 }
 
@@ -169,9 +162,7 @@ func NewExecutorRange(prog *sem.Program, plan *Plan, env *table.Table, prov inte
 	if err := checkRange(env, lo, hi); err != nil {
 		return nil, err
 	}
-	x := NewExecutor(prog, plan, env, prov, r)
-	x.lo, x.hi = lo, hi
-	return x, nil
+	return newExecutor(prog, plan, env, prov, r, lo, hi), nil
 }
 
 func checkRange(env *table.Table, lo, hi int) error {
@@ -188,7 +179,7 @@ func checkRange(env *table.Table, lo, hi int) error {
 // Rebind points the executor at another tick: a new environment snapshot,
 // provider and tick source over the row range [lo, hi) (bounds as for
 // NewExecutorRange). Everything computed under the previous binding is
-// forgotten; the row storage and arena are kept and reused while the
+// forgotten; the row storage and call memos are kept and reused while the
 // shard size holds, which is what makes a steady-state tick allocate no
 // per-row executor state.
 func (x *Executor) Rebind(env *table.Table, prov interp.Provider, r rng.TickSource, lo, hi int) error {
@@ -206,13 +197,29 @@ func (x *Executor) bind(env *table.Table, prov interp.Provider, r rng.TickSource
 	x.batcher, _ = prov.(BatchAggProvider)
 	x.cache = nil
 	x.rowsBound = false
-	for i := range x.arena {
-		x.arena[i] = x.arena[i][:0]
+	if x.code == nil {
+		return
 	}
-	x.arenaTop = 0
-	for i := range x.batch {
-		clear(x.batch[i].have)
+	n := len(x.baseRows())
+	if len(x.memo) != len(x.code.classes) {
+		x.memo = make([]callMemo, len(x.code.classes))
 	}
+	for i, c := range x.code.classes {
+		m := &x.memo[i]
+		m.batch = x.batcher != nil && x.batcher.BatchBeneficial(c.def)
+		m.vals = sized(m.vals, n*len(c.def.Outputs))
+		m.have = sized(m.have, (n+63)/64)
+		clear(m.have)
+	}
+}
+
+// sized returns s resliced to length n, reallocated only when it is too
+// small.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // SetMaterialize switches the executor to the legacy materializing
@@ -328,16 +335,17 @@ func allHold(conds []expr.Cond, f *expr.Frame) bool {
 	return true
 }
 
-// probe answers one aggregate call site for the row bound to f: from the
-// batch cache when batchExtend got there first, otherwise through the
-// provider. The result is only valid until the next probe unless the
-// site is multi-output (then it lives in the arena until Rebind).
+// probe answers one aggregate call site for the row bound to f out of its
+// class memo: from the memo when an earlier site or batchExtend got there
+// first, otherwise by probing the provider into it. The result lives in
+// the memo until Rebind.
 func (x *Executor) probe(s *aggSite, f *expr.Frame) []float64 {
-	w := len(s.def.Outputs)
-	if s.id < len(x.batch) {
-		if b := &x.batch[s.id]; f.Ord>>6 < len(b.have) && b.have[f.Ord>>6]&(1<<uint(f.Ord&63)) != 0 {
-			return b.vals[f.Ord*w : (f.Ord+1)*w]
-		}
+	def := s.class.def
+	w := len(def.Outputs)
+	m := &x.memo[s.class.id]
+	dst := m.vals[f.Ord*w : (f.Ord+1)*w : (f.Ord+1)*w]
+	if m.has(f.Ord) {
+		return dst
 	}
 	// Arguments may themselves contain calls, so each call in flight owns
 	// a segment of the argument stack.
@@ -348,17 +356,14 @@ func (x *Executor) probe(s *aggSite, f *expr.Frame) []float64 {
 	}
 	unit := f.Unit
 	args := x.argStack[base:len(x.argStack):len(x.argStack)]
-	var outs []float64
-	switch {
-	case x.aggInto == nil || x.materialize:
-		outs = x.prov.EvalAgg(s.def, unit, args)
-	case w == 1:
-		outs = x.aggInto.EvalAggInto(x.one[:], s.def, unit, args)
-	default:
-		outs = x.aggInto.EvalAggInto(x.arenaSlice(w), s.def, unit, args)
+	if x.aggInto == nil || x.materialize {
+		copy(dst, x.prov.EvalAgg(def, unit, args))
+	} else {
+		x.aggInto.EvalAggInto(dst, def, unit, args)
 	}
 	x.argStack = x.argStack[:base]
-	return outs
+	m.set(f.Ord)
+	return dst
 }
 
 // RunTick translates, optimizes, and executes a program for one tick — the

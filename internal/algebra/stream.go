@@ -31,9 +31,15 @@
 //
 //   - Sharing. The plan is a DAG: branches share Select and Extend
 //     prefixes. Extension values are memoized per (row, slot) through the
-//     done bitset and multi-consumer Select verdicts through a tri-state
-//     memo, so shared work is still done once even though each Apply
-//     pulls its own pipeline (set-at-a-time sharing, paper Section 5.2).
+//     done bitset; the verdicts of a Select that more than one Apply
+//     pulls rows through, per row in a tri-state memo; and aggregate
+//     calls per (row, call class) — a class being every call of one
+//     definition with the same canonical arguments (compile.go), whether
+//     it sits in σφ and σ¬φ of an if/else, in both fields of a split
+//     record argument, or in a let of an inlined function and at its
+//     caller. So shared work is done once even though each Apply pulls
+//     its own pipeline (set-at-a-time sharing, paper Section 5.2), and a
+//     repeated call costs a bit test instead of a probe.
 //
 // Two plan-order rewrites happen when a plan's pipelines are laid out
 // (once per plan, compile.go), per pipeline, without mutating the shared
@@ -368,13 +374,14 @@ func (x *Executor) runStages(stages []stage, row *Row) bool {
 // do not have it yet, through the same batchExtend the materializing path
 // uses — so the sweep-line technique is preserved verbatim.
 func (x *Executor) runBatchStage(st *stage, work []int32) {
-	rows := make([]*Row, 0, len(work))
+	rows := x.batchRows[:0]
 	for _, i := range work {
 		row := &x.srows[i]
 		if !x.slotDone(row, st.ext.Slot) {
 			rows = append(rows, row)
 		}
 	}
+	x.batchRows = rows
 	if len(rows) == 0 {
 		return
 	}

@@ -35,6 +35,10 @@ var checkpointPins = map[string]string{
 	// Recorded at d3536f7 (before membership groups), with the zoo entry
 	// added to that tree: sharing one membership's structures moved no bit.
 	"zoo/shared-membership": "bcfd609a2a60361d33fa9ae2b33ed180fed996fedc317a08845e99567e15de39",
+	// Recorded at 7c6af24 (before call classes and per-component record
+	// fields), with the zoo entry added to that tree: answering a repeated
+	// call from its memo moved no bit.
+	"zoo/repeated-calls": "d20a94794062fa1be8b0ba1ccba8bc667cceb4f27daa1840c46c0921c1356cca",
 }
 
 func TestCheckpointPinsAcrossCommits(t *testing.T) {

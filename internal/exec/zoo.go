@@ -154,4 +154,41 @@ function main(u) {
     else perform Tag(u, Closest(u))
   }
 }`},
+
+	// Every way one unit reaches the same call twice in a tick: an
+	// aggregate in an if/else guard (σφ and σ¬φ), a guard feeding two
+	// performs, a record call split into a two-parameter action's
+	// arguments, the same MIN/MAX call through a let in an inlined
+	// function and a let at its caller — each answered once per row from
+	// its call class's memo.
+	{"repeated-calls", `
+aggregate Crowd(u) :=
+  count(*)
+  over e where e.posx >= u.posx - 7 and e.posx <= u.posx + 7
+    and e.posy >= u.posy - 7 and e.posy <= u.posy + 7
+    and e.player <> u.player;
+aggregate Heart(u) :=
+  avg(e.posx) as x, avg(e.posy) as y
+  over e where e.posx >= u.posx - 9 and e.posx <= u.posx + 9
+    and e.posy >= u.posy - 9 and e.posy <= u.posy + 9
+    and e.player = u.player;
+aggregate Frail(u) :=
+  min(e.health) as low, argmin(e.health) as who
+  over e where e.posx >= u.posx - 5 and e.posx <= u.posx + 5
+    and e.posy >= u.posy - 5 and e.posy <= u.posy + 5
+    and e.player <> u.player;
+action Hit(u, k) := on e where e.key = k set damage = 1;
+action Tag(u, v) := on e where e.key = u.key set damage = v;
+action Drift(u, tx, ty) := on e where e.key = u.key set damage = tx - ty;
+function strike(u) {
+  (let f = Frail(u)) { if f.who >= 0 then perform Hit(u, f.who) }
+}
+function main(u) {
+  if Crowd(u) > 2 then perform Drift(u, Heart(u));
+  else (let f = Frail(u)) {
+    if f.low < 15 then perform strike(u);
+    else perform Drift(u, (u.posx, u.posy) - Heart(u) * 2)
+  };
+  if Crowd(u) >= 1 and u.cooldown = 0 then { perform Tag(u, Crowd(u)); perform Hit(u, u.key) }
+}`},
 }

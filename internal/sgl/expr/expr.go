@@ -60,11 +60,39 @@ type Rec func(f *Frame) []float64
 type Cond func(f *Frame) bool
 
 // Term is a compiled term with its static type: exactly one of Num and
-// Rec is set, and Fields names a record's components.
+// Rec is set, and Fields names a record's components. A record also
+// carries Comps, one scalar closure per field that computes that field
+// alone: selecting a field runs its component's arithmetic and nothing
+// else, and builds no record. Rec is for the whole value (a let slot):
+// only a leaf record (Record) has its own; a composite one collects its
+// components (fromComps), so a field and the whole agree by construction.
 type Term struct {
 	Num    Num
 	Rec    Rec
 	Fields []string
+	Comps  []Num
+}
+
+// Record is the Term of a record that rec produces whole — a let slot, an
+// aggregate call: each component reads its field out of rec's result.
+func Record(fields []string, rec Rec) Term {
+	comps := make([]Num, len(fields))
+	for i := range comps {
+		comps[i] = func(f *Frame) float64 { return rec(f)[i] }
+	}
+	return Term{Fields: fields, Rec: rec, Comps: comps}
+}
+
+// fromComps is the composite record whose field i is comps[i]; its whole
+// value is the components evaluated in order into a fresh slice.
+func fromComps(fields []string, comps []Num) Term {
+	return Term{Fields: fields, Comps: comps, Rec: func(f *Frame) []float64 {
+		out := make([]float64, len(comps))
+		for i, c := range comps {
+			out[i] = c(f)
+		}
+		return out
+	}}
 }
 
 // Value evaluates the term into the runtime value representation let
@@ -230,9 +258,7 @@ func (c *Compiler) Term(t ast.Term) (Term, error) {
 		if err != nil {
 			return Term{}, err
 		}
-		return Term{Fields: pairFields, Rec: func(f *Frame) []float64 {
-			return []float64{x(f), y(f)}
-		}}, nil
+		return fromComps(pairFields, []Num{x, y}), nil
 
 	case *ast.Neg:
 		x, err := c.Term(n.X)
@@ -240,15 +266,11 @@ func (c *Compiler) Term(t ast.Term) (Term, error) {
 			return Term{}, err
 		}
 		if x.Rec != nil {
-			rec := x.Rec
-			return Term{Fields: x.Fields, Rec: func(f *Frame) []float64 {
-				in := rec(f)
-				out := make([]float64, len(in))
-				for i, v := range in {
-					out[i] = -v
-				}
-				return out
-			}}, nil
+			comps := make([]Num, len(x.Comps))
+			for i, xc := range x.Comps {
+				comps[i] = func(f *Frame) float64 { return -xc(f) }
+			}
+			return fromComps(x.Fields, comps), nil
 		}
 		num := x.Num
 		return Term{Num: func(f *Frame) float64 { return -num(f) }}, nil
@@ -271,15 +293,14 @@ func (c *Compiler) Term(t ast.Term) (Term, error) {
 }
 
 // selectField compiles base.field on a record-valued term: the first
-// field of that name, like interp.Value.Field.
+// field of that name, like interp.Value.Field — its component closure.
 func selectField(base Term, field string, at ast.Term) (Term, error) {
 	if base.Rec == nil {
 		return Term{}, fmt.Errorf("expr: field %q of a non-record value at %s", field, at.Pos())
 	}
 	for i, name := range base.Fields {
 		if name == field {
-			rec := base.Rec
-			return Term{Num: func(f *Frame) float64 { return rec(f)[i] }}, nil
+			return Term{Num: base.Comps[i]}, nil
 		}
 	}
 	return Term{}, fmt.Errorf("expr: record has no field %q at %s", field, at.Pos())
@@ -315,73 +336,46 @@ func mul(a, b float64) float64 {
 	return a * b
 }
 
-// arith returns the scalar operation of a binary operator.
-func arith(op ast.BinOp) func(a, b float64) float64 {
-	switch op {
-	case ast.Add:
-		return add
-	case ast.Sub:
-		return func(a, b float64) float64 { return a - b }
-	case ast.Mul:
-		return mul
-	case ast.Div:
-		return func(a, b float64) float64 { return a / b }
-	default: // Mod: truncated like C, on the integer parts
-		return func(a, b float64) float64 { return math.Trunc(math.Mod(a, b)) }
-	}
-}
-
 // binary compiles x op y: scalar arithmetic gets one closure per
 // operator (no dispatch at call time); records apply componentwise and
-// broadcast against a scalar, exactly as the interpreter does.
+// broadcast against a scalar, exactly as the interpreter does — a record
+// result's component i is the scalar closure over the operands' component
+// i (a scalar operand as it is).
 func binary(op ast.BinOp, x, y Term) Term {
 	if x.Rec == nil && y.Rec == nil {
-		a, b := x.Num, y.Num
-		switch op {
-		case ast.Add:
-			return Term{Num: func(f *Frame) float64 { return add(a(f), b(f)) }}
-		case ast.Sub:
-			return Term{Num: func(f *Frame) float64 { return a(f) - b(f) }}
-		case ast.Mul:
-			return Term{Num: func(f *Frame) float64 { return mul(a(f), b(f)) }}
-		case ast.Div:
-			return Term{Num: func(f *Frame) float64 { return a(f) / b(f) }}
-		default:
-			return Term{Num: func(f *Frame) float64 { return math.Trunc(math.Mod(a(f), b(f))) }}
-		}
+		return Term{Num: scalar(op, x.Num, y.Num)}
 	}
-	apply := arith(op)
-	switch {
-	case x.Rec != nil && y.Rec != nil:
-		a, b := x.Rec, y.Rec
-		return Term{Fields: x.Fields, Rec: func(f *Frame) []float64 {
-			xs, ys := a(f), b(f)
-			out := make([]float64, len(xs))
-			for i := range out {
-				out[i] = apply(xs[i], ys[i])
-			}
-			return out
-		}}
-	case x.Rec != nil:
-		a, b := x.Rec, y.Num
-		return Term{Fields: x.Fields, Rec: func(f *Frame) []float64 {
-			xs, s := a(f), b(f)
-			out := make([]float64, len(xs))
-			for i := range out {
-				out[i] = apply(xs[i], s)
-			}
-			return out
-		}}
-	default:
-		a, b := x.Num, y.Rec
-		return Term{Fields: y.Fields, Rec: func(f *Frame) []float64 {
-			s, ys := a(f), b(f)
-			out := make([]float64, len(ys))
-			for i := range out {
-				out[i] = apply(s, ys[i])
-			}
-			return out
-		}}
+	fields := x.Fields
+	if x.Rec == nil {
+		fields = y.Fields
+	}
+	comps := make([]Num, len(fields))
+	for i := range comps {
+		a, b := x.Num, y.Num
+		if x.Rec != nil {
+			a = x.Comps[i]
+		}
+		if y.Rec != nil {
+			b = y.Comps[i]
+		}
+		comps[i] = scalar(op, a, b)
+	}
+	return fromComps(fields, comps)
+}
+
+// scalar is the closure of a op b on numbers.
+func scalar(op ast.BinOp, a, b Num) Num {
+	switch op {
+	case ast.Add:
+		return func(f *Frame) float64 { return add(a(f), b(f)) }
+	case ast.Sub:
+		return func(f *Frame) float64 { return a(f) - b(f) }
+	case ast.Mul:
+		return func(f *Frame) float64 { return mul(a(f), b(f)) }
+	case ast.Div:
+		return func(f *Frame) float64 { return a(f) / b(f) }
+	default: // Mod: truncated like C, on the integer parts
+		return func(f *Frame) float64 { return math.Trunc(math.Mod(a(f), b(f))) }
 	}
 }
 

@@ -205,8 +205,9 @@ function main(u) {
   (let s = 10 / -r)
   (let t = Two(u, a % 3))
   (let o = One(u))
-  (let b = abs(s.x) + sqrt(q.y) + floor(a) + min(a, o) + max(t.n, t.s) + Random(3) % 5 + (p - 1).y) {
-    if (a > 1 and not (b <= 2)) or p.x = q.x or a <> b or a < b or a >= b or false then perform Tag(u, s)
+  (let b = abs(s.x) + sqrt(q.y) + floor(a) + min(a, o) + max(t.n, t.s) + Random(3) % 5 + (p - 1).y
+     + (-(p * q)).x + ((a, 1) / -q).y + (3 % (p - (u.hp, 0 - a))).x + (One(u) * Two(u, a)).s) {
+    if (a > 1 and not (b <= 2)) or p.x = q.x or a <> b or a < b or a >= b or false then perform Tag(u, (s - q) * -(1, a))
   }
 }
 `
@@ -234,7 +235,7 @@ func (s *slotScope) Var(name string) (Term, bool) {
 		return Term{}, false
 	}
 	if fields := s.fields[name]; fields != nil {
-		return Term{Fields: fields, Rec: func(f *Frame) []float64 { return f.Ext[i].Vals }}, true
+		return Record(fields, func(f *Frame) []float64 { return f.Ext[i].Vals }), true
 	}
 	return Term{Num: func(f *Frame) float64 { return f.Ext[i].Num }}, true
 }
@@ -257,7 +258,7 @@ func (s *slotScope) Call(n *ast.Call, args []Num) (Term, error) {
 	for i, o := range def.Outputs {
 		fields[i] = o.As
 	}
-	return Term{Fields: fields, Rec: eval}, nil
+	return Record(fields, eval), nil
 }
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
