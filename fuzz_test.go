@@ -27,7 +27,7 @@ func FuzzCompileScript(f *testing.F) {
 		f.Add(zp.Src)
 	}
 	f.Add(BattleScript)
-	f.Add(sentryScript)
+	f.Add(game.PatrolScript)
 	schema, consts := BattleSchema(), BattleConsts()
 	f.Fuzz(func(t *testing.T, src string) {
 		prog, err := CompileScript(src, schema, consts)

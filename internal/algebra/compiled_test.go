@@ -15,35 +15,6 @@ import (
 	"github.com/epicscale/sgl/internal/table"
 )
 
-// patrolScript is the benchmark's low-churn world (bench/workloads.go,
-// also sentryScript in the root bench_test.go): the script the compiled
-// expression path was built to speed up, so it is held to the oracle by
-// name.
-const patrolScript = `
-aggregate WatchEnemyKnights(u) :=
-  count(*) as n, sum(e.health) as hp, avg(e.posx) as cx
-  over e where e.posx >= u.posx - u.sight and e.posx <= u.posx + u.sight
-    and e.posy >= u.posy - u.sight and e.posy <= u.posy + u.sight
-    and e.player <> u.player and e.unittype = 0;
-aggregate OwnLine(u) :=
-  count(*) as n, avg(e.posx) as cx, avg(e.posy) as cy, stddev(e.posx) as sx
-  over e where e.player = u.player and e.unittype = 0;
-aggregate NearestScout(u) :=
-  nearestkey() as key
-  over e where e.player = u.player and e.unittype = 2;
-action Patrol(u, tx, ty) :=
-  on e where e.key = u.key
-  set movevect_x = tx - u.posx, movevect_y = ty - u.posy;
-function main(u) {
-  (let w = WatchEnemyKnights(u))
-  (let l = OwnLine(u)) {
-    if u.unittype = 2 then
-      perform Patrol(u, u.posx + Random(1) % 9 - 4, u.posy + Random(2) % 9 - 4);
-    else { if w.n + l.n + NearestScout(u) < -1 then perform Patrol(u, l.cx, l.cy) }
-  }
-}
-`
-
 // arithmeticScript puts every operator and builtin, record arithmetic in
 // all three broadcast shapes and a field select on each through both
 // scopes, with operands the poisoned rows drive to zero and below. The
@@ -288,7 +259,7 @@ func checkCompiledPlan(t testing.TB, prog *sem.Program, plan *Plan, env *table.T
 func TestCompiledMatchesInterpreted(t *testing.T) {
 	scripts := []exec.ZooProgram{
 		{Name: "battle", Src: game.Script},
-		{Name: "patrol", Src: patrolScript},
+		{Name: "patrol", Src: game.PatrolScript},
 		{Name: "arithmetic", Src: arithmeticScript},
 	}
 	scripts = append(scripts, exec.Zoo...)

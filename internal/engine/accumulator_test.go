@@ -1,12 +1,17 @@
 package engine
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"testing"
 
 	"github.com/epicscale/sgl/internal/game"
 	"github.com/epicscale/sgl/internal/geom"
+	"github.com/epicscale/sgl/internal/index/grid"
+	"github.com/epicscale/sgl/internal/rng"
 	"github.com/epicscale/sgl/internal/table"
+	"github.com/epicscale/sgl/internal/workload"
 )
 
 func accSchema(t *testing.T) *table.Schema {
@@ -266,4 +271,179 @@ func TestMovementSpeedClamp(t *testing.T) {
 	if d := math.Hypot(dx, dy); d > 1+1e-9 {
 		t.Fatalf("moved %v > MoveSpeed 1", d)
 	}
+}
+
+// ---------------------------------------------------------------------------
+// The occupancy table carried across ticks
+
+// refilled is the occupancy table the phases used to rebuild every time:
+// every row placed in row order.
+func refilled(e *Engine) *grid.Occupancy {
+	occ := grid.NewOccupancy(e.env.Len())
+	kc := e.prog.Schema.KeyCol()
+	for _, row := range e.env.Rows {
+		occ.Place(row[e.posX], row[e.posY], int64(row[kc]))
+	}
+	return occ
+}
+
+// checkCarried fails unless the engine's carried table — when it claims
+// to be in sync — holds exactly the squares a row-order refill would,
+// with the per-row record matching the rows.
+func checkCarried(t *testing.T, e *Engine, when string) {
+	t.Helper()
+	if !e.occOK {
+		return
+	}
+	want := refilled(e)
+	if got := e.occ.Size(); got != want.Size() {
+		t.Fatalf("%s: the carried table holds %d squares, a refill %d", when, got, want.Size())
+	}
+	for y := 0; y < int(e.opts.Side); y++ {
+		for x := 0; x < int(e.opts.Side); x++ {
+			gk, gok := e.occ.Occupied(float64(x), float64(y))
+			wk, wok := want.Occupied(float64(x), float64(y))
+			if gk != wk || gok != wok {
+				t.Fatalf("%s: square (%d, %d) held by %d (%v) in the carried table, %d (%v) after a refill", when, x, y, gk, gok, wk, wok)
+			}
+		}
+	}
+	for i, row := range e.env.Rows {
+		if e.occSq[i] != grid.SquareOf(row[e.posX], row[e.posY]) {
+			t.Fatalf("%s: row %d recorded on square %v, stands on %v", when, i, e.occSq[i], grid.SquareOf(row[e.posX], row[e.posY]))
+		}
+	}
+}
+
+// runAgainstRefill ticks e beside a twin that forgets its carried table
+// before every tick — the old refill-every-phase behaviour — and requires
+// identical worlds after every tick.
+func runAgainstRefill(t *testing.T, e, twin *Engine, ticks int) {
+	t.Helper()
+	for tick := 0; tick < ticks; tick++ {
+		twin.occOK = false
+		if err := e.Tick(); err != nil {
+			t.Fatal(err)
+		}
+		if err := twin.Tick(); err != nil {
+			t.Fatal(err)
+		}
+		if !identicalTables(e.env, twin.env) {
+			t.Fatalf("tick %d: the world with a carried occupancy table diverged from the refilling one", tick)
+		}
+		checkCarried(t, e, fmt.Sprintf("after tick %d", tick))
+	}
+}
+
+// TestCarriedOccupancyMatchesRefill pins the carried occupancy table to
+// the row-order refill it replaces. Driven phase by phase, the table
+// after every movement and every resurrection must hold what a refill
+// holds. Over whole ticks, a world that carries it must stay identical
+// to one that refills every tick: a combat-heavy battle (moves, deaths,
+// respawns), a world restored from a checkpoint with two units on one
+// square (where the refill decides who holds it, so the table must stop
+// claiming to be in sync), and a full grid a unit keeps respawning into
+// (the fallback that stacks it on the origin).
+func TestCarriedOccupancyMatchesRefill(t *testing.T) {
+	t.Run("phases", func(t *testing.T) {
+		e := newEngine(t, battleProg(t), 200, Indexed, 5, func(o *Options) { o.Workers = 1 })
+		if err := e.Run(2); err != nil {
+			t.Fatal(err)
+		}
+		st := rng.NewStream(rng.New(9), 0)
+		n := e.env.Len()
+		for round := 0; round < 40; round++ {
+			moves, dead := make([]geom.Vec, n), make([]bool, n)
+			for i := range moves {
+				if st.Intn(3) == 0 {
+					moves[i] = geom.Vec{X: float64(st.Intn(5) - 2), Y: float64(st.Intn(5) - 2)}
+				}
+				dead[i] = st.Intn(20) == 0
+			}
+			e.movementPhase(moves, make([]bool, n))
+			if !e.occOK {
+				t.Fatalf("round %d: the table lost sync in a world without shared squares", round)
+			}
+			checkCarried(t, e, fmt.Sprintf("round %d, after movement", round))
+			e.resurrect(dead)
+			checkCarried(t, e, fmt.Sprintf("round %d, after resurrection", round))
+		}
+	})
+
+	t.Run("battle", func(t *testing.T) {
+		prog := battleProg(t)
+		mk := func() *Engine {
+			spec := workload.Spec{Units: 150, Density: 0.05, Seed: 8, Formation: workload.BattleLines}
+			e, err := New(prog, game.NewMechanics(), workload.Generate(spec), Options{
+				Mode: Indexed, Categoricals: game.Categoricals(), Seed: 8, Side: spec.Side(), MoveSpeed: 1, Workers: 1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return e
+		}
+		e := mk()
+		runAgainstRefill(t, e, mk(), 80)
+		if e.Stats.Deaths == 0 || e.Stats.Moves == 0 {
+			t.Fatalf("the battle exercised nothing: %d deaths, %d moves", e.Stats.Deaths, e.Stats.Moves)
+		}
+	})
+
+	// A checkpoint a client PUTs may hold a world the engine would never
+	// produce itself: units 0 and 1 share square (3, 3).
+	t.Run("shared square from a checkpoint", func(t *testing.T) {
+		prog := battleProg(t)
+		env := table.New(prog.Schema, 6)
+		for i, p := range []geom.Point{{X: 3, Y: 3}, {X: 3.5, Y: 3.5}, {X: 1, Y: 1}, {X: 6, Y: 6}, {X: 1, Y: 6}, {X: 6, Y: 1}} {
+			env.Append(game.NewUnit(int64(i), i%2, game.Archer, p))
+		}
+		src, err := New(prog, game.NewMechanics(), env, Options{Mode: Indexed, Categoricals: game.Categoricals(), Seed: 4, Side: 8, MoveSpeed: 1, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := src.Checkpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+		open := func() *Engine {
+			s, err := Open(bytes.NewReader(buf.Bytes()), game.NewMechanics(), Options{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s.Engine()
+		}
+		probe := open()
+		probe.syncOcc(nil)
+		if probe.occOK {
+			t.Fatal("two units share a square and the table claims to be in sync")
+		}
+		if k, _ := probe.occ.Occupied(3, 3); k != 0 {
+			t.Fatalf("square (3, 3) held by unit %d; the refill gives it to the earlier row, unit 0", k)
+		}
+		runAgainstRefill(t, open(), open(), 30)
+	})
+
+	// Five knights on a 2×2 grid, the last sharing a square and unable to
+	// live: it dies every tick and finds no free square to respawn on.
+	t.Run("respawn into a full grid", func(t *testing.T) {
+		prog := battleProg(t)
+		mk := func() *Engine {
+			env := table.New(prog.Schema, 5)
+			for i, p := range []geom.Point{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 0, Y: 1}, {X: 1, Y: 1}, {X: 1, Y: 1}} {
+				env.Append(game.NewUnit(int64(i), 0, game.Knight, p))
+			}
+			doomed := env.Rows[4]
+			doomed[prog.Schema.MustCol("health")], doomed[prog.Schema.MustCol("maxhealth")] = 0, 0
+			e, err := New(prog, game.NewMechanics(), env, Options{Mode: Indexed, Categoricals: game.Categoricals(), Seed: 6, Side: 2, MoveSpeed: 1, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return e
+		}
+		e := mk()
+		runAgainstRefill(t, e, mk(), 10)
+		if e.Stats.Deaths < 10 || e.occOK {
+			t.Fatalf("the doomed knight died %d times; table in sync: %v — the full-grid fallback was not exercised", e.Stats.Deaths, e.occOK)
+		}
+	})
 }

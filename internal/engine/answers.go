@@ -299,15 +299,11 @@ func (e *Engine) hasMaintainedAnswers() bool {
 	return false
 }
 
-// unitColMask is unitCols as a Delta-style column bitmask (columns ≥ 63
-// alias into bit 63, matching captureIncremental).
+// unitColMask is unitCols as a Delta column mask.
 func (q *Query) unitColMask() uint64 {
 	var m uint64
 	for _, c := range q.unitCols {
-		if c > 63 {
-			c = 63
-		}
-		m |= 1 << c
+		m |= exec.ColBit(c)
 	}
 	return m
 }

@@ -30,17 +30,20 @@
 //
 // Interaction with incremental maintenance: a command mutates rows after
 // the previous tick's delta was captured, so applyCommands feeds the
-// affected rows back into the delta (exec.Delta.Add, conservative
-// all-columns mask). Population changes and constant tunes invalidate the
-// delta outright — the next tick rebuilds from scratch, and maintenance
-// re-engages after.
+// affected rows back into the delta (exec.Delta.AddRows), each with
+// exactly the columns its commands wrote — a morale edit leaves every
+// index that does not read morale untouched. Population changes and
+// constant tunes invalidate the delta outright — the next tick rebuilds
+// from scratch, and maintenance re-engages after.
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
+	"github.com/epicscale/sgl/internal/exec"
 	"github.com/epicscale/sgl/internal/index/grid"
 	"github.com/epicscale/sgl/internal/table"
 )
@@ -349,28 +352,22 @@ func (e *Engine) applyCommands() {
 	if len(e.pending) == 0 {
 		return
 	}
-	// Occupancy mirror of the live environment, maintained through the
-	// batch so each command observes its predecessors' placements — the
-	// same one-unit-per-square rule movement and resurrection enforce.
-	// Filled by the first command that places, removes or moves a unit:
-	// the commands before it cannot have changed a position, so the late
-	// fill sees what an up-front one would, and a batch of plain sets and
-	// tunes never pays for it.
-	var occ *grid.Occupancy
+	// The occupancy table mirrors the live environment through the batch,
+	// so each command observes its predecessors' placements — the same
+	// one-unit-per-square rule movement and resurrection enforce. It is
+	// synced by the first command that places, removes or moves a unit:
+	// the commands before it cannot have changed a position, and a batch
+	// of plain sets and tunes never touches it.
+	synced := false
 	mirror := func() *grid.Occupancy {
-		if occ == nil {
-			occ = e.occ
-			occ.Reset()
-			kc := e.prog.Schema.KeyCol()
-			for _, row := range e.env.Rows {
-				occ.Place(row[e.posX], row[e.posY], int64(row[kc]))
-			}
+		if !synced {
+			e.syncOcc(nil)
+			synced = true
 		}
-		return occ
+		return e.occ
 	}
 
 	popChanged, tuned := false, false
-	setRows := map[int]bool{}
 	for _, sc := range e.pending {
 		c := sc.Cmd
 		switch c.Op {
@@ -384,7 +381,7 @@ func (e *Engine) applyCommands() {
 				continue
 			}
 			e.env.Append(append([]float64(nil), c.Row...))
-			popChanged, e.keyIdx = true, nil
+			popChanged, e.keyIdx, e.occOK = true, nil, false
 		case OpDespawn:
 			i := e.rowIndexByKey(c.Key)
 			if i < 0 {
@@ -394,7 +391,7 @@ func (e *Engine) applyCommands() {
 			row := e.env.Rows[i]
 			mirror().Remove(row[e.posX], row[e.posY], c.Key)
 			e.env.Rows = append(e.env.Rows[:i], e.env.Rows[i+1:]...)
-			popChanged, e.keyIdx = true, nil
+			popChanged, e.keyIdx, e.occOK = true, nil, false
 		case OpSet:
 			i := e.rowIndexByKey(c.Key)
 			if i < 0 {
@@ -414,9 +411,12 @@ func (e *Engine) applyCommands() {
 					e.Stats.CommandsRejected++ // target square occupied
 					continue
 				}
+				if e.occOK {
+					e.occSq[i] = grid.SquareOf(nx, ny)
+				}
 			}
 			row[col] = c.Val
-			setRows[i] = true
+			e.cmdSets = append(e.cmdSets, rowCol{i, col})
 		case OpTune:
 			e.prog.SetConst(c.Col, c.Val)
 			tuned = true
@@ -433,13 +433,15 @@ func (e *Engine) applyCommands() {
 	// Population changes shift row indexes and constant tunes change
 	// index build inputs, so both invalidate the delta outright — the
 	// coming tick rebuilds from scratch and maintenance re-engages
-	// afterwards. Row edits instead merge into the captured delta with a
-	// conservative all-columns mask (exec.Delta.Add), AND the flat
-	// snapshot is synced to the edited rows. The sync closes an ABA hole:
-	// the snapshot's contract is "what the tick's provider was built
-	// from", and this tick's provider bakes the post-command values — if
-	// the tick then happens to restore a cell to its pre-command value
-	// (a command-wounded unit dying and respawning at full health), the
+	// afterwards. Row edits instead merge into the captured delta, each
+	// row with exactly the columns its commands wrote: a morale edit
+	// leaves every index that does not read morale untouched, a posx edit
+	// rebuilds the partitions of the unit it moved. AND the flat snapshot
+	// is synced to the edited rows. The sync closes an ABA hole: the
+	// snapshot's contract is "what the tick's provider was built from",
+	// and this tick's provider bakes the post-command values — if the
+	// tick then happens to restore a cell to its pre-command value (a
+	// command-wounded unit dying and respawning at full health), the
 	// end-of-tick bit-diff against an unsynced snapshot would see no
 	// change and the next maintained provider would keep the stale
 	// command value. TestReplayMatchesLive/global-extrema catches exactly
@@ -453,30 +455,36 @@ func (e *Engine) applyCommands() {
 		// re-engages on a clean baseline.
 		e.deltaOK = false
 		e.incSnap = nil
-	} else if w := e.prog.Schema.NumAttrs(); e.opts.Incremental && e.opts.Mode == Indexed && len(e.incSnap) == e.env.Len()*w {
-		rows := make([]int, 0, len(setRows))
-		//sgl:unordered row indexes are collected and sorted before use
-		for i := range setRows {
-			rows = append(rows, i)
+		return
+	}
+	w := e.prog.Schema.NumAttrs()
+	if !e.opts.Incremental || e.opts.Mode != Indexed || len(e.incSnap) != e.env.Len()*w {
+		return // no snapshot to sync: the tick-end diff sees the edits itself
+	}
+	// The sync hides these edits from the tick-end diff: if the tick
+	// leaves a row alone, captureIncremental's fresh delta would omit it
+	// and maintainAnswers would classify answers reading it as untouched
+	// against their pre-command values. cmdDelta keeps them (every set
+	// since the last capture) for capture to add back.
+	slices.SortFunc(e.cmdSets, func(a, b rowCol) int { return cmp.Compare(a.row, b.row) })
+	d := exec.Delta{Dirty: e.cmdDelta.Dirty[:0], Masks: e.cmdDelta.Masks[:0]}
+	for _, s := range e.cmdSets {
+		if k := len(d.Dirty) - 1; k >= 0 && d.Dirty[k] == s.row {
+			d.Masks[k] |= exec.ColBit(s.col)
+			continue
 		}
-		sort.Ints(rows)
-		for _, i := range rows {
-			copy(e.incSnap[i*w:(i+1)*w], e.env.Rows[i])
-			// The sync just hid this edit from the tick-end diff: if the
-			// tick leaves the row alone, captureIncremental's fresh delta
-			// would omit it and maintainAnswers would classify answers
-			// reading it as untouched against their pre-command values.
-			// Remember the row so capture can re-add it.
-			e.cmdSetRows = append(e.cmdSetRows, i)
-		}
-		if e.deltaOK {
-			// One sorted merge instead of per-row sorted inserts: a large
-			// command batch (the sharded admission path admits ~10⁵ per
-			// tick) would otherwise cost O(rows²) in Delta.Add shifting.
-			e.delta.AddRows(rows, ^uint64(0))
-		}
+		d.Dirty = append(d.Dirty, s.row)
+		d.Masks = append(d.Masks, exec.ColBit(s.col))
+		copy(e.incSnap[s.row*w:(s.row+1)*w], e.env.Rows[s.row])
+	}
+	e.cmdDelta = d
+	if e.deltaOK {
+		e.delta.AddRows(d.Dirty, d.Masks)
 	}
 }
+
+// rowCol is one OpSet edit: the row and the schema column it wrote.
+type rowCol struct{ row, col int }
 
 // rowIndexByKey resolves a key to its row index: through the engine's
 // key index while it is valid, by a linear scan once a spawn or despawn

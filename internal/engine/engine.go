@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -210,19 +211,28 @@ type Engine struct {
 	// steady-state tick allocates none of it: the effect accumulator, the
 	// key → row-index map (rebuilt only when the key set changes: spawn
 	// and despawn commands, restore), one plan executor per shard, the
-	// post-processing and movement buffers, the occupancy table of the
-	// movement and resurrection phases, and the serial path's argument and
-	// effect-row buffers.
+	// post-processing and movement buffers, and the serial path's argument
+	// and effect-row buffers.
 	acc    *accumulator
 	keyIdx map[int64]int
 	execs  []*algebra.Executor
 	moves  []geom.Vec
 	dead   []bool
 	plans  []movePlan
-	occ    *grid.Occupancy
 	argBuf []float64
 	effRow []float64
 	fx     effectIndex // the deferred-area effect index (decision.go)
+
+	// The occupancy table the command mirror, movement and resurrection
+	// share, carried across ticks (syncOcc): occSq is the square each row
+	// held when the table was last brought up to date, and occOK says the
+	// table is exactly those squares, one unit each — false until the
+	// first refill, after a population change, and in a world where two
+	// units share a square (there only the row-order refill decides who
+	// holds it).
+	occ   *grid.Occupancy
+	occSq []grid.Square
+	occOK bool
 
 	// Incremental-maintenance state (Options.Incremental, Indexed mode):
 	// the provider the current tick used, the provider and delta to
@@ -231,15 +241,19 @@ type Engine struct {
 	tickProv *exec.Indexed
 	prevProv *exec.Indexed
 	incSnap  []float64
-	incDirty []int
-	incMasks []uint64
 	delta    exec.Delta
 	deltaOK  bool
-	// cmdSetRows holds the row indexes OpSet commands edited this tick
-	// when applyCommands synced the snapshot to the post-command values:
-	// the sync makes the tick-end diff blind to the edit, so capture must
-	// re-add these rows to the fresh delta for maintainAnswers.
-	cmdSetRows []int
+	// cmdSets collects, per OpSet applied since the last capture, the
+	// row and the column it wrote; cmdDelta is the same set sorted by row
+	// with each row's columns merged — what applyCommands feeds the delta
+	// and, because its snapshot sync hides the edits from the tick-end
+	// diff, what capture adds back for maintainAnswers and the view.
+	cmdSets  []rowCol
+	cmdDelta exec.Delta
+
+	// viewCopied counts the rows publishView has copied since its last
+	// full copy (see publishView).
+	viewCopied int
 
 	// Observation-query state (see query.go): qmu guards the per-query
 	// cache of analyzers and maintained answers. Index providers are not
@@ -682,12 +696,9 @@ func (e *Engine) movementPhase(moves []geom.Vec, dead []bool) {
 		}
 	})
 
+	e.syncOcc(nil)
 	occ := e.occ
-	occ.Reset()
 	kc := e.prog.Schema.KeyCol()
-	for _, row := range e.env.Rows {
-		occ.Place(row[e.posX], row[e.posY], int64(row[kc]))
-	}
 	st := rng.NewStream(e.src, 1_000_000+e.tick)
 	for _, i := range st.Perm(n) {
 		if !plans[i].active {
@@ -700,6 +711,7 @@ func (e *Engine) movementPhase(moves []geom.Vec, dead []bool) {
 		for _, cand := range plans[i].cands {
 			if occ.Move(x, y, cand.X, cand.Y, key) {
 				row[e.posX], row[e.posY] = cand.X, cand.Y
+				e.occSq[i] = grid.SquareOf(cand.X, cand.Y)
 				moved = true
 				break
 			}
@@ -721,14 +733,9 @@ func (e *Engine) clampToWorld(p geom.Point) geom.Point {
 }
 
 func (e *Engine) resurrect(dead []bool) {
+	e.syncOcc(dead)
 	occ := e.occ
-	occ.Reset()
 	kc := e.prog.Schema.KeyCol()
-	for i, row := range e.env.Rows {
-		if !dead[i] {
-			occ.Place(row[e.posX], row[e.posY], int64(row[kc]))
-		}
-	}
 	for i, row := range e.env.Rows {
 		if !dead[i] {
 			continue
@@ -744,15 +751,71 @@ func (e *Engine) resurrect(dead []bool) {
 		for tries := 0; ; tries++ {
 			x := float64(st.Intn(int(e.opts.Side)))
 			y := float64(st.Intn(int(e.opts.Side)))
-			if occ.Place(x, y, key) {
+			if sq := grid.SquareOf(x, y); occ.Claim(sq, key) {
 				row[e.posX], row[e.posY] = x, y
+				e.occSq[i] = sq
 				break
 			}
 			if tries > 10*int(e.opts.Side*e.opts.Side) {
 				// Pathological full grid: stack at origin rather than spin.
+				// The unit now shares a square, so the carried table no
+				// longer says who holds it.
 				row[e.posX], row[e.posY] = 0, 0
+				e.occOK = false
 				break
 			}
+		}
+	}
+}
+
+// syncOcc brings the occupancy table to "every row not marked in skip
+// (nil: every row) placed in row order", whatever mutated the rows since
+// it was last in sync — commands, the game's ApplyEffects, the moves and
+// respawns the phases make themselves. With a valid record it releases
+// the squares of the rows that left theirs (and of skipped rows) and
+// claims the new ones, touching the map only for rows whose square
+// changed; otherwise — first use, population change, a shared square —
+// it refills the table from scratch. A claim that fails shows two units
+// on one square: the refill, which lets the earlier row hold it, is
+// then what decides, now and on every tick until the squares are
+// distinct again.
+func (e *Engine) syncOcc(skip []bool) {
+	rows := e.env.Rows
+	kc := e.prog.Schema.KeyCol()
+	if e.occOK && len(e.occSq) == len(rows) {
+		moved := false
+		for i, row := range rows {
+			if sq := grid.SquareOf(row[e.posX], row[e.posY]); sq != e.occSq[i] || (skip != nil && skip[i]) {
+				e.occ.Release(e.occSq[i], int64(row[kc]))
+				moved = true
+			}
+		}
+		if !moved {
+			return
+		}
+		ok := true
+		for i, row := range rows {
+			if skip != nil && skip[i] {
+				continue
+			}
+			if sq := grid.SquareOf(row[e.posX], row[e.posY]); sq != e.occSq[i] {
+				e.occSq[i] = sq
+				if ok = e.occ.Claim(sq, int64(row[kc])); !ok {
+					break
+				}
+			}
+		}
+		if ok {
+			return
+		}
+	}
+	e.occ.Reset()
+	e.occSq = slices.Grow(e.occSq[:0], len(rows))[:len(rows)]
+	e.occOK = true
+	for i, row := range rows {
+		e.occSq[i] = grid.SquareOf(row[e.posX], row[e.posY])
+		if (skip == nil || !skip[i]) && !e.occ.Claim(e.occSq[i], int64(row[kc])) {
+			e.occOK = false
 		}
 	}
 }

@@ -6,7 +6,10 @@
 // immune to new mutation paths silently bypassing delta capture. The diff
 // also yields a per-row changed-column mask, which is what lets
 // MaintainFrom tell a unit that merely cooled down apart from one that
-// moved.
+// moved. Command edits, which the snapshot sync hides from the diff,
+// enter with the columns they wrote (applyCommands). The same delta
+// drives answer maintenance (answers.go) and names the rows the next
+// read view copies (publishView).
 //
 // Timeline: the provider built at tick T reflects the environment after
 // tick T−1 (effects apply post-decision). The delta captured at the end
@@ -72,10 +75,11 @@ func (e *Engine) captureIncremental() {
 
 	// Rows OpSet commands edited this tick under a synced snapshot (see
 	// applyCommands): the sync makes the diff below blind to those edits,
-	// so they are re-added to the fresh delta by hand. Consumed (and
+	// so they are added back to the fresh delta by hand. Consumed (and
 	// cleared) every tick, whatever path returns.
-	cmdRows := e.cmdSetRows
-	e.cmdSetRows = e.cmdSetRows[:0]
+	cmd := e.cmdDelta
+	e.cmdDelta.Dirty, e.cmdDelta.Masks = cmd.Dirty[:0], cmd.Masks[:0]
+	e.cmdSets = e.cmdSets[:0]
 
 	// Index maintenance and answer maintenance (answers.go) share the
 	// delta; capture runs when either consumer is live. When neither is,
@@ -99,17 +103,15 @@ func (e *Engine) captureIncremental() {
 		e.deltaOK = false
 		return
 	}
-	dirty, masks := e.incDirty[:0], e.incMasks[:0]
+	// The delta's storage is reused tick to tick: its previous contents
+	// were consumed by this tick's maintenance, answers and nothing else.
+	dirty, masks := e.delta.Dirty[:0], e.delta.Masks[:0]
 	for i, row := range e.env.Rows {
 		base := e.incSnap[i*w : (i+1)*w]
 		var m uint64
 		for c, v := range row {
 			if math.Float64bits(v) != math.Float64bits(base[c]) {
-				b := c
-				if b > 63 {
-					b = 63 // alias wide schemas conservatively
-				}
-				m |= 1 << b
+				m |= exec.ColBit(c)
 			}
 		}
 		if m != 0 {
@@ -118,18 +120,15 @@ func (e *Engine) captureIncremental() {
 			copy(base, row)
 		}
 	}
-	e.incDirty, e.incMasks = dirty, masks
 	e.delta = exec.Delta{Dirty: dirty, Masks: masks}
-	// Command-set rows enter with a conservative full mask, whether or
-	// not the tick touched them again: the delta must span the whole
-	// pre-command → post-tick window maintainAnswers classifies over.
-	// Over-reporting is safe for both consumers (rows re-derive from the
-	// live table); the synced snapshot is what keeps next tick's baseline
-	// honest.
-	for _, i := range cmdRows {
-		if i < n {
-			e.delta.Add(i, ^uint64(0))
-		}
-	}
+	// Command-set rows enter with the columns their commands wrote,
+	// whether or not the tick touched them again: the delta must span the
+	// whole pre-command → post-tick window maintainAnswers classifies and
+	// publishView copies over. A column changed over that window either
+	// by a command (in its mask) or by the tick (in the diff against the
+	// synced snapshot). Over-reporting is safe for every consumer (rows
+	// re-derive from the live table); the synced snapshot is what keeps
+	// next tick's baseline honest.
+	e.delta.AddRows(cmd.Dirty, cmd.Masks)
 	e.deltaOK = true
 }

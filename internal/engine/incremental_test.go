@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"math"
 	"testing"
 
 	"github.com/epicscale/sgl/internal/exec"
+	"github.com/epicscale/sgl/internal/game"
+	"github.com/epicscale/sgl/internal/workload"
 )
 
 // TestIncrementalMatchesRebuild is the differential harness for
@@ -174,5 +177,124 @@ func BenchmarkTickIncremental500(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// newSentryEngine builds the low-churn patrol world of the sentry
+// benchmarks (game.PatrolScript; one unit in 25 a scout), serial and
+// incremental, past the ticks maintenance needs to engage.
+func newSentryEngine(t testing.TB, n int) *Engine {
+	t.Helper()
+	spec := workload.Spec{Units: n, Density: 0.01, Seed: 42, Formation: workload.BattleLines, Mix: [3]int{20, 4, 1}}
+	e, err := New(compileZoo(t, game.PatrolScript), game.NewMechanics(), workload.Generate(spec), Options{
+		Mode:         Indexed,
+		Categoricals: game.Categoricals(),
+		Seed:         42,
+		Side:         spec.Side(),
+		MoveSpeed:    1,
+		Workers:      1,
+		Incremental:  true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Run(3); err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// TestCommandSetDirtiesOnlyItsColumn pins the column-exact command
+// masks. In the sentry world only the scouts move, so a quiet tick
+// rebuilds the scouts' kD-trees and nothing else. A morale set on a
+// knight changes a column no index reads: the tick that applies it and
+// the next one (whose delta carries the edit again, for the maintained
+// answers) must rebuild exactly what a quiet tick does, while the
+// maintained sum(e.morale) answer — whose read set it is in — is patched.
+// A posx set on a knight must still rebuild that knight's partition.
+func TestCommandSetDirtiesOnlyItsColumn(t *testing.T) {
+	e := newSentryEngine(t, 600)
+	morale := compileQuery(t, `aggregate Morale(u) := sum(e.morale) as m over e;`)
+	s := e.prog.Schema
+	kc, ut, px, py := s.KeyCol(), s.MustCol("unittype"), e.posX, e.posY
+	knight := -1
+	for i, row := range e.env.Rows {
+		if row[ut] == game.Knight {
+			knight = i
+			break
+		}
+	}
+	key := int64(e.env.Rows[knight][kc])
+
+	read := func() {
+		t.Helper()
+		got, err := e.QueryMaintained(morale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scan, err := e.QueryScan(morale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[0] != scan[0] {
+			t.Fatalf("tick %d: maintained sum(morale) %v, scan %v", e.TickCount(), got[0], scan[0])
+		}
+	}
+	// step submits cmds, ticks, and returns the tick's index builds and
+	// answer patches.
+	step := func(cmds ...Command) (builds, patches int) {
+		t.Helper()
+		if len(cmds) > 0 {
+			if err := e.Submit("test", cmds...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		b0, p0 := e.Stats.IndexStats.IndexBuilds, e.Stats.AnswerPatches
+		if err := e.Tick(); err != nil {
+			t.Fatal(err)
+		}
+		read()
+		return e.Stats.IndexStats.IndexBuilds - b0, e.Stats.AnswerPatches - p0
+	}
+	read()
+	step()
+	scouts, _ := step()
+	if scouts != 2 {
+		t.Fatalf("a quiet tick built %d structures, want the two players' scout kD-trees", scouts)
+	}
+
+	builds, patches := step(Command{Op: OpSet, Key: key, Col: "morale", Val: 77})
+	if builds != scouts {
+		t.Errorf("the tick applying a morale set built %d structures, a quiet tick %d", builds, scouts)
+	}
+	if patches != 1 {
+		t.Errorf("the morale set patched %d maintained answers, want the Morale answer", patches)
+	}
+	if builds, _ := step(); builds != scouts {
+		t.Errorf("the tick after a morale set built %d structures, a quiet tick %d", builds, scouts)
+	}
+
+	// Move the knight one square along x, to a square nobody holds.
+	x, y := e.env.Rows[knight][px], e.env.Rows[knight][py]
+	free := func(nx float64) bool {
+		for _, row := range e.env.Rows {
+			if math.Floor(row[px]) == math.Floor(nx) && math.Floor(row[py]) == math.Floor(y) {
+				return false
+			}
+		}
+		return nx >= 0 && nx < e.opts.Side
+	}
+	nx := x + 1
+	if !free(nx) {
+		nx = x - 1
+	}
+	if !free(nx) {
+		t.Fatalf("knight %d at (%v, %v) has no free square beside it", key, x, y)
+	}
+	if builds, _ := step(Command{Op: OpSet, Key: key, Col: "posx", Val: nx}); builds <= scouts {
+		t.Errorf("a posx set on a knight built %d structures, no more than a quiet tick's %d: its partition was not rebuilt", builds, scouts)
+	}
+	if e.env.Rows[knight][px] != nx {
+		t.Fatalf("the posx set was not applied: knight at x=%v, want %v", e.env.Rows[knight][px], nx)
 	}
 }

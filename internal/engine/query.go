@@ -5,7 +5,8 @@
 // observers, and tooling.
 //
 // Reads never touch the live environment. Every tick commit publishes an
-// immutable ReadView (a copy of the rows, the tick number, that tick's
+// immutable ReadView (a copy of the rows — of those the tick changed,
+// the rest shared with the previous view —, the tick number, that tick's
 // random source) through an atomic pointer, and every Query* evaluates
 // against the view current when it was called. Execution reuses the
 // indexed evaluator end to end, but a view builds no index: the first
@@ -319,7 +320,7 @@ func (q *Query) checkArgs(args []float64) error {
 type ReadView struct {
 	e      *Engine // immutable facts (schema, categoricals) and the analyzer cache
 	tick   int64
-	env    *table.Table // private flat copy; never written after publish
+	env    *table.Table // rows shared with neighbouring views; never written after publish
 	rs     rng.TickSource
 	deaths int
 	moves  int
@@ -353,11 +354,47 @@ type viewProvider struct {
 // publishView copies the committed environment into a fresh read view
 // and swaps it in. Called with the engine quiescent: at construction, at
 // restore, and as the last step of a tick.
+//
+// Only the rows the tick's delta names are copied, into one fresh block;
+// every other row is shared with the previous view, whose rows nobody
+// writes. That needs a delta spanning exactly the previous view to now:
+// this tick's capture diffed against a valid baseline (the baseline is
+// the rows the previous tick published, with command edits added back)
+// and the previous view is the previous tick's. Otherwise every row
+// counts as named. A shared row keeps its whole block alive, so once
+// the rows copied since the last full copy would pass n, every row is
+// copied again: the newest view reaches at most that full copy plus
+// blocks holding at most n rows — two full copies, whatever the dirty
+// pattern.
 func (e *Engine) publishView() {
+	prev := e.view.Load()
+	n, w := e.env.Len(), e.prog.Schema.NumAttrs()
+	rows := make([][]float64, n)
+	named, all := e.delta.Dirty, true
+	if prev != nil && e.deltaOK && prev.tick == e.tick-1 && prev.env.Len() == n && e.viewCopied+len(named) <= n {
+		copy(rows, prev.env.Rows)
+		all = false
+		e.viewCopied += len(named)
+	} else {
+		e.viewCopied = 0
+	}
+	copied := len(named)
+	if all {
+		copied = n
+	}
+	block := make([]float64, copied*w)
+	for k := 0; k < copied; k++ {
+		i := k
+		if !all {
+			i = named[k]
+		}
+		rows[i] = block[k*w : (k+1)*w : (k+1)*w]
+		copy(rows[i], e.env.Rows[i])
+	}
 	e.view.Store(&ReadView{
 		e:      e,
 		tick:   e.tick,
-		env:    e.env.Clone(),
+		env:    &table.Table{Schema: e.env.Schema, Rows: rows},
 		rs:     e.src.Tick(e.tick),
 		deaths: e.Stats.Deaths,
 		moves:  e.Stats.Moves,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -11,8 +12,11 @@ import (
 	"time"
 
 	"github.com/epicscale/sgl/internal/exec"
+	"github.com/epicscale/sgl/internal/game"
 	"github.com/epicscale/sgl/internal/geom"
+	"github.com/epicscale/sgl/internal/rng"
 	"github.com/epicscale/sgl/internal/sgl/sem"
+	"github.com/epicscale/sgl/internal/table"
 )
 
 // parkingGame is the battle mechanics with a gate in the middle of the
@@ -444,6 +448,166 @@ func TestViewMatchesBuiltIndex(t *testing.T) {
 			if want := built.Fork().EvalAgg(q.def, unit, zq.args); !sameBits(got, want) {
 				t.Fatalf("%s, probe %d: the view answered %v, the built index %v", zq.name, k, got, want)
 			}
+		}
+	}
+}
+
+// TestViewRowsMatchEngine is the differential for delta-copied read
+// views: a view copies only the rows the tick's delta names and shares
+// the rest with the previous view, so after every tick its rows must
+// equal the engine's bit for bit — over the zoo and the battle, Workers
+// {1, 4} × Incremental {off, on} × a live maintained answer {off, on}
+// (the two consumers that turn delta capture on), through the scripted
+// command stream (morale, health and posx sets, spawns, despawns, a
+// tune) and a restore mid-run. Views must actually have shared rows
+// where capture runs — not in every world, since a tick that dirties
+// most rows copies them all, but across the zoo — or the test proves
+// nothing about sharing.
+func TestViewRowsMatchEngine(t *testing.T) {
+	const units, seed, restoreAt = 64, 19, 7
+	type world struct {
+		name string
+		prog *sem.Program
+	}
+	worlds := []world{{"battle", battleProg(t)}}
+	for _, zp := range exec.Zoo {
+		worlds = append(worlds, world{zp.Name, compileZoo(t, zp.Src)})
+	}
+	morale := compileQuery(t, `aggregate M(u) := sum(e.morale) as m over e;`)
+	shared := 0
+	for _, w := range worlds {
+		for _, workers := range []int{1, 4} {
+			for _, inc := range []bool{false, true} {
+				for _, watched := range []bool{false, true} {
+					t.Run(fmt.Sprintf("%s/w%d-inc%v-watched%v", w.name, workers, inc, watched), func(t *testing.T) {
+						opts := func(o *Options) { o.Workers, o.Incremental = workers, inc }
+						e := newEngine(t, w.prog, units, Indexed, seed, opts)
+						check := func(prev *ReadView) {
+							t.Helper()
+							v := e.ReadView()
+							if v.Tick() != e.TickCount() || !identicalTables(v.env, e.env) {
+								t.Fatalf("tick %d: the view (tick %d) does not hold the engine's rows", e.TickCount(), v.Tick())
+							}
+							for i := range v.env.Rows {
+								if prev != nil && i < prev.env.Len() && &v.env.Rows[i][0] == &prev.env.Rows[i][0] {
+									shared++
+									break
+								}
+							}
+						}
+						check(nil)
+						for tick := int64(0); tick < scriptedTicks; tick++ {
+							if watched {
+								if _, err := e.QueryMaintained(morale); err != nil {
+									t.Fatal(err)
+								}
+							}
+							injectScripted(t, e, tick)
+							if tick == restoreAt {
+								var buf bytes.Buffer
+								if err := e.Checkpoint(&buf); err != nil {
+									t.Fatal(err)
+								}
+								o := Options{}
+								opts(&o)
+								restored, err := Restore(&buf, w.prog, game.NewMechanics(), o)
+								if err != nil {
+									t.Fatal(err)
+								}
+								e = restored
+								check(nil)
+							}
+							prev := e.ReadView()
+							if err := e.Tick(); err != nil {
+								t.Fatal(err)
+							}
+							check(prev)
+						}
+					})
+				}
+			}
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no view shared a row with its predecessor")
+	}
+}
+
+// countingUpGame is a world where rows stop changing one by one: each
+// tick, every unit whose health is below its key gains one point, so the
+// unit keyed k changes on ticks 1…k and is still after tick k. Every
+// tick's delta names rows the next tick names again, except for one
+// that never changes again — the pattern that would keep every delta
+// block a view ever copied alive through a single shared row.
+type countingUpGame struct{ health, key int }
+
+func (g countingUpGame) ApplyEffects(row, _ []float64) (geom.Vec, bool) {
+	if row[g.health] < row[g.key] {
+		row[g.health]++
+	}
+	return geom.Vec{}, true
+}
+
+func (countingUpGame) Respawn([]float64, *rng.Stream) {}
+
+// TestViewRetentionBounded pins the two-copy bound on what a delta-copied
+// view keeps alive. On countingUpGame the bytes reachable from the newest
+// view — measured as the live heap it alone holds — must stay within
+// twice what the full copy New publishes holds, at every measured tick,
+// however many ticks have shared rows into it.
+func TestViewRetentionBounded(t *testing.T) {
+	const n = 1000
+	s := game.Schema()
+	prog := compileZoo(t, `
+action Tag(u, v) := on e where e.key = u.key set damage = v;
+function main(u) { if u.health < 0 - 1 then perform Tag(u, 1) }`)
+	g := countingUpGame{health: s.MustCol("health"), key: s.KeyCol()}
+	side := math.Ceil(math.Sqrt(n / 0.01))
+	// held drops the engine's newest view and returns the live heap that
+	// goes with it. Two collections each: the first also moves sync.Pool
+	// contents to the victim cache the second frees.
+	held := func(e *Engine) uint64 {
+		var with, without runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&with)
+		e.view.Store(&ReadView{e: e, env: table.New(s, 0)})
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&without)
+		runtime.KeepAlive(e) // the engine itself must not count
+		return with.HeapAlloc - without.HeapAlloc
+	}
+	for _, ticks := range []int{8, 16, 24, 32, 48} {
+		env := table.New(s, n)
+		for i := 0; i < n; i++ {
+			row := game.NewUnit(int64(i), i%2, game.Knight, geom.Point{X: float64(i % int(side)), Y: float64(i / int(side))})
+			row[g.health] = 0
+			env.Append(row)
+		}
+		e, err := New(prog, g, env, Options{
+			Mode: Indexed, Categoricals: game.Categoricals(), Seed: 3, Side: side, MoveSpeed: 1,
+			Workers: 1, Incremental: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The first tick has no baseline and copies every row anyway, so
+		// measuring New's view costs the run nothing.
+		full := held(e)
+		if cells := uint64(n * (s.NumAttrs()*8 + 24)); full < cells {
+			t.Fatalf("a full copy holds %d bytes, less than its %d bytes of cells and row headers", full, cells)
+		}
+		if err := e.Run(ticks); err != nil {
+			t.Fatal(err)
+		}
+		if d := len(e.delta.Dirty); d != n-ticks {
+			t.Fatalf("tick %d: the delta names %d rows, want %d", ticks, d, n-ticks)
+		}
+		h := held(e)
+		t.Logf("after %d ticks the newest view holds %d bytes (a full copy: %d)", ticks, h, full)
+		if h > 2*full {
+			t.Fatalf("after %d ticks the newest view holds %d bytes, more than two full copies (%d)", ticks, h, 2*full)
 		}
 	}
 }

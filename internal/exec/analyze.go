@@ -121,16 +121,15 @@ type AggAnalysis struct {
 	ext     []int     // -1 where unused
 }
 
-// depMask is a bitset over schema columns. Columns ≥ 63 alias into bit
-// 63, which is conservative: an aliased change can only force an extra
-// rebuild, never skip a needed one.
+// depMask is a bitset over schema columns, built from ColBit.
 type depMask uint64
 
-func colBit(col int) depMask {
-	if col > 63 {
-		col = 63
-	}
-	return 1 << col
+// ColBit is column col's bit in a column mask — a Delta's changed-column
+// masks and every read set they are tested against. Columns ≥ 63 alias
+// into bit 63, which is conservative: an aliased change can only force
+// an extra rebuild or rederivation, never skip a needed one.
+func ColBit(col int) uint64 {
+	return 1 << min(col, 63)
 }
 
 // ActClass says how an action's target set is computed.
@@ -593,7 +592,7 @@ func (an *Analyzer) termECols(t ast.Term) depMask {
 		case *ast.FieldRef:
 			if n.Base == "e" {
 				if col, ok := an.prog.Schema.Col(n.Field); ok {
-					m |= colBit(col)
+					m |= depMask(ColBit(col))
 				}
 			}
 		case *ast.Field:

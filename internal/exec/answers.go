@@ -77,14 +77,14 @@ func NewAnswerPlan(prog *sem.Program, def *ast.AggDef) *AnswerPlan {
 		switch out.Func {
 		case ast.ArgMin, ast.ArgMax:
 			// The reported value is a row's key.
-			p.read |= colBit(prog.Schema.KeyCol())
+			p.read |= depMask(ColBit(prog.Schema.KeyCol()))
 		case ast.NearestKey, ast.NearestDist, ast.NearestX, ast.NearestY:
-			p.read |= colBit(prog.Schema.KeyCol())
+			p.read |= depMask(ColBit(prog.Schema.KeyCol()))
 			if c, ok := prog.Schema.Col("posx"); ok {
-				p.read |= colBit(c)
+				p.read |= depMask(ColBit(c))
 			}
 			if c, ok := prog.Schema.Col("posy"); ok {
-				p.read |= colBit(c)
+				p.read |= depMask(ColBit(c))
 			}
 		}
 	}

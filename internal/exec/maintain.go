@@ -30,7 +30,10 @@
 // the whole script zoo and the battle simulation at several worker counts.
 package exec
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Delta describes which environment rows changed between the snapshot the
 // previous provider was built on and the current environment.
@@ -50,67 +53,45 @@ func (d Delta) Frac(n int) float64 {
 	return float64(len(d.Dirty)) / float64(n)
 }
 
-// Add merges one more dirty row into the delta, keeping Dirty sorted
-// ascending (the order MaintainFrom's partition walks rely on) and OR-ing
-// the mask into an existing entry for the same row. It exists for
-// mutations that happen after the tick-end diff — externally injected
+// AddRows merges a batch of dirty rows into the delta, keeping Dirty
+// sorted ascending (the order MaintainFrom's partition walks rely on) and
+// OR-ing a row's mask into an existing entry for the same row. It exists
+// for mutations that happen after the tick-end diff — externally injected
 // commands mutate rows at the next tick boundary, and those rows must
 // reach the maintenance path exactly like rows the tick itself changed.
 // Over-reporting a column is safe (the row's index entries rebuild from
 // the live table); under-reporting is what breaks exactness.
-func (d *Delta) Add(row int, mask uint64) {
-	i := sort.SearchInts(d.Dirty, row)
-	if i < len(d.Dirty) && d.Dirty[i] == row {
-		d.Masks[i] |= mask
-		return
-	}
-	d.Dirty = append(d.Dirty, 0)
-	d.Masks = append(d.Masks, 0)
-	copy(d.Dirty[i+1:], d.Dirty[i:])
-	copy(d.Masks[i+1:], d.Masks[i:])
-	d.Dirty[i], d.Masks[i] = row, mask
-}
-
-// AddRows merges a batch of dirty rows, all sharing one mask, in a
-// single pass. rows must be sorted ascending and duplicate-free —
-// exactly what the command pipeline produces at the tick boundary. The
-// merge is O(len(d.Dirty) + len(rows)), where the equivalent Add loop
-// would shift the tail once per new row; at the sharded admission path's
-// command volumes that quadratic cost is the difference between a tick
-// and a stall.
-func (d *Delta) AddRows(rows []int, mask uint64) {
-	if len(rows) == 0 {
-		return
-	}
-	if len(d.Dirty) == 0 {
-		d.Dirty = append(d.Dirty, rows...)
-		for range rows {
-			d.Masks = append(d.Masks, mask)
+//
+// rows must be sorted ascending and duplicate-free, masks parallel to
+// it. The merge runs in place from the back, so it allocates only when
+// the delta's storage must grow, and it moves only the entries at or
+// past the first new row: a few commands against a large delta cost a
+// few binary searches and a short tail shift, and the sharded admission
+// path's ~10⁵-row batches cost one linear pass, never one shift per row.
+func (d *Delta) AddRows(rows []int, masks []uint64) {
+	fresh := 0
+	for _, r := range rows {
+		if i := sort.SearchInts(d.Dirty, r); i == len(d.Dirty) || d.Dirty[i] != r {
+			fresh++
 		}
-		return
 	}
-	oldDirty, oldMasks := d.Dirty, d.Masks
-	merged := make([]int, 0, len(oldDirty)+len(rows))
-	masks := make([]uint64, 0, len(oldDirty)+len(rows))
-	i, j := 0, 0
-	for i < len(oldDirty) || j < len(rows) {
+	i, j := len(d.Dirty)-1, len(rows)-1
+	d.Dirty = slices.Grow(d.Dirty, fresh)[:len(d.Dirty)+fresh]
+	d.Masks = slices.Grow(d.Masks, fresh)[:len(d.Masks)+fresh]
+	for w := len(d.Dirty) - 1; j >= 0; w-- {
 		switch {
-		case j >= len(rows) || (i < len(oldDirty) && oldDirty[i] < rows[j]):
-			merged = append(merged, oldDirty[i])
-			masks = append(masks, oldMasks[i])
-			i++
-		case i >= len(oldDirty) || rows[j] < oldDirty[i]:
-			merged = append(merged, rows[j])
-			masks = append(masks, mask)
-			j++
-		default: // same row: union the masks
-			merged = append(merged, oldDirty[i])
-			masks = append(masks, oldMasks[i]|mask)
-			i++
-			j++
+		case i >= 0 && d.Dirty[i] > rows[j]:
+			d.Dirty[w], d.Masks[w] = d.Dirty[i], d.Masks[i]
+			i--
+		case i >= 0 && d.Dirty[i] == rows[j]:
+			d.Dirty[w], d.Masks[w] = rows[j], d.Masks[i]|masks[j]
+			i--
+			j--
+		default:
+			d.Dirty[w], d.Masks[w] = rows[j], masks[j]
+			j--
 		}
 	}
-	d.Dirty, d.Masks = merged, masks
 }
 
 // MaintainFrom patches the previous tick's index structures to reflect

@@ -89,11 +89,7 @@ func mutateRows(env *table.Table, snap [][]float64) Delta {
 		var m uint64
 		for c, v := range row {
 			if math.Float64bits(v) != math.Float64bits(snap[i][c]) {
-				b := c
-				if b > 63 {
-					b = 63
-				}
-				m |= 1 << b
+				m |= ColBit(c)
 			}
 		}
 		if m != 0 {

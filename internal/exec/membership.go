@@ -194,7 +194,7 @@ func (an *Analyzer) membershipOf(eonly []ast.Cond, eonlyFn []expr.Cond, eqs []Eq
 	}
 	g := &membership{ord: len(an.groups), key: key, eonly: eonlyFn, cols: cols, foldSlot: -1, kdSlot: -1, extSlot: -1}
 	for _, c := range cols {
-		g.deps |= colBit(c)
+		g.deps |= depMask(ColBit(c))
 	}
 	for _, c := range eonly {
 		g.deps |= an.condECols(c)
@@ -219,7 +219,7 @@ func (g *membership) surfaceAt(x, y int) int {
 	sf := surface{x: x, y: y, tree: -1, sweep: -1}
 	for _, c := range []int{x, y} {
 		if c >= 0 {
-			sf.shape |= colBit(c)
+			sf.shape |= depMask(ColBit(c))
 		}
 	}
 	g.surfaces = append(g.surfaces, sf)
@@ -258,7 +258,7 @@ func (g *membership) kdSlotFor(posX, posY int) int {
 		g.kdSlot = g.addSlot(slotKD, 0)
 		for _, c := range []int{posX, posY} {
 			if c >= 0 {
-				g.kdDeps |= colBit(c)
+				g.kdDeps |= depMask(ColBit(c))
 			}
 		}
 	}

@@ -257,6 +257,42 @@ function main(u) {
 }
 `
 
+// PatrolScript is the low-churn world over the battle schema: a garrison
+// of knights and archers watches the opposing knight line (three
+// aggregate probes per unit per tick over structures partitioned by
+// player and unit type) while the healers random-walk the map as scouts.
+// Nothing else moves, fights or dies, so between two ticks only the
+// scouts' rows change — the setting incremental index maintenance is
+// built for, and the script of the sentry benchmarks.
+const PatrolScript = `
+aggregate WatchEnemyKnights(u) :=
+  count(*) as n, sum(e.health) as hp, avg(e.posx) as cx
+  over e where e.posx >= u.posx - u.sight and e.posx <= u.posx + u.sight
+    and e.posy >= u.posy - u.sight and e.posy <= u.posy + u.sight
+    and e.player <> u.player and e.unittype = 0;
+
+aggregate OwnLine(u) :=
+  count(*) as n, avg(e.posx) as cx, avg(e.posy) as cy, stddev(e.posx) as sx
+  over e where e.player = u.player and e.unittype = 0;
+
+aggregate NearestScout(u) :=
+  nearestkey() as key
+  over e where e.player = u.player and e.unittype = 2;
+
+action Patrol(u, tx, ty) :=
+  on e where e.key = u.key
+  set movevect_x = tx - u.posx, movevect_y = ty - u.posy;
+
+function main(u) {
+  (let w = WatchEnemyKnights(u))
+  (let l = OwnLine(u)) {
+    if u.unittype = 2 then
+      perform Patrol(u, u.posx + Random(1) % 9 - 4, u.posy + Random(2) % 9 - 4);
+    else { if w.n + l.n + NearestScout(u) < -1 then perform Patrol(u, l.cx, l.cy) }
+  }
+}
+`
+
 // Compile parses and checks the battle script against the battle schema.
 func Compile() (*sem.Program, error) {
 	script, err := parser.Parse(Script)

@@ -225,32 +225,39 @@ func clampInt(v, lo, hi int) int {
 // unit ("1 percent of game grid squares occupied" defines the paper's
 // density parameter).
 type Occupancy struct {
-	taken map[[2]int32]int64 // square → unit key
+	taken map[Square]int64 // square → unit key
+}
+
+// Square is one integer grid square: the floors of a position's
+// coordinates.
+type Square [2]int32
+
+// SquareOf returns the square containing (x, y).
+func SquareOf(x, y float64) Square {
+	return Square{int32(math.Floor(x)), int32(math.Floor(y))}
 }
 
 // NewOccupancy returns an empty occupancy map.
 func NewOccupancy(capacity int) *Occupancy {
-	return &Occupancy{taken: make(map[[2]int32]int64, capacity)}
+	return &Occupancy{taken: make(map[Square]int64, capacity)}
 }
 
 // Reset empties the map, keeping its storage for the next fill.
 func (o *Occupancy) Reset() { clear(o.taken) }
 
-func square(x, y float64) [2]int32 {
-	return [2]int32{int32(math.Floor(x)), int32(math.Floor(y))}
-}
-
 // Occupied reports whether the square containing (x, y) is taken, and by
 // which unit.
 func (o *Occupancy) Occupied(x, y float64) (int64, bool) {
-	k, ok := o.taken[square(x, y)]
+	k, ok := o.taken[SquareOf(x, y)]
 	return k, ok
 }
 
 // Place marks the square containing (x, y) as held by the unit. It returns
 // false (without modifying anything) if another unit already holds it.
-func (o *Occupancy) Place(x, y float64, key int64) bool {
-	s := square(x, y)
+func (o *Occupancy) Place(x, y float64, key int64) bool { return o.Claim(SquareOf(x, y), key) }
+
+// Claim is Place by square.
+func (o *Occupancy) Claim(s Square, key int64) bool {
 	if holder, ok := o.taken[s]; ok && holder != key {
 		return false
 	}
@@ -259,8 +266,10 @@ func (o *Occupancy) Place(x, y float64, key int64) bool {
 }
 
 // Remove releases the square containing (x, y) if the unit holds it.
-func (o *Occupancy) Remove(x, y float64, key int64) {
-	s := square(x, y)
+func (o *Occupancy) Remove(x, y float64, key int64) { o.Release(SquareOf(x, y), key) }
+
+// Release is Remove by square.
+func (o *Occupancy) Release(s Square, key int64) {
 	if o.taken[s] == key {
 		delete(o.taken, s)
 	}
@@ -270,7 +279,7 @@ func (o *Occupancy) Remove(x, y float64, key int64) {
 // false, with no state change) if the destination square is held by another
 // unit. Moving within the same square always succeeds.
 func (o *Occupancy) Move(fromX, fromY, toX, toY float64, key int64) bool {
-	from, to := square(fromX, fromY), square(toX, toY)
+	from, to := SquareOf(fromX, fromY), SquareOf(toX, toY)
 	if from == to {
 		return true
 	}

@@ -336,6 +336,25 @@ func mul(a, b float64) float64 {
 	return a * b
 }
 
+// Mod is SGL's modulus, a % b: truncated like C, on the integer parts —
+// bit for bit math.Trunc(math.Mod(a, b)), the rule the interpreter
+// states in its own words. Operands that are both integers of magnitude
+// at most 2^53, with b nonzero, take the int64 remainder: exact for
+// them, with the sign (of a zero too) the dividend's, as math.Mod's.
+// Everything else — fractions, zero divisors, ±Inf, NaN, magnitudes
+// past 2^53 — takes math.Mod. The compiled closures and sglvet's
+// constant folder both call it, so a folded comparison decides what the
+// runtime does.
+func Mod(a, b float64) float64 {
+	const lim = 1 << 53
+	if a >= -lim && a <= lim && b >= -lim && b <= lim && b != 0 {
+		if ia, ib := int64(a), int64(b); float64(ia) == a && float64(ib) == b {
+			return math.Copysign(float64(ia%ib), a)
+		}
+	}
+	return math.Trunc(math.Mod(a, b))
+}
+
 // binary compiles x op y: scalar arithmetic gets one closure per
 // operator (no dispatch at call time); records apply componentwise and
 // broadcast against a scalar, exactly as the interpreter does — a record
@@ -374,8 +393,8 @@ func scalar(op ast.BinOp, a, b Num) Num {
 		return func(f *Frame) float64 { return mul(a(f), b(f)) }
 	case ast.Div:
 		return func(f *Frame) float64 { return a(f) / b(f) }
-	default: // Mod: truncated like C, on the integer parts
-		return func(f *Frame) float64 { return math.Trunc(math.Mod(a(f), b(f))) }
+	default:
+		return func(f *Frame) float64 { return Mod(a(f), b(f)) }
 	}
 }
 

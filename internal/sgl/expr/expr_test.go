@@ -93,6 +93,54 @@ func TestFirstNaNWins(t *testing.T) {
 	}
 }
 
+// Mod's int64 fast path must return the walker's bits — interp computes
+// a % b as math.Trunc(math.Mod(a, b)) in its own words — on both sides of
+// every boundary the fast path draws: integers against fractions, ±0 and
+// the sign of a zero remainder, magnitudes at and past 2^53, 2^63, zero
+// and infinite divisors, NaN. Random integer and fractional draws sweep
+// the interior.
+func TestModMatchesWalker(t *testing.T) {
+	prog := testProgram(t, map[string]float64{"_SCALE": 1})
+	dl := interp.DefParams(prog.Script.Aggs[0])
+	r := rng.New(1).Tick(0)
+	walker := func(a, b float64) float64 {
+		v, err := interp.EvalDefTermWith(&ast.Binary{Op: ast.Mod, X: lit(a), Y: lit(b)}, dl, nil, nil, nil, prog, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	negZero, inf, p53 := math.Copysign(0, -1), math.Inf(1), float64(1<<53)
+	specials := []float64{0, negZero, 1, -1, 2, -2, 3, -3, 5.5, -5.5, 7, -7, 0.5, -0.5, 1e-300,
+		p53, -p53, p53 - 1, -(p53 - 1), p53 + 2, -(p53 + 2), 1 << 62, 1 << 63, -(1 << 63), 1e300,
+		inf, -inf, math.NaN()}
+	check := func(a, b float64) {
+		t.Helper()
+		if got, want := Mod(a, b), walker(a, b); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Mod(%v, %v) = %v (%#x), walker %v (%#x)", a, b, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	for _, a := range specials {
+		for _, b := range specials {
+			check(a, b)
+		}
+	}
+	src := rng.New(99).Tick(1)
+	for i := int64(0); i < 20000; i++ {
+		a := math.Floor(src.Float64(i, 0)*2e6) - 1e6
+		b := math.Floor(src.Float64(i, 1)*200) - 100
+		check(a, b)
+		check(a+0.25, b)
+		check(a*float64(1<<33), b+0.5)
+	}
+	if got := Mod(-4, 2); !math.Signbit(got) || got != 0 {
+		t.Fatalf("Mod(-4, 2) = %v, want -0 (the dividend's sign)", got)
+	}
+	if got := Mod(5.5, 2); got != 1 {
+		t.Fatalf("Mod(5.5, 2) = %v, want 1 (truncated)", got)
+	}
+}
+
 func TestNaNComparisons(t *testing.T) {
 	c := New(testProgram(t, map[string]float64{"_SCALE": 1}), Def{Params: []string{"u"}})
 	cases := []struct {

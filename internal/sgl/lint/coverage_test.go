@@ -67,6 +67,8 @@ func TestFoldBuiltinsAndOperators(t *testing.T) {
 		{"mul", &ast.Binary{Op: ast.Mul, X: num(3), Y: num(4)}, 12},
 		{"div", &ast.Binary{Op: ast.Div, X: num(8), Y: num(2)}, 4},
 		{"mod", &ast.Binary{Op: ast.Mod, X: num(8), Y: num(3)}, 2},
+		{"mod truncates like the runtime", &ast.Binary{Op: ast.Mod, X: num(5.5), Y: num(2)}, 1},
+		{"mod of a negative fraction", &ast.Binary{Op: ast.Mod, X: num(-7.5), Y: num(2)}, -1},
 		{"const", &ast.ConstRef{Name: "_K"}, 9},
 		{"abs", call("abs", num(-5)), 5},
 		{"sqrt", call("sqrt", &ast.ConstRef{Name: "_K"}), 3},
@@ -167,6 +169,23 @@ function main(u) { perform Tag(u, u.health % (1 - 1)) }`)
 	if !strings.Contains(diags[0].Msg, "modulus") || !strings.Contains(diags[0].Msg, "NaN") {
 		t.Errorf("msg = %q, want a modulus-specific NaN message", diags[0].Msg)
 	}
+}
+
+// TestModulusFoldMatchesRuntime pins the folder to SGL's truncating
+// modulus: 5.5 % 2 runs as 1, so a conjunct comparing it with 1 always
+// holds and one comparing it with 1.5 never does. Folded with math.Mod
+// (1.5), both verdicts flip.
+func TestModulusFoldMatchesRuntime(t *testing.T) {
+	diags := lintScript(t, `
+aggregate A(u) := count(*) over e where 5.5 % 2 = 1 and e.health > 0;
+action Tag(u, v) := on e where e.key = u.key set damage = v;
+function main(u) { perform Tag(u, A(u)) }`)
+	wantCodes(t, diags, CodeAlwaysTrue)
+	diags = lintScript(t, `
+aggregate A(u) := count(*) over e where 5.5 % 2 = 1.5 and e.health > 0;
+action Tag(u, v) := on e where e.key = u.key set damage = v;
+function main(u) { perform Tag(u, A(u)) }`)
+	wantCodes(t, diags, CodeAlwaysFalse)
 }
 
 func TestHasErrorsAndStrings(t *testing.T) {

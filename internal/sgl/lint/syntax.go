@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"github.com/epicscale/sgl/internal/sgl/ast"
+	"github.com/epicscale/sgl/internal/sgl/expr"
 	"github.com/epicscale/sgl/internal/sgl/token"
 )
 
@@ -143,7 +144,7 @@ func (l *linter) fold(t ast.Term) (float64, bool) {
 		case ast.Div:
 			return x / y, true
 		case ast.Mod:
-			return math.Mod(x, y), true
+			return expr.Mod(x, y), true
 		}
 		return 0, false
 	case *ast.Call:
