@@ -95,12 +95,12 @@ func (x *Executor) extendBlocking(code *extCode) bool {
 }
 
 // batchExtend answers every set-at-a-time call in an Extend's value term
-// at once for the rows its class memo does not hold yet, into that memo,
-// where probe then finds them. Sites are visited inner first, so a
-// batched outer call reads the memoized results of the batched calls
-// inside its arguments rather than going back to the provider. The probe
-// set lives in executor scratch; only the provider's result block is
-// allocated per batch.
+// at once for the rows its class memo does not hold yet and whose answer
+// does not carry (carried), into that memo, where probe then finds them.
+// Sites are visited inner first, so a batched outer call reads the
+// memoized results of the batched calls inside its arguments rather than
+// going back to the provider. The probe set lives in executor scratch;
+// only the provider's result block is allocated per batch.
 func (x *Executor) batchExtend(code *extCode, rows []*Row) {
 	for _, s := range code.sites {
 		m := &x.memo[s.class.id]
@@ -109,16 +109,23 @@ func (x *Executor) batchExtend(code *extCode, rows []*Row) {
 		}
 		units, vals := x.batchUnits[:0], x.batchVals[:0]
 		for _, row := range rows {
-			if m.has(int(row.ord)) {
+			ord := int(row.ord)
+			if m.has(ord) {
 				continue // an earlier site or batch of the class answered it
 			}
-			units = append(units, row.Unit)
+			k := len(vals)
 			if len(s.args) > 0 {
 				f := x.at(row)
 				for _, a := range s.args {
 					vals = append(vals, a(f))
 				}
 			}
+			if x.carried(m, s.class.def, ord, vals[k:]) {
+				vals = vals[:k]
+				m.set(ord)
+				continue
+			}
+			units = append(units, row.Unit)
 		}
 		x.batchUnits, x.batchVals = units, vals
 		if len(units) == 0 {

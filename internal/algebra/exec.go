@@ -2,6 +2,7 @@ package algebra
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/epicscale/sgl/internal/rng"
 	"github.com/epicscale/sgl/internal/sgl/ast"
@@ -57,8 +58,9 @@ type Executor struct {
 	code    *planCode
 	codeErr error
 	// lo/hi restrict the Base node to env.Rows[lo:hi) — the unit shard this
-	// executor is responsible for. hi < 0 means the full table.
-	lo, hi int
+	// executor is responsible for. hi < 0 means the full table. n is the
+	// shard's size.
+	lo, hi, n int
 
 	// row is the frame plan-scope closures evaluate against, rebound to
 	// each row as it flows; def is the frame of definition-scope closures
@@ -85,15 +87,17 @@ type Executor struct {
 	rowsBound bool
 
 	// Aggregate probing. aggInto is the provider's zero-alloc probe API
-	// when it offers one (exec.Indexed does) and batcher its set-at-a-time
-	// API. memo holds, per call class, the results already answered for a
-	// row — every probe's destination, so a result (retained in an Extend
-	// slot for a multi-output call) lives until the next Rebind. argStack
-	// holds the argument vectors of the (possibly nested) calls in flight.
+	// when it offers one (exec.Indexed does), batcher its set-at-a-time
+	// API and carrier its check for answers carried across bindings. memo
+	// holds, per call class, the results already answered for a row —
+	// every probe's destination, so a result (retained in an Extend slot
+	// for a multi-output call) lives until the next Rebind. argStack holds
+	// the argument vectors of the (possibly nested) calls in flight.
 	// batchRows, batchUnits, batchArgs and batchVals are batchExtend's
 	// probe-set scratch.
 	aggInto    aggIntoProvider
 	batcher    BatchAggProvider
+	carrier    carrier
 	argStack   []float64
 	memo       []callMemo
 	batchRows  []*Row
@@ -103,16 +107,23 @@ type Executor struct {
 }
 
 // callMemo is one call class's per-row results under the current binding:
-// width values per base row, valid where the have bit is set. batch says
-// the provider answers the class set-at-a-time (batchExtend fills the
-// memo ahead of probe). Storage is kept across Rebind.
+// width values per base row, valid where the have bit is set, and the
+// arguments each was computed with. batch says the provider answers the
+// class set-at-a-time (batchExtend fills the memo ahead of probe). Storage
+// is kept across Rebind, and so are the values: had holds the previous
+// binding's have bits, the answers a row may carry (carried).
 type callMemo struct {
 	batch bool
 	vals  []float64
+	args  []float64
 	have  []uint64
+	had   []uint64
 }
 
-func (m *callMemo) has(ord int) bool { return m.have[ord>>6]&(1<<uint(ord&63)) != 0 }
+func (m *callMemo) has(ord int) bool { return bit(m.have, ord) }
+
+// bit reports whether bit i of the bitset words is set.
+func bit(words []uint64, i int) bool { return words[i>>6]&(1<<uint(i&63)) != 0 }
 
 func (m *callMemo) set(ord int) { m.have[ord>>6] |= 1 << uint(ord&63) }
 
@@ -121,6 +132,14 @@ func (m *callMemo) set(ord int) { m.have[ord>>6] |= 1 << uint(ord&63) }
 // allocating. Implemented by exec.Indexed.
 type aggIntoProvider interface {
 	EvalAggInto(dst []float64, def *ast.AggDef, unit, args []float64) []float64
+}
+
+// carrier is the optional provider check behind carrying an answer from
+// one binding to the next: whether def's answer for environment row row,
+// computed against the previous binding's provider, still holds against
+// this one for the same arguments. Implemented by exec.Indexed.
+type carrier interface {
+	Carries(def *ast.AggDef, row int) bool
 }
 
 // RangeError reports invalid shard bounds passed to NewExecutorRange.
@@ -178,10 +197,11 @@ func checkRange(env *table.Table, lo, hi int) error {
 
 // Rebind points the executor at another tick: a new environment snapshot,
 // provider and tick source over the row range [lo, hi) (bounds as for
-// NewExecutorRange). Everything computed under the previous binding is
-// forgotten; the row storage and call memos are kept and reused while the
-// shard size holds, which is what makes a steady-state tick allocate no
-// per-row executor state.
+// NewExecutorRange). The row storage and call memos are kept and reused
+// while the shard size holds, which is what makes a steady-state tick
+// allocate no per-row executor state. Everything computed under the
+// previous binding is forgotten, except that a call's answer for a row
+// is carried over when the new provider vouches for it (carried).
 func (x *Executor) Rebind(env *table.Table, prov interp.Provider, r rng.TickSource, lo, hi int) error {
 	if err := checkRange(env, lo, hi); err != nil {
 		return err
@@ -191,25 +211,37 @@ func (x *Executor) Rebind(env *table.Table, prov interp.Provider, r rng.TickSour
 }
 
 func (x *Executor) bind(env *table.Table, prov interp.Provider, r rng.TickSource, lo, hi int) {
-	x.env, x.prov, x.lo, x.hi = env, prov, lo, hi
+	n := env.Len()
+	if hi >= 0 {
+		n = hi - lo
+	}
+	// The memos' rows are the previous binding's only over the same shard.
+	same := lo == x.lo && hi == x.hi && n == x.n
+	x.env, x.prov, x.lo, x.hi, x.n = env, prov, lo, hi, n
 	x.row.R, x.def.R = r, r
 	x.aggInto, _ = prov.(aggIntoProvider)
 	x.batcher, _ = prov.(BatchAggProvider)
+	x.carrier, _ = prov.(carrier)
 	x.cache = nil
 	x.rowsBound = false
 	if x.code == nil {
 		return
 	}
-	n := len(x.baseRows())
 	if len(x.memo) != len(x.code.classes) {
 		x.memo = make([]callMemo, len(x.code.classes))
 	}
+	words := (n + 63) / 64
 	for i, c := range x.code.classes {
 		m := &x.memo[i]
 		m.batch = x.batcher != nil && x.batcher.BatchBeneficial(c.def)
 		m.vals = sized(m.vals, n*len(c.def.Outputs))
-		m.have = sized(m.have, (n+63)/64)
+		m.args = sized(m.args, n*(len(c.def.Params)-1))
+		m.have, m.had = sized(m.had, words), m.have
 		clear(m.have)
+		if !same {
+			m.had = sized(m.had, words)
+			clear(m.had)
+		}
 	}
 }
 
@@ -337,8 +369,9 @@ func allHold(conds []expr.Cond, f *expr.Frame) bool {
 
 // probe answers one aggregate call site for the row bound to f out of its
 // class memo: from the memo when an earlier site or batchExtend got there
-// first, otherwise by probing the provider into it. The result lives in
-// the memo until Rebind.
+// first, or when the previous binding's answer carries, otherwise by
+// probing the provider into it. The result lives in the memo until
+// Rebind.
 func (x *Executor) probe(s *aggSite, f *expr.Frame) []float64 {
 	def := s.class.def
 	w := len(def.Outputs)
@@ -356,14 +389,43 @@ func (x *Executor) probe(s *aggSite, f *expr.Frame) []float64 {
 	}
 	unit := f.Unit
 	args := x.argStack[base:len(x.argStack):len(x.argStack)]
-	if x.aggInto == nil || x.materialize {
+	switch {
+	case x.carried(m, def, f.Ord, args):
+	case x.aggInto == nil || x.materialize:
 		copy(dst, x.prov.EvalAgg(def, unit, args))
-	} else {
+	default:
 		x.aggInto.EvalAggInto(dst, def, unit, args)
 	}
 	x.argStack = x.argStack[:base]
 	m.set(f.Ord)
 	return dst
+}
+
+// carried reports whether the answer the memo holds for row ord from the
+// previous binding stands for this one: the row was answered then, with
+// arguments bit-identical to args, and the provider vouches that nothing
+// else the answer reads has changed. Otherwise it records args as what
+// the row's fresh answer is computed with. An answer carried this way is
+// bit-identical to a fresh probe by construction: it is the value the
+// same pure function returned on inputs that have not changed.
+func (x *Executor) carried(m *callMemo, def *ast.AggDef, ord int, args []float64) bool {
+	k := len(args)
+	prev := m.args[ord*k : (ord+1)*k]
+	if x.carrier != nil && bit(m.had, ord) && bitsEqual(prev, args) && x.carrier.Carries(def, x.lo+ord) {
+		return true
+	}
+	copy(prev, args)
+	return false
+}
+
+// bitsEqual reports whether a and b hold the same float64 bits.
+func bitsEqual(a, b []float64) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // RunTick translates, optimizes, and executes a program for one tick — the

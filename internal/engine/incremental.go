@@ -8,8 +8,10 @@
 // MaintainFrom tell a unit that merely cooled down apart from one that
 // moved. Command edits, which the snapshot sync hides from the diff,
 // enter with the columns they wrote (applyCommands). The same delta
-// drives answer maintenance (answers.go) and names the rows the next
-// read view copies (publishView).
+// drives answer maintenance (answers.go), names the rows the next read
+// view copies (publishView) and, through MaintainFrom, decides which of
+// the previous tick's aggregate answers the shard executors carry over
+// instead of probing again (exec.Indexed.Carries).
 //
 // Timeline: the provider built at tick T reflects the environment after
 // tick T−1 (effects apply post-decision). The delta captured at the end

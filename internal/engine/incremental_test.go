@@ -1,11 +1,13 @@
 package engine
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
 	"github.com/epicscale/sgl/internal/exec"
 	"github.com/epicscale/sgl/internal/game"
+	"github.com/epicscale/sgl/internal/geom"
 	"github.com/epicscale/sgl/internal/workload"
 )
 
@@ -56,6 +58,15 @@ func TestIncrementalMatchesRebuild(t *testing.T) {
 			if is := inc4.Stats.IndexStats; is.IndexBuilds > 0 && inc4.Stats.MaintainTicks == 0 {
 				t.Error("index structures were built but maintenance never engaged")
 			}
+			// The zoo's carried-answers world is here to carry answers from
+			// tick to tick; a run where none carried would prove nothing.
+			if progName == "carried-answers" {
+				for w, e := range map[int]*Engine{1: inc1, 4: inc4} {
+					if e.Stats.IndexStats.CarriedAnswers == 0 {
+						t.Errorf("w=%d: no answer carried", w)
+					}
+				}
+			}
 			if battle {
 				is := inc1.Stats.IndexStats
 				if is.IndexReuses == 0 || is.IndexPatches == 0 {
@@ -69,6 +80,147 @@ func TestIncrementalMatchesRebuild(t *testing.T) {
 		mk(t, zp.Name, zp.Src, false, units)
 	}
 	mk(t, "battle-sim", "", true, 90)
+}
+
+// TestCarryMatchesRebuildUnderCommands runs the low-churn patrol world and
+// the zoo's carried-answers world incremental at Workers 1 and 4 — where
+// aggregate answers carry from tick to tick — against a rebuilding oracle
+// for 300 ticks, through every command that must break a carry or leave it
+// standing: a set on a column a carried call reads off its unit (a
+// knight's sight), one nothing reads (morale), one a carried call folds
+// over (a knight's health), a spawn, a despawn, a tune, and a restore of
+// the incremental engines from their own checkpoints mid-run. The
+// environments must agree bit for bit at every tick, the two incremental
+// runs must end in byte-identical checkpoints, and both worlds must carry
+// answers, before the restore and after it.
+func TestCarryMatchesRebuildUnderCommands(t *testing.T) {
+	const n, ticks, seed = 300, 300, 5
+	for _, world := range []struct{ name, src string }{
+		{"patrol", game.PatrolScript},
+		{"carried-answers", zooSrc(t, "carried-answers")},
+	} {
+		t.Run(world.name, func(t *testing.T) {
+			prog := compileZoo(t, world.src)
+			spec := workload.Spec{Units: n, Density: 0.01, Seed: seed, Formation: workload.BattleLines, Mix: [3]int{20, 4, 1}}
+			opts := func(w int, inc bool) Options {
+				return Options{
+					Mode: Indexed, Categoricals: game.Categoricals(), Seed: seed, Side: spec.Side(), MoveSpeed: 1,
+					Workers: w, Incremental: inc, IncrementalThreshold: 1,
+				}
+			}
+			mk := func(w int, inc bool) *Engine {
+				e, err := New(prog, game.NewMechanics(), workload.Generate(spec), opts(w, inc))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return e
+			}
+			oracle := mk(1, false)
+			incs := []*Engine{mk(1, true), mk(4, true)}
+			carries := func(when string) {
+				for _, e := range incs {
+					if e.Stats.IndexStats.CarriedAnswers == 0 {
+						t.Errorf("w=%d: no answer carried %s the restore", e.Workers(), when)
+					}
+				}
+			}
+
+			s := prog.Schema
+			kc, ut := s.KeyCol(), s.MustCol("unittype")
+			var knight int64 = -1
+			for _, row := range oracle.Env().Rows {
+				if row[ut] == game.Knight {
+					knight = int64(row[kc])
+					break
+				}
+			}
+			// free returns a square no unit holds, scanning from the
+			// world's far corner.
+			free := func() geom.Point {
+				px, py := s.MustCol("posx"), s.MustCol("posy")
+				taken := map[[2]float64]bool{}
+				for _, row := range oracle.Env().Rows {
+					taken[[2]float64{row[px], row[py]}] = true
+				}
+				for y := spec.Side() - 1; ; y-- {
+					if !taken[[2]float64{spec.Side() - 1, y}] {
+						return geom.Point{X: spec.Side() - 1, Y: y}
+					}
+				}
+			}
+			const spawned = 90001
+			for tick := 0; tick < ticks; tick++ {
+				var cmds []Command
+				switch tick {
+				case 20:
+					cmds = []Command{{Op: OpSet, Key: knight, Col: "sight", Val: 9}}
+				case 40:
+					cmds = []Command{{Op: OpSet, Key: knight, Col: "morale", Val: 3}}
+				case 60:
+					cmds = []Command{{Op: OpSet, Key: knight, Col: "health", Val: 21}}
+				case 80:
+					cmds = []Command{{Op: OpSpawn, Row: game.NewUnit(spawned, 1, game.Knight, free())}}
+				case 100:
+					cmds = []Command{{Op: OpDespawn, Key: knight}}
+				case 120:
+					cmds = []Command{{Op: OpTune, Col: "_HEAL_AURA", Val: 5}}
+				case 150:
+					carries("before")
+					for i, e := range incs {
+						var buf bytes.Buffer
+						if err := e.Checkpoint(&buf); err != nil {
+							t.Fatal(err)
+						}
+						r, err := Restore(&buf, prog, game.NewMechanics(), Options{Workers: e.Workers(), Incremental: true, IncrementalThreshold: 1})
+						if err != nil {
+							t.Fatal(err)
+						}
+						incs[i] = r
+					}
+				}
+				for _, e := range append([]*Engine{oracle}, incs...) {
+					if len(cmds) > 0 {
+						if err := e.Submit("test", cmds...); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := e.Tick(); err != nil {
+						t.Fatalf("tick %d: %v", tick, err)
+					}
+				}
+				for _, e := range incs {
+					if !identicalTables(oracle.Env(), e.Env()) {
+						t.Fatalf("incremental w=%d diverged from rebuild at tick %d", e.Workers(), tick)
+					}
+				}
+			}
+			if oracle.Stats.CommandsApplied != 6 {
+				t.Fatalf("%d of 6 commands applied", oracle.Stats.CommandsApplied)
+			}
+			carries("after")
+			var ckpts [2]bytes.Buffer
+			for i, e := range incs {
+				if err := e.Checkpoint(&ckpts[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(ckpts[0].Bytes(), ckpts[1].Bytes()) {
+				t.Error("the incremental runs at Workers 1 and 4 checkpoint differently")
+			}
+		})
+	}
+}
+
+// zooSrc returns the source of the zoo program called name.
+func zooSrc(t *testing.T, name string) string {
+	t.Helper()
+	for _, zp := range exec.Zoo {
+		if zp.Name == name {
+			return zp.Src
+		}
+	}
+	t.Fatalf("no zoo program %q", name)
+	return ""
 }
 
 // The default threshold must fall back to rebuilding on high-churn

@@ -39,6 +39,10 @@ var checkpointPins = map[string]string{
 	// fields), with the zoo entry added to that tree: answering a repeated
 	// call from its memo moved no bit.
 	"zoo/repeated-calls": "d20a94794062fa1be8b0ba1ccba8bc667cceb4f27daa1840c46c0921c1356cca",
+	// Recorded at 14366df (before answers carried across ticks, sweeps
+	// stopped resetting their trees and nearest outputs shared a search),
+	// with the zoo entry added to that tree.
+	"zoo/carried-answers": "a9f3965478175167385e9bd9d75159cdc6770c7af2f8bcbcf48afc7ad9dcf887",
 }
 
 func TestCheckpointPinsAcrossCommits(t *testing.T) {

@@ -119,6 +119,10 @@ type AggAnalysis struct {
 	sweep   int
 	div     []divCols // unused entries are -1s
 	ext     []int     // -1 where unused
+
+	// reads is what an answer depends on besides its arguments (reads):
+	// what Carries tests the tick's changes against.
+	reads readSet
 }
 
 // depMask is a bitset over schema columns, built from ColBit.
@@ -436,7 +440,7 @@ func groupAxes(bounds []Bound) []RangeAxis {
 }
 
 func (an *Analyzer) analyzeAgg(def *ast.AggDef) *AggAnalysis {
-	a := &AggAnalysis{Def: def, Indexable: true}
+	a := &AggAnalysis{Def: def, Indexable: true, reads: an.reads(def)}
 	var bounds []Bound
 	if def.Where != nil {
 		for _, c := range ast.Conjuncts(def.Where) {
@@ -500,7 +504,7 @@ func (an *Analyzer) layoutAgg(a *AggAnalysis) {
 			a.need |= slotBit(a.divSlot)
 			count := func() int { return spec.col("1", nil, false, 0) }
 			arg := func(squared bool) int {
-				return spec.col(exactForm(out.Arg), a.ArgFn[i], squared, an.termECols(out.Arg))
+				return spec.col(exactForm(out.Arg), a.ArgFn[i], squared, an.termCols(out.Arg, "e"))
 			}
 			switch out.Func {
 			case ast.Count:
@@ -517,7 +521,7 @@ func (an *Analyzer) layoutAgg(a *AggAnalysis) {
 			a.ProbeInvariant = false
 		case ClassGlobal:
 			isMin := out.Func == ast.Min || out.Func == ast.ArgMin
-			a.ext[i] = g.extremumFor(isMin, exactForm(out.Arg), a.ArgFn[i], an.termECols(out.Arg))
+			a.ext[i] = g.extremumFor(isMin, exactForm(out.Arg), a.ArgFn[i], an.termCols(out.Arg, "e"))
 			a.need |= slotBit(g.extSlot)
 		case ClassMinMax:
 			a.sweep = g.sweepSlot(a.surf)
@@ -583,14 +587,60 @@ func (an *Analyzer) compileAct(a *ActAnalysis) {
 	}
 }
 
-// termECols collects the schema columns of every e.Attr reference in t.
-func (an *Analyzer) termECols(t ast.Term) depMask {
+// readSet is what an aggregate's answer is a function of, besides its
+// arguments and the game constants: the e-columns of the rows it folds,
+// the probing unit's columns, and whether it draws Random.
+type readSet struct {
+	e, u   depMask
+	random bool
+}
+
+// reads walks def once for its read set. The e-columns are the WHERE
+// clause's and the output arguments' e.* references, the key column for
+// outputs that report a row's identity, and the position columns for
+// nearest outputs (which measure from posx/posy). The unit columns are
+// every u.* in the WHERE clause and the output arguments, plus the key and
+// position columns a nearest probe reads off the unit.
+func (an *Analyzer) reads(def *ast.AggDef) readSet {
+	s := an.prog.Schema
+	unit := def.Params[0]
+	var r readSet
+	if def.Where != nil {
+		r.e, r.u = an.condCols(def.Where, "e"), an.condCols(def.Where, unit)
+		r.random = an.condRefs(def.Where, unit, def.Params).usesRandom
+	}
+	var pos depMask
+	for _, name := range []string{"posx", "posy"} {
+		if c, ok := s.Col(name); ok {
+			pos |= depMask(ColBit(c))
+		}
+	}
+	key := depMask(ColBit(s.KeyCol()))
+	r.u |= key | pos
+	for _, out := range def.Outputs {
+		if out.Arg != nil {
+			r.e |= an.termCols(out.Arg, "e")
+			r.u |= an.termCols(out.Arg, unit)
+			r.random = r.random || an.termRefs(out.Arg, unit, def.Params).usesRandom
+		}
+		switch out.Func {
+		case ast.ArgMin, ast.ArgMax:
+			r.e |= key
+		case ast.NearestKey, ast.NearestDist, ast.NearestX, ast.NearestY:
+			r.e |= key | pos
+		}
+	}
+	return r
+}
+
+// termCols collects the schema columns of every base.Attr reference in t.
+func (an *Analyzer) termCols(t ast.Term, base string) depMask {
 	var m depMask
 	var walk func(t ast.Term)
 	walk = func(t ast.Term) {
 		switch n := t.(type) {
 		case *ast.FieldRef:
-			if n.Base == "e" {
+			if n.Base == base {
 				if col, ok := an.prog.Schema.Col(n.Field); ok {
 					m |= depMask(ColBit(col))
 				}
@@ -615,8 +665,8 @@ func (an *Analyzer) termECols(t ast.Term) depMask {
 	return m
 }
 
-// condECols collects the schema columns of every e.Attr reference in c.
-func (an *Analyzer) condECols(c ast.Cond) depMask {
+// condCols collects the schema columns of every base.Attr reference in c.
+func (an *Analyzer) condCols(c ast.Cond, base string) depMask {
 	var m depMask
 	var walk func(c ast.Cond)
 	walk = func(c ast.Cond) {
@@ -630,7 +680,7 @@ func (an *Analyzer) condECols(c ast.Cond) depMask {
 			walk(n.X)
 			walk(n.Y)
 		case *ast.Compare:
-			m |= an.termECols(n.X) | an.termECols(n.Y)
+			m |= an.termCols(n.X, base) | an.termCols(n.Y, base)
 		}
 	}
 	walk(c)

@@ -41,10 +41,7 @@ import (
 type AnswerPlan struct {
 	prog *sem.Program
 	def  *ast.AggDef
-	// read is every e-column the answer is a function of: WHERE-clause
-	// references, output argument references, the key column for outputs
-	// that report row identity, and the position columns for nearest
-	// outputs (which implicitly measure from posx/posy).
+	// read is every e-column the answer is a function of (Analyzer.reads).
 	read      depMask
 	divisible bool
 	// where and argFn are the WHERE clause (nil when absent) and each
@@ -58,14 +55,12 @@ type AnswerPlan struct {
 func NewAnswerPlan(prog *sem.Program, def *ast.AggDef) *AnswerPlan {
 	an := &Analyzer{prog: prog}
 	c := expr.New(prog, expr.Def{Params: def.Params})
-	p := &AnswerPlan{prog: prog, def: def, divisible: true, argFn: make([]expr.Num, len(def.Outputs))}
+	p := &AnswerPlan{prog: prog, def: def, read: an.reads(def).e, divisible: true, argFn: make([]expr.Num, len(def.Outputs))}
 	if def.Where != nil {
-		p.read |= an.condECols(def.Where)
 		p.where = must(c.Cond(def.Where))
 	}
 	for i, out := range def.Outputs {
 		if out.Arg != nil {
-			p.read |= an.termECols(out.Arg)
 			p.argFn[i] = must(c.Num(out.Arg))
 		}
 		switch out.Func {
@@ -73,19 +68,6 @@ func NewAnswerPlan(prog *sem.Program, def *ast.AggDef) *AnswerPlan {
 			// divisible: old contributions subtract out / refold exactly.
 		default:
 			p.divisible = false
-		}
-		switch out.Func {
-		case ast.ArgMin, ast.ArgMax:
-			// The reported value is a row's key.
-			p.read |= depMask(ColBit(prog.Schema.KeyCol()))
-		case ast.NearestKey, ast.NearestDist, ast.NearestX, ast.NearestY:
-			p.read |= depMask(ColBit(prog.Schema.KeyCol()))
-			if c, ok := prog.Schema.Col("posx"); ok {
-				p.read |= depMask(ColBit(c))
-			}
-			if c, ok := prog.Schema.Col("posy"); ok {
-				p.read |= depMask(ColBit(c))
-			}
 		}
 	}
 	return p

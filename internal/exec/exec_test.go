@@ -284,6 +284,89 @@ func TestBatchMatchesPerProbe(t *testing.T) {
 	}
 }
 
+// A window inverted on the sweep axis only — a negative radius on y — holds
+// no row: the batch's sweep must answer the identities the scan does, not
+// the leaves its exit pointer passed before they entered.
+func TestBatchMatchesNaiveOnInvertedWindow(t *testing.T) {
+	prog := compile(t, `
+aggregate Strip(u, ry) :=
+  min(e.health) as low, argmin(e.health) as who, max(e.health) as top
+  over e where e.posx >= u.posx - 5 and e.posx <= u.posx + 5
+    and e.posy >= u.posy - ry and e.posy <= u.posy + ry
+    and e.player <> u.player;
+action Tag(u, v) := on e where e.key = u.key set damage = v;
+function main(u) { perform Tag(u, Strip(u, 1).low) }`)
+	an := NewAnalyzer(prog, categoricals())
+	def := prog.Script.Agg("Strip")
+	if an.Agg(def).OutClass[0] != ClassMinMax {
+		t.Fatalf("Strip should sweep, is %v", an.Agg(def).OutClass[0])
+	}
+	env := randomArmy(t, 11, 400, 40)
+	r := rng.New(11).Tick(1)
+	naive := interp.NewNaive(prog, env, r)
+	for _, ry := range []float64{-3, -1, 0, 2} {
+		args := make([][]float64, env.Len())
+		for i := range args {
+			args[i] = []float64{ry}
+		}
+		batch := NewIndexed(an, env, r).EvalAggBatch(def, env.Rows, args)
+		for i, u := range env.Rows {
+			want := naive.EvalAgg(def, u, args[i])
+			for j := range want {
+				if math.Float64bits(want[j]) != math.Float64bits(batch[i][j]) {
+					t.Fatalf("ry=%v unit %d output %d: naive %v, batch %v", ry, i, j, want[j], batch[i][j])
+				}
+			}
+		}
+	}
+}
+
+// A nearest definition with four outputs searches each matched partition
+// once per probe, not once per output — on the kD-trees of a built
+// provider and in the one pass over the rows an unbuilt one makes — and
+// every output reads that one search.
+func TestNearestSearchedOncePerProbe(t *testing.T) {
+	prog := compile(t, `
+aggregate Closest(u) :=
+  nearestkey() as key, nearestdist() as dist, nearestx() as x, nearesty() as y
+  over e where e.player <> u.player;
+action Tag(u, v) := on e where e.key = u.key set damage = v;
+function main(u) { perform Tag(u, Closest(u).dist) }`)
+	an := NewAnalyzer(prog, categoricals())
+	def := prog.Script.Agg("Closest")
+	env := randomArmy(t, 5, 200, 30)
+	r := rng.New(5).Tick(1)
+	naive := interp.NewNaive(prog, env, r)
+
+	built := NewIndexed(an, env, r)
+	built.Freeze()
+	unbuilt := NewIndexed(an, env, r)
+	unbuilt.FreezeUnbuilt(def)
+	for _, path := range []struct {
+		name     string
+		prov     *Indexed
+		searches func(Stats) int
+	}{
+		{"built", built.Fork(), func(s Stats) int { return s.KDProbes }},
+		{"one-shot", unbuilt.Fork(), func(s Stats) int { return s.ScanProbes }},
+	} {
+		for i, u := range env.Rows {
+			before := path.searches(path.prov.Stats)
+			got := path.prov.EvalAgg(def, u, nil)
+			// Two players: every probe matches the other one's partition.
+			if n := path.searches(path.prov.Stats) - before; n != 1 {
+				t.Fatalf("%s: unit %d searched %d times, want once", path.name, i, n)
+			}
+			want := naive.EvalAgg(def, u, nil)
+			for j := range want {
+				if want[j] != got[j] && math.Abs(want[j]-got[j]) >= 1e-9 {
+					t.Fatalf("%s: unit %d output %d: naive %v, indexed %v", path.name, i, j, want[j], got[j])
+				}
+			}
+		}
+	}
+}
+
 func TestSelectTargetsMatchesNaive(t *testing.T) {
 	prog := compile(t, kitchenSinkScript)
 	an := NewAnalyzer(prog, categoricals())

@@ -71,6 +71,10 @@ type Indexed struct {
 	// evaluate one-shot (see evalCore).
 	unbuilt *ast.AggDef
 
+	// changed is what MaintainFrom learned of the tick's delta, for
+	// Carries.
+	changed changes
+
 	scratch
 
 	// Stats counts index builds and probes for the benchmark reports.
@@ -131,6 +135,9 @@ type Stats struct {
 	KDProbes   int
 	Sweeps     int
 	ScanProbes int
+	// CarriedAnswers counts aggregate answers taken over from the previous
+	// tick instead of probed (Carries).
+	CarriedAnswers int
 }
 
 var _ interp.Provider = (*Indexed)(nil)
@@ -185,6 +192,7 @@ func (p *Indexed) Recycle(prev *Indexed) {
 		}
 	}
 	p.spare = spare
+	p.changed.adopt(&prev.changed)
 	p.scratch = prev.scratch
 	p.invariant = p.invariant[:0] // answers of prev's tick
 	prev.groups, prev.spare = nil, nil
@@ -326,6 +334,7 @@ func (s *Stats) Add(o Stats) {
 	s.KDProbes += o.KDProbes
 	s.Sweeps += o.Sweeps
 	s.ScanProbes += o.ScanProbes
+	s.CarriedAnswers += o.CarriedAnswers
 }
 
 // ---------------------------------------------------------------------------
@@ -935,7 +944,9 @@ func (p *Indexed) evalCore(dst []float64, def *ast.AggDef, unit []float64, args 
 		}
 	}
 
-	kc := p.prog.Schema.KeyCol()
+	// Every nearest output reads the one search, run on the first.
+	var best kdtree.Result
+	searched := false
 	for i, o := range def.Outputs {
 		switch a.OutClass[i] {
 		case ClassDivisible:
@@ -960,23 +971,8 @@ func (p *Indexed) evalCore(dst []float64, def *ast.AggDef, unit []float64, args 
 				}
 			}
 		case ClassNearest:
-			best := kdtree.Result{DistSq: math.Inf(1)}
-			self := int64(unit[kc])
-			ux, uy := unit[p.an.posX], unit[p.an.posY]
-			built := idx.built.has(g.kdSlot)
-			for _, part := range parts {
-				var r kdtree.Result
-				if built {
-					p.Stats.KDProbes++
-					r = part.kd.Nearest(ux, uy, self, math.Inf(1))
-				} else {
-					p.Stats.ScanProbes++
-					r = kdtree.NearestOnce(p.partKDPoints(part.rows), ux, uy, self)
-				}
-				if r.Found && (!best.Found || r.DistSq < best.DistSq ||
-					(r.DistSq == best.DistSq && r.Key < best.Key)) {
-					best = r
-				}
+			if !searched {
+				best, searched = p.nearest(idx.built.has(g.kdSlot), parts, unit), true
 			}
 			if best.Found {
 				switch o.Func {
@@ -1029,6 +1025,30 @@ func (p *Indexed) evalCore(dst []float64, def *ast.AggDef, unit []float64, args 
 		p.invariant = append(p.invariant, invariantAnswer{def: def, mask: mask, vals: append([]float64(nil), out...)})
 	}
 	return out
+}
+
+// nearest searches the matched partitions for the unit's nearest other
+// row: each partition's kD-tree when built, one pass over its rows
+// otherwise. Ties go to the smaller key.
+func (p *Indexed) nearest(built bool, parts []*part, unit []float64) kdtree.Result {
+	best := kdtree.Result{DistSq: math.Inf(1)}
+	self := int64(unit[p.prog.Schema.KeyCol()])
+	ux, uy := unit[p.an.posX], unit[p.an.posY]
+	for _, part := range parts {
+		var r kdtree.Result
+		if built {
+			p.Stats.KDProbes++
+			r = part.kd.Nearest(ux, uy, self, math.Inf(1))
+		} else {
+			p.Stats.ScanProbes++
+			r = kdtree.NearestOnce(p.partKDPoints(part.rows), ux, uy, self)
+		}
+		if r.Found && (!best.Found || r.DistSq < best.DistSq ||
+			(r.DistSq == best.DistSq && r.Key < best.Key)) {
+			best = r
+		}
+	}
+	return best
 }
 
 // scanAgg evaluates a non-indexable definition by scanning the whole

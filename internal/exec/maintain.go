@@ -28,11 +28,15 @@
 // The result: a maintained provider answers every probe bit-identically
 // to a freshly built one, which TestIncrementalMatchesRebuild proves over
 // the whole script zoo and the battle simulation at several worker counts.
+// The same classification of the delta tells which of the previous tick's
+// answers still hold (Carries), so the executor need not probe for them.
 package exec
 
 import (
 	"slices"
 	"sort"
+
+	"github.com/epicscale/sgl/internal/sgl/ast"
 )
 
 // Delta describes which environment rows changed between the snapshot the
@@ -119,6 +123,18 @@ func (p *Indexed) MaintainFrom(prev *Indexed, d Delta, threshold float64) bool {
 		return false
 	}
 	n := p.env.Len()
+	ch := &p.changed
+	ch.adopt(&prev.changed)
+	ch.group = sized(ch.group, len(p.an.groups))
+	for ord := range ch.group {
+		ch.group[ord] = allCols // until maintained below
+	}
+	ch.row = sized(ch.row, n)
+	clear(ch.row)
+	for j, r := range d.Dirty {
+		ch.row[r] = depMask(d.Masks[j])
+	}
+	ch.ok = true
 	churned := func(m depMask) bool { return float64(relevantDirty(d, m)) > threshold*float64(n) }
 	maintained := false
 	for ord, idx := range prev.groups {
@@ -142,7 +158,7 @@ func (p *Indexed) MaintainFrom(prev *Indexed, d Delta, threshold float64) bool {
 				p.Stats.MaintainFallbacks++
 			}
 		}
-		p.maintainGroup(g, idx, d)
+		ch.group[ord] = p.maintainGroup(g, idx, d)
 		p.groups[ord] = idx
 		maintained = true
 	}
@@ -152,6 +168,54 @@ func (p *Indexed) MaintainFrom(prev *Indexed, d Delta, threshold float64) bool {
 		p.keyIndex = prev.keyIndex
 	}
 	return maintained
+}
+
+// changes is what MaintainFrom learned of how the environment moved since
+// the previous provider's: per membership group, the columns changed on
+// any row that was a member when the tick started — every column where
+// the membership itself moved (a partition relabeled or was born), the
+// group fell back to a rebuild, or it was not built last tick — and per
+// environment row, its changed columns. ok is false on a provider
+// MaintainFrom did not fill. Views share it read-only; the storage passes
+// from provider to provider like the indexes'.
+type changes struct {
+	ok    bool
+	group []depMask
+	row   []depMask
+}
+
+// allCols is the mask of every column.
+const allCols = ^depMask(0)
+
+// adopt takes over prev's storage unless c has its own; prev's content is
+// dropped either way.
+func (c *changes) adopt(prev *changes) {
+	if c.row == nil {
+		c.group, c.row = prev.group, prev.row
+	}
+	*prev = changes{}
+}
+
+// Carries reports whether an answer of def computed for environment row
+// row against the previous provider — the one MaintainFrom consumed — is
+// still exact against this one, given the same arguments. It is when def
+// is indexable and draws no Random, no column its folded rows are read at
+// changed on any member of its group, and no column it reads off the
+// probing unit changed on row: an indexable answer is a function of
+// exactly those, the arguments and the game constants (which no maintained
+// tick retunes). A true answer is counted in Stats.CarriedAnswers, since
+// the caller takes the carried answer instead of probing.
+func (p *Indexed) Carries(def *ast.AggDef, row int) bool {
+	ch := &p.changed
+	if !ch.ok {
+		return false
+	}
+	a := p.an.Agg(def)
+	if !a.Indexable || a.reads.random || ch.group[a.group.ord]&a.reads.e != 0 || ch.row[row]&a.reads.u != 0 {
+		return false
+	}
+	p.Stats.CarriedAnswers++
+	return true
 }
 
 // relevantDirty counts the dirty rows whose changed columns intersect m.
@@ -178,8 +242,8 @@ type partFate struct {
 // dirty rows that now belong to it (ascending, since d.Dirty is).
 // departed marks dirty rows whose membership was re-evaluated; they are
 // dropped from their old partition and re-added via arrivals if they
-// stayed.
-func (p *Indexed) classifyDirty(g *membership, idx *groupIndex, d Delta) (fates map[string]*partFate, arrivals map[string][]int, departed map[int]bool) {
+// stayed. changed is the group's entry of changes.group.
+func (p *Indexed) classifyDirty(g *membership, idx *groupIndex, d Delta) (fates map[string]*partFate, arrivals map[string][]int, departed map[int]bool, changed depMask) {
 	fates = map[string]*partFate{}
 	arrivals = map[string][]int{}
 	departed = map[int]bool{}
@@ -194,18 +258,23 @@ func (p *Indexed) classifyDirty(g *membership, idx *groupIndex, d Delta) (fates 
 	for j, r := range d.Dirty {
 		mask := depMask(d.Masks[j])
 		hasOld := idx.rowPart[r] >= 0
+		if hasOld {
+			changed |= mask
+		}
 		if mask&g.deps != 0 {
 			// Membership may have changed: pull the row out of its old
 			// partition and re-insert it where it belongs now.
 			if hasOld {
 				fateOf(idx.order[idx.rowPart[r]]).relabel = true
 				departed[r] = true
+				changed = allCols
 			}
 			row := p.env.Rows[r]
 			if p.passesEOnly(g.eonly, row) {
 				nk := string(p.partitionKey(row, g.cols))
 				fateOf(nk).relabel = true
 				arrivals[nk] = append(arrivals[nk], r)
+				changed = allCols
 			}
 			continue
 		}
@@ -229,7 +298,7 @@ func (p *Indexed) classifyDirty(g *membership, idx *groupIndex, d Delta) (fates 
 			f.repatch |= repatch
 		}
 	}
-	return fates, arrivals, departed
+	return fates, arrivals, departed, changed
 }
 
 // mergeMembership rebuilds one relabeled partition's row list: the old
@@ -257,9 +326,9 @@ func sortedByFirstRow(keys []string, firstRow func(key string) int) {
 
 // maintainGroup brings a group index built over the previous tick's rows
 // up to date in place: the same structures built, each now a function of
-// the current rows.
-func (p *Indexed) maintainGroup(g *membership, idx *groupIndex, d Delta) {
-	fates, arrivals, departed := p.classifyDirty(g, idx, d)
+// the current rows. It returns the group's changed columns (changes).
+func (p *Indexed) maintainGroup(g *membership, idx *groupIndex, d Delta) depMask {
+	fates, arrivals, departed, changed := p.classifyDirty(g, idx, d)
 	for _, key := range idx.order {
 		pt := idx.parts[key]
 		f := fates[key]
@@ -307,6 +376,7 @@ func (p *Indexed) maintainGroup(g *membership, idx *groupIndex, d Delta) {
 	}
 	sortedByFirstRow(idx.order, func(key string) int { return idx.parts[key].rows[0] })
 	idx.finish(p.env.Len())
+	return changed
 }
 
 // repatchSlots recomputes the payload sums of the given range trees and

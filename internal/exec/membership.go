@@ -197,7 +197,7 @@ func (an *Analyzer) membershipOf(eonly []ast.Cond, eonlyFn []expr.Cond, eqs []Eq
 		g.deps |= depMask(ColBit(c))
 	}
 	for _, c := range eonly {
-		g.deps |= an.condECols(c)
+		g.deps |= an.condCols(c, "e")
 	}
 	an.groups = append(an.groups, g)
 	return g

@@ -191,4 +191,45 @@ function main(u) {
   };
   if Crowd(u) >= 1 and u.cooldown = 0 then { perform Tag(u, Crowd(u)); perform Hit(u, u.key) }
 }`},
+
+	// A world where answers carry from tick to tick (algebra's call memo
+	// over a maintained provider) and every way one must not: healers
+	// wound the enemy archers, knights and archers wound the healers, and
+	// nobody walks. Nothing touches a knight, so calls over the knight
+	// lines read clean partitions, and a knight's own row is clean: Reach,
+	// a swept MIN/MAX call, carries — unless its radius, the answer of
+	// Frail, moved. Frail reads the archers, rows whose health the healers
+	// change; Lucky folds over the clean knights but draws Random; an
+	// archer reads its own health, which changes while it stands still, in
+	// Cover's window and, only in an output argument, in Gap.
+	{"carried-answers", `
+aggregate Lucky(u) :=
+  sum(e.health + Random(1) % 3) as s
+  over e where e.player <> u.player and e.unittype = 0;
+aggregate Gap(u) :=
+  sum(e.health - u.health) as g
+  over e where e.player <> u.player and e.unittype = 0;
+aggregate Cover(u) :=
+  count(*)
+  over e where e.posx >= u.posx - u.health and e.posx <= u.posx + u.health
+    and e.posy >= u.posy - u.health and e.posy <= u.posy + u.health
+    and e.player = u.player and e.unittype = 0;
+aggregate Frail(u) :=
+  min(e.health) as low
+  over e where e.player = u.player and e.unittype = 1;
+aggregate Reach(u, rad) :=
+  argmin(e.health)
+  over e where e.posx >= u.posx - rad and e.posx <= u.posx + rad
+    and e.posy >= u.posy - rad and e.posy <= u.posy + rad
+    and e.player = u.player and e.unittype = 0;
+aggregate NearestHealer(u) := nearestkey() over e where e.player = u.player and e.unittype = 2;
+aggregate NearestArcher(u) := nearestkey() over e where e.player <> u.player and e.unittype = 1;
+action Hit(u, k, v) := on e where e.key = k set damage = v;
+function main(u) {
+  if u.unittype = 2 then perform Hit(u, NearestArcher(u), 1);
+  if u.unittype = 1 then perform Hit(u, NearestHealer(u), (Gap(u) + Cover(u)) % 3 / 8);
+  if u.unittype = 0 then
+    (let f = Frail(u)) (let w = Reach(u, f % 5 + 3))
+      perform Hit(u, NearestHealer(u), (Lucky(u) + f + w) % 3 / 8)
+}`},
 }

@@ -53,10 +53,20 @@ func New(n int, op Op) *Tree {
 }
 
 // Reset re-dimensions the tree to n leaves and restores every position to
-// the identity in O(n) — a fresh New(n, op) in the storage the tree
-// already has, so a sweep caller reuses one tree across many sweeps over
-// point sets of any size instead of allocating per sweep.
+// the identity — a fresh New(n, op) in the storage the tree already has.
 func (t *Tree) Reset(n int) {
+	t.val, t.key = t.val[:cap(t.val)], t.key[:cap(t.key)]
+	t.fill()
+	t.Resize(n)
+}
+
+// Resize re-dimensions a clean tree — every position at the identity, as
+// a tree is once each position that was set has been cleared — to n
+// leaves, leaving it clean: O(1) unless the storage must grow. A sweep
+// caller clears what it set and reuses one tree across sweeps over point
+// sets of any size, paying neither an allocation nor an O(n) reset per
+// sweep.
+func (t *Tree) Resize(n int) {
 	if n < 0 {
 		panic("segtree: negative size")
 	}
@@ -67,8 +77,13 @@ func (t *Tree) Reset(n int) {
 	t.n, t.size = n, size
 	if cap(t.val) < 2*size {
 		t.val, t.key = make([]float64, 2*size), make([]int64, 2*size)
+		t.fill()
 	}
 	t.val, t.key = t.val[:2*size], t.key[:2*size]
+}
+
+// fill sets every entry of the storage to the identity.
+func (t *Tree) fill() {
 	for i := range t.val {
 		t.val[i] = t.id
 		t.key[i] = NoKey

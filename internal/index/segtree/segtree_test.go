@@ -65,6 +65,28 @@ func TestResetRedimensions(t *testing.T) {
 	}
 }
 
+// Resize must leave a clean tree — every position that was set cleared —
+// indistinguishable from New at the new size, through the same walk of
+// sizes.
+func TestResizeCleanTree(t *testing.T) {
+	tr := New(8, Max)
+	for _, n := range []int{3, 100, 0, 8, 2} {
+		tr.Resize(n)
+		if v, k := tr.Query(0, 1000); !math.IsInf(v, -1) || k != NoKey {
+			t.Fatalf("Resize(%d): root = (%v,%d), want the identity", n, v, k)
+		}
+		for i := 0; i < n; i++ {
+			tr.Set(i, float64(i), int64(i))
+		}
+		if v, k := tr.Root(); n > 0 && (v != float64(n-1) || k != int64(n-1)) {
+			t.Fatalf("Resize(%d) then Set: root = (%v,%d)", n, v, k)
+		}
+		for i := 0; i < n; i++ {
+			tr.Clear(i)
+		}
+	}
+}
+
 func TestSetQueryMin(t *testing.T) {
 	tr := New(8, Min)
 	vals := []float64{5, 3, 8, 1, 9, 2, 7, 4}

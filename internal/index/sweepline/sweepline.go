@@ -132,10 +132,12 @@ func cmpFloat(a, b float64) int {
 
 // Sweeper is the scratch one goroutine sweeps on: a segment tree per
 // aggregate, the window-membership table, the probe order and the result
-// buffer, all kept between sweeps. The zero value is ready to use.
+// buffer, all kept between sweeps. A sweep leaves its tree and membership
+// table clean — every leaf it set cleared — so the next one starts without
+// resetting them. The zero value is ready to use.
 type Sweeper struct {
 	trees   [2]*segtree.Tree
-	active  []bool // site index → currently inside the window
+	active  []bool // site index → its leaf is set
 	probeY  []probeY
 	results []Result
 }
@@ -150,13 +152,20 @@ type probeY struct {
 // being site i's value. All boundaries are inclusive, matching the paper's
 // SQL range conditions. ry must be the same for all probes — the
 // precondition the sweep technique requires; the planner only selects this
-// operator when the script's range is a per-type constant. The returned
-// slice is the Sweeper's own: valid until its next Sweep.
+// operator when the script's range is a per-type constant. A negative (or
+// NaN) ry is an empty window: every probe gets the identity, as a scan
+// would. The returned slice is the Sweeper's own: valid until its next
+// Sweep.
+//
+// The work follows the probes: a site whose window closes before the next
+// probe reaches it is never written, and the leaves still set when the
+// last probe has been answered are cleared one by one, instead of the
+// whole tree being reset for the next sweep.
 func (s *Sweeper) Sweep(o *Order, vals []float64, probes []Probe, ry float64, op segtree.Op) []Result {
 	results := resize(s.results, len(probes))
 	s.results = results
 	n := o.Len()
-	if n == 0 || len(probes) == 0 {
+	if n == 0 || len(probes) == 0 || !(ry >= 0) {
 		for i := range results {
 			results[i] = Result{Value: segtree.Identity(op), Key: segtree.NoKey}
 		}
@@ -176,28 +185,32 @@ func (s *Sweeper) Sweep(o *Order, vals []float64, probes []Probe, ry float64, op
 		tree = segtree.New(n, op)
 		s.trees[op] = tree
 	} else {
-		tree.Reset(n)
+		tree.Resize(n)
 	}
 	s.active = resize(s.active, n)
-	clear(s.active)
 
 	// Sites in y-order drive both the enter stream (at y−ry) and the exit
-	// stream (at y+ry): with constant ry both streams are the same order.
+	// stream (at y+ry): with constant ry both streams are the same order,
+	// and the exit pointer never passes the enter pointer.
 	sites, xs, rank, byY := o.sites, o.xs, o.rank, o.byY
 	enter, exit := 0, 0
 	for _, po := range order {
 		pr := &probes[po.idx]
-		// Activate sites whose window includes pr.Y: y−ry ≤ pr.Y.
+		// Activate sites whose window includes pr.Y: y−ry ≤ pr.Y ≤ y+ry.
+		// One whose window already closed (y+ry < pr.Y) exits below
+		// without any probe having seen it.
 		for ; enter < n && sites[byY[enter]].Y-ry <= pr.Y; enter++ {
-			i := byY[enter]
-			tree.Set(int(rank[i]), vals[i], sites[i].Key)
-			s.active[i] = true
+			if i := byY[enter]; sites[i].Y+ry >= pr.Y {
+				tree.Set(int(rank[i]), vals[i], sites[i].Key)
+				s.active[i] = true
+			}
 		}
 		// Deactivate sites that have fallen behind: y+ry < pr.Y.
 		for ; exit < n && sites[byY[exit]].Y+ry < pr.Y; exit++ {
-			i := byY[exit]
-			tree.Clear(int(rank[i]))
-			s.active[i] = false
+			if i := byY[exit]; s.active[i] {
+				tree.Clear(int(rank[i]))
+				s.active[i] = false
+			}
 		}
 		lo, hi := lowerBound(xs, pr.X-pr.RX), upperBound(xs, pr.X+pr.RX)
 
@@ -212,6 +225,13 @@ func (s *Sweeper) Sweep(o *Order, vals []float64, probes []Probe, ry float64, op
 			tree.Set(int(rank[ex]), vals[ex], sites[ex].Key)
 		}
 		results[po.idx] = Result{Value: v, Key: k, Found: k != segtree.NoKey}
+	}
+	// Leave the tree and the membership table clean for the next sweep.
+	for _, i := range byY[exit:enter] {
+		if s.active[i] {
+			tree.Clear(int(rank[i]))
+			s.active[i] = false
+		}
 	}
 	return results
 }

@@ -267,30 +267,38 @@ func TestVaryingRXConstantRY(t *testing.T) {
 	}
 }
 
+// TestAgainstBruteRandom holds the sweep to brute force on a scene with
+// as many probes as sites, and on a sparse one — many sites, few probes —
+// where most sites enter and leave the window between two probes and are
+// never written.
 func TestAgainstBruteRandom(t *testing.T) {
-	for _, op := range []segtree.Op{segtree.Min, segtree.Max} {
-		pts, probes := randomScene(3, 300, 200, 50)
-		// Give some probes an exclusion.
-		for i := range probes {
-			if i%3 == 0 {
-				probes[i].Exclude = i % len(pts)
+	for _, scene := range []struct{ pts, probes int }{{300, 200}, {3000, 12}} {
+		for _, op := range []segtree.Op{segtree.Min, segtree.Max} {
+			pts, probes := randomScene(3, scene.pts, scene.probes, 50)
+			// Give some probes an exclusion.
+			for i := range probes {
+				if i%3 == 0 {
+					probes[i].Exclude = i % len(pts)
+				}
 			}
-		}
-		got := Sweep(pts, probes, 7, op)
-		want := brute(pts, probes, 7, op)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("op=%v probe %d: got %+v, want %+v", op, i, got[i], want[i])
+			got := Sweep(pts, probes, 7, op)
+			want := brute(pts, probes, 7, op)
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%d sites, %d probes, op=%v probe %d: got %+v, want %+v",
+						scene.pts, scene.probes, op, i, got[i], want[i])
+				}
 			}
 		}
 	}
 }
 
-// Property: Sweep equals brute force on random scenes with random ry.
+// Property: Sweep equals brute force on random scenes with random ry,
+// negative ones (an empty window) included.
 func TestSweepProperty(t *testing.T) {
 	f := func(seed int64, nPts, nProbes, ryRaw uint8) bool {
 		pts, probes := randomScene(seed, int(nPts%50)+1, int(nProbes%30)+1, 20)
-		ry := float64(ryRaw % 15)
+		ry := float64(int(ryRaw%23) - 7)
 		got := Sweep(pts, probes, ry, segtree.Min)
 		want := brute(pts, probes, ry, segtree.Min)
 		for i := range got {

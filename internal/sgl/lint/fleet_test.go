@@ -69,6 +69,10 @@ var zooGoldens = map[string][]string{
 		"3:3: SGL011 warn: output column top of aggregate Best is never read at any call site",
 		"4:3: SGL011 warn: output column low of aggregate Best is never read at any call site",
 	},
+	"carried-answers": {
+		"3:3: SGL104 warn: output s of aggregate Lucky falls back to a per-probe scan even though the condition is index-usable (the argument depends on the probe unit or a parameter, so it cannot be precomputed into the index)",
+		"6:3: SGL104 warn: output g of aggregate Gap falls back to a per-probe scan even though the condition is index-usable (the argument depends on the probe unit or a parameter, so it cannot be precomputed into the index)",
+	},
 	"multi-conjunct-greedy": {
 		"10:8: SGL103 warn: conjunct u.cooldown = 0 could filter before the index probe of f but is trapped behind it in the pipeline of Tag — test it in an earlier if so the probe skips rejected rows",
 		"10:40: SGL103 warn: conjunct u.health > 3 could filter before the index probe of f but is trapped behind it in the pipeline of Tag — test it in an earlier if so the probe skips rejected rows",
