@@ -379,12 +379,6 @@ func BenchmarkEngineTickNaiveVsIndexed(b *testing.B) {
 // masks still salvage (stationary melee lines leave position-keyed trees
 // clean). The dedicated low-churn measurement is BenchmarkTickIncrementalSentry.
 //
-// Rebuild-mode points at w ∈ {1, 4} additionally run under the legacy
-// materializing executor (/mat) so the streaming pipelines' allocation
-// and throughput win shows up in the same matrix (compare against the
-// matching default row; the allocs/op gap is the per-row []*Row +
-// extension-slot churn the streaming path eliminates).
-//
 //	go test -bench=TickParallel -benchtime=10x
 
 func BenchmarkTickParallel(b *testing.B) {
@@ -398,30 +392,20 @@ func BenchmarkTickParallel(b *testing.B) {
 				if inc && w != 1 && w != 4 {
 					continue // keep the matrix small: incr at w ∈ {1, 4}
 				}
-				for _, mat := range []bool{false, true} {
-					if mat && (inc || (w != 1 && w != 4)) {
-						continue // materializing comparison: rebuild mode, w ∈ {1, 4}
-					}
-					name := fmt.Sprintf("n%d/w%d/%s", n, w, mode)
-					if mat {
-						name += "/mat"
-					}
-					b.Run(name, func(b *testing.B) {
-						e := newBattle(b, Indexed, n, 0.01, func(o *EngineOptions) {
-							o.Workers = w
-							o.Incremental = inc
-							o.MaterializeExec = mat
-						})
-						b.ReportAllocs()
-						b.ResetTimer()
-						for i := 0; i < b.N; i++ {
-							if err := e.Tick(); err != nil {
-								b.Fatal(err)
-							}
-						}
-						b.ReportMetric(float64(n)/b.Elapsed().Seconds()*float64(b.N), "unit-ticks/s")
+				b.Run(fmt.Sprintf("n%d/w%d/%s", n, w, mode), func(b *testing.B) {
+					e := newBattle(b, Indexed, n, 0.01, func(o *EngineOptions) {
+						o.Workers = w
+						o.Incremental = inc
 					})
-				}
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if err := e.Tick(); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportMetric(float64(n)/b.Elapsed().Seconds()*float64(b.N), "unit-ticks/s")
+				})
 			}
 		}
 	}

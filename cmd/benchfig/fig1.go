@@ -1,4 +1,4 @@
-package metrics
+package main
 
 import (
 	"fmt"
@@ -9,7 +9,6 @@ import (
 	"github.com/epicscale/sgl/internal/game"
 	"github.com/epicscale/sgl/internal/sgl/parser"
 	"github.com/epicscale/sgl/internal/sgl/sem"
-	"github.com/epicscale/sgl/internal/workload"
 )
 
 // The Figure 1 reproduction runs four script tiers of increasing
@@ -130,15 +129,19 @@ function main(u) {
 }`,
 }
 
-// TierProgram compiles one tier (the "individual" tier is the full battle
+// scriptTiers orders the Figure 1 games from least to most expressive,
+// mapped onto scripted behavior levels our engine can actually run.
+var scriptTiers = []string{"uniform", "reactive", "tactical", "individual"}
+
+// tierProgram compiles one tier (the "individual" tier is the full battle
 // script).
-func TierProgram(tier string) (*sem.Program, error) {
+func tierProgram(tier string) (*sem.Program, error) {
 	if tier == "individual" {
 		return game.Compile()
 	}
 	src, ok := tierScripts[tier]
 	if !ok {
-		return nil, fmt.Errorf("metrics: unknown tier %q", tier)
+		return nil, fmt.Errorf("benchfig: unknown tier %q", tier)
 	}
 	script, err := parser.Parse(src)
 	if err != nil {
@@ -147,33 +150,39 @@ func TierProgram(tier string) (*sem.Program, error) {
 	return sem.Check(script, game.Schema(), game.Consts())
 }
 
-// Fig1 measures the capacity frontier of every tier under both engines.
-func (r *Runner) Fig1(budget time.Duration, lo, hi, measureTicks int) ([]Fig1Row, error) {
-	var rows []Fig1Row
-	for _, tier := range ScriptTiers {
-		prog, err := TierProgram(tier)
+// fig1Row is one point of the expressiveness/#NPC trade-off illustration
+// (paper Figure 1): the largest army each script tier sustains at 10
+// ticks/second under each engine.
+type fig1Row struct {
+	tier     string
+	mode     string
+	maxUnits int
+}
+
+// fig1 measures the capacity frontier of every tier under both engines.
+func (r *runner) fig1(budget time.Duration, lo, hi, measureTicks int) ([]fig1Row, error) {
+	var rows []fig1Row
+	for _, tier := range scriptTiers {
+		prog, err := tierProgram(tier)
 		if err != nil {
 			return nil, err
 		}
-		tr := &Runner{prog: prog, Warmup: r.Warmup}
+		tr := &runner{prog: prog, warmup: r.warmup}
 		for _, mode := range []engine.Mode{engine.Naive, engine.Indexed} {
-			n, err := tr.Capacity(mode, budget, lo, hi, measureTicks)
+			n, err := tr.capacity(mode, budget, lo, hi, measureTicks)
 			if err != nil {
 				return nil, err
 			}
-			rows = append(rows, Fig1Row{Tier: tier, Mode: mode.String(), MaxUnits: n})
+			rows = append(rows, fig1Row{tier: tier, mode: mode.String(), maxUnits: n})
 		}
 	}
 	return rows, nil
 }
 
-// WriteFig1 renders the tier capacity table.
-func WriteFig1(w io.Writer, rows []Fig1Row) {
+// writeFig1 renders the tier capacity table.
+func writeFig1(w io.Writer, rows []fig1Row) {
 	fmt.Fprintf(w, "%-12s %-8s %10s\n", "tier", "engine", "max units")
 	for _, row := range rows {
-		fmt.Fprintf(w, "%-12s %-8s %10d\n", row.Tier, row.Mode, row.MaxUnits)
+		fmt.Fprintf(w, "%-12s %-8s %10d\n", row.tier, row.mode, row.maxUnits)
 	}
 }
-
-// ensure workload import is used even if newEngine moves.
-var _ = workload.Spec{}

@@ -8,8 +8,6 @@
 //	benchfig -experiment capacity              # 10 ticks/s capacity per engine
 //	benchfig -experiment ticks                 # proportionality to tick count
 //	benchfig -experiment fig1                  # expressiveness-tier frontier
-//	benchfig -experiment exec                  # streaming vs materializing executor
-//	benchfig -experiment admission             # sharded vs locked command admission
 //	benchfig -experiment cluster               # gateway scale-out, loadgen over a fleet
 //	benchfig -experiment all -quick            # everything, reduced sizes
 package main
@@ -18,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"github.com/epicscale/sgl/internal/cluster"
@@ -25,48 +24,48 @@ import (
 	"github.com/epicscale/sgl/internal/metrics"
 )
 
+// experiments are the names -experiment accepts besides "all", which runs
+// them in this order.
+var experiments = []struct {
+	name string
+	run  func(r *runner, quick bool, measure int)
+}{
+	{"fig10", fig10},
+	{"density", density},
+	{"capacity", capacity},
+	{"ticks", ticks},
+	{"fig1", fig1},
+	{"cluster", clusterScaleOut},
+}
+
 func main() {
-	experiment := flag.String("experiment", "fig10", "fig10, density, capacity, ticks, fig1, exec, admission, cluster, or all")
+	names := make([]string, len(experiments))
+	for i, x := range experiments {
+		names[i] = x.name
+	}
+	experiment := flag.String("experiment", "fig10", strings.Join(names, ", ")+", or all")
 	quick := flag.Bool("quick", false, "smaller sizes and fewer measured ticks")
 	measure := flag.Int("measure", 0, "override measured ticks per point (0 = default)")
 	flag.Parse()
 
-	r, err := metrics.NewRunner()
+	r, err := newRunner()
 	if err != nil {
 		fatal(err)
 	}
-
-	run := func(name string) {
-		switch name {
-		case "fig10":
-			fig10(r, *quick, *measure)
-		case "density":
-			density(r, *quick, *measure)
-		case "capacity":
-			capacity(r, *quick, *measure)
-		case "ticks":
-			ticks(r, *quick, *measure)
-		case "fig1":
-			fig1(r, *quick, *measure)
-		case "exec":
-			execCompare(r, *quick, *measure)
-		case "admission":
-			admission(r, *quick, *measure)
-		case "cluster":
-			clusterScaleOut(*quick)
-		default:
-			fmt.Fprintf(os.Stderr, "benchfig: unknown experiment %q\n", name)
-			os.Exit(2)
+	ran := false
+	for _, x := range experiments {
+		if *experiment == "all" || *experiment == x.name {
+			if ran {
+				fmt.Println()
+			}
+			x.run(r, *quick, *measure)
+			ran = true
 		}
 	}
-	if *experiment == "all" {
-		for _, name := range []string{"fig10", "density", "capacity", "ticks", "fig1", "exec", "admission", "cluster"} {
-			run(name)
-			fmt.Println()
-		}
-		return
+	if !ran {
+		fmt.Fprintf(os.Stderr, "benchfig: unknown experiment %q\n", *experiment)
+		os.Exit(2)
 	}
-	run(*experiment)
 }
 
 func pick(measure, quickDefault, fullDefault int, quick bool) int {
@@ -79,7 +78,7 @@ func pick(measure, quickDefault, fullDefault int, quick bool) int {
 	return fullDefault
 }
 
-func fig10(r *metrics.Runner, quick bool, measure int) {
+func fig10(r *runner, quick bool, measure int) {
 	fmt.Println("=== Figure 10: total time vs number of units (constant 1% density) ===")
 	sizes := []int{500, 1000, 2000, 4000, 8000, 12000, 14000}
 	naiveCap := 4000
@@ -87,26 +86,26 @@ func fig10(r *metrics.Runner, quick bool, measure int) {
 		sizes = []int{250, 500, 1000, 2000, 4000}
 		naiveCap = 2000
 	}
-	rows, err := r.Fig10(sizes, 0.01, pick(measure, 3, 10, quick), naiveCap)
+	rows, err := r.fig10(sizes, 0.01, pick(measure, 3, 10, quick), naiveCap)
 	if err != nil {
 		fatal(err)
 	}
-	metrics.WriteFig10(os.Stdout, rows)
+	writeFig10(os.Stdout, rows)
 	fmt.Println("(naive points above the cap are omitted: quadratic growth)")
 }
 
-func density(r *metrics.Runner, quick bool, measure int) {
+func density(r *runner, quick bool, measure int) {
 	fmt.Println("=== Varying unit density (500 units, 0.5%–8%) ===")
 	n := 500
 	densities := []float64{0.005, 0.01, 0.02, 0.04, 0.08}
-	rows, err := r.Density(n, densities, pick(measure, 3, 10, quick))
+	rows, err := r.density(n, densities, pick(measure, 3, 10, quick))
 	if err != nil {
 		fatal(err)
 	}
-	metrics.WriteDensity(os.Stdout, rows)
+	writeDensity(os.Stdout, rows)
 }
 
-func capacity(r *metrics.Runner, quick bool, measure int) {
+func capacity(r *runner, quick bool, measure int) {
 	fmt.Println("=== Capacity at 10 ticks per second (100 ms budget) ===")
 	hi := 40000
 	if quick {
@@ -119,7 +118,7 @@ func capacity(r *metrics.Runner, quick bool, measure int) {
 			// minutes per point; its capacity is far below 3000 anyway.
 			modeHi = 3000
 		}
-		n, err := r.Capacity(mode, 100*time.Millisecond, 100, modeHi, pick(measure, 2, 5, quick))
+		n, err := r.capacity(mode, 100*time.Millisecond, 100, modeHi, pick(measure, 2, 5, quick))
 		if err != nil {
 			fatal(err)
 		}
@@ -127,71 +126,36 @@ func capacity(r *metrics.Runner, quick bool, measure int) {
 	}
 }
 
-func ticks(r *metrics.Runner, quick bool, measure int) {
+func ticks(r *runner, quick bool, _ int) {
 	fmt.Println("=== Proportionality: total time vs tick count (2000 units, indexed) ===")
 	counts := []int{50, 100, 200, 400}
 	if quick {
 		counts = []int{20, 40, 80}
 	}
-	_ = measure
-	rows, err := r.Proportionality(engine.Indexed, 2000, counts)
+	rows, err := r.proportionality(engine.Indexed, 2000, counts)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("%-8s %14s %14s\n", "ticks", "total sec", "sec/tick")
 	for _, row := range rows {
-		fmt.Printf("%-8d %14.3f %14.6f\n", row.Ticks, row.TotalSeconds, row.SecondsPerTick)
+		fmt.Printf("%-8d %14.3f %14.6f\n", row.ticks, row.totalSeconds, row.secondsPerTick)
 	}
 }
 
-func fig1(r *metrics.Runner, quick bool, measure int) {
+func fig1(r *runner, quick bool, measure int) {
 	fmt.Println("=== Figure 1: expressiveness tiers vs sustainable army size (10 ticks/s) ===")
 	hi := 40000
 	if quick {
 		hi = 8000
 	}
-	rows, err := r.Fig1(100*time.Millisecond, 100, hi, pick(measure, 2, 4, quick))
+	rows, err := r.fig1(100*time.Millisecond, 100, hi, pick(measure, 2, 4, quick))
 	if err != nil {
 		fatal(err)
 	}
-	metrics.WriteFig1(os.Stdout, rows)
+	writeFig1(os.Stdout, rows)
 }
 
-func execCompare(r *metrics.Runner, quick bool, measure int) {
-	fmt.Println("=== Streaming vs materializing executor (battle, indexed, 1% density) ===")
-	sizes := []int{2000, 10000}
-	if quick {
-		sizes = []int{1000, 4000}
-	}
-	for _, n := range sizes {
-		rows, err := r.ExecComparison(n, 0.01, pick(measure, 3, 10, quick))
-		if err != nil {
-			fatal(err)
-		}
-		metrics.WriteExec(os.Stdout, rows)
-	}
-	fmt.Println("(outcomes are bit-identical; the delta is executor overhead only.")
-	fmt.Println(" effect allocs/pass isolates the effect query — whole-tick allocation")
-	fmt.Println(" counts are dominated by per-tick index rebuilds)")
-}
-
-func admission(r *metrics.Runner, quick bool, measure int) {
-	fmt.Println("=== Sharded vs locked command admission (2000 units, indexed) ===")
-	perRound := 65536
-	if quick {
-		perRound = 8192
-	}
-	rows, err := r.Admission([]int{1, 2, 4, 8}, perRound, pick(measure, 2, 5, quick))
-	if err != nil {
-		fatal(err)
-	}
-	metrics.WriteAdmission(os.Stdout, rows)
-	fmt.Println("(same commands, same ticks; the delta is the admission path —")
-	fmt.Println(" lock contention plus the out-of-order canonical inserts that")
-	fmt.Println(" interleaved origins force on the serialized path)")
-}
-
-func clusterScaleOut(quick bool) {
+func clusterScaleOut(_ *runner, quick bool, _ int) {
 	fmt.Println("=== Cluster scale-out: loadgen through sglgw, constant per-node load ===")
 	cfg := cluster.ExperimentConfig{
 		FleetSizes:    []int{1, 2},

@@ -208,57 +208,13 @@ aggregate Zone(u, r) :=
 	// foes of unit 0: 30
 }
 
-// Checkpoint a run mid-flight and restore it — even under different
-// execution tuning — and it continues exactly as if never interrupted.
-func ExampleRestore() {
-	prog, err := sgl.CompileBattle()
-	if err != nil {
-		log.Fatal(err)
-	}
-	spec := sgl.ArmySpec{Units: 70, Density: 0.02, Seed: 6, Formation: 1}
-
-	// The uninterrupted run: 15 ticks straight through, serial.
-	straight, err := sgl.NewBattleEngine(prog, spec, sgl.Indexed, 6)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := straight.Run(15); err != nil {
-		log.Fatal(err)
-	}
-
-	// The interrupted run: 10 ticks, checkpoint, restore with different
-	// Workers (checkpoints are migration vehicles — the tuning knobs are
-	// not part of the format), then the remaining 5.
-	first, err := sgl.NewBattleEngine(prog, spec, sgl.Indexed, 6)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := first.Run(10); err != nil {
-		log.Fatal(err)
-	}
-	var ck bytes.Buffer
-	if err := first.Checkpoint(&ck); err != nil {
-		log.Fatal(err)
-	}
-	resumed, err := sgl.RestoreOpts(&ck, prog, sgl.NewBattleMechanics(), sgl.EngineOptions{Workers: 4})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := resumed.Run(5); err != nil {
-		log.Fatal(err)
-	}
-
-	fmt.Println("resumed at tick:", resumed.TickCount())
-	fmt.Println("identical to uninterrupted run:", resumed.Env().EqualContents(straight.Env()))
-	// Output:
-	// resumed at tick: 15
-	// identical to uninterrupted run: true
-}
-
 // Inject external commands into a live session, then checkpoint and
 // reopen the world from the self-contained stream alone — no program,
 // no sidecar. The injected state (the despawned unit, the input
-// journal) survives the round trip.
+// journal) survives the round trip, and the reopened world continues
+// exactly as if never interrupted, even under different execution
+// tuning: checkpoints are migration vehicles, and the tuning knobs are
+// not part of the format.
 func ExampleOpen() {
 	prog, err := sgl.CompileBattle()
 	if err != nil {
@@ -297,7 +253,17 @@ func ExampleOpen() {
 	}
 	fmt.Println("units after despawn:", reopened.Engine().Env().Len())
 	fmt.Println("journal entries:", len(reopened.Journal()))
+
+	// The original session never stopped; run both 5 more ticks.
+	if err := sess.Step(5); err != nil {
+		log.Fatal(err)
+	}
+	if err := reopened.Step(5); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("identical to uninterrupted run:", reopened.Engine().Env().EqualContents(sess.Engine().Env()))
 	// Output:
 	// units after despawn: 59
 	// journal entries: 2
+	// identical to uninterrupted run: true
 }

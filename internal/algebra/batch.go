@@ -23,30 +23,6 @@ type BatchAggProvider interface {
 	BatchBeneficial(def *ast.AggDef) bool
 }
 
-// EachUnit invokes yield for every row of unit-set node n, in base-row
-// order — the serial effect fold order. By default rows stream through
-// the compiled pipeline of stream.go; after SetMaterialize(true) they
-// come from the memoized units() slices instead. The two paths yield the
-// same rows, in the same order, with the same extension values.
-func (x *Executor) EachUnit(n Node, yield func(*Row) error) error {
-	if x.codeErr != nil {
-		return x.codeErr
-	}
-	if x.materialize {
-		rows, err := x.units(n)
-		if err != nil {
-			return err
-		}
-		for _, row := range rows {
-			if err := yield(row); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return x.streamUnits(n, yield)
-}
-
 // ApplyArgs evaluates an Apply node's argument terms for one row,
 // appending them to dst (pass nil for a slice safe to retain). It is
 // valid for rows EachUnit yields.

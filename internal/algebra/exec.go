@@ -29,9 +29,8 @@ type Row struct {
 // expression logic: every condition, extension value, action argument and
 // SET clause is a closure the plan compiled once (compile.go, package
 // expr), and the executor's job is to bind rows to those closures in the
-// right order — streaming by default (stream.go), or node-at-a-time with
-// memoized unit sets after SetMaterialize. Both paths run the same
-// closures, so they agree bit for bit by construction.
+// right order, streaming each row through the compiled pipelines of
+// stream.go.
 //
 // Concurrency contract: one Executor per goroutine, snapshot shared. An
 // Executor owns mutable scratch state (its frames, row storage, memos and
@@ -67,18 +66,10 @@ type Executor struct {
 	// (an action's SET clauses).
 	row, def expr.Frame
 
-	// materialize selects the node-at-a-time path (units(), one []*Row
-	// slice memoized per plan node) over the streaming pipelines of
-	// stream.go. Both are byte-identical; the flag exists for differential
-	// tests and the allocation/throughput comparison.
-	materialize bool
-	cache       map[Node][]*Row
-
-	// Flat row storage over the base shard, shared by both paths' memos:
-	// the streaming rows and their extension backing array, the
-	// per-(row, slot) extension done bitset, one verdict memo per shared
-	// Select, and the survivor-index scratch buffer reused between
-	// blocking batch stages. rowsBound says the storage reflects the
+	// Flat row storage over the base shard: the rows and their extension
+	// backing array, the per-(row, slot) extension done bitset, one
+	// verdict memo per shared Select, and the survivor-index scratch
+	// buffer reused between blocking batch stages. rowsBound says the storage reflects the
 	// current binding.
 	srows     []Row
 	done      []uint64
@@ -222,7 +213,6 @@ func (x *Executor) bind(env *table.Table, prov interp.Provider, r rng.TickSource
 	x.aggInto, _ = prov.(aggIntoProvider)
 	x.batcher, _ = prov.(BatchAggProvider)
 	x.carrier, _ = prov.(carrier)
-	x.cache = nil
 	x.rowsBound = false
 	if x.code == nil {
 		return
@@ -253,13 +243,6 @@ func sized[T any](s []T, n int) []T {
 	}
 	return s[:n]
 }
-
-// SetMaterialize switches the executor to the legacy materializing
-// units() path (true) or the streaming pipelines (false, the default).
-// Must be called before the first evaluation; the two paths produce
-// byte-identical effects, so this is an ablation and test toggle, not a
-// semantic choice.
-func (x *Executor) SetMaterialize(on bool) { x.materialize = on }
 
 // baseRows returns the slice of environment rows this executor's Base node
 // produces.
@@ -310,53 +293,6 @@ func (x *Executor) Tick() (*table.Table, error) {
 	return effects.Union(x.env).Combine(), nil
 }
 
-// units evaluates a unit-set node, memoized.
-func (x *Executor) units(n Node) ([]*Row, error) {
-	if rows, ok := x.cache[n]; ok {
-		return rows, nil
-	}
-	var rows []*Row
-	var err error
-	switch v := n.(type) {
-	case *Base:
-		base := x.baseRows()
-		rows = make([]*Row, len(base))
-		for i, u := range base {
-			rows[i] = &Row{Unit: u, Ext: make([]interp.Value, x.plan.Slots), ord: int32(i)}
-		}
-	case *Select:
-		var in []*Row
-		in, err = x.units(v.In)
-		if err != nil {
-			return nil, err
-		}
-		conds := x.code.sel[v].conds
-		rows = make([]*Row, 0, len(in))
-		for _, row := range in {
-			if allHold(conds, x.at(row)) {
-				rows = append(rows, row)
-			}
-		}
-	case *Extend:
-		rows, err = x.units(v.In)
-		if err != nil {
-			return nil, err
-		}
-		code := x.code.ext[v]
-		x.batchExtend(code, rows)
-		for _, row := range rows {
-			row.Ext[v.Slot] = code.value.Value(x.at(row))
-		}
-	default:
-		return nil, fmt.Errorf("algebra: node %T does not produce a unit set", n)
-	}
-	if x.cache == nil {
-		x.cache = map[Node][]*Row{}
-	}
-	x.cache[n] = rows
-	return rows, nil
-}
-
 // allHold evaluates greedy-ordered conjuncts with short-circuit.
 func allHold(conds []expr.Cond, f *expr.Frame) bool {
 	for _, c := range conds {
@@ -391,7 +327,7 @@ func (x *Executor) probe(s *aggSite, f *expr.Frame) []float64 {
 	args := x.argStack[base:len(x.argStack):len(x.argStack)]
 	switch {
 	case x.carried(m, def, f.Ord, args):
-	case x.aggInto == nil || x.materialize:
+	case x.aggInto == nil:
 		copy(dst, x.prov.EvalAgg(def, unit, args))
 	default:
 		x.aggInto.EvalAggInto(dst, def, unit, args)

@@ -95,7 +95,7 @@ func battleEnv(n int, seed uint64) *table.Table {
 // the provider prov returns for its shard, effects merged Apply-major and
 // shard-minor, then ⊕-combined with env.
 func shardedTick(t *testing.T, prog *sem.Program, plan *Plan, env *table.Table, r rng.TickSource,
-	workers int, mat bool, prov func(shard int) interp.Provider) *table.Table {
+	workers int, prov func(shard int) interp.Provider) *table.Table {
 	t.Helper()
 	applies, err := plan.Applies()
 	if err != nil {
@@ -115,7 +115,6 @@ func shardedTick(t *testing.T, prog *sem.Program, plan *Plan, env *table.Table, 
 				errs[s] = err
 				return
 			}
-			x.SetMaterialize(mat)
 			effects[s] = make([][][]float64, len(applies))
 			for j, ap := range applies {
 				err := x.EachUnit(ap.In, func(row *Row) error {
@@ -149,8 +148,7 @@ func shardedTick(t *testing.T, prog *sem.Program, plan *Plan, env *table.Table, 
 
 // TestEachCallProbedOncePerRow holds the executor to the plan's sharing:
 // whatever the script — the battle, every zoo program — and however it
-// runs — Workers 1 or 4, streaming or materializing, over the naive or
-// the indexed provider (whose sweep line batches MIN/MAX calls) — the
+// runs — Workers 1 or 4, over the naive or the indexed provider (whose sweep line batches MIN/MAX calls) — the
 // provider answers every (row, call class) pair once. The log counts
 // provider rows and distinct (unit, definition, argument values) triples;
 // no two call classes of these scripts agree on all three for one unit,
@@ -176,35 +174,33 @@ func TestEachCallProbedOncePerRow(t *testing.T) {
 			Optimize(plan)
 			an := exec.NewAnalyzer(prog, game.Categoricals())
 			for _, workers := range []int{1, 4} {
-				for _, mat := range []bool{false, true} {
-					for _, indexed := range []bool{false, true} {
-						logs := make([]*probeLog, workers)
-						var master *exec.Indexed
+				for _, indexed := range []bool{false, true} {
+					logs := make([]*probeLog, workers)
+					var master *exec.Indexed
+					if indexed {
+						master = exec.NewIndexed(an, env, r)
+						master.FreezeParallel(workers)
+					}
+					got := shardedTick(t, prog, plan, env, r, workers, func(s int) interp.Provider {
+						logs[s] = newProbeLog(prog)
 						if indexed {
-							master = exec.NewIndexed(an, env, r)
-							master.FreezeParallel(workers)
+							fork := master.Fork()
+							return countingIndexed{countingProvider{fork, logs[s]}, fork}
 						}
-						got := shardedTick(t, prog, plan, env, r, workers, mat, func(s int) interp.Provider {
-							logs[s] = newProbeLog(prog)
-							if indexed {
-								fork := master.Fork()
-								return countingIndexed{countingProvider{fork, logs[s]}, fork}
-							}
-							return countingProvider{interp.NewNaive(prog, env, r), logs[s]}
-						})
-						name := fmt.Sprintf("workers=%d materialize=%v indexed=%v", workers, mat, indexed)
-						// Shards probe disjoint units, so their logs add up.
-						rows, distinct, twice := 0, 0, []string(nil)
-						for _, l := range logs {
-							rows, distinct, twice = rows+l.rows, distinct+len(l.seen), append(twice, l.twice...)
-						}
-						if rows != distinct {
-							t.Errorf("%s: provider answered %d rows for %d distinct (row, call) pairs; repeated: %v",
-								name, rows, distinct, twice)
-						}
-						if !keyedBitsEqual(got, want) {
-							t.Errorf("%s: tick differs from the interpreter", name)
-						}
+						return countingProvider{interp.NewNaive(prog, env, r), logs[s]}
+					})
+					name := fmt.Sprintf("workers=%d indexed=%v", workers, indexed)
+					// Shards probe disjoint units, so their logs add up.
+					rows, distinct, twice := 0, 0, []string(nil)
+					for _, l := range logs {
+						rows, distinct, twice = rows+l.rows, distinct+len(l.seen), append(twice, l.twice...)
+					}
+					if rows != distinct {
+						t.Errorf("%s: provider answered %d rows for %d distinct (row, call) pairs; repeated: %v",
+							name, rows, distinct, twice)
+					}
+					if !keyedBitsEqual(got, want) {
+						t.Errorf("%s: tick differs from the interpreter", name)
 					}
 				}
 			}
@@ -269,16 +265,12 @@ function main(u) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mat := range []bool{false, true} {
-		x := NewExecutor(prog, plan, env, interp.NewNaive(prog, env, r), r)
-		x.SetMaterialize(mat)
-		got, err := x.Tick()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !keyedBitsEqual(got, want) {
-			t.Fatalf("materialize=%v: tick differs from the interpreter", mat)
-		}
+	got, err := NewExecutor(prog, plan, env, interp.NewNaive(prog, env, r), r).Tick()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !keyedBitsEqual(got, want) {
+		t.Fatal("tick differs from the interpreter")
 	}
 	if n := len(plan.code.classes); n != 4 {
 		t.Fatalf("%d call classes, want 4", n)
@@ -320,20 +312,16 @@ function main(u) {
 		if opt {
 			Optimize(plan)
 		}
-		for _, mat := range []bool{false, true} {
-			log := newProbeLog(prog)
-			x := NewExecutor(prog, plan, env, countingProvider{interp.NewNaive(prog, env, r), log}, r)
-			x.SetMaterialize(mat)
-			got, err := x.Tick()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if log.rows != ready {
-				t.Errorf("opt=%v materialize=%v: Foes probed %d times for %d ready units", opt, mat, log.rows, ready)
-			}
-			if !keyedBitsEqual(got, want) {
-				t.Errorf("opt=%v materialize=%v: tick differs from the interpreter", opt, mat)
-			}
+		log := newProbeLog(prog)
+		got, err := NewExecutor(prog, plan, env, countingProvider{interp.NewNaive(prog, env, r), log}, r).Tick()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if log.rows != ready {
+			t.Errorf("opt=%v: Foes probed %d times for %d ready units", opt, log.rows, ready)
+		}
+		if !keyedBitsEqual(got, want) {
+			t.Errorf("opt=%v: tick differs from the interpreter", opt)
 		}
 	}
 }

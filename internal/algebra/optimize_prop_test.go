@@ -59,9 +59,9 @@ func randomZooArmy(t testing.TB, seed uint64, n int, side float64) *table.Table 
 // TestOptimizePropertyZoo is the property test for the optimizer: over
 // every script in the exported zoo and a spread of randomized
 // environments, the optimized plan must produce a tick bit-identical to
-// the unoptimized plan, the interpreter, and both executor paths — under
-// the naive provider and the indexed provider (whose sweep-line batch
-// evaluation exercises the streaming pipelines' blocking stages).
+// the unoptimized plan and the interpreter — under the naive provider and
+// the indexed provider (whose sweep-line batch evaluation exercises the
+// streaming pipelines' blocking stages).
 func TestOptimizePropertyZoo(t *testing.T) {
 	for _, zp := range exec.Zoo {
 		zp := zp
@@ -77,7 +77,7 @@ func TestOptimizePropertyZoo(t *testing.T) {
 						t.Fatal(err)
 					}
 					an := exec.NewAnalyzer(prog, []string{"player", "unittype"})
-					// Executor variants over the *same provider* share the
+					// Both plans over the *same provider* share the
 					// Apply-major emission order (including each performer's
 					// target visit order), so they must agree cell-exactly
 					// including row order. Across providers — and against the
@@ -92,30 +92,24 @@ func TestOptimizePropertyZoo(t *testing.T) {
 						if opt {
 							Optimize(plan)
 						}
-						for _, mat := range []bool{false, true} {
-							for _, provName := range []string{"naive", "indexed"} {
-								var prov interp.Provider
-								if provName == "naive" {
-									prov = interp.NewNaive(prog, env, r)
-								} else {
-									prov = exec.NewIndexed(an, env, r)
-								}
-								x := NewExecutor(prog, plan, env, prov, r)
-								x.SetMaterialize(mat)
-								got, err := x.Tick()
-								if err != nil {
-									t.Fatal(err)
-								}
-								if !keyedBitsEqual(got, want) {
-									t.Fatalf("opt=%v materialize=%v prov=%s: tick differs from interpreter",
-										opt, mat, provName)
-								}
-								if ref[provName] == nil {
-									ref[provName] = got
-								} else if !bitsEqualTables(got, ref[provName]) {
-									t.Fatalf("opt=%v materialize=%v prov=%s: tick not bit-identical to reference executor run",
-										opt, mat, provName)
-								}
+						for _, provName := range []string{"naive", "indexed"} {
+							var prov interp.Provider
+							if provName == "naive" {
+								prov = interp.NewNaive(prog, env, r)
+							} else {
+								prov = exec.NewIndexed(an, env, r)
+							}
+							got, err := NewExecutor(prog, plan, env, prov, r).Tick()
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !keyedBitsEqual(got, want) {
+								t.Fatalf("opt=%v prov=%s: tick differs from interpreter", opt, provName)
+							}
+							if ref[provName] == nil {
+								ref[provName] = got
+							} else if !bitsEqualTables(got, ref[provName]) {
+								t.Fatalf("opt=%v prov=%s: tick not bit-identical to reference executor run", opt, provName)
 							}
 						}
 					}

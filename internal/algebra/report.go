@@ -121,7 +121,7 @@ func Report(prog *sem.Program, p *Plan) ([]PipelineReport, error) {
 
 // PipelineReports reports the pipelines this executor actually runs. The
 // stage order is read back from the plan's compiled stage lists — the
-// structures streamUnits executes — so a test comparing this against the
+// structures EachUnit executes — so a test comparing this against the
 // static Report proves the lint pass and the executor share one placement.
 func (x *Executor) PipelineReports() ([]PipelineReport, error) {
 	if x.codeErr != nil {

@@ -1,21 +1,17 @@
-// Streaming plan execution: the pull-based counterpart of the
-// materializing units() pipeline in exec.go.
+// Streaming plan execution: the classical σ/π/⋈/γ operators composed as
+// pull-based per-row pipelines.
 //
-// The materializing executor evaluates a unit-set node by producing the
-// complete []*Row slice of its input, then filtering or extending it into
-// a fresh slice, memoized per node. That costs one row allocation plus
-// one extension-slot allocation per environment row per tick before a
-// single effect is emitted. The streaming executor instead compiles each
-// Apply node's input chain (Base → Select* → Extend* in some
-// interleaving) into a pipeline of per-row stages and walks the base
-// shard once, pushing every row through all stages and yielding the
-// survivors one at a time. Row storage is flat and shared: one []Row
-// backing array, one []interp.Value extension backing array, one done
-// bitset — a constant number of allocations per executor, not per row.
+// The executor compiles each Apply node's input chain (Base → Select* →
+// Extend* in some interleaving) into a pipeline of per-row stages and
+// walks the base shard once, pushing every row through all stages and
+// yielding the survivors one at a time; no unit set is ever materialized.
+// Row storage is flat and shared: one []Row backing array, one
+// []interp.Value extension backing array, one done bitset — a constant
+// number of allocations per executor, not per row.
 //
-// Three things make this byte-identical to the materializing path (and
-// therefore to the interpreter — the standing contracts re-prove over
-// this executor unchanged):
+// Three things make this byte-identical to the node-at-a-time semantics
+// of the plan (and so to the interpreter, sgl/interp, which the
+// differential tests hold it to):
 //
 //   - Order. Rows are visited in base order for every Apply, and Applies
 //     are visited in Plan.Applies() order, so effects are emitted in
@@ -62,10 +58,10 @@
 // MIN/MAX sweep line, BatchAggProvider.BatchBeneficial) cannot stream row
 // at a time without losing the sweep. An Extend containing such a call
 // becomes a blocking stage: the pipeline collects the surviving row set,
-// batches the extension exactly like the materializing path, and resumes
-// streaming. Per-probe sweep results depend only on the point set (the
-// frozen environment), never on the other probes, so the smaller probe
-// sets produced by pushdown return bit-identical values.
+// batches the extension over it (batchExtend), and resumes streaming.
+// Per-probe sweep results depend only on the point set (the frozen
+// environment), never on the other probes, so the smaller probe sets
+// produced by pushdown return bit-identical values.
 package algebra
 
 import (
@@ -371,8 +367,8 @@ func (x *Executor) runStages(stages []stage, row *Row) bool {
 }
 
 // runBatchStage evaluates a blocking Extend for the surviving rows that
-// do not have it yet, through the same batchExtend the materializing path
-// uses — so the sweep-line technique is preserved verbatim.
+// do not have it yet, through batchExtend — so the sweep-line technique
+// answers the whole survivor set at once.
 func (x *Executor) runBatchStage(st *stage, work []int32) {
 	rows := x.batchRows[:0]
 	for _, i := range work {
@@ -392,14 +388,17 @@ func (x *Executor) runBatchStage(st *stage, work []int32) {
 	}
 }
 
-// streamUnits yields the rows of unit-set node n one at a time, in base
-// order — the streaming equivalent of units(n). The common case (no
+// EachUnit invokes yield for every row of unit-set node n, one at a time,
+// in base-row order — the serial effect fold order. The common case (no
 // blocking batch stage) runs a single tight loop with no per-row
 // bookkeeping beyond the shared memos. A chain with blocking stages is
 // cut at each of them: the stages before it stream per row, the
 // extension is batched over the survivors (collected as indexes in a
 // reused scratch buffer), and streaming resumes after it.
-func (x *Executor) streamUnits(n Node, yield func(*Row) error) error {
+func (x *Executor) EachUnit(n Node, yield func(*Row) error) error {
+	if x.codeErr != nil {
+		return x.codeErr
+	}
 	stages, err := x.stagesFor(n)
 	if err != nil {
 		return err

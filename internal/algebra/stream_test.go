@@ -174,14 +174,17 @@ func TestStreamingShardsConcatenate(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Streaming ≡ materializing, at the algebra level.
+// Streaming ≡ interpreted, at the algebra level.
 
-func TestStreamingMatchesMaterializingFigure3(t *testing.T) {
+func TestStreamingMatchesInterpreterFigure3(t *testing.T) {
 	prog := compile(t, figure3Script)
 	for seed := uint64(1); seed <= 5; seed++ {
 		env := randomArmy(t, seed, 60, 40)
 		r := rng.New(seed).Tick(3)
-
+		want, err := interp.RunTickNaive(prog, env, r)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, opt := range []bool{false, true} {
 			plan, err := Translate(prog)
 			if err != nil {
@@ -190,15 +193,16 @@ func TestStreamingMatchesMaterializingFigure3(t *testing.T) {
 			if opt {
 				Optimize(plan)
 			}
-			mx := NewExecutor(prog, plan, env, interp.NewNaive(prog, env, r), r)
-			mx.SetMaterialize(true)
-			mat := collectEffects(t, mx)
-			stream := collectEffects(t, NewExecutor(prog, plan, env, interp.NewNaive(prog, env, r), r))
-			if !bitsEqualRows(mat, stream) {
-				t.Fatalf("seed %d opt=%v: streaming effects differ from materializing", seed, opt)
-			}
-			if len(mat) == 0 {
+			effects := collectEffects(t, NewExecutor(prog, plan, env, interp.NewNaive(prog, env, r), r))
+			if len(effects) == 0 {
 				t.Fatalf("seed %d opt=%v: fixture produced no effects — test is vacuous", seed, opt)
+			}
+			got := table.New(env.Schema, len(effects))
+			for _, row := range effects {
+				got.Append(row)
+			}
+			if !keyedBitsEqual(got.Union(env).Combine(), want) {
+				t.Fatalf("seed %d opt=%v: streaming tick differs from the interpreter", seed, opt)
 			}
 		}
 	}
@@ -206,9 +210,9 @@ func TestStreamingMatchesMaterializingFigure3(t *testing.T) {
 
 // Shared-subplan aliasing audit (the Extend-mutates-shared-rows hazard):
 // a let consumed by both branches of an if/else is one Extend node feeding
-// two Select consumers. Materializing shares the *Row objects across both
-// branches; streaming shares the flat Ext backing plus the done bitset and
-// Select verdict memos. Both must agree with the interpreter exactly.
+// two Select consumers. Streaming shares the flat Ext backing plus the
+// done bitset and Select verdict memos across both branches; the tick
+// must still agree with the interpreter exactly.
 func TestSharedSubplanBranches(t *testing.T) {
 	const src = `
 aggregate Foes(u) :=
@@ -238,32 +242,20 @@ function main(u) {
 			if opt {
 				Optimize(plan)
 			}
-			var ref *table.Table // materializing run, per plan
-			for _, mat := range []bool{true, false} {
-				x := NewExecutor(prog, plan, env, interp.NewNaive(prog, env, r), r)
-				x.SetMaterialize(mat)
-				got, err := x.Tick()
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Keyed vs the interpreter (emission interleaving differs),
-				// order-strict between the two executor paths.
-				if !keyedBitsEqual(got, want) {
-					t.Fatalf("seed %d opt=%v materialize=%v: shared-subplan tick differs from interpreter", seed, opt, mat)
-				}
-				if ref == nil {
-					ref = got
-				} else if !bitsEqualTables(got, ref) {
-					t.Fatalf("seed %d opt=%v: streaming tick not bit-identical to materializing", seed, opt)
-				}
+			got, err := NewExecutor(prog, plan, env, interp.NewNaive(prog, env, r), r).Tick()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Keyed: emission interleaving differs from the interpreter's.
+			if !keyedBitsEqual(got, want) {
+				t.Fatalf("seed %d opt=%v: shared-subplan tick differs from interpreter", seed, opt)
 			}
 		}
 	}
 }
 
 // Every extension slot must be owned by exactly one Extend node — the
-// structural invariant that makes in-place row extension (materializing)
-// and the per-(row, slot) done bitset (streaming) sound. The translator
+// structural invariant that makes the per-(row, slot) done bitset sound. The translator
 // alpha-renames per inlining and the optimizer only rewires edges, so
 // this must hold before and after Optimize.
 func TestExtendSlotOwnership(t *testing.T) {
@@ -447,9 +439,8 @@ func TestConjClass(t *testing.T) {
 // expr.TestNaNComparisons.)
 
 // A script that actually produces Inf and NaN effect values must fold
-// them bit-identically across the interpreter and both executor paths —
-// the algebra-level half of the replayed ≡ live guarantee for poisoned
-// floats.
+// them bit-identically across the interpreter and the executor — the
+// algebra-level half of the replayed ≡ live guarantee for poisoned floats.
 func TestPoisonedFloatsDeterministic(t *testing.T) {
 	const src = `
 action Tag(u, v) := on e where e.key = u.key set damage = v;
@@ -479,55 +470,44 @@ function main(u) { perform Tag(u, u.health / u.cooldown) }`
 		t.Fatal(err)
 	}
 	Optimize(plan)
-	for _, mat := range []bool{false, true} {
-		x := NewExecutor(prog, plan, env, interp.NewNaive(prog, env, r), r)
-		x.SetMaterialize(mat)
-		got, err := x.Tick()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bitsEqualTables(got, want) {
-			t.Fatalf("materialize=%v: poisoned-float tick not bit-identical to interpreter", mat)
-		}
+	got, err := NewExecutor(prog, plan, env, interp.NewNaive(prog, env, r), r).Tick()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bitsEqualTables(got, want) {
+		t.Fatal("poisoned-float tick not bit-identical to interpreter")
 	}
 }
 
 // ---------------------------------------------------------------------------
-// Allocation ratchet: the streaming per-row effect path must not regress
-// toward per-row allocation. The materializing path allocates one *Row
-// plus one Ext slice per environment row per tick; streaming allocates a
-// constant number of backing arrays. Gate at a 4× margin so runtime
-// changes don't flake the suite.
+// Allocation ratchet: the effect path must not regress toward per-row
+// allocation. A fresh executor's Effects pass allocates a constant number
+// of backing arrays however many rows stream through it, so the ceiling
+// is absolute and asserted at two table sizes four times apart.
 
 func TestStreamingAllocRatchet(t *testing.T) {
 	const src = `
 action Tag(u, v) := on e where e.key = u.key set damage = v;
 function main(u) { (let a = u.health * 2 + u.posx) { if a < 0 - 1000 then perform Tag(u, a) } }`
+	const ceiling = 8
 	prog := compile(t, src)
 	plan, err := Translate(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	Optimize(plan)
-	env := randomArmy(t, 11, 1024, 64)
-	r := rng.New(11).Tick(1)
-
-	run := func(mat bool) float64 {
-		return testing.AllocsPerRun(10, func() {
+	for _, n := range []int{1024, 4096} {
+		env := randomArmy(t, 11, n, 64)
+		r := rng.New(11).Tick(1)
+		allocs := testing.AllocsPerRun(10, func() {
 			x := NewExecutor(prog, plan, env, interp.NewNaive(prog, env, r), r)
-			x.SetMaterialize(mat)
 			if err := x.Effects(func([]float64) {}); err != nil {
 				t.Fatal(err)
 			}
 		})
-	}
-	matAllocs := run(true)
-	streamAllocs := run(false)
-	t.Logf("allocs per tick over %d rows: materializing %.0f, streaming %.0f", env.Len(), matAllocs, streamAllocs)
-	if matAllocs < float64(env.Len()) {
-		t.Fatalf("materializing path allocated only %.0f for %d rows — fixture no longer per-row, ratchet is vacuous", matAllocs, env.Len())
-	}
-	if streamAllocs > matAllocs/4 {
-		t.Fatalf("streaming allocates %.0f per tick (materializing %.0f): per-row allocation crept back in", streamAllocs, matAllocs)
+		t.Logf("allocs per Effects pass over %d rows: %.0f", n, allocs)
+		if allocs > ceiling {
+			t.Fatalf("Effects allocates %.0f over %d rows, ceiling %d: per-row allocation crept back in", allocs, n, ceiling)
+		}
 	}
 }

@@ -54,7 +54,6 @@ func (e *Engine) shardExecutor(s int, prov interp.Provider, r rng.TickSource, lo
 	if err != nil {
 		return nil, err
 	}
-	x.SetMaterialize(e.opts.MaterializeExec)
 	e.execs[s] = x
 	return x, nil
 }

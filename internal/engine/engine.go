@@ -99,15 +99,6 @@ type Options struct {
 	DisableAreaDefer bool
 	// DisableOptimizer skips the algebraic rewrites (ablation).
 	DisableOptimizer bool
-	// MaterializeExec runs the effect query through the legacy
-	// materializing executor (one memoized []*Row slice per plan node)
-	// instead of the streaming pipelines. Results are bit-identical
-	// (proved by TestStreamingMatchesMaterializing); the switch exists for
-	// that differential and for the allocation/throughput comparison in
-	// cmd/benchfig. Not part of the checkpoint format: like Workers, a
-	// checkpoint taken under either executor resumes identically under
-	// the other.
-	MaterializeExec bool
 	// Workers is the number of shards the tick's effect query runs across.
 	// 0 picks runtime.GOMAXPROCS(0); 1 is the serial path. Because the
 	// state-effect pattern freezes the environment for the whole decision

@@ -130,48 +130,6 @@ func TestParallelMatchesSerialAblations(t *testing.T) {
 	}
 }
 
-// TestStreamingMatchesMaterializing pins the executor refactor's
-// contract: the streaming pipelines and the legacy materializing path
-// must leave byte-identical environments over the whole script zoo and
-// the battle simulation, composed with sharding and incremental index
-// maintenance — Workers ∈ {1, 4} × Incremental ∈ {off, on}.
-func TestStreamingMatchesMaterializing(t *testing.T) {
-	run := func(t *testing.T, prog *sem.Program, units, ticks int, seed uint64, workers int, incr, mat bool) *table.Table {
-		t.Helper()
-		e := newEngine(t, prog, units, Indexed, seed, func(o *Options) {
-			o.Workers = workers
-			o.Incremental = incr
-			o.MaterializeExec = mat
-		})
-		if err := e.Run(ticks); err != nil {
-			t.Fatalf("workers=%d incr=%v materialize=%v: %v", workers, incr, mat, err)
-		}
-		return e.Env()
-	}
-	check := func(t *testing.T, prog *sem.Program, units, ticks int, seed uint64) {
-		t.Helper()
-		for _, workers := range []int{1, 4} {
-			for _, incr := range []bool{false, true} {
-				streaming := run(t, prog, units, ticks, seed, workers, incr, false)
-				materializing := run(t, prog, units, ticks, seed, workers, incr, true)
-				if !identicalTables(streaming, materializing) {
-					t.Fatalf("workers=%d incr=%v: streaming diverged from materializing after %d ticks",
-						workers, incr, ticks)
-				}
-			}
-		}
-	}
-	for _, zp := range exec.Zoo {
-		zp := zp
-		t.Run(zp.Name, func(t *testing.T) {
-			check(t, compileZoo(t, zp.Src), 64, 30, 7)
-		})
-	}
-	t.Run("battle", func(t *testing.T) {
-		check(t, battleProg(t), 90, 30, 13)
-	})
-}
-
 // Per-worker effect counters must account for every applied effect.
 func TestEffectsByWorkerAccounting(t *testing.T) {
 	prog := battleProg(t)

@@ -23,7 +23,7 @@ const (
 // NoKey is the payload reported for identity (empty) ranges.
 const NoKey int64 = -1
 
-// Tree is a segment tree over positions 0..n-1, n fixed between Resets.
+// Tree is a segment tree over positions 0..n-1, n fixed between Resizes.
 // The zero value is not usable; construct with New. Not safe for
 // concurrent mutation.
 type Tree struct {
@@ -48,16 +48,8 @@ func Identity(op Op) float64 {
 // description.
 func New(n int, op Op) *Tree {
 	t := &Tree{op: op, id: Identity(op)}
-	t.Reset(n)
+	t.Resize(n) // a tree with no storage is clean: Resize allocates it at the identity
 	return t
-}
-
-// Reset re-dimensions the tree to n leaves and restores every position to
-// the identity — a fresh New(n, op) in the storage the tree already has.
-func (t *Tree) Reset(n int) {
-	t.val, t.key = t.val[:cap(t.val)], t.key[:cap(t.key)]
-	t.fill()
-	t.Resize(n)
 }
 
 // Resize re-dimensions a clean tree — every position at the identity, as

@@ -31,33 +31,29 @@ func TestIdentity(t *testing.T) {
 	}
 }
 
-// Reset must leave a tree indistinguishable from New at the new size,
-// whatever size and contents it had: smaller (stale leaves beyond n must
-// not answer), larger (storage grows), and back.
-func TestResetRedimensions(t *testing.T) {
-	tr := New(8, Min)
-	for i := 0; i < 8; i++ {
-		tr.Set(i, float64(i-10), int64(i))
-	}
+// New must size a tree to exactly n leaves, all at the identity: queries
+// past n clamp, the last leaf is settable, and position n is out of range
+// — at sizes that are and are not powers of two, and at zero.
+func TestNewDimensions(t *testing.T) {
 	for _, n := range []int{3, 100, 0, 8} {
-		tr.Reset(n)
+		tr := New(n, Min)
 		if tr.Len() != n {
-			t.Fatalf("Reset(%d): Len = %d", n, tr.Len())
+			t.Fatalf("New(%d): Len = %d", n, tr.Len())
 		}
 		if v, k := tr.Query(0, 1000); !math.IsInf(v, 1) || k != NoKey {
-			t.Fatalf("Reset(%d): root = (%v,%d), want the identity", n, v, k)
+			t.Fatalf("New(%d): root = (%v,%d), want the identity", n, v, k)
 		}
 		if n == 0 {
 			continue
 		}
 		tr.Set(n-1, 5, 77)
 		if v, k := tr.Root(); v != 5 || k != 77 {
-			t.Fatalf("Reset(%d) then Set: root = (%v,%d)", n, v, k)
+			t.Fatalf("New(%d) then Set: root = (%v,%d)", n, v, k)
 		}
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("Reset(%d): Set(%d) should be out of range", n, n)
+					t.Fatalf("New(%d): Set(%d) should be out of range", n, n)
 				}
 			}()
 			tr.Set(n, 1, 1)

@@ -4,6 +4,7 @@
 // the scale-out claim — the gateway adds routing, and routing must not
 // become the bottleneck. Produced by cluster.Experiment and rendered by
 // WriteCluster.
+
 package metrics
 
 import (

@@ -6,6 +6,17 @@ import (
 	"sort"
 )
 
+// FanoutQuery is the observation query the load generator's spectators
+// serve: a windowed divisible aggregate, the bread-and-butter spectator
+// question ("how much is happening here?"), answerable by the range tree
+// or by a scan. Exported so the server's load generator and the
+// repository benchmark drive the same query.
+const FanoutQuery = `
+aggregate Zone(u, x, y, r) :=
+  count(*) as n, sum(e.health) as hp
+  over e where e.posx >= x - r and e.posx <= x + r
+    and e.posy >= y - r and e.posy <= y + r;`
+
 // LoadGenRow is one world's worth of load-generator results: how fast its
 // clock ran and what the spectator queries cost, over the measurement
 // window. Produced by the internal/server load generator and rendered by

@@ -1,8 +1,12 @@
-// Prometheus-style instrumentation: a tiny dependency-free registry of
-// counters and gauges rendered in the text exposition format, so an sgld
-// daemon (or any other embedder) can expose operational state on /metrics
-// and be scraped by a stock Prometheus.
+// Package metrics is the serving tier's instrumentation and load report:
+// a tiny dependency-free Prometheus registry (this file), the
+// load-generator rows and their table (loadgen.go), and the cluster
+// scale-out table (cluster.go). It imports nothing from the engine; the
+// paper-figure experiments live in cmd/benchfig.
 //
+// The registry holds counters and gauges rendered in the text exposition
+// format, so an sgld daemon (or any other embedder) can expose
+// operational state on /metrics and be scraped by a stock Prometheus.
 // Only the two metric kinds the server needs are implemented — monotone
 // counters and settable gauges, both float64-valued, with an optional
 // fixed label set per series. Series are identified by (name, sorted

@@ -174,27 +174,3 @@ func TestLabelEscaping(t *testing.T) {
 		t.Errorf("escaped label missing %q in:\n%s", want, b.String())
 	}
 }
-
-func TestLatencySummary(t *testing.T) {
-	mean, p50, p99, max := LatencySummary([]float64{4, 1, 3, 2})
-	if mean != 2.5 || p50 != 2 || max != 4 {
-		t.Errorf("summary = %v %v %v %v", mean, p50, p99, max)
-	}
-	if m, _, _, _ := LatencySummary(nil); m != 0 {
-		t.Error("empty sample should summarize to zeros")
-	}
-}
-
-func TestWriteLoadGen(t *testing.T) {
-	var b strings.Builder
-	WriteLoadGen(&b, []LoadGenRow{
-		{World: "w0", Ticks: 100, TickRate: 10, TargetRate: 10, Queries: 500, QPS: 50, MeanMicros: 3, P50Micros: 2, P99Micros: 9, MaxMicros: 12},
-		{World: "w1", Ticks: 90, TickRate: 9, TargetRate: 10, Queries: 400, QPS: 40, MeanMicros: 4, P50Micros: 3, P99Micros: 11, MaxMicros: 20, Errors: 1},
-	})
-	out := b.String()
-	for _, w := range []string{"world", "w0", "w1", "TOTAL", "190", "900", "1"} {
-		if !strings.Contains(out, w) {
-			t.Errorf("table missing %q:\n%s", w, out)
-		}
-	}
-}

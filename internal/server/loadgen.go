@@ -76,9 +76,9 @@ type LoadGenConfig struct {
 }
 
 // loadgenQuery is the spectator question every goroutine asks: activity
-// and total health inside a moving window — literally the aggregate the
-// QueryFanout experiment measures, so the loadgen numbers and the
-// experiment's stay comparable by construction.
+// and total health inside a moving window — literally the aggregate
+// BenchmarkQueryFanout and the repository benchmark's spectators ask, so
+// the loadgen numbers and theirs stay comparable by construction.
 const loadgenQuery = metrics.FanoutQuery
 
 // LoadGen drives one run and returns a row per world. The error is

@@ -135,7 +135,7 @@ func extractSGL(t *testing.T, path string) []fleetSource {
 	return out
 }
 
-// fleetAllowlist pins the accepted findings for the example and metrics
+// fleetAllowlist pins the accepted findings for the example and tier
 // scripts, keyed by "dir/file#i: diagnostic". Anything not listed fails
 // the test — the fleet stays clean by construction.
 //
@@ -149,21 +149,21 @@ func extractSGL(t *testing.T, path string) []fleetSource {
 var fleetAllowlist = map[string]bool{
 	"checkpoint/main.go#1: 2:1: SGL102 warn: aggregate Zone is not divisible: a maintained or subscribed query rederives the full answer on every dirty tick instead of patching it (divisible functions: count, sum, avg, stddev, with an index-usable condition)":    true,
 	"checkpoint/main.go#2: 2:1: SGL102 warn: aggregate Closest is not divisible: a maintained or subscribed query rederives the full answer on every dirty tick instead of patching it (divisible functions: count, sum, avg, stddev, with an index-usable condition)": true,
-	"metrics/fig1.go#1: 21:19: SGL103 warn: conjunct u.cooldown = 0 could filter before the index probe of w but is trapped behind it in the pipeline of Strike — test it in an earlier if so the probe skips rejected rows":                                           true,
-	"metrics/fig1.go#2: 43:23: SGL103 warn: conjunct u.cooldown = 0 could filter before the index probe of w but is trapped behind it in the pipeline of Strike — test it in an earlier if so the probe skips rejected rows":                                           true,
+	"benchfig/fig1.go#1: 21:19: SGL103 warn: conjunct u.cooldown = 0 could filter before the index probe of w but is trapped behind it in the pipeline of Strike — test it in an earlier if so the probe skips rejected rows":                                          true,
+	"benchfig/fig1.go#2: 43:23: SGL103 warn: conjunct u.cooldown = 0 could filter before the index probe of w but is trapped behind it in the pipeline of Strike — test it in an earlier if so the probe skips rejected rows":                                          true,
 	"modding/main.go#0: 26:19: SGL103 warn: conjunct u.cooldown = 0 could filter before the index probe of w but is trapped behind it in the pipeline of Strike — test it in an earlier if so the probe skips rejected rows":                                           true,
 }
 
-// TestExampleAndMetricsScriptsClean lints every SGL source embedded in
+// TestExampleAndTierScriptsClean lints every SGL source embedded in
 // the example programs and the Figure-1 tier scripts. The fleet must be
 // clean modulo the explicit allowlist above.
-func TestExampleAndMetricsScriptsClean(t *testing.T) {
+func TestExampleAndTierScriptsClean(t *testing.T) {
 	files := []string{
 		"../../../examples/quickstart/main.go",
 		"../../../examples/checkpoint/main.go",
 		"../../../examples/modding/main.go",
 		"../../../examples/skeletons/main.go",
-		"../../../internal/metrics/fig1.go",
+		"../../../cmd/benchfig/fig1.go",
 	}
 	var unexpected []string
 	for _, path := range files {

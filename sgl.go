@@ -88,10 +88,9 @@
 //
 // Checkpoint writes a versioned, self-describing, checksummed binary
 // snapshot — environment rows, tick counter, seed, and the options that
-// affect determinism — and Restore reopens it:
+// affect determinism — and Open reopens it under any execution tuning:
 //
-//	eng, err := sgl.Restore(file, prog, mech)                // default tuning
-//	eng, err := sgl.RestoreOpts(file, prog, mech, sgl.EngineOptions{Workers: 8})
+//	sess, err := sgl.Open(file, mech, sgl.EngineOptions{Workers: 8})
 //
 // The exactness contract extends the Parallel and Incremental ones:
 // because all randomness is counter-based on (seed, tick, unit key,
@@ -161,13 +160,10 @@
 //
 // Checkpoints participate too: format version 2 embeds the script text,
 // the constant table, the journal and any still-pending commands, so a
-// checkpoint is one self-contained stream. Open reopens it with no
-// other artifact:
-//
-//	sess, err := sgl.Open(file, mech, sgl.EngineOptions{Workers: 8})
-//
-// Version-1 checkpoints (which predate the embedded script) remain
-// readable through Restore, which takes the program explicitly.
+// checkpoint is one self-contained stream that Open reopens with no
+// other artifact. Version-1 checkpoints (which predate the embedded
+// script) remain readable by the shipped tools: `battlesim -resume` and
+// sgld's restore, given the script explicitly.
 //
 // # Serving many worlds
 //
@@ -197,7 +193,6 @@ import (
 	"github.com/epicscale/sgl/internal/algebra"
 	"github.com/epicscale/sgl/internal/engine"
 	"github.com/epicscale/sgl/internal/game"
-	"github.com/epicscale/sgl/internal/metrics"
 	"github.com/epicscale/sgl/internal/sgl/parser"
 	"github.com/epicscale/sgl/internal/sgl/sem"
 	"github.com/epicscale/sgl/internal/table"
@@ -230,8 +225,6 @@ type (
 	Mechanics = engine.Game
 	// ArmySpec describes a generated battle workload.
 	ArmySpec = workload.Spec
-	// Runner measures the paper's experiments.
-	Runner = metrics.Runner
 	// RunStats are the engine's cumulative run counters.
 	RunStats = engine.RunStats
 	// Session is the long-lived facade over an Engine: Step, concurrent
@@ -272,8 +265,9 @@ const (
 // version policy.
 const CheckpointVersion = engine.CheckpointVersion
 
-// CheckpointVersionV1 is the previous checkpoint format (no embedded
-// script, constants or inputs); still readable through Restore.
+// CheckpointVersionV1 is the first checkpoint format (no embedded
+// script, constants or inputs); Open rejects it, and the shipped tools
+// still read it given the script.
 const CheckpointVersionV1 = engine.CheckpointVersionV1
 
 // Attribute combination kinds (paper Section 4.2).
@@ -341,41 +335,9 @@ func NewSession(e *Engine) *Session { return engine.NewSession(e) }
 // byte-identically to the run that was never interrupted, including any
 // commands that were pending when the checkpoint was written. Version-1
 // checkpoints predate the embedded script and are rejected with an
-// explanatory error; reopen those with Restore.
+// explanatory error.
 func Open(r io.Reader, mech Mechanics, tune EngineOptions) (*Session, error) {
 	return engine.Open(r, mech, tune)
-}
-
-// Restore reopens a checkpoint written by Engine.Checkpoint (or
-// Session.Checkpoint) with default execution tuning. prog must be the
-// program the checkpointed engine ran; the embedded schema is verified
-// against it. The restored engine continues byte-identically to the
-// uninterrupted run.
-//
-// Deprecated: use Open, which rebuilds the program from the
-// self-contained version-2 checkpoint itself. Restore remains the only
-// reader for version-1 checkpoints and for deliberately reopening a
-// checkpoint under a different (schema-compatible) program.
-func Restore(r io.Reader, prog *Program, mech Mechanics) (*Engine, error) {
-	return engine.Restore(r, prog, mech, engine.Options{})
-}
-
-// RestoreOpts is Restore with execution tuning: of tune, only the
-// determinism-neutral knobs — Workers, Incremental, IncrementalThreshold
-// — are consulted; everything else (Mode, Seed, world geometry, ablation
-// switches) comes from the checkpoint, so resuming under different
-// tuning cannot change a single output bit.
-//
-// Deprecated: use Open (see Restore's deprecation note).
-func RestoreOpts(r io.Reader, prog *Program, mech Mechanics, tune EngineOptions) (*Engine, error) {
-	return engine.Restore(r, prog, mech, tune)
-}
-
-// RestoreSession is Restore composed with NewSession.
-//
-// Deprecated: use Open, which returns a Session directly.
-func RestoreSession(r io.Reader, prog *Program, mech Mechanics, tune EngineOptions) (*Session, error) {
-	return engine.RestoreSession(r, prog, mech, tune)
 }
 
 // CompileQuery parses and checks a read-only observation query — the
@@ -435,6 +397,3 @@ func NewBattleEngineOpts(prog *Program, spec ArmySpec, opts EngineOptions) (*Eng
 	}
 	return engine.New(prog, game.NewMechanics(), workload.Generate(spec), opts)
 }
-
-// NewRunner builds the experiment harness over the battle simulation.
-func NewRunner() (*Runner, error) { return metrics.NewRunner() }

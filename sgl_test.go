@@ -72,21 +72,6 @@ func TestBattleEngineEndToEnd(t *testing.T) {
 	}
 }
 
-func TestRunnerThroughFacade(t *testing.T) {
-	r, err := NewRunner()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Warmup = 1
-	s, err := r.TickSeconds(Indexed, 60, 0.02, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s <= 0 {
-		t.Fatal("non-positive tick time")
-	}
-}
-
 func TestBattleScriptConstant(t *testing.T) {
 	if !strings.Contains(BattleScript, "aggregate CountEnemiesInSight") {
 		t.Fatal("BattleScript should expose the case-study source")
@@ -178,7 +163,7 @@ aggregate Army(u, p) := count(*) as n, sum(e.health) as hp over e where e.player
 	if err := sess.Checkpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := RestoreSession(&buf, prog, NewBattleMechanics(), EngineOptions{Workers: 4})
+	restored, err := Open(&buf, NewBattleMechanics(), EngineOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,8 +175,9 @@ aggregate Army(u, p) := count(*) as n, sum(e.health) as hp over e where e.player
 	}
 }
 
-// Restore through the two public entry points.
-func TestRestoreFacade(t *testing.T) {
+// Open through the public facade: tuning is honored, a truncated
+// checkpoint is rejected.
+func TestOpenFacade(t *testing.T) {
 	prog, err := CompileBattle()
 	if err != nil {
 		t.Fatal(err)
@@ -209,17 +195,14 @@ func TestRestoreFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	if _, err := Restore(bytes.NewReader(data), prog, NewBattleMechanics()); err != nil {
-		t.Fatal(err)
-	}
-	tuned, err := RestoreOpts(bytes.NewReader(data), prog, NewBattleMechanics(), EngineOptions{Workers: 2})
+	tuned, err := Open(bytes.NewReader(data), NewBattleMechanics(), EngineOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tuned.Workers() != 2 {
-		t.Fatalf("tuning dropped: workers = %d", tuned.Workers())
+	if tuned.Engine().Workers() != 2 {
+		t.Fatalf("tuning dropped: workers = %d", tuned.Engine().Workers())
 	}
-	if _, err := Restore(bytes.NewReader(data[:30]), prog, NewBattleMechanics()); err == nil {
-		t.Fatal("truncated checkpoint restored")
+	if _, err := Open(bytes.NewReader(data[:30]), NewBattleMechanics(), EngineOptions{}); err == nil {
+		t.Fatal("truncated checkpoint opened")
 	}
 }
