@@ -485,6 +485,8 @@ func submitMoraleSets(tb testing.TB, e *Engine, k int) {
 // nothing, so a command tick allocates what a quiet one does. Since the
 // garrison's calls carry from tick to tick, the probe-invariant OwnLine
 // is no longer answered, and its two per-tick memo entries went (26).
+// Serial is one decision shard of the sharded code, which keeps its
+// shard boundaries and effect buffers on the engine (25).
 func TestTickAllocRatchet(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	e := newSentry(t, 2000, 1, true)
@@ -498,8 +500,8 @@ func TestTickAllocRatchet(t *testing.T) {
 		cmds    int
 		ceiling float64
 	}{
-		{"quiet", 0, 32},                 // measured 26
-		{"under command traffic", 3, 32}, // measured 26
+		{"quiet", 0, 32},                 // measured 25
+		{"under command traffic", 3, 32}, // measured 25
 	} {
 		const ticks = 20
 		var mallocs uint64
@@ -534,7 +536,9 @@ func TestTickAllocRatchet(t *testing.T) {
 // commit (a node object and five slices per range-tree node, four slices
 // per batched probe); 39 before membership groups, 30 after, 21 once call
 // classes stopped repeating sweeps and the executor kept its batch
-// scratch. The ceilings only move down.
+// scratch, 20 once the serial tick became one shard of the sharded
+// decision phase, its shard boundaries and effect buffers kept on the
+// engine. The ceilings only move down.
 //
 // Two windows. The first (ticks 11–31 of the seeded battle) is before the
 // lines meet: it holds what the index layer and the tick's bookkeeping
@@ -556,8 +560,8 @@ func TestBattleTickAllocRatchet(t *testing.T) {
 		from    int
 		ceiling float64
 	}{
-		{"before the lines meet", 10, 25}, // measured 21
-		{"height of the battle", 200, 32}, // measured 28
+		{"before the lines meet", 10, 25}, // measured 20
+		{"height of the battle", 200, 32}, // measured 27
 	} {
 		if err := e.Run(w.from - e.Stats.Ticks); err != nil { // the first run also sizes the storage
 			t.Fatal(err)
@@ -597,7 +601,7 @@ func TestFirstReadAllocRatchet(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := newBattle(t, Indexed, 2000, 0.01, func(o *EngineOptions) { o.Workers = 1 })
-	if _, err := e.Query(q, 40, 40, 12); err != nil { // the query's analyzer is per engine, not per view
+	if _, err := e.ReadView().Query(q, World(), 40, 40, 12); err != nil { // the query's analyzer is per engine, not per view
 		t.Fatal(err)
 	}
 	const views = 10
@@ -608,7 +612,7 @@ func TestFirstReadAllocRatchet(t *testing.T) {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&before)
-		if _, err := e.Query(q, float64(7*i%97), float64(13*i%89), 12); err != nil {
+		if _, err := e.ReadView().Query(q, World(), float64(7*i%97), float64(13*i%89), 12); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
@@ -709,9 +713,9 @@ func BenchmarkQueryFanout(b *testing.B) {
 					x, y := float64(7*i%97), float64(13*i%89)
 					var err error
 					if scan {
-						_, err = e.QueryScan(q, x, y, 12)
+						_, err = e.ReadView().QueryScan(q, World(), x, y, 12)
 					} else {
-						_, err = e.Query(q, x, y, 12)
+						_, err = e.ReadView().Query(q, World(), x, y, 12)
 					}
 					if err != nil {
 						b.Fatal(err)
@@ -733,7 +737,7 @@ func BenchmarkQueryFanout(b *testing.B) {
 					b.StartTimer()
 					for k := 0; k < fan.probes; k++ {
 						j := i*fan.probes + k
-						if _, err := e.Query(q, float64(7*j%97), float64(13*j%89), 12); err != nil {
+						if _, err := e.ReadView().Query(q, World(), float64(7*j%97), float64(13*j%89), 12); err != nil {
 							b.Fatal(err)
 						}
 					}

@@ -5,7 +5,9 @@ package sgl_test
 //   - TestGodocCoverage fails if any exported symbol of the public sgl
 //     package (or the package itself) lacks a doc comment;
 //   - TestMarkdownLinks fails if any markdown file in the repository
-//     contains a relative link to a file that does not exist.
+//     contains a relative link to a file that does not exist;
+//   - TestDocsNameLiveMethods fails if docs/*.md or the package doc cites
+//     an Engine, Session or ReadView member that does not exist.
 
 import (
 	"go/ast"
@@ -15,9 +17,12 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
+
+	"github.com/epicscale/sgl"
 )
 
 // TestGodocCoverage enforces the godoc contract on the public surface:
@@ -177,5 +182,45 @@ func TestMdLinkExtraction(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("link %d = %q, want %q", i, got[i], want[i])
 		}
+	}
+}
+
+// memberRE matches a cited member of the three types whose API the docs
+// teach: Engine.X, Session.X and ReadView.X.
+var memberRE = regexp.MustCompile(`\b(Engine|Session|ReadView)\.([A-Z]\w*)`)
+
+// TestDocsNameLiveMethods checks every Engine, Session and ReadView member
+// cited in docs/*.md and the package doc against the types themselves, by
+// reflection: a method (or exported field) that was renamed or deleted
+// must not live on in the prose that teaches it.
+func TestDocsNameLiveMethods(t *testing.T) {
+	types := map[string]reflect.Type{
+		"Engine":   reflect.TypeOf((*sgl.Engine)(nil)),
+		"Session":  reflect.TypeOf((*sgl.Session)(nil)),
+		"ReadView": reflect.TypeOf((*sgl.ReadView)(nil)),
+	}
+	files, err := filepath.Glob(filepath.Join("docs", "*.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	files = append(files, "sgl.go")
+	cited := 0
+	for _, file := range files {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range memberRE.FindAllStringSubmatch(string(data), -1) {
+			typ, name := types[m[1]], m[2]
+			_, method := typ.MethodByName(name)
+			_, field := typ.Elem().FieldByName(name)
+			if !method && !field {
+				t.Errorf("%s cites %s.%s, which does not exist", file, m[1], name)
+			}
+			cited++
+		}
+	}
+	if cited == 0 {
+		t.Fatal("no Engine, Session or ReadView member cited — the check is miswired")
 	}
 }

@@ -140,8 +140,8 @@ func ExampleNewSession() {
 }
 
 // Compile an observation query — the read-only SGL subset — and evaluate
-// it against a live world in all three probe forms. The indexed path and
-// the naive scan must agree; the indexed one costs O(log n) per call.
+// it on a live world's read view through all three probes. The indexed
+// path and the naive scan must agree.
 func ExampleCompileQuery() {
 	prog, err := sgl.CompileBattle()
 	if err != nil {
@@ -155,21 +155,23 @@ func ExampleCompileQuery() {
 		log.Fatal(err)
 	}
 
-	// A world query reads no unit attributes: evaluate with Query.
+	// A world query reads no unit attributes: any probe will do, World
+	// says so.
 	pop, err := sgl.CompileQuery(
 		`aggregate Pop(u) := count(*) as n, min(e.health) as low over e;`,
 		sgl.BattleSchema(), sgl.BattleConsts())
 	if err != nil {
 		log.Fatal(err)
 	}
-	out, err := eng.Query(pop)
+	v := eng.ReadView()
+	out, err := v.Query(pop, sgl.World())
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("outputs %v: population %d\n", pop.Outputs(), int(out[0]))
 
-	// A positional query reads only u.posx/u.posy: evaluate with QueryAt
-	// from any observer position. The scan twin is the oracle.
+	// A positional query reads only u.posx/u.posy: probe it At any
+	// observer position. The scan twin is the oracle.
 	zone, err := sgl.CompileQuery(`
 aggregate Zone(u, r) :=
   count(*)
@@ -179,25 +181,25 @@ aggregate Zone(u, r) :=
 	if err != nil {
 		log.Fatal(err)
 	}
-	idx, err := eng.QueryAt(zone, 20, 20, 10)
+	idx, err := v.Query(zone, sgl.At(20, 20), 10)
 	if err != nil {
 		log.Fatal(err)
 	}
-	scan, err := eng.QueryScanAt(zone, 20, 20, 10)
+	scan, err := v.QueryScan(zone, sgl.At(20, 20), 10)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("indexed agrees with scan:", idx[0] == scan[0])
 
 	// A query reading other unit attributes runs through a live unit's
-	// eyes with QueryUnit.
+	// eyes: probe it from a Unit, by key.
 	foes, err := sgl.CompileQuery(
 		`aggregate Foes(u) := count(*) over e where e.player <> u.player;`,
 		sgl.BattleSchema(), sgl.BattleConsts())
 	if err != nil {
 		log.Fatal(err)
 	}
-	seen, err := eng.QueryUnit(foes, 0)
+	seen, err := v.Query(foes, sgl.Unit(0))
 	if err != nil {
 		log.Fatal(err)
 	}

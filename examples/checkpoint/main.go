@@ -29,8 +29,9 @@ func main() {
 	sess := sgl.NewSession(eng)
 
 	// Observation queries compile once and run against any engine over
-	// the same schema. armyQ is a world query; zoneQ probes a window;
-	// nearestQ measures from an observer position.
+	// the same schema. armyQ and zoneQ are world queries (zoneQ takes its
+	// window as arguments); nearestQ measures from the probe's position, so
+	// it needs an At (or Unit) probe on a read view.
 	armyQ, err := sgl.CompileQuery(`
 aggregate Army(u, p) :=
   count(*) as n, sum(e.health) as hp, avg(e.health) as mean
@@ -76,7 +77,7 @@ aggregate Closest(u) := nearestkey() as key, nearestdist() as dist over e;`,
 		log.Fatal(err)
 	}
 	fmt.Printf("  tick  40: %2.0f units within 10 of mid-field, weakest at %v hp\n", zone[0], zone[1])
-	near, err := sess.QueryAt(nearestQ, 0, 0)
+	near, err := sess.ReadView().Query(nearestQ, sgl.At(0, 0))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -96,9 +97,10 @@ aggregate Closest(u) := nearestkey() as key, nearestdist() as dist over e;`,
 	report("tick 100")
 
 	// Reopen the tick-40 checkpoint — on 4 workers, as a migration to
-	// bigger hardware would — and replay the remaining 60 ticks. The v2
-	// format embeds the script, so Open rebuilds the whole session from
-	// the stream alone (no prog argument, no sidecar file).
+	// bigger hardware would — and replay the remaining 60 ticks. The
+	// checkpoint embeds the script (every format since v2), so Open
+	// rebuilds the whole session from the stream alone (no prog argument,
+	// no sidecar file).
 	restored, err := sgl.Open(&ckpt, sgl.NewBattleMechanics(), sgl.EngineOptions{Workers: 4})
 	if err != nil {
 		log.Fatal(err)

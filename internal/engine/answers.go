@@ -1,7 +1,7 @@
 // Maintained query answers: the engine half of answering observation
-// queries under updates. Where Query/QueryAt/QueryUnit evaluate afresh
-// on every committed tick, QueryMaintained* keeps the *result* of a
-// specific (query, probe, args) evaluation cached across ticks and uses
+// queries under updates. Where ReadView.Query evaluates afresh on every
+// committed tick, QueryMaintained keeps the *result* of a specific
+// (query, probe, args) evaluation cached across ticks and uses
 // the tick's exec.Delta to decide, per answer, the cheapest way to stay
 // current:
 //
@@ -19,12 +19,13 @@
 // The cache hangs off the per-Query cache in query.go: an answer lives
 // inside its query's cache entry, is maintained by maintainAnswers at
 // the end of every Tick (the delta is fresh then), and dies with the
-// entry when evictIdleQueries drops it. Unlike Query*, QueryMaintained*
-// reads the live environment and the tick's delta: it may be called from
+// entry when evictIdleQueries drops it. Unlike a view's reads,
+// QueryMaintained reads the live environment and the tick's delta, and it
+// resolves its probe on the current read view: it may be called from
 // any number of goroutines but never concurrently with Tick — the
 // Session facade's reader lock enforces that, and it is also what makes
-// the provider fallback sound: while the lock is held the current read
-// view is the live tick.
+// the probe resolution and the provider fallback sound: while the lock is
+// held the current read view is the live tick.
 //
 // The per-answer verdict counters (AnswerHits/Patches/Rederives) are
 // deliberately not checkpoint-serialized: like IndexStats, they depend
@@ -33,38 +34,31 @@ package engine
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 
 	"github.com/epicscale/sgl/internal/exec"
 )
 
-// Probe forms a maintained answer can be keyed by.
-const (
-	probeWorld uint8 = iota
-	probeAt
-	probeUnit
-)
-
-// answerKey identifies one maintained evaluation: probe form, probe
-// coordinates or unit key, and the argument vector (packed bitwise so
-// NaN arguments still compare).
+// answerKey identifies one maintained evaluation by the bits of its
+// probe and arguments: a NaN position or argument is then a key like any
+// other — found again by the next read, and removable by eviction.
 type answerKey struct {
-	kind uint8
-	x, y float64
+	kind probeKind
+	x, y uint64 // Float64bits of an At probe's position
 	unit int64
 	args string
 }
 
-func packArgs(args []float64) string {
-	if len(args) == 0 {
-		return ""
+func (p Probe) answerKey(args []float64) answerKey {
+	k := answerKey{kind: p.kind, x: math.Float64bits(p.x), y: math.Float64bits(p.y), unit: p.key}
+	if len(args) > 0 {
+		buf := make([]byte, 8*len(args))
+		for i, v := range args {
+			binary.BigEndian.PutUint64(buf[i*8:], math.Float64bits(v))
+		}
+		k.args = string(buf)
 	}
-	buf := make([]byte, 8*len(args))
-	for i, v := range args {
-		binary.BigEndian.PutUint64(buf[i*8:], math.Float64bits(v))
-	}
-	return string(buf)
+	return k
 }
 
 // answerEntry is one maintained answer. Guarded by the owning cache
@@ -91,37 +85,18 @@ type answerEntry struct {
 // recycle slots instead of growing one per position ever probed.
 const maxAnswersPerQuery = 32
 
-// QueryMaintained is Query backed by the maintained-answer cache: same
-// semantics and probe rules, but repeated evaluations across ticks reuse
-// the cached answer whenever the tick's delta provably could not move it,
-// and patch it in place when the relevant churn is small.
-func (e *Engine) QueryMaintained(q *Query, args ...float64) ([]float64, error) {
-	if len(q.unitCols) > 0 {
-		return nil, fmt.Errorf("engine: query %s reads unit attributes %s; use QueryMaintainedAt or QueryMaintainedUnit", q.def.Name, q.unitAttrNames())
-	}
-	key := answerKey{kind: probeWorld, args: packArgs(args)}
-	return e.maintainedRow(q, key, e.syntheticUnit(0, 0), args)
-}
-
-// QueryMaintainedAt is QueryAt backed by the maintained-answer cache.
-func (e *Engine) QueryMaintainedAt(q *Query, x, y float64, args ...float64) ([]float64, error) {
-	if q.NeedsUnit() {
-		return nil, fmt.Errorf("engine: query %s reads unit attributes %s beyond position; use QueryMaintainedUnit", q.def.Name, q.unitAttrNames())
-	}
-	key := answerKey{kind: probeAt, x: x, y: y, args: packArgs(args)}
-	return e.maintainedRow(q, key, e.syntheticUnit(x, y), args)
-}
-
-// QueryMaintainedUnit is QueryUnit backed by the maintained-answer
-// cache. The probe row is copied at evaluation time; maintainAnswers
+// QueryMaintained is ReadView.Query backed by the maintained-answer
+// cache: same semantics and probe rules, but repeated evaluations across
+// ticks reuse the cached answer whenever the tick's delta provably could
+// not move it, and patch it in place when the relevant churn is small. A
+// Unit probe's row is copied at evaluation time; maintainAnswers
 // invalidates the answer when the unit's own read columns change.
-func (e *Engine) QueryMaintainedUnit(q *Query, unitKey int64, args ...float64) ([]float64, error) {
-	row := e.env.Lookup(unitKey)
-	if row == nil {
-		return nil, fmt.Errorf("engine: query %s: no unit with key %d", q.def.Name, unitKey)
+func (e *Engine) QueryMaintained(q *Query, p Probe, args ...float64) ([]float64, error) {
+	unit, err := q.probeRow(p, e.ReadView(), args)
+	if err != nil {
+		return nil, err
 	}
-	key := answerKey{kind: probeUnit, unit: unitKey, args: packArgs(args)}
-	return e.maintainedRow(q, key, row, args)
+	return e.maintainedRow(q, p.answerKey(args), unit, args)
 }
 
 // MaintainedPlan returns the answer-maintenance plan maintained
@@ -144,9 +119,6 @@ func (e *Engine) MaintainedPlan(q *Query) *exec.AnswerPlan {
 // amu is taken; the provider fallback takes qmu, ent.mu and the view's
 // mu (one at a time) under amu, which nothing inverts.
 func (e *Engine) maintainedRow(q *Query, key answerKey, unit, args []float64) ([]float64, error) {
-	if err := q.checkArgs(args); err != nil {
-		return nil, err
-	}
 	ent, gen, seq := e.queryEntry(q)
 	ent.amu.Lock()
 	defer ent.amu.Unlock()

@@ -2,7 +2,9 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"testing"
+	"time"
 
 	"github.com/epicscale/sgl/internal/exec"
 )
@@ -40,8 +42,10 @@ func runMaintainedDifferential(t *testing.T, workers int, incremental bool, thre
 			divisible: exec.NewAnswerPlan(q.prog, q.def).Divisible(),
 		})
 	}
-	probes := [][2]float64{{0, 0}, {10, 14}, {25, 3}}
-	keys := []int64{0, 17, 42}
+	probes := []struct {
+		x, y float64
+		key  int64
+	}{{0, 0, 0}, {10, 14, 17}, {25, 3, 42}}
 	check := func(tick int, zq zooQuery, got, scan []float64, err1, err2 error) {
 		t.Helper()
 		if err1 != nil {
@@ -69,23 +73,11 @@ func runMaintainedDifferential(t *testing.T, workers int, incremental bool, thre
 	}
 	for tick := 0; tick < ticks; tick++ {
 		for _, zq := range queries {
-			switch zq.kind {
-			case qWorld:
-				got, err1 := e.QueryMaintained(zq.q, zq.args...)
-				scan, err2 := e.QueryScan(zq.q, zq.args...)
+			for _, p := range probes {
+				pr := zq.kind.probe(p.x, p.y, p.key)
+				got, err1 := e.QueryMaintained(zq.q, pr, zq.args...)
+				scan, err2 := e.ReadView().QueryScan(zq.q, pr, zq.args...)
 				check(tick, zq, got, scan, err1, err2)
-			case qAt:
-				for _, p := range probes {
-					got, err1 := e.QueryMaintainedAt(zq.q, p[0], p[1], zq.args...)
-					scan, err2 := e.QueryScanAt(zq.q, p[0], p[1], zq.args...)
-					check(tick, zq, got, scan, err1, err2)
-				}
-			case qUnit:
-				for _, key := range keys {
-					got, err1 := e.QueryMaintainedUnit(zq.q, key, zq.args...)
-					scan, err2 := e.QueryScanUnit(zq.q, key, zq.args...)
-					check(tick, zq, got, scan, err1, err2)
-				}
 			}
 		}
 		if inject != nil {
@@ -99,7 +91,7 @@ func runMaintainedDifferential(t *testing.T, workers int, incremental bool, thre
 }
 
 // TestMaintainedMatchesScan is the contract-family member for query
-// answers: maintained answers ≡ QueryScan* every tick over the whole
+// answers: maintained answers ≡ QueryScan every tick over the whole
 // query zoo × Workers {1,4} × Incremental {off,on}.
 func TestMaintainedMatchesScan(t *testing.T) {
 	for _, workers := range []int{1, 4} {
@@ -208,11 +200,11 @@ func TestMaintainedAnswerSeesCommandEdit(t *testing.T) {
 	q := compileQuery(t, `aggregate M(u) := sum(e.morale) as m over e;`)
 	read := func() float64 {
 		t.Helper()
-		got, err := e.QueryMaintained(q)
+		got, err := e.QueryMaintained(q, World())
 		if err != nil {
 			t.Fatal(err)
 		}
-		scan, err := e.QueryScan(q)
+		scan, err := e.ReadView().QueryScan(q, World())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,7 +247,7 @@ func TestMaintainedUntouchedQueryHits(t *testing.T) {
 	prog := battleProg(t)
 	e := newEngine(t, prog, 90, Indexed, 13, nil)
 	q := compileQuery(t, `aggregate A(u, p) := count(*) as n over e where e.player = p;`)
-	first, err := e.QueryMaintained(q, 0)
+	first, err := e.QueryMaintained(q, World(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +256,7 @@ func TestMaintainedUntouchedQueryHits(t *testing.T) {
 		if err := e.Tick(); err != nil {
 			t.Fatal(err)
 		}
-		got, err := e.QueryMaintained(q, 0)
+		got, err := e.QueryMaintained(q, World(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,7 +288,7 @@ aggregate Here(u, r) :=
   count(*) as n, avg(e.posx) as cx
   over e where e.posx >= u.posx - r and e.posx <= u.posx + r;`)
 	for i := 0; i < maxAnswersPerQuery+10; i++ {
-		if _, err := e.QueryMaintainedAt(q, float64(i), 0, 5); err != nil {
+		if _, err := e.QueryMaintained(q, At(float64(i), 0), 5); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -328,6 +320,60 @@ aggregate Here(u, r) :=
 	}
 }
 
+// TestMaintainedNaNProbeEvicts: maintained answers are keyed by their
+// probe's bits. Keyed by float fields, an answer At a NaN position was
+// never found again, so every read added one; past the per-query cap the
+// eviction loop picked such an entry, could not delete a NaN map key, and
+// spun forever holding the query's lock — the 33rd read never returned.
+// Forty reads at distinct NaNs must return and leave at most the cap; a
+// repeated NaN read must find its answer again.
+func TestMaintainedNaNProbeEvicts(t *testing.T) {
+	e := newEngine(t, battleProg(t), 48, Indexed, 1, nil)
+	q := compileQuery(t, `
+aggregate Here(u, r) :=
+  count(*) as n, avg(e.posx) as cx
+  over e where e.posx >= u.posx - r and e.posx <= u.posx + r;`)
+	answers := func() int {
+		e.qmu.Lock()
+		ent := e.queries.cache[q]
+		e.qmu.Unlock()
+		ent.amu.Lock()
+		defer ent.amu.Unlock()
+		return len(ent.answers)
+	}
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < 40; i++ {
+			nan := math.Float64frombits(0x7ff8000000000000 | uint64(i))
+			if _, err := e.QueryMaintained(q, At(nan, 0), 5); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("40 maintained reads at NaN positions did not return")
+	}
+	if n := answers(); n > maxAnswersPerQuery {
+		t.Fatalf("answer cache holds %d entries (cap %d)", n, maxAnswersPerQuery)
+	}
+	before := answers()
+	for i := 0; i < 3; i++ {
+		if _, err := e.QueryMaintained(q, At(math.NaN(), 0), 5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := answers(); n > before+1 {
+		t.Fatalf("three reads at one NaN added %d answers, want at most one", n-before)
+	}
+}
+
 // Delta capture engages on demand for maintained answers even with
 // Options.Incremental off, and disengages — dropping the baseline — when
 // the last answer dies, so a later re-engagement cannot diff against a
@@ -342,7 +388,7 @@ func TestMaintainedCaptureLifecycle(t *testing.T) {
 		t.Fatal("delta capture active with no consumer")
 	}
 	q := compileQuery(t, `aggregate N(u) := count(*) as n, sum(e.health) as hp over e;`)
-	if _, err := e.QueryMaintained(q); err != nil {
+	if _, err := e.QueryMaintained(q, World()); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Tick(); err != nil {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"slices"
 
 	"github.com/epicscale/sgl/internal/algebra"
 	"github.com/epicscale/sgl/internal/exec"
@@ -23,26 +24,6 @@ type performer struct {
 	args []float64
 }
 
-// decideNaive runs the unit-at-a-time interpreter with O(n)-scan aggregates:
-// the Figure 10 baseline.
-func (e *Engine) decideNaive(r rng.TickSource, acc *accumulator, keyIdx map[int64]int) error {
-	prov := interp.NewNaive(e.prog, e.env, r)
-	ev := interp.New(e.prog, e.env, prov, r)
-	kc := e.prog.Schema.KeyCol()
-	for _, unit := range e.env.Rows {
-		err := ev.RunUnit(unit, func(row []float64) {
-			if idx, ok := keyIdx[int64(row[kc])]; ok {
-				acc.foldRow(idx, row)
-				e.countEffect(0)
-			}
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // shardExecutor returns shard s's plan executor bound to this tick: built
 // on the shard's first tick, rebound — row storage and arena kept — on
 // every later one. Shards run concurrently, each touching only its slot.
@@ -58,62 +39,170 @@ func (e *Engine) shardExecutor(s int, prov interp.Provider, r rng.TickSource, lo
 	return x, nil
 }
 
-// decideIndexed runs the compiled set-at-a-time plan over the indexed
-// provider. Apply nodes with deferrable area actions are collected and
-// applied through the Section 5.4 effect index instead of per-performer
-// target enumeration.
-//
-// Both this serial path and decideIndexedParallel iterate e.applies —
-// Plan.Applies(), taken once at construction; sharing one traversal is
-// what guarantees the parallel merge folds effects in the same order the
-// serial path does.
-func (e *Engine) decideIndexed(r rng.TickSource, acc *accumulator, keyIdx map[int64]int) error {
-	prov := e.newIndexedProvider(r, keyIdx)
-	x, err := e.shardExecutor(0, prov, r, 0, -1)
-	if err != nil {
+// shardOut is one decision shard's output, kept on the engine from tick
+// to tick (Engine.outs) so that a steady-state tick allocates none of it:
+// the effect rows it emitted, flattened at the schema's width, Apply node
+// j's rows in effects[ends[j]:ends[j+1]]; the deferrable area performers
+// per Apply node; its argument scratch; and its provider fork's probe
+// counters.
+type shardOut struct {
+	effects []float64
+	ends    []int
+	perf    [][]performer
+	args    []float64
+	stats   exec.Stats
+}
+
+// foldEffects folds buffered effect rows into the accumulator in buffer
+// order, crediting them to shard s.
+func (e *Engine) foldEffects(s int, rows []float64, acc *accumulator, keyIdx map[int64]int) {
+	w, kc := e.prog.Schema.NumAttrs(), e.prog.Schema.KeyCol()
+	for i := 0; i < len(rows); i += w {
+		row := rows[i : i+w]
+		if idx, ok := keyIdx[int64(row[kc])]; ok {
+			acc.foldRow(idx, row)
+			e.countEffect(s)
+		}
+	}
+}
+
+// decideNaive is the Naive mode's decision phase: the unit-at-a-time
+// interpreter with O(n)-scan aggregates (the Figure 10 baseline), sharded.
+// Each shard runs its units' scripts against the whole frozen snapshot
+// (interp.Naive and interp.Evaluator are stateless) and buffers the effect
+// rows they emit; the barrier folds the buffers in shard order, which is
+// global unit order.
+func (e *Engine) decideNaive(r rng.TickSource, acc *accumulator, keyIdx map[int64]int) error {
+	bounds := e.shards(e.env.Len())
+	if err := runShardsErr(bounds, func(s, lo, hi int) error {
+		out := &e.outs[s]
+		out.effects = out.effects[:0]
+		ev := interp.New(e.prog, e.env, interp.NewNaive(e.prog, e.env, r), r)
+		emit := func(row []float64) { out.effects = append(out.effects, row...) }
+		for _, unit := range e.env.Rows[lo:hi] {
+			if err := ev.RunUnit(unit, emit); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
 		return err
 	}
-	kc := e.prog.Schema.KeyCol()
+	for s := range bounds {
+		e.foldEffects(s, e.outs[s].effects, acc, keyIdx)
+	}
+	return nil
+}
 
-	deferred := map[*ast.ActDef][]performer{}
-	var deferredOrder []*ast.ActDef
+// decideIndexed is the Indexed mode's decision phase: the compiled
+// set-at-a-time plan over the indexed provider, sharded. Each shard
+// evaluates the plan restricted to its row range with its own Executor,
+// buffering effect rows per Apply node and collecting deferrable area
+// performers, which apply after the barrier through the Section 5.4
+// effect index. With several shards the master provider builds every
+// index up front (FreezeParallel spreads the builds over the workers) and
+// each shard probes it through its own Fork; a single shard probes the
+// master itself, which builds what it is asked for, when it is asked.
+//
+// Every path iterates e.applies — Plan.Applies(), taken once at
+// construction — and the merge folds node-major, shard-minor: within a
+// node, shard order is global performer-row order, so every target's
+// fold sequence is the same bit for bit at any shard count.
+func (e *Engine) decideIndexed(r rng.TickSource, acc *accumulator, keyIdx map[int64]int) error {
+	master := e.newIndexedProvider(r, keyIdx)
+	bounds := e.shards(e.env.Len())
+	forked := len(bounds) > 1
+	if forked {
+		master.FreezeParallel(e.workers)
+	}
+	if err := runShardsErr(bounds, func(s, lo, hi int) error {
+		return e.decideShard(s, lo, hi, master, forked, r)
+	}); err != nil {
+		return err
+	}
 
-	for j, ap := range e.applies {
-		// One target visitor per Apply, not per row: the row and its
-		// arguments reach it through these two variables. Arguments and the
-		// effect row live in engine scratch — both are consumed before the
-		// next row overwrites them.
-		var unit, args []float64
-		fold := func(tgt []float64) {
-			e.effRow = x.BuildEffectRow(e.effRow, ap.Def, unit, args, tgt)
-			if idx, ok := keyIdx[int64(e.effRow[kc])]; ok {
-				acc.foldRow(idx, e.effRow)
-				e.countEffect(0)
-			}
-		}
-		deferThis := e.deferApply[j]
-		err := x.EachUnit(ap.In, func(row *algebra.Row) error {
-			if deferThis {
-				if _, seen := deferred[ap.Def]; !seen {
-					deferredOrder = append(deferredOrder, ap.Def)
-				}
-				deferred[ap.Def] = append(deferred[ap.Def], performer{unit: row.Unit, args: x.ApplyArgs(nil, ap, row)})
-				return nil
-			}
-			e.argBuf = x.ApplyArgs(e.argBuf[:0], ap, row)
-			unit, args = row.Unit, e.argBuf
-			prov.SelectTargets(ap.Def, unit, args, fold)
-			return nil
-		})
-		if err != nil {
-			return err
+	for j := range e.applies {
+		for s := range bounds {
+			out := &e.outs[s]
+			e.foldEffects(s, out.effects[out.ends[j]:out.ends[j+1]], acc, keyIdx)
 		}
 	}
 
+	// Deferred area actions, in discovery order: a definition enters the
+	// order at the first (node, row) that deferred a performer, and its
+	// performers concatenate node-major, shard-minor.
+	deferred := map[*ast.ActDef][]performer{}
+	var deferredOrder []*ast.ActDef
+	for j, ap := range e.applies {
+		for s := range bounds {
+			ps := e.outs[s].perf[j]
+			if len(ps) == 0 {
+				continue
+			}
+			if _, seen := deferred[ap.Def]; !seen {
+				deferredOrder = append(deferredOrder, ap.Def)
+			}
+			deferred[ap.Def] = append(deferred[ap.Def], ps...)
+		}
+	}
 	for _, def := range deferredOrder {
 		e.applyDeferredArea(def, deferred[def], r, acc)
 	}
-	e.Stats.IndexStats.Add(prov.Stats)
+
+	e.Stats.IndexStats.Add(master.Stats)
+	if forked {
+		for s := range bounds {
+			e.Stats.IndexStats.Add(e.outs[s].stats)
+		}
+	}
+	return nil
+}
+
+// decideShard evaluates the plan over rows [lo, hi) into e.outs[s],
+// probing master through a private fork when forked.
+func (e *Engine) decideShard(s, lo, hi int, master *exec.Indexed, forked bool, r rng.TickSource) error {
+	out := &e.outs[s]
+	prov := master
+	if forked {
+		prov = master.Fork()
+	}
+	x, err := e.shardExecutor(s, prov, r, lo, hi)
+	if err != nil {
+		return err
+	}
+	w := e.prog.Schema.NumAttrs()
+	out.effects, out.ends = out.effects[:0], append(out.ends[:0], 0)
+	if len(out.perf) != len(e.applies) {
+		out.perf = make([][]performer, len(e.applies))
+	}
+	for j, ap := range e.applies {
+		// One target visitor per Apply, not per row: the row and its
+		// arguments reach it through these two variables.
+		var unit, args []float64
+		buffer := func(tgt []float64) {
+			n := len(out.effects)
+			out.effects = slices.Grow(out.effects, w)[:n+w]
+			x.BuildEffectRow(out.effects[n:], ap.Def, unit, args, tgt)
+		}
+		deferThis := e.deferApply[j]
+		perf := out.perf[j][:0]
+		err := x.EachUnit(ap.In, func(row *algebra.Row) error {
+			if deferThis {
+				perf = append(perf, performer{unit: row.Unit, args: x.ApplyArgs(nil, ap, row)})
+				return nil
+			}
+			out.args = x.ApplyArgs(out.args[:0], ap, row)
+			unit, args = row.Unit, out.args
+			prov.SelectTargets(ap.Def, unit, args, buffer)
+			return nil
+		})
+		out.perf[j] = perf
+		if err != nil {
+			return err
+		}
+		out.ends = append(out.ends, len(out.effects))
+	}
+	out.stats = prov.Stats
 	return nil
 }
 

@@ -100,11 +100,11 @@ type Options struct {
 	// DisableOptimizer skips the algebraic rewrites (ablation).
 	DisableOptimizer bool
 	// Workers is the number of shards the tick's effect query runs across.
-	// 0 picks runtime.GOMAXPROCS(0); 1 is the serial path. Because the
-	// state-effect pattern freezes the environment for the whole decision
-	// phase and effects combine with commutative/associative folds merged
-	// in a fixed order, the resulting environment is bit-identical for any
-	// Workers value.
+	// 0 picks runtime.GOMAXPROCS(0); 1 runs the same sharded code as one
+	// shard, on the calling goroutine. Because the state-effect pattern
+	// freezes the environment for the whole decision phase and effects
+	// combine with commutative/associative folds merged in a fixed order,
+	// the resulting environment is bit-identical for any Workers value.
 	Workers int
 	// Incremental turns on delta-driven index maintenance for the Indexed
 	// mode: each tick the engine records which rows changed and the next
@@ -201,17 +201,17 @@ type Engine struct {
 	// Per-tick scratch kept across ticks while the population holds, so a
 	// steady-state tick allocates none of it: the effect accumulator, the
 	// key → row-index map (rebuilt only when the key set changes: spawn
-	// and despawn commands, restore), one plan executor per shard, the
-	// post-processing and movement buffers, and the serial path's argument
-	// and effect-row buffers.
+	// and despawn commands, restore), the shard boundaries, one plan
+	// executor and one output buffer per shard, and the post-processing
+	// and movement buffers.
 	acc    *accumulator
 	keyIdx map[int64]int
+	bounds [][2]int
 	execs  []*algebra.Executor
+	outs   []shardOut
 	moves  []geom.Vec
 	dead   []bool
 	plans  []movePlan
-	argBuf []float64
-	effRow []float64
 	fx     effectIndex // the deferred-area effect index (decision.go)
 
 	// The occupancy table the command mirror, movement and resurrection
@@ -286,7 +286,7 @@ type RunStats struct {
 	AnswerRederives int
 	IndexStats      exec.Stats
 	// EffectsByWorker splits EffectsApplied by the worker shard that
-	// produced each effect row (all in slot 0 on the serial path).
+	// produced each effect row (all in slot 0 at Workers 1).
 	EffectsByWorker []int
 }
 
@@ -363,6 +363,7 @@ func build(prog *sem.Program, game Game, initial *table.Table, opts Options) (*E
 		e.deferApply[j] = e.an.Act(ap.Def).Deferrable && !opts.DisableAreaDefer
 	}
 	e.execs = make([]*algebra.Executor, w)
+	e.outs = make([]shardOut, w)
 	e.occ = grid.NewOccupancy(initial.Len())
 	return e, nil
 }
@@ -483,19 +484,15 @@ func (e *Engine) Tick() error {
 	acc := e.tickAccumulator(n)
 	keyIdx := e.keyIndex()
 
-	// Decision + action stages (query/decide/update of Section 2.2). With
-	// Workers > 1 the effect query runs sharded over the frozen snapshot
-	// and the per-shard effects merge at a barrier in serial fold order.
-	var err error
-	switch {
-	case e.workers > 1:
-		err = e.decideParallel(r, acc, keyIdx)
-	case e.opts.Mode == Naive:
-		err = e.decideNaive(r, acc, keyIdx)
-	default:
-		err = e.decideIndexed(r, acc, keyIdx)
+	// Decision + action stages (query/decide/update of Section 2.2): the
+	// effect query runs sharded over the frozen snapshot — one shard at
+	// Workers 1 — and the per-shard effects merge at a barrier in one
+	// fixed fold order.
+	decide := e.decideIndexed
+	if e.opts.Mode == Naive {
+		decide = e.decideNaive
 	}
-	if err != nil {
+	if err := decide(r, acc, keyIdx); err != nil {
 		return err
 	}
 

@@ -46,9 +46,9 @@ func (e *Engine) incThreshold() float64 {
 // previous tick's: patched from its structures when incremental
 // maintenance is on and a valid delta exists, and in every case rebuilt
 // into its storage (exec.Indexed.Recycle) — the retired provider was
-// this engine's alone, nothing can still be reading it. decideIndexed
-// probes the result lazily; the parallel path freezes it afterwards
-// (which only builds what maintenance did not install).
+// this engine's alone, nothing can still be reading it. A single
+// decision shard probes the result lazily; several shards freeze it
+// first (which only builds what maintenance did not install).
 func (e *Engine) newIndexedProvider(r rng.TickSource, keyIdx map[int64]int) *exec.Indexed {
 	prov := exec.NewIndexed(e.an, e.env, r)
 	prov.SeedKeyIndex(keyIdx)

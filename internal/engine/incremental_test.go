@@ -380,11 +380,11 @@ func TestCommandSetDirtiesOnlyItsColumn(t *testing.T) {
 
 	read := func() {
 		t.Helper()
-		got, err := e.QueryMaintained(morale)
+		got, err := e.QueryMaintained(morale, World())
 		if err != nil {
 			t.Fatal(err)
 		}
-		scan, err := e.QueryScan(morale)
+		scan, err := e.ReadView().QueryScan(morale, World())
 		if err != nil {
 			t.Fatal(err)
 		}

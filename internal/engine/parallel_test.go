@@ -14,8 +14,8 @@ import (
 
 // identicalTables reports cell-exact equality including row order: every
 // cell must match bit for bit (Float64bits, so NaN and signed zero are
-// compared exactly). This is the parallel executor's hard invariant — not
-// "almost equal", not order-insensitive.
+// compared exactly). This is the sharded decision phase's hard invariant —
+// not "almost equal", not order-insensitive.
 func identicalTables(a, b *table.Table) bool {
 	if a.Len() != b.Len() {
 		return false
@@ -52,10 +52,12 @@ func runWorkers(t *testing.T, prog *sem.Program, mode Mode, workers, units, tick
 	return e.Env()
 }
 
-// TestParallelMatchesSerial is the headline determinism proof: for every
-// program in the script zoo, 50 ticks at Workers ∈ {1, 2, 3, 8} must
-// leave an environment table byte-identical to the serial run — cell
-// exact, row order included.
+// TestParallelMatchesSerial is the headline determinism proof: the
+// decision phase is one sharded function per mode, and Workers 1 is its
+// one-shard case (the provider probed lazily, no freeze, no fork). For
+// every program in the script zoo, 50 ticks at Workers ∈ {1, 2, 3, 8}
+// must leave an environment table byte-identical to the one-shard run —
+// cell exact, row order included.
 func TestParallelMatchesSerial(t *testing.T) {
 	const units, ticks = 64, 50
 	for _, zp := range exec.Zoo {

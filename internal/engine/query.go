@@ -7,7 +7,7 @@
 // Reads never touch the live environment. Every tick commit publishes an
 // immutable ReadView (a copy of the rows — of those the tick changed,
 // the rest shared with the previous view —, the tick number, that tick's
-// random source) through an atomic pointer, and every Query* evaluates
+// random source) through an atomic pointer, and every read evaluates
 // against the view current when it was called. Execution reuses the
 // indexed evaluator end to end, but a view builds no index: the first
 // reader of a query on a view scans that query's membership (which rows
@@ -19,11 +19,17 @@
 // (exec.FreezeUnbuilt). The tick builds its indexes because n units
 // probe each one; a view sees a handful of probes per query, fewer than
 // an index over it needs to pay for itself (docs/ARCHITECTURE.md, "Read
-// views"). The QueryScan* variants evaluate the same query with the
-// naive O(n) scan provider; they are the semantics oracle the
-// differential tests (and the fan-out benchmark's baseline) use.
+// views"). QueryScan evaluates the same query with the naive O(n) scan
+// provider; it is the semantics oracle the differential tests (and the
+// fan-out benchmark's baseline) use.
 //
-// Concurrency: Query*/QueryScan* may be called from any number of
+// A Probe says whose eyes a query looks through: the world's, an
+// observer's at a position, or a live unit's. Query, QueryScan and
+// Engine.QueryMaintained take the same Probe and check it, and resolve
+// its unit, in one place (Query.probeRow), so the three paths accept the
+// same probes and reject the rest with the same errors.
+//
+// Concurrency: Query/QueryScan may be called from any number of
 // goroutines at any time, concurrently with Tick. A query issued while
 // tick t+1 is computing answers for tick t at once. Readers of one query
 // wait for nothing longer than its membership scan, and a view's
@@ -54,9 +60,9 @@ type Query struct {
 	def  *ast.AggDef
 	// unitCols are the schema columns the entry aggregate reads through
 	// its unit parameter (plus posx/posy for nearest outputs, which
-	// implicitly probe from the unit's position). They decide which probe
-	// forms the query supports: none → Query, ⊆ {posx, posy} → QueryAt,
-	// anything else → QueryUnit.
+	// implicitly probe from the unit's position). They decide which probes
+	// the query accepts: none → any, ⊆ {posx, posy} → At or Unit,
+	// anything else → Unit.
 	unitCols []int
 }
 
@@ -96,7 +102,7 @@ func (q *Query) Outputs() []string {
 func (q *Query) Params() []string { return append([]string(nil), q.def.Params[1:]...) }
 
 // NeedsUnit reports whether the query reads any attribute of its probe
-// unit beyond position — such a query can only run through QueryUnit.
+// unit beyond position — such a query accepts only a Unit probe.
 func (q *Query) NeedsUnit() bool {
 	for _, c := range q.unitCols {
 		if n := q.prog.Schema.Attr(c).Name; n != "posx" && n != "posy" {
@@ -109,6 +115,39 @@ func (q *Query) NeedsUnit() bool {
 // NeedsPosition reports whether the query probes from a position
 // (explicit u.posx/u.posy references or nearest-neighbour outputs).
 func (q *Query) NeedsPosition() bool { return len(q.unitCols) > 0 }
+
+// Probe is the unit a query evaluation looks through: none (World, the
+// zero Probe), a synthetic observer standing at a position (At), or a
+// live unit picked by key (Unit). A query that reads no unit attribute
+// accepts every probe; one that reads only position (u.posx/u.posy, or
+// nearest-neighbour outputs, which measure from the probe) accepts At
+// and Unit; any other accepts Unit only.
+type Probe struct {
+	kind probeKind
+	x, y float64
+	key  int64
+}
+
+type probeKind uint8
+
+const (
+	probeWorld probeKind = iota
+	probeAt
+	probeUnit
+)
+
+// World is the probe of a world query, one that reads no attribute of a
+// probe unit.
+func World() Probe { return Probe{} }
+
+// At probes from an observer at (x, y): a synthetic unit carrying only
+// that position, with a key no live unit has, so nearest-neighbour
+// self-exclusion never drops a real unit.
+func At(x, y float64) Probe { return Probe{kind: probeAt, x: x, y: y} }
+
+// Unit probes through the eyes of the live unit with the given key,
+// exactly as the unit's own script observes the world.
+func Unit(key int64) Probe { return Probe{kind: probeUnit, key: key} }
 
 // unitCols collects the schema columns def reads through its unit
 // parameter, in ascending column order. Nearest outputs count as posx
@@ -294,14 +333,6 @@ func (e *Engine) queryAnalyzer(q *Query) (*exec.Analyzer, uint64) {
 	return ent.an, seq
 }
 
-// checkArgs validates the evaluation's argument count.
-func (q *Query) checkArgs(args []float64) error {
-	if want := len(q.def.Params) - 1; len(args) != want {
-		return fmt.Errorf("engine: query %s takes %d argument(s), got %d", q.def.Name, want, len(args))
-	}
-	return nil
-}
-
 // ---------------------------------------------------------------------------
 // Read views
 
@@ -314,9 +345,9 @@ func (q *Query) checkArgs(args []float64) error {
 // flight — it answers for the last committed tick, and says so.
 //
 // Everything read through one view is mutually consistent: Tick labels
-// exactly the state every Query* on the same view evaluates against. A
-// view stays valid for as long as a reader holds it, however far the
-// world has moved on. All methods are safe for concurrent use.
+// exactly the state every Query and QueryScan on the same view evaluates
+// against. A view stays valid for as long as a reader holds it, however
+// far the world has moved on. All methods are safe for concurrent use.
 type ReadView struct {
 	e      *Engine // immutable facts (schema, categoricals) and the analyzer cache
 	tick   int64
@@ -331,13 +362,11 @@ type ReadView struct {
 	mu    sync.Mutex
 	provs map[*Query]*viewProvider
 
-	// keys is the key → row-index map QueryUnit resolves through, shared by
-	// every query on the view: the engine's own when it had one at publish
-	// (after every tick; the engine only ever reads that map or drops it
-	// for a new one, and the copy has the same rows in the same order),
-	// built under keysOnce otherwise (construction, restore).
-	keysOnce sync.Once
-	keys     map[int64]int
+	// keys is the key → row-index map a Unit probe resolves through, shared
+	// by every query on the view: the engine's own at publish (the engine
+	// only ever reads that map or drops it for a new one, and the copy has
+	// the same rows in the same order).
+	keys map[int64]int
 }
 
 // viewProvider is one query's evaluation state on one view: q's
@@ -398,7 +427,7 @@ func (e *Engine) publishView() {
 		rs:     e.src.Tick(e.tick),
 		deaths: e.Stats.Deaths,
 		moves:  e.Stats.Moves,
-		keys:   e.keyIdx,
+		keys:   e.keyIndex(),
 	})
 }
 
@@ -459,137 +488,61 @@ func (v *ReadView) evalIndexed(q *Query, unit, args []float64) []float64 {
 // in no checkpoint.
 func (e *Engine) QueryOneShots() int64 { return e.queryOneShots.Load() }
 
-// rowByKey resolves a unit of the view by key, or nil.
-func (v *ReadView) rowByKey(key int64) []float64 {
-	v.keysOnce.Do(func() {
-		if v.keys == nil {
-			v.keys = buildKeyIndex(v.env)
+// probeRow checks one evaluation of q — probe p against the query's
+// probe class, then the argument count — and returns the probe unit's
+// row on v. World and At probe through a synthetic row: zeros, key −1
+// (no live unit's, so nearest-neighbour self-exclusion is inert), the
+// position as given. Unit probes through the unit's own row, its key
+// resolved through the view's int64 key index — exactly: no float key is
+// compared, so a key past 2^53 aliases no unit. The one-shot, scan and
+// maintained paths all start here, so they accept the same probes and
+// reject the rest with the same error.
+func (q *Query) probeRow(p Probe, v *ReadView, args []float64) ([]float64, error) {
+	var row []float64
+	switch {
+	case p.kind == probeUnit:
+		ri, ok := v.keys[p.key]
+		if !ok {
+			return nil, fmt.Errorf("engine: query %s: no unit with key %d", q.def.Name, p.key)
 		}
-	})
-	if ri, ok := v.keys[key]; ok {
-		return v.env.Rows[ri]
+		row = v.env.Rows[ri]
+	case q.NeedsUnit():
+		return nil, fmt.Errorf("engine: query %s reads unit attributes %s beyond position; it needs a Unit probe", q.def.Name, q.unitAttrNames())
+	case p.kind == probeWorld && q.NeedsPosition():
+		return nil, fmt.Errorf("engine: query %s reads unit attributes %s; it needs an At or Unit probe", q.def.Name, q.unitAttrNames())
+	default:
+		row = make([]float64, v.env.Schema.NumAttrs())
+		row[v.env.Schema.KeyCol()] = -1
+		row[v.e.posX], row[v.e.posY] = p.x, p.y
 	}
-	return nil
-}
-
-// syntheticUnit builds the probe row for world and positional queries:
-// zeros everywhere, key = −1 (matches no live unit, so nearest-neighbour
-// self-exclusion is inert), position as given.
-func (e *Engine) syntheticUnit(x, y float64) []float64 {
-	row := make([]float64, e.prog.Schema.NumAttrs())
-	row[e.prog.Schema.KeyCol()] = -1
-	row[e.posX], row[e.posY] = x, y
-	return row
-}
-
-// Query evaluates a world query — one that reads no attribute of a probe
-// unit — and returns the entry aggregate's outputs in declaration order.
-func (v *ReadView) Query(q *Query, args ...float64) ([]float64, error) {
-	if len(q.unitCols) > 0 {
-		return nil, fmt.Errorf("engine: query %s reads unit attributes %s; use QueryAt or QueryUnit", q.def.Name, q.unitAttrNames())
+	if want := len(q.def.Params) - 1; len(args) != want {
+		return nil, fmt.Errorf("engine: query %s takes %d argument(s), got %d", q.def.Name, want, len(args))
 	}
-	return v.queryRow(q, v.e.syntheticUnit(0, 0), args, false)
+	return row, nil
 }
 
-// QueryAt evaluates a positional query from the observer position
-// (x, y): the probe unit is synthetic, carrying only that position, so
-// the query may reference u.posx/u.posy (and nearest-neighbour outputs
-// measure from it) but no other unit attribute.
-func (v *ReadView) QueryAt(q *Query, x, y float64, args ...float64) ([]float64, error) {
-	if q.NeedsUnit() {
-		return nil, fmt.Errorf("engine: query %s reads unit attributes %s beyond position; use QueryUnit", q.def.Name, q.unitAttrNames())
-	}
-	return v.queryRow(q, v.e.syntheticUnit(x, y), args, false)
-}
-
-// QueryUnit evaluates a query from the perspective of the unit with the
-// given key, exactly as the unit's own script would observe the view's
-// world. The key resolves through the view's key index — one per view,
-// whatever the queries — so the call builds nothing of its own.
-func (v *ReadView) QueryUnit(q *Query, key int64, args ...float64) ([]float64, error) {
-	row := v.rowByKey(key)
-	if row == nil {
-		return nil, fmt.Errorf("engine: query %s: no unit with key %d", q.def.Name, key)
-	}
-	return v.queryRow(q, row, args, false)
-}
-
-// QueryScan, QueryScanAt and QueryScanUnit are the naive counterparts of
-// Query, QueryAt and QueryUnit: the same semantics evaluated by a full
-// O(n) scan of the view, mirroring the paper's pluggable-evaluator
-// design. They exist as the differential oracle and the baseline the
-// fan-out benchmark measures against; results agree with the indexed
-// path up to floating-point association (exactly like Naive vs Indexed
-// engine mode).
-func (v *ReadView) QueryScan(q *Query, args ...float64) ([]float64, error) {
-	if len(q.unitCols) > 0 {
-		return nil, fmt.Errorf("engine: query %s reads unit attributes %s; use QueryScanAt or QueryScanUnit", q.def.Name, q.unitAttrNames())
-	}
-	return v.queryRow(q, v.e.syntheticUnit(0, 0), args, true)
-}
-
-// QueryScanAt is the naive-scan QueryAt.
-func (v *ReadView) QueryScanAt(q *Query, x, y float64, args ...float64) ([]float64, error) {
-	if q.NeedsUnit() {
-		return nil, fmt.Errorf("engine: query %s reads unit attributes %s beyond position; use QueryScanUnit", q.def.Name, q.unitAttrNames())
-	}
-	return v.queryRow(q, v.e.syntheticUnit(x, y), args, true)
-}
-
-// QueryScanUnit is the naive-scan QueryUnit.
-func (v *ReadView) QueryScanUnit(q *Query, key int64, args ...float64) ([]float64, error) {
-	row := v.env.Lookup(key)
-	if row == nil {
-		return nil, fmt.Errorf("engine: query %s: no unit with key %d", q.def.Name, key)
-	}
-	return v.queryRow(q, row, args, true)
-}
-
-func (v *ReadView) queryRow(q *Query, unit []float64, args []float64, scan bool) ([]float64, error) {
-	if err := q.checkArgs(args); err != nil {
+// Query evaluates q through probe p and returns the entry aggregate's
+// outputs in declaration order. The indexed evaluator answers it
+// one-shot against q's membership on this view (see evalIndexed).
+func (v *ReadView) Query(q *Query, p Probe, args ...float64) ([]float64, error) {
+	unit, err := q.probeRow(p, v, args)
+	if err != nil {
 		return nil, err
-	}
-	if scan {
-		return interp.NewNaive(q.prog, v.env, v.rs).EvalAgg(q.def, unit, args), nil
 	}
 	return v.evalIndexed(q, unit, args), nil
 }
 
-// The Engine's six query methods evaluate against the current read view:
-// the last committed tick. Unlike the rest of the Engine they are safe to
-// call from any goroutine at any time, including while Tick runs.
-
-// Query evaluates a world query on the current read view (see
-// ReadView.Query).
-func (e *Engine) Query(q *Query, args ...float64) ([]float64, error) {
-	return e.ReadView().Query(q, args...)
-}
-
-// QueryAt evaluates a positional query on the current read view (see
-// ReadView.QueryAt).
-func (e *Engine) QueryAt(q *Query, x, y float64, args ...float64) ([]float64, error) {
-	return e.ReadView().QueryAt(q, x, y, args...)
-}
-
-// QueryUnit evaluates a unit-perspective query on the current read view
-// (see ReadView.QueryUnit).
-func (e *Engine) QueryUnit(q *Query, key int64, args ...float64) ([]float64, error) {
-	return e.ReadView().QueryUnit(q, key, args...)
-}
-
-// QueryScan is the naive-scan twin of Query (see ReadView.QueryScan).
-func (e *Engine) QueryScan(q *Query, args ...float64) ([]float64, error) {
-	return e.ReadView().QueryScan(q, args...)
-}
-
-// QueryScanAt is the naive-scan twin of QueryAt.
-func (e *Engine) QueryScanAt(q *Query, x, y float64, args ...float64) ([]float64, error) {
-	return e.ReadView().QueryScanAt(q, x, y, args...)
-}
-
-// QueryScanUnit is the naive-scan twin of QueryUnit.
-func (e *Engine) QueryScanUnit(q *Query, key int64, args ...float64) ([]float64, error) {
-	return e.ReadView().QueryScanUnit(q, key, args...)
+// QueryScan is Query evaluated by a full O(n) scan of the view — the
+// paper's pluggable-evaluator duality applied to reads. It is the
+// differential oracle and the baseline the fan-out benchmark measures
+// against; results agree with Query up to floating-point association
+// (exactly like Naive vs Indexed engine mode).
+func (v *ReadView) QueryScan(q *Query, p Probe, args ...float64) ([]float64, error) {
+	unit, err := q.probeRow(p, v, args)
+	if err != nil {
+		return nil, err
+	}
+	return interp.NewNaive(q.prog, v.env, v.rs).EvalAgg(q.def, unit, args), nil
 }
 
 // unitAttrNames renders the unit attributes a query reads, for error

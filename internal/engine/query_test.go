@@ -1,22 +1,51 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"sync"
 	"testing"
 
 	"github.com/epicscale/sgl/internal/game"
+	"github.com/epicscale/sgl/internal/workload"
 )
 
-// queryKind says which probe form a zoo query exercises.
+// queryKind says which probe a zoo query is evaluated through.
 type queryKind int
 
 const (
-	qWorld queryKind = iota // Engine.Query
-	qAt                     // Engine.QueryAt (positional)
-	qUnit                   // Engine.QueryUnit (live-unit perspective)
+	qWorld queryKind = iota // World
+	qAt                     // At a position
+	qUnit                   // Unit, a live unit's perspective
 )
+
+// probe is the kind's probe at position (x, y) or unit key.
+func (k queryKind) probe(x, y float64, key int64) Probe {
+	switch k {
+	case qAt:
+		return At(x, y)
+	case qUnit:
+		return Unit(key)
+	}
+	return World()
+}
+
+// queryPaths are the three ways to evaluate a query through a probe:
+// one-shot on the current read view, its scan twin, and the maintained
+// answer.
+var queryPaths = []struct {
+	name string
+	eval func(e *Engine, q *Query, p Probe, args ...float64) ([]float64, error)
+}{
+	{"one-shot", func(e *Engine, q *Query, p Probe, args ...float64) ([]float64, error) {
+		return e.ReadView().Query(q, p, args...)
+	}},
+	{"scan", func(e *Engine, q *Query, p Probe, args ...float64) ([]float64, error) {
+		return e.ReadView().QueryScan(q, p, args...)
+	}},
+	{"maintained", (*Engine).QueryMaintained},
+}
 
 // queryZoo covers every output class the indexed evaluator has — range
 // aggregates over the range tree, k-NN over the kD-tree, global extrema,
@@ -129,46 +158,25 @@ func closeEnough(a, b float64) bool {
 func TestQueryMatchesScan(t *testing.T) {
 	prog := battleProg(t)
 	e := newEngine(t, prog, 90, Indexed, 13, nil)
-	probes := [][2]float64{{0, 0}, {10, 14}, {25, 3}}
+	probes := []struct {
+		x, y float64
+		key  int64
+	}{{0, 0, 0}, {10, 14, 17}, {25, 3, 42}}
 	for tick := 0; tick < 8; tick++ {
 		for _, zq := range queryZoo {
 			q := compileQuery(t, zq.src)
 			var pairs [][2][]float64
-			switch zq.kind {
-			case qWorld:
-				idx, err := e.Query(q, zq.args...)
+			for _, p := range probes {
+				v := e.ReadView()
+				idx, err := v.Query(q, zq.kind.probe(p.x, p.y, p.key), zq.args...)
 				if err != nil {
 					t.Fatalf("%s: %v", zq.name, err)
 				}
-				scan, err := e.QueryScan(q, zq.args...)
+				scan, err := v.QueryScan(q, zq.kind.probe(p.x, p.y, p.key), zq.args...)
 				if err != nil {
 					t.Fatalf("%s: %v", zq.name, err)
 				}
 				pairs = append(pairs, [2][]float64{idx, scan})
-			case qAt:
-				for _, p := range probes {
-					idx, err := e.QueryAt(q, p[0], p[1], zq.args...)
-					if err != nil {
-						t.Fatalf("%s: %v", zq.name, err)
-					}
-					scan, err := e.QueryScanAt(q, p[0], p[1], zq.args...)
-					if err != nil {
-						t.Fatalf("%s: %v", zq.name, err)
-					}
-					pairs = append(pairs, [2][]float64{idx, scan})
-				}
-			case qUnit:
-				for _, key := range []int64{0, 17, 42} {
-					idx, err := e.QueryUnit(q, key, zq.args...)
-					if err != nil {
-						t.Fatalf("%s: %v", zq.name, err)
-					}
-					scan, err := e.QueryScanUnit(q, key, zq.args...)
-					if err != nil {
-						t.Fatalf("%s: %v", zq.name, err)
-					}
-					pairs = append(pairs, [2][]float64{idx, scan})
-				}
 			}
 			for _, pr := range pairs {
 				if len(pr[0]) != len(pr[1]) {
@@ -195,7 +203,7 @@ func TestQuerySeesLiveState(t *testing.T) {
 	prog := battleProg(t)
 	e := newEngine(t, prog, 90, Indexed, 13, nil)
 	q := compileQuery(t, `aggregate Centroid(u) := avg(e.posx) as x, avg(e.posy) as y over e;`)
-	before, err := e.Query(q)
+	before, err := e.ReadView().Query(q, World())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,14 +212,14 @@ func TestQuerySeesLiveState(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	after, err := e.Query(q)
+	after, err := e.ReadView().Query(q, World())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if before[0] == after[0] && before[1] == after[1] {
 		t.Fatal("query result frozen across 5 ticks of a battle-lines engagement (armies march)")
 	}
-	scan, err := e.QueryScan(q)
+	scan, err := e.ReadView().QueryScan(q, World())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +244,7 @@ aggregate Zone(u, x, y, r) :=
     and e.posy >= y - r and e.posy <= y + r;`)
 
 	v := e.ReadView()
-	want, err := v.Query(q, 12, 12, 10)
+	want, err := v.Query(q, World(), 12, 12, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +256,7 @@ aggregate Zone(u, x, y, r) :=
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perReader; i++ {
-				got, err := v.Query(q, 12, 12, 10)
+				got, err := v.Query(q, World(), 12, 12, 10)
 				if err != nil {
 					errs[g] = err
 					return
@@ -285,52 +293,118 @@ type errAt [2]int
 
 func (e errAt) Error() string { return "concurrent query result diverged" }
 
-// Probe-form validation: a query that reads unit attributes is rejected
-// by the wrong entry points with an actionable message.
-func TestQueryProbeFormValidation(t *testing.T) {
+// TestQueryValidationMatrix: every query class × probe kind × argument
+// count is accepted or rejected the same way on all three evaluation
+// paths — one-shot, scan and maintained — with the same error text, since
+// they share one check (Query.probeRow). Accepted evaluations agree with
+// the scan.
+func TestQueryValidationMatrix(t *testing.T) {
+	e := newEngine(t, battleProg(t), 48, Indexed, 1, nil)
+	if err := e.Run(2); err != nil {
+		t.Fatal(err)
+	}
+	classes := []struct {
+		name, src           string
+		needsUnit, needsPos bool
+		params              []string
+	}{
+		{"W", `aggregate W(u, a, b) := count(*) over e where e.posx >= a and e.posx <= b;`, false, false, []string{"a", "b"}},
+		{"P", `aggregate P(u, r) := nearestkey() as k, count(*) as n over e where e.posx >= u.posx - r;`, false, true, []string{"r"}},
+		{"U", `aggregate U(u) := count(*) over e where e.posx >= u.posx - u.sight and e.posx <= u.posx + u.sight;`, true, true, nil},
+	}
+	probes := []struct {
+		name string
+		p    Probe
+	}{
+		{"world", World()},
+		{"at", At(3, 4)},
+		{"unit", Unit(17)},
+		{"unit-missing", Unit(99999)},
+		{"unit-negative", Unit(-1)},
+	}
+	for _, c := range classes {
+		q := compileQuery(t, c.src)
+		if q.Name() != c.name {
+			t.Fatalf("Name() = %q, want %q", q.Name(), c.name)
+		}
+		if q.NeedsUnit() != c.needsUnit || q.NeedsPosition() != c.needsPos {
+			t.Fatalf("%s: NeedsUnit() = %v, NeedsPosition() = %v", c.name, q.NeedsUnit(), q.NeedsPosition())
+		}
+		if got := q.Params(); strings.Join(got, ",") != strings.Join(c.params, ",") {
+			t.Fatalf("%s: Params() = %v, want %v", c.name, got, c.params)
+		}
+		for _, pr := range probes {
+			for _, nargs := range []int{len(c.params), len(c.params) + 1} {
+				args := make([]float64, nargs)
+				for i := range args {
+					args[i] = float64(10 * (i + 1))
+				}
+				var want string
+				switch {
+				case pr.name == "unit-missing" || pr.name == "unit-negative":
+					want = "no unit with key"
+				case pr.p.kind != probeUnit && c.needsUnit:
+					want = "needs a Unit probe"
+				case pr.p.kind == probeWorld && c.needsPos:
+					want = "needs an At or Unit probe"
+				case nargs != len(c.params):
+					want = "argument(s)"
+				}
+				got := make([][]float64, len(queryPaths))
+				var firstErr string
+				for i, path := range queryPaths {
+					vals, err := path.eval(e, q, pr.p, args...)
+					errText := ""
+					if err != nil {
+						errText = err.Error()
+					}
+					at := fmt.Sprintf("query %s, %s probe, %d args, %s", c.name, pr.name, nargs, path.name)
+					switch {
+					case want == "" && err != nil:
+						t.Fatalf("%s: rejected: %v", at, err)
+					case want != "" && !strings.Contains(errText, want):
+						t.Fatalf("%s: err = %v, want %q", at, err, want)
+					case i > 0 && errText != firstErr:
+						t.Fatalf("%s: err %q, the %s path said %q", at, errText, queryPaths[0].name, firstErr)
+					}
+					firstErr, got[i] = errText, vals
+				}
+				for i := range got {
+					for o := range got[i] {
+						if !closeEnough(got[i][o], got[1][o]) {
+							t.Fatalf("query %s, %s probe: %s output %d = %v, scan %v", c.name, pr.name, queryPaths[i].name, o, got[i][o], got[1][o])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestUnitProbeResolvesKeyExactly: a Unit probe names its unit by int64
+// key on every path. 2^53 and 2^53+1 are one float64, so resolving by the
+// float key column answered a probe of 2^53+1 from unit 2^53 on the scan
+// and maintained paths — and the maintained answer, cached under 2^53+1
+// while the tick invalidates by the row's key 2^53, could never be
+// invalidated. All three paths must now fail alike.
+func TestUnitProbeResolvesKeyExactly(t *testing.T) {
 	prog := battleProg(t)
-	e := newEngine(t, prog, 48, Indexed, 1, nil)
-
-	needsUnit := compileQuery(t, `
-aggregate Seen(u) := count(*) over e where e.posx >= u.posx - u.sight and e.posx <= u.posx + u.sight;`)
-	if _, err := e.Query(needsUnit); err == nil || !strings.Contains(err.Error(), "QueryUnit") {
-		t.Fatalf("unit-reading query accepted as world query: %v", err)
-	}
-	if _, err := e.QueryAt(needsUnit, 1, 2); err == nil || !strings.Contains(err.Error(), "QueryUnit") {
-		t.Fatalf("sight-reading query accepted as positional query: %v", err)
-	}
-	if got := needsUnit.NeedsUnit(); !got {
-		t.Fatal("NeedsUnit() = false for a u.sight query")
-	}
-
-	positional := compileQuery(t, `aggregate C(u) := nearestkey() as k over e;`)
-	if _, err := e.Query(positional); err == nil {
-		t.Fatal("nearest query accepted without a position")
-	}
-	if _, err := e.QueryAt(positional, 3, 4); err != nil {
+	spec := workload.Spec{Units: 24, Density: 0.01, Seed: 3, Formation: workload.BattleLines}
+	env := workload.Generate(spec)
+	env.Rows[0][prog.Schema.KeyCol()] = 1 << 53
+	e, err := New(prog, game.NewMechanics(), env, Options{Mode: Indexed, Categoricals: game.Categoricals(), Seed: 3, Side: spec.Side(), MoveSpeed: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if positional.NeedsUnit() || !positional.NeedsPosition() {
-		t.Fatal("nearest query misclassified")
-	}
-
-	world := compileQuery(t, `aggregate N(u) := count(*) over e;`)
-	if _, err := e.Query(world); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Query(world, 1); err == nil || !strings.Contains(err.Error(), "argument") {
-		t.Fatalf("arity mismatch accepted: %v", err)
-	}
-	if _, err := e.QueryUnit(world, 99999); err == nil || !strings.Contains(err.Error(), "no unit") {
-		t.Fatalf("missing key accepted: %v", err)
-	}
-
-	if world.Name() != "N" {
-		t.Fatalf("Name() = %q", world.Name())
-	}
-	params := compileQuery(t, `aggregate P(u, a, b) := count(*) over e where e.posx >= a and e.posx <= b;`)
-	if got := params.Params(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("Params() = %v", got)
+	q := compileQuery(t, `aggregate Foes(u) := count(*) as n, sum(e.health) as hp over e where e.player <> u.player;`)
+	want := fmt.Sprintf("engine: query Foes: no unit with key %d", int64(1<<53+1))
+	for _, path := range queryPaths {
+		if _, err := path.eval(e, q, Unit(1<<53)); err != nil {
+			t.Fatalf("%s: unit 2^53 itself: %v", path.name, err)
+		}
+		if vals, err := path.eval(e, q, Unit(1<<53+1)); err == nil || err.Error() != want {
+			t.Fatalf("%s: probe of key 2^53+1 = %v, %v; want %q", path.name, vals, err, want)
+		}
 	}
 }
 
@@ -360,10 +434,10 @@ func TestQueryCacheEviction(t *testing.T) {
 	hot := compileQuery(t, `aggregate Hot(u) := count(*) over e;`)
 	for i := 0; i < 10; i++ {
 		oneShot := compileQuery(t, `aggregate Once(u) := avg(e.health) over e;`)
-		if _, err := e.Query(oneShot); err != nil {
+		if _, err := e.ReadView().Query(oneShot, World()); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.Query(hot); err != nil {
+		if _, err := e.ReadView().Query(hot, World()); err != nil {
 			t.Fatal(err)
 		}
 		if err := e.Tick(); err != nil {
@@ -386,7 +460,7 @@ func TestQueryCacheEviction(t *testing.T) {
 	// read view's providers without bound.
 	for i := 0; i < 200; i++ {
 		oneShot := compileQuery(t, `aggregate Flood(u) := count(*) over e;`)
-		if _, err := e.Query(oneShot); err != nil {
+		if _, err := e.ReadView().Query(oneShot, World()); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -6,11 +6,11 @@
 //
 //   - Step takes the writer lock, so the live environment never mutates
 //     under anything that reads it;
-//   - Query*/QueryScan*/Tick/ReadView take NO lock: they read the view
+//   - Query/QueryScan/Tick/ReadView take NO lock: they read the view
 //     the last tick commit published (see query.go), so any number of
 //     spectators run simultaneously with each other and with a Step in
 //     progress, answering for the last committed tick;
-//   - QueryMaintained*, Checkpoint, Journal, Pending, Stats and View take
+//   - QueryMaintained, Checkpoint, Journal, Pending, Stats and View take
 //     the reader lock: they read live mutable engine state (the tick's
 //     delta, the input journal, the run counters), so they run together
 //     but wait for — and hold off — the clock;
@@ -125,63 +125,28 @@ func (s *Session) stepOne() error {
 	return nil
 }
 
-// Query evaluates a world query against the last committed tick. Any
-// number of Query*/QueryScan* calls may run concurrently, with each other
-// and with Step: none takes the session lock, and none waits for a tick
-// in progress (see ReadView).
+// Query evaluates a world query against the last committed tick:
+// ReadView().Query(q, World(), args...). Any number of Query/QueryScan
+// calls may run concurrently, with each other and with Step: neither
+// takes the session lock, and neither waits for a tick in progress (see
+// ReadView). Other probes go through ReadView.
 func (s *Session) Query(q *Query, args ...float64) ([]float64, error) {
-	return s.e.Query(q, args...)
+	return s.e.ReadView().Query(q, World(), args...)
 }
 
-// QueryAt evaluates a positional query from the observer position (x, y).
-func (s *Session) QueryAt(q *Query, x, y float64, args ...float64) ([]float64, error) {
-	return s.e.QueryAt(q, x, y, args...)
-}
-
-// QueryUnit evaluates a query from the perspective of the unit with the
-// given key.
-func (s *Session) QueryUnit(q *Query, key int64, args ...float64) ([]float64, error) {
-	return s.e.QueryUnit(q, key, args...)
+// QueryScan is the naive-scan twin of Query (see ReadView.QueryScan).
+func (s *Session) QueryScan(q *Query, args ...float64) ([]float64, error) {
+	return s.e.ReadView().QueryScan(q, World(), args...)
 }
 
 // QueryMaintained is Query backed by the maintained-answer cache (see
-// answers.go): repeated evaluations across ticks reuse and patch the
-// cached answer instead of re-deriving it through a fresh index build.
+// Engine.QueryMaintained), under the reader lock: repeated evaluations
+// across ticks reuse and patch the cached answer instead of re-deriving
+// it. Other probes go through View.
 func (s *Session) QueryMaintained(q *Query, args ...float64) ([]float64, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.e.QueryMaintained(q, args...)
-}
-
-// QueryMaintainedAt is QueryAt backed by the maintained-answer cache.
-func (s *Session) QueryMaintainedAt(q *Query, x, y float64, args ...float64) ([]float64, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.e.QueryMaintainedAt(q, x, y, args...)
-}
-
-// QueryMaintainedUnit is QueryUnit backed by the maintained-answer cache.
-func (s *Session) QueryMaintainedUnit(q *Query, key int64, args ...float64) ([]float64, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.e.QueryMaintainedUnit(q, key, args...)
-}
-
-// QueryScan is the naive-scan twin of Query (see Engine.QueryScan):
-// identical semantics evaluated by an O(n) scan of the same read view
-// instead of its shared indexes.
-func (s *Session) QueryScan(q *Query, args ...float64) ([]float64, error) {
-	return s.e.QueryScan(q, args...)
-}
-
-// QueryScanAt is the naive-scan twin of QueryAt.
-func (s *Session) QueryScanAt(q *Query, x, y float64, args ...float64) ([]float64, error) {
-	return s.e.QueryScanAt(q, x, y, args...)
-}
-
-// QueryScanUnit is the naive-scan twin of QueryUnit.
-func (s *Session) QueryScanUnit(q *Query, key int64, args ...float64) ([]float64, error) {
-	return s.e.QueryScanUnit(q, key, args...)
+	return s.e.QueryMaintained(q, World(), args...)
 }
 
 // View runs fn against the live engine under the reader lock: the clock

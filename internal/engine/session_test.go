@@ -76,11 +76,11 @@ aggregate Zone(u, x, y, r) :=
 					errCh <- err
 					return
 				}
-				if _, err := s.QueryAt(knn, float64(g), 7); err != nil {
+				if _, err := s.ReadView().Query(knn, At(float64(g), 7)); err != nil {
 					errCh <- err
 					return
 				}
-				if _, err := s.QueryUnit(q, int64(g), 12, 12, 10); err != nil {
+				if _, err := s.ReadView().Query(q, Unit(int64(g)), 12, 12, 10); err != nil {
 					errCh <- err
 					return
 				}
@@ -107,9 +107,9 @@ aggregate Zone(u, x, y, r) :=
 	}
 }
 
-// The naive-scan twins read the same published view, so they too are
+// The naive-scan twin reads the same published view, so they too are
 // safe against a running clock (regression: the server once scanned the
-// live environment while it ticked), and they agree with the indexed
+// live environment while it ticked), and it agrees with the indexed
 // path between steps.
 func TestSessionQueryScanLockedAndAgrees(t *testing.T) {
 	s := newSession(t, 80, 17)
@@ -135,11 +135,11 @@ aggregate Near(u, r) :=
 				errCh <- err
 				return
 			}
-			if _, err := s.QueryScanAt(pos, 5, 5, 8); err != nil {
+			if _, err := s.ReadView().QueryScan(pos, At(5, 5), 8); err != nil {
 				errCh <- err
 				return
 			}
-			if _, err := s.QueryScanUnit(pos, 3, 8); err != nil {
+			if _, err := s.ReadView().QueryScan(pos, Unit(3), 8); err != nil {
 				errCh <- err
 				return
 			}
@@ -168,11 +168,11 @@ aggregate Near(u, r) :=
 	if idx[0] != scan[0] {
 		t.Errorf("indexed %v != scan %v", idx, scan)
 	}
-	iu, err := s.QueryUnit(pos, 3, 8)
+	iu, err := s.ReadView().Query(pos, Unit(3), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	su, err := s.QueryScanUnit(pos, 3, 8)
+	su, err := s.ReadView().QueryScan(pos, Unit(3), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestSessionView(t *testing.T) {
 		var pop []float64
 		s.View(func(e *Engine) {
 			t1 = e.TickCount()
-			pop, _ = e.Query(q)
+			pop, _ = e.ReadView().Query(q, World())
 			t2 = e.TickCount()
 		})
 		if t1 != t2 {

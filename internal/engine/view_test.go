@@ -90,15 +90,15 @@ aggregate Near(u, r) :=
 		go func() {
 			var r reads
 			var err error
-			if r.at, err = s.QueryAt(pos, 10, 12, 9); err != nil {
+			if r.at, err = s.ReadView().Query(pos, At(10, 12), 9); err != nil {
 				errs <- err
 				return
 			}
-			if r.scan, err = s.QueryScanAt(pos, 10, 12, 9); err != nil {
+			if r.scan, err = s.ReadView().QueryScan(pos, At(10, 12), 9); err != nil {
 				errs <- err
 				return
 			}
-			if r.by, err = s.QueryUnit(pos, 7, 9); err != nil {
+			if r.by, err = s.ReadView().Query(pos, Unit(7), 9); err != nil {
 				errs <- err
 				return
 			}
@@ -163,7 +163,8 @@ aggregate Near(u, r) :=
 }
 
 // viewProbe is one observation read the snapshot differential issues: a
-// zoo query in its probe form, through the indexed or the scan evaluator.
+// zoo query through its kind of probe, by the indexed or the scan
+// evaluator.
 type viewProbe struct {
 	zoo  int // index into queryZoo
 	x, y float64
@@ -173,20 +174,10 @@ type viewProbe struct {
 
 func (p viewProbe) eval(v *ReadView, q *Query) ([]float64, error) {
 	zq := queryZoo[p.zoo]
-	switch {
-	case zq.kind == qUnit && p.scan:
-		return v.QueryScanUnit(q, p.key, zq.args...)
-	case zq.kind == qUnit:
-		return v.QueryUnit(q, p.key, zq.args...)
-	case zq.kind == qAt && p.scan:
-		return v.QueryScanAt(q, p.x, p.y, zq.args...)
-	case zq.kind == qAt:
-		return v.QueryAt(q, p.x, p.y, zq.args...)
-	case p.scan:
-		return v.QueryScan(q, zq.args...)
-	default:
-		return v.Query(q, zq.args...)
+	if p.scan {
+		return v.QueryScan(q, zq.kind.probe(p.x, p.y, p.key), zq.args...)
 	}
+	return v.Query(q, zq.kind.probe(p.x, p.y, p.key), zq.args...)
 }
 
 // viewRecord is what a reader saw: which probe, at which tick label.
@@ -438,12 +429,9 @@ func TestViewMatchesBuiltIndex(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			unit := e.syntheticUnit(0, 0)
-			switch zq.kind {
-			case qUnit:
-				unit = v.rowByKey(pr.key)
-			case qAt:
-				unit = e.syntheticUnit(pr.x, pr.y)
+			unit, err := q.probeRow(zq.kind.probe(pr.x, pr.y, pr.key), v, zq.args)
+			if err != nil {
+				t.Fatal(err)
 			}
 			if want := built.Fork().EvalAgg(q.def, unit, zq.args); !sameBits(got, want) {
 				t.Fatalf("%s, probe %d: the view answered %v, the built index %v", zq.name, k, got, want)
@@ -498,7 +486,7 @@ func TestViewRowsMatchEngine(t *testing.T) {
 						check(nil)
 						for tick := int64(0); tick < scriptedTicks; tick++ {
 							if watched {
-								if _, err := e.QueryMaintained(morale); err != nil {
+								if _, err := e.QueryMaintained(morale, World()); err != nil {
 									t.Fatal(err)
 								}
 							}

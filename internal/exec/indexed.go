@@ -205,10 +205,11 @@ func (p *Indexed) Recycle(prev *Indexed) {
 // Forked views may probe it from concurrent goroutines. Build work lands
 // on the receiver's Stats.
 //
-// Eagerness is the price of lock-free sharing: the lazy serial path skips
-// structures a tick never probes, so a frozen provider may build more
-// indexes (and report higher Stats.IndexBuilds) than a serial tick over
-// the same environment. Game outcomes are unaffected.
+// Eagerness is the price of lock-free sharing: a provider probed lazily
+// by one goroutine skips structures a tick never probes, so a frozen
+// provider may build more indexes (and report higher Stats.IndexBuilds)
+// than a one-shard tick over the same environment. Game outcomes are
+// unaffected.
 func (p *Indexed) Freeze() { p.FreezeParallel(1) }
 
 // FreezeParallel is Freeze with the structure builds spread over up to

@@ -64,11 +64,11 @@ func TestFanoutQueryIndexedMatchesScan(t *testing.T) {
 					}
 				}
 				partial = partial || (want[0] > 0 && int(want[0]) < env.Len())
-				idx, err := e.Query(q, x, y, r)
+				idx, err := e.ReadView().Query(q, engine.World(), x, y, r)
 				if err != nil {
 					t.Fatal(err)
 				}
-				scan, err := e.QueryScan(q, x, y, r)
+				scan, err := e.ReadView().QueryScan(q, engine.World(), x, y, r)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -138,10 +138,11 @@ type RunRequest struct {
 	TickRate float64 `json:"tickrate"`
 }
 
-// QueryRequest evaluates a compiled-once observation query. The probe
-// form follows the Session API: no X/Y/Unit → Engine.Query, X+Y →
-// QueryAt, Unit → QueryUnit. Scan selects the naive-scan evaluator (the
-// differential oracle; mostly for tests and measurement).
+// QueryRequest evaluates a compiled-once observation query on the last
+// committed tick's read view. X/Y/Unit name its probe: none → engine.World,
+// X+Y → engine.At, Unit → engine.Unit. Scan selects the naive-scan
+// evaluator (ReadView.QueryScan, the differential oracle; mostly for tests
+// and measurement).
 type QueryRequest struct {
 	Src  string    `json:"src"`
 	Args []float64 `json:"args,omitempty"`
@@ -543,39 +544,27 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// evalQuery compiles (once) and dispatches one query evaluation to the
-// probe form the request selects.
+// evalQuery compiles (once) and evaluates one query through the probe
+// the request names.
 func (s *Server) evalQuery(wd *World, req QueryRequest) (*QueryResponse, error) {
 	q, warns, err := wd.CompiledQuery(req.Src)
 	if err != nil {
 		return nil, err
 	}
-	if (req.X == nil) != (req.Y == nil) {
-		return nil, errors.New("positional query needs both x and y")
-	}
-	if req.Unit != nil && req.X != nil {
-		return nil, errors.New("unit and x/y probes are mutually exclusive")
+	p, err := req.probe()
+	if err != nil {
+		return nil, err
 	}
 	// Values and tick label come from one read view: the response's tick
 	// is exactly the committed tick the values were computed at, however
 	// many ticks the clock commits while the query runs. No session lock
 	// is taken, so the request never waits for the tick in flight.
 	v := wd.Session().ReadView()
-	var vals []float64
-	switch {
-	case req.Unit != nil && req.Scan:
-		vals, err = v.QueryScanUnit(q, *req.Unit, req.Args...)
-	case req.Unit != nil:
-		vals, err = v.QueryUnit(q, *req.Unit, req.Args...)
-	case req.X != nil && req.Scan:
-		vals, err = v.QueryScanAt(q, *req.X, *req.Y, req.Args...)
-	case req.X != nil:
-		vals, err = v.QueryAt(q, *req.X, *req.Y, req.Args...)
-	case req.Scan:
-		vals, err = v.QueryScan(q, req.Args...)
-	default:
-		vals, err = v.Query(q, req.Args...)
+	eval := v.Query
+	if req.Scan {
+		eval = v.QueryScan
 	}
+	vals, err := eval(q, p, req.Args...)
 	if err != nil {
 		return nil, err
 	}
@@ -584,6 +573,23 @@ func (s *Server) evalQuery(wd *World, req QueryRequest) (*QueryResponse, error) 
 		Outputs: q.Outputs(), Values: vals,
 		Warnings: warns,
 	}, nil
+}
+
+// probe builds the probe a query or subscribe request names: X and Y
+// together, Unit alone, or neither — the world. Both endpoints take their
+// probe from here.
+func (req *QueryRequest) probe() (engine.Probe, error) {
+	switch {
+	case (req.X == nil) != (req.Y == nil):
+		return engine.Probe{}, errors.New("a positional probe needs both x and y")
+	case req.Unit != nil && req.X != nil:
+		return engine.Probe{}, errors.New("unit and x/y probes are mutually exclusive")
+	case req.Unit != nil:
+		return engine.Unit(*req.Unit), nil
+	case req.X != nil:
+		return engine.At(*req.X, *req.Y), nil
+	}
+	return engine.World(), nil
 }
 
 // MaxCommandsPerRequest bounds one command batch; the engine's own

@@ -366,8 +366,6 @@ aggregate Foes(u) := count(*) over e where e.player <> u.player;`
 func TestQueryRejections(t *testing.T) {
 	ts, _ := newTestServer(t)
 	create(t, ts.URL, "qr", nil)
-	x, y := 1.0, 2.0
-	unit := int64(0)
 	ghost := int64(10_000)
 	cases := []struct {
 		name string
@@ -378,8 +376,6 @@ func TestQueryRejections(t *testing.T) {
 		{"random in query", QueryRequest{Src: `aggregate R(u) := sum(Random(1)) over e;`}},
 		{"syntax error", QueryRequest{Src: `aggregate ???`}},
 		{"arg count mismatch", QueryRequest{Src: testCountQuery, Args: []float64{1, 2}}},
-		{"x without y", QueryRequest{Src: testCountQuery, X: &x}},
-		{"unit and position", QueryRequest{Src: testCountQuery, X: &x, Y: &y, Unit: &unit}},
 		{"unknown unit", QueryRequest{Src: `aggregate F(u) := count(*) over e where e.player <> u.player;`, Unit: &ghost}},
 	}
 	for _, c := range cases {

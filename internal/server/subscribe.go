@@ -2,7 +2,7 @@
 // query's answer over Server-Sent Events, pushing only when the value
 // changes. This is the delivery half of maintained query answers — the
 // world's clock evaluates every live subscription once per tick through
-// Session.QueryMaintained* (so N subscribers on the same source share
+// Engine.QueryMaintained (so N subscribers on the same query and probe share
 // one maintained answer and one classification per tick), compares the
 // result bitwise against the last pushed value, and enqueues an event
 // only on change.
@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -30,29 +31,19 @@ import (
 	"github.com/epicscale/sgl/internal/sgl/lint"
 )
 
-// subSpec is one subscription's evaluation: a compiled query plus the
-// probe form, mirroring QueryRequest.
+// subSpec is one subscription's evaluation: a compiled query, its
+// arguments and its probe, as a QueryRequest names them.
 type subSpec struct {
 	q     *engine.Query
 	warns []lint.Diagnostic // the query's lint findings, pushed once at stream start
 	args  []float64
-	x, y  float64
-	pos   bool // probe at (x, y)
-	unit  int64
-	byID  bool // probe from live unit `unit`
+	probe engine.Probe
 }
 
 // eval runs the spec against the engine through the maintained-answer
 // path. Must be called under a Session view (the clock's notify does).
 func (sp *subSpec) eval(e *engine.Engine) ([]float64, error) {
-	switch {
-	case sp.byID:
-		return e.QueryMaintainedUnit(sp.q, sp.unit, sp.args...)
-	case sp.pos:
-		return e.QueryMaintainedAt(sp.q, sp.x, sp.y, sp.args...)
-	default:
-		return e.QueryMaintained(sp.q, sp.args...)
-	}
+	return e.QueryMaintained(sp.q, sp.probe, sp.args...)
 }
 
 // SubscribeEvent is the JSON payload of one SSE "answer" event.
@@ -245,10 +236,12 @@ func sameValues(a, b []float64) bool {
 
 // parseSubSpec builds a subscription spec from the request's query
 // string: q (required source), args (comma-separated floats), and at
-// most one probe — x & y, or unit.
+// most one probe — x & y, or unit — checked by the same rule as a
+// QueryRequest's.
 func parseSubSpec(wd *World, r *http.Request) (subSpec, error) {
 	var sp subSpec
-	src := r.URL.Query().Get("q")
+	qs := r.URL.Query()
+	src := qs.Get("q")
 	if src == "" {
 		return sp, errors.New("query parameter q is required")
 	}
@@ -257,7 +250,7 @@ func parseSubSpec(wd *World, r *http.Request) (subSpec, error) {
 		return sp, err
 	}
 	sp.q, sp.warns = q, warns
-	if raw := r.URL.Query().Get("args"); raw != "" {
+	if raw := qs.Get("args"); raw != "" {
 		for _, part := range strings.Split(raw, ",") {
 			v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
 			if err != nil {
@@ -266,29 +259,35 @@ func parseSubSpec(wd *World, r *http.Request) (subSpec, error) {
 			sp.args = append(sp.args, v)
 		}
 	}
-	xs, ys := r.URL.Query().Get("x"), r.URL.Query().Get("y")
-	if (xs == "") != (ys == "") {
-		return sp, errors.New("positional subscription needs both x and y")
+	var req QueryRequest
+	if req.X, err = optFloat(qs, "x"); err != nil {
+		return sp, err
 	}
-	if xs != "" {
-		if sp.x, err = strconv.ParseFloat(xs, 64); err != nil {
-			return sp, fmt.Errorf("bad x %q: %v", xs, err)
-		}
-		if sp.y, err = strconv.ParseFloat(ys, 64); err != nil {
-			return sp, fmt.Errorf("bad y %q: %v", ys, err)
-		}
-		sp.pos = true
+	if req.Y, err = optFloat(qs, "y"); err != nil {
+		return sp, err
 	}
-	if us := r.URL.Query().Get("unit"); us != "" {
-		if sp.pos {
-			return sp, errors.New("unit and x/y probes are mutually exclusive")
+	if raw := qs.Get("unit"); raw != "" {
+		v, err := strconv.ParseInt(raw, 10, 64)
+		if err != nil {
+			return sp, fmt.Errorf("bad unit %q: %v", raw, err)
 		}
-		if sp.unit, err = strconv.ParseInt(us, 10, 64); err != nil {
-			return sp, fmt.Errorf("bad unit %q: %v", us, err)
-		}
-		sp.byID = true
+		req.Unit = &v
 	}
-	return sp, nil
+	sp.probe, err = req.probe()
+	return sp, err
+}
+
+// optFloat parses the float query parameter name, nil when absent.
+func optFloat(qs url.Values, name string) (*float64, error) {
+	raw := qs.Get(name)
+	if raw == "" {
+		return nil, nil
+	}
+	v, err := strconv.ParseFloat(raw, 64)
+	if err != nil {
+		return nil, fmt.Errorf("bad %s %q: %v", name, raw, err)
+	}
+	return &v, nil
 }
 
 // handleSubscribe streams maintained answers as SSE "answer" events.

@@ -8,9 +8,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -369,8 +371,6 @@ func TestSubscribeBadRequest(t *testing.T) {
 	cases := []struct{ name, query string }{
 		{"missing q", ""},
 		{"unparseable q", "q=" + esc(`aggregate Broken( :=`)},
-		{"x without y", "q=" + esc(posSumSrc) + "&x=1"},
-		{"unit and position", "q=" + esc(zoneSrc) + "&x=1&y=2&unit=3&args=5"},
 		{"bad args", "q=" + esc(posSumSrc) + "&args=one,two"},
 		{"unit query without probe", "q=" + esc(zoneSrc) + "&args=5"},
 	}
@@ -384,6 +384,122 @@ func TestSubscribeBadRequest(t *testing.T) {
 			t.Errorf("%s: status %d, want 400", c.name, resp.StatusCode)
 		}
 	}
+}
+
+// TestProbeParamsRejectedAlike: the query and subscribe endpoints take
+// their probe through one parser, so a malformed probe is a 400 on both —
+// with the same message where the combination, not the syntax, is wrong.
+func TestProbeParamsRejectedAlike(t *testing.T) {
+	ts, _ := newTestServer(t)
+	create(t, ts.URL, "probe", nil)
+	esc := url.QueryEscape
+	cases := []struct {
+		name     string
+		body     string // the /query request's probe fields, JSON
+		params   string // the /subscribe request's probe parameters
+		sameText bool
+	}{
+		{"x without y", `"x":1`, "&x=1", true},
+		{"y without x", `"y":1`, "&y=1", true},
+		{"unit with x", `"x":1,"y":2,"unit":3`, "&x=1&y=2&unit=3", true},
+		{"unit with x only", `"x":1,"unit":3`, "&x=1&unit=3", true},
+		{"non-numeric x", `"x":"one","y":2`, "&x=one&y=2", false},
+		{"non-numeric unit", `"unit":"three"`, "&unit=three", false},
+		{"fractional unit", `"unit":1.5`, "&unit=1.5", false},
+	}
+	for _, c := range cases {
+		var qe, se errorResponse
+		body := json.RawMessage(`{"src":` + strconv.Quote(zoneSrc) + `,"args":[5],` + c.body + `}`)
+		if code := do(t, http.MethodPost, ts.URL+"/v1/sessions/probe/query", body, &qe); code != http.StatusBadRequest {
+			t.Errorf("%s: query status %d, want 400", c.name, code)
+		}
+		if code := do(t, http.MethodGet, ts.URL+"/v1/sessions/probe/subscribe?q="+esc(zoneSrc)+"&args=5"+c.params, nil, &se); code != http.StatusBadRequest {
+			t.Errorf("%s: subscribe status %d, want 400", c.name, code)
+		}
+		if c.sameText && qe.Error != se.Error {
+			t.Errorf("%s: query says %q, subscribe says %q", c.name, qe.Error, se.Error)
+		}
+	}
+}
+
+// TestUnitProbeKeyBeyondFloatPrecision: a unit probe resolves its key
+// exactly. Key 2^53+1 is the float64 2^53, so a float compare of the key
+// column answered the scan query for 2^53+1 from the spawned unit 2^53;
+// both evaluators must now reject it alike, and answer 2^53 itself.
+func TestUnitProbeKeyBeyondFloatPrecision(t *testing.T) {
+	ts, _ := newTestServer(t)
+	create(t, ts.URL, "big", nil)
+	const big = int64(1) << 53
+	if code := do(t, http.MethodPost, ts.URL+"/v1/sessions/big/commands", CommandsRequest{
+		Commands: []WireCommand{{Op: "spawn", Key: big, X: 40, Y: 40}},
+	}, nil); code != http.StatusOK {
+		t.Fatalf("spawn: status %d", code)
+	}
+	if code := do(t, http.MethodPost, ts.URL+"/v1/sessions/big/step", StepRequest{Ticks: 1}, nil); code != http.StatusOK {
+		t.Fatalf("step: status %d", code)
+	}
+	src := `aggregate Foes(u) := count(*) as n, sum(e.health) as hp over e where e.player <> u.player;`
+	var texts []string
+	for _, scan := range []bool{false, true} {
+		key, beyond := big, big+1
+		if code := do(t, http.MethodPost, ts.URL+"/v1/sessions/big/query", QueryRequest{Src: src, Unit: &key, Scan: scan}, nil); code != http.StatusOK {
+			t.Errorf("scan=%v: unit 2^53: status %d, want 200", scan, code)
+		}
+		var er errorResponse
+		if code := do(t, http.MethodPost, ts.URL+"/v1/sessions/big/query", QueryRequest{Src: src, Unit: &beyond, Scan: scan}, &er); code != http.StatusBadRequest {
+			t.Errorf("scan=%v: unit 2^53+1: status %d, want 400", scan, code)
+		}
+		texts = append(texts, er.Error)
+	}
+	if texts[0] != texts[1] {
+		t.Errorf("unit 2^53+1: indexed says %q, scan says %q", texts[0], texts[1])
+	}
+}
+
+// TestNaNSubscriptionKeepsTheClock: a subscription At a NaN position — the
+// subscribe endpoint parses "NaN" — is re-evaluated through the maintained
+// path every tick under the session's reader lock. Its answer used to be
+// keyed by float fields and never found again, so the 33rd evaluation
+// spun forever in eviction and the clock, and every later Step, stalled
+// behind that lock. A clocked world must pass 40 ticks, and a Step after
+// it must return.
+func TestNaNSubscriptionKeepsTheClock(t *testing.T) {
+	reg := NewRegistry()
+	wd, err := reg.Create("nan", WorldSpec{
+		Units: 64, Density: 0.02, Seed: 5,
+		Formation: workload.BattleLines, Mode: engine.Indexed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest(http.MethodGet, "/v1/sessions/nan/subscribe?q="+url.QueryEscape(zoneSrc)+"&x=NaN&y=0&args=5", nil)
+	spec, err := parseSubSpec(wd, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, _, err := wd.Subscribe(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wd.Unsubscribe(sub)
+	if err := wd.StartClock(-1); err != nil {
+		t.Fatal(err)
+	}
+	if !wd.WaitTick(39, 10*time.Second) {
+		t.Fatalf("clock stalled at tick %d with a NaN subscription", wd.Session().Tick())
+	}
+	wd.StopClock()
+	stepped := make(chan error, 1)
+	go func() { stepped <- wd.Step(1) }()
+	select {
+	case err := <-stepped:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Step did not return with a NaN subscription")
+	}
+	reg.Close()
 }
 
 // TestCompiledQueryCacheLRU is the regression test for the compile-once

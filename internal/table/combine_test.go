@@ -304,26 +304,3 @@ func BenchmarkCombine(b *testing.B) {
 		tb.Combine()
 	}
 }
-
-// View shares storage with the parent and must window exactly [lo, hi).
-func TestViewWindowsAndAliases(t *testing.T) {
-	s := effectSchema(t)
-	tab := New(s, 4)
-	for i := 0; i < 4; i++ {
-		row := make([]float64, s.NumAttrs())
-		row[s.KeyCol()] = float64(i)
-		tab.Append(row)
-	}
-	v := tab.View(1, 3)
-	if v.Len() != 2 || v.Key(0) != 1 || v.Key(1) != 2 {
-		t.Fatalf("View(1,3) windows wrong rows: len=%d", v.Len())
-	}
-	if full := tab.View(0, -1); full.Len() != 4 {
-		t.Fatalf("View(0,-1) should cover all rows, got %d", full.Len())
-	}
-	// Shared storage: a write through the view is visible in the parent.
-	v.Rows[0][s.KeyCol()] = 42
-	if tab.Key(1) != 42 {
-		t.Fatal("View must alias parent storage, not copy")
-	}
-}

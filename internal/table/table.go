@@ -61,18 +61,6 @@ func (t *Table) Clone() *Table {
 // Key returns the integer key of row i.
 func (t *Table) Key(i int) int64 { return int64(t.Rows[i][t.Schema.KeyCol()]) }
 
-// View returns a read-only window onto rows [lo, hi) of t: the sub-table
-// shares t's row storage (no copying), so writes through either alias the
-// other. It exists for sharded readers — each worker of the parallel
-// engine walks its own contiguous view of the frozen tick snapshot.
-// hi < 0 means "to the end".
-func (t *Table) View(lo, hi int) *Table {
-	if hi < 0 {
-		hi = len(t.Rows)
-	}
-	return &Table{Schema: t.Schema, Rows: t.Rows[lo:hi]}
-}
-
 // Union returns the multiset union t ⊎ o. Both tables must share an equal
 // schema.
 func (t *Table) Union(o *Table) *Table {

@@ -28,21 +28,22 @@
 // The state-effect pattern makes a tick a set-at-a-time query: scripts
 // only read the frozen tick snapshot and emit effects combined with
 // commutative/associative folds, so tick execution shards across cores.
-// EngineOptions.Workers sets the shard count (0 = all cores, 1 = serial):
+// EngineOptions.Workers sets the shard count (0 = all cores; 1 runs the
+// same sharded code as a single shard):
 //
 //	eng, _ := sgl.NewEngine(prog, mech, army, sgl.EngineOptions{
 //		Mode: sgl.Indexed, Workers: 0, /* … */
 //	})
 //
 // The determinism contract is strict: for any program, any tick count,
-// and any Workers value, the environment is byte-identical to the serial
-// run. Three mechanisms make that hold — randomness is counter-based
+// and any Workers value, the environment is byte-identical to the
+// one-shard run. Three mechanisms make that hold — randomness is counter-based
 // (hashed from seed, tick, unit key, and draw index, so values do not
 // depend on evaluation order; sequential draws such as respawn placement
 // use per-unit substreams), shards are contiguous row ranges whose effect
-// buffers merge at a barrier in the serial fold order (plan-node major,
-// row minor), and every per-tick index is built once and then probed
-// read-only by all workers. Pick Workers = physical cores for throughput;
+// buffers merge at a barrier in one fold order (plan-node major, row
+// minor), and with several shards every per-tick index is built once and
+// then probed read-only by all workers. Pick Workers = physical cores for throughput;
 // there is no accuracy trade-off to weigh, and per-worker effect counts
 // are reported in RunStats.EffectsByWorker.
 //
@@ -106,30 +107,36 @@
 // Observation queries are the read half: CompileQuery compiles the
 // read-only SGL subset — aggregate definitions with filters, categorical
 // and range predicates, nearest-neighbour and extremum outputs; no
-// actions, no effects, no Random — and an engine evaluates one against
-// its last committed tick:
+// actions, no effects, no Random — and a read view of the last committed
+// tick evaluates one through a Probe: World (no probe unit), At an
+// observer position, or a live Unit by key:
 //
 //	q, err := sgl.CompileQuery(`
 //	  aggregate Zone(u, x, y, r) :=
 //	    count(*) as n, sum(e.health) as hp
 //	    over e where e.posx >= x - r and e.posx <= x + r
 //	      and e.posy >= y - r and e.posy <= y + r;`, schema, consts)
-//	out, err := eng.Query(q, 120, 80, 16)     // world query
-//	out, err = eng.QueryAt(q2, 120, 80)       // from an observer position
-//	out, err = eng.QueryUnit(q3, unitKey)     // through a live unit's eyes
+//	v := eng.ReadView()
+//	out, err := v.Query(q, sgl.World(), 120, 80, 16)  // world query
+//	out, err = v.Query(q2, sgl.At(120, 80))           // from an observer position
+//	out, err = v.Query(q3, sgl.Unit(unitKey))         // through a live unit's eyes
+//	out, err = sess.Query(q, 120, 80, 16)             // Session shorthand, World probe
 //
-// Queries run on the same machinery as the tick: the first evaluation
-// after a tick builds and freezes that query's index structures over the
-// committed snapshot, and every further evaluation — including concurrent
-// ones — probes them through a private fork, so N spectators share one
-// index build per tick and each probe costs O(log n) where a scan costs
-// O(n). The QueryScan* variants evaluate the same query by scanning
-// (the pluggable-evaluator duality of the paper, applied to reads);
-// differential tests prove both agree on every output class. Reads take
-// no lock: every tick commit publishes an immutable ReadView, so any
-// number of reader goroutines run beside Step, never behind it, and a
-// query issued mid-tick answers for the tick before. Session.ReadView
-// hands out the view itself when several reads must share one tick.
+// Queries run on the same machinery as the tick, but a view builds no
+// index: the first evaluation of a query on a view scans that query's
+// membership (which rows pass its filter, in which partition), and every
+// evaluation — including concurrent ones, each through a private fork —
+// answers one-shot against it, adding the same floats in the same order a
+// built index would. A tick builds its indexes because n units probe
+// them; a view sees a handful of probes per query. QueryScan evaluates the
+// same query by a naive O(n) scan (the pluggable-evaluator duality of the
+// paper, applied to reads); differential tests prove both agree on every
+// output class. Engine.QueryMaintained keeps an answer across ticks and
+// patches it from each tick's delta instead. Reads take no lock: every
+// tick commit publishes an immutable ReadView, so any number of reader
+// goroutines run beside Step, never behind it, and a query issued
+// mid-tick answers for the tick before. Session.ReadView hands out the
+// view itself when several reads must share one tick.
 //
 // # Interactive sessions: injected commands
 //
@@ -158,12 +165,13 @@
 // (TestReplayMatchesLive proves it over the script zoo and the battle
 // simulation).
 //
-// Checkpoints participate too: format version 2 embeds the script text,
-// the constant table, the journal and any still-pending commands, so a
-// checkpoint is one self-contained stream that Open reopens with no
-// other artifact. Version-1 checkpoints (which predate the embedded
-// script) remain readable by the shipped tools: `battlesim -resume` and
-// sgld's restore, given the script explicitly.
+// Checkpoints participate too: since format version 2 a checkpoint embeds
+// the script text, the constant table, the journal and any still-pending
+// commands (version 3 adds the journal's compaction base), so it is one
+// self-contained stream that Open reopens with no other artifact.
+// Version-1 checkpoints (which predate the embedded script) remain
+// readable by the shipped tools: `battlesim -resume` and sgld's restore,
+// given the script explicitly.
 //
 // # Serving many worlds
 //
@@ -172,9 +180,9 @@
 // API — create a world from an SGL script, run its clock at a target
 // tick rate on its own goroutine, fan observation queries out to any
 // number of spectators (each distinct query source compiles once and
-// shares one index build per tick), checkpoint it to disk, and restore
-// it into a new session under different tuning, which is live
-// migration. Serving is itself covered by an exactness contract: a
+// shares one membership scan per committed tick), checkpoint it to disk,
+// and restore it into a new session under different tuning, which is
+// live migration. Serving is itself covered by an exactness contract: a
 // world stepped over HTTP under concurrent spectator load checkpoints
 // byte-identically to the same (script, seed, ticks) run standalone.
 // Operational counters are exposed on /metrics in Prometheus text
@@ -228,16 +236,20 @@ type (
 	// RunStats are the engine's cumulative run counters.
 	RunStats = engine.RunStats
 	// Session is the long-lived facade over an Engine: Step, concurrent
-	// Query*, Checkpoint, and a per-tick stats hook.
+	// world queries, Checkpoint, and a per-tick stats hook.
 	Session = engine.Session
 	// StatsFunc observes the engine after each tick of a Session.Step.
 	StatsFunc = engine.StatsFunc
 	// Query is a compiled read-only observation query.
 	Query = engine.Query
 	// ReadView is one committed tick published for lock-free readers: the
-	// tick number, the status counters and the six Query* forms, all
-	// describing the same state (Engine.ReadView, Session.ReadView).
+	// tick number, the status counters, and Query and QueryScan through
+	// any Probe, all describing the same state (Engine.ReadView,
+	// Session.ReadView).
 	ReadView = engine.ReadView
+	// Probe is the unit a query evaluation looks through: none (World),
+	// an observer at a position (At), or a live unit by key (Unit).
+	Probe = engine.Probe
 	// Command is one externally injected world mutation (spawn, despawn,
 	// set-column, tune-const), submitted through Session.Submit.
 	Command = engine.Command
@@ -261,8 +273,8 @@ const (
 )
 
 // CheckpointVersion is the checkpoint format version this build writes.
-// Reads accept it and CheckpointVersionV1. See ROADMAP.md for the
-// version policy.
+// Reads accept it, version 2 (self-contained, without a compaction base)
+// and CheckpointVersionV1. See ROADMAP.md for the version policy.
 const CheckpointVersion = engine.CheckpointVersion
 
 // CheckpointVersionV1 is the first checkpoint format (no embedded
@@ -288,6 +300,17 @@ const (
 // above which incremental index maintenance falls back to rebuilding
 // (EngineOptions.IncrementalThreshold = 0 selects it).
 const DefaultIncrementalThreshold = engine.DefaultIncrementalThreshold
+
+// World is the probe of a world query, one that reads no attribute of a
+// probe unit.
+func World() Probe { return engine.World() }
+
+// At probes a query from an observer at (x, y).
+func At(x, y float64) Probe { return engine.At(x, y) }
+
+// Unit probes a query through the eyes of the live unit with the given
+// key.
+func Unit(key int64) Probe { return engine.Unit(key) }
 
 // NewSchema builds an environment schema; exactly one Const attribute must
 // be named "key".
@@ -322,8 +345,8 @@ func NewEngine(prog *Program, mech Mechanics, initial *Table, opts EngineOptions
 }
 
 // NewSession wraps an engine in the session facade, adding the locking
-// that makes Step, Checkpoint and the journal reads safe together (the
-// Query* reads need none: they evaluate on the published ReadView).
+// that makes Step, Checkpoint and the journal reads safe together (query
+// reads need none: they evaluate on the published ReadView).
 func NewSession(e *Engine) *Session { return engine.NewSession(e) }
 
 // Open reopens a self-contained checkpoint (format version 2 or later)
@@ -344,8 +367,9 @@ func Open(r io.Reader, mech Mechanics, tune EngineOptions) (*Session, error) {
 // SGL aggregate-definition subset: filters, categorical and range
 // predicates, and aggregate outputs; no actions, no effects, no Random.
 // The last aggregate declared is the entry point. Evaluate the result
-// with Engine.Query / QueryAt / QueryUnit, their Session counterparts,
-// or on a ReadView.
+// on a ReadView through a Probe (ReadView.Query, ReadView.QueryScan),
+// with Engine.QueryMaintained, or — for world queries — with the Session
+// shorthands.
 func CompileQuery(src string, schema *Schema, consts map[string]float64) (*Query, error) {
 	return engine.CompileQuery(src, schema, consts)
 }
