@@ -260,7 +260,7 @@ func BenchmarkNNAblationKDTree(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := kp[i%len(kp)]
-		tr.Nearest(q.X, q.Y, q.Key, math.Inf(1))
+		tr.Nearest(q.X, q.Y, q.Key)
 	}
 }
 
@@ -424,13 +424,17 @@ func BenchmarkTickParallel(b *testing.B) {
 //
 //	go test -bench=TickIncrementalSentry -benchtime=20x
 
-func newSentry(b testing.TB, n int, workers int, inc bool) *Engine {
+// sentryMix is the garrison's unit mix: 1 scout in 25. The zero mix is
+// the daemon's default 3:2:1, 1 scout in 6.
+var sentryMix = [3]int{20, 4, 1}
+
+func newSentry(b testing.TB, n int, workers int, inc bool, mix [3]int) *Engine {
 	b.Helper()
 	prog, err := CompileScript(game.PatrolScript, game.Schema(), game.Consts())
 	if err != nil {
 		b.Fatal(err)
 	}
-	spec := ArmySpec{Units: n, Density: 0.01, Seed: 42, Formation: workload.BattleLines, Mix: [3]int{20, 4, 1}}
+	spec := ArmySpec{Units: n, Density: 0.01, Seed: 42, Formation: workload.BattleLines, Mix: mix}
 	eng, err := NewEngine(prog, NewBattleMechanics(), GenerateArmy(spec), EngineOptions{
 		Mode:         Indexed,
 		Categoricals: game.Categoricals(),
@@ -489,7 +493,7 @@ func submitMoraleSets(tb testing.TB, e *Engine, k int) {
 // shard boundaries and effect buffers on the engine (25).
 func TestTickAllocRatchet(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	e := newSentry(t, 2000, 1, true)
+	e := newSentry(t, 2000, 1, true, sentryMix)
 	if err := e.Run(5); err != nil { // past the ticks that size the scratch
 		t.Fatal(err)
 	}
@@ -629,10 +633,22 @@ func TestFirstReadAllocRatchet(t *testing.T) {
 // tick, to the incremental world — the half of the sentry workload the
 // traced tick loop in bench/ does not submit — and report index builds per
 // tick: a morale edit rebuilds nothing, so they match the quiet rows'.
-// Every row reports range-tree probes and carried answers per tick: on
-// the incremental rows the garrison's calls over the clean knight lines
-// carry from tick to tick, and the tree probes left are the scouts'.
+// Every row reports range-tree probes, kD-tree probes and carried answers
+// per tick: on the incremental rows the garrison's calls over the clean
+// knight lines carry from tick to tick, and the tree probes left are the
+// scouts'; every unit's NearestScout searches the kD-trees of the moving
+// scouts, which nothing carries. The last row, cmds-mix3:2:1, is the
+// repository benchmark's sentry-tick world at the daemon's default mix:
+// 833 scouts a player, against the garrison rows' 200.
 func BenchmarkTickIncrementalSentry(b *testing.B) {
+	type row struct {
+		n, w int
+		inc  bool
+		cmds int
+		mix  [3]int
+		name string
+	}
+	var rows []row
 	for _, n := range []int{2000, 10000} {
 		for _, w := range []int{1, 4} {
 			for _, inc := range []bool{false, true} {
@@ -648,30 +664,35 @@ func BenchmarkTickIncrementalSentry(b *testing.B) {
 						}
 						name += "/cmds"
 					}
-					b.Run(name, func(b *testing.B) {
-						e := newSentry(b, n, w, inc)
-						before := e.Stats.IndexStats
-						b.ReportAllocs()
-						b.ResetTimer()
-						for i := 0; i < b.N; i++ {
-							submitMoraleSets(b, e, cmds)
-							if err := e.Tick(); err != nil {
-								b.Fatal(err)
-							}
-						}
-						is := e.Stats.IndexStats
-						perTick := func(v int) float64 { return float64(v) / float64(b.N) }
-						b.ReportMetric(float64(n)/b.Elapsed().Seconds()*float64(b.N), "unit-ticks/s")
-						b.ReportMetric(perTick(is.IndexBuilds-before.IndexBuilds), "builds/tick")
-						b.ReportMetric(perTick(is.TreeProbes-before.TreeProbes), "tree-probes/tick")
-						b.ReportMetric(perTick(is.CarriedAnswers-before.CarriedAnswers), "carried/tick")
-						if inc {
-							b.ReportMetric(float64(e.Stats.DirtyRows)/float64(e.Stats.Ticks), "dirty-rows/tick")
-						}
-					})
+					rows = append(rows, row{n, w, inc, cmds, sentryMix, name})
 				}
 			}
 		}
+	}
+	rows = append(rows, row{10000, 1, true, 3, [3]int{}, "n10000/w1/incr/cmds-mix3:2:1"})
+	for _, r := range rows {
+		b.Run(r.name, func(b *testing.B) {
+			e := newSentry(b, r.n, r.w, r.inc, r.mix)
+			before := e.Stats.IndexStats
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				submitMoraleSets(b, e, r.cmds)
+				if err := e.Tick(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			is := e.Stats.IndexStats
+			perTick := func(v int) float64 { return float64(v) / float64(b.N) }
+			b.ReportMetric(float64(r.n)/b.Elapsed().Seconds()*float64(b.N), "unit-ticks/s")
+			b.ReportMetric(perTick(is.IndexBuilds-before.IndexBuilds), "builds/tick")
+			b.ReportMetric(perTick(is.TreeProbes-before.TreeProbes), "tree-probes/tick")
+			b.ReportMetric(perTick(is.KDProbes-before.KDProbes), "kd-probes/tick")
+			b.ReportMetric(perTick(is.CarriedAnswers-before.CarriedAnswers), "carried/tick")
+			if r.inc {
+				b.ReportMetric(float64(e.Stats.DirtyRows)/float64(e.Stats.Ticks), "dirty-rows/tick")
+			}
+		})
 	}
 }
 

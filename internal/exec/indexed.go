@@ -1039,7 +1039,7 @@ func (p *Indexed) nearest(built bool, parts []*part, unit []float64) kdtree.Resu
 		var r kdtree.Result
 		if built {
 			p.Stats.KDProbes++
-			r = part.kd.Nearest(ux, uy, self, math.Inf(1))
+			r = part.kd.Nearest(ux, uy, self)
 		} else {
 			p.Stats.ScanProbes++
 			r = kdtree.NearestOnce(p.partKDPoints(part.rows), ux, uy, self)

@@ -5,8 +5,13 @@
 // categorical selections (player, unit type, "whose armor we can
 // penetrate") are handled by building one tree per partition above this
 // package, then each probe is answered by the partition's tree. Queries
-// support an exclusion key (a unit is never its own nearest enemy) and an
-// optional maximum radius (visibility range).
+// support an exclusion key (a unit is never its own nearest enemy).
+//
+// The tree is bucketed: points live only in leaves of at most leafSize,
+// stored as contiguous coordinate and key slabs, and inner nodes hold only
+// their split value. A search descends iteratively, bounding each subtree
+// it defers by the probe's per-axis offsets from the splits that separate
+// them (Arya and Mount's incremental distance).
 //
 // Like the other per-tick indexes, a tree is rebuilt rather than updated:
 // Rebuild lays a new point set out in the storage the tree already has, so
@@ -25,58 +30,25 @@ type Point struct {
 	Key  int64
 }
 
-// Tree is a 2-d tree, safe for concurrent reads; Rebuild needs exclusive
-// access. The zero value is an empty tree.
+// leafSize is the most points a leaf holds. A search scans a leaf whole;
+// 8 and 16 measure alike.
+const leafSize = 8
+
+// Tree is a bucketed 2-d tree, safe for concurrent reads; Rebuild needs
+// exclusive access. The zero value is an empty tree.
 //
-// The tree is implicit: the node covering pts[lo:hi] splits at mid =
-// lo + (hi−lo)/2, its children cover pts[lo:mid] and pts[mid+1:hi], and
-// boxes[mid] is the bounding box of its points. Every position is the
-// split point of exactly one node, so the boxes take one flat slot per
-// point and no node structs exist.
+// The tree is implicit. Every leaf sits at depth d, the least for which
+// no leaf holds more than leafSize of the n points: leaf j holds slab
+// positions [j·n>>d, (j+1)·n>>d). Inner node i, numbered as a heap
+// (children 2i+1 and 2i+2), splits on x at even depths and on y at odd
+// ones, and holds only its split value: every point of its left child lies
+// at or below it on that axis, every point of its right child at or above.
 type Tree struct {
-	pts   []Point // points in tree layout order
-	boxes []box   // by split position: the bounding box of that node's points
-}
-
-// box is an axis-aligned bounding box over the non-NaN coordinates of a
-// node's points. An axis on which every point is NaN is empty (min +Inf,
-// max −Inf).
-type box struct{ minX, minY, maxX, maxY float64 }
-
-var emptyBox = box{math.Inf(1), math.Inf(1), math.Inf(-1), math.Inf(-1)}
-
-func (b *box) add(o box) {
-	if o.minX < b.minX {
-		b.minX = o.minX
-	}
-	if o.maxX > b.maxX {
-		b.maxX = o.maxX
-	}
-	if o.minY < b.minY {
-		b.minY = o.minY
-	}
-	if o.maxY > b.maxY {
-		b.maxY = o.maxY
-	}
-}
-
-// distSq is the squared distance from (x, y) to b — a lower bound, under
-// any monotone rounding, on the squared distance from (x, y) to every
-// point in b that is not at a NaN distance. Never NaN: a NaN probe
-// coordinate contributes 0.
-func (b *box) distSq(x, y float64) float64 {
-	var dx, dy float64
-	if x < b.minX {
-		dx = b.minX - x
-	} else if x > b.maxX {
-		dx = x - b.maxX
-	}
-	if y < b.minY {
-		dy = b.minY - y
-	} else if y > b.maxY {
-		dy = y - b.maxY
-	}
-	return dx*dx + dy*dy
+	xs, ys []float64 // point coordinates in leaf order
+	keys   []int64   // point keys in leaf order
+	splits []float64 // by inner node: its split value
+	depth  int       // the depth of every leaf
+	pts    []Point   // the points as Rebuild partitioned them, kept for reuse
 }
 
 // Build constructs a new tree; see Rebuild.
@@ -91,41 +63,36 @@ func Build(pts []Point) *Tree {
 // is neither modified nor retained. The result is a pure function of pts:
 // a rebuilt tree answers every query bit-identically to a fresh Build.
 func (t *Tree) Rebuild(pts []Point) {
+	n := len(pts)
+	t.depth = 0
+	for n > leafSize<<t.depth {
+		t.depth++
+	}
+	inner := 1<<t.depth - 1
+	t.splits = slices.Grow(t.splits[:0], inner)[:inner]
 	t.pts = append(t.pts[:0], pts...)
-	build(t.pts, 0)
-	t.boxes = slices.Grow(t.boxes[:0], len(pts))[:len(pts)]
-	if len(pts) > 0 {
-		t.fillBoxes(0, len(pts))
+	t.split(0, 0)
+	t.xs = slices.Grow(t.xs[:0], n)[:n]
+	t.ys = slices.Grow(t.ys[:0], n)[:n]
+	t.keys = slices.Grow(t.keys[:0], n)[:n]
+	for j, p := range t.pts {
+		t.xs[j], t.ys[j], t.keys[j] = p.X, p.Y, p.Key
 	}
 }
 
-// build recursively partitions pts around the median along the split axis
-// (0 = x, 1 = y, alternating by depth).
-func build(pts []Point, axis int) {
-	if len(pts) <= 1 {
+// split partitions the points of node i, at depth k, around the median
+// along its axis (0 = x, 1 = y, alternating by depth), records the median's
+// coordinate as the split value, and recurses into the children.
+func (t *Tree) split(i, k int) {
+	if i >= len(t.splits) {
 		return
 	}
-	mid := len(pts) / 2
-	nthElement(pts, mid, axis)
-	build(pts[:mid], 1-axis)
-	build(pts[mid+1:], 1-axis)
-}
-
-// fillBoxes computes the boxes of the subtree over pts[lo:hi] bottom-up
-// and returns its root's.
-func (t *Tree) fillBoxes(lo, hi int) box {
-	mid := lo + (hi-lo)/2
-	p := t.pts[mid]
-	b := emptyBox
-	b.add(box{p.X, p.Y, p.X, p.Y})
-	if lo < mid {
-		b.add(t.fillBoxes(lo, mid))
-	}
-	if mid+1 < hi {
-		b.add(t.fillBoxes(mid+1, hi))
-	}
-	t.boxes[mid] = b
-	return b
+	n, a := len(t.pts), i-(1<<k-1) // a: the node's place within depth k
+	lo, mid, hi := a*n>>k, (2*a+1)*n>>(k+1), (a+1)*n>>k
+	nthElement(t.pts[lo:hi], mid-lo, k&1)
+	t.splits[i] = coord(t.pts[mid], k&1)
+	t.split(2*i+1, k+1)
+	t.split(2*i+2, k+1)
 }
 
 // nthElement partially sorts pts so pts[k] holds the k-th smallest element
@@ -201,7 +168,7 @@ func coord(p Point, axis int) float64 {
 }
 
 // Len returns the number of indexed points.
-func (t *Tree) Len() int { return len(t.pts) }
+func (t *Tree) Len() int { return len(t.keys) }
 
 // Result is a nearest-neighbour answer.
 type Result struct {
@@ -213,7 +180,7 @@ type Result struct {
 
 // accept folds one point at squared distance d into best under the
 // search's rule: strictly closer, or an equidistant tie with a smaller
-// key, or the first point found within the radius bound (inclusive).
+// key, or the first point found at all (even at an infinite distance).
 func accept(best *Result, p Point, d float64) {
 	if d < best.DistSq ||
 		(d == best.DistSq && best.Found && p.Key < best.Key) ||
@@ -223,84 +190,101 @@ func accept(best *Result, p Point, d float64) {
 }
 
 // Nearest returns the point closest (Euclidean) to (x, y), excluding any
-// point whose key equals exclude (pass a negative key to exclude nothing),
-// and ignoring points farther than maxDist (pass +Inf for unbounded).
+// point whose key equals exclude (pass a negative key to exclude nothing).
 // Ties break toward the smaller key so both evaluators agree.
-func (t *Tree) Nearest(x, y float64, exclude int64, maxDist float64) Result {
-	best := Result{DistSq: maxDist * maxDist}
-	if math.IsInf(maxDist, 1) {
-		best.DistSq = math.Inf(1)
+//
+// The search descends to the probe's leaf, near child first, deferring
+// each far child with its offsets: per axis, the probe's distance to the
+// nearest split separating it from that child (0 where none does). Under
+// monotone rounding ox²+oy² is at most the squared distance to every point
+// in the child, and the best distance never grows, so a child is deferred
+// only when that bound is <= the best so far and skipped when it is
+// strictly greater: no point skipped could have been accepted, equidistant
+// ties included, and the answer is the (distance, key) minimum whatever the
+// layout. A NaN offset (the probe and a split at the same infinity, or a
+// NaN coordinate) bounds nothing and defers nothing.
+func (t *Tree) Nearest(x, y float64, exclude int64) Result {
+	best := Result{DistSq: math.Inf(1)}
+	n := len(t.keys)
+	if n == 0 {
+		return best
 	}
-	if len(t.pts) > 0 {
-		t.search(0, len(t.pts), 0, x, y, exclude, &best)
+	type deferred struct {
+		i, k   int     // the child and its depth
+		ox, oy float64 // its offsets
 	}
-	return best
+	// At most one child per level below the node whose descent deferred
+	// it waits here, and a tree of any int-sized population is less than
+	// 64 levels deep.
+	var stack [64]deferred
+	sp := 0
+	i, k, ox, oy := 0, 0, 0.0, 0.0
+	for {
+		for ; k < t.depth; k++ {
+			fx, fy := ox, oy
+			var diff float64
+			if k&1 == 0 {
+				diff = x - t.splits[i]
+				fx = diff
+			} else {
+				diff = y - t.splits[i]
+				fy = diff
+			}
+			near, far := 2*i+1, 2*i+2
+			if diff > 0 {
+				near, far = far, near
+			}
+			if fx*fx+fy*fy <= best.DistSq {
+				stack[sp] = deferred{far, k + 1, fx, fy}
+				sp++
+			}
+			i = near
+		}
+		j := i - len(t.splits)
+		for p, hi := j*n>>k, (j+1)*n>>k; p < hi; p++ {
+			if key := t.keys[p]; key != exclude {
+				px, py := t.xs[p], t.ys[p]
+				dx, dy := px-x, py-y
+				accept(&best, Point{px, py, key}, dx*dx+dy*dy)
+			}
+		}
+		for {
+			if sp == 0 {
+				return best
+			}
+			sp--
+			f := &stack[sp]
+			if f.ox*f.ox+f.oy*f.oy <= best.DistSq {
+				i, k, ox, oy = f.i, f.k, f.ox, f.oy
+				break
+			}
+		}
+	}
 }
 
-// NearestOnce returns what Build(pts).Nearest(x, y, exclude, +Inf)
-// returns, without building the tree: one pass under the search's own
-// acceptance rule — least squared distance, ties toward the smaller key,
-// a point at unbounded distance still found when nothing is nearer. The
-// tree's answer is that minimum whatever its shape, because the search
-// only prunes a region (half-plane or bounding box) farther than the best
-// so far and visits it on a tie. The exception is a coordinate difference
-// that is NaN (a NaN coordinate, or the probe and a point at the same
-// infinity): it compares false with everything, so what the tree prunes
-// then depends on its layout — such a point set is answered by building
-// the tree, at the full build's cost on every call: correct for hostile
-// rows, not fast.
+// NearestOnce returns what Build(pts).Nearest(x, y, exclude) returns,
+// without building the tree: one pass under the search's own acceptance
+// rule — least squared distance, ties toward the smaller key, a point at
+// unbounded distance still found when nothing is nearer. The tree's answer
+// is that minimum whatever its shape, because the search only skips a
+// subtree whose offset bound is farther than the best so far and visits it
+// on a tie. The exception is a coordinate difference that is NaN (a NaN
+// coordinate, or the probe and a point at the same infinity): it compares
+// false with everything, so what the tree skips then depends on its layout
+// — such a point set is answered by building the tree, at the full build's
+// cost on every call: correct for hostile rows, not fast.
 func NearestOnce(pts []Point, x, y float64, exclude int64) Result {
 	best := Result{DistSq: math.Inf(1)}
 	for _, p := range pts {
 		dx, dy := p.X-x, p.Y-y
 		if dx != dx || dy != dy {
-			return Build(pts).Nearest(x, y, exclude, math.Inf(1))
+			return Build(pts).Nearest(x, y, exclude)
 		}
 		if p.Key != exclude {
 			accept(&best, p, dx*dx+dy*dy)
 		}
 	}
 	return best
-}
-
-// search visits the node over pts[lo:hi] (nonempty), near child first.
-//
-// A subtree is skipped when its box is strictly farther than the best so
-// far: every point in it lies at least that far (monotone rounding keeps
-// the box's bound below each member's computed distance, and a point at a
-// NaN distance is never accepted), and the best distance never grows, so
-// no point skipped could have been accepted then or later — the search
-// ends in exactly the state it would have without the box test, ties
-// included. The splitting-plane test stays as it was, so where a NaN
-// difference prunes nothing changes either.
-func (t *Tree) search(lo, hi, axis int, x, y float64, exclude int64, best *Result) {
-	mid := lo + (hi-lo)/2
-	if t.boxes[mid].distSq(x, y) > best.DistSq {
-		return
-	}
-	p := t.pts[mid]
-	if p.Key != exclude {
-		dx, dy := p.X-x, p.Y-y
-		accept(best, p, dx*dx+dy*dy)
-	}
-	var diff float64
-	if axis == 0 {
-		diff = x - p.X
-	} else {
-		diff = y - p.Y
-	}
-	nearLo, nearHi, farLo, farHi := lo, mid, mid+1, hi
-	if diff > 0 {
-		nearLo, nearHi, farLo, farHi = farLo, farHi, nearLo, nearHi
-	}
-	if nearLo < nearHi {
-		t.search(nearLo, nearHi, 1-axis, x, y, exclude, best)
-	}
-	// Visit the far side only if the splitting plane is within the best
-	// radius; use <= so equidistant ties are found for determinism.
-	if farLo < farHi && diff*diff <= best.DistSq {
-		t.search(farLo, farHi, 1-axis, x, y, exclude, best)
-	}
 }
 
 // All returns the indexed points sorted by key, primarily for tests.

@@ -23,8 +23,8 @@ func sameResult(a, b Result) bool {
 // tree, so each rebuild lands on storage an earlier point set of another
 // size and layout left behind. After every step the rebuilt tree must
 // answer exactly like a fresh Build over the same points (bit for bit) and
-// like a brute-force model, with and without an excluded key and a
-// radius. Failures name the seed subtest to replay.
+// like a brute-force model, with an excluded key present or absent.
+// Failures name the seed subtest to replay.
 func TestDynamicOpsAgainstModel(t *testing.T) {
 	for _, seed := range []uint64{2, 13, 42, 512} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -43,18 +43,14 @@ func TestDynamicOpsAgainstModel(t *testing.T) {
 				for probe := 0; probe < 10; probe++ {
 					x, y := float64(st.Intn(50)), float64(st.Intn(50))
 					exclude := int64(st.Intn(int(nextKey) + 1)) // may or may not be present
-					maxDist := math.Inf(1)
-					if st.Intn(2) == 0 {
-						maxDist = float64(5 + st.Intn(20))
+					got := tr.Nearest(x, y, exclude)
+					if want := fresh.Nearest(x, y, exclude); !sameResult(got, want) {
+						t.Fatalf("op %d: rebuilt Nearest(%v,%v,excl=%d) = %+v, fresh build %+v",
+							op, x, y, exclude, got, want)
 					}
-					got := tr.Nearest(x, y, exclude, maxDist)
-					if want := fresh.Nearest(x, y, exclude, maxDist); !sameResult(got, want) {
-						t.Fatalf("op %d: rebuilt Nearest(%v,%v,excl=%d,max=%v) = %+v, fresh build %+v",
-							op, x, y, exclude, maxDist, got, want)
-					}
-					if want := bruteNearest(pts, x, y, exclude, maxDist); got != want {
-						t.Fatalf("op %d: Nearest(%v,%v,excl=%d,max=%v) = %+v, model %+v",
-							op, x, y, exclude, maxDist, got, want)
+					if want := bruteNearest(pts, x, y, exclude); got != want {
+						t.Fatalf("op %d: Nearest(%v,%v,excl=%d) = %+v, model %+v",
+							op, x, y, exclude, got, want)
 					}
 				}
 			}
@@ -113,7 +109,7 @@ func nearestScene(data []byte) []Point {
 }
 
 // FuzzNearestMatchesOnce: whatever the point set and the probe, the built
-// tree's box-pruned search and the one-pass NearestOnce return the same
+// tree's offset-bounded search and the one-pass NearestOnce return the same
 // Result — Key, Found, and X, Y, DistSq bit for bit — with the excluded
 // key present in the set or absent from it. A tree rebuilt in place from
 // another scene must say the same.
@@ -123,12 +119,12 @@ func FuzzNearestMatchesOnce(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, x, y float64, exclude int64) {
 		pts := nearestScene(data)
 		want := NearestOnce(pts, x, y, exclude)
-		if got := Build(pts).Nearest(x, y, exclude, math.Inf(1)); !sameResult(got, want) {
+		if got := Build(pts).Nearest(x, y, exclude); !sameResult(got, want) {
 			t.Fatalf("%d points, probe (%v, %v) excluding %d: tree %+v, NearestOnce %+v", len(pts), x, y, exclude, got, want)
 		}
 		recycled := Build(nearestScene(append([]byte{7, 1, 2, 8}, data...)))
 		recycled.Rebuild(pts)
-		if got := recycled.Nearest(x, y, exclude, math.Inf(1)); !sameResult(got, want) {
+		if got := recycled.Nearest(x, y, exclude); !sameResult(got, want) {
 			t.Fatalf("%d points, probe (%v, %v) excluding %d: rebuilt tree %+v, NearestOnce %+v", len(pts), x, y, exclude, got, want)
 		}
 	})
@@ -165,7 +161,7 @@ func TestNearestOnceMatchesBuild(t *testing.T) {
 					x, y := coord(specials), coord(specials)
 					exclude := int64(st.Intn(n+2)) - 1
 					got := NearestOnce(pts, x, y, exclude)
-					if want := tr.Nearest(x, y, exclude, math.Inf(1)); !sameResult(got, want) {
+					if want := tr.Nearest(x, y, exclude); !sameResult(got, want) {
 						t.Fatalf("scene %d (n=%d): NearestOnce(%v, %v, exclude %d) = %+v, built tree says %+v",
 							scene, n, x, y, exclude, got, want)
 					}
