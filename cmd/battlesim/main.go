@@ -209,17 +209,9 @@ func run(cfg config, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		// Checkpoints are self-contained since format v2: Open rebuilds
-		// the program from the stream. Version-1 files predate that, so
-		// fall back to the prog-supplied restore for them.
+		// Checkpoints are self-contained: Open rebuilds the program from
+		// the stream. Older layouts fail with a pointer at sglc -upgrade.
 		sess, err = engine.Open(f, game.NewMechanics(), tune)
-		if err != nil {
-			if _, serr := f.Seek(0, io.SeekStart); serr == nil {
-				if s2, rerr := engine.RestoreSession(f, prog, game.NewMechanics(), tune); rerr == nil {
-					sess, err = s2, nil
-				}
-			}
-		}
 		f.Close()
 		if err != nil {
 			return err
@@ -349,7 +341,7 @@ func run(cfg config, out io.Writer) error {
 			s.IndexBuilds, s.TreeProbes, s.KDProbes, s.Sweeps, s.ScanProbes)
 		if cfg.incremental {
 			fmt.Fprintf(out, "maintenance: %d/%d ticks maintained, %.1f dirty rows/tick, %d reuses, %d patches, %d fallbacks\n",
-				stats.MaintainTicks, stats.Ticks,
+				stats.MaintainTicks, cfg.ticks, // maintenance counters restart at zero on -resume
 				float64(stats.DirtyRows)/float64(max(1, stats.MaintainTicks)),
 				s.IndexReuses, s.IndexPatches, s.MaintainFallbacks)
 		}

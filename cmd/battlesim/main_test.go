@@ -85,19 +85,16 @@ func TestCheckpointResumeSmoke(t *testing.T) {
 
 	// Reload the checkpoint the resumed run started from and replay it to
 	// compare states and counters against the straight run.
-	prog, err := game.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
 	f, err := os.Open(ckpt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	resumed, err := engine.Restore(f, prog, game.NewMechanics(), engine.Options{Workers: 4})
+	sess, err := engine.Open(f, game.NewMechanics(), engine.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	resumed := sess.Engine()
 	if err := resumed.Run(9); err != nil {
 		t.Fatal(err)
 	}

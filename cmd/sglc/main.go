@@ -7,9 +7,15 @@
 //
 //	sglc [-explain] [-classify] [-no-opt] [-vet] script.sgl
 //	sglc -builtin            # inspect the built-in battle script
+//	sglc -upgrade [-script file] in out
 //
 // -vet additionally runs the lint diagnostics engine (the same rules as
 // the sglvet command) and prints its findings after the plan.
+//
+// -upgrade rewrites the checkpoint in, written in any older format
+// version, as the current version in out — the one layout engine.Open
+// reads. A version-1 checkpoint predates the embedded script and needs
+// -script, the battle-schema script it ran.
 package main
 
 import (
@@ -18,11 +24,13 @@ import (
 	"os"
 
 	"github.com/epicscale/sgl/internal/algebra"
+	"github.com/epicscale/sgl/internal/engine"
 	"github.com/epicscale/sgl/internal/exec"
 	"github.com/epicscale/sgl/internal/game"
 	"github.com/epicscale/sgl/internal/sgl/lint"
 	"github.com/epicscale/sgl/internal/sgl/parser"
 	"github.com/epicscale/sgl/internal/sgl/sem"
+	"github.com/epicscale/sgl/internal/table"
 )
 
 func main() {
@@ -31,28 +39,32 @@ func main() {
 	noOpt := flag.Bool("no-opt", false, "skip the algebraic optimizer")
 	builtin := flag.Bool("builtin", false, "compile the built-in battle script instead of a file")
 	vet := flag.Bool("vet", false, "run the lint diagnostics engine and print its findings")
+	upgrade := flag.Bool("upgrade", false, "rewrite the checkpoint <in> as the current format in <out>")
+	scriptFile := flag.String("script", "", "with -upgrade: the script a version-1 checkpoint ran")
 	flag.Parse()
 
-	var src string
-	switch {
-	case *builtin:
-		src = game.Script
-	case flag.NArg() == 1:
-		data, err := os.ReadFile(flag.Arg(0))
-		if err != nil {
+	if *upgrade {
+		if flag.NArg() != 2 {
+			fmt.Fprintln(os.Stderr, "usage: sglc -upgrade [-script file] in out")
+			os.Exit(2)
+		}
+		if err := upgradeFile(flag.Arg(0), flag.Arg(1), *scriptFile); err != nil {
 			fatal(err)
 		}
-		src = string(data)
+		return
+	}
+
+	var path string // empty: the built-in script
+	switch {
+	case *builtin:
+	case flag.NArg() == 1:
+		path = flag.Arg(0)
 	default:
 		fmt.Fprintln(os.Stderr, "usage: sglc [-explain] [-classify] [-no-opt] script.sgl | sglc -builtin")
 		os.Exit(2)
 	}
 
-	script, err := parser.Parse(src)
-	if err != nil {
-		fatal(err)
-	}
-	prog, err := sem.Check(script, game.Schema(), game.Consts())
+	prog, src, err := compileScript(path)
 	if err != nil {
 		fatal(err)
 	}
@@ -109,6 +121,48 @@ func main() {
 			}
 		}
 	}
+}
+
+// upgradeFile rewrites the checkpoint at in as the current format at out
+// (staged and renamed into place, so a failure leaves no partial file).
+// script names the SGL file a version-1 checkpoint ran; later versions
+// embed theirs and ignore it.
+func upgradeFile(in, out, script string) error {
+	var prog *sem.Program
+	if script != "" {
+		var err error
+		if prog, _, err = compileScript(script); err != nil {
+			return err
+		}
+	}
+	f, err := os.Open(in)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	return table.WriteFileAtomic(out, func(w *os.File) error {
+		return engine.Upgrade(f, w, prog)
+	})
+}
+
+// compileScript checks the SGL script at path — the built-in battle script
+// when path is empty — against the battle schema and constants, and
+// returns the program with its source.
+func compileScript(path string) (*sem.Program, string, error) {
+	src := game.Script
+	if path != "" {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return nil, "", err
+		}
+		src = string(data)
+	}
+	script, err := parser.Parse(src)
+	if err != nil {
+		return nil, "", err
+	}
+	prog, err := sem.Check(script, game.Schema(), game.Consts())
+	return prog, src, err
 }
 
 func fatal(err error) {

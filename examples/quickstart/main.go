@@ -114,7 +114,7 @@ func main() {
 		add(0, 0, 0, 0)
 		add(1, 0, 23, 23)
 		for i := int64(2); i < 8; i++ {
-			add(i, 1, float64(5+3*i), float64(20-2*i))
+			add(i, 1, float64(2+3*i), float64(20-2*i)) // x 8..23, inside [0, 24)
 		}
 		return world
 	}

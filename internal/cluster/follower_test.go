@@ -59,10 +59,11 @@ func waitCaughtUp(t *testing.T, f *Follower, target int64) {
 // follower bootstrapped from the writer's checkpoint and advanced over
 // its streamed journal serves QueryScan* answers — over its own HTTP
 // surface — bit-identical to the writer's at the same tick, and its
-// checkpoint bytes equal the writer's. The replica runs Workers=4
-// against the writer's serial engine (contract #1 stacks; Workers is
-// not serialized), and a pending command in the bootstrap stream
-// exercises the journal-overlap dedupe.
+// checkpoint bytes equal the writer's. One replica runs Workers=4 and
+// another incremental maintenance against the writer's serial rebuilding
+// engine (contracts #1 and #2 stack; neither knob reaches the bytes),
+// and a pending command in the bootstrap stream exercises the
+// journal-overlap dedupe.
 func TestReplicaMatchesWriter(t *testing.T) {
 	writer := newNode(t)
 	if code := do(t, http.MethodPost, writer.ts.URL+"/v1/sessions", server.CreateRequest{
@@ -96,9 +97,20 @@ func TestReplicaMatchesWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Stop()
+	fInc, err := StartFollower(FollowerConfig{
+		Writer: writer.ts.URL, Session: "w", As: "w-inc",
+		Registry: replicaReg,
+		Tune:     engine.Options{Workers: 1, Incremental: true, IncrementalThreshold: 1},
+		Wait:     200 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fInc.Stop()
 
 	writerTraffic(t, writer.ts.URL, "w", 0, 9)
 	waitCaughtUp(t, f, 9)
+	waitCaughtUp(t, fInc, 9)
 
 	// The writer is paused (synchronous steps only), the replica caught
 	// up: both serve the same tick, so every observation answer and the
@@ -131,6 +143,9 @@ func TestReplicaMatchesWriter(t *testing.T) {
 	if !bytes.Equal(wck, rck) {
 		t.Error("replica checkpoint differs from writer at the same tick")
 	}
+	if ick := fetchCheckpoint(t, replicaSrv.URL, "w-inc"); !bytes.Equal(wck, ick) {
+		t.Error("incremental replica checkpoint differs from writer at the same tick")
+	}
 
 	// Push subscriptions served from the replica: a subscriber attached
 	// to the replica's own /subscribe sees answers advance as the
@@ -162,6 +177,7 @@ func TestReplicaMatchesWriter(t *testing.T) {
 	}()
 	writerTraffic(t, writer.ts.URL, "w", 9, 3)
 	waitCaughtUp(t, f, 12)
+	waitCaughtUp(t, fInc, 12)
 	sawAdvance := false
 	timeout := time.After(5 * time.Second)
 	for !sawAdvance {
@@ -186,8 +202,8 @@ func TestReplicaMatchesWriter(t *testing.T) {
 	if code := do(t, http.MethodGet, replicaSrv.URL+"/readyz", nil, &ready); code != http.StatusOK {
 		t.Fatalf("replica readyz: %d", code)
 	}
-	if ready.Replicas != 1 || ready.MaxLagTicks != 0 {
-		t.Errorf("replica readyz = %+v, want 1 replica at lag 0", ready)
+	if ready.Replicas != 2 || ready.MaxLagTicks != 0 {
+		t.Errorf("replica readyz = %+v, want 2 replicas at lag 0", ready)
 	}
 }
 

@@ -1,4 +1,4 @@
-// Checkpoint/restore: pause a world, persist it, and resume it — on this
+// Checkpoint/open: pause a world, persist it, and resume it — on this
 // process or another — with the continuation byte-identical to the run
 // that never stopped.
 //
@@ -14,19 +14,21 @@
 // interactive inputs: the pending input buffer, the input journal, the
 // per-origin sequence counters, and the (possibly retuned) constant
 // table. Workers / Incremental / IncrementalThreshold / CompactJournal
-// are deliberately NOT part of the format — a checkpoint taken at any
-// setting resumes identically at any other, which is what lets an
-// operator migrate a world onto different hardware (or switch a world's
-// compaction policy in flight).
+// are deliberately NOT part of the format, and neither is anything they
+// move: the bytes are a function of the world alone, so a checkpoint
+// taken at any setting equals one taken at any other and resumes
+// identically under any other, which is what lets an operator migrate a
+// world onto different hardware (or switch a world's compaction policy
+// in flight).
 //
-// Format version 3 is self-contained: it embeds the SGL script text (in
+// Format version 4 is self-contained: it embeds the SGL script text (in
 // the ast printer's canonical form) and the constant table, so Open can
 // rebuild the whole session from the stream alone — no separate program,
 // no sidecar file to keep paired with the snapshot. Layout
 // (little-endian, FNV-1a checksum over everything before the trailer):
 //
 //	magic     "SGLCKPT\n"                     8 bytes
-//	version   u32                             currently 3
+//	version   u32                             4
 //	seed      u64
 //	tick      i64
 //	mode      u8                              Naive / Indexed
@@ -34,31 +36,37 @@
 //	side      f64 bits
 //	movespeed f64 bits
 //	cats      u32 count, then len-prefixed strings (categorical attributes)
-//	stats     9 × i64                         Ticks, EffectsApplied, Moves,
+//	stats     7 × i64                         Ticks, EffectsApplied, Moves,
 //	                                          MovesBlocked, Deaths,
-//	                                          MaintainTicks, DirtyRows,
 //	                                          CommandsApplied, CommandsRejected
 //	script    len-prefixed string             canonical SGL source
 //	consts    u32 count, then (name, f64) sorted by name
 //	schema    table codec schema section
 //	rows      table codec row section
-//	base      i64                             journal compaction base tick (v3+)
+//	base      i64                             journal compaction base tick
 //	pending   u32 count, then stamped commands (input buffer)
 //	journal   u32 count, then stamped commands (input journal tail)
 //	seqs      u32 count, then (origin, u64) sorted by origin
 //	checksum  u64                             FNV-1a of all preceding bytes
 //
-// Version 3 (this PR) added the single base field for journal compaction
-// (compact.go): a nonzero base says the journal section is a tail — the
-// history before the base was folded into this very snapshot, so the
-// stream is a (base checkpoint + tail), not a genesis history. Version 2
-// (the command pipeline PR) is the same layout without the base field
-// and decodes with base 0; version 1 (PR 3) is the header through the
-// schema/rows sections with 7 stats counters and no script/consts/
-// inputs. This build keeps all three decoders and dispatches on the
-// version tag. The version number is bumped on ANY layout change and
-// never reused; readers reject versions they do not know. See ROADMAP.md
-// for the compatibility policy.
+// A nonzero base says the journal section is a tail: the history before
+// the base was folded into this very snapshot (compact.go), so the stream
+// is a (base checkpoint + tail), not a genesis history.
+//
+// Open reads version 4 alone. Upgrade (the sglc -upgrade tool) is the one
+// reader of the older layouts, and rewrites them as version 4:
+//
+//   - version 3 carries two more stats counters, MaintainTicks and
+//     DirtyRows, between Deaths and CommandsApplied. They count how the
+//     indexes were kept, which moves with Workers and Incremental, so one
+//     world could checkpoint to different bytes;
+//   - version 2 is version 3 without the base field (base 0);
+//   - version 1 is the header with the first seven counters of version 3,
+//     then the schema and rows sections: no script, constants or inputs.
+//     Upgrading it takes the program it ran.
+//
+// The version number is bumped on ANY layout change and never reused.
+// See ROADMAP.md for the compatibility policy.
 package engine
 
 import (
@@ -75,19 +83,9 @@ import (
 // checkpointMagic identifies an SGL checkpoint stream.
 const checkpointMagic = "SGLCKPT\n"
 
-// CheckpointVersion is the format version this build writes. Reads accept
-// this, CheckpointVersionV2 and CheckpointVersionV1.
-const CheckpointVersion = 3
-
-// CheckpointVersionV2 is the command-pipeline format: self-contained
-// (embedded script, constants and inputs) but without the journal
-// compaction base. Decodes with base 0 — a complete genesis journal.
-const CheckpointVersionV2 = 2
-
-// CheckpointVersionV1 is the PR 3 format: no embedded script, constants
-// or inputs. Still readable through Restore (which takes the program the
-// checkpointed engine ran); Open needs a self-contained version (v2+).
-const CheckpointVersionV1 = 1
+// CheckpointVersion is the format version this build writes and the only
+// one Open reads; Upgrade rewrites versions 1 through 3 as this one.
+const CheckpointVersion = 4
 
 // Decode bounds for the self-describing sections.
 const (
@@ -105,31 +103,16 @@ const (
 // Checkpoint serializes the engine's resumable state to w. It must be
 // called between ticks (never concurrently with Tick); a Session
 // serializes this automatically. The stream is self-describing and ends
-// in a checksum, so Restore detects truncation and corruption. The
-// written format is version 3: self-contained, embedding the script,
-// the journal compaction base, and any pending or journaled inputs, so
-// Open can reopen it with no other artifact. Commands still queued in
-// the sharded admission buffers are stamped and drained into the stream
-// first — an acknowledged Submit is always part of the checkpoint.
+// in a checksum, so Open detects truncation and corruption. It embeds the
+// script, the journal compaction base, and any pending or journaled
+// inputs, so Open can reopen it with no other artifact. Commands still
+// queued in the sharded admission buffers are stamped and drained into
+// the stream first — an acknowledged Submit is always part of the
+// checkpoint.
 func (e *Engine) Checkpoint(w io.Writer) error {
-	return e.checkpointVersioned(w, CheckpointVersion)
-}
-
-// checkpointVersioned writes the stream at a chosen format version —
-// always CheckpointVersion in production; tests use it to synthesize
-// genuine older-version streams for the back-compat and fuzz corpora.
-// Writing v2 silently drops a nonzero journal base, so only uncompacted
-// engines should be serialized that way.
-func (e *Engine) checkpointVersioned(w io.Writer, version uint32) error {
 	e.inmu.Lock()
 	defer e.inmu.Unlock()
 	e.drainAdmission()
-	cw := table.NewWriter(w)
-	cw.Bytes([]byte(checkpointMagic))
-	cw.U32(version)
-	cw.U64(e.opts.Seed)
-	cw.I64(e.tick)
-	cw.U8(uint8(e.opts.Mode))
 	var flags uint8
 	if e.opts.DisableAreaDefer {
 		flags |= 1
@@ -137,31 +120,58 @@ func (e *Engine) checkpointVersioned(w io.Writer, version uint32) error {
 	if e.opts.DisableOptimizer {
 		flags |= 2
 	}
-	cw.U8(flags)
-	cw.F64(e.opts.Side)
-	cw.F64(e.opts.MoveSpeed)
-	cw.U32(uint32(len(e.opts.Categoricals)))
-	for _, c := range e.opts.Categoricals {
+	return writeCheckpoint(w, &checkpointPayload{
+		seed:      e.opts.Seed,
+		tick:      e.tick,
+		mode:      e.opts.Mode,
+		flags:     flags,
+		side:      e.opts.Side,
+		moveSpeed: e.opts.MoveSpeed,
+		cats:      e.opts.Categoricals,
+		counters: [7]int64{
+			int64(e.Stats.Ticks), int64(e.Stats.EffectsApplied), int64(e.Stats.Moves),
+			int64(e.Stats.MovesBlocked), int64(e.Stats.Deaths),
+			int64(e.Stats.CommandsApplied), int64(e.Stats.CommandsRejected),
+		},
+		script:  e.source,
+		consts:  e.prog.Consts,
+		schema:  e.prog.Schema,
+		env:     e.env,
+		base:    e.journalBase,
+		pending: e.pending,
+		journal: e.journal,
+		seqs:    e.seqs,
+	})
+}
+
+// writeCheckpoint encodes p in the current layout. Checkpoint and Upgrade
+// both write through it, so an upgraded stream is byte for byte the one
+// this build writes for the same world.
+func writeCheckpoint(w io.Writer, p *checkpointPayload) error {
+	cw := table.NewWriter(w)
+	cw.Bytes([]byte(checkpointMagic))
+	cw.U32(CheckpointVersion)
+	cw.U64(p.seed)
+	cw.I64(p.tick)
+	cw.U8(uint8(p.mode))
+	cw.U8(p.flags)
+	cw.F64(p.side)
+	cw.F64(p.moveSpeed)
+	cw.U32(uint32(len(p.cats)))
+	for _, c := range p.cats {
 		cw.Str(c)
 	}
-	for _, v := range []int{
-		e.Stats.Ticks, e.Stats.EffectsApplied, e.Stats.Moves,
-		e.Stats.MovesBlocked, e.Stats.Deaths,
-		e.Stats.MaintainTicks, e.Stats.DirtyRows,
-		e.Stats.CommandsApplied, e.Stats.CommandsRejected,
-	} {
-		cw.I64(int64(v))
+	for _, v := range p.counters {
+		cw.I64(v)
 	}
-	cw.Str(e.source)
-	table.WriteConsts(cw, e.prog.Consts)
-	table.WriteSchema(cw, e.prog.Schema)
-	table.WriteRows(cw, e.env)
-	if version >= CheckpointVersion {
-		cw.I64(e.journalBase)
-	}
-	writeCommands(cw, e.pending)
-	writeCommands(cw, e.journal)
-	writeSeqs(cw, e.seqs)
+	cw.Str(p.script)
+	table.WriteConsts(cw, p.consts)
+	table.WriteSchema(cw, p.schema)
+	table.WriteRows(cw, p.env)
+	cw.I64(p.base)
+	writeCommands(cw, p.pending)
+	writeCommands(cw, p.journal)
+	writeSeqs(cw, p.seqs)
 	cw.U64(cw.Sum()) // trailer: checksum of everything above
 	if err := cw.Err(); err != nil {
 		return fmt.Errorf("engine: checkpoint: %w", err)
@@ -275,11 +285,11 @@ func readSeqs(cr *table.Reader) (map[string]uint64, error) {
 	return seqs, nil
 }
 
-// checkpointPayload is a fully decoded, checksum-verified checkpoint
-// stream, version-normalized: v1 streams decode with empty script/consts
-// and no inputs, and pre-v3 streams decode with journal base 0.
+// checkpointPayload is a checkpoint stream's content in the current
+// layout: what Checkpoint encodes, and what decodeCheckpoint returns for
+// a verified stream of any version.
 type checkpointPayload struct {
-	version   uint32
+	version   uint32 // the decoded stream's version; the encoder writes CheckpointVersion
 	seed      uint64
 	tick      int64
 	mode      Mode
@@ -287,7 +297,7 @@ type checkpointPayload struct {
 	side      float64
 	moveSpeed float64
 	cats      []string
-	counters  [9]int64
+	counters  [7]int64 // the stats section, in layout order
 	script    string
 	consts    map[string]float64
 	schema    *table.Schema
@@ -298,21 +308,29 @@ type checkpointPayload struct {
 	seqs      map[string]uint64
 }
 
-// decodeCheckpoint reads and validates a checkpoint stream of any known
-// version. Nothing engine-shaped is built until the trailing checksum has
-// verified the bytes.
-func decodeCheckpoint(r io.Reader) (*checkpointPayload, error) {
+// decodeCheckpoint reads and validates a checkpoint stream whose version
+// lies in [oldest, CheckpointVersion], reading the version tag before
+// anything else. An older stream decodes into the current layout: the
+// maintenance counters of versions 1–3 are dropped, version 1 decodes
+// with no script, constants, inputs or command counters, and versions 1
+// and 2 with journal base 0. Nothing engine-shaped is built until the
+// trailing checksum has verified the bytes.
+func decodeCheckpoint(r io.Reader, oldest uint32) (*checkpointPayload, error) {
 	cr := table.NewReader(r)
 	var magic [8]byte
 	cr.Bytes(magic[:])
 	if cr.Err() == nil && string(magic[:]) != checkpointMagic {
-		return nil, fmt.Errorf("engine: restore: not an SGL checkpoint (bad magic)")
+		return nil, fmt.Errorf("engine: open: not an SGL checkpoint (bad magic)")
 	}
 	p := &checkpointPayload{}
 	p.version = cr.U32()
-	if cr.Err() == nil && (p.version < CheckpointVersionV1 || p.version > CheckpointVersion) {
-		return nil, fmt.Errorf("engine: restore: unsupported checkpoint version %d (this build reads %d through %d)",
-			p.version, CheckpointVersionV1, CheckpointVersion)
+	if cr.Err() == nil {
+		switch {
+		case p.version < 1 || p.version > CheckpointVersion:
+			return nil, fmt.Errorf("engine: open: unsupported checkpoint version %d (this build writes %d)", p.version, CheckpointVersion)
+		case p.version < oldest:
+			return nil, fmt.Errorf("engine: open: checkpoint version %d is an older layout; rewrite it as version %d with `sglc -upgrade`", p.version, CheckpointVersion)
+		}
 	}
 	p.seed = cr.U64()
 	p.tick = cr.I64()
@@ -322,94 +340,132 @@ func decodeCheckpoint(r io.Reader) (*checkpointPayload, error) {
 	p.moveSpeed = cr.F64()
 	ncat := cr.U32()
 	if cr.Err() == nil && ncat > maxCategoricals {
-		return nil, fmt.Errorf("engine: restore: %d categorical attributes exceeds limit", ncat)
+		return nil, fmt.Errorf("engine: open: %d categorical attributes exceeds limit", ncat)
 	}
 	for i := uint32(0); i < ncat && cr.Err() == nil; i++ {
 		p.cats = append(p.cats, cr.Str(table.MaxNameLen))
 	}
-	ncounters := len(p.counters)
-	if p.version == CheckpointVersionV1 {
-		ncounters = 7 // v1 predates the command counters
-	}
-	for i := 0; i < ncounters; i++ {
-		p.counters[i] = cr.I64()
+	if p.version == CheckpointVersion {
+		for i := range p.counters {
+			p.counters[i] = cr.I64()
+		}
+	} else {
+		for i := 0; i < 5; i++ { // Ticks … Deaths
+			p.counters[i] = cr.I64()
+		}
+		cr.I64() // MaintainTicks
+		cr.I64() // DirtyRows
+		if p.version > 1 {
+			p.counters[5], p.counters[6] = cr.I64(), cr.I64()
+		}
 	}
 	if err := cr.Err(); err != nil {
-		return nil, fmt.Errorf("engine: restore: %w", err)
+		return nil, fmt.Errorf("engine: open: %w", err)
 	}
 	if p.tick < 0 || p.mode > Indexed || p.flags > 3 {
-		return nil, fmt.Errorf("engine: restore: malformed header (tick %d, mode %d, flags %d)", p.tick, p.mode, p.flags)
+		return nil, fmt.Errorf("engine: open: malformed header (tick %d, mode %d, flags %d)", p.tick, p.mode, p.flags)
 	}
 	// The world geometry must be usable: resurrection draws positions in
-	// [0, Side), so a degenerate or non-finite side would panic mid-tick.
-	if !(p.side >= 1) || math.IsInf(p.side, 0) || !(p.moveSpeed >= 0) || math.IsInf(p.moveSpeed, 0) {
-		return nil, fmt.Errorf("engine: restore: malformed world geometry (side %v, movespeed %v)", p.side, p.moveSpeed)
+	// [0, Side), and every square of the world must have int32
+	// coordinates (see maxSide).
+	if !(p.side >= 1 && p.side <= maxSide) || !(p.moveSpeed >= 0) || math.IsInf(p.moveSpeed, 0) {
+		return nil, fmt.Errorf("engine: open: malformed world geometry (side %v, movespeed %v)", p.side, p.moveSpeed)
 	}
 
 	var err error
-	if p.version >= CheckpointVersionV2 {
+	if p.version >= 2 {
 		p.script = cr.Str(maxScriptBytes)
 		if err := cr.Err(); err != nil {
-			return nil, fmt.Errorf("engine: restore: %w", err)
+			return nil, fmt.Errorf("engine: open: %w", err)
 		}
 		if p.consts, err = table.ReadConsts(cr); err != nil {
-			return nil, fmt.Errorf("engine: restore: %w", err)
+			return nil, fmt.Errorf("engine: open: %w", err)
 		}
 	}
 	if p.schema, err = table.ReadSchema(cr); err != nil {
-		return nil, fmt.Errorf("engine: restore: %w", err)
+		return nil, fmt.Errorf("engine: open: %w", err)
 	}
 	if p.env, err = table.ReadRows(cr, p.schema); err != nil {
-		return nil, fmt.Errorf("engine: restore: %w", err)
+		return nil, fmt.Errorf("engine: open: %w", err)
 	}
-	if p.version >= CheckpointVersion {
+	if p.version >= 3 {
 		p.base = cr.I64()
 		if err := cr.Err(); err != nil {
-			return nil, fmt.Errorf("engine: restore: %w", err)
+			return nil, fmt.Errorf("engine: open: %w", err)
 		}
 		if p.base < 0 || p.base > p.tick {
-			return nil, fmt.Errorf("engine: restore: journal base %d outside [0, tick %d]", p.base, p.tick)
+			return nil, fmt.Errorf("engine: open: journal base %d outside [0, tick %d]", p.base, p.tick)
 		}
 	}
-	if p.version >= CheckpointVersionV2 {
+	if p.version >= 2 {
 		if p.pending, err = readCommands(cr, "pending-input"); err != nil {
-			return nil, fmt.Errorf("engine: restore: %w", err)
+			return nil, fmt.Errorf("engine: open: %w", err)
 		}
 		if len(p.pending) > MaxPendingCommands {
-			return nil, fmt.Errorf("engine: restore: %d pending commands exceeds limit %d", len(p.pending), MaxPendingCommands)
+			return nil, fmt.Errorf("engine: open: %d pending commands exceeds limit %d", len(p.pending), MaxPendingCommands)
 		}
 		if p.journal, err = readCommands(cr, "journal"); err != nil {
-			return nil, fmt.Errorf("engine: restore: %w", err)
+			return nil, fmt.Errorf("engine: open: %w", err)
 		}
 		// A compacted stream's journal is a tail: every surviving entry is
 		// stamped at or after the base. An entry from before the base
 		// contradicts the base field — one of them is corrupt.
 		for i, sc := range p.journal {
 			if sc.Tick < p.base {
-				return nil, fmt.Errorf("engine: restore: journal entry %d stamped tick %d predates journal base %d", i, sc.Tick, p.base)
+				return nil, fmt.Errorf("engine: open: journal entry %d stamped tick %d predates journal base %d", i, sc.Tick, p.base)
 			}
 		}
 		if p.seqs, err = readSeqs(cr); err != nil {
-			return nil, fmt.Errorf("engine: restore: %w", err)
+			return nil, fmt.Errorf("engine: open: %w", err)
 		}
 	}
 	sum := cr.Sum() // checksum of everything consumed so far
 	stored := cr.U64()
 	if err := cr.Err(); err != nil {
-		return nil, fmt.Errorf("engine: restore: %w", err)
+		return nil, fmt.Errorf("engine: open: %w", err)
 	}
 	if stored != sum {
-		return nil, fmt.Errorf("engine: restore: checksum mismatch (stored %016x, computed %016x): corrupted checkpoint", stored, sum)
+		return nil, fmt.Errorf("engine: open: checksum mismatch (stored %016x, computed %016x): corrupted checkpoint", stored, sum)
 	}
 	return p, nil
 }
 
-// buildRestored constructs the engine a verified payload describes,
-// running the program prog (whose schema must already be known to match
-// the payload's).
-func buildRestored(p *checkpointPayload, prog *sem.Program, g Game, tune Options) (*Engine, error) {
-	// Decode rows against prog's schema so the environment shares the
-	// program's schema object (pointer identity matters to plan operators).
+// Open reopens a checkpoint written by Checkpoint as a ready-to-serve
+// Session positioned exactly where the writer stopped: same environment,
+// tick counter, seed and semantic options, with the cumulative run
+// counters, the input journal, pending commands and retuned constants
+// carried over. The program is rebuilt from the embedded script and
+// constant table — the whole world from one stream, nothing to pair it
+// with. Continuing the session produces environments byte-identical to
+// the run that was never interrupted.
+//
+// Only version-4 streams open; an older one fails with an error naming
+// sglc -upgrade, which rewrites it (see Upgrade). Of tune, only the
+// determinism-neutral execution knobs are consulted — Workers,
+// Incremental, IncrementalThreshold, CompactJournal — so a world
+// checkpointed on one machine can resume with a different parallelism,
+// maintenance, or compaction strategy without changing a single output
+// bit. Everything else comes from the checkpoint itself.
+//
+// Measurement state that describes how this engine keeps its indexes
+// starts fresh: RunStats.MaintainTicks, DirtyRows, IndexStats and
+// EffectsByWorker count work done by *this* engine's evaluator, worker
+// layout and maintenance settings, so they restart at zero.
+func Open(r io.Reader, g Game, tune Options) (*Session, error) {
+	p, err := decodeCheckpoint(r, CheckpointVersion)
+	if err != nil {
+		return nil, err
+	}
+	script, err := parser.Parse(p.script)
+	if err != nil {
+		return nil, fmt.Errorf("engine: open: embedded script: %w", err)
+	}
+	prog, err := sem.Check(script, p.schema, p.consts)
+	if err != nil {
+		return nil, fmt.Errorf("engine: open: embedded script: %w", err)
+	}
+	// The environment shares the program's schema object (pointer
+	// identity matters to plan operators).
 	p.env.Schema = prog.Schema
 	e, err := build(prog, g, p.env, Options{
 		Mode:                 p.mode,
@@ -425,7 +481,7 @@ func buildRestored(p *checkpointPayload, prog *sem.Program, g Game, tune Options
 		CompactJournal:       tune.CompactJournal,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("engine: restore: %w", err)
+		return nil, fmt.Errorf("engine: open: %w", err)
 	}
 	e.tick = p.tick
 	e.Stats.Ticks = int(p.counters[0])
@@ -433,100 +489,55 @@ func buildRestored(p *checkpointPayload, prog *sem.Program, g Game, tune Options
 	e.Stats.Moves = int(p.counters[2])
 	e.Stats.MovesBlocked = int(p.counters[3])
 	e.Stats.Deaths = int(p.counters[4])
-	e.Stats.MaintainTicks = int(p.counters[5])
-	e.Stats.DirtyRows = int(p.counters[6])
-	e.Stats.CommandsApplied = int(p.counters[7])
-	e.Stats.CommandsRejected = int(p.counters[8])
-	if p.version >= CheckpointVersionV2 {
-		// The v2+ payload is authoritative for everything interactive: the
-		// constant table with any OpTune history folded in, the journal
-		// base, and the input state. The script source is NOT adopted —
-		// the engine runs prog, and its canonical print equals the
-		// embedded text whenever the programs match (the ast printer is a
-		// parse/print fixed point), which keeps restore → checkpoint a
-		// byte fixed point.
-		e.prog.AdoptConsts(p.consts)
-		e.rebuildConstNames()
-		e.journal = p.journal
-		e.journalBase = p.base
-		e.seqs = p.seqs
-		// Pending commands apply at the next tick; re-validate them against
-		// the rebuilt engine so a hostile-but-checksummed stream cannot
-		// smuggle a row that would panic the apply path.
-		for i := range p.pending {
-			if err := e.validateCommand(&p.pending[i].Cmd); err != nil {
-				return nil, fmt.Errorf("engine: restore: pending command %d: %w", i, err)
-			}
+	e.Stats.CommandsApplied = int(p.counters[5])
+	e.Stats.CommandsRejected = int(p.counters[6])
+	// The payload is authoritative for everything interactive: the
+	// constant table with any OpTune history folded in, the journal base,
+	// and the input state. The script source is the canonical print of the
+	// embedded text (the ast printer is a parse/print fixed point), which
+	// keeps open → checkpoint a byte fixed point.
+	e.prog.AdoptConsts(p.consts)
+	e.rebuildConstNames()
+	e.journal = p.journal
+	e.journalBase = p.base
+	e.seqs = p.seqs
+	// Pending commands apply at the next tick; re-validate them against
+	// the rebuilt engine so a hostile-but-checksummed stream cannot
+	// smuggle a row that would panic the apply path.
+	for i := range p.pending {
+		if err := e.validateCommand(&p.pending[i].Cmd); err != nil {
+			return nil, fmt.Errorf("engine: open: pending command %d: %w", i, err)
 		}
-		e.pending = p.pending
-		e.inflight.Store(int64(len(p.pending)))
 	}
+	e.pending = p.pending
+	e.inflight.Store(int64(len(p.pending)))
 	// Readers start where the writer stopped: the first published view
 	// carries the checkpoint's tick and counters.
 	e.publishView()
-	return e, nil
-}
-
-// Restore reopens a checkpoint written by Checkpoint and returns an
-// engine positioned exactly where the writer stopped: same environment,
-// same tick counter, same seed and semantic options, with the cumulative
-// run counters (deaths, moves, …) and — for version-2 checkpoints — the
-// input journal, pending commands and retuned constants carried over.
-// Continuing the restored engine produces environments byte-identical to
-// the run that was never interrupted.
-//
-// prog must be the program the checkpointed engine ran (the embedded
-// schema is verified against prog's); for self-contained version-2+
-// checkpoints, Open rebuilds the program from the stream instead and
-// needs no prog at all. Of tune, only the determinism-neutral execution
-// knobs are consulted — Workers, Incremental, IncrementalThreshold,
-// CompactJournal — so a world checkpointed on one machine can resume
-// with a different parallelism, maintenance, or compaction strategy
-// without changing a single output bit. Everything else (Mode, Seed,
-// Side, MoveSpeed, Categoricals, ablation switches, and on v2+ the
-// constant table and journal base) comes from the checkpoint itself.
-//
-// Restored measurement state starts fresh where it is configuration-
-// dependent: RunStats.IndexStats and EffectsByWorker count work done by
-// *this* engine's evaluator and worker layout, so they restart at zero.
-func Restore(r io.Reader, prog *sem.Program, g Game, tune Options) (*Engine, error) {
-	p, err := decodeCheckpoint(r)
-	if err != nil {
-		return nil, err
-	}
-	if !p.schema.Equal(prog.Schema) {
-		return nil, fmt.Errorf("engine: restore: checkpoint schema %v does not match program schema %v", p.schema, prog.Schema)
-	}
-	return buildRestored(p, prog, g, tune)
-}
-
-// Open reopens a self-contained (version 2 or 3) checkpoint as a ready-
-// to-serve Session, rebuilding the program from the embedded script and
-// constant table — the whole world from one stream, nothing to pair it
-// with. Version-1 checkpoints predate the embedded script and are
-// rejected with an explanatory error; reopen those through Restore with
-// the program they ran. tune follows Restore's contract: only the
-// determinism-neutral knobs — Workers, Incremental,
-// IncrementalThreshold, CompactJournal — are consulted.
-func Open(r io.Reader, g Game, tune Options) (*Session, error) {
-	p, err := decodeCheckpoint(r)
-	if err != nil {
-		return nil, err
-	}
-	if p.version < CheckpointVersionV2 {
-		return nil, fmt.Errorf("engine: open: checkpoint version %d has no embedded script; restore it with Restore and the program it ran", p.version)
-	}
-	script, err := parser.Parse(p.script)
-	if err != nil {
-		return nil, fmt.Errorf("engine: open: embedded script: %w", err)
-	}
-	prog, err := sem.Check(script, p.schema, p.consts)
-	if err != nil {
-		return nil, fmt.Errorf("engine: open: embedded script: %w", err)
-	}
-	e, err := buildRestored(p, prog, g, tune)
-	if err != nil {
-		return nil, err
-	}
 	return NewSession(e), nil
+}
+
+// Upgrade rewrites a checkpoint stream of any version this build knows as
+// a version-4 stream, the one layout Open reads; it is the only reader of
+// versions 1 through 3. The world, inputs and remaining counters carry
+// over unchanged; the maintenance counters of the old layouts are
+// dropped, as reopening restarts them at zero. A version-1 stream
+// predates the embedded script and needs prog, the program it ran (its
+// schema must match the stream's); later versions ignore prog, which may
+// be nil. Nothing is written unless the whole input decodes and verifies.
+func Upgrade(r io.Reader, w io.Writer, prog *sem.Program) error {
+	p, err := decodeCheckpoint(r, 1)
+	if err != nil {
+		return err
+	}
+	if p.version == 1 {
+		if prog == nil {
+			return fmt.Errorf("engine: upgrade: a version-1 checkpoint has no embedded script; supply the program it ran")
+		}
+		if !p.schema.Equal(prog.Schema) {
+			return fmt.Errorf("engine: upgrade: checkpoint schema %v does not match program schema %v", p.schema, prog.Schema)
+		}
+		p.script, p.consts = prog.Script.String(), prog.Consts
+	}
+	return writeCheckpoint(w, p)
 }

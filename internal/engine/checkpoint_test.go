@@ -11,7 +11,6 @@ import (
 	"github.com/epicscale/sgl/internal/sgl/ast"
 	"github.com/epicscale/sgl/internal/sgl/parser"
 	"github.com/epicscale/sgl/internal/sgl/sem"
-	"github.com/epicscale/sgl/internal/table"
 )
 
 // restoreCfg is one execution configuration a checkpoint is resumed
@@ -28,10 +27,10 @@ var restoreCfgs = []restoreCfg{
 
 // TestCheckpointResumeBitIdentical is the acceptance harness for the
 // checkpoint exactness contract: for every zoo program and the battle
-// simulation, checkpoint at tick T ∈ {1, 7, mid-run}, restore, run to
-// tick N — the environment must be byte-identical to the uninterrupted
-// run, at Workers ∈ {1, 4} × Incremental ∈ {off, on}, and regardless of
-// which configuration wrote the checkpoint.
+// simulation, checkpoint at tick T ∈ {1, 7, mid-run}, reopen, run to
+// tick N — the checkpoint bytes must equal the uninterrupted run's, at
+// Workers ∈ {1, 4} × Incremental ∈ {off, on}, and regardless of which
+// configuration wrote the checkpoint.
 func TestCheckpointResumeBitIdentical(t *testing.T) {
 	const units, ticks = 64, 20
 	mk := func(progName, src string, battle bool, n int) {
@@ -42,6 +41,10 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 			}
 			oracle := newEngine(t, prog, n, Indexed, 7, func(o *Options) { o.Workers = 1 })
 			if err := oracle.Run(ticks); err != nil {
+				t.Fatal(err)
+			}
+			var want bytes.Buffer
+			if err := oracle.Checkpoint(&want); err != nil {
 				t.Fatal(err)
 			}
 			for _, at := range []int{1, 7, ticks / 2} {
@@ -60,33 +63,24 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, cfg := range restoreCfgs {
-					restored, err := Restore(bytes.NewReader(buf.Bytes()), prog, game.NewMechanics(), Options{
+					restored := reopen(t, buf.Bytes(), Options{
 						Workers:              cfg.workers,
 						Incremental:          cfg.incremental,
 						IncrementalThreshold: 1,
 					})
-					if err != nil {
-						t.Fatalf("restore at tick %d: %v", at, err)
-					}
 					if restored.TickCount() != int64(at) {
 						t.Fatalf("restored tick counter %d, want %d", restored.TickCount(), at)
 					}
 					if err := restored.Run(ticks - at); err != nil {
 						t.Fatal(err)
 					}
-					if !identicalTables(oracle.Env(), restored.Env()) {
+					var got bytes.Buffer
+					if err := restored.Checkpoint(&got); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(want.Bytes(), got.Bytes()) {
 						t.Fatalf("resume from tick %d at w=%d inc=%v diverged from the uninterrupted run",
 							at, cfg.workers, cfg.incremental)
-					}
-					if restored.Stats.Deaths != oracle.Stats.Deaths ||
-						restored.Stats.Moves != oracle.Stats.Moves ||
-						restored.Stats.MovesBlocked != oracle.Stats.MovesBlocked ||
-						restored.Stats.Ticks != oracle.Stats.Ticks {
-						t.Fatalf("resumed counters diverged: deaths %d/%d moves %d/%d blocked %d/%d ticks %d/%d",
-							restored.Stats.Deaths, oracle.Stats.Deaths,
-							restored.Stats.Moves, oracle.Stats.Moves,
-							restored.Stats.MovesBlocked, oracle.Stats.MovesBlocked,
-							restored.Stats.Ticks, oracle.Stats.Ticks)
 					}
 				}
 			}
@@ -99,7 +93,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 }
 
 // A checkpoint is a pure function of the resumable state: writing twice
-// yields identical bytes, and write → restore → write is a fixed point.
+// yields identical bytes, and write → open → write is a fixed point.
 func TestCheckpointDeterministic(t *testing.T) {
 	prog := battleProg(t)
 	e := newEngine(t, prog, 80, Indexed, 3, nil)
@@ -116,20 +110,16 @@ func TestCheckpointDeterministic(t *testing.T) {
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("two checkpoints of the same state differ")
 	}
-	restored, err := Restore(bytes.NewReader(a.Bytes()), prog, game.NewMechanics(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var c bytes.Buffer
-	if err := restored.Checkpoint(&c); err != nil {
+	if err := reopen(t, a.Bytes(), Options{}).Checkpoint(&c); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), c.Bytes()) {
-		t.Fatal("restore → checkpoint is not a fixed point")
+		t.Fatal("open → checkpoint is not a fixed point")
 	}
 }
 
-// Restoring a naive-mode checkpoint preserves the mode (naive and
+// Reopening a naive-mode checkpoint preserves the mode (naive and
 // indexed runs differ in floating-point association, so the mode is part
 // of the determinism fingerprint).
 func TestCheckpointPreservesMode(t *testing.T) {
@@ -146,10 +136,7 @@ func TestCheckpointPreservesMode(t *testing.T) {
 	if err := writer.Checkpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Restore(&buf, prog, game.NewMechanics(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	restored := reopen(t, buf.Bytes(), Options{})
 	if restored.opts.Mode != Naive {
 		t.Fatal("mode not restored")
 	}
@@ -184,12 +171,9 @@ func checkpointBytes(t testing.TB, prog *sem.Program) []byte {
 }
 
 // Corrupted and truncated inputs must fail with an error describing the
-// problem, never panic or restore silently wrong state.
-func TestRestoreErrorPaths(t *testing.T) {
-	prog := battleProg(t)
-	valid := checkpointBytes(t, prog)
-	mech := game.NewMechanics()
-
+// problem, never panic or open silently wrong state.
+func TestOpenErrorPaths(t *testing.T) {
+	valid := checkpointBytes(t, battleProg(t))
 	corrupt := func(mut func(b []byte)) []byte {
 		b := append([]byte(nil), valid...)
 		mut(b)
@@ -212,36 +196,14 @@ func TestRestoreErrorPaths(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Restore(bytes.NewReader(tc.input), prog, mech, Options{})
+			_, err := Open(bytes.NewReader(tc.input), game.NewMechanics(), Options{})
 			if err == nil {
-				t.Fatal("corrupted checkpoint restored without error")
+				t.Fatal("corrupted checkpoint opened without error")
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error = %v, want substring %q", err, tc.want)
 			}
 		})
-	}
-}
-
-// A checkpoint must only restore against the program it was written
-// under: schema mismatch is detected before any engine is built.
-func TestRestoreSchemaMismatch(t *testing.T) {
-	valid := checkpointBytes(t, battleProg(t))
-	otherSchema := table.MustSchema(
-		table.Attr{Name: "key", Kind: table.Const},
-		table.Attr{Name: "posx", Kind: table.Const},
-		table.Attr{Name: "posy", Kind: table.Const},
-		table.Attr{Name: "damage", Kind: table.Sum},
-	)
-	otherProg, err := sem.Check(mustParse(t, `
-action Tag(u, v) := on e where e.key = u.key set damage = v;
-function main(u) { perform Tag(u, 1) }`), otherSchema, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Restore(bytes.NewReader(valid), otherProg, game.NewMechanics(), Options{}); err == nil ||
-		!strings.Contains(err.Error(), "schema") {
-		t.Fatalf("schema mismatch not detected: %v", err)
 	}
 }
 
@@ -270,20 +232,23 @@ func (f *failAfter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// FuzzRestore: arbitrary bytes must never panic the restore path —
-// neither Restore (prog-supplied, v1+v2) nor the self-contained Open
-// (v2, which additionally parses the embedded script). Seeds cover a
-// valid v2 checkpoint with live input sections (journal, pending
-// commands, sequence counters), interesting prefixes including one that
-// truncates inside the input sections, corruption inside the embedded
-// script region, and a synthesized v1 stream for the cross-version
-// path.
-func FuzzRestore(f *testing.F) {
+// FuzzOpen: arbitrary bytes must never panic either reader of the
+// checkpoint format — Open (the current layout, which also parses the
+// embedded script) or Upgrade (every layout, given the battle program
+// for version 1) — and whatever Upgrade writes must open or fail with an
+// error, never panic. Seeds cover a current checkpoint with live input
+// sections (journal, pending commands, sequence counters), compacted
+// streams (nonzero base, with and without a pending tail, truncated, and
+// with a checksum-valid but self-contradictory base field), interesting
+// prefixes including one that truncates inside the input sections,
+// corruption inside the embedded script region, colliding keys, and the
+// legacy version 1, 2 and 3 fixtures.
+func FuzzOpen(f *testing.F) {
 	prog := battleProg(f)
 	valid := checkpointBytes(f, prog)
 
-	// A current-version checkpoint whose script/consts/inputs sections
-	// are all nonempty: applied commands, a journal, and a pending entry.
+	// A checkpoint whose script/consts/inputs sections are all nonempty:
+	// applied commands, a journal, and a pending entry.
 	interactive := func() []byte {
 		e := newEngine(f, prog, 48, Indexed, 11, nil)
 		if err := e.Submit("fuzz", Command{Op: OpSet, Key: 1, Col: "health", Val: 9}); err != nil {
@@ -302,21 +267,15 @@ func FuzzRestore(f *testing.F) {
 		return buf.Bytes()
 	}()
 
-	// v3 corpora: compacted streams (nonzero journal base), with and
-	// without a pending tail, plus adversarial variants — a truncated
-	// compacted stream and a checksum-valid stream whose base field
-	// contradicts its own journal. A genuine v2 stream from the
-	// version-parameterized writer seeds the back-compat path.
-	compacted, compactedPending, badBase, v2 := func() (a, b, c, d []byte) {
+	// Compacted streams (nonzero journal base), with and without a pending
+	// tail, plus a checksum-valid stream whose base field contradicts its
+	// own journal.
+	compacted, compactedPending, badBase := func() (a, b, c []byte) {
 		e := newEngine(f, prog, 64, Indexed, 17, nil)
 		if err := e.Submit("fuzz", Command{Op: OpSet, Key: 3, Col: "morale", Val: 4}); err != nil {
 			f.Fatal(err)
 		}
 		if err := e.Run(3); err != nil {
-			f.Fatal(err)
-		}
-		var v2buf bytes.Buffer
-		if err := e.checkpointVersioned(&v2buf, CheckpointVersionV2); err != nil {
 			f.Fatal(err)
 		}
 		e.Compact()
@@ -336,7 +295,7 @@ func FuzzRestore(f *testing.F) {
 		if err := e.Checkpoint(&bbuf); err != nil {
 			f.Fatal(err)
 		}
-		return cbuf.Bytes(), pbuf.Bytes(), bbuf.Bytes(), v2buf.Bytes()
+		return cbuf.Bytes(), pbuf.Bytes(), bbuf.Bytes()
 	}()
 
 	// A checksum-valid stream whose keys collide as unit identities: row
@@ -357,7 +316,6 @@ func FuzzRestore(f *testing.F) {
 	f.Add(compactedPending)
 	f.Add(compactedPending[:len(compactedPending)-16]) // truncated compacted tail
 	f.Add(badBase)
-	f.Add(v2)
 	baseField := append([]byte(nil), compacted...)
 	baseField[len(baseField)-20] ^= 0x80 // inside the trailing base/checksum region
 	f.Add(baseField)
@@ -372,29 +330,30 @@ func FuzzRestore(f *testing.F) {
 	script := append([]byte(nil), interactive...)
 	script[150] ^= 0x20 // inside the embedded script text
 	f.Add(script)
-	f.Add(synthesizeV1(f, 48, 11))
+	for _, fx := range legacyFixtures {
+		f.Add(readFixture(f, fx.file))
+	}
 	f.Add([]byte(checkpointMagic))
 	f.Add([]byte{})
 	f.Add(collidingKeys)
 	mech := game.NewMechanics()
-	f.Fuzz(func(t *testing.T, data []byte) {
+	step := func(t *testing.T, data []byte) {
 		if sess, err := Open(bytes.NewReader(data), mech, Options{}); err == nil {
 			if err := sess.Step(1); err != nil {
 				t.Skipf("opened session step failed: %v", err)
 			}
 		}
-		e, err := Restore(bytes.NewReader(data), prog, mech, Options{})
-		if err != nil {
-			return
-		}
-		// Whatever restored must be a usable engine.
-		if err := e.Tick(); err != nil {
-			t.Skipf("restored engine tick failed: %v", err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		step(t, data)
+		var up bytes.Buffer
+		if err := Upgrade(bytes.NewReader(data), &up, prog); err == nil {
+			step(t, up.Bytes())
 		}
 	})
 }
 
-// A checksum-valid v2 stream whose embedded script does not compile must
+// A checksum-valid stream whose embedded script does not compile must
 // fail Open with an error, not a panic — the script section is data, not
 // trusted code. (Engine-internal surgery: rewrite the source and
 // re-checkpoint, so the checksum is honest.)

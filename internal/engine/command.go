@@ -315,10 +315,8 @@ func (e *Engine) validateCommand(c *Command) error {
 		if math.IsNaN(c.Val) || math.IsInf(c.Val, 0) {
 			return fmt.Errorf("set %s: value must be finite", c.Col)
 		}
-		if col == e.posX || col == e.posY {
-			if c.Val < 0 || c.Val >= e.opts.Side {
-				return fmt.Errorf("set %s = %v is outside the world [0, %v)", c.Col, c.Val, e.opts.Side)
-			}
+		if (col == e.posX || col == e.posY) && !inWorld(c.Val, e.opts.Side) {
+			return fmt.Errorf("set %s = %v is outside the world [0, %v)", c.Col, c.Val, e.opts.Side)
 		}
 	case OpTune:
 		// Checked against the immutable name set, not the live constant
@@ -337,7 +335,7 @@ func (e *Engine) validateCommand(c *Command) error {
 }
 
 func (e *Engine) validatePos(x, y float64) error {
-	if x < 0 || x >= e.opts.Side || y < 0 || y >= e.opts.Side {
+	if !inWorld(x, e.opts.Side) || !inWorld(y, e.opts.Side) {
 		return fmt.Errorf("position (%v, %v) is outside the world [0, %v)²", x, y, e.opts.Side)
 	}
 	return nil

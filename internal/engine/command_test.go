@@ -10,8 +10,6 @@ import (
 	"github.com/epicscale/sgl/internal/game"
 	"github.com/epicscale/sgl/internal/geom"
 	"github.com/epicscale/sgl/internal/sgl/sem"
-	"github.com/epicscale/sgl/internal/table"
-	"github.com/epicscale/sgl/internal/workload"
 )
 
 // injectScripted submits the test's fixed command scenario for one tick
@@ -113,10 +111,8 @@ func replayFromJournal(t testing.TB, e *Engine, journal []StampedCommand) []byte
 // to the live interactive run — same checkpoint bytes, which cover the
 // environment, every counter, the journal itself, the per-origin
 // sequence numbers and the pending input buffer — for every zoo program
-// and the battle simulation, at Workers {1, 4} × Incremental {off, on}.
-// (Byte comparisons hold Incremental fixed per pair — its maintenance
-// counters are checkpointed state — and the cross-configuration
-// environment check closes the square.)
+// and the battle simulation, at Workers {1, 4} × Incremental {off, on},
+// and identical across those configurations too.
 func TestReplayMatchesLive(t *testing.T) {
 	const units = 64
 	mk := func(progName, src string, battle bool) {
@@ -125,7 +121,7 @@ func TestReplayMatchesLive(t *testing.T) {
 			if !battle {
 				prog = compileZoo(t, src)
 			}
-			var envs []*Engine
+			var first []byte
 			for _, cfg := range restoreCfgs {
 				tweak := func(o *Options) {
 					o.Workers = cfg.workers
@@ -144,11 +140,10 @@ func TestReplayMatchesLive(t *testing.T) {
 					t.Fatalf("scenario exercised no apply/reject path (applied %d, rejected %d)",
 						live.Stats.CommandsApplied, live.Stats.CommandsRejected)
 				}
-				envs = append(envs, live)
-			}
-			for _, e := range envs[1:] {
-				if !identicalTables(envs[0].Env(), e.Env()) {
-					t.Fatal("interactive environments diverged across Workers/Incremental configurations")
+				if first == nil {
+					first = liveBytes
+				} else if !bytes.Equal(first, liveBytes) {
+					t.Fatalf("w=%d inc=%v: checkpoint bytes differ from w=1 inc=false", cfg.workers, cfg.incremental)
 				}
 			}
 		})
@@ -410,95 +405,10 @@ func TestCheckpointMidStreamOpen(t *testing.T) {
 		if err := e.Checkpoint(&got); err != nil {
 			t.Fatal(err)
 		}
-		// Checkpoint bytes embed the maintenance counters, so the byte
-		// comparison needs matching Incremental; compare environments and
-		// interactive state for the maintained configurations instead.
-		if !cfg.incremental {
-			if !bytes.Equal(oracleBytes, got.Bytes()) {
-				t.Fatalf("mid-stream Open at w=%d diverged from the uninterrupted run", cfg.workers)
-			}
-		} else {
-			if !identicalTables(oracle.Env(), e.Env()) {
-				t.Fatalf("mid-stream Open at w=%d inc=true: environment diverged", cfg.workers)
-			}
-			if e.Stats.CommandsApplied != oracle.Stats.CommandsApplied ||
-				e.Stats.CommandsRejected != oracle.Stats.CommandsRejected {
-				t.Fatalf("command counters diverged: %d/%d vs %d/%d",
-					e.Stats.CommandsApplied, e.Stats.CommandsRejected,
-					oracle.Stats.CommandsApplied, oracle.Stats.CommandsRejected)
-			}
-		}
-		if len(e.Journal()) != len(oracle.Journal()) {
-			t.Fatalf("journal length %d, want %d", len(e.Journal()), len(oracle.Journal()))
+		if !bytes.Equal(oracleBytes, got.Bytes()) {
+			t.Fatalf("mid-stream Open at w=%d inc=%v diverged from the uninterrupted run", cfg.workers, cfg.incremental)
 		}
 	}
-}
-
-// Open needs the embedded script: a version-1 stream is rejected with a
-// pointer at Restore, while Restore itself still reads v1 — the version
-// policy's both halves.
-func TestOpenRejectsV1RestoreReadsV1(t *testing.T) {
-	prog := battleProg(t)
-	v1 := synthesizeV1(t, 64, 7)
-
-	if _, err := Open(bytes.NewReader(v1), game.NewMechanics(), Options{}); err == nil ||
-		!strings.Contains(err.Error(), "version 1") {
-		t.Fatalf("Open(v1) error = %v, want a version-1 explanation", err)
-	}
-
-	e, err := Restore(bytes.NewReader(v1), prog, game.NewMechanics(), Options{})
-	if err != nil {
-		t.Fatalf("Restore(v1): %v", err)
-	}
-	if e.TickCount() != 2 {
-		t.Fatalf("restored v1 tick = %d, want 2", e.TickCount())
-	}
-	if err := e.Run(3); err != nil {
-		t.Fatalf("restored v1 engine does not run: %v", err)
-	}
-	// A v1 world re-checkpoints as v2 and is then self-contained.
-	var buf bytes.Buffer
-	if err := e.Checkpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(bytes.NewReader(buf.Bytes()), game.NewMechanics(), Options{}); err != nil {
-		t.Fatalf("re-checkpointed v1 world failed Open: %v", err)
-	}
-}
-
-// synthesizeV1 hand-encodes a valid version-1 checkpoint (the frozen
-// PR 3 layout: 7 counters, no script/consts/input sections) at tick 2
-// over a fresh army.
-func synthesizeV1(t testing.TB, units int, seed uint64) []byte {
-	t.Helper()
-	spec := workload.Spec{Units: units, Density: 0.01, Seed: seed, Formation: workload.BattleLines}
-	army := workload.Generate(spec)
-	var buf bytes.Buffer
-	cw := table.NewWriter(&buf)
-	cw.Bytes([]byte(checkpointMagic))
-	cw.U32(CheckpointVersionV1)
-	cw.U64(seed)
-	cw.I64(2) // tick
-	cw.U8(1)  // mode: indexed
-	cw.U8(0)  // flags
-	cw.F64(spec.Side())
-	cw.F64(1) // movespeed
-	cats := game.Categoricals()
-	cw.U32(uint32(len(cats)))
-	for _, c := range cats {
-		cw.Str(c)
-	}
-	cw.I64(2) // stats: Ticks
-	for i := 0; i < 6; i++ {
-		cw.I64(0)
-	}
-	table.WriteSchema(cw, game.Schema())
-	table.WriteRows(cw, army)
-	cw.U64(cw.Sum())
-	if err := cw.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
 }
 
 // nanRow builds a full-width row with one NaN cell (helper for the

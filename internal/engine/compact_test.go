@@ -273,50 +273,3 @@ func TestRestoreRejectsInconsistentBase(t *testing.T) {
 		}
 	})
 }
-
-// A genuine v2 stream (written by this build's version-parameterized
-// writer, byte-compatible with the previous release) still opens, with
-// journal base 0 — and resumes identically to its v3 twin.
-func TestOpenReadsV2(t *testing.T) {
-	prog := battleProg(t)
-	mkEngine := func() *Engine {
-		e := newEngine(t, prog, 64, Indexed, 9, nil)
-		for tick := int64(0); tick < 6; tick++ {
-			injectScripted(t, e, tick)
-			if err := e.Tick(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return e
-	}
-	e := mkEngine()
-	var v2, v3 bytes.Buffer
-	if err := e.checkpointVersioned(&v2, CheckpointVersionV2); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Checkpoint(&v3); err != nil {
-		t.Fatal(err)
-	}
-	if v3.Len() != v2.Len()+8 {
-		t.Fatalf("v3 stream should be exactly one i64 base field larger: v2 %d bytes, v3 %d", v2.Len(), v3.Len())
-	}
-	open := func(b []byte) *Session {
-		s, err := Open(bytes.NewReader(b), game.NewMechanics(), Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	s2, s3 := open(v2.Bytes()), open(v3.Bytes())
-	if got := s2.JournalBase(); got != 0 {
-		t.Fatalf("v2 stream restored with base %d, want 0", got)
-	}
-	for _, s := range []*Session{s2, s3} {
-		if err := s.Step(4); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !identicalTables(s2.Engine().Env(), s3.Engine().Env()) {
-		t.Fatal("v2- and v3-restored worlds diverged")
-	}
-}

@@ -461,14 +461,14 @@ performers:
 					fx.probes = fx.probes[:0]
 					for _, ti := range targets {
 						rect := window(ti)
-						cx, rx := intervalCenterHalf(rect.MinX, rect.MaxX)
-						cy, _ := intervalCenterHalf(rect.MinY, rect.MaxY)
+						cx, rx := sweepline.CenterHalf(rect.MinX, rect.MaxX)
+						cy, _ := sweepline.CenterHalf(rect.MinY, rect.MaxY)
 						fx.probes = append(fx.probes, sweepline.Probe{X: cx, Y: cy, RX: rx, Exclude: sweepline.NoExclude})
 					}
 				}
 				// The reflected y-window height is constant within a group.
 				rect0 := reflectedRect(0, 0, gk.offLoX, gk.offHiX, gk.offLoY, gk.offHiY)
-				_, ry := intervalCenterHalf(rect0.MinY, rect0.MaxY)
+				_, ry := sweepline.CenterHalf(rect0.MinY, rect0.MaxY)
 				res := fx.sweeper.Sweep(&fx.order, vals(si), fx.probes, ry, op)
 				e.Stats.IndexStats.Sweeps++
 				for j, rres := range res {
@@ -487,14 +487,4 @@ performers:
 // each axis, i.e. iff c lies in [t−hi, t−lo].
 func reflectedRect(tx, ty, loX, hiX, loY, hiY float64) geom.Rect {
 	return geom.Rect{MinX: tx - hiX, MinY: ty - hiY, MaxX: tx - loX, MaxY: ty - loY}
-}
-
-// intervalCenterHalf converts an interval to (center, half-extent); a
-// doubly unbounded interval (absent axis, where all coordinates are 0)
-// maps to (0, +Inf).
-func intervalCenterHalf(lo, hi float64) (float64, float64) {
-	if math.IsInf(lo, -1) && math.IsInf(hi, 1) {
-		return 0, math.Inf(1)
-	}
-	return (lo + hi) / 2, (hi - lo) / 2
 }

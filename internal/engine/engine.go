@@ -268,7 +268,9 @@ type RunStats struct {
 	Deaths         int
 	// MaintainTicks counts the ticks whose indexes were patched from the
 	// previous tick's (Options.Incremental); DirtyRows accumulates the
-	// per-tick delta sizes those patches consumed.
+	// per-tick delta sizes those patches consumed. They describe how this
+	// engine kept its indexes, not the world, so like IndexStats they are
+	// not checkpointed and restart at zero on Open.
 	MaintainTicks int
 	DirtyRows     int
 	// CommandsApplied and CommandsRejected count externally injected
@@ -292,7 +294,9 @@ type RunStats struct {
 
 // New builds an engine over an initial environment. The environment's
 // effect columns must be at their game defaults (normally all zero); the
-// engine keeps that invariant across ticks.
+// engine keeps that invariant across ticks. Every row must pass the rules
+// a spawn command does — a unique key (*KeyError) and a position finite
+// and inside [0, Side) (*PositionError) — and Side must lie in [1, 2^31].
 func New(prog *sem.Program, game Game, initial *table.Table, opts Options) (*Engine, error) {
 	e, err := build(prog, game, initial, opts)
 	if err != nil {
@@ -305,9 +309,6 @@ func New(prog *sem.Program, game Game, initial *table.Table, opts Options) (*Eng
 // build is New without the initial publish: restore adopts the
 // checkpoint's tick and counters first and publishes once.
 func build(prog *sem.Program, game Game, initial *table.Table, opts Options) (*Engine, error) {
-	if err := checkKeys(initial); err != nil {
-		return nil, err
-	}
 	px, ok := prog.Schema.Col("posx")
 	if !ok {
 		return nil, fmt.Errorf("engine: schema needs posx")
@@ -320,8 +321,11 @@ func build(prog *sem.Program, game Game, initial *table.Table, opts Options) (*E
 	// degenerate or non-finite side would panic mid-run; rejecting it here
 	// also keeps the write and read sides of the checkpoint format in
 	// agreement about what a valid world is.
-	if !(opts.Side >= 1) || math.IsInf(opts.Side, 0) {
-		return nil, fmt.Errorf("engine: world side must be a finite value >= 1, got %v", opts.Side)
+	if !(opts.Side >= 1 && opts.Side <= maxSide) {
+		return nil, fmt.Errorf("engine: world side must be in [1, 2^31], got %v", opts.Side)
+	}
+	if err := checkRows(initial, px, py, opts.Side); err != nil {
+		return nil, err
 	}
 	w := opts.Workers
 	if w <= 0 {
@@ -373,10 +377,20 @@ func build(prog *sem.Program, game Game, initial *table.Table, opts Options) (*E
 // keyed by it (int64).
 const maxKey = 1 << 53
 
+// maxSide is the largest world side. Every position inside [0, maxSide)
+// floors to an int32, the occupancy table's square coordinate, so no
+// in-world square depends on how the platform converts an out-of-range
+// float.
+const maxSide = 1 << 31
+
+// inWorld is the rule a position coordinate obeys however the unit enters
+// or moves in a world of the given side: finite, inside [0, side).
+func inWorld(v, side float64) bool { return v >= 0 && v < side }
+
 // checkKey is the rule a unit key obeys however the unit enters a world —
-// spawned by a command, or in the initial environment of New, Open,
-// Restore, a PUT checkpoint or a replica bootstrap: a finite, non-negative
-// integer of at most 2^53.
+// spawned by a command, or in the initial environment of New, Open, a PUT
+// checkpoint or a replica bootstrap: a finite, non-negative integer of at
+// most 2^53.
 func checkKey(key float64) error {
 	if !(key >= 0 && key <= maxKey) || key != math.Trunc(key) {
 		return fmt.Errorf("key %v must be a non-negative integer of at most 2^53", key)
@@ -401,9 +415,21 @@ func (e *KeyError) Error() string {
 	return fmt.Sprintf("engine: initial environment row %d: %v", e.Row, checkKey(e.Key))
 }
 
-// checkKeys applies the key rule to every row of an initial environment,
-// and requires the keys to be unique.
-func checkKeys(t *table.Table) error {
+// PositionError rejects an initial environment whose row Row stands
+// outside the world: its (X, Y) breaks the rule a spawn or set command's
+// position obeys (finite, inside [0, Side)).
+type PositionError struct {
+	Row        int
+	X, Y, Side float64
+}
+
+func (e *PositionError) Error() string {
+	return fmt.Sprintf("engine: initial environment row %d: position (%v, %v) is outside the world [0, %v)²", e.Row, e.X, e.Y, e.Side)
+}
+
+// checkRows applies the key rule and the position rule to every row of an
+// initial environment, and requires the keys to be unique.
+func checkRows(t *table.Table, px, py int, side float64) error {
 	kc := t.Schema.KeyCol()
 	seen := make(map[int64]int, t.Len())
 	for i, row := range t.Rows {
@@ -415,6 +441,9 @@ func checkKeys(t *table.Table) error {
 			return &KeyError{Row: i, Key: key, Dup: j}
 		}
 		seen[int64(key)] = i
+		if !inWorld(row[px], side) || !inWorld(row[py], side) {
+			return &PositionError{Row: i, X: row[px], Y: row[py], Side: side}
+		}
 	}
 	return nil
 }
@@ -712,10 +741,14 @@ func (e *Engine) movementPhase(moves []geom.Vec, dead []bool) {
 	}
 }
 
+// clampToWorld pulls a candidate position back inside [0, Side), the
+// inWorld rule Open checks, so a world movement produced always reopens.
+// From Side 2^24 up, Side-1e-9 rounds back to Side; there the largest
+// float below Side is the bound instead.
 func (e *Engine) clampToWorld(p geom.Point) geom.Point {
 	max := e.opts.Side - 1e-9
-	if max < 0 {
-		max = 0
+	if max >= e.opts.Side {
+		max = math.Nextafter(e.opts.Side, 0)
 	}
 	return geom.Rect{MinX: 0, MinY: 0, MaxX: max, MaxY: max}.ClampPoint(p)
 }

@@ -171,11 +171,7 @@ func TestCarryMatchesRebuildUnderCommands(t *testing.T) {
 						if err := e.Checkpoint(&buf); err != nil {
 							t.Fatal(err)
 						}
-						r, err := Restore(&buf, prog, game.NewMechanics(), Options{Workers: e.Workers(), Incremental: true, IncrementalThreshold: 1})
-						if err != nil {
-							t.Fatal(err)
-						}
-						incs[i] = r
+						incs[i] = reopen(t, buf.Bytes(), Options{Workers: e.Workers(), Incremental: true, IncrementalThreshold: 1})
 					}
 				}
 				for _, e := range append([]*Engine{oracle}, incs...) {

@@ -4,14 +4,16 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/epicscale/sgl/internal/game"
+	"github.com/epicscale/sgl/internal/geom"
 	"github.com/epicscale/sgl/internal/workload"
 )
 
 // TestInitialKeysFollowSpawnRule: a world that comes up from rows — New
-// over a table, Restore and Open over a checkpoint stream (and so a PUT
+// over a table, Open over a checkpoint stream (and so a PUT
 // checkpoint or a replica bootstrap) — holds every key to the rule a
 // spawn command's key obeys (finite, integral, non-negative, at most
 // 2^53) and requires the keys unique as the int64 unit identities every
@@ -68,11 +70,102 @@ func TestInitialKeysFollowSpawnRule(t *testing.T) {
 			if err := e.Checkpoint(&buf); err != nil {
 				t.Fatal(err)
 			}
-			_, err = Restore(bytes.NewReader(buf.Bytes()), prog, mech, Options{})
-			check(t, "Restore", err, tc.bad, tc.dup)
 			_, err = Open(bytes.NewReader(buf.Bytes()), mech, Options{})
 			check(t, "Open", err, tc.bad, tc.dup)
 		})
+	}
+}
+
+// TestInitialPositionsFollowSpawnRule: a world that comes up from rows —
+// New over a table, Open over a checkpoint stream (and so a PUT
+// checkpoint or a replica bootstrap) — holds every position to the rule a
+// spawn command's position obeys (finite, inside [0, Side)), rejecting
+// the world with a *PositionError naming the row. Before the rule, a
+// checksummed stream with posx NaN or 1e12 opened, and its occupancy
+// squares came from a float-to-int32 conversion the platform defines.
+func TestInitialPositionsFollowSpawnRule(t *testing.T) {
+	prog := battleProg(t)
+	mech := game.NewMechanics()
+	px := prog.Schema.MustCol("posx")
+	spec := workload.Spec{Units: 24, Density: 0.01, Seed: 3, Formation: workload.BattleLines}
+	side := spec.Side()
+	for _, x := range []float64{math.NaN(), 1e12, -1, side, math.Inf(1), math.Inf(-1)} {
+		env := workload.Generate(spec)
+		env.Rows[2][px] = x
+		_, err := New(prog, mech, env, Options{Mode: Indexed, Seed: 3, Side: side, MoveSpeed: 1})
+		var pe *PositionError
+		if !errors.As(err, &pe) || pe.Row != 2 {
+			t.Errorf("New with posx %v: err = %v, want a *PositionError naming row 2", x, err)
+		}
+
+		e := newEngine(t, prog, 24, Indexed, 3, nil)
+		e.env.Rows[2][px] = x
+		var buf bytes.Buffer
+		if err := e.Checkpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(bytes.NewReader(buf.Bytes()), mech, Options{}); !errors.As(err, &pe) || pe.Row != 2 {
+			t.Errorf("Open with posx %v: err = %v, want a *PositionError naming row 2", x, err)
+		}
+	}
+}
+
+// A world side past 2^31 is refused at both ingresses: some in-world
+// squares would not fit the occupancy table's int32 coordinates.
+func TestWorldSideBounded(t *testing.T) {
+	prog := battleProg(t)
+	spec := workload.Spec{Units: 24, Density: 0.01, Seed: 3, Formation: workload.BattleLines}
+	if _, err := New(prog, game.NewMechanics(), workload.Generate(spec), Options{Mode: Indexed, Side: 1 << 40, MoveSpeed: 1}); err == nil {
+		t.Error("New accepted a world of side 2^40")
+	}
+	e := newEngine(t, prog, 24, Indexed, 3, nil)
+	e.opts.Side = 1 << 40
+	var buf bytes.Buffer
+	if err := e.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(bytes.NewReader(buf.Bytes()), game.NewMechanics(), Options{}); err == nil ||
+		!strings.Contains(err.Error(), "geometry") {
+		t.Errorf("Open of a stream with side 2^40: err = %v, want a geometry error", err)
+	}
+}
+
+// Movement obeys the position rule Open checks at every allowed side, so
+// the world it leaves reopens. From side 2^24 up, Side-1e-9 rounds back to
+// Side: a unit pushed past the edge of such a world landed on x == Side,
+// which Open then refused (and at 2^31 its square overflowed int32).
+func TestMovementStaysInsideLargeWorlds(t *testing.T) {
+	prog := battleProg(t)
+	px := prog.Schema.MustCol("posx")
+	for _, side := range []float64{1 << 25, maxSide} {
+		spec := workload.Spec{Units: 24, Density: 0.01, Seed: 3, Formation: workload.BattleLines}
+		env := workload.Generate(spec)
+		env.Rows[0][px] = side - 0.5
+		e, err := New(prog, game.NewMechanics(), env, Options{
+			Mode: Indexed, Categoricals: game.Categoricals(), Seed: 3, Side: side, MoveSpeed: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		moves := make([]geom.Vec, e.env.Len())
+		edge := -1
+		for i, row := range e.env.Rows {
+			if row[px] == side-0.5 {
+				edge = i
+			}
+		}
+		moves[edge] = geom.Vec{X: 1}
+		e.movementPhase(moves, make([]bool, e.env.Len()))
+		if x := e.env.Rows[edge][px]; !inWorld(x, side) {
+			t.Fatalf("side %v: the unit pushed past the edge stands at x = %v", side, x)
+		}
+		var buf bytes.Buffer
+		if err := e.Checkpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(bytes.NewReader(buf.Bytes()), game.NewMechanics(), Options{}); err != nil {
+			t.Fatalf("side %v: the world movement left does not reopen: %v", side, err)
+		}
 	}
 }
 

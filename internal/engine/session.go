@@ -23,8 +23,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-
-	"github.com/epicscale/sgl/internal/sgl/sem"
 )
 
 // StatsFunc observes the engine after each completed tick of a
@@ -45,17 +43,6 @@ type Session struct {
 
 // NewSession wraps an engine.
 func NewSession(e *Engine) *Session { return &Session{e: e} }
-
-// RestoreSession is Restore composed with NewSession: reopen a
-// checkpoint and serve it. For self-contained version-2 checkpoints,
-// Open does the same without needing the program.
-func RestoreSession(r io.Reader, prog *sem.Program, g Game, tune Options) (*Session, error) {
-	e, err := Restore(r, prog, g, tune)
-	if err != nil {
-		return nil, err
-	}
-	return NewSession(e), nil
-}
 
 // OnTick installs the per-tick stats hook (nil uninstalls). Safe to call
 // at any time, including while a Step runs on another goroutine; the

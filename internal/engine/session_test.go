@@ -236,7 +236,7 @@ func TestSessionCheckpointRestore(t *testing.T) {
 	if err := s.Checkpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := RestoreSession(&buf, battleProg(t), game.NewMechanics(), Options{Workers: 4})
+	restored, err := Open(&buf, game.NewMechanics(), Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,13 +252,6 @@ func TestSessionCheckpointRestore(t *testing.T) {
 	}
 	if !identicalTables(oracle.Engine().Env(), s.Engine().Env()) {
 		t.Fatal("checkpointing perturbed the running session")
-	}
-}
-
-// RestoreSession surfaces restore errors.
-func TestRestoreSessionError(t *testing.T) {
-	if _, err := RestoreSession(bytes.NewReader([]byte("junk")), battleProg(t), game.NewMechanics(), Options{}); err == nil {
-		t.Fatal("junk restored")
 	}
 }
 

@@ -498,11 +498,7 @@ func TestViewRowsMatchEngine(t *testing.T) {
 								}
 								o := Options{}
 								opts(&o)
-								restored, err := Restore(&buf, w.prog, game.NewMechanics(), o)
-								if err != nil {
-									t.Fatal(err)
-								}
-								e = restored
+								e = reopen(t, buf.Bytes(), o)
 								check(nil)
 							}
 							prev := e.ReadView()

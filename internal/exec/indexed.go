@@ -1218,8 +1218,8 @@ probes:
 		}
 		rect := probeRect(a.Axes, f)
 		matched, _, _ := p.matchParts(idx, a.Eqs, f, true)
-		cx, rx := centerHalf(rect.MinX, rect.MaxX)
-		cy, ryHalf := centerHalf(rect.MinY, rect.MaxY)
+		cx, rx := sweepline.CenterHalf(rect.MinX, rect.MaxX)
+		cy, ryHalf := sweepline.CenterHalf(rect.MinY, rect.MaxY)
 		for _, pt := range matched {
 			gk := groupKey{pt.ord, 2 * ryHalf}
 			gi, ok := b.groupOf[gk]
@@ -1368,14 +1368,4 @@ func (p *Indexed) SelectTargets(def *ast.ActDef, unit []float64, args []float64,
 			}
 		}
 	}
-}
-
-// centerHalf converts an interval to (center, half-extent). A doubly
-// unbounded interval maps to (0, +Inf) — which is only produced for an
-// absent index axis, where every point carries the constant coordinate 0.
-func centerHalf(lo, hi float64) (float64, float64) {
-	if math.IsInf(lo, -1) && math.IsInf(hi, 1) {
-		return 0, math.Inf(1)
-	}
-	return (lo + hi) / 2, (hi - lo) / 2
 }

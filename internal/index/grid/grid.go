@@ -18,11 +18,7 @@ import (
 
 // Index is a uniform grid over points with sum-combinable payloads, the
 // same payload model as the range tree. Build per tick; concurrent reads
-// are safe. Between rebuilds the grid also absorbs updates in place:
-// Insert appends a point (cells outside the built extent land in an
-// overflow bucket scanned by every query), Remove tombstones one, and
-// Patch moves a point between cells. The mutating methods are not safe
-// for concurrent use.
+// are safe.
 type Index struct {
 	cell       float64
 	width      int
@@ -31,10 +27,6 @@ type Index struct {
 	cells      [][]int32 // point indexes per cell
 	pts        []geom.Point
 	vals       []float64
-
-	// Dynamic state: tombstones and the out-of-extent overflow bucket.
-	removed  []bool
-	overflow []int32
 }
 
 // Build constructs a grid with the given cell size over pts, whose payload
@@ -119,95 +111,15 @@ func (g *Index) visit(r geom.Rect, fn func(i int)) {
 			g.visitBucket(g.cells[cy*g.nx+cx], r, fn)
 		}
 	}
-	g.visitBucket(g.overflow, r, fn)
 }
 
 func (g *Index) visitBucket(bucket []int32, r geom.Rect, fn func(i int)) {
 	for _, i := range bucket {
-		if g.removed != nil && g.removed[i] {
-			continue
-		}
 		p := g.pts[i]
 		if p.X >= r.MinX && p.X <= r.MaxX && p.Y >= r.MinY && p.Y <= r.MaxY {
 			fn(int(i))
 		}
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Incremental maintenance
-
-// bucketFor returns the cell bucket a point belongs to, or the overflow
-// bucket when the point lies outside the built extent (&g.overflow).
-func (g *Index) bucketFor(p geom.Point) *[]int32 {
-	cx := int(math.Floor((p.X - g.minX) / g.cell))
-	cy := int(math.Floor((p.Y - g.minY) / g.cell))
-	if cx < 0 || cx >= g.nx || cy < 0 || cy >= g.ny {
-		return &g.overflow
-	}
-	return &g.cells[cy*g.nx+cx]
-}
-
-// dropFrom splices point index i out of a bucket (order of the remaining
-// entries is preserved — the cell is edited in place).
-func dropFrom(bucket *[]int32, i int32) {
-	b := *bucket
-	for j, v := range b {
-		if v == i {
-			*bucket = append(b[:j], b[j+1:]...)
-			return
-		}
-	}
-}
-
-// Insert adds a point with its payload and returns its index (usable with
-// Remove and Patch). Points outside the built extent go to an overflow
-// bucket that every query scans, so keep them rare between rebuilds.
-func (g *Index) Insert(p geom.Point, vals []float64) int {
-	if len(vals) != g.width {
-		panic("grid: Insert vals width mismatch")
-	}
-	i := len(g.pts)
-	g.pts = append(g.pts, p)
-	g.vals = append(g.vals, vals...)
-	if g.removed != nil {
-		g.removed = append(g.removed, false)
-	}
-	*g.bucketFor(p) = append(*g.bucketFor(p), int32(i))
-	return i
-}
-
-// Remove deletes point i, splicing it out of its cell. Returns false if
-// it was already removed.
-func (g *Index) Remove(i int) bool {
-	if g.removed == nil {
-		g.removed = make([]bool, len(g.pts))
-	}
-	if g.removed[i] {
-		return false
-	}
-	dropFrom(g.bucketFor(g.pts[i]), int32(i))
-	g.removed[i] = true
-	return true
-}
-
-// Patch moves point i to a new position with a new payload: the entry is
-// spliced out of its old cell and appended to the new one — the grid
-// analogue of "move the unit between buckets" rather than rebuilding.
-func (g *Index) Patch(i int, p geom.Point, vals []float64) {
-	if len(vals) != g.width {
-		panic("grid: Patch vals width mismatch")
-	}
-	if g.removed != nil && g.removed[i] {
-		panic("grid: Patch of removed point")
-	}
-	oldB, newB := g.bucketFor(g.pts[i]), g.bucketFor(p)
-	if oldB != newB {
-		dropFrom(oldB, int32(i))
-		*newB = append(*newB, int32(i))
-	}
-	g.pts[i] = p
-	copy(g.vals[i*g.width:(i+1)*g.width], vals)
 }
 
 func clampInt(v, lo, hi int) int {

@@ -447,6 +447,10 @@ func (t *Tree) report(q *probe, nd node, plo, phi int) int {
 // shape then depends on the sort's internals — so a point set holding one
 // is answered by building the tree after all, at the full O(n log n) and
 // its allocations on every call: correct for hostile rows, not fast.
+// Finite positions do not retire this fallback: a range axis is whatever
+// column a ≥/≤ bound names (exec's groupAxes), and a state column the
+// script computes can hold a NaN that persists — game.ApplyEffects
+// writes cooldown from the wUsed effect.
 //
 // s is working memory kept between calls (nil for none); with it a call
 // allocates nothing once the slices have grown to the point set's size.

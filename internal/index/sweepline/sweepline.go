@@ -32,6 +32,7 @@
 package sweepline
 
 import (
+	"math"
 	"slices"
 
 	"github.com/epicscale/sgl/internal/index/segtree"
@@ -62,6 +63,17 @@ type Result struct {
 
 // NoExclude disables a probe's self-exclusion.
 const NoExclude = -1
+
+// CenterHalf converts an interval to the (center, half-extent) pair a
+// Probe and a sweep's ry are given in. A doubly unbounded interval maps
+// to (0, +Inf): it comes only from an absent index axis, where every
+// site carries the constant coordinate 0.
+func CenterHalf(lo, hi float64) (float64, float64) {
+	if math.IsInf(lo, -1) && math.IsInf(hi, 1) {
+		return 0, math.Inf(1)
+	}
+	return (lo + hi) / 2, (hi - lo) / 2
+}
 
 // Order holds the two orderings of a point set that every sweep over it
 // needs: by (X, key) — the leaf layout of the sweep's tree — and by

@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httputil"
@@ -218,37 +219,55 @@ func TestCheckpointPutRestores(t *testing.T) {
 	}
 }
 
-// TestCheckpointPutRejectsCollidingKeys: a checksum-valid checkpoint whose
-// rows share a unit key (row 1's key rewritten to row 0's, the trailer
-// recomputed) is refused with 400 like any invalid restore, and no world
-// comes up under the name.
-func TestCheckpointPutRejectsCollidingKeys(t *testing.T) {
-	ts, _ := newTestServer(t)
-	create(t, ts.URL, "src", nil)
-	ck := fetchCheckpoint(t, ts.URL, "src")
-
-	// The rows section follows the schema section: a row count, then the
-	// rows row-major as float64 bits.
+// rewriteCell overwrites one row cell of a checkpoint stream and
+// recomputes the trailer, so the stream stays checksum-valid. The rows
+// section follows the schema section: a row count, then the rows
+// row-major as float64 bits.
+func rewriteCell(t *testing.T, ck []byte, row, col int, bits uint64) {
+	t.Helper()
 	var schema bytes.Buffer
 	table.WriteSchema(table.NewWriter(&schema), game.Schema())
 	at := bytes.Index(ck, schema.Bytes())
 	if at < 0 {
 		t.Fatal("schema section not found in the checkpoint")
 	}
-	width, kc := game.Schema().NumAttrs(), game.Schema().KeyCol()
-	key := func(row int) int { return at + schema.Len() + 4 + (row*width+kc)*8 }
-	copy(ck[key(1):key(1)+8], ck[key(0):key(0)+8])
+	off := at + schema.Len() + 4 + (row*game.Schema().NumAttrs()+col)*8
+	binary.LittleEndian.PutUint64(ck[off:off+8], bits)
 	sum := table.NewWriter(io.Discard)
 	sum.Bytes(ck[:len(ck)-8])
 	binary.LittleEndian.PutUint64(ck[len(ck)-8:], sum.Sum())
+}
 
-	var resp errorResponse
-	if code := putCheckpoint(t, ts.URL+"/v1/sessions/dst/checkpoint", ck, &resp); code != http.StatusBadRequest ||
-		!strings.Contains(resp.Error, "share key") {
-		t.Fatalf("PUT checkpoint with colliding keys: %d %q, want 400 naming the shared key", code, resp.Error)
-	}
-	if code := do(t, http.MethodGet, ts.URL+"/v1/sessions/dst", nil, nil); code != http.StatusNotFound {
-		t.Errorf("a rejected PUT left a world behind: GET status %d", code)
+// TestCheckpointPutRejectsBadRows: a checksum-valid checkpoint whose rows
+// break an ingress rule — two rows sharing a unit key, or a position that
+// is NaN or far outside the world — is refused with 400 like any invalid
+// restore, and no world comes up under the name.
+func TestCheckpointPutRejectsBadRows(t *testing.T) {
+	ts, _ := newTestServer(t)
+	create(t, ts.URL, "src", nil)
+	kc, px := game.Schema().KeyCol(), game.Schema().MustCol("posx")
+	for _, tc := range []struct {
+		name     string
+		col      int
+		bits     func(ck []byte) uint64
+		wantText string
+	}{
+		{"colliding-keys", kc, func([]byte) uint64 { return math.Float64bits(0) }, "share key"},
+		{"nan-position", px, func([]byte) uint64 { return math.Float64bits(math.NaN()) }, "outside the world"},
+		{"far-position", px, func([]byte) uint64 { return math.Float64bits(1e12) }, "outside the world"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ck := fetchCheckpoint(t, ts.URL, "src")
+			rewriteCell(t, ck, 1, tc.col, tc.bits(ck))
+			var resp errorResponse
+			if code := putCheckpoint(t, ts.URL+"/v1/sessions/dst/checkpoint", ck, &resp); code != http.StatusBadRequest ||
+				!strings.Contains(resp.Error, tc.wantText) {
+				t.Fatalf("PUT checkpoint: %d %q, want 400 containing %q", code, resp.Error, tc.wantText)
+			}
+			if code := do(t, http.MethodGet, ts.URL+"/v1/sessions/dst", nil, nil); code != http.StatusNotFound {
+				t.Errorf("a rejected PUT left a world behind: GET status %d", code)
+			}
+		})
 	}
 }
 

@@ -740,32 +740,16 @@ func (r *Registry) Create(name string, spec WorldSpec) (*World, error) {
 // Restore builds a world from a checkpoint stream under restore-time
 // tuning — the live-migration path: checkpoint a running world, restore
 // it here (possibly with different Workers/Incremental), and it
-// continues byte-identically. The checkpoint is self-contained (format
-// v2 embeds the script), so scriptOverride is normally empty; a
-// non-empty override deliberately reopens the world under a different
-// program (and is the only way to reopen a version-1 checkpoint, which
-// predates the embedded script). tickRate follows the
+// continues byte-identically. The checkpoint is self-contained: it
+// carries the script the world runs. tickRate follows the
 // WorldSpec.TickRate convention (0 = paused).
-func (r *Registry) Restore(name string, ck io.Reader, scriptOverride string, tune engine.Options, tickRate float64) (*World, error) {
+func (r *Registry) Restore(name string, ck io.Reader, tune engine.Options, tickRate float64) (*World, error) {
 	if !ValidName(name) {
 		return nil, fmt.Errorf("server: invalid session name %q", name)
 	}
-	var sess *engine.Session
-	if scriptOverride != "" {
-		prog, err := compileWorldScript(scriptOverride)
-		if err != nil {
-			return nil, fmt.Errorf("server: compile script: %w", err)
-		}
-		sess, err = engine.RestoreSession(ck, prog, game.NewMechanics(), tune)
-		if err != nil {
-			return nil, fmt.Errorf("server: %w", err)
-		}
-	} else {
-		var err error
-		sess, err = engine.Open(ck, game.NewMechanics(), tune)
-		if err != nil {
-			return nil, fmt.Errorf("server: %w", err)
-		}
+	sess, err := engine.Open(ck, game.NewMechanics(), tune)
+	if err != nil {
+		return nil, fmt.Errorf("server: %w", err)
 	}
 	// The daemon hosts worlds over the battle schema and mechanics; a
 	// self-contained checkpoint of some other schema would restore an

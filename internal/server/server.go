@@ -23,7 +23,7 @@
 // Error responses are {"error": "..."} with a 4xx/5xx status. The
 // checkpoint data directory is the daemon's only filesystem surface;
 // file names are validated to be flat path components, so clients cannot
-// escape it. Checkpoints are self-contained (format v2 embeds the
+// escape it. Checkpoints are self-contained (the format embeds the
 // script), so a checkpoint file is one atomic rename — no sidecar, no
 // pairing discipline.
 package server
@@ -109,8 +109,8 @@ type CreateRequest struct {
 	Mode      string  `json:"mode,omitempty"`      // "indexed" (default) or "naive"
 
 	// Restore path: checkpoint file name in the data dir. Checkpoints
-	// are self-contained (the script travels inside the stream); a
-	// non-empty Script deliberately overrides the embedded one.
+	// are self-contained (the script travels inside the stream), so every
+	// fresh-world field above must be empty.
 	Restore string `json:"restore,omitempty"`
 
 	// Per-session determinism-neutral tuning. Compact folds the applied
@@ -358,13 +358,12 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var world *World
 	var err error
 	if req.Restore != "" {
-		// The fresh-world spec lives in the checkpoint; accepting (and
-		// silently dropping) it here would let a client believe it
-		// restored a resized or reseeded world. Script stays legal — it
-		// is the documented sidecar override.
-		if req.Units != 0 || req.Density != 0 || req.Seed != 0 || req.Formation != "" || req.Mode != "" {
+		// The fresh-world spec, script included, lives in the checkpoint;
+		// accepting (and silently dropping) it here would let a client
+		// believe it restored a resized, reseeded or reprogrammed world.
+		if req.Script != "" || req.Units != 0 || req.Density != 0 || req.Seed != 0 || req.Formation != "" || req.Mode != "" {
 			writeErr(w, http.StatusBadRequest,
-				"restore and fresh-world fields (units/density/seed/formation/mode) are mutually exclusive: the checkpoint carries the world spec")
+				"restore and fresh-world fields (script/units/density/seed/formation/mode) are mutually exclusive: the checkpoint carries the world spec")
 			return
 		}
 		world, err = s.restoreFromFile(req, tune)
@@ -413,8 +412,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 // checkpoint in the data dir and register the restored session under
 // restore-time tuning. The checkpoint is self-contained — the script it
 // ran travels inside the stream — so one file read is the whole
-// operation; a non-empty req.Script deliberately overrides the embedded
-// script.
+// operation.
 func (s *Server) restoreFromFile(req CreateRequest, tune engine.Options) (*World, error) {
 	if s.dataDir == "" {
 		return nil, errors.New("server: no data directory configured; file restore disabled")
@@ -431,7 +429,7 @@ func (s *Server) restoreFromFile(req CreateRequest, tune engine.Options) (*World
 		return nil, fmt.Errorf("server: open checkpoint: %w", err)
 	}
 	defer f.Close()
-	return s.reg.Restore(req.Name, f, req.Script, tune, req.TickRate)
+	return s.reg.Restore(req.Name, f, tune, req.TickRate)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
@@ -847,7 +845,7 @@ func (s *Server) handleCheckpointStream(w http.ResponseWriter, r *http.Request) 
 // body and the world comes up here under restore-time tuning — no shared
 // data directory required. Tuning rides in query parameters because the
 // body is the raw binary stream: ?workers, ?incremental, ?incthreshold,
-// ?compact, ?tickrate, ?script (override, normally absent).
+// ?compact, ?tickrate. The stream carries its script, so ?script is a 400.
 func (s *Server) handleCheckpointPut(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if !ValidName(name) {
@@ -855,6 +853,10 @@ func (s *Server) handleCheckpointPut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
+	if q.Has("script") {
+		writeErr(w, http.StatusBadRequest, "script is not a restore parameter: the checkpoint carries its script")
+		return
+	}
 	var tune engine.Options
 	var tickRate float64
 	var err error
@@ -889,7 +891,7 @@ func (s *Server) handleCheckpointPut(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	body := http.MaxBytesReader(w, r.Body, maxCheckpointBytes)
-	world, err := s.reg.Restore(name, body, q.Get("script"), tune, tickRate)
+	world, err := s.reg.Restore(name, body, tune, tickRate)
 	switch {
 	case err == nil:
 	case errors.Is(err, ErrExists):

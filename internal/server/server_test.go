@@ -17,8 +17,6 @@ import (
 	"github.com/epicscale/sgl/internal/engine"
 	"github.com/epicscale/sgl/internal/game"
 	"github.com/epicscale/sgl/internal/metrics"
-	"github.com/epicscale/sgl/internal/table"
-	"github.com/epicscale/sgl/internal/workload"
 )
 
 // newTestServer spins up a server over a temp data dir.
@@ -720,61 +718,37 @@ func TestMaxLengthNameCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// Restoring a version-1 checkpoint (no embedded script) without an
-// explicit script must fail with a pointer at the fix, and succeed once
-// the script is supplied — the version policy's "v1 stays readable".
-func TestRestoreV1NeedsExplicitScript(t *testing.T) {
+// A checkpoint in an older layout is a 400 on both restore endpoints,
+// with an error naming sglc -upgrade — the daemon reads the current
+// layout alone — and no script on the request changes that: a restore
+// that carries one is a 400 too.
+func TestRestoreLegacyCheckpointNamesUpgrade(t *testing.T) {
 	ts, dir, _ := newTestServerFull(t)
-	// Synthesize a v1 stream by hand: the frozen v1 layout is the header
-	// with 7 counters, then schema + rows, then the checksum — no script,
-	// constants or input sections.
-	spec := workload.Spec{Units: 64, Density: 0.02, Seed: 7, Formation: workload.BattleLines}
-	army := workload.Generate(spec)
-	var buf bytes.Buffer
-	cw := table.NewWriter(&buf)
-	cw.Bytes([]byte("SGLCKPT\n"))
-	cw.U32(1) // version 1
-	cw.U64(7) // seed
-	cw.I64(2) // tick
-	cw.U8(1)  // mode: indexed
-	cw.U8(0)  // flags
-	cw.F64(spec.Side())
-	cw.F64(1) // movespeed
-	cats := game.Categoricals()
-	cw.U32(uint32(len(cats)))
-	for _, c := range cats {
-		cw.Str(c)
-	}
-	cw.I64(2) // stats: Ticks
-	for i := 0; i < 6; i++ {
-		cw.I64(0)
-	}
-	table.WriteSchema(cw, game.Schema())
-	table.WriteRows(cw, army)
-	cw.U64(cw.Sum())
-	if err := cw.Err(); err != nil {
+	v1, err := os.ReadFile(filepath.Join("..", "engine", "testdata", "v1.ckpt"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "old.ckpt"), buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "old.ckpt"), v1, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var e struct {
-		Error string `json:"error"`
+	var e errorResponse
+	if code := do(t, http.MethodPost, ts.URL+"/v1/sessions",
+		CreateRequest{Name: "v1", Restore: "old.ckpt"}, &e); code != http.StatusBadRequest ||
+		!strings.Contains(e.Error, "sglc -upgrade") {
+		t.Fatalf("restore of a v1 file: status %d %q, want 400 naming sglc -upgrade", code, e.Error)
+	}
+	if code := putCheckpoint(t, ts.URL+"/v1/sessions/v1/checkpoint", v1, &e); code != http.StatusBadRequest ||
+		!strings.Contains(e.Error, "sglc -upgrade") {
+		t.Fatalf("PUT of a v1 stream: status %d %q, want 400 naming sglc -upgrade", code, e.Error)
 	}
 	if code := do(t, http.MethodPost, ts.URL+"/v1/sessions",
-		CreateRequest{Name: "v1", Restore: "old.ckpt"}, &e); code != http.StatusBadRequest {
-		t.Fatalf("v1 restore without script: status %d, want 400", code)
+		CreateRequest{Name: "v1", Restore: "old.ckpt", Script: game.Script}, nil); code != http.StatusBadRequest {
+		t.Fatalf("restore with a script: status %d, want 400", code)
 	}
-	if !strings.Contains(e.Error, "version 1") {
-		t.Errorf("error should name the version, got %q", e.Error)
-	}
-	var st Status
-	if code := do(t, http.MethodPost, ts.URL+"/v1/sessions",
-		CreateRequest{Name: "v1", Restore: "old.ckpt", Script: game.Script}, &st); code != http.StatusCreated {
-		t.Fatalf("v1 restore with explicit script: status %d, want 201", code)
-	}
-	if st.Tick != 2 {
-		t.Errorf("restored v1 tick = %d, want 2", st.Tick)
+	create(t, ts.URL, "donor", nil)
+	ck := fetchCheckpoint(t, ts.URL, "donor")
+	if code := putCheckpoint(t, ts.URL+"/v1/sessions/v4/checkpoint?script=x", ck, nil); code != http.StatusBadRequest {
+		t.Fatalf("PUT with ?script=: status %d, want 400", code)
 	}
 }
 
@@ -789,6 +763,7 @@ func TestRestoreRejectsFreshWorldFields(t *testing.T) {
 		{Name: "r2", Restore: "d.ckpt", Seed: 9},
 		{Name: "r3", Restore: "d.ckpt", Mode: "naive"},
 		{Name: "r4", Restore: "d.ckpt", Formation: "scattered"},
+		{Name: "r5", Restore: "d.ckpt", Script: game.Script},
 	} {
 		if code := do(t, http.MethodPost, ts.URL+"/v1/sessions", req, nil); code != http.StatusBadRequest {
 			t.Errorf("restore with fresh-world field %+v: status %d, want 400", req, code)

@@ -165,13 +165,11 @@
 // (TestReplayMatchesLive proves it over the script zoo and the battle
 // simulation).
 //
-// Checkpoints participate too: since format version 2 a checkpoint embeds
-// the script text, the constant table, the journal and any still-pending
-// commands (version 3 adds the journal's compaction base), so it is one
-// self-contained stream that Open reopens with no other artifact.
-// Version-1 checkpoints (which predate the embedded script) remain
-// readable by the shipped tools: `battlesim -resume` and sgld's restore,
-// given the script explicitly.
+// Checkpoints participate too: a checkpoint embeds the script text, the
+// constant table, the journal, its compaction base and any still-pending
+// commands, so it is one self-contained stream that Open reopens with no
+// other artifact. Checkpoints in an older format version are rewritten
+// by `sglc -upgrade`, the one reader of the older layouts.
 //
 // # Serving many worlds
 //
@@ -272,15 +270,10 @@ const (
 	OpTune = engine.OpTune
 )
 
-// CheckpointVersion is the checkpoint format version this build writes.
-// Reads accept it, version 2 (self-contained, without a compaction base)
-// and CheckpointVersionV1. See ROADMAP.md for the version policy.
+// CheckpointVersion is the checkpoint format version this build writes
+// and the only one Open reads; `sglc -upgrade` rewrites older
+// checkpoints as this version. See ROADMAP.md for the version policy.
 const CheckpointVersion = engine.CheckpointVersion
-
-// CheckpointVersionV1 is the first checkpoint format (no embedded
-// script, constants or inputs); Open rejects it, and the shipped tools
-// still read it given the script.
-const CheckpointVersionV1 = engine.CheckpointVersionV1
 
 // Attribute combination kinds (paper Section 4.2).
 const (
@@ -339,7 +332,10 @@ func CompilePlan(prog *Program) (*Plan, error) {
 	return algebra.Optimize(plan), nil
 }
 
-// NewEngine builds a simulation engine over an initial environment.
+// NewEngine builds a simulation engine over an initial environment. It
+// rejects a row whose key is not a unique integer in [0, 2^53], or whose
+// position is not finite and inside [0, Side), and a Side outside
+// [1, 2^31].
 func NewEngine(prog *Program, mech Mechanics, initial *Table, opts EngineOptions) (*Engine, error) {
 	return engine.New(prog, mech, initial, opts)
 }
@@ -349,16 +345,16 @@ func NewEngine(prog *Program, mech Mechanics, initial *Table, opts EngineOptions
 // reads need none: they evaluate on the published ReadView).
 func NewSession(e *Engine) *Session { return engine.NewSession(e) }
 
-// Open reopens a self-contained checkpoint (format version 2 or later)
-// as a ready-to-serve Session. The program is rebuilt from the script
-// text and constant table embedded in the stream, so no separate prog —
-// and no sidecar file — is needed: a checkpoint is the whole world. Of
-// tune, only the determinism-neutral knobs (Workers, Incremental,
-// IncrementalThreshold) are consulted; the restored session continues
+// Open reopens a self-contained checkpoint as a ready-to-serve Session.
+// The program is rebuilt from the script text and constant table
+// embedded in the stream, so no separate prog — and no sidecar file — is
+// needed: a checkpoint is the whole world. Of tune, only the
+// determinism-neutral knobs (Workers, Incremental, IncrementalThreshold,
+// CompactJournal) are consulted; the restored session continues
 // byte-identically to the run that was never interrupted, including any
-// commands that were pending when the checkpoint was written. Version-1
-// checkpoints predate the embedded script and are rejected with an
-// explanatory error.
+// commands that were pending when the checkpoint was written. A
+// checkpoint in an older format version is rejected with an error naming
+// `sglc -upgrade`, which rewrites it.
 func Open(r io.Reader, mech Mechanics, tune EngineOptions) (*Session, error) {
 	return engine.Open(r, mech, tune)
 }
