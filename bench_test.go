@@ -542,7 +542,10 @@ func TestTickAllocRatchet(t *testing.T) {
 // classes stopped repeating sweeps and the executor kept its batch
 // scratch, 20 once the serial tick became one shard of the sharded
 // decision phase, its shard boundaries and effect buffers kept on the
-// engine. The ceilings only move down.
+// engine; 21 once the read view kept a position column, whose base
+// and changed-row list are allocated at each full copy of the view's
+// rows — on this high-churn battle, about every other tick. The ceilings only move
+// down.
 //
 // Two windows. The first (ticks 11–31 of the seeded battle) is before the
 // lines meet: it holds what the index layer and the tick's bookkeeping
@@ -564,8 +567,8 @@ func TestBattleTickAllocRatchet(t *testing.T) {
 		from    int
 		ceiling float64
 	}{
-		{"before the lines meet", 10, 25}, // measured 20
-		{"height of the battle", 200, 32}, // measured 27
+		{"before the lines meet", 10, 25}, // measured 21
+		{"height of the battle", 200, 32}, // measured 28
 	} {
 		if err := e.Run(w.from - e.Stats.Ticks); err != nil { // the first run also sizes the storage
 			t.Fatal(err)
@@ -592,40 +595,59 @@ aggregate Zone(u, x, y, r) :=
     and e.posy >= y - r and e.posy <= y + r;`
 
 // TestFirstReadAllocRatchet is the read side's ratchet: the first Zone
-// read on a freshly published view of the 2000-unit battle — the only
-// read a view gets when the clock outruns its spectators — allocates the
-// query's membership and one probe's scratch, not an index. Measured
-// ≈104 KB when introduced, against ≈1.72 MB at the parent commit (a whole
-// layered range tree plus a key map per read); the ceiling only moves
-// down.
+// read on a freshly published view — the only read a view gets when the
+// clock outruns its spectators — allocates the view's position column
+// (unless no row changed since its last full copy) and one probe's
+// scratch: no index, no membership, no row list. Two worlds: the
+// 2000-unit battle, and the 10 000-unit patrol of the repository
+// benchmark's sentry-tick. Measured ≈104 KB on the battle when
+// introduced, against ≈1.72 MB at the parent commit (a whole layered
+// range tree plus a key map per read); ≈21 KB once views kept a position
+// column and a query with no filter stopped scanning its membership (the
+// patrol: ≈155 KB, from ≈570 KB — its 160 KB column is copied on most
+// first reads, the battle's full copies are frequent enough that its
+// column is often read as it stands). The ceilings only move down.
 func TestFirstReadAllocRatchet(t *testing.T) {
-	const ceiling = 128 << 10 // measured ≈104 KB; the slack absorbs runtime-version noise, not regressions
 	q, err := CompileQuery(zoneQuery, BattleSchema(), BattleConsts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := newBattle(t, Indexed, 2000, 0.01, func(o *EngineOptions) { o.Workers = 1 })
-	if _, err := e.ReadView().Query(q, World(), 40, 40, 12); err != nil { // the query's analyzer is per engine, not per view
-		t.Fatal(err)
-	}
-	const views = 10
-	var bytes uint64
-	var before, after runtime.MemStats
-	for i := 0; i < views; i++ {
-		if err := e.Tick(); err != nil {
+	// The slack in each ceiling absorbs runtime-version noise, not
+	// regressions.
+	for _, w := range []struct {
+		name    string
+		world   func() *Engine
+		ceiling uint64
+	}{
+		{"battle n2000", func() *Engine {
+			return newBattle(t, Indexed, 2000, 0.01, func(o *EngineOptions) { o.Workers = 1 })
+		}, 32 << 10}, // measured ≈21 KB
+		{"patrol n10000", func() *Engine { return newSentry(t, 10000, 1, true, [3]int{}) }, 192 << 10}, // measured ≈155 KB
+	} {
+		e := w.world()
+		if _, err := e.ReadView().Query(q, World(), 40, 40, 12); err != nil { // the query's analyzer is per engine, not per view
 			t.Fatal(err)
 		}
-		runtime.ReadMemStats(&before)
-		if _, err := e.ReadView().Query(q, World(), float64(7*i%97), float64(13*i%89), 12); err != nil {
-			t.Fatal(err)
+		const views = 10
+		var bytes uint64
+		var before, after runtime.MemStats
+		for i := 0; i < views; i++ {
+			if err := e.Tick(); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&before)
+			if _, err := e.ReadView().Query(q, World(), float64(7*i%97), float64(13*i%89), 12); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			bytes += after.TotalAlloc - before.TotalAlloc
 		}
-		runtime.ReadMemStats(&after)
-		bytes += after.TotalAlloc - before.TotalAlloc
-	}
-	perRead := bytes / views
-	t.Logf("first read on a fresh view of %d units allocates %d bytes", e.Env().Len(), perRead)
-	if perRead > ceiling {
-		t.Fatalf("first read allocates %d bytes (ceiling %d): a fresh view is building an index to answer one probe again", perRead, ceiling)
+		perRead := bytes / views
+		t.Logf("%s: first read on a fresh view of %d units allocates %d bytes", w.name, e.Env().Len(), perRead)
+		if perRead > w.ceiling {
+			t.Errorf("%s: first read allocates %d bytes (ceiling %d): a fresh view is scanning or building again to answer one probe",
+				w.name, perRead, w.ceiling)
+		}
 	}
 }
 
@@ -720,6 +742,23 @@ func BenchmarkQueryFanout(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	// fresh times the first probes of a view published by an untimed tick.
+	fresh := func(b *testing.B, e *Engine, probes int) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			if err := e.Tick(); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			for k := 0; k < probes; k++ {
+				j := i*probes + k
+				if _, err := e.ReadView().Query(q, World(), float64(7*j%97), float64(13*j%89), 12); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
 	for _, n := range []int{2000, 10000} {
 		e := newBattle(b, Indexed, n, 0.01, nil)
 		for _, scan := range []bool{false, true} {
@@ -748,22 +787,11 @@ func BenchmarkQueryFanout(b *testing.B) {
 			name   string
 			probes int
 		}{{"first", 1}, {"fanout64", 64}} {
-			b.Run(fmt.Sprintf("n%d/%s", n, fan.name), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					if err := e.Tick(); err != nil {
-						b.Fatal(err)
-					}
-					b.StartTimer()
-					for k := 0; k < fan.probes; k++ {
-						j := i*fan.probes + k
-						if _, err := e.ReadView().Query(q, World(), float64(7*j%97), float64(13*j%89), 12); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-			})
+			b.Run(fmt.Sprintf("n%d/%s", n, fan.name), func(b *testing.B) { fresh(b, e, fan.probes) })
 		}
 	}
+	// The repository benchmark's sentry-tick world: the 10 000-unit
+	// patrol at the daemon's default mix, incremental and serial.
+	patrol := newSentry(b, 10000, 1, true, [3]int{})
+	b.Run("patrol-n10000/first", func(b *testing.B) { fresh(b, patrol, 1) })
 }

@@ -246,8 +246,13 @@ type Engine struct {
 	cmdDelta exec.Delta
 
 	// viewCopied counts the rows publishView has copied since its last
-	// full copy (see publishView).
+	// full copy (see publishView). posBase is the position column that
+	// copy gathered, posSince the rows named since, each once (posNamed
+	// marks them): what a view's column is patched from when first read.
 	viewCopied int
+	posBase    []geom.Point
+	posSince   []int
+	posNamed   []bool
 
 	// Observation-query state (see query.go): qmu guards the per-query
 	// cache of analyzers and maintained answers. Index providers are not

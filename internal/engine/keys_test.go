@@ -169,6 +169,11 @@ func TestMovementStaysInsideLargeWorlds(t *testing.T) {
 	}
 }
 
+// nanMoveScript asks every unit for a NaN move, every tick.
+const nanMoveScript = `
+action Drift(u) := on e where e.key = u.key set movevect_x = 0 / (u.posx - u.posx);
+function main(u) { perform Drift(u) }`
+
 // A script can ask for a NaN move: 0/0 in a move vector. The clamps pass
 // NaN through (every comparison with it is false), so such a move used to
 // land units on NaN positions, in squares the platform's float-to-int32
@@ -177,9 +182,7 @@ func TestMovementStaysInsideLargeWorlds(t *testing.T) {
 // every position stays inside [0, Side), the checkpoint reopens, and its
 // bytes agree across Workers {1, 4} × Incremental {off, on}.
 func TestNaNMoveBlocked(t *testing.T) {
-	prog := compileZoo(t, `
-action Drift(u) := on e where e.key = u.key set movevect_x = 0 / (u.posx - u.posx);
-function main(u) { perform Drift(u) }`)
+	prog := compileZoo(t, nanMoveScript)
 	var first []byte
 	for _, cfg := range restoreCfgs {
 		e := newEngine(t, prog, 50, Indexed, 3, func(o *Options) { o.Workers, o.Incremental = cfg.workers, cfg.incremental })

@@ -39,10 +39,12 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
 	"github.com/epicscale/sgl/internal/exec"
+	"github.com/epicscale/sgl/internal/geom"
 	"github.com/epicscale/sgl/internal/rng"
 	"github.com/epicscale/sgl/internal/sgl/ast"
 	"github.com/epicscale/sgl/internal/sgl/interp"
@@ -367,6 +369,14 @@ type ReadView struct {
 	// only ever reads that map or drops it for a new one, and the copy has
 	// the same rows in the same order).
 	keys map[int64]int
+
+	// The position column (positions): the column gathered at the last
+	// full copy, shared with every view since, and the rows named since,
+	// whose entries the first read patches from this view's rows.
+	posBase  []geom.Point
+	posSince []int
+	posOnce  sync.Once
+	pos      []geom.Point
 }
 
 // viewProvider is one query's evaluation state on one view: q's
@@ -394,6 +404,11 @@ type viewProvider struct {
 // copied again: the newest view reaches at most that full copy plus
 // blocks holding at most n rows — two full copies, whatever the dirty
 // pattern.
+//
+// The position column follows the same rule at O(named rows) a tick: a
+// full copy gathers a fresh base column, and every other publish only
+// adds the rows it names, once each, to the rows changed since. A view
+// holds both and builds its own column on first read (positions).
 func (e *Engine) publishView() {
 	prev := e.view.Load()
 	n, w := e.env.Len(), e.prog.Schema.NumAttrs()
@@ -405,6 +420,11 @@ func (e *Engine) publishView() {
 		e.viewCopied += len(named)
 	} else {
 		e.viewCopied = 0
+		// Fresh storage: older views keep theirs. posSince never outgrows
+		// n, so no publish until the next full copy allocates for it.
+		e.posBase, e.posSince = make([]geom.Point, n), make([]int, 0, n)
+		e.posNamed = slices.Grow(e.posNamed[:0], n)[:n]
+		clear(e.posNamed)
 	}
 	copied := len(named)
 	if all {
@@ -416,18 +436,49 @@ func (e *Engine) publishView() {
 		if !all {
 			i = named[k]
 		}
+		row := e.env.Rows[i]
 		rows[i] = block[k*w : (k+1)*w : (k+1)*w]
-		copy(rows[i], e.env.Rows[i])
+		copy(rows[i], row)
+		if all {
+			e.posBase[i] = geom.Point{X: row[e.posX], Y: row[e.posY]}
+		} else if !e.posNamed[i] {
+			e.posNamed[i] = true
+			e.posSince = append(e.posSince, i)
+		}
 	}
 	e.view.Store(&ReadView{
-		e:      e,
-		tick:   e.tick,
-		env:    &table.Table{Schema: e.env.Schema, Rows: rows},
-		rs:     e.src.Tick(e.tick),
-		deaths: e.Stats.Deaths,
-		moves:  e.Stats.Moves,
-		keys:   e.keyIndex(),
+		e:        e,
+		tick:     e.tick,
+		env:      &table.Table{Schema: e.env.Schema, Rows: rows},
+		posBase:  e.posBase,
+		posSince: slices.Clip(e.posSince), // later appends land past its end
+		rs:       e.src.Tick(e.tick),
+		deaths:   e.Stats.Deaths,
+		moves:    e.Stats.Moves,
+		keys:     e.keyIndex(),
 	})
+}
+
+// positions returns the view's rows' (posx, posy) in row order, bit for
+// bit: the point set a one-shot range probe reads
+// (exec.Indexed.SeedPositions) instead of gathering it from rows spread
+// over copy-on-write blocks. The first call builds it — the base column
+// as it stands when no row changed since its gather, else a copy of it
+// with the changed rows' entries read from this view's rows — and every
+// later one returns that.
+func (v *ReadView) positions() []geom.Point {
+	v.posOnce.Do(func() {
+		if len(v.posSince) == 0 {
+			v.pos = v.posBase
+			return
+		}
+		v.pos = slices.Clone(v.posBase)
+		for _, i := range v.posSince {
+			row := v.env.Rows[i]
+			v.pos[i] = geom.Point{X: row[v.e.posX], Y: row[v.e.posY]}
+		}
+	})
+	return v.pos
 }
 
 // ReadView returns the view of the last committed tick. It takes no
@@ -469,6 +520,7 @@ func (v *ReadView) evalIndexed(q *Query, unit, args []float64) []float64 {
 	v.mu.Unlock()
 	p.once.Do(func() {
 		p.prov = exec.NewIndexed(an, v.env, v.rs)
+		p.prov.SeedPositions(v.positions())
 		p.prov.FreezeUnbuilt(q.def)
 	})
 	v.e.queryOneShots.Add(1)

@@ -442,20 +442,26 @@ func TestViewMatchesBuiltIndex(t *testing.T) {
 
 // TestViewRowsMatchEngine is the differential for delta-copied read
 // views: a view copies only the rows the tick's delta names and shares
-// the rest with the previous view, so after every tick its rows must
-// equal the engine's bit for bit — over the zoo and the battle, Workers
-// {1, 4} × Incremental {off, on}, through the scripted command stream
-// (morale, health and posx sets, spawns, despawns, a tune) and a restore
-// mid-run. Views must actually have shared rows — not in every world,
-// since a tick that dirties most rows copies them all, but across the
-// zoo — or the test proves nothing about sharing.
+// the rest with the previous view, and patches the previous view's
+// position column at the same rows, so after every tick its rows must
+// equal the engine's bit for bit and its column its rows' (posx, posy) —
+// over the zoo, the battle and a world whose every move is a blocked NaN
+// move, Workers {1, 4} × Incremental {off, on}, through the scripted
+// command stream (morale, health and posx sets, spawns, despawns, a
+// tune) and a reopen mid-run. A replica bootstrapped from an earlier
+// checkpoint with the other knobs — what a PUT checkpoint and a
+// read replica's bootstrap both do — and replaying the journal must
+// publish the same rows and a column that matches them. Views must
+// actually have shared rows — not in every world, since a tick that
+// dirties most rows copies them all, but across the zoo — or the test
+// proves nothing about sharing.
 func TestViewRowsMatchEngine(t *testing.T) {
-	const units, seed, restoreAt = 64, 19, 7
+	const units, seed, replicaAt, restoreAt = 64, 19, 3, 7
 	type world struct {
 		name string
 		prog *sem.Program
 	}
-	worlds := []world{{"battle", battleProg(t)}}
+	worlds := []world{{"battle", battleProg(t)}, {"nan-move", compileZoo(t, nanMoveScript)}}
 	for _, zp := range exec.Zoo {
 		worlds = append(worlds, world{zp.Name, compileZoo(t, zp.Src)})
 	}
@@ -466,21 +472,57 @@ func TestViewRowsMatchEngine(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/w%d-inc%v", w.name, workers, inc), func(t *testing.T) {
 					opts := func(o *Options) { o.Workers, o.Incremental = workers, inc }
 					e := newEngine(t, w.prog, units, Indexed, seed, opts)
+					var replica *Session
+					// A view builds its column on first read: an odd tick's
+					// views are read at once, an even tick's only at the next
+					// check, once the world has moved on from them.
+					var late []*ReadView
+					column := func(v *ReadView) {
+						t.Helper()
+						if v.Tick()%2 == 0 {
+							late = append(late, v)
+						} else {
+							checkViewPositions(t, v)
+						}
+					}
 					check := func(prev *ReadView) {
 						t.Helper()
+						for _, lv := range late {
+							checkViewPositions(t, lv)
+						}
+						late = late[:0]
 						v := e.ReadView()
 						if v.Tick() != e.TickCount() || !identicalTables(v.env, e.env) {
 							t.Fatalf("tick %d: the view (tick %d) does not hold the engine's rows", e.TickCount(), v.Tick())
 						}
+						column(v)
 						for i := range v.env.Rows {
 							if prev != nil && i < prev.env.Len() && &v.env.Rows[i][0] == &prev.env.Rows[i][0] {
 								shared++
 								break
 							}
 						}
+						if replica != nil {
+							rv := replica.ReadView()
+							if rv.Tick() != v.Tick() || !identicalTables(rv.env, v.env) {
+								t.Fatalf("tick %d: the replica's view (tick %d) does not hold the writer's rows", v.Tick(), rv.Tick())
+							}
+							column(rv)
+						}
 					}
 					check(nil)
 					for tick := int64(0); tick < scriptedTicks; tick++ {
+						if tick == replicaAt {
+							var buf bytes.Buffer
+							if err := e.Checkpoint(&buf); err != nil {
+								t.Fatal(err)
+							}
+							var err error
+							if replica, err = Open(&buf, game.NewMechanics(), Options{Workers: 5 - workers, Incremental: !inc}); err != nil {
+								t.Fatal(err)
+							}
+							check(nil)
+						}
 						injectScripted(t, e, tick)
 						if tick == restoreAt {
 							var buf bytes.Buffer
@@ -496,6 +538,18 @@ func TestViewRowsMatchEngine(t *testing.T) {
 						if err := e.Tick(); err != nil {
 							t.Fatal(err)
 						}
+						if replica != nil {
+							for _, sc := range e.Journal() {
+								if sc.Tick == tick {
+									if err := replica.SubmitStamped(sc); err != nil {
+										t.Fatal(err)
+									}
+								}
+							}
+							if err := replica.Step(1); err != nil {
+								t.Fatal(err)
+							}
+						}
 						check(prev)
 					}
 				})
@@ -504,6 +558,22 @@ func TestViewRowsMatchEngine(t *testing.T) {
 	}
 	if shared == 0 {
 		t.Fatal("no view shared a row with its predecessor")
+	}
+}
+
+// checkViewPositions fails t unless v's position column holds its rows'
+// (posx, posy), bit for bit, row for row.
+func checkViewPositions(t *testing.T, v *ReadView) {
+	t.Helper()
+	pos := v.positions()
+	if len(pos) != v.env.Len() {
+		t.Fatalf("tick %d: the view's position column has %d entries for %d rows", v.Tick(), len(pos), v.env.Len())
+	}
+	px, py := v.e.posX, v.e.posY
+	for i, row := range v.env.Rows {
+		if p := pos[i]; math.Float64bits(p.X) != math.Float64bits(row[px]) || math.Float64bits(p.Y) != math.Float64bits(row[py]) {
+			t.Fatalf("tick %d: row %d stands at (%v, %v), the view's column says (%v, %v)", v.Tick(), i, row[px], row[py], p.X, p.Y)
+		}
 	}
 }
 
@@ -587,5 +657,25 @@ function main(u) { if u.health < 0 - 1 then perform Tag(u, 1) }`)
 		if h > 2*full {
 			t.Fatalf("after %d ticks the newest view holds %d bytes, more than two full copies (%d)", ticks, h, 2*full)
 		}
+	}
+}
+
+// BenchmarkPublishView is the tick's side of the read view: what
+// publishing one costs — the row slice, a copy of the rows the tick's
+// delta names, and those rows noted for the position column — on the
+// low-churn patrol world, whose tick dirties its scouts and little else.
+// Each iteration republishes the last tick's delta, so the periodic full
+// copy (publishView) recurs at the rate that delta gives it.
+func BenchmarkPublishView(b *testing.B) {
+	for _, n := range []int{2000, 10000} {
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			e := newSentryEngine(b, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.publishView()
+			}
+			b.ReportMetric(float64(len(e.delta.Dirty)), "dirty-rows")
+		})
 	}
 }

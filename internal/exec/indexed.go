@@ -51,6 +51,11 @@ type Indexed struct {
 
 	keyIndex map[int64]int
 
+	// pos is the environment's (posx, posy) column in row order, when the
+	// caller keeps one (SeedPositions): points on the position axes are
+	// read from it instead of gathered from rows. nil for none.
+	pos []geom.Point
+
 	// groups holds this tick's index of each membership group, by group
 	// ordinal: nil until the group's rows are first scanned. spare holds
 	// the group indexes of a retired provider (Recycle) until this tick
@@ -158,6 +163,21 @@ func NewIndexed(an *Analyzer, env *table.Table, r rng.TickSource) *Indexed {
 func (p *Indexed) SeedKeyIndex(idx map[int64]int) {
 	if p.keyIndex == nil {
 		p.keyIndex = idx
+	}
+}
+
+// SeedPositions installs the environment's (posx, posy) column — pos[i]
+// holds row i's two position values, bit for bit — so range-tree points
+// on the position axes come from it rather than from a gather over the
+// rows: a partition of every row reads it as it stands, any other
+// indexes it. The column is only read. Ignored when the schema lacks a
+// position column.
+func (p *Indexed) SeedPositions(pos []geom.Point) {
+	if len(pos) != p.env.Len() {
+		panic("exec: position column length does not match the environment")
+	}
+	if p.an.posX >= 0 && p.an.posY >= 0 {
+		p.pos = pos
 	}
 }
 
@@ -284,11 +304,16 @@ type buildUnit struct {
 // provider over the same rows (TestUnbuiltMatchesFrozen): the choice for
 // a row set that will see too few probes to repay its indexes. A fork
 // asked any other definition panics like any lazy build on a fork.
+//
+// Nothing maintains, recycles or rebuilds such a provider, so its
+// membership is the lean kind (scanMembers): no row → partition map, and
+// a membership of every row taken from the shared identity rows without
+// a scan.
 func (p *Indexed) FreezeUnbuilt(def *ast.AggDef) {
+	p.unbuilt, p.frozen = def, true
 	if a := p.an.Agg(def); a.Indexable && p.groups[a.group.ord] == nil {
 		p.scanGroup(a.group)
 	}
-	p.unbuilt, p.frozen = def, true
 }
 
 // view returns a copy of p that shares its indexes and environment but
@@ -350,7 +375,8 @@ type partIndex struct {
 	list  []*part  // parts[order[i]], so probes never hash a key
 	// rowPart maps every environment row to its partition ordinal in
 	// order, or -1 when the e-only filter excludes it. MaintainFrom uses
-	// it to find the partition a dirty row used to live in.
+	// it to find the partition a dirty row used to live in, so only a
+	// provider it may maintain fills it: an unbuilt one leaves it nil.
 	rowPart []int32
 }
 
@@ -385,10 +411,19 @@ type globalExt struct {
 	ok  bool
 }
 
-// finish derives list, the parts' ordinals and the row → partition-ordinal
-// map from parts and order (called after membership is final).
-func (idx *partIndex) finish(n int) {
+// finish derives list and the parts' ordinals from parts and order, and
+// with rowPart set the row → partition-ordinal map over n rows (called
+// after membership is final).
+func (idx *partIndex) finish(n int, rowPart bool) {
 	idx.list = idx.list[:0]
+	for ord, key := range idx.order {
+		pt := idx.parts[key]
+		pt.ord = int32(ord)
+		idx.list = append(idx.list, pt)
+	}
+	if !rowPart {
+		return
+	}
 	if cap(idx.rowPart) < n {
 		idx.rowPart = make([]int32, n)
 	}
@@ -396,12 +431,9 @@ func (idx *partIndex) finish(n int) {
 	for i := range idx.rowPart {
 		idx.rowPart[i] = -1
 	}
-	for ord, key := range idx.order {
-		pt := idx.parts[key]
-		pt.ord = int32(ord)
-		idx.list = append(idx.list, pt)
+	for _, pt := range idx.list {
 		for _, ri := range pt.rows {
-			idx.rowPart[ri] = int32(ord)
+			idx.rowPart[ri] = pt.ord
 		}
 	}
 }
@@ -411,7 +443,15 @@ func (idx *partIndex) finish(n int) {
 // member row. Partitions an earlier scan left in idx keep their part —
 // and with it the structures the coming build will overwrite — when their
 // key still has members, and are dropped when it has none.
+//
+// An unbuilt provider's membership is leaner, since nothing will maintain
+// it: rowPart is never filled, and a group with no e-only conjunct and no
+// partition column — one partition of every row, what the scan returns
+// when every row passes and every key is empty — gets that partition
+// without a scan, its row list a prefix of the shared identity rows (an
+// unbuilt provider scans once, so no earlier partition is left to drop).
 func (p *Indexed) scanMembers(idx *partIndex, eonly []expr.Cond, cols []int) {
+	n, lean := p.env.Len(), p.unbuilt != nil
 	if idx.parts == nil {
 		idx.parts = map[string]*part{}
 	}
@@ -419,6 +459,14 @@ func (p *Indexed) scanMembers(idx *partIndex, eonly []expr.Cond, cols []int) {
 	//sgl:unordered each part is emptied independently
 	for _, pt := range idx.parts {
 		pt.rows = pt.rows[:0]
+	}
+	if lean && len(eonly) == 0 && len(cols) == 0 {
+		if n > 0 {
+			idx.parts[""] = &part{rows: identityRows(n)}
+			idx.order = append(idx.order, "")
+		}
+		idx.finish(n, false)
+		return
 	}
 	var pt *part // the previous member's partition: neighbours mostly share one
 	for i, row := range p.env.Rows {
@@ -444,7 +492,37 @@ func (p *Indexed) scanMembers(idx *partIndex, eonly []expr.Cond, cols []int) {
 			}
 		}
 	}
-	idx.finish(p.env.Len())
+	idx.finish(n, !lean)
+}
+
+// identity holds 0, 1, 2, …: the row list of every unbuilt provider's
+// partition of all rows is a prefix of it, so that membership costs no
+// allocation. It only ever grows, and by replacement: a published slice
+// is never written again, and the prefixes handed out have no spare
+// capacity for an append to write into. Its contents are a function of
+// its length alone, so no caller can see another's use of it.
+var identity atomic.Pointer[[]int]
+
+// identityRows returns the row list 0, 1, …, n−1 from the shared identity
+// rows, growing them first when they are shorter.
+func identityRows(n int) []int {
+	var grown *[]int
+	for {
+		old := identity.Load()
+		if old != nil && len(*old) >= n {
+			return (*old)[:n:n]
+		}
+		if grown == nil {
+			s := make([]int, n+n/4)
+			for i := range s {
+				s[i] = i
+			}
+			grown = &s
+		}
+		if identity.CompareAndSwap(old, grown) {
+			return (*grown)[:n:n]
+		}
+	}
 }
 
 // AppendValueKey appends v's equality class to buf as eight big-endian
@@ -595,13 +673,27 @@ func sized[T any](s []T, n int) []T {
 	return s
 }
 
-// partPoints evaluates the range-tree points of a partition's rows over
-// the axis columns (x, y), in row order, into the view's scratch.
+// partPoints returns the range-tree points of a partition's rows over the
+// axis columns (x, y), in row order. On the position axes of a provider
+// holding the position column (SeedPositions) a partition of every row
+// gets the column itself, and any other partition the column's entries
+// for its rows; everything else is gathered from the rows. All but the
+// column itself land in the view's scratch.
 func (p *Indexed) partPoints(xCol, yCol int, rows []int) []rangetree.Point {
+	column := p.pos != nil && xCol == p.an.posX && yCol == p.an.posY
+	if column && len(rows) == len(p.pos) {
+		return p.pos // rows ascend without repeats, so they are all of them
+	}
 	if cap(p.pts) < len(rows) {
 		p.pts = make([]rangetree.Point, len(rows))
 	}
 	p.pts = p.pts[:len(rows)]
+	if column {
+		for j, ri := range rows {
+			p.pts[j] = p.pos[ri]
+		}
+		return p.pts
+	}
 	for j, ri := range rows {
 		row := p.env.Rows[ri]
 		p.pts[j] = rangetree.Point{X: axisVal(row, xCol), Y: axisVal(row, yCol)}

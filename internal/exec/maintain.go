@@ -375,7 +375,7 @@ func (p *Indexed) maintainGroup(g *membership, idx *groupIndex, d Delta) depMask
 		idx.order = append(idx.order, key)
 	}
 	sortedByFirstRow(idx.order, func(key string) int { return idx.parts[key].rows[0] })
-	idx.finish(p.env.Len())
+	idx.finish(p.env.Len(), true)
 	return changed
 }
 

@@ -3,8 +3,11 @@ package exec
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 	"testing"
 
+	"github.com/epicscale/sgl/internal/geom"
 	"github.com/epicscale/sgl/internal/rng"
 	"github.com/epicscale/sgl/internal/sgl/parser"
 	"github.com/epicscale/sgl/internal/sgl/sem"
@@ -25,6 +28,8 @@ aggregate Zone(u, x, y, r) :=
   count(*) as n, sum(e.health) as hp, avg(e.health) as mean, stddev(e.health) as sd
   over e where e.posx >= x - r and e.posx <= x + r
     and e.posy >= y - r and e.posy <= y + r;`, []float64{6, 5, 4}},
+	{"census-unfiltered", `
+aggregate Census(u) := count(*) as n, sum(e.health) as hp, avg(e.posx) as cx, stddev(e.posy) as sy over e;`, nil},
 	{"zone-one-sided", `aggregate East(u, x) := count(*) over e where e.posx >= x;`, []float64{5}},
 	{"zone-inverted", `aggregate Nowhere(u, x) := count(*) as n, sum(e.health) as hp over e where e.posx >= x and e.posx <= x - 3;`, []float64{5}},
 	{"global-extrema", `
@@ -93,7 +98,8 @@ func unbuiltProbes(env *table.Table) [][]float64 {
 // built contract: a provider holding a definition's membership and no
 // structure (FreezeUnbuilt) answers every probe exactly as the provider
 // with every index built (Freeze) — Float64bits, every
-// NaN one value. The definitions are the observation zoo above plus every
+// NaN one value — whether it gathers its points from the rows or reads
+// them from a position column (SeedPositions), as a read view's does. The definitions are the observation zoo above plus every
 // aggregate of the script zoo and the kitchen-sink script; the probes are
 // every unit and a set of synthetic observers; the armies stand on a
 // 12×12 lattice, so nearest-neighbour distance ties and equal extrema are
@@ -157,23 +163,28 @@ func TestUnbuiltMatchesFrozen(t *testing.T) {
 				frozen.Freeze()
 				for _, def := range p.prog.Script.Aggs {
 					args := p.args(len(def.Params) - 1)
-					unbuilt := NewIndexed(an, env, r)
-					unbuilt.FreezeUnbuilt(def)
-					if unbuilt.Stats.IndexBuilds != 0 {
-						t.Fatalf("%s: FreezeUnbuilt built %d structures", def.Name, unbuilt.Stats.IndexBuilds)
-					}
-					ff, uf := frozen.Fork(), unbuilt.Fork()
-					batch := unbuilt.Fork().EvalAggBatch(def, probes, repeatArgs(args, len(probes)))
-					for i, unit := range probes {
-						want := ff.EvalAgg(def, unit, args)
-						got := uf.EvalAgg(def, unit, args)
-						into := uf.EvalAggInto(make([]float64, len(want)), def, unit, args)
-						for c := range want {
-							for how, v := range map[string]float64{"EvalAgg": got[c], "EvalAggInto": into[c], "EvalAggBatch": batch[i][c]} {
-								if math.Float64bits(v) != math.Float64bits(want[c]) && !(v != v && want[c] != want[c]) {
-									t.Fatalf("seed %d, %s, probe %d %v, output %d (%s): unbuilt %s %v (%#x), frozen %v (%#x)",
-										seed, def.Name, i, unit[:5], c, an.Agg(def).OutClass[c], how,
-										v, math.Float64bits(v), want[c], math.Float64bits(want[c]))
+					for _, column := range []bool{false, true} {
+						unbuilt := NewIndexed(an, env, r)
+						if column {
+							unbuilt.SeedPositions(positionColumn(env))
+						}
+						unbuilt.FreezeUnbuilt(def)
+						if unbuilt.Stats.IndexBuilds != 0 {
+							t.Fatalf("%s: FreezeUnbuilt built %d structures", def.Name, unbuilt.Stats.IndexBuilds)
+						}
+						ff, uf := frozen.Fork(), unbuilt.Fork()
+						batch := unbuilt.Fork().EvalAggBatch(def, probes, repeatArgs(args, len(probes)))
+						for i, unit := range probes {
+							want := ff.EvalAgg(def, unit, args)
+							got := uf.EvalAgg(def, unit, args)
+							into := uf.EvalAggInto(make([]float64, len(want)), def, unit, args)
+							for c := range want {
+								for how, v := range map[string]float64{"EvalAgg": got[c], "EvalAggInto": into[c], "EvalAggBatch": batch[i][c]} {
+									if math.Float64bits(v) != math.Float64bits(want[c]) && !(v != v && want[c] != want[c]) {
+										t.Fatalf("seed %d, %s, column %v, probe %d %v, output %d (%s): unbuilt %s %v (%#x), frozen %v (%#x)",
+											seed, def.Name, column, i, unit[:5], c, an.Agg(def).OutClass[c], how,
+											v, math.Float64bits(v), want[c], math.Float64bits(want[c]))
+									}
 								}
 							}
 						}
@@ -182,6 +193,125 @@ func TestUnbuiltMatchesFrozen(t *testing.T) {
 			}
 		})
 	}
+}
+
+// positionColumn gathers env's (posx, posy) column, as a read view
+// publishes it.
+func positionColumn(env *table.Table) []geom.Point {
+	xc, yc := env.Schema.MustCol("posx"), env.Schema.MustCol("posy")
+	pos := make([]geom.Point, env.Len())
+	for i, row := range env.Rows {
+		pos[i] = geom.Point{X: row[xc], Y: row[yc]}
+	}
+	return pos
+}
+
+// implicitPairs are definitions with no e-only conjunct and no partition
+// column, each beside its twin whose e-only conjunct e.posx >= 0 every
+// row passes (positions are finite and non-negative in randomArmy, −0
+// included): the twin's membership is scanned, the first's is not.
+const implicitPairs = `
+aggregate Zone(u, x, y, r) :=
+  count(*) as n, sum(e.health) as hp, stddev(e.health) as sd
+  over e where e.posx >= x - r and e.posx <= x + r
+    and e.posy >= y - r and e.posy <= y + r;
+aggregate ZoneScanned(u, x, y, r) :=
+  count(*) as n, sum(e.health) as hp, stddev(e.health) as sd
+  over e where e.posx >= x - r and e.posx <= x + r
+    and e.posy >= y - r and e.posy <= y + r and e.posx >= 0;
+aggregate Census(u) := count(*) as n, avg(e.health) as hp, nearestkey() as near over e;
+aggregate CensusScanned(u) := count(*) as n, avg(e.health) as hp, nearestkey() as near over e where e.posx >= 0;`
+
+// TestImplicitMembershipMatchesScan holds the membership an unbuilt
+// provider's group with no e-only conjunct and no partition column gets
+// without a scan — the shared identity rows — to the one the row scan
+// returns: one partition keyed "", every row in order (none over no
+// rows), and no rowPart. And the answers over it, one-shot with and
+// without a position column and built, to the answers of its scanned twin
+// (implicitPairs), bit for bit.
+func TestImplicitMembershipMatchesScan(t *testing.T) {
+	script, err := parser.Parse(implicitPairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := sem.CheckQuery(script, testSchema(t), testConsts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	an := NewAnalyzer(prog, categoricals())
+	pairs := [][2]string{{"Zone", "ZoneScanned"}, {"Census", "CensusScanned"}}
+	for _, n := range []int{0, 1, 2, 37, 150} {
+		env := randomArmy(t, uint64(n)+1, n, 12)
+		r := rng.New(9).Tick(int64(n))
+		scanned := &partIndex{parts: map[string]*part{}}
+		NewIndexed(an, env, r).scanMembers(scanned, nil, nil)
+		frozen := NewIndexed(an, env, r)
+		frozen.Freeze()
+		probes := unbuiltProbes(env)
+		for _, pair := range pairs {
+			def, twin := prog.Script.Agg(pair[0]), prog.Script.Agg(pair[1])
+			unbuilt := NewIndexed(an, env, r)
+			unbuilt.FreezeUnbuilt(def)
+			seeded := NewIndexed(an, env, r)
+			seeded.SeedPositions(positionColumn(env))
+			seeded.FreezeUnbuilt(def)
+			twinUnbuilt := NewIndexed(an, env, r)
+			twinUnbuilt.FreezeUnbuilt(twin)
+			idx := &unbuilt.groups[an.Agg(def).group.ord].partIndex
+			if !slices.Equal(idx.order, scanned.order) || len(idx.list) != len(scanned.list) || idx.rowPart != nil {
+				t.Fatalf("n=%d, %s: partitions %q (rowPart %v), the scan's %q", n, pair[0], idx.order, idx.rowPart, scanned.order)
+			}
+			for k, pt := range idx.list {
+				if !slices.Equal(pt.rows, scanned.list[k].rows) || pt.ord != int32(k) {
+					t.Fatalf("n=%d, %s: partition %d holds rows %v (ordinal %d), the scan's %v", n, pair[0], k, pt.rows, pt.ord, scanned.list[k].rows)
+				}
+			}
+			args := []float64{5, 6, 4}[:len(def.Params)-1]
+			for i, unit := range probes {
+				want := twinUnbuilt.Fork().EvalAgg(twin, unit, args)
+				for how, got := range map[string][]float64{
+					"unbuilt":    unbuilt.Fork().EvalAgg(def, unit, args),
+					"seeded":     seeded.Fork().EvalAgg(def, unit, args),
+					"built":      frozen.Fork().EvalAgg(def, unit, args),
+					"twin built": frozen.Fork().EvalAgg(twin, unit, args),
+				} {
+					for c := range want {
+						if math.Float64bits(got[c]) != math.Float64bits(want[c]) {
+							t.Fatalf("n=%d, %s probe %d, output %d: %s %v, scanned twin %v", n, pair[0], i, c, how, got[c], want[c])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// identityRows is shared by every read view's providers, which grow it
+// from concurrent readers: whatever the interleaving, each caller gets
+// exactly 0, 1, …, n−1, with no capacity to append into.
+func TestIdentityRowsConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 1; k <= 40; k++ {
+				n := (k*37 + g*101) % 3000
+				rows := identityRows(n)
+				if len(rows) != n || cap(rows) != n {
+					t.Errorf("identityRows(%d): len %d, cap %d", n, len(rows), cap(rows))
+					return
+				}
+				for i, r := range rows {
+					if r != i {
+						t.Errorf("identityRows(%d)[%d] = %d", n, i, r)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // An unbuilt provider never batches: it has no sweep orderings, and its

@@ -35,6 +35,11 @@
 // is done above this package by building one tree per partition, exactly
 // like the paper's "6 range trees — one for each player/unit type
 // combination".
+//
+// Point is an alias of geom.Point, not a type of its own: a caller that
+// already holds its points' positions as a []geom.Point — an engine read
+// view keeps one — hands that slice to AggregateOnce or Rebuild as it
+// is. Neither writes the points it is given.
 package rangetree
 
 import (
@@ -44,11 +49,11 @@ import (
 	"github.com/epicscale/sgl/internal/geom"
 )
 
-// Point is an indexed location. The payload values live in a separate
-// flattened slice passed to Build.
-type Point struct {
-	X, Y float64
-}
+// Point is an indexed location: geom.Point itself, so a column of
+// positions kept elsewhere (a read view's) is a point set as it stands,
+// with no copy. The payload values live in a separate flattened slice
+// passed to Build.
+type Point = geom.Point
 
 // Tree is a layered range tree in a level-major flat layout. The node at
 // level d (root = 0) that is the k-th of its level and covers the x-ranks

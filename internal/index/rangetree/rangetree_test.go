@@ -56,7 +56,7 @@ func TestEmptyTree(t *testing.T) {
 }
 
 func TestSinglePoint(t *testing.T) {
-	tr := Build([]Point{{5, 5}}, 1, []float64{3})
+	tr := Build([]Point{{X: 5, Y: 5}}, 1, []float64{3})
 	out := []float64{0}
 	tr.Aggregate(geom.RectAround(geom.Point{X: 5, Y: 5}, 1), out)
 	if out[0] != 3 {
@@ -72,7 +72,7 @@ func TestSinglePoint(t *testing.T) {
 func TestBoundaryInclusive(t *testing.T) {
 	// Points exactly on the query boundary must be included, matching the
 	// SQL conditions E.x >= lo AND E.x <= hi of the paper's aggregates.
-	pts := []Point{{0, 0}, {10, 0}, {0, 10}, {10, 10}, {5, 5}}
+	pts := []Point{{X: 0, Y: 0}, {X: 10, Y: 0}, {X: 0, Y: 10}, {X: 10, Y: 10}, {X: 5, Y: 5}}
 	vals := []float64{1, 1, 1, 1, 1}
 	tr := Build(pts, 1, vals)
 	out := []float64{0}
@@ -83,7 +83,7 @@ func TestBoundaryInclusive(t *testing.T) {
 }
 
 func TestDuplicateCoordinates(t *testing.T) {
-	pts := []Point{{3, 3}, {3, 3}, {3, 3}, {3, 4}, {4, 3}}
+	pts := []Point{{X: 3, Y: 3}, {X: 3, Y: 3}, {X: 3, Y: 3}, {X: 3, Y: 4}, {X: 4, Y: 3}}
 	vals := []float64{1, 1, 1, 1, 1}
 	tr := Build(pts, 1, vals)
 	out := []float64{0}
@@ -94,7 +94,7 @@ func TestDuplicateCoordinates(t *testing.T) {
 }
 
 func TestWidthZero(t *testing.T) {
-	pts := []Point{{1, 1}, {2, 2}}
+	pts := []Point{{X: 1, Y: 1}, {X: 2, Y: 2}}
 	tr := Build(pts, 0, nil)
 	if got := tr.Count(geom.Rect{MinX: 0, MinY: 0, MaxX: 3, MaxY: 3}); got != 2 {
 		t.Fatalf("Count = %d, want 2", got)
@@ -104,9 +104,9 @@ func TestWidthZero(t *testing.T) {
 func TestBuildPanics(t *testing.T) {
 	for name, f := range map[string]func(){
 		"negative width": func() { Build(nil, -1, nil) },
-		"vals mismatch":  func() { Build([]Point{{1, 1}}, 2, []float64{1}) },
+		"vals mismatch":  func() { Build([]Point{{X: 1, Y: 1}}, 2, []float64{1}) },
 		"out mismatch": func() {
-			tr := Build([]Point{{1, 1}}, 1, []float64{1})
+			tr := Build([]Point{{X: 1, Y: 1}}, 1, []float64{1})
 			tr.Aggregate(geom.Rect{}, make([]float64, 3))
 		},
 	} {
