@@ -8,7 +8,6 @@
 //	benchfig -experiment capacity              # 10 ticks/s capacity per engine
 //	benchfig -experiment ticks                 # proportionality to tick count
 //	benchfig -experiment fig1                  # expressiveness-tier frontier
-//	benchfig -experiment cluster               # gateway scale-out, loadgen over a fleet
 //	benchfig -experiment all -quick            # everything, reduced sizes
 package main
 
@@ -19,9 +18,7 @@ import (
 	"strings"
 	"time"
 
-	"github.com/epicscale/sgl/internal/cluster"
 	"github.com/epicscale/sgl/internal/engine"
-	"github.com/epicscale/sgl/internal/metrics"
 )
 
 // experiments are the names -experiment accepts besides "all", which runs
@@ -35,7 +32,6 @@ var experiments = []struct {
 	{"capacity", capacity},
 	{"ticks", ticks},
 	{"fig1", fig1},
-	{"cluster", clusterScaleOut},
 }
 
 func main() {
@@ -153,32 +149,6 @@ func fig1(r *runner, quick bool, measure int) {
 		fatal(err)
 	}
 	writeFig1(os.Stdout, rows)
-}
-
-func clusterScaleOut(_ *runner, quick bool, _ int) {
-	fmt.Println("=== Cluster scale-out: loadgen through sglgw, constant per-node load ===")
-	cfg := cluster.ExperimentConfig{
-		FleetSizes:    []int{1, 2},
-		WorldsPerNode: 8,
-		Units:         500,
-		Density:       0.01,
-		Seed:          42,
-		TickRate:      10,
-		Spectators:    2,
-		Actors:        1,
-		Duration:      5 * time.Second,
-	}
-	if quick {
-		cfg.WorldsPerNode, cfg.Units, cfg.Duration = 4, 200, 1500*time.Millisecond
-	}
-	rows, err := cluster.Experiment(cfg)
-	if err != nil {
-		fatal(err)
-	}
-	metrics.WriteCluster(os.Stdout, rows)
-	fmt.Println("(worlds scale with the fleet, per-node load is constant; linear")
-	fmt.Println(" ticks/s across rows means the gateway's routing hop is off the")
-	fmt.Println(" critical path and placement actually spreads the sessions)")
 }
 
 func fatal(err error) {

@@ -24,25 +24,13 @@
 //
 //	sgld -addr :7071 -follow http://writer:7070 -follow-sessions alpha,beta
 //
-// Load-generator mode drives a fleet of worlds with spectator query
-// fan-out — and, with -actors, command-injecting actors exercising the
-// sharded admission path, and with -subscribers, SSE push subscribers
-// holding …/subscribe streams — and prints per-session tick-rate and
-// latency tables (plus pushed-vs-poll-equivalent volume for
-// subscribers). -compact turns on end-of-tick journal compaction in
-// every world, the right pairing for a long actor-heavy run.
-// With -base it targets a running daemon; without, it spins up an
-// in-process server first, so one command proves the serving layer end
-// to end:
-//
-//	sgld -loadgen -worlds 8 -spectators 4 -actors 2 -duration 10s
-//
 // See docs/CLI.md for the full flag reference and docs/ARCHITECTURE.md
 // for where the server sits in the system.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -56,7 +44,6 @@ import (
 
 	"github.com/epicscale/sgl/internal/cluster"
 	"github.com/epicscale/sgl/internal/engine"
-	"github.com/epicscale/sgl/internal/metrics"
 	"github.com/epicscale/sgl/internal/server"
 )
 
@@ -70,21 +57,6 @@ func main() {
 		followWait = flag.Duration("follow-wait", 5*time.Second, "replica journal long-poll park time")
 		followWork = flag.Int("follow-workers", 1, "replica engine workers per followed session")
 		followIncr = flag.Bool("follow-incremental", false, "replica incremental index maintenance per followed session")
-
-		loadgen    = flag.Bool("loadgen", false, "run the load generator instead of serving")
-		base       = flag.String("base", "", "loadgen target base URL (empty = spin up an in-process server)")
-		worlds     = flag.Int("worlds", 8, "loadgen: concurrent worlds")
-		units      = flag.Int("units", 1000, "loadgen: units per world")
-		density    = flag.Float64("density", 0.01, "loadgen: army density")
-		seed       = flag.Uint64("seed", 42, "loadgen: base seed (world i runs seed+i)")
-		tickrate   = flag.Float64("tickrate", 10, "loadgen: clock target per world in ticks/s (0 = uncapped)")
-		spectators = flag.Int("spectators", 4, "loadgen: concurrent spectators per world")
-		actors     = flag.Int("actors", 0, "loadgen: concurrent command-injecting actors per world")
-		subs       = flag.Int("subscribers", 0, "loadgen: push subscribers (SSE) per world")
-		duration   = flag.Duration("duration", 10*time.Second, "loadgen: measurement window")
-		workers    = flag.Int("workers", 1, "loadgen: engine workers per world")
-		incr       = flag.Bool("incremental", false, "loadgen: incremental index maintenance per world")
-		compact    = flag.Bool("compact", false, "loadgen: end-of-tick journal compaction per world (keeps checkpoints flat under actor traffic)")
 	)
 	flag.Parse()
 
@@ -92,12 +64,6 @@ func main() {
 		addr: *addr, dataDir: *dataDir,
 		follow: *follow, followSessions: *followSess, followWait: *followWait,
 		followTune: engine.Options{Workers: *followWork, Incremental: *followIncr},
-		loadgen:    *loadgen, base: *base,
-		lg: server.LoadGenConfig{
-			Worlds: *worlds, Units: *units, Density: *density, Seed: *seed,
-			TickRate: *tickrate, Spectators: *spectators, Actors: *actors, Subscribers: *subs, Duration: *duration,
-			Workers: *workers, Incremental: *incr, Compact: *compact,
-		},
 	}, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "sgld:", err)
 		os.Exit(1)
@@ -117,63 +83,68 @@ type runConfig struct {
 	followSessions string
 	followWait     time.Duration
 	followTune     engine.Options
-
-	loadgen bool
-	base    string
-	lg      server.LoadGenConfig
 }
 
 // run drives one sgld invocation (main minus flag parsing and exit, so
 // tests can call it).
 func run(cfg runConfig, out io.Writer) error {
+	sessions, err := followedSessions(cfg)
+	if err != nil {
+		return err
+	}
 	if cfg.dataDir != "" {
 		if err := os.MkdirAll(cfg.dataDir, 0o755); err != nil {
 			return err
 		}
 	}
-	if cfg.loadgen {
-		return runLoadGen(cfg, out)
+	return serve(cfg, sessions, out)
+}
+
+// followedSessions returns the sessions a replica follows, none outside
+// replica mode. A daemon asked to be a replica must never come up as a
+// writer, so -follow naming no session and -follow-sessions without
+// -follow are errors, not no-ops.
+func followedSessions(cfg runConfig) ([]string, error) {
+	var names []string
+	for _, name := range strings.Split(cfg.followSessions, ",") {
+		if name = strings.TrimSpace(name); name != "" {
+			names = append(names, name)
+		}
 	}
-	return serve(cfg, out)
+	switch {
+	case cfg.follow == "" && cfg.followSessions != "":
+		return nil, errors.New("-follow-sessions needs -follow")
+	case cfg.follow != "" && len(names) == 0:
+		return nil, errors.New("-follow needs at least one session in -follow-sessions")
+	}
+	return names, nil
 }
 
 // serve runs the daemon until SIGINT/SIGTERM, then stops every clock.
-// With -follow it first bootstraps a replica world per followed session
-// (failing fast on a bad writer URL or session name) and keeps each one
-// replaying the writer's journal until shutdown.
-func serve(cfg runConfig, out io.Writer) error {
+// In replica mode it first bootstraps a replica world per followed
+// session (failing fast on a bad writer URL or session name) and keeps
+// each one replaying the writer's journal until shutdown.
+func serve(cfg runConfig, sessions []string, out io.Writer) error {
 	reg := server.NewRegistry()
 	srv := server.New(reg, cfg.dataDir)
 	httpSrv := &http.Server{Addr: cfg.addr, Handler: srv}
 
 	var followers []*cluster.Follower
-	if cfg.follow != "" {
-		if cfg.followSessions == "" {
-			return fmt.Errorf("-follow needs -follow-sessions")
+	defer func() {
+		for _, f := range followers {
+			f.Stop()
 		}
-		for _, name := range strings.Split(cfg.followSessions, ",") {
-			name = strings.TrimSpace(name)
-			if name == "" {
-				continue
-			}
-			f, err := cluster.StartFollower(cluster.FollowerConfig{
-				Writer: strings.TrimSuffix(cfg.follow, "/"), Session: name,
-				Registry: reg, Tune: cfg.followTune, Wait: cfg.followWait,
-			})
-			if err != nil {
-				for _, started := range followers {
-					started.Stop()
-				}
-				return err
-			}
-			followers = append(followers, f)
-			fmt.Fprintf(out, "sgld: replicating %s from %s (at tick %d)\n", name, cfg.follow, f.World().Session().Tick())
+	}()
+	for _, name := range sessions {
+		f, err := cluster.StartFollower(cluster.FollowerConfig{
+			Writer: strings.TrimSuffix(cfg.follow, "/"), Session: name,
+			Registry: reg, Tune: cfg.followTune, Wait: cfg.followWait,
+		})
+		if err != nil {
+			return err
 		}
-		defer func() {
-			for _, f := range followers {
-				f.Stop()
-			}
-		}()
+		followers = append(followers, f)
+		fmt.Fprintf(out, "sgld: replicating %s from %s (at tick %d)\n", name, cfg.follow, f.World().Session().Tick())
 	}
 
 	ln, err := net.Listen("tcp", cfg.addr)
@@ -199,47 +170,5 @@ func serve(cfg runConfig, out io.Writer) error {
 		return err
 	}
 	reg.Close()
-	return nil
-}
-
-// runLoadGen drives the load generator, spinning up an in-process server
-// on a loopback port when no -base was given, and prints the per-world
-// table plus the server's own /metrics counters.
-func runLoadGen(cfg runConfig, out io.Writer) error {
-	baseURL := cfg.base
-	var reg *server.Registry
-	if baseURL == "" {
-		reg = server.NewRegistry()
-		srv := server.New(reg, cfg.dataDir)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		httpSrv := &http.Server{Handler: srv}
-		go httpSrv.Serve(ln)
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			httpSrv.Shutdown(ctx)
-			reg.Close()
-		}()
-		baseURL = "http://" + ln.Addr().String()
-		fmt.Fprintf(out, "sgld: in-process server on %s\n", baseURL)
-	}
-
-	lg := cfg.lg
-	lg.BaseURL = baseURL
-	fmt.Fprintf(out, "sgld: loadgen — %d worlds × %d units, %d spectators + %d actors + %d subscribers/world, %.0f ticks/s target, %s window\n",
-		lg.Worlds, lg.Units, lg.Spectators, lg.Actors, lg.Subscribers, lg.TickRate, lg.Duration)
-	rows, err := server.LoadGen(lg)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(out)
-	metrics.WriteLoadGen(out, rows)
-	if reg != nil {
-		fmt.Fprintln(out, "\nserver counters:")
-		reg.WritePrometheus(out)
-	}
 	return nil
 }

@@ -6,12 +6,15 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/epicscale/sgl/internal/exec"
 	"github.com/epicscale/sgl/internal/game"
+	"github.com/epicscale/sgl/internal/metrics"
 	"github.com/epicscale/sgl/internal/server"
 )
 
@@ -27,7 +30,11 @@ import (
 // at Workers=4 against the direct side's Workers=1, and Incremental
 // flipped between the two, both ways round: contract #6 stacked on #1
 // (parallel ≡ serial), #2 (maintained ≡ rebuilt) and #4 (served ≡
-// standalone).
+// standalone). Each Incremental pairing has one gateway over two nodes
+// that hosts all of its routed worlds, one per script, driven by
+// parallel subtests. Placement hashes the session name, so the full set
+// of scripts lands on both nodes; once every subtest is done, each
+// node's placement counter must be nonzero.
 func TestRoutedMatchesDirect(t *testing.T) {
 	const (
 		units   = 120
@@ -40,17 +47,50 @@ func TestRoutedMatchesDirect(t *testing.T) {
 	for _, z := range exec.Zoo {
 		scripts = append(scripts, struct{ name, src string }{z.Name, z.Src})
 	}
+	// One cluster per pairing, keyed by the routed side's Incremental.
+	// Cleanup runs after the parallel subtests finish, and before the
+	// clusters' own cleanups close them.
+	type fleet struct {
+		g      *Gateway
+		gw     *httptest.Server
+		routed atomic.Int64
+	}
+	fleets := map[bool]*fleet{}
+	for _, routedInc := range []bool{false, true} {
+		g, gw, _ := newCluster(t, 2)
+		fleets[routedInc] = &fleet{g: g, gw: gw}
+	}
+	t.Cleanup(func() {
+		for routedInc, f := range fleets {
+			var placed float64
+			for _, ns := range f.g.NodeStatuses() {
+				n := f.g.Metrics.Counter("sglgw_placements_total", metrics.L("node", ns.Name)).Value()
+				placed += n
+				// A -run filter may route too few worlds to reach both
+				// nodes; the full set of names does.
+				if n == 0 && f.routed.Load() == int64(len(scripts)) {
+					t.Errorf("routed inc=%v: node %s received no placements out of %d worlds", routedInc, ns.Name, len(scripts))
+				}
+			}
+			if placed != float64(f.routed.Load()) {
+				t.Errorf("routed inc=%v: %v placements for %d routed worlds", routedInc, placed, f.routed.Load())
+			}
+		}
+	})
+
 	for _, sc := range scripts {
 		for _, routedInc := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/w=1v4/inc=%vv%v", sc.name, !routedInc, routedInc), func(t *testing.T) {
+				t.Parallel()
 				direct := newNode(t)
-				directCk := runTraffic(t, direct.ts.URL, sc.src, trafficConfig{
+				directCk := runTraffic(t, direct.ts.URL, sc.name, sc.src, trafficConfig{
 					units: units, density: density, seed: seed, ticks: ticks,
 					workers: 1, incremental: !routedInc,
 				})
 
-				_, gw, _ := newCluster(t, 2)
-				routedCk := runTraffic(t, gw.URL, sc.src, trafficConfig{
+				f := fleets[routedInc]
+				f.routed.Add(1)
+				routedCk := runTraffic(t, f.gw.URL, sc.name, sc.src, trafficConfig{
 					units: units, density: density, seed: seed, ticks: ticks,
 					workers: 4, incremental: routedInc,
 				})
@@ -72,13 +112,12 @@ type trafficConfig struct {
 	incremental bool
 }
 
-// runTraffic drives one world through a base URL — gateway or daemon,
-// the traffic cannot tell — with deterministic command injection at
-// every tick boundary, racing spectator queries, and a live SSE
-// subscription, then returns its checkpoint bytes.
-func runTraffic(t *testing.T, base, src string, cfg trafficConfig) []byte {
+// runTraffic drives one world, session name, through a base URL —
+// gateway or daemon, the traffic cannot tell — with deterministic
+// command injection at every tick boundary, racing spectator queries,
+// and a live SSE subscription, then returns its checkpoint bytes.
+func runTraffic(t *testing.T, base, name, src string, cfg trafficConfig) []byte {
 	t.Helper()
-	const name = "world"
 	code := do(t, http.MethodPost, base+"/v1/sessions", server.CreateRequest{
 		Name: name, Script: src,
 		Units: cfg.units, Density: cfg.density, Seed: cfg.seed,

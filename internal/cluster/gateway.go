@@ -427,8 +427,8 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	g.Metrics.WritePrometheus(w)
 }
 
-// NodeStatuses snapshots the fleet for embedders (the sglgw loadgen
-// report and tests); the HTTP surface is GET /gw/nodes.
+// NodeStatuses snapshots the fleet for embedders (sglgw's startup line
+// and tests); the HTTP surface is GET /gw/nodes.
 func (g *Gateway) NodeStatuses() []NodeStatus {
 	statuses := make([]NodeStatus, 0, len(g.nodes))
 	for _, ns := range g.nodes {

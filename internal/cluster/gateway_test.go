@@ -83,21 +83,21 @@ func TestGatewayRoutesAndAdopts(t *testing.T) {
 }
 
 // TestPlacementSpreadsAndSkipsDead pins the placement function:
-// rendezvous order is deterministic, a fleet of two shares a standard
-// loadgen-style population non-degenerately, and a dead node receives
+// rendezvous order is deterministic, a fleet of two shares a population
+// of same-prefix names non-degenerately, and a dead node receives
 // nothing.
 func TestPlacementSpreadsAndSkipsDead(t *testing.T) {
 	g, _, _ := newCluster(t, 2)
 
 	counts := map[string]int{}
 	for i := 0; i < 32; i++ {
-		names := g.place("loadgen-" + string(rune('a'+i%26)) + string(rune('0'+i/26)))
+		names := g.place("world-" + string(rune('a'+i%26)) + string(rune('0'+i/26)))
 		if len(names) != 2 {
 			t.Fatalf("place returned %d nodes, want 2", len(names))
 		}
 		counts[names[0].node.Name]++
 		// Determinism: the same session always gets the same order.
-		again := g.place("loadgen-" + string(rune('a'+i%26)) + string(rune('0'+i/26)))
+		again := g.place("world-" + string(rune('a'+i%26)) + string(rune('0'+i/26)))
 		if again[0] != names[0] || again[1] != names[1] {
 			t.Fatal("placement order is not deterministic")
 		}

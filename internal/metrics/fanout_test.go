@@ -11,11 +11,10 @@ import (
 	"github.com/epicscale/sgl/internal/workload"
 )
 
-// FanoutQuery is what the load generator's spectators and the repository
-// benchmark ask, with three positional arguments and no unit. Over a
-// live battle, its indexed answer, its scan answer and a count taken
-// straight off the environment must agree exactly, in every window from
-// empty to the whole map.
+// FanoutQuery is what the repository benchmark's spectators ask, with
+// three positional arguments and no unit. Over a live battle, its indexed
+// answer, its scan answer and a count taken straight off the environment
+// must agree exactly, in every window from empty to the whole map.
 func TestFanoutQueryIndexedMatchesScan(t *testing.T) {
 	q, err := engine.CompileQuery(metrics.FanoutQuery, game.Schema(), game.Consts())
 	if err != nil {

@@ -1,8 +1,8 @@
-// Package metrics is the serving tier's instrumentation and load report:
-// a tiny dependency-free Prometheus registry (this file), the
-// load-generator rows and their table (loadgen.go), and the cluster
-// scale-out table (cluster.go). It imports nothing from the engine; the
-// paper-figure experiments live in cmd/benchfig.
+// Package metrics is the serving tier's instrumentation: a tiny
+// dependency-free Prometheus registry (this file) and FanoutQuery, the
+// spectator query the repository benchmark drives (fanout.go). It
+// imports nothing from the engine; the paper-figure experiments live in
+// cmd/benchfig.
 //
 // The registry holds counters and gauges rendered in the text exposition
 // format, so an sgld daemon (or any other embedder) can expose

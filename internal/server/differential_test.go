@@ -27,7 +27,12 @@ import (
 //
 // It runs the battle script plus every zoo program, at the served
 // world's own Workers/Incremental tuning differing from the standalone
-// run's — stacking contract #4 on contracts #1 and #2.
+// run's — stacking contract #4 on contracts #1 and #2. All the worlds
+// share one daemon: the script subtests run in parallel, each stepping
+// and spectating its own world while the others are hosted beside it,
+// so a world that leaked into a neighbour would diverge from its twin.
+// Once every subtest is done, each world is deleted and the daemon must
+// have created exactly one world per script and hold none.
 func TestServedMatchesStandalone(t *testing.T) {
 	const (
 		units   = 300
@@ -41,14 +46,43 @@ func TestServedMatchesStandalone(t *testing.T) {
 		scripts = append(scripts, struct{ name, src string }{z.Name, z.Src})
 	}
 
+	ts, reg := newTestServer(t)
+	var (
+		mu      sync.Mutex
+		created []string
+	)
+	// Cleanup runs after the parallel subtests finish, and before the
+	// server's own cleanup closes it.
+	t.Cleanup(func() {
+		if got := len(reg.List()); got != len(created) {
+			t.Errorf("daemon hosts %d worlds after %d subtests created one each", got, len(created))
+		}
+		for _, name := range created {
+			if code, err := try(http.MethodDelete, ts.URL+"/v1/sessions/"+name, nil, nil); err != nil || code != http.StatusOK {
+				t.Errorf("delete %s: status %d, %v", name, code, err)
+			}
+		}
+		if v := reg.Metrics.Counter("sgld_sessions_created_total").Value(); v != float64(len(created)) {
+			t.Errorf("sgld_sessions_created_total = %v, want %d", v, len(created))
+		}
+		if got := reg.List(); len(got) != 0 {
+			t.Errorf("%d worlds left after deleting every one", len(got))
+		}
+	})
+
 	for _, sc := range scripts {
 		t.Run(sc.name, func(t *testing.T) {
+			t.Parallel()
 			// Standalone: plain engine, serial, rebuild-every-tick.
 			standalone := runStandalone(t, sc.src, units, density, seed, ticks)
 
-			// Served: same world hosted by the daemon under spectator
-			// load, with the tuning knobs deliberately different.
-			served := runServed(t, sc.src, units, density, seed, ticks)
+			// Served: same world hosted by the shared daemon under
+			// spectator load, with the tuning knobs deliberately
+			// different.
+			mu.Lock()
+			created = append(created, sc.name)
+			mu.Unlock()
+			served := runServed(t, ts.URL, sc.name, sc.src, units, density, seed, ticks)
 
 			if !bytes.Equal(standalone, served) {
 				t.Errorf("%s: served checkpoint differs from standalone (contract #4 violated)", sc.name)
@@ -91,15 +125,14 @@ func runStandalone(t *testing.T, src string, units int, density float64, seed ui
 	return buf.Bytes()
 }
 
-// runServed hosts the same world in an HTTP server, steps it to the
-// same tick while concurrent spectators query it continuously, and
-// returns the streamed checkpoint bytes.
-func runServed(t *testing.T, src string, units int, density float64, seed uint64, ticks int) []byte {
+// runServed hosts the same world as session name on the daemon at base,
+// steps it to the same tick while concurrent spectators query it
+// continuously, and returns the streamed checkpoint bytes.
+func runServed(t *testing.T, base, name, src string, units int, density float64, seed uint64, ticks int) []byte {
 	t.Helper()
-	ts, _ := newTestServer(t)
 	var st Status
-	code := do(t, http.MethodPost, ts.URL+"/v1/sessions", CreateRequest{
-		Name: "served", Script: src,
+	code := do(t, http.MethodPost, base+"/v1/sessions", CreateRequest{
+		Name: name, Script: src,
 		Units: units, Density: density, Seed: seed,
 		Workers: 4, Incremental: false,
 	}, &st)
@@ -129,7 +162,7 @@ func runServed(t *testing.T, src string, units int, density float64, seed uint64
 			// persist), and the contract under test is that NONE of this
 			// affects the world. Transport failures still surface (via
 			// try — do would t.Fatal off the test goroutine).
-			if _, err := try(http.MethodPost, ts.URL+"/v1/sessions/served/query", r, nil); err != nil {
+			if _, err := try(http.MethodPost, base+"/v1/sessions/"+name+"/query", r, nil); err != nil {
 				t.Error(err)
 				return
 			}
@@ -159,7 +192,7 @@ func runServed(t *testing.T, src string, units int, density float64, seed uint64
 		if ticks-done < n {
 			n = ticks - done
 		}
-		if code := do(t, http.MethodPost, ts.URL+"/v1/sessions/served/step", StepRequest{Ticks: n}, nil); code != http.StatusOK {
+		if code := do(t, http.MethodPost, base+"/v1/sessions/"+name+"/step", StepRequest{Ticks: n}, nil); code != http.StatusOK {
 			t.Fatalf("step: %d", code)
 		}
 		done += n
@@ -167,7 +200,7 @@ func runServed(t *testing.T, src string, units int, density float64, seed uint64
 	close(stop)
 	wg.Wait()
 
-	return fetchCheckpoint(t, ts.URL, "served")
+	return fetchCheckpoint(t, base, name)
 }
 
 // TestServedIncrementalMatchesStandalone re-runs the battle leg of the

@@ -183,7 +183,8 @@
 // world stepped over HTTP under concurrent spectator load checkpoints
 // byte-identically to the same (script, seed, ticks) run standalone.
 // Operational counters are exposed on /metrics in Prometheus text
-// format, and `sgld -loadgen` measures sustained multi-world serving.
+// format; the repository benchmark (bench/) measures serving under
+// spectator load and through the cluster gateway.
 //
 // See the examples/ directory for runnable programs (examples/checkpoint
 // demonstrates the session lifecycle end to end), cmd/ for the sglc,
