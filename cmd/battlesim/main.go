@@ -17,7 +17,9 @@
 //
 // The -commands file scripts external inputs, one per line (blank lines
 // and #-comments are skipped); each is submitted once the session has
-// completed <tick> ticks and applies at the start of the next one.
+// completed <tick> ticks, and the next tick applies it at its commit: the
+// world after <tick>+1 ticks holds it, and tick <tick>+1 is the first
+// whose decisions read it.
 // Ticks are absolute, so a -resume run may reuse the same file: entries
 // behind the resumed tick (already in the checkpoint's journal) are
 // skipped with a notice.
@@ -104,7 +106,7 @@ func main() {
 }
 
 // timedCommand is one -commands file entry: submit cmd once the session
-// has completed tick ticks (it applies at the start of the next one).
+// has completed tick ticks (the next tick applies it at its commit).
 type timedCommand struct {
 	tick int64
 	cmd  engine.Command

@@ -15,7 +15,10 @@
 // -upgrade rewrites the checkpoint in, written in any older format
 // version, as the current version in out — the one layout engine.Open
 // reads. A version-1 checkpoint predates the embedded script and needs
-// -script, the battle-schema script it ran.
+// -script, the battle-schema script it ran. The pending commands of a
+// version 2–4 checkpoint preceded the decision of its own tick; version 5
+// applies a batch at the commit before the decision it precedes, so the
+// rewrite applies them, and the world continues exactly as it would have.
 package main
 
 import (

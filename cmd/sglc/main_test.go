@@ -12,8 +12,8 @@ import (
 )
 
 // Each legacy fixture upgrades through the -upgrade path and reopens:
-// version 1 with -script naming the battle script it ran, versions 2 and 3
-// from their embedded scripts. A version-1 file without -script fails and
+// version 1 with -script naming the battle script it ran, versions 2
+// through 4 from their embedded scripts. A version-1 file without -script fails and
 // leaves no output behind.
 func TestUpgradeFileReopens(t *testing.T) {
 	dir := t.TempDir()
@@ -28,9 +28,10 @@ func TestUpgradeFileReopens(t *testing.T) {
 		{"v1.ckpt", script, 6},
 		{"v2.ckpt", "", 10},
 		{"v3.ckpt", "", 10},
+		{"v4.ckpt", "", 10},
 	} {
 		in := filepath.Join("..", "..", "internal", "engine", "testdata", tc.fixture)
-		out := filepath.Join(dir, tc.fixture+".v4")
+		out := filepath.Join(dir, tc.fixture+".v5")
 		if err := upgradeFile(in, out, tc.script); err != nil {
 			t.Fatalf("%s: %v", tc.fixture, err)
 		}
@@ -50,7 +51,7 @@ func TestUpgradeFileReopens(t *testing.T) {
 		}
 	}
 	in := filepath.Join("..", "..", "internal", "engine", "testdata", "v1.ckpt")
-	out := filepath.Join(dir, "noscript.v4")
+	out := filepath.Join(dir, "noscript.v5")
 	if err := upgradeFile(in, out, ""); err == nil || !strings.Contains(err.Error(), "program") {
 		t.Fatalf("v1 without -script: err = %v, want one asking for the program", err)
 	}

@@ -231,7 +231,7 @@ func ExampleOpen() {
 		log.Fatal(err)
 	}
 
-	// Players act: commands queue up and apply at the next tick boundary
+	// Players act: commands queue up and apply at the next tick's commit
 	// in canonical (tick, origin, sequence) order, so the outcome never
 	// depends on network interleaving.
 	err = sess.Submit("player-1",

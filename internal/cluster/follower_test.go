@@ -41,6 +41,43 @@ func writerTraffic(t *testing.T, base, name string, fromTick, ticks int) {
 	}
 }
 
+// racingActor posts command batches to a writer session from its own
+// goroutine, back to back, until the returned stop is called, so
+// commands keep arriving while the writer's steps run: one admitted
+// mid-tick is stamped for, and applied at, the commit of the step under
+// way. stop waits for the last post and reports how many batches were
+// admitted.
+func racingActor(t *testing.T, base, name string) (stop func() int) {
+	t.Helper()
+	done := make(chan struct{})
+	admitted := make(chan int, 1)
+	go func() {
+		n := 0
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				admitted <- n
+				return
+			default:
+			}
+			code, err := try(http.MethodPost, base+"/v1/sessions/"+name+"/commands", server.CommandsRequest{
+				Origin: "racer",
+				Commands: []server.WireCommand{
+					{Op: "set", Key: int64((i * 7) % 100), Col: "morale", Val: float64(i % 13)},
+					{Op: "spawn", Key: int64(200000 + i), Player: i % 2, X: float64((3 * i) % 60), Y: 57},
+				},
+			}, nil)
+			if err == nil && code == http.StatusOK {
+				n++
+			}
+		}
+	}()
+	return func() int {
+		close(done)
+		return <-admitted
+	}
+}
+
 // waitCaughtUp polls until the follower's replica reaches the target
 // tick.
 func waitCaughtUp(t *testing.T, f *Follower, target int64) {
@@ -63,7 +100,9 @@ func waitCaughtUp(t *testing.T, f *Follower, target int64) {
 // another incremental maintenance against the writer's serial rebuilding
 // engine (contracts #1 and #2 stack; neither knob reaches the bytes),
 // and a pending command in the bootstrap stream exercises the
-// journal-overlap dedupe.
+// journal-overlap dedupe. An actor racing the writer's first eight steps
+// lands commands mid-tick, which the writer applies at the commit of the
+// step they arrived during and the replicas at the same stamp.
 func TestReplicaMatchesWriter(t *testing.T) {
 	writer := newNode(t)
 	if code := do(t, http.MethodPost, writer.ts.URL+"/v1/sessions", server.CreateRequest{
@@ -108,7 +147,12 @@ func TestReplicaMatchesWriter(t *testing.T) {
 	}
 	defer fInc.Stop()
 
-	writerTraffic(t, writer.ts.URL, "w", 0, 9)
+	stopRacer := racingActor(t, writer.ts.URL, "w")
+	writerTraffic(t, writer.ts.URL, "w", 0, 8)
+	if n := stopRacer(); n == 0 {
+		t.Fatal("the racing actor admitted no command")
+	}
+	writerTraffic(t, writer.ts.URL, "w", 8, 1) // applies the racer's last batches
 	waitCaughtUp(t, f, 9)
 	waitCaughtUp(t, fInc, 9)
 

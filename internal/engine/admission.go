@@ -12,8 +12,9 @@
 // admission shards per origin:
 //
 //	actor A ──▶ queue[A] ─┐
-//	actor B ──▶ queue[B] ─┼─ drain (tick/checkpoint boundary):
-//	actor C ──▶ queue[C] ─┘  stamp in sorted-origin order → pending+journal
+//	actor B ──▶ queue[B] ─┼─ drain (tick commit/checkpoint):
+//	actor C ──▶ queue[C] ─┘  stamp tick+1 in sorted-origin order
+//	                         → pending+journal → applied at that commit
 //
 //	- SubmitSharded validates against immutable engine state only (the
 //	  schema, the world geometry, the constant-name set — all fixed at
@@ -21,13 +22,16 @@
 //	  appends to its origin's queue under that queue's own mutex. Two
 //	  actors on different origins share no lock at all; two connections
 //	  racing the same origin serialize only with each other.
-//	- The queues are drained at the next tick boundary (and before a
-//	  checkpoint is serialized, so an acknowledged command is always in
-//	  the stream it should survive through). The drain stamps commands
-//	  with (current tick, origin, next per-origin sequence), walking the
-//	  origins in sorted order so the stamped batch arrives in canonical
-//	  order and the insertion into the pending buffer and journal stays
-//	  O(1) per command.
+//	- The queues are drained at the next tick's commit, after its
+//	  decision, movement and resurrection and before its delta capture
+//	  (and before a checkpoint is serialized, so an acknowledged command
+//	  is always in the stream it should survive through). The drain
+//	  stamps commands with (stampTick, origin, next per-origin
+//	  sequence), walking the origins in sorted order so the stamped batch
+//	  arrives in canonical order and the insertion into the pending
+//	  buffer and journal stays O(1) per command. A tick's drain is
+//	  applied at once, so a command that arrives while a tick runs is in
+//	  the view that tick publishes.
 //
 // Stamping happens at the drain, not at submission: a queued command has
 // no sequence number yet, so the assignment order — and with it every
@@ -35,7 +39,8 @@
 // before the boundary, which is exactly the determinism argument
 // TestSubmitArrivalOrderTorture hammers on. The replay path
 // (SubmitStamped) carries its own historical stamps and therefore
-// bypasses the sharded queues entirely.
+// bypasses the sharded queues entirely. Every stamp, a drain's or
+// Submit's, follows one rule: stampTick.
 package engine
 
 import (
@@ -82,15 +87,16 @@ func (a *admission) queue(origin string) *originQueue {
 }
 
 // SubmitSharded validates cmds and enqueues them on the origin's
-// admission queue, all-or-nothing, returning the engine's completed tick
-// count at admission time (a lower bound on the tick the commands will
-// be stamped with). Unlike Submit, it is safe to call from any number of
-// goroutines concurrently — with itself on any origins, and with a
-// running Tick or Checkpoint: it touches only immutable engine state,
+// admission queue, all-or-nothing, returning the tick of the read view
+// published at admission: the commands are stamped one past it or
+// later, and the view labelled with their stamp is the first to show
+// them. Unlike Submit, it is safe to call from any number of goroutines
+// concurrently — with itself on any origins, and with a running Tick or
+// Checkpoint: it touches only immutable engine state,
 // the published read view's tick, the atomic buffer reservation, and the
 // origin's own queue. The queued commands are stamped and enter the
-// pending buffer and journal at the next drain (tick or checkpoint
-// boundary), each origin's in queue order, origins in canonical sorted
+// pending buffer and journal at the next drain (a tick's commit or a
+// checkpoint), each origin's in queue order, origins in canonical sorted
 // order.
 func (e *Engine) SubmitSharded(origin string, cmds ...Command) (int64, error) {
 	tick := e.view.Load().tick
@@ -134,9 +140,16 @@ func (e *Engine) reserve(n int) error {
 	}
 }
 
+// stampTick is the tick every command admitted now is stamped with —
+// by a drain or by Submit — and the one SubmitStamped accepts: the tick
+// after the last committed one. A command stamped s precedes decision s;
+// the Tick that advances the world to s applies it at its commit, so
+// view s is the first to show it.
+func (e *Engine) stampTick() int64 { return e.tick + 1 }
+
 // drainAdmission moves every queued command into the pending buffer and
-// journal with its canonical (tick, origin, sequence) stamp. Called at
-// the top of Tick and before Checkpoint serializes, under inmu; the
+// journal with its canonical (stampTick, origin, sequence) stamp. Called
+// at a tick's commit and before Checkpoint serializes, under inmu; the
 // sorted-origin walk makes the stamped batch independent of arrival
 // interleaving and keeps the canonical insertions O(1) per command.
 func (e *Engine) drainAdmission() {
@@ -161,7 +174,7 @@ func (e *Engine) drainAdmission() {
 			e.seqs = map[string]uint64{}
 		}
 		for _, c := range cmds {
-			sc := StampedCommand{Tick: e.tick, Origin: origin, Seq: e.seqs[origin], Cmd: c}
+			sc := StampedCommand{Tick: e.stampTick(), Origin: origin, Seq: e.seqs[origin], Cmd: c}
 			e.seqs[origin]++
 			e.pending = insertCanonical(e.pending, sc)
 			e.journal = insertCanonical(e.journal, sc)

@@ -302,8 +302,8 @@ func TestShardedAdmissionCheckpointDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	pend := restored.Pending()
-	if len(pend) != 1 || pend[0].Origin != "saver" || pend[0].Tick != 3 {
-		t.Fatalf("restored pending = %+v, want the acknowledged command stamped at tick 3", pend)
+	if len(pend) != 1 || pend[0].Origin != "saver" || pend[0].Tick != 4 {
+		t.Fatalf("restored pending = %+v, want the acknowledged command stamped for tick 4", pend)
 	}
 	if got := len(restored.Journal()); got != 1 {
 		t.Fatalf("restored journal has %d entries, want 1", got)

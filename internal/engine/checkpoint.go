@@ -20,7 +20,7 @@
 // which is what lets an operator migrate a world onto different hardware
 // (or switch a world's compaction policy in flight).
 //
-// Format version 4 is self-contained: it embeds the SGL script text (in
+// Format version 5 is self-contained: it embeds the SGL script text (in
 // the ast printer's canonical form) and the constant table, so Open can
 // rebuild the whole session from the stream alone — no separate program,
 // no sidecar file to keep paired with the snapshot. Layout
@@ -43,18 +43,35 @@
 //	schema    table codec schema section
 //	rows      table codec row section
 //	base      i64                             journal compaction base tick
-//	pending   u32 count, then stamped commands (input buffer)
+//	pending   u32 count, then stamped commands (input buffer, all
+//	                                          stamped tick+1)
 //	journal   u32 count, then stamped commands (input journal tail)
 //	seqs      u32 count, then (origin, u64) sorted by origin
 //	checksum  u64                             FNV-1a of all preceding bytes
 //
-// A nonzero base says the journal section is a tail: the history before
-// the base was folded into this very snapshot (compact.go), so the stream
-// is a (base checkpoint + tail), not a genesis history.
+// The rows are the world at the tick: every command stamped at or before
+// it is applied (admission.go's stampTick rule), and the pending entries
+// precede the next decision. A nonzero base says the journal section is
+// a tail: the history stamped at or before the base was folded into this
+// very snapshot (compact.go), so the stream is a (base checkpoint +
+// tail), not a genesis history.
 //
-// Open reads version 4 alone. Upgrade (the sglc -upgrade tool) is the one
-// reader of the older layouts, and rewrites them as version 4:
+// Open reads version 5 alone. Upgrade (the sglc -upgrade tool) is the one
+// reader of the older layouts, and rewrites them as version 5:
 //
+//   - version 4 has this layout, but its pending entries are stamped
+//     with the checkpoint's own tick: they precede the decision of that
+//     tick, which a version-5 world at the tick has already applied, so
+//     reading them as version 5 would apply them one decision late.
+//     Upgrade applies them to the rows, and drops the journal entries
+//     stamped at a nonzero base, which the base snapshot holds applied;
+//     versions 2 and 3 stamp pending entries the same way. An upgraded
+//     stream at base 0 keeps the journal entries its writer stamped 0:
+//     they preceded the first decision, which no version-5 command can
+//     (SubmitStamped takes stamps from 1), so replay from genesis does
+//     not cover an upgraded stream — those entries are a record only.
+//     Replicas are unaffected: they bootstrap from a checkpoint and
+//     follow the entries stamped after it;
 //   - version 3 carries two more stats counters, MaintainTicks and
 //     DirtyRows, between Deaths and CommandsApplied. They count how the
 //     indexes were kept, which moves with Workers and Incremental, so one
@@ -83,8 +100,8 @@ import (
 const checkpointMagic = "SGLCKPT\n"
 
 // CheckpointVersion is the format version this build writes and the only
-// one Open reads; Upgrade rewrites versions 1 through 3 as this one.
-const CheckpointVersion = 4
+// one Open reads; Upgrade rewrites versions 1 through 4 as this one.
+const CheckpointVersion = 5
 
 // Decode bounds for the self-describing sections.
 const (
@@ -344,7 +361,7 @@ func decodeCheckpoint(r io.Reader, oldest uint32) (*checkpointPayload, error) {
 	for i := uint32(0); i < ncat && cr.Err() == nil; i++ {
 		p.cats = append(p.cats, cr.Str(table.MaxNameLen))
 	}
-	if p.version == CheckpointVersion {
+	if p.version >= 4 {
 		for i := range p.counters {
 			p.counters[i] = cr.I64()
 		}
@@ -403,15 +420,28 @@ func decodeCheckpoint(r io.Reader, oldest uint32) (*checkpointPayload, error) {
 		if len(p.pending) > MaxPendingCommands {
 			return nil, fmt.Errorf("engine: open: %d pending commands exceeds limit %d", len(p.pending), MaxPendingCommands)
 		}
+		// Each layout stamps its pending window one way: version 5 with
+		// the next tick, the older ones with the checkpoint's own.
+		want := p.tick
+		if p.version >= 5 {
+			want++
+		}
+		for i, sc := range p.pending {
+			if sc.Tick != want {
+				return nil, fmt.Errorf("engine: open: pending entry %d stamped tick %d, want %d", i, sc.Tick, want)
+			}
+		}
 		if p.journal, err = readCommands(cr, "journal"); err != nil {
 			return nil, fmt.Errorf("engine: open: %w", err)
 		}
 		// A compacted stream's journal is a tail: every surviving entry is
-		// stamped at or after the base. An entry from before the base
-		// contradicts the base field — one of them is corrupt.
+		// stamped after the base (before version 5, at or after it). An
+		// entry the base folded contradicts the base field — one of them
+		// is corrupt. Base 0 folded nothing: a stream upgraded from an
+		// older layout may keep entries stamped 0 there.
 		for i, sc := range p.journal {
-			if sc.Tick < p.base {
-				return nil, fmt.Errorf("engine: open: journal entry %d stamped tick %d predates journal base %d", i, sc.Tick, p.base)
+			if sc.Tick < p.base || (p.version >= 5 && p.base > 0 && sc.Tick == p.base) {
+				return nil, fmt.Errorf("engine: open: journal entry %d stamped tick %d is folded into journal base %d", i, sc.Tick, p.base)
 			}
 		}
 		if p.seqs, err = readSeqs(cr); err != nil {
@@ -438,7 +468,7 @@ func decodeCheckpoint(r io.Reader, oldest uint32) (*checkpointPayload, error) {
 // with. Continuing the session produces environments byte-identical to
 // the run that was never interrupted.
 //
-// Only version-4 streams open; an older one fails with an error naming
+// Only version-5 streams open; an older one fails with an error naming
 // sglc -upgrade, which rewrites it (see Upgrade). Of tune, only the
 // determinism-neutral execution knobs are consulted — Workers,
 // Incremental, CompactJournal — so a world checkpointed on one machine
@@ -455,6 +485,21 @@ func Open(r io.Reader, g Game, tune Options) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
+	e, err := engineFor(p, g, tune)
+	if err != nil {
+		return nil, err
+	}
+	// Readers start where the writer stopped: the first published view
+	// carries the checkpoint's tick and counters.
+	e.publishView()
+	return NewSession(e), nil
+}
+
+// engineFor builds the engine a decoded payload describes, unpublished:
+// the program from the embedded script and constant table, the rows,
+// tick, counters and inputs from the payload, and of tune only the
+// execution knobs.
+func engineFor(p *checkpointPayload, g Game, tune Options) (*Engine, error) {
 	script, err := parser.Parse(p.script)
 	if err != nil {
 		return nil, fmt.Errorf("engine: open: embedded script: %w", err)
@@ -499,7 +544,7 @@ func Open(r io.Reader, g Game, tune Options) (*Session, error) {
 	e.journal = p.journal
 	e.journalBase = p.base
 	e.seqs = p.seqs
-	// Pending commands apply at the next tick; re-validate them against
+	// Pending commands apply at the next commit; re-validate them against
 	// the rebuilt engine so a hostile-but-checksummed stream cannot
 	// smuggle a row that would panic the apply path.
 	for i := range p.pending {
@@ -509,20 +554,22 @@ func Open(r io.Reader, g Game, tune Options) (*Session, error) {
 	}
 	e.pending = p.pending
 	e.inflight.Store(int64(len(p.pending)))
-	// Readers start where the writer stopped: the first published view
-	// carries the checkpoint's tick and counters.
-	e.publishView()
-	return NewSession(e), nil
+	return e, nil
 }
 
 // Upgrade rewrites a checkpoint stream of any version this build knows as
-// a version-4 stream, the one layout Open reads; it is the only reader of
-// versions 1 through 3. The world, inputs and remaining counters carry
-// over unchanged; the maintenance counters of the old layouts are
-// dropped, as reopening restarts them at zero. A version-1 stream
-// predates the embedded script and needs prog, the program it ran (its
-// schema must match the stream's); later versions ignore prog, which may
-// be nil. Nothing is written unless the whole input decodes and verifies.
+// a version-5 stream, the one layout Open reads; it is the only reader of
+// versions 1 through 4. The world, inputs and remaining counters carry
+// over unchanged, except that a pending batch of versions 2 through 4,
+// stamped for the decision of the stream's own tick, is applied to the
+// rows exactly as that decision's tick would have applied it first, and
+// the journal entries stamped at a nonzero base are dropped, as the base
+// snapshot they were pending in now holds them applied. The maintenance
+// counters of the old layouts are dropped, as reopening restarts them at
+// zero. A version-1 stream predates the embedded script and needs prog,
+// the program it ran (its schema must match the stream's); later
+// versions ignore prog, which may be nil. Nothing is written unless the
+// whole input decodes and verifies.
 func Upgrade(r io.Reader, w io.Writer, prog *sem.Program) error {
 	p, err := decodeCheckpoint(r, 1)
 	if err != nil {
@@ -537,5 +584,38 @@ func Upgrade(r io.Reader, w io.Writer, prog *sem.Program) error {
 		}
 		p.script, p.consts = prog.Script.String(), prog.Consts
 	}
+	if p.version < 5 {
+		if err := applyLegacyPending(p); err != nil {
+			return err
+		}
+	}
 	return writeCheckpoint(w, p)
+}
+
+// applyLegacyPending moves an older layout's inputs to version 5's
+// boundary: its pending batch, which precedes the decision of the
+// stream's tick, is applied through the engine's own apply path — the
+// same rejections, counters and retunes — and the journal entries a
+// nonzero base folded are dropped.
+func applyLegacyPending(p *checkpointPayload) error {
+	if p.base > 0 {
+		kept := p.journal[:0]
+		for _, sc := range p.journal {
+			if sc.Tick > p.base {
+				kept = append(kept, sc)
+			}
+		}
+		p.journal = kept
+	}
+	if len(p.pending) == 0 {
+		return nil
+	}
+	e, err := engineFor(p, nil, Options{Workers: 1})
+	if err != nil {
+		return fmt.Errorf("engine: upgrade: %w", err)
+	}
+	e.applyCommands()
+	p.env, p.consts, p.pending = e.env, e.prog.Consts, nil
+	p.counters[5], p.counters[6] = int64(e.Stats.CommandsApplied), int64(e.Stats.CommandsRejected)
+	return nil
 }

@@ -30,7 +30,8 @@ var restoreCfgs = []restoreCfg{
 // simulation, checkpoint at tick T ∈ {1, 7, mid-run}, reopen, run to
 // tick N — the checkpoint bytes must equal the uninterrupted run's, at
 // Workers ∈ {1, 4} × Incremental ∈ {off, on}, and regardless of which
-// configuration wrote the checkpoint.
+// configuration wrote the checkpoint. Every run admits the same mid-tick
+// traffic (admitMidTick), before and after the cut.
 func TestCheckpointResumeBitIdentical(t *testing.T) {
 	const units, ticks = 64, 20
 	mk := func(progName, src string, battle bool, n int) {
@@ -39,7 +40,8 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 			if !battle {
 				prog = compileZoo(t, src)
 			}
-			oracle := newEngine(t, prog, n, Indexed, 7, func(o *Options) { o.Workers = 1 })
+			mid := admitMidTick(t)
+			oracle := newEngine(t, prog, n, Indexed, 7, func(o *Options) { o.Workers, o.midTick = 1, mid })
 			if err := oracle.Run(ticks); err != nil {
 				t.Fatal(err)
 			}
@@ -54,6 +56,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 					o.Workers = 4
 					o.Incremental = true
 					o.threshold = 1
+					o.midTick = mid
 				})
 				if err := writer.Run(at); err != nil {
 					t.Fatal(err)
@@ -68,6 +71,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 						Incremental: cfg.incremental,
 						threshold:   1,
 					})
+					restored.opts.midTick = mid
 					if restored.TickCount() != int64(at) {
 						t.Fatalf("restored tick counter %d, want %d", restored.TickCount(), at)
 					}
@@ -239,10 +243,11 @@ func (f *failAfter) Write(p []byte) (int, error) {
 // error, never panic. Seeds cover a current checkpoint with live input
 // sections (journal, pending commands, sequence counters), compacted
 // streams (nonzero base, with and without a pending tail, truncated, and
-// with a checksum-valid but self-contradictory base field), interesting
-// prefixes including one that truncates inside the input sections,
-// corruption inside the embedded script region, colliding keys, and the
-// legacy version 1, 2 and 3 fixtures.
+// with a checksum-valid but self-contradictory base field), a pending
+// entry stamped for the wrong tick, interesting prefixes including one
+// that truncates inside the input sections, corruption inside the
+// embedded script region, colliding keys, the legacy version 1 through 4
+// fixtures, and each of them upgraded to version 5.
 func FuzzOpen(f *testing.F) {
 	prog := battleProg(f)
 	valid := checkpointBytes(f, prog)
@@ -331,8 +336,11 @@ func FuzzOpen(f *testing.F) {
 	script[150] ^= 0x20 // inside the embedded script text
 	f.Add(script)
 	for _, fx := range legacyFixtures {
-		f.Add(readFixture(f, fx.file))
+		old := readFixture(f, fx.file)
+		f.Add(old)
+		f.Add(upgrade(f, old, prog))
 	}
+	f.Add(misstampedPending(f, prog))
 	f.Add([]byte(checkpointMagic))
 	f.Add([]byte{})
 	f.Add(collidingKeys)
@@ -351,6 +359,34 @@ func FuzzOpen(f *testing.F) {
 			step(t, up.Bytes())
 		}
 	})
+}
+
+// misstampedPending is a checksum-valid stream whose pending entry is
+// stamped with the checkpoint's own tick, the way version 4 stamped it.
+func misstampedPending(t testing.TB, prog *sem.Program) []byte {
+	e := newEngine(t, prog, 40, Indexed, 4, nil)
+	if err := e.Run(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Submit("t", Command{Op: OpSet, Key: 1, Col: "morale", Val: 3}); err != nil {
+		t.Fatal(err)
+	}
+	e.pending[0].Tick = e.tick
+	var buf bytes.Buffer
+	if err := e.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// Every pending entry of a version-5 stream precedes the next decision:
+// one stamped otherwise — a version-4 stamp under a version-5 tag — would
+// apply one decision away from where it was admitted, so Open refuses it.
+func TestOpenRejectsMisstampedPending(t *testing.T) {
+	_, err := Open(bytes.NewReader(misstampedPending(t, battleProg(t))), game.NewMechanics(), Options{})
+	if err == nil || !strings.Contains(err.Error(), "pending entry 0 stamped tick 2, want 3") {
+		t.Fatalf("Open = %v, want the misstamped pending entry refused", err)
+	}
 }
 
 // A checksum-valid stream whose embedded script does not compile must

@@ -5,17 +5,21 @@
 // deterministic tick machinery can digest:
 //
 //   - Submit validates a typed command against the schema and world
-//     geometry, stamps it (tick, origin, per-origin sequence), appends it
-//     to the per-tick input buffer AND to the run's input journal, and
-//     returns; nothing mutates yet. SubmitSharded (admission.go) is its
-//     scalable concurrent twin: validation against immutable state only,
-//     the stamp deferred to the next drain boundary.
-//   - The next Tick drains the buffer first — before the effect query,
-//     before any index build — applying commands in the canonical order
-//     (tick, origin, sequence). Two clients racing their submissions
-//     therefore produce the same world no matter how the network
-//     interleaved them: the canonical order depends only on WHAT was
-//     submitted in the tick window, not on when within it.
+//     geometry, stamps it (tick, origin, per-origin sequence) with the
+//     tick after the last committed one (stampTick, admission.go),
+//     appends it to the per-tick input buffer AND to the run's input
+//     journal, and returns; nothing mutates yet. SubmitSharded
+//     (admission.go) is its scalable concurrent twin: validation against
+//     immutable state only, the stamp deferred to the next drain.
+//   - The next Tick applies the buffer at its commit — after its own
+//     decision, movement and resurrection, before the delta capture and
+//     the read view it publishes — in the canonical order (tick, origin,
+//     sequence). The next decision, its key index, effect query and
+//     index builds, then observes the post-command world. Two clients
+//     racing their submissions therefore produce the same world no
+//     matter how the network interleaved them: the canonical order
+//     depends only on WHAT was submitted in the tick window, not on when
+//     within it.
 //   - Commands that fail their apply-time rules (spawn onto an occupied
 //     square, despawn of a dead key) are rejected deterministically and
 //     counted, never partially applied.
@@ -28,23 +32,18 @@
 // carries the pending buffer and journal so the contract survives
 // checkpoint/restore mid-stream.
 //
-// Interaction with incremental maintenance: a command mutates rows after
-// the previous tick's delta was captured, so applyCommands feeds the
-// affected rows into the delta the tick's provider is maintained with
-// (exec.Delta.AddRows), each with exactly the columns its commands wrote
-// — a morale edit leaves every index that does not read morale
-// untouched. A population change or a constant tune leaves the tick's
-// provider nothing to maintain from, and it rebuilds; a population change
-// also leaves the tick-end diff no row-for-row baseline (see
-// incremental.go).
+// Interaction with incremental maintenance: a command mutates rows before
+// the tick's delta is captured, so the diff against the previous read
+// view names each edited row with exactly the columns that changed — a
+// morale edit leaves every index that does not read morale untouched. A
+// population change leaves the diff no row-for-row baseline, and a
+// constant tune changes index build inputs; either way the next tick's
+// provider rebuilds (see incremental.go).
 package engine
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
-	"github.com/epicscale/sgl/internal/exec"
 	"github.com/epicscale/sgl/internal/index/grid"
 	"github.com/epicscale/sgl/internal/table"
 )
@@ -62,7 +61,7 @@ const (
 	// Command.Key to Command.Val.
 	OpSet
 	// OpTune changes the named game constant (Command.Col) the engine's
-	// scripts read to Command.Val, from the next tick on.
+	// scripts read to Command.Val, from the decision its stamp names on.
 	OpTune
 )
 
@@ -120,13 +119,15 @@ type Command struct {
 	Row []float64 `json:"row,omitempty"`
 }
 
-// StampedCommand is a command plus the stamp Submit assigned: the tick it
-// applies before, the submitting origin, and the origin's sequence
-// number. The triple (Tick, Origin, Seq) is the canonical application
-// order and the journal's replay key.
+// StampedCommand is a command plus the stamp Submit assigned: the decision
+// it precedes, the submitting origin, and the origin's sequence number.
+// The triple (Tick, Origin, Seq) is the canonical application order and
+// the journal's replay key.
 type StampedCommand struct {
-	// Tick is the engine tick count at submission; the command applies at
-	// the start of the Tick call that advances the world to Tick+1.
+	// Tick is the decision the command precedes: the engine tick count at
+	// admission plus one. The Tick call that advances the world to Tick
+	// applies it at its commit, so the read view labelled Tick is the
+	// first to show it.
 	Tick int64 `json:"tick"`
 	// Origin identifies the submitter (a player, a connection, a tool).
 	Origin string `json:"origin"`
@@ -149,8 +150,8 @@ const (
 )
 
 // Submit validates cmds and enqueues them for application at the next
-// tick boundary, all-or-nothing: if any command fails validation, none is
-// enqueued. Accepted commands are stamped (tick, origin, per-origin
+// tick's commit, all-or-nothing: if any command fails validation, none is
+// enqueued. Accepted commands are stamped (stampTick, origin, per-origin
 // sequence) and recorded in the input journal. Submit must not run
 // concurrently with Tick or with itself — the Session facade serializes
 // it under the writer lock.
@@ -182,7 +183,7 @@ func (e *Engine) Submit(origin string, cmds ...Command) error {
 		if c.Row != nil {
 			c.Row = append([]float64(nil), c.Row...) // decouple from the caller
 		}
-		sc := StampedCommand{Tick: e.tick, Origin: origin, Seq: e.seqs[origin], Cmd: c}
+		sc := StampedCommand{Tick: e.stampTick(), Origin: origin, Seq: e.seqs[origin], Cmd: c}
 		e.seqs[origin]++
 		e.pending = insertCanonical(e.pending, sc)
 		e.journal = insertCanonical(e.journal, sc)
@@ -212,17 +213,18 @@ func insertCanonical(list []StampedCommand, sc StampedCommand) []StampedCommand 
 // replay path, deliberately bypassing the sharded admission queues: a
 // journal entry already carries its canonical (tick, origin, seq) stamp,
 // and routing it through a queue that re-stamps at the drain would
-// destroy exactly the history being replayed. The entry must be stamped
-// for the engine's current tick (drive the engine tick by tick,
-// submitting each tick's journal slice first). The origin's sequence
-// counter advances past the entry's, so a replayed-then-live session
-// keeps assigning fresh sequence numbers.
+// destroy exactly the history being replayed. The entry must carry the
+// stamp a command admitted now would get, stampTick (drive the engine
+// tick by tick, submitting the slice stamped one past its tick count
+// before each Tick). The origin's sequence counter advances past the
+// entry's, so a replayed-then-live session keeps assigning fresh
+// sequence numbers.
 func (e *Engine) SubmitStamped(sc StampedCommand) error {
 	if len(sc.Origin) > MaxOriginLen {
 		return fmt.Errorf("engine: origin longer than %d bytes", MaxOriginLen)
 	}
-	if sc.Tick != e.tick {
-		return fmt.Errorf("engine: replayed command stamped for tick %d submitted at tick %d", sc.Tick, e.tick)
+	if want := e.stampTick(); sc.Tick != want {
+		return fmt.Errorf("engine: replayed command stamped for tick %d submitted at tick %d (want stamp %d)", sc.Tick, e.tick, want)
 	}
 	if err := e.validateCommand(&sc.Cmd); err != nil {
 		return fmt.Errorf("engine: replayed command: %w", err)
@@ -251,7 +253,7 @@ func (e *Engine) SubmitStamped(sc StampedCommand) error {
 // (program, initial environment, seed) — or, when compacted, against the
 // base checkpoint — reproduces this run byte-identically (contract #5).
 // Commands admitted through the sharded queues enter the journal at the
-// next drain boundary (tick or checkpoint), not at admission.
+// next drain (a tick's commit or a checkpoint), not at admission.
 func (e *Engine) Journal() []StampedCommand {
 	e.inmu.Lock()
 	defer e.inmu.Unlock()
@@ -259,7 +261,7 @@ func (e *Engine) Journal() []StampedCommand {
 }
 
 // Pending returns a copy of the stamped commands waiting for the next
-// tick boundary.
+// tick's commit.
 func (e *Engine) Pending() []StampedCommand {
 	e.inmu.Lock()
 	defer e.inmu.Unlock()
@@ -342,11 +344,12 @@ func (e *Engine) validatePos(x, y float64) error {
 	return nil
 }
 
-// applyCommands drains the input buffer at the tick boundary, applying
+// applyCommands drains the input buffer at a tick's commit, applying
 // commands in the canonical (tick, origin, sequence) order — the order
 // insertCanonical maintains the buffer in, so the drain is a plain walk.
-// It runs first in Tick, before the key index, the effect query, and any
-// index build, so the whole tick observes the post-command world.
+// It runs after the tick's resurrection and before its delta capture,
+// so the view the tick publishes and every later decision observe the
+// post-command world.
 func (e *Engine) applyCommands() {
 	if len(e.pending) == 0 {
 		return
@@ -366,7 +369,6 @@ func (e *Engine) applyCommands() {
 		return e.occ
 	}
 
-	tuned := false
 	for _, sc := range e.pending {
 		c := sc.Cmd
 		switch c.Op {
@@ -415,10 +417,9 @@ func (e *Engine) applyCommands() {
 				}
 			}
 			row[col] = c.Val
-			e.cmdSets = append(e.cmdSets, rowCol{i, col})
 		case OpTune:
 			e.prog.SetConst(c.Col, c.Val)
-			tuned = true
+			e.tuned = true
 		}
 		e.Stats.CommandsApplied++
 	}
@@ -427,41 +428,7 @@ func (e *Engine) applyCommands() {
 	// through the stamp, so the window bound held end to end.
 	e.inflight.Add(-int64(len(e.pending)))
 	e.pending = e.pending[:0]
-
-	// Feed the edits to incremental maintenance. A population change
-	// shifts row indexes and a tune changes index build inputs, so either
-	// leaves this tick's provider to rebuild from scratch; a population
-	// change also voids the tick-end diff (popChanged). Row edits instead
-	// merge into the delta, each row with exactly the columns its
-	// commands wrote: a posx edit rebuilds the partitions of the unit it
-	// moved, and nothing else. cmdDelta keeps them for the tick-end
-	// capture to add to its diff.
-	sets := e.cmdSets
-	e.cmdSets = sets[:0]
-	if e.popChanged || tuned {
-		e.deltaOK = false
-	}
-	if e.popChanged {
-		return
-	}
-	slices.SortFunc(sets, func(a, b rowCol) int { return cmp.Compare(a.row, b.row) })
-	d := exec.Delta{Dirty: e.cmdDelta.Dirty[:0], Masks: e.cmdDelta.Masks[:0]}
-	for _, s := range sets {
-		if k := len(d.Dirty) - 1; k >= 0 && d.Dirty[k] == s.row {
-			d.Masks[k] |= exec.ColBit(s.col)
-			continue
-		}
-		d.Dirty = append(d.Dirty, s.row)
-		d.Masks = append(d.Masks, exec.ColBit(s.col))
-	}
-	e.cmdDelta = d
-	if e.deltaOK {
-		e.delta.AddRows(d.Dirty, d.Masks)
-	}
 }
-
-// rowCol is one OpSet edit: the row and the schema column it wrote.
-type rowCol struct{ row, col int }
 
 // rowIndexByKey resolves a key to its row index: through the engine's
 // key index while it is valid, by a linear scan once a spawn or despawn

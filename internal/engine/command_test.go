@@ -2,7 +2,9 @@ package engine
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -53,6 +55,39 @@ func injectScripted(t testing.TB, e *Engine, tick int64) {
 // injection with room for its effects to propagate.
 const scriptedTicks = 14
 
+// admitMidTick is the scenario's mid-tick traffic (Options.midTick):
+// commands that arrive while a tick runs, after its decision. They take
+// the sharded admission path, are stamped with the next tick and apply
+// at the commit of the tick they arrived during: a set, a spawn, a
+// posy move, a tune, a despawn, and a set and a despawn whose targets
+// are gone, which the apply-time rules reject.
+func admitMidTick(t testing.TB) func(*Engine) {
+	return func(e *Engine) {
+		var cmds []Command
+		switch e.tick {
+		case 1:
+			cmds = []Command{{Op: OpSet, Key: 3, Col: "morale", Val: 1}}
+		case 3:
+			cmds = []Command{{Op: OpSpawn, Row: game.NewUnit(9003, 0, game.Archer, geom.Point{X: 72, Y: 70})}}
+		case 5:
+			cmds = []Command{
+				{Op: OpSet, Key: 9003, Col: "health", Val: 2},
+				{Op: OpSet, Key: 4, Col: "posy", Val: 5},
+			}
+		case 9:
+			cmds = []Command{{Op: OpTune, Col: "_HEAL_AURA", Val: 3}, {Op: OpDespawn, Key: 9003}}
+		case 11:
+			cmds = []Command{{Op: OpSet, Key: 9003, Col: "morale", Val: 4}, {Op: OpDespawn, Key: 9003}}
+		}
+		if len(cmds) == 0 {
+			return
+		}
+		if _, err := e.SubmitSharded("mid", cmds...); err != nil {
+			t.Fatalf("tick %d: mid-tick admission: %v", e.tick, err)
+		}
+	}
+}
+
 // runLiveInteractive drives an engine through the scenario and returns
 // its checkpoint bytes (with one command still pending, so the buffer's
 // survival is part of every comparison).
@@ -77,7 +112,8 @@ func runLiveInteractive(t testing.TB, e *Engine) []byte {
 
 // replayFromJournal drives a fresh engine of the same (program, spec,
 // seed) using only the recorded journal, and returns its checkpoint
-// bytes.
+// bytes. Before each Tick it submits the entries stamped one past the
+// engine's tick: the batch that tick applies at its commit.
 func replayFromJournal(t testing.TB, e *Engine, journal []StampedCommand) []byte {
 	t.Helper()
 	byTick := map[int64][]StampedCommand{}
@@ -85,7 +121,7 @@ func replayFromJournal(t testing.TB, e *Engine, journal []StampedCommand) []byte
 		byTick[sc.Tick] = append(byTick[sc.Tick], sc)
 	}
 	for tick := int64(0); tick < scriptedTicks; tick++ {
-		for _, sc := range byTick[tick] {
+		for _, sc := range byTick[tick+1] {
 			if err := e.SubmitStamped(sc); err != nil {
 				t.Fatalf("replay tick %d: %v", tick, err)
 			}
@@ -94,7 +130,7 @@ func replayFromJournal(t testing.TB, e *Engine, journal []StampedCommand) []byte
 			t.Fatal(err)
 		}
 	}
-	for _, sc := range byTick[scriptedTicks] {
+	for _, sc := range byTick[scriptedTicks+1] {
 		if err := e.SubmitStamped(sc); err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +148,10 @@ func replayFromJournal(t testing.TB, e *Engine, journal []StampedCommand) []byte
 // environment, every counter, the journal itself, the per-origin
 // sequence numbers and the pending input buffer — for every zoo program
 // and the battle simulation, at Workers {1, 4} × Incremental {off, on},
-// and identical across those configurations too.
+// and identical across those configurations too. The live run also
+// admits commands mid-tick (admitMidTick); the journal records them with
+// the stamp of the commit that applied them, and the replay, which has
+// no mid-tick traffic of its own, applies them at that same commit.
 func TestReplayMatchesLive(t *testing.T) {
 	const units = 64
 	mk := func(progName, src string, battle bool) {
@@ -128,13 +167,19 @@ func TestReplayMatchesLive(t *testing.T) {
 					o.Incremental = cfg.incremental
 					o.threshold = 1 // always maintain: the hostile setting
 				}
-				live := newEngine(t, prog, units, Indexed, 7, tweak)
+				live := newEngine(t, prog, units, Indexed, 7, func(o *Options) {
+					tweak(o)
+					o.midTick = admitMidTick(t)
+				})
 				liveBytes := runLiveInteractive(t, live)
 				replay := newEngine(t, prog, units, Indexed, 7, tweak)
 				replayBytes := replayFromJournal(t, replay, live.Journal())
 				if !bytes.Equal(liveBytes, replayBytes) {
 					t.Fatalf("w=%d inc=%v: journal replay diverged from the live interactive run",
 						cfg.workers, cfg.incremental)
+				}
+				if !slices.ContainsFunc(live.Journal(), func(sc StampedCommand) bool { return sc.Origin == "mid" }) {
+					t.Fatal("no mid-tick admission reached the journal")
 				}
 				if live.Stats.CommandsApplied == 0 || live.Stats.CommandsRejected == 0 {
 					t.Fatalf("scenario exercised no apply/reject path (applied %d, rejected %d)",
@@ -256,8 +301,14 @@ func TestApplyTimeRejections(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := e.Env().Len()
-	// Find a live unit's square to collide with.
-	row0 := e.Env().Rows[0]
+	// Find a live unit's square to collide with, where the unit stands
+	// when the batch applies: at the commit of the next tick, after its
+	// movement. A twin without the batch is there one tick ahead.
+	twin := newEngine(t, prog, 48, Indexed, 5, nil)
+	if err := twin.Run(2); err != nil {
+		t.Fatal(err)
+	}
+	row0 := twin.Env().Rows[0]
 	px, _ := prog.Schema.Col("posx")
 	py, _ := prog.Schema.Col("posy")
 	occupied := geom.Point{X: row0[px], Y: row0[py]}
@@ -417,4 +468,90 @@ func nanRow(prog *sem.Program, nan float64) []float64 {
 	row := game.NewUnit(9100, 0, 0, geom.Point{X: 1, Y: 1})
 	row[prog.Schema.MustCol("health")] = nan
 	return row
+}
+
+// TestCommandLandsInItsTicksView pins where the admission boundary sits:
+// a command admitted while tick t runs — after its decision, through the
+// sharded queues (Options.midTick) — is stamped t+1, applied at t's
+// commit, and so is in the view t publishes (labelled t+1), in the delta
+// t captures (the diff between views t and t+1), and in a maintained
+// sum read at t+1. From the view published at admission to the first
+// view showing the batch is one view. Over the battle and every zoo
+// program at Workers {1, 4} × Incremental {off, on}.
+func TestCommandLandsInItsTicksView(t *testing.T) {
+	const units, seed, warm = 64, 5, 3
+	const val = 1e6 // far above any morale a unit holds, so the sum shows it
+	sum := compileQuery(t, `aggregate Morale(u) := sum(e.morale) as m over e;`)
+	type world struct {
+		name string
+		prog *sem.Program
+	}
+	worlds := []world{{"battle", battleProg(t)}}
+	for _, zp := range exec.Zoo {
+		worlds = append(worlds, world{zp.Name, compileZoo(t, zp.Src)})
+	}
+	for _, w := range worlds {
+		for _, workers := range []int{1, 4} {
+			for _, inc := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/w%d-inc%v", w.name, workers, inc), func(t *testing.T) {
+					e := newEngine(t, w.prog, units, Indexed, seed, func(o *Options) { o.Workers, o.Incremental = workers, inc })
+					if err := e.Run(warm); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := e.QueryMaintained(sum, World()); err != nil { // subscribe
+						t.Fatal(err)
+					}
+					key := int64(e.env.Rows[7][e.prog.Schema.KeyCol()])
+					admittedAt := int64(-1)
+					e.opts.midTick = func(e *Engine) {
+						if admittedAt >= 0 {
+							return
+						}
+						var err error
+						if admittedAt, err = e.SubmitSharded("mid", Command{Op: OpSet, Key: key, Col: "morale", Val: val}); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := e.Tick(); err != nil {
+						t.Fatal(err)
+					}
+					if admittedAt != warm {
+						t.Fatalf("admitted at view %d, want %d", admittedAt, warm)
+					}
+					v := e.ReadView()
+					mc := e.prog.Schema.MustCol("morale")
+					row := v.env.Rows[v.keys[key]]
+					if row[mc] != val {
+						t.Fatalf("view %d shows morale %v for unit %d: the batch admitted at view %d is not in it (one view from admission to visibility)",
+							v.Tick(), row[mc], key, admittedAt)
+					}
+					if views := v.Tick() - admittedAt; views != 1 {
+						t.Fatalf("%d views from admission to visibility, want 1", views)
+					}
+					j := e.Journal()
+					if len(j) != 1 || j[0].Origin != "mid" || j[0].Tick != v.Tick() {
+						t.Fatalf("journal %+v, want the batch stamped %d", j, v.Tick())
+					}
+					named := false
+					for k, i := range e.delta.Dirty {
+						named = named || (i == v.keys[key] && e.delta.Masks[k]&exec.ColBit(mc) != 0)
+					}
+					if !e.deltaOK || !named {
+						t.Fatalf("tick %d's delta (valid %v) does not name unit %d's morale", warm, e.deltaOK, key)
+					}
+					got, err := e.QueryMaintained(sum, World())
+					if err != nil {
+						t.Fatal(err)
+					}
+					scan, err := v.QueryScan(sum, World())
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got[0] < val || math.Float64bits(got[0]) != math.Float64bits(scan[0]) {
+						t.Fatalf("maintained sum(morale) at view %d is %v (scan %v); the batch should show in it", v.Tick(), got[0], scan[0])
+					}
+				})
+			}
+		}
+	}
 }

@@ -6,19 +6,21 @@
 // without bound under sustained command traffic, and the checkpoint
 // format embeds it, so a year-old world would write a year of inputs
 // into every snapshot. Compaction trades the genesis replay for a
-// bounded one: everything stamped before a base tick is folded into the
-// engine's own state (it already is — journal entries are applied at
-// their stamped tick, so the environment rows, counters, and constant
-// table carry their full effect), the journal keeps only the tail from
-// the base tick on, and the checkpoint records the base so a reader
-// knows the stream is a (base snapshot + tail), not a genesis history.
+// bounded one: everything stamped at or before a base tick is folded
+// into the engine's own state (it already is — an entry stamped s is
+// applied at the commit that advances the world to tick s, so the
+// environment rows, counters, and constant table of a world at tick s
+// carry its full effect), the journal keeps only the tail stamped after
+// the base tick, and the checkpoint records the base so a reader knows
+// the stream is a (base snapshot + tail), not a genesis history.
 //
-// Replay degrades explicitly, never silently: asking for journal entries
-// from before the base returns a typed *CompactedError naming the base
-// tick, so a replayer knows to start from the base checkpoint instead of
-// tick zero. TestReplayMatchesLiveCompacted proves the degraded form of
-// contract #5: replaying the tail against the base checkpoint is
-// byte-identical to the live run that never compacted a thing.
+// Replay degrades explicitly, never silently: asking for the journal
+// entries a world before the base has yet to apply returns a typed
+// *CompactedError naming the base tick, so a replayer knows to start
+// from the base checkpoint instead of tick zero.
+// TestReplayMatchesLiveCompacted proves the degraded form of contract
+// #5: replaying the tail against the base checkpoint is byte-identical
+// to the live run that never compacted a thing.
 package engine
 
 import "fmt"
@@ -28,20 +30,21 @@ import "fmt"
 // this stream alone; replay must start from a checkpoint at (or after)
 // BaseTick.
 type CompactedError struct {
-	// BaseTick is the journal's base: entries stamped before it are gone.
+	// BaseTick is the journal's base: entries stamped at or before it
+	// are gone.
 	BaseTick int64
 }
 
 // Error describes the degraded replay window.
 func (e *CompactedError) Error() string {
-	return fmt.Sprintf("engine: journal compacted: entries before base tick %d were folded into the base checkpoint", e.BaseTick)
+	return fmt.Sprintf("engine: journal compacted: entries stamped at or before base tick %d were folded into the base checkpoint", e.BaseTick)
 }
 
-// Compact folds every journal entry already applied — stamped before the
-// current tick — into the base and drops it from the journal, leaving
-// only the tail (entries stamped at the current tick, i.e. the pending
-// window). The journal base becomes the current tick and is recorded in
-// subsequent checkpoints (format v3). Compact must not run concurrently
+// Compact folds every journal entry already applied — stamped at or
+// before the current tick — into the base and drops it from the journal,
+// leaving only the tail (entries stamped after the current tick, i.e.
+// the pending window). The journal base becomes the current tick and is
+// recorded in subsequent checkpoints. Compact must not run concurrently
 // with Tick; the Session facade serializes it under the writer lock.
 // It returns the new base tick.
 func (e *Engine) Compact() int64 {
@@ -54,7 +57,7 @@ func (e *Engine) compactLocked() int64 {
 	if e.journalBase < e.tick {
 		kept := e.journal[:0]
 		for _, sc := range e.journal {
-			if sc.Tick >= e.tick {
+			if sc.Tick > e.tick {
 				kept = append(kept, sc)
 			}
 		}
@@ -70,19 +73,19 @@ func (e *Engine) compactLocked() int64 {
 }
 
 // JournalBase returns the tick the journal is compacted to: entries
-// stamped before it were folded into the base checkpoint. Zero means the
-// journal is complete from genesis.
+// stamped at or before it were folded into the base checkpoint. Zero
+// means the journal is complete from genesis.
 func (e *Engine) JournalBase() int64 {
 	e.inmu.Lock()
 	defer e.inmu.Unlock()
 	return e.journalBase
 }
 
-// JournalSince returns a copy of the journal entries stamped at or after
-// the given tick. If from predates the journal base the history no
-// longer exists in this stream and the call returns a *CompactedError
-// naming the base tick — the caller must replay from a base checkpoint
-// instead.
+// JournalSince returns a copy of the journal entries stamped after the
+// given tick: the inputs a world at that tick has yet to apply. If from
+// predates the journal base the history no longer exists in this stream
+// and the call returns a *CompactedError naming the base tick — the
+// caller must replay from a base checkpoint instead.
 func (e *Engine) JournalSince(from int64) ([]StampedCommand, error) {
 	e.inmu.Lock()
 	defer e.inmu.Unlock()
@@ -91,7 +94,7 @@ func (e *Engine) JournalSince(from int64) ([]StampedCommand, error) {
 	}
 	var out []StampedCommand
 	for _, sc := range e.journal {
-		if sc.Tick >= from {
+		if sc.Tick > from {
 			out = append(out, sc)
 		}
 	}
@@ -115,8 +118,8 @@ func (s *Session) JournalBase() int64 {
 	return s.e.JournalBase()
 }
 
-// JournalSince returns the journal tail from the given tick on, under
-// the reader lock (see Engine.JournalSince).
+// JournalSince returns the journal tail stamped after the given tick,
+// under the reader lock (see Engine.JournalSince).
 func (s *Session) JournalSince(from int64) ([]StampedCommand, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

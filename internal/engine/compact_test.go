@@ -13,7 +13,7 @@ import (
 // Compact folds the applied journal prefix: the base advances to the
 // current tick, folded history becomes unreachable through a typed
 // *CompactedError, the tail (and anything pending) survives, and the
-// base round-trips through checkpoint v3.
+// base round-trips through the checkpoint.
 func TestCompactSemantics(t *testing.T) {
 	prog := battleProg(t)
 	e := newEngine(t, prog, 64, Indexed, 7, nil)
@@ -27,8 +27,8 @@ func TestCompactSemantics(t *testing.T) {
 	if len(full) == 0 {
 		t.Fatal("scenario journaled nothing")
 	}
-	// One command pending at the compaction boundary: stamped at the
-	// current tick, it must survive the fold.
+	// One command pending at the compaction boundary: stamped for the
+	// next tick, it must survive the fold.
 	if err := e.Submit("late", Command{Op: OpSet, Key: 1, Col: "morale", Val: 5}); err != nil {
 		t.Fatal(err)
 	}
@@ -44,12 +44,12 @@ func TestCompactSemantics(t *testing.T) {
 		t.Fatalf("JournalBase = %d, want 12", got)
 	}
 	tail := e.Journal()
-	if len(tail) != 1 || tail[0].Origin != "late" || tail[0].Tick != 12 {
-		t.Fatalf("post-compact journal = %+v, want only the pending tick-12 command", tail)
+	if len(tail) != 1 || tail[0].Origin != "late" || tail[0].Tick != 13 {
+		t.Fatalf("post-compact journal = %+v, want only the pending tick-13 command", tail)
 	}
 
-	if _, err := e.JournalSince(12); err != nil {
-		t.Fatalf("JournalSince(base): %v", err)
+	if since, err := e.JournalSince(12); err != nil || len(since) != 1 {
+		t.Fatalf("JournalSince(base) = %+v, %v; want the pending command", since, err)
 	}
 	_, err := e.JournalSince(3)
 	var ce *CompactedError
@@ -143,7 +143,8 @@ func TestCompactJournalBoundedCheckpoint(t *testing.T) {
 // base checkpoint plus the journal tail — SubmitStamped per entry,
 // bypassing the sharded admission queues — and the replay's final
 // checkpoint is byte-identical to the live run's, for every zoo program
-// and the battle simulation at Workers {1,4} × Incremental {off,on}.
+// and the battle simulation at Workers {1,4} × Incremental {off,on}. The
+// live run admits mid-tick traffic too (admitMidTick).
 func TestReplayMatchesLiveCompacted(t *testing.T) {
 	const baseTick = 6
 	mk := func(progName, src string, battle bool) {
@@ -158,12 +159,12 @@ func TestReplayMatchesLiveCompacted(t *testing.T) {
 					Incremental: cfg.incremental,
 					threshold:   1,
 				}
-				tweak := func(o *Options) {
+				live := newEngine(t, prog, 64, Indexed, 7, func(o *Options) {
 					o.Workers = cfg.workers
 					o.Incremental = cfg.incremental
 					o.threshold = 1
-				}
-				live := newEngine(t, prog, 64, Indexed, 7, tweak)
+					o.midTick = admitMidTick(t)
+				})
 				for tick := int64(0); tick < baseTick; tick++ {
 					injectScripted(t, live, tick)
 					if err := live.Tick(); err != nil {
@@ -204,9 +205,10 @@ func TestReplayMatchesLiveCompacted(t *testing.T) {
 				}
 				// The base checkpoint already carries any entries that were
 				// pending at the base tick; replay only what came after.
+				// Before each Tick, the batch its commit applies.
 				carried := len(re.Pending())
 				for tick := int64(baseTick); tick < scriptedTicks; tick++ {
-					entries := byTick[tick]
+					entries := byTick[tick+1]
 					if tick == baseTick {
 						entries = entries[carried:] // skip what the checkpoint carried
 					}
@@ -244,7 +246,7 @@ func TestRestoreRejectsInconsistentBase(t *testing.T) {
 	mkBytes := func(poison func(e *Engine)) []byte {
 		e := newEngine(t, prog, 48, Indexed, 3, nil)
 		for tick := int64(0); tick < 4; tick++ {
-			injectScripted(t, e, 2) // journal entries at ticks 0..3
+			injectScripted(t, e, 2) // journal entries stamped 1..4
 			if err := e.Tick(); err != nil {
 				t.Fatal(err)
 			}

@@ -127,6 +127,14 @@ type Options struct {
 	// this package's differentials set it: 1 maintains whatever the
 	// churn (the hostile setting), a tiny value falls back on any.
 	threshold float64
+	// midTick, when set, runs between a tick's decision phase and its
+	// commit, the window a command arriving while a tick runs lands in.
+	// Only this package's tests set it, to admit commands there. It
+	// exists for TestCommandLandsInItsTicksView, which fails if the drain
+	// leaves the commit. A mid-tick admission is stamped and applied
+	// like one made just before Tick, so the mid-tick traffic the replay
+	// and resume differentials carry takes the same path as theirs.
+	midTick func(*Engine)
 }
 
 // DefaultIncrementalThreshold is the per-definition dirty-row fraction
@@ -164,8 +172,8 @@ type Engine struct {
 	journal []StampedCommand
 	seqs    map[string]uint64
 	// journalBase is the compaction base (compact.go): journal entries
-	// stamped before it were folded into the base checkpoint. Guarded by
-	// inmu like the journal itself.
+	// stamped at or before it were folded into the base checkpoint.
+	// Guarded by inmu like the journal itself.
 	journalBase int64
 
 	// Sharded admission state (admission.go): the per-origin queues of
@@ -232,18 +240,14 @@ type Engine struct {
 	// changed since the previous read view — with whether it is valid.
 	// popChanged marks a population change since the last capture: row
 	// indexes shifted under the previous view, so no diff spans it.
+	// tuned marks a constant tune since the last provider was built: the
+	// next one rebuilds, as index build inputs read constants.
 	tickProv   *exec.Indexed
 	prevProv   *exec.Indexed
 	delta      exec.Delta
 	deltaOK    bool
 	popChanged bool
-	// cmdSets collects, per OpSet of the tick's command batch, the row
-	// and the column it wrote; cmdDelta is the same set sorted by row
-	// with each row's columns merged — what applyCommands feeds the
-	// delta the tick's provider is maintained with, and what capture
-	// adds to the diff.
-	cmdSets  []rowCol
-	cmdDelta exec.Delta
+	tuned      bool
 
 	// viewCopied counts the rows publishView has copied since its last
 	// full copy (see publishView). posBase is the position column that
@@ -510,16 +514,6 @@ func (e *Engine) rebuildConstNames() {
 
 // Tick advances one clock tick through all phases.
 func (e *Engine) Tick() error {
-	// Stamp and drain externally injected commands first: queued sharded
-	// admissions get their canonical (tick, origin, seq) stamps, then the
-	// whole tick — key index, effect query, index builds — observes the
-	// post-command world (see admission.go and command.go for the
-	// ordering and determinism argument).
-	e.inmu.Lock()
-	e.drainAdmission()
-	e.inmu.Unlock()
-	e.applyCommands()
-
 	r := e.src.Tick(e.tick)
 	n := e.env.Len()
 	acc := e.tickAccumulator(n)
@@ -535,6 +529,9 @@ func (e *Engine) Tick() error {
 	}
 	if err := decide(r, acc, keyIdx); err != nil {
 		return err
+	}
+	if e.opts.midTick != nil {
+		e.opts.midTick(e)
 	}
 
 	// Post-processing query (Example 4.1): combine effects into state.
@@ -561,6 +558,17 @@ func (e *Engine) Tick() error {
 
 	// Resurrection keeps the population constant (Section 6).
 	e.resurrect(dead)
+
+	// Stamp and apply the commands admitted up to here: queued sharded
+	// admissions get their canonical (next tick, origin, seq) stamps, and
+	// the batch that precedes the next decision joins this tick's
+	// commit, so the view it publishes — its delta, maintained answers
+	// and pushes included — already shows it (see admission.go and
+	// command.go for the ordering and determinism argument).
+	e.inmu.Lock()
+	e.drainAdmission()
+	e.inmu.Unlock()
+	e.applyCommands()
 
 	// Record which rows this tick changed, so the next tick can patch the
 	// previous indexes instead of rebuilding them.

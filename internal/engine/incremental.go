@@ -14,17 +14,16 @@
 // the shard executors carry over instead of probing again
 // (exec.Indexed.Carries).
 //
-// Timeline: the provider built at tick T reflects the environment after
-// tick T−1 and T's commands (effects apply post-decision). The delta
-// captured at the end of tick T spans the view of T−1 to the state after
-// T, which covers the provider's state too: a row T's commands set enters
-// with the columns they wrote, and every other row held the view's
-// values when the provider was built. Tick T+1's commands then join it
-// (applyCommands), and the provider for T+1 is obtained by patching tick
-// T's provider with the result. The first tick after New or Open
-// rebuilds (no prior provider exists); maintenance engages from the
-// second. A population change costs the tick that applies it and the
-// next a rebuild; a tune, only its own tick.
+// Timeline: tick T's decision reads the rows of view T — the commands
+// stamped T were applied at the commit of the tick before it — so the
+// provider built at tick T holds exactly the rows view T published. The
+// delta captured at the end of tick T spans view T to the state T
+// commits, the commands stamped T+1 included (they are applied just
+// before the capture), and the provider for T+1 is obtained by patching
+// tick T's provider with it. The first tick after New or Open rebuilds
+// (no prior provider exists); maintenance engages from the second. A
+// population change or a tune costs one rebuild: the tick after the
+// commit that applied it.
 package engine
 
 import (
@@ -54,14 +53,14 @@ func (e *Engine) newIndexedProvider(r rng.TickSource, keyIdx map[int64]int) *exe
 	prov := exec.NewIndexed(e.an, e.env, r)
 	prov.SeedKeyIndex(keyIdx)
 	if prev := e.prevProv; prev != nil {
-		if e.opts.Incremental && e.deltaOK && prov.MaintainFrom(prev, e.delta, e.incThreshold()) {
+		if e.opts.Incremental && e.deltaOK && !e.tuned && prov.MaintainFrom(prev, e.delta, e.incThreshold()) {
 			e.Stats.MaintainTicks++
 			e.Stats.DirtyRows += len(e.delta.Dirty)
 		}
 		prov.Recycle(prev)
 		e.prevProv = nil
 	}
-	e.tickProv = prov
+	e.tickProv, e.tuned = prov, false
 	return prov
 }
 
@@ -76,10 +75,6 @@ func (e *Engine) captureIncremental() {
 	// tick maintains its indexes from it when it can, and rebuilds into
 	// its storage either way.
 	e.prevProv, e.tickProv = e.tickProv, nil
-	// The rows the tick's set commands wrote, consumed (and cleared)
-	// whatever path returns.
-	cmd := e.cmdDelta
-	e.cmdDelta.Dirty, e.cmdDelta.Masks = cmd.Dirty[:0], cmd.Masks[:0]
 	if e.popChanged {
 		// Rows shifted under the view: nothing to diff row for row.
 		e.popChanged, e.deltaOK = false, false
@@ -108,13 +103,5 @@ func (e *Engine) captureIncremental() {
 		}
 	}
 	e.delta = exec.Delta{Dirty: dirty, Masks: masks}
-	// Command-set rows enter with the columns their commands wrote,
-	// whether or not the diff saw them: this tick's provider baked the
-	// post-command values, and if the tick restored a cell to its view
-	// value (a command-wounded unit dying and respawning at full health)
-	// the diff alone would hide the change from the provider patched
-	// next tick (TestReplayMatchesLive/global-extrema). Over-reporting is
-	// safe for every consumer: rows re-derive from the live table.
-	e.delta.AddRows(cmd.Dirty, cmd.Masks)
 	e.deltaOK = true
 }

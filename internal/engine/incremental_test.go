@@ -148,7 +148,7 @@ func TestCarryMatchesRebuildUnderCommands(t *testing.T) {
 				case 60:
 					cmds = []Command{{Op: OpSet, Key: knight, Col: "health", Val: 21}}
 				case 80:
-					cmds = []Command{{Op: OpSpawn, Row: game.NewUnit(spawned, 1, game.Knight, freeSquare(oracle))}}
+					cmds = []Command{{Op: OpSpawn, Row: game.NewUnit(spawned, 1, game.Knight, freeSquare(t, oracle))}}
 				case 100:
 					cmds = []Command{{Op: OpDespawn, Key: knight}}
 				case 120:
@@ -344,11 +344,11 @@ func newSentryEngine(t testing.TB, n int) *Engine {
 // TestCommandSetDirtiesOnlyItsColumn pins the column-exact command
 // masks. In the sentry world only the scouts move, so a quiet tick
 // rebuilds the scouts' kD-trees and nothing else. A morale set on a
-// knight changes a column no index reads: the tick that applies it and
-// the next one (whose delta carries the edit again, for the maintained
-// answers) must rebuild exactly what a quiet tick does, while the
-// maintained sum(e.morale) answer — whose read set it is in — is patched.
-// A posx set on a knight must still rebuild that knight's partition.
+// knight changes a column no index reads: the tick whose commit applies
+// it patches the maintained sum(e.morale) answer — whose read set it is
+// in — and the next one, the first whose indexes see the edit, must
+// rebuild exactly what a quiet tick does. A posx set on a knight must
+// still rebuild that knight's partition in the tick after its commit.
 func TestCommandSetDirtiesOnlyItsColumn(t *testing.T) {
 	e := newSentryEngine(t, 600)
 	morale := compileQuery(t, `aggregate Morale(u) := sum(e.morale) as m over e;`)
@@ -402,13 +402,13 @@ func TestCommandSetDirtiesOnlyItsColumn(t *testing.T) {
 
 	builds, patches := step(Command{Op: OpSet, Key: key, Col: "morale", Val: 77})
 	if builds != scouts {
-		t.Errorf("the tick applying a morale set built %d structures, a quiet tick %d", builds, scouts)
+		t.Errorf("the tick whose commit applies a morale set built %d structures, a quiet tick %d", builds, scouts)
 	}
 	if patches != 1 {
 		t.Errorf("the morale set patched %d maintained answers, want the Morale answer", patches)
 	}
 	if builds, _ := step(); builds != scouts {
-		t.Errorf("the tick after a morale set built %d structures, a quiet tick %d", builds, scouts)
+		t.Errorf("the first tick to index a morale set built %d structures, a quiet tick %d", builds, scouts)
 	}
 
 	// Move the knight one square along x, to a square nobody holds.
@@ -428,22 +428,36 @@ func TestCommandSetDirtiesOnlyItsColumn(t *testing.T) {
 	if !free(nx) {
 		t.Fatalf("knight %d at (%v, %v) has no free square beside it", key, x, y)
 	}
-	if builds, _ := step(Command{Op: OpSet, Key: key, Col: "posx", Val: nx}); builds <= scouts {
-		t.Errorf("a posx set on a knight built %d structures, no more than a quiet tick's %d: its partition was not rebuilt", builds, scouts)
+	if builds, _ := step(Command{Op: OpSet, Key: key, Col: "posx", Val: nx}); builds != scouts {
+		t.Errorf("the tick whose commit applies a posx set built %d structures, a quiet tick %d", builds, scouts)
 	}
 	if e.env.Rows[knight][px] != nx {
 		t.Fatalf("the posx set was not applied: knight at x=%v, want %v", e.env.Rows[knight][px], nx)
 	}
+	if builds, _ := step(); builds <= scouts {
+		t.Errorf("the first tick to index a posx set on a knight built %d structures, no more than a quiet tick's %d: its partition was not rebuilt", builds, scouts)
+	}
 }
 
-// freeSquare returns a square of e's world no unit holds, scanning down
-// from the far corner, column by column.
-func freeSquare(e *Engine) geom.Point {
-	taken := map[[2]float64]bool{}
-	for _, row := range e.env.Rows {
-		taken[[2]float64{math.Floor(row[e.posX]), math.Floor(row[e.posY])}] = true
+// freeSquare returns a square of e's world no unit holds when a command
+// submitted now applies — at the next tick's commit, after that tick's
+// movement and respawns — scanning down from the far corner, column by
+// column. A twin reopened from e's checkpoint runs that tick to see it.
+func freeSquare(t testing.TB, e *Engine) geom.Point {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := e.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
 	}
-	side := e.opts.Side
+	twin := reopen(t, buf.Bytes(), Options{Workers: 1})
+	if err := twin.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	taken := map[[2]float64]bool{}
+	for _, row := range twin.env.Rows {
+		taken[[2]float64{math.Floor(row[twin.posX]), math.Floor(row[twin.posY])}] = true
+	}
+	side := twin.opts.Side
 	for x := side - 1; ; x-- {
 		for y := side - 1; y >= 0; y-- {
 			if !taken[[2]float64{x, y}] {
@@ -459,7 +473,7 @@ func freeSquare(e *Engine) geom.Point {
 // same batch as a tune and in the same batch as a despawn, a spawn, a
 // despawn, and both in one batch. It returns the commands and whether
 // they change the population.
-func deltaTraffic(e *Engine, tick int) ([]Command, bool) {
+func deltaTraffic(t testing.TB, e *Engine, tick int) ([]Command, bool) {
 	kc, hc := e.prog.Schema.KeyCol(), e.prog.Schema.MustCol("health")
 	key := func(i int) int64 { return int64(e.env.Rows[i][kc]) }
 	switch tick {
@@ -471,7 +485,7 @@ func deltaTraffic(e *Engine, tick int) ([]Command, bool) {
 			{Op: OpSet, Key: key(9), Col: "health", Val: 1},
 		}, false
 	case 4:
-		return []Command{{Op: OpSpawn, Row: game.NewUnit(7001, 1, game.Knight, freeSquare(e))}}, true
+		return []Command{{Op: OpSpawn, Row: game.NewUnit(7001, 1, game.Knight, freeSquare(t, e))}}, true
 	case 6:
 		return []Command{{Op: OpDespawn, Key: key(3)}, {Op: OpSet, Key: key(11), Col: "morale", Val: 4}}, true
 	case 8:
@@ -480,7 +494,7 @@ func deltaTraffic(e *Engine, tick int) ([]Command, bool) {
 		return []Command{{Op: OpSet, Key: key(2), Col: "morale", Val: 8}, {Op: OpSet, Key: key(2), Col: "health", Val: 3}}, false
 	case 12:
 		// The population count holds, but rows shift under the view.
-		return []Command{{Op: OpDespawn, Key: key(1)}, {Op: OpSpawn, Row: game.NewUnit(7002, 0, game.Archer, freeSquare(e))}}, true
+		return []Command{{Op: OpDespawn, Key: key(1)}, {Op: OpSpawn, Row: game.NewUnit(7002, 0, game.Archer, freeSquare(t, e))}}, true
 	}
 	return nil, false
 }
@@ -488,11 +502,12 @@ func deltaTraffic(e *Engine, tick int) ([]Command, bool) {
 // TestDeltaIsViewDiff: the engine keeps no copy of the previous tick's
 // rows, so the delta a tick captures must be exactly what separates the
 // two read views it falls between — every row whose bits differ, with
-// the columns that differ — plus each row a set command wrote, with the
-// columns it wrote, changed or not. A delta is invalid exactly on the
-// ticks that change the population. Over the zoo and the battle, at
-// Workers {1, 4} × Incremental {off, on}, under set, spawn, despawn and
-// tune traffic.
+// the columns that differ, and nothing else: the commands a tick's
+// commit applies are in the view it publishes, so no row a set wrote
+// needs naming beyond the diff. A delta is invalid exactly on the ticks
+// that change the population. Over the zoo and the battle, at Workers
+// {1, 4} × Incremental {off, on}, under set, spawn, despawn and tune
+// traffic.
 func TestDeltaIsViewDiff(t *testing.T) {
 	const units, seed, ticks = 64, 23, 14
 	type world struct {
@@ -509,7 +524,7 @@ func TestDeltaIsViewDiff(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/w%d-inc%v", w.name, workers, inc), func(t *testing.T) {
 					e := newEngine(t, w.prog, units, Indexed, seed, func(o *Options) { o.Workers, o.Incremental = workers, inc })
 					for tick := 0; tick < ticks; tick++ {
-						cmds, popChange := deltaTraffic(e, tick)
+						cmds, popChange := deltaTraffic(t, e, tick)
 						if len(cmds) > 0 {
 							if err := e.Submit("t", cmds...); err != nil {
 								t.Fatal(err)
@@ -534,11 +549,6 @@ func TestDeltaIsViewDiff(t *testing.T) {
 								}
 							}
 						}
-						for _, c := range cmds {
-							if c.Op == OpSet {
-								masks[cur.keys[c.Key]] |= exec.ColBit(e.prog.Schema.MustCol(c.Col))
-							}
-						}
 						var want exec.Delta
 						for i, m := range masks {
 							if m != 0 {
@@ -546,7 +556,7 @@ func TestDeltaIsViewDiff(t *testing.T) {
 							}
 						}
 						if !slices.Equal(e.delta.Dirty, want.Dirty) || !slices.Equal(e.delta.Masks, want.Masks) {
-							t.Fatalf("tick %d: delta %v / %x, the views' diff plus the command rows %v / %x",
+							t.Fatalf("tick %d: delta %v / %x, the views' diff %v / %x",
 								tick, e.delta.Dirty, e.delta.Masks, want.Dirty, want.Masks)
 						}
 					}
@@ -560,9 +570,11 @@ func TestDeltaIsViewDiff(t *testing.T) {
 	}
 }
 
-// An OpTune rebuilds the indexes of the tick that applies it, and only
-// that tick's: the delta that tick captures is as valid as any, so
-// maintenance resumes on the next tick.
+// An OpTune costs exactly one rebuild tick: the first tick whose
+// decision reads it, the one after the commit that applies it. The tick
+// whose commit applies the tune decided under the old constants and is
+// maintained, and the delta the commit captures is as valid as any, so
+// maintenance resumes on the tick after the rebuild.
 func TestTuneRebuildsOneTick(t *testing.T) {
 	e := newSentryEngine(t, 600)
 	step := func() int {
@@ -579,12 +591,15 @@ func TestTuneRebuildsOneTick(t *testing.T) {
 	if err := e.Submit("ops", Command{Op: OpTune, Col: "_HEAL_AURA", Val: 5}); err != nil {
 		t.Fatal(err)
 	}
+	if step() != 1 {
+		t.Fatal("the tick whose commit applies a tune rebuilt before any decision read it")
+	}
 	if step() != 0 {
-		t.Fatal("the tick applying a tune maintained its indexes from the pre-tune provider")
+		t.Fatal("the first tick to read a tune maintained its indexes from the pre-tune provider")
 	}
 	for i := 1; i <= 2; i++ {
 		if step() != 1 {
-			t.Fatalf("tick %d after the tune rebuilt instead of maintaining", i)
+			t.Fatalf("tick %d after the rebuild rebuilt instead of maintaining", i)
 		}
 	}
 }

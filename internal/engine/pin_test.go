@@ -18,27 +18,28 @@ import (
 // these pins compare across commits. A legitimate semantic or format
 // change re-records them with SGL_PRINT_PINS=1 and says so in CHANGES.md.
 //
-// Re-recorded for checkpoint format version 4, which drops the
-// MaintainTicks and DirtyRows counters from the stats section. Every pin
-// runs with Incremental off, where both were zero, so no world moved: the
-// tick-50 version-3 stream of each pinned world upgrades to exactly these
+// Re-recorded for checkpoint format version 5, which stamps a pending
+// command for the next tick and applies it at that tick's commit instead
+// of the next tick's start; the layout is version 4's. No pinned world
+// submits a command, so no world moved: only the version tag did, and the
+// tick-50 version-4 stream of each pinned world upgrades to exactly these
 // bytes (TestUpgradeMatchesPin keeps one of them).
 var checkpointPins = map[string]string{
-	"battle":                          "1dd309db7bde34e42f95ed371a526d004a9a8748c168e941882daaa3a074055d",
-	"zoo/or-condition-residual":       "8f6f6a41cff92be341a863bfc4cd8703e11c486aaade83ae5e2155cc9f674f89",
-	"zoo/asymmetric-range":            "595e5427e751b7d8eef58d422ef0d0aec9a16338c80827fe76f4a2fc65776685",
-	"zoo/one-sided-minmax-falls-back": "abbfbcb51a4fed67d7030d14f20257f60e70784f83b210b944421d62afae11ca",
-	"zoo/neq-partition-area-action":   "24a84f7bf99e1fc4582d3518f9a6e640f1648bd3c19580aa816b2ffe9e3edda9",
-	"zoo/mixed-output-classes":        "2362defdaa48fc1e9556cb885e9efe25564297d3f346445edc57dc8d38cebbd6",
-	"zoo/nested-aggregate-args":       "5f27bf5430e5fc5e7da37bd635af6fac20335ac82f0ce9a5c5fa716917fb809f",
-	"zoo/u-only-guard":                "627d4aed6795c476263b05fdc0928da44a04b8b9ecbb64ab3ece418a0ed63ac1",
-	"zoo/random-in-action-value":      "7b22b54fb7c650ccd1dd21a7428756dabd18dd62890678ff56419b1e95ca5d39",
-	"zoo/global-extrema":              "fdea4689fe0da98c00446652ce0bf40c5c8f27a09aef6d240e775fb479c2091e",
-	"zoo/multi-conjunct-greedy":       "43bceaf4c87b49953dc811be055a73ffb191adfd2abd9d216090e9778a4d867f",
-	"zoo/empty-world-guards":          "1113713fa02b98288c513159abd68ac26bac1a1535c9dc5593015207d300363c",
-	"zoo/shared-membership":           "8ebcb6a341f152d5317452fe5d7a93b4e7ed5e4a1933ebe2440c861c47b79a60",
-	"zoo/repeated-calls":              "986f0e3e59982f932c420b72edb83734c3b8e2404d95457fd713c5ed0f8e3249",
-	"zoo/carried-answers":             "da525b396edbf8ad27489af1699f9d78a381a620b7162f1d4539f6f07ad080b4",
+	"battle":                          "53f75092282d8e99cde4a2461418a8c739b3c0e521023d05a1502fcea9c0e169",
+	"zoo/or-condition-residual":       "cbe9e4c74b9374cac22270bf4a757fc9213e544e22bef81019b3ae54d63df39f",
+	"zoo/asymmetric-range":            "3147ad7efb39b1ffb82f7e628987e26892f1ad06ac485a99290f5eaf327801a4",
+	"zoo/one-sided-minmax-falls-back": "44a81f5647aa72f7992bd150885b1d32bfe5040aee213338b7a88eb1aa0c5828",
+	"zoo/neq-partition-area-action":   "17988f7b76bd9ca870f0e2c3de94b76ecae29c8dbc5515c84d8b1836fe39e031",
+	"zoo/mixed-output-classes":        "3284194d95d380ae60782e4f469dda442647e92ccdd7c4435a8ef76a67ed0d3e",
+	"zoo/nested-aggregate-args":       "41f99c2b19adf1873e9d30eb87cb7accb5691ece8b0dcd2f1e61f23e8c61919a",
+	"zoo/u-only-guard":                "e8d79c7a86b48008b74f7c7e5812bcda4da816393d345ede02bd9be48ad8b32a",
+	"zoo/random-in-action-value":      "b0d922a898097ed810557fa7e818c6a2ae5c175cb22f7f51eea3e9946207ba8f",
+	"zoo/global-extrema":              "3869c6603138f7800ebe8691f39e9a1ac75f53766bd6bc5e60861c6311c2b8fc",
+	"zoo/multi-conjunct-greedy":       "1ad04b4265baf1813cc093cc97c7a541b03b10243cdd2acb65d3884a8deaf22d",
+	"zoo/empty-world-guards":          "11cd838b66463867fdfdc25ffa38dd126c2aa18294e5300a89b5dbfdf66930c6",
+	"zoo/shared-membership":           "dcf0f665da6c356085d79953f40388f083ff9a2a58905c2587b13ca853c4778b",
+	"zoo/repeated-calls":              "57b6a75c610ffa2c35d811b701dfd34681cf7548ff3f436a0b108294d6f3bc93",
+	"zoo/carried-answers":             "f150e8fb08e627ab1d90a67d6d5c56916bf0da06f92664a9be8cb4c0284a1713",
 }
 
 func TestCheckpointPinsAcrossCommits(t *testing.T) {

@@ -168,16 +168,17 @@ func (s *Session) Checkpoint(w io.Writer) error {
 // concurrently — with each other, with spectators, and with a running
 // tick — contending only when two connections share one origin. The
 // commands are stamped in canonical (tick, origin, sequence) order at
-// the next drain boundary (tick or checkpoint), which makes the world —
-// and the checkpoint bytes — independent of how the calls interleaved.
+// the next drain (a tick's commit or a checkpoint), which makes the
+// world — and the checkpoint bytes — independent of how the calls
+// interleaved.
 func (s *Session) Submit(origin string, cmds ...Command) error {
 	_, err := s.SubmitTick(origin, cmds...)
 	return err
 }
 
-// SubmitTick is Submit returning the completed tick count at admission —
-// a lower bound on the tick the accepted commands will be stamped with
-// (they apply at the first tick boundary that drains them). On error
+// SubmitTick is Submit returning the tick of the read view published at
+// admission: the accepted commands are stamped at least one past it, and
+// the view labelled with their stamp is the first to show them. On error
 // nothing was enqueued.
 func (s *Session) SubmitTick(origin string, cmds ...Command) (int64, error) {
 	return s.e.SubmitSharded(origin, cmds...)
@@ -186,8 +187,8 @@ func (s *Session) SubmitTick(origin string, cmds ...Command) (int64, error) {
 // SubmitStamped enqueues one journal entry with its original (tick,
 // origin, seq) stamp under the writer lock — the replay path a follower
 // replica drives (see Engine.SubmitStamped): the entry must be stamped
-// for the session's current tick, so a replayer submits each tick's
-// journal slice and then steps once. Unlike Submit, this serializes
+// one past the session's tick, so a replayer submits the slice the next
+// step's commit applies and then steps once. Unlike Submit, this serializes
 // against the clock; replay is a single-writer activity by construction.
 func (s *Session) SubmitStamped(sc StampedCommand) error {
 	s.mu.Lock()

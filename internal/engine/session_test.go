@@ -300,7 +300,7 @@ func TestSessionSubmitStampedReplay(t *testing.T) {
 	}()
 	for tick := int64(0); tick < ticks; tick++ {
 		for _, sc := range journal {
-			if sc.Tick == tick {
+			if sc.Tick == tick+1 { // the batch this step's commit applies
 				if err := replay.SubmitStamped(sc); err != nil {
 					t.Fatal(err)
 				}

@@ -187,6 +187,18 @@ type viewRecord struct {
 	vals  []float64
 }
 
+// storeMin lowers m to v when v is smaller, racing other storers.
+func storeMin(m *atomic.Int64, v int64) {
+	for cur := m.Load(); v < cur && !m.CompareAndSwap(cur, v); cur = m.Load() {
+	}
+}
+
+// storeMax raises m to v when v is larger, racing other storers.
+func storeMax(m *atomic.Int64, v int64) {
+	for cur := m.Load(); v > cur && !m.CompareAndSwap(cur, v); cur = m.Load() {
+	}
+}
+
 // TestSnapshotReadsMatchStandalone is the read-view member of the
 // contract-#4 family (served ≡ standalone): under a free-running clock,
 // reader goroutines record (tick, values) for every zoo query, indexed
@@ -226,6 +238,10 @@ func TestSnapshotReadsMatchStandalone(t *testing.T) {
 					recs := make([][]viewRecord, readers)
 					errs := make(chan error, readers)
 					var done atomic.Int64 // full zoo passes completed, all readers
+					// The lowest and highest tick labels any reader saw.
+					var minSeen, maxSeen atomic.Int64
+					minSeen.Store(math.MaxInt64)
+					maxSeen.Store(-1)
 					for r := 0; r < readers; r++ {
 						wg.Add(1)
 						go func(r int) {
@@ -243,6 +259,8 @@ func TestSnapshotReadsMatchStandalone(t *testing.T) {
 											return
 										}
 										recs[r] = append(recs[r], viewRecord{pr, v.Tick(), vals})
+										storeMin(&minSeen, v.Tick())
+										storeMax(&maxSeen, v.Tick())
 									}
 								}
 								done.Add(1)
@@ -251,9 +269,11 @@ func TestSnapshotReadsMatchStandalone(t *testing.T) {
 					}
 					// The clock runs free until every reader has demonstrably
 					// overlapped it (a single-core scheduler may not run them
-					// at all for the first few ticks).
+					// at all for the first few ticks), and the reads carry at
+					// least two distinct tick labels: done counts passes over
+					// all readers, which may all run against one view.
 					ticks := 0
-					for ; ticks < maxTicks && (ticks < minTicks || done.Load() < 2*readers); ticks++ {
+					for ; ticks < maxTicks && (ticks < minTicks || done.Load() < 2*readers || maxSeen.Load() <= minSeen.Load()); ticks++ {
 						if err := s.Step(1); err != nil {
 							t.Fatal(err)
 						}
@@ -540,7 +560,7 @@ func TestViewRowsMatchEngine(t *testing.T) {
 						}
 						if replica != nil {
 							for _, sc := range e.Journal() {
-								if sc.Tick == tick {
+								if sc.Tick == tick+1 { // the batch the writer's commit applied
 									if err := replica.SubmitStamped(sc); err != nil {
 										t.Fatal(err)
 									}

@@ -33,7 +33,6 @@
 package exec
 
 import (
-	"slices"
 	"sort"
 
 	"github.com/epicscale/sgl/internal/sgl/ast"
@@ -55,47 +54,6 @@ func (d Delta) Frac(n int) float64 {
 		return 0
 	}
 	return float64(len(d.Dirty)) / float64(n)
-}
-
-// AddRows merges a batch of dirty rows into the delta, keeping Dirty
-// sorted ascending (the order MaintainFrom's partition walks rely on) and
-// OR-ing a row's mask into an existing entry for the same row. It exists
-// for mutations that happen after the tick-end diff — externally injected
-// commands mutate rows at the next tick boundary, and those rows must
-// reach the maintenance path exactly like rows the tick itself changed.
-// Over-reporting a column is safe (the row's index entries rebuild from
-// the live table); under-reporting is what breaks exactness.
-//
-// rows must be sorted ascending and duplicate-free, masks parallel to
-// it. The merge runs in place from the back, so it allocates only when
-// the delta's storage must grow, and it moves only the entries at or
-// past the first new row: a few commands against a large delta cost a
-// few binary searches and a short tail shift, and the sharded admission
-// path's ~10⁵-row batches cost one linear pass, never one shift per row.
-func (d *Delta) AddRows(rows []int, masks []uint64) {
-	fresh := 0
-	for _, r := range rows {
-		if i := sort.SearchInts(d.Dirty, r); i == len(d.Dirty) || d.Dirty[i] != r {
-			fresh++
-		}
-	}
-	i, j := len(d.Dirty)-1, len(rows)-1
-	d.Dirty = slices.Grow(d.Dirty, fresh)[:len(d.Dirty)+fresh]
-	d.Masks = slices.Grow(d.Masks, fresh)[:len(d.Masks)+fresh]
-	for w := len(d.Dirty) - 1; j >= 0; w-- {
-		switch {
-		case i >= 0 && d.Dirty[i] > rows[j]:
-			d.Dirty[w], d.Masks[w] = d.Dirty[i], d.Masks[i]
-			i--
-		case i >= 0 && d.Dirty[i] == rows[j]:
-			d.Dirty[w], d.Masks[w] = rows[j], d.Masks[i]|masks[j]
-			i--
-			j--
-		default:
-			d.Dirty[w], d.Masks[w] = rows[j], masks[j]
-			j--
-		}
-	}
 }
 
 // MaintainFrom patches the previous tick's index structures to reflect

@@ -57,8 +57,9 @@ func TestCompactEndpointAndJournalBase(t *testing.T) {
 	}
 
 	// New traffic lands in the tail and is served from the base on.
-	// (Sharded admissions become journal-visible at the next drain
-	// boundary — the tick that applies them — so step once.)
+	// (Sharded admissions become journal-visible at the next drain — the
+	// commit of the step that applies them, stamping them 5 — so step
+	// once.)
 	inject(4)
 	if code := do(t, http.MethodPost, ts.URL+"/v1/sessions/cpt/step", StepRequest{Ticks: 1}, nil); code != http.StatusOK {
 		t.Fatalf("step: status %d", code)
@@ -67,7 +68,7 @@ func TestCompactEndpointAndJournalBase(t *testing.T) {
 		t.Fatalf("journal?since=4: status %d", code)
 	}
 	if len(jr.Entries) != 2 {
-		t.Fatalf("journal?since=4 = %d entries, want the 2 applied at tick 4", len(jr.Entries))
+		t.Fatalf("journal?since=4 = %d entries, want the 2 stamped 5", len(jr.Entries))
 	}
 
 	// Folded history is gone, explicitly.

@@ -554,14 +554,15 @@ type replicaStamp struct {
 
 // ReplicaAdvance replays journal entries and steps the replica world to
 // the target tick: for each tick t below target it submits the entries
-// stamped t (skipping stamps already pending — the bootstrap checkpoint
-// carries the writer's pending buffer, and the first poll after a
-// recovery re-serves those entries) and steps once, notifying push
-// subscribers exactly as a clock tick would. Entries stamped at or past
-// target are ignored; the writer may still be accepting commands for
-// those ticks, so the caller re-requests them next round (see
-// cluster.Follower). Only the replication loop calls this; it refuses on
-// a non-replica world.
+// stamped t+1 — the batch the step to t+1 applies at its commit —
+// skipping stamps already pending (the bootstrap checkpoint carries the
+// writer's pending buffer, and the first poll after a recovery re-serves
+// those entries), and steps once, notifying push subscribers exactly as
+// a clock tick would. Entries stamped past target are ignored: the writer
+// may still be accepting commands for them, so the caller re-requests
+// them next round (see cluster.Follower); the batch stamped target is
+// final once the writer has committed target. Only the replication loop
+// calls this; it refuses on a non-replica world.
 func (w *World) ReplicaAdvance(target int64, entries []engine.StampedCommand) error {
 	if !w.replica {
 		return fmt.Errorf("server: world %s: ReplicaAdvance on a primary world", w.Name)
@@ -577,7 +578,7 @@ func (w *World) ReplicaAdvance(target int64, entries []engine.StampedCommand) er
 		}
 		var pending map[replicaStamp]bool
 		for _, sc := range entries {
-			if sc.Tick != t {
+			if sc.Tick != t+1 {
 				continue
 			}
 			if pending == nil {
@@ -590,7 +591,7 @@ func (w *World) ReplicaAdvance(target int64, entries []engine.StampedCommand) er
 				continue
 			}
 			if err := w.sess.SubmitStamped(sc); err != nil {
-				return fmt.Errorf("server: replica %s: replay tick %d: %w", w.Name, t, err)
+				return fmt.Errorf("server: replica %s: replay tick %d: %w", w.Name, t+1, err)
 			}
 		}
 		if err := w.sess.Step(1); err != nil {

@@ -11,7 +11,7 @@
 //	POST   /v1/sessions/{name}/query        evaluate an observation query
 //	GET    /v1/sessions/{name}/subscribe    push changed answers (SSE)
 //	POST   /v1/sessions/{name}/commands     inject commands (spawn/despawn/set/tune)
-//	GET    /v1/sessions/{name}/journal      download the input journal (?since=N for a suffix, &wait=D to long-poll)
+//	GET    /v1/sessions/{name}/journal      download the input journal (?since=N for the entries stamped after N, &wait=D to long-poll)
 //	POST   /v1/sessions/{name}/compact      fold the applied journal into the base
 //	POST   /v1/sessions/{name}/checkpoint   write a checkpoint into the data dir
 //	GET    /v1/sessions/{name}/checkpoint   stream a checkpoint (binary)
@@ -176,8 +176,9 @@ type CreateResponse struct {
 }
 
 // CommandsRequest injects a batch of typed commands into a world's
-// input buffer; they apply at the next tick boundary in the canonical
-// (tick, origin, sequence) order. The batch is all-or-nothing: if any
+// input buffer; they apply at the next tick's commit — the one under
+// way, if a tick is running — in the canonical (tick, origin, sequence)
+// order. The batch is all-or-nothing: if any
 // command fails validation, none is enqueued.
 type CommandsRequest struct {
 	// Origin identifies the submitter; commands from one origin apply in
@@ -210,8 +211,10 @@ type WireCommand struct {
 type CommandsResponse struct {
 	// Accepted is the number of commands enqueued (the whole batch).
 	Accepted int `json:"accepted"`
-	// Tick is the world tick the commands were stamped with; they apply
-	// at the start of the tick that advances the world past it.
+	// Tick is the tick of the world's read view at admission. The
+	// commands are stamped Tick+1 or later (Tick+1 unless a tick commits
+	// between admission and the drain that stamps them), and the view
+	// labelled with their stamp is the first to show them.
 	Tick int64 `json:"tick"`
 }
 
@@ -220,13 +223,14 @@ type JournalResponse struct {
 	Name string `json:"name"`
 	// Tick is the world's tick count when the journal was read.
 	Tick int64 `json:"tick"`
-	// Base is the journal's compaction base: entries stamped before this
-	// tick have been folded into the checkpoint state and are no longer
-	// retrievable. 0 means the journal reaches back to genesis.
+	// Base is the journal's compaction base: entries stamped at or before
+	// this tick have been folded into the checkpoint state and are no
+	// longer retrievable. 0 means the journal reaches back to genesis.
 	Base int64 `json:"base"`
 	// Entries is every retained accepted command with its (tick, origin,
-	// seq) stamp, in acceptance order, starting at Base (or at ?since=N
-	// when the client asks for a suffix).
+	// seq) stamp, in acceptance order: those stamped after Base (or,
+	// with ?since=N, those stamped after N — what a world at tick N has
+	// yet to apply).
 	Entries []engine.StampedCommand `json:"entries"`
 }
 

@@ -921,7 +921,7 @@ func TestCommandsEndpoint(t *testing.T) {
 	if cr.Accepted != 4 || cr.Tick != 0 {
 		t.Errorf("response = %+v, want accepted 4 at tick 0", cr)
 	}
-	// Nothing applies until the next tick boundary.
+	// Nothing applies until the next step's commit.
 	var st Status
 	do(t, http.MethodGet, ts.URL+"/v1/sessions/cmd", nil, &st)
 	if st.Units != 64 {
@@ -960,6 +960,57 @@ func TestCommandsEndpoint(t *testing.T) {
 	}
 	if jr.Entries[0].Origin != "player-1" || jr.Entries[0].Cmd.Op != engine.OpSpawn {
 		t.Errorf("journal head = %+v", jr.Entries[0])
+	}
+}
+
+// A command's acknowledgment names the tick of the read view it was
+// admitted against. On a paused world the batch is stamped one past it,
+// the view one step publishes carries that stamp as its tick and shows
+// the batch, and the view the acknowledgment named does not.
+func TestCommandAckTickAndStamp(t *testing.T) {
+	ts, _ := newTestServer(t)
+	create(t, ts.URL, "ack", nil)
+	if code := do(t, http.MethodPost, ts.URL+"/v1/sessions/ack/step", StepRequest{Ticks: 3}, nil); code != http.StatusOK {
+		t.Fatalf("step: %d", code)
+	}
+	var cr CommandsResponse
+	if code := do(t, http.MethodPost, ts.URL+"/v1/sessions/ack/commands", CommandsRequest{
+		Origin:   "player-1",
+		Commands: []WireCommand{{Op: "set", Key: 5, Col: "health", Val: 77}},
+	}, &cr); code != http.StatusOK {
+		t.Fatalf("commands: %d", code)
+	}
+	if cr.Accepted != 1 || cr.Tick != 3 {
+		t.Fatalf("response = %+v, want accepted 1 at tick 3", cr)
+	}
+	unit := int64(5)
+	health := func() QueryResponse {
+		t.Helper()
+		var qr QueryResponse
+		if code := do(t, http.MethodPost, ts.URL+"/v1/sessions/ack/query", QueryRequest{
+			Src:  "aggregate Self(u) := max(e.health) as hp over e where e.key = u.key;",
+			Unit: &unit,
+		}, &qr); code != http.StatusOK {
+			t.Fatalf("query: %d", code)
+		}
+		return qr
+	}
+	if qr := health(); qr.Tick != cr.Tick || qr.Values[0] == 77 {
+		t.Fatalf("before the step: %+v; view %d must not show the batch", qr, cr.Tick)
+	}
+	if code := do(t, http.MethodPost, ts.URL+"/v1/sessions/ack/step", StepRequest{Ticks: 1}, nil); code != http.StatusOK {
+		t.Fatalf("step: %d", code)
+	}
+	// The step's commit drained the batch into the journal.
+	var jr JournalResponse
+	if code := do(t, http.MethodGet, ts.URL+"/v1/sessions/ack/journal", nil, &jr); code != http.StatusOK {
+		t.Fatalf("journal: %d", code)
+	}
+	if len(jr.Entries) != 1 || jr.Entries[0].Tick != cr.Tick+1 {
+		t.Fatalf("journal = %+v, want the batch stamped %d", jr.Entries, cr.Tick+1)
+	}
+	if qr := health(); qr.Tick != jr.Entries[0].Tick || qr.Values[0] != 77 {
+		t.Fatalf("after one step: %+v; view %d must show the batch", qr, jr.Entries[0].Tick)
 	}
 }
 

@@ -141,8 +141,9 @@
 //
 // Spectators read; players act. Session.Submit injects typed commands —
 // spawn a unit, despawn one, set a state column, retune a game constant
-// — into a per-tick input buffer that the engine drains at the next tick
-// boundary, before the effect query runs:
+// — into a per-tick input buffer that the engine drains at the next
+// tick's commit, after its decision and movement and before it publishes
+// its read view, so that view and every later decision see them:
 //
 //	err = sess.Submit("player-1",
 //	    sgl.Command{Op: sgl.OpSet, Key: 17, Col: "morale", Val: 9},
@@ -159,7 +160,8 @@
 // Every accepted command is also recorded in the session's input
 // journal (Session.Journal), which yields exactness contract #5: a run
 // replayed from the journal — same program, same initial environment,
-// same seed, each entry re-submitted before its tick — is byte-identical
+// same seed, each entry re-submitted before the tick whose commit applies
+// it — is byte-identical
 // to the live interactive run, at any Workers or Incremental setting
 // (TestReplayMatchesLive proves it over the script zoo and the battle
 // simulation).
@@ -266,7 +268,8 @@ const (
 	OpDespawn = engine.OpDespawn
 	// OpSet overwrites one state column of the unit with Command.Key.
 	OpSet = engine.OpSet
-	// OpTune changes a named game constant from the next tick on.
+	// OpTune changes a named game constant from the decision its stamp
+	// names on.
 	OpTune = engine.OpTune
 )
 
