@@ -81,6 +81,34 @@ func BenchmarkFig10Naive500(b *testing.B)  { benchTicks(b, Naive, 500, 0.01) }
 func BenchmarkFig10Naive1000(b *testing.B) { benchTicks(b, Naive, 1000, 0.01) }
 func BenchmarkFig10Naive2000(b *testing.B) { benchTicks(b, Naive, 2000, 0.01) }
 
+// The walker's decision phase: the interp tree walker over the naive
+// O(n)-scan provider, unit at a time, on the battle the Naive rows tick.
+// Naive ran exactly this before it became the compiled plan over scans,
+// so the three families split Figure 10's ratio in two: Interp/Naive is
+// interpretation, Naive/Indexed is indexing. These rows time the decision
+// phase alone, which is nearly all of a walker tick.
+func BenchmarkFig10Interp250(b *testing.B)  { benchWalkerDecision(b, 250) }
+func BenchmarkFig10Interp500(b *testing.B)  { benchWalkerDecision(b, 500) }
+func BenchmarkFig10Interp1000(b *testing.B) { benchWalkerDecision(b, 1000) }
+func BenchmarkFig10Interp2000(b *testing.B) { benchWalkerDecision(b, 2000) }
+
+func benchWalkerDecision(b *testing.B, n int) {
+	e := newBattle(b, Naive, n, 0.01, nil)
+	prog, env := e.Program(), e.Env()
+	r := rng.New(42).Tick(e.TickCount())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ev := interp.New(prog, env, interp.NewNaive(prog, env, r), r)
+		for _, unit := range env.Rows {
+			if err := ev.RunUnit(unit, func([]float64) {}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(n)/b.Elapsed().Seconds()*float64(b.N), "unit-ticks/s")
+}
+
 func BenchmarkFig10Indexed250(b *testing.B)   { benchTicks(b, Indexed, 250, 0.01) }
 func BenchmarkFig10Indexed500(b *testing.B)   { benchTicks(b, Indexed, 500, 0.01) }
 func BenchmarkFig10Indexed1000(b *testing.B)  { benchTicks(b, Indexed, 1000, 0.01) }

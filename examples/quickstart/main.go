@@ -1,5 +1,8 @@
 // Quickstart: define a tiny game schema, write an SGL script, and run a
-// few clock ticks under both engines, checking they agree.
+// few clock ticks under both engines, checking they agree. Both run the
+// same compiled plan; Naive answers every aggregate by scanning all rows,
+// Indexed through index structures, so their agreement checks the
+// indexes against the scan.
 //
 // The "game": wolves chase the nearest sheep and bite it when adjacent;
 // sheep flee from the centroid of nearby wolves.

@@ -8,7 +8,10 @@
 // can see and flees — morale varies per unit, so the herd frays at the
 // edges instead of moving uniformly (the individuality the paper argues
 // centralized AI cannot express). The same scripts run under both engines
-// and the program reports the measured time ratio.
+// and the program reports the measured time ratio. Both engines run the
+// same compiled plan, so the ratio is scanning against indexing: O(n) per
+// aggregate against the shared range trees, with no interpretation cost
+// on either side.
 package main
 
 import (
@@ -136,6 +139,6 @@ func main() {
 	fmt.Printf("%d units, 10 ticks of skeleton panic (both engines agree)\n", n)
 	fmt.Printf("  naive   engine: %8.3fs  (each unit scans all %d units per aggregate)\n", naiveTime.Seconds(), n)
 	fmt.Printf("  indexed engine: %8.3fs  (shared range trees over the skeleton horde)\n", indexedTime.Seconds())
-	fmt.Printf("  speedup: %.1f×\n", naiveTime.Seconds()/indexedTime.Seconds())
+	fmt.Printf("  speedup: %.1f× (scan → index, same executor)\n", naiveTime.Seconds()/indexedTime.Seconds())
 	fmt.Printf("  villagers driven deep into the west: %d (morale varies per unit — no uniform herd)\n", fleeing)
 }

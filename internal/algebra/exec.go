@@ -38,7 +38,8 @@ type Row struct {
 // the inputs it closes over — the program, the compiled plan, the
 // environment table, and the tick source — are all read-only during a
 // tick and may be shared freely. The provider must likewise be private to
-// the goroutine (see exec.Indexed.Fork) or stateless (interp.Naive).
+// the goroutine (see exec.Indexed.Fork) or stateless, like the
+// interp.Naive walker the differential tests run it over.
 //
 // The parallel engine exploits this by giving every worker its own Executor
 // over a disjoint row range of the same frozen environment snapshot: plan

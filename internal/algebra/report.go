@@ -1,12 +1,11 @@
 // Pipeline classification report: the statically-derivable part of what
 // the streaming executor decides at pipeline-compile time, exposed so the
 // lint pass (internal/sgl/lint) can diagnose guard placement and conjunct
-// selectivity with the executor's own code. Report and
-// Executor.PipelineReports both render through chainStages — the exact
-// function plan compilation lays pipelines out with — so a static report
-// over a plan is byte-identical to the live executor's placement for that
-// plan. (Batch segmentation is provider-dependent and deliberately absent
-// from the report.)
+// selectivity with the executor's own code. Report renders through
+// chainStages — the exact function plan compilation lays pipelines out
+// with — so a static report over a plan is byte-identical to the live
+// executor's placement for that plan. (Batch segmentation is
+// provider-dependent and deliberately absent from the report.)
 package algebra
 
 import (
@@ -115,21 +114,6 @@ func Report(prog *sem.Program, p *Plan) ([]PipelineReport, error) {
 			return nil, err
 		}
 		out = append(out, reportChain(prog, ap, stages))
-	}
-	return out, nil
-}
-
-// PipelineReports reports the pipelines this executor actually runs. The
-// stage order is read back from the plan's compiled stage lists — the
-// structures EachUnit executes — so a test comparing this against the
-// static Report proves the lint pass and the executor share one placement.
-func (x *Executor) PipelineReports() ([]PipelineReport, error) {
-	if x.codeErr != nil {
-		return nil, x.codeErr
-	}
-	out := make([]PipelineReport, 0, len(x.code.applies))
-	for _, ap := range x.code.applies {
-		out = append(out, reportChain(x.prog, ap, x.code.chains[ap.In]))
 	}
 	return out, nil
 }

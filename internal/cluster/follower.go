@@ -64,7 +64,6 @@ type Follower struct {
 	cancel context.CancelFunc
 	done   chan struct{}
 
-	syncs      atomic.Int64
 	recoveries atomic.Int64
 	lastErr    atomic.Value // string
 }
@@ -125,9 +124,6 @@ func (f *Follower) World() *server.World {
 // Recoveries counts checkpoint re-bootstraps forced by writer
 // compaction (the 410 path).
 func (f *Follower) Recoveries() int64 { return f.recoveries.Load() }
-
-// Syncs counts journal polls that completed (with or without progress).
-func (f *Follower) Syncs() int64 { return f.syncs.Load() }
 
 // Err returns the last replication error ("" when healthy). Transient:
 // the loop keeps retrying until Stop.
@@ -233,7 +229,6 @@ func (f *Follower) sync() error {
 		}
 	}
 	w.SetReplicaLag(jr.Tick - w.Session().Tick())
-	f.syncs.Add(1)
 	return nil
 }
 

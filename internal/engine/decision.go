@@ -13,7 +13,6 @@ import (
 	"github.com/epicscale/sgl/internal/rng"
 	"github.com/epicscale/sgl/internal/sgl/ast"
 	"github.com/epicscale/sgl/internal/sgl/expr"
-	"github.com/epicscale/sgl/internal/sgl/interp"
 	"github.com/epicscale/sgl/internal/table"
 )
 
@@ -27,7 +26,7 @@ type performer struct {
 // shardExecutor returns shard s's plan executor bound to this tick: built
 // on the shard's first tick, rebound — row storage and arena kept — on
 // every later one. Shards run concurrently, each touching only its slot.
-func (e *Engine) shardExecutor(s int, prov interp.Provider, r rng.TickSource, lo, hi int) (*algebra.Executor, error) {
+func (e *Engine) shardExecutor(s int, prov *exec.Indexed, r rng.TickSource, lo, hi int) (*algebra.Executor, error) {
 	if x := e.execs[s]; x != nil {
 		return x, x.Rebind(e.env, prov, r, lo, hi)
 	}
@@ -66,49 +65,26 @@ func (e *Engine) foldEffects(s int, rows []float64, acc *accumulator, keyIdx map
 	}
 }
 
-// decideNaive is the Naive mode's decision phase: the unit-at-a-time
-// interpreter with O(n)-scan aggregates (the Figure 10 baseline), sharded.
-// Each shard runs its units' scripts against the whole frozen snapshot
-// (interp.Naive and interp.Evaluator are stateless) and buffers the effect
-// rows they emit; the barrier folds the buffers in shard order, which is
-// global unit order.
-func (e *Engine) decideNaive(r rng.TickSource, acc *accumulator, keyIdx map[int64]int) error {
-	bounds := e.shards(e.env.Len())
-	if err := runShardsErr(bounds, func(s, lo, hi int) error {
-		out := &e.outs[s]
-		out.effects = out.effects[:0]
-		ev := interp.New(e.prog, e.env, interp.NewNaive(e.prog, e.env, r), r)
-		emit := func(row []float64) { out.effects = append(out.effects, row...) }
-		for _, unit := range e.env.Rows[lo:hi] {
-			if err := ev.RunUnit(unit, emit); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-	for s := range bounds {
-		e.foldEffects(s, e.outs[s].effects, acc, keyIdx)
-	}
-	return nil
-}
-
-// decideIndexed is the Indexed mode's decision phase: the compiled
-// set-at-a-time plan over the indexed provider, sharded. Each shard
-// evaluates the plan restricted to its row range with its own Executor,
-// buffering effect rows per Apply node and collecting deferrable area
-// performers, which apply after the barrier through the Section 5.4
-// effect index. With several shards the master provider builds every
-// index up front (FreezeParallel spreads the builds over the workers) and
-// each shard probes it through its own Fork; a single shard probes the
-// master itself, which builds what it is asked for, when it is asked.
+// decide is the decision phase of both modes: the compiled set-at-a-time
+// plan over an exec.Indexed provider, sharded. The modes differ only in
+// the provider's analyzer. Naive's (exec.NewScanAnalyzer) makes every
+// probe one compiled pass over all rows — the Figure 10 baseline — and
+// keys, partitions and defers nothing, so its master builds no index.
+//
+// Each shard evaluates the plan restricted to its row range with its own
+// Executor, buffering effect rows per Apply node and collecting
+// deferrable area performers, which apply after the barrier through the
+// Section 5.4 effect index. With several shards the master provider
+// builds every index up front (FreezeParallel spreads the builds over the
+// workers) and each shard probes it through its own Fork; a single shard
+// probes the master itself, which builds what it is asked for, when it
+// is asked.
 //
 // Every path iterates e.applies — Plan.Applies(), taken once at
 // construction — and the merge folds node-major, shard-minor: within a
 // node, shard order is global performer-row order, so every target's
 // fold sequence is the same bit for bit at any shard count.
-func (e *Engine) decideIndexed(r rng.TickSource, acc *accumulator, keyIdx map[int64]int) error {
+func (e *Engine) decide(r rng.TickSource, acc *accumulator, keyIdx map[int64]int) error {
 	master := e.newIndexedProvider(r, keyIdx)
 	bounds := e.shards(e.env.Len())
 	forked := len(bounds) > 1

@@ -5,17 +5,19 @@
 // pathfinding, and the resurrection rule the experiments use to keep the
 // population constant.
 //
-// The engine runs the same game under two interchangeable evaluators —
-// the paper's central experimental comparison:
+// The engine runs the same game in two modes — the paper's central
+// experimental comparison. Both run one decision phase, the compiled
+// set-at-a-time plan, and differ only in how its aggregates and actions
+// find their rows:
 //
-//   - Naive: the unit-at-a-time interpreter with O(n)-scan aggregates
-//     (O(n²) per tick);
-//   - Indexed: the compiled set-at-a-time plan over the index structures of
-//     Section 5.3 (O(n log n) per tick), including the Section 5.4 effect
-//     index for area-of-effect actions.
+//   - Naive: every probe is an O(n) scan of all rows (O(n²) per tick);
+//   - Indexed: probes use the index structures of Section 5.3
+//     (O(n log n) per tick), including the Section 5.4 effect index for
+//     area-of-effect actions.
 //
-// Both must produce identical game states tick-for-tick; the differential
-// tests enforce this.
+// Both must produce identical game states tick-for-tick, and both must
+// match the independent tree-walking evaluator of package interp; the
+// differential tests enforce this.
 package engine
 
 import (
@@ -35,7 +37,8 @@ import (
 	"github.com/epicscale/sgl/internal/table"
 )
 
-// Mode selects the aggregate query evaluator.
+// Mode selects how the decision phase's aggregates and actions find
+// their rows: by scanning (Naive) or through indexes (Indexed).
 type Mode int
 
 // Evaluator modes.
@@ -129,11 +132,13 @@ type Options struct {
 	threshold float64
 	// midTick, when set, runs between a tick's decision phase and its
 	// commit, the window a command arriving while a tick runs lands in.
-	// Only this package's tests set it, to admit commands there. It
-	// exists for TestCommandLandsInItsTicksView, which fails if the drain
-	// leaves the commit. A mid-tick admission is stamped and applied
-	// like one made just before Tick, so the mid-tick traffic the replay
-	// and resume differentials carry takes the same path as theirs.
+	// Only this package's tests set it: to admit commands there, or to
+	// hold the tick's decision accumulator to the tree walker's
+	// (TestNaiveDecisionMatchesWalker). It exists for
+	// TestCommandLandsInItsTicksView, which fails if the drain leaves the
+	// commit. A mid-tick admission is stamped and applied like one made
+	// just before Tick, so the mid-tick traffic the replay and resume
+	// differentials carry takes the same path as theirs.
 	midTick func(*Engine)
 }
 
@@ -348,6 +353,14 @@ func build(prog *sem.Program, game Game, initial *table.Table, opts Options) (*E
 	// any sibling engine compiled from it) must stay untouched. The AST,
 	// schema and resolution maps are immutable and stay shared.
 	prog = prog.WithPrivateConsts()
+	// The one place the modes differ: Naive's analyzer classifies every
+	// definition as a scan, so the shared decision phase indexes nothing.
+	var an *exec.Analyzer
+	if opts.Mode == Naive {
+		an = exec.NewScanAnalyzer(prog)
+	} else {
+		an = exec.NewAnalyzer(prog, opts.Categoricals)
+	}
 	e := &Engine{
 		prog:    prog,
 		source:  prog.Script.String(),
@@ -355,7 +368,7 @@ func build(prog *sem.Program, game Game, initial *table.Table, opts Options) (*E
 		opts:    opts,
 		env:     initial.Clone(),
 		src:     rng.New(opts.Seed),
-		an:      exec.NewAnalyzer(prog, opts.Categoricals),
+		an:      an,
 		posX:    px,
 		posY:    py,
 		workers: w,
@@ -523,11 +536,7 @@ func (e *Engine) Tick() error {
 	// effect query runs sharded over the frozen snapshot — one shard at
 	// Workers 1 — and the per-shard effects merge at a barrier in one
 	// fixed fold order.
-	decide := e.decideIndexed
-	if e.opts.Mode == Naive {
-		decide = e.decideNaive
-	}
-	if err := decide(r, acc, keyIdx); err != nil {
+	if err := e.decide(r, acc, keyIdx); err != nil {
 		return err
 	}
 	if e.opts.midTick != nil {
@@ -803,7 +812,8 @@ func (e *Engine) resurrect(dead []bool) {
 				e.occSq[i] = sq
 				break
 			}
-			if tries > 10*int(e.opts.Side*e.opts.Side) {
+			// In float64: from Side ≈ 1e9 up, 10·Side² overflows an int.
+			if float64(tries) > 10*e.opts.Side*e.opts.Side {
 				// Pathological full grid: stack at origin rather than spin.
 				// The unit now shares a square, so the carried table no
 				// longer says who holds it.

@@ -1,9 +1,13 @@
 package engine
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
+	"github.com/epicscale/sgl/internal/exec"
 	"github.com/epicscale/sgl/internal/game"
+	"github.com/epicscale/sgl/internal/sgl/interp"
 	"github.com/epicscale/sgl/internal/sgl/sem"
 	"github.com/epicscale/sgl/internal/table"
 	"github.com/epicscale/sgl/internal/workload"
@@ -38,13 +42,87 @@ func newEngine(t testing.TB, prog *sem.Program, n int, mode Mode, seed uint64, t
 	return e
 }
 
+// walkerDecides is an Options.midTick hook that checks the tick's
+// decision phase against the independent oracle: the interp tree walker
+// over the naive O(n)-scan provider, run on the same frozen rows with the
+// same tick source, every unit's effect rows folded in unit order. The
+// engine's accumulator must equal the walker's in every cell, bit for bit.
+// checked counts the ticks it compared.
+func walkerDecides(t *testing.T, checked *int) func(*Engine) {
+	return func(e *Engine) {
+		r := e.src.Tick(e.tick)
+		want := newAccumulator(e.prog.Schema, e.env.Len())
+		keyIdx := buildKeyIndex(e.env)
+		kc := e.prog.Schema.KeyCol()
+		ev := interp.New(e.prog, e.env, interp.NewNaive(e.prog, e.env, r), r)
+		for _, unit := range e.env.Rows {
+			if err := ev.RunUnit(unit, func(row []float64) {
+				if i, ok := keyIdx[int64(row[kc])]; ok {
+					want.foldRow(i, row)
+				}
+			}); err != nil {
+				t.Fatalf("tick %d: walker: %v", e.tick, err)
+			}
+		}
+		for i, row := range want.vals {
+			for c, v := range row {
+				if got := e.acc.vals[i][c]; math.Float64bits(got) != math.Float64bits(v) {
+					t.Fatalf("tick %d: row %d column %s: decision phase folded %v, the walker %v",
+						e.tick, i, e.prog.Schema.Attr(c).Name, got, v)
+				}
+			}
+		}
+		*checked++
+	}
+}
+
+// The Naive mode is the shared decision phase over all-scan probes. Every
+// tick its effect accumulator must equal the walker's, bit for bit: over
+// the battle and every zoo world, at one shard and at four, and across an
+// OpTune of every constant the tune fixture compiles.
+func TestNaiveDecisionMatchesWalker(t *testing.T) {
+	const ticks = 15
+	type world struct {
+		name  string
+		prog  *sem.Program
+		units int
+	}
+	worlds := []world{{"battle", battleProg(t), 90}, {"tune", compileZoo(t, tuneScript), 120}}
+	for _, zp := range exec.Zoo {
+		worlds = append(worlds, world{zp.Name, compileZoo(t, zp.Src), 64})
+	}
+	for _, w := range worlds {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/w%d", w.name, workers), func(t *testing.T) {
+				checked := 0
+				e := newEngine(t, w.prog, w.units, Naive, 7, func(o *Options) {
+					o.Workers, o.midTick = workers, walkerDecides(t, &checked)
+				})
+				for tick := 0; tick < ticks; tick++ {
+					if w.name == "tune" && tick == 5 {
+						tuneAll(t, e)
+					}
+					if err := e.Tick(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if checked != ticks {
+					t.Fatalf("compared %d of %d ticks", checked, ticks)
+				}
+			})
+		}
+	}
+}
+
 // The paper's central correctness claim: the indexed engine is an
 // optimization, not a different game. Both engines must produce identical
-// environments tick-for-tick.
+// environments tick-for-tick, and the Naive one must decide like the
+// walker.
 func TestNaiveAndIndexedAgreeOverManyTicks(t *testing.T) {
 	prog := battleProg(t)
 	for _, seed := range []uint64{1, 2} {
-		naive := newEngine(t, prog, 90, Naive, seed, nil)
+		checked := 0
+		naive := newEngine(t, prog, 90, Naive, seed, func(o *Options) { o.midTick = walkerDecides(t, &checked) })
 		indexed := newEngine(t, prog, 90, Indexed, seed, nil)
 		for tick := 0; tick < 12; tick++ {
 			if err := naive.Tick(); err != nil {
@@ -56,6 +134,9 @@ func TestNaiveAndIndexedAgreeOverManyTicks(t *testing.T) {
 			if !naive.Env().AlmostEqualContents(indexed.Env(), 1e-9) {
 				t.Fatalf("seed %d: engines diverged at tick %d", seed, tick)
 			}
+		}
+		if checked != 12 {
+			t.Fatalf("seed %d: the walker checked %d of 12 ticks", seed, checked)
 		}
 	}
 }

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"github.com/epicscale/sgl/internal/game"
 	"github.com/epicscale/sgl/internal/geom"
+	"github.com/epicscale/sgl/internal/rng"
 	"github.com/epicscale/sgl/internal/workload"
 )
 
@@ -166,6 +168,37 @@ func TestMovementStaysInsideLargeWorlds(t *testing.T) {
 		if _, err := Open(bytes.NewReader(buf.Bytes()), game.NewMechanics(), Options{}); err != nil {
 			t.Fatalf("side %v: the world movement left does not reopen: %v", side, err)
 		}
+	}
+}
+
+// A unit respawning into a world of side 2^30 whose first pick is taken
+// takes its next pick. The retry bound, 10·Side² squares, used to be an
+// int product that overflows there: negative, it ended the search at the
+// first occupied pick and put the unit on the origin.
+func TestRespawnRetriesInLargeWorlds(t *testing.T) {
+	prog := battleProg(t)
+	const side, seed = 1 << 30, 3
+	kc, px, py := prog.Schema.KeyCol(), prog.Schema.MustCol("posx"), prog.Schema.MustCol("posy")
+	spec := workload.Spec{Units: 24, Density: 0.01, Seed: seed, Formation: workload.BattleLines}
+	e, err := New(prog, game.NewMechanics(), workload.Generate(spec), Options{
+		Mode: Indexed, Categoricals: game.Categoricals(), Seed: seed, Side: side, MoveSpeed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const dying, blocker = 0, 1
+	// The dying unit's draws: Respawn's, then one (x, y) per pick.
+	st := rng.New(seed).Substream(2_000_000+e.tick, int64(e.env.Rows[dying][kc]))
+	game.NewMechanics().Respawn(slices.Clone(e.env.Rows[dying]), st)
+	firstX, firstY := float64(st.Intn(side)), float64(st.Intn(side))
+	nextX, nextY := float64(st.Intn(side)), float64(st.Intn(side))
+	e.env.Rows[blocker][px], e.env.Rows[blocker][py] = firstX, firstY
+
+	dead := make([]bool, e.env.Len())
+	dead[dying] = true
+	e.resurrect(dead)
+	if x, y := e.env.Rows[dying][px], e.env.Rows[dying][py]; x != nextX || y != nextY {
+		t.Fatalf("respawned onto (%v, %v) past the taken (%v, %v), want its next pick (%v, %v)", x, y, firstX, firstY, nextX, nextY)
 	}
 }
 

@@ -53,8 +53,9 @@ func runWorkers(t *testing.T, prog *sem.Program, mode Mode, workers, units, tick
 }
 
 // TestParallelMatchesSerial is the headline determinism proof: the
-// decision phase is one sharded function per mode, and Workers 1 is its
-// one-shard case (the provider probed lazily, no freeze, no fork). For
+// decision phase is one sharded function, Naive is its scan-classified
+// case, and Workers 1 is its one-shard case (the provider probed lazily,
+// no freeze, no fork). For
 // every program in the script zoo, 50 ticks at Workers ∈ {1, 2, 3, 8}
 // must leave an environment table byte-identical to the one-shard run —
 // cell exact, row order included.
@@ -71,7 +72,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 					t.Fatalf("indexed workers=%d diverged from serial after %d ticks", w, ticks)
 				}
 			}
-			// The sharded interpreter path must honor the same contract.
+			// So must the scan-classified (Naive) case.
 			naiveSerial := runWorkers(t, prog, Naive, 1, units, ticks, 7)
 			for _, w := range []int{3} {
 				got := runWorkers(t, prog, Naive, w, units, ticks, 7)

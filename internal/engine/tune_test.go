@@ -35,30 +35,47 @@ function main(u) {
 }
 `
 
+// tuneAll submits an OpTune of every constant the tune fixture compiles,
+// each to a value it has not held.
+func tuneAll(t *testing.T, e *Engine) {
+	t.Helper()
+	for i, name := range []string{"_HEAL_AURA", "_HEALER_RANGE", "_PACK_COUNT", "_SPREAD_LIMIT", "_TIME_RELOAD"} {
+		v, _ := e.ConstValue(name)
+		if err := e.Submit("ops", Command{Op: OpTune, Col: name, Val: v + float64(i+1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // An OpTune stamped at tick t must change tick t+1 on every evaluation
 // path alike. The compiled paths read constants through the engine's
 // cells when a closure runs; a constant baked into a closure at compile
-// time would leave Indexed (any Workers, any Incremental) on the old
-// value while Naive — which walks the AST against the live table — moves.
+// time would leave them on the old value while the walker — which reads
+// the live table from the AST — moves. The Naive run checks every tick's
+// decision phase against the walker; Indexed (any Workers, any
+// Incremental) must then agree with Naive.
 func TestTuneReachesCompiledExprs(t *testing.T) {
 	prog := compileZoo(t, tuneScript)
 	const units, tuneAt, ticks = 120, 5, 12
-	consts := []string{"_HEAL_AURA", "_HEALER_RANGE", "_PACK_COUNT", "_SPREAD_LIMIT", "_TIME_RELOAD"}
 
 	run := func(mode Mode, workers int, inc, tune bool) *table.Table {
-		e := newEngine(t, prog, units, mode, 9, func(o *Options) { o.Workers, o.Incremental = workers, inc })
+		checked := 0
+		e := newEngine(t, prog, units, mode, 9, func(o *Options) {
+			o.Workers, o.Incremental = workers, inc
+			if mode == Naive {
+				o.midTick = walkerDecides(t, &checked)
+			}
+		})
 		for tick := 0; tick < ticks; tick++ {
 			if tune && tick == tuneAt {
-				for i, name := range consts {
-					v, _ := e.ConstValue(name)
-					if err := e.Submit("ops", Command{Op: OpTune, Col: name, Val: v + float64(i+1)}); err != nil {
-						t.Fatal(err)
-					}
-				}
+				tuneAll(t, e)
 			}
 			if err := e.Tick(); err != nil {
 				t.Fatal(err)
 			}
+		}
+		if mode == Naive && checked != ticks {
+			t.Fatalf("the walker checked %d of %d ticks", checked, ticks)
 		}
 		return e.Env()
 	}
@@ -68,7 +85,7 @@ func TestTuneReachesCompiledExprs(t *testing.T) {
 		t.Fatal("tuning every constant changed nothing: the fixture does not observe its constants")
 	}
 	ref := run(Indexed, 1, false, true)
-	// Naive and Indexed fold sums in different association; they agree to
+	// Scans and indexes fold sums in different association; they agree to
 	// rounding, like every other Naive/Indexed comparison in this package.
 	if !naive.AlmostEqualContents(ref, 1e-9) {
 		t.Fatal("Indexed diverged from Naive after OpTune: a compiled expression did not see the retune")

@@ -1,5 +1,7 @@
 // Package exec implements the indexed aggregate query evaluator of paper
-// Section 5.3 — the counterpart of the naive evaluator in sgl/interp.
+// Section 5.3. It serves both engine modes: the Naive mode's analyzer
+// (NewScanAnalyzer) classifies every definition as a scan. The naive
+// tree walker in sgl/interp is its independent oracle.
 //
 // A one-time analysis pass classifies every aggregate and action definition
 // by inspecting the conjuncts of its WHERE clause (the paper assumes φ is
@@ -203,6 +205,8 @@ type Analyzer struct {
 	// groups are the membership groups of the indexable definitions, by
 	// ordinal, in order of their first definition.
 	groups []*membership
+	// scan classifies every definition as a scan (NewScanAnalyzer).
+	scan bool
 }
 
 // NewAnalyzer builds an analyzer. categoricalAttrs names the low-volatility
@@ -216,6 +220,19 @@ type Analyzer struct {
 // once.) A semantically checked program always compiles; anything else is
 // an internal invariant violation and panics.
 func NewAnalyzer(prog *sem.Program, categoricalAttrs []string) *Analyzer {
+	return newAnalyzer(prog, categoricalAttrs, false)
+}
+
+// NewScanAnalyzer builds the Naive mode's analyzer: every aggregate is
+// non-indexable and every action an ActScan, so a provider over it
+// answers every probe with one compiled pass over all rows and keys,
+// partitions and defers nothing — Figure 10's O(n)-scan side, on the
+// same executor as the indexed one.
+func NewScanAnalyzer(prog *sem.Program) *Analyzer {
+	return newAnalyzer(prog, nil, true)
+}
+
+func newAnalyzer(prog *sem.Program, categoricalAttrs []string, scan bool) *Analyzer {
 	cat := map[int]bool{}
 	for _, name := range categoricalAttrs {
 		if col, ok := prog.Schema.Col(name); ok {
@@ -229,6 +246,7 @@ func NewAnalyzer(prog *sem.Program, categoricalAttrs []string) *Analyzer {
 		categorical: cat,
 		posX:        -1,
 		posY:        -1,
+		scan:        scan,
 	}
 	if c, ok := prog.Schema.Col("posx"); ok {
 		an.posX = c
@@ -440,7 +458,7 @@ func groupAxes(bounds []Bound) []RangeAxis {
 }
 
 func (an *Analyzer) analyzeAgg(def *ast.AggDef) *AggAnalysis {
-	a := &AggAnalysis{Def: def, Indexable: true, reads: an.reads(def)}
+	a := &AggAnalysis{Def: def, Indexable: !an.scan, reads: an.reads(def)}
 	var bounds []Bound
 	if def.Where != nil {
 		for _, c := range ast.Conjuncts(def.Where) {
@@ -753,6 +771,10 @@ func (an *Analyzer) classifyAct(def *ast.ActDef) *ActAnalysis {
 		}
 	}
 	a.Axes = groupAxes(bounds)
+	if an.scan {
+		a.Class = ActScan
+		return a
+	}
 
 	// Any conjunct of the form e.key = t makes the action a point lookup:
 	// the remaining conjuncts (whatever their shape — the d20 scripts put

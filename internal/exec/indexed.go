@@ -31,8 +31,10 @@ import (
 // the first probe that reads it (the paper's two index-building phases
 // fall out of this: decision-phase aggregates trigger builds before
 // probing, action-phase structures are built when actions run). Indexed
-// must agree exactly with interp.Naive; the differential tests in this
-// package enforce that.
+// serves both engine modes — over a NewScanAnalyzer every probe is a
+// scan — and must agree exactly with the interp.Naive walker, the
+// independent oracle; the differential tests in this package enforce
+// that.
 //
 // An Indexed is not safe for concurrent use: index builds and the Stats
 // counters mutate shared maps. For parallel tick execution, call Freeze

@@ -31,20 +31,12 @@ func (p Point) DistSq(q Point) float64 {
 	return dx*dx + dy*dy
 }
 
-// Dist returns the Euclidean distance between p and q.
-func (p Point) Dist(q Point) float64 { return math.Sqrt(p.DistSq(q)) }
-
 // ChebyshevDist returns the L∞ distance between p and q. A unit with a
 // square "in range" box of half-extent r covers exactly the points at
 // Chebyshev distance ≤ r, so this is the natural metric for the paper's
 // rectangular range conditions.
 func (p Point) ChebyshevDist(q Point) float64 {
 	return math.Max(math.Abs(p.X-q.X), math.Abs(p.Y-q.Y))
-}
-
-// ManhattanDist returns the L1 distance between p and q.
-func (p Point) ManhattanDist(q Point) float64 {
-	return math.Abs(p.X-q.X) + math.Abs(p.Y-q.Y)
 }
 
 // Add returns the componentwise sum of v and w.
@@ -61,9 +53,6 @@ func (v Vec) Neg() Vec { return Vec{-v.X, -v.Y} }
 
 // Len returns the Euclidean length of v.
 func (v Vec) Len() float64 { return math.Hypot(v.X, v.Y) }
-
-// LenSq returns the squared Euclidean length of v.
-func (v Vec) LenSq() float64 { return v.X*v.X + v.Y*v.Y }
 
 // Dot returns the dot product of v and w.
 func (v Vec) Dot(w Vec) float64 { return v.X*w.X + v.Y*w.Y }
@@ -143,9 +132,6 @@ func (r Rect) Union(s Rect) Rect {
 		math.Max(r.MaxX, s.MaxX), math.Max(r.MaxY, s.MaxY),
 	}
 }
-
-// Overlaps reports whether r and s share at least one point.
-func (r Rect) Overlaps(s Rect) bool { return !r.Intersect(s).Empty() }
 
 // Width returns the X extent of r (0 for empty rectangles).
 func (r Rect) Width() float64 {

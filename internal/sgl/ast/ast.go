@@ -177,12 +177,6 @@ const (
 
 func (o CmpOp) String() string { return [...]string{"=", "<>", "<", "<=", ">", ">="}[o] }
 
-// Negate returns the complementary comparison (used when rewriting
-// if-then-else into σφ / σ¬φ branches).
-func (o CmpOp) Negate() CmpOp {
-	return [...]CmpOp{Ne, Eq, Ge, Gt, Le, Lt}[o]
-}
-
 // Compare is an atomic condition t1 op t2.
 type Compare struct {
 	P    token.Pos

@@ -23,8 +23,9 @@
 // path) run closures compiled once by package expr; interp re-derives
 // every value from the AST on every call, sharing no code with the
 // compiler, which is what makes it an independent oracle. Its callers are
-// the engine's Naive mode, the scan twins of the observation queries, and
-// the differential tests.
+// the scan twins of the observation queries and the differential tests;
+// the engine's Naive mode runs the compiled plan over all-scan probes and
+// is held to this walker tick by tick.
 package interp
 
 import (
