@@ -401,40 +401,28 @@ func BenchmarkEngineTickNaiveVsIndexed(b *testing.B) {
 // measure goroutine overhead, not parallelism — on a multicore box the
 // Workers=4 rows should show the ≥ 2× gain over Workers=1 at 10k units.
 //
-// Each (n, w) point also runs in incremental mode (/incr): the battle is
-// a high-churn workload, so the incremental rows mostly measure the
-// threshold fallback's overhead plus whatever the per-definition column
-// masks still salvage (stationary melee lines leave position-keyed trees
-// clean). The dedicated low-churn measurement is BenchmarkTickIncrementalSentry.
+// The battle is a high-churn workload: index maintenance falls back to a
+// rebuild on nearly every structure, keeping what the per-definition
+// column masks still salvage (stationary melee lines leave position-keyed
+// trees clean). The dedicated low-churn measurement is
+// BenchmarkTickIncrementalSentry.
 //
 //	go test -bench=TickParallel -benchtime=10x
 
 func BenchmarkTickParallel(b *testing.B) {
 	for _, n := range []int{2000, 10000} {
 		for _, w := range []int{1, 2, 4, 8} {
-			for _, inc := range []bool{false, true} {
-				mode := "rebuild"
-				if inc {
-					mode = "incr"
-				}
-				if inc && w != 1 && w != 4 {
-					continue // keep the matrix small: incr at w ∈ {1, 4}
-				}
-				b.Run(fmt.Sprintf("n%d/w%d/%s", n, w, mode), func(b *testing.B) {
-					e := newBattle(b, Indexed, n, 0.01, func(o *EngineOptions) {
-						o.Workers = w
-						o.Incremental = inc
-					})
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if err := e.Tick(); err != nil {
-							b.Fatal(err)
-						}
+			b.Run(fmt.Sprintf("n%d/w%d", n, w), func(b *testing.B) {
+				e := newBattle(b, Indexed, n, 0.01, func(o *EngineOptions) { o.Workers = w })
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := e.Tick(); err != nil {
+						b.Fatal(err)
 					}
-					b.ReportMetric(float64(n)/b.Elapsed().Seconds()*float64(b.N), "unit-ticks/s")
-				})
-			}
+				}
+				b.ReportMetric(float64(n)/b.Elapsed().Seconds()*float64(b.N), "unit-ticks/s")
+			})
 		}
 	}
 }
@@ -444,11 +432,12 @@ func BenchmarkTickParallel(b *testing.B) {
 // of knights and archers watches the opposing knight line (three
 // aggregate probes per unit per tick over trees partitioned by player and
 // unit type) while a small scout detachment — 1 unit in 25 — random-walks
-// the map. Rebuild mode reconstructs every tree from all n units each
-// tick; incremental mode rebuilds only the scouts' partitions and reuses
-// the rest, which is where the ≥ 1.3× tick speedup at 10k units comes
-// from (multicore or not — the win is build work removed, not
-// parallelism).
+// the map. A rebuild would reconstruct every tree from all n units each
+// tick; maintenance rebuilds only the scouts' partitions and reuses the
+// rest, which is where the ≥ 1.3× tick speedup at 10k units over
+// rebuilding comes from (multicore or not — the win is build work
+// removed, not parallelism; internal/engine's BenchmarkTickIncremental500
+// keeps a rebuilding row).
 //
 //	go test -bench=TickIncrementalSentry -benchtime=20x
 
@@ -456,7 +445,7 @@ func BenchmarkTickParallel(b *testing.B) {
 // the daemon's default 3:2:1, 1 scout in 6.
 var sentryMix = [3]int{20, 4, 1}
 
-func newSentry(b testing.TB, n int, workers int, inc bool, mix [3]int) *Engine {
+func newSentry(b testing.TB, n int, workers int, mix [3]int) *Engine {
 	b.Helper()
 	prog, err := CompileScript(game.PatrolScript, game.Schema(), game.Consts())
 	if err != nil {
@@ -470,7 +459,6 @@ func newSentry(b testing.TB, n int, workers int, inc bool, mix [3]int) *Engine {
 		Side:         spec.Side(),
 		MoveSpeed:    1,
 		Workers:      workers,
-		Incremental:  inc,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -497,7 +485,7 @@ func submitMoraleSets(tb testing.TB, e *Engine, k int) {
 
 // TestTickAllocRatchet is the engine-level sibling of the executor's
 // TestStreamingAllocRatchet (internal/algebra): a steady-state tick of the
-// low-churn world — serial, indexed, incremental, 2000 units — allocates a
+// low-churn world — serial, indexed, maintained, 2000 units — allocates a
 // few dozen objects, none of them per unit. What is left is per dirty
 // partition (maintained index structures), per tick (the provider, the
 // published read view) or per effect-free bookkeeping; the key index, the
@@ -518,10 +506,14 @@ func submitMoraleSets(tb testing.TB, e *Engine, k int) {
 // garrison's calls carry from tick to tick, the probe-invariant OwnLine
 // is no longer answered, and its two per-tick memo entries went (26).
 // Serial is one decision shard of the sharded code, which keeps its
-// shard boundaries and effect buffers on the engine (25).
+// shard boundaries and effect buffers on the engine (25). Maintenance
+// used to run before the provider inherited its predecessor's scratch,
+// so every partition it rebuilt grew fresh build buffers, and it kept
+// its per-group classification in three maps; both now live in the
+// inherited scratch (11).
 func TestTickAllocRatchet(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	e := newSentry(t, 2000, 1, true, sentryMix)
+	e := newSentry(t, 2000, 1, sentryMix)
 	if err := e.Run(5); err != nil { // past the ticks that size the scratch
 		t.Fatal(err)
 	}
@@ -532,8 +524,8 @@ func TestTickAllocRatchet(t *testing.T) {
 		cmds    int
 		ceiling float64
 	}{
-		{"quiet", 0, 32},                 // measured 25
-		{"under command traffic", 3, 32}, // measured 25
+		{"quiet", 0, 16},                 // measured 11
+		{"under command traffic", 3, 16}, // measured 11
 	} {
 		const ticks = 20
 		var mallocs uint64
@@ -558,7 +550,8 @@ func TestTickAllocRatchet(t *testing.T) {
 }
 
 // TestBattleTickAllocRatchet is the same ratchet for the high-churn world:
-// the 2000-unit battle, serial, every index rebuilt every tick. The tick
+// the 2000-unit battle, serial, where maintenance falls back to a rebuild
+// on nearly every index every tick. The tick
 // rebuilds its range trees and sweep orders into the storage the previous
 // tick's provider retired with, and probes on scratch inherited the same
 // way — kD-trees included, since PR 21 — so what it still allocates is
@@ -650,7 +643,7 @@ func TestFirstReadAllocRatchet(t *testing.T) {
 		{"battle n2000", func() *Engine {
 			return newBattle(t, Indexed, 2000, 0.01, func(o *EngineOptions) { o.Workers = 1 })
 		}, 32 << 10}, // measured ≈21 KB
-		{"patrol n10000", func() *Engine { return newSentry(t, 10000, 1, true, [3]int{}) }, 192 << 10}, // measured ≈155 KB
+		{"patrol n10000", func() *Engine { return newSentry(t, 10000, 1, [3]int{}) }, 192 << 10}, // measured ≈155 KB
 	} {
 		e := w.world()
 		if _, err := e.ReadView().Query(q, World(), 40, 40, 12); err != nil { // the query's analyzer is per engine, not per view
@@ -680,12 +673,11 @@ func TestFirstReadAllocRatchet(t *testing.T) {
 }
 
 // The /cmds rows add the benchmark actor's traffic, three morale sets a
-// tick, to the incremental world — the half of the sentry workload the
+// tick, to the patrol world — the half of the sentry workload the
 // traced tick loop in bench/ does not submit — and report index builds per
 // tick: a morale edit rebuilds nothing, so they match the quiet rows'.
 // Every row reports range-tree probes, kD-tree probes and carried answers
-// per tick: on the incremental rows the garrison's calls over the clean
-// knight lines carry from tick to tick, and the tree probes left are the
+// per tick: the garrison's calls over the clean knight lines carry from tick to tick, and the tree probes left are the
 // scouts'; every unit's NearestScout searches the kD-trees of the moving
 // scouts, which nothing carries. The last row, cmds-mix3:2:1, is the
 // repository benchmark's sentry-tick world at the daemon's default mix:
@@ -693,7 +685,6 @@ func TestFirstReadAllocRatchet(t *testing.T) {
 func BenchmarkTickIncrementalSentry(b *testing.B) {
 	type row struct {
 		n, w int
-		inc  bool
 		cmds int
 		mix  [3]int
 		name string
@@ -701,28 +692,14 @@ func BenchmarkTickIncrementalSentry(b *testing.B) {
 	var rows []row
 	for _, n := range []int{2000, 10000} {
 		for _, w := range []int{1, 4} {
-			for _, inc := range []bool{false, true} {
-				for _, cmds := range []int{0, 3} {
-					mode := "rebuild"
-					if inc {
-						mode = "incr"
-					}
-					name := fmt.Sprintf("n%d/w%d/%s", n, w, mode)
-					if cmds > 0 {
-						if !inc {
-							continue
-						}
-						name += "/cmds"
-					}
-					rows = append(rows, row{n, w, inc, cmds, sentryMix, name})
-				}
-			}
+			rows = append(rows, row{n, w, 0, sentryMix, fmt.Sprintf("n%d/w%d", n, w)},
+				row{n, w, 3, sentryMix, fmt.Sprintf("n%d/w%d/cmds", n, w)})
 		}
 	}
-	rows = append(rows, row{10000, 1, true, 3, [3]int{}, "n10000/w1/incr/cmds-mix3:2:1"})
+	rows = append(rows, row{10000, 1, 3, [3]int{}, "n10000/w1/cmds-mix3:2:1"})
 	for _, r := range rows {
 		b.Run(r.name, func(b *testing.B) {
-			e := newSentry(b, r.n, r.w, r.inc, r.mix)
+			e := newSentry(b, r.n, r.w, r.mix)
 			before := e.Stats.IndexStats
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -739,9 +716,7 @@ func BenchmarkTickIncrementalSentry(b *testing.B) {
 			b.ReportMetric(perTick(is.TreeProbes-before.TreeProbes), "tree-probes/tick")
 			b.ReportMetric(perTick(is.KDProbes-before.KDProbes), "kd-probes/tick")
 			b.ReportMetric(perTick(is.CarriedAnswers-before.CarriedAnswers), "carried/tick")
-			if r.inc {
-				b.ReportMetric(float64(e.Stats.DirtyRows)/float64(e.Stats.Ticks), "dirty-rows/tick")
-			}
+			b.ReportMetric(float64(e.Stats.DirtyRows)/float64(e.Stats.Ticks), "dirty-rows/tick")
 		})
 	}
 }
@@ -819,7 +794,7 @@ func BenchmarkQueryFanout(b *testing.B) {
 		}
 	}
 	// The repository benchmark's sentry-tick world: the 10 000-unit
-	// patrol at the daemon's default mix, incremental and serial.
-	patrol := newSentry(b, 10000, 1, true, [3]int{})
+	// patrol at the daemon's default mix, serial.
+	patrol := newSentry(b, 10000, 1, [3]int{})
 	b.Run("patrol-n10000/first", func(b *testing.B) { fresh(b, patrol, 1) })
 }

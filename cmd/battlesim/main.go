@@ -51,20 +51,19 @@ import (
 
 // config is the parsed command line.
 type config struct {
-	units       int
-	ticks       int
-	mode        engine.Mode
-	density     float64
-	seed        uint64
-	formation   workload.Formation
-	report      int
-	workers     int
-	incremental bool
-	compact     bool
-	checkpoint  string // write a checkpoint here every checkEvery ticks (and at the end)
-	checkEvery  int
-	resume      string // start from this checkpoint instead of a fresh army
-	commands    string // scripted external-command file
+	units      int
+	ticks      int
+	mode       engine.Mode
+	density    float64
+	seed       uint64
+	formation  workload.Formation
+	report     int
+	workers    int
+	compact    bool
+	checkpoint string // write a checkpoint here every checkEvery ticks (and at the end)
+	checkEvery int
+	resume     string // start from this checkpoint instead of a fresh army
+	commands   string // scripted external-command file
 }
 
 func main() {
@@ -78,7 +77,6 @@ func main() {
 	flag.StringVar(&formation, "formation", "lines", "lines or scattered")
 	flag.IntVar(&cfg.report, "report", 25, "progress report interval in ticks (0 = none)")
 	flag.IntVar(&cfg.workers, "workers", 0, "tick executor shards (0 = all cores, 1 = serial; results are identical)")
-	flag.BoolVar(&cfg.incremental, "incremental", false, "patch per-tick indexes from the previous tick instead of rebuilding (identical results)")
 	flag.BoolVar(&cfg.compact, "compact", false, "fold the applied journal into the checkpoint base at the end of every tick (flat checkpoints; no genesis replay)")
 	flag.StringVar(&cfg.checkpoint, "checkpoint", "", "write a checkpoint to this path every -checkevery ticks and at the end")
 	flag.IntVar(&cfg.checkEvery, "checkevery", 100, "checkpoint interval in ticks (with -checkpoint)")
@@ -191,7 +189,6 @@ func run(cfg config, out io.Writer) error {
 	}
 	tune := engine.Options{
 		Workers:        cfg.workers,
-		Incremental:    cfg.incremental,
 		CompactJournal: cfg.compact,
 	}
 
@@ -338,12 +335,10 @@ func run(cfg config, out io.Writer) error {
 	if s := stats.IndexStats; s.IndexBuilds > 0 {
 		fmt.Fprintf(out, "index work: %d builds, %d tree probes, %d kd probes, %d sweeps, %d scan fallbacks\n",
 			s.IndexBuilds, s.TreeProbes, s.KDProbes, s.Sweeps, s.ScanProbes)
-		if cfg.incremental {
-			fmt.Fprintf(out, "maintenance: %d/%d ticks maintained, %.1f dirty rows/tick, %d reuses, %d patches, %d fallbacks\n",
-				stats.MaintainTicks, cfg.ticks, // maintenance counters restart at zero on -resume
-				float64(stats.DirtyRows)/float64(max(1, stats.MaintainTicks)),
-				s.IndexReuses, s.IndexPatches, s.MaintainFallbacks)
-		}
+		fmt.Fprintf(out, "maintenance: %d/%d ticks maintained, %.1f dirty rows/tick, %d reuses, %d patches, %d fallbacks\n",
+			stats.MaintainTicks, cfg.ticks, // maintenance counters restart at zero on -resume
+			float64(stats.DirtyRows)/float64(max(1, stats.MaintainTicks)),
+			s.IndexReuses, s.IndexPatches, s.MaintainFallbacks)
 	}
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/epicscale/sgl/internal/engine"
+	"github.com/epicscale/sgl/internal/exec"
 	"github.com/epicscale/sgl/internal/game"
 	"github.com/epicscale/sgl/internal/sgl/sem"
 	"github.com/epicscale/sgl/internal/workload"
@@ -56,20 +57,23 @@ func (r *runner) newEngine(mode engine.Mode, n int, density float64, seed uint64
 }
 
 // tickSeconds returns the measured wall-clock seconds per tick for the
-// given configuration, averaged over measureTicks ticks after warmup.
-func (r *runner) tickSeconds(mode engine.Mode, n int, density float64, measureTicks int, seed uint64) (float64, error) {
+// given configuration, averaged over measureTicks ticks after warmup,
+// and the decision phase's work over those ticks as the evaluator
+// counted it — a function of the world and the seed alone.
+func (r *runner) tickSeconds(mode engine.Mode, n int, density float64, measureTicks int, seed uint64) (float64, exec.Stats, error) {
 	e, err := r.newEngine(mode, n, density, seed)
 	if err != nil {
-		return 0, err
+		return 0, exec.Stats{}, err
 	}
 	if err := e.Run(r.warmup); err != nil {
-		return 0, err
+		return 0, exec.Stats{}, err
 	}
+	e.Stats.IndexStats = exec.Stats{} // count the measured ticks alone
 	start := time.Now()
 	if err := e.Run(measureTicks); err != nil {
-		return 0, err
+		return 0, exec.Stats{}, err
 	}
-	return time.Since(start).Seconds() / float64(measureTicks), nil
+	return time.Since(start).Seconds() / float64(measureTicks), e.Stats.IndexStats, nil
 }
 
 // fig10Row is one point of the Figure 10 series.
@@ -80,6 +84,9 @@ type fig10Row struct {
 	// total500 scales to the paper's reporting unit: seconds of real time
 	// to simulate 500 clock ticks.
 	total500 float64
+	// work is what the measured ticks did, counted: the shape of the
+	// curve read off the work itself, whatever the machine's clock says.
+	work exec.Stats
 }
 
 // fig10 measures both engines across the given unit counts at the given
@@ -94,21 +101,25 @@ func (r *runner) fig10(sizes []int, density float64, measureTicks, naiveCap int)
 			if mode == engine.Naive && naiveCap > 0 && n > naiveCap {
 				continue
 			}
-			s, err := r.tickSeconds(mode, n, density, measureTicks, 42)
+			s, w, err := r.tickSeconds(mode, n, density, measureTicks, 42)
 			if err != nil {
 				return nil, err
 			}
-			rows = append(rows, fig10Row{units: n, mode: mode.String(), secondsPerTick: s, total500: s * 500})
+			rows = append(rows, fig10Row{units: n, mode: mode.String(), secondsPerTick: s, total500: s * 500, work: w})
 		}
 	}
 	return rows, nil
 }
 
-// writeFig10 renders the series as a paper-style table.
+// writeFig10 renders the series as a paper-style table, the measured
+// ticks' counted work beside their seconds: rows scanned (every row per
+// scanning probe), and range-tree, kD-tree and sweep probes.
 func writeFig10(w io.Writer, rows []fig10Row) {
-	fmt.Fprintf(w, "%-8s %-8s %14s %16s\n", "units", "engine", "sec/tick", "sec/500 ticks")
+	fmt.Fprintf(w, "%-8s %-8s %14s %16s %14s %12s %10s %8s\n",
+		"units", "engine", "sec/tick", "sec/500 ticks", "rows scanned", "tree probes", "kd probes", "sweeps")
 	for _, row := range rows {
-		fmt.Fprintf(w, "%-8d %-8s %14.6f %16.2f\n", row.units, row.mode, row.secondsPerTick, row.total500)
+		fmt.Fprintf(w, "%-8d %-8s %14.6f %16.2f %14d %12d %10d %8d\n", row.units, row.mode, row.secondsPerTick, row.total500,
+			row.work.ScanProbes*row.units, row.work.TreeProbes, row.work.KDProbes, row.work.Sweeps)
 	}
 }
 
@@ -126,7 +137,7 @@ func (r *runner) density(n int, densities []float64, measureTicks int) ([]densit
 	var rows []densityRow
 	for _, d := range densities {
 		for _, mode := range []engine.Mode{engine.Naive, engine.Indexed} {
-			s, err := r.tickSeconds(mode, n, d, measureTicks, 42)
+			s, _, err := r.tickSeconds(mode, n, d, measureTicks, 42)
 			if err != nil {
 				return nil, err
 			}
@@ -148,7 +159,7 @@ func writeDensity(w io.Writer, rows []densityRow) {
 // within budget (the paper's 10 ticks/second ⇒ 100 ms), between lo and hi.
 func (r *runner) capacity(mode engine.Mode, budget time.Duration, lo, hi, measureTicks int) (int, error) {
 	fits := func(n int) (bool, error) {
-		s, err := r.tickSeconds(mode, n, 0.01, measureTicks, 42)
+		s, _, err := r.tickSeconds(mode, n, 0.01, measureTicks, 42)
 		if err != nil {
 			return false, err
 		}

@@ -21,7 +21,7 @@ func testRunner(t *testing.T) *runner {
 
 func TestTickSecondsPositive(t *testing.T) {
 	r := testRunner(t)
-	s, err := r.tickSeconds(engine.Indexed, 100, 0.01, 2, 1)
+	s, _, err := r.tickSeconds(engine.Indexed, 100, 0.01, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,6 +30,13 @@ func TestTickSecondsPositive(t *testing.T) {
 	}
 }
 
+// TestFig10ShapeTiny reads Figure 10's shape off counted work, never off
+// the clock: the decision phase's counts are a function of the world and
+// the seed, so the assertions hold however loaded the machine is. Naive
+// scans every row per probe and its probes grow with the units, so its
+// rows scanned grow quadratically: 16× for 4× the units. The indexed
+// engine's probes grow with the units alone, each bounded by a range
+// tree's O(log² n) canonical nodes.
 func TestFig10ShapeTiny(t *testing.T) {
 	r := testRunner(t)
 	rows, err := r.fig10([]int{100, 400}, 0.01, 2, 0)
@@ -39,30 +46,49 @@ func TestFig10ShapeTiny(t *testing.T) {
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	// Extract per-mode series.
-	times := map[string]map[int]float64{}
+	// rowsScanned and probes are writeFig10's columns: rows read by
+	// scanning probes, and probes a structure answered.
+	type work struct{ rowsScanned, probes int }
+	works := map[string]map[int]work{}
 	for _, row := range rows {
-		if times[row.mode] == nil {
-			times[row.mode] = map[int]float64{}
+		if works[row.mode] == nil {
+			works[row.mode] = map[int]work{}
 		}
-		times[row.mode][row.units] = row.secondsPerTick
+		s := row.work
+		works[row.mode][row.units] = work{s.ScanProbes * row.units, s.TreeProbes + s.KDProbes + s.Sweeps}
 		if row.total500 <= 0 || row.total500 != row.secondsPerTick*500 {
 			t.Fatalf("total500 inconsistent: %+v", row)
 		}
 	}
-	// The naive engine must grow super-linearly: 4× units ⇒ well over 4×
-	// the time (quadratic predicts 16×; allow noise down to 6×).
-	naiveRatio := times["naive"][400] / times["naive"][100]
-	if naiveRatio < 6 {
-		t.Errorf("naive 400/100 ratio = %.1f, expected clearly super-linear", naiveRatio)
+	naive, indexed := works["naive"], works["indexed"]
+	if naive[100].probes != 0 || naive[400].probes != 0 {
+		t.Fatalf("the naive engine answered probes from a structure: %+v", naive)
 	}
-	// The indexed engine must beat naive at 400 by a wide margin.
-	if times["indexed"][400] >= times["naive"][400]/3 {
-		t.Errorf("indexed %.6f vs naive %.6f at 400 units: no clear win", times["indexed"][400], times["naive"][400])
+	// Quadratic: 4× units ⇒ well over 4× the rows scanned (16× predicted;
+	// anything under 12× is no longer clearly super-linear).
+	if ratio := float64(naive[400].rowsScanned) / float64(naive[100].rowsScanned); !(ratio >= 12) {
+		t.Errorf("naive rows scanned 400/100 = %.2f (%d → %d), expected quadratic growth",
+			ratio, naive[100].rowsScanned, naive[400].rowsScanned)
+	}
+	// Linear: 4× units ⇒ about 4× the probes, and no row scanned that a
+	// structure could have answered.
+	if indexed[100].rowsScanned != 0 || indexed[400].rowsScanned != 0 {
+		t.Errorf("the indexed battle scanned rows: %+v", indexed)
+	}
+	if ratio := float64(indexed[400].probes) / float64(indexed[100].probes); !(ratio <= 6) {
+		t.Errorf("indexed probes 400/100 = %.2f (%d → %d), expected linear growth",
+			ratio, indexed[100].probes, indexed[400].probes)
+	}
+	// The indexed engine must beat naive at 400 by a wide margin, even
+	// charging every probe log₂(n)² rows.
+	const n, logN = 400, 9 // ⌈log₂ 400⌉
+	if cost := indexed[n].probes * logN * logN; cost*3 >= naive[n].rowsScanned {
+		t.Errorf("indexed %d probes (≤ %d row visits) vs naive %d rows scanned at %d units: no clear win",
+			indexed[n].probes, cost, naive[n].rowsScanned, n)
 	}
 	var buf bytes.Buffer
 	writeFig10(&buf, rows)
-	if !strings.Contains(buf.String(), "sec/500 ticks") {
+	if !strings.Contains(buf.String(), "sec/500 ticks") || !strings.Contains(buf.String(), "rows scanned") {
 		t.Error("table header missing")
 	}
 }

@@ -56,14 +56,13 @@ func main() {
 		followSess = flag.String("follow-sessions", "", "comma-separated writer sessions to replicate (required with -follow)")
 		followWait = flag.Duration("follow-wait", 5*time.Second, "replica journal long-poll park time")
 		followWork = flag.Int("follow-workers", 1, "replica engine workers per followed session")
-		followIncr = flag.Bool("follow-incremental", false, "replica incremental index maintenance per followed session")
 	)
 	flag.Parse()
 
 	if err := run(runConfig{
 		addr: *addr, dataDir: *dataDir,
 		follow: *follow, followSessions: *followSess, followWait: *followWait,
-		followTune: engine.Options{Workers: *followWork, Incremental: *followIncr},
+		followTune: engine.Options{Workers: *followWork},
 	}, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "sgld:", err)
 		os.Exit(1)

@@ -27,14 +27,14 @@ import (
 // placement ever leaked into world state — the bytes would diverge.
 //
 // It runs the battle script plus every zoo program with the routed side
-// at Workers=4 against the direct side's Workers=1, and Incremental
-// flipped between the two, both ways round: contract #6 stacked on #1
-// (parallel ≡ serial), #2 (maintained ≡ rebuilt) and #4 (served ≡
-// standalone). Each Incremental pairing has one gateway over two nodes
-// that hosts all of its routed worlds, one per script, driven by
-// parallel subtests. Placement hashes the session name, so the full set
-// of scripts lands on both nodes; once every subtest is done, each
-// node's placement counter must be nonzero.
+// at Workers=4 against the direct side's Workers=1, and the other way
+// round: contract #6 stacked on #1 (parallel ≡ serial), #2 (maintained ≡
+// rebuilt: the four-shard side freezes, and so maintains, structures the
+// one-shard side builds lazily) and #4 (served ≡ standalone). Each
+// pairing has one gateway over two nodes that hosts all of its routed
+// worlds, one per script, driven by parallel subtests. Placement hashes
+// the session name, so the full set of scripts lands on both nodes; once
+// every subtest is done, each node's placement counter must be nonzero.
 func TestRoutedMatchesDirect(t *testing.T) {
 	const (
 		units   = 120
@@ -47,7 +47,7 @@ func TestRoutedMatchesDirect(t *testing.T) {
 	for _, z := range exec.Zoo {
 		scripts = append(scripts, struct{ name, src string }{z.Name, z.Src})
 	}
-	// One cluster per pairing, keyed by the routed side's Incremental.
+	// One cluster per pairing, keyed by the routed side's Workers.
 	// Cleanup runs after the parallel subtests finish, and before the
 	// clusters' own cleanups close them.
 	type fleet struct {
@@ -55,13 +55,13 @@ func TestRoutedMatchesDirect(t *testing.T) {
 		gw     *httptest.Server
 		routed atomic.Int64
 	}
-	fleets := map[bool]*fleet{}
-	for _, routedInc := range []bool{false, true} {
+	fleets := map[int]*fleet{}
+	for _, routedW := range []int{4, 1} {
 		g, gw, _ := newCluster(t, 2)
-		fleets[routedInc] = &fleet{g: g, gw: gw}
+		fleets[routedW] = &fleet{g: g, gw: gw}
 	}
 	t.Cleanup(func() {
-		for routedInc, f := range fleets {
+		for routedW, f := range fleets {
 			var placed float64
 			for _, ns := range f.g.NodeStatuses() {
 				n := f.g.Metrics.Counter("sglgw_placements_total", metrics.L("node", ns.Name)).Value()
@@ -69,34 +69,33 @@ func TestRoutedMatchesDirect(t *testing.T) {
 				// A -run filter may route too few worlds to reach both
 				// nodes; the full set of names does.
 				if n == 0 && f.routed.Load() == int64(len(scripts)) {
-					t.Errorf("routed inc=%v: node %s received no placements out of %d worlds", routedInc, ns.Name, len(scripts))
+					t.Errorf("routed w=%d: node %s received no placements out of %d worlds", routedW, ns.Name, len(scripts))
 				}
 			}
 			if placed != float64(f.routed.Load()) {
-				t.Errorf("routed inc=%v: %v placements for %d routed worlds", routedInc, placed, f.routed.Load())
+				t.Errorf("routed w=%d: %v placements for %d routed worlds", routedW, placed, f.routed.Load())
 			}
 		}
 	})
 
 	for _, sc := range scripts {
-		for _, routedInc := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/w=1v4/inc=%vv%v", sc.name, !routedInc, routedInc), func(t *testing.T) {
+		for _, routedW := range []int{4, 1} {
+			directW := 5 - routedW
+			t.Run(fmt.Sprintf("%s/w=%dv%d", sc.name, directW, routedW), func(t *testing.T) {
 				t.Parallel()
 				direct := newNode(t)
 				directCk := runTraffic(t, direct.ts.URL, sc.name, sc.src, trafficConfig{
-					units: units, density: density, seed: seed, ticks: ticks,
-					workers: 1, incremental: !routedInc,
+					units: units, density: density, seed: seed, ticks: ticks, workers: directW,
 				})
 
-				f := fleets[routedInc]
+				f := fleets[routedW]
 				f.routed.Add(1)
 				routedCk := runTraffic(t, f.gw.URL, sc.name, sc.src, trafficConfig{
-					units: units, density: density, seed: seed, ticks: ticks,
-					workers: 4, incremental: routedInc,
+					units: units, density: density, seed: seed, ticks: ticks, workers: routedW,
 				})
 
 				if !bytes.Equal(directCk, routedCk) {
-					t.Errorf("%s routed inc=%v: routed checkpoint differs from direct (contract #6 violated)", sc.name, routedInc)
+					t.Errorf("%s routed w=%d: routed checkpoint differs from direct (contract #6 violated)", sc.name, routedW)
 				}
 			})
 		}
@@ -104,12 +103,11 @@ func TestRoutedMatchesDirect(t *testing.T) {
 }
 
 type trafficConfig struct {
-	units       int
-	density     float64
-	seed        uint64
-	ticks       int
-	workers     int
-	incremental bool
+	units   int
+	density float64
+	seed    uint64
+	ticks   int
+	workers int
 }
 
 // runTraffic drives one world, session name, through a base URL —
@@ -121,7 +119,7 @@ func runTraffic(t *testing.T, base, name, src string, cfg trafficConfig) []byte 
 	code := do(t, http.MethodPost, base+"/v1/sessions", server.CreateRequest{
 		Name: name, Script: src,
 		Units: cfg.units, Density: cfg.density, Seed: cfg.seed,
-		Workers: cfg.workers, Incremental: cfg.incremental,
+		Workers: cfg.workers,
 	}, nil)
 	if code != http.StatusCreated {
 		t.Fatalf("create via %s: %d", base, code)

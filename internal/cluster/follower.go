@@ -29,15 +29,17 @@ type FollowerConfig struct {
 	// published into.
 	Registry *server.Registry
 	// Tune is the replica engine's restore-time tuning (Workers,
-	// Incremental, …). Determinism-neutral by contract #3, so a replica
+	// CompactJournal). Determinism-neutral by contract #3, so a replica
 	// may run different tuning than its writer and still answer
 	// byte-identically.
 	Tune engine.Options
 	// Wait is each journal long-poll's park time (default 5s; the writer
 	// caps it at 30s). Smaller means faster shutdown, more requests.
 	Wait time.Duration
-	// Client is the HTTP client; default has no timeout (long-polls are
-	// bounded by Wait server-side, and Stop cancels in-flight requests).
+	// Client is the HTTP client. The follower uses a copy whose Timeout
+	// bounds every request to the writer at twice Wait plus a second: a
+	// poll parks at most Wait there, so a writer that has not answered by
+	// then is silent, not slow. Stop cancels in-flight requests.
 	Client *http.Client
 }
 
@@ -95,9 +97,12 @@ func newFollower(cfg FollowerConfig) (*Follower, error) {
 	if cfg.Wait <= 0 {
 		cfg.Wait = 5 * time.Second
 	}
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{}
+	client := http.Client{}
+	if cfg.Client != nil {
+		client = *cfg.Client
 	}
+	client.Timeout = 2*cfg.Wait + time.Second
+	cfg.Client = &client
 	ctx, cancel := context.WithCancel(context.Background())
 	f := &Follower{cfg: cfg, name: cfg.As, ctx: ctx, cancel: cancel, done: make(chan struct{})}
 	f.lastErr.Store("")
@@ -137,15 +142,25 @@ func (f *Follower) Stop() {
 	f.cfg.Registry.Delete(f.name)
 }
 
+// get requests path from the writer, retrying once when an attempt gets
+// no answer (a silent or unreachable writer).
+func (f *Follower) get(path string) (resp *http.Response, err error) {
+	for attempt := 0; attempt < 2 && f.ctx.Err() == nil; attempt++ {
+		var req *http.Request
+		if req, err = http.NewRequestWithContext(f.ctx, http.MethodGet, f.cfg.Writer+path, nil); err != nil {
+			return nil, err
+		}
+		if resp, err = f.cfg.Client.Do(req); err == nil {
+			return resp, nil
+		}
+	}
+	return nil, err
+}
+
 // bootstrap fetches the writer's checkpoint and publishes the replica
 // world from it.
 func (f *Follower) bootstrap() (*server.World, error) {
-	req, err := http.NewRequestWithContext(f.ctx, http.MethodGet,
-		f.cfg.Writer+"/v1/sessions/"+f.cfg.Session+"/checkpoint", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := f.cfg.Client.Do(req)
+	resp, err := f.get("/v1/sessions/" + f.cfg.Session + "/checkpoint")
 	if err != nil {
 		return nil, fmt.Errorf("cluster: follower %s: fetch checkpoint: %w", f.name, err)
 	}
@@ -190,15 +205,9 @@ func (f *Follower) loop() {
 func (f *Follower) sync() error {
 	w := f.World()
 	cursor := w.Session().Tick()
-	url := fmt.Sprintf("%s/v1/sessions/%s/journal?since=%d&wait=%s",
-		f.cfg.Writer, f.cfg.Session, cursor, f.cfg.Wait)
-	req, err := http.NewRequestWithContext(f.ctx, http.MethodGet, url, nil)
+	resp, err := f.get(fmt.Sprintf("/v1/sessions/%s/journal?since=%d&wait=%s", f.cfg.Session, cursor, f.cfg.Wait))
 	if err != nil {
-		return err
-	}
-	resp, err := f.cfg.Client.Do(req)
-	if err != nil {
-		return err
+		return fmt.Errorf("journal poll: %w", err)
 	}
 	defer resp.Body.Close()
 	switch resp.StatusCode {

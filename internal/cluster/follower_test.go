@@ -6,10 +6,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -96,10 +99,9 @@ func waitCaughtUp(t *testing.T, f *Follower, target int64) {
 // follower bootstrapped from the writer's checkpoint and advanced over
 // its streamed journal serves QueryScan* answers — over its own HTTP
 // surface — bit-identical to the writer's at the same tick, and its
-// checkpoint bytes equal the writer's. One replica runs Workers=4 and
-// another incremental maintenance against the writer's serial rebuilding
-// engine (contracts #1 and #2 stack; neither knob reaches the bytes),
-// and a pending command in the bootstrap stream exercises the
+// checkpoint bytes equal the writer's. The replica runs Workers=4
+// against the writer's default (contract #1 stacks; the shard count does
+// not reach the bytes), and a pending command in the bootstrap stream exercises the
 // journal-overlap dedupe. An actor racing the writer's first eight steps
 // lands commands mid-tick, which the writer applies at the commit of the
 // step they arrived during and the replicas at the same stamp.
@@ -136,16 +138,6 @@ func TestReplicaMatchesWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Stop()
-	fInc, err := StartFollower(FollowerConfig{
-		Writer: writer.ts.URL, Session: "w", As: "w-inc",
-		Registry: replicaReg,
-		Tune:     engine.Options{Workers: 1, Incremental: true},
-		Wait:     200 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fInc.Stop()
 
 	stopRacer := racingActor(t, writer.ts.URL, "w")
 	writerTraffic(t, writer.ts.URL, "w", 0, 8)
@@ -154,7 +146,6 @@ func TestReplicaMatchesWriter(t *testing.T) {
 	}
 	writerTraffic(t, writer.ts.URL, "w", 8, 1) // applies the racer's last batches
 	waitCaughtUp(t, f, 9)
-	waitCaughtUp(t, fInc, 9)
 
 	// The writer is paused (synchronous steps only), the replica caught
 	// up: both serve the same tick, so every observation answer and the
@@ -187,9 +178,6 @@ func TestReplicaMatchesWriter(t *testing.T) {
 	if !bytes.Equal(wck, rck) {
 		t.Error("replica checkpoint differs from writer at the same tick")
 	}
-	if ick := fetchCheckpoint(t, replicaSrv.URL, "w-inc"); !bytes.Equal(wck, ick) {
-		t.Error("incremental replica checkpoint differs from writer at the same tick")
-	}
 
 	// Push subscriptions served from the replica: a subscriber attached
 	// to the replica's own /subscribe sees answers advance as the
@@ -221,7 +209,6 @@ func TestReplicaMatchesWriter(t *testing.T) {
 	}()
 	writerTraffic(t, writer.ts.URL, "w", 9, 3)
 	waitCaughtUp(t, f, 12)
-	waitCaughtUp(t, fInc, 12)
 	sawAdvance := false
 	timeout := time.After(5 * time.Second)
 	for !sawAdvance {
@@ -246,8 +233,8 @@ func TestReplicaMatchesWriter(t *testing.T) {
 	if code := do(t, http.MethodGet, replicaSrv.URL+"/readyz", nil, &ready); code != http.StatusOK {
 		t.Fatalf("replica readyz: %d", code)
 	}
-	if ready.Replicas != 2 || ready.MaxLagTicks != 0 {
-		t.Errorf("replica readyz = %+v, want 2 replicas at lag 0", ready)
+	if ready.Replicas != 1 || ready.MaxLagTicks != 0 {
+		t.Errorf("replica readyz = %+v, want 1 replica at lag 0", ready)
 	}
 }
 
@@ -348,5 +335,101 @@ func TestFollowerBootstrapFailsFast(t *testing.T) {
 	}
 	if _, err := StartFollower(FollowerConfig{Session: "w", Registry: reg}); err == nil {
 		t.Error("empty writer URL did not fail")
+	}
+}
+
+// silentListener accepts connections and, while silent is set, holds them
+// open without writing a byte: a writer that accepts and never answers.
+type silentListener struct {
+	net.Listener
+	silent atomic.Bool
+	mu     sync.Mutex
+	held   []net.Conn
+}
+
+func (l *silentListener) Accept() (net.Conn, error) {
+	for {
+		c, err := l.Listener.Accept()
+		if err != nil || !l.silent.Load() {
+			return c, err
+		}
+		l.mu.Lock()
+		l.held = append(l.held, c)
+		l.mu.Unlock()
+	}
+}
+
+func (l *silentListener) Close() error {
+	l.mu.Lock()
+	for _, c := range l.held {
+		c.Close()
+	}
+	l.mu.Unlock()
+	return l.Listener.Close()
+}
+
+// A writer that accepts a replica's requests and never answers must not
+// stall the replica forever: every request carries a deadline derived
+// from Wait, so the follower reports an error within two attempts of it,
+// and catches up once the writer answers again. The writer's daemon sits
+// behind a listener that turns silent; with keep-alives off, every
+// request dials anew, so silence reaches every request made after it.
+func TestFollowerSurvivesSilentWriter(t *testing.T) {
+	writer := newNode(t)
+	if code := do(t, http.MethodPost, writer.ts.URL+"/v1/sessions", server.CreateRequest{
+		Name: "w", Units: 100, Seed: 3,
+	}, nil); code != http.StatusCreated {
+		t.Fatalf("create writer: %d", code)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := &silentListener{Listener: ln}
+	srv := &http.Server{Handler: server.New(writer.reg, t.TempDir())}
+	srv.SetKeepAlivesEnabled(false)
+	go srv.Serve(front)
+	defer srv.Close()
+
+	replicaReg := server.NewRegistry()
+	defer replicaReg.Close()
+	const wait = 100 * time.Millisecond
+	f, err := StartFollower(FollowerConfig{
+		Writer: "http://" + ln.Addr().String(), Session: "w",
+		Registry: replicaReg, Wait: wait,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Stop()
+	writerTraffic(t, writer.ts.URL, "w", 0, 2)
+	waitCaughtUp(t, f, 2)
+
+	front.silent.Store(true)
+	silentAt := time.Now()
+	// The poll in flight answers within Wait; the next two attempts each
+	// wait out the client's timeout before the error is reported.
+	bound := wait + 2*f.cfg.Client.Timeout + time.Second
+	for f.Err() == "" {
+		if time.Since(silentAt) > bound {
+			t.Fatalf("no replication error %v after the writer went silent (bound %v)", time.Since(silentAt), bound)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	writerTraffic(t, writer.ts.URL, "w", 2, 3)
+
+	front.silent.Store(false)
+	waitCaughtUp(t, f, 5)
+	for deadline := time.Now().Add(5 * time.Second); f.Err() != ""; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the replica caught up but still reports %q", f.Err())
+		}
+	}
+	var replica bytes.Buffer
+	if err := f.World().Session().Checkpoint(&replica); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fetchCheckpoint(t, writer.ts.URL, "w"), replica.Bytes()) {
+		t.Error("the recovered replica's checkpoint differs from its writer's")
 	}
 }

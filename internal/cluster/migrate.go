@@ -16,7 +16,7 @@ import (
 // checkpoint transfer. Tuning fields ride along because restore-time
 // tuning is exactly what checkpoints were designed to carry across
 // machines (contract #3): a migration is the moment to give a world
-// more workers or flip incremental maintenance.
+// more workers or switch its journal compaction.
 type MigrateRequest struct {
 	Session string `json:"session"`
 	// Target names the destination node; empty picks the session's next
@@ -26,7 +26,10 @@ type MigrateRequest struct {
 	// Restore-time tuning on the target; zero values keep the engine
 	// defaults (they are deliberately NOT copied from the source — a
 	// migration that must preserve tuning passes it explicitly).
-	Workers     int  `json:"workers,omitempty"`
+	Workers int `json:"workers,omitempty"`
+	// Incremental is accepted and ignored.
+	//
+	// Deprecated: index maintenance has no switch (engine.Options.Incremental).
 	Incremental bool `json:"incremental,omitempty"`
 	Compact     bool `json:"compact,omitempty"`
 	// TickRate for the target's clock; 0 resumes the source's rate if
@@ -183,9 +186,6 @@ func (g *Gateway) Migrate(req MigrateRequest) (*MigrateResponse, error) {
 	q := url.Values{}
 	if req.Workers != 0 {
 		q.Set("workers", strconv.Itoa(req.Workers))
-	}
-	if req.Incremental {
-		q.Set("incremental", "true")
 	}
 	if req.Compact {
 		q.Set("compact", "true")

@@ -56,7 +56,7 @@ func tortureBurst(r, k int) []Command {
 // sleeps and per-origin burst splits, must produce checkpoint bytes
 // identical to single-threaded submission through the serial
 // Engine.Submit path — for every zoo program and the battle simulation,
-// at Workers {1,4} × Incremental {off,on}. The checkpoint covers the
+// at Workers {1,4}. The checkpoint covers the
 // environment, every counter, the journal, the per-origin sequence
 // numbers and the pending buffer, so byte equality is the whole
 // "arrival order cannot reach the world" claim at once. Run under -race
@@ -70,10 +70,9 @@ func TestSubmitArrivalOrderTorture(t *testing.T) {
 			if !battle {
 				prog = compileZoo(t, src)
 			}
-			for _, cfg := range restoreCfgs {
+			for _, w := range restoreWorkers {
 				tweak := func(o *Options) {
-					o.Workers = cfg.workers
-					o.Incremental = cfg.incremental
+					o.Workers = w
 					o.threshold = 1 // always maintain: the hostile setting
 				}
 
@@ -116,10 +115,7 @@ func TestSubmitArrivalOrderTorture(t *testing.T) {
 						}
 					}
 				}()
-				seed := int64(9000 + cfg.workers*10)
-				if cfg.incremental {
-					seed++
-				}
+				seed := int64(9000 + w*10)
 				for r := 0; r < tortureRounds; r++ {
 					var wg sync.WaitGroup
 					for k := 0; k < tortureOrigins; k++ {
@@ -174,8 +170,7 @@ func TestSubmitArrivalOrderTorture(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(refBytes.Bytes(), torBytes.Bytes()) {
-					t.Fatalf("w=%d inc=%v: concurrent sharded submission diverged from single-threaded submission",
-						cfg.workers, cfg.incremental)
+					t.Fatalf("w=%d: concurrent sharded submission diverged from single-threaded submission", w)
 				}
 				if ref.Stats.CommandsApplied == 0 || ref.Stats.CommandsRejected == 0 {
 					t.Fatalf("torture scenario exercised no apply/reject path (applied %d, rejected %d)",

@@ -20,12 +20,11 @@ import (
 // before each Tick and may Submit commands, so the contract also covers
 // edits that enter through the command pipeline rather than the tick
 // itself.
-func runMaintainedDifferential(t *testing.T, workers int, incremental bool, threshold float64, ticks int, exact bool, inject func(t *testing.T, e *Engine, tick int)) *Engine {
+func runMaintainedDifferential(t *testing.T, workers int, threshold float64, ticks int, exact bool, inject func(t *testing.T, e *Engine, tick int)) *Engine {
 	t.Helper()
 	prog := battleProg(t)
 	e := newEngine(t, prog, 90, Indexed, 13, func(o *Options) {
 		o.Workers = workers
-		o.Incremental = incremental
 		o.threshold = threshold
 	})
 	type zooQuery struct {
@@ -93,33 +92,23 @@ func runMaintainedDifferential(t *testing.T, workers int, incremental bool, thre
 
 // TestMaintainedMatchesScan is the contract-family member for query
 // answers: maintained answers ≡ QueryScan every tick over the whole
-// query zoo × Workers {1,4} × Incremental {off,on}.
+// query zoo × the grid (Workers {1,4}, maintaining and on the rebuild
+// seam).
 func TestMaintainedMatchesScan(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		for _, inc := range []bool{false, true} {
-			workers, inc := workers, inc
-			name := "workers=1/inc=off"
-			switch {
-			case workers == 1 && inc:
-				name = "workers=1/inc=on"
-			case workers == 4 && !inc:
-				name = "workers=4/inc=off"
-			case workers == 4 && inc:
-				name = "workers=4/inc=on"
+	for _, c := range cells {
+		t.Run(fmt.Sprintf("workers=%d/rebuild=%v", c.workers, c.rebuild), func(t *testing.T) {
+			e := runMaintainedDifferential(t, c.workers, c.threshold(), 10, false, nil)
+			// The cache must actually have worked both ways: some
+			// answers survived ticks untouched, and the battle's churn
+			// sent the non-divisible ones to rederive.
+			if e.Stats.AnswerHits == 0 {
+				t.Fatal("no answer classified untouched across 10 battle ticks")
 			}
-			t.Run(name, func(t *testing.T) {
-				e := runMaintainedDifferential(t, workers, inc, 0, 10, false, nil)
-				// The cache must actually have worked both ways: some
-				// answers survived ticks untouched, and the battle's churn
-				// sent the non-divisible ones to rederive.
-				if e.Stats.AnswerHits == 0 {
-					t.Fatal("no answer classified untouched across 10 battle ticks")
-				}
-				if e.Stats.AnswerRederives == 0 {
-					t.Fatal("no answer rederived across 10 battle ticks")
-				}
-			})
-		}
+			if e.Stats.AnswerRederives == 0 {
+				t.Fatal("no answer rederived across 10 battle ticks")
+			}
+			c.held(t, e)
+		})
 	}
 }
 
@@ -134,7 +123,7 @@ func TestMaintainedAlwaysPatchBitExact(t *testing.T) {
 			name = "workers=4"
 		}
 		t.Run(name, func(t *testing.T) {
-			e := runMaintainedDifferential(t, workers, true, 1, 10, true, nil)
+			e := runMaintainedDifferential(t, workers, 1, 10, true, nil)
 			if e.Stats.AnswerPatches == 0 {
 				t.Fatal("threshold 1 never patched an answer in 10 battle ticks")
 			}
@@ -179,24 +168,20 @@ func injectAnswerCommands(t *testing.T, e *Engine, tick int) {
 // tick's delta, so the delta maintainAnswers classified against omitted
 // the edit and the pre-command cached answer was served as a hit forever.
 func TestMaintainedMatchesScanWithCommands(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		for _, inc := range []bool{false, true} {
-			workers, inc := workers, inc
-			name := fmt.Sprintf("workers=%d/inc=%v", workers, inc)
-			t.Run(name, func(t *testing.T) {
-				runMaintainedDifferential(t, workers, inc, 0, 10, false, injectAnswerCommands)
-			})
-		}
+	for _, c := range cells {
+		t.Run(fmt.Sprintf("workers=%d/rebuild=%v", c.workers, c.rebuild), func(t *testing.T) {
+			c.held(t, runMaintainedDifferential(t, c.workers, c.threshold(), 10, false, injectAnswerCommands))
+		})
 	}
 }
 
 // The distilled bug: a maintained answer over a column only commands
 // ever write (the sim never touches morale) must see an OpSet edit the
-// very next tick under Incremental+Indexed, where the edit also feeds
+// very next tick under Indexed, where the edit also feeds
 // the delta the tick's provider is maintained with.
 func TestMaintainedAnswerSeesCommandEdit(t *testing.T) {
 	prog := battleProg(t)
-	e := newEngine(t, prog, 48, Indexed, 7, func(o *Options) { o.Incremental = true })
+	e := newEngine(t, prog, 48, Indexed, 7, nil)
 	q := compileQuery(t, `aggregate M(u) := sum(e.morale) as m over e;`)
 	read := func() float64 {
 		t.Helper()

@@ -13,7 +13,7 @@
 // switches, world geometry) — and, since the command pipeline, the
 // interactive inputs: the pending input buffer, the input journal, the
 // per-origin sequence counters, and the (possibly retuned) constant
-// table. Workers / Incremental / CompactJournal are deliberately NOT
+// table. Workers / CompactJournal are deliberately NOT
 // part of the format, and neither is anything they move: the bytes are a
 // function of the world alone, so a checkpoint taken at any setting
 // equals one taken at any other and resumes identically under any other,
@@ -74,7 +74,7 @@
 //     follow the entries stamped after it;
 //   - version 3 carries two more stats counters, MaintainTicks and
 //     DirtyRows, between Deaths and CommandsApplied. They count how the
-//     indexes were kept, which moves with Workers and Incremental, so one
+//     indexes were kept, which moves with Workers and maintenance, so one
 //     world could checkpoint to different bytes;
 //   - version 2 is version 3 without the base field (base 0);
 //   - version 1 is the header with the first seven counters of version 3,
@@ -470,16 +470,16 @@ func decodeCheckpoint(r io.Reader, oldest uint32) (*checkpointPayload, error) {
 //
 // Only version-5 streams open; an older one fails with an error naming
 // sglc -upgrade, which rewrites it (see Upgrade). Of tune, only the
-// determinism-neutral execution knobs are consulted — Workers,
-// Incremental, CompactJournal — so a world checkpointed on one machine
-// can resume with a different parallelism, maintenance, or compaction
-// strategy without changing a single output bit. Everything else comes
+// determinism-neutral execution knobs are consulted — Workers and
+// CompactJournal — so a world checkpointed on one machine can resume with
+// a different parallelism or compaction strategy without changing a
+// single output bit. Everything else comes
 // from the checkpoint itself.
 //
 // Measurement state that describes how this engine keeps its indexes
 // starts fresh: RunStats.MaintainTicks, DirtyRows, IndexStats and
 // EffectsByWorker count work done by *this* engine's evaluator, worker
-// layout and maintenance settings, so they restart at zero.
+// layout and maintenance history, so they restart at zero.
 func Open(r io.Reader, g Game, tune Options) (*Session, error) {
 	p, err := decodeCheckpoint(r, CheckpointVersion)
 	if err != nil {
@@ -520,7 +520,6 @@ func engineFor(p *checkpointPayload, g Game, tune Options) (*Engine, error) {
 		DisableAreaDefer: p.flags&1 != 0,
 		DisableOptimizer: p.flags&2 != 0,
 		Workers:          tune.Workers,
-		Incremental:      tune.Incremental,
 		CompactJournal:   tune.CompactJournal,
 	})
 	if err != nil {

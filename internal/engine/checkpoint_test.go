@@ -13,24 +13,16 @@ import (
 	"github.com/epicscale/sgl/internal/sgl/sem"
 )
 
-// restoreCfg is one execution configuration a checkpoint is resumed
-// under. The exactness contract says the configuration must not matter.
-type restoreCfg struct {
-	workers     int
-	incremental bool
-}
-
-var restoreCfgs = []restoreCfg{
-	{workers: 1}, {workers: 4},
-	{workers: 1, incremental: true}, {workers: 4, incremental: true},
-}
+// restoreWorkers are the shard counts a checkpoint is resumed under. The
+// exactness contract says the count must not matter.
+var restoreWorkers = []int{1, 4}
 
 // TestCheckpointResumeBitIdentical is the acceptance harness for the
 // checkpoint exactness contract: for every zoo program and the battle
 // simulation, checkpoint at tick T ∈ {1, 7, mid-run}, reopen, run to
 // tick N — the checkpoint bytes must equal the uninterrupted run's, at
-// Workers ∈ {1, 4} × Incremental ∈ {off, on}, and regardless of which
-// configuration wrote the checkpoint. Every run admits the same mid-tick
+// Workers ∈ {1, 4}, and regardless of which configuration wrote the
+// checkpoint. Every run admits the same mid-tick
 // traffic (admitMidTick), before and after the cut.
 func TestCheckpointResumeBitIdentical(t *testing.T) {
 	const units, ticks = 64, 20
@@ -54,7 +46,6 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 				// always-maintain); the format must not leak any of it.
 				writer := newEngine(t, prog, n, Indexed, 7, func(o *Options) {
 					o.Workers = 4
-					o.Incremental = true
 					o.threshold = 1
 					o.midTick = mid
 				})
@@ -65,12 +56,8 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 				if err := writer.Checkpoint(&buf); err != nil {
 					t.Fatal(err)
 				}
-				for _, cfg := range restoreCfgs {
-					restored := reopen(t, buf.Bytes(), Options{
-						Workers:     cfg.workers,
-						Incremental: cfg.incremental,
-						threshold:   1,
-					})
+				for _, w := range restoreWorkers {
+					restored := reopen(t, buf.Bytes(), Options{Workers: w, threshold: 1})
 					restored.opts.midTick = mid
 					if restored.TickCount() != int64(at) {
 						t.Fatalf("restored tick counter %d, want %d", restored.TickCount(), at)
@@ -83,8 +70,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 						t.Fatal(err)
 					}
 					if !bytes.Equal(want.Bytes(), got.Bytes()) {
-						t.Fatalf("resume from tick %d at w=%d inc=%v diverged from the uninterrupted run",
-							at, cfg.workers, cfg.incremental)
+						t.Fatalf("resume from tick %d at w=%d diverged from the uninterrupted run", at, w)
 					}
 				}
 			}

@@ -27,8 +27,8 @@
 // Exactness contract #5 follows: the journal is a complete record of every
 // accepted input with its stamp, so re-submitting it against a fresh
 // engine of the same (program, initial environment, seed) reproduces the
-// live interactive run byte-for-byte, at any Workers × Incremental
-// setting — TestReplayMatchesLive proves it, and checkpoint format v2
+// live interactive run byte-for-byte, at any Workers setting —
+// TestReplayMatchesLive proves it, and checkpoint format v2
 // carries the pending buffer and journal so the contract survives
 // checkpoint/restore mid-stream.
 //

@@ -147,8 +147,8 @@ func replayFromJournal(t testing.TB, e *Engine, journal []StampedCommand) []byte
 // to the live interactive run — same checkpoint bytes, which cover the
 // environment, every counter, the journal itself, the per-origin
 // sequence numbers and the pending input buffer — for every zoo program
-// and the battle simulation, at Workers {1, 4} × Incremental {off, on},
-// and identical across those configurations too. The live run also
+// and the battle simulation, at Workers {1, 4}, and identical across
+// those configurations too. The live run also
 // admits commands mid-tick (admitMidTick); the journal records them with
 // the stamp of the commit that applied them, and the replay, which has
 // no mid-tick traffic of its own, applies them at that same commit.
@@ -161,10 +161,9 @@ func TestReplayMatchesLive(t *testing.T) {
 				prog = compileZoo(t, src)
 			}
 			var first []byte
-			for _, cfg := range restoreCfgs {
+			for _, w := range restoreWorkers {
 				tweak := func(o *Options) {
-					o.Workers = cfg.workers
-					o.Incremental = cfg.incremental
+					o.Workers = w
 					o.threshold = 1 // always maintain: the hostile setting
 				}
 				live := newEngine(t, prog, units, Indexed, 7, func(o *Options) {
@@ -175,8 +174,7 @@ func TestReplayMatchesLive(t *testing.T) {
 				replay := newEngine(t, prog, units, Indexed, 7, tweak)
 				replayBytes := replayFromJournal(t, replay, live.Journal())
 				if !bytes.Equal(liveBytes, replayBytes) {
-					t.Fatalf("w=%d inc=%v: journal replay diverged from the live interactive run",
-						cfg.workers, cfg.incremental)
+					t.Fatalf("w=%d: journal replay diverged from the live interactive run", w)
 				}
 				if !slices.ContainsFunc(live.Journal(), func(sc StampedCommand) bool { return sc.Origin == "mid" }) {
 					t.Fatal("no mid-tick admission reached the journal")
@@ -188,7 +186,7 @@ func TestReplayMatchesLive(t *testing.T) {
 				if first == nil {
 					first = liveBytes
 				} else if !bytes.Equal(first, liveBytes) {
-					t.Fatalf("w=%d inc=%v: checkpoint bytes differ from w=1 inc=false", cfg.workers, cfg.incremental)
+					t.Fatalf("w=%d: checkpoint bytes differ from w=1", w)
 				}
 			}
 		})
@@ -346,8 +344,8 @@ func TestApplyTimeRejections(t *testing.T) {
 // matching a rebuild-from-scratch twin afterwards.
 func TestSpawnDespawnPopulationChange(t *testing.T) {
 	prog := battleProg(t)
-	a := newEngine(t, prog, 48, Indexed, 9, func(o *Options) { o.Incremental = true; o.threshold = 1 })
-	b := newEngine(t, prog, 48, Indexed, 9, nil) // rebuild every tick
+	a := newEngine(t, prog, 48, Indexed, 9, func(o *Options) { o.threshold = 1 })
+	b := newEngine(t, prog, 48, Indexed, 9, rebuildOnly)
 	drive := func(e *Engine) {
 		t.Helper()
 		if err := e.Run(3); err != nil {
@@ -369,8 +367,9 @@ func TestSpawnDespawnPopulationChange(t *testing.T) {
 		t.Fatalf("population = %d, want 48", a.Env().Len())
 	}
 	if !identicalTables(a.Env(), b.Env()) {
-		t.Fatal("incremental engine diverged from rebuild twin after population change")
+		t.Fatal("maintaining engine diverged from rebuild twin after population change")
 	}
+	assertRebuilt(t, b)
 	if a.Env().Lookup(8001) == nil {
 		t.Fatal("spawned unit missing")
 	}
@@ -428,13 +427,10 @@ func TestCheckpointMidStreamOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, cfg := range restoreCfgs {
-		sess, err := Open(bytes.NewReader(mid.Bytes()), game.NewMechanics(), Options{
-			Workers:     cfg.workers,
-			Incremental: cfg.incremental,
-		})
+	for _, w := range restoreWorkers {
+		sess, err := Open(bytes.NewReader(mid.Bytes()), game.NewMechanics(), Options{Workers: w})
 		if err != nil {
-			t.Fatalf("open at w=%d inc=%v: %v", cfg.workers, cfg.incremental, err)
+			t.Fatalf("open at w=%d: %v", w, err)
 		}
 		e := sess.Engine()
 		e.opts.threshold = 1
@@ -457,7 +453,7 @@ func TestCheckpointMidStreamOpen(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(oracleBytes, got.Bytes()) {
-			t.Fatalf("mid-stream Open at w=%d inc=%v diverged from the uninterrupted run", cfg.workers, cfg.incremental)
+			t.Fatalf("mid-stream Open at w=%d diverged from the uninterrupted run", w)
 		}
 	}
 }
@@ -477,7 +473,7 @@ func nanRow(prog *sem.Program, nan float64) []float64 {
 // t captures (the diff between views t and t+1), and in a maintained
 // sum read at t+1. From the view published at admission to the first
 // view showing the batch is one view. Over the battle and every zoo
-// program at Workers {1, 4} × Incremental {off, on}.
+// program at every cell of the grid.
 func TestCommandLandsInItsTicksView(t *testing.T) {
 	const units, seed, warm = 64, 5, 3
 	const val = 1e6 // far above any morale a unit holds, so the sum shows it
@@ -491,67 +487,66 @@ func TestCommandLandsInItsTicksView(t *testing.T) {
 		worlds = append(worlds, world{zp.Name, compileZoo(t, zp.Src)})
 	}
 	for _, w := range worlds {
-		for _, workers := range []int{1, 4} {
-			for _, inc := range []bool{false, true} {
-				t.Run(fmt.Sprintf("%s/w%d-inc%v", w.name, workers, inc), func(t *testing.T) {
-					e := newEngine(t, w.prog, units, Indexed, seed, func(o *Options) { o.Workers, o.Incremental = workers, inc })
-					if err := e.Run(warm); err != nil {
+		for _, c := range cells {
+			t.Run(fmt.Sprintf("%s/%v", w.name, c), func(t *testing.T) {
+				e := newEngine(t, w.prog, units, Indexed, seed, c.tune)
+				if err := e.Run(warm); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := e.QueryMaintained(sum, World()); err != nil { // subscribe
+					t.Fatal(err)
+				}
+				key := int64(e.env.Rows[7][e.prog.Schema.KeyCol()])
+				admittedAt := int64(-1)
+				e.opts.midTick = func(e *Engine) {
+					if admittedAt >= 0 {
+						return
+					}
+					var err error
+					if admittedAt, err = e.SubmitSharded("mid", Command{Op: OpSet, Key: key, Col: "morale", Val: val}); err != nil {
 						t.Fatal(err)
 					}
-					if _, err := e.QueryMaintained(sum, World()); err != nil { // subscribe
-						t.Fatal(err)
-					}
-					key := int64(e.env.Rows[7][e.prog.Schema.KeyCol()])
-					admittedAt := int64(-1)
-					e.opts.midTick = func(e *Engine) {
-						if admittedAt >= 0 {
-							return
-						}
-						var err error
-						if admittedAt, err = e.SubmitSharded("mid", Command{Op: OpSet, Key: key, Col: "morale", Val: val}); err != nil {
-							t.Fatal(err)
-						}
-					}
-					if err := e.Tick(); err != nil {
-						t.Fatal(err)
-					}
-					if admittedAt != warm {
-						t.Fatalf("admitted at view %d, want %d", admittedAt, warm)
-					}
-					v := e.ReadView()
-					mc := e.prog.Schema.MustCol("morale")
-					row := v.env.Rows[v.keys[key]]
-					if row[mc] != val {
-						t.Fatalf("view %d shows morale %v for unit %d: the batch admitted at view %d is not in it (one view from admission to visibility)",
-							v.Tick(), row[mc], key, admittedAt)
-					}
-					if views := v.Tick() - admittedAt; views != 1 {
-						t.Fatalf("%d views from admission to visibility, want 1", views)
-					}
-					j := e.Journal()
-					if len(j) != 1 || j[0].Origin != "mid" || j[0].Tick != v.Tick() {
-						t.Fatalf("journal %+v, want the batch stamped %d", j, v.Tick())
-					}
-					named := false
-					for k, i := range e.delta.Dirty {
-						named = named || (i == v.keys[key] && e.delta.Masks[k]&exec.ColBit(mc) != 0)
-					}
-					if !e.deltaOK || !named {
-						t.Fatalf("tick %d's delta (valid %v) does not name unit %d's morale", warm, e.deltaOK, key)
-					}
-					got, err := e.QueryMaintained(sum, World())
-					if err != nil {
-						t.Fatal(err)
-					}
-					scan, err := v.QueryScan(sum, World())
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got[0] < val || math.Float64bits(got[0]) != math.Float64bits(scan[0]) {
-						t.Fatalf("maintained sum(morale) at view %d is %v (scan %v); the batch should show in it", v.Tick(), got[0], scan[0])
-					}
-				})
-			}
+				}
+				if err := e.Tick(); err != nil {
+					t.Fatal(err)
+				}
+				if admittedAt != warm {
+					t.Fatalf("admitted at view %d, want %d", admittedAt, warm)
+				}
+				v := e.ReadView()
+				mc := e.prog.Schema.MustCol("morale")
+				row := v.env.Rows[v.keys[key]]
+				if row[mc] != val {
+					t.Fatalf("view %d shows morale %v for unit %d: the batch admitted at view %d is not in it (one view from admission to visibility)",
+						v.Tick(), row[mc], key, admittedAt)
+				}
+				if views := v.Tick() - admittedAt; views != 1 {
+					t.Fatalf("%d views from admission to visibility, want 1", views)
+				}
+				j := e.Journal()
+				if len(j) != 1 || j[0].Origin != "mid" || j[0].Tick != v.Tick() {
+					t.Fatalf("journal %+v, want the batch stamped %d", j, v.Tick())
+				}
+				named := false
+				for k, i := range e.delta.Dirty {
+					named = named || (i == v.keys[key] && e.delta.Masks[k]&exec.ColBit(mc) != 0)
+				}
+				if !e.deltaOK || !named {
+					t.Fatalf("tick %d's delta (valid %v) does not name unit %d's morale", warm, e.deltaOK, key)
+				}
+				got, err := e.QueryMaintained(sum, World())
+				if err != nil {
+					t.Fatal(err)
+				}
+				scan, err := v.QueryScan(sum, World())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got[0] < val || math.Float64bits(got[0]) != math.Float64bits(scan[0]) {
+					t.Fatalf("maintained sum(morale) at view %d is %v (scan %v); the batch should show in it", v.Tick(), got[0], scan[0])
+				}
+				c.held(t, e)
+			})
 		}
 	}
 }

@@ -143,8 +143,8 @@ func TestCompactJournalBoundedCheckpoint(t *testing.T) {
 // base checkpoint plus the journal tail — SubmitStamped per entry,
 // bypassing the sharded admission queues — and the replay's final
 // checkpoint is byte-identical to the live run's, for every zoo program
-// and the battle simulation at Workers {1,4} × Incremental {off,on}. The
-// live run admits mid-tick traffic too (admitMidTick).
+// and the battle simulation at Workers {1,4}. The live run admits
+// mid-tick traffic too (admitMidTick).
 func TestReplayMatchesLiveCompacted(t *testing.T) {
 	const baseTick = 6
 	mk := func(progName, src string, battle bool) {
@@ -153,15 +153,10 @@ func TestReplayMatchesLiveCompacted(t *testing.T) {
 			if !battle {
 				prog = compileZoo(t, src)
 			}
-			for _, cfg := range restoreCfgs {
-				tune := Options{
-					Workers:     cfg.workers,
-					Incremental: cfg.incremental,
-					threshold:   1,
-				}
+			for _, w := range restoreWorkers {
+				tune := Options{Workers: w, threshold: 1}
 				live := newEngine(t, prog, 64, Indexed, 7, func(o *Options) {
-					o.Workers = cfg.workers
-					o.Incremental = cfg.incremental
+					o.Workers = w
 					o.threshold = 1
 					o.midTick = admitMidTick(t)
 				})
@@ -226,8 +221,7 @@ func TestReplayMatchesLiveCompacted(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(liveBytes.Bytes(), replayBytes.Bytes()) {
-					t.Fatalf("w=%d inc=%v: replay from the base checkpoint diverged from the live compacted run",
-						cfg.workers, cfg.incremental)
+					t.Fatalf("w=%d: replay from the base checkpoint diverged from the live compacted run", w)
 				}
 			}
 		})

@@ -109,12 +109,12 @@ type Options struct {
 	// combine with commutative/associative folds merged in a fixed order,
 	// the resulting environment is bit-identical for any Workers value.
 	Workers int
-	// Incremental turns on delta-driven index maintenance for the Indexed
-	// mode: each tick the engine records which rows changed and the next
-	// tick's indexes are patched from the previous tick's instead of
-	// rebuilt from scratch. Results are bit-identical to rebuilding
-	// (proved by TestIncrementalMatchesRebuild); the only trade-off is
-	// memory for the previous tick's structures.
+	// Incremental is ignored.
+	//
+	// Deprecated: index maintenance has no switch. Every tick patches the
+	// previous tick's index structures from its delta wherever that costs
+	// less than a rebuild, and rebuilds the rest (DefaultIncrementalThreshold
+	// decides, per structure); results are bit-identical either way.
 	Incremental bool
 	// CompactJournal folds the applied journal prefix into the base after
 	// every tick (see compact.go): the journal — and with it the
@@ -128,7 +128,10 @@ type Options struct {
 
 	// threshold replaces DefaultIncrementalThreshold when nonzero. Only
 	// this package's differentials set it: 1 maintains whatever the
-	// churn (the hostile setting), a tiny value falls back on any.
+	// churn (the hostile setting), a tiny value falls back on any, and a
+	// negative one never maintains — MaintainFrom is not called, so no
+	// index is reused or patched and no answer carried or patched: the
+	// rebuild side of maintained ≡ rebuilt.
 	threshold float64
 	// midTick, when set, runs between a tick's decision phase and its
 	// commit, the window a command arriving while a tick runs lands in.
@@ -240,8 +243,8 @@ type Engine struct {
 	occOK bool
 
 	// Delta state (incremental.go): the provider the current tick used
-	// and the provider to maintain the next tick's indexes from
-	// (Options.Incremental, Indexed mode), and the tick's delta — what
+	// and the provider to maintain the next tick's indexes from, and the
+	// tick's delta — what
 	// changed since the previous read view — with whether it is valid.
 	// popChanged marks a population change since the last capture: row
 	// indexes shifted under the previous view, so no diff spans it.
@@ -284,7 +287,7 @@ type RunStats struct {
 	MovesBlocked   int
 	Deaths         int
 	// MaintainTicks counts the ticks whose indexes were patched from the
-	// previous tick's (Options.Incremental); DirtyRows accumulates the
+	// previous tick's; DirtyRows accumulates the
 	// per-tick delta sizes those patches consumed. They describe how this
 	// engine kept its indexes, not the world, so like IndexStats they are
 	// not checkpointed and restart at zero on Open.

@@ -43,17 +43,18 @@ func (e *Engine) incThreshold() float64 {
 }
 
 // newIndexedProvider builds the tick's indexed provider out of the
-// previous tick's: patched from its structures when incremental
-// maintenance is on and a valid delta exists, and in every case rebuilt
-// into its storage (exec.Indexed.Recycle) — the retired provider was
-// this engine's alone, nothing can still be reading it. A single
+// previous tick's: patched from its structures when a valid delta exists
+// and no tune came between — MaintainFrom then decides per structure
+// whether patching beats rebuilding — and in every case rebuilt into its
+// storage (exec.Indexed.Recycle) — the retired provider was this
+// engine's alone, nothing can still be reading it. A single
 // decision shard probes the result lazily; several shards freeze it
 // first (which only builds what maintenance did not install).
 func (e *Engine) newIndexedProvider(r rng.TickSource, keyIdx map[int64]int) *exec.Indexed {
 	prov := exec.NewIndexed(e.an, e.env, r)
 	prov.SeedKeyIndex(keyIdx)
 	if prev := e.prevProv; prev != nil {
-		if e.opts.Incremental && e.deltaOK && !e.tuned && prov.MaintainFrom(prev, e.delta, e.incThreshold()) {
+		if e.deltaOK && !e.tuned && e.opts.threshold >= 0 && prov.MaintainFrom(prev, e.delta, e.incThreshold()) {
 			e.Stats.MaintainTicks++
 			e.Stats.DirtyRows += len(e.delta.Dirty)
 		}

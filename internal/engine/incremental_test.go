@@ -14,12 +14,66 @@ import (
 	"github.com/epicscale/sgl/internal/workload"
 )
 
+// neverMaintain is the threshold of the rebuild seam: an engine run with
+// it never calls MaintainFrom — every tick rebuilds its indexes, carries
+// no answer and patches no maintained answer. It is the reference side of
+// maintained ≡ rebuilt.
+const neverMaintain = -1
+
+// rebuildOnly sets the rebuild seam.
+func rebuildOnly(o *Options) { o.threshold = neverMaintain }
+
+// gridCell is one configuration of the differential grids: a shard
+// count, and whether the engine maintains its indexes (the default
+// threshold decides per structure) or stays on the rebuild seam.
+type gridCell struct {
+	workers int
+	rebuild bool
+}
+
+// cells is Workers {1, 4} × {maintaining, rebuild seam}: every cell must
+// give the same bytes, so maintenance never shows in what a world does.
+var cells = []gridCell{{1, false}, {1, true}, {4, false}, {4, true}}
+
+func (c gridCell) String() string { return fmt.Sprintf("w%d-rebuild%v", c.workers, c.rebuild) }
+
+// threshold is the cell's test threshold: the default, or the seam's.
+func (c gridCell) threshold() float64 {
+	if c.rebuild {
+		return neverMaintain
+	}
+	return 0
+}
+
+// tune applies the cell to o.
+func (c gridCell) tune(o *Options) { o.Workers, o.threshold = c.workers, c.threshold() }
+
+// held fails unless an engine run in a rebuild cell stayed on the seam.
+func (c gridCell) held(t testing.TB, e *Engine) {
+	t.Helper()
+	if c.rebuild {
+		assertRebuilt(t, e)
+	}
+}
+
+// assertRebuilt fails unless e maintained nothing over its run: no tick
+// maintained, no structure reused or patched, no answer carried — so a
+// differential against it compares maintained with rebuilt, never
+// maintained with maintained.
+func assertRebuilt(t testing.TB, e *Engine) {
+	t.Helper()
+	if is := e.Stats.IndexStats; e.Stats.MaintainTicks != 0 || is.IndexReuses != 0 || is.IndexPatches != 0 || is.CarriedAnswers != 0 {
+		t.Fatalf("the rebuild reference maintained: %d ticks, %d reuses, %d patches, %d carried answers",
+			e.Stats.MaintainTicks, is.IndexReuses, is.IndexPatches, is.CarriedAnswers)
+	}
+}
+
 // TestIncrementalMatchesRebuild is the differential harness for
 // incremental index maintenance: for every zoo program and for the battle
 // simulation, an engine that patches its indexes from the previous tick
 // must leave an environment byte-identical to one that rebuilds from
 // scratch — at every single tick (not just the end state), and at both
-// Workers = 1 and Workers = 4. The incremental engines run with threshold
+// Workers = 1 and Workers = 4. The maintaining engines run with threshold
 // 1 so maintenance engages regardless of churn: this is the hostile
 // setting, since high-churn ticks patch almost every partition.
 func TestIncrementalMatchesRebuild(t *testing.T) {
@@ -33,11 +87,10 @@ func TestIncrementalMatchesRebuild(t *testing.T) {
 			alwaysMaintain := func(w int) *Engine {
 				return newEngine(t, prog, n, Indexed, seed, func(o *Options) {
 					o.Workers = w
-					o.Incremental = true
 					o.threshold = 1
 				})
 			}
-			oracle := newEngine(t, prog, n, Indexed, seed, func(o *Options) { o.Workers = 1 })
+			oracle := newEngine(t, prog, n, Indexed, seed, func(o *Options) { o.Workers, o.threshold = 1, neverMaintain })
 			inc1, inc4 := alwaysMaintain(1), alwaysMaintain(4)
 			for tick := 0; tick < ticks; tick++ {
 				for _, e := range []*Engine{oracle, inc1, inc4} {
@@ -52,6 +105,7 @@ func TestIncrementalMatchesRebuild(t *testing.T) {
 					t.Fatalf("incremental w=4 diverged from rebuild at tick %d", tick)
 				}
 			}
+			assertRebuilt(t, oracle)
 			// Guard against the test passing vacuously. Some zoo programs
 			// legitimately have nothing to maintain (residual-only
 			// definitions force scans), and the serial engine's IndexBuilds
@@ -86,7 +140,7 @@ func TestIncrementalMatchesRebuild(t *testing.T) {
 }
 
 // TestCarryMatchesRebuildUnderCommands runs the low-churn patrol world and
-// the zoo's carried-answers world incremental at Workers 1 and 4 — where
+// the zoo's carried-answers world maintained at Workers 1 and 4 — where
 // aggregate answers carry from tick to tick — against a rebuilding oracle
 // for 300 ticks, through every command that must break a carry or leave it
 // standing: a set on a column a carried call reads off its unit (a
@@ -105,21 +159,18 @@ func TestCarryMatchesRebuildUnderCommands(t *testing.T) {
 		t.Run(world.name, func(t *testing.T) {
 			prog := compileZoo(t, world.src)
 			spec := workload.Spec{Units: n, Density: 0.01, Seed: seed, Formation: workload.BattleLines, Mix: [3]int{20, 4, 1}}
-			opts := func(w int, inc bool) Options {
-				return Options{
+			mk := func(w int, threshold float64) *Engine {
+				e, err := New(prog, game.NewMechanics(), workload.Generate(spec), Options{
 					Mode: Indexed, Categoricals: game.Categoricals(), Seed: seed, Side: spec.Side(), MoveSpeed: 1,
-					Workers: w, Incremental: inc, threshold: 1,
-				}
-			}
-			mk := func(w int, inc bool) *Engine {
-				e, err := New(prog, game.NewMechanics(), workload.Generate(spec), opts(w, inc))
+					Workers: w, threshold: threshold,
+				})
 				if err != nil {
 					t.Fatal(err)
 				}
 				return e
 			}
-			oracle := mk(1, false)
-			incs := []*Engine{mk(1, true), mk(4, true)}
+			oracle := mk(1, neverMaintain)
+			incs := []*Engine{mk(1, 1), mk(4, 1)}
 			carries := func(when string) {
 				for _, e := range incs {
 					if e.Stats.IndexStats.CarriedAnswers == 0 {
@@ -160,7 +211,7 @@ func TestCarryMatchesRebuildUnderCommands(t *testing.T) {
 						if err := e.Checkpoint(&buf); err != nil {
 							t.Fatal(err)
 						}
-						incs[i] = reopen(t, buf.Bytes(), Options{Workers: e.Workers(), Incremental: true, threshold: 1})
+						incs[i] = reopen(t, buf.Bytes(), Options{Workers: e.Workers(), threshold: 1})
 					}
 				}
 				for _, e := range append([]*Engine{oracle}, incs...) {
@@ -182,6 +233,7 @@ func TestCarryMatchesRebuildUnderCommands(t *testing.T) {
 			if oracle.Stats.CommandsApplied != 6 {
 				t.Fatalf("%d of 6 commands applied", oracle.Stats.CommandsApplied)
 			}
+			assertRebuilt(t, oracle)
 			carries("after")
 			var ckpts [2]bytes.Buffer
 			for i, e := range incs {
@@ -212,12 +264,9 @@ func zooSrc(t *testing.T, name string) string {
 // definitions without changing outcomes.
 func TestIncrementalThresholdFallback(t *testing.T) {
 	prog := battleProg(t)
-	oracle := newEngine(t, prog, 80, Indexed, 11, nil)
-	inc := newEngine(t, prog, 80, Indexed, 11, func(o *Options) {
-		o.Incremental = true // default threshold
-	})
+	oracle := newEngine(t, prog, 80, Indexed, 11, rebuildOnly)
+	inc := newEngine(t, prog, 80, Indexed, 11, nil) // default threshold
 	tiny := newEngine(t, prog, 80, Indexed, 11, func(o *Options) {
-		o.Incremental = true
 		o.threshold = 1e-9 // everything relevant falls back
 	})
 	for tick := 0; tick < 30; tick++ {
@@ -236,9 +285,10 @@ func TestIncrementalThresholdFallback(t *testing.T) {
 	if tiny.Stats.IndexStats.MaintainFallbacks == 0 {
 		t.Error("tiny threshold should force fallbacks on a battle workload")
 	}
+	assertRebuilt(t, oracle)
 }
 
-// Incremental must compose with the ablation options.
+// Maintenance must compose with the ablation options.
 func TestIncrementalComposesWithAblations(t *testing.T) {
 	prog := battleProg(t)
 	for _, tweak := range []struct {
@@ -249,10 +299,12 @@ func TestIncrementalComposesWithAblations(t *testing.T) {
 		{"no-optimizer", func(o *Options) { o.DisableOptimizer = true }},
 	} {
 		t.Run(tweak.name, func(t *testing.T) {
-			oracle := newEngine(t, prog, 72, Indexed, 17, func(o *Options) { tweak.fn(o) })
+			oracle := newEngine(t, prog, 72, Indexed, 17, func(o *Options) {
+				tweak.fn(o)
+				rebuildOnly(o)
+			})
 			inc := newEngine(t, prog, 72, Indexed, 17, func(o *Options) {
 				tweak.fn(o)
-				o.Incremental = true
 				o.threshold = 1
 			})
 			for tick := 0; tick < 25; tick++ {
@@ -277,10 +329,7 @@ func TestIncrementalComposesWithAblations(t *testing.T) {
 // under heavy combat means capture is broken).
 func TestDeltaCaptureSeesCombat(t *testing.T) {
 	prog := battleProg(t)
-	e := newEngine(t, prog, 90, Indexed, 3, func(o *Options) {
-		o.Incremental = true
-		o.threshold = 1
-	})
+	e := newEngine(t, prog, 90, Indexed, 3, func(o *Options) { o.threshold = 1 })
 	if err := e.Run(20); err != nil {
 		t.Fatal(err)
 	}
@@ -295,14 +344,14 @@ func TestDeltaCaptureSeesCombat(t *testing.T) {
 func BenchmarkTickIncremental500(b *testing.B) {
 	prog := battleProg(b)
 	for _, inc := range []bool{false, true} {
-		name := "rebuild"
+		name, threshold := "rebuild", float64(neverMaintain)
 		if inc {
-			name = "incr"
+			name, threshold = "incr", 0
 		}
 		b.Run(name, func(b *testing.B) {
 			e := newEngine(b, prog, 500, Indexed, 42, func(o *Options) {
 				o.Workers = 1
-				o.Incremental = inc
+				o.threshold = threshold
 			})
 			if err := e.Run(3); err != nil {
 				b.Fatal(err)
@@ -318,8 +367,8 @@ func BenchmarkTickIncremental500(b *testing.B) {
 }
 
 // newSentryEngine builds the low-churn patrol world of the sentry
-// benchmarks (game.PatrolScript; one unit in 25 a scout), serial and
-// incremental, past the ticks maintenance needs to engage.
+// benchmarks (game.PatrolScript; one unit in 25 a scout), serial, past
+// the ticks maintenance needs to engage.
 func newSentryEngine(t testing.TB, n int) *Engine {
 	t.Helper()
 	spec := workload.Spec{Units: n, Density: 0.01, Seed: 42, Formation: workload.BattleLines, Mix: [3]int{20, 4, 1}}
@@ -330,7 +379,6 @@ func newSentryEngine(t testing.TB, n int) *Engine {
 		Side:         spec.Side(),
 		MoveSpeed:    1,
 		Workers:      1,
-		Incremental:  true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -506,8 +554,8 @@ func deltaTraffic(t testing.TB, e *Engine, tick int) ([]Command, bool) {
 // commit applies are in the view it publishes, so no row a set wrote
 // needs naming beyond the diff. A delta is invalid exactly on the ticks
 // that change the population. Over the zoo and the battle, at Workers
-// {1, 4} × Incremental {off, on}, under set, spawn, despawn and tune
-// traffic.
+// {1, 4}, maintaining and on the rebuild seam, under set, spawn, despawn
+// and tune traffic.
 func TestDeltaIsViewDiff(t *testing.T) {
 	const units, seed, ticks = 64, 23, 14
 	type world struct {
@@ -519,53 +567,52 @@ func TestDeltaIsViewDiff(t *testing.T) {
 		worlds = append(worlds, world{zp.Name, compileZoo(t, zp.Src)})
 	}
 	for _, w := range worlds {
-		for _, workers := range []int{1, 4} {
-			for _, inc := range []bool{false, true} {
-				t.Run(fmt.Sprintf("%s/w%d-inc%v", w.name, workers, inc), func(t *testing.T) {
-					e := newEngine(t, w.prog, units, Indexed, seed, func(o *Options) { o.Workers, o.Incremental = workers, inc })
-					for tick := 0; tick < ticks; tick++ {
-						cmds, popChange := deltaTraffic(t, e, tick)
-						if len(cmds) > 0 {
-							if err := e.Submit("t", cmds...); err != nil {
-								t.Fatal(err)
-							}
-						}
-						prev := e.ReadView()
-						if err := e.Tick(); err != nil {
+		for _, c := range cells {
+			t.Run(fmt.Sprintf("%s/%v", w.name, c), func(t *testing.T) {
+				e := newEngine(t, w.prog, units, Indexed, seed, c.tune)
+				for tick := 0; tick < ticks; tick++ {
+					cmds, popChange := deltaTraffic(t, e, tick)
+					if len(cmds) > 0 {
+						if err := e.Submit("t", cmds...); err != nil {
 							t.Fatal(err)
 						}
-						cur := e.ReadView()
-						if e.deltaOK == popChange {
-							t.Fatalf("tick %d: delta valid = %v on a tick that changes the population: %v", tick, e.deltaOK, popChange)
-						}
-						if popChange {
-							continue
-						}
-						masks := make([]uint64, cur.env.Len())
-						for i, row := range cur.env.Rows {
-							for c, v := range row {
-								if math.Float64bits(v) != math.Float64bits(prev.env.Rows[i][c]) {
-									masks[i] |= exec.ColBit(c)
-								}
+					}
+					prev := e.ReadView()
+					if err := e.Tick(); err != nil {
+						t.Fatal(err)
+					}
+					cur := e.ReadView()
+					if e.deltaOK == popChange {
+						t.Fatalf("tick %d: delta valid = %v on a tick that changes the population: %v", tick, e.deltaOK, popChange)
+					}
+					if popChange {
+						continue
+					}
+					masks := make([]uint64, cur.env.Len())
+					for i, row := range cur.env.Rows {
+						for col, v := range row {
+							if math.Float64bits(v) != math.Float64bits(prev.env.Rows[i][col]) {
+								masks[i] |= exec.ColBit(col)
 							}
 						}
-						var want exec.Delta
-						for i, m := range masks {
-							if m != 0 {
-								want.Dirty, want.Masks = append(want.Dirty, i), append(want.Masks, m)
-							}
-						}
-						if !slices.Equal(e.delta.Dirty, want.Dirty) || !slices.Equal(e.delta.Masks, want.Masks) {
-							t.Fatalf("tick %d: delta %v / %x, the views' diff %v / %x",
-								tick, e.delta.Dirty, e.delta.Masks, want.Dirty, want.Masks)
+					}
+					var want exec.Delta
+					for i, m := range masks {
+						if m != 0 {
+							want.Dirty, want.Masks = append(want.Dirty, i), append(want.Masks, m)
 						}
 					}
-					if e.Stats.CommandsApplied != 12 || e.Stats.CommandsRejected != 0 {
-						t.Fatalf("%d commands applied, %d rejected; the traffic is 12 commands that all apply",
-							e.Stats.CommandsApplied, e.Stats.CommandsRejected)
+					if !slices.Equal(e.delta.Dirty, want.Dirty) || !slices.Equal(e.delta.Masks, want.Masks) {
+						t.Fatalf("tick %d: delta %v / %x, the views' diff %v / %x",
+							tick, e.delta.Dirty, e.delta.Masks, want.Dirty, want.Masks)
 					}
-				})
-			}
+				}
+				if e.Stats.CommandsApplied != 12 || e.Stats.CommandsRejected != 0 {
+					t.Fatalf("%d commands applied, %d rejected; the traffic is 12 commands that all apply",
+						e.Stats.CommandsApplied, e.Stats.CommandsRejected)
+				}
+				c.held(t, e)
+			})
 		}
 	}
 }

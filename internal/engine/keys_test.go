@@ -213,34 +213,34 @@ function main(u) { perform Drift(u) }`
 // conversion picked, and the world's own checkpoint then failed Open with
 // a *PositionError. A candidate square outside the world is blocked:
 // every position stays inside [0, Side), the checkpoint reopens, and its
-// bytes agree across Workers {1, 4} × Incremental {off, on}.
+// bytes agree across Workers {1, 4}.
 func TestNaNMoveBlocked(t *testing.T) {
 	prog := compileZoo(t, nanMoveScript)
 	var first []byte
-	for _, cfg := range restoreCfgs {
-		e := newEngine(t, prog, 50, Indexed, 3, func(o *Options) { o.Workers, o.Incremental = cfg.workers, cfg.incremental })
+	for _, w := range restoreWorkers {
+		e := newEngine(t, prog, 50, Indexed, 3, func(o *Options) { o.Workers = w })
 		if err := e.Run(4); err != nil {
 			t.Fatal(err)
 		}
 		for i, row := range e.env.Rows {
 			if !inWorld(row[e.posX], e.opts.Side) || !inWorld(row[e.posY], e.opts.Side) {
-				t.Fatalf("w=%d inc=%v: row %d stands at (%v, %v)", cfg.workers, cfg.incremental, i, row[e.posX], row[e.posY])
+				t.Fatalf("w=%d: row %d stands at (%v, %v)", w, i, row[e.posX], row[e.posY])
 			}
 		}
 		if e.Stats.Moves != 0 || e.Stats.MovesBlocked != 4*e.env.Len() {
-			t.Fatalf("w=%d inc=%v: %d moves, %d blocked; every NaN move must block", cfg.workers, cfg.incremental, e.Stats.Moves, e.Stats.MovesBlocked)
+			t.Fatalf("w=%d: %d moves, %d blocked; every NaN move must block", w, e.Stats.Moves, e.Stats.MovesBlocked)
 		}
 		var buf bytes.Buffer
 		if err := e.Checkpoint(&buf); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := Open(bytes.NewReader(buf.Bytes()), game.NewMechanics(), Options{}); err != nil {
-			t.Fatalf("w=%d inc=%v: the world's own checkpoint does not reopen: %v", cfg.workers, cfg.incremental, err)
+			t.Fatalf("w=%d: the world's own checkpoint does not reopen: %v", w, err)
 		}
 		if first == nil {
 			first = buf.Bytes()
 		} else if !bytes.Equal(first, buf.Bytes()) {
-			t.Fatalf("w=%d inc=%v: checkpoint differs from the w=1 serial run's", cfg.workers, cfg.incremental)
+			t.Fatalf("w=%d: checkpoint differs from the w=1 serial run's", w)
 		}
 	}
 }

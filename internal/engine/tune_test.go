@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"testing"
 
 	"github.com/epicscale/sgl/internal/table"
@@ -52,16 +51,16 @@ func tuneAll(t *testing.T, e *Engine) {
 // cells when a closure runs; a constant baked into a closure at compile
 // time would leave them on the old value while the walker — which reads
 // the live table from the AST — moves. The Naive run checks every tick's
-// decision phase against the walker; Indexed (any Workers, any
-// Incremental) must then agree with Naive.
+// decision phase against the walker; Indexed (any Workers, maintaining
+// its indexes or rebuilding them) must then agree with Naive.
 func TestTuneReachesCompiledExprs(t *testing.T) {
 	prog := compileZoo(t, tuneScript)
 	const units, tuneAt, ticks = 120, 5, 12
 
-	run := func(mode Mode, workers int, inc, tune bool) *table.Table {
+	run := func(mode Mode, workers int, threshold float64, tune bool) *table.Table {
 		checked := 0
 		e := newEngine(t, prog, units, mode, 9, func(o *Options) {
-			o.Workers, o.Incremental = workers, inc
+			o.Workers, o.threshold = workers, threshold
 			if mode == Naive {
 				o.midTick = walkerDecides(t, &checked)
 			}
@@ -80,24 +79,22 @@ func TestTuneReachesCompiledExprs(t *testing.T) {
 		return e.Env()
 	}
 
-	naive := run(Naive, 1, false, true)
-	if untuned := run(Naive, 1, false, false); identicalTables(naive, untuned) {
+	naive := run(Naive, 1, 0, true)
+	if untuned := run(Naive, 1, 0, false); identicalTables(naive, untuned) {
 		t.Fatal("tuning every constant changed nothing: the fixture does not observe its constants")
 	}
-	ref := run(Indexed, 1, false, true)
+	ref := run(Indexed, 1, neverMaintain, true)
 	// Scans and indexes fold sums in different association; they agree to
 	// rounding, like every other Naive/Indexed comparison in this package.
 	if !naive.AlmostEqualContents(ref, 1e-9) {
 		t.Fatal("Indexed diverged from Naive after OpTune: a compiled expression did not see the retune")
 	}
-	for _, workers := range []int{1, 4} {
-		for _, inc := range []bool{false, true} {
-			t.Run(fmt.Sprintf("w%d/inc=%v", workers, inc), func(t *testing.T) {
-				if got := run(Indexed, workers, inc, true); !identicalTables(got, ref) {
-					t.Fatal("diverged from serial rebuild after OpTune")
-				}
-			})
-		}
+	for _, c := range cells {
+		t.Run(c.String(), func(t *testing.T) {
+			if got := run(Indexed, c.workers, c.threshold(), true); !identicalTables(got, ref) {
+				t.Fatal("diverged from serial rebuild after OpTune")
+			}
+		})
 	}
 }
 

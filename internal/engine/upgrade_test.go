@@ -18,8 +18,8 @@ import (
 )
 
 // The legacy fixtures in testdata come from the build that last wrote
-// each layout, over the battle program with Workers 4, Incremental on
-// and maintenance threshold 1, so the v1–v3 maintenance counters are
+// each layout, over the battle program with Workers 4, maintenance on
+// and threshold 1, so the v1–v3 maintenance counters are
 // nonzero (TestUpgradeLegacyFixtures reads them from the bytes). The v3
 // build wrote v3 through Checkpoint and v2 through its test-only
 // versioned writer; it had no v1 writer, so v1.ckpt is a live engine's
@@ -161,7 +161,7 @@ func TestUpgradeLegacyFixtures(t *testing.T) {
 			if again := upgrade(t, up, nil); !bytes.Equal(again, up) {
 				t.Error("upgrading a current stream is not the identity")
 			}
-			e := reopen(t, up, Options{Workers: 4, Incremental: true})
+			e := reopen(t, up, Options{Workers: 4})
 
 			if e.TickCount() != fx.tick || e.JournalBase() != fx.base ||
 				len(e.Journal()) != fx.journal || len(e.Pending()) != 0 ||
@@ -258,7 +258,7 @@ func TestUpgradeLegacyFixtures(t *testing.T) {
 
 // An upgraded version-4 stream continues exactly as the build that wrote
 // it did: reopened and run to tick 14, it checkpoints to the bytes of
-// that build's own tick-14 stream, upgraded — at Workers × Incremental.
+// that build's own tick-14 stream, upgraded — at Workers {1, 4}.
 // The pending batch (a rejection, a tune and a sharded admission among
 // it) preceded tick 10's decision there and must precede it here, so a
 // batch applied one decision late, or dropped, shows as a different
@@ -271,8 +271,8 @@ func TestUpgradedV4ContinuesLikeItsWriter(t *testing.T) {
 		t.Run(fx.file, func(t *testing.T) {
 			want := upgrade(t, readFixture(t, fx.continued), nil)
 			up := upgrade(t, readFixture(t, fx.file), nil)
-			for _, cfg := range restoreCfgs {
-				e := reopen(t, up, Options{Workers: cfg.workers, Incremental: cfg.incremental, threshold: 1})
+			for _, w := range restoreWorkers {
+				e := reopen(t, up, Options{Workers: w, threshold: 1})
 				if err := e.Run(int(14 - fx.tick)); err != nil {
 					t.Fatal(err)
 				}
@@ -281,7 +281,7 @@ func TestUpgradedV4ContinuesLikeItsWriter(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(got.Bytes(), want) {
-					t.Fatalf("w=%d inc=%v: the upgraded stream's continuation differs from its writer's", cfg.workers, cfg.incremental)
+					t.Fatalf("w=%d: the upgraded stream's continuation differs from its writer's", w)
 				}
 			}
 		})
@@ -339,9 +339,9 @@ func TestUpgradeMatchesPin(t *testing.T) {
 
 // TestCheckpointBytesIgnoreExecutionKnobs: the checkpoint of a world is a
 // function of the world alone. For every zoo program and the battle, the
-// stream at tick 20 is byte-identical across Workers {1, 4} × Incremental
-// {off, on} × maintenance threshold {default, 1} — including the runs
-// where maintenance engages, which version 3 recorded in its counters.
+// stream at tick 20 is byte-identical across Workers {1, 4} × maintenance
+// {never, default threshold, threshold 1} — including the runs where
+// maintenance engages, which version 3 recorded in its counters.
 func TestCheckpointBytesIgnoreExecutionKnobs(t *testing.T) {
 	const ticks = 20
 	mk := func(name string, prog *sem.Program, n int) {
@@ -349,24 +349,22 @@ func TestCheckpointBytesIgnoreExecutionKnobs(t *testing.T) {
 			var want []byte
 			maintained := false
 			for _, w := range []int{1, 4} {
-				for _, inc := range []bool{false, true} {
-					for _, th := range []float64{0, 1} {
-						e := newEngine(t, prog, n, Indexed, 7, func(o *Options) {
-							o.Workers, o.Incremental, o.threshold = w, inc, th
-						})
-						if err := e.Run(ticks); err != nil {
-							t.Fatal(err)
-						}
-						maintained = maintained || e.Stats.MaintainTicks > 0
-						var buf bytes.Buffer
-						if err := e.Checkpoint(&buf); err != nil {
-							t.Fatal(err)
-						}
-						if want == nil {
-							want = buf.Bytes()
-						} else if !bytes.Equal(want, buf.Bytes()) {
-							t.Fatalf("w=%d inc=%v threshold=%v: checkpoint bytes differ from w=1 inc=false", w, inc, th)
-						}
+				for _, th := range []float64{neverMaintain, 0, 1} {
+					e := newEngine(t, prog, n, Indexed, 7, func(o *Options) {
+						o.Workers, o.threshold = w, th
+					})
+					if err := e.Run(ticks); err != nil {
+						t.Fatal(err)
+					}
+					maintained = maintained || e.Stats.MaintainTicks > 0
+					var buf bytes.Buffer
+					if err := e.Checkpoint(&buf); err != nil {
+						t.Fatal(err)
+					}
+					if want == nil {
+						want = buf.Bytes()
+					} else if !bytes.Equal(want, buf.Bytes()) {
+						t.Fatalf("w=%d threshold=%v: checkpoint bytes differ from w=1 never maintaining", w, th)
 					}
 				}
 			}

@@ -202,8 +202,9 @@ func storeMax(m *atomic.Int64, v int64) {
 // TestSnapshotReadsMatchStandalone is the read-view member of the
 // contract-#4 family (served ≡ standalone): under a free-running clock,
 // reader goroutines record (tick, values) for every zoo query, indexed
-// and scan, through one view handle per read. A serial standalone engine
-// stepped to each recorded tick must reproduce every answer bit for bit
+// and scan, through one view handle per read, at every cell of the grid.
+// A serial standalone engine on the rebuild seam, stepped to each
+// recorded tick, must reproduce every answer bit for bit
 // — so a response labelled t is the state after exactly t ticks, never a
 // torn or mislabelled one — indexed must agree with scan at equal
 // labels, and the watched world's final checkpoint must equal an
@@ -224,133 +225,144 @@ func TestSnapshotReadsMatchStandalone(t *testing.T) {
 		queries[i] = compileQuery(t, zq.src)
 	}
 	for _, p := range progs {
-		for _, workers := range []int{1, 4} {
-			for _, inc := range []bool{false, true} {
-				p, workers, inc := p, workers, inc
-				t.Run(fmt.Sprintf("%s/w%d-inc%v", p.name, workers, inc), func(t *testing.T) {
-					tune := func(o *Options) { o.Workers, o.Incremental = workers, inc }
-					s := NewSession(newEngine(t, p.prog, units, Indexed, seed, tune))
+		for _, c := range cells {
+			p, c := p, c
+			t.Run(fmt.Sprintf("%s/%v", p.name, c), func(t *testing.T) {
+				tune := c.tune
+				s := NewSession(newEngine(t, p.prog, units, Indexed, seed, tune))
 
-					// Readers: each cycles through the whole zoo, both
-					// evaluators, taking a fresh view per read.
-					var stop atomic.Bool
-					var wg sync.WaitGroup
-					recs := make([][]viewRecord, readers)
-					errs := make(chan error, readers)
-					var done atomic.Int64 // full zoo passes completed, all readers
-					// The lowest and highest tick labels any reader saw.
-					var minSeen, maxSeen atomic.Int64
-					minSeen.Store(math.MaxInt64)
-					maxSeen.Store(-1)
-					for r := 0; r < readers; r++ {
-						wg.Add(1)
-						go func(r int) {
-							defer wg.Done()
-							for pass := 0; !stop.Load(); pass++ {
-								for zi := range queryZoo {
-									for _, scan := range []bool{false, true} {
-										pr := viewProbe{zoo: zi, scan: scan,
-											x: float64((3*r + pass) % 20), y: float64((7*r + 2*pass) % 20),
-											key: int64((11*r + pass) % units)}
-										v := s.ReadView()
-										vals, err := pr.eval(v, queries[zi])
-										if err != nil {
-											errs <- fmt.Errorf("reader %d, %s: %w", r, queryZoo[zi].name, err)
-											return
-										}
-										recs[r] = append(recs[r], viewRecord{pr, v.Tick(), vals})
-										storeMin(&minSeen, v.Tick())
-										storeMax(&maxSeen, v.Tick())
+				// Readers: each cycles through the whole zoo, both
+				// evaluators, taking a fresh view per read.
+				var stop atomic.Bool
+				var wg sync.WaitGroup
+				recs := make([][]viewRecord, readers)
+				errs := make(chan error, readers)
+				var done atomic.Int64 // full zoo passes completed, all readers
+				// The lowest and highest tick labels any reader saw.
+				var minSeen, maxSeen atomic.Int64
+				minSeen.Store(math.MaxInt64)
+				maxSeen.Store(-1)
+				var reading atomic.Int64 // readers that have recorded a read
+				for r := 0; r < readers; r++ {
+					wg.Add(1)
+					go func(r int) {
+						defer wg.Done()
+						for pass := 0; !stop.Load(); pass++ {
+							for zi := range queryZoo {
+								for _, scan := range []bool{false, true} {
+									pr := viewProbe{zoo: zi, scan: scan,
+										x: float64((3*r + pass) % 20), y: float64((7*r + 2*pass) % 20),
+										key: int64((11*r + pass) % units)}
+									v := s.ReadView()
+									vals, err := pr.eval(v, queries[zi])
+									if err != nil {
+										errs <- fmt.Errorf("reader %d, %s: %w", r, queryZoo[zi].name, err)
+										return
+									}
+									recs[r] = append(recs[r], viewRecord{pr, v.Tick(), vals})
+									storeMin(&minSeen, v.Tick())
+									storeMax(&maxSeen, v.Tick())
+									if len(recs[r]) == 1 {
+										reading.Add(1)
 									}
 								}
-								done.Add(1)
 							}
-						}(r)
-					}
-					// The clock runs free until every reader has demonstrably
-					// overlapped it (a single-core scheduler may not run them
-					// at all for the first few ticks), and the reads carry at
-					// least two distinct tick labels: done counts passes over
-					// all readers, which may all run against one view.
-					ticks := 0
-					for ; ticks < maxTicks && (ticks < minTicks || done.Load() < 2*readers || maxSeen.Load() <= minSeen.Load()); ticks++ {
-						if err := s.Step(1); err != nil {
-							t.Fatal(err)
+							done.Add(1)
 						}
-					}
-					stop.Store(true)
-					wg.Wait()
-					close(errs)
-					for err := range errs {
+					}(r)
+				}
+				// The clock runs free until every reader has demonstrably
+				// overlapped it (a loaded scheduler may not run them at all
+				// for the first few ticks, so it starts once each has read),
+				// and the reads carry at least two distinct tick labels:
+				// done counts passes over all readers, which may all run
+				// against one view.
+				for reading.Load() < readers && len(errs) == 0 {
+					runtime.Gosched()
+				}
+				ticks := 0
+				for ; ticks < maxTicks && (ticks < minTicks || done.Load() < 2*readers || maxSeen.Load() <= minSeen.Load()); ticks++ {
+					if err := s.Step(1); err != nil {
 						t.Fatal(err)
 					}
+				}
+				stop.Store(true)
+				wg.Wait()
+				close(errs)
+				for err := range errs {
+					t.Fatal(err)
+				}
 
-					var all []viewRecord
-					for _, rr := range recs {
-						all = append(all, rr...)
-					}
-					sort.SliceStable(all, func(i, j int) bool { return all[i].tick < all[j].tick })
-					if len(all) == 0 {
-						t.Fatal("readers recorded nothing")
-					}
-					if last := all[len(all)-1].tick; last > int64(ticks) {
-						t.Fatalf("a read was labelled tick %d; the world only reached %d", last, ticks)
-					}
-					if all[0].tick == all[len(all)-1].tick {
-						t.Fatalf("every read was labelled tick %d: readers never overlapped the clock", all[0].tick)
-					}
+				var all []viewRecord
+				for _, rr := range recs {
+					all = append(all, rr...)
+				}
+				sort.SliceStable(all, func(i, j int) bool { return all[i].tick < all[j].tick })
+				if len(all) == 0 {
+					t.Fatal("readers recorded nothing")
+				}
+				if last := all[len(all)-1].tick; last > int64(ticks) {
+					t.Fatalf("a read was labelled tick %d; the world only reached %d", last, ticks)
+				}
+				if all[0].tick == all[len(all)-1].tick {
+					t.Fatalf("every read was labelled tick %d: readers never overlapped the clock", all[0].tick)
+				}
 
-					// Standalone: serial, rebuild-every-tick, nobody watching.
-					// Stepped to each recorded label, it must reproduce the
-					// recorded answer exactly; its other evaluator gives the
-					// indexed ≡ scan cross-check at that label.
-					alone := newEngine(t, p.prog, units, Indexed, seed, func(o *Options) { o.Workers = 1 })
-					for _, rec := range all {
-						for alone.TickCount() < rec.tick {
-							if err := alone.Tick(); err != nil {
-								t.Fatal(err)
-							}
-						}
-						zq, q := queryZoo[rec.probe.zoo], queries[rec.probe.zoo]
-						want, err := rec.probe.eval(alone.ReadView(), q)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !sameBits(rec.vals, want) {
-							t.Fatalf("tick %d, %s (scan=%v): served %v, standalone %v",
-								rec.tick, zq.name, rec.probe.scan, rec.vals, want)
-						}
-						twin := rec.probe
-						twin.scan = !twin.scan
-						other, err := twin.eval(alone.ReadView(), q)
-						if err != nil {
-							t.Fatal(err)
-						}
-						for i := range want {
-							if !closeEnough(rec.vals[i], other[i]) {
-								t.Fatalf("tick %d, %s, output %s: scan=%v %v vs scan=%v %v",
-									rec.tick, zq.name, q.Outputs()[i], rec.probe.scan, rec.vals[i], twin.scan, other[i])
-							}
-						}
-					}
-
-					// Observed ≡ unobserved: same tuning, same ticks, no readers.
-					quiet := NewSession(newEngine(t, p.prog, units, Indexed, seed, tune))
-					if err := quiet.Step(ticks); err != nil {
-						t.Fatal(err)
-					}
-					var watched, unwatched bytes.Buffer
-					if err := s.Checkpoint(&watched); err != nil {
-						t.Fatal(err)
-					}
-					if err := quiet.Checkpoint(&unwatched); err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(watched.Bytes(), unwatched.Bytes()) {
-						t.Fatal("checkpoint of the watched world differs from the unwatched run")
-					}
+				// Standalone: serial, rebuild-every-tick, nobody watching.
+				// Stepped to each recorded label, it must reproduce the
+				// recorded answer exactly; its other evaluator gives the
+				// indexed ≡ scan cross-check at that label.
+				alone := newEngine(t, p.prog, units, Indexed, seed, func(o *Options) {
+					o.Workers = 1
+					rebuildOnly(o)
 				})
-			}
+				for _, rec := range all {
+					for alone.TickCount() < rec.tick {
+						if err := alone.Tick(); err != nil {
+							t.Fatal(err)
+						}
+					}
+					zq, q := queryZoo[rec.probe.zoo], queries[rec.probe.zoo]
+					want, err := rec.probe.eval(alone.ReadView(), q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !sameBits(rec.vals, want) {
+						t.Fatalf("tick %d, %s (scan=%v): served %v, standalone %v",
+							rec.tick, zq.name, rec.probe.scan, rec.vals, want)
+					}
+					twin := rec.probe
+					twin.scan = !twin.scan
+					other, err := twin.eval(alone.ReadView(), q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := range want {
+						if !closeEnough(rec.vals[i], other[i]) {
+							t.Fatalf("tick %d, %s, output %s: scan=%v %v vs scan=%v %v",
+								rec.tick, zq.name, q.Outputs()[i], rec.probe.scan, rec.vals[i], twin.scan, other[i])
+						}
+					}
+				}
+
+				// Observed ≡ unobserved: same tuning, same ticks, no readers.
+				quiet := NewSession(newEngine(t, p.prog, units, Indexed, seed, tune))
+				if err := quiet.Step(ticks); err != nil {
+					t.Fatal(err)
+				}
+				var watched, unwatched bytes.Buffer
+				if err := s.Checkpoint(&watched); err != nil {
+					t.Fatal(err)
+				}
+				if err := quiet.Checkpoint(&unwatched); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(watched.Bytes(), unwatched.Bytes()) {
+					t.Fatal("checkpoint of the watched world differs from the unwatched run")
+				}
+				c.held(t, s.Engine())
+				assertRebuilt(t, alone)
+			})
 		}
 	}
 }
@@ -359,8 +371,8 @@ func TestSnapshotReadsMatchStandalone(t *testing.T) {
 // rebuild-into-owned-storage tick relies on: the engine overwrites the
 // index storage of its own retired tick provider and nothing else — never
 // a provider a published read view built. A view is pinned and made to
-// build every zoo query's indexes; the world then runs 20 rebuild-mode
-// ticks, each rebuilding the tick's indexes into the previous tick's
+// build every zoo query's indexes; the world then runs 20 ticks that
+// never maintain (the rebuild seam), each rebuilding the tick's indexes into the previous tick's
 // storage; afterwards the pinned view must still answer every query, from
 // those same indexes, exactly as it did before the ticks — and as a scan
 // of its own row copy does.
@@ -372,7 +384,7 @@ func TestRecycledStorageNeverReachesAView(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
-			e := newEngine(t, battleProg(t), units, Indexed, seed, func(o *Options) { o.Workers = workers })
+			e := newEngine(t, battleProg(t), units, Indexed, seed, func(o *Options) { o.Workers, o.threshold = workers, neverMaintain })
 			if err := e.Run(warm); err != nil {
 				t.Fatal(err)
 			}
@@ -395,9 +407,7 @@ func TestRecycledStorageNeverReachesAView(t *testing.T) {
 			if err := e.Run(ticks); err != nil {
 				t.Fatal(err)
 			}
-			if e.Stats.MaintainTicks != 0 {
-				t.Fatalf("%d ticks maintained their indexes; this test is about rebuild mode", e.Stats.MaintainTicks)
-			}
+			assertRebuilt(t, e)
 
 			for i, pr := range probes {
 				zq, q := queryZoo[pr.zoo], queries[pr.zoo]
@@ -466,10 +476,11 @@ func TestViewMatchesBuiltIndex(t *testing.T) {
 // position column at the same rows, so after every tick its rows must
 // equal the engine's bit for bit and its column its rows' (posx, posy) —
 // over the zoo, the battle and a world whose every move is a blocked NaN
-// move, Workers {1, 4} × Incremental {off, on}, through the scripted
-// command stream (morale, health and posx sets, spawns, despawns, a
-// tune) and a reopen mid-run. A replica bootstrapped from an earlier
-// checkpoint with the other knobs — what a PUT checkpoint and a
+// move, over the grid (Workers {1, 4}, maintaining and on the rebuild
+// seam), through the scripted command stream (morale, health and posx
+// sets, spawns, despawns, a tune) and a reopen mid-run. A replica
+// bootstrapped from an earlier checkpoint at the other worker count and
+// keeping its indexes the other way — what a PUT checkpoint and a
 // read replica's bootstrap both do — and replaying the journal must
 // publish the same rows and a column that matches them. Views must
 // actually have shared rows — not in every world, since a tick that
@@ -487,93 +498,99 @@ func TestViewRowsMatchEngine(t *testing.T) {
 	}
 	shared := 0
 	for _, w := range worlds {
-		for _, workers := range []int{1, 4} {
-			for _, inc := range []bool{false, true} {
-				t.Run(fmt.Sprintf("%s/w%d-inc%v", w.name, workers, inc), func(t *testing.T) {
-					opts := func(o *Options) { o.Workers, o.Incremental = workers, inc }
-					e := newEngine(t, w.prog, units, Indexed, seed, opts)
-					var replica *Session
-					// A view builds its column on first read: an odd tick's
-					// views are read at once, an even tick's only at the next
-					// check, once the world has moved on from them.
-					var late []*ReadView
-					column := func(v *ReadView) {
-						t.Helper()
-						if v.Tick()%2 == 0 {
-							late = append(late, v)
-						} else {
-							checkViewPositions(t, v)
+		for _, c := range cells {
+			t.Run(fmt.Sprintf("%s/%v", w.name, c), func(t *testing.T) {
+				opts := c.tune
+				e := newEngine(t, w.prog, units, Indexed, seed, opts)
+				var replica *Session
+				// A view builds its column on first read: an odd tick's
+				// views are read at once, an even tick's only at the next
+				// check, once the world has moved on from them.
+				var late []*ReadView
+				column := func(v *ReadView) {
+					t.Helper()
+					if v.Tick()%2 == 0 {
+						late = append(late, v)
+					} else {
+						checkViewPositions(t, v)
+					}
+				}
+				check := func(prev *ReadView) {
+					t.Helper()
+					for _, lv := range late {
+						checkViewPositions(t, lv)
+					}
+					late = late[:0]
+					v := e.ReadView()
+					if v.Tick() != e.TickCount() || !identicalTables(v.env, e.env) {
+						t.Fatalf("tick %d: the view (tick %d) does not hold the engine's rows", e.TickCount(), v.Tick())
+					}
+					column(v)
+					for i := range v.env.Rows {
+						if prev != nil && i < prev.env.Len() && &v.env.Rows[i][0] == &prev.env.Rows[i][0] {
+							shared++
+							break
 						}
 					}
-					check := func(prev *ReadView) {
-						t.Helper()
-						for _, lv := range late {
-							checkViewPositions(t, lv)
+					if replica != nil {
+						rv := replica.ReadView()
+						if rv.Tick() != v.Tick() || !identicalTables(rv.env, v.env) {
+							t.Fatalf("tick %d: the replica's view (tick %d) does not hold the writer's rows", v.Tick(), rv.Tick())
 						}
-						late = late[:0]
-						v := e.ReadView()
-						if v.Tick() != e.TickCount() || !identicalTables(v.env, e.env) {
-							t.Fatalf("tick %d: the view (tick %d) does not hold the engine's rows", e.TickCount(), v.Tick())
-						}
-						column(v)
-						for i := range v.env.Rows {
-							if prev != nil && i < prev.env.Len() && &v.env.Rows[i][0] == &prev.env.Rows[i][0] {
-								shared++
-								break
-							}
-						}
-						if replica != nil {
-							rv := replica.ReadView()
-							if rv.Tick() != v.Tick() || !identicalTables(rv.env, v.env) {
-								t.Fatalf("tick %d: the replica's view (tick %d) does not hold the writer's rows", v.Tick(), rv.Tick())
-							}
-							column(rv)
-						}
+						column(rv)
 					}
-					check(nil)
-					for tick := int64(0); tick < scriptedTicks; tick++ {
-						if tick == replicaAt {
-							var buf bytes.Buffer
-							if err := e.Checkpoint(&buf); err != nil {
-								t.Fatal(err)
-							}
-							var err error
-							if replica, err = Open(&buf, game.NewMechanics(), Options{Workers: 5 - workers, Incremental: !inc}); err != nil {
-								t.Fatal(err)
-							}
-							check(nil)
-						}
-						injectScripted(t, e, tick)
-						if tick == restoreAt {
-							var buf bytes.Buffer
-							if err := e.Checkpoint(&buf); err != nil {
-								t.Fatal(err)
-							}
-							o := Options{}
-							opts(&o)
-							e = reopen(t, buf.Bytes(), o)
-							check(nil)
-						}
-						prev := e.ReadView()
-						if err := e.Tick(); err != nil {
+				}
+				check(nil)
+				for tick := int64(0); tick < scriptedTicks; tick++ {
+					if tick == replicaAt {
+						var buf bytes.Buffer
+						if err := e.Checkpoint(&buf); err != nil {
 							t.Fatal(err)
 						}
-						if replica != nil {
-							for _, sc := range e.Journal() {
-								if sc.Tick == tick+1 { // the batch the writer's commit applied
-									if err := replica.SubmitStamped(sc); err != nil {
-										t.Fatal(err)
-									}
+						var err error
+						if replica, err = Open(&buf, game.NewMechanics(), Options{Workers: 5 - c.workers}); err != nil {
+							t.Fatal(err)
+						}
+						// The replica keeps its indexes the other way.
+						if !c.rebuild {
+							replica.Engine().opts.threshold = neverMaintain
+						}
+						check(nil)
+					}
+					injectScripted(t, e, tick)
+					if tick == restoreAt {
+						var buf bytes.Buffer
+						if err := e.Checkpoint(&buf); err != nil {
+							t.Fatal(err)
+						}
+						o := Options{}
+						opts(&o)
+						e = reopen(t, buf.Bytes(), o)
+						check(nil)
+					}
+					prev := e.ReadView()
+					if err := e.Tick(); err != nil {
+						t.Fatal(err)
+					}
+					if replica != nil {
+						for _, sc := range e.Journal() {
+							if sc.Tick == tick+1 { // the batch the writer's commit applied
+								if err := replica.SubmitStamped(sc); err != nil {
+									t.Fatal(err)
 								}
 							}
-							if err := replica.Step(1); err != nil {
-								t.Fatal(err)
-							}
 						}
-						check(prev)
+						if err := replica.Step(1); err != nil {
+							t.Fatal(err)
+						}
 					}
-				})
-			}
+					check(prev)
+				}
+				c.held(t, e)
+				if !c.rebuild {
+					assertRebuilt(t, replica.Engine())
+				}
+			})
 		}
 	}
 	if shared == 0 {
@@ -651,7 +668,7 @@ function main(u) { if u.health < 0 - 1 then perform Tag(u, 1) }`)
 		}
 		e, err := New(prog, g, env, Options{
 			Mode: Indexed, Categoricals: game.Categoricals(), Seed: 3, Side: side, MoveSpeed: 1,
-			Workers: 1, Incremental: true,
+			Workers: 1,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -79,8 +79,10 @@ type Indexed struct {
 	unbuilt *ast.AggDef
 
 	// changed is what MaintainFrom learned of the tick's delta, for
-	// Carries.
-	changed changes
+	// Carries. inherited is set once a predecessor's storage was taken
+	// over (inherit).
+	changed   changes
+	inherited bool
 
 	scratch
 
@@ -99,6 +101,10 @@ type scratch struct {
 	probeReqs    []matchReq
 	probeParts   []*part
 	probePayload []float64
+
+	// fates and arrivals are maintenance's working memory (classifyDirty).
+	fates    []partFate
+	arrivals []arrival
 
 	// invariant memoises the answers of probe-invariant definitions
 	// (AggAnalysis.ProbeInvariant) per matched partition set, for the
@@ -214,11 +220,23 @@ func (p *Indexed) Recycle(prev *Indexed) {
 		}
 	}
 	p.spare = spare
-	p.changed.adopt(&prev.changed)
-	p.scratch = prev.scratch
-	p.invariant = p.invariant[:0] // answers of prev's tick
+	p.inherit(prev)
 	prev.groups, prev.spare = nil, nil
-	prev.scratch = scratch{}
+}
+
+// inherit takes over prev's scratch and change masks, leaving prev none,
+// the first time MaintainFrom or Recycle hands p a predecessor: the
+// structures maintenance rebuilds write into inherited scratch, and so
+// does the rest of the tick.
+func (p *Indexed) inherit(prev *Indexed) {
+	if p.inherited {
+		return
+	}
+	p.inherited = true
+	p.scratch, prev.scratch = prev.scratch, scratch{}
+	p.invariant = p.invariant[:0] // answers of prev's tick
+	p.changed, prev.changed = prev.changed, changes{}
+	p.changed.ok = false
 }
 
 // Freeze eagerly builds every index structure the program can demand this
@@ -373,10 +391,12 @@ func (s *Stats) Add(o Stats) {
 // values of its partition columns.
 type partIndex struct {
 	parts map[string]*part
-	order []string // deterministic partition iteration order
-	list  []*part  // parts[order[i]], so probes never hash a key
+	// list holds the partitions in their deterministic iteration order,
+	// ascending first member row (the scan's first-appearance order), so
+	// probes never hash a key.
+	list []*part
 	// rowPart maps every environment row to its partition ordinal in
-	// order, or -1 when the e-only filter excludes it. MaintainFrom uses
+	// list, or -1 when the e-only filter excludes it. MaintainFrom uses
 	// it to find the partition a dirty row used to live in, so only a
 	// provider it may maintain fills it: an unbuilt one leaves it nil.
 	rowPart []int32
@@ -413,15 +433,12 @@ type globalExt struct {
 	ok  bool
 }
 
-// finish derives list and the parts' ordinals from parts and order, and
-// with rowPart set the row → partition-ordinal map over n rows (called
-// after membership is final).
+// finish derives the parts' ordinals from list, and with rowPart set the
+// row → partition-ordinal map over n rows (called after membership is
+// final).
 func (idx *partIndex) finish(n int, rowPart bool) {
-	idx.list = idx.list[:0]
-	for ord, key := range idx.order {
-		pt := idx.parts[key]
+	for ord, pt := range idx.list {
 		pt.ord = int32(ord)
-		idx.list = append(idx.list, pt)
 	}
 	if !rowPart {
 		return
@@ -457,15 +474,17 @@ func (p *Indexed) scanMembers(idx *partIndex, eonly []expr.Cond, cols []int) {
 	if idx.parts == nil {
 		idx.parts = map[string]*part{}
 	}
-	idx.order = idx.order[:0]
+	clear(idx.list)
+	idx.list = idx.list[:0]
 	//sgl:unordered each part is emptied independently
 	for _, pt := range idx.parts {
 		pt.rows = pt.rows[:0]
 	}
 	if lean && len(eonly) == 0 && len(cols) == 0 {
 		if n > 0 {
-			idx.parts[""] = &part{rows: identityRows(n)}
-			idx.order = append(idx.order, "")
+			pt := &part{rows: identityRows(n)}
+			idx.parts[""] = pt
+			idx.list = append(idx.list, pt)
 		}
 		idx.finish(n, false)
 		return
@@ -482,11 +501,11 @@ func (p *Indexed) scanMembers(idx *partIndex, eonly []expr.Cond, cols []int) {
 			}
 		}
 		if len(pt.rows) == 0 {
-			idx.order = append(idx.order, pt.key)
+			idx.list = append(idx.list, pt)
 		}
 		pt.rows = append(pt.rows, i)
 	}
-	if len(idx.order) < len(idx.parts) {
+	if len(idx.list) < len(idx.parts) {
 		//sgl:unordered deletes exactly the memberless parts, in any order
 		for key, pt := range idx.parts {
 			if len(pt.rows) == 0 {

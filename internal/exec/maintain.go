@@ -33,7 +33,8 @@
 package exec
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"github.com/epicscale/sgl/internal/sgl/ast"
 )
@@ -81,8 +82,8 @@ func (p *Indexed) MaintainFrom(prev *Indexed, d Delta, threshold float64) bool {
 		return false
 	}
 	n := p.env.Len()
+	p.inherit(prev)
 	ch := &p.changed
-	ch.adopt(&prev.changed)
 	ch.group = sized(ch.group, len(p.an.groups))
 	for ord := range ch.group {
 		ch.group[ord] = allCols // until maintained below
@@ -145,15 +146,6 @@ type changes struct {
 // allCols is the mask of every column.
 const allCols = ^depMask(0)
 
-// adopt takes over prev's storage unless c has its own; prev's content is
-// dropped either way.
-func (c *changes) adopt(prev *changes) {
-	if c.row == nil {
-		c.group, c.row = prev.group, prev.row
-	}
-	*prev = changes{}
-}
-
 // Carries reports whether an answer of def computed for environment row
 // row against the previous provider — the one MaintainFrom consumed — is
 // still exact against this one, given the same arguments. It is when def
@@ -195,48 +187,56 @@ type partFate struct {
 	repatch slotMask // only payload columns changed: recompute its sums in place
 }
 
+// arrival is a dirty row whose membership was re-evaluated and that now
+// belongs to the partition with ordinal part.
+type arrival struct {
+	part int32
+	row  int
+}
+
 // classifyDirty walks the delta once for a group, assigning a fate to
-// every touched partition and collecting, per new partition key, the
-// dirty rows that now belong to it (ascending, since d.Dirty is).
-// departed marks dirty rows whose membership was re-evaluated; they are
-// dropped from their old partition and re-added via arrivals if they
-// stayed. changed is the group's entry of changes.group.
-func (p *Indexed) classifyDirty(g *membership, idx *groupIndex, d Delta) (fates map[string]*partFate, arrivals map[string][]int, departed map[int]bool, changed depMask) {
-	fates = map[string]*partFate{}
-	arrivals = map[string][]int{}
-	departed = map[int]bool{}
-	fateOf := func(key string) *partFate {
-		f := fates[key]
-		if f == nil {
-			f = &partFate{}
-			fates[key] = f
-		}
-		return f
-	}
+// every touched partition (p.fates, by partition ordinal) and collecting
+// the dirty rows that now belong to each (p.arrivals, by partition, then
+// ascending row, since d.Dirty is ascending). A row whose membership was
+// re-evaluated departs its old partition and arrives wherever it belongs
+// now, possibly the same one. A key the group has no partition for yet
+// founds one, empty and relabeled, after the existing ones in idx.list.
+// It returns the group's entry of changes.group. Its working memory is
+// the provider's scratch: a steady tick allocates nothing here.
+func (p *Indexed) classifyDirty(g *membership, idx *groupIndex, d Delta) (changed depMask) {
+	p.fates = slices.Grow(p.fates[:0], len(idx.list))[:len(idx.list)]
+	clear(p.fates)
+	p.arrivals = p.arrivals[:0]
 	for j, r := range d.Dirty {
 		mask := depMask(d.Masks[j])
-		hasOld := idx.rowPart[r] >= 0
-		if hasOld {
+		old := idx.rowPart[r]
+		if old >= 0 {
 			changed |= mask
 		}
 		if mask&g.deps != 0 {
 			// Membership may have changed: pull the row out of its old
 			// partition and re-insert it where it belongs now.
-			if hasOld {
-				fateOf(idx.order[idx.rowPart[r]]).relabel = true
-				departed[r] = true
+			if old >= 0 {
+				p.fates[old].relabel = true
 				changed = allCols
 			}
 			row := p.env.Rows[r]
 			if p.passesEOnly(g.eonly, row) {
-				nk := string(p.partitionKey(row, g.cols))
-				fateOf(nk).relabel = true
-				arrivals[nk] = append(arrivals[nk], r)
+				key := p.partitionKey(row, g.cols)
+				pt := idx.parts[string(key)]
+				if pt == nil {
+					pt = &part{key: string(key), ord: int32(len(idx.list))}
+					idx.parts[pt.key] = pt
+					idx.list = append(idx.list, pt)
+					p.fates = append(p.fates, partFate{})
+				}
+				p.fates[pt.ord].relabel = true
+				p.arrivals = append(p.arrivals, arrival{pt.ord, r})
 				changed = allCols
 			}
 			continue
 		}
-		if !hasOld {
+		if old < 0 {
 			continue // still filtered out; nothing indexed depends on it
 		}
 		var rebuild, repatch slotMask
@@ -250,59 +250,64 @@ func (p *Indexed) classifyDirty(g *membership, idx *groupIndex, d Delta) (fates 
 				repatch |= slotBit(s)
 			}
 		}
-		if rebuild|repatch != 0 {
-			f := fateOf(idx.order[idx.rowPart[r]])
-			f.rebuild |= rebuild
-			f.repatch |= repatch
-		}
+		f := &p.fates[old]
+		f.rebuild |= rebuild
+		f.repatch |= repatch
 	}
-	return fates, arrivals, departed, changed
+	slices.SortStableFunc(p.arrivals, func(a, b arrival) int { return cmp.Compare(a.part, b.part) })
+	return changed
 }
 
-// mergeMembership rebuilds one relabeled partition's row list: the old
-// members that did not depart, plus the dirty arrivals, ascending — which
-// is exactly the membership a from-scratch row scan would produce.
-func mergeMembership(oldRows, arrivals []int, departed map[int]bool) []int {
-	rows := make([]int, 0, len(oldRows)+len(arrivals))
-	for _, r := range oldRows {
-		if !departed[r] {
-			rows = append(rows, r)
+// mergeMembership rebuilds one relabeled partition's row list in place:
+// the old members that did not depart — rows whose membership columns
+// did not change (moved) — merged with the arrivals, ascending, which is
+// exactly the membership a from-scratch row scan would produce.
+func mergeMembership(rows []int, arrivals []arrival, moved []depMask, deps depMask) []int {
+	kept := rows[:0]
+	for _, r := range rows {
+		if moved[r]&deps == 0 {
+			kept = append(kept, r)
 		}
 	}
-	rows = append(rows, arrivals...)
-	sort.Ints(rows)
+	// Merge from the back, so no kept row is overwritten before it moves.
+	i, j := len(kept)-1, len(arrivals)-1
+	rows = slices.Grow(kept, len(arrivals))[:len(kept)+len(arrivals)]
+	for k := len(rows) - 1; j >= 0; k-- {
+		if i >= 0 && rows[i] > arrivals[j].row {
+			rows[k] = rows[i]
+			i--
+		} else {
+			rows[k] = arrivals[j].row
+			j--
+		}
+	}
 	return rows
-}
-
-// sortedByFirstRow orders partition keys by their first member row —
-// identical to the first-appearance order the from-scratch scan records.
-func sortedByFirstRow(keys []string, firstRow func(key string) int) {
-	sort.Slice(keys, func(i, j int) bool {
-		return firstRow(keys[i]) < firstRow(keys[j])
-	})
 }
 
 // maintainGroup brings a group index built over the previous tick's rows
 // up to date in place: the same structures built, each now a function of
 // the current rows. It returns the group's changed columns (changes).
 func (p *Indexed) maintainGroup(g *membership, idx *groupIndex, d Delta) depMask {
-	fates, arrivals, departed, changed := p.classifyDirty(g, idx, d)
-	for _, key := range idx.order {
-		pt := idx.parts[key]
-		f := fates[key]
-		switch {
-		case f == nil:
+	changed := p.classifyDirty(g, idx, d)
+	arrivals, live := p.arrivals, idx.list[:0]
+	for ord, pt := range idx.list {
+		n := 0
+		for n < len(arrivals) && arrivals[n].part == int32(ord) {
+			n++
+		}
+		mine := arrivals[:n]
+		arrivals = arrivals[n:]
+		switch f := p.fates[ord]; {
+		case f == partFate{}:
 			// No relevant dirty member: every structure is a pure function
 			// of unchanged rows, so the whole partition carries over.
 			p.countReuses(g, idx.built)
 		case f.relabel:
-			rows := mergeMembership(pt.rows, arrivals[key], departed)
-			delete(arrivals, key)
-			if len(rows) == 0 {
-				delete(idx.parts, key) // partition vanished; drop it like the scan would
+			pt.rows = mergeMembership(pt.rows, mine, p.changed.row, g.deps)
+			if len(pt.rows) == 0 {
+				delete(idx.parts, pt.key) // partition vanished; drop it like the scan would
 				continue
 			}
-			pt.rows = rows
 			p.buildSlots(g, pt, idx.built)
 		default:
 			// Membership intact: refresh only the invalidated structures.
@@ -312,27 +317,13 @@ func (p *Indexed) maintainGroup(g *membership, idx *groupIndex, d Delta) depMask
 			p.repatchSlots(g, pt, repatch)
 			p.countReuses(g, idx.built&^(rebuild|repatch))
 		}
+		live = append(live, pt)
 	}
-
-	// Partitions born this tick (arrivals to keys the old index lacked).
-	newKeys := make([]string, 0, len(arrivals))
-	//sgl:unordered keys are collected and sorted before partitions are built
-	for key := range arrivals {
-		newKeys = append(newKeys, key)
-	}
-	sort.Strings(newKeys)
-	for _, key := range newKeys {
-		pt := &part{key: key, rows: arrivals[key]}
-		p.buildSlots(g, pt, idx.built)
-		idx.parts[key] = pt
-	}
-
-	idx.order = idx.order[:0]
-	//sgl:unordered partition order is re-derived by sortedByFirstRow below
-	for key := range idx.parts {
-		idx.order = append(idx.order, key)
-	}
-	sortedByFirstRow(idx.order, func(key string) int { return idx.parts[key].rows[0] })
+	clear(idx.list[len(live):])
+	idx.list = live
+	// Partition order is first-appearance order in a row scan, which is
+	// ascending first member row.
+	slices.SortFunc(idx.list, func(a, b *part) int { return cmp.Compare(a.rows[0], b.rows[0]) })
 	idx.finish(p.env.Len(), true)
 	return changed
 }

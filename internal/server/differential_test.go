@@ -26,8 +26,8 @@ import (
 // diverge.
 //
 // It runs the battle script plus every zoo program, at the served
-// world's own Workers/Incremental tuning differing from the standalone
-// run's — stacking contract #4 on contracts #1 and #2. All the worlds
+// world's own Workers differing from the standalone run's — stacking
+// contract #4 on contracts #1 and #2. All the worlds
 // share one daemon: the script subtests run in parallel, each stepping
 // and spectating its own world while the others are hosted beside it,
 // so a world that leaked into a neighbour would diverge from its twin.
@@ -134,7 +134,7 @@ func runServed(t *testing.T, base, name, src string, units int, density float64,
 	code := do(t, http.MethodPost, base+"/v1/sessions", CreateRequest{
 		Name: name, Script: src,
 		Units: units, Density: density, Seed: seed,
-		Workers: 4, Incremental: false,
+		Workers: 4,
 	}, &st)
 	if code != http.StatusCreated {
 		t.Fatalf("create served world: %d", code)
@@ -204,10 +204,11 @@ func runServed(t *testing.T, base, name, src string, units int, density float64,
 }
 
 // TestServedIncrementalMatchesStandalone re-runs the battle leg of the
-// contract with the served world under incremental maintenance at two
-// workers, against a standalone twin that rebuilds every index serially:
-// the checkpoint carries nothing of how indexes were kept, so only the
-// world can differ.
+// contract with the served world maintaining its indexes incrementally
+// at two workers while a spectator queries it without pause, against a
+// standalone twin stepped serially with nobody watching: the checkpoint
+// carries nothing of how indexes were kept, so only the world can
+// differ.
 func TestServedIncrementalMatchesStandalone(t *testing.T) {
 	const (
 		units   = 300
@@ -243,7 +244,7 @@ func TestServedIncrementalMatchesStandalone(t *testing.T) {
 	ts, _ := newTestServer(t)
 	if code := do(t, http.MethodPost, ts.URL+"/v1/sessions", CreateRequest{
 		Name: "inc", Units: units, Density: density, Seed: seed,
-		Workers: 2, Incremental: true,
+		Workers: 2,
 	}, nil); code != http.StatusCreated {
 		t.Fatalf("create: %d", code)
 	}
@@ -274,7 +275,7 @@ func TestServedIncrementalMatchesStandalone(t *testing.T) {
 	wg.Wait()
 
 	if served := fetchCheckpoint(t, ts.URL, "inc"); !bytes.Equal(standalone.Bytes(), served) {
-		t.Error("served-under-load incremental world diverged from the standalone rebuilding run")
+		t.Error("served-under-load world diverged from the standalone serial run")
 	}
 }
 

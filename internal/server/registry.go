@@ -81,6 +81,12 @@ const (
 	// confined to a third of the grid) cannot place the army at all and
 	// generation would loop forever.
 	MaxWorldDensity = 0.125
+	// maxNaivePairs caps a naive world's units²: the naive engine scans
+	// every row for every unit's probes each tick, so its tick costs n²
+	// row visits (under a second at 2 000 units on a 2-vCPU Xeon; at
+	// MaxWorldUnits it would take days). 4 000², where the paper's naive
+	// curve ends, is a tick of a few seconds.
+	maxNaivePairs = 4000 * 4000
 )
 
 // WorldSpec is everything needed to build a fresh world. The server
@@ -96,7 +102,7 @@ type WorldSpec struct {
 	Formation workload.Formation
 	// Engine tuning.
 	Mode engine.Mode
-	Tune engine.Options // Workers / Incremental / CompactJournal
+	Tune engine.Options // Workers / CompactJournal
 	// TickRate starts the world's clock at registration: 0 leaves it
 	// paused, > 0 targets that many ticks/second, < 0 runs uncapped.
 	// Starting inside registration is deliberate — a world published
@@ -721,6 +727,10 @@ func (r *Registry) Create(name string, spec WorldSpec) (*World, error) {
 	if spec.Density > MaxWorldDensity {
 		return nil, fmt.Errorf("server: density %g exceeds the limit %g (higher occupancies cannot be placed)", spec.Density, MaxWorldDensity)
 	}
+	if spec.Mode == engine.Naive && spec.Units*spec.Units > maxNaivePairs {
+		return nil, fmt.Errorf("server: a naive world of %d units costs %d unit pairs a tick, over the limit %d (4000 units): use indexed mode",
+			spec.Units, spec.Units*spec.Units, maxNaivePairs)
+	}
 	wspec := workload.Spec{Units: spec.Units, Density: spec.Density, Seed: spec.Seed, Formation: spec.Formation}
 	opts := spec.Tune
 	opts.Mode = spec.Mode
@@ -740,7 +750,7 @@ func (r *Registry) Create(name string, spec WorldSpec) (*World, error) {
 
 // Restore builds a world from a checkpoint stream under restore-time
 // tuning — the live-migration path: checkpoint a running world, restore
-// it here (possibly with different Workers/Incremental), and it
+// it here (possibly with different Workers), and it
 // continues byte-identically. The checkpoint is self-contained: it
 // carries the script the world runs. tickRate follows the
 // WorldSpec.TickRate convention (0 = paused).

@@ -117,7 +117,10 @@ type CreateRequest struct {
 	// journal prefix into the checkpoint base at the end of every tick,
 	// keeping checkpoint size flat under sustained command traffic at
 	// the cost of genesis replay (GET …/journal reports the base).
-	Workers     int  `json:"workers,omitempty"`
+	Workers int `json:"workers,omitempty"`
+	// Incremental is accepted and ignored.
+	//
+	// Deprecated: index maintenance has no switch (engine.Options.Incremental).
 	Incremental bool `json:"incremental,omitempty"`
 	Compact     bool `json:"compact,omitempty"`
 
@@ -351,11 +354,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "invalid session name %q", req.Name)
 		return
 	}
-	tune := engine.Options{
-		Workers:        req.Workers,
-		Incremental:    req.Incremental,
-		CompactJournal: req.Compact,
-	}
+	tune := engine.Options{Workers: req.Workers, CompactJournal: req.Compact}
 
 	var world *World
 	var err error
@@ -846,8 +845,9 @@ func (s *Server) handleCheckpointStream(w http.ResponseWriter, r *http.Request) 
 // (or an operator) streams a self-contained checkpoint as the request
 // body and the world comes up here under restore-time tuning — no shared
 // data directory required. Tuning rides in query parameters because the
-// body is the raw binary stream: ?workers, ?incremental, ?compact,
-// ?tickrate. The stream carries its script, so ?script is a 400.
+// body is the raw binary stream: ?workers, ?compact, ?tickrate
+// (?incremental, from before maintenance lost its switch, is accepted
+// and ignored). The stream carries its script, so ?script is a 400.
 func (s *Server) handleCheckpointPut(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if !ValidName(name) {
@@ -865,12 +865,6 @@ func (s *Server) handleCheckpointPut(w http.ResponseWriter, r *http.Request) {
 	if raw := q.Get("workers"); raw != "" {
 		if tune.Workers, err = strconv.Atoi(raw); err != nil {
 			writeErr(w, http.StatusBadRequest, "workers must be an integer, got %q", raw)
-			return
-		}
-	}
-	if raw := q.Get("incremental"); raw != "" {
-		if tune.Incremental, err = strconv.ParseBool(raw); err != nil {
-			writeErr(w, http.StatusBadRequest, "incremental must be a boolean, got %q", raw)
 			return
 		}
 	}

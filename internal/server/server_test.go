@@ -193,11 +193,24 @@ func TestCreateValidation(t *testing.T) {
 		{Name: "ok", Restore: "../../etc/passwd"}, // path traversal
 		{Name: "ok", Units: MaxWorldUnits + 1},    // oversized army (OOM guard)
 		{Name: "ok", Units: 64, Density: 1},       // unplaceable density (hang guard)
+		{Name: "ok", Mode: "naive", Units: 4001},  // naive past 4000² unit pairs a tick
 	}
 	for _, req := range cases {
 		if code := do(t, http.MethodPost, ts.URL+"/v1/sessions", req, nil); code != http.StatusBadRequest {
 			t.Errorf("create %+v: status %d, want 400", req, code)
 		}
+	}
+	// The naive refusal comes before any army is generated, so even a
+	// million-unit request answers at once, naming the limit; a naive
+	// world at the limit builds.
+	start := time.Now()
+	var refused errorResponse
+	if code := do(t, http.MethodPost, ts.URL+"/v1/sessions", CreateRequest{Name: "huge", Mode: "naive", Units: MaxWorldUnits}, &refused); code != http.StatusBadRequest ||
+		time.Since(start) > time.Second || !strings.Contains(refused.Error, "over the limit 16000000 (4000 units)") {
+		t.Errorf("naive create at %d units: status %d after %v, %q; want a 400 naming the limit within 1s", MaxWorldUnits, code, time.Since(start), refused.Error)
+	}
+	if code := do(t, http.MethodPost, ts.URL+"/v1/sessions", CreateRequest{Name: "limit", Mode: "naive", Units: 4000}, nil); code != http.StatusCreated {
+		t.Errorf("naive create at 4000 units: status %d, want 201", code)
 	}
 	// Unknown JSON fields are rejected: a misspelled knob, and one that no
 	// longer exists (the maintenance fallback fraction is fixed).
@@ -438,20 +451,15 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 		t.Error("migrated world diverged from the original")
 	}
 
-	// Restoring under Incremental maintenance changes the serialized
-	// maintenance counters (they are measurement state), but the game
-	// outcome must still match exactly.
-	var inc Status
+	// The retired incremental field is accepted and ignored: a restore
+	// carrying it is the same world, to the byte.
 	if code := do(t, http.MethodPost, ts.URL+"/v1/sessions",
-		CreateRequest{Name: "inc", Restore: "mig.ckpt", Incremental: true}, &inc); code != http.StatusCreated {
-		t.Fatalf("incremental restore: %d", code)
+		CreateRequest{Name: "inc", Restore: "mig.ckpt", Incremental: true}, nil); code != http.StatusCreated {
+		t.Fatalf("restore with the incremental field: %d", code)
 	}
 	do(t, http.MethodPost, ts.URL+"/v1/sessions/inc/step", StepRequest{Ticks: 7}, nil)
-	var want, got Status
-	do(t, http.MethodGet, ts.URL+"/v1/sessions/src", nil, &want)
-	do(t, http.MethodGet, ts.URL+"/v1/sessions/inc", nil, &got)
-	if got.Tick != want.Tick || got.Deaths != want.Deaths || got.Moves != want.Moves {
-		t.Errorf("incremental migration diverged: got %+v, want %+v", got, want)
+	if got := fetchCheckpoint(t, ts.URL, "inc"); !bytes.Equal(a, got) {
+		t.Error("a restore carrying the ignored incremental field diverged from the original")
 	}
 }
 

@@ -52,57 +52,6 @@ func Parse(src string) (*ast.Script, error) {
 	return p.script()
 }
 
-// ParseAction parses a bare action (for tests and the REPL-ish tooling).
-func ParseAction(src string) (ast.Action, error) {
-	toks, err := lexer.Tokenize(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
-	a, err := p.action()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expect(token.EOF); err != nil {
-		return nil, err
-	}
-	return a, nil
-}
-
-// ParseTerm parses a bare term.
-func ParseTerm(src string) (ast.Term, error) {
-	toks, err := lexer.Tokenize(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
-	t, err := p.term()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expect(token.EOF); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// ParseCond parses a bare condition.
-func ParseCond(src string) (ast.Cond, error) {
-	toks, err := lexer.Tokenize(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
-	c, err := p.cond()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expect(token.EOF); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
 type parser struct {
 	toks []token.Token
 	i    int

@@ -5,10 +5,35 @@ import (
 	"testing"
 
 	"github.com/epicscale/sgl/internal/sgl/ast"
+	"github.com/epicscale/sgl/internal/sgl/lexer"
+	"github.com/epicscale/sgl/internal/sgl/token"
 )
 
+// parseBare parses src as one production of the grammar, which must
+// consume all of it.
+func parseBare[T any](src string, production func(*parser) (T, error)) (T, error) {
+	var zero T
+	toks, err := lexer.Tokenize(src)
+	if err != nil {
+		return zero, err
+	}
+	p := &parser{toks: toks}
+	v, err := production(p)
+	if err != nil {
+		return zero, err
+	}
+	if err := p.expect(token.EOF); err != nil {
+		return zero, err
+	}
+	return v, nil
+}
+
+func parseTerm(src string) (ast.Term, error)     { return parseBare(src, (*parser).term) }
+func parseCond(src string) (ast.Cond, error)     { return parseBare(src, (*parser).cond) }
+func parseAction(src string) (ast.Action, error) { return parseBare(src, (*parser).action) }
+
 func TestParseTermArithmetic(t *testing.T) {
-	term, err := ParseTerm("1 + 2 * 3")
+	term, err := parseTerm("1 + 2 * 3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +51,7 @@ func TestParseTermArithmetic(t *testing.T) {
 }
 
 func TestParseTermPrecedenceAndParens(t *testing.T) {
-	term, err := ParseTerm("(1 + 2) * 3")
+	term, err := parseTerm("(1 + 2) * 3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +65,7 @@ func TestParseTermPrecedenceAndParens(t *testing.T) {
 }
 
 func TestParseTermUnaryMinus(t *testing.T) {
-	term, err := ParseTerm("-u.posx + 3")
+	term, err := parseTerm("-u.posx + 3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,14 +81,14 @@ func TestParseTermUnaryMinus(t *testing.T) {
 }
 
 func TestParseTermPairAndFieldChain(t *testing.T) {
-	term, err := ParseTerm("(u.posx, u.posy)")
+	term, err := parseTerm("(u.posx, u.posy)")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := term.(*ast.Pair); !ok {
 		t.Fatalf("got %T", term)
 	}
-	term, err = ParseTerm("NearestEnemy(u).key")
+	term, err = parseTerm("NearestEnemy(u).key")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +102,7 @@ func TestParseTermPairAndFieldChain(t *testing.T) {
 }
 
 func TestParseTermConstsAndCalls(t *testing.T) {
-	term, err := ParseTerm("Random(1) % 2 * (_ARROW_DAMAGE - _ARMOR)")
+	term, err := parseTerm("Random(1) % 2 * (_ARROW_DAMAGE - _ARMOR)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +115,7 @@ func TestParseTermConstsAndCalls(t *testing.T) {
 }
 
 func TestParseCondPrecedence(t *testing.T) {
-	c, err := ParseCond("a = 1 or b = 2 and c = 3")
+	c, err := parseCond("a = 1 or b = 2 and c = 3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +130,7 @@ func TestParseCondPrecedence(t *testing.T) {
 
 func TestParseCondParenAmbiguity(t *testing.T) {
 	// "(c > u.morale)" — parenthesized condition.
-	c, err := ParseCond("(c > u.morale)")
+	c, err := parseCond("(c > u.morale)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +138,7 @@ func TestParseCondParenAmbiguity(t *testing.T) {
 		t.Fatalf("got %v", c)
 	}
 	// "(a + b) > c" — parenthesized term on the left.
-	c, err = ParseCond("(a + b) > c")
+	c, err = parseCond("(a + b) > c")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +147,7 @@ func TestParseCondParenAmbiguity(t *testing.T) {
 		t.Fatalf("left = %T", cmp.X)
 	}
 	// "not (a = b or c = d)" — negated parenthesized condition.
-	c, err = ParseCond("not (a = b or c = d)")
+	c, err = parseCond("not (a = b or c = d)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +161,7 @@ func TestParseCondParenAmbiguity(t *testing.T) {
 }
 
 func TestConjuncts(t *testing.T) {
-	c, err := ParseCond("a = 1 and b = 2 and (c = 3 or d = 4)")
+	c, err := parseCond("a = 1 and b = 2 and (c = 3 or d = 4)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +175,7 @@ func TestConjuncts(t *testing.T) {
 }
 
 func TestParseActionLetIfPerform(t *testing.T) {
-	a, err := ParseAction(`(let c = Count(u, u.range)) if c > 3 then perform Flee(u); else perform Stay(u)`)
+	a, err := parseAction(`(let c = Count(u, u.range)) if c > 3 then perform Flee(u); else perform Stay(u)`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +196,7 @@ func TestParseActionLetIfPerform(t *testing.T) {
 }
 
 func TestParseActionSequence(t *testing.T) {
-	a, err := ParseAction("perform A(u); perform B(u); perform C(u);")
+	a, err := parseAction("perform A(u); perform B(u); perform C(u);")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +207,7 @@ func TestParseActionSequence(t *testing.T) {
 }
 
 func TestParseActionEmptyBraces(t *testing.T) {
-	a, err := ParseAction("{}")
+	a, err := parseAction("{}")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,14 +53,17 @@
 // consecutive ticks, though, only the units that moved, fought, or died
 // change the attributes the indexes key on. Every tick the engine
 // bit-diffs its rows against the read view the previous tick published
-// into a per-row changed-column mask, and with EngineOptions.Incremental
-// it patches the previous tick's structures instead of rebuilding: clean
-// categorical partitions are reused outright, partitions whose members
-// changed only payload attributes (health under a stationary melee line)
-// keep their sort order and recompute prefix aggregates in place, and
-// everything else rebuilds at partition granularity. A structure whose
-// relevant churn passes a fixed fraction of the rows (0.3) is rebuilt
-// from scratch instead, where patching would be pointless.
+// into a per-row changed-column mask, and patches the previous tick's
+// structures from it instead of rebuilding: clean categorical partitions
+// are reused outright, partitions whose members changed only payload
+// attributes (health under a stationary melee line) keep their sort order
+// and recompute prefix aggregates in place, and everything else rebuilds
+// at partition granularity. Maintenance has no switch: it always engages,
+// and the threshold decides. A structure whose relevant churn passes a
+// fixed fraction of the rows (0.3) is rebuilt from scratch instead, where
+// patching would cost more than it saves — on a high-churn battle that is
+// nearly every structure, every tick. EngineOptions.Incremental is
+// ignored.
 //
 // The determinism argument carries over: every value baked into an index
 // at build time is a pure function of the owning row's attributes (the
@@ -68,10 +71,11 @@
 // bit-identical index content and a maintained provider answers every
 // probe exactly like a freshly built one. TestIncrementalMatchesRebuild
 // proves byte-identical environments across the whole script zoo and the
-// battle simulation, per tick, at Workers 1 and 4. On low-churn
-// workloads (a garrison watching a front while scouts patrol) ticks run
-// ≈2× faster at 10k units; on high-churn workloads the threshold keeps
-// the cost within noise of rebuilding. RunStats reports MaintainTicks,
+// battle simulation, per tick, at Workers 1 and 4, against an engine
+// that never maintains. On low-churn workloads (a garrison watching a
+// front while scouts patrol) ticks run ≈2× faster at 10k units; on
+// high-churn workloads the threshold keeps the cost within noise of
+// rebuilding. RunStats reports MaintainTicks,
 // DirtyRows, and the structure-level reuse/patch/fallback counters.
 //
 // # Sessions, checkpoints and queries
@@ -92,12 +96,12 @@
 //
 //	sess, err := sgl.Open(file, mech, sgl.EngineOptions{Workers: 8})
 //
-// The exactness contract extends the Parallel and Incremental ones:
+// The exactness contract extends the parallel and maintenance ones:
 // because all randomness is counter-based on (seed, tick, unit key,
 // draw index) and the engine keeps no other cross-tick state, a restored
 // engine continues byte-identically to the run that was never
-// interrupted — at any Workers or Incremental setting, which are
-// deliberately excluded from the format so a world can migrate onto
+// interrupted — at any Workers setting, which is deliberately excluded
+// from the format so a world can migrate onto
 // different hardware (TestCheckpointResumeBitIdentical proves this over
 // the whole script zoo and the battle simulation). Corrupted or
 // truncated checkpoints are rejected by checksum before any state is
@@ -162,7 +166,7 @@
 // replayed from the journal — same program, same initial environment,
 // same seed, each entry re-submitted before the tick whose commit applies
 // it — is byte-identical
-// to the live interactive run, at any Workers or Incremental setting
+// to the live interactive run, at any Workers setting
 // (TestReplayMatchesLive proves it over the script zoo and the battle
 // simulation).
 //
@@ -347,7 +351,7 @@ func NewSession(e *Engine) *Session { return engine.NewSession(e) }
 // The program is rebuilt from the script text and constant table
 // embedded in the stream, so no separate prog — and no sidecar file — is
 // needed: a checkpoint is the whole world. Of tune, only the
-// determinism-neutral knobs (Workers, Incremental, CompactJournal) are
+// determinism-neutral knobs (Workers, CompactJournal) are
 // consulted; the restored session continues byte-identically to the run
 // that was never interrupted, including any commands that were pending
 // when the checkpoint was written. A checkpoint in an older format
@@ -392,7 +396,7 @@ func GenerateArmy(spec ArmySpec) *Table { return workload.Generate(spec) }
 // NewBattleEngine wires the battle program, mechanics and army together
 // with the standard options (world sized from the army's density spec).
 // Use NewBattleEngineOpts to keep control of the execution knobs
-// (Workers, Incremental, …) the standard options would otherwise pin.
+// (Workers, CompactJournal, …) the standard options would otherwise pin.
 func NewBattleEngine(prog *Program, spec ArmySpec, mode Mode, seed uint64) (*Engine, error) {
 	return NewBattleEngineOpts(prog, spec, EngineOptions{Mode: mode, Seed: seed})
 }
@@ -401,7 +405,7 @@ func NewBattleEngine(prog *Program, spec ArmySpec, mode Mode, seed uint64) (*Eng
 // options. The battle-specific fields are defaulted when zero —
 // Categoricals to the battle schema's partition attributes, Side to the
 // spec's grid, MoveSpeed to 1 — and every other field (Mode, Seed,
-// Workers, Incremental, ablation switches) is passed through untouched.
+// Workers, CompactJournal, ablation switches) is passed through untouched.
 func NewBattleEngineOpts(prog *Program, spec ArmySpec, opts EngineOptions) (*Engine, error) {
 	if opts.Categoricals == nil {
 		opts.Categoricals = game.Categoricals()

@@ -90,11 +90,7 @@ func TestNewBattleEngineOptsKeepsCallerControl(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tuned, err := NewBattleEngineOpts(prog, spec, EngineOptions{
-		Mode: Indexed, Seed: 9,
-		Workers:     4,
-		Incremental: true,
-	})
+	tuned, err := NewBattleEngineOpts(prog, spec, EngineOptions{Mode: Indexed, Seed: 9, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +107,7 @@ func TestNewBattleEngineOptsKeepsCallerControl(t *testing.T) {
 		t.Fatal("execution knobs changed outcomes")
 	}
 	if tuned.Stats.MaintainTicks == 0 {
-		t.Fatal("Incremental option dropped: maintenance never engaged")
+		t.Fatal("maintenance never engaged: it has no switch, so every battle maintains")
 	}
 }
 
