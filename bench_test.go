@@ -510,7 +510,9 @@ func submitMoraleSets(tb testing.TB, e *Engine, k int) {
 // used to run before the provider inherited its predecessor's scratch,
 // so every partition it rebuilt grew fresh build buffers, and it kept
 // its per-group classification in three maps; both now live in the
-// inherited scratch (11).
+// inherited scratch (11). Post-processing and move planning became one
+// pass, its deaths counted in the shard outputs, and the movement
+// permutation is drawn into a kept buffer (8).
 func TestTickAllocRatchet(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	e := newSentry(t, 2000, 1, sentryMix)
@@ -524,8 +526,8 @@ func TestTickAllocRatchet(t *testing.T) {
 		cmds    int
 		ceiling float64
 	}{
-		{"quiet", 0, 16},                 // measured 11
-		{"under command traffic", 3, 16}, // measured 11
+		{"quiet", 0, 13},                 // measured 8
+		{"under command traffic", 3, 13}, // measured 8
 	} {
 		const ticks = 20
 		var mallocs uint64
@@ -565,8 +567,9 @@ func TestTickAllocRatchet(t *testing.T) {
 // decision phase, its shard boundaries and effect buffers kept on the
 // engine; 21 once the read view kept a position column, whose base
 // and changed-row list are allocated at each full copy of the view's
-// rows — on this high-churn battle, about every other tick. The ceilings only move
-// down.
+// rows — on this high-churn battle, about every other tick; 18 once
+// post-processing and move planning became one pass and the movement
+// permutation a kept buffer. The ceilings only move down.
 //
 // Two windows. The first (ticks 11–31 of the seeded battle) is before the
 // lines meet: it holds what the index layer and the tick's bookkeeping
@@ -588,8 +591,8 @@ func TestBattleTickAllocRatchet(t *testing.T) {
 		from    int
 		ceiling float64
 	}{
-		{"before the lines meet", 10, 25}, // measured 21
-		{"height of the battle", 200, 32}, // measured 28
+		{"before the lines meet", 10, 22}, // measured 18
+		{"height of the battle", 200, 29}, // measured 25
 	} {
 		if err := e.Run(w.from - e.Stats.Ticks); err != nil { // the first run also sizes the storage
 			t.Fatal(err)

@@ -7,7 +7,9 @@ package sgl_test
 //   - TestMarkdownLinks fails if any markdown file in the repository
 //     contains a relative link to a file that does not exist;
 //   - TestDocsNameLiveMethods fails if docs/*.md or the package doc cites
-//     an Engine, Session or ReadView member that does not exist.
+//     an Engine, Session or ReadView member that does not exist;
+//   - TestTickPipelineDocumented fails if the tick pipeline in
+//     docs/ARCHITECTURE.md and the phases engine.Tick calls differ.
 
 import (
 	"go/ast"
@@ -19,6 +21,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -224,3 +227,113 @@ func TestDocsNameLiveMethods(t *testing.T) {
 		t.Fatal("no Engine, Session or ReadView member cited — the check is miswired")
 	}
 }
+
+// tickHelpers are the engine methods Engine.Tick calls that are not
+// phases of the tick pipeline, each with the reason.
+var tickHelpers = map[string]string{
+	"tickAccumulator": "fetches the effect accumulator decide folds into",
+	"keyIndex":        "fetches the key → row map decide resolves effect targets through",
+}
+
+// TestTickPipelineDocumented pins the numbered list under "The tick
+// pipeline" in docs/ARCHITECTURE.md to Engine.Tick: every item must cite
+// at least one phase, and the engine methods the list cites in
+// backticks, in order, must be the methods Tick calls on its receiver,
+// in source order, less tickHelpers. A phase added, dropped or reordered
+// in either place fails.
+func TestTickPipelineDocumented(t *testing.T) {
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, filepath.Join("internal", "engine"), func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	methods := map[string]bool{} // every method declared on *Engine
+	var phases []string
+	helpers := map[string]bool{}
+	for _, f := range pkgs["engine"].Files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Recv == nil {
+				continue
+			}
+			if star, ok := fd.Recv.List[0].Type.(*ast.StarExpr); !ok || star.X.(*ast.Ident).Name != "Engine" {
+				continue
+			}
+			methods[fd.Name.Name] = true
+			if fd.Name.Name != "Tick" {
+				continue
+			}
+			recv := fd.Recv.List[0].Names[0].Name
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+					if id, ok := sel.X.(*ast.Ident); ok && id.Name == recv {
+						if _, skip := tickHelpers[sel.Sel.Name]; skip {
+							helpers[sel.Sel.Name] = true
+						} else {
+							phases = append(phases, sel.Sel.Name)
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	if len(phases) == 0 {
+		t.Fatal("found no phase calls in Engine.Tick — the check is miswired")
+	}
+	for name := range tickHelpers {
+		if !helpers[name] {
+			t.Errorf("tickHelpers lists %s, which Engine.Tick no longer calls", name)
+		}
+	}
+
+	data, err := os.ReadFile(filepath.Join("docs", "ARCHITECTURE.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(data), "\n## The tick pipeline\n")
+	if !ok {
+		t.Fatal("docs/ARCHITECTURE.md has no \"The tick pipeline\" section")
+	}
+	// The list's items: a line opening "N. " starts one, indented lines
+	// continue it, and the first other non-blank line ends the list.
+	var items []string
+scan:
+	for _, line := range strings.Split(section, "\n") {
+		switch {
+		case itemRE.MatchString(line):
+			items = append(items, line)
+		case len(items) > 0 && strings.HasPrefix(line, "   "):
+			items[len(items)-1] += " " + line
+		case len(items) > 0 && strings.TrimSpace(line) != "":
+			break scan
+		}
+	}
+	var cited []string
+	for i, item := range items {
+		n := len(cited)
+		for _, m := range codeRE.FindAllStringSubmatch(item, -1) {
+			if methods[m[1]] {
+				cited = append(cited, m[1])
+			}
+		}
+		if len(cited) == n {
+			t.Errorf("tick pipeline item %d cites no phase method: %.60s…", i+1, item)
+		}
+	}
+	t.Logf("Engine.Tick's phases: %v", phases)
+	if !slices.Equal(cited, phases) {
+		t.Errorf("docs/ARCHITECTURE.md's tick pipeline cites the phases\n\t%v\nbut Engine.Tick calls\n\t%v", cited, phases)
+	}
+}
+
+var (
+	itemRE = regexp.MustCompile(`^\d+\. `)
+	codeRE = regexp.MustCompile("`([A-Za-z_]\\w*)`")
+)

@@ -24,7 +24,8 @@ type Config struct {
 	// ProbeEvery is the health probe cadence (default 2s).
 	ProbeEvery time.Duration
 	// Client is the control-plane HTTP client (probes, migration
-	// transfers, route discovery). Defaults to a 30s-timeout client; the
+	// transfers, route discovery). Defaults to a 30s-timeout client; its
+	// timeout also bounds a migration's wait for in-flight requests. The
 	// data-plane proxying uses each node's ReverseProxy transport and is
 	// unaffected by this timeout.
 	Client *http.Client
@@ -76,8 +77,10 @@ type route struct {
 	// subscribe, journal long-polls) are excluded: they are long-lived by
 	// design and a migration must not wait for them — an open subscribe
 	// to the source ends when the source world is deleted, and the
-	// client's reconnect lands on the target.
-	inflight sync.WaitGroup
+	// client's reconnect lands on the target. idle, non-nil while
+	// inflight is not zero, closes when it drops to zero.
+	inflight int
+	idle     chan struct{}
 }
 
 // acquire returns the route's current node, blocking while a migration
@@ -90,7 +93,9 @@ func (rt *route) acquire(stream bool) *nodeState {
 		if ch == nil {
 			ns := rt.node
 			if !stream {
-				rt.inflight.Add(1)
+				if rt.inflight++; rt.inflight == 1 {
+					rt.idle = make(chan struct{})
+				}
 			}
 			rt.mu.Unlock()
 			return ns
@@ -101,9 +106,15 @@ func (rt *route) acquire(stream bool) *nodeState {
 }
 
 func (rt *route) release(stream bool) {
-	if !stream {
-		rt.inflight.Done()
+	if stream {
+		return
 	}
+	rt.mu.Lock()
+	if rt.inflight--; rt.inflight == 0 {
+		close(rt.idle)
+		rt.idle = nil
+	}
+	rt.mu.Unlock()
 }
 
 // New builds a gateway over the configured fleet. Call Start to begin

@@ -3,9 +3,12 @@ package cluster
 import (
 	"bufio"
 	"context"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -277,5 +280,121 @@ func TestMigrationUnderTraffic(t *testing.T) {
 	// Migrating a session with no route is a clean error.
 	if _, err := g.Migrate(MigrateRequest{Session: "ghost"}); err == nil {
 		t.Error("migrating an unknown session did not fail")
+	}
+}
+
+// TestMigrationBoundedByHungNode pins the drain bound: a migration with
+// nothing in flight does not wait; one whose session has a request in
+// flight to a node that never answers it fails within the control-plane
+// timeout — leaving the route, the source world and the target
+// untouched, and the route free for other requests — and a later
+// migration succeeds once the hang ends.
+func TestMigrationBoundedByHungNode(t *testing.T) {
+	const bound = time.Second
+	var hang atomic.Bool
+	hung, release := make(chan struct{}, 1), make(chan struct{})
+	var releaseOnce sync.Once
+	cfg := Config{ProbeEvery: time.Hour, Client: &http.Client{Timeout: bound}}
+	nodes := make([]*node, 2)
+	for i := range nodes {
+		reg := server.NewRegistry()
+		h := server.New(reg, t.TempDir())
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if hang.Load() && strings.HasSuffix(r.URL.Path, "/step") {
+				hung <- struct{}{}
+				<-release
+			}
+			h.ServeHTTP(w, r)
+		}))
+		t.Cleanup(func() {
+			ts.Close()
+			reg.Close()
+		})
+		nodes[i] = &node{ts: ts, reg: reg}
+		cfg.Nodes = append(cfg.Nodes, Node{Name: fmt.Sprintf("node%d", i), URL: ts.URL})
+	}
+	g, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Start()
+	t.Cleanup(g.Close)
+	gw := httptest.NewServer(g)
+	t.Cleanup(gw.Close)
+	// Runs before the servers close, which wait for the hung handler.
+	t.Cleanup(func() { releaseOnce.Do(func() { close(release) }) })
+
+	if code := do(t, http.MethodPost, gw.URL+"/v1/sessions", server.CreateRequest{Name: "h", Units: 64, Seed: 3}, nil); code != http.StatusCreated {
+		t.Fatalf("create: %d", code)
+	}
+	migrate := func() (*MigrateResponse, time.Duration, error) {
+		start := time.Now()
+		type result struct {
+			resp *MigrateResponse
+			err  error
+		}
+		done := make(chan result, 1)
+		go func() {
+			resp, err := g.Migrate(MigrateRequest{Session: "h"})
+			done <- result{resp, err}
+		}()
+		select {
+		case r := <-done:
+			return r.resp, time.Since(start), r.err
+		case <-time.After(10 * bound):
+			t.Fatalf("the migration is still waiting after %v", 10*bound)
+			return nil, 0, nil
+		}
+	}
+	// Nothing has been in flight yet: the drain has nothing to wait for.
+	first, took, err := migrate()
+	if err != nil || took > bound/2 {
+		t.Fatalf("migration of an idle route: %v after %v", err, took)
+	}
+	srcName := first.To
+	srcIdx, dstIdx := 0, 1
+	if srcName == "node1" {
+		srcIdx, dstIdx = 1, 0
+	}
+
+	hang.Store(true)
+	stepped := make(chan int, 1)
+	go func() {
+		code, err := try(http.MethodPost, gw.URL+"/v1/sessions/h/step", server.StepRequest{Ticks: 1}, nil)
+		if err != nil {
+			t.Errorf("step: %v", err)
+		}
+		stepped <- code
+	}()
+	<-hung // the step is in flight at the gateway, and its node is not answering
+
+	if _, took, err := migrate(); err == nil || took > 5*bound {
+		t.Fatalf("migration past a hung request: err %v after %v, want an error within about %v", err, took, bound)
+	}
+	if owner, _ := g.RouteOf("h"); owner != srcName {
+		t.Errorf("route = %s after a failed migration, want %s", owner, srcName)
+	}
+	if _, found := nodes[srcIdx].reg.Get("h"); !found {
+		t.Error("the failed migration removed the source world")
+	}
+	if _, found := nodes[dstIdx].reg.Get("h"); found {
+		t.Error("the failed migration left a world on the target")
+	}
+	var st server.Status
+	if code := do(t, http.MethodGet, gw.URL+"/v1/sessions/h", nil, &st); code != http.StatusOK || st.Tick != 0 {
+		t.Fatalf("status after the failed migration: code %d, tick %d", code, st.Tick)
+	}
+
+	hang.Store(false)
+	releaseOnce.Do(func() { close(release) })
+	if code := <-stepped; code != http.StatusOK {
+		t.Fatalf("the released step answered %d", code)
+	}
+	resp, _, err := migrate()
+	if err != nil {
+		t.Fatalf("migration after the hang ended: %v", err)
+	}
+	if owner, _ := g.RouteOf("h"); owner != resp.To || resp.From != srcName || resp.Tick != 1 {
+		t.Errorf("migrated %s→%s at tick %d, route %s; want from %s at tick 1", resp.From, resp.To, resp.Tick, owner, srcName)
 	}
 }

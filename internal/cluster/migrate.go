@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"time"
 
 	"github.com/epicscale/sgl/internal/server"
 )
@@ -68,7 +69,8 @@ func (g *Gateway) handleMigrate(w http.ResponseWriter, r *http.Request) {
 //
 //  1. take the route (new non-stream requests for the session park),
 //  2. drain requests already in flight — so every acknowledged command
-//     response was fully written before the state is read,
+//     response was fully written before the state is read — within the
+//     control-plane timeout,
 //  3. stop the source clock,
 //  4. stream the source checkpoint (Session.Checkpoint drains the
 //     admission queues: all acknowledged commands are in the stream),
@@ -136,9 +138,23 @@ func (g *Gateway) Migrate(req MigrateRequest) (*MigrateResponse, error) {
 		}
 	}
 
-	// Drain in-flight requests: after Wait returns, every response the
-	// gateway has relayed for this session is complete.
-	rt.inflight.Wait()
+	// Drain in-flight requests: once idle closes, every response the
+	// gateway has relayed for this session is complete. One that never
+	// completes fails the migration within the control-plane timeout.
+	rt.mu.Lock()
+	idle := rt.idle
+	rt.mu.Unlock()
+	if idle != nil {
+		var expire <-chan time.Time
+		if g.client.Timeout > 0 {
+			expire = time.After(g.client.Timeout)
+		}
+		select {
+		case <-idle:
+		case <-expire:
+			return nil, fmt.Errorf("session %q still has requests in flight after %v", req.Session, g.client.Timeout)
+		}
+	}
 
 	sessURL := src.node.URL + "/v1/sessions/" + req.Session
 	var st server.Status

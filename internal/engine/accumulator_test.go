@@ -145,6 +145,16 @@ func TestFoldRowOnDyingUnits(t *testing.T) {
 // ---------------------------------------------------------------------------
 // movementPhase world-clamping edge cases
 
+// movementPhase drives the movement stage as a tick does, from given
+// move vectors and death flags: every row planned, then the claim sweep.
+func movementPhase(e *Engine, moves []geom.Vec, dead []bool) {
+	e.plans, e.dead = make([]movePlan, len(moves)), make([]bool, len(moves))
+	for i, mv := range moves {
+		e.planMove(i, mv, !dead[i])
+	}
+	e.move()
+}
+
 // moveEngine builds a minimal battle-schema engine with units at explicit
 // positions, for driving movementPhase directly.
 func moveEngine(t *testing.T, side float64, pos [][2]float64) *Engine {
@@ -191,14 +201,14 @@ func TestMovementClampsToWorld(t *testing.T) {
 
 	// Unit 0 tries to leave through the origin corner: the clamped
 	// candidate is its own square, which always succeeds.
-	e.movementPhase([]geom.Vec{{X: -5, Y: -5}, {}}, dead)
+	movementPhase(e, []geom.Vec{{X: -5, Y: -5}, {}}, dead)
 	if x, y := unitPos(e, 0); x != 0 || y != 0 {
 		t.Fatalf("unit 0 escaped low edge: %v,%v", x, y)
 	}
 
 	// Unit 1 tries to leave through the far corner: clamped to just under
 	// Side, still inside its square.
-	e.movementPhase([]geom.Vec{{}, {X: 5, Y: 5}}, dead)
+	movementPhase(e, []geom.Vec{{}, {X: 5, Y: 5}}, dead)
 	x, y := unitPos(e, 1)
 	if x >= 8 || y >= 8 || x < 7 || y < 7 {
 		t.Fatalf("unit 1 not clamped to far edge: %v,%v", x, y)
@@ -211,7 +221,7 @@ func TestMovementClampsToWorld(t *testing.T) {
 // In a degenerate 1×1 world every candidate collapses to the only square.
 func TestMovementDegenerateWorld(t *testing.T) {
 	e := moveEngine(t, 1, [][2]float64{{0, 0}})
-	e.movementPhase([]geom.Vec{{X: 3, Y: -2}}, []bool{false})
+	movementPhase(e, []geom.Vec{{X: 3, Y: -2}}, []bool{false})
 	if x, y := unitPos(e, 0); math.Floor(x) != 0 || math.Floor(y) != 0 {
 		t.Fatalf("unit left the only square: %v,%v", x, y)
 	}
@@ -225,7 +235,7 @@ func TestMovementBlockedBySlides(t *testing.T) {
 	e := moveEngineSpeed(t, 4, 2, [][2]float64{{1, 1}, {2, 2}, {2, 1}, {1, 2}})
 	moves := []geom.Vec{{X: 1, Y: 1}, {}, {}, {}}
 	dead := []bool{false, false, false, false}
-	e.movementPhase(moves, dead)
+	movementPhase(e, moves, dead)
 	if x, y := unitPos(e, 0); x != 1 || y != 1 {
 		t.Fatalf("blocked unit moved to %v,%v", x, y)
 	}
@@ -239,7 +249,7 @@ func TestMovementSlidesAroundObstacle(t *testing.T) {
 	e := moveEngineSpeed(t, 4, 2, [][2]float64{{1, 1}, {2, 2}})
 	moves := []geom.Vec{{X: 1, Y: 1}, {}}
 	dead := []bool{false, false}
-	e.movementPhase(moves, dead)
+	movementPhase(e, moves, dead)
 	x, y := unitPos(e, 0)
 	if !(x == 2 && y == 1) {
 		t.Fatalf("expected x-slide to (2,1), got (%v,%v)", x, y)
@@ -252,7 +262,7 @@ func TestMovementSlidesAroundObstacle(t *testing.T) {
 // Dead units never move, whatever their move vector says.
 func TestMovementSkipsDead(t *testing.T) {
 	e := moveEngine(t, 4, [][2]float64{{1, 1}})
-	e.movementPhase([]geom.Vec{{X: 1, Y: 0}}, []bool{true})
+	movementPhase(e, []geom.Vec{{X: 1, Y: 0}}, []bool{true})
 	if x, y := unitPos(e, 0); x != 1 || y != 1 {
 		t.Fatalf("dead unit moved to %v,%v", x, y)
 	}
@@ -265,7 +275,7 @@ func TestMovementSkipsDead(t *testing.T) {
 // diagonal request shrinks to a unit-length vector.
 func TestMovementSpeedClamp(t *testing.T) {
 	e := moveEngine(t, 16, [][2]float64{{8, 8}})
-	e.movementPhase([]geom.Vec{{X: 30, Y: 40}}, []bool{false})
+	movementPhase(e, []geom.Vec{{X: 30, Y: 40}}, []bool{false})
 	x, y := unitPos(e, 0)
 	dx, dy := x-8, y-8
 	if d := math.Hypot(dx, dy); d > 1+1e-9 {
@@ -288,40 +298,60 @@ func refilled(e *Engine) *grid.Occupancy {
 }
 
 // checkCarried fails unless the engine's carried table — when it claims
-// to be in sync — holds exactly the squares a row-order refill would,
-// with the per-row record matching the rows.
+// to be in sync — holds exactly the squares a row-order refill would.
 func checkCarried(t *testing.T, e *Engine, when string) {
 	t.Helper()
-	if !e.occOK {
+	if !e.occ.exact {
 		return
 	}
 	want := refilled(e)
-	if got := e.occ.Size(); got != want.Size() {
+	if got := e.occ.taken.Size(); got != want.Size() {
 		t.Fatalf("%s: the carried table holds %d squares, a refill %d", when, got, want.Size())
 	}
 	for y := 0; y < int(e.opts.Side); y++ {
 		for x := 0; x < int(e.opts.Side); x++ {
-			gk, gok := e.occ.Occupied(float64(x), float64(y))
+			gk, gok := e.occ.taken.Occupied(float64(x), float64(y))
 			wk, wok := want.Occupied(float64(x), float64(y))
 			if gk != wk || gok != wok {
 				t.Fatalf("%s: square (%d, %d) held by %d (%v) in the carried table, %d (%v) after a refill", when, x, y, gk, gok, wk, wok)
 			}
 		}
 	}
-	for i, row := range e.env.Rows {
-		if e.occSq[i] != grid.SquareOf(row[e.posX], row[e.posY]) {
-			t.Fatalf("%s: row %d recorded on square %v, stands on %v", when, i, e.occSq[i], grid.SquareOf(row[e.posX], row[e.posY]))
-		}
+}
+
+// shovingGame is the battle mechanics with a unit that moves itself in
+// ApplyEffects, outside the movement stage: unit 0, one square east a
+// tick while the world lasts. shoves counts the moves (Workers 1).
+type shovingGame struct {
+	Game
+	kc, px int
+	side   float64
+	shoves *int
+}
+
+func (g *shovingGame) ApplyEffects(row, effects []float64) (geom.Vec, bool) {
+	if row[g.kc] == 0 && row[g.px]+1 < g.side {
+		row[g.px]++
+		*g.shoves++
 	}
+	return g.Game.ApplyEffects(row, effects)
 }
 
 // runAgainstRefill ticks e beside a twin that forgets its carried table
 // before every tick — the old refill-every-phase behaviour — and requires
-// identical worlds after every tick.
-func runAgainstRefill(t *testing.T, e, twin *Engine, ticks int) {
+// identical worlds after every tick. cmds, when not nil, gives the
+// commands both are sent before each tick.
+func runAgainstRefill(t *testing.T, e, twin *Engine, ticks int, cmds func(tick int) []Command) {
 	t.Helper()
 	for tick := 0; tick < ticks; tick++ {
-		twin.occOK = false
+		for _, x := range []*Engine{e, twin} {
+			if cmds != nil {
+				if err := x.Submit("client", cmds(tick)...); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		twin.occ.exact = false
 		if err := e.Tick(); err != nil {
 			t.Fatal(err)
 		}
@@ -340,10 +370,12 @@ func runAgainstRefill(t *testing.T, e, twin *Engine, ticks int) {
 // after every movement and every resurrection must hold what a refill
 // holds. Over whole ticks, a world that carries it must stay identical
 // to one that refills every tick: a combat-heavy battle (moves, deaths,
-// respawns), a world restored from a checkpoint with two units on one
-// square (where the refill decides who holds it, so the table must stop
-// claiming to be in sync), and a full grid a unit keeps respawning into
-// (the fallback that stacks it on the origin).
+// respawns), one under spawn, despawn and position-set commands, one
+// whose game moves a unit in ApplyEffects, a world restored from a
+// checkpoint with two units on one square (where the refill decides who
+// holds it, so the table must stop claiming to be in sync), and a full
+// grid a unit keeps respawning into (the fallback that stacks it on the
+// origin).
 func TestCarriedOccupancyMatchesRefill(t *testing.T) {
 	t.Run("phases", func(t *testing.T) {
 		e := newEngine(t, battleProg(t), 200, Indexed, 5, func(o *Options) { o.Workers = 1 })
@@ -360,8 +392,8 @@ func TestCarriedOccupancyMatchesRefill(t *testing.T) {
 				}
 				dead[i] = st.Intn(20) == 0
 			}
-			e.movementPhase(moves, make([]bool, n))
-			if !e.occOK {
+			movementPhase(e, moves, make([]bool, n))
+			if !e.occ.exact {
 				t.Fatalf("round %d: the table lost sync in a world without shared squares", round)
 			}
 			checkCarried(t, e, fmt.Sprintf("round %d, after movement", round))
@@ -383,9 +415,63 @@ func TestCarriedOccupancyMatchesRefill(t *testing.T) {
 			return e
 		}
 		e := mk()
-		runAgainstRefill(t, e, mk(), 80)
+		runAgainstRefill(t, e, mk(), 80, nil)
 		if e.Stats.Deaths == 0 || e.Stats.Moves == 0 {
 			t.Fatalf("the battle exercised nothing: %d deaths, %d moves", e.Stats.Deaths, e.Stats.Moves)
+		}
+	})
+
+	// Spawns, despawns and position sets change the population and move
+	// units through the command mirror, which keeps a carried table exact:
+	// it must never need a refill.
+	t.Run("commands", func(t *testing.T) {
+		prog := battleProg(t)
+		spec := workload.Spec{Units: 150, Density: 0.05, Seed: 8, Formation: workload.BattleLines}
+		side := spec.Side()
+		mk := func() *Engine {
+			e, err := New(prog, game.NewMechanics(), workload.Generate(spec), Options{
+				Mode: Indexed, Categoricals: game.Categoricals(), Seed: 8, Side: side, MoveSpeed: 1, Workers: 1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return e
+		}
+		cmds := func(tick int) []Command {
+			st := rng.NewStream(rng.New(11), int64(tick))
+			x, y := float64(st.Intn(int(side))), float64(st.Intn(int(side)))
+			return []Command{
+				{Op: OpSpawn, Row: game.NewUnit(int64(1000+tick), tick%2, game.Archer, geom.Point{X: x, Y: y})},
+				{Op: OpDespawn, Key: int64(tick)},
+				{Op: OpSet, Key: int64(100 + tick), Col: "posx", Val: float64(st.Intn(int(side)))},
+			}
+		}
+		e := mk()
+		runAgainstRefill(t, e, mk(), 40, cmds)
+		if !e.occ.exact || e.Stats.CommandsApplied < 80 {
+			t.Fatalf("table exact: %v after %d applied commands — the carried path was not exercised", e.occ.exact, e.Stats.CommandsApplied)
+		}
+	})
+
+	// A game may move a unit itself, in ApplyEffects: the record must
+	// notice and refill, as the twin does.
+	t.Run("a game that moves units", func(t *testing.T) {
+		prog := battleProg(t)
+		spec := workload.Spec{Units: 150, Density: 0.05, Seed: 8, Formation: workload.BattleLines}
+		shoves := 0
+		mk := func() *Engine {
+			g := &shovingGame{Game: game.NewMechanics(), kc: prog.Schema.KeyCol(), px: prog.Schema.MustCol("posx"), side: spec.Side(), shoves: &shoves}
+			e, err := New(prog, g, workload.Generate(spec), Options{
+				Mode: Indexed, Categoricals: game.Categoricals(), Seed: 8, Side: spec.Side(), MoveSpeed: 1, Workers: 1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return e
+		}
+		runAgainstRefill(t, mk(), mk(), 40, nil)
+		if shoves < 40 {
+			t.Fatalf("the game moved a unit %d times", shoves)
 		}
 	})
 
@@ -413,14 +499,14 @@ func TestCarriedOccupancyMatchesRefill(t *testing.T) {
 			return s.Engine()
 		}
 		probe := open()
-		probe.syncOcc(nil)
-		if probe.occOK {
+		probe.occ.sync()
+		if probe.occ.exact {
 			t.Fatal("two units share a square and the table claims to be in sync")
 		}
-		if k, _ := probe.occ.Occupied(3, 3); k != 0 {
+		if k, _ := probe.occ.taken.Occupied(3, 3); k != 0 {
 			t.Fatalf("square (3, 3) held by unit %d; the refill gives it to the earlier row, unit 0", k)
 		}
-		runAgainstRefill(t, open(), open(), 30)
+		runAgainstRefill(t, open(), open(), 30, nil)
 	})
 
 	// Five knights on a 2×2 grid, the last sharing a square and unable to
@@ -441,9 +527,9 @@ func TestCarriedOccupancyMatchesRefill(t *testing.T) {
 			return e
 		}
 		e := mk()
-		runAgainstRefill(t, e, mk(), 10)
-		if e.Stats.Deaths < 10 || e.occOK {
-			t.Fatalf("the doomed knight died %d times; table in sync: %v — the full-grid fallback was not exercised", e.Stats.Deaths, e.occOK)
+		runAgainstRefill(t, e, mk(), 10, nil)
+		if e.Stats.Deaths < 10 || e.occ.exact {
+			t.Fatalf("the doomed knight died %d times; table in sync: %v — the full-grid fallback was not exercised", e.Stats.Deaths, e.occ.exact)
 		}
 	})
 }

@@ -44,7 +44,6 @@ package engine
 import (
 	"fmt"
 
-	"github.com/epicscale/sgl/internal/index/grid"
 	"github.com/epicscale/sgl/internal/table"
 )
 
@@ -298,12 +297,12 @@ func (e *Engine) validateCommand(c *Command) error {
 			return err
 		}
 	case OpDespawn:
-		if c.Key < 0 {
-			return fmt.Errorf("despawn key %d must be non-negative", c.Key)
+		if err := checkKey(c.Key); err != nil {
+			return fmt.Errorf("despawn %w", err)
 		}
 	case OpSet:
-		if c.Key < 0 {
-			return fmt.Errorf("set key %d must be non-negative", c.Key)
+		if err := checkKey(c.Key); err != nil {
+			return fmt.Errorf("set %w", err)
 		}
 		col, ok := e.prog.Schema.Col(c.Col)
 		if !ok {
@@ -344,31 +343,22 @@ func (e *Engine) validatePos(x, y float64) error {
 	return nil
 }
 
-// applyCommands drains the input buffer at a tick's commit, applying
-// commands in the canonical (tick, origin, sequence) order — the order
-// insertCanonical maintains the buffer in, so the drain is a plain walk.
-// It runs after the tick's resurrection and before its delta capture,
-// so the view the tick publishes and every later decision observe the
-// post-command world.
+// applyCommands stamps the commands admitted up to a tick's commit (see
+// admission.go) and applies the input buffer in canonical (tick, origin,
+// sequence) order, the order insertCanonical keeps it in. It runs after
+// the tick's resurrection and before its delta capture, so the view the
+// tick publishes and every later decision observe the post-command world.
 func (e *Engine) applyCommands() {
+	e.inmu.Lock()
+	e.drainAdmission()
+	e.inmu.Unlock()
 	if len(e.pending) == 0 {
 		return
 	}
-	// The occupancy table mirrors the live environment through the batch,
-	// so each command observes its predecessors' placements — the same
-	// one-unit-per-square rule movement and resurrection enforce. It is
-	// synced by the first command that places, removes or moves a unit:
-	// the commands before it cannot have changed a position, and a batch
-	// of plain sets and tunes never touches it.
-	synced := false
-	mirror := func() *grid.Occupancy {
-		if !synced {
-			e.syncOcc(nil)
-			synced = true
-		}
-		return e.occ
-	}
-
+	// The occupancy record mirrors the live environment through the
+	// batch, so each command observes its predecessors' placements — the
+	// same one-unit-per-square rule movement and resurrection enforce.
+	e.occ.sync()
 	for _, sc := range e.pending {
 		c := sc.Cmd
 		switch c.Op {
@@ -377,12 +367,12 @@ func (e *Engine) applyCommands() {
 				e.Stats.CommandsRejected++ // duplicate key
 				continue
 			}
-			if !mirror().Place(c.Row[e.posX], c.Row[e.posY], c.Key) {
+			if !e.occ.place(c.Row[e.posX], c.Row[e.posY], c.Key) {
 				e.Stats.CommandsRejected++ // square occupied
 				continue
 			}
 			e.env.Append(append([]float64(nil), c.Row...))
-			e.popChanged, e.keyIdx, e.occOK = true, nil, false
+			e.popChanged, e.keyIdx = true, nil
 		case OpDespawn:
 			i := e.rowIndexByKey(c.Key)
 			if i < 0 {
@@ -390,9 +380,9 @@ func (e *Engine) applyCommands() {
 				continue
 			}
 			row := e.env.Rows[i]
-			mirror().Remove(row[e.posX], row[e.posY], c.Key)
+			e.occ.remove(row[e.posX], row[e.posY], c.Key)
 			e.env.Rows = append(e.env.Rows[:i], e.env.Rows[i+1:]...)
-			e.popChanged, e.keyIdx, e.occOK = true, nil, false
+			e.popChanged, e.keyIdx = true, nil
 		case OpSet:
 			i := e.rowIndexByKey(c.Key)
 			if i < 0 {
@@ -408,12 +398,9 @@ func (e *Engine) applyCommands() {
 				} else {
 					ny = c.Val
 				}
-				if !mirror().Move(row[e.posX], row[e.posY], nx, ny, c.Key) {
+				if !e.occ.move(i, nx, ny) {
 					e.Stats.CommandsRejected++ // target square occupied
 					continue
-				}
-				if e.occOK {
-					e.occSq[i] = grid.SquareOf(nx, ny)
 				}
 			}
 			row[col] = c.Val
@@ -433,6 +420,7 @@ func (e *Engine) applyCommands() {
 // rowIndexByKey resolves a key to its row index: through the engine's
 // key index while it is valid, by a linear scan once a spawn or despawn
 // earlier in the batch has dropped it (row indexes shift under the map).
+// Both compare keys as the int64 unit identities, so they agree.
 func (e *Engine) rowIndexByKey(key int64) int {
 	if e.keyIdx != nil {
 		if i, ok := e.keyIdx[key]; ok {
@@ -441,9 +429,8 @@ func (e *Engine) rowIndexByKey(key int64) int {
 		return -1
 	}
 	kc := e.prog.Schema.KeyCol()
-	fk := float64(key)
 	for i, row := range e.env.Rows {
-		if row[kc] == fk {
+		if int64(row[kc]) == key {
 			return i
 		}
 	}

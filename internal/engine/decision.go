@@ -42,14 +42,17 @@ func (e *Engine) shardExecutor(s int, prov *exec.Indexed, r rng.TickSource, lo, 
 // to tick (Engine.outs) so that a steady-state tick allocates none of it:
 // the effect rows it emitted, flattened at the schema's width, Apply node
 // j's rows in effects[ends[j]:ends[j+1]]; the deferrable area performers
-// per Apply node; its argument scratch; and its provider fork's probe
-// counters.
+// per Apply node; its argument scratch; its provider fork's probe
+// counters; and what the post-processing pass saw in its rows: how many
+// units died, and whether ApplyEffects moved one.
 type shardOut struct {
 	effects []float64
 	ends    []int
 	perf    [][]performer
 	args    []float64
 	stats   exec.Stats
+	deaths  int
+	moved   bool
 }
 
 // foldEffects folds buffered effect rows into the accumulator in buffer

@@ -1,9 +1,9 @@
 // Package engine implements the discrete simulation engine of paper
 // Section 2.2 and Section 6: the clock-tick loop with its query/decision,
 // update, and movement stages, the post-processing query that applies
-// combined effects to unit state, collision detection with very simple
-// pathfinding, and the resurrection rule the experiments use to keep the
-// population constant.
+// combined effects to unit state — one pass per row with the planning of
+// the row's move — collision detection with very simple pathfinding, and
+// the resurrection rule that keeps the population constant.
 //
 // The engine runs the same game in two modes — the paper's central
 // experimental comparison. Both run one decision phase, the compiled
@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -62,9 +61,10 @@ type Game interface {
 	// ApplyEffects folds one tick's combined effects (indexed by schema
 	// column; untouched effect columns hold their fold identities) into the
 	// unit row, mutating state columns in place. It returns the unit's
-	// desired movement for the movement phase and whether it survives.
-	// Neither slice may be retained past the call: the engine reuses the
-	// effects buffer on the next tick.
+	// desired movement and whether it survives; in the same pass, right
+	// after the call, the engine plans that row's move from the row as it
+	// left it. Neither slice may be retained past the call: the engine
+	// reuses the effects buffer on the next tick.
 	//
 	// ApplyEffects must be safe for concurrent calls on distinct rows:
 	// with Options.Workers > 1 (the default resolves to all cores) the
@@ -219,28 +219,19 @@ type Engine struct {
 	// steady-state tick allocates none of it: the effect accumulator, the
 	// key → row-index map (rebuilt only when the key set changes: spawn
 	// and despawn commands, restore), the shard boundaries, one plan
-	// executor and one output buffer per shard, and the post-processing
-	// and movement buffers.
+	// executor and one output buffer per shard, the movement stage's
+	// death flags, plans and permutation, and the occupancy record
+	// (movement.go).
 	acc    *accumulator
 	keyIdx map[int64]int
 	bounds [][2]int
 	execs  []*algebra.Executor
 	outs   []shardOut
-	moves  []geom.Vec
 	dead   []bool
 	plans  []movePlan
+	perm   []int
 	fx     effectIndex // the deferred-area effect index (decision.go)
-
-	// The occupancy table the command mirror, movement and resurrection
-	// share, carried across ticks (syncOcc): occSq is the square each row
-	// held when the table was last brought up to date, and occOK says the
-	// table is exactly those squares, one unit each — false until the
-	// first refill, after a population change, and in a world where two
-	// units share a square (there only the row-order refill decides who
-	// holds it).
-	occ   *grid.Occupancy
-	occSq []grid.Square
-	occOK bool
+	occ    occupancy
 
 	// Delta state (incremental.go): the provider the current tick used
 	// and the provider to maintain the next tick's indexes from, and the
@@ -396,7 +387,7 @@ func build(prog *sem.Program, game Game, initial *table.Table, opts Options) (*E
 	}
 	e.execs = make([]*algebra.Executor, w)
 	e.outs = make([]shardOut, w)
-	e.occ = grid.NewOccupancy(initial.Len())
+	e.occ = occupancy{env: e.env, px: px, py: py, taken: grid.NewOccupancy(initial.Len())}
 	return e, nil
 }
 
@@ -421,10 +412,10 @@ func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // checkKey is the rule a unit key obeys however the unit enters a world —
 // spawned by a command, or in the initial environment of New, Open, a PUT
-// checkpoint or a replica bootstrap: a finite, non-negative integer of at
-// most 2^53.
-func checkKey(key float64) error {
-	if !(key >= 0 && key <= maxKey) || key != math.Trunc(key) {
+// checkpoint or a replica bootstrap — or names it in a despawn or set
+// command: a finite, non-negative integer of at most 2^53.
+func checkKey[K int64 | float64](key K) error {
+	if !(key >= 0 && key <= maxKey) || float64(key) != math.Trunc(float64(key)) {
 		return fmt.Errorf("key %v must be a non-negative integer of at most 2^53", key)
 	}
 	return nil
@@ -528,72 +519,32 @@ func (e *Engine) rebuildConstNames() {
 	}
 }
 
-// Tick advances one clock tick through all phases.
+// Tick advances one clock tick. Each call to an engine method below is
+// one phase of the tick pipeline in docs/ARCHITECTURE.md, in its order,
+// save tickAccumulator and keyIndex, which fetch the scratch decide
+// works in; TestTickPipelineDocumented holds the two lists together.
 func (e *Engine) Tick() error {
-	r := e.src.Tick(e.tick)
-	n := e.env.Len()
-	acc := e.tickAccumulator(n)
-	keyIdx := e.keyIndex()
-
-	// Decision + action stages (query/decide/update of Section 2.2): the
-	// effect query runs sharded over the frozen snapshot — one shard at
-	// Workers 1 — and the per-shard effects merge at a barrier in one
-	// fixed fold order.
-	if err := e.decide(r, acc, keyIdx); err != nil {
+	acc := e.tickAccumulator(e.env.Len())
+	if err := e.decide(e.src.Tick(e.tick), acc, e.keyIndex()); err != nil {
 		return err
 	}
 	if e.opts.midTick != nil {
 		e.opts.midTick(e)
 	}
-
-	// Post-processing query (Example 4.1): combine effects into state.
-	// Each row folds only its own accumulator slot, so the loop shards
-	// cleanly; per-shard death counts merge in shard order.
-	moves, dead := e.tickBuffers(n)
-	bounds := e.shards(n)
-	deaths := make([]int, len(bounds))
-	runShards(bounds, func(s, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			mv, alive := e.game.ApplyEffects(e.env.Rows[i], acc.vals[i])
-			moves[i], dead[i] = mv, !alive
-			if !alive {
-				deaths[s]++
-			}
-		}
-	})
-	for _, d := range deaths {
-		e.Stats.Deaths += d
-	}
-
-	// Movement phase: random order, collision detection, simple pathfinding.
-	e.movementPhase(moves, dead)
-
-	// Resurrection keeps the population constant (Section 6).
-	e.resurrect(dead)
-
-	// Stamp and apply the commands admitted up to here: queued sharded
-	// admissions get their canonical (next tick, origin, seq) stamps, and
-	// the batch that precedes the next decision joins this tick's
-	// commit, so the view it publishes — its delta, maintained answers
-	// and pushes included — already shows it (see admission.go and
-	// command.go for the ordering and determinism argument).
-	e.inmu.Lock()
-	e.drainAdmission()
-	e.inmu.Unlock()
+	e.postProcess(acc)
+	e.move()
+	e.resurrect(e.dead)
 	e.applyCommands()
-
-	// Record which rows this tick changed, so the next tick can patch the
-	// previous indexes instead of rebuilding them.
 	e.captureIncremental()
-
-	// Classify every maintained answer against the fresh delta, then age
-	// the per-query cache.
 	e.maintainAnswers()
-	e.evictIdleQueries()
+	e.commit()
+	return nil
+}
 
-	// Commit: from here on readers see this tick. The previous view (and
-	// the index providers readers built on it) is garbage once the last
-	// reader holding it returns.
+// commit ages the per-query cache and publishes the tick: from here on
+// readers see it, and the previous view goes with its last reader.
+func (e *Engine) commit() {
+	e.evictIdleQueries()
 	e.tick++
 	e.Stats.Ticks++
 	e.publishView()
@@ -602,7 +553,6 @@ func (e *Engine) Tick() error {
 		// journal stays proportional to the pending window.
 		e.Compact()
 	}
-	return nil
 }
 
 // keyIndex returns the key → row-index map of the current environment.
@@ -626,15 +576,6 @@ func buildKeyIndex(env *table.Table) map[int64]int {
 		idx[int64(row[kc])] = i
 	}
 	return idx
-}
-
-// tickBuffers returns the post-processing outputs — desired moves and
-// death flags, every slot of which the post-processing loop overwrites.
-func (e *Engine) tickBuffers(n int) ([]geom.Vec, []bool) {
-	if len(e.moves) != n {
-		e.moves, e.dead = make([]geom.Vec, n), make([]bool, n)
-	}
-	return e.moves, e.dead
 }
 
 // countEffect records one applied effect attributed to a worker shard.
@@ -699,183 +640,5 @@ func (a *accumulator) fold(rowIdx, col int, v float64) {
 func (a *accumulator) foldRow(rowIdx int, effectRow []float64) {
 	for _, c := range a.schema.EffectCols() {
 		a.vals[rowIdx][c] = a.schema.Attr(c).Kind.Fold(a.vals[rowIdx][c], effectRow[c])
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Movement and resurrection
-
-// movePlan is one mover's precomputed, world-clamped candidate squares:
-// full step, then the two axis-aligned slides ("very simple pathfinding").
-type movePlan struct {
-	cands  [3]geom.Point
-	active bool
-}
-
-// movementPhase runs in two stages. Candidate planning is pure per unit —
-// a mover's clamped step and slide candidates depend only on its own
-// frozen row and move vector, never on other units — so it runs sharded
-// across the worker pool. The claim sweep that follows stays serial by
-// design: each move in the random order observes the occupancy left by
-// every earlier move (a unit can step into a square vacated this very
-// tick), a sequential dependency chain the state-effect argument does not
-// cover. Since planning is order-independent and the sweep consumes plans
-// in the same permutation regardless of shard count, the phase is
-// bit-identical at any Workers value.
-func (e *Engine) movementPhase(moves []geom.Vec, dead []bool) {
-	n := e.env.Len()
-	if len(e.plans) != n {
-		e.plans = make([]movePlan, n)
-	}
-	plans := e.plans // every slot is rewritten below
-	runShards(e.shards(n), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if dead[i] || (moves[i].X == 0 && moves[i].Y == 0) {
-				plans[i].active = false
-				continue
-			}
-			row := e.env.Rows[i]
-			mv := moves[i].Clamp(e.opts.MoveSpeed)
-			x, y := row[e.posX], row[e.posY]
-			plans[i] = movePlan{active: true, cands: [3]geom.Point{
-				e.clampToWorld(geom.Point{X: x + mv.X, Y: y + mv.Y}),
-				e.clampToWorld(geom.Point{X: x + mv.X, Y: y}),
-				e.clampToWorld(geom.Point{X: x, Y: y + mv.Y}),
-			}}
-		}
-	})
-
-	e.syncOcc(nil)
-	occ := e.occ
-	kc, side := e.prog.Schema.KeyCol(), e.opts.Side
-	st := rng.NewStream(e.src, 1_000_000+e.tick)
-	for _, i := range st.Perm(n) {
-		if !plans[i].active {
-			continue
-		}
-		row := e.env.Rows[i]
-		key := int64(row[kc])
-		x, y := row[e.posX], row[e.posY]
-		moved := false
-		for _, cand := range plans[i].cands {
-			// A NaN move survives the clamps (every comparison with NaN
-			// is false) and would name an implementation-defined square:
-			// a candidate outside the world is blocked.
-			if !inWorld(cand.X, side) || !inWorld(cand.Y, side) {
-				continue
-			}
-			if occ.Move(x, y, cand.X, cand.Y, key) {
-				row[e.posX], row[e.posY] = cand.X, cand.Y
-				e.occSq[i] = grid.SquareOf(cand.X, cand.Y)
-				moved = true
-				break
-			}
-		}
-		if moved {
-			e.Stats.Moves++
-		} else {
-			e.Stats.MovesBlocked++
-		}
-	}
-}
-
-// clampToWorld pulls a candidate position back inside [0, Side), the
-// inWorld rule Open checks, so a world movement produced always reopens.
-// From Side 2^24 up, Side-1e-9 rounds back to Side; there the largest
-// float below Side is the bound instead.
-func (e *Engine) clampToWorld(p geom.Point) geom.Point {
-	max := e.opts.Side - 1e-9
-	if max >= e.opts.Side {
-		max = math.Nextafter(e.opts.Side, 0)
-	}
-	return geom.Rect{MinX: 0, MinY: 0, MaxX: max, MaxY: max}.ClampPoint(p)
-}
-
-func (e *Engine) resurrect(dead []bool) {
-	e.syncOcc(dead)
-	occ := e.occ
-	kc := e.prog.Schema.KeyCol()
-	for i, row := range e.env.Rows {
-		if !dead[i] {
-			continue
-		}
-		key := int64(row[kc])
-		// Each corpse draws from its own substream keyed by (tick, unit):
-		// the draw sequence is independent of resurrection order and of
-		// the worker count, so respawns stay bit-identical at any
-		// parallelism. (Square conflicts are still resolved serially in
-		// row order below.)
-		st := e.src.Substream(2_000_000+e.tick, key)
-		e.game.Respawn(row, st)
-		for tries := 0; ; tries++ {
-			x := float64(st.Intn(int(e.opts.Side)))
-			y := float64(st.Intn(int(e.opts.Side)))
-			if sq := grid.SquareOf(x, y); occ.Claim(sq, key) {
-				row[e.posX], row[e.posY] = x, y
-				e.occSq[i] = sq
-				break
-			}
-			// In float64: from Side ≈ 1e9 up, 10·Side² overflows an int.
-			if float64(tries) > 10*e.opts.Side*e.opts.Side {
-				// Pathological full grid: stack at origin rather than spin.
-				// The unit now shares a square, so the carried table no
-				// longer says who holds it.
-				row[e.posX], row[e.posY] = 0, 0
-				e.occOK = false
-				break
-			}
-		}
-	}
-}
-
-// syncOcc brings the occupancy table to "every row not marked in skip
-// (nil: every row) placed in row order", whatever mutated the rows since
-// it was last in sync — commands, the game's ApplyEffects, the moves and
-// respawns the phases make themselves. With a valid record it releases
-// the squares of the rows that left theirs (and of skipped rows) and
-// claims the new ones, touching the map only for rows whose square
-// changed; otherwise — first use, population change, a shared square —
-// it refills the table from scratch. A claim that fails shows two units
-// on one square: the refill, which lets the earlier row hold it, is
-// then what decides, now and on every tick until the squares are
-// distinct again.
-func (e *Engine) syncOcc(skip []bool) {
-	rows := e.env.Rows
-	kc := e.prog.Schema.KeyCol()
-	if e.occOK && len(e.occSq) == len(rows) {
-		moved := false
-		for i, row := range rows {
-			if sq := grid.SquareOf(row[e.posX], row[e.posY]); sq != e.occSq[i] || (skip != nil && skip[i]) {
-				e.occ.Release(e.occSq[i], int64(row[kc]))
-				moved = true
-			}
-		}
-		if !moved {
-			return
-		}
-		ok := true
-		for i, row := range rows {
-			if skip != nil && skip[i] {
-				continue
-			}
-			if sq := grid.SquareOf(row[e.posX], row[e.posY]); sq != e.occSq[i] {
-				e.occSq[i] = sq
-				if ok = e.occ.Claim(sq, int64(row[kc])); !ok {
-					break
-				}
-			}
-		}
-		if ok {
-			return
-		}
-	}
-	e.occ.Reset()
-	e.occSq = slices.Grow(e.occSq[:0], len(rows))[:len(rows)]
-	e.occOK = true
-	for i, row := range rows {
-		e.occSq[i] = grid.SquareOf(row[e.posX], row[e.posY])
-		if (skip == nil || !skip[i]) && !e.occ.Claim(e.occSq[i], int64(row[kc])) {
-			e.occOK = false
-		}
 	}
 }

@@ -78,6 +78,36 @@ func TestInitialKeysFollowSpawnRule(t *testing.T) {
 	}
 }
 
+// TestCommandKeysAreExact: a despawn or set command's key obeys the key
+// rule at admission, and applying a command finds its unit by the exact
+// int64 key on both lookup paths. Key 2^53+1 is no float64: admitted and
+// compared as one, it named unit 2^53, so the batch [spawn 999, despawn
+// 2^53+1] — the spawn drops the key index, the despawn scans — removed
+// unit 2^53 and counted both commands as applied.
+func TestCommandKeysAreExact(t *testing.T) {
+	prog := battleProg(t)
+	kc := prog.Schema.KeyCol()
+	e := newEngine(t, prog, 24, Indexed, 3, nil)
+	e.env.Rows[0][kc] = 1 << 53
+	for _, c := range []Command{
+		{Op: OpDespawn, Key: 1<<53 + 1},
+		{Op: OpSet, Key: 1<<53 + 1, Col: "health", Val: 1},
+	} {
+		if err := e.Submit("client", c); err == nil {
+			t.Errorf("op %d of key 2^53+1 admitted", c.Op)
+		}
+	}
+	for _, idx := range []map[int64]int{buildKeyIndex(e.env), nil} {
+		e.keyIdx = idx
+		if i := e.rowIndexByKey(1<<53 + 1); i >= 0 {
+			t.Errorf("key 2^53+1 resolved to row %d, keyed %v (key index built: %v)", i, e.env.Rows[i][kc], idx != nil)
+		}
+		if i := e.rowIndexByKey(1 << 53); i != 0 {
+			t.Errorf("key 2^53 resolved to row %d, want 0 (key index built: %v)", i, idx != nil)
+		}
+	}
+}
+
 // TestInitialPositionsFollowSpawnRule: a world that comes up from rows —
 // New over a table, Open over a checkpoint stream (and so a PUT
 // checkpoint or a replica bootstrap) — holds every position to the rule a
@@ -157,7 +187,7 @@ func TestMovementStaysInsideLargeWorlds(t *testing.T) {
 			}
 		}
 		moves[edge] = geom.Vec{X: 1}
-		e.movementPhase(moves, make([]bool, e.env.Len()))
+		movementPhase(e, moves, make([]bool, e.env.Len()))
 		if x := e.env.Rows[edge][px]; !inWorld(x, side) {
 			t.Fatalf("side %v: the unit pushed past the edge stands at x = %v", side, x)
 		}

@@ -160,14 +160,13 @@ func (st *Stream) Float64() float64 {
 	return float64(st.Next()>>11) / (1 << 53)
 }
 
-// Perm returns a pseudo-random permutation of [0, n), used by the movement
-// phase ("this is done in random order").
-func (st *Stream) Perm(n int) []int {
-	p := make([]int, n)
+// Perm fills p with a pseudo-random permutation of [0, len(p)), used by
+// the movement phase ("this is done in random order"). The caller owns p,
+// so a tick can keep it.
+func (st *Stream) Perm(p []int) {
 	for i := range p {
 		j := st.Intn(i + 1)
 		p[i] = p[j]
 		p[j] = i
 	}
-	return p
 }

@@ -114,7 +114,8 @@ func TestStreamDeterminism(t *testing.T) {
 
 func TestStreamPerm(t *testing.T) {
 	st := NewStream(New(5), 3)
-	p := st.Perm(100)
+	p := make([]int, 100)
+	st.Perm(p)
 	seen := make([]bool, 100)
 	for _, v := range p {
 		if v < 0 || v >= 100 || seen[v] {

@@ -649,8 +649,8 @@ func (wc WireCommand) toCommand(wd *World) (engine.Command, error) {
 		if wc.UnitType < game.Knight || wc.UnitType > game.Healer {
 			return engine.Command{}, fmt.Errorf("spawn unittype must be 0 (knight), 1 (archer) or 2 (healer), got %d", wc.UnitType)
 		}
-		if wc.Key < 0 {
-			return engine.Command{}, fmt.Errorf("spawn key must be non-negative, got %d", wc.Key)
+		if wc.Key < 0 || wc.Key > 1<<53 { // a float64 row key beyond 2^53 would round onto another unit
+			return engine.Command{}, fmt.Errorf("spawn key must be a non-negative integer of at most 2^53, got %d", wc.Key)
 		}
 		row := game.NewUnit(wc.Key, wc.Player, wc.UnitType, geom.Point{X: wc.X, Y: wc.Y})
 		return engine.Command{Op: engine.OpSpawn, Row: row}, nil

@@ -1022,8 +1022,9 @@ func TestCommandAckTickAndStamp(t *testing.T) {
 	}
 }
 
-// Command endpoint validation: bad ops, oversized batches, empty
-// batches, unknown sessions and invalid targets are all 4xx.
+// Command endpoint validation: bad ops, keys beyond 2^53, oversized
+// batches, empty batches, unknown sessions and invalid targets are all
+// 4xx.
 func TestCommandsEndpointValidation(t *testing.T) {
 	ts, _ := newTestServer(t)
 	create(t, ts.URL, "val", nil)
@@ -1045,6 +1046,16 @@ func TestCommandsEndpointValidation(t *testing.T) {
 	}
 	if code := post(CommandsRequest{Commands: []WireCommand{{Op: "set", Key: 1, Col: "nosuch", Val: 1}}}); code != http.StatusBadRequest {
 		t.Errorf("unknown column: %d, want 400", code)
+	}
+	// Key 2^53+1 is no float64: as one it names unit 2^53.
+	for _, wc := range []WireCommand{
+		{Op: "despawn", Key: 1<<53 + 1},
+		{Op: "set", Key: 1<<53 + 1, Col: "health", Val: 1},
+		{Op: "spawn", Key: 1<<53 + 1},
+	} {
+		if code := post(CommandsRequest{Commands: []WireCommand{wc}}); code != http.StatusBadRequest {
+			t.Errorf("%s of key 2^53+1: %d, want 400", wc.Op, code)
+		}
 	}
 	big := make([]WireCommand, MaxCommandsPerRequest+1)
 	for i := range big {
