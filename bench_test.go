@@ -62,7 +62,12 @@ func newBattle(b testing.TB, mode Mode, n int, density float64, tweak func(*Engi
 }
 
 func benchTicks(b *testing.B, mode Mode, n int, density float64) {
-	e := newBattle(b, mode, n, density, nil)
+	benchTicksTuned(b, mode, n, density, nil)
+}
+
+// benchTicksTuned is benchTicks with the engine options tweaked.
+func benchTicksTuned(b *testing.B, mode Mode, n int, density float64, tweak func(*EngineOptions)) {
+	e := newBattle(b, mode, n, density, tweak)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -116,6 +121,17 @@ func BenchmarkFig10Indexed2000(b *testing.B)  { benchTicks(b, Indexed, 2000, 0.0
 func BenchmarkFig10Indexed4000(b *testing.B)  { benchTicks(b, Indexed, 4000, 0.01) }
 func BenchmarkFig10Indexed8000(b *testing.B)  { benchTicks(b, Indexed, 8000, 0.01) }
 func BenchmarkFig10Indexed14000(b *testing.B) { benchTicks(b, Indexed, 14000, 0.01) }
+
+// BenchmarkFig10Indexed32000 is the epic-scale row (ROADMAP item 16's
+// target: 100 ms a tick at 32 000 units on two cores), serial and on two
+// decision shards.
+func BenchmarkFig10Indexed32000(b *testing.B) {
+	for _, w := range []int{1, 2} {
+		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
+			benchTicksTuned(b, Indexed, 32000, 0.01, func(o *EngineOptions) { o.Workers = w })
+		})
+	}
+}
 
 // ---------------------------------------------------------------------------
 // E3 — density sensitivity at n = 500 (paper Section 6.1).
@@ -718,6 +734,7 @@ func BenchmarkTickIncrementalSentry(b *testing.B) {
 			b.ReportMetric(perTick(is.IndexBuilds-before.IndexBuilds), "builds/tick")
 			b.ReportMetric(perTick(is.TreeProbes-before.TreeProbes), "tree-probes/tick")
 			b.ReportMetric(perTick(is.KDProbes-before.KDProbes), "kd-probes/tick")
+			b.ReportMetric(perTick(is.CertifiedAnswers-before.CertifiedAnswers), "certified/tick")
 			b.ReportMetric(perTick(is.CarriedAnswers-before.CarriedAnswers), "carried/tick")
 			b.ReportMetric(float64(e.Stats.DirtyRows)/float64(e.Stats.Ticks), "dirty-rows/tick")
 		})

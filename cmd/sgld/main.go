@@ -44,6 +44,7 @@ import (
 
 	"github.com/epicscale/sgl/internal/cluster"
 	"github.com/epicscale/sgl/internal/engine"
+	"github.com/epicscale/sgl/internal/metrics"
 	"github.com/epicscale/sgl/internal/server"
 )
 
@@ -56,11 +57,13 @@ func main() {
 		followSess = flag.String("follow-sessions", "", "comma-separated writer sessions to replicate (required with -follow)")
 		followWait = flag.Duration("follow-wait", 5*time.Second, "replica journal long-poll park time")
 		followWork = flag.Int("follow-workers", 1, "replica engine workers per followed session")
+
+		profile = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ (off by default)")
 	)
 	flag.Parse()
 
 	if err := run(runConfig{
-		addr: *addr, dataDir: *dataDir,
+		addr: *addr, dataDir: *dataDir, pprof: *profile,
 		follow: *follow, followSessions: *followSess, followWait: *followWait,
 		followTune: engine.Options{Workers: *followWork},
 	}, os.Stdout); err != nil {
@@ -73,6 +76,8 @@ func main() {
 type runConfig struct {
 	addr    string
 	dataDir string
+	// pprof mounts the profiling endpoints (metrics.WithProfiling).
+	pprof bool
 
 	// Replica mode: follow is the writer's base URL, followSessions the
 	// comma-separated sessions to replicate. The daemon then serves those
@@ -119,14 +124,22 @@ func followedSessions(cfg runConfig) ([]string, error) {
 	return names, nil
 }
 
+// handler is what the daemon serves: the API server, behind the
+// profiling endpoints when -pprof is set.
+func handler(srv http.Handler, pprof bool) http.Handler {
+	if pprof {
+		return metrics.WithProfiling(srv)
+	}
+	return srv
+}
+
 // serve runs the daemon until SIGINT/SIGTERM, then stops every clock.
 // In replica mode it first bootstraps a replica world per followed
 // session (failing fast on a bad writer URL or session name) and keeps
 // each one replaying the writer's journal until shutdown.
 func serve(cfg runConfig, sessions []string, out io.Writer) error {
 	reg := server.NewRegistry()
-	srv := server.New(reg, cfg.dataDir)
-	httpSrv := &http.Server{Addr: cfg.addr, Handler: srv}
+	httpSrv := &http.Server{Addr: cfg.addr, Handler: handler(server.New(reg, cfg.dataDir), cfg.pprof)}
 
 	var followers []*cluster.Follower
 	defer func() {

@@ -2,11 +2,15 @@ package main
 
 import (
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/epicscale/sgl/internal/server"
 )
 
 // TestReplicaFlagsRefuseToServeAsWriter pins that a daemon asked to be a
@@ -47,5 +51,24 @@ func TestReplicaFlagsRefuseToServeAsWriter(t *testing.T) {
 				t.Errorf("data dir exists after a startup error (stat: %v)", err)
 			}
 		})
+	}
+}
+
+// TestPprofBehindFlag: the daemon serves /debug/pprof/ only with -pprof.
+// Without it the path is the API server's 404; with it the index page
+// answers, and the API is still served beside it.
+func TestPprofBehindFlag(t *testing.T) {
+	for _, on := range []bool{false, true} {
+		h := handler(server.New(server.NewRegistry(), ""), on)
+		for path, want := range map[string]int{
+			"/debug/pprof/": map[bool]int{false: http.StatusNotFound, true: http.StatusOK}[on],
+			"/healthz":      http.StatusOK,
+		} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+			if rec.Code != want {
+				t.Errorf("-pprof=%v: GET %s = %d, want %d", on, path, rec.Code, want)
+			}
+		}
 	}
 }

@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"github.com/epicscale/sgl/internal/cluster"
+	"github.com/epicscale/sgl/internal/metrics"
 )
 
 func main() {
@@ -43,10 +44,11 @@ func main() {
 		addr  = flag.String("addr", ":7080", "HTTP listen address")
 		nodes = flag.String("nodes", "", "comma-separated sgld nodes: url or name=url (required)")
 		probe = flag.Duration("probe", 2*time.Second, "health probe cadence")
+		prof  = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ (off by default)")
 	)
 	flag.Parse()
 
-	if err := run(*addr, *nodes, *probe, os.Stdout); err != nil {
+	if err := run(*addr, *nodes, *probe, *prof, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "sglgw:", err)
 		os.Exit(1)
 	}
@@ -73,9 +75,18 @@ func parseNodes(raw string) ([]cluster.Node, error) {
 	return out, nil
 }
 
+// handler is what the gateway serves: the gateway itself, behind the
+// profiling endpoints when -pprof is set.
+func handler(gw http.Handler, pprof bool) http.Handler {
+	if pprof {
+		return metrics.WithProfiling(gw)
+	}
+	return gw
+}
+
 // run drives one sglgw invocation (main minus flag parsing and exit, so
 // tests can call it).
-func run(addr, rawNodes string, probe time.Duration, out io.Writer) error {
+func run(addr, rawNodes string, probe time.Duration, pprof bool, out io.Writer) error {
 	nodes, err := parseNodes(rawNodes)
 	if err != nil {
 		return err
@@ -99,7 +110,7 @@ func run(addr, rawNodes string, probe time.Duration, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "sglgw: serving on http://%s, fronting %d nodes (%d alive)\n", ln.Addr(), len(nodes), alive)
 
-	httpSrv := &http.Server{Handler: gw}
+	httpSrv := &http.Server{Handler: handler(gw, pprof)}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 

@@ -232,7 +232,6 @@ func TestDocsNameLiveMethods(t *testing.T) {
 // phases of the tick pipeline, each with the reason.
 var tickHelpers = map[string]string{
 	"tickAccumulator": "fetches the effect accumulator decide folds into",
-	"keyIndex":        "fetches the key → row map decide resolves effect targets through",
 }
 
 // TestTickPipelineDocumented pins the numbered list under "The tick

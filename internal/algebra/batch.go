@@ -49,7 +49,7 @@ func (x *Executor) BuildEffectRow(dst []float64, def *ast.ActDef, unit, args, ta
 	}
 	f := &x.def
 	f.Unit, f.Args, f.Target = unit, args, target
-	act := code.acts[def]
+	act := code.act(def)
 	for i, set := range act.sets {
 		dst[act.cols[i]] = set(f)
 	}

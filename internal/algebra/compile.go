@@ -29,7 +29,7 @@ type planCode struct {
 	prog    *sem.Program
 	applies []*Apply
 	apply   map[*Apply][]expr.Num // argument terms
-	acts    map[*ast.ActDef]*actCode
+	acts    []*actCode            // by ActDef.Ord (act looks one up)
 	sel     map[*Select]*selCode
 	ext     map[*Extend]*extCode
 	chains  map[Node][]stage // per Apply input: the streaming stage list
@@ -43,8 +43,26 @@ type planCode struct {
 // actCode is an action definition's SET clauses compiled in definition
 // scope, in declaration order.
 type actCode struct {
+	def  *ast.ActDef
 	cols []int
 	sets []expr.Num
+}
+
+// act returns def's compiled SET clauses: at its ordinal, one bounds
+// check and one pointer compare, or — a definition whose ordinal another
+// holds — by a scan.
+func (code *planCode) act(def *ast.ActDef) *actCode {
+	if o := def.Ord; o >= 0 && o < len(code.acts) {
+		if ac := code.acts[o]; ac != nil && ac.def == def {
+			return ac
+		}
+	}
+	for _, ac := range code.acts {
+		if ac != nil && ac.def == def {
+			return ac
+		}
+	}
+	return nil
 }
 
 // selCode is a Select's condition as greedy-ordered compiled conjuncts.
@@ -184,7 +202,7 @@ func compilePlan(prog *sem.Program, p *Plan) (*planCode, error) {
 		prog:    prog,
 		applies: applies,
 		apply:   map[*Apply][]expr.Num{},
-		acts:    map[*ast.ActDef]*actCode{},
+		acts:    make([]*actCode, len(prog.Script.Acts)),
 		sel:     map[*Select]*selCode{},
 		ext:     map[*Extend]*extCode{},
 		chains:  map[Node][]stage{},
@@ -219,8 +237,8 @@ func compilePlan(prog *sem.Program, p *Plan) (*planCode, error) {
 			if code.apply[v], err = expr.New(prog, scope{pc, v.Env}).Nums(v.Args); err != nil {
 				return nil, err
 			}
-			if code.acts[v.Def] == nil {
-				ac := &actCode{}
+			if code.act(v.Def) == nil {
+				ac := &actCode{def: v.Def}
 				c := expr.New(prog, expr.Def{Params: v.Def.Params})
 				for _, set := range v.Def.Sets {
 					col, ok := prog.Schema.Col(set.Attr)
@@ -233,7 +251,11 @@ func compilePlan(prog *sem.Program, p *Plan) (*planCode, error) {
 					}
 					ac.cols, ac.sets = append(ac.cols, col), append(ac.sets, fn)
 				}
-				code.acts[v.Def] = ac
+				if o := v.Def.Ord; o >= 0 && o < len(code.acts) && code.acts[o] == nil {
+					code.acts[o] = ac
+				} else {
+					code.acts = append(code.acts, ac)
+				}
 			}
 		}
 	}

@@ -25,6 +25,10 @@ type Row struct {
 	ord int32
 }
 
+// Ord is the row's ordinal within the executor's base shard: its
+// environment row index less the shard's first.
+func (r *Row) Ord() int { return int(r.ord) }
+
 // Executor evaluates a plan over one tick's environment. It owns no
 // expression logic: every condition, extension value, action argument and
 // SET clause is a closure the plan compiled once (compile.go, package
@@ -128,10 +132,14 @@ type aggIntoProvider interface {
 
 // carrier is the optional provider check behind carrying an answer from
 // one binding to the next: whether def's answer for environment row row,
-// computed against the previous binding's provider, still holds against
-// this one for the same arguments. Implemented by exec.Indexed.
+// computed against the previous binding's provider and held in dst,
+// stands against this one for the same arguments — as it is, or as the
+// provider rewrites it. A carrier probes through EvalAggRow, which knows
+// the row it answers for and so can prepare the next binding's check.
+// Implemented by exec.Indexed.
 type carrier interface {
-	Carries(def *ast.AggDef, row int) bool
+	Carries(dst []float64, def *ast.AggDef, row int) bool
+	EvalAggRow(dst []float64, def *ast.AggDef, row int, unit, args []float64) []float64
 }
 
 // RangeError reports invalid shard bounds passed to NewExecutorRange.
@@ -328,6 +336,8 @@ func (x *Executor) probe(s *aggSite, f *expr.Frame) []float64 {
 	args := x.argStack[base:len(x.argStack):len(x.argStack)]
 	switch {
 	case x.carried(m, def, f.Ord, args):
+	case x.carrier != nil:
+		x.carrier.EvalAggRow(dst, def, x.lo+f.Ord, unit, args)
 	case x.aggInto == nil:
 		copy(dst, x.prov.EvalAgg(def, unit, args))
 	default:
@@ -340,15 +350,18 @@ func (x *Executor) probe(s *aggSite, f *expr.Frame) []float64 {
 
 // carried reports whether the answer the memo holds for row ord from the
 // previous binding stands for this one: the row was answered then, with
-// arguments bit-identical to args, and the provider vouches that nothing
-// else the answer reads has changed. Otherwise it records args as what
-// the row's fresh answer is computed with. An answer carried this way is
-// bit-identical to a fresh probe by construction: it is the value the
-// same pure function returned on inputs that have not changed.
+// arguments bit-identical to args, and the provider vouches for it —
+// nothing else the answer reads has changed, or a nearest answer's
+// certificate holds and the provider rewrote it in place. Otherwise it
+// records args as what the row's fresh answer is computed with. An
+// answer carried this way is bit-identical to a fresh probe: it is the
+// value the same pure function returned on inputs that have not changed,
+// or the provider's certified re-derivation of it.
 func (x *Executor) carried(m *callMemo, def *ast.AggDef, ord int, args []float64) bool {
-	k := len(args)
+	k, w := len(args), len(def.Outputs)
 	prev := m.args[ord*k : (ord+1)*k]
-	if x.carrier != nil && bit(m.had, ord) && bitsEqual(prev, args) && x.carrier.Carries(def, x.lo+ord) {
+	if x.carrier != nil && bit(m.had, ord) && bitsEqual(prev, args) &&
+		x.carrier.Carries(m.vals[ord*w:(ord+1)*w:(ord+1)*w], def, x.lo+ord) {
 		return true
 	}
 	copy(prev, args)

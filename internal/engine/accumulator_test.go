@@ -287,12 +287,11 @@ func TestMovementSpeedClamp(t *testing.T) {
 // The occupancy table carried across ticks
 
 // refilled is the occupancy table the phases used to rebuild every time:
-// every row placed in row order.
+// every row placed in row order, held by its row index.
 func refilled(e *Engine) *grid.Occupancy {
 	occ := grid.NewOccupancy(e.env.Len())
-	kc := e.prog.Schema.KeyCol()
-	for _, row := range e.env.Rows {
-		occ.Place(row[e.posX], row[e.posY], int64(row[kc]))
+	for i, row := range e.env.Rows {
+		occ.Place(row[e.posX], row[e.posY], int32(i))
 	}
 	return occ
 }
@@ -504,7 +503,7 @@ func TestCarriedOccupancyMatchesRefill(t *testing.T) {
 			t.Fatal("two units share a square and the table claims to be in sync")
 		}
 		if k, _ := probe.occ.taken.Occupied(3, 3); k != 0 {
-			t.Fatalf("square (3, 3) held by unit %d; the refill gives it to the earlier row, unit 0", k)
+			t.Fatalf("square (3, 3) held by row %d; the refill gives it to the earlier row, row 0", k)
 		}
 		runAgainstRefill(t, open(), open(), 30, nil)
 	})

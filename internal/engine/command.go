@@ -44,6 +44,7 @@ package engine
 import (
 	"fmt"
 
+	"github.com/epicscale/sgl/internal/index/ordmap"
 	"github.com/epicscale/sgl/internal/table"
 )
 
@@ -359,6 +360,15 @@ func (e *Engine) applyCommands() {
 	// batch, so each command observes its predecessors' placements — the
 	// same one-unit-per-square rule movement and resurrection enforce.
 	e.occ.sync()
+	// The first spawn or despawn of the batch takes a private copy of the
+	// key table: the published view reads the one it holds.
+	ownKeys := false
+	editKeys := func() *ordmap.Map {
+		if !ownKeys {
+			e.keys, ownKeys = e.keyIndex().Clone(), true
+		}
+		return e.keys
+	}
 	for _, sc := range e.pending {
 		c := sc.Cmd
 		switch c.Op {
@@ -367,22 +377,26 @@ func (e *Engine) applyCommands() {
 				e.Stats.CommandsRejected++ // duplicate key
 				continue
 			}
-			if !e.occ.place(c.Row[e.posX], c.Row[e.posY], c.Key) {
+			n := e.env.Len()
+			if !e.occ.place(n, c.Row[e.posX], c.Row[e.posY]) {
 				e.Stats.CommandsRejected++ // square occupied
 				continue
 			}
 			e.env.Append(append([]float64(nil), c.Row...))
-			e.popChanged, e.keyIdx = true, nil
+			editKeys().Put(c.Key, int32(n))
+			e.popChanged = true
 		case OpDespawn:
 			i := e.rowIndexByKey(c.Key)
 			if i < 0 {
 				e.Stats.CommandsRejected++
 				continue
 			}
-			row := e.env.Rows[i]
-			e.occ.remove(row[e.posX], row[e.posY], c.Key)
+			e.occ.drop(i)
+			keys := editKeys()
+			keys.Delete(c.Key)
+			keys.CloseGap(int32(i))
 			e.env.Rows = append(e.env.Rows[:i], e.env.Rows[i+1:]...)
-			e.popChanged, e.keyIdx = true, nil
+			e.popChanged = true
 		case OpSet:
 			i := e.rowIndexByKey(c.Key)
 			if i < 0 {
@@ -417,22 +431,12 @@ func (e *Engine) applyCommands() {
 	e.pending = e.pending[:0]
 }
 
-// rowIndexByKey resolves a key to its row index: through the engine's
-// key index while it is valid, by a linear scan once a spawn or despawn
-// earlier in the batch has dropped it (row indexes shift under the map).
-// Both compare keys as the int64 unit identities, so they agree.
+// rowIndexByKey resolves a key, compared as the int64 unit identity, to
+// its row index through the engine's key table, which spawns and
+// despawns earlier in the batch keep current; -1 when no unit has it.
 func (e *Engine) rowIndexByKey(key int64) int {
-	if e.keyIdx != nil {
-		if i, ok := e.keyIdx[key]; ok {
-			return i
-		}
-		return -1
-	}
-	kc := e.prog.Schema.KeyCol()
-	for i, row := range e.env.Rows {
-		if int64(row[kc]) == key {
-			return i
-		}
+	if i, ok := e.keyIndex().Get(key); ok {
+		return int(i)
 	}
 	return -1
 }

@@ -515,7 +515,8 @@ func TestCommandLandsInItsTicksView(t *testing.T) {
 				}
 				v := e.ReadView()
 				mc := e.prog.Schema.MustCol("morale")
-				row := v.env.Rows[v.keys[key]]
+				ri, _ := v.keys.Get(key)
+				row := v.env.Rows[ri]
 				if row[mc] != val {
 					t.Fatalf("view %d shows morale %v for unit %d: the batch admitted at view %d is not in it (one view from admission to visibility)",
 						v.Tick(), row[mc], key, admittedAt)
@@ -529,7 +530,7 @@ func TestCommandLandsInItsTicksView(t *testing.T) {
 				}
 				named := false
 				for k, i := range e.delta.Dirty {
-					named = named || (i == v.keys[key] && e.delta.Masks[k]&exec.ColBit(mc) != 0)
+					named = named || (i == int(ri) && e.delta.Masks[k]&exec.ColBit(mc) != 0)
 				}
 				if !e.deltaOK || !named {
 					t.Fatalf("tick %d's delta (valid %v) does not name unit %d's morale", warm, e.deltaOK, key)

@@ -41,12 +41,14 @@ func (e *Engine) shardExecutor(s int, prov *exec.Indexed, r rng.TickSource, lo, 
 // shardOut is one decision shard's output, kept on the engine from tick
 // to tick (Engine.outs) so that a steady-state tick allocates none of it:
 // the effect rows it emitted, flattened at the schema's width, Apply node
-// j's rows in effects[ends[j]:ends[j+1]]; the deferrable area performers
+// j's rows in effects[ends[j]:ends[j+1]], and the row index of each
+// one's target, in the same order; the deferrable area performers
 // per Apply node; its argument scratch; its provider fork's probe
 // counters; and what the post-processing pass saw in its rows: how many
 // units died, and whether ApplyEffects moved one.
 type shardOut struct {
 	effects []float64
+	targets []int32
 	ends    []int
 	perf    [][]performer
 	args    []float64
@@ -56,15 +58,13 @@ type shardOut struct {
 }
 
 // foldEffects folds buffered effect rows into the accumulator in buffer
-// order, crediting them to shard s.
-func (e *Engine) foldEffects(s int, rows []float64, acc *accumulator, keyIdx map[int64]int) {
-	w, kc := e.prog.Schema.NumAttrs(), e.prog.Schema.KeyCol()
-	for i := 0; i < len(rows); i += w {
-		row := rows[i : i+w]
-		if idx, ok := keyIdx[int64(row[kc])]; ok {
-			acc.foldRow(idx, row)
-			e.countEffect(s)
-		}
+// order, each into its target's row — the index target selection
+// handed over with it — crediting them to shard s.
+func (e *Engine) foldEffects(s int, rows []float64, targets []int32, acc *accumulator) {
+	w := e.prog.Schema.NumAttrs()
+	for j, ri := range targets {
+		acc.foldRow(int(ri), rows[j*w:(j+1)*w])
+		e.countEffect(s)
 	}
 }
 
@@ -87,8 +87,8 @@ func (e *Engine) foldEffects(s int, rows []float64, acc *accumulator, keyIdx map
 // construction — and the merge folds node-major, shard-minor: within a
 // node, shard order is global performer-row order, so every target's
 // fold sequence is the same bit for bit at any shard count.
-func (e *Engine) decide(r rng.TickSource, acc *accumulator, keyIdx map[int64]int) error {
-	master := e.newIndexedProvider(r, keyIdx)
+func (e *Engine) decide(r rng.TickSource, acc *accumulator) error {
+	master := e.newIndexedProvider(r)
 	bounds := e.shards(e.env.Len())
 	forked := len(bounds) > 1
 	if forked {
@@ -100,32 +100,39 @@ func (e *Engine) decide(r rng.TickSource, acc *accumulator, keyIdx map[int64]int
 		return err
 	}
 
+	w := e.prog.Schema.NumAttrs()
 	for j := range e.applies {
 		for s := range bounds {
 			out := &e.outs[s]
-			e.foldEffects(s, out.effects[out.ends[j]:out.ends[j+1]], acc, keyIdx)
+			lo, hi := out.ends[j], out.ends[j+1]
+			e.foldEffects(s, out.effects[lo:hi], out.targets[lo/w:hi/w], acc)
 		}
 	}
 
 	// Deferred area actions, in discovery order: a definition enters the
 	// order at the first (node, row) that deferred a performer, and its
-	// performers concatenate node-major, shard-minor.
-	deferred := map[*ast.ActDef][]performer{}
-	var deferredOrder []*ast.ActDef
-	for j, ap := range e.applies {
+	// performers concatenate node-major, shard-minor. They gather by the
+	// Apply's action slot (actSlot), in storage kept from tick to tick.
+	for slot := range e.deferred {
+		e.deferred[slot] = e.deferred[slot][:0]
+	}
+	order := e.deferOrder[:0]
+	for j := range e.applies {
+		slot := e.actSlot[j]
 		for s := range bounds {
 			ps := e.outs[s].perf[j]
 			if len(ps) == 0 {
 				continue
 			}
-			if _, seen := deferred[ap.Def]; !seen {
-				deferredOrder = append(deferredOrder, ap.Def)
+			if len(e.deferred[slot]) == 0 {
+				order = append(order, slot)
 			}
-			deferred[ap.Def] = append(deferred[ap.Def], ps...)
+			e.deferred[slot] = append(e.deferred[slot], ps...)
 		}
 	}
-	for _, def := range deferredOrder {
-		e.applyDeferredArea(def, deferred[def], r, acc)
+	e.deferOrder = order
+	for _, slot := range order {
+		e.applyDeferredArea(e.slotActs[slot], e.deferred[slot], r, acc)
 	}
 
 	e.Stats.IndexStats.Add(master.Stats)
@@ -150,7 +157,7 @@ func (e *Engine) decideShard(s, lo, hi int, master *exec.Indexed, forked bool, r
 		return err
 	}
 	w := e.prog.Schema.NumAttrs()
-	out.effects, out.ends = out.effects[:0], append(out.ends[:0], 0)
+	out.effects, out.targets, out.ends = out.effects[:0], out.targets[:0], append(out.ends[:0], 0)
 	if len(out.perf) != len(e.applies) {
 		out.perf = make([][]performer, len(e.applies))
 	}
@@ -158,10 +165,11 @@ func (e *Engine) decideShard(s, lo, hi int, master *exec.Indexed, forked bool, r
 		// One target visitor per Apply, not per row: the row and its
 		// arguments reach it through these two variables.
 		var unit, args []float64
-		buffer := func(tgt []float64) {
+		buffer := func(ri int, tgt []float64) {
 			n := len(out.effects)
 			out.effects = slices.Grow(out.effects, w)[:n+w]
 			x.BuildEffectRow(out.effects[n:], ap.Def, unit, args, tgt)
+			out.targets = append(out.targets, int32(ri))
 		}
 		deferThis := e.deferApply[j]
 		perf := out.perf[j][:0]
@@ -172,7 +180,7 @@ func (e *Engine) decideShard(s, lo, hi int, master *exec.Indexed, forked bool, r
 			}
 			out.args = x.ApplyArgs(out.args[:0], ap, row)
 			unit, args = row.Unit, out.args
-			prov.SelectTargets(ap.Def, unit, args, buffer)
+			prov.SelectTargetRows(ap.Def, lo+row.Ord(), unit, args, buffer)
 			return nil
 		})
 		out.perf[j] = perf

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -31,7 +32,9 @@ import (
 	"github.com/epicscale/sgl/internal/exec"
 	"github.com/epicscale/sgl/internal/geom"
 	"github.com/epicscale/sgl/internal/index/grid"
+	"github.com/epicscale/sgl/internal/index/ordmap"
 	"github.com/epicscale/sgl/internal/rng"
+	"github.com/epicscale/sgl/internal/sgl/ast"
 	"github.com/epicscale/sgl/internal/sgl/sem"
 	"github.com/epicscale/sgl/internal/table"
 )
@@ -210,6 +213,14 @@ type Engine struct {
 	// through the Section 5.4 effect index. Both are fixed with the plan.
 	applies    []*algebra.Apply
 	deferApply []bool
+	// actSlot is, per Apply, its action's slot: a dense number per
+	// distinct action the plan applies, slotActs[slot] that action. The
+	// decision phase gathers deferred performers by slot (deferred, in
+	// deferOrder's discovery order), in storage kept from tick to tick.
+	actSlot    []int32
+	slotActs   []*ast.ActDef
+	deferred   [][]performer
+	deferOrder []int32
 
 	posX, posY int // schema columns
 	fxCols     []int
@@ -217,13 +228,14 @@ type Engine struct {
 
 	// Per-tick scratch kept across ticks while the population holds, so a
 	// steady-state tick allocates none of it: the effect accumulator, the
-	// key → row-index map (rebuilt only when the key set changes: spawn
-	// and despawn commands, restore), the shard boundaries, one plan
+	// key → row-index table (a flat ordmap; copied, then edited, by the
+	// first spawn or despawn of a batch, since the published view shares
+	// it), the shard boundaries, one plan
 	// executor and one output buffer per shard, the movement stage's
 	// death flags, plans and permutation, and the occupancy record
 	// (movement.go).
 	acc    *accumulator
-	keyIdx map[int64]int
+	keys   *ordmap.Map
 	bounds [][2]int
 	execs  []*algebra.Executor
 	outs   []shardOut
@@ -382,9 +394,17 @@ func build(prog *sem.Program, game Game, initial *table.Table, opts Options) (*E
 		return nil, err
 	}
 	e.deferApply = make([]bool, len(e.applies))
+	e.actSlot = make([]int32, len(e.applies))
 	for j, ap := range e.applies {
 		e.deferApply[j] = e.an.Act(ap.Def).Deferrable && !opts.DisableAreaDefer
+		slot := slices.Index(e.slotActs, ap.Def)
+		if slot < 0 {
+			slot = len(e.slotActs)
+			e.slotActs = append(e.slotActs, ap.Def)
+		}
+		e.actSlot[j] = int32(slot)
 	}
+	e.deferred = make([][]performer, len(e.slotActs))
 	e.execs = make([]*algebra.Executor, w)
 	e.outs = make([]shardOut, w)
 	e.occ = occupancy{env: e.env, px: px, py: py, taken: grid.NewOccupancy(initial.Len())}
@@ -521,11 +541,11 @@ func (e *Engine) rebuildConstNames() {
 
 // Tick advances one clock tick. Each call to an engine method below is
 // one phase of the tick pipeline in docs/ARCHITECTURE.md, in its order,
-// save tickAccumulator and keyIndex, which fetch the scratch decide
-// works in; TestTickPipelineDocumented holds the two lists together.
+// save tickAccumulator, which fetches the scratch decide works in;
+// TestTickPipelineDocumented holds the two lists together.
 func (e *Engine) Tick() error {
 	acc := e.tickAccumulator(e.env.Len())
-	if err := e.decide(e.src.Tick(e.tick), acc, e.keyIndex()); err != nil {
+	if err := e.decide(e.src.Tick(e.tick), acc); err != nil {
 		return err
 	}
 	if e.opts.midTick != nil {
@@ -555,25 +575,24 @@ func (e *Engine) commit() {
 	}
 }
 
-// keyIndex returns the key → row-index map of the current environment.
-// Keys are immutable and rows never reorder within a run, so the map
-// survives from tick to tick; whatever changes the key set (spawn and
-// despawn commands, restore) drops it, and it is rebuilt here. A rebuild
-// allocates a new map rather than editing the old one: the previous
-// tick's provider may still hold that one.
-func (e *Engine) keyIndex() map[int64]int {
-	if e.keyIdx == nil {
-		e.keyIdx = buildKeyIndex(e.env)
+// keyIndex returns the key → row-index table of the current environment,
+// built on first use. Keys are immutable and rows never reorder within a
+// run, so the table survives from tick to tick; a spawn or despawn
+// command edits a copy of it (applyCommands), never the table a
+// published view or a provider holds.
+func (e *Engine) keyIndex() *ordmap.Map {
+	if e.keys == nil {
+		e.keys = buildKeyIndex(e.env)
 	}
-	return e.keyIdx
+	return e.keys
 }
 
 // buildKeyIndex maps every row's key to its row index.
-func buildKeyIndex(env *table.Table) map[int64]int {
-	idx := make(map[int64]int, env.Len())
+func buildKeyIndex(env *table.Table) *ordmap.Map {
+	idx := ordmap.New(env.Len())
 	kc := env.Schema.KeyCol()
 	for i, row := range env.Rows {
-		idx[int64(row[kc])] = i
+		idx.Put(int64(row[kc]), int32(i))
 	}
 	return idx
 }

@@ -57,8 +57,8 @@ func walkerDecides(t *testing.T, checked *int) func(*Engine) {
 		ev := interp.New(e.prog, e.env, interp.NewNaive(e.prog, e.env, r), r)
 		for _, unit := range e.env.Rows {
 			if err := ev.RunUnit(unit, func(row []float64) {
-				if i, ok := keyIdx[int64(row[kc])]; ok {
-					want.foldRow(i, row)
+				if i, ok := keyIdx.Get(int64(row[kc])); ok {
+					want.foldRow(int(i), row)
 				}
 			}); err != nil {
 				t.Fatalf("tick %d: walker: %v", e.tick, err)

@@ -50,9 +50,9 @@ func (e *Engine) incThreshold() float64 {
 // engine's alone, nothing can still be reading it. A single
 // decision shard probes the result lazily; several shards freeze it
 // first (which only builds what maintenance did not install).
-func (e *Engine) newIndexedProvider(r rng.TickSource, keyIdx map[int64]int) *exec.Indexed {
+func (e *Engine) newIndexedProvider(r rng.TickSource) *exec.Indexed {
 	prov := exec.NewIndexed(e.an, e.env, r)
-	prov.SeedKeyIndex(keyIdx)
+	prov.SeedKeyIndex(e.keyIndex())
 	if prev := e.prevProv; prev != nil {
 		if e.deltaOK && !e.tuned && e.opts.threshold >= 0 && prov.MaintainFrom(prev, e.delta, e.incThreshold()) {
 			e.Stats.MaintainTicks++

@@ -62,9 +62,10 @@ func (c gridCell) held(t testing.TB, e *Engine) {
 // maintained with maintained.
 func assertRebuilt(t testing.TB, e *Engine) {
 	t.Helper()
-	if is := e.Stats.IndexStats; e.Stats.MaintainTicks != 0 || is.IndexReuses != 0 || is.IndexPatches != 0 || is.CarriedAnswers != 0 {
-		t.Fatalf("the rebuild reference maintained: %d ticks, %d reuses, %d patches, %d carried answers",
-			e.Stats.MaintainTicks, is.IndexReuses, is.IndexPatches, is.CarriedAnswers)
+	if is := e.Stats.IndexStats; e.Stats.MaintainTicks != 0 || is.IndexReuses != 0 || is.IndexPatches != 0 ||
+		is.CarriedAnswers != 0 || is.CertifiedAnswers != 0 {
+		t.Fatalf("the rebuild reference maintained: %d ticks, %d reuses, %d patches, %d carried and %d certified answers",
+			e.Stats.MaintainTicks, is.IndexReuses, is.IndexPatches, is.CarriedAnswers, is.CertifiedAnswers)
 	}
 }
 
@@ -139,22 +140,52 @@ func TestIncrementalMatchesRebuild(t *testing.T) {
 	mk(t, "battle-sim", "", true, 90)
 }
 
-// TestCarryMatchesRebuildUnderCommands runs the low-churn patrol world and
-// the zoo's carried-answers world maintained at Workers 1 and 4 — where
-// aggregate answers carry from tick to tick — against a rebuilding oracle
-// for 300 ticks, through every command that must break a carry or leave it
-// standing: a set on a column a carried call reads off its unit (a
-// knight's sight), one nothing reads (morale), one a carried call folds
-// over (a knight's health), a spawn, a despawn, a tune, and a restore of
-// the incremental engines from their own checkpoints mid-run. The
-// environments must agree bit for bit at every tick, the two incremental
-// runs must end in byte-identical checkpoints, and both worlds must carry
-// answers, before the restore and after it.
+// sentinelScript is the patrol world with teeth: the garrison stands
+// still and, at random, strikes its nearest scout, so every nearest
+// answer — certified or searched — reaches the rows, and the struck
+// scouts die and respawn elsewhere (teleports).
+const sentinelScript = `
+aggregate NearestScout(u) :=
+  nearestkey() as key
+  over e where e.player = u.player and e.unittype = 2;
+
+action Patrol(u, tx, ty) :=
+  on e where e.key = u.key
+  set movevect_x = tx - u.posx, movevect_y = ty - u.posy;
+
+action Strike(u, k) :=
+  on e where e.key = k
+  set damage = 1;
+
+function main(u) {
+  if u.unittype = 2 then
+    perform Patrol(u, u.posx + Random(1) % 9 - 4, u.posy + Random(2) % 9 - 4);
+  else (let s = NearestScout(u)) { if s % 40 = Random(3) % 40 then perform Strike(u, s) }
+}
+`
+
+// TestCarryMatchesRebuildUnderCommands runs the low-churn patrol world,
+// its sentinel variant and the zoo's carried-answers world maintained at
+// Workers 1 and 4 — where aggregate answers carry, and nearest answers
+// certify, from tick to tick — against a rebuilding oracle for 300 ticks,
+// through every command that must break a carry or leave it standing: a
+// set on a column a carried call reads off its unit (a knight's sight),
+// one nothing reads (morale), one a carried call folds over (a knight's
+// health), a spawn, a despawn, a tune, and a restore of the incremental
+// engines from their own checkpoints mid-run. The environments must agree
+// bit for bit at every tick, the two incremental runs must end in
+// byte-identical checkpoints, and the patrol and carried-answers worlds
+// must carry answers, the patrol and sentinel worlds certify nearest
+// ones, before the restore and after it.
 func TestCarryMatchesRebuildUnderCommands(t *testing.T) {
 	const n, ticks, seed = 300, 300, 5
-	for _, world := range []struct{ name, src string }{
-		{"patrol", game.PatrolScript},
-		{"carried-answers", zooSrc(t, "carried-answers")},
+	for _, world := range []struct {
+		name, src      string
+		carry, certify bool
+	}{
+		{"patrol", game.PatrolScript, true, true},
+		{"sentinel", sentinelScript, false, true},
+		{"carried-answers", zooSrc(t, "carried-answers"), true, false},
 	} {
 		t.Run(world.name, func(t *testing.T) {
 			prog := compileZoo(t, world.src)
@@ -173,8 +204,11 @@ func TestCarryMatchesRebuildUnderCommands(t *testing.T) {
 			incs := []*Engine{mk(1, 1), mk(4, 1)}
 			carries := func(when string) {
 				for _, e := range incs {
-					if e.Stats.IndexStats.CarriedAnswers == 0 {
+					if e.Stats.IndexStats.CarriedAnswers == 0 && world.carry {
 						t.Errorf("w=%d: no answer carried %s the restore", e.Workers(), when)
+					}
+					if e.Stats.IndexStats.CertifiedAnswers == 0 && world.certify {
+						t.Errorf("w=%d: no answer certified %s the restore", e.Workers(), when)
 					}
 				}
 			}

@@ -10,6 +10,7 @@ import (
 
 	"github.com/epicscale/sgl/internal/game"
 	"github.com/epicscale/sgl/internal/geom"
+	"github.com/epicscale/sgl/internal/index/ordmap"
 	"github.com/epicscale/sgl/internal/rng"
 	"github.com/epicscale/sgl/internal/workload"
 )
@@ -80,10 +81,10 @@ func TestInitialKeysFollowSpawnRule(t *testing.T) {
 
 // TestCommandKeysAreExact: a despawn or set command's key obeys the key
 // rule at admission, and applying a command finds its unit by the exact
-// int64 key on both lookup paths. Key 2^53+1 is no float64: admitted and
-// compared as one, it named unit 2^53, so the batch [spawn 999, despawn
-// 2^53+1] — the spawn drops the key index, the despawn scans — removed
-// unit 2^53 and counted both commands as applied.
+// int64 key, through the key table as it stands and as rebuilt. Key
+// 2^53+1 is no float64: admitted and compared as one, it named unit
+// 2^53, so the batch [spawn 999, despawn 2^53+1] removed unit 2^53 and
+// counted both commands as applied.
 func TestCommandKeysAreExact(t *testing.T) {
 	prog := battleProg(t)
 	kc := prog.Schema.KeyCol()
@@ -97,8 +98,8 @@ func TestCommandKeysAreExact(t *testing.T) {
 			t.Errorf("op %d of key 2^53+1 admitted", c.Op)
 		}
 	}
-	for _, idx := range []map[int64]int{buildKeyIndex(e.env), nil} {
-		e.keyIdx = idx
+	for _, idx := range []*ordmap.Map{buildKeyIndex(e.env), nil} {
+		e.keys = idx
 		if i := e.rowIndexByKey(1<<53 + 1); i >= 0 {
 			t.Errorf("key 2^53+1 resolved to row %d, keyed %v (key index built: %v)", i, e.env.Rows[i][kc], idx != nil)
 		}
@@ -282,5 +283,63 @@ func TestSpawnKeyBeyond2To53Rejected(t *testing.T) {
 	row[e.prog.Schema.KeyCol()] = 1<<53 + 2
 	if err := e.Submit("t", Command{Op: OpSpawn, Row: row}); err == nil {
 		t.Fatal("spawn with a key beyond 2^53 admitted")
+	}
+}
+
+// TestPublishedKeyTableNeverWritten: a read view resolves Unit probes
+// through the key table the engine held when it published, and no spawn
+// or despawn afterwards writes that table — the engine edits a copy — so
+// the view keeps naming its own rows. The engine's table follows the
+// population: every key at its row, the despawned key gone.
+func TestPublishedKeyTableNeverWritten(t *testing.T) {
+	prog := battleProg(t)
+	kc := prog.Schema.KeyCol()
+	e := newEngine(t, prog, 40, Indexed, 9, nil)
+	if err := e.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	v := e.ReadView()
+	want := make(map[int64]int32, v.env.Len())
+	for i, row := range v.env.Rows {
+		want[int64(row[kc])] = int32(i)
+	}
+	gone := int64(v.env.Rows[3][kc])
+	const spawned = 7777
+	if err := e.Submit("test",
+		Command{Op: OpDespawn, Key: gone},
+		Command{Op: OpSpawn, Row: game.NewUnit(spawned, 0, game.Knight, freeSquare(t, e))},
+	); err != nil {
+		t.Fatal(err)
+	}
+	for range 3 {
+		if err := e.Tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if e.Stats.CommandsApplied != 2 {
+		t.Fatalf("%d of 2 commands applied", e.Stats.CommandsApplied)
+	}
+	if v.keys == e.keyIndex() {
+		t.Fatal("the engine edits the table its published view holds")
+	}
+	if got := v.keys.Len(); got != len(want) {
+		t.Fatalf("the view's key table holds %d keys, %d when published", got, len(want))
+	}
+	//sgl:unordered each key is checked on its own
+	for k, i := range want {
+		if got, ok := v.keys.Get(k); !ok || got != i {
+			t.Fatalf("the view's table maps key %d to %d (%v), %d when published", k, got, ok, i)
+		}
+	}
+	if _, ok := v.keys.Get(spawned); ok {
+		t.Fatal("a later spawn reached the view's key table")
+	}
+	for i, row := range e.env.Rows {
+		if got, ok := e.keyIndex().Get(int64(row[kc])); !ok || int(got) != i {
+			t.Fatalf("the engine's table maps row %d's key to %d (%v)", i, got, ok)
+		}
+	}
+	if _, ok := e.keyIndex().Get(gone); ok || e.keyIndex().Len() != e.env.Len() {
+		t.Fatalf("the engine's table holds %d keys for %d rows (despawned key present: %v)", e.keyIndex().Len(), e.env.Len(), ok)
 	}
 }

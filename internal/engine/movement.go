@@ -141,19 +141,20 @@ func (e *Engine) resurrect(dead []bool) {
 
 // occupancy is the one-unit-per-square record the command mirror,
 // movement and resurrection share, carried across ticks; only its
-// methods write it. exact says taken holds exactly the rows' squares,
-// one unit each, as a row-order refill builds it; every claim, move and
-// release through the record keeps it so. It is false until the first
-// refill, after ApplyEffects moved a unit, and while two units share a
-// square: there the refill, which lets the earlier row hold it, decides.
+// methods write it. Squares map to the row index of the unit holding
+// them (grid.Occupancy over a flat table), so the claim sweep hashes no
+// key; a despawn renumbers the rows after the one it cut (drop). exact
+// says taken holds exactly the rows' squares, one unit each, as a
+// row-order refill builds it; every claim, move and release through the
+// record keeps it so. It is false until the first refill, after
+// ApplyEffects moved a unit, and while two units share a square: there
+// the refill, which lets the earlier row hold it, decides.
 type occupancy struct {
 	env    *table.Table
 	px, py int
 	taken  *grid.Occupancy
 	exact  bool
 }
-
-func (o *occupancy) key(row []float64) int64 { return int64(row[o.env.Schema.KeyCol()]) }
 
 // sync refills an inexact record; an exact one already matches the rows.
 func (o *occupancy) sync() {
@@ -171,7 +172,7 @@ func (o *occupancy) vacate(dead []bool) {
 	}
 	for i, row := range o.env.Rows {
 		if dead[i] {
-			o.taken.Remove(row[o.px], row[o.py], o.key(row))
+			o.taken.Remove(row[o.px], row[o.py], int32(i))
 		}
 	}
 }
@@ -182,7 +183,7 @@ func (o *occupancy) refill(skip []bool) {
 	o.taken.Reset()
 	o.exact = true
 	for i, row := range o.env.Rows {
-		if (skip == nil || !skip[i]) && !o.taken.Place(row[o.px], row[o.py], o.key(row)) {
+		if (skip == nil || !skip[i]) && !o.taken.Place(row[o.px], row[o.py], int32(i)) {
 			o.exact = false
 		}
 	}
@@ -192,7 +193,7 @@ func (o *occupancy) refill(skip []bool) {
 // unit holds that square; a move within its own square succeeds.
 func (o *occupancy) move(i int, x, y float64) bool {
 	row := o.env.Rows[i]
-	if !o.taken.Move(row[o.px], row[o.py], x, y, o.key(row)) {
+	if !o.taken.Move(row[o.px], row[o.py], x, y, int32(i)) {
 		return false
 	}
 	row[o.px], row[o.py] = x, y
@@ -203,18 +204,24 @@ func (o *occupancy) move(i int, x, y float64) bool {
 // holds it.
 func (o *occupancy) claim(i int, x, y float64) bool {
 	row := o.env.Rows[i]
-	if !o.taken.Place(x, y, o.key(row)) {
+	if !o.taken.Place(x, y, int32(i)) {
 		return false
 	}
 	row[o.px], row[o.py] = x, y
 	return true
 }
 
-// place claims the square of (x, y) for a unit a spawn command adds, and
-// remove releases the square of one a despawn removes.
-func (o *occupancy) place(x, y float64, key int64) bool { return o.taken.Place(x, y, key) }
+// place claims the square of (x, y) for the unit a spawn command appends
+// as row i.
+func (o *occupancy) place(i int, x, y float64) bool { return o.taken.Place(x, y, int32(i)) }
 
-func (o *occupancy) remove(x, y float64, key int64) { o.taken.Remove(x, y, key) }
+// drop releases the square of row i, which a despawn is about to cut out
+// of the rows, and renumbers the holders after it.
+func (o *occupancy) drop(i int) {
+	row := o.env.Rows[i]
+	o.taken.Remove(row[o.px], row[o.py], int32(i))
+	o.taken.CloseGap(int32(i))
+}
 
 // invalidate marks the record inexact, for the next sync to refill.
 func (o *occupancy) invalidate() { o.exact = false }

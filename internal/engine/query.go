@@ -45,6 +45,7 @@ import (
 
 	"github.com/epicscale/sgl/internal/exec"
 	"github.com/epicscale/sgl/internal/geom"
+	"github.com/epicscale/sgl/internal/index/ordmap"
 	"github.com/epicscale/sgl/internal/rng"
 	"github.com/epicscale/sgl/internal/sgl/ast"
 	"github.com/epicscale/sgl/internal/sgl/interp"
@@ -364,11 +365,12 @@ type ReadView struct {
 	mu    sync.Mutex
 	provs map[*Query]*viewProvider
 
-	// keys is the key → row-index map a Unit probe resolves through, shared
-	// by every query on the view: the engine's own at publish (the engine
-	// only ever reads that map or drops it for a new one, and the copy has
-	// the same rows in the same order).
-	keys map[int64]int
+	// keys is the key → row-index table a Unit probe resolves through,
+	// shared by every query on the view: the engine's own at publish. No
+	// one writes a table a view holds — the engine edits a copy when the
+	// key set changes (applyCommands) — and the view's rows are the
+	// engine's, in the same order.
+	keys *ordmap.Map
 
 	// The position column (positions): the column gathered at the last
 	// full copy, shared with every view since, and the rows named since,
@@ -554,7 +556,7 @@ func (q *Query) probeRow(p Probe, v *ReadView, args []float64) ([]float64, error
 	var row []float64
 	switch {
 	case p.kind == probeUnit:
-		ri, ok := v.keys[p.key]
+		ri, ok := v.keys.Get(p.key)
 		if !ok {
 			return nil, fmt.Errorf("engine: query %s: no unit with key %d", q.def.Name, p.key)
 		}

@@ -28,6 +28,8 @@
 package exec
 
 import (
+	"slices"
+
 	"github.com/epicscale/sgl/internal/sgl/ast"
 	"github.com/epicscale/sgl/internal/sgl/expr"
 	"github.com/epicscale/sgl/internal/sgl/sem"
@@ -125,6 +127,11 @@ type AggAnalysis struct {
 	// reads is what an answer depends on besides its arguments (reads):
 	// what Carries tests the tick's changes against.
 	reads readSet
+
+	// cert numbers the definitions whose answers certify (certify.go):
+	// indexable, no Random, no parameter but the unit, every output a
+	// nearest one. -1 for the rest.
+	cert int
 }
 
 // depMask is a bitset over schema columns, built from ColBit.
@@ -194,8 +201,11 @@ type ActAnalysis struct {
 // returns, an Analyzer is immutable and safe for concurrent use.
 type Analyzer struct {
 	prog *sem.Program
-	aggs map[*ast.AggDef]*AggAnalysis
-	acts map[*ast.ActDef]*ActAnalysis
+	// aggs and acts hold the analyses, a program definition's at its Ord:
+	// a lookup is one bounds check and one pointer compare. A definition
+	// from outside the program is analyzed on first use and appended.
+	aggs []*AggAnalysis
+	acts []*ActAnalysis
 	// Categorical is the set of schema columns eligible for equality
 	// partitioning (the paper's player and unit type).
 	categorical map[int]bool
@@ -207,6 +217,8 @@ type Analyzer struct {
 	groups []*membership
 	// scan classifies every definition as a scan (NewScanAnalyzer).
 	scan bool
+	// certs counts the definitions with a certificate ordinal.
+	certs int
 }
 
 // NewAnalyzer builds an analyzer. categoricalAttrs names the low-volatility
@@ -241,8 +253,6 @@ func newAnalyzer(prog *sem.Program, categoricalAttrs []string, scan bool) *Analy
 	}
 	an := &Analyzer{
 		prog:        prog,
-		aggs:        map[*ast.AggDef]*AggAnalysis{},
-		acts:        map[*ast.ActDef]*ActAnalysis{},
 		categorical: cat,
 		posX:        -1,
 		posY:        -1,
@@ -265,21 +275,31 @@ func newAnalyzer(prog *sem.Program, categoricalAttrs []string, scan bool) *Analy
 
 // Agg returns the (cached) classification of an aggregate definition.
 func (an *Analyzer) Agg(def *ast.AggDef) *AggAnalysis {
-	if a, ok := an.aggs[def]; ok {
-		return a
+	if o := def.Ord; o >= 0 && o < len(an.aggs) && an.aggs[o].Def == def {
+		return an.aggs[o]
+	}
+	for _, a := range an.aggs {
+		if a.Def == def {
+			return a
+		}
 	}
 	a := an.analyzeAgg(def)
-	an.aggs[def] = a
+	an.aggs = append(an.aggs, a)
 	return a
 }
 
 // Act returns the (cached) classification of an action definition.
 func (an *Analyzer) Act(def *ast.ActDef) *ActAnalysis {
-	if a, ok := an.acts[def]; ok {
-		return a
+	if o := def.Ord; o >= 0 && o < len(an.acts) && an.acts[o].Def == def {
+		return an.acts[o]
+	}
+	for _, a := range an.acts {
+		if a.Def == def {
+			return a
+		}
 	}
 	a := an.analyzeAct(def)
-	an.acts[def] = a
+	an.acts = append(an.acts, a)
 	return a
 }
 
@@ -485,6 +505,12 @@ func (an *Analyzer) analyzeAgg(def *ast.AggDef) *AggAnalysis {
 	}
 	an.compileAgg(a)
 	an.layoutAgg(a)
+	a.cert = -1
+	if a.Indexable && !a.reads.random && len(def.Params) == 1 && len(def.Outputs) > 0 &&
+		!slices.ContainsFunc(a.OutClass, func(c OutputClass) bool { return c != ClassNearest }) {
+		a.cert = an.certs
+		an.certs++
+	}
 	return a
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"github.com/epicscale/sgl/internal/geom"
 	"github.com/epicscale/sgl/internal/index/kdtree"
+	"github.com/epicscale/sgl/internal/index/ordmap"
 	"github.com/epicscale/sgl/internal/index/rangetree"
 	"github.com/epicscale/sgl/internal/index/segtree"
 	"github.com/epicscale/sgl/internal/index/sweepline"
@@ -51,7 +52,9 @@ type Indexed struct {
 	// (Fork copies it by value), carrying the tick's random source.
 	f expr.Frame
 
-	keyIndex map[int64]int
+	// keyIndex maps a unit key to its row: ActByKey target selection
+	// reads it. Built on first use (or seeded), never written after.
+	keyIndex *ordmap.Map
 
 	// pos is the environment's (posx, posy) column in row order, when the
 	// caller keeps one (SeedPositions): points on the position axes are
@@ -83,6 +86,15 @@ type Indexed struct {
 	// over (inherit).
 	changed   changes
 	inherited bool
+
+	// certs holds, per certifiable nearest definition (AggAnalysis.cert)
+	// and env row, what certifies that row's answer next tick
+	// (certify.go); passed from provider to provider like changed, and
+	// shared by forks, each of which writes only its shard's rows.
+	// tracking is set while maintenance rebuilds kD-trees, whose motion
+	// it then records.
+	certs    [][]nearCert
+	tracking bool
 
 	scratch
 
@@ -149,8 +161,11 @@ type Stats struct {
 	Sweeps     int
 	ScanProbes int
 	// CarriedAnswers counts aggregate answers taken over from the previous
-	// tick instead of probed (Carries).
-	CarriedAnswers int
+	// tick instead of probed (Carries), and CertifiedAnswers nearest
+	// answers taken from the previous tick's winner under a separation
+	// certificate instead of searched (certify).
+	CarriedAnswers   int
+	CertifiedAnswers int
 }
 
 var _ interp.Provider = (*Indexed)(nil)
@@ -165,10 +180,10 @@ func NewIndexed(an *Analyzer, env *table.Table, r rng.TickSource) *Indexed {
 	}
 }
 
-// SeedKeyIndex installs a prebuilt key → row-index map (over the same
+// SeedKeyIndex installs a prebuilt key → row-index table (over the same
 // environment snapshot) so Freeze does not rebuild one the caller already
-// has. Ignored if a lookup was already built.
-func (p *Indexed) SeedKeyIndex(idx map[int64]int) {
+// has. The provider only reads it. Ignored if a lookup was already built.
+func (p *Indexed) SeedKeyIndex(idx *ordmap.Map) {
 	if p.keyIndex == nil {
 		p.keyIndex = idx
 	}
@@ -224,10 +239,10 @@ func (p *Indexed) Recycle(prev *Indexed) {
 	prev.groups, prev.spare = nil, nil
 }
 
-// inherit takes over prev's scratch and change masks, leaving prev none,
-// the first time MaintainFrom or Recycle hands p a predecessor: the
-// structures maintenance rebuilds write into inherited scratch, and so
-// does the rest of the tick.
+// inherit takes over prev's scratch, change masks and certificates,
+// leaving prev none, the first time MaintainFrom or Recycle hands p a
+// predecessor: the structures maintenance rebuilds write into inherited
+// scratch, and so does the rest of the tick.
 func (p *Indexed) inherit(prev *Indexed) {
 	if p.inherited {
 		return
@@ -237,6 +252,8 @@ func (p *Indexed) inherit(prev *Indexed) {
 	p.invariant = p.invariant[:0] // answers of prev's tick
 	p.changed, prev.changed = prev.changed, changes{}
 	p.changed.ok = false
+	p.certs, prev.certs = prev.certs, nil
+	p.sizeCerts()
 }
 
 // Freeze eagerly builds every index structure the program can demand this
@@ -264,6 +281,7 @@ func (p *Indexed) Freeze() { p.FreezeParallel(1) }
 // any workers.
 func (p *Indexed) FreezeParallel(workers int) {
 	p.keyLookup()
+	p.sizeCerts()
 	var units []buildUnit
 	for _, g := range p.an.groups {
 		idx := p.groups[g.ord]
@@ -381,6 +399,7 @@ func (s *Stats) Add(o Stats) {
 	s.Sweeps += o.Sweeps
 	s.ScanProbes += o.ScanProbes
 	s.CarriedAnswers += o.CarriedAnswers
+	s.CertifiedAnswers += o.CertifiedAnswers
 }
 
 // ---------------------------------------------------------------------------
@@ -425,6 +444,10 @@ type part struct {
 	fold   []float64 // the fold's payload sums over rows, in row order
 	kd     kdtree.Tree
 	ext    []globalExt // by group extremum
+	// kdPrev holds the points kd was last built over, in row order, and
+	// motion how they moved at this tick's maintenance (certify.go).
+	kdPrev []kdtree.Point
+	motion motion
 }
 
 type globalExt struct {
@@ -673,7 +696,9 @@ func (p *Indexed) buildSlots(g *membership, pt *part, slots slotMask) {
 			pt.fold = p.foldRows(&g.fold, pt.rows, pt.fold)
 			p.Stats.IndexBuilds++
 		case slotKD:
-			pt.kd.Rebuild(p.partKDPoints(pt.rows))
+			pts := p.partKDPoints(pt.rows)
+			pt.trackMotion(pts, p.tracking)
+			pt.kd.Rebuild(pts)
 			p.Stats.IndexBuilds++
 		case slotExt:
 			pt.ext = sized(pt.ext, len(g.exts))
@@ -786,7 +811,7 @@ func (p *Indexed) buildSweep(sf *surface, o *sweepline.Order, rows []int) {
 }
 
 // partKDPoints evaluates the kD-tree points of a partition's rows, in row
-// order, into the view's scratch.
+// order, into the view's scratch; each point's reference is its row.
 func (p *Indexed) partKDPoints(rows []int) []kdtree.Point {
 	xc, yc, kc := p.an.posX, p.an.posY, p.prog.Schema.KeyCol()
 	if cap(p.kdPts) < len(rows) {
@@ -795,7 +820,7 @@ func (p *Indexed) partKDPoints(rows []int) []kdtree.Point {
 	p.kdPts = p.kdPts[:len(rows)]
 	for j, ri := range rows {
 		row := p.env.Rows[ri]
-		p.kdPts[j] = kdtree.Point{X: row[xc], Y: row[yc], Key: int64(row[kc])}
+		p.kdPts[j] = kdtree.Point{X: row[xc], Y: row[yc], Key: int64(row[kc]), Ref: int32(ri)}
 	}
 	return p.kdPts
 }
@@ -944,7 +969,7 @@ func fillIdentities(out []float64, def *ast.AggDef) []float64 {
 // lookups; MinMax-class outputs fall back to a partition scan on this
 // single-probe path (the batch path in EvalAggBatch uses the sweep line).
 func (p *Indexed) EvalAgg(def *ast.AggDef, unit []float64, args []float64) []float64 {
-	return p.evalCore(nil, def, unit, args, false)
+	return p.evalCore(nil, def, -1, unit, args, false)
 }
 
 // EvalAggInto is EvalAgg writing its results into dst, which must have
@@ -954,7 +979,14 @@ func (p *Indexed) EvalAgg(def *ast.AggDef, unit []float64, args []float64) []flo
 // be copied out before the next EvalAggInto call if they are retained —
 // callers that keep slices across probes belong on EvalAgg.
 func (p *Indexed) EvalAggInto(dst []float64, def *ast.AggDef, unit []float64, args []float64) []float64 {
-	return p.evalCore(dst, def, unit, args, false)
+	return p.evalCore(dst, def, -1, unit, args, false)
+}
+
+// EvalAggRow is EvalAggInto for the probe of env row row, unit being that
+// row: a nearest answer's search also records what certifies it next
+// tick (Carries).
+func (p *Indexed) EvalAggRow(dst []float64, def *ast.AggDef, row int, unit []float64, args []float64) []float64 {
+	return p.evalCore(dst, def, row, unit, args, false)
 }
 
 // invariantAnswer is one memoised answer of a probe-invariant definition.
@@ -964,12 +996,12 @@ type invariantAnswer struct {
 	vals []float64
 }
 
-// evalCore answers one probe. A nil dst allocates fresh result (and
-// internal) slices, so the return is safe to retain; a non-nil dst of
-// length len(def.Outputs) receives the results in place and switches the
-// probe internals to the per-instance scratch buffers — the zero-alloc
-// path behind EvalAggInto.
-func (p *Indexed) evalCore(dst []float64, def *ast.AggDef, unit []float64, args []float64, skipMinMax bool) []float64 {
+// evalCore answers one probe, of env row row when row >= 0. A nil dst
+// allocates fresh result (and internal) slices, so the return is safe to
+// retain; a non-nil dst of length len(def.Outputs) receives the results
+// in place and switches the probe internals to the per-instance scratch
+// buffers — the zero-alloc path behind EvalAggInto.
+func (p *Indexed) evalCore(dst []float64, def *ast.AggDef, row int, unit []float64, args []float64, skipMinMax bool) []float64 {
 	scratch := dst != nil
 	a := p.an.Agg(def)
 	if !scratch {
@@ -1086,19 +1118,10 @@ func (p *Indexed) evalCore(dst []float64, def *ast.AggDef, unit []float64, args 
 			}
 		case ClassNearest:
 			if !searched {
-				best, searched = p.nearest(idx.built.has(g.kdSlot), parts, unit), true
+				best, searched = p.searchNearest(a, idx.built.has(g.kdSlot), parts, unit, row), true
 			}
 			if best.Found {
-				switch o.Func {
-				case ast.NearestKey:
-					out[i] = float64(best.Key)
-				case ast.NearestX:
-					out[i] = best.X
-				case ast.NearestY:
-					out[i] = best.Y
-				default:
-					out[i] = math.Sqrt(best.DistSq)
-				}
+				out[i] = nearestOutput(o.Func, best.Key, best.X, best.Y, best.DistSq)
 			}
 		case ClassGlobal:
 			e := &g.exts[a.ext[i]]
@@ -1139,6 +1162,21 @@ func (p *Indexed) evalCore(dst []float64, def *ast.AggDef, unit []float64, args 
 		p.invariant = append(p.invariant, invariantAnswer{def: def, mask: mask, vals: append([]float64(nil), out...)})
 	}
 	return out
+}
+
+// nearestOutput is a nearest output's value for the winner key at (x, y),
+// squared distance d2 from the probe.
+func nearestOutput(fn ast.AggFunc, key int64, x, y, d2 float64) float64 {
+	switch fn {
+	case ast.NearestKey:
+		return float64(key)
+	case ast.NearestX:
+		return x
+	case ast.NearestY:
+		return y
+	default:
+		return math.Sqrt(d2)
+	}
 }
 
 // nearest searches the matched partitions for the unit's nearest other
@@ -1238,7 +1276,7 @@ func (p *Indexed) EvalAggBatch(def *ast.AggDef, units [][]float64, args [][]floa
 		}
 		// With a sweep to follow, MinMax outputs stay at their identities
 		// for it to overwrite.
-		results[i] = p.evalCore(flat[i*w:(i+1)*w:(i+1)*w], def, units[i], arg, sweep)
+		results[i] = p.evalCore(flat[i*w:(i+1)*w:(i+1)*w], def, -1, units[i], arg, sweep)
 	}
 	if sweep {
 		p.evalMinMaxBatch(a, units, args, results)
@@ -1273,18 +1311,14 @@ func (p *Indexed) BatchBeneficial(def *ast.AggDef) bool {
 // batchScratch is a view's working storage for evalMinMaxBatch, kept from
 // batch to batch.
 type batchScratch struct {
-	sweeper  sweepline.Sweeper
-	groups   []sweepGroup
-	groupOf  map[groupKey]int32
+	sweeper sweepline.Sweeper
+	groups  []sweepGroup
+	// byPart lists, by partition ordinal, the groups sweeping that
+	// partition (one per window height, a handful at most).
+	byPart   [][]int32
 	vals     [][]float64 // by partition ordinal: the current output's value column
 	valsDone []bool
 	argFold  []argState // by result row: the current output's winning (value, key)
-}
-
-// groupKey identifies one sweep: a partition and a window height.
-type groupKey struct {
-	ord    int32
-	height float64
 }
 
 type sweepGroup struct {
@@ -1313,10 +1347,12 @@ func (p *Indexed) evalMinMaxBatch(a *AggAnalysis, units [][]float64, args [][]fl
 	// appearance, probes within a group in unit order. The grouping is the
 	// same for every output.
 	b.groups = b.groups[:0]
-	if b.groupOf == nil {
-		b.groupOf = map[groupKey]int32{}
+	if len(b.byPart) < len(idx.list) {
+		b.byPart = append(b.byPart, make([][]int32, len(idx.list)-len(b.byPart))...)
 	}
-	clear(b.groupOf)
+	for ord := range b.byPart {
+		b.byPart[ord] = b.byPart[ord][:0]
+	}
 probes:
 	for i, unit := range units {
 		var arg []float64
@@ -1334,18 +1370,24 @@ probes:
 		cx, rx := sweepline.CenterHalf(rect.MinX, rect.MaxX)
 		cy, ryHalf := sweepline.CenterHalf(rect.MinY, rect.MaxY)
 		for _, pt := range matched {
-			gk := groupKey{pt.ord, 2 * ryHalf}
-			gi, ok := b.groupOf[gk]
-			if !ok {
+			height := 2 * ryHalf
+			gi := int32(-1)
+			for _, k := range b.byPart[pt.ord] {
+				if b.groups[k].height == height {
+					gi = k
+					break
+				}
+			}
+			if gi < 0 {
 				gi = int32(len(b.groups))
-				b.groupOf[gk] = gi
+				b.byPart[pt.ord] = append(b.byPart[pt.ord], gi)
 				if len(b.groups) < cap(b.groups) {
 					b.groups = b.groups[:gi+1] // reuse the slot's probe buffers
 				} else {
 					b.groups = append(b.groups, sweepGroup{})
 				}
 				g := &b.groups[gi]
-				g.part, g.height, g.probes, g.rowIdx = pt, gk.height, g.probes[:0], g.rowIdx[:0]
+				g.part, g.height, g.probes, g.rowIdx = pt, height, g.probes[:0], g.rowIdx[:0]
 			}
 			g := &b.groups[gi]
 			g.probes = append(g.probes, sweepline.Probe{X: cx, Y: cy, RX: rx, Exclude: sweepline.NoExclude})
@@ -1420,14 +1462,15 @@ probes:
 // ---------------------------------------------------------------------------
 // Action target selection
 
-func (p *Indexed) keyLookup() map[int64]int {
+func (p *Indexed) keyLookup() *ordmap.Map {
 	if p.keyIndex == nil {
 		p.guardLazyBuild("key lookup")
-		p.keyIndex = make(map[int64]int, p.env.Len())
+		idx := ordmap.New(p.env.Len())
 		kc := p.prog.Schema.KeyCol()
 		for i, row := range p.env.Rows {
-			p.keyIndex[int64(row[kc])] = i
+			idx.Put(int64(row[kc]), int32(i))
 		}
+		p.keyIndex = idx
 	}
 	return p.keyIndex
 }
@@ -1436,6 +1479,15 @@ func (p *Indexed) keyLookup() map[int64]int {
 // key lookups are O(1), area actions are O(log n + k) range-tree reports,
 // everything else scans (matching the naive provider exactly).
 func (p *Indexed) SelectTargets(def *ast.ActDef, unit []float64, args []float64, visit func([]float64)) {
+	p.SelectTargetRows(def, -1, unit, args, func(_ int, row []float64) { visit(row) })
+}
+
+// SelectTargetRows is SelectTargets handing each target's row index along
+// with its row, in the same order, so a caller folding effects by row
+// needs no key lookup. self is the row index of unit (-1 when unit is no
+// environment row): a by-key action naming the unit's own key targets it
+// without a lookup, since keys are unique.
+func (p *Indexed) SelectTargetRows(def *ast.ActDef, self int, unit []float64, args []float64, visit func(ri int, row []float64)) {
 	a := p.an.Act(def)
 	f := p.onProbe(unit, args)
 	for _, c := range a.UOnlyFn {
@@ -1446,14 +1498,19 @@ func (p *Indexed) SelectTargets(def *ast.ActDef, unit []float64, args []float64,
 	switch a.Class {
 	case ActByKey:
 		keyVal := a.KeyFn(f)
-		if ri, ok := p.keyLookup()[int64(keyVal)]; ok {
+		kc := p.prog.Schema.KeyCol()
+		ri, ok := int32(self), self >= 0 && int64(keyVal) == int64(unit[kc])
+		if !ok {
+			ri, ok = p.keyLookup().Get(int64(keyVal))
+		}
+		if ok {
 			row := p.env.Rows[ri]
-			if float64(int64(keyVal)) == row[p.prog.Schema.KeyCol()] {
+			if float64(int64(keyVal)) == row[kc] {
 				// Verify the full WHERE clause on the one candidate: the
 				// classifier only guarantees the key conjunct.
 				f.Target = row
 				if a.Where(f) {
-					visit(row)
+					visit(int(ri), row)
 				}
 			}
 		}
@@ -1468,16 +1525,17 @@ func (p *Indexed) SelectTargets(def *ast.ActDef, unit []float64, args []float64,
 				continue
 			}
 			part.trees[a.surf].Report(rect, func(j int) {
-				visit(p.env.Rows[part.rows[j]])
+				ri := part.rows[j]
+				visit(ri, p.env.Rows[ri])
 			})
 		}
 	default:
 		p.Stats.ScanProbes++
-		for _, row := range p.env.Rows {
+		for ri, row := range p.env.Rows {
 			// Rebound every row: visit may evaluate on this view's frame.
 			f.Unit, f.Args, f.Target = unit, args, row
 			if a.Where == nil || a.Where(f) {
-				visit(row)
+				visit(ri, row)
 			}
 		}
 	}

@@ -147,25 +147,39 @@ type changes struct {
 const allCols = ^depMask(0)
 
 // Carries reports whether an answer of def computed for environment row
-// row against the previous provider — the one MaintainFrom consumed — is
-// still exact against this one, given the same arguments. It is when def
-// is indexable and draws no Random, no column its folded rows are read at
-// changed on any member of its group, and no column it reads off the
-// probing unit changed on row: an indexable answer is a function of
-// exactly those, the arguments and the game constants (which no maintained
-// tick retunes). A true answer is counted in Stats.CarriedAnswers, since
-// the caller takes the carried answer instead of probing.
-func (p *Indexed) Carries(def *ast.AggDef, row int) bool {
+// row against the previous provider — the one MaintainFrom consumed, the
+// answer held in dst — stands for this one, given the same arguments. It
+// does when def is indexable and draws no Random, no column it reads off
+// the probing unit changed on row, and either
+//
+//   - no column its folded rows are read at changed on any member of its
+//     group: an indexable answer is a function of exactly those, the
+//     arguments and the game constants (which no maintained tick
+//     retunes), so dst stands as it is (Stats.CarriedAnswers); or
+//   - def's outputs are all nearest ones and the previous winner's
+//     separation certificate holds (certify): dst is rewritten with the
+//     winner's current outputs, bit-identical to a fresh search
+//     (Stats.CertifiedAnswers).
+//
+// The caller takes dst instead of probing when it returns true.
+func (p *Indexed) Carries(dst []float64, def *ast.AggDef, row int) bool {
 	ch := &p.changed
 	if !ch.ok {
 		return false
 	}
 	a := p.an.Agg(def)
-	if !a.Indexable || a.reads.random || ch.group[a.group.ord]&a.reads.e != 0 || ch.row[row]&a.reads.u != 0 {
+	if !a.Indexable || a.reads.random || ch.row[row]&a.reads.u != 0 {
 		return false
 	}
-	p.Stats.CarriedAnswers++
-	return true
+	if ch.group[a.group.ord]&a.reads.e == 0 {
+		p.Stats.CarriedAnswers++
+		return true
+	}
+	if a.cert >= 0 && p.certify(dst, a, row) {
+		p.Stats.CertifiedAnswers++
+		return true
+	}
+	return false
 }
 
 // relevantDirty counts the dirty rows whose changed columns intersect m.
@@ -290,7 +304,14 @@ func mergeMembership(rows []int, arrivals []arrival, moved []depMask, deps depMa
 func (p *Indexed) maintainGroup(g *membership, idx *groupIndex, d Delta) depMask {
 	changed := p.classifyDirty(g, idx, d)
 	arrivals, live := p.arrivals, idx.list[:0]
+	// A kD-tree kept is a partition that did not move; one rebuilt here
+	// records how its points moved (trackMotion).
+	kd := g.kdSlot >= 0 && idx.built.has(g.kdSlot)
+	p.tracking = true
 	for ord, pt := range idx.list {
+		if kd {
+			pt.motion.still()
+		}
 		n := 0
 		for n < len(arrivals) && arrivals[n].part == int32(ord) {
 			n++
@@ -319,6 +340,7 @@ func (p *Indexed) maintainGroup(g *membership, idx *groupIndex, d Delta) depMask
 		}
 		live = append(live, pt)
 	}
+	p.tracking = false
 	clear(idx.list[len(live):])
 	idx.list = live
 	// Partition order is first-appearance order in a row scan, which is

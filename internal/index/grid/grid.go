@@ -14,6 +14,7 @@ import (
 	"math"
 
 	"github.com/epicscale/sgl/internal/geom"
+	"github.com/epicscale/sgl/internal/index/ordmap"
 )
 
 // Index is a uniform grid over points with sum-combinable payloads, the
@@ -135,9 +136,12 @@ func clampInt(v, lo, hi int) int {
 // Occupancy tracks which integer grid squares are occupied, for the
 // movement phase. The game grid is 1×1 squares; a square holds at most one
 // unit ("1 percent of game grid squares occupied" defines the paper's
-// density parameter).
+// density parameter). A holder is an ordinal — the engine's row index of
+// the unit — and the squares live in a flat table (ordmap), keyed by
+// their packed coordinates: no claim, move or release hashes through a
+// Go map.
 type Occupancy struct {
-	taken map[Square]int64 // square → unit key
+	taken ordmap.Map // packed square → holder
 }
 
 // Square is one integer grid square: the floors of a position's
@@ -149,61 +153,70 @@ func SquareOf(x, y float64) Square {
 	return Square{int32(math.Floor(x)), int32(math.Floor(y))}
 }
 
-// NewOccupancy returns an empty occupancy map.
+// pack is a square's table key: x in the high word, y in the low, so
+// every square has its own key, (−2^31, 0) the table's empty marker
+// included.
+func (s Square) pack() int64 { return int64(uint64(uint32(s[0]))<<32 | uint64(uint32(s[1]))) }
+
+// NewOccupancy returns an empty occupancy table sized for capacity units.
 func NewOccupancy(capacity int) *Occupancy {
-	return &Occupancy{taken: make(map[Square]int64, capacity)}
+	return &Occupancy{taken: *ordmap.New(capacity)}
 }
 
-// Reset empties the map, keeping its storage for the next fill.
-func (o *Occupancy) Reset() { clear(o.taken) }
+// Reset empties the table, keeping its storage for the next fill.
+func (o *Occupancy) Reset() { o.taken.Reset() }
 
 // Occupied reports whether the square containing (x, y) is taken, and by
-// which unit.
-func (o *Occupancy) Occupied(x, y float64) (int64, bool) {
-	k, ok := o.taken[SquareOf(x, y)]
-	return k, ok
+// which holder.
+func (o *Occupancy) Occupied(x, y float64) (int32, bool) {
+	return o.taken.Get(SquareOf(x, y).pack())
 }
 
-// Place marks the square containing (x, y) as held by the unit. It returns
-// false (without modifying anything) if another unit already holds it.
-func (o *Occupancy) Place(x, y float64, key int64) bool { return o.Claim(SquareOf(x, y), key) }
+// Place marks the square containing (x, y) as held by who. It returns
+// false (without modifying anything) if another holder already has it.
+func (o *Occupancy) Place(x, y float64, who int32) bool { return o.Claim(SquareOf(x, y), who) }
 
 // Claim is Place by square.
-func (o *Occupancy) Claim(s Square, key int64) bool {
-	if holder, ok := o.taken[s]; ok && holder != key {
-		return false
+func (o *Occupancy) Claim(s Square, who int32) bool {
+	k := s.pack()
+	if holder, ok := o.taken.Get(k); ok {
+		return holder == who
 	}
-	o.taken[s] = key
+	o.taken.Put(k, who)
 	return true
 }
 
-// Remove releases the square containing (x, y) if the unit holds it.
-func (o *Occupancy) Remove(x, y float64, key int64) { o.Release(SquareOf(x, y), key) }
+// Remove releases the square containing (x, y) if who holds it.
+func (o *Occupancy) Remove(x, y float64, who int32) { o.Release(SquareOf(x, y), who) }
 
 // Release is Remove by square.
-func (o *Occupancy) Release(s Square, key int64) {
-	if o.taken[s] == key {
-		delete(o.taken, s)
+func (o *Occupancy) Release(s Square, who int32) {
+	k := s.pack()
+	if holder, ok := o.taken.Get(k); ok && holder == who {
+		o.taken.Delete(k)
 	}
 }
 
-// Move atomically relocates a unit between squares: it fails (returning
-// false, with no state change) if the destination square is held by another
-// unit. Moving within the same square always succeeds.
-func (o *Occupancy) Move(fromX, fromY, toX, toY float64, key int64) bool {
+// Move atomically relocates a holder between squares: it fails (returning
+// false, with no state change) if the destination square is held by
+// another. Moving within the same square always succeeds.
+func (o *Occupancy) Move(fromX, fromY, toX, toY float64, who int32) bool {
 	from, to := SquareOf(fromX, fromY), SquareOf(toX, toY)
 	if from == to {
 		return true
 	}
-	if holder, ok := o.taken[to]; ok && holder != key {
+	tk := to.pack()
+	if holder, ok := o.taken.Get(tk); ok && holder != who {
 		return false
 	}
-	if o.taken[from] == key {
-		delete(o.taken, from)
-	}
-	o.taken[to] = key
+	o.Release(from, who)
+	o.taken.Put(tk, who)
 	return true
 }
 
+// CloseGap renumbers the holders after holder gone was cut out of the
+// population: every holder above it drops by one, as row indexes do.
+func (o *Occupancy) CloseGap(gone int32) { o.taken.CloseGap(gone) }
+
 // Size returns the number of occupied squares.
-func (o *Occupancy) Size() int { return len(o.taken) }
+func (o *Occupancy) Size() int { return o.taken.Len() }

@@ -206,3 +206,36 @@ func BenchmarkGridAggregate(b *testing.B) {
 		g.Aggregate(probes[i%len(probes)], out)
 	}
 }
+
+// TestOccupancyExtremeSquares: squares at the ends of the int32 range —
+// (−2^31, 0) packs to the flat table's empty-slot key — hold and release
+// like any other, and closing a gap renumbers the holders after it.
+func TestOccupancyExtremeSquares(t *testing.T) {
+	o := NewOccupancy(2)
+	squares := []Square{{math.MinInt32, 0}, {0, math.MinInt32}, {math.MaxInt32, math.MaxInt32}, {-1, -1}, {0, 0}}
+	for i, s := range squares {
+		if !o.Claim(s, int32(i)) {
+			t.Fatalf("square %v refused holder %d", s, i)
+		}
+	}
+	for i, s := range squares {
+		if o.Claim(s, int32(i+10)) {
+			t.Fatalf("square %v taken twice", s)
+		}
+	}
+	o.Release(squares[1], 1)
+	o.CloseGap(1)
+	for i, s := range squares {
+		want := int32(i)
+		if i > 1 {
+			want--
+		}
+		k := s.pack()
+		if got, ok := o.taken.Get(k); i == 1 && ok || i != 1 && (!ok || got != want) {
+			t.Fatalf("square %v held by %d (%v) after the gap closed, want %d", s, got, ok, want)
+		}
+	}
+	if o.Size() != len(squares)-1 {
+		t.Fatalf("Size = %d, want %d", o.Size(), len(squares)-1)
+	}
+}

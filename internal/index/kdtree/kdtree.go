@@ -24,10 +24,13 @@ import (
 	"slices"
 )
 
-// Point is an indexed location with its unit key.
+// Point is an indexed location with its unit key, and Ref, the caller's
+// own reference for it (a row index, say): carried to the Result that
+// names the point, and no part of any search.
 type Point struct {
 	X, Y float64
 	Key  int64
+	Ref  int32
 }
 
 // leafSize is the most points a leaf holds. A search scans a leaf whole;
@@ -46,6 +49,7 @@ const leafSize = 8
 type Tree struct {
 	xs, ys []float64 // point coordinates in leaf order
 	keys   []int64   // point keys in leaf order
+	refs   []int32   // point references in leaf order
 	splits []float64 // by inner node: its split value
 	depth  int       // the depth of every leaf
 	pts    []Point   // the points as Rebuild partitioned them, kept for reuse
@@ -75,8 +79,9 @@ func (t *Tree) Rebuild(pts []Point) {
 	t.xs = slices.Grow(t.xs[:0], n)[:n]
 	t.ys = slices.Grow(t.ys[:0], n)[:n]
 	t.keys = slices.Grow(t.keys[:0], n)[:n]
+	t.refs = slices.Grow(t.refs[:0], n)[:n]
 	for j, p := range t.pts {
-		t.xs[j], t.ys[j], t.keys[j] = p.X, p.Y, p.Key
+		t.xs[j], t.ys[j], t.keys[j], t.refs[j] = p.X, p.Y, p.Key, p.Ref
 	}
 }
 
@@ -170,11 +175,13 @@ func coord(p Point, axis int) float64 {
 // Len returns the number of indexed points.
 func (t *Tree) Len() int { return len(t.keys) }
 
-// Result is a nearest-neighbour answer.
+// Result is a nearest-neighbour answer: the point's key, position and
+// reference, and its squared distance from the probe.
 type Result struct {
 	Key    int64
 	X, Y   float64
 	DistSq float64
+	Ref    int32
 	Found  bool
 }
 
@@ -185,7 +192,7 @@ func accept(best *Result, p Point, d float64) {
 	if d < best.DistSq ||
 		(d == best.DistSq && best.Found && p.Key < best.Key) ||
 		(d <= best.DistSq && !best.Found) {
-		best.Key, best.X, best.Y, best.DistSq, best.Found = p.Key, p.X, p.Y, d, true
+		*best = Result{Key: p.Key, X: p.X, Y: p.Y, DistSq: d, Ref: p.Ref, Found: true}
 	}
 }
 
@@ -245,7 +252,7 @@ func (t *Tree) Nearest(x, y float64, exclude int64) Result {
 			if key := t.keys[p]; key != exclude {
 				px, py := t.xs[p], t.ys[p]
 				dx, dy := px-x, py-y
-				accept(&best, Point{px, py, key}, dx*dx+dy*dy)
+				accept(&best, Point{px, py, key, t.refs[p]}, dx*dx+dy*dy)
 			}
 		}
 		for {
@@ -255,6 +262,120 @@ func (t *Tree) Nearest(x, y float64, exclude int64) Result {
 			sp--
 			f := &stack[sp]
 			if f.ox*f.ox+f.oy*f.oy <= best.DistSq {
+				i, k, ox, oy = f.i, f.k, f.ox, f.oy
+				break
+			}
+		}
+	}
+}
+
+// RankDepth is how many points a Ranking orders.
+const RankDepth = 3
+
+// Ranking is the head of a nearest search's order: Top holds the
+// RankDepth nearest points under the search's rule (least squared
+// distance, ties toward the smaller key) in that order — Top[0] is the
+// winner — with Found false past the last point there is; Rest is the
+// least squared distance of every other point (+Inf when there is none).
+type Ranking struct {
+	Top  [RankDepth]Result
+	Rest float64
+}
+
+// NewRanking returns the ranking of no point.
+func NewRanking() Ranking {
+	r := Ranking{Rest: math.Inf(1)}
+	for i := range r.Top {
+		r.Top[i].DistSq = math.Inf(1)
+	}
+	return r
+}
+
+// beats reports whether a point keyed key at squared distance d wins
+// over r under the search's rule (accept's).
+func beats(r *Result, key int64, d float64) bool {
+	return d < r.DistSq || (d == r.DistSq && r.Found && key < r.Key) || (d <= r.DistSq && !r.Found)
+}
+
+// Add folds one point at squared distance d into the ranking: it takes
+// its place in Top, pushing the point it displaces from the last place
+// down into Rest, or lands in Rest itself.
+func (r *Ranking) Add(p Point, d float64) {
+	i := 0
+	for i < RankDepth && !beats(&r.Top[i], p.Key, d) {
+		i++
+	}
+	if i == RankDepth {
+		r.Rest = min(r.Rest, d)
+		return
+	}
+	if last := &r.Top[RankDepth-1]; last.Found {
+		r.Rest = min(r.Rest, last.DistSq)
+	}
+	copy(r.Top[i+1:], r.Top[i:RankDepth-1])
+	r.Top[i] = Result{Key: p.Key, X: p.X, Y: p.Y, DistSq: d, Ref: p.Ref, Found: true}
+}
+
+// NearestRanked is Nearest that ranks the RankDepth nearest points and
+// bounds the rest (Ranking), exclude's point excepted. Top[0] is
+// Nearest's answer, bit for bit: the descent is Nearest's with the
+// pruning bound raised from the best distance to Rest, which is never
+// below it, so it visits whatever Nearest visits and skips only subtrees
+// every point of which is farther than Rest. (It is a separate loop so
+// Nearest pays nothing for it.)
+func (t *Tree) NearestRanked(x, y float64, exclude int64) Ranking {
+	r := NewRanking()
+	n := len(t.keys)
+	if n == 0 {
+		return r
+	}
+	type deferred struct {
+		i, k   int
+		ox, oy float64
+	}
+	var stack [64]deferred
+	sp := 0
+	i, k, ox, oy := 0, 0, 0.0, 0.0
+	for {
+		for ; k < t.depth; k++ {
+			fx, fy := ox, oy
+			var diff float64
+			if k&1 == 0 {
+				diff = x - t.splits[i]
+				fx = diff
+			} else {
+				diff = y - t.splits[i]
+				fy = diff
+			}
+			near, far := 2*i+1, 2*i+2
+			if diff > 0 {
+				near, far = far, near
+			}
+			if fx*fx+fy*fy <= r.Rest {
+				stack[sp] = deferred{far, k + 1, fx, fy}
+				sp++
+			}
+			i = near
+		}
+		j := i - len(t.splits)
+		for p, hi := j*n>>k, (j+1)*n>>k; p < hi; p++ {
+			if key := t.keys[p]; key != exclude {
+				px, py := t.xs[p], t.ys[p]
+				dx, dy := px-x, py-y
+				if d := dx*dx + dy*dy; d > r.Top[RankDepth-1].DistSq {
+					r.Rest = min(r.Rest, d) // strictly behind the last place
+				} else {
+					r.Add(Point{px, py, key, t.refs[p]}, d)
+				}
+			}
+		}
+		for {
+			if sp == 0 {
+				return r
+			}
+			sp--
+			f := &stack[sp]
+			if f.ox*f.ox+f.oy*f.oy <= r.Rest {
 				i, k, ox, oy = f.i, f.k, f.ox, f.oy
 				break
 			}

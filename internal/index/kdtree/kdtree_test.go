@@ -147,7 +147,7 @@ func TestRebuildAllocatesNothing(t *testing.T) {
 }
 
 func TestDuplicatePositionsTieBreak(t *testing.T) {
-	pts := []Point{{5, 5, 30}, {5, 5, 10}, {5, 5, 20}}
+	pts := []Point{{X: 5, Y: 5, Key: 30}, {X: 5, Y: 5, Key: 10}, {X: 5, Y: 5, Key: 20}}
 	tr := Build(pts)
 	r := tr.Nearest(5, 5, -1)
 	if r.Key != 10 {

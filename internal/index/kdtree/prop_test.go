@@ -3,6 +3,7 @@ package kdtree
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/epicscale/sgl/internal/rng"
@@ -11,7 +12,7 @@ import (
 // sameResult reports whether two answers agree field for field, the
 // coordinates and distance bit for bit.
 func sameResult(a, b Result) bool {
-	return a.Found == b.Found && a.Key == b.Key &&
+	return a.Found == b.Found && a.Key == b.Key && a.Ref == b.Ref &&
 		math.Float64bits(a.X) == math.Float64bits(b.X) &&
 		math.Float64bits(a.Y) == math.Float64bits(b.Y) &&
 		math.Float64bits(a.DistSq) == math.Float64bits(b.DistSq)
@@ -172,5 +173,73 @@ func TestNearestOnceMatchesBuild(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestNearestRankedLikeBruteForce: NearestRanked's winner is Nearest's
+// bit for bit, its places are the brute-force ranking's, references
+// included, and Rest is the
+// least distance of every other point — on clustered integer grids,
+// where equidistant ties abound, with the excluded key present or absent.
+func TestNearestRankedLikeBruteForce(t *testing.T) {
+	for _, seed := range []uint64{3, 17, 99} {
+		st := rng.NewStream(rng.New(seed), 29)
+		for trial := 0; trial < 40; trial++ {
+			n := st.Intn(60)
+			pts := make([]Point, n)
+			for i := range pts {
+				pts[i] = Point{X: float64(st.Intn(12)), Y: float64(st.Intn(12)), Key: int64(3*i + st.Intn(3)), Ref: int32(i)} // unique keys
+			}
+			tr := Build(pts)
+			for probe := 0; probe < 10; probe++ {
+				x, y := float64(st.Intn(14))-1, float64(st.Intn(14))-1
+				exclude := int64(st.Intn(3 * (n + 1)))
+				rk := tr.NearestRanked(x, y, exclude)
+				if want := tr.Nearest(x, y, exclude); !sameResult(rk.Top[0], want) {
+					t.Fatalf("seed %d: NearestRanked winner %+v, Nearest %+v", seed, rk.Top[0], want)
+				}
+				// The model: rank every point by (distance, key), the
+				// excluded key left out.
+				want := NewRanking()
+				for _, p := range pts {
+					if p.Key != exclude {
+						dx, dy := p.X-x, p.Y-y
+						want.Add(p, dx*dx+dy*dy)
+					}
+				}
+				same := math.Float64bits(rk.Rest) == math.Float64bits(want.Rest)
+				for i := range rk.Top {
+					same = same && sameResult(rk.Top[i], want.Top[i])
+				}
+				if !same {
+					t.Fatalf("seed %d: NearestRanked(%v,%v,excl=%d) = %+v, model %+v", seed, x, y, exclude, rk, want)
+				}
+			}
+		}
+	}
+}
+
+// TestRankingOrder: Add keeps the least (distance, key) pairs in order
+// and the least of the rest, whatever the order points arrive in.
+func TestRankingOrder(t *testing.T) {
+	pts := []struct {
+		key int64
+		d   float64
+	}{{5, 4}, {3, 4}, {9, 1}, {2, 9}, {1, 4}, {7, 1}, {8, 2}}
+	r := NewRanking()
+	for _, p := range pts {
+		r.Add(Point{Key: p.key}, p.d)
+	}
+	var got []int64
+	for _, top := range r.Top {
+		got = append(got, top.Key)
+	}
+	if want := []int64{7, 9, 8, 1, 3}[:RankDepth]; !slices.Equal(got, want) || r.Rest != []float64{1, 2, 4, 4, 4}[RankDepth] {
+		t.Fatalf("ranking %+v: want places %v (7 and 9 at 1, 8 at 2, 1 before 3 at 4), rest %v", r, want, []float64{1, 2, 4, 4, 4}[RankDepth])
+	}
+	one := NewRanking()
+	one.Add(Point{Key: 4}, math.Inf(1))
+	if !one.Top[0].Found || one.Top[1].Found || !math.IsInf(one.Rest, 1) {
+		t.Fatalf("a lone point at infinity ranks as %+v", one)
 	}
 }

@@ -1,5 +1,6 @@
 // Package metrics is the serving tier's instrumentation: a tiny
-// dependency-free Prometheus registry (this file) and FanoutQuery, the
+// dependency-free Prometheus registry (this file), the daemons' opt-in
+// profiling endpoints (WithProfiling, pprof.go) and FanoutQuery, the
 // spectator query the repository benchmark drives (fanout.go). It
 // imports nothing from the engine; the paper-figure experiments live in
 // cmd/benchfig.

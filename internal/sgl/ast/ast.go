@@ -376,6 +376,9 @@ type AggDef struct {
 	ParamPos []token.Pos // position of each parameter; parallel to Params
 	Outputs  []AggOutput
 	Where    Cond // may be nil (no predicate: aggregate over all of E)
+	// Ord is the definition's position in its script's Aggs, set by the
+	// parser: the dense ordinal analyses are looked up by.
+	Ord int
 }
 
 // SetClause assigns an effect attribute in an action definition.
@@ -398,6 +401,9 @@ type ActDef struct {
 	ParamPos []token.Pos // position of each parameter; parallel to Params
 	Where    Cond        // may be nil (applies to every unit)
 	Sets     []SetClause
+	// Ord is the definition's position in its script's Acts, set by the
+	// parser: the dense ordinal analyses are looked up by.
+	Ord int
 }
 
 // Script is a parsed SGL compilation unit.

@@ -106,12 +106,14 @@ func (p *parser) script() (*ast.Script, error) {
 			if err != nil {
 				return nil, err
 			}
+			d.Ord = len(s.Aggs)
 			s.Aggs = append(s.Aggs, d)
 		case token.KwAction:
 			d, err := p.actDecl()
 			if err != nil {
 				return nil, err
 			}
+			d.Ord = len(s.Acts)
 			s.Acts = append(s.Acts, d)
 		case token.KwFunction, token.Ident:
 			d, err := p.funcDecl()

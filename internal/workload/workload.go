@@ -81,7 +81,7 @@ func Generate(spec Spec) *table.Table {
 				x = float64(st.Intn(int(side)))
 				y = float64(st.Intn(int(side)))
 			}
-			if occ.Place(x, y, key) {
+			if occ.Place(x, y, int32(key)) { // keys are row numbers here
 				return geom.Point{X: x, Y: y}
 			}
 		}
