@@ -626,6 +626,53 @@ func TestBattleTickAllocRatchet(t *testing.T) {
 	}
 }
 
+// TestBattleWorkRatchet is the work ratchet of the battle's index
+// rebuilds and range probes: the 2000-unit battle, serial, ticks 300–320,
+// where every range tree and sweep ordering is rebuilt each tick over
+// units that moved at most one square. A rebuild re-sorts from the
+// structure's previous order, so its points move few places each and the
+// move budget is rarely spent (sorted.Resort); a range probe finds its
+// four bounds through the trees' guides, not by binary search over every
+// point (sorted.Guide). Measured when introduced: 3.6 comparisons per
+// range probe (38.5 by binary search over the whole slice, at the parent
+// commit), 1.8 element moves per re-sorted point, 0.40 full-sort
+// fallbacks per tick. The counts are exact for the seed; the slack in
+// each ceiling leaves room for changes to the world, not for
+// regressions. The ceilings only move down.
+func TestBattleWorkRatchet(t *testing.T) {
+	e := newBattle(t, Indexed, 2000, 0.01, func(o *EngineOptions) { o.Workers = 1 })
+	const from, ticks = 300, 20
+	if err := e.Run(from - e.Stats.Ticks); err != nil {
+		t.Fatal(err)
+	}
+	before := e.Stats.IndexStats
+	if err := e.Run(ticks); err != nil {
+		t.Fatal(err)
+	}
+	is := e.Stats.IndexStats
+	diff := func(v, w int) float64 { return float64(v - w) }
+	probes, resorted := diff(is.TreeProbes, before.TreeProbes), diff(is.ResortedPoints, before.ResortedPoints)
+	if probes == 0 || resorted == 0 {
+		t.Fatalf("%v range probes and %v re-sorted points over ticks %d–%d: the battle no longer exercises the guides or the re-sort", probes, resorted, from, from+ticks)
+	}
+	for _, c := range []struct {
+		name     string
+		got, max float64
+	}{
+		{"bound-search comparisons per range probe", diff(is.BoundSteps, before.BoundSteps) / probes, 4.5},
+		{"elements moved per re-sorted point", diff(is.ResortMoves, before.ResortMoves) / resorted, 2.25},
+		{"full-sort fallbacks per tick", diff(is.ResortFallbacks, before.ResortFallbacks) / ticks, 0.5},
+	} {
+		t.Logf("%s: %.3f (ceiling %g)", c.name, c.got, c.max)
+		if c.got > c.max {
+			t.Errorf("%s: %.3f, ceiling %g", c.name, c.got, c.max)
+		}
+	}
+	t.Logf("per tick: %.0f range probes, %.0f builds, %.0f sweeps, %.0f kD probes, %.0f re-sorted points",
+		probes/ticks, diff(is.IndexBuilds, before.IndexBuilds)/ticks, diff(is.Sweeps, before.Sweeps)/ticks,
+		diff(is.KDProbes, before.KDProbes)/ticks, resorted/ticks)
+}
+
 // zoneQuery is the spectator's question the read-side ratchet and the
 // fan-out benchmark ask: a windowed divisible aggregate.
 const zoneQuery = `

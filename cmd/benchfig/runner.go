@@ -68,12 +68,12 @@ func (r *runner) tickSeconds(mode engine.Mode, n int, density float64, measureTi
 	if err := e.Run(r.warmup); err != nil {
 		return 0, exec.Stats{}, err
 	}
-	e.Stats.IndexStats = exec.Stats{} // count the measured ticks alone
+	before := e.Stats.IndexStats // count the measured ticks alone
 	start := time.Now()
 	if err := e.Run(measureTicks); err != nil {
 		return 0, exec.Stats{}, err
 	}
-	return time.Since(start).Seconds() / float64(measureTicks), e.Stats.IndexStats, nil
+	return time.Since(start).Seconds() / float64(measureTicks), e.Stats.IndexStats.Since(before), nil
 }
 
 // fig10Row is one point of the Figure 10 series.

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -296,6 +297,11 @@ func (sr *statusRecorder) Flush() {
 
 // handleProxy forwards any /v1/sessions/{name}[/...] request to the
 // owning node, holding the route stable against concurrent migration.
+// A non-stream request gets the control-plane client's timeout as its
+// deadline: a node that does not answer within it is a 504, and the
+// request's inflight slot is released, so a hung node holds neither the
+// client nor a migration's drain. Streams are long-lived by design and
+// get none.
 func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	rt, ok := g.lookup(name)
@@ -306,6 +312,11 @@ func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 	stream := isStream(r)
 	ns := rt.acquire(stream)
 	defer rt.release(stream)
+	if !stream && g.client.Timeout > 0 {
+		ctx, cancel := context.WithTimeout(r.Context(), g.client.Timeout)
+		defer cancel()
+		r = r.WithContext(ctx)
+	}
 
 	rec := &statusRecorder{ResponseWriter: w}
 	g.Metrics.Counter("sglgw_proxied_total", metrics.L("node", ns.node.Name)).Inc()

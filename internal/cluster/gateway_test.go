@@ -3,12 +3,12 @@ package cluster
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -283,26 +283,30 @@ func TestMigrationUnderTraffic(t *testing.T) {
 	}
 }
 
-// TestMigrationBoundedByHungNode pins the drain bound: a migration with
-// nothing in flight does not wait; one whose session has a request in
-// flight to a node that never answers it fails within the control-plane
-// timeout — leaving the route, the source world and the target
-// untouched, and the route free for other requests — and a later
-// migration succeeds once the hang ends.
-func TestMigrationBoundedByHungNode(t *testing.T) {
-	const bound = time.Second
-	var hang atomic.Bool
-	hung, release := make(chan struct{}, 1), make(chan struct{})
-	var releaseOnce sync.Once
+// hungCluster is two nodes behind a gateway whose control-plane client
+// times out after bound. While hang is set, a node receiving a step
+// request signals hung and does not pass it on until the test ends.
+type hungCluster struct {
+	g     *Gateway
+	gw    *httptest.Server
+	nodes []*node
+	hang  atomic.Bool
+	hung  chan struct{}
+}
+
+func newHungCluster(t *testing.T, bound time.Duration) *hungCluster {
+	hc := &hungCluster{hung: make(chan struct{}, 1)}
+	release := make(chan struct{})
 	cfg := Config{ProbeEvery: time.Hour, Client: &http.Client{Timeout: bound}}
-	nodes := make([]*node, 2)
-	for i := range nodes {
+	hc.nodes = make([]*node, 2)
+	for i := range hc.nodes {
 		reg := server.NewRegistry()
 		h := server.New(reg, t.TempDir())
 		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if hang.Load() && strings.HasSuffix(r.URL.Path, "/step") {
-				hung <- struct{}{}
+			if hc.hang.Load() && strings.HasSuffix(r.URL.Path, "/step") {
+				hc.hung <- struct{}{}
 				<-release
+				return // the gateway gave up on this request long ago
 			}
 			h.ServeHTTP(w, r)
 		}))
@@ -310,7 +314,7 @@ func TestMigrationBoundedByHungNode(t *testing.T) {
 			ts.Close()
 			reg.Close()
 		})
-		nodes[i] = &node{ts: ts, reg: reg}
+		hc.nodes[i] = &node{ts: ts, reg: reg}
 		cfg.Nodes = append(cfg.Nodes, Node{Name: fmt.Sprintf("node%d", i), URL: ts.URL})
 	}
 	g, err := New(cfg)
@@ -319,11 +323,103 @@ func TestMigrationBoundedByHungNode(t *testing.T) {
 	}
 	g.Start()
 	t.Cleanup(g.Close)
-	gw := httptest.NewServer(g)
-	t.Cleanup(gw.Close)
-	// Runs before the servers close, which wait for the hung handler.
-	t.Cleanup(func() { releaseOnce.Do(func() { close(release) }) })
+	hc.g = g
+	hc.gw = httptest.NewServer(g)
+	t.Cleanup(hc.gw.Close)
+	// Runs before the servers close, which wait for the hung handlers.
+	t.Cleanup(func() { close(release) })
+	return hc
+}
 
+// hungStep posts one step through the gateway to a node that does not
+// answer it, and returns the gateway's status code and how long it took.
+func (hc *hungCluster) hungStep(t *testing.T, session string) (int, time.Duration) {
+	t.Helper()
+	hc.hang.Store(true)
+	defer hc.hang.Store(false)
+	start := time.Now()
+	done := make(chan int, 1)
+	go func() {
+		code, err := try(http.MethodPost, hc.gw.URL+"/v1/sessions/"+session+"/step", server.StepRequest{Ticks: 1}, nil)
+		if err != nil {
+			t.Errorf("step: %v", err)
+		}
+		done <- code
+	}()
+	<-hc.hung // the step is in flight at the gateway, and its node is not answering
+	hc.hang.Store(false)
+	select {
+	case code := <-done:
+		return code, time.Since(start)
+	case <-time.After(20 * time.Second):
+		t.Fatal("the gateway is still waiting for a node that does not answer")
+		return 0, 0
+	}
+}
+
+// TestProxiedRequestDeadline pins the data-plane deadline: a proxied
+// non-stream request to a node that never answers is a 504 within the
+// gateway client's timeout, and releases its inflight slot; a stream
+// through the same gateway outlives that timeout.
+func TestProxiedRequestDeadline(t *testing.T) {
+	const bound = 500 * time.Millisecond
+	hc := newHungCluster(t, bound)
+	if code := do(t, http.MethodPost, hc.gw.URL+"/v1/sessions", server.CreateRequest{Name: "h", Units: 64, Seed: 3}, nil); code != http.StatusCreated {
+		t.Fatalf("create: %d", code)
+	}
+	code, took := hc.hungStep(t, "h")
+	if code != http.StatusGatewayTimeout || took < bound || took > 5*bound {
+		t.Fatalf("step to a hung node: %d after %v, want 504 after about %v", code, took, bound)
+	}
+	rt, _ := hc.g.lookup("h")
+	rt.mu.Lock()
+	inflight := rt.inflight
+	rt.mu.Unlock()
+	if inflight != 0 {
+		t.Fatalf("%d requests still in flight after the 504", inflight)
+	}
+
+	// A subscription opened now is still delivering past the deadline.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*bound)
+	defer cancel()
+	q := url.QueryEscape("aggregate Pos(u) := sum(e.posx) as sx over e;")
+	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, hc.gw.URL+"/v1/sessions/h/subscribe?q="+q, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("subscribe: %d", resp.StatusCode)
+	}
+	time.Sleep(2 * bound)
+	if code := do(t, http.MethodPost, hc.gw.URL+"/v1/sessions/h/step", server.StepRequest{Ticks: 4}, nil); code != http.StatusOK {
+		t.Fatalf("step: %d", code)
+	}
+	// An answer past tick 0 is pushed only after the step, past the
+	// deadline a non-stream request would have had.
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		var ev server.SubscribeEvent
+		if data, ok := strings.CutPrefix(sc.Text(), "data: "); ok && json.Unmarshal([]byte(data), &ev) == nil && ev.Tick > 0 {
+			return
+		}
+	}
+	t.Fatalf("the stream ended without the answer pushed past the deadline: %v", sc.Err())
+}
+
+// TestMigrationBoundedByHungNode pins the drain bound: a migration with
+// nothing in flight does not wait; a request to a node that never
+// answers no longer holds a migration, since the gateway answers it 504
+// at its deadline; and one whose session keeps a request slot past every
+// deadline (a response stuck on its way to the client) fails within the
+// control-plane timeout — leaving the route, the source world and the
+// target untouched, and the route free for other requests — and a later
+// migration succeeds once the slot is released.
+func TestMigrationBoundedByHungNode(t *testing.T) {
+	const bound = time.Second
+	hc := newHungCluster(t, bound)
+	g, gw, nodes := hc.g, hc.gw, hc.nodes
 	if code := do(t, http.MethodPost, gw.URL+"/v1/sessions", server.CreateRequest{Name: "h", Units: 64, Seed: 3}, nil); code != http.StatusCreated {
 		t.Fatalf("create: %d", code)
 	}
@@ -351,25 +447,27 @@ func TestMigrationBoundedByHungNode(t *testing.T) {
 	if err != nil || took > bound/2 {
 		t.Fatalf("migration of an idle route: %v after %v", err, took)
 	}
-	srcName := first.To
+
+	// A hung node: the step is cut at its deadline, the world never saw
+	// it, and the migration after it does not wait.
+	if code, took := hc.hungStep(t, "h"); code != http.StatusGatewayTimeout {
+		t.Fatalf("step to a hung node: %d after %v, want 504", code, took)
+	}
+	second, took, err := migrate()
+	if err != nil || took > bound/2 || second.Tick != 0 || second.From != first.To {
+		t.Fatalf("migration after a 504: %+v, %v after %v; want from %s at tick 0 at once", second, err, took, first.To)
+	}
+	srcName := second.To
 	srcIdx, dstIdx := 0, 1
 	if srcName == "node1" {
 		srcIdx, dstIdx = 1, 0
 	}
 
-	hang.Store(true)
-	stepped := make(chan int, 1)
-	go func() {
-		code, err := try(http.MethodPost, gw.URL+"/v1/sessions/h/step", server.StepRequest{Ticks: 1}, nil)
-		if err != nil {
-			t.Errorf("step: %v", err)
-		}
-		stepped <- code
-	}()
-	<-hung // the step is in flight at the gateway, and its node is not answering
-
+	// A request slot held past every deadline.
+	rt, _ := g.lookup("h")
+	rt.acquire(false)
 	if _, took, err := migrate(); err == nil || took > 5*bound {
-		t.Fatalf("migration past a hung request: err %v after %v, want an error within about %v", err, took, bound)
+		t.Fatalf("migration past a held request: err %v after %v, want an error within about %v", err, took, bound)
 	}
 	if owner, _ := g.RouteOf("h"); owner != srcName {
 		t.Errorf("route = %s after a failed migration, want %s", owner, srcName)
@@ -380,19 +478,13 @@ func TestMigrationBoundedByHungNode(t *testing.T) {
 	if _, found := nodes[dstIdx].reg.Get("h"); found {
 		t.Error("the failed migration left a world on the target")
 	}
-	var st server.Status
-	if code := do(t, http.MethodGet, gw.URL+"/v1/sessions/h", nil, &st); code != http.StatusOK || st.Tick != 0 {
-		t.Fatalf("status after the failed migration: code %d, tick %d", code, st.Tick)
+	if code := do(t, http.MethodPost, gw.URL+"/v1/sessions/h/step", server.StepRequest{Ticks: 1}, nil); code != http.StatusOK {
+		t.Fatalf("step after the failed migration: %d", code)
 	}
-
-	hang.Store(false)
-	releaseOnce.Do(func() { close(release) })
-	if code := <-stepped; code != http.StatusOK {
-		t.Fatalf("the released step answered %d", code)
-	}
+	rt.release(false)
 	resp, _, err := migrate()
 	if err != nil {
-		t.Fatalf("migration after the hang ended: %v", err)
+		t.Fatalf("migration after the slot was released: %v", err)
 	}
 	if owner, _ := g.RouteOf("h"); owner != resp.To || resp.From != srcName || resp.Tick != 1 {
 		t.Errorf("migrated %s→%s at tick %d, route %s; want from %s at tick 1", resp.From, resp.To, resp.Tick, owner, srcName)

@@ -15,6 +15,7 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -83,6 +84,16 @@ func newNodeState(n Node) (*nodeState, error) {
 		Rewrite: func(pr *httputil.ProxyRequest) {
 			pr.SetURL(target)
 			pr.SetXForwarded()
+		},
+		// A request the gateway gave a deadline (handleProxy) and the
+		// node did not answer within it is a 504; any other failure to
+		// reach the node a 502.
+		ErrorHandler: func(w http.ResponseWriter, r *http.Request, err error) {
+			if r.Context().Err() == context.DeadlineExceeded {
+				writeErr(w, http.StatusGatewayTimeout, "gateway: node %s did not answer in time: %v", n.Name, err)
+				return
+			}
+			writeErr(w, http.StatusBadGateway, "gateway: node %s: %v", n.Name, err)
 		},
 	}
 	return ns, nil

@@ -404,32 +404,32 @@ performers:
 					fx.pts = append(fx.pts, rangetree.Point{X: g.xs[j], Y: g.ys[j]})
 				}
 				rt := &fx.rt
-				rt.Rebuild(fx.pts, 1, vals(si))
+				e.Stats.IndexStats.AddResort(rt.Rebuild(fx.pts, 1, vals(si)))
 				e.Stats.IndexStats.IndexBuilds++
 				// Each target folds into its own accumulator row exactly
 				// once here, and the tree is read-only, so the probe loop
 				// shards across the worker pool; per-shard counters merge
 				// after the barrier.
 				tb := shardBounds(len(targets), e.workers)
-				probeCnt := make([]int, len(tb))
-				appliedCnt := make([]int, len(tb))
+				cnt := make([]struct{ probes, steps, applied int }, len(tb))
 				runShards(tb, func(s, lo, hi int) {
 					out := []float64{0}
 					for _, ti := range targets[lo:hi] {
 						out[0] = 0
-						rt.Aggregate(window(ti), out)
-						probeCnt[s]++
+						cnt[s].steps += rt.Aggregate(window(ti), out)
+						cnt[s].probes++
 						if out[0] != 0 {
 							acc.fold(ti, col, out[0])
-							appliedCnt[s]++
+							cnt[s].applied++
 						}
 					}
 				})
 				for s := range tb {
-					e.Stats.IndexStats.TreeProbes += probeCnt[s]
-					e.Stats.EffectsApplied += appliedCnt[s]
+					e.Stats.IndexStats.TreeProbes += cnt[s].probes
+					e.Stats.IndexStats.BoundSteps += cnt[s].steps
+					e.Stats.EffectsApplied += cnt[s].applied
 					if s < len(e.Stats.EffectsByWorker) {
-						e.Stats.EffectsByWorker[s] += appliedCnt[s]
+						e.Stats.EffectsByWorker[s] += cnt[s].applied
 					}
 				}
 			default: // Max or Min: one sweep over the group's centers
@@ -444,7 +444,7 @@ performers:
 					for j := range g.xs {
 						fx.sites = append(fx.sites, sweepline.Site{X: g.xs[j], Y: g.ys[j], Key: int64(j)})
 					}
-					fx.order.Rebuild(fx.sites)
+					e.Stats.IndexStats.AddResort(fx.order.Rebuild(fx.sites))
 					fx.probes = fx.probes[:0]
 					for _, ti := range targets {
 						rect := window(ti)

@@ -268,6 +268,9 @@ type Engine struct {
 	posBase    []geom.Point
 	posSince   []int
 	posNamed   []bool
+	// viewWork is Stats.IndexStats as of the last published view, which
+	// the next view's TickWork counts from.
+	viewWork exec.Stats
 
 	// Observation-query state (see query.go): qmu guards the per-query
 	// cache of analyzers and maintained answers. Index providers are not
@@ -502,6 +505,10 @@ func (e *Engine) TickCount() int64 { return e.tick }
 // Workers returns the resolved worker count ticks run with (Options.
 // Workers after defaulting, always >= 1).
 func (e *Engine) Workers() int { return e.workers }
+
+// Mode returns the evaluation mode the engine runs in: the one its
+// options named, or, for an opened engine, its checkpoint's.
+func (e *Engine) Mode() Mode { return e.opts.Mode }
 
 // Plan returns the compiled plan (for explain tooling).
 func (e *Engine) Plan() *algebra.Plan { return e.plan }

@@ -358,6 +358,8 @@ type ReadView struct {
 	rs     rng.TickSource
 	deaths int
 	moves  int
+	// work is the index work of the tick that published the view.
+	work exec.Stats
 
 	// provs holds one provider per query evaluated on this view, created
 	// by the first reader that asks. Bounded by maxCachedQueries for
@@ -457,8 +459,10 @@ func (e *Engine) publishView() {
 		rs:       e.src.Tick(e.tick),
 		deaths:   e.Stats.Deaths,
 		moves:    e.Stats.Moves,
+		work:     e.Stats.IndexStats.Since(e.viewWork),
 		keys:     e.keyIndex(),
 	})
+	e.viewWork = e.Stats.IndexStats
 }
 
 // positions returns the view's rows' (posx, posy) in row order, bit for
@@ -498,6 +502,11 @@ func (v *ReadView) Deaths() int { return v.deaths }
 
 // Moves returns the run's cumulative move count as of the view's tick.
 func (v *ReadView) Moves() int { return v.moves }
+
+// TickWork returns the index work counts of the tick that published the
+// view (the engine's IndexStats gained over it): zero for the view a new
+// or opened engine starts with.
+func (v *ReadView) TickWork() exec.Stats { return v.work }
 
 // evalIndexed answers one probe of q on this view through the indexed
 // evaluator, one-shot: the first reader scans q's membership, and every

@@ -12,6 +12,7 @@ import (
 	"github.com/epicscale/sgl/internal/index/ordmap"
 	"github.com/epicscale/sgl/internal/index/rangetree"
 	"github.com/epicscale/sgl/internal/index/segtree"
+	"github.com/epicscale/sgl/internal/index/sorted"
 	"github.com/epicscale/sgl/internal/index/sweepline"
 	"github.com/epicscale/sgl/internal/rng"
 	"github.com/epicscale/sgl/internal/sgl/ast"
@@ -166,6 +167,24 @@ type Stats struct {
 	// certificate instead of searched (certify).
 	CarriedAnswers   int
 	CertifiedAnswers int
+	// ResortedPoints counts the points of range-tree and sweep rebuilds
+	// whose sorts started from the structure's previous order,
+	// ResortMoves the element moves of those sorts, and ResortFallbacks
+	// those that spent their move budget and finished with a full sort
+	// (sorted.Resort).
+	ResortedPoints  int
+	ResortMoves     int
+	ResortFallbacks int
+	// BoundSteps counts the comparisons range-tree probes made to find
+	// their bounds (sorted.Guide).
+	BoundSteps int
+}
+
+// AddResort counts one rebuild's re-sort work.
+func (s *Stats) AddResort(w sorted.Work) {
+	s.ResortedPoints += w.Points
+	s.ResortMoves += w.Moved
+	s.ResortFallbacks += w.Fallbacks
 }
 
 var _ interp.Provider = (*Indexed)(nil)
@@ -400,6 +419,30 @@ func (s *Stats) Add(o Stats) {
 	s.ScanProbes += o.ScanProbes
 	s.CarriedAnswers += o.CarriedAnswers
 	s.CertifiedAnswers += o.CertifiedAnswers
+	s.ResortedPoints += o.ResortedPoints
+	s.ResortMoves += o.ResortMoves
+	s.ResortFallbacks += o.ResortFallbacks
+	s.BoundSteps += o.BoundSteps
+}
+
+// Since returns the counts s gained since it read o.
+func (s Stats) Since(o Stats) Stats {
+	return Stats{
+		IndexBuilds:       s.IndexBuilds - o.IndexBuilds,
+		IndexReuses:       s.IndexReuses - o.IndexReuses,
+		IndexPatches:      s.IndexPatches - o.IndexPatches,
+		MaintainFallbacks: s.MaintainFallbacks - o.MaintainFallbacks,
+		TreeProbes:        s.TreeProbes - o.TreeProbes,
+		KDProbes:          s.KDProbes - o.KDProbes,
+		Sweeps:            s.Sweeps - o.Sweeps,
+		ScanProbes:        s.ScanProbes - o.ScanProbes,
+		CarriedAnswers:    s.CarriedAnswers - o.CarriedAnswers,
+		CertifiedAnswers:  s.CertifiedAnswers - o.CertifiedAnswers,
+		ResortedPoints:    s.ResortedPoints - o.ResortedPoints,
+		ResortMoves:       s.ResortMoves - o.ResortMoves,
+		ResortFallbacks:   s.ResortFallbacks - o.ResortFallbacks,
+		BoundSteps:        s.BoundSteps - o.BoundSteps,
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -687,7 +730,7 @@ func (p *Indexed) buildSlots(g *membership, pt *part, slots slotMask) {
 		case slotTree:
 			pt.trees = sized(pt.trees, len(g.surfaces))
 			sf := &g.surfaces[sl.at]
-			pt.trees[sl.at].Rebuild(p.partPoints(sf.x, sf.y, pt.rows), len(sf.payload.fns), p.partVals(&sf.payload, pt.rows))
+			p.Stats.AddResort(pt.trees[sl.at].Rebuild(p.partPoints(sf.x, sf.y, pt.rows), len(sf.payload.fns), p.partVals(&sf.payload, pt.rows)))
 			p.Stats.IndexBuilds++
 		case slotSweep:
 			pt.sweeps = sized(pt.sweeps, len(g.surfaces))
@@ -807,7 +850,7 @@ func (p *Indexed) buildSweep(sf *surface, o *sweepline.Order, rows []int) {
 		row := p.env.Rows[ri]
 		p.sites = append(p.sites, sweepline.Site{X: axisVal(row, sf.x), Y: axisVal(row, sf.y), Key: int64(row[kc])})
 	}
-	o.Rebuild(p.sites)
+	p.Stats.AddResort(o.Rebuild(p.sites))
 }
 
 // partKDPoints evaluates the kD-tree points of a partition's rows, in row
@@ -1077,7 +1120,7 @@ func (p *Indexed) evalCore(dst []float64, def *ast.AggDef, row int, unit []float
 					payload[c] += v
 				}
 			case built:
-				part.trees[a.surf].Aggregate(rect, payload)
+				p.Stats.BoundSteps += part.trees[a.surf].Aggregate(rect, payload)
 				p.Stats.TreeProbes++
 			default:
 				rows := part.rows

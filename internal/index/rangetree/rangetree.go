@@ -24,7 +24,13 @@
 // from scratch"). What makes that affordable every tick is the layout —
 // no node objects, one slab per component with the nodes of a level side
 // by side — and Rebuild, which overwrites a tree's slabs in place, so a
-// steady population rebuilds without allocating. Payloads alone can be
+// steady population rebuilds without allocating. From scratch is in the
+// answers, not in the work: a rebuild re-ranks its points starting from
+// the x-rank order the tree held (sorted.Resort), so units that moved a
+// square since the last tick re-rank in O(n), not O(n log n), into the
+// ranks a fresh build gives; and it builds two guides (sorted.Guide)
+// from which a probe takes its four bounds in O(1) where the points are
+// spread, instead of four binary searches over all of them. Payloads alone can be
 // replaced in place by Repatch. And a build is not the only way to the
 // tree's answers: O(n log n) is repaid by the n probes of a tick, not by
 // the one or two a spectator's read view sees, so AggregateOnce evaluates
@@ -47,6 +53,7 @@ import (
 	"slices"
 
 	"github.com/epicscale/sgl/internal/geom"
+	"github.com/epicscale/sgl/internal/index/sorted"
 )
 
 // Point is an indexed location: geom.Point itself, so a column of
@@ -73,6 +80,9 @@ type Tree struct {
 	ids      []int32   // per node: original point index per y-position
 	bl, br   []int32   // per node: fractional-cascading bridges into the children (size+1 entries)
 	prefix   []float64 // per node: (size+1)·width prefix aggregates
+	// gx and gy locate a probe's bounds in xs and in the root's y-list
+	// ys[:n] (Guide.Search's plain binary search when a coordinate is NaN).
+	gx, gy sorted.Guide
 }
 
 // node names one tree node: its level, its ordinal within the level and
@@ -109,17 +119,23 @@ func Build(pts []Point, width int, vals []float64) *Tree {
 // allocates nothing. Neither pts nor vals is retained. The result is a
 // pure function of the arguments: a rebuilt tree answers every query
 // bit-identically to a fresh Build, whatever t held before.
-func (t *Tree) Rebuild(pts []Point, width int, vals []float64) {
+//
+// Over as many points as t held, none of them NaN, the x-rank sort starts
+// from t's previous x-rank order (sorted.Resort): points that moved a
+// little since the last build cost O(n) to re-rank instead of O(n log n).
+// The order is total on such points, so the ranks are a fresh build's.
+// Rebuild returns the re-sort's work, zero when it sorted afresh.
+func (t *Tree) Rebuild(pts []Point, width int, vals []float64) sorted.Work {
 	if width < 0 {
 		panic("rangetree: negative width")
 	}
 	if len(vals) != len(pts)*width {
 		panic("rangetree: vals length does not match points*width")
 	}
-	n := len(pts)
+	n, warm := len(pts), len(pts) == t.n
 	t.n, t.width = n, width
 	if n == 0 {
-		return
+		return sorted.Work{}
 	}
 	levels := bits.Len(uint(n-1)) + 1
 	slots := levels*n + 1<<levels - 1
@@ -128,14 +144,31 @@ func (t *Tree) Rebuild(pts []Point, width int, vals []float64) {
 	t.bl, t.br = resize(t.bl, slots), resize(t.br, slots)
 	t.prefix = resize(t.prefix, slots*width)
 
-	for i := range t.order {
-		t.order[i] = int32(i)
+	nan := false
+	for _, p := range pts {
+		nan = nan || p.X != p.X || p.Y != p.Y
 	}
-	slices.SortFunc(t.order, xRankOrder(pts))
+	var work sorted.Work
+	if warm && !nan {
+		work = sorted.Resort(t.order, xRankOrder(pts))
+	} else {
+		for i := range t.order {
+			t.order[i] = int32(i)
+		}
+		slices.SortFunc(t.order, xRankOrder(pts))
+	}
 	for r, id := range t.order {
 		t.xs[r] = pts[id].X
 	}
 	t.build(pts, vals, t.root())
+	if nan {
+		t.gx.Search(t.xs)
+		t.gy.Search(t.ys[:n])
+	} else {
+		t.gx.Reset(t.xs)
+		t.gy.Reset(t.ys[:n])
+	}
+	return work
 }
 
 // resize returns s with length n, reallocating (with headroom, so a
@@ -149,8 +182,8 @@ func resize[T any](s []T, n int) []T {
 }
 
 // xRankOrder compares point indexes in the tree's x-rank order: by x,
-// ties by y then index, so the order is total. AggregateOnce ranks its
-// slab by the same function.
+// ties by y then index, so the order is total on points without a NaN.
+// AggregateOnce ranks its slab by the same function.
 func xRankOrder(pts []Point) func(a, b int32) int {
 	return func(a, b int32) int {
 		pa, pb := pts[a], pts[b]
@@ -265,30 +298,6 @@ func (t *Tree) Len() int { return t.n }
 // Width returns the payload width.
 func (t *Tree) Width() int { return t.width }
 
-func lowerBound(a []float64, v float64) int {
-	lo, hi := 0, len(a)
-	for lo < hi {
-		if m := int(uint(lo+hi) >> 1); !(a[m] >= v) {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return lo
-}
-
-func upperBound(a []float64, v float64) int {
-	lo, hi := 0, len(a)
-	for lo < hi {
-		if m := int(uint(lo+hi) >> 1); !(a[m] > v) {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return lo
-}
-
 // probe is one query's x-rank interval and, for the visiting queries,
 // where its results go.
 type probe struct {
@@ -298,30 +307,33 @@ type probe struct {
 }
 
 // locate resolves r to the x-rank interval it spans and its y-position
-// interval in the root's list; either comes back empty when nothing can
-// match.
-func (t *Tree) locate(r geom.Rect) (q probe, plo, phi int) {
+// interval in the root's list, either empty when nothing can match,
+// through the guides; steps counts the comparisons their searches made.
+func (t *Tree) locate(r geom.Rect) (q probe, plo, phi, steps int) {
 	if t.n == 0 || r.Empty() {
-		return q, 0, 0
+		return q, 0, 0, 0
 	}
-	q.xlo, q.xhi = lowerBound(t.xs, r.MinX), upperBound(t.xs, r.MaxX)
+	q.xlo, q.xhi, steps = t.gx.Span(r.MinX, r.MaxX)
 	if q.xlo >= q.xhi {
-		return q, 0, 0
+		return q, 0, 0, steps
 	}
-	rootYs := t.ys[:t.n]
-	return q, lowerBound(rootYs, r.MinY), upperBound(rootYs, r.MaxY)
+	plo, phi, ysteps := t.gy.Span(r.MinY, r.MaxY)
+	return q, plo, phi, steps + ysteps
 }
 
 // Aggregate adds the payload sum over all points inside r (boundary
 // inclusive) into out, which must have length Width(). This is the
-// fractional-cascading fast path: O(log n).
-func (t *Tree) Aggregate(r geom.Rect, out []float64) {
+// fractional-cascading fast path: O(log n), and O(1) to find the bounds
+// of points spread as a battle's are. It returns the comparisons the
+// bound searches made.
+func (t *Tree) Aggregate(r geom.Rect, out []float64) (steps int) {
 	if len(out) != t.width {
 		panic("rangetree: out width mismatch")
 	}
-	q, plo, phi := t.locate(r)
+	q, plo, phi, steps := t.locate(r)
 	q.out = out
 	t.aggCascade(&q, t.root(), plo, phi)
+	return steps
 }
 
 func (t *Tree) aggCascade(q *probe, nd node, plo, phi int) {
@@ -345,14 +357,17 @@ func (t *Tree) aggCascade(q *probe, nd node, plo, phi int) {
 	t.aggCascade(q, r, int(t.br[off+plo]), int(t.br[off+phi]))
 }
 
-// AggregateNoCascade is Aggregate without fractional cascading: each
-// canonical node performs its own O(log n) binary searches, for O(log² n)
-// per probe. Kept as the ablation baseline for benchmark A5.
+// AggregateNoCascade is Aggregate without fractional cascading or the
+// guides: each canonical node performs its own O(log n) binary searches,
+// for O(log² n) per probe. Kept as the ablation baseline for benchmark A5.
 func (t *Tree) AggregateNoCascade(r geom.Rect, out []float64) {
 	if len(out) != t.width {
 		panic("rangetree: out width mismatch")
 	}
-	q, _, _ := t.locate(r)
+	var q probe
+	if t.n > 0 && !r.Empty() {
+		q.xlo, q.xhi = sorted.LowerBound(t.xs, r.MinX), sorted.UpperBound(t.xs, r.MaxX)
+	}
 	q.out = out
 	t.aggSearch(&q, t.root(), r.MinY, r.MaxY)
 }
@@ -364,7 +379,7 @@ func (t *Tree) aggSearch(q *probe, nd node, ymin, ymax float64) {
 	if q.xlo <= nd.lo && nd.hi <= q.xhi {
 		off := t.off(nd)
 		ys := t.ys[off : off+nd.size()]
-		plo, phi := lowerBound(ys, ymin), upperBound(ys, ymax)
+		plo, phi := sorted.LowerBound(ys, ymin), sorted.UpperBound(ys, ymax)
 		if plo >= phi {
 			return
 		}
@@ -388,7 +403,7 @@ func (t *Tree) aggSearch(q *probe, nd node, ymin, ymax float64) {
 // tree enumeration, used when a plan genuinely needs the qualifying rows
 // rather than an aggregate over them.
 func (t *Tree) Report(r geom.Rect, fn func(i int)) {
-	q, plo, phi := t.locate(r)
+	q, plo, phi, _ := t.locate(r)
 	q.fn = fn
 	t.report(&q, t.root(), plo, phi)
 }
@@ -397,7 +412,7 @@ func (t *Tree) Report(r geom.Rect, fn func(i int)) {
 // column: it reuses Report's canonical decomposition but sums interval
 // lengths instead of visiting points, so it is O(log n).
 func (t *Tree) Count(r geom.Rect) int {
-	q, plo, phi := t.locate(r)
+	q, plo, phi, _ := t.locate(r)
 	return t.report(&q, t.root(), plo, phi)
 }
 

@@ -36,6 +36,7 @@ import (
 	"slices"
 
 	"github.com/epicscale/sgl/internal/index/segtree"
+	"github.com/epicscale/sgl/internal/index/sorted"
 )
 
 // Site is where one aggregated-over unit stands, and the key reported when
@@ -87,21 +88,32 @@ type Order struct {
 	sites []Site
 	xs    []float64 // x-rank → x
 	rank  []int32   // site index → x-rank
+	byX   []int32   // x-rank → site index
 	byY   []int32   // sweep position → site index
+	guide sorted.Guide
 }
 
 // Rebuild makes o the orderings of sites (copied; the argument is not
 // retained), reusing o's storage when its capacity suffices. Site i is the
 // point a sweep's vals[i] and a probe's Exclude refer to.
-func (o *Order) Rebuild(sites []Site) {
-	n := len(sites)
+//
+// Over as many sites as o held, none with a NaN coordinate, both sorts
+// start from o's previous orderings (sorted.Resort), so sites that moved
+// a little re-sort in O(n). Both orders are total on such sites — byX by
+// (x, key, index), byY by (y, x-rank), which is the stable sort by y of
+// byX — so the orderings are a fresh Rebuild's. Rebuild returns the
+// re-sorts' work, zero when it sorted afresh.
+func (o *Order) Rebuild(sites []Site) sorted.Work {
+	n, warm := len(sites), len(sites) == len(o.sites)
 	o.sites = append(o.sites[:0], sites...)
-	o.xs, o.rank, o.byY = resize(o.xs, n), resize(o.rank, n), resize(o.byY, n)
-	byX := o.byY // sorted by x first, then stably by y
-	for i := range byX {
-		byX[i] = int32(i)
+	o.xs, o.rank = resize(o.xs, n), resize(o.rank, n)
+	o.byX, o.byY = resize(o.byX, n), resize(o.byY, n)
+	nan := false
+	for i := range sites {
+		nan = nan || sites[i].X != sites[i].X || sites[i].Y != sites[i].Y
 	}
-	slices.SortFunc(byX, func(a, b int32) int {
+	warm = warm && !nan
+	byXOrder := func(a, b int32) int {
 		sa, sb := &sites[a], &sites[b]
 		switch {
 		case sa.X < sb.X:
@@ -115,11 +127,41 @@ func (o *Order) Rebuild(sites []Site) {
 			return 1
 		}
 		return int(a - b)
-	})
-	for r, i := range byX {
+	}
+	var work sorted.Work
+	if warm {
+		work = sorted.Resort(o.byX, byXOrder)
+	} else {
+		for i := range o.byX {
+			o.byX[i] = int32(i)
+		}
+		slices.SortFunc(o.byX, byXOrder)
+	}
+	for r, i := range o.byX {
 		o.xs[r], o.rank[i] = sites[i].X, int32(r)
 	}
-	slices.SortStableFunc(o.byY, func(a, b int32) int { return cmpFloat(sites[a].Y, sites[b].Y) })
+	if nan {
+		// No total order on these sites: byY is whatever the stable sort
+		// by y over byX makes of them, and only its own steps reproduce it.
+		copy(o.byY, o.byX)
+		slices.SortStableFunc(o.byY, func(a, b int32) int { return cmpFloat(sites[a].Y, sites[b].Y) })
+		o.guide.Search(o.xs)
+		return work
+	}
+	byYOrder := func(a, b int32) int {
+		if c := cmpFloat(sites[a].Y, sites[b].Y); c != 0 {
+			return c
+		}
+		return int(o.rank[a] - o.rank[b])
+	}
+	if warm {
+		work.Add(sorted.Resort(o.byY, byYOrder))
+	} else {
+		copy(o.byY, o.byX)
+		slices.SortFunc(o.byY, byYOrder)
+	}
+	o.guide.Reset(o.xs)
+	return work
 }
 
 // Len returns the number of sites.
@@ -184,13 +226,26 @@ func (s *Sweeper) Sweep(o *Order, vals []float64, probes []Probe, ry float64, op
 		return results
 	}
 
-	// Probes in ascending y; ties keep input order for determinism.
+	// Probes in ascending y; ties keep input order for determinism. That
+	// is the total order (y, index) unless a y is NaN, which only the
+	// stable sort's own steps can place.
 	order := resize(s.probeY, len(probes))
 	s.probeY = order
+	nan := false
 	for i := range probes {
 		order[i] = probeY{probes[i].Y, int32(i)}
+		nan = nan || probes[i].Y != probes[i].Y
 	}
-	slices.SortStableFunc(order, func(a, b probeY) int { return cmpFloat(a.y, b.y) })
+	if nan {
+		slices.SortStableFunc(order, func(a, b probeY) int { return cmpFloat(a.y, b.y) })
+	} else {
+		slices.SortFunc(order, func(a, b probeY) int {
+			if c := cmpFloat(a.y, b.y); c != 0 {
+				return c
+			}
+			return int(a.idx - b.idx)
+		})
+	}
 
 	tree := s.trees[op]
 	if tree == nil {
@@ -204,7 +259,7 @@ func (s *Sweeper) Sweep(o *Order, vals []float64, probes []Probe, ry float64, op
 	// Sites in y-order drive both the enter stream (at y−ry) and the exit
 	// stream (at y+ry): with constant ry both streams are the same order,
 	// and the exit pointer never passes the enter pointer.
-	sites, xs, rank, byY := o.sites, o.xs, o.rank, o.byY
+	sites, rank, byY := o.sites, o.rank, o.byY
 	enter, exit := 0, 0
 	for _, po := range order {
 		pr := &probes[po.idx]
@@ -224,7 +279,7 @@ func (s *Sweeper) Sweep(o *Order, vals []float64, probes []Probe, ry float64, op
 				s.active[i] = false
 			}
 		}
-		lo, hi := lowerBound(xs, pr.X-pr.RX), upperBound(xs, pr.X+pr.RX)
+		lo, hi, _ := o.guide.Span(pr.X-pr.RX, pr.X+pr.RX)
 
 		// Self-exclusion: blank the excluded site's leaf around the query.
 		ex := pr.Exclude
@@ -246,30 +301,4 @@ func (s *Sweeper) Sweep(o *Order, vals []float64, probes []Probe, ry float64, op
 		}
 	}
 	return results
-}
-
-// lowerBound returns the first index whose value is at least v,
-// upperBound the first whose value exceeds it.
-func lowerBound(a []float64, v float64) int {
-	lo, hi := 0, len(a)
-	for lo < hi {
-		if m := int(uint(lo+hi) >> 1); !(a[m] >= v) {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return lo
-}
-
-func upperBound(a []float64, v float64) int {
-	lo, hi := 0, len(a)
-	for lo < hi {
-		if m := int(uint(lo+hi) >> 1); !(a[m] > v) {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return lo
 }

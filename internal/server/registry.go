@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"github.com/epicscale/sgl/internal/engine"
+	"github.com/epicscale/sgl/internal/exec"
 	"github.com/epicscale/sgl/internal/game"
 	"github.com/epicscale/sgl/internal/metrics"
 	"github.com/epicscale/sgl/internal/sgl/lint"
@@ -183,6 +184,40 @@ type World struct {
 	// The read path's total lives in the engine (readers bump it
 	// lock-free); WritePrometheus copies it here at scrape time.
 	queryOneShot *metrics.Counter
+	// tickWork holds the tickWorkGauges series, set at scrape time from
+	// the newest view.
+	tickWork []*metrics.Gauge
+}
+
+// tickWorkGauges are the index work counts of a world's last tick, which
+// WritePrometheus reads off the newest view: clock-free counts of what
+// the tick reused, carried, certified and re-sorted, and what its range
+// probes' bound searches cost.
+var tickWorkGauges = []struct {
+	name, help string
+	value      func(exec.Stats) float64
+}{
+	{"sgld_tick_carried_answers", "Aggregate answers the last tick carried over from the tick before instead of probing, per session.",
+		func(s exec.Stats) float64 { return float64(s.CarriedAnswers) }},
+	{"sgld_tick_certified_answers", "Nearest answers the last tick took from the tick before under a separation certificate instead of searching, per session.",
+		func(s exec.Stats) float64 { return float64(s.CertifiedAnswers) }},
+	{"sgld_tick_index_reuses", "Index structures the last tick's maintenance kept unchanged, per session.",
+		func(s exec.Stats) float64 { return float64(s.IndexReuses) }},
+	{"sgld_tick_index_patches", "Range trees and folds the last tick's maintenance re-summed in place, per session.",
+		func(s exec.Stats) float64 { return float64(s.IndexPatches) }},
+	{"sgld_tick_maintain_fallbacks", "Definitions the last tick's maintenance left reading a structure rebuilt from scratch, per session.",
+		func(s exec.Stats) float64 { return float64(s.MaintainFallbacks) }},
+	{"sgld_tick_resort_moves", "Element moves the last tick's index rebuilds made re-sorting from the previous tick's order, per session.",
+		func(s exec.Stats) float64 { return float64(s.ResortMoves) }},
+	{"sgld_tick_resort_fallbacks", "Index rebuild sorts in the last tick that spent their move budget and finished with a full sort, per session.",
+		func(s exec.Stats) float64 { return float64(s.ResortFallbacks) }},
+	{"sgld_tick_bound_steps_per_probe", "Bound-search comparisons per range-tree probe in the last tick (0 without probes), per session.",
+		func(s exec.Stats) float64 {
+			if s.TreeProbes == 0 {
+				return 0
+			}
+			return float64(s.BoundSteps) / float64(s.TreeProbes)
+		}},
 }
 
 // cachedQuery is one compile-once cache slot; seq is the recency stamp
@@ -610,6 +645,16 @@ func (w *World) ReplicaAdvance(target int64, entries []engine.StampedCommand) er
 // ---------------------------------------------------------------------------
 // Registry
 
+// naiveBound refuses a naive world of more units than maxNaivePairs
+// allows: the one rule create, restore and replica bootstrap share.
+func naiveBound(mode engine.Mode, units int) error {
+	if mode == engine.Naive && units*units > maxNaivePairs {
+		return fmt.Errorf("server: a naive world of %d units costs %d unit pairs a tick, over the limit %d (4000 units): use indexed mode",
+			units, units*units, maxNaivePairs)
+	}
+	return nil
+}
+
 // Registry is the set of live worlds a server hosts. All methods are
 // safe for concurrent use.
 type Registry struct {
@@ -641,6 +686,9 @@ func NewRegistry() *Registry {
 	r.Metrics.Help("sgld_pushes_total", "Answer events pushed to subscribers, per session.")
 	r.Metrics.Help("sgld_push_drops_total", "Answer events dropped on slow subscribers (resynced on the next push), per session.")
 	r.Metrics.Help("sgld_replica_lag_ticks", "Writer-tick gap a follower replica last observed, per session.")
+	for _, g := range tickWorkGauges {
+		r.Metrics.Help(g.name, g.help)
+	}
 	// Materialize the unlabeled series eagerly: a fresh daemon must
 	// expose sgld_worlds 0 (not an absent metric that trips no-data
 	// alerts) before the first session ever arrives.
@@ -686,14 +734,24 @@ func (r *Registry) attachCounters(w *World) {
 	w.pushes = r.Metrics.Counter("sgld_pushes_total", l)
 	w.pushDrops = r.Metrics.Counter("sgld_push_drops_total", l)
 	w.queryOneShot = r.Metrics.Counter("sgld_query_oneshot_total", l)
+	w.tickWork = make([]*metrics.Gauge, len(tickWorkGauges))
+	for i, g := range tickWorkGauges {
+		w.tickWork[i] = r.Metrics.Gauge(g.name, l)
+	}
 }
 
 // WritePrometheus renders the registry's metrics, first refreshing the
-// series whose total the engines keep: each world's one-shot probes.
+// series whose values the engines keep: each world's one-shot probes,
+// and its last tick's work counts, read off its newest view — so a
+// scrape writes nothing an engine reads.
 func (r *Registry) WritePrometheus(out io.Writer) {
 	r.mu.Lock()
 	for _, w := range r.worlds {
 		w.queryOneShot.Raise(float64(w.sess.Engine().QueryOneShots()))
+		work := w.sess.ReadView().TickWork()
+		for i, g := range tickWorkGauges {
+			w.tickWork[i].Set(g.value(work))
+		}
 	}
 	r.mu.Unlock()
 	r.Metrics.WritePrometheus(out)
@@ -727,9 +785,10 @@ func (r *Registry) Create(name string, spec WorldSpec) (*World, error) {
 	if spec.Density > MaxWorldDensity {
 		return nil, fmt.Errorf("server: density %g exceeds the limit %g (higher occupancies cannot be placed)", spec.Density, MaxWorldDensity)
 	}
-	if spec.Mode == engine.Naive && spec.Units*spec.Units > maxNaivePairs {
-		return nil, fmt.Errorf("server: a naive world of %d units costs %d unit pairs a tick, over the limit %d (4000 units): use indexed mode",
-			spec.Units, spec.Units*spec.Units, maxNaivePairs)
+	// Refused before the army is generated, so an oversized request
+	// answers at once (register checks every world again).
+	if err := naiveBound(spec.Mode, spec.Units); err != nil {
+		return nil, err
 	}
 	wspec := workload.Spec{Units: spec.Units, Density: spec.Density, Seed: spec.Seed, Formation: spec.Formation}
 	opts := spec.Tune
@@ -799,7 +858,14 @@ func (r *Registry) RegisterReplica(name string, sess *engine.Session) (*World, e
 // one registry critical section: nothing can observe (or race) the
 // world between becoming visible and reaching its requested state, so
 // the clock start cannot fail and no rollback path exists.
+// Every world passes naiveBound here, whichever way it arrived: created,
+// restored from a checkpoint (PUT, a migration's target), or
+// bootstrapped as a replica. A checkpoint carries its mode, so the bound
+// cannot stop at the create path.
 func (r *Registry) register(name string, sess *engine.Session, prog *sem.Program, script string, tickRate float64, replica bool) (*World, error) {
+	if err := naiveBound(sess.Engine().Mode(), sess.Engine().Env().Len()); err != nil {
+		return nil, err
+	}
 	w := &World{Name: name, sess: sess, prog: prog, script: script, created: time.Now(), subsDone: make(chan struct{}), tickCh: make(chan struct{}), replica: replica}
 	// Lint the canonical source once, outside the registry lock. The
 	// program compiled, so every finding is warn-severity; []
