@@ -82,16 +82,16 @@ type Executor struct {
 	scratch   []int32
 	rowsBound bool
 
-	// Aggregate probing. aggInto is the provider's zero-alloc probe API
-	// when it offers one (exec.Indexed does), batcher its set-at-a-time
-	// API and carrier its check for answers carried across bindings. memo
+	// Aggregate probing. batcher is the provider's set-at-a-time API when
+	// it offers one, and carrier its check for answers carried across
+	// bindings and its probe into a destination (exec.Indexed offers
+	// both). memo
 	// holds, per call class, the results already answered for a row —
 	// every probe's destination, so a result (retained in an Extend slot
 	// for a multi-output call) lives until the next Rebind. argStack holds
 	// the argument vectors of the (possibly nested) calls in flight.
 	// batchRows, batchUnits, batchArgs and batchVals are batchExtend's
 	// probe-set scratch.
-	aggInto    aggIntoProvider
 	batcher    BatchAggProvider
 	carrier    carrier
 	argStack   []float64
@@ -122,13 +122,6 @@ func (m *callMemo) has(ord int) bool { return bit(m.have, ord) }
 func bit(words []uint64, i int) bool { return words[i>>6]&(1<<uint(i&63)) != 0 }
 
 func (m *callMemo) set(ord int) { m.have[ord>>6] |= 1 << uint(ord&63) }
-
-// aggIntoProvider is the optional provider fast path: EvalAgg writing
-// into a caller-owned destination of length len(def.Outputs) instead of
-// allocating. Implemented by exec.Indexed.
-type aggIntoProvider interface {
-	EvalAggInto(dst []float64, def *ast.AggDef, unit, args []float64) []float64
-}
 
 // carrier is the optional provider check behind carrying an answer from
 // one binding to the next: whether def's answer for environment row row,
@@ -219,7 +212,6 @@ func (x *Executor) bind(env *table.Table, prov interp.Provider, r rng.TickSource
 	same := lo == x.lo && hi == x.hi && n == x.n
 	x.env, x.prov, x.lo, x.hi, x.n = env, prov, lo, hi, n
 	x.row.R, x.def.R = r, r
-	x.aggInto, _ = prov.(aggIntoProvider)
 	x.batcher, _ = prov.(BatchAggProvider)
 	x.carrier, _ = prov.(carrier)
 	x.rowsBound = false
@@ -338,10 +330,8 @@ func (x *Executor) probe(s *aggSite, f *expr.Frame) []float64 {
 	case x.carried(m, def, f.Ord, args):
 	case x.carrier != nil:
 		x.carrier.EvalAggRow(dst, def, x.lo+f.Ord, unit, args)
-	case x.aggInto == nil:
-		copy(dst, x.prov.EvalAgg(def, unit, args))
 	default:
-		x.aggInto.EvalAggInto(dst, def, unit, args)
+		copy(dst, x.prov.EvalAgg(def, unit, args))
 	}
 	x.argStack = x.argStack[:base]
 	m.set(f.Ord)

@@ -52,17 +52,20 @@ func (p countingProvider) EvalAgg(def *ast.AggDef, unit, args []float64) []float
 	return p.Provider.EvalAgg(def, unit, args)
 }
 
-// countingIndexed adds the indexed provider's zero-alloc and
-// set-at-a-time paths, logging one row per probe of a batch.
+// countingIndexed adds the indexed provider's row probe and
+// set-at-a-time paths, logging one row per probe of a batch. It carries
+// nothing across bindings, so every row's answer is probed and logged.
 type countingIndexed struct {
 	countingProvider
 	ix *exec.Indexed
 }
 
-func (p countingIndexed) EvalAggInto(dst []float64, def *ast.AggDef, unit, args []float64) []float64 {
+func (p countingIndexed) EvalAggRow(dst []float64, def *ast.AggDef, row int, unit, args []float64) []float64 {
 	p.log.add(def, unit, args)
-	return p.ix.EvalAggInto(dst, def, unit, args)
+	return p.ix.EvalAggRow(dst, def, row, unit, args)
 }
+
+func (p countingIndexed) Carries([]float64, *ast.AggDef, int) bool { return false }
 
 func (p countingIndexed) EvalAggBatch(def *ast.AggDef, units [][]float64, args [][]float64) [][]float64 {
 	for i, u := range units {

@@ -303,75 +303,29 @@ func (an *Analyzer) Act(def *ast.ActDef) *ActAnalysis {
 	return a
 }
 
-// refKind classifies which row variables a term mentions.
+// refKind classifies which row variables a term or condition mentions.
 type refKind struct {
 	usesU, usesE, usesParam, usesRandom bool
 }
 
-func (an *Analyzer) termRefs(t ast.Term, unitName string, params []string) refKind {
+// refs reports which row variables n, a term or a condition, mentions.
+func (an *Analyzer) refs(n any, unitName string, params []string) refKind {
 	var r refKind
-	var walk func(t ast.Term)
-	walk = func(t ast.Term) {
-		switch n := t.(type) {
+	ast.Inspect(n, func(x any) bool {
+		switch n := x.(type) {
 		case *ast.VarRef:
-			for _, p := range params[1:] {
-				if p == n.Name {
-					r.usesParam = true
-				}
-			}
+			r.usesParam = r.usesParam || slices.Contains(params[1:], n.Name)
 		case *ast.FieldRef:
 			if n.Base == "e" {
 				r.usesE = true
 			} else if n.Base == unitName {
 				r.usesU = true
 			}
-		case *ast.Field:
-			walk(n.X)
-		case *ast.Pair:
-			walk(n.X)
-			walk(n.Y)
-		case *ast.Neg:
-			walk(n.X)
-		case *ast.Binary:
-			walk(n.X)
-			walk(n.Y)
 		case *ast.Call:
-			if n.Name == "Random" || n.Name == "random" {
-				r.usesRandom = true
-			}
-			for _, a := range n.Args {
-				walk(a)
-			}
+			r.usesRandom = r.usesRandom || n.Name == "Random" || n.Name == "random"
 		}
-	}
-	walk(t)
-	return r
-}
-
-func (an *Analyzer) condRefs(c ast.Cond, unitName string, params []string) refKind {
-	var r refKind
-	var walk func(c ast.Cond)
-	walk = func(c ast.Cond) {
-		switch n := c.(type) {
-		case *ast.Not:
-			walk(n.X)
-		case *ast.And:
-			walk(n.X)
-			walk(n.Y)
-		case *ast.Or:
-			walk(n.X)
-			walk(n.Y)
-		case *ast.Compare:
-			for _, t := range []ast.Term{n.X, n.Y} {
-				tr := an.termRefs(t, unitName, params)
-				r.usesU = r.usesU || tr.usesU
-				r.usesE = r.usesE || tr.usesE
-				r.usesParam = r.usesParam || tr.usesParam
-				r.usesRandom = r.usesRandom || tr.usesRandom
-			}
-		}
-	}
-	walk(c)
+		return true
+	})
 	return r
 }
 
@@ -391,7 +345,7 @@ func (an *Analyzer) classifyConjunct(
 	c ast.Cond, unitName string, params []string,
 	uOnly, eOnly *[]ast.Cond, eqs *[]EqCond, bounds *[]Bound,
 ) bool {
-	refs := an.condRefs(c, unitName, params)
+	refs := an.refs(c, unitName, params)
 	if refs.usesRandom {
 		return false // nondeterministic predicates are never indexed
 	}
@@ -416,9 +370,9 @@ func (an *Analyzer) classifyConjunct(
 	var op ast.CmpOp
 	var other ast.Term
 	switch {
-	case lhsIsE && !an.termRefs(cmp.Y, unitName, params).usesE:
+	case lhsIsE && !an.refs(cmp.Y, unitName, params).usesE:
 		col, op, other = lhsCol, cmp.Op, cmp.Y
-	case rhsIsE && !an.termRefs(cmp.X, unitName, params).usesE:
+	case rhsIsE && !an.refs(cmp.X, unitName, params).usesE:
 		// Mirror: t op e.A  ⇒  e.A op' t.
 		col, other = rhsCol, cmp.X
 		switch cmp.Op {
@@ -541,14 +495,14 @@ func (an *Analyzer) layoutAgg(a *AggAnalysis) {
 		case ClassDivisible:
 			spec := g.payload(a.surf)
 			if a.surf >= 0 {
-				a.divSlot = g.treeSlot(a.surf)
+				a.divSlot = g.addSlot(&g.trees[a.surf].slot)
 			} else {
-				a.divSlot = g.foldSlotFor()
+				a.divSlot = g.addSlot(&g.fold.slot)
 			}
 			a.need |= slotBit(a.divSlot)
 			count := func() int { return spec.col("1", nil, false, 0) }
 			arg := func(squared bool) int {
-				return spec.col(exactForm(out.Arg), a.ArgFn[i], squared, an.termCols(out.Arg, "e"))
+				return spec.col(exactForm(out.Arg), a.ArgFn[i], squared, an.cols(out.Arg, "e"))
 			}
 			switch out.Func {
 			case ast.Count:
@@ -561,14 +515,14 @@ func (an *Analyzer) layoutAgg(a *AggAnalysis) {
 				a.div[i].cnt, a.div[i].sum, a.div[i].sumSq = count(), arg(false), arg(true)
 			}
 		case ClassNearest:
-			a.need |= slotBit(g.kdSlotFor(an.posX, an.posY))
+			a.need |= slotBit(g.kdSlot(an.posX, an.posY))
 			a.ProbeInvariant = false
 		case ClassGlobal:
 			isMin := out.Func == ast.Min || out.Func == ast.ArgMin
-			a.ext[i] = g.extremumFor(isMin, exactForm(out.Arg), a.ArgFn[i], an.termCols(out.Arg, "e"))
-			a.need |= slotBit(g.extSlot)
+			a.ext[i] = g.extremumFor(isMin, exactForm(out.Arg), a.ArgFn[i], an.cols(out.Arg, "e"))
+			a.need |= slotBit(g.ext.slot)
 		case ClassMinMax:
-			a.sweep = g.sweepSlot(a.surf)
+			a.sweep = g.addSlot(&g.sweeps[a.surf].slot)
 			a.ProbeInvariant = false
 		default:
 			a.ProbeInvariant = false
@@ -650,8 +604,8 @@ func (an *Analyzer) reads(def *ast.AggDef) readSet {
 	unit := def.Params[0]
 	var r readSet
 	if def.Where != nil {
-		r.e, r.u = an.condCols(def.Where, "e"), an.condCols(def.Where, unit)
-		r.random = an.condRefs(def.Where, unit, def.Params).usesRandom
+		r.e, r.u = an.cols(def.Where, "e"), an.cols(def.Where, unit)
+		r.random = an.refs(def.Where, unit, def.Params).usesRandom
 	}
 	var pos depMask
 	for _, name := range []string{"posx", "posy"} {
@@ -663,9 +617,9 @@ func (an *Analyzer) reads(def *ast.AggDef) readSet {
 	r.u |= key | pos
 	for _, out := range def.Outputs {
 		if out.Arg != nil {
-			r.e |= an.termCols(out.Arg, "e")
-			r.u |= an.termCols(out.Arg, unit)
-			r.random = r.random || an.termRefs(out.Arg, unit, def.Params).usesRandom
+			r.e |= an.cols(out.Arg, "e")
+			r.u |= an.cols(out.Arg, unit)
+			r.random = r.random || an.refs(out.Arg, unit, def.Params).usesRandom
 		}
 		switch out.Func {
 		case ast.ArgMin, ast.ArgMax:
@@ -677,57 +631,18 @@ func (an *Analyzer) reads(def *ast.AggDef) readSet {
 	return r
 }
 
-// termCols collects the schema columns of every base.Attr reference in t.
-func (an *Analyzer) termCols(t ast.Term, base string) depMask {
+// cols collects the schema columns of every base.Attr reference in n, a
+// term or a condition.
+func (an *Analyzer) cols(n any, base string) depMask {
 	var m depMask
-	var walk func(t ast.Term)
-	walk = func(t ast.Term) {
-		switch n := t.(type) {
-		case *ast.FieldRef:
-			if n.Base == base {
-				if col, ok := an.prog.Schema.Col(n.Field); ok {
-					m |= depMask(ColBit(col))
-				}
-			}
-		case *ast.Field:
-			walk(n.X)
-		case *ast.Pair:
-			walk(n.X)
-			walk(n.Y)
-		case *ast.Neg:
-			walk(n.X)
-		case *ast.Binary:
-			walk(n.X)
-			walk(n.Y)
-		case *ast.Call:
-			for _, a := range n.Args {
-				walk(a)
+	ast.Inspect(n, func(x any) bool {
+		if fr, ok := x.(*ast.FieldRef); ok && fr.Base == base {
+			if col, ok := an.prog.Schema.Col(fr.Field); ok {
+				m |= depMask(ColBit(col))
 			}
 		}
-	}
-	walk(t)
-	return m
-}
-
-// condCols collects the schema columns of every base.Attr reference in c.
-func (an *Analyzer) condCols(c ast.Cond, base string) depMask {
-	var m depMask
-	var walk func(c ast.Cond)
-	walk = func(c ast.Cond) {
-		switch n := c.(type) {
-		case *ast.Not:
-			walk(n.X)
-		case *ast.And:
-			walk(n.X)
-			walk(n.Y)
-		case *ast.Or:
-			walk(n.X)
-			walk(n.Y)
-		case *ast.Compare:
-			m |= an.termCols(n.X, base) | an.termCols(n.Y, base)
-		}
-	}
-	walk(c)
+		return true
+	})
 	return m
 }
 
@@ -738,7 +653,7 @@ func (an *Analyzer) classifyOutput(a *AggAnalysis, out ast.AggOutput) OutputClas
 	// Output arguments may only reference e and constants if they are to
 	// be precomputed into index payloads.
 	if out.Arg != nil {
-		refs := an.termRefs(out.Arg, a.Def.Params[0], a.Def.Params)
+		refs := an.refs(out.Arg, a.Def.Params[0], a.Def.Params)
 		if refs.usesU || refs.usesParam || refs.usesRandom {
 			return ClassScan
 		}
@@ -780,7 +695,7 @@ func (an *Analyzer) analyzeAct(def *ast.ActDef) *ActAnalysis {
 		// shared with every aggregate summing over the same.
 		a.group = an.membershipOf(a.EOnly, a.EOnlyFn, a.Eqs)
 		a.surf = a.group.surfaceAt(axisCols(a.Axes))
-		a.need = slotBit(a.group.treeSlot(a.surf))
+		a.need = slotBit(a.group.addSlot(&a.group.trees[a.surf].slot))
 		a.group.needs = append(a.group.needs, a.need)
 	}
 	return a
@@ -825,7 +740,7 @@ func (an *Analyzer) classifyAct(def *ast.ActDef) *ActAnalysis {
 		a.Class = ActArea
 		a.Deferrable = true
 		for _, set := range def.Sets {
-			refs := an.termRefs(set.Value, def.Params[0], def.Params)
+			refs := an.refs(set.Value, def.Params[0], def.Params)
 			// A deferrable contribution must be a pure function of the
 			// performer: Random(i) is attributed to the *target* row, so
 			// its presence pins the action to the per-target path.

@@ -139,78 +139,31 @@ func (p *Indexed) stationary(a *AggAnalysis, row int) bool {
 	return p.changed.ok && p.changed.row[row]&a.reads.u == 0
 }
 
-// searchNearest is nearest for the probe of env row row (-1: not a row):
-// when the provider keeps a certificate for it, a stationary probe's
-// search also ranks the runners-up and bounds the rest, and records the
-// certificate — the kD points' references are their rows — and any other
-// search voids it.
-func (p *Indexed) searchNearest(a *AggAnalysis, built bool, parts []*part, unit []float64, row int) kdtree.Result {
-	c := p.certSlot(a, row)
-	if c == nil || !built || !p.stationary(a, row) {
-		if c != nil {
-			c.cand[0] = -1
-		}
-		return p.nearest(built, parts, unit)
-	}
-	rk := p.nearestRanked(parts, unit)
-	c.lo = math.Sqrt(rk.Rest) * (1 - certMargin)
-	for i, r := range rk.Top {
-		c.cand[i] = -1
-		if r.Found {
-			c.cand[i] = r.Ref
-		}
-	}
-	return rk.Top[0]
-}
-
-// nearestRanked is nearest over built kD-trees that also ranks the
-// runners-up and bounds the rest of the matched points (kdtree.Ranking).
-func (p *Indexed) nearestRanked(parts []*part, unit []float64) kdtree.Ranking {
-	rk := kdtree.NewRanking()
-	self := int64(unit[p.prog.Schema.KeyCol()])
-	ux, uy := unit[p.an.posX], unit[p.an.posY]
-	for _, part := range parts {
-		p.Stats.KDProbes++
-		pr := part.kd.NearestRanked(ux, uy, self)
-		rk.Rest = min(rk.Rest, pr.Rest)
-		for i := range pr.Top {
-			if r := &pr.Top[i]; r.Found {
-				rk.Add(kdtree.Point{X: r.X, Y: r.Y, Key: r.Key, Ref: r.Ref}, r.DistSq)
-			}
-		}
-	}
-	return rk
-}
-
 // certify answers a's probe of env row row into dst from its certificate
 // when the separation test holds, and carries the certificate forward.
 // The probe row is unchanged in every column it reads through u (Carries
 // checked), so it matches the partitions it matched, whose motion
 // maintenance tracked.
-func (p *Indexed) certify(dst []float64, a *AggAnalysis, row int) bool {
-	c := p.certSlot(a, row)
-	if c == nil || c.cand[0] < 0 {
+func (c *kdClass) certify(p *Indexed, dst []float64, a *AggAnalysis, row int) bool {
+	cert := p.certSlot(a, row)
+	if cert == nil || cert.cand[0] < 0 {
 		return false
 	}
-	g := a.group
-	idx := p.groups[g.ord]
-	if idx == nil || !idx.built.has(g.kdSlot) || len(idx.rowPart) != p.env.Len() || len(idx.list) > 64 {
+	idx := p.groups[a.group.ord]
+	if idx == nil || !idx.built.has(c.slot) || len(idx.rowPart) != p.env.Len() {
 		return false
 	}
 	unit := p.env.Rows[row]
-	p.probeReqs = evalReqs(p.probeReqs[:0], a.Eqs, p.onProbe(unit, nil))
-	reqs := p.probeReqs
 	// The partitions the probe matches, each with its motion tracked.
-	var matched uint64
+	parts, matched, ok := p.matchParts(idx, a.Eqs, p.onProbe(unit, nil))
+	if !ok {
+		return false
+	}
 	step := 0.0
-	for ord, pt := range idx.list {
-		if len(pt.rows) == 0 || !partMatches(p.env.Rows[pt.rows[0]], reqs) {
-			continue
-		}
+	for _, pt := range parts {
 		if !pt.motion.tracked {
 			return false
 		}
-		matched |= 1 << uint(ord)
 		step = max(step, pt.motion.step)
 	}
 	kc, xc, yc := p.prog.Schema.KeyCol(), p.an.posX, p.an.posY
@@ -220,7 +173,7 @@ func (p *Indexed) certify(dst []float64, a *AggAnalysis, row int) bool {
 	// answer if the rest stay behind it.
 	var best kdtree.Point
 	d2 := math.Inf(1)
-	for i, cand := range c.cand {
+	for i, cand := range cert.cand {
 		if cand < 0 {
 			break
 		}
@@ -238,13 +191,10 @@ func (p *Indexed) certify(dst []float64, a *AggAnalysis, row int) bool {
 		return false
 	}
 	lo := math.Inf(1)
-	for ord, pt := range idx.list {
-		if matched&(1<<uint(ord)) == 0 {
-			continue
-		}
+	for _, pt := range parts {
 	far:
 		for _, j := range pt.motion.far {
-			for _, cand := range c.cand {
+			for _, cand := range cert.cand {
 				if j == cand {
 					continue far // measured above
 				}
@@ -262,11 +212,11 @@ func (p *Indexed) certify(dst []float64, a *AggAnalysis, row int) bool {
 			lo = min(lo, math.Sqrt(e2)*(1-certMargin))
 		}
 	}
-	bound := (c.lo - step*(1+certMargin)) * (1 - certMargin)
+	bound := (cert.lo - step*(1+certMargin)) * (1 - certMargin)
 	if !(math.Sqrt(d2)*(1+certMargin) < bound) {
 		return false
 	}
-	c.lo = min(bound, lo)
+	cert.lo = min(bound, lo)
 	for i, o := range a.Def.Outputs {
 		dst[i] = nearestOutput(o.Func, best.Key, best.X, best.Y, d2)
 	}

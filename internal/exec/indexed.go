@@ -11,7 +11,6 @@ import (
 	"github.com/epicscale/sgl/internal/index/kdtree"
 	"github.com/epicscale/sgl/internal/index/ordmap"
 	"github.com/epicscale/sgl/internal/index/rangetree"
-	"github.com/epicscale/sgl/internal/index/segtree"
 	"github.com/epicscale/sgl/internal/index/sorted"
 	"github.com/epicscale/sgl/internal/index/sweepline"
 	"github.com/epicscale/sgl/internal/rng"
@@ -108,9 +107,11 @@ type Indexed struct {
 // views never share a backing array, and a provider inherits its retired
 // predecessor's (Recycle) so a steady tick allocates none of it again.
 type scratch struct {
-	// probeReqs, probeParts and probePayload serve the EvalAggInto probe
-	// path. EvalAgg never touches them, so its returned slices stay safe
-	// to retain.
+	// probeReqs, probeParts and probePayload are every probe's working
+	// memory (matchParts, evalCore): what a probe hands back is its
+	// results alone, in storage its caller owns. No probe runs inside
+	// another on one view — sem admits no aggregate call inside a
+	// definition, so no WHERE, payload or SET closure probes.
 	probeReqs    []matchReq
 	probeParts   []*part
 	probePayload []float64
@@ -143,8 +144,7 @@ type scratch struct {
 // Stats counts the work the indexed evaluator performed in one tick.
 type Stats struct {
 	// IndexBuilds counts per-partition structure builds: range trees,
-	// folds, kD-trees, extrema (sweep orderings are the sort every sweep
-	// used to repeat, and are not counted).
+	// folds, kD-trees, extrema (not sweep orderings: sweepClass).
 	IndexBuilds int
 	// IndexReuses counts structures carried over unchanged from the
 	// previous tick by MaintainFrom, and IndexPatches counts range trees
@@ -319,7 +319,7 @@ func (p *Indexed) FreezeParallel(workers int) {
 	}
 	if workers <= 1 {
 		for _, u := range units {
-			p.buildSlots(u.g, u.part, u.slots)
+			p.refresh(u.g, u.part, slotOps{build: u.slots})
 		}
 	} else {
 		views := make([]*Indexed, workers)
@@ -332,7 +332,7 @@ func (p *Indexed) FreezeParallel(workers int) {
 			go func() {
 				defer wg.Done()
 				for u := next.Add(1) - 1; u < int64(len(units)); u = next.Add(1) - 1 {
-					v.buildSlots(units[u].g, units[u].part, units[u].slots)
+					v.refresh(units[u].g, units[u].part, slotOps{build: units[u].slots})
 				}
 			}()
 		}
@@ -479,9 +479,8 @@ type part struct {
 	key  string // partition key, as in partIndex.parts
 	ord  int32  // position in partIndex.list
 	rows []int  // env row indexes, ascending
-	// trees and sweeps are by surface: the range tree and the sweep
-	// orderings (sorted once per build, read by every output, window
-	// height and view sweeping this partition).
+	// trees and sweeps are by surface (surface.at); each structure is
+	// its class's (classes.go).
 	trees  []rangetree.Tree
 	sweeps []sweepline.Order
 	fold   []float64 // the fold's payload sums over rows, in row order
@@ -491,12 +490,6 @@ type part struct {
 	// motion how they moved at this tick's maintenance (certify.go).
 	kdPrev []kdtree.Point
 	motion motion
-}
-
-type globalExt struct {
-	val float64
-	key int64
-	ok  bool
 }
 
 // finish derives the parts' ordinals from list, and with rowPart set the
@@ -693,7 +686,7 @@ func (p *Indexed) groupFor(g *membership, need slotMask) *groupIndex {
 	if miss := need &^ idx.built; miss != 0 {
 		p.guardLazyBuild("index")
 		for _, pt := range idx.list {
-			p.buildSlots(g, pt, miss)
+			p.refresh(g, pt, slotOps{build: miss})
 		}
 		idx.built |= miss
 	}
@@ -717,42 +710,6 @@ func (p *Indexed) scanGroup(g *membership) *groupIndex {
 	return idx
 }
 
-// buildSlots (re)builds the given structures of one partition from the
-// current environment rows, into the partition's own storage. Each is a
-// pure function of the member rows' values, which is what lets
-// MaintainFrom reuse a partition whose members did not change.
-func (p *Indexed) buildSlots(g *membership, pt *part, slots slotMask) {
-	for s, sl := range g.slots {
-		if !slots.has(s) {
-			continue
-		}
-		switch sl.kind {
-		case slotTree:
-			pt.trees = sized(pt.trees, len(g.surfaces))
-			sf := &g.surfaces[sl.at]
-			p.Stats.AddResort(pt.trees[sl.at].Rebuild(p.partPoints(sf.x, sf.y, pt.rows), len(sf.payload.fns), p.partVals(&sf.payload, pt.rows)))
-			p.Stats.IndexBuilds++
-		case slotSweep:
-			pt.sweeps = sized(pt.sweeps, len(g.surfaces))
-			p.buildSweep(&g.surfaces[sl.at], &pt.sweeps[sl.at], pt.rows)
-		case slotFold:
-			pt.fold = p.foldRows(&g.fold, pt.rows, pt.fold)
-			p.Stats.IndexBuilds++
-		case slotKD:
-			pts := p.partKDPoints(pt.rows)
-			pt.trackMotion(pts, p.tracking)
-			pt.kd.Rebuild(pts)
-			p.Stats.IndexBuilds++
-		case slotExt:
-			pt.ext = sized(pt.ext, len(g.exts))
-			for i := range g.exts {
-				pt.ext[i] = p.foldExt(&g.exts[i], pt.rows)
-			}
-			p.Stats.IndexBuilds++
-		}
-	}
-}
-
 // sized returns s with length n, keeping it (and its elements' storage)
 // when it already has that length.
 func sized[T any](s []T, n int) []T {
@@ -760,129 +717,6 @@ func sized[T any](s []T, n int) []T {
 		return make([]T, n)
 	}
 	return s
-}
-
-// partPoints returns the range-tree points of a partition's rows over the
-// axis columns (x, y), in row order. On the position axes of a provider
-// holding the position column (SeedPositions) a partition of every row
-// gets the column itself, and any other partition the column's entries
-// for its rows; everything else is gathered from the rows. All but the
-// column itself land in the view's scratch.
-func (p *Indexed) partPoints(xCol, yCol int, rows []int) []rangetree.Point {
-	column := p.pos != nil && xCol == p.an.posX && yCol == p.an.posY
-	if column && len(rows) == len(p.pos) {
-		return p.pos // rows ascend without repeats, so they are all of them
-	}
-	if cap(p.pts) < len(rows) {
-		p.pts = make([]rangetree.Point, len(rows))
-	}
-	p.pts = p.pts[:len(rows)]
-	if column {
-		for j, ri := range rows {
-			p.pts[j] = p.pos[ri]
-		}
-		return p.pts
-	}
-	for j, ri := range rows {
-		row := p.env.Rows[ri]
-		p.pts[j] = rangetree.Point{X: axisVal(row, xCol), Y: axisVal(row, yCol)}
-	}
-	return p.pts
-}
-
-// partVals evaluates the flattened payload columns of a partition's rows,
-// in row order, into the view's scratch — all a payload-preserving
-// Repatch needs (the points are unchanged by definition there).
-func (p *Indexed) partVals(spec *payloadSpec, rows []int) []float64 {
-	w := len(spec.fns)
-	if cap(p.vals) < len(rows)*w {
-		p.vals = make([]float64, len(rows)*w)
-	}
-	p.vals = p.vals[:len(rows)*w]
-	for j, ri := range rows {
-		p.rowPayload(spec, p.env.Rows[ri], p.vals[j*w:(j+1)*w])
-	}
-	return p.vals
-}
-
-// rowPayload evaluates one row's payload columns into dst.
-func (p *Indexed) rowPayload(spec *payloadSpec, row, dst []float64) {
-	f := p.onRow(row)
-	for c, fn := range spec.fns {
-		v := 1.0
-		if fn != nil {
-			v = fn(f)
-			if spec.squared[c] {
-				v *= v
-			}
-		}
-		dst[c] = v
-	}
-}
-
-// foldRows sums the payload columns of a partition's rows into dst (grown
-// to the payload's width), each column left to right in row order from
-// zero — the root prefix of the range tree no axes would build — and
-// returns it.
-func (p *Indexed) foldRows(spec *payloadSpec, rows []int, dst []float64) []float64 {
-	w := len(spec.fns)
-	dst = sized(dst, w)
-	clear(dst)
-	if cap(p.vals) < w {
-		p.vals = make([]float64, w)
-	}
-	vals := p.vals[:w]
-	for _, ri := range rows {
-		p.rowPayload(spec, p.env.Rows[ri], vals)
-		for c, v := range vals {
-			dst[c] = dst[c] + v
-		}
-	}
-	return dst
-}
-
-// buildSweep (re)sorts a partition's sweep orderings over the surface in
-// place.
-func (p *Indexed) buildSweep(sf *surface, o *sweepline.Order, rows []int) {
-	kc := p.prog.Schema.KeyCol()
-	p.sites = p.sites[:0]
-	for _, ri := range rows {
-		row := p.env.Rows[ri]
-		p.sites = append(p.sites, sweepline.Site{X: axisVal(row, sf.x), Y: axisVal(row, sf.y), Key: int64(row[kc])})
-	}
-	p.Stats.AddResort(o.Rebuild(p.sites))
-}
-
-// partKDPoints evaluates the kD-tree points of a partition's rows, in row
-// order, into the view's scratch; each point's reference is its row.
-func (p *Indexed) partKDPoints(rows []int) []kdtree.Point {
-	xc, yc, kc := p.an.posX, p.an.posY, p.prog.Schema.KeyCol()
-	if cap(p.kdPts) < len(rows) {
-		p.kdPts = make([]kdtree.Point, len(rows))
-	}
-	p.kdPts = p.kdPts[:len(rows)]
-	for j, ri := range rows {
-		row := p.env.Rows[ri]
-		p.kdPts[j] = kdtree.Point{X: row[xc], Y: row[yc], Key: int64(row[kc]), Ref: int32(ri)}
-	}
-	return p.kdPts
-}
-
-// foldExt folds an extremum over a partition's rows, in row order: the
-// first row wins among equal values unless a later one has a smaller key.
-func (p *Indexed) foldExt(e *extremum, rows []int) globalExt {
-	kc := p.prog.Schema.KeyCol()
-	ext := globalExt{}
-	for _, ri := range rows {
-		row := p.env.Rows[ri]
-		v := e.fn(p.onRow(row))
-		k := int64(row[kc])
-		if !ext.ok || (e.isMin && v < ext.val) || (!e.isMin && v > ext.val) ||
-			(v == ext.val && k < ext.key) {
-			ext = globalExt{val: v, key: k, ok: true}
-		}
-	}
-	return ext
 }
 
 // axisCols maps the analysis' range axes to the (x, y) of the 2-d indices;
@@ -936,53 +770,34 @@ type matchReq struct {
 	neq bool
 }
 
-// evalReqs evaluates the eq conjuncts' right-hand sides for the probe
-// bound to f, appending to reqs.
-func evalReqs(reqs []matchReq, eqs []EqCond, f *expr.Frame) []matchReq {
+// matchParts returns the partitions of idx consistent with the eq
+// conjuncts for the probe bound to f, in partition order, in the view's
+// scratch (valid until its next match), and the set of their ordinals as
+// a bitmask (ok is false when the index has more than 64 partitions and
+// the set does not fit). A partition is tested through any member row:
+// every member agrees on the eq columns.
+func (p *Indexed) matchParts(idx *groupIndex, eqs []EqCond, f *expr.Frame) (parts []*part, mask uint64, ok bool) {
+	reqs := p.probeReqs[:0]
 	for i := range eqs {
 		reqs = append(reqs, matchReq{col: eqs[i].Col, val: eqs[i].Fn(f), neq: eqs[i].Neq})
 	}
-	return reqs
-}
-
-// partMatches tests a partition — through any member row; every member
-// agrees on the eq columns — against the evaluated requirements.
-func partMatches(sample []float64, reqs []matchReq) bool {
-	for _, rq := range reqs {
-		if (sample[rq.col] == rq.val) == rq.neq {
-			return false
-		}
-	}
-	return true
-}
-
-// matchParts returns the partitions consistent with the eq conjuncts for
-// the probe bound to f, in deterministic order, plus the set of their
-// ordinals as a bitmask (ok is false when the index has more than 64
-// partitions and the set does not fit). With scratch set it reuses the
-// per-instance probe buffers — the result is only valid until the next
-// scratch call on this view.
-func (p *Indexed) matchParts(idx *groupIndex, eqs []EqCond, f *expr.Frame, scratch bool) (out []*part, mask uint64, ok bool) {
-	var reqs []matchReq
-	if scratch {
-		reqs, out = p.probeReqs[:0], p.probeParts[:0]
-	} else {
-		reqs = make([]matchReq, 0, len(eqs))
-	}
-	reqs = evalReqs(reqs, eqs, f)
+	parts = p.probeParts[:0]
+next:
 	for ord, pt := range idx.list {
 		if len(pt.rows) == 0 {
 			continue
 		}
-		if partMatches(p.env.Rows[pt.rows[0]], reqs) {
-			out = append(out, pt)
-			mask |= 1 << uint(ord&63)
+		sample := p.env.Rows[pt.rows[0]]
+		for _, rq := range reqs {
+			if (sample[rq.col] == rq.val) == rq.neq {
+				continue next
+			}
 		}
+		parts = append(parts, pt)
+		mask |= 1 << uint(ord&63)
 	}
-	if scratch {
-		p.probeReqs, p.probeParts = reqs, out
-	}
-	return out, mask, len(idx.list) <= 64
+	p.probeReqs, p.probeParts = reqs, parts
+	return parts, mask, len(idx.list) <= 64
 }
 
 // fillIdentities writes the empty-set identity of every output into out,
@@ -1011,23 +826,16 @@ func fillIdentities(out []float64, def *ast.AggDef) []float64 {
 // probes, nearest outputs are kD-tree descents, global extrema are O(1)
 // lookups; MinMax-class outputs fall back to a partition scan on this
 // single-probe path (the batch path in EvalAggBatch uses the sweep line).
+// The result is newly allocated; the probe itself runs on the view's
+// scratch.
 func (p *Indexed) EvalAgg(def *ast.AggDef, unit []float64, args []float64) []float64 {
-	return p.evalCore(nil, def, -1, unit, args, false)
+	return p.evalCore(make([]float64, len(def.Outputs)), def, -1, unit, args, false)
 }
 
-// EvalAggInto is EvalAgg writing its results into dst, which must have
-// length len(def.Outputs); it returns dst. The probe runs on per-instance
-// scratch buffers, so a serial caller that owns this view (each engine
-// shard works on its own Fork) pays no allocation per probe. Results must
-// be copied out before the next EvalAggInto call if they are retained —
-// callers that keep slices across probes belong on EvalAgg.
-func (p *Indexed) EvalAggInto(dst []float64, def *ast.AggDef, unit []float64, args []float64) []float64 {
-	return p.evalCore(dst, def, -1, unit, args, false)
-}
-
-// EvalAggRow is EvalAggInto for the probe of env row row, unit being that
-// row: a nearest answer's search also records what certifies it next
-// tick (Carries).
+// EvalAggRow is EvalAgg writing its results into dst, which must have
+// length len(def.Outputs), for the probe of env row row (-1: unit is no
+// row); it returns dst. A nearest answer's search also records what
+// certifies it next tick (Carries).
 func (p *Indexed) EvalAggRow(dst []float64, def *ast.AggDef, row int, unit []float64, args []float64) []float64 {
 	return p.evalCore(dst, def, row, unit, args, false)
 }
@@ -1039,17 +847,10 @@ type invariantAnswer struct {
 	vals []float64
 }
 
-// evalCore answers one probe, of env row row when row >= 0. A nil dst
-// allocates fresh result (and internal) slices, so the return is safe to
-// retain; a non-nil dst of length len(def.Outputs) receives the results
-// in place and switches the probe internals to the per-instance scratch
-// buffers — the zero-alloc path behind EvalAggInto.
+// evalCore answers one probe, of env row row when row >= 0, into dst
+// (length len(def.Outputs)), each output from its class (classes.go).
 func (p *Indexed) evalCore(dst []float64, def *ast.AggDef, row int, unit []float64, args []float64, skipMinMax bool) []float64 {
-	scratch := dst != nil
 	a := p.an.Agg(def)
-	if !scratch {
-		dst = make([]float64, len(def.Outputs))
-	}
 	if !a.Indexable {
 		p.Stats.ScanProbes++
 		return p.scanAgg(dst, a, unit, args)
@@ -1072,7 +873,7 @@ func (p *Indexed) evalCore(dst []float64, def *ast.AggDef, row int, unit []float
 	g := a.group
 	idx := p.groupFor(g, need)
 	f = p.onProbe(unit, args) // a lazy index build rebinds the frame row by row
-	parts, mask, maskOK := p.matchParts(idx, a.Eqs, f, scratch)
+	parts, mask, maskOK := p.matchParts(idx, a.Eqs, f)
 
 	// A probe-invariant definition answers every probe that matched the
 	// same partitions identically: the rectangle is unbounded whoever
@@ -1091,45 +892,16 @@ func (p *Indexed) evalCore(dst []float64, def *ast.AggDef, row int, unit []float
 	out := fillIdentities(dst, def)
 	var payload []float64
 	if a.divSlot >= 0 {
-		spec := g.payload(a.surf)
-		w := len(spec.fns)
-		if scratch {
-			if cap(p.probePayload) < w {
-				p.probePayload = make([]float64, w)
-			}
-			payload = p.probePayload[:w]
-			clear(payload)
-		} else {
-			payload = make([]float64, w)
+		w := len(g.payload(a.surf).fns)
+		if cap(p.probePayload) < w {
+			p.probePayload = make([]float64, w)
 		}
-		// A structure an unbuilt provider lacks is replaced by one pass
-		// over the partition's rows that adds the same sums.
-		built := idx.built.has(a.divSlot)
-		for _, part := range parts {
-			switch {
-			case a.surf < 0:
-				fold := part.fold
-				if built {
-					p.Stats.TreeProbes++
-				} else {
-					p.fold = p.foldRows(spec, part.rows, p.fold)
-					fold = p.fold
-					p.Stats.ScanProbes++
-				}
-				for c, v := range fold {
-					payload[c] += v
-				}
-			case built:
-				p.Stats.BoundSteps += part.trees[a.surf].Aggregate(rect, payload)
-				p.Stats.TreeProbes++
-			default:
-				rows := part.rows
-				sf := &g.surfaces[a.surf]
-				rangetree.AggregateOnce(&p.once, p.partPoints(sf.x, sf.y, rows), func(i int, dst []float64) {
-					p.rowPayload(spec, p.env.Rows[rows[i]], dst)
-				}, rect, payload)
-				p.Stats.ScanProbes++
-			}
+		payload = p.probePayload[:w]
+		clear(payload)
+		if a.surf < 0 {
+			g.fold.add(p, idx, parts, payload)
+		} else {
+			g.trees[a.surf].add(p, idx, parts, rect, payload)
 		}
 	}
 
@@ -1139,53 +911,16 @@ func (p *Indexed) evalCore(dst []float64, def *ast.AggDef, row int, unit []float
 	for i, o := range def.Outputs {
 		switch a.OutClass[i] {
 		case ClassDivisible:
-			d := a.div[i]
-			switch o.Func {
-			case ast.Count:
-				out[i] = payload[d.cnt]
-			case ast.Sum:
-				out[i] = payload[d.sum]
-			case ast.Avg:
-				if payload[d.cnt] > 0 {
-					out[i] = payload[d.sum] / payload[d.cnt]
-				}
-			case ast.Stddev:
-				if cnt := payload[d.cnt]; cnt > 0 {
-					mean := payload[d.sum] / cnt
-					variance := payload[d.sumSq]/cnt - mean*mean
-					if variance < 0 {
-						variance = 0
-					}
-					out[i] = math.Sqrt(variance)
-				}
-			}
+			out[i] = a.div[i].output(o.Func, payload)
 		case ClassNearest:
 			if !searched {
-				best, searched = p.searchNearest(a, idx.built.has(g.kdSlot), parts, unit, row), true
+				best, searched = g.kd.search(p, a, idx, parts, unit, row), true
 			}
 			if best.Found {
 				out[i] = nearestOutput(o.Func, best.Key, best.X, best.Y, best.DistSq)
 			}
 		case ClassGlobal:
-			e := &g.exts[a.ext[i]]
-			built := idx.built.has(g.extSlot)
-			ext := globalExt{}
-			for _, part := range parts {
-				var pe globalExt
-				if built {
-					pe = part.ext[a.ext[i]]
-				} else {
-					pe = p.foldExt(e, part.rows)
-				}
-				if !pe.ok {
-					continue
-				}
-				if !ext.ok || (e.isMin && pe.val < ext.val) || (!e.isMin && pe.val > ext.val) ||
-					(pe.val == ext.val && pe.key < ext.key) {
-					ext = pe
-				}
-			}
-			if ext.ok {
+			if ext := g.ext.answer(p, idx, parts, a.ext[i]); ext.ok {
 				switch o.Func {
 				case ast.Min, ast.Max:
 					out[i] = ext.val
@@ -1205,45 +940,6 @@ func (p *Indexed) evalCore(dst []float64, def *ast.AggDef, row int, unit []float
 		p.invariant = append(p.invariant, invariantAnswer{def: def, mask: mask, vals: append([]float64(nil), out...)})
 	}
 	return out
-}
-
-// nearestOutput is a nearest output's value for the winner key at (x, y),
-// squared distance d2 from the probe.
-func nearestOutput(fn ast.AggFunc, key int64, x, y, d2 float64) float64 {
-	switch fn {
-	case ast.NearestKey:
-		return float64(key)
-	case ast.NearestX:
-		return x
-	case ast.NearestY:
-		return y
-	default:
-		return math.Sqrt(d2)
-	}
-}
-
-// nearest searches the matched partitions for the unit's nearest other
-// row: each partition's kD-tree when built, one pass over its rows
-// otherwise. Ties go to the smaller key.
-func (p *Indexed) nearest(built bool, parts []*part, unit []float64) kdtree.Result {
-	best := kdtree.Result{DistSq: math.Inf(1)}
-	self := int64(unit[p.prog.Schema.KeyCol()])
-	ux, uy := unit[p.an.posX], unit[p.an.posY]
-	for _, part := range parts {
-		var r kdtree.Result
-		if built {
-			p.Stats.KDProbes++
-			r = part.kd.Nearest(ux, uy, self)
-		} else {
-			p.Stats.ScanProbes++
-			r = kdtree.NearestOnce(p.partKDPoints(part.rows), ux, uy, self)
-		}
-		if r.Found && (!best.Found || r.DistSq < best.DistSq ||
-			(r.DistSq == best.DistSq && r.Key < best.Key)) {
-			best = r
-		}
-	}
-	return best
 }
 
 // scanAgg evaluates a non-indexable definition by scanning the whole
@@ -1322,7 +1018,7 @@ func (p *Indexed) EvalAggBatch(def *ast.AggDef, units [][]float64, args [][]floa
 		results[i] = p.evalCore(flat[i*w:(i+1)*w:(i+1)*w], def, -1, units[i], arg, sweep)
 	}
 	if sweep {
-		p.evalMinMaxBatch(a, units, args, results)
+		a.group.sweeps[a.surf].sweep(p, a, units, args, results)
 	}
 	return results
 }
@@ -1349,157 +1045,6 @@ func (p *Indexed) BatchBeneficial(def *ast.AggDef) bool {
 		}
 	}
 	return false
-}
-
-// batchScratch is a view's working storage for evalMinMaxBatch, kept from
-// batch to batch.
-type batchScratch struct {
-	sweeper sweepline.Sweeper
-	groups  []sweepGroup
-	// byPart lists, by partition ordinal, the groups sweeping that
-	// partition (one per window height, a handful at most).
-	byPart   [][]int32
-	vals     [][]float64 // by partition ordinal: the current output's value column
-	valsDone []bool
-	argFold  []argState // by result row: the current output's winning (value, key)
-}
-
-type sweepGroup struct {
-	part   *part
-	height float64
-	probes []sweepline.Probe
-	rowIdx []int32 // result row per probe
-}
-
-// argState is the running answer of an arg-extremum output for one row:
-// the result row stores the winning key, the value it won with is here.
-type argState struct {
-	val float64
-	key int64
-	ok  bool
-}
-
-// evalMinMaxBatch fills the MinMax-class outputs of results via sweeps.
-func (p *Indexed) evalMinMaxBatch(a *AggAnalysis, units [][]float64, args [][]float64, results [][]float64) {
-	def := a.Def
-	idx := p.groupFor(a.group, a.need|slotBit(a.sweep))
-	b := &p.batch
-
-	// Each probe goes to the partitions its eq conjuncts select; probes
-	// are grouped by (partition, window height), groups in order of first
-	// appearance, probes within a group in unit order. The grouping is the
-	// same for every output.
-	b.groups = b.groups[:0]
-	if len(b.byPart) < len(idx.list) {
-		b.byPart = append(b.byPart, make([][]int32, len(idx.list)-len(b.byPart))...)
-	}
-	for ord := range b.byPart {
-		b.byPart[ord] = b.byPart[ord][:0]
-	}
-probes:
-	for i, unit := range units {
-		var arg []float64
-		if args != nil {
-			arg = args[i]
-		}
-		f := p.onProbe(unit, arg)
-		for _, c := range a.UOnlyFn {
-			if !c(f) {
-				continue probes
-			}
-		}
-		rect := probeRect(a.Axes, f)
-		matched, _, _ := p.matchParts(idx, a.Eqs, f, true)
-		cx, rx := sweepline.CenterHalf(rect.MinX, rect.MaxX)
-		cy, ryHalf := sweepline.CenterHalf(rect.MinY, rect.MaxY)
-		for _, pt := range matched {
-			height := 2 * ryHalf
-			gi := int32(-1)
-			for _, k := range b.byPart[pt.ord] {
-				if b.groups[k].height == height {
-					gi = k
-					break
-				}
-			}
-			if gi < 0 {
-				gi = int32(len(b.groups))
-				b.byPart[pt.ord] = append(b.byPart[pt.ord], gi)
-				if len(b.groups) < cap(b.groups) {
-					b.groups = b.groups[:gi+1] // reuse the slot's probe buffers
-				} else {
-					b.groups = append(b.groups, sweepGroup{})
-				}
-				g := &b.groups[gi]
-				g.part, g.height, g.probes, g.rowIdx = pt, height, g.probes[:0], g.rowIdx[:0]
-			}
-			g := &b.groups[gi]
-			g.probes = append(g.probes, sweepline.Probe{X: cx, Y: cy, RX: rx, Exclude: sweepline.NoExclude})
-			g.rowIdx = append(g.rowIdx, int32(i))
-		}
-	}
-
-	if len(b.vals) < len(idx.list) {
-		b.vals = append(b.vals, make([][]float64, len(idx.list)-len(b.vals))...)
-		b.valsDone = make([]bool, len(idx.list))
-	}
-	for outIdx, o := range def.Outputs {
-		if a.OutClass[outIdx] != ClassMinMax {
-			continue
-		}
-		op := segtree.Min
-		if o.Func == ast.Max || o.Func == ast.ArgMax {
-			op = segtree.Max
-		}
-		isArg := o.Func == ast.ArgMin || o.Func == ast.ArgMax
-		if isArg {
-			if cap(b.argFold) < len(units) {
-				b.argFold = make([]argState, len(units))
-			}
-			b.argFold = b.argFold[:len(units)]
-			clear(b.argFold)
-		}
-		clear(b.valsDone)
-		for gi := range b.groups {
-			g := &b.groups[gi]
-			// The output's value column over the partition, evaluated once
-			// however many window heights sweep it.
-			vals := b.vals[g.part.ord]
-			if !b.valsDone[g.part.ord] {
-				vals = vals[:0]
-				for _, ri := range g.part.rows {
-					vals = append(vals, a.ArgFn[outIdx](p.onRow(p.env.Rows[ri])))
-				}
-				b.vals[g.part.ord], b.valsDone[g.part.ord] = vals, true
-			}
-			p.Stats.Sweeps++
-			for j, r := range b.sweeper.Sweep(&g.part.sweeps[a.surf], vals, g.probes, g.height/2, op) {
-				if !r.Found {
-					continue
-				}
-				ri := g.rowIdx[j]
-				cur := &results[ri][outIdx]
-				switch {
-				case isArg:
-					// Arg-extrema fold across partitions on the value, which
-					// the result row (holding the key) does not carry.
-					st := &b.argFold[ri]
-					if !st.ok || (op == segtree.Min && r.Value < st.val) || (op == segtree.Max && r.Value > st.val) ||
-						(r.Value == st.val && r.Key < st.key) {
-						*st = argState{val: r.Value, key: r.Key, ok: true}
-						*cur = float64(r.Key)
-					}
-				case op == segtree.Min:
-					if r.Value < *cur {
-						*cur = r.Value
-					}
-				default:
-					if r.Value > *cur {
-						*cur = r.Value
-					}
-				}
-			}
-		}
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -1560,18 +1105,8 @@ func (p *Indexed) SelectTargetRows(def *ast.ActDef, self int, unit []float64, ar
 	case ActArea:
 		idx := p.groupFor(a.group, a.need)
 		f = p.onProbe(unit, args) // a lazy index build rebinds the frame row by row
-		rect := probeRect(a.Axes, f)
-		reqs := evalReqs(p.probeReqs[:0], a.Eqs, f)
-		p.probeReqs = reqs
-		for _, part := range idx.list {
-			if len(part.rows) == 0 || !partMatches(p.env.Rows[part.rows[0]], reqs) {
-				continue
-			}
-			part.trees[a.surf].Report(rect, func(j int) {
-				ri := part.rows[j]
-				visit(ri, p.env.Rows[ri])
-			})
-		}
+		parts, _, _ := p.matchParts(idx, a.Eqs, f)
+		a.group.trees[a.surf].report(p, parts, probeRect(a.Axes, f), visit)
 	default:
 		p.Stats.ScanProbes++
 		for ri, row := range p.env.Rows {

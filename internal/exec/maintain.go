@@ -105,9 +105,10 @@ func (p *Indexed) MaintainFrom(prev *Indexed, d Delta, threshold float64) bool {
 			p.Stats.MaintainFallbacks += len(g.needs)
 			continue
 		}
+		deps := g.slotDeps()
 		var dropped slotMask
-		for s := range g.slots {
-			if shape, vals := g.slotDeps(s); idx.built.has(s) && churned(g.deps|shape|vals) {
+		for s, d := range deps[:g.slots] {
+			if idx.built.has(s) && churned(g.deps|d.shape|d.vals) {
 				dropped |= slotBit(s)
 			}
 		}
@@ -117,7 +118,7 @@ func (p *Indexed) MaintainFrom(prev *Indexed, d Delta, threshold float64) bool {
 				p.Stats.MaintainFallbacks++
 			}
 		}
-		ch.group[ord] = p.maintainGroup(g, idx, d)
+		ch.group[ord] = p.maintainGroup(g, idx, d, &deps)
 		p.groups[ord] = idx
 		maintained = true
 	}
@@ -175,7 +176,7 @@ func (p *Indexed) Carries(dst []float64, def *ast.AggDef, row int) bool {
 		p.Stats.CarriedAnswers++
 		return true
 	}
-	if a.cert >= 0 && p.certify(dst, a, row) {
+	if a.cert >= 0 && a.group.kd.certify(p, dst, a, row) {
 		p.Stats.CertifiedAnswers++
 		return true
 	}
@@ -217,7 +218,7 @@ type arrival struct {
 // founds one, empty and relabeled, after the existing ones in idx.list.
 // It returns the group's entry of changes.group. Its working memory is
 // the provider's scratch: a steady tick allocates nothing here.
-func (p *Indexed) classifyDirty(g *membership, idx *groupIndex, d Delta) (changed depMask) {
+func (p *Indexed) classifyDirty(g *membership, idx *groupIndex, d Delta, deps *[maxSlots]slotDep) (changed depMask) {
 	p.fates = slices.Grow(p.fates[:0], len(idx.list))[:len(idx.list)]
 	clear(p.fates)
 	p.arrivals = p.arrivals[:0]
@@ -254,13 +255,13 @@ func (p *Indexed) classifyDirty(g *membership, idx *groupIndex, d Delta) (change
 			continue // still filtered out; nothing indexed depends on it
 		}
 		var rebuild, repatch slotMask
-		for s := range g.slots {
+		for s, dep := range deps[:g.slots] {
 			if !idx.built.has(s) {
 				continue
 			}
-			if shape, vals := g.slotDeps(s); mask&shape != 0 {
+			if mask&dep.shape != 0 {
 				rebuild |= slotBit(s)
-			} else if mask&vals != 0 {
+			} else if mask&dep.vals != 0 {
 				repatch |= slotBit(s)
 			}
 		}
@@ -300,13 +301,14 @@ func mergeMembership(rows []int, arrivals []arrival, moved []depMask, deps depMa
 
 // maintainGroup brings a group index built over the previous tick's rows
 // up to date in place: the same structures built, each now a function of
-// the current rows. It returns the group's changed columns (changes).
-func (p *Indexed) maintainGroup(g *membership, idx *groupIndex, d Delta) depMask {
-	changed := p.classifyDirty(g, idx, d)
+// the current rows. deps are the group's slotDeps. It returns the group's
+// changed columns (changes).
+func (p *Indexed) maintainGroup(g *membership, idx *groupIndex, d Delta, deps *[maxSlots]slotDep) depMask {
+	changed := p.classifyDirty(g, idx, d, deps)
 	arrivals, live := p.arrivals, idx.list[:0]
 	// A kD-tree kept is a partition that did not move; one rebuilt here
 	// records how its points moved (trackMotion).
-	kd := g.kdSlot >= 0 && idx.built.has(g.kdSlot)
+	kd := idx.built.has(g.kd.slot)
 	p.tracking = true
 	for ord, pt := range idx.list {
 		if kd {
@@ -322,21 +324,19 @@ func (p *Indexed) maintainGroup(g *membership, idx *groupIndex, d Delta) depMask
 		case f == partFate{}:
 			// No relevant dirty member: every structure is a pure function
 			// of unchanged rows, so the whole partition carries over.
-			p.countReuses(g, idx.built)
+			p.refresh(g, pt, slotOps{keep: idx.built})
 		case f.relabel:
 			pt.rows = mergeMembership(pt.rows, mine, p.changed.row, g.deps)
 			if len(pt.rows) == 0 {
 				delete(idx.parts, pt.key) // partition vanished; drop it like the scan would
 				continue
 			}
-			p.buildSlots(g, pt, idx.built)
+			p.refresh(g, pt, slotOps{build: idx.built})
 		default:
 			// Membership intact: refresh only the invalidated structures.
 			rebuild := f.rebuild & idx.built
 			repatch := f.repatch & idx.built &^ rebuild
-			p.buildSlots(g, pt, rebuild)
-			p.repatchSlots(g, pt, repatch)
-			p.countReuses(g, idx.built&^(rebuild|repatch))
+			p.refresh(g, pt, slotOps{build: rebuild, patch: repatch, keep: idx.built &^ (rebuild | repatch)})
 		}
 		live = append(live, pt)
 	}
@@ -348,31 +348,4 @@ func (p *Indexed) maintainGroup(g *membership, idx *groupIndex, d Delta) depMask
 	slices.SortFunc(idx.list, func(a, b *part) int { return cmp.Compare(a.rows[0], b.rows[0]) })
 	idx.finish(p.env.Len(), true)
 	return changed
-}
-
-// repatchSlots recomputes the payload sums of the given range trees and
-// folds of one partition in place: their points did not move.
-func (p *Indexed) repatchSlots(g *membership, pt *part, slots slotMask) {
-	for s, sl := range g.slots {
-		if !slots.has(s) {
-			continue
-		}
-		switch sl.kind {
-		case slotTree:
-			pt.trees[sl.at].Repatch(p.partVals(&g.surfaces[sl.at].payload, pt.rows))
-		case slotFold:
-			pt.fold = p.foldRows(&g.fold, pt.rows, pt.fold)
-		}
-		p.Stats.IndexPatches++
-	}
-}
-
-// countReuses books the reuse of a partition's structures in slots (sweep
-// orderings are not counted, as they are not counted when built).
-func (p *Indexed) countReuses(g *membership, slots slotMask) {
-	for s, sl := range g.slots {
-		if slots.has(s) && sl.kind != slotSweep {
-			p.Stats.IndexReuses++
-		}
-	}
 }

@@ -18,21 +18,24 @@ import (
 // same partitions. NewAnalyzer gathers such definitions — aggregates and
 // area actions alike — into one membership group; a provider scans each
 // group's rows once and keeps, per partition, one set of structures for
-// the whole group:
+// the whole group, each laid out by its class (classes.go):
 //
 //   - per surface (a distinct pair of range-axis columns), one range tree
-//     carrying the union of the payload columns its definitions sum — the
-//     tree area actions report targets from, too — and, when a MIN/MAX
-//     output sweeps the surface, one set of sweep orderings;
-//   - one kD-tree, shared by every nearest-neighbour output;
-//   - one row-order fold of the payload columns the axis-less divisible
-//     outputs sum;
+//     (treeClass) carrying the union of the payload columns its
+//     definitions sum — the tree area actions report targets from, too —
+//     and, when a MIN/MAX output sweeps the surface, one set of sweep
+//     orderings (sweepClass);
+//   - one kD-tree (kdClass), shared by every nearest-neighbour output;
+//   - one row-order fold (foldClass) of the payload columns the axis-less
+//     divisible outputs sum;
 //   - one extremum per distinct (direction, argument) of the global
-//     MIN/MAX outputs, all folded together.
+//     MIN/MAX outputs, all folded together (extClass).
 //
 // Each structure is a slot of the group: built the first time a probe
 // needs it (all of them by Freeze), and maintained (MaintainFrom) and
-// recycled (Recycle) with the group's partitions.
+// recycled (Recycle) with the group's partitions. Its class builds,
+// patches and keeps it (refresh) and answers probes from it, or without
+// it on a provider that never built it.
 //
 // Sharing changes no answer's bits. A range tree's shape — x-ranks,
 // canonical nodes, (y, index) orders — is a function of its points alone,
@@ -67,27 +70,9 @@ func slotBit(s int) slotMask {
 
 func (m slotMask) has(s int) bool { return m&slotBit(s) != 0 }
 
-// slotKind says what structure a slot is.
-type slotKind uint8
-
-const (
-	slotTree  slotKind = iota // a surface's range tree
-	slotSweep                 // a surface's sweep orderings
-	slotFold                  // the group's row-order fold
-	slotKD                    // the group's kD-tree
-	slotExt                   // the group's global extrema
-)
-
-// slot is one per-partition structure of a group; at is the surface it
-// belongs to (tree, sweep).
-type slot struct {
-	kind slotKind
-	at   int
-}
-
 // membership is one group of indexable definitions selecting the same
-// partitions, and the layout of the structures kept over them. Fixed by
-// NewAnalyzer, read-only afterwards.
+// partitions, and the layout of the structures kept over them, one class
+// each (classes.go). Fixed by NewAnalyzer, read-only afterwards.
 type membership struct {
 	ord   int
 	key   string      // exact e-only forms and partition columns
@@ -96,27 +81,25 @@ type membership struct {
 	// deps are the membership columns: partition columns and the e-only
 	// conjuncts' columns. A change to one may move a row between
 	// partitions.
-	deps     depMask
-	surfaces []surface
-	fold     payloadSpec
-	foldSlot int // -1 when no axis-less divisible output
-	kdSlot   int // -1 when no nearest output
-	kdDeps   depMask
-	exts     []extremum
-	extSlot  int // -1 when no global output
-	extDeps  depMask
-	slots    []slot
+	deps depMask
+	// trees and sweeps are by surface (a distinct pair of range-axis
+	// columns), in order of first use.
+	trees  []treeClass
+	sweeps []sweepClass
+	fold   foldClass
+	kd     kdClass
+	ext    extClass
+	slots  int // slots in use
 	// needs holds, per member definition, every slot it reads.
 	needs []slotMask
 }
 
-// surface is one pair of range-axis columns (-1 where absent) of a group.
+// surface is one pair of range-axis columns (-1 where absent) of a group
+// and its ordinal, the index of its structures in a part.
 type surface struct {
-	x, y    int
-	shape   depMask // the axis columns: the tree's and the sweep's sort keys
-	payload payloadSpec
-	tree    int // slot of the range tree, -1 when none
-	sweep   int // slot of the sweep orderings, -1 when none
+	x, y  int
+	shape depMask // the axis columns: the tree's and the sweep's sort keys
+	at    int
 }
 
 // extremum is one global MIN/MAX fold over a partition: the direction and
@@ -161,6 +144,31 @@ type divCols struct {
 	cnt, sum, sumSq int // -1 when unused
 }
 
+// output is the divisible output fn's value from the summed payload
+// columns: its empty-set identity, 0, when it counted nothing.
+func (d divCols) output(fn ast.AggFunc, payload []float64) float64 {
+	switch fn {
+	case ast.Count:
+		return payload[d.cnt]
+	case ast.Sum:
+		return payload[d.sum]
+	case ast.Avg:
+		if payload[d.cnt] > 0 {
+			return payload[d.sum] / payload[d.cnt]
+		}
+	case ast.Stddev:
+		if cnt := payload[d.cnt]; cnt > 0 {
+			mean := payload[d.sum] / cnt
+			variance := payload[d.sumSq]/cnt - mean*mean
+			if variance < 0 {
+				variance = 0
+			}
+			return math.Sqrt(variance)
+		}
+	}
+	return 0
+}
+
 // exactForm is n's canonical printed form made exact: the ast printer
 // rounds numeric literals to six decimals, so each literal's bits follow.
 func exactForm(n any) string {
@@ -188,81 +196,61 @@ func (an *Analyzer) membershipOf(eonly []ast.Cond, eonlyFn []expr.Cond, eqs []Eq
 	slices.Sort(forms)
 	key := fmt.Sprint(cols) + "\n" + strings.Join(forms, "\n")
 	for _, g := range an.groups {
-		if g.key == key && len(g.slots)+defSlots <= maxSlots {
+		if g.key == key && g.slots+defSlots <= maxSlots {
 			return g
 		}
 	}
-	g := &membership{ord: len(an.groups), key: key, eonly: eonlyFn, cols: cols, foldSlot: -1, kdSlot: -1, extSlot: -1}
+	g := &membership{ord: len(an.groups), key: key, eonly: eonlyFn, cols: cols,
+		fold: foldClass{slot: -1}, kd: kdClass{slot: -1}, ext: extClass{slot: -1}}
 	for _, c := range cols {
 		g.deps |= depMask(ColBit(c))
 	}
 	for _, c := range eonly {
-		g.deps |= an.condCols(c, "e")
+		g.deps |= an.cols(c, "e")
 	}
 	an.groups = append(an.groups, g)
 	return g
 }
 
-func (g *membership) addSlot(kind slotKind, at int) int {
-	g.slots = append(g.slots, slot{kind, at})
-	return len(g.slots) - 1
+// addSlot claims the group's next slot for *slot, unless it holds one.
+func (g *membership) addSlot(slot *int) int {
+	if *slot < 0 {
+		*slot = g.slots
+		g.slots++
+	}
+	return *slot
 }
 
 // surfaceAt returns the index of the surface over columns (x, y), adding
 // it if absent.
 func (g *membership) surfaceAt(x, y int) int {
-	for i, s := range g.surfaces {
-		if s.x == x && s.y == y {
+	for i, c := range g.trees {
+		if c.x == x && c.y == y {
 			return i
 		}
 	}
-	sf := surface{x: x, y: y, tree: -1, sweep: -1}
+	sf := surface{x: x, y: y, at: len(g.trees)}
 	for _, c := range []int{x, y} {
 		if c >= 0 {
 			sf.shape |= depMask(ColBit(c))
 		}
 	}
-	g.surfaces = append(g.surfaces, sf)
-	return len(g.surfaces) - 1
+	g.trees = append(g.trees, treeClass{surface: sf, slot: -1})
+	g.sweeps = append(g.sweeps, sweepClass{surface: sf, slot: -1})
+	return sf.at
 }
 
-// treeSlot returns the slot of surface s's range tree, adding it if absent.
-func (g *membership) treeSlot(s int) int {
-	if g.surfaces[s].tree < 0 {
-		g.surfaces[s].tree = g.addSlot(slotTree, s)
-	}
-	return g.surfaces[s].tree
-}
-
-// sweepSlot returns the slot of surface s's sweep orderings, adding it if
-// absent.
-func (g *membership) sweepSlot(s int) int {
-	if g.surfaces[s].sweep < 0 {
-		g.surfaces[s].sweep = g.addSlot(slotSweep, s)
-	}
-	return g.surfaces[s].sweep
-}
-
-// foldSlotFor returns the slot of the group's fold, adding it if absent.
-func (g *membership) foldSlotFor() int {
-	if g.foldSlot < 0 {
-		g.foldSlot = g.addSlot(slotFold, 0)
-	}
-	return g.foldSlot
-}
-
-// kdSlotFor returns the slot of the group's kD-tree over the position
+// kdSlot returns the slot of the group's kD-tree over the position
 // columns (posX, posY), adding it if absent.
-func (g *membership) kdSlotFor(posX, posY int) int {
-	if g.kdSlot < 0 {
-		g.kdSlot = g.addSlot(slotKD, 0)
+func (g *membership) kdSlot(posX, posY int) int {
+	if g.kd.slot < 0 {
 		for _, c := range []int{posX, posY} {
 			if c >= 0 {
-				g.kdDeps |= depMask(ColBit(c))
+				g.kd.shape |= depMask(ColBit(c))
 			}
 		}
 	}
-	return g.kdSlot
+	return g.addSlot(&g.kd.slot)
 }
 
 // extremumFor returns the index of the group's extremum of the argument
@@ -270,48 +258,25 @@ func (g *membership) kdSlotFor(posX, posY int) int {
 // slot) if absent. MIN and ARGMIN of one argument share an extremum (as
 // MAX and ARGMAX do): both read the same (value, key) fold.
 func (g *membership) extremumFor(isMin bool, key string, fn expr.Num, deps depMask) int {
-	if g.extSlot < 0 {
-		g.extSlot = g.addSlot(slotExt, 0)
-	}
-	for i, e := range g.exts {
+	g.addSlot(&g.ext.slot)
+	for i, e := range g.ext.exts {
 		if e.isMin == isMin && e.key == key {
 			return i
 		}
 	}
-	g.exts = append(g.exts, extremum{key: key, isMin: isMin, fn: fn})
-	g.extDeps |= deps
-	return len(g.exts) - 1
+	g.ext.exts = append(g.ext.exts, extremum{key: key, isMin: isMin, fn: fn})
+	g.ext.shape |= deps
+	return len(g.ext.exts) - 1
 }
 
 // payload is the payload layout divisible outputs on surface surf sum:
 // the surface's tree's, or the fold's without axes (surf < 0).
 func (g *membership) payload(surf int) *payloadSpec {
 	if surf < 0 {
-		return &g.fold
+		return &g.fold.payload
 	}
-	return &g.surfaces[surf].payload
+	return &g.trees[surf].payload
 }
 
 // all is the set of every slot of the group.
-func (g *membership) all() slotMask { return slotMask(1)<<len(g.slots) - 1 }
-
-// slotDeps returns what invalidates slot s built over a partition whose
-// membership is unchanged: a changed shape column rebuilds it, a changed
-// vals column alone recomputes its payload sums in place (range trees,
-// the fold).
-func (g *membership) slotDeps(s int) (shape, vals depMask) {
-	sl := g.slots[s]
-	switch sl.kind {
-	case slotTree:
-		sf := &g.surfaces[sl.at]
-		return sf.shape, sf.payload.deps
-	case slotSweep:
-		return g.surfaces[sl.at].shape, 0
-	case slotFold:
-		return 0, g.fold.deps
-	case slotKD:
-		return g.kdDeps, 0
-	default:
-		return g.extDeps, 0
-	}
-}
+func (g *membership) all() slotMask { return slotMask(1)<<g.slots - 1 }

@@ -177,9 +177,9 @@ func TestUnbuiltMatchesFrozen(t *testing.T) {
 						for i, unit := range probes {
 							want := ff.EvalAgg(def, unit, args)
 							got := uf.EvalAgg(def, unit, args)
-							into := uf.EvalAggInto(make([]float64, len(want)), def, unit, args)
+							into := uf.EvalAggRow(make([]float64, len(want)), def, -1, unit, args)
 							for c := range want {
-								for how, v := range map[string]float64{"EvalAgg": got[c], "EvalAggInto": into[c], "EvalAggBatch": batch[i][c]} {
+								for how, v := range map[string]float64{"EvalAgg": got[c], "EvalAggRow": into[c], "EvalAggBatch": batch[i][c]} {
 									if math.Float64bits(v) != math.Float64bits(want[c]) && !(v != v && want[c] != want[c]) {
 										t.Fatalf("seed %d, %s, column %v, probe %d %v, output %d (%s): unbuilt %s %v (%#x), frozen %v (%#x)",
 											seed, def.Name, column, i, unit[:5], c, an.Agg(def).OutClass[c], how,

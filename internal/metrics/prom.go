@@ -5,15 +5,16 @@
 // imports nothing from the engine; the paper-figure experiments live in
 // cmd/benchfig.
 //
-// The registry holds counters and gauges rendered in the text exposition
-// format, so an sgld daemon (or any other embedder) can expose
-// operational state on /metrics and be scraped by a stock Prometheus.
-// Only the two metric kinds the server needs are implemented — monotone
-// counters and settable gauges, both float64-valued, with an optional
-// fixed label set per series. Series are identified by (name, sorted
-// labels); Registry.Counter and Registry.Gauge are get-or-create, so
-// call sites can look series up on the hot path without holding their
-// own references.
+// The registry holds counters, gauges and histograms rendered in the
+// text exposition format, so an sgld daemon (or any other embedder) can
+// expose operational state on /metrics and be scraped by a stock
+// Prometheus. Only the metric kinds the server needs are implemented —
+// monotone counters and settable gauges, both float64-valued, and
+// histograms over fixed power-of-two buckets — with an optional fixed
+// label set per series. Series are identified by (name, sorted labels);
+// Registry.Counter, Registry.Gauge and Registry.Histogram are
+// get-or-create, so call sites can look series up on the hot path
+// without holding their own references.
 package metrics
 
 import (
@@ -99,12 +100,62 @@ func (g *Gauge) Add(v float64) {
 // Value returns the current gauge value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// series is one registered (name, labels) time series.
+// Histogram buckets: bucket i counts the observations v with
+// 2^(histMinExp+i-1) < v ≤ 2^(histMinExp+i), the first also every smaller
+// value, and one more bucket (+Inf) those above the last bound — for
+// seconds, ≈1 µs to 8 s in factors of two.
+const (
+	histMinExp  = -20
+	histBuckets = 24
+)
+
+// Histogram counts float64 observations in fixed power-of-two buckets,
+// with their sum. The zero value is usable; all methods are safe for
+// concurrent use, and an observation allocates nothing.
+type Histogram struct {
+	counts [histBuckets + 1]atomic.Uint64 // per bucket, not cumulative; the last is +Inf
+	sum    Gauge
+}
+
+// Observe records one value. NaN falls in the +Inf bucket.
+func (h *Histogram) Observe(v float64) {
+	i := histBuckets
+	if v <= math.Ldexp(1, histMinExp) {
+		i = 0
+	} else if v <= math.Ldexp(1, histMinExp+histBuckets-1) {
+		frac, exp := math.Frexp(v) // v = frac·2^exp, frac in [0.5, 1)
+		if frac == 0.5 {
+			exp-- // a power of two is its own bucket's bound
+		}
+		i = exp - histMinExp
+	}
+	h.counts[i].Add(1)
+	h.sum.Add(v)
+}
+
+// Buckets returns the cumulative count of observations at or below each
+// bucket's upper bound, the last (+Inf) being the total count.
+func (h *Histogram) Buckets() [histBuckets + 1]uint64 {
+	var cum [histBuckets + 1]uint64
+	var n uint64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+		cum[i] = n
+	}
+	return cum
+}
+
+// Sum returns the sum of the observations.
+func (h *Histogram) Sum() float64 { return h.sum.Value() }
+
+// series is one registered (name, labels) time series: exactly one of
+// counter, gauge and hist is set.
 type series struct {
 	name    string
 	labels  string // rendered {k="v",…} suffix, "" when unlabeled
 	counter *Counter
 	gauge   *Gauge
+	hist    *Histogram
 }
 
 // Registry holds named metric series and renders them in the Prometheus
@@ -127,33 +178,62 @@ func (r *Registry) Help(name, text string) {
 }
 
 // Counter returns the counter series for (name, labels), creating it on
-// first use. It panics if the series already exists as a gauge.
+// first use. It panics if the series already exists as another kind.
 func (r *Registry) Counter(name string, labels ...Label) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s := r.locked(name, labels)
 	if s.counter == nil {
-		if s.gauge != nil {
-			panic(fmt.Sprintf("metrics: %s%s registered as gauge", s.name, s.labels))
-		}
+		s.claim("counter")
 		s.counter = &Counter{}
 	}
 	return s.counter
 }
 
 // Gauge returns the gauge series for (name, labels), creating it on first
-// use. It panics if the series already exists as a counter.
+// use. It panics if the series already exists as another kind.
 func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s := r.locked(name, labels)
 	if s.gauge == nil {
-		if s.counter != nil {
-			panic(fmt.Sprintf("metrics: %s%s registered as counter", s.name, s.labels))
-		}
+		s.claim("gauge")
 		s.gauge = &Gauge{}
 	}
 	return s.gauge
+}
+
+// Histogram returns the histogram series for (name, labels), creating it
+// on first use. It panics if the series already exists as another kind.
+func (r *Registry) Histogram(name string, labels ...Label) *Histogram {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s := r.locked(name, labels)
+	if s.hist == nil {
+		s.claim("histogram")
+		s.hist = &Histogram{}
+	}
+	return s.hist
+}
+
+// claim panics unless s is still without a metric of any kind.
+func (s *series) claim(kind string) {
+	if s.kind() != "" {
+		panic(fmt.Sprintf("metrics: %s%s registered as %s, asked for a %s", s.name, s.labels, s.kind(), kind))
+	}
+}
+
+// kind is the exposition TYPE of s's metric, "" before it has one.
+func (s *series) kind() string {
+	switch {
+	case s.counter != nil:
+		return "counter"
+	case s.gauge != nil:
+		return "gauge"
+	case s.hist != nil:
+		return "histogram"
+	}
+	return ""
 }
 
 // locked returns the series for (name, labels), creating the entry if
@@ -258,20 +338,35 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 			if h, ok := help[s.name]; ok {
 				fmt.Fprintf(w, "# HELP %s %s\n", s.name, h)
 			}
-			kind := "gauge"
-			if s.counter != nil {
-				kind = "counter"
-			}
-			fmt.Fprintf(w, "# TYPE %s %s\n", s.name, kind)
+			fmt.Fprintf(w, "# TYPE %s %s\n", s.name, s.kind())
 			prev = s.name
 		}
-		var v float64
 		switch {
 		case s.counter != nil:
-			v = s.counter.Value()
+			fmt.Fprintf(w, "%s%s %v\n", s.name, s.labels, s.counter.Value())
 		case s.gauge != nil:
-			v = s.gauge.Value()
+			fmt.Fprintf(w, "%s%s %v\n", s.name, s.labels, s.gauge.Value())
+		case s.hist != nil:
+			writeHistogram(w, s)
 		}
-		fmt.Fprintf(w, "%s%s %v\n", s.name, s.labels, v)
 	}
+}
+
+// writeHistogram renders a histogram series: its cumulative _bucket
+// series, each labeled le with its upper bound, then _sum and _count.
+func writeHistogram(w io.Writer, s *series) {
+	cum := s.hist.Buckets()
+	open := "{"
+	if s.labels != "" {
+		open = s.labels[:len(s.labels)-1] + ","
+	}
+	for i, n := range cum {
+		le := "+Inf"
+		if i < histBuckets {
+			le = fmt.Sprint(math.Ldexp(1, histMinExp+i))
+		}
+		fmt.Fprintf(w, "%s_bucket%sle=\"%s\"} %d\n", s.name, open, le, n)
+	}
+	fmt.Fprintf(w, "%s_sum%s %v\n", s.name, s.labels, s.hist.Sum())
+	fmt.Fprintf(w, "%s_count%s %d\n", s.name, s.labels, cum[histBuckets])
 }

@@ -174,3 +174,54 @@ func TestLabelEscaping(t *testing.T) {
 		t.Errorf("escaped label missing %q in:\n%s", want, b.String())
 	}
 }
+
+// TestHistogramExposition: a histogram renders one cumulative _bucket
+// series per power-of-two bound, le last among its labels, then _sum and
+// _count — the count being the +Inf bucket — and each value lands in the
+// first bucket whose bound it does not exceed.
+func TestHistogramExposition(t *testing.T) {
+	var r Registry
+	h := r.Histogram("tick_seconds", L("session", "a"))
+	for _, v := range []float64{0, 1e-9, 0.25, 0.3, 0.5, 8, 9} {
+		h.Observe(v)
+	}
+	var b strings.Builder
+	r.WritePrometheus(&b)
+	out := b.String()
+	for _, w := range []string{
+		"# TYPE tick_seconds histogram",
+		`tick_seconds_bucket{session="a",le="9.5367431640625e-07"} 2`,
+		`tick_seconds_bucket{session="a",le="0.125"} 2`,
+		`tick_seconds_bucket{session="a",le="0.25"} 3`,
+		`tick_seconds_bucket{session="a",le="0.5"} 5`,
+		`tick_seconds_bucket{session="a",le="8"} 6`,
+		`tick_seconds_bucket{session="a",le="+Inf"} 7`,
+		`tick_seconds_sum{session="a"} 18.050000001`,
+		`tick_seconds_count{session="a"} 7`,
+	} {
+		if !strings.Contains(out, w) {
+			t.Errorf("exposition missing %q\n%s", w, out)
+		}
+	}
+	cum := h.Buckets()
+	for i := 1; i < len(cum); i++ {
+		if cum[i] < cum[i-1] {
+			t.Fatalf("buckets not cumulative: %v", cum)
+		}
+	}
+	r.Histogram("plain").Observe(1)
+	b.Reset()
+	r.WritePrometheus(&b)
+	if want := `plain_bucket{le="1"} 1`; !strings.Contains(b.String(), want) {
+		t.Errorf("unlabeled histogram missing %q:\n%s", want, b.String())
+	}
+	if got := r.DeleteSeries(L("session", "a")); got != 1 {
+		t.Errorf("DeleteSeries removed %d series, want the histogram", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Counter on a histogram series should panic")
+		}
+	}()
+	r.Counter("plain")
+}

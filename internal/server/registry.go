@@ -171,6 +171,7 @@ type World struct {
 	replicaLag *metrics.Gauge // sgld_replica_lag_ticks{session=…}; nil for primaries
 
 	ticks         *metrics.Counter
+	tickSecs      *metrics.Histogram
 	queriesTotal  *metrics.Counter
 	querySecs     *metrics.Counter
 	queryErrs     *metrics.Counter
@@ -337,7 +338,7 @@ func (w *World) Step(n int) error {
 	before := w.sess.Tick()
 	var err error
 	for i := 0; i < n; i++ {
-		if err = w.sess.Step(1); err != nil {
+		if err = w.step(); err != nil {
 			break
 		}
 		w.notifySubscribers()
@@ -346,6 +347,19 @@ func (w *World) Step(n int) error {
 	w.mu.Lock()
 	w.stepping--
 	w.mu.Unlock()
+	return err
+}
+
+// step advances the session one tick and records how long it took in
+// sgld_tick_seconds: every tick the server drives — a client's step, the
+// clock's, a replica's — runs through here. The wall clock is read here,
+// never inside the engine, so the timing changes no byte of the world.
+func (w *World) step() error {
+	start := time.Now()
+	err := w.sess.Step(1)
+	if err == nil {
+		w.tickSecs.Observe(time.Since(start).Seconds())
+	}
 	return err
 }
 
@@ -410,7 +424,7 @@ func (w *World) clockLoop(clk *clock, rate float64) {
 			return
 		default:
 		}
-		if err := w.sess.Step(1); err != nil {
+		if err := w.step(); err != nil {
 			w.mu.Lock()
 			w.clockErr = err
 			if w.clk == clk {
@@ -635,7 +649,7 @@ func (w *World) ReplicaAdvance(target int64, entries []engine.StampedCommand) er
 				return fmt.Errorf("server: replica %s: replay tick %d: %w", w.Name, t+1, err)
 			}
 		}
-		if err := w.sess.Step(1); err != nil {
+		if err := w.step(); err != nil {
 			return fmt.Errorf("server: replica %s: step: %w", w.Name, err)
 		}
 		w.notifySubscribers()
@@ -673,6 +687,7 @@ func NewRegistry() *Registry {
 	r.Metrics.Help("sgld_sessions_created_total", "Worlds created since start.")
 	r.Metrics.Help("sgld_sessions_deleted_total", "Worlds deleted since start.")
 	r.Metrics.Help("sgld_ticks_total", "Clock ticks advanced, per session.")
+	r.Metrics.Help("sgld_tick_seconds", "Wall time of each tick the server drives (client step, clock, replica), per session.")
 	r.Metrics.Help("sgld_queries_total", "Observation queries served, per session.")
 	r.Metrics.Help("sgld_query_seconds_total", "Time spent evaluating observation queries, per session.")
 	r.Metrics.Help("sgld_query_errors_total", "Observation queries rejected or failed, per session.")
@@ -723,6 +738,7 @@ func compileWorldScript(src string) (*sem.Program, error) {
 func (r *Registry) attachCounters(w *World) {
 	l := metrics.L("session", w.Name)
 	w.ticks = r.Metrics.Counter("sgld_ticks_total", l)
+	w.tickSecs = r.Metrics.Histogram("sgld_tick_seconds", l)
 	w.queriesTotal = r.Metrics.Counter("sgld_queries_total", l)
 	w.querySecs = r.Metrics.Counter("sgld_query_seconds_total", l)
 	w.queryErrs = r.Metrics.Counter("sgld_query_errors_total", l)
