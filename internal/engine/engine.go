@@ -133,7 +133,7 @@ type Options struct {
 	// this package's differentials set it: 1 maintains whatever the
 	// churn (the hostile setting), a tiny value falls back on any, and a
 	// negative one never maintains — MaintainFrom is not called, so no
-	// index is reused or patched and no answer carried or patched: the
+	// index is reused or patched and no answer carried: the
 	// rebuild side of maintained ≡ rebuilt.
 	threshold float64
 	// midTick, when set, runs between a tick's decision phase and its
@@ -150,8 +150,7 @@ type Options struct {
 
 // DefaultIncrementalThreshold is the per-definition dirty-row fraction
 // above which index maintenance falls back to a from-scratch rebuild
-// (patching most of an index costs more than rebuilding it), and above
-// which a maintained answer rederives instead of patching.
+// (patching most of an index costs more than rebuilding it).
 const DefaultIncrementalThreshold = 0.3
 
 // Engine simulates one battle. The Engine itself is not safe for
@@ -273,7 +272,7 @@ type Engine struct {
 	viewWork exec.Stats
 
 	// Observation-query state (see query.go): qmu guards the per-query
-	// cache of analyzers and maintained answers. Index providers are not
+	// cache of analyzers. Index providers are not
 	// here — they belong to the read view they index. queryOneShots counts
 	// the probes views answered (QueryOneShots); readers bump it while a
 	// tick runs, so it is an atomic outside Stats and reaches no checkpoint.
@@ -305,14 +304,7 @@ type RunStats struct {
 	// was valid and is in the journal).
 	CommandsApplied  int
 	CommandsRejected int
-	// Maintained-answer verdicts (answers.go): cached answers returned
-	// untouched, patched in place, and marked for re-derivation. Like
-	// IndexStats, deliberately not checkpoint-serialized — they depend on
-	// which spectators were watching, not on the world.
-	AnswerHits      int
-	AnswerPatches   int
-	AnswerRederives int
-	IndexStats      exec.Stats
+	IndexStats       exec.Stats
 	// EffectsByWorker splits EffectsApplied by the worker shard that
 	// produced each effect row (all in slot 0 at Workers 1).
 	EffectsByWorker []int
@@ -563,7 +555,6 @@ func (e *Engine) Tick() error {
 	e.resurrect(e.dead)
 	e.applyCommands()
 	e.captureIncremental()
-	e.maintainAnswers()
 	e.commit()
 	return nil
 }

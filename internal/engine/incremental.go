@@ -8,8 +8,8 @@
 // state the engine keeps; the delta is what separates it from the next.
 // The diff also yields a per-row changed-column mask, which is what lets
 // MaintainFrom tell a unit that merely cooled down apart from one that
-// moved. The same delta drives answer maintenance (answers.go), names
-// the rows the next read view copies (publishView) and, through
+// moved. The same delta names the rows the next read view copies
+// (publishView) and, through
 // MaintainFrom, decides which of the previous tick's aggregate answers
 // the shard executors carry over instead of probing again
 // (exec.Indexed.Carries).
@@ -33,15 +33,6 @@ import (
 	"github.com/epicscale/sgl/internal/rng"
 )
 
-// incThreshold is the dirty fraction maintenance and answer patching fall
-// back past: DefaultIncrementalThreshold, unless a test overrides it.
-func (e *Engine) incThreshold() float64 {
-	if t := e.opts.threshold; t != 0 {
-		return t
-	}
-	return DefaultIncrementalThreshold
-}
-
 // newIndexedProvider builds the tick's indexed provider out of the
 // previous tick's: patched from its structures when a valid delta exists
 // and no tune came between — MaintainFrom then decides per structure
@@ -54,7 +45,11 @@ func (e *Engine) newIndexedProvider(r rng.TickSource) *exec.Indexed {
 	prov := exec.NewIndexed(e.an, e.env, r)
 	prov.SeedKeyIndex(e.keyIndex())
 	if prev := e.prevProv; prev != nil {
-		if e.deltaOK && !e.tuned && e.opts.threshold >= 0 && prov.MaintainFrom(prev, e.delta, e.incThreshold()) {
+		thr := DefaultIncrementalThreshold
+		if e.opts.threshold != 0 {
+			thr = e.opts.threshold // a test's
+		}
+		if e.deltaOK && !e.tuned && thr >= 0 && prov.MaintainFrom(prev, e.delta, thr) {
 			e.Stats.MaintainTicks++
 			e.Stats.DirtyRows += len(e.delta.Dirty)
 		}
@@ -83,7 +78,7 @@ func (e *Engine) captureIncremental() {
 	}
 	prev := e.view.Load().env.Rows
 	// The delta's storage is reused tick to tick: its previous contents
-	// were consumed by this tick's maintenance, answers and nothing else.
+	// were consumed by this tick's maintenance and nothing else.
 	// It is sized for every row up front, so no tick grows it.
 	n := len(e.env.Rows)
 	if cap(e.delta.Dirty) < n {

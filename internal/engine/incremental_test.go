@@ -15,9 +15,8 @@ import (
 )
 
 // neverMaintain is the threshold of the rebuild seam: an engine run with
-// it never calls MaintainFrom — every tick rebuilds its indexes, carries
-// no answer and patches no maintained answer. It is the reference side of
-// maintained ≡ rebuilt.
+// it never calls MaintainFrom — every tick rebuilds its indexes and
+// carries no answer. It is the reference side of maintained ≡ rebuilt.
 const neverMaintain = -1
 
 // rebuildOnly sets the rebuild seam.
@@ -427,9 +426,9 @@ func newSentryEngine(t testing.TB, n int) *Engine {
 // masks. In the sentry world only the scouts move, so a quiet tick
 // rebuilds the scouts' kD-trees and nothing else. A morale set on a
 // knight changes a column no index reads: the tick whose commit applies
-// it patches the maintained sum(e.morale) answer — whose read set it is
-// in — and the next one, the first whose indexes see the edit, must
-// rebuild exactly what a quiet tick does. A posx set on a knight must
+// it, and the next one, the first whose indexes see the edit, must each
+// rebuild exactly what a quiet tick does, while a sum(e.morale) read
+// on every view shows the edit. A posx set on a knight must
 // still rebuild that knight's partition in the tick after its commit.
 func TestCommandSetDirtiesOnlyItsColumn(t *testing.T) {
 	e := newSentryEngine(t, 600)
@@ -445,9 +444,9 @@ func TestCommandSetDirtiesOnlyItsColumn(t *testing.T) {
 	}
 	key := int64(e.env.Rows[knight][kc])
 
-	read := func() {
+	read := func() float64 {
 		t.Helper()
-		got, err := e.QueryMaintained(morale, World())
+		got, err := e.ReadView().Query(morale, World())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -456,40 +455,41 @@ func TestCommandSetDirtiesOnlyItsColumn(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got[0] != scan[0] {
-			t.Fatalf("tick %d: maintained sum(morale) %v, scan %v", e.TickCount(), got[0], scan[0])
+			t.Fatalf("tick %d: sum(morale) %v, scan %v", e.TickCount(), got[0], scan[0])
 		}
+		return got[0]
 	}
-	// step submits cmds, ticks, and returns the tick's index builds and
-	// answer patches.
-	step := func(cmds ...Command) (builds, patches int) {
+	// step submits cmds, ticks, and returns the tick's index builds.
+	step := func(cmds ...Command) int {
 		t.Helper()
 		if len(cmds) > 0 {
 			if err := e.Submit("test", cmds...); err != nil {
 				t.Fatal(err)
 			}
 		}
-		b0, p0 := e.Stats.IndexStats.IndexBuilds, e.Stats.AnswerPatches
+		b0 := e.Stats.IndexStats.IndexBuilds
 		if err := e.Tick(); err != nil {
 			t.Fatal(err)
 		}
 		read()
-		return e.Stats.IndexStats.IndexBuilds - b0, e.Stats.AnswerPatches - p0
+		return e.Stats.IndexStats.IndexBuilds - b0
 	}
 	read()
 	step()
-	scouts, _ := step()
+	scouts := step()
 	if scouts != 2 {
 		t.Fatalf("a quiet tick built %d structures, want the two players' scout kD-trees", scouts)
 	}
 
-	builds, patches := step(Command{Op: OpSet, Key: key, Col: "morale", Val: 77})
-	if builds != scouts {
+	mc := e.prog.Schema.MustCol("morale")
+	before, want := read(), e.env.Rows[knight][mc]+100
+	if builds := step(Command{Op: OpSet, Key: key, Col: "morale", Val: want}); builds != scouts {
 		t.Errorf("the tick whose commit applies a morale set built %d structures, a quiet tick %d", builds, scouts)
 	}
-	if patches != 1 {
-		t.Errorf("the morale set patched %d maintained answers, want the Morale answer", patches)
+	if read() == before {
+		t.Errorf("sum(morale) %v did not move after the morale set", before)
 	}
-	if builds, _ := step(); builds != scouts {
+	if builds := step(); builds != scouts {
 		t.Errorf("the first tick to index a morale set built %d structures, a quiet tick %d", builds, scouts)
 	}
 
@@ -510,13 +510,13 @@ func TestCommandSetDirtiesOnlyItsColumn(t *testing.T) {
 	if !free(nx) {
 		t.Fatalf("knight %d at (%v, %v) has no free square beside it", key, x, y)
 	}
-	if builds, _ := step(Command{Op: OpSet, Key: key, Col: "posx", Val: nx}); builds != scouts {
+	if builds := step(Command{Op: OpSet, Key: key, Col: "posx", Val: nx}); builds != scouts {
 		t.Errorf("the tick whose commit applies a posx set built %d structures, a quiet tick %d", builds, scouts)
 	}
 	if e.env.Rows[knight][px] != nx {
 		t.Fatalf("the posx set was not applied: knight at x=%v, want %v", e.env.Rows[knight][px], nx)
 	}
-	if builds, _ := step(); builds <= scouts {
+	if builds := step(); builds <= scouts {
 		t.Errorf("the first tick to index a posx set on a knight built %d structures, no more than a quiet tick's %d: its partition was not rebuilt", builds, scouts)
 	}
 }

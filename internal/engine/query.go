@@ -24,10 +24,11 @@
 // fan-out benchmark's baseline) use.
 //
 // A Probe says whose eyes a query looks through: the world's, an
-// observer's at a position, or a live unit's. Query, QueryScan and
-// Engine.QueryMaintained take the same Probe and check it, and resolve
-// its unit, in one place (Query.probeRow), so the three paths accept the
-// same probes and reject the rest with the same errors.
+// observer's at a position, or a live unit's. Query and QueryScan take
+// the same Probe and check it, and resolve its unit, in one place
+// (Query.probeRow), so both paths accept the same probes and reject the
+// rest with the same errors. A push subscription is Query on the view
+// of the tick it names: there is no other way to answer a query.
 //
 // Concurrency: Query/QueryScan may be called from any number of
 // goroutines at any time, concurrently with Tick. A query issued while
@@ -226,8 +227,9 @@ func unitCols(def *ast.AggDef, schema *table.Schema) []int {
 
 // queryState lives on the Engine (see engine.go fields): a generation
 // counter bumped once per Tick plus one cache entry per Query, holding
-// what outlives a tick — the query's analyzer and its maintained answers.
-// The engine-wide qmu guards only the map and the recency bookkeeping.
+// what outlives a tick — the query's analyzer, which almost every query
+// would otherwise build afresh on a view no one has read yet. The
+// engine-wide qmu guards only the map and the recency bookkeeping.
 type queryState struct {
 	gen   uint64
 	seq   uint64 // global use counter, for LRU over the cap
@@ -237,13 +239,6 @@ type queryState struct {
 type queryCacheEntry struct {
 	mu sync.Mutex // guards an (built by the first reader)
 	an *exec.Analyzer
-	// Maintained answers (answers.go). amu guards plan and answers; the
-	// provider fallback on the re-derive path nests qmu, ent.mu and the
-	// read view's mu under it — safe because no code path takes amu while
-	// holding any of those.
-	amu     sync.Mutex
-	plan    *exec.AnswerPlan
-	answers map[answerKey]*answerEntry
 	// Recency bookkeeping, guarded by the engine's qmu.
 	lastGen uint64
 	lastSeq uint64
@@ -280,9 +275,9 @@ func (e *Engine) evictIdleQueries() {
 
 // queryEntry returns (creating if needed) q's cache entry and stamps its
 // recency, evicting the least-recently-used entry past the cap. Returns
-// the current generation and the use stamp just assigned. Readers call
-// it while a Tick runs; everything it touches is under qmu.
-func (e *Engine) queryEntry(q *Query) (*queryCacheEntry, uint64, uint64) {
+// the use stamp just assigned. Readers call it while a Tick runs;
+// everything it touches is under qmu.
+func (e *Engine) queryEntry(q *Query) (*queryCacheEntry, uint64) {
 	e.qmu.Lock()
 	if e.queries.cache == nil {
 		e.queries.cache = map[*Query]*queryCacheEntry{}
@@ -297,9 +292,9 @@ func (e *Engine) queryEntry(q *Query) (*queryCacheEntry, uint64, uint64) {
 	}
 	e.queries.seq++
 	ent.lastGen, ent.lastSeq = e.queries.gen, e.queries.seq
-	gen, seq := e.queries.gen, e.queries.seq
+	seq := e.queries.seq
 	e.qmu.Unlock()
-	return ent, gen, seq
+	return ent, seq
 }
 
 // evictLRU deletes the entry of m with the smallest use stamp, sparing
@@ -327,7 +322,7 @@ func evictLRU[K comparable, V any](m map[K]V, keep K, stamp func(V) uint64) {
 // queryAnalyzer returns q's index-usability analysis, built once per
 // cache entry, and the use stamp of this evaluation.
 func (e *Engine) queryAnalyzer(q *Query) (*exec.Analyzer, uint64) {
-	ent, _, seq := e.queryEntry(q)
+	ent, seq := e.queryEntry(q)
 	ent.mu.Lock()
 	defer ent.mu.Unlock()
 	if ent.an == nil {
@@ -558,9 +553,9 @@ func (e *Engine) QueryOneShots() int64 { return e.queryOneShots.Load() }
 // resolved through the view's int64 key index — exactly: no float key is
 // compared, so a key past 2^53 aliases no unit. An At position must be
 // finite, like every unit's: the kD search's one-pass answer
-// (kdtree.NearestOnce) holds for finite coordinates only. The one-shot,
-// scan and maintained paths all start here, so they accept the same
-// probes and reject the rest with the same error.
+// (kdtree.NearestOnce) holds for finite coordinates only. The one-shot
+// and scan paths both start here, so they accept the same probes and
+// reject the rest with the same error.
 func (q *Query) probeRow(p Probe, v *ReadView, args []float64) ([]float64, error) {
 	var row []float64
 	switch {

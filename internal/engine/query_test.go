@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/epicscale/sgl/internal/exec"
 	"github.com/epicscale/sgl/internal/game"
 	"github.com/epicscale/sgl/internal/workload"
 )
@@ -31,9 +32,8 @@ func (k queryKind) probe(x, y float64, key int64) Probe {
 	return World()
 }
 
-// queryPaths are the three ways to evaluate a query through a probe:
-// one-shot on the current read view, its scan twin, and the maintained
-// answer.
+// queryPaths are the two ways to evaluate a query through a probe:
+// one-shot on the current read view and its scan twin.
 var queryPaths = []struct {
 	name string
 	eval func(e *Engine, q *Query, p Probe, args ...float64) ([]float64, error)
@@ -44,7 +44,6 @@ var queryPaths = []struct {
 	{"scan", func(e *Engine, q *Query, p Probe, args ...float64) ([]float64, error) {
 		return e.ReadView().QueryScan(q, p, args...)
 	}},
-	{"maintained", (*Engine).QueryMaintained},
 }
 
 // queryZoo covers every output class the indexed evaluator has — range
@@ -196,6 +195,104 @@ func TestQueryMatchesScan(t *testing.T) {
 	}
 }
 
+// queryCommands is the command stream the held-query differentials (and
+// TestPushedMatchesPolled) submit before the step to each tick: sets on
+// a column the tick never writes (morale) and on one it does (health), a
+// despawn (a population change) and a tune, so every way the command
+// pipeline edits a view faces the scan oracle.
+var queryCommands = map[int][]Command{
+	2: {{Op: OpSet, Key: 3, Col: "morale", Val: 11}},
+	4: {{Op: OpSet, Key: 5, Col: "health", Val: 2}, {Op: OpSet, Key: 17, Col: "morale", Val: 1}},
+	6: {{Op: OpDespawn, Key: 9}},
+	7: {{Op: OpTune, Col: "_HEAL_AURA", Val: 5}},
+	8: {{Op: OpSet, Key: 42, Col: "morale", Val: 7}},
+}
+
+// runHeldQueryDifferential drives the battle in cell c for ten ticks and
+// checks, at every view, that each zoo query answers one-shot what the
+// scan answers, at three probes. Unlike TestQueryMatchesScan, which
+// compiles afresh each tick, every query is compiled once and held, so
+// its cache entry and analyzer outlive the ticks (and, with commands,
+// the edits and tunes) they were built on; the analyzer must be the same
+// one at every tick, since a query read every tick is never evicted.
+func runHeldQueryDifferential(t *testing.T, c gridCell, commands map[int][]Command) {
+	t.Helper()
+	const ticks = 10
+	e := newEngine(t, battleProg(t), 90, Indexed, 13, c.tune)
+	held := make([]*Query, len(queryZoo))
+	analyzers := make([]*exec.Analyzer, len(queryZoo))
+	for i, zq := range queryZoo {
+		held[i] = compileQuery(t, zq.src)
+	}
+	probes := []struct {
+		x, y float64
+		key  int64
+	}{{0, 0, 0}, {10, 14, 17}, {25, 3, 42}}
+	for tick := 0; tick <= ticks; tick++ {
+		if tick > 0 {
+			if cmds := commands[tick]; cmds != nil {
+				if err := e.Submit("held", cmds...); err != nil {
+					t.Fatalf("tick %d: submit: %v", tick, err)
+				}
+			}
+			if err := e.Tick(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		v := e.ReadView()
+		for i, zq := range queryZoo {
+			q := held[i]
+			for _, p := range probes {
+				pr := zq.kind.probe(p.x, p.y, p.key)
+				got, err := v.Query(q, pr, zq.args...)
+				if err != nil {
+					t.Fatalf("tick %d, %s: one-shot: %v", tick, zq.name, err)
+				}
+				scan, err := v.QueryScan(q, pr, zq.args...)
+				if err != nil {
+					t.Fatalf("tick %d, %s: scan: %v", tick, zq.name, err)
+				}
+				if len(got) != len(scan) {
+					t.Fatalf("tick %d, %s: output arity mismatch", tick, zq.name)
+				}
+				for j := range got {
+					if !closeEnough(got[j], scan[j]) {
+						t.Fatalf("tick %d, %s, output %s: one-shot %v != scan %v",
+							tick, zq.name, q.Outputs()[j], got[j], scan[j])
+					}
+				}
+			}
+			an, _ := e.queryAnalyzer(q)
+			if analyzers[i] == nil {
+				analyzers[i] = an
+			} else if an != analyzers[i] {
+				t.Fatalf("tick %d, %s: the held query's analyzer was rebuilt; a query read every tick must keep its cache entry", tick, zq.name)
+			}
+		}
+	}
+	if c.rebuild {
+		assertRebuilt(t, e)
+	} else if e.Stats.MaintainTicks == 0 {
+		t.Fatalf("the maintaining cell maintained no tick: %+v", e.Stats)
+	}
+}
+
+// TestHeldQueryMatchesScan: queries held across ticks answer one-shot
+// what the scan answers at every view, in every cell of the grid.
+func TestHeldQueryMatchesScan(t *testing.T) {
+	for _, c := range cells {
+		t.Run(c.String(), func(t *testing.T) { runHeldQueryDifferential(t, c, nil) })
+	}
+}
+
+// TestHeldQueryMatchesScanWithCommands is TestHeldQueryMatchesScan with
+// set, despawn and tune commands in the stream.
+func TestHeldQueryMatchesScanWithCommands(t *testing.T) {
+	for _, c := range cells {
+		t.Run(c.String(), func(t *testing.T) { runHeldQueryDifferential(t, c, queryCommands) })
+	}
+}
+
 // Queries are served from the live post-tick state, not a stale
 // snapshot: after a tick changes the world, a repeated query must see
 // the change.
@@ -295,8 +392,8 @@ func (e errAt) Error() string { return "concurrent query result diverged" }
 
 // TestQueryValidationMatrix: every query class × probe kind (a non-finite
 // At position among them) × argument count is accepted or rejected the
-// same way on all three evaluation paths — one-shot, scan and maintained
-// — with the same error text, since they share one check
+// same way on both evaluation paths — one-shot and scan — with the
+// same error text, since they share one check
 // (Query.probeRow). Accepted evaluations agree with the scan.
 func TestQueryValidationMatrix(t *testing.T) {
 	e := newEngine(t, battleProg(t), 48, Indexed, 1, nil)
@@ -388,9 +485,7 @@ func TestQueryValidationMatrix(t *testing.T) {
 // TestUnitProbeResolvesKeyExactly: a Unit probe names its unit by int64
 // key on every path. 2^53 and 2^53+1 are one float64, so resolving by the
 // float key column answered a probe of 2^53+1 from unit 2^53 on the scan
-// and maintained paths — and the maintained answer, cached under 2^53+1
-// while the tick invalidates by the row's key 2^53, could never be
-// invalidated. All three paths must now fail alike.
+// path. Both paths must now fail alike.
 func TestUnitProbeResolvesKeyExactly(t *testing.T) {
 	prog := battleProg(t)
 	spec := workload.Spec{Units: 24, Density: 0.01, Seed: 3, Formation: workload.BattleLines}

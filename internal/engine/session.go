@@ -10,10 +10,10 @@
 //     the last tick commit published (see query.go), so any number of
 //     spectators run simultaneously with each other and with a Step in
 //     progress, answering for the last committed tick;
-//   - QueryMaintained, Checkpoint, Journal, Pending, Stats and View take
-//     the reader lock: they read live mutable engine state (the tick's
-//     delta, the input journal, the run counters), so they run together
-//     but wait for — and hold off — the clock;
+//   - Checkpoint, Journal, Pending, Stats and View take the reader
+//     lock: they read live mutable engine state (the input journal, the
+//     run counters), so they run together but wait for — and hold off —
+//     the clock;
 //   - Submit takes NO session lock at all: it routes through the sharded
 //     per-origin admission queues (admission.go), so N concurrent actors
 //     never contend with each other, with spectators, or with the clock.
@@ -81,7 +81,7 @@ func (s *Session) Stats() RunStats {
 
 // Step advances the world n ticks, invoking the OnTick hook after each.
 // The writer lock is acquired per tick, not for the whole call: locked
-// readers (checkpoints, journal and maintained reads) always observe a
+// readers (checkpoints and journal reads) always observe a
 // completed tick, never a torn one, and long steps leave windows between
 // ticks for them instead of starving them for the entire batch.
 func (s *Session) Step(n int) error {
@@ -126,21 +126,19 @@ func (s *Session) QueryScan(q *Query, args ...float64) ([]float64, error) {
 	return s.e.ReadView().QueryScan(q, World(), args...)
 }
 
-// QueryMaintained is Query backed by the maintained-answer cache (see
-// Engine.QueryMaintained), under the reader lock: repeated evaluations
-// across ticks reuse and patch the cached answer instead of re-deriving
-// it. Other probes go through View.
+// QueryMaintained is Query.
+//
+// Deprecated: use Query. Every answer, a push subscription's included,
+// is a one-shot on the published read view.
 func (s *Session) QueryMaintained(q *Query, args ...float64) ([]float64, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.e.QueryMaintained(q, World(), args...)
+	return s.Query(q, args...)
 }
 
 // View runs fn against the live engine under the reader lock: the clock
 // is held off for the duration, so everything fn reads — the journal,
-// maintained answers, the tick counter, stats, and (because the current
-// read view is the live tick while the lock is held) plain queries —
-// comes from one consistent between-ticks state. It exists for reads
+// the tick counter, stats, and (because the current read view is the
+// live tick while the lock is held) plain queries — comes from one
+// consistent between-ticks state. It exists for reads
 // coupled to live mutable engine state; plain observation reads should
 // use ReadView, which gives the same consistency without stalling the
 // clock. fn must treat the engine as read-only and must not call a

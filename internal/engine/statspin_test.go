@@ -12,9 +12,10 @@ import (
 
 // TestIndexStatsPinned pins which path answers each probe: the exact
 // exec.Stats totals, every field, of runs that between them take every
-// path a probe can take. The battle (500 units, serial, seed 42, ticks
-// 1–40) builds, sweeps and probes range trees, the fold, kD-trees and
-// extrema, re-sorts from last tick's order and counts the guides' bound
+// path a probe can take — a scan of the matched partitions, and each
+// class's built read and one-shot, counted apart. The battle (500
+// units, serial, seed 42, ticks 1–40) builds, sweeps and probes range
+// trees, the fold, kD-trees and extrema, re-sorts from last tick's order and counts the guides' bound
 // steps; the patrol world of TestCarryMatchesRebuildUnderCommands and the
 // zoo's carried-answers world, maintained at Workers 1, carry answers and
 // certify nearest ones, and the battle maintained in the same setting
@@ -36,7 +37,7 @@ func TestIndexStatsPinned(t *testing.T) {
 		if err := e.Run(40); err != nil {
 			t.Fatal(err)
 		}
-		check(t, e.Stats.IndexStats, exec.Stats{IndexBuilds: 407, IndexReuses: 1, IndexPatches: 0, MaintainFallbacks: 429, TreeProbes: 50920, KDProbes: 19282, Sweeps: 552, ScanProbes: 0, CarriedAnswers: 4, CertifiedAnswers: 0, ResortedPoints: 68331, ResortMoves: 18109, ResortFallbacks: 0, BoundSteps: 243322})
+		check(t, e.Stats.IndexStats, exec.Stats{IndexBuilds: 407, IndexReuses: 1, IndexPatches: 0, MaintainFallbacks: 429, TreeProbes: 50920, KDProbes: 19282, ExtProbes: 8, Sweeps: 552, ScanProbes: 0, PartScans: 0, TreeOnce: 0, FoldOnce: 0, KDOnce: 0, ExtOnce: 0, CarriedAnswers: 4, CertifiedAnswers: 0, ResortedPoints: 68331, ResortMoves: 18109, ResortFallbacks: 0, BoundSteps: 243322})
 	})
 	// Maintained at threshold 1: the patrol and the zoo's carried-answers
 	// world carry and certify answers, and the battle patches range trees
@@ -46,9 +47,9 @@ func TestIndexStatsPinned(t *testing.T) {
 		prog *sem.Program
 		want exec.Stats
 	}{
-		{"patrol", compileZoo(t, game.PatrolScript), exec.Stats{IndexBuilds: 124, IndexReuses: 236, IndexPatches: 0, MaintainFallbacks: 0, TreeProbes: 290, KDProbes: 1494, Sweeps: 0, ScanProbes: 0, CarriedAnswers: 33984, CertifiedAnswers: 15786, ResortedPoints: 0, ResortMoves: 0, ResortFallbacks: 0, BoundSteps: 864}},
-		{"carried-answers", compileZoo(t, zooSrc(t, "carried-answers")), exec.Stats{IndexBuilds: 239, IndexReuses: 241, IndexPatches: 0, MaintainFallbacks: 0, TreeProbes: 551, KDProbes: 1864, Sweeps: 71, ScanProbes: 14951, CarriedAnswers: 13489, CertifiedAnswers: 13185, ResortedPoints: 0, ResortMoves: 0, ResortFallbacks: 0, BoundSteps: 2712}},
-		{"battle-maintained", battleProg(t), exec.Stats{IndexBuilds: 476, IndexReuses: 2, IndexPatches: 236, MaintainFallbacks: 0, TreeProbes: 53233, KDProbes: 12357, Sweeps: 677, ScanProbes: 0, CarriedAnswers: 0, CertifiedAnswers: 0, ResortedPoints: 67419, ResortMoves: 22857, ResortFallbacks: 0, BoundSteps: 194676}},
+		{"patrol", compileZoo(t, game.PatrolScript), exec.Stats{IndexBuilds: 124, IndexReuses: 236, IndexPatches: 0, MaintainFallbacks: 0, TreeProbes: 290, KDProbes: 1494, ExtProbes: 0, Sweeps: 0, ScanProbes: 0, PartScans: 0, TreeOnce: 0, FoldOnce: 0, KDOnce: 0, ExtOnce: 0, CarriedAnswers: 33984, CertifiedAnswers: 15786, ResortedPoints: 0, ResortMoves: 0, ResortFallbacks: 0, BoundSteps: 864}},
+		{"carried-answers", compileZoo(t, zooSrc(t, "carried-answers")), exec.Stats{IndexBuilds: 239, IndexReuses: 241, IndexPatches: 0, MaintainFallbacks: 0, TreeProbes: 551, KDProbes: 1864, ExtProbes: 120, Sweeps: 71, ScanProbes: 0, PartScans: 14951, TreeOnce: 0, FoldOnce: 0, KDOnce: 0, ExtOnce: 0, CarriedAnswers: 13489, CertifiedAnswers: 13185, ResortedPoints: 0, ResortMoves: 0, ResortFallbacks: 0, BoundSteps: 2712}},
+		{"battle-maintained", battleProg(t), exec.Stats{IndexBuilds: 476, IndexReuses: 2, IndexPatches: 236, MaintainFallbacks: 0, TreeProbes: 53233, KDProbes: 12357, ExtProbes: 114, Sweeps: 677, ScanProbes: 0, PartScans: 0, TreeOnce: 0, FoldOnce: 0, KDOnce: 0, ExtOnce: 0, CarriedAnswers: 0, CertifiedAnswers: 0, ResortedPoints: 67419, ResortMoves: 22857, ResortFallbacks: 0, BoundSteps: 194676}},
 	} {
 		t.Run(world.name, func(t *testing.T) {
 			const n, seed = 300, 5
@@ -95,6 +96,6 @@ func TestIndexStatsPinned(t *testing.T) {
 				total.Add(f.Stats)
 			}
 		}
-		check(t, total, exec.Stats{IndexBuilds: 0, IndexReuses: 0, IndexPatches: 0, MaintainFallbacks: 0, TreeProbes: 0, KDProbes: 0, Sweeps: 0, ScanProbes: 2734, CarriedAnswers: 0, CertifiedAnswers: 0, ResortedPoints: 0, ResortMoves: 0, ResortFallbacks: 0, BoundSteps: 0})
+		check(t, total, exec.Stats{IndexBuilds: 0, IndexReuses: 0, IndexPatches: 0, MaintainFallbacks: 0, TreeProbes: 0, KDProbes: 0, ExtProbes: 0, Sweeps: 0, ScanProbes: 0, PartScans: 992, TreeOnce: 1240, FoldOnce: 6, KDOnce: 496, ExtOnce: 10, CarriedAnswers: 0, CertifiedAnswers: 0, ResortedPoints: 0, ResortMoves: 0, ResortFallbacks: 0, BoundSteps: 0})
 	})
 }

@@ -155,7 +155,7 @@ func (c *treeClass) add(p *Indexed, idx *groupIndex, parts []*part, rect geom.Re
 			p.rowPayload(&c.payload, p.env.Rows[rows[i]], dst)
 		}, rect, payload)
 	}
-	p.Stats.ScanProbes += len(parts)
+	p.Stats.TreeOnce += len(parts)
 }
 
 // report visits the rows of parts' points inside rect, partition by
@@ -286,7 +286,7 @@ func (c *foldClass) add(p *Indexed, idx *groupIndex, parts []*part, payload []fl
 	if built {
 		p.Stats.TreeProbes += len(parts)
 	} else {
-		p.Stats.ScanProbes += len(parts)
+		p.Stats.FoldOnce += len(parts)
 	}
 }
 
@@ -550,7 +550,7 @@ func (c *kdClass) nearest(p *Indexed, built bool, parts []*part, unit []float64)
 	if built {
 		p.Stats.KDProbes += len(parts)
 	} else {
-		p.Stats.ScanProbes += len(parts)
+		p.Stats.KDOnce += len(parts)
 	}
 	return best
 }
@@ -648,6 +648,11 @@ func (c *extClass) answer(p *Indexed, idx *groupIndex, parts []*part, i int) glo
 		if pe.ok && beats(e.isMin, pe.val, pe.key, ext) {
 			ext = pe
 		}
+	}
+	if built {
+		p.Stats.ExtProbes += len(parts)
+	} else {
+		p.Stats.ExtOnce += len(parts)
 	}
 	return ext
 }

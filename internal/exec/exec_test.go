@@ -348,7 +348,7 @@ function main(u) { perform Tag(u, Closest(u).dist) }`)
 		searches func(Stats) int
 	}{
 		{"built", built.Fork(), func(s Stats) int { return s.KDProbes }},
-		{"one-shot", unbuilt.Fork(), func(s Stats) int { return s.ScanProbes }},
+		{"one-shot", unbuilt.Fork(), func(s Stats) int { return s.KDOnce }},
 	} {
 		for i, u := range env.Rows {
 			before := path.searches(path.prov.Stats)

@@ -156,11 +156,24 @@ type Stats struct {
 	IndexPatches      int
 	MaintainFallbacks int
 	// TreeProbes counts range-tree probes, a read of a fold (the root of
-	// the tree no axes would build) included.
+	// the tree no axes would build) included, KDProbes kD-tree searches
+	// and ExtProbes reads of a built extremum, each per partition.
 	TreeProbes int
 	KDProbes   int
+	ExtProbes  int
 	Sweeps     int
+	// ScanProbes counts whole-environment scans (a definition or action
+	// no index serves), PartScans the scans of one output over its
+	// matched partitions (an output its class cannot serve).
 	ScanProbes int
+	PartScans  int
+	// TreeOnce, FoldOnce, KDOnce and ExtOnce count one-shot evaluations
+	// of an unbuilt range tree, fold, kD-tree and extremum, per
+	// partition: how a read view answers.
+	TreeOnce int
+	FoldOnce int
+	KDOnce   int
+	ExtOnce  int
 	// CarriedAnswers counts aggregate answers taken over from the previous
 	// tick instead of probed (Carries), and CertifiedAnswers nearest
 	// answers taken from the previous tick's winner under a separation
@@ -415,8 +428,14 @@ func (s *Stats) Add(o Stats) {
 	s.MaintainFallbacks += o.MaintainFallbacks
 	s.TreeProbes += o.TreeProbes
 	s.KDProbes += o.KDProbes
+	s.ExtProbes += o.ExtProbes
 	s.Sweeps += o.Sweeps
 	s.ScanProbes += o.ScanProbes
+	s.PartScans += o.PartScans
+	s.TreeOnce += o.TreeOnce
+	s.FoldOnce += o.FoldOnce
+	s.KDOnce += o.KDOnce
+	s.ExtOnce += o.ExtOnce
 	s.CarriedAnswers += o.CarriedAnswers
 	s.CertifiedAnswers += o.CertifiedAnswers
 	s.ResortedPoints += o.ResortedPoints
@@ -434,8 +453,14 @@ func (s Stats) Since(o Stats) Stats {
 		MaintainFallbacks: s.MaintainFallbacks - o.MaintainFallbacks,
 		TreeProbes:        s.TreeProbes - o.TreeProbes,
 		KDProbes:          s.KDProbes - o.KDProbes,
+		ExtProbes:         s.ExtProbes - o.ExtProbes,
 		Sweeps:            s.Sweeps - o.Sweeps,
 		ScanProbes:        s.ScanProbes - o.ScanProbes,
+		PartScans:         s.PartScans - o.PartScans,
+		TreeOnce:          s.TreeOnce - o.TreeOnce,
+		FoldOnce:          s.FoldOnce - o.FoldOnce,
+		KDOnce:            s.KDOnce - o.KDOnce,
+		ExtOnce:           s.ExtOnce - o.ExtOnce,
 		CarriedAnswers:    s.CarriedAnswers - o.CarriedAnswers,
 		CertifiedAnswers:  s.CertifiedAnswers - o.CertifiedAnswers,
 		ResortedPoints:    s.ResortedPoints - o.ResortedPoints,
@@ -972,7 +997,7 @@ func (p *Indexed) scanAgg(dst []float64, a *AggAnalysis, unit, args []float64) [
 // cannot serve on the single-probe path. Residual conjuncts cannot exist
 // here (Indexable implies none).
 func (p *Indexed) scanOutput(a *AggAnalysis, outIdx int, parts []*part, rect geom.Rect, unit, args []float64) float64 {
-	p.Stats.ScanProbes++
+	p.Stats.PartScans++
 	acc := interp.NewAggAccs(a.Def, p.prog.Schema, unit)[outIdx]
 	xCol, yCol := axisCols(a.Axes)
 	f := &p.f

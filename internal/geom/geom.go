@@ -52,7 +52,32 @@ func (v Vec) Scale(s float64) Vec { return Vec{v.X * s, v.Y * s} }
 func (v Vec) Neg() Vec { return Vec{-v.X, -v.Y} }
 
 // Len returns the Euclidean length of v.
-func (v Vec) Len() float64 { return math.Hypot(v.X, v.Y) }
+func (v Vec) Len() float64 { return hypot(v.X, v.Y) }
+
+// hypot is math.Hypot's algorithm — the larger magnitude p times
+// √(1 + (q/p)²) — written so that no compiler fuses it. The conversion
+// rounds q*q before the add; without it arm64, ppc64le, s390x, riscv64
+// and loong64 compute 1+q*q as one fused multiply-add, a length moves
+// by an ulp, and the checkpoint bytes with it. On amd64 it is
+// math.Hypot bit for bit, special cases included: +Inf when either side
+// is infinite, else NaN when either is NaN.
+func hypot(p, q float64) float64 {
+	p, q = math.Abs(p), math.Abs(q)
+	switch {
+	case math.IsInf(p, 1) || math.IsInf(q, 1):
+		return math.Inf(1)
+	case math.IsNaN(p) || math.IsNaN(q):
+		return math.NaN()
+	}
+	if p < q {
+		p, q = q, p
+	}
+	if p == 0 {
+		return 0
+	}
+	q /= p
+	return p * math.Sqrt(1+float64(q*q))
+}
 
 // Dot returns the dot product of v and w.
 func (v Vec) Dot(w Vec) float64 { return v.X*w.X + v.Y*w.Y }

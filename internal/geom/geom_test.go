@@ -2,6 +2,8 @@ package geom
 
 import (
 	"math"
+	"math/rand/v2"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -228,4 +230,79 @@ func TestIntersectUnionProperties(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// hypotCases are the lengths TestHypotMatchesMathHypot and
+// TestHypotFusedTwinDiffers compare: the special values — zeros of both
+// signs, subnormals, the largest finite, ±Inf and NaN — against each
+// other, then 10⁶ seeded vectors whose sides span 2⁻⁴⁰ to 2⁴⁰.
+func hypotCases(yield func(x, y float64) bool) {
+	special := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 0x1p-1030, math.SmallestNonzeroFloat64 * 3,
+		1, -3, math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN()}
+	for _, x := range special {
+		for _, y := range special {
+			if !yield(x, y) {
+				return
+			}
+		}
+	}
+	r := rand.New(rand.NewPCG(20, 13))
+	side := func() float64 { return math.Ldexp(2*r.Float64()-1, r.IntN(81)-40) }
+	for i := 0; i < 1_000_000; i++ {
+		if !yield(side(), side()) {
+			return
+		}
+	}
+}
+
+// TestHypotMatchesMathHypot: Vec.Len is math.Hypot bit for bit on amd64,
+// where math.Hypot is an assembly routine with no fused step, so
+// replacing it moved no length (and no checkpoint pin).
+func TestHypotMatchesMathHypot(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("math.Hypot is unfused assembly only on amd64")
+	}
+	n := 0
+	for x, y := range hypotCases {
+		got, want := Vec{x, y}.Len(), math.Hypot(x, y)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Vec{%v, %v}.Len() = %v (%#x), math.Hypot = %v (%#x)", x, y, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+		n++
+	}
+	t.Logf("%d lengths bit-identical", n)
+}
+
+// TestHypotFusedTwinDiffers: the same algorithm with 1+q*q fused into
+// one rounding — what an FMA architecture would compile it to without
+// the conversion — gives other bits on some of the cases, so the
+// comparison above would see a fused hypot.
+func TestHypotFusedTwinDiffers(t *testing.T) {
+	fused := func(p, q float64) float64 {
+		p, q = math.Abs(p), math.Abs(q)
+		switch {
+		case math.IsInf(p, 1) || math.IsInf(q, 1):
+			return math.Inf(1)
+		case math.IsNaN(p) || math.IsNaN(q):
+			return math.NaN()
+		}
+		if p < q {
+			p, q = q, p
+		}
+		if p == 0 {
+			return 0
+		}
+		q /= p
+		return p * math.Sqrt(math.FMA(q, q, 1))
+	}
+	differ := 0
+	for x, y := range hypotCases {
+		if math.Float64bits(fused(x, y)) != math.Float64bits(hypot(x, y)) {
+			differ++
+		}
+	}
+	if differ == 0 {
+		t.Fatal("the fused twin agrees with hypot on every case: the cases cannot tell fused from unfused")
+	}
+	t.Logf("the fused twin differs on %d cases", differ)
 }

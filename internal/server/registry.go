@@ -499,8 +499,8 @@ func (w *World) CompiledQuery(src string) (*engine.Query, []lint.Diagnostic, err
 		return nil, nil, err
 	}
 	// Lint once per cached source: the compile succeeded, so everything
-	// the linter finds is warn-severity (notably SGL102, "this maintained
-	// answer rederives instead of patching").
+	// the linter finds is warn-severity (notably SGL104, "this output
+	// falls back to a per-probe scan").
 	warns := lint.Lint(src, lint.Options{
 		Mode:         lint.ModeQuery,
 		Schema:       w.prog.Schema,
@@ -691,7 +691,7 @@ func NewRegistry() *Registry {
 	r.Metrics.Help("sgld_queries_total", "Observation queries served, per session.")
 	r.Metrics.Help("sgld_query_seconds_total", "Time spent evaluating observation queries, per session.")
 	r.Metrics.Help("sgld_query_errors_total", "Observation queries rejected or failed, per session.")
-	r.Metrics.Help("sgld_query_oneshot_total", "Indexed query probes evaluated one-shot on a read view, without an index (every indexed probe that a maintained answer did not serve). Per session.")
+	r.Metrics.Help("sgld_query_oneshot_total", "Indexed query probes evaluated one-shot on a read view, without an index: every indexed /query probe and every subscription push. Per session.")
 	r.Metrics.Help("sgld_checkpoints_total", "Checkpoints written, per session.")
 	r.Metrics.Help("sgld_commands_total", "Injected commands accepted, per session.")
 	r.Metrics.Help("sgld_command_seconds_total", "Time spent accepting injected commands, per session.")

@@ -1,11 +1,12 @@
 // Push subscriptions: GET /v1/sessions/{name}/subscribe streams a
 // query's answer over Server-Sent Events, pushing only when the value
-// changes. This is the delivery half of maintained query answers — the
-// world's clock evaluates every live subscription once per tick through
-// Engine.QueryMaintained (so N subscribers on the same query and probe share
-// one maintained answer and one classification per tick), compares the
-// result bitwise against the last pushed value, and enqueues an event
-// only on change.
+// changes. After every tick the world's notifying goroutine evaluates
+// each live subscription with ReadView.Query on the view that tick
+// published — the same one-shot a polled /query runs, so a push is the
+// polled answer at the tick it names, bit for bit — compares the result
+// bitwise against the last pushed value, and enqueues an event only on
+// change. No push takes the session lock: a subscription waits for no
+// tick and holds none off.
 //
 // Backpressure policy: the tick never blocks on a subscriber. Each
 // subscriber owns a small buffered channel; when it is full the event is
@@ -40,10 +41,9 @@ type subSpec struct {
 	probe engine.Probe
 }
 
-// eval runs the spec against the engine through the maintained-answer
-// path. Must be called under a Session view (the clock's notify does).
-func (sp *subSpec) eval(e *engine.Engine) ([]float64, error) {
-	return e.QueryMaintained(sp.q, sp.probe, sp.args...)
+// eval answers the spec on read view v.
+func (sp *subSpec) eval(v *engine.ReadView) ([]float64, error) {
+	return v.Query(sp.q, sp.probe, sp.args...)
 }
 
 // SubscribeEvent is the JSON payload of one SSE "answer" event.
@@ -76,27 +76,24 @@ type subscriber struct {
 	mu       sync.Mutex
 	last     []float64
 	lastErr  string
-	hasLast  bool
 	dropped  bool
 	lastTick int64 // tick of the newest state in last/lastErr
 }
 
 // Subscribe registers a push subscriber and returns it along with the
-// initial answer event (evaluated inside the same view that snapshots
-// the tick). It fails if the world was deleted or the query's probe form
+// initial answer event (evaluated on the read view that labels its
+// tick). It fails if the world was deleted or the query's probe form
 // rejects the spec.
 func (w *World) Subscribe(spec subSpec) (*subscriber, SubscribeEvent, error) {
-	var ev SubscribeEvent
+	v := w.sess.ReadView()
+	ev := SubscribeEvent{Tick: v.Tick()}
 	var err error
-	w.sess.View(func(e *engine.Engine) {
-		ev.Tick = e.TickCount()
-		ev.Values, err = spec.eval(e)
-	})
+	ev.Values, err = spec.eval(v)
 	if err != nil {
 		return nil, ev, err
 	}
 	sub := &subscriber{spec: spec, ch: make(chan SubscribeEvent, subEventBuffer)}
-	sub.last, sub.hasLast, sub.lastTick = ev.Values, true, ev.Tick
+	sub.last, sub.lastTick = ev.Values, ev.Tick
 	w.submu.Lock()
 	if w.subsClosed {
 		w.submu.Unlock()
@@ -115,36 +112,41 @@ func (w *World) Subscribe(spec subSpec) (*subscriber, SubscribeEvent, error) {
 	// without a re-check the client would hold the pre-tick answer until
 	// the value next changes — forever, if the clock stops here. Evaluate
 	// once more and enqueue a catch-up event if the world moved on.
-	w.sess.View(func(e *engine.Engine) {
-		tick := e.TickCount()
-		if tick == ev.Tick {
-			return
-		}
-		vals, verr := sub.spec.eval(e)
-		errStr := ""
-		if verr != nil {
-			errStr = verr.Error()
-		}
-		sub.mu.Lock()
-		defer sub.mu.Unlock()
-		if tick <= sub.lastTick {
-			return // a concurrent notify already pushed fresher state
-		}
-		if errStr == sub.lastErr && sameValues(vals, sub.last) {
-			sub.lastTick = tick
-			return
-		}
-		select {
-		case sub.ch <- SubscribeEvent{Tick: tick, Values: vals, Error: errStr}:
-			sub.last, sub.lastErr, sub.hasLast = vals, errStr, true
-			sub.lastTick = tick
-			w.pushes.Inc()
-		default:
-			sub.dropped = true
-			w.pushDrops.Inc()
-		}
-	})
+	if v = w.sess.ReadView(); v.Tick() != ev.Tick {
+		w.push(sub, v)
+	}
 	return sub, ev, nil
+}
+
+// push evaluates sub on view v and enqueues the answer if it changed,
+// unconditionally (marked Resync) after a drop. A view older than the
+// newest state pushed — the catch-up in Subscribe racing a notify —
+// pushes nothing.
+func (w *World) push(sub *subscriber, v *engine.ReadView) {
+	vals, err := sub.spec.eval(v)
+	errStr := ""
+	if err != nil {
+		errStr = err.Error()
+	}
+	sub.mu.Lock()
+	defer sub.mu.Unlock()
+	if v.Tick() < sub.lastTick {
+		return
+	}
+	if !sub.dropped && errStr == sub.lastErr && sameValues(vals, sub.last) {
+		sub.lastTick = v.Tick()
+		return
+	}
+	select {
+	case sub.ch <- SubscribeEvent{Tick: v.Tick(), Values: vals, Error: errStr, Resync: sub.dropped}:
+		sub.last, sub.lastErr = vals, errStr
+		sub.lastTick = v.Tick()
+		sub.dropped = false
+		w.pushes.Inc()
+	default:
+		sub.dropped = true
+		w.pushDrops.Inc()
+	}
 }
 
 // Unsubscribe removes a subscriber; idempotent.
@@ -167,8 +169,8 @@ func (w *World) closeSubscribers() {
 	close(w.subsDone)
 }
 
-// notifySubscribers evaluates every live subscription against the
-// post-tick snapshot and pushes the answers that changed. Runs on the
+// notifySubscribers evaluates every live subscription on the read view
+// the tick just published and pushes the answers that changed. Runs on the
 // world's single notifying goroutine right after a successful Step(1);
 // the nonblocking send is the whole backpressure policy. submu is held
 // only to snapshot the subscriber set — never across the evaluation
@@ -190,34 +192,10 @@ func (w *World) notifySubscribers() {
 	if len(subs) == 0 {
 		return
 	}
-	w.sess.View(func(e *engine.Engine) {
-		tick := e.TickCount()
-		for _, sub := range subs {
-			vals, err := sub.spec.eval(e)
-			errStr := ""
-			if err != nil {
-				errStr = err.Error()
-			}
-			sub.mu.Lock()
-			if !sub.dropped && sub.hasLast && errStr == sub.lastErr && sameValues(vals, sub.last) {
-				sub.mu.Unlock()
-				continue
-			}
-			ev := SubscribeEvent{Tick: tick, Values: vals, Error: errStr, Resync: sub.dropped}
-			select {
-			case sub.ch <- ev:
-				sub.last, sub.lastErr, sub.hasLast = vals, errStr, true
-				sub.lastTick = tick
-				sub.dropped = false
-				sub.mu.Unlock()
-				w.pushes.Inc()
-			default:
-				sub.dropped = true
-				sub.mu.Unlock()
-				w.pushDrops.Inc()
-			}
-		}
-	})
+	v := w.sess.ReadView()
+	for _, sub := range subs {
+		w.push(sub, v)
+	}
 }
 
 // sameValues compares answer vectors bitwise, so NaN outputs compare
@@ -290,7 +268,8 @@ func optFloat(qs url.Values, name string) (*float64, error) {
 	return &v, nil
 }
 
-// handleSubscribe streams maintained answers as SSE "answer" events.
+// handleSubscribe streams a query's changed answers as SSE "answer"
+// events.
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	wd, ok := s.world(w, r)
 	if !ok {
@@ -319,9 +298,8 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	h.Set("X-Accel-Buffering", "no") // common reverse proxies buffer SSE otherwise
 	w.WriteHeader(http.StatusOK)
 	// Lint findings ride the stream once, before the first answer, so a
-	// subscriber learns up front that (say) its non-divisible aggregate
-	// rederives the full answer every dirty tick — and then keeps
-	// receiving correct answers anyway.
+	// subscriber learns up front that (say) its condition is not
+	// index-usable — and then keeps receiving correct answers anyway.
 	if len(spec.warns) > 0 {
 		if err := writeSSEWarnings(w, spec.warns); err != nil {
 			return

@@ -23,10 +23,8 @@ import (
 	"github.com/epicscale/sgl/internal/workload"
 )
 
-// Query sources the subscription tests share. Both are divisible
-// (count/sum only), so the maintained-answer path refolds them
-// bit-exactly against the naive scan — the pushed stream can be compared
-// to polled QueryScan* values without tolerance.
+// Query sources the subscription tests share: a world probe's sums and
+// a positional window count.
 const (
 	posSumSrc = `aggregate Pos(u) := sum(e.posx) as sx, sum(e.posy) as sy over e;`
 	zoneSrc   = `aggregate Zone(u, r) :=
@@ -75,9 +73,9 @@ func sseEvents(t *testing.T, ctx context.Context, streamURL string) <-chan Subsc
 
 // TestSubscribePushedMatchesPolled is the push-path differential: the
 // event stream a subscriber receives must be exactly the changes in the
-// polled QueryScan* sequence — one event per tick whose answer differs
-// from the previous tick's, carrying that tick's scan values, and no
-// events for unchanged ticks. Runs both probe forms (plain and
+// polled indexed /query sequence — one event per tick whose answer
+// differs from the previous tick's, carrying that tick's values bit for
+// bit, and no events for unchanged ticks. Runs both probe forms (plain and
 // positional) over a paused-clock world stepped one tick at a time, so
 // every tick boundary is observed by both paths.
 func TestSubscribePushedMatchesPolled(t *testing.T) {
@@ -96,19 +94,19 @@ func TestSubscribePushedMatchesPolled(t *testing.T) {
 	streams := []*stream{
 		{
 			name: "plain",
-			poll: QueryRequest{Src: posSumSrc, Scan: true},
+			poll: QueryRequest{Src: posSumSrc},
 		},
 		{
 			name: "at",
-			poll: QueryRequest{Src: zoneSrc, X: &x, Y: &y, Args: []float64{20}, Scan: true},
+			poll: QueryRequest{Src: zoneSrc, X: &x, Y: &y, Args: []float64{20}},
 		},
 	}
 	base := ts.URL + "/v1/sessions/sub/subscribe?q="
 	streams[0].ch = sseEvents(t, ctx, base+url.QueryEscape(posSumSrc))
 	streams[1].ch = sseEvents(t, ctx, base+url.QueryEscape(zoneSrc)+"&x=28&y=28&args=20")
 
-	// Poll the scan oracle at every tick 0..ticks, stepping one tick at a
-	// time so subscribers see every boundary.
+	// Poll at every tick 0..ticks, stepping one tick at a time so
+	// subscribers see every boundary.
 	polled := make([][][]float64, len(streams))
 	pollNow := func(tick int) {
 		for i, s := range streams {
@@ -131,7 +129,7 @@ func TestSubscribePushedMatchesPolled(t *testing.T) {
 	}
 
 	for i, s := range streams {
-		// Expected pushes: the initial answer plus every tick whose scan
+		// Expected pushes: the initial answer plus every tick whose polled
 		// value changed.
 		want := []int{0}
 		for tk := 1; tk <= ticks; tk++ {
@@ -174,9 +172,58 @@ func TestSubscribePushedMatchesPolled(t *testing.T) {
 				continue
 			}
 			if !sameValues(ev.Values, polled[i][want[j]]) {
-				t.Errorf("%s: tick %d pushed %v, scan says %v", s.name, want[j], ev.Values, polled[i][want[j]])
+				t.Errorf("%s: tick %d pushed %v, polled %v", s.name, want[j], ev.Values, polled[i][want[j]])
 			}
 		}
+	}
+}
+
+// TestSubscriberSeesCommandInItsTick: a sum(e.morale) subscriber sees an
+// OpSet — on a column no tick writes, so only the command moves the
+// answer — in the push for the tick the command lands in, the one past
+// the tick its acknowledgement names, and that push is the answer a
+// poll of the same tick gets.
+func TestSubscriberSeesCommandInItsTick(t *testing.T) {
+	ts, _ := newTestServer(t)
+	create(t, ts.URL, "morale", nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const src = `aggregate Morale(u) := sum(e.morale) as m over e;`
+	ch := sseEvents(t, ctx, ts.URL+"/v1/sessions/morale/subscribe?q="+url.QueryEscape(src))
+	next := func() SubscribeEvent {
+		t.Helper()
+		select {
+		case ev := <-ch:
+			return ev
+		case <-time.After(3 * time.Second):
+			t.Fatal("no push within 3s")
+		}
+		return SubscribeEvent{}
+	}
+	step := func() {
+		t.Helper()
+		if code := do(t, http.MethodPost, ts.URL+"/v1/sessions/morale/step", StepRequest{Ticks: 1}, nil); code != http.StatusOK {
+			t.Fatalf("step: status %d", code)
+		}
+	}
+	first := next()
+	step()
+	var ack CommandsResponse
+	cmd := CommandsRequest{Commands: []WireCommand{{Op: "set", Key: 3, Col: "morale", Val: 1e6}}}
+	if code := do(t, http.MethodPost, ts.URL+"/v1/sessions/morale/commands", cmd, &ack); code != http.StatusOK {
+		t.Fatalf("commands: status %d", code)
+	}
+	step()
+	ev := next()
+	var qr QueryResponse
+	if code := do(t, http.MethodPost, ts.URL+"/v1/sessions/morale/query", QueryRequest{Src: src}, &qr); code != http.StatusOK {
+		t.Fatalf("poll: status %d", code)
+	}
+	if ev.Tick != ack.Tick+1 || qr.Tick != ev.Tick {
+		t.Fatalf("pushed at tick %d, polled at %d; the set acknowledged at %d lands at %d", ev.Tick, qr.Tick, ack.Tick, ack.Tick+1)
+	}
+	if ev.Values[0] < 1e6 || ev.Values[0] == first.Values[0] || !sameValues(ev.Values, qr.Values) {
+		t.Fatalf("push %v after the set (initial %v), poll %v", ev.Values, first.Values, qr.Values)
 	}
 }
 
@@ -319,9 +366,8 @@ func TestSubscribeChurnDuringTicks(t *testing.T) {
 // contracts #4/#5: a world served with a subscriber that never drains
 // (drop-and-resync engaged on every tick) must still checkpoint
 // byte-identically to the same (script, spec, seed, ticks) run
-// standalone. Maintained answers fork the frozen snapshot and their
-// Answer* counters are deliberately not serialized, so nothing a
-// subscriber does can leak into the world state.
+// standalone. A push reads the published view and takes no session
+// lock, so nothing a subscriber does can leak into the world state.
 func TestSlowSubscriberDoesNotPerturbCheckpoint(t *testing.T) {
 	const (
 		units   = 200

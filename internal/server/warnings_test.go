@@ -114,19 +114,19 @@ func sseTypedEvents(t *testing.T, ctx context.Context, streamURL string) <-chan 
 	return ch
 }
 
-// TestNonDivisibleSubscriptionWarnsAndStreams is the acceptance pin for
-// the SGL102 surface: subscribing to a min() query — non-divisible, so
-// the maintained answer rederives on every dirty tick — pushes a
-// "warnings" event carrying SGL102 before the first answer, and the
-// subscription still streams correct answers afterward.
-func TestNonDivisibleSubscriptionWarnsAndStreams(t *testing.T) {
+// TestWarnedSubscriptionWarnsAndStreams pins a subscription's lint
+// surface: subscribing to a query whose min() output falls back to a
+// per-probe scan pushes a "warnings" event carrying SGL104 before the
+// first answer, and the subscription still streams correct answers
+// afterward.
+func TestWarnedSubscriptionWarnsAndStreams(t *testing.T) {
 	ts, _ := newTestServer(t)
 	create(t, ts.URL, "nondiv", nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	minSrc := `aggregate Low(u) := min(e.health) as low over e;`
-	ch := sseTypedEvents(t, ctx, ts.URL+"/v1/sessions/nondiv/subscribe?q="+url.QueryEscape(minSrc))
+	minSrc := `aggregate Low(u, x) := min(e.health) as low over e where e.posx >= x;`
+	ch := sseTypedEvents(t, ctx, ts.URL+"/v1/sessions/nondiv/subscribe?q="+url.QueryEscape(minSrc)+"&args=10")
 
 	first, ok := <-ch
 	if !ok {
@@ -139,8 +139,8 @@ func TestNonDivisibleSubscriptionWarnsAndStreams(t *testing.T) {
 	if err := json.Unmarshal([]byte(first.data), &warns); err != nil {
 		t.Fatalf("decode warnings event %q: %v", first.data, err)
 	}
-	if !hasCode(warns, lint.CodeNonDivisible) {
-		t.Fatalf("warnings event = %v, want %s for a min() subscription", warns, lint.CodeNonDivisible)
+	if !hasCode(warns, lint.CodeScanOutput) {
+		t.Fatalf("warnings event = %v, want %s for a one-sided min() subscription", warns, lint.CodeScanOutput)
 	}
 
 	second, ok := <-ch
@@ -160,15 +160,15 @@ func TestNonDivisibleSubscriptionWarnsAndStreams(t *testing.T) {
 
 	// The warned query still computes the right answer: the pushed value
 	// matches the naive-scan oracle, and the one-shot query path reports
-	// the same SGL102 in its response.
+	// the same SGL104 in its response.
 	var qr QueryResponse
-	if code := do(t, http.MethodPost, ts.URL+"/v1/sessions/nondiv/query", QueryRequest{Src: minSrc, Scan: true}, &qr); code != http.StatusOK {
+	if code := do(t, http.MethodPost, ts.URL+"/v1/sessions/nondiv/query", QueryRequest{Src: minSrc, Args: []float64{10}, Scan: true}, &qr); code != http.StatusOK {
 		t.Fatalf("scan query: status %d", code)
 	}
 	if len(qr.Values) != 1 || qr.Values[0] != ans.Values[0] {
 		t.Fatalf("scan oracle = %v, pushed initial answer = %v", qr.Values, ans.Values)
 	}
-	if !hasCode(qr.Warnings, lint.CodeNonDivisible) {
-		t.Errorf("query response warnings = %v, want %s", qr.Warnings, lint.CodeNonDivisible)
+	if !hasCode(qr.Warnings, lint.CodeScanOutput) {
+		t.Errorf("query response warnings = %v, want %s", qr.Warnings, lint.CodeScanOutput)
 	}
 }

@@ -142,11 +142,11 @@ function main(u) { perform Tag(u, Same(u)) }`)
 }
 
 // TestNearestWithRangeIsSGL104 pins the nearest-specific scan reason
-// (query mode; nearest is also non-divisible, so SGL102 rides along).
+// (query mode).
 func TestNearestWithRangeIsSGL104(t *testing.T) {
 	diags := lintQuery(t, `aggregate Close(u) := nearestkey() as key over e
   where e.posx >= u.posx - 5 and e.posx <= u.posx + 5;`)
-	wantCodes(t, diags, CodeNonDivisible, CodeScanOutput)
+	wantCodes(t, diags, CodeScanOutput)
 	found := false
 	for _, d := range diags {
 		if d.Code == CodeScanOutput {

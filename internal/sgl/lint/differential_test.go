@@ -80,53 +80,3 @@ func TestLintClassificationMatchesRuntime(t *testing.T) {
 		}
 	}
 }
-
-// TestLintDivisibilityMatchesMaintainedPlan pins SGL102 to the
-// executor's own divisibility decision: for a spread of query shapes,
-// lint reports SGL102 exactly when the engine's maintained-answer plan
-// declares the query non-divisible (i.e. it will rederive instead of
-// patch).
-func TestLintDivisibilityMatchesMaintainedPlan(t *testing.T) {
-	queries := []string{
-		`aggregate Pop(u) := count(*) over e;`,
-		`aggregate HP(u, p) := sum(e.health) as hp, avg(e.health) as mean over e where e.player = p;`,
-		`aggregate Weak(u) := min(e.health) as weakest over e;`,
-		`aggregate Near(u) := nearestkey() as key, nearestdist() as dist over e;`,
-		`aggregate Spread(u) := stddev(e.posx) over e;`,
-		`aggregate Frail(u) := argmin(e.health) as key over e;`,
-		`aggregate Odd(u) := count(*) over e where e.posx * e.posy > 10;`,
-	}
-	rows := workload.Generate(workload.Spec{Units: 32, Density: 0.02, Seed: 5, Formation: workload.BattleLines})
-	script, err := parser.Parse(game.Script)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := sem.Check(script, game.Schema(), game.Consts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := engine.New(prog, game.NewMechanics(), rows, engine.Options{
-		Mode: engine.Indexed, Categoricals: game.Categoricals(), Seed: 5, Side: 64, MoveSpeed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, src := range queries {
-		q, err := engine.CompileQuery(src, game.Schema(), nil)
-		if err != nil {
-			t.Fatalf("%s: %v", src, err)
-		}
-		divisible := eng.MaintainedPlan(q).Divisible()
-
-		diags := Lint(src, Options{Mode: ModeQuery, Schema: game.Schema(), Categoricals: game.Categoricals()})
-		warned := false
-		for _, d := range diags {
-			if d.Code == CodeNonDivisible {
-				warned = true
-			}
-		}
-		if warned == divisible {
-			t.Errorf("%s: lint SGL102=%v but MaintainedPlan.Divisible()=%v — the shared classifier disagrees with itself", src, warned, divisible)
-		}
-	}
-}

@@ -14,12 +14,11 @@
 //     definitions, lets, parameters, output columns and constants.
 //
 //   - SGL1xx — performance. These mirror the real executor's classifiers
-//     (internal/exec.Analyzer, exec.AnswerPlan, internal/algebra's
-//     pipeline report): a definition whose pipeline is residual class,
-//     a non-divisible aggregate in a maintained/subscribed query, an
-//     output falling back to a per-probe scan, a guard that cannot be
-//     pushed below the index probe. Lint calls the exact classifier the
-//     engine runs with, so lint and executor can never disagree.
+//     (internal/exec.Analyzer, internal/algebra's pipeline report): a
+//     definition whose pipeline is residual class, an output falling
+//     back to a per-probe scan, a guard that cannot be pushed below the
+//     index probe. Lint calls the exact classifier the engine runs with,
+//     so lint and executor can never disagree.
 //
 // The paper framing: which query classes admit efficient (incremental,
 // indexed) evaluation is decidable from the query text alone — so decide
@@ -85,6 +84,9 @@ type Options struct {
 }
 
 // Diagnostic codes. The full table with examples lives in LANGUAGE.md.
+// SGL102 is retired: it flagged a query whose maintained answer
+// rederived instead of patching, and no answer is maintained any more.
+// Never reuse it.
 const (
 	CodeCompile      = "SGL001" // parse or semantic error
 	CodeDupDecl      = "SGL002" // duplicate declaration
@@ -99,7 +101,6 @@ const (
 	CodeDeadOutput   = "SGL011" // aggregate output column never read
 	CodeDeadConst    = "SGL012" // game constant never referenced
 	CodeResidual     = "SGL101" // definition not index-usable
-	CodeNonDivisible = "SGL102" // non-divisible aggregate in maintained/subscribed query
 	CodeGuardBlocked = "SGL103" // guard not pushable below the index probe
 	CodeScanOutput   = "SGL104" // output falls back to scan despite indexable def
 )

@@ -303,28 +303,20 @@ function main(u) { perform Curse(u) }`
 	}
 }
 
-func TestNonDivisibleQueryIsSGL102(t *testing.T) {
-	src := `aggregate Weakest(u) := min(e.health) over e where e.player = u.player;`
-	diags := lintQuery(t, src)
-	found := false
-	for _, d := range diags {
-		if d.Code == CodeNonDivisible {
-			found = true
-			if !strings.Contains(d.Msg, "rederives") {
-				t.Errorf("SGL102 should explain the rederive cost: %s", d.Msg)
+// TestSGL102Retired: SGL102 flagged a query whose maintained answer
+// rederived instead of patching. No answer is maintained any more, so no
+// query — divisible or not — draws it, and the code is never reused.
+func TestSGL102Retired(t *testing.T) {
+	for _, src := range []string{
+		`aggregate Weakest(u) := min(e.health) over e where e.player = u.player;`,
+		`aggregate Near(u) := nearestkey() as key, nearestdist() as dist over e;`,
+		`aggregate Frail(u) := argmin(e.health) as key over e;`,
+		`aggregate Hurt(u) := count(*) over e where e.health <= 50;`,
+	} {
+		for _, d := range lintQuery(t, src) {
+			if d.Code == "SGL102" {
+				t.Errorf("%s: retired code reported: %s", src, d)
 			}
-		}
-	}
-	if !found {
-		t.Errorf("min() query produced no SGL102:\n%s", strings.Join(Strings(diags), "\n"))
-	}
-}
-
-func TestDivisibleQueryHasNoSGL102(t *testing.T) {
-	src := `aggregate Hurt(u) := count(*) over e where e.health <= 50;`
-	for _, d := range lintQuery(t, src) {
-		if d.Code == CodeNonDivisible {
-			t.Errorf("divisible count query flagged SGL102: %s", d)
 		}
 	}
 }

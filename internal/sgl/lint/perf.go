@@ -16,10 +16,8 @@ import (
 // makes at world creation) and reports the SGL1xx family. Because the
 // classifier is shared, a lint verdict here is exactly the pipeline the
 // engine will run: SGL101 means per-tick scans, SGL104 means one output
-// drags an otherwise indexed definition to a per-probe scan, SGL103 means
-// a guard that filters after an index probe instead of before it, and
-// SGL102 (query mode) means the maintainer rederives the answer on every
-// dirty tick instead of patching it.
+// drags an otherwise indexed definition to a per-probe scan, and SGL103
+// means a guard that filters after an index probe instead of before it.
 func (l *linter) checkPerformance(prog *sem.Program, reach *reachSet) {
 	an := exec.NewAnalyzer(prog, l.opts.Categoricals)
 
@@ -28,13 +26,7 @@ func (l *linter) checkPerformance(prog *sem.Program, reach *reachSet) {
 		if n == 0 {
 			return
 		}
-		entry := prog.Script.Aggs[n-1]
-		l.perfAgg(an, entry)
-		if !exec.NewAnswerPlan(prog, entry).Divisible() {
-			l.report(CodeNonDivisible, entry.P,
-				"aggregate %s is not divisible: a maintained or subscribed query rederives the full answer on every dirty tick instead of patching it (divisible functions: count, sum, avg, stddev, with an index-usable condition)",
-				entry.Name)
-		}
+		l.perfAgg(an, prog.Script.Aggs[n-1])
 		return
 	}
 

@@ -134,8 +134,8 @@
 // them; a view sees a handful of probes per query. QueryScan evaluates the
 // same query by a naive O(n) scan (the pluggable-evaluator duality of the
 // paper, applied to reads); differential tests prove both agree on every
-// output class. Engine.QueryMaintained keeps an answer across ticks and
-// patches it from each tick's delta instead. Reads take no lock: every
+// output class. A push subscription is the same one-shot on the view of
+// each tick, so a pushed answer is the polled one. Reads take no lock: every
 // tick commit publishes an immutable ReadView, so any number of reader
 // goroutines run beside Step, never behind it, and a query issued
 // mid-tick answers for the tick before. Session.ReadView hands out the
@@ -366,8 +366,7 @@ func Open(r io.Reader, mech Mechanics, tune EngineOptions) (*Session, error) {
 // predicates, and aggregate outputs; no actions, no effects, no Random.
 // The last aggregate declared is the entry point. Evaluate the result
 // on a ReadView through a Probe (ReadView.Query, ReadView.QueryScan),
-// with Engine.QueryMaintained, or — for world queries — with the Session
-// shorthands.
+// or — for world queries — with the Session shorthands.
 func CompileQuery(src string, schema *Schema, consts map[string]float64) (*Query, error) {
 	return engine.CompileQuery(src, schema, consts)
 }
