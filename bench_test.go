@@ -1,12 +1,15 @@
 // Benchmarks regenerating the paper's evaluation (Section 6), one family
-// per table/figure, plus the ablation studies listed in DESIGN.md. The
+// per table/figure, plus the ablation studies A1–A6 marked below. The
 // full parameter sweeps with paper-style output live in cmd/benchfig;
 // these testing.B benches cover the same code paths at benchmark-friendly
 // sizes.
 //
 //	go test -bench=Fig10 -benchmem           # E1: scalability (Figure 10)
 //	go test -bench=Density                   # E3: density insensitivity
-//	go test -bench=Ablation                  # A1–A5
+//	go test -bench=Ablation                  # A1–A3: index structures vs scans
+//	go test -bench=EffectCombine             # A4: effect index vs direct application
+//	go test -bench=IndexBuild8000 -benchmem  # A5: per-tick index construction
+//	go test -bench=Decision                  # A6: set- vs unit-at-a-time
 package sgl
 
 import (
@@ -159,7 +162,7 @@ func ablationPoints(n int, radius float64) ([]rangetree.Point, []float64, []geom
 	probes := make([]geom.Rect, 1024)
 	for i := range probes {
 		c := geom.Point{X: st.Float64() * side, Y: st.Float64() * side}
-		probes[i] = geom.RectAround(c, radius)
+		probes[i] = geom.Rect{MinX: c.X - radius, MinY: c.Y - radius, MaxX: c.X + radius, MaxY: c.Y + radius}
 	}
 	return pts, vals, probes
 }
@@ -300,7 +303,8 @@ func BenchmarkNNAblationKDTree(b *testing.B) {
 	for i, p := range pts {
 		kp[i] = kdtree.Point{X: p.X, Y: p.Y, Key: int64(i)}
 	}
-	tr := kdtree.Build(kp)
+	tr := &kdtree.Tree{}
+	tr.Rebuild(kp)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := kp[i%len(kp)]
@@ -493,7 +497,7 @@ func submitMoraleSets(tb testing.TB, e *Engine, k int) {
 	n, t := int64(e.Env().Len()), e.TickCount()
 	for j := int64(0); j < int64(k); j++ {
 		c := Command{Op: OpSet, Key: (int64(k)*t + j) % 16 * (n / 16), Col: "morale", Val: float64(100 + int64(k)*t + j)}
-		if err := e.Submit("actor", c); err != nil {
+		if _, err := e.SubmitSharded("actor", c); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -513,7 +517,8 @@ func submitMoraleSets(tb testing.TB, e *Engine, k int) {
 // 28 after; the ceiling only moves down.
 //
 // The second window runs the benchmark actor's rate, three morale sets a
-// tick (submitted outside the measurement: admission is not the tick).
+// tick, admitted the way the server admits them: queued outside the
+// measurement, drained and stamped inside the measured Tick.
 // Applying them used to allocate a row map, a row slice and two merged
 // delta slices per tick, and their all-columns masks rebuilt the edited
 // knights' partitions (53 allocs/tick when introduced); the edited rows
@@ -528,7 +533,9 @@ func submitMoraleSets(tb testing.TB, e *Engine, k int) {
 // its per-group classification in three maps; both now live in the
 // inherited scratch (11). Post-processing and move planning became one
 // pass, its deaths counted in the shard outputs, and the movement
-// permutation is drawn into a kept buffer (8).
+// permutation is drawn into a kept buffer (8). Since the command window
+// drains the sharded admission queues inside the tick, the drain keeps
+// its sorted origin list as scratch; a fresh list each tick read 9.
 func TestTickAllocRatchet(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	e := newSentry(t, 2000, 1, sentryMix)

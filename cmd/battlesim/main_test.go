@@ -186,7 +186,7 @@ func TestScriptedCommandsSmoke(t *testing.T) {
 	if got := len(sess.Journal()); got != 5 {
 		t.Fatalf("journal entries = %d, want 5", got)
 	}
-	if v, _ := sess.Engine().ConstValue("_HEAL_AURA"); v != 5 {
+	if v := sess.Engine().Program().Consts["_HEAL_AURA"]; v != 5 {
 		t.Fatalf("tuned const = %v, want 5", v)
 	}
 	if sess.Engine().Env().Len() != 80 {

@@ -99,7 +99,7 @@ func TestCompactCheckpointCrashWindow(t *testing.T) {
 		if tick := old.Tick(); tick != 3 {
 			t.Fatalf("limit %d: old checkpoint opened at tick %d, want 3", limit, tick)
 		}
-		if base := old.JournalBase(); base != 0 {
+		if base := old.Engine().JournalBase(); base != 0 {
 			t.Fatalf("limit %d: old checkpoint opened with base %d, want 0", limit, base)
 		}
 		if n := len(old.Journal()); n != 3 {
@@ -123,7 +123,7 @@ func TestCompactCheckpointCrashWindow(t *testing.T) {
 	if tick := cur.Tick(); tick != 6 {
 		t.Fatalf("new checkpoint opened at tick %d, want 6", tick)
 	}
-	if base := cur.JournalBase(); base != 6 {
+	if base := cur.Engine().JournalBase(); base != 6 {
 		t.Fatalf("new checkpoint opened with base %d, want 6", base)
 	}
 	if _, err := cur.JournalSince(0); err == nil {

@@ -111,13 +111,44 @@ func randomArmy(t testing.TB, seed uint64, n int, side float64) *table.Table {
 	return env
 }
 
+// runTick translates, optimizes, and executes a program for one tick —
+// the compiled counterpart of interp.RunTickNaive.
+func runTick(prog *sem.Program, env *table.Table, prov interp.Provider, r rng.TickSource) (*table.Table, error) {
+	plan, err := Translate(prog)
+	if err != nil {
+		return nil, err
+	}
+	Optimize(plan)
+	return NewExecutor(prog, plan, env, prov, r).Tick()
+}
+
+// countNodes returns how many operators of each type the plan holds.
+func countNodes(p *Plan) map[string]int {
+	counts := map[string]int{}
+	for _, n := range p.Nodes() {
+		switch n.(type) {
+		case *Base:
+			counts["base"]++
+		case *Select:
+			counts["select"]++
+		case *Extend:
+			counts["extend"]++
+		case *Apply:
+			counts["apply"]++
+		case *Combine:
+			counts["combine"]++
+		}
+	}
+	return counts
+}
+
 func TestTranslateFigure3Shape(t *testing.T) {
 	prog := compile(t, figure3Script)
 	plan, err := Translate(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := plan.CountNodes()
+	counts := countNodes(plan)
 	if counts["base"] != 1 {
 		t.Errorf("base = %d, want 1 (shared)", counts["base"])
 	}
@@ -135,9 +166,6 @@ func TestTranslateFigure3Shape(t *testing.T) {
 	}
 	if plan.Slots != 3 {
 		t.Errorf("slots = %d, want 3", plan.Slots)
-	}
-	if name := plan.SlotName(0); name != "c" {
-		t.Errorf("slot 0 = %q, want c", name)
 	}
 	out := plan.Explain()
 	for _, want := range []string{"act⊕", "σ", "π", "E", "⊕"} {
@@ -252,7 +280,7 @@ function main(u) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunTick(prog, env, interp.NewNaive(prog, env, r), r)
+	got, err := runTick(prog, env, interp.NewNaive(prog, env, r), r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +303,7 @@ function main(u) { perform level1(u, 5) }`
 	prog := compile(t, src)
 	env := randomArmy(t, 3, 10, 20)
 	r := rng.New(3).Tick(1)
-	got, err := RunTick(prog, env, interp.NewNaive(prog, env, r), r)
+	got, err := runTick(prog, env, interp.NewNaive(prog, env, r), r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +319,7 @@ func TestEmptyMainPlan(t *testing.T) {
 	prog := compile(t, "function main(u) {}")
 	env := randomArmy(t, 2, 10, 20)
 	r := rng.New(2).Tick(1)
-	got, err := RunTick(prog, env, interp.NewNaive(prog, env, r), r)
+	got, err := runTick(prog, env, interp.NewNaive(prog, env, r), r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,10 +346,10 @@ func ruleTable(t testing.TB, seed uint64, n int) *table.Table {
 func TestRule8Extension(t *testing.T) {
 	r := ruleTable(t, 1, 40)
 	act := PaperAction{Col: r.Schema.MustCol("damage"), Delta: func(row []float64) float64 { return row[2] }}
-	lhs := act.Apply(r).CombineWith(r)
+	lhs := combine(act.Apply(r), r)
 	// "Extend" r: same rows (extension held out-of-band), then apply.
 	rPrime := r.Clone()
-	rhs := act.Apply(rPrime).CombineWith(rPrime)
+	rhs := combine(act.Apply(rPrime), rPrime)
 	if !lhs.EqualContents(rhs) {
 		t.Fatal("rule (8) violated")
 	}
@@ -340,8 +368,8 @@ func TestRule9SelectionPartition(t *testing.T) {
 	rP := SelectRows(r, phi)
 	rN := SelectRows(r, notPhi)
 
-	lhs := f.Apply(rP).CombineWith(g.Apply(rN)).CombineWith(r)
-	rhs := f.Apply(rP).CombineWith(rP).CombineWith(g.Apply(rN).CombineWith(rN))
+	lhs := combine(combine(f.Apply(rP), g.Apply(rN)), r)
+	rhs := combine(combine(f.Apply(rP), rP), combine(g.Apply(rN), rN))
 	if !lhs.EqualContents(rhs) {
 		t.Fatal("rule (9) violated")
 	}
@@ -355,7 +383,7 @@ func TestRule10JoinForm(t *testing.T) {
 	g := PaperAction{Col: r.Schema.MustCol("inaura"), Delta: func(row []float64) float64 { return 2 }}
 	r1 := f.Apply(r) // keyed: one row per input row
 	r2 := g.Apply(r)
-	lhs := r1.CombineWith(r2)
+	lhs := combine(r1, r2)
 	rhs := JoinCombineK(r1, r2)
 	if !lhs.EqualContents(rhs) {
 		t.Fatal("rule (10) violated")
@@ -371,7 +399,7 @@ func TestCoveringActionElimination(t *testing.T) {
 		t.Fatal("fixture should start effect-neutral")
 	}
 	act := PaperAction{Col: r.Schema.MustCol("movevect_x"), Delta: func(row []float64) float64 { return 7 }}
-	lhs := act.Apply(r).CombineWith(r)
+	lhs := combine(act.Apply(r), r)
 	rhs := act.Apply(r)
 	if !lhs.EqualContents(rhs) {
 		t.Fatal("covering-action elimination violated at tick start")
@@ -383,7 +411,7 @@ func TestCoveringActionElimination(t *testing.T) {
 	if EffectsNeutral(rDirty) {
 		t.Fatal("dirty table should not be neutral")
 	}
-	lhs2 := act.Apply(rDirty).CombineWith(rDirty)
+	lhs2 := combine(act.Apply(rDirty), rDirty)
 	rhs2 := act.Apply(rDirty)
 	if lhs2.EqualContents(rhs2) {
 		t.Fatal("expected the identity to fail without the neutrality precondition")

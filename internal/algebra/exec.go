@@ -147,7 +147,8 @@ func (e *RangeError) Error() string {
 // NewExecutor binds a plan to an environment, provider, and tick source.
 // The plan is compiled on its first executor and shared by every later
 // one; a plan that does not compile (its AST was not checked against
-// prog) surfaces the error from the first evaluation.
+// prog) surfaces the error from the first evaluation. Kept, with Tick, as
+// the compiled side of the differential tests' full-tick reference.
 func NewExecutor(prog *sem.Program, plan *Plan, env *table.Table, prov interp.Provider, r rng.TickSource) *Executor {
 	return newExecutor(prog, plan, env, prov, r, 0, -1)
 }
@@ -262,7 +263,7 @@ func (x *Executor) at(row *Row) *expr.Frame {
 
 // Effects evaluates the plan, emitting every effect row it produces. This
 // is main⊕(E) without the final ⊕ E. Emitted rows are freshly allocated
-// and may be retained.
+// and may be retained. Kept exported because bench/ compiles against it.
 func (x *Executor) Effects(emit func(row []float64)) error {
 	if x.codeErr != nil {
 		return x.codeErr
@@ -285,7 +286,8 @@ func (x *Executor) Effects(emit func(row []float64)) error {
 
 // Tick computes the full semantics of Eq. (6) — the plan's effects
 // ⊕-combined with the environment — and must agree exactly with
-// interp.Evaluator.Tick on the same program.
+// interp.Evaluator.Tick on the same program. Kept as a test reference:
+// the engine's tick runs Effects on shard executors instead.
 func (x *Executor) Tick() (*table.Table, error) {
 	effects := table.New(x.env.Schema, x.env.Len())
 	if err := x.Effects(func(row []float64) { effects.Append(row) }); err != nil {
@@ -366,15 +368,4 @@ func bitsEqual(a, b []float64) bool {
 		}
 	}
 	return true
-}
-
-// RunTick translates, optimizes, and executes a program for one tick — the
-// compiled counterpart of interp.RunTickNaive.
-func RunTick(prog *sem.Program, env *table.Table, prov interp.Provider, r rng.TickSource) (*table.Table, error) {
-	plan, err := Translate(prog)
-	if err != nil {
-		return nil, err
-	}
-	Optimize(plan)
-	return NewExecutor(prog, plan, env, prov, r).Tick()
 }

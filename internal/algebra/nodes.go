@@ -118,9 +118,8 @@ func (n *Combine) Inputs() []Node { return n.Kids }
 // Combine of all effect-producing branches, and the full tick is
 // Root's effects ⊕ E (paper Eq. 6).
 type Plan struct {
-	Root   *Combine
-	Slots  int // number of extension slots
-	labels []string
+	Root  *Combine
+	Slots int // number of extension slots
 
 	// code is the plan compiled for execution (compile.go), built by the
 	// first executor bound to the plan and dropped by Optimize.
@@ -157,14 +156,6 @@ func (p *Plan) Applies() ([]*Apply, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// SlotName returns the let name that owns a slot (for Explain).
-func (p *Plan) SlotName(slot int) string {
-	if slot < len(p.labels) {
-		return p.labels[slot]
-	}
-	return fmt.Sprintf("slot%d", slot)
 }
 
 // Explain renders the plan as an indented operator tree. Shared nodes (the
@@ -232,25 +223,4 @@ func (p *Plan) Nodes() []Node {
 	}
 	walk(p.Root)
 	return out
-}
-
-// CountNodes returns how many operators of each type the plan holds; used
-// by optimizer tests to assert structural effects.
-func (p *Plan) CountNodes() map[string]int {
-	counts := map[string]int{}
-	for _, n := range p.Nodes() {
-		switch n.(type) {
-		case *Base:
-			counts["base"]++
-		case *Select:
-			counts["select"]++
-		case *Extend:
-			counts["extend"]++
-		case *Apply:
-			counts["apply"]++
-		case *Combine:
-			counts["combine"]++
-		}
-	}
-	return counts
 }

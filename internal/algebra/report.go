@@ -88,16 +88,6 @@ func (r *PipelineReport) String() string {
 	return b.String()
 }
 
-// FormatReports renders a report list as one canonical string, for
-// byte-comparison between static and live reports.
-func FormatReports(reports []PipelineReport) string {
-	var b strings.Builder
-	for i := range reports {
-		b.WriteString(reports[i].String())
-	}
-	return b.String()
-}
-
 // Report compiles every Apply input chain of the plan exactly the way the
 // streaming executor does (guard pushdown + greedy conjunct ordering) and
 // returns the resulting placements. prog is consulted only to distinguish

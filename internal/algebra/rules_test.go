@@ -6,9 +6,12 @@ import (
 
 // This file implements the ⊕-interaction rules of paper Figure 7 as
 // table-level operations, so their soundness can be property-tested
-// directly (see rules_test.go). The plan-level Optimize uses them
+// directly (the TestRule* tests). The plan-level Optimize uses them
 // implicitly: the executor's single effects-⊎-E combine at the end of a
 // tick is exactly the normal form these rules justify.
+
+// combine is R ⊕ S: ⊕(R ⊎ S).
+func combine(r, s *table.Table) *table.Table { return r.Union(s).Combine() }
 
 // SelectRows is σφ on a materialized table (multiset semantics: row order
 // preserved, rows shared not copied).
@@ -61,13 +64,21 @@ func JoinCombineK(r1, r2 *table.Table) *table.Table {
 	if !r1.Schema.Equal(r2.Schema) {
 		panic("algebra: JoinCombineK schema mismatch")
 	}
-	if !r1.Keyed() || !r2.Keyed() || r1.Len() != r2.Len() {
+	s := r1.Schema
+	byKey := func(t *table.Table) map[float64][]float64 {
+		m := make(map[float64][]float64, t.Len())
+		for _, r := range t.Rows {
+			m[r[s.KeyCol()]] = r
+		}
+		return m
+	}
+	k1, k2 := byKey(r1), byKey(r2)
+	if len(k1) != r1.Len() || len(k2) != r2.Len() || r1.Len() != r2.Len() {
 		panic("algebra: JoinCombineK requires keyed tables over the same keys")
 	}
-	s := r1.Schema
 	out := table.New(s, r1.Len())
 	for _, a := range r1.Rows {
-		b := r2.Lookup(int64(a[s.KeyCol()]))
+		b := k2[a[s.KeyCol()]]
 		if b == nil {
 			panic("algebra: JoinCombineK key sets differ")
 		}

@@ -23,21 +23,19 @@ func Translate(prog *sem.Program) (*Plan, error) {
 	if !ok {
 		c = &Combine{Kids: []Node{root}}
 	}
-	return &Plan{Root: c, Slots: tr.nextSlot, labels: tr.labels}, nil
+	return &Plan{Root: c, Slots: tr.nextSlot}, nil
 }
 
 type translator struct {
 	prog     *sem.Program
 	nextSlot int
-	labels   []string
 	gensym   int
 }
 
 // subst maps inlined parameter names to caller-scope terms.
 type subst map[string]ast.Term
 
-func (tr *translator) newSlot(name string) int {
-	tr.labels = append(tr.labels, name)
+func (tr *translator) newSlot() int {
 	tr.nextSlot++
 	return tr.nextSlot - 1
 }
@@ -88,7 +86,7 @@ func (tr *translator) action(a ast.Action, in Node, env *Env, sub subst) (Node, 
 		if err != nil {
 			return nil, err
 		}
-		slot := tr.newSlot(n.Name)
+		slot := tr.newSlot()
 		ext := &Extend{In: in, Name: n.Name, Slot: slot, Value: value, Env: env}
 		return tr.action(n.Body, ext, env.child(n.Name, slot), sub)
 

@@ -115,9 +115,6 @@ func newFollower(cfg FollowerConfig) (*Follower, error) {
 	return f, nil
 }
 
-// Name returns the local replica world's name.
-func (f *Follower) Name() string { return f.name }
-
 // World returns the current replica world (replaced after a compaction
 // recovery — callers should not cache it across recoveries).
 func (f *Follower) World() *server.World {
@@ -125,14 +122,6 @@ func (f *Follower) World() *server.World {
 	defer f.mu.Unlock()
 	return f.world
 }
-
-// Recoveries counts checkpoint re-bootstraps forced by writer
-// compaction (the 410 path).
-func (f *Follower) Recoveries() int64 { return f.recoveries.Load() }
-
-// Err returns the last replication error ("" when healthy). Transient:
-// the loop keeps retrying until Stop.
-func (f *Follower) Err() string { return f.lastErr.Load().(string) }
 
 // Stop halts the replication loop (canceling any parked long-poll) and
 // removes the replica world from the registry.

@@ -433,3 +433,11 @@ func TestFollowerSurvivesSilentWriter(t *testing.T) {
 		t.Error("the recovered replica's checkpoint differs from its writer's")
 	}
 }
+
+// Recoveries counts checkpoint re-bootstraps forced by writer
+// compaction (the 410 path).
+func (f *Follower) Recoveries() int64 { return f.recoveries.Load() }
+
+// Err returns the last replication error ("" when healthy). Transient:
+// the loop keeps retrying until Stop.
+func (f *Follower) Err() string { return f.lastErr.Load().(string) }

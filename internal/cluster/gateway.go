@@ -458,17 +458,3 @@ func (g *Gateway) NodeStatuses() []NodeStatus {
 	}
 	return statuses
 }
-
-// RouteOf reports which node currently owns a session (tests and the
-// migration CLI use it; clients never need to know).
-func (g *Gateway) RouteOf(session string) (string, bool) {
-	g.rmu.RLock()
-	defer g.rmu.RUnlock()
-	rt, ok := g.routes[session]
-	if !ok {
-		return "", false
-	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.node.node.Name, true
-}

@@ -203,7 +203,7 @@ func TestMigrationUnderTraffic(t *testing.T) {
 	time.Sleep(300 * time.Millisecond) // let traffic and ticks build up
 
 	var resp *MigrateResponse
-	resp, err := g.Migrate(MigrateRequest{Session: "mig", Target: dstName, Workers: 2})
+	resp, err := g.migrate(MigrateRequest{Session: "mig", Target: dstName, Workers: 2})
 	if err != nil {
 		t.Fatalf("migrate: %v", err)
 	}
@@ -278,7 +278,7 @@ func TestMigrationUnderTraffic(t *testing.T) {
 	}
 
 	// Migrating a session with no route is a clean error.
-	if _, err := g.Migrate(MigrateRequest{Session: "ghost"}); err == nil {
+	if _, err := g.migrate(MigrateRequest{Session: "ghost"}); err == nil {
 		t.Error("migrating an unknown session did not fail")
 	}
 }
@@ -431,7 +431,7 @@ func TestMigrationBoundedByHungNode(t *testing.T) {
 		}
 		done := make(chan result, 1)
 		go func() {
-			resp, err := g.Migrate(MigrateRequest{Session: "h"})
+			resp, err := g.migrate(MigrateRequest{Session: "h"})
 			done <- result{resp, err}
 		}()
 		select {
@@ -489,4 +489,17 @@ func TestMigrationBoundedByHungNode(t *testing.T) {
 	if owner, _ := g.RouteOf("h"); owner != resp.To || resp.From != srcName || resp.Tick != 1 {
 		t.Errorf("migrated %s→%s at tick %d, route %s; want from %s at tick 1", resp.From, resp.To, resp.Tick, owner, srcName)
 	}
+}
+
+// RouteOf reports which node currently owns a session.
+func (g *Gateway) RouteOf(session string) (string, bool) {
+	g.rmu.RLock()
+	defer g.rmu.RUnlock()
+	rt, ok := g.routes[session]
+	if !ok {
+		return "", false
+	}
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	return rt.node.node.Name, true
 }

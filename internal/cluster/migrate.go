@@ -55,7 +55,7 @@ func (g *Gateway) handleMigrate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "gateway: migrate body: %v", err)
 		return
 	}
-	resp, err := g.Migrate(req)
+	resp, err := g.migrate(req)
 	if err != nil {
 		g.migrateErrs.Inc()
 		writeErr(w, http.StatusConflict, "gateway: %v", err)
@@ -64,7 +64,7 @@ func (g *Gateway) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// Migrate moves a session to another node by checkpoint transfer and
+// migrate moves a session to another node by checkpoint transfer and
 // atomically repoints its route:
 //
 //  1. take the route (new non-stream requests for the session park),
@@ -83,7 +83,7 @@ func (g *Gateway) handleMigrate(w http.ResponseWriter, r *http.Request) {
 // worst case is a pause, never a loss. Open SSE subscriptions to the
 // source end when the source world is deleted; the client's reconnect
 // through the gateway lands on the target.
-func (g *Gateway) Migrate(req MigrateRequest) (*MigrateResponse, error) {
+func (g *Gateway) migrate(req MigrateRequest) (*MigrateResponse, error) {
 	g.rmu.RLock()
 	rt, ok := g.routes[req.Session]
 	g.rmu.RUnlock()

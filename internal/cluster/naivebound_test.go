@@ -74,7 +74,7 @@ func TestNaiveBoundOnMigrationAndReplica(t *testing.T) {
 	if _, ok := g.lookup("big"); !ok { // adopted, as on a first request
 		t.Fatal("the gateway did not find the naive world on its node")
 	}
-	if _, err := g.Migrate(MigrateRequest{Session: "big", Target: "dst"}); err == nil || !strings.Contains(err.Error(), naiveRefusal) {
+	if _, err := g.migrate(MigrateRequest{Session: "big", Target: "dst"}); err == nil || !strings.Contains(err.Error(), naiveRefusal) {
 		t.Errorf("migrating a 4001-unit naive world: %v; want the target's refusal naming the limit", err)
 	}
 	if owner, _ := g.RouteOf("big"); owner != "src" {

@@ -345,7 +345,7 @@ func runAgainstRefill(t *testing.T, e, twin *Engine, ticks int, cmds func(tick i
 	for tick := 0; tick < ticks; tick++ {
 		for _, x := range []*Engine{e, twin} {
 			if cmds != nil {
-				if err := x.Submit("client", cmds(tick)...); err != nil {
+				if _, err := x.SubmitSharded("client", cmds(tick)...); err != nil {
 					t.Fatal(err)
 				}
 			}

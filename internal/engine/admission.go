@@ -1,9 +1,9 @@
-// Sharded command admission: the scalable front half of the command
-// pipeline (see command.go for the pipeline itself).
+// Sharded command admission: the front half of the command pipeline
+// (see command.go for the pipeline itself), and the one way a live
+// command enters an engine.
 //
-// Engine.Submit is correct but serial — the Session used to route every
-// submission through the writer lock, so N concurrent actors contended
-// on one mutex with the clock. The observation that removes the lock is
+// Admission takes no writer lock, so N concurrent actors do not contend
+// on one mutex with the clock. The observation that allows this is
 // the same one that makes contract #5 hold at all: the world depends
 // only on the canonical (tick, origin, sequence) order of the accepted
 // commands, never on their arrival interleaving. Admission therefore
@@ -39,8 +39,8 @@
 // before the boundary, which is exactly the determinism argument
 // TestSubmitArrivalOrderTorture hammers on. The replay path
 // (SubmitStamped) carries its own historical stamps and therefore
-// bypasses the sharded queues entirely. Every stamp, a drain's or
-// Submit's, follows one rule: stampTick.
+// bypasses the sharded queues entirely. Every stamp, a drain's or a
+// replayed one, follows one rule: stampTick.
 package engine
 
 import (
@@ -64,6 +64,9 @@ type originQueue struct {
 type admission struct {
 	mu     sync.RWMutex
 	queues map[string]*originQueue
+	// origins is the drain's scratch for the sorted origin list; only
+	// the drain, under inmu, touches it.
+	origins []string
 }
 
 // queue returns the origin's queue, creating it on first use.
@@ -90,7 +93,7 @@ func (a *admission) queue(origin string) *originQueue {
 // admission queue, all-or-nothing, returning the tick of the read view
 // published at admission: the commands are stamped one past it or
 // later, and the view labelled with their stamp is the first to show
-// them. Unlike Submit, it is safe to call from any number of goroutines
+// them. It is safe to call from any number of goroutines
 // concurrently — with itself on any origins, and with a running Tick or
 // Checkpoint: it touches only immutable engine state,
 // the published read view's tick, the atomic buffer reservation, and the
@@ -98,6 +101,13 @@ func (a *admission) queue(origin string) *originQueue {
 // pending buffer and journal at the next drain (a tick's commit or a
 // checkpoint), each origin's in queue order, origins in canonical sorted
 // order.
+//
+// Validation here covers everything knowable without the live world:
+// schema shape, world geometry, finiteness, known columns and constants.
+// Rules that depend on the world at application time — key existence and
+// uniqueness, square occupancy — are checked when the command applies,
+// and a violation then rejects the command deterministically (counted in
+// RunStats.CommandsRejected) rather than failing the tick.
 func (e *Engine) SubmitSharded(origin string, cmds ...Command) (int64, error) {
 	tick := e.view.Load().tick
 	if len(origin) > MaxOriginLen {
@@ -112,7 +122,7 @@ func (e *Engine) SubmitSharded(origin string, cmds ...Command) (int64, error) {
 		return tick, err
 	}
 	// Decouple spawn rows from the caller before publishing them to the
-	// drain, exactly as Submit does.
+	// drain.
 	for i := range cmds {
 		if cmds[i].Row != nil {
 			cmds[i].Row = append([]float64(nil), cmds[i].Row...)
@@ -140,8 +150,8 @@ func (e *Engine) reserve(n int) error {
 	}
 }
 
-// stampTick is the tick every command admitted now is stamped with —
-// by a drain or by Submit — and the one SubmitStamped accepts: the tick
+// stampTick is the tick every command admitted now is stamped with at
+// the drain, and the one SubmitStamped accepts: the tick
 // after the last committed one. A command stamped s precedes decision s;
 // the Tick that advances the world to s applies it at its commit, so
 // view s is the first to show it.
@@ -154,13 +164,14 @@ func (e *Engine) stampTick() int64 { return e.tick + 1 }
 // interleaving and keeps the canonical insertions O(1) per command.
 func (e *Engine) drainAdmission() {
 	e.adm.mu.RLock()
-	origins := make([]string, 0, len(e.adm.queues))
+	origins := e.adm.origins[:0]
 	//sgl:unordered origins are collected and sorted before stamping
 	for o := range e.adm.queues {
 		origins = append(origins, o)
 	}
 	e.adm.mu.RUnlock()
 	sort.Strings(origins)
+	e.adm.origins = origins
 	for _, origin := range origins {
 		q := e.adm.queue(origin)
 		q.mu.Lock()

@@ -54,8 +54,8 @@ func tortureBurst(r, k int) []Command {
 // the sharded admission path: the same logical command set, submitted
 // through K concurrent goroutines under seeded-random interleavings,
 // sleeps and per-origin burst splits, must produce checkpoint bytes
-// identical to single-threaded submission through the serial
-// Engine.Submit path — for every zoo program and the battle simulation,
+// identical to one goroutine submitting the same bursts, origins in
+// canonical order — for every zoo program and the battle simulation,
 // at Workers {1,4}. The checkpoint covers the
 // environment, every counter, the journal, the per-origin sequence
 // numbers and the pending buffer, so byte equality is the whole
@@ -76,12 +76,11 @@ func TestSubmitArrivalOrderTorture(t *testing.T) {
 					o.threshold = 1 // always maintain: the hostile setting
 				}
 
-				// Reference: one goroutine, serial Submit, origins in
-				// canonical order.
+				// Reference: one goroutine, origins in canonical order.
 				ref := newEngine(t, prog, tortureUnits, Indexed, 9, tweak)
 				for r := 0; r < tortureRounds; r++ {
 					for k := 0; k < tortureOrigins; k++ {
-						if err := ref.Submit(fmt.Sprintf("actor-%d", k), tortureBurst(r, k)...); err != nil {
+						if _, err := ref.SubmitSharded(fmt.Sprintf("actor-%d", k), tortureBurst(r, k)...); err != nil {
 							t.Fatalf("reference round %d actor %d: %v", r, k, err)
 						}
 					}
@@ -109,7 +108,7 @@ func TestSubmitArrivalOrderTorture(t *testing.T) {
 						default:
 							_ = sess.Journal()
 							_ = sess.Pending()
-							_ = sess.JournalBase()
+							_ = sess.Engine().JournalBase()
 							_ = sess.Stats()
 							runtime.Gosched()
 						}
@@ -151,11 +150,10 @@ func TestSubmitArrivalOrderTorture(t *testing.T) {
 					t.FailNow()
 				}
 
-				// One command left unstamped in the sharded queues: the
-				// pre-checkpoint drain must stamp it exactly like the
-				// serial path stamped its pending twin.
+				// One command left unstamped in each engine's queues: the
+				// pre-checkpoint drain must stamp both alike.
 				late := Command{Op: OpSet, Key: 1, Col: "morale", Val: 42}
-				if err := ref.Submit("late", late); err != nil {
+				if _, err := ref.SubmitSharded("late", late); err != nil {
 					t.Fatal(err)
 				}
 				if err := sess.Submit("late", late); err != nil {
@@ -305,34 +303,18 @@ func TestShardedAdmissionCheckpointDrain(t *testing.T) {
 	}
 }
 
-// BenchmarkSubmitSharded measures command admission throughput through
-// the lock-free sharded path at increasing actor counts; its twin
-// BenchmarkSubmitLocked routes the same traffic through the session
-// writer lock the pre-sharding Submit used. On multi-core hardware the
-// sharded path scales with actors while the locked path stays flat; on
-// a single core the comparison still shows the sharded path's absence
-// of cross-actor serialization (no lock convoy). Each op is one
-// admitted command; ticks to drain full buffers are included, as they
-// would be in production.
+// BenchmarkSubmitSharded measures command admission throughput at
+// increasing actor counts. Each op is one admitted command; ticks to
+// drain full buffers are included, as they would be in production.
 func BenchmarkSubmitSharded(b *testing.B) {
 	for _, actors := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("actors=%d", actors), func(b *testing.B) {
-			benchSubmit(b, actors, true)
+			benchSubmit(b, actors)
 		})
 	}
 }
 
-// BenchmarkSubmitLocked is the writer-lock baseline for
-// BenchmarkSubmitSharded.
-func BenchmarkSubmitLocked(b *testing.B) {
-	for _, actors := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("actors=%d", actors), func(b *testing.B) {
-			benchSubmit(b, actors, false)
-		})
-	}
-}
-
-func benchSubmit(b *testing.B, actors int, sharded bool) {
+func benchSubmit(b *testing.B, actors int) {
 	prog := battleProg(b)
 	e := newEngine(b, prog, 64, Indexed, 11, nil)
 	sess := NewSession(e)
@@ -341,16 +323,6 @@ func benchSubmit(b *testing.B, actors int, sharded bool) {
 		stepMu.Lock()
 		defer stepMu.Unlock()
 		return sess.Step(1)
-	}
-	submit := func(origin string, cmd Command) error {
-		if sharded {
-			return sess.Submit(origin, cmd)
-		}
-		// The pre-sharding discipline: every submitter serializes on the
-		// session writer lock.
-		sess.mu.Lock()
-		defer sess.mu.Unlock()
-		return e.Submit(origin, cmd)
 	}
 	per := b.N/actors + 1
 	b.ResetTimer()
@@ -363,7 +335,7 @@ func benchSubmit(b *testing.B, actors int, sharded bool) {
 			cmd := Command{Op: OpSet, Key: int64(a), Col: "morale", Val: 1}
 			for i := 0; i < per; i++ {
 				for {
-					err := submit(origin, cmd)
+					err := sess.Submit(origin, cmd)
 					if err == nil {
 						break
 					}

@@ -242,13 +242,13 @@ func FuzzOpen(f *testing.F) {
 	// applied commands, a journal, and a pending entry.
 	interactive := func() []byte {
 		e := newEngine(f, prog, 48, Indexed, 11, nil)
-		if err := e.Submit("fuzz", Command{Op: OpSet, Key: 1, Col: "health", Val: 9}); err != nil {
+		if _, err := e.SubmitSharded("fuzz", Command{Op: OpSet, Key: 1, Col: "health", Val: 9}); err != nil {
 			f.Fatal(err)
 		}
 		if err := e.Run(2); err != nil {
 			f.Fatal(err)
 		}
-		if err := e.Submit("fuzz", Command{Op: OpDespawn, Key: 2}); err != nil {
+		if _, err := e.SubmitSharded("fuzz", Command{Op: OpDespawn, Key: 2}); err != nil {
 			f.Fatal(err)
 		}
 		var buf bytes.Buffer
@@ -263,7 +263,7 @@ func FuzzOpen(f *testing.F) {
 	// own journal.
 	compacted, compactedPending, badBase := func() (a, b, c []byte) {
 		e := newEngine(f, prog, 64, Indexed, 17, nil)
-		if err := e.Submit("fuzz", Command{Op: OpSet, Key: 3, Col: "morale", Val: 4}); err != nil {
+		if _, err := e.SubmitSharded("fuzz", Command{Op: OpSet, Key: 3, Col: "morale", Val: 4}); err != nil {
 			f.Fatal(err)
 		}
 		if err := e.Run(3); err != nil {
@@ -274,7 +274,7 @@ func FuzzOpen(f *testing.F) {
 		if err := e.Checkpoint(&cbuf); err != nil {
 			f.Fatal(err)
 		}
-		if err := e.Submit("fuzz", Command{Op: OpDespawn, Key: 5}); err != nil {
+		if _, err := e.SubmitSharded("fuzz", Command{Op: OpDespawn, Key: 5}); err != nil {
 			f.Fatal(err)
 		}
 		var pbuf bytes.Buffer
@@ -354,9 +354,10 @@ func misstampedPending(t testing.TB, prog *sem.Program) []byte {
 	if err := e.Run(2); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Submit("t", Command{Op: OpSet, Key: 1, Col: "morale", Val: 3}); err != nil {
+	if _, err := e.SubmitSharded("t", Command{Op: OpSet, Key: 1, Col: "morale", Val: 3}); err != nil {
 		t.Fatal(err)
 	}
+	e.drainAdmission()
 	e.pending[0].Tick = e.tick
 	var buf bytes.Buffer
 	if err := e.Checkpoint(&buf); err != nil {

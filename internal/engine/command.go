@@ -4,13 +4,12 @@
 // The command pipeline turns those arrivals back into something the
 // deterministic tick machinery can digest:
 //
-//   - Submit validates a typed command against the schema and world
-//     geometry, stamps it (tick, origin, per-origin sequence) with the
-//     tick after the last committed one (stampTick, admission.go),
-//     appends it to the per-tick input buffer AND to the run's input
-//     journal, and returns; nothing mutates yet. SubmitSharded
-//     (admission.go) is its scalable concurrent twin: validation against
-//     immutable state only, the stamp deferred to the next drain.
+//   - SubmitSharded (admission.go) validates a typed command against the
+//     schema and world geometry and queues it on its origin's admission
+//     queue; nothing mutates yet. The next drain stamps it (tick, origin,
+//     per-origin sequence) with the tick after the last committed one
+//     (stampTick) and appends it to the per-tick input buffer AND to the
+//     run's input journal.
 //   - The next Tick applies the buffer at its commit — after its own
 //     decision, movement and resurrection, before the delta capture and
 //     the read view it publishes — in the canonical order (tick, origin,
@@ -119,7 +118,7 @@ type Command struct {
 	Row []float64 `json:"row,omitempty"`
 }
 
-// StampedCommand is a command plus the stamp Submit assigned: the decision
+// StampedCommand is a command plus the stamp its drain assigned: the decision
 // it precedes, the submitting origin, and the origin's sequence number.
 // The triple (Tick, Origin, Seq) is the canonical application order and
 // the journal's replay key.
@@ -131,7 +130,7 @@ type StampedCommand struct {
 	Tick int64 `json:"tick"`
 	// Origin identifies the submitter (a player, a connection, a tool).
 	Origin string `json:"origin"`
-	// Seq is the origin's own submission counter, assigned by Submit.
+	// Seq is the origin's own submission counter, assigned at the drain.
 	Seq uint64 `json:"seq"`
 	// Cmd is the command itself.
 	Cmd Command `json:"cmd"`
@@ -140,56 +139,14 @@ type StampedCommand struct {
 // Input-pipeline limits.
 const (
 	// MaxPendingCommands bounds the per-tick input window — queued
-	// admissions plus the stamped pending buffer; Submit and
-	// SubmitSharded fail once it is full (backpressure, and a decode
+	// admissions plus the stamped pending buffer; SubmitSharded and
+	// SubmitStamped fail once it is full (backpressure, and a decode
 	// bound for restore). Sized for the sharded admission path's target
 	// of ~10⁵ commands per tick from many concurrent actors.
 	MaxPendingCommands = 1 << 17
 	// MaxOriginLen bounds the origin identifier a command carries.
 	MaxOriginLen = 64
 )
-
-// Submit validates cmds and enqueues them for application at the next
-// tick's commit, all-or-nothing: if any command fails validation, none is
-// enqueued. Accepted commands are stamped (stampTick, origin, per-origin
-// sequence) and recorded in the input journal. Submit must not run
-// concurrently with Tick or with itself — the Session facade serializes
-// it under the writer lock.
-//
-// Validation here covers everything knowable without the live world:
-// schema shape, world geometry, finiteness, known columns and constants.
-// Rules that depend on the world at application time — key existence and
-// uniqueness, square occupancy — are checked when the command applies,
-// and a violation then rejects the command deterministically (counted in
-// RunStats.CommandsRejected) rather than failing the tick.
-func (e *Engine) Submit(origin string, cmds ...Command) error {
-	if len(origin) > MaxOriginLen {
-		return fmt.Errorf("engine: origin longer than %d bytes", MaxOriginLen)
-	}
-	for i := range cmds {
-		if err := e.validateCommand(&cmds[i]); err != nil {
-			return fmt.Errorf("engine: command %d: %w", i, err)
-		}
-	}
-	// The budget is shared with the sharded queues, so the reservation is
-	// atomic even though this path itself is serialized.
-	if err := e.reserve(len(cmds)); err != nil {
-		return err
-	}
-	if e.seqs == nil {
-		e.seqs = map[string]uint64{}
-	}
-	for _, c := range cmds {
-		if c.Row != nil {
-			c.Row = append([]float64(nil), c.Row...) // decouple from the caller
-		}
-		sc := StampedCommand{Tick: e.stampTick(), Origin: origin, Seq: e.seqs[origin], Cmd: c}
-		e.seqs[origin]++
-		e.pending = insertCanonical(e.pending, sc)
-		e.journal = insertCanonical(e.journal, sc)
-	}
-	return nil
-}
 
 // insertCanonical appends sc and bubbles it into canonical (tick,
 // origin, sequence) position. Ticks only grow, so the walk never leaves
@@ -266,14 +223,6 @@ func (e *Engine) Pending() []StampedCommand {
 	e.inmu.Lock()
 	defer e.inmu.Unlock()
 	return append([]StampedCommand(nil), e.pending...)
-}
-
-// ConstValue returns the engine's current value of a named game constant
-// — the base value from the program's constant table, or the latest
-// OpTune override.
-func (e *Engine) ConstValue(name string) (float64, bool) {
-	v, ok := e.prog.Consts[name]
-	return v, ok
 }
 
 // validateCommand checks the world-independent rules. It normalizes a

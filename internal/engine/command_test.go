@@ -23,7 +23,7 @@ func injectScripted(t testing.TB, e *Engine, tick int64) {
 	t.Helper()
 	submit := func(origin string, cmds ...Command) {
 		t.Helper()
-		if err := e.Submit(origin, cmds...); err != nil {
+		if _, err := e.SubmitSharded(origin, cmds...); err != nil {
 			t.Fatalf("tick %d: submit(%s): %v", tick, origin, err)
 		}
 	}
@@ -100,7 +100,7 @@ func runLiveInteractive(t testing.TB, e *Engine) []byte {
 		}
 	}
 	// Left pending deliberately: checkpoints must carry the input buffer.
-	if err := e.Submit("late", Command{Op: OpSet, Key: 1, Col: "morale", Val: 2}); err != nil {
+	if _, err := e.SubmitSharded("late", Command{Op: OpSet, Key: 1, Col: "morale", Val: 2}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -209,14 +209,14 @@ func TestCommandOrderIndependence(t *testing.T) {
 			t.Fatal(err)
 		}
 		a := func() {
-			if err := e.Submit("alice",
+			if _, err := e.SubmitSharded("alice",
 				Command{Op: OpSet, Key: 4, Col: "health", Val: 7},
 				Command{Op: OpSet, Key: 4, Col: "morale", Val: 1}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		b := func() {
-			if err := e.Submit("bob",
+			if _, err := e.SubmitSharded("bob",
 				Command{Op: OpSet, Key: 4, Col: "health", Val: 20}); err != nil {
 				t.Fatal(err)
 			}
@@ -269,7 +269,7 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := e.Submit("t", tc.cmd)
+			_, err := e.SubmitSharded("t", tc.cmd)
 			if err == nil {
 				t.Fatal("invalid command accepted")
 			}
@@ -279,13 +279,13 @@ func TestSubmitValidation(t *testing.T) {
 		})
 	}
 	// All-or-nothing: a batch with one bad command enqueues nothing.
-	err := e.Submit("t",
+	_, err := e.SubmitSharded("t",
 		Command{Op: OpSet, Key: 1, Col: "health", Val: 5},
 		Command{Op: OpSet, Key: 1, Col: "nosuch", Val: 5})
 	if err == nil {
 		t.Fatal("batch with an invalid command accepted")
 	}
-	if len(e.Pending()) != 0 || len(e.Journal()) != 0 {
+	if e.inflight.Load() != 0 || len(e.Pending()) != 0 || len(e.Journal()) != 0 {
 		t.Fatal("a rejected batch left state behind")
 	}
 }
@@ -312,7 +312,7 @@ func TestApplyTimeRejections(t *testing.T) {
 	occupied := geom.Point{X: row0[px], Y: row0[py]}
 	key0 := int64(row0[prog.Schema.KeyCol()])
 
-	err := e.Submit("t",
+	_, err := e.SubmitSharded("t",
 		Command{Op: OpSpawn, Row: game.NewUnit(7000, 0, game.Knight, occupied)},                 // onto a live unit
 		Command{Op: OpSpawn, Row: game.NewUnit(key0, 0, game.Knight, geom.Point{X: 60, Y: 60})}, // duplicate key
 		Command{Op: OpDespawn, Key: 555555},                                                     // no such unit
@@ -351,7 +351,7 @@ func TestSpawnDespawnPopulationChange(t *testing.T) {
 		if err := e.Run(3); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.Submit("t",
+		if _, err := e.SubmitSharded("t",
 			Command{Op: OpSpawn, Row: game.NewUnit(8001, 0, game.Archer, geom.Point{X: 65, Y: 65})},
 			Command{Op: OpDespawn, Key: 2},
 		); err != nil {
@@ -370,31 +370,31 @@ func TestSpawnDespawnPopulationChange(t *testing.T) {
 		t.Fatal("maintaining engine diverged from rebuild twin after population change")
 	}
 	assertRebuilt(t, b)
-	if a.Env().Lookup(8001) == nil {
+	if a.rowIndexByKey(8001) < 0 {
 		t.Fatal("spawned unit missing")
 	}
-	if a.Env().Lookup(2) != nil {
+	if a.rowIndexByKey(2) >= 0 {
 		t.Fatal("despawned unit still present")
 	}
 }
 
 // OpTune retunes THIS engine's constants only: a sibling engine built
 // from the same program object keeps the original values, and the tuned
-// value shows up in ConstValue and in behavior from the next tick.
+// value shows up in the program's constants and in behavior from the next tick.
 func TestTuneConstIsolation(t *testing.T) {
 	prog := battleProg(t)
 	a := newEngine(t, prog, 48, Indexed, 5, nil)
 	b := newEngine(t, prog, 48, Indexed, 5, nil)
-	if err := a.Submit("ops", Command{Op: OpTune, Col: "_HEAL_AURA", Val: 11}); err != nil {
+	if _, err := a.SubmitSharded("ops", Command{Op: OpTune, Col: "_HEAL_AURA", Val: 11}); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := a.ConstValue("_HEAL_AURA"); v != 11 {
+	if v := a.prog.Consts["_HEAL_AURA"]; v != 11 {
 		t.Fatalf("tuned const = %v, want 11", v)
 	}
-	if v, _ := b.ConstValue("_HEAL_AURA"); v != game.Consts()["_HEAL_AURA"] {
+	if v := b.prog.Consts["_HEAL_AURA"]; v != game.Consts()["_HEAL_AURA"] {
 		t.Fatalf("sibling engine's const changed to %v", v)
 	}
 	if v := prog.Consts["_HEAL_AURA"]; v != game.Consts()["_HEAL_AURA"] {
@@ -445,7 +445,7 @@ func TestCheckpointMidStreamOpen(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := e.Submit("late", Command{Op: OpSet, Key: 1, Col: "morale", Val: 2}); err != nil {
+		if _, err := e.SubmitSharded("late", Command{Op: OpSet, Key: 1, Col: "morale", Val: 2}); err != nil {
 			t.Fatal(err)
 		}
 		var got bytes.Buffer

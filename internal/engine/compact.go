@@ -110,16 +110,9 @@ func (s *Session) Compact() int64 {
 	return s.e.Compact()
 }
 
-// JournalBase returns the journal's compaction base under the reader
-// lock (see Engine.JournalBase).
-func (s *Session) JournalBase() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.e.JournalBase()
-}
-
 // JournalSince returns the journal tail stamped after the given tick,
-// under the reader lock (see Engine.JournalSince).
+// under the reader lock (see Engine.JournalSince). Kept as public API:
+// ARCHITECTURE names it.
 func (s *Session) JournalSince(from int64) ([]StampedCommand, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -29,7 +29,7 @@ func TestCompactSemantics(t *testing.T) {
 	}
 	// One command pending at the compaction boundary: stamped for the
 	// next tick, it must survive the fold.
-	if err := e.Submit("late", Command{Op: OpSet, Key: 1, Col: "morale", Val: 5}); err != nil {
+	if _, err := e.SubmitSharded("late", Command{Op: OpSet, Key: 1, Col: "morale", Val: 5}); err != nil {
 		t.Fatal(err)
 	}
 	var before bytes.Buffer

@@ -502,11 +502,13 @@ func (e *Engine) Workers() int { return e.workers }
 // options named, or, for an opened engine, its checkpoint's.
 func (e *Engine) Mode() Mode { return e.opts.Mode }
 
-// Plan returns the compiled plan (for explain tooling).
+// Plan returns the compiled plan. Kept for bench/, which compiles
+// against it, and the lint/runtime differential.
 func (e *Engine) Plan() *algebra.Plan { return e.plan }
 
-// Analyzer returns the index-usability analysis the engine runs with (for
-// explain tooling and the lint/runtime consistency tests).
+// Analyzer returns the index-usability analysis the engine runs with.
+// Kept for bench/, which compiles against it, and the lint/runtime
+// differential.
 func (e *Engine) Analyzer() *exec.Analyzer { return e.an }
 
 // Run advances the simulation n ticks.

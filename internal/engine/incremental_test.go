@@ -249,7 +249,7 @@ func TestCarryMatchesRebuildUnderCommands(t *testing.T) {
 				}
 				for _, e := range append([]*Engine{oracle}, incs...) {
 					if len(cmds) > 0 {
-						if err := e.Submit("test", cmds...); err != nil {
+						if _, err := e.SubmitSharded("test", cmds...); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -463,7 +463,7 @@ func TestCommandSetDirtiesOnlyItsColumn(t *testing.T) {
 	step := func(cmds ...Command) int {
 		t.Helper()
 		if len(cmds) > 0 {
-			if err := e.Submit("test", cmds...); err != nil {
+			if _, err := e.SubmitSharded("test", cmds...); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -607,7 +607,7 @@ func TestDeltaIsViewDiff(t *testing.T) {
 				for tick := 0; tick < ticks; tick++ {
 					cmds, popChange := deltaTraffic(t, e, tick)
 					if len(cmds) > 0 {
-						if err := e.Submit("t", cmds...); err != nil {
+						if _, err := e.SubmitSharded("t", cmds...); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -669,7 +669,7 @@ func TestTuneRebuildsOneTick(t *testing.T) {
 	if step() != 1 {
 		t.Fatal("a quiet sentry tick was not maintained")
 	}
-	if err := e.Submit("ops", Command{Op: OpTune, Col: "_HEAL_AURA", Val: 5}); err != nil {
+	if _, err := e.SubmitSharded("ops", Command{Op: OpTune, Col: "_HEAL_AURA", Val: 5}); err != nil {
 		t.Fatal(err)
 	}
 	if step() != 1 {

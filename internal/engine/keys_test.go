@@ -94,7 +94,7 @@ func TestCommandKeysAreExact(t *testing.T) {
 		{Op: OpDespawn, Key: 1<<53 + 1},
 		{Op: OpSet, Key: 1<<53 + 1, Col: "health", Val: 1},
 	} {
-		if err := e.Submit("client", c); err == nil {
+		if _, err := e.SubmitSharded("client", c); err == nil {
 			t.Errorf("op %d of key 2^53+1 admitted", c.Op)
 		}
 	}
@@ -281,7 +281,7 @@ func TestSpawnKeyBeyond2To53Rejected(t *testing.T) {
 	e := newEngine(t, battleProg(t), 16, Indexed, 5, nil)
 	row := append([]float64(nil), e.env.Rows[0]...)
 	row[e.prog.Schema.KeyCol()] = 1<<53 + 2
-	if err := e.Submit("t", Command{Op: OpSpawn, Row: row}); err == nil {
+	if _, err := e.SubmitSharded("t", Command{Op: OpSpawn, Row: row}); err == nil {
 		t.Fatal("spawn with a key beyond 2^53 admitted")
 	}
 }
@@ -305,7 +305,7 @@ func TestPublishedKeyTableNeverWritten(t *testing.T) {
 	}
 	gone := int64(v.env.Rows[3][kc])
 	const spawned = 7777
-	if err := e.Submit("test",
+	if _, err := e.SubmitSharded("test",
 		Command{Op: OpDespawn, Key: gone},
 		Command{Op: OpSpawn, Row: game.NewUnit(spawned, 0, game.Knight, freeSquare(t, e))},
 	); err != nil {

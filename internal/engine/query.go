@@ -101,13 +101,9 @@ func (q *Query) Outputs() []string {
 	return out
 }
 
-// Params returns the entry aggregate's parameter names after the unit
-// parameter — the args an evaluation must supply, in order.
-func (q *Query) Params() []string { return append([]string(nil), q.def.Params[1:]...) }
-
-// NeedsUnit reports whether the query reads any attribute of its probe
+// needsUnit reports whether the query reads any attribute of its probe
 // unit beyond position — such a query accepts only a Unit probe.
-func (q *Query) NeedsUnit() bool {
+func (q *Query) needsUnit() bool {
 	for _, c := range q.unitCols {
 		if n := q.prog.Schema.Attr(c).Name; n != "posx" && n != "posy" {
 			return true
@@ -116,9 +112,9 @@ func (q *Query) NeedsUnit() bool {
 	return false
 }
 
-// NeedsPosition reports whether the query probes from a position
+// needsPosition reports whether the query probes from a position
 // (explicit u.posx/u.posy references or nearest-neighbour outputs).
-func (q *Query) NeedsPosition() bool { return len(q.unitCols) > 0 }
+func (q *Query) needsPosition() bool { return len(q.unitCols) > 0 }
 
 // Probe is the unit a query evaluation looks through: none (World, the
 // zero Probe), a synthetic observer standing at a position (At), or a
@@ -567,9 +563,9 @@ func (q *Query) probeRow(p Probe, v *ReadView, args []float64) ([]float64, error
 		row = v.env.Rows[ri]
 	case p.kind == probeAt && !(finite(p.x) && finite(p.y)):
 		return nil, fmt.Errorf("engine: query %s: At probe (%v, %v) is not a finite position", q.def.Name, p.x, p.y)
-	case q.NeedsUnit():
+	case q.needsUnit():
 		return nil, fmt.Errorf("engine: query %s reads unit attributes %s beyond position; it needs a Unit probe", q.def.Name, q.unitAttrNames())
-	case p.kind == probeWorld && q.NeedsPosition():
+	case p.kind == probeWorld && q.needsPosition():
 		return nil, fmt.Errorf("engine: query %s reads unit attributes %s; it needs an At or Unit probe", q.def.Name, q.unitAttrNames())
 	default:
 		row = make([]float64, v.env.Schema.NumAttrs())

@@ -231,7 +231,7 @@ func runHeldQueryDifferential(t *testing.T, c gridCell, commands map[int][]Comma
 	for tick := 0; tick <= ticks; tick++ {
 		if tick > 0 {
 			if cmds := commands[tick]; cmds != nil {
-				if err := e.Submit("held", cmds...); err != nil {
+				if _, err := e.SubmitSharded("held", cmds...); err != nil {
 					t.Fatalf("tick %d: submit: %v", tick, err)
 				}
 			}
@@ -426,10 +426,10 @@ func TestQueryValidationMatrix(t *testing.T) {
 		if q.Name() != c.name {
 			t.Fatalf("Name() = %q, want %q", q.Name(), c.name)
 		}
-		if q.NeedsUnit() != c.needsUnit || q.NeedsPosition() != c.needsPos {
-			t.Fatalf("%s: NeedsUnit() = %v, NeedsPosition() = %v", c.name, q.NeedsUnit(), q.NeedsPosition())
+		if q.needsUnit() != c.needsUnit || q.needsPosition() != c.needsPos {
+			t.Fatalf("%s: needsUnit() = %v, needsPosition() = %v", c.name, q.needsUnit(), q.needsPosition())
 		}
-		if got := q.Params(); strings.Join(got, ",") != strings.Join(c.params, ",") {
+		if got := q.def.Params[1:]; strings.Join(got, ",") != strings.Join(c.params, ",") {
 			t.Fatalf("%s: Params() = %v, want %v", c.name, got, c.params)
 		}
 		for _, pr := range probes {

@@ -122,6 +122,7 @@ func (s *Session) Query(q *Query, args ...float64) ([]float64, error) {
 }
 
 // QueryScan is the naive-scan twin of Query (see ReadView.QueryScan).
+// Kept as public API: sgl.go and ARCHITECTURE name it.
 func (s *Session) QueryScan(q *Query, args ...float64) ([]float64, error) {
 	return s.e.ReadView().QueryScan(q, World(), args...)
 }
@@ -129,7 +130,8 @@ func (s *Session) QueryScan(q *Query, args ...float64) ([]float64, error) {
 // QueryMaintained is Query.
 //
 // Deprecated: use Query. Every answer, a push subscription's included,
-// is a one-shot on the published read view.
+// is a one-shot on the published read view. Kept only because bench/
+// compiles against it.
 func (s *Session) QueryMaintained(q *Query, args ...float64) ([]float64, error) {
 	return s.Query(q, args...)
 }
@@ -195,7 +197,7 @@ func (s *Session) SubmitStamped(sc StampedCommand) error {
 }
 
 // Journal returns a copy of the run's input journal under the reader
-// lock (see Engine.Journal).
+// lock (see Engine.Journal). Kept as public API: ARCHITECTURE names it.
 func (s *Session) Journal() []StampedCommand {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -39,8 +39,8 @@ function main(u) {
 func tuneAll(t *testing.T, e *Engine) {
 	t.Helper()
 	for i, name := range []string{"_HEAL_AURA", "_HEALER_RANGE", "_PACK_COUNT", "_SPREAD_LIMIT", "_TIME_RELOAD"} {
-		v, _ := e.ConstValue(name)
-		if err := e.Submit("ops", Command{Op: OpTune, Col: name, Val: v + float64(i+1)}); err != nil {
+		v := e.prog.Consts[name]
+		if _, err := e.SubmitSharded("ops", Command{Op: OpTune, Col: name, Val: v + float64(i+1)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -113,7 +113,7 @@ func TestTunedEnginesStayIndependent(t *testing.T) {
 	tuned, sibling := mk(), mk()
 	for tick := 0; tick < ticks; tick++ {
 		if tick == 3 {
-			if err := tuned.Submit("ops", Command{Op: OpTune, Col: "_HEALER_RANGE", Val: 11}); err != nil {
+			if _, err := tuned.SubmitSharded("ops", Command{Op: OpTune, Col: "_HEALER_RANGE", Val: 11}); err != nil {
 				t.Fatal(err)
 			}
 		}

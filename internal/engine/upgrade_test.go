@@ -209,7 +209,11 @@ func TestUpgradeLegacyFixtures(t *testing.T) {
 				t.Fatalf("%d rows after the upgrade, want %d", e.Env().Len(), len(wantRows))
 			}
 			for key, want := range wantRows {
-				if got := e.Env().Lookup(key); got == nil || !slices.EqualFunc(got, want, func(a, b float64) bool {
+				var got []float64
+				if i := e.rowIndexByKey(key); i >= 0 {
+					got = e.env.Rows[i]
+				}
+				if got == nil || !slices.EqualFunc(got, want, func(a, b float64) bool {
 					return math.Float64bits(a) == math.Float64bits(b)
 				}) {
 					t.Fatalf("unit %d = %v, want the stream's row with the pending batch applied, %v", key, got, want)
@@ -222,11 +226,11 @@ func TestUpgradeLegacyFixtures(t *testing.T) {
 				t.Error("journal differs from the stream's tail past its base")
 			}
 			for name, v := range wantConsts {
-				if got, _ := e.ConstValue(name); math.Float64bits(got) != math.Float64bits(v) {
+				if got := e.prog.Consts[name]; math.Float64bits(got) != math.Float64bits(v) {
 					t.Errorf("constant %s = %v, want %v", name, got, v)
 				}
 			}
-			if heal, _ := e.ConstValue("_HEAL_AURA"); heal != fx.heal {
+			if heal := e.prog.Consts["_HEAL_AURA"]; heal != fx.heal {
 				t.Errorf("_HEAL_AURA = %v, want %v", heal, fx.heal)
 			}
 			got := [7]int64{int64(e.Stats.Ticks), int64(e.Stats.EffectsApplied), int64(e.Stats.Moves),

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"github.com/epicscale/sgl/internal/algebra"
 	"github.com/epicscale/sgl/internal/rng"
 	"github.com/epicscale/sgl/internal/sgl/ast"
 	"github.com/epicscale/sgl/internal/sgl/interp"
@@ -414,7 +413,7 @@ func TestFullTickDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := algebra.RunTick(prog, env, NewIndexed(an, env, r), r)
+		got, err := compiledTick(prog, env, NewIndexed(an, env, r), r)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -298,7 +298,7 @@ func (p *Indexed) inherit(prev *Indexed) {
 // by one goroutine skips structures a tick never probes, so a frozen
 // provider may build more indexes (and report higher Stats.IndexBuilds)
 // than a one-shard tick over the same environment. Game outcomes are
-// unaffected.
+// unaffected. Kept only because bench/ compiles against it.
 func (p *Indexed) Freeze() { p.FreezeParallel(1) }
 
 // FreezeParallel is Freeze with the structure builds spread over up to

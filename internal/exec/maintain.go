@@ -49,7 +49,8 @@ type Delta struct {
 	Masks []uint64
 }
 
-// Frac returns the dirty-row fraction over n rows.
+// Frac returns the dirty-row fraction over n rows. Kept only because
+// bench/ compiles against it.
 func (d Delta) Frac(n int) float64 {
 	if n <= 0 {
 		return 0

@@ -6,7 +6,20 @@ import (
 	"github.com/epicscale/sgl/internal/algebra"
 	"github.com/epicscale/sgl/internal/rng"
 	"github.com/epicscale/sgl/internal/sgl/interp"
+	"github.com/epicscale/sgl/internal/sgl/sem"
+	"github.com/epicscale/sgl/internal/table"
 )
+
+// compiledTick translates, optimizes, and executes a program for one
+// tick — the compiled counterpart of interp.RunTickNaive.
+func compiledTick(prog *sem.Program, env *table.Table, prov interp.Provider, r rng.TickSource) (*table.Table, error) {
+	plan, err := algebra.Translate(prog)
+	if err != nil {
+		return nil, err
+	}
+	algebra.Optimize(plan)
+	return algebra.NewExecutor(prog, plan, env, prov, r).Tick()
+}
 
 // The script zoo lives in zoo.go (exported as Zoo) so the engine's
 // serial-vs-parallel determinism suite can reuse it.
@@ -25,14 +38,14 @@ func TestScriptZooDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("interp: %v", err)
 				}
-				planNaive, err := algebra.RunTick(prog, env, interp.NewNaive(prog, env, r), r)
+				planNaive, err := compiledTick(prog, env, interp.NewNaive(prog, env, r), r)
 				if err != nil {
 					t.Fatalf("plan+naive: %v", err)
 				}
 				if !planNaive.AlmostEqualContents(want, 1e-9) {
 					t.Fatalf("seed %d: plan+naive differs from interpreter", seed)
 				}
-				planIndexed, err := algebra.RunTick(prog, env, NewIndexed(an, env, r), r)
+				planIndexed, err := compiledTick(prog, env, NewIndexed(an, env, r), r)
 				if err != nil {
 					t.Fatalf("plan+indexed: %v", err)
 				}

@@ -319,8 +319,8 @@ type Stats struct {
 	Morale    float64
 }
 
-// Roster returns the d20 stat blocks by unit type code.
-func Roster() [3]Stats {
+// roster returns the d20 stat blocks by unit type code.
+func roster() [3]Stats {
 	return [3]Stats{
 		Knight: {MaxHealth: 30, AC: 18, DR: 2, Attack: 5, DmgSides: 8, DmgBonus: 3, Range: 2, Sight: 16, Morale: 8},
 		Archer: {MaxHealth: 18, AC: 13, DR: 0, Attack: 4, DmgSides: 6, DmgBonus: 0, Range: 12, Sight: 16, Morale: 5},
@@ -330,7 +330,7 @@ func Roster() [3]Stats {
 
 // NewUnit builds an environment row for one unit.
 func NewUnit(key int64, player int, unitType int, pos geom.Point) []float64 {
-	st := Roster()[unitType]
+	st := roster()[unitType]
 	return []float64{
 		float64(key), float64(player), float64(unitType),
 		pos.X, pos.Y,

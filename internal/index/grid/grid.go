@@ -31,7 +31,8 @@ type Index struct {
 }
 
 // Build constructs a grid with the given cell size over pts, whose payload
-// vectors (width values each) are flattened in vals.
+// vectors (width values each) are flattened in vals. Kept, with Aggregate,
+// as the ablation baseline BenchmarkAggIndexAblationGrid (A1) runs.
 func Build(pts []geom.Point, width int, vals []float64, cellSize float64) *Index {
 	if cellSize <= 0 {
 		panic("grid: non-positive cell size")
@@ -87,16 +88,6 @@ func (g *Index) Aggregate(r geom.Rect, out []float64) {
 	})
 }
 
-// Count returns the number of points inside r.
-func (g *Index) Count(r geom.Rect) int {
-	n := 0
-	g.visit(r, func(int) { n++ })
-	return n
-}
-
-// Report calls fn for every point index inside r.
-func (g *Index) Report(r geom.Rect, fn func(i int)) { g.visit(r, fn) }
-
 func (g *Index) visit(r geom.Rect, fn func(i int)) {
 	if len(g.pts) == 0 || r.Empty() {
 		return
@@ -148,8 +139,8 @@ type Occupancy struct {
 // coordinates.
 type Square [2]int32
 
-// SquareOf returns the square containing (x, y).
-func SquareOf(x, y float64) Square {
+// squareOf returns the square containing (x, y).
+func squareOf(x, y float64) Square {
 	return Square{int32(math.Floor(x)), int32(math.Floor(y))}
 }
 
@@ -167,17 +158,18 @@ func NewOccupancy(capacity int) *Occupancy {
 func (o *Occupancy) Reset() { o.taken.Reset() }
 
 // Occupied reports whether the square containing (x, y) is taken, and by
-// which holder.
+// which holder. Kept as a test oracle's read: the engine's occupancy
+// differential compares a carried table with a refilled one through it.
 func (o *Occupancy) Occupied(x, y float64) (int32, bool) {
-	return o.taken.Get(SquareOf(x, y).pack())
+	return o.taken.Get(squareOf(x, y).pack())
 }
 
 // Place marks the square containing (x, y) as held by who. It returns
 // false (without modifying anything) if another holder already has it.
-func (o *Occupancy) Place(x, y float64, who int32) bool { return o.Claim(SquareOf(x, y), who) }
+func (o *Occupancy) Place(x, y float64, who int32) bool { return o.claim(squareOf(x, y), who) }
 
-// Claim is Place by square.
-func (o *Occupancy) Claim(s Square, who int32) bool {
+// claim is Place by square.
+func (o *Occupancy) claim(s Square, who int32) bool {
 	k := s.pack()
 	if holder, ok := o.taken.Get(k); ok {
 		return holder == who
@@ -187,10 +179,10 @@ func (o *Occupancy) Claim(s Square, who int32) bool {
 }
 
 // Remove releases the square containing (x, y) if who holds it.
-func (o *Occupancy) Remove(x, y float64, who int32) { o.Release(SquareOf(x, y), who) }
+func (o *Occupancy) Remove(x, y float64, who int32) { o.release(squareOf(x, y), who) }
 
-// Release is Remove by square.
-func (o *Occupancy) Release(s Square, who int32) {
+// release is Remove by square.
+func (o *Occupancy) release(s Square, who int32) {
 	k := s.pack()
 	if holder, ok := o.taken.Get(k); ok && holder == who {
 		o.taken.Delete(k)
@@ -201,7 +193,7 @@ func (o *Occupancy) Release(s Square, who int32) {
 // false, with no state change) if the destination square is held by
 // another. Moving within the same square always succeeds.
 func (o *Occupancy) Move(fromX, fromY, toX, toY float64, who int32) bool {
-	from, to := SquareOf(fromX, fromY), SquareOf(toX, toY)
+	from, to := squareOf(fromX, fromY), squareOf(toX, toY)
 	if from == to {
 		return true
 	}
@@ -209,7 +201,7 @@ func (o *Occupancy) Move(fromX, fromY, toX, toY float64, who int32) bool {
 	if holder, ok := o.taken.Get(tk); ok && holder != who {
 		return false
 	}
-	o.Release(from, who)
+	o.release(from, who)
 	o.taken.Put(tk, who)
 	return true
 }
@@ -218,5 +210,6 @@ func (o *Occupancy) Move(fromX, fromY, toX, toY float64, who int32) bool {
 // population: every holder above it drops by one, as row indexes do.
 func (o *Occupancy) CloseGap(gone int32) { o.taken.CloseGap(gone) }
 
-// Size returns the number of occupied squares.
+// Size returns the number of occupied squares. Kept as a test oracle's
+// read, with Occupied.
 func (o *Occupancy) Size() int { return o.taken.Len() }

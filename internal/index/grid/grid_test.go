@@ -56,11 +56,11 @@ func TestAggregateMatchesBrute(t *testing.T) {
 		st := rng.NewStream(rng.New(2), 42)
 		for q := 0; q < 100; q++ {
 			c := geom.Point{X: st.Float64() * 60, Y: st.Float64() * 60}
-			r := geom.RectAround(c, st.Float64()*20)
+			r := rectAround(c, st.Float64()*20)
 			var want float64
 			wantCount := 0
 			for i, p := range pts {
-				if r.Contains(p) {
+				if inside(r, p) {
 					want += vals[i]
 					wantCount++
 				}
@@ -74,16 +74,6 @@ func TestAggregateMatchesBrute(t *testing.T) {
 				t.Fatalf("cell=%v Count = %d, want %d", cell, got, wantCount)
 			}
 		}
-	}
-}
-
-func TestReport(t *testing.T) {
-	pts := []geom.Point{{X: 0, Y: 0}, {X: 5, Y: 5}, {X: 9, Y: 9}}
-	g := Build(pts, 0, nil, 3)
-	var got []int
-	g.Report(geom.Rect{MinX: 4, MinY: 4, MaxX: 10, MaxY: 10}, func(i int) { got = append(got, i) })
-	if len(got) != 2 {
-		t.Fatalf("Report = %v", got)
 	}
 }
 
@@ -113,10 +103,10 @@ func TestGridProperty(t *testing.T) {
 		pts, vals := randomPoints(seed, int(n%80), 30)
 		cell := float64(cellRaw%20) + 0.5
 		g := Build(pts, 1, vals, cell)
-		r := geom.RectAround(geom.Point{X: float64(cx % 30), Y: float64(cy % 30)}, float64(rr%15))
+		r := rectAround(geom.Point{X: float64(cx % 30), Y: float64(cy % 30)}, float64(rr%15))
 		var want float64
 		for i, p := range pts {
-			if r.Contains(p) {
+			if inside(r, p) {
 				want += vals[i]
 			}
 		}
@@ -197,7 +187,7 @@ func BenchmarkGridAggregate(b *testing.B) {
 	st := rng.NewStream(rng.New(43), 44)
 	probes := make([]geom.Rect, 1024)
 	for i := range probes {
-		probes[i] = geom.RectAround(geom.Point{X: st.Float64() * 1000, Y: st.Float64() * 1000}, 100)
+		probes[i] = rectAround(geom.Point{X: st.Float64() * 1000, Y: st.Float64() * 1000}, 100)
 	}
 	out := []float64{0}
 	b.ResetTimer()
@@ -214,16 +204,16 @@ func TestOccupancyExtremeSquares(t *testing.T) {
 	o := NewOccupancy(2)
 	squares := []Square{{math.MinInt32, 0}, {0, math.MinInt32}, {math.MaxInt32, math.MaxInt32}, {-1, -1}, {0, 0}}
 	for i, s := range squares {
-		if !o.Claim(s, int32(i)) {
+		if !o.claim(s, int32(i)) {
 			t.Fatalf("square %v refused holder %d", s, i)
 		}
 	}
 	for i, s := range squares {
-		if o.Claim(s, int32(i+10)) {
+		if o.claim(s, int32(i+10)) {
 			t.Fatalf("square %v taken twice", s)
 		}
 	}
-	o.Release(squares[1], 1)
+	o.release(squares[1], 1)
 	o.CloseGap(1)
 	for i, s := range squares {
 		want := int32(i)
@@ -238,4 +228,21 @@ func TestOccupancyExtremeSquares(t *testing.T) {
 	if o.Size() != len(squares)-1 {
 		t.Fatalf("Size = %d, want %d", o.Size(), len(squares)-1)
 	}
+}
+
+// rectAround returns the square of half-extent r centered at p.
+func rectAround(p geom.Point, r float64) geom.Rect {
+	return geom.Rect{MinX: p.X - r, MinY: p.Y - r, MaxX: p.X + r, MaxY: p.Y + r}
+}
+
+// inside reports whether p lies in r, boundary inclusive.
+func inside(r geom.Rect, p geom.Point) bool {
+	return p.X >= r.MinX && p.X <= r.MaxX && p.Y >= r.MinY && p.Y <= r.MaxY
+}
+
+// Count returns the number of points inside r.
+func (g *Index) Count(r geom.Rect) int {
+	n := 0
+	g.visit(r, func(int) { n++ })
+	return n
 }

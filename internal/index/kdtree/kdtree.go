@@ -19,7 +19,6 @@
 package kdtree
 
 import (
-	"cmp"
 	"math"
 	"slices"
 )
@@ -53,13 +52,6 @@ type Tree struct {
 	splits []float64 // by inner node: its split value
 	depth  int       // the depth of every leaf
 	pts    []Point   // the points as Rebuild partitioned them, kept for reuse
-}
-
-// Build constructs a new tree; see Rebuild.
-func Build(pts []Point) *Tree {
-	t := &Tree{}
-	t.Rebuild(pts)
-	return t
 }
 
 // Rebuild makes t the balanced 2-d tree over pts in O(n log n), discarding
@@ -405,11 +397,4 @@ func NearestOnce(pts []Point, x, y float64, exclude int64) Result {
 		}
 	}
 	return best
-}
-
-// All returns the indexed points sorted by key, primarily for tests.
-func (t *Tree) All() []Point {
-	cp := slices.Clone(t.pts)
-	slices.SortFunc(cp, func(a, b Point) int { return cmp.Compare(a.Key, b.Key) })
-	return cp
 }

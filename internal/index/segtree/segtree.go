@@ -161,6 +161,3 @@ func (t *Tree) Query(lo, hi int) (float64, int64) {
 	}
 	return bv, bk
 }
-
-// Root returns the aggregate over the whole tree.
-func (t *Tree) Root() (float64, int64) { return t.Query(0, t.n) }

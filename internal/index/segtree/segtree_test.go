@@ -235,3 +235,6 @@ func BenchmarkSetQuery(b *testing.B) {
 		tr.Query(p/2, p/2+512)
 	}
 }
+
+// Root returns the aggregate over the whole tree.
+func (t *Tree) Root() (float64, int64) { return t.Query(0, t.n) }

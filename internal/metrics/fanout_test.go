@@ -20,14 +20,8 @@ func TestFanoutQueryIndexedMatchesScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := q.Params(); !slices.Equal(got, []string{"x", "y", "r"}) {
-		t.Fatalf("params = %v, want [x y r]", got)
-	}
 	if got := q.Outputs(); !slices.Equal(got, []string{"n", "hp"}) {
 		t.Fatalf("outputs = %v, want [n hp]", got)
-	}
-	if q.NeedsUnit() || q.NeedsPosition() {
-		t.Fatal("FanoutQuery must be answerable without a probe unit or position")
 	}
 	prog, err := game.Compile()
 	if err != nil {

@@ -133,9 +133,9 @@ func (h *Histogram) Observe(v float64) {
 	h.sum.Add(v)
 }
 
-// Buckets returns the cumulative count of observations at or below each
+// cumulative returns the cumulative count of observations at or below each
 // bucket's upper bound, the last (+Inf) being the total count.
-func (h *Histogram) Buckets() [histBuckets + 1]uint64 {
+func (h *Histogram) cumulative() [histBuckets + 1]uint64 {
 	var cum [histBuckets + 1]uint64
 	var n uint64
 	for i := range h.counts {
@@ -355,7 +355,7 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 // writeHistogram renders a histogram series: its cumulative _bucket
 // series, each labeled le with its upper bound, then _sum and _count.
 func writeHistogram(w io.Writer, s *series) {
-	cum := s.hist.Buckets()
+	cum := s.hist.cumulative()
 	open := "{"
 	if s.labels != "" {
 		open = s.labels[:len(s.labels)-1] + ","

@@ -203,7 +203,7 @@ func TestHistogramExposition(t *testing.T) {
 			t.Errorf("exposition missing %q\n%s", w, out)
 		}
 	}
-	cum := h.Buckets()
+	cum := h.cumulative()
 	for i := 1; i < len(cum); i++ {
 		if cum[i] < cum[i-1] {
 			t.Fatalf("buckets not cumulative: %v", cum)

@@ -26,9 +26,6 @@ type Source struct {
 // and the same initial environment are identical tick-for-tick.
 func New(seed uint64) Source { return Source{seed: seed} }
 
-// Seed returns the run seed.
-func (s Source) Seed() uint64 { return s.seed }
-
 // mix64 is the SplitMix64 finalizer: a bijective avalanche function on
 // 64-bit words.
 func mix64(z uint64) uint64 {
@@ -50,10 +47,8 @@ func (s Source) At(tick int64, key int64, i int64) uint64 {
 	return h
 }
 
-// Uint64 returns a uniformly distributed 64-bit value for (tick, key, i).
-func (s Source) Uint64(tick, key, i int64) uint64 { return s.At(tick, key, i) }
-
 // Intn returns a value in [0, n) for (tick, key, i). It panics if n <= 0.
+// Kept only because bench/ compiles against it.
 func (s Source) Intn(tick, key, i int64, n int) int {
 	if n <= 0 {
 		panic("rng: Intn with non-positive n")
@@ -63,7 +58,8 @@ func (s Source) Intn(tick, key, i int64, n int) int {
 	return int(hi)
 }
 
-// Float64 returns a value in [0, 1) for (tick, key, i).
+// Float64 returns a value in [0, 1) for (tick, key, i). Kept only because
+// bench/ compiles against it.
 func (s Source) Float64(tick, key, i int64) float64 {
 	return float64(s.At(tick, key, i)>>11) / (1 << 53)
 }
@@ -79,9 +75,6 @@ type TickSource struct {
 	tick int64
 }
 
-// Tick returns the tick this source is bound to.
-func (t TickSource) Tick() int64 { return t.tick }
-
 // Random is SGL's Random(i) builtin for the unit with the given key: a
 // non-negative value that is stable within the tick. The result is bounded
 // to 31 bits so scripts doing arithmetic on it stay within exact float64
@@ -89,12 +82,6 @@ func (t TickSource) Tick() int64 { return t.tick }
 func (t TickSource) Random(key, i int64) int64 {
 	return int64(t.src.At(t.tick, key, i) >> 33)
 }
-
-// Intn returns a value in [0, n) for the unit with the given key.
-func (t TickSource) Intn(key, i int64, n int) int { return t.src.Intn(t.tick, key, i, n) }
-
-// Float64 returns a value in [0,1) for the unit with the given key.
-func (t TickSource) Float64(key, i int64) float64 { return t.src.Float64(t.tick, key, i) }
 
 // mul64 returns the 128-bit product of a and b as (hi, lo).
 func mul64(a, b uint64) (hi, lo uint64) {

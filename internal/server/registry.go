@@ -144,6 +144,12 @@ type World struct {
 	// stepMu serializes synchronous Step calls (see Step).
 	stepMu sync.Mutex
 
+	// failure is the first panic raised on the world, by its clock or a
+	// handler (see fail); once set, every request naming the world but a
+	// delete is a 503 carrying it.
+	failure  atomic.Pointer[error]
+	failures *metrics.Counter // sgld_session_failures_total, shared
+
 	qmu     sync.Mutex
 	queries map[string]*cachedQuery // compile-once cache, keyed by source
 	qseq    uint64                  // use counter for LRU eviction
@@ -241,10 +247,6 @@ type clock struct {
 
 // Session exposes the wrapped session (for tests and embedders).
 func (w *World) Session() *engine.Session { return w.sess }
-
-// Script returns the SGL source this world runs, in the engine's
-// canonical printed form (the same text checkpoint v2 embeds).
-func (w *World) Script() string { return w.script }
 
 // Warnings returns the script's lint diagnostics (never nil). The slice
 // is computed once at registration and must not be mutated.
@@ -394,6 +396,11 @@ func (w *World) StartClock(rate float64) error {
 // from the following idle time instead of permanently lagging the rate.
 func (w *World) clockLoop(clk *clock, rate float64) {
 	defer close(clk.done)
+	defer func() {
+		if v := recover(); v != nil {
+			w.endClock(clk, w.fail(v))
+		}
+	}()
 	var period time.Duration
 	if rate > 0 {
 		// Guard the float→Duration conversion: a tiny rate (1e-10) makes
@@ -425,12 +432,7 @@ func (w *World) clockLoop(clk *clock, rate float64) {
 		default:
 		}
 		if err := w.step(); err != nil {
-			w.mu.Lock()
-			w.clockErr = err
-			if w.clk == clk {
-				w.clk = nil
-			}
-			w.mu.Unlock()
+			w.endClock(clk, err)
 			return
 		}
 		w.ticks.Inc()
@@ -460,6 +462,37 @@ func (w *World) clockLoop(clk *clock, rate float64) {
 	}
 }
 
+// endClock records why the clock stopped on its own and lets it go.
+func (w *World) endClock(clk *clock, err error) {
+	w.mu.Lock()
+	w.clockErr = err
+	if w.clk == clk {
+		w.clk = nil
+	}
+	w.mu.Unlock()
+}
+
+// fail marks the world failed by the panic v and counts the failure; the
+// first panic sticks. It returns the error that names the world's last
+// committed tick, which every later request on the world gets. Other
+// worlds are untouched: the panic never leaves the goroutine that
+// recovered it.
+func (w *World) fail(v any) error {
+	err := fmt.Errorf("server: world %s failed after tick %d: panic: %v", w.Name, w.sess.Tick(), v)
+	if w.failure.CompareAndSwap(nil, &err) {
+		w.failures.Inc()
+	}
+	return *w.failure.Load()
+}
+
+// failed returns the failure that stopped the world, or nil.
+func (w *World) failed() error {
+	if err := w.failure.Load(); err != nil {
+		return *err
+	}
+	return nil
+}
+
 // StopClock stops the clock goroutine and waits for it to finish the
 // tick in flight. Stopping a stopped clock is a no-op.
 func (w *World) StopClock() {
@@ -472,13 +505,6 @@ func (w *World) StopClock() {
 	}
 	close(clk.stop)
 	<-clk.done
-}
-
-// Running reports whether the clock goroutine is live.
-func (w *World) Running() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.clk != nil
 }
 
 // CompiledQuery returns the compiled observation query for src, compiling
@@ -701,6 +727,7 @@ func NewRegistry() *Registry {
 	r.Metrics.Help("sgld_pushes_total", "Answer events pushed to subscribers, per session.")
 	r.Metrics.Help("sgld_push_drops_total", "Answer events dropped on slow subscribers (resynced on the next push), per session.")
 	r.Metrics.Help("sgld_replica_lag_ticks", "Writer-tick gap a follower replica last observed, per session.")
+	r.Metrics.Help("sgld_session_failures_total", "Worlds failed by a panic in their clock or a handler; each is a 503 from then on.")
 	for _, g := range tickWorkGauges {
 		r.Metrics.Help(g.name, g.help)
 	}
@@ -711,6 +738,7 @@ func NewRegistry() *Registry {
 	r.Metrics.Counter("sgld_sessions_created_total")
 	r.Metrics.Counter("sgld_sessions_deleted_total")
 	r.Metrics.Counter("sgld_restores_total")
+	r.Metrics.Counter("sgld_session_failures_total")
 	return r
 }
 
@@ -750,6 +778,7 @@ func (r *Registry) attachCounters(w *World) {
 	w.pushes = r.Metrics.Counter("sgld_pushes_total", l)
 	w.pushDrops = r.Metrics.Counter("sgld_push_drops_total", l)
 	w.queryOneShot = r.Metrics.Counter("sgld_query_oneshot_total", l)
+	w.failures = r.Metrics.Counter("sgld_session_failures_total")
 	w.tickWork = make([]*metrics.Gauge, len(tickWorkGauges))
 	for i, g := range tickWorkGauges {
 		w.tickWork[i] = r.Metrics.Gauge(g.name, l)
@@ -964,7 +993,7 @@ func (r *Registry) Delete(name string) bool {
 	w.deleted = true
 	w.mu.Unlock()
 	w.StopClock()
-	// Release every streaming subscriber handler; new Subscribe calls on
+	// Release every streaming subscriber handler; new subscribe calls on
 	// the unregistered world refuse from here on.
 	w.closeSubscribers()
 	r.Metrics.Counter("sgld_sessions_deleted_total").Inc()

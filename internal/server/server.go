@@ -85,11 +85,26 @@ func New(reg *Registry, dataDir string) *Server {
 	return s
 }
 
-// Registry returns the server's world registry.
-func (s *Server) Registry() *Registry { return s.reg }
-
-// ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
+// ServeHTTP implements http.Handler. A handler that panics fails the
+// world its path names (see World.fail) and answers 503; other worlds
+// keep serving.
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	defer func() {
+		v := recover()
+		if v == nil {
+			return
+		}
+		if v == http.ErrAbortHandler {
+			panic(v)
+		}
+		if wd, ok := s.reg.Get(r.PathValue("name")); ok {
+			writeErr(w, http.StatusServiceUnavailable, "%v", wd.fail(v))
+			return
+		}
+		writeErr(w, http.StatusInternalServerError, "server: panic: %v", v)
+	}()
+	s.mux.ServeHTTP(w, r)
+}
 
 // ---------------------------------------------------------------------------
 // Wire types
@@ -330,12 +345,17 @@ const maxJournalWait = 30 * time.Second
 // the tens of MB), far below an allocation that endangers the daemon.
 const maxCheckpointBytes = 1 << 30
 
-// world resolves the {name} path segment, writing a 404 on miss.
+// world resolves the {name} path segment, writing a 404 on miss and a
+// 503 naming the failure for a failed world.
 func (s *Server) world(w http.ResponseWriter, r *http.Request) (*World, bool) {
 	name := r.PathValue("name")
 	wd, ok := s.reg.Get(name)
 	if !ok {
 		writeErr(w, http.StatusNotFound, "unknown session %q", name)
+		return nil, false
+	}
+	if err := wd.failed(); err != nil {
+		writeErr(w, http.StatusServiceUnavailable, "%v", err)
 		return nil, false
 	}
 	return wd, true

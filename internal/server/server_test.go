@@ -1109,3 +1109,14 @@ func TestServedCommandsSurviveRestore(t *testing.T) {
 		t.Errorf("pending despawn did not apply after restore: units = %d, want 63", st.Units)
 	}
 }
+
+// Script returns the SGL source this world runs, in the engine's
+// canonical printed form (the same text checkpoint v2 embeds).
+func (w *World) Script() string { return w.script }
+
+// Running reports whether the clock goroutine is live.
+func (w *World) Running() bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.clk != nil
+}

@@ -80,11 +80,11 @@ type subscriber struct {
 	lastTick int64 // tick of the newest state in last/lastErr
 }
 
-// Subscribe registers a push subscriber and returns it along with the
+// subscribe registers a push subscriber and returns it along with the
 // initial answer event (evaluated on the read view that labels its
 // tick). It fails if the world was deleted or the query's probe form
 // rejects the spec.
-func (w *World) Subscribe(spec subSpec) (*subscriber, SubscribeEvent, error) {
+func (w *World) subscribe(spec subSpec) (*subscriber, SubscribeEvent, error) {
 	v := w.sess.ReadView()
 	ev := SubscribeEvent{Tick: v.Tick()}
 	var err error
@@ -149,8 +149,8 @@ func (w *World) push(sub *subscriber, v *engine.ReadView) {
 	}
 }
 
-// Unsubscribe removes a subscriber; idempotent.
-func (w *World) Unsubscribe(sub *subscriber) {
+// unsubscribe removes a subscriber; idempotent.
+func (w *World) unsubscribe(sub *subscriber) {
 	w.submu.Lock()
 	defer w.submu.Unlock()
 	delete(w.subs, sub)
@@ -285,12 +285,12 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusInternalServerError, "streaming unsupported by this connection")
 		return
 	}
-	sub, initial, err := wd.Subscribe(spec)
+	sub, initial, err := wd.subscribe(spec)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	defer wd.Unsubscribe(sub)
+	defer wd.unsubscribe(sub)
 
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")

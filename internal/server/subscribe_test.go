@@ -245,11 +245,11 @@ func TestSubscribeBackpressureDropAndResync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, initial, err := wd.Subscribe(subSpec{q: q})
+	sub, initial, err := wd.subscribe(subSpec{q: q})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer wd.Unsubscribe(sub)
+	defer wd.unsubscribe(sub)
 	if initial.Tick != 0 || len(initial.Values) != 2 {
 		t.Fatalf("initial event = %+v", initial)
 	}
@@ -342,7 +342,7 @@ func TestSubscribeChurnDuringTicks(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				sub, initial, err := wd.Subscribe(subSpec{q: q})
+				sub, initial, err := wd.subscribe(subSpec{q: q})
 				if err != nil {
 					t.Error(err)
 					return
@@ -355,7 +355,7 @@ func TestSubscribeChurnDuringTicks(t *testing.T) {
 				case <-time.After(10 * time.Second):
 					t.Error("no push within 10s of subscribing on a running clock")
 				}
-				wd.Unsubscribe(sub)
+				wd.unsubscribe(sub)
 			}
 		}()
 	}
@@ -390,11 +390,11 @@ func TestSlowSubscriberDoesNotPerturbCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, _, err := wd.Subscribe(subSpec{q: q})
+	sub, _, err := wd.subscribe(subSpec{q: q})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer wd.Unsubscribe(sub) // never drained: the slowest possible client
+	defer wd.unsubscribe(sub) // never drained: the slowest possible client
 
 	for done := 0; done < ticks; done += 4 {
 		if code := do(t, http.MethodPost, ts.URL+"/v1/sessions/watched/step", StepRequest{Ticks: 4}, nil); code != http.StatusOK {
@@ -525,11 +525,11 @@ func TestNaNSubscriptionKeepsTheClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, _, err := wd.Subscribe(spec)
+	sub, _, err := wd.subscribe(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer wd.Unsubscribe(sub)
+	defer wd.unsubscribe(sub)
 	if err := wd.StartClock(-1); err != nil {
 		t.Fatal(err)
 	}

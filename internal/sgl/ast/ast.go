@@ -343,18 +343,6 @@ var AggFuncByName = map[string]AggFunc{
 	"nearestx": NearestX, "nearesty": NearestY,
 }
 
-// Divisible reports whether the aggregate satisfies Definition 5.1
-// (agg(A\B) = f(agg(A), agg(B)) for B ⊆ A). Count, sum and all statistical
-// moments are divisible; min and max are not.
-func (f AggFunc) Divisible() bool {
-	switch f {
-	case Count, Sum, Avg, Stddev:
-		return true
-	default:
-		return false
-	}
-}
-
 // AggOutput is one output column of an aggregate definition:
 // func(arg) as name. Count, NearestKey and NearestDist take no argument.
 type AggOutput struct {

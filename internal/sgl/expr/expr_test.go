@@ -125,10 +125,10 @@ func TestModMatchesWalker(t *testing.T) {
 			check(a, b)
 		}
 	}
-	src := rng.New(99).Tick(1)
-	for i := int64(0); i < 20000; i++ {
-		a := math.Floor(src.Float64(i, 0)*2e6) - 1e6
-		b := math.Floor(src.Float64(i, 1)*200) - 100
+	st := rng.NewStream(rng.New(99), 1)
+	for i := 0; i < 20000; i++ {
+		a := math.Floor(st.Float64()*2e6) - 1e6
+		b := math.Floor(st.Float64()*200) - 100
 		check(a, b)
 		check(a+0.25, b)
 		check(a*float64(1<<33), b+0.5)

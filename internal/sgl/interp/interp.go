@@ -118,7 +118,8 @@ func (s *scope) child() *scope {
 // RunUnit evaluates main for one unit, emitting every effect row the unit's
 // action produces. Effect rows have the environment schema: const columns
 // copied from the affected row, set effect columns from the action's SET
-// clauses, all other effect columns at their fold identity.
+// clauses, all other effect columns at their fold identity. Kept exported
+// as the walker oracle's per-unit entry for other packages' tests.
 func (e *Evaluator) RunUnit(unit []float64, emit func(row []float64)) error {
 	sc := &scope{unitName: e.prog.Main.Params[0], unit: unit, vars: map[string]Value{}}
 	return e.runAction(e.prog.Main.Body, sc, emit)
@@ -236,7 +237,7 @@ func (e *Evaluator) BuildEffectRow(def *ast.ActDef, unit, args, target []float64
 	}
 	dl := DefParams(def)
 	for _, set := range def.Sets {
-		v, err := e.EvalDefTerm(set.Value, dl, unit, args, target)
+		v, err := e.defTerm(set.Value, dl, unit, args, target)
 		if err != nil {
 			return nil, err
 		}
@@ -256,7 +257,7 @@ func (e *Evaluator) EvalTerm(t ast.Term, unitName string, unit []float64, vars m
 	return e.evalTerm(t, &scope{unitName: unitName, unit: unit, vars: vars})
 }
 
-// EvalCond is EvalTerm for conditions.
+// EvalCond is EvalTerm for conditions, kept as the same oracle's entry.
 func (e *Evaluator) EvalCond(c ast.Cond, unitName string, unit []float64, vars map[string]Value) (bool, error) {
 	return e.evalCond(c, &scope{unitName: unitName, unit: unit, vars: vars})
 }
@@ -518,12 +519,12 @@ func (e *Evaluator) evalCall(n *ast.Call, sc *scope) (Value, error) {
 // ---------------------------------------------------------------------------
 // Definition-context evaluation (shared with the providers)
 
-// EvalDefTerm evaluates a term from an aggregate or action definition with
+// defTerm evaluates a term from an aggregate or action definition with
 // u bound to unit, e bound to target, and the definition's parameters bound
 // to args. Random(i) inside a definition is attributed to the *target* row,
 // matching the paper's Random(e, 1) in Figure 5, so both evaluators roll
 // the same dice no matter which unit triggered the effect.
-func (e *Evaluator) EvalDefTerm(t ast.Term, def DefLike, unit, args, target []float64) (float64, error) {
+func (e *Evaluator) defTerm(t ast.Term, def DefLike, unit, args, target []float64) (float64, error) {
 	return evalDefTerm(t, def, unit, args, target, e.prog, e.r)
 }
 

@@ -225,7 +225,7 @@ func TestTickCombinesEffects(t *testing.T) {
 		t.Fatalf("tick rows = %d, want 3", out.Len())
 	}
 	s := env.Schema
-	target := out.Lookup(2)
+	target := rowByKey(out, 2)
 	if target == nil {
 		t.Fatal("target row missing")
 	}
@@ -263,7 +263,7 @@ function healerMain(u) { perform Heal(u) }`
 	combined := effects.Union(env).Combine()
 	s := env.Schema
 	for _, key := range []int64{1, 2} {
-		if got := combined.Lookup(key)[s.MustCol("inaura")]; got != 4 {
+		if got := rowByKey(combined, key)[s.MustCol("inaura")]; got != 4 {
 			t.Fatalf("inaura key %d = %v, want 4 (nonstackable max)", key, got)
 		}
 	}
@@ -522,4 +522,15 @@ func BenchmarkNaiveTick(b *testing.B) {
 		}
 		sinkRows = out.Len()
 	}
+}
+
+// rowByKey returns the first row of t with the given key, or nil.
+func rowByKey(t *table.Table, key int64) []float64 {
+	kc := t.Schema.KeyCol()
+	for _, r := range t.Rows {
+		if r[kc] == float64(key) {
+			return r
+		}
+	}
+	return nil
 }

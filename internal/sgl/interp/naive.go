@@ -274,8 +274,8 @@ func (a *nearestAcc) Result() float64 {
 	}
 }
 
-// RunTickNaive is a convenience that runs the full formal tick (Eq. 6) with
-// the naive provider: used heavily in tests and by the sglc tool.
+// RunTickNaive runs the full formal tick (Eq. 6) with the naive
+// provider. Kept as the test oracle every compiled tick is compared with.
 func RunTickNaive(prog *sem.Program, env *table.Table, r rng.TickSource) (*table.Table, error) {
 	ev := New(prog, env, NewNaive(prog, env, r), r)
 	return ev.Tick()

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/epicscale/sgl/internal/game"
 	"github.com/epicscale/sgl/internal/sgl/ast"
 )
 
@@ -186,28 +185,6 @@ aggregate A(u) := count(*) over e where 5.5 % 2 = 1.5 and e.health > 0;
 action Tag(u, v) := on e where e.key = u.key set damage = v;
 function main(u) { perform Tag(u, A(u)) }`)
 	wantCodes(t, diags, CodeAlwaysFalse)
-}
-
-func TestHasErrorsAndStrings(t *testing.T) {
-	diags := Lint(`aggregate Broken(u) := count(* over e;`, Options{
-		Mode: ModeScript, Schema: game.Schema(), Categoricals: game.Categoricals(),
-	})
-	if !HasErrors(diags) {
-		t.Fatal("parse failure must produce an error-severity diagnostic")
-	}
-	lines := Strings(diags)
-	if len(lines) != len(diags) {
-		t.Fatalf("Strings returned %d lines for %d diagnostics", len(lines), len(diags))
-	}
-	for i, s := range lines {
-		if s != diags[i].String() {
-			t.Errorf("Strings[%d] = %q, want %q", i, s, diags[i].String())
-		}
-	}
-	clean := Lint(cleanSrc, Options{Mode: ModeScript, Schema: game.Schema(), Categoricals: game.Categoricals()})
-	if HasErrors(clean) {
-		t.Errorf("clean script reports errors: %v", Strings(clean))
-	}
 }
 
 // TestIntervalEdgeCases drives the open/closed bound handling and the

@@ -1,6 +1,8 @@
 package lint
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/epicscale/sgl/internal/algebra"
@@ -19,8 +21,8 @@ import (
 // runs with (engine.Analyzer()), and the pipeline placement lint reads
 // (a fresh Translate→Optimize→Report) must byte-match the report of the
 // plan the engine actually compiled (engine.Plan()). Both sides render
-// through the same functions — FormatClassification and
-// algebra.FormatReports — so a divergence is a real analyzer/optimizer
+// through the same functions — formatClassification and
+// formatReports — so a divergence is a real analyzer/optimizer
 // drift, not a formatting difference.
 func TestLintClassificationMatchesRuntime(t *testing.T) {
 	type program struct {
@@ -45,7 +47,7 @@ func TestLintClassificationMatchesRuntime(t *testing.T) {
 		}
 
 		// Static side: exactly what the linter consults.
-		staticClass := FormatClassification(exec.NewAnalyzer(prog, game.Categoricals()), prog)
+		staticClass := formatClassification(exec.NewAnalyzer(prog, game.Categoricals()), prog)
 		plan, err := algebra.Translate(prog)
 		if err != nil {
 			t.Fatalf("%s: translate: %v", p.name, err)
@@ -66,7 +68,7 @@ func TestLintClassificationMatchesRuntime(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: engine: %v", p.name, err)
 		}
-		liveClass := FormatClassification(eng.Analyzer(), prog)
+		liveClass := formatClassification(eng.Analyzer(), prog)
 		liveRep, err := algebra.Report(prog, eng.Plan())
 		if err != nil {
 			t.Fatalf("%s: live report: %v", p.name, err)
@@ -75,8 +77,40 @@ func TestLintClassificationMatchesRuntime(t *testing.T) {
 		if staticClass != liveClass {
 			t.Errorf("%s: classification drift between lint and engine\nlint:\n%s\nengine:\n%s", p.name, staticClass, liveClass)
 		}
-		if got, want := algebra.FormatReports(liveRep), algebra.FormatReports(staticRep); got != want {
+		if got, want := formatReports(liveRep), formatReports(staticRep); got != want {
 			t.Errorf("%s: pipeline drift between lint and engine\nlint:\n%s\nengine:\n%s", p.name, want, got)
 		}
 	}
+}
+
+// formatClassification renders an analyzer's verdict for every definition
+// of the program in declaration order, in a canonical diffable form. The
+// differential consistency test renders lint's analyzer and the live
+// engine's analyzer through this one function and byte-compares the two.
+func formatClassification(an *exec.Analyzer, prog *sem.Program) string {
+	var b strings.Builder
+	for _, def := range prog.Script.Aggs {
+		a := an.Agg(def)
+		fmt.Fprintf(&b, "agg %s indexable=%v eqs=%d axes=%d residual=%d outputs=", def.Name, a.Indexable, len(a.Eqs), len(a.Axes), len(a.Residual))
+		parts := make([]string, len(def.Outputs))
+		for i, out := range def.Outputs {
+			parts[i] = out.As + ":" + a.OutClass[i].String()
+		}
+		b.WriteString(strings.Join(parts, ","))
+		b.WriteByte('\n')
+	}
+	for _, def := range prog.Script.Acts {
+		a := an.Act(def)
+		fmt.Fprintf(&b, "act %s class=%s residual=%d deferrable=%v\n", def.Name, a.Class, len(a.Residual), a.Deferrable)
+	}
+	return b.String()
+}
+
+// formatReports renders a report list as one canonical string.
+func formatReports(reports []algebra.PipelineReport) string {
+	var b strings.Builder
+	for i := range reports {
+		b.WriteString(reports[i].String())
+	}
+	return b.String()
 }

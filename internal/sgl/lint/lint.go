@@ -149,23 +149,3 @@ func Lint(src string, opts Options) []Diagnostic {
 	})
 	return l.diags
 }
-
-// HasErrors reports whether any diagnostic is compile-blocking.
-func HasErrors(diags []Diagnostic) bool {
-	for _, d := range diags {
-		if d.Severity == SevError {
-			return true
-		}
-	}
-	return false
-}
-
-// Strings renders each diagnostic on its own line (for golden files and
-// test failure output).
-func Strings(diags []Diagnostic) []string {
-	out := make([]string, len(diags))
-	for i, d := range diags {
-		out[i] = d.String()
-	}
-	return out
-}

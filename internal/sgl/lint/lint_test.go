@@ -3,6 +3,7 @@ package lint
 import (
 	"encoding/json"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -28,7 +29,28 @@ func lintQuery(t *testing.T, src string) []Diagnostic {
 }
 
 // codes returns the distinct diagnostic codes, sorted.
-func codes(diags []Diagnostic) []string { return sortedCodes(diags) }
+func codes(diags []Diagnostic) []string {
+	set := map[string]bool{}
+	for _, d := range diags {
+		set[d.Code] = true
+	}
+	out := make([]string, 0, len(set))
+	for c := range set {
+		out = append(out, c)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// HasErrors reports whether any diagnostic is compile-blocking.
+func HasErrors(diags []Diagnostic) bool {
+	for _, d := range diags {
+		if d.Severity == SevError {
+			return true
+		}
+	}
+	return false
+}
 
 func wantCodes(t *testing.T, diags []Diagnostic, want ...string) {
 	t.Helper()
@@ -37,7 +59,7 @@ func wantCodes(t *testing.T, diags []Diagnostic, want ...string) {
 		want = []string{}
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("codes = %v, want %v\ndiagnostics:\n%s", got, want, strings.Join(Strings(diags), "\n"))
+		t.Errorf("codes = %v, want %v\ndiagnostics:\n%s", got, want, strings.Join(diagStrings(diags), "\n"))
 	}
 }
 
@@ -151,7 +173,7 @@ function main(u) { perform Tag(u, N(u)) }`
 			return
 		}
 	}
-	t.Errorf("no NaN SGL006 among:\n%s", strings.Join(Strings(diags), "\n"))
+	t.Errorf("no NaN SGL006 among:\n%s", strings.Join(diagStrings(diags), "\n"))
 }
 
 func TestImpliedConjunctIsSGL007(t *testing.T) {

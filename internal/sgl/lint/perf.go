@@ -2,8 +2,6 @@ package lint
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"github.com/epicscale/sgl/internal/algebra"
 	"github.com/epicscale/sgl/internal/exec"
@@ -158,42 +156,4 @@ func (l *linter) checkGuardPlacement(prog *sem.Program) {
 			}
 		}
 	}
-}
-
-// FormatClassification renders an analyzer's verdict for every definition
-// of the program in declaration order, in a canonical diffable form. The
-// differential consistency test renders lint's analyzer and the live
-// engine's analyzer through this one function and byte-compares the two.
-func FormatClassification(an *exec.Analyzer, prog *sem.Program) string {
-	var b strings.Builder
-	for _, def := range prog.Script.Aggs {
-		a := an.Agg(def)
-		fmt.Fprintf(&b, "agg %s indexable=%v eqs=%d axes=%d residual=%d outputs=", def.Name, a.Indexable, len(a.Eqs), len(a.Axes), len(a.Residual))
-		parts := make([]string, len(def.Outputs))
-		for i, out := range def.Outputs {
-			parts[i] = out.As + ":" + a.OutClass[i].String()
-		}
-		b.WriteString(strings.Join(parts, ","))
-		b.WriteByte('\n')
-	}
-	for _, def := range prog.Script.Acts {
-		a := an.Act(def)
-		fmt.Fprintf(&b, "act %s class=%s residual=%d deferrable=%v\n", def.Name, a.Class, len(a.Residual), a.Deferrable)
-	}
-	return b.String()
-}
-
-// sortedCodes returns the distinct codes present in diags, sorted — a
-// convenience for goldens and test assertions.
-func sortedCodes(diags []Diagnostic) []string {
-	set := map[string]bool{}
-	for _, d := range diags {
-		set[d.Code] = true
-	}
-	out := make([]string, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
 }

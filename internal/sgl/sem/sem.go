@@ -54,17 +54,8 @@ var Num = Type{}
 // UnitType is the type of the current-unit parameter u.
 var UnitType = Type{Unit: true}
 
-// RecordOf returns the record type with the given fields.
-func RecordOf(fields ...string) Type { return Type{Rec: true, Fields: fields} }
-
-// Width returns how many scalar slots the type expands to in argument
-// position: 1 for numbers, len(fields) for records.
-func (t Type) Width() int {
-	if t.Rec {
-		return len(t.Fields)
-	}
-	return 1
-}
+// recordOf returns the record type with the given fields.
+func recordOf(fields ...string) Type { return Type{Rec: true, Fields: fields} }
 
 // Equal reports structural type equality.
 func (t Type) Equal(o Type) bool {
@@ -201,9 +192,9 @@ func (p *Program) WithPrivateConsts() *Program {
 	return &c
 }
 
-// AggResultType returns the type of a call to the given aggregate
+// aggResultType returns the type of a call to the given aggregate
 // definition: Num for a single output, a record otherwise.
-func AggResultType(def *ast.AggDef) Type {
+func aggResultType(def *ast.AggDef) Type {
 	if len(def.Outputs) == 1 {
 		return Num
 	}
@@ -211,7 +202,7 @@ func AggResultType(def *ast.AggDef) Type {
 	for i, o := range def.Outputs {
 		fields[i] = o.As
 	}
-	return RecordOf(fields...)
+	return recordOf(fields...)
 }
 
 // scalarBuiltins are the pure numeric helper functions available in terms,
@@ -712,7 +703,7 @@ func (c *checker) checkTerm(t ast.Term, ev env, ctx termCtx) (Type, error) {
 				return Num, errf(sub.Pos(), "pair components must be numbers, got %s", ty)
 			}
 		}
-		return RecordOf("x", "y"), nil
+		return recordOf("x", "y"), nil
 
 	case *ast.Neg:
 		ty, err := c.checkTerm(n.X, ev, ctx)
@@ -817,5 +808,5 @@ func (c *checker) checkCall(n *ast.Call, ev env, ctx termCtx) (Type, error) {
 		}
 	}
 	c.p.AggCalls[n] = def
-	return AggResultType(def), nil
+	return aggResultType(def), nil
 }

@@ -130,18 +130,18 @@ func TestFullScriptChecks(t *testing.T) {
 func TestAggResultTypes(t *testing.T) {
 	p := mustCheck(t, fullScript)
 	for call, def := range p.AggCalls {
-		ty := AggResultType(def)
+		ty := aggResultType(def)
 		switch call.Name {
 		case "CountEnemiesInRange":
 			if !ty.Equal(Num) {
 				t.Errorf("count type = %s", ty)
 			}
 		case "CentroidOfEnemies":
-			if !ty.Equal(RecordOf("x", "y")) {
+			if !ty.Equal(recordOf("x", "y")) {
 				t.Errorf("centroid type = %s", ty)
 			}
 		case "NearestEnemy":
-			if !ty.Equal(RecordOf("key", "dist")) {
+			if !ty.Equal(recordOf("key", "dist")) {
 				t.Errorf("nearest type = %s", ty)
 			}
 		}
@@ -149,16 +149,13 @@ func TestAggResultTypes(t *testing.T) {
 }
 
 func TestTypeHelpers(t *testing.T) {
-	if Num.Width() != 1 || RecordOf("x", "y").Width() != 2 {
-		t.Error("Width wrong")
-	}
-	if !RecordOf("a").Equal(RecordOf("a")) || RecordOf("a").Equal(RecordOf("b")) {
+	if !recordOf("a").Equal(recordOf("a")) || recordOf("a").Equal(recordOf("b")) {
 		t.Error("Equal wrong")
 	}
 	if UnitType.String() != "unit" || Num.String() != "num" {
 		t.Error("String wrong")
 	}
-	if got := RecordOf("x", "y").String(); got != "record{x,y}" {
+	if got := recordOf("x", "y").String(); got != "record{x,y}" {
 		t.Errorf("record String = %q", got)
 	}
 }

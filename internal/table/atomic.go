@@ -23,7 +23,8 @@ import (
 // returns the error. The caller owns the returned file: rename it into
 // place (os.Rename is atomic within a filesystem) or remove it.
 // Callers that need a plain atomic single-file write should use
-// WriteFileAtomic instead.
+// WriteFileAtomic instead. Kept exported for the crash tests, which stage
+// torn writes through it.
 func WriteTemp(dir, pattern string, write func(f *os.File) error) (string, error) {
 	f, tmp, err := createTemp(dir, pattern)
 	if err != nil {

@@ -143,7 +143,7 @@ func TestCombineCommutative(t *testing.T) {
 	f := func(seed1, seed2 int64, n1, n2 uint8) bool {
 		e1 := randomTable(t, seed1, int(n1%40))
 		e2 := randomTable(t, seed2, int(n2%40))
-		return e1.CombineWith(e2).EqualContents(e2.CombineWith(e1))
+		return e1.Union(e2).Combine().EqualContents(e2.Union(e1).Combine())
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -156,8 +156,8 @@ func TestCombineAssociative(t *testing.T) {
 		e1 := randomTable(t, s1, 20)
 		e2 := randomTable(t, s2, 20)
 		e3 := randomTable(t, s3, 20)
-		lhs := e1.CombineWith(e2).CombineWith(e3)
-		rhs := e1.CombineWith(e2.CombineWith(e3))
+		lhs := e1.Union(e2).Combine().Union(e3).Combine()
+		rhs := e1.Union(e2.Union(e3).Combine()).Combine()
 		return lhs.EqualContents(rhs)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -169,34 +169,19 @@ func TestCombineAssociative(t *testing.T) {
 func TestCombineKeyedFixpoint(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		e := randomTable(t, seed, int(n%60)).Combine()
-		if !e.Keyed() {
-			// Same key may appear under two players; Keyed is about the key
-			// alone, so skip those instances.
-			return true
+		seen := map[float64]bool{}
+		for _, r := range e.Rows {
+			if seen[r[0]] {
+				// Same key may appear under two players; keyed is about
+				// the key alone, so skip those instances.
+				return true
+			}
+			seen[r[0]] = true
 		}
 		return e.Combine().EqualContents(e)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestKeyedAndLookup(t *testing.T) {
-	tb := New(effectSchema(t), 0)
-	tb.Append([]float64{1, 0, 5, 0, 0})
-	tb.Append([]float64{2, 0, 6, 0, 0})
-	if !tb.Keyed() {
-		t.Fatal("distinct keys should be Keyed")
-	}
-	if r := tb.Lookup(2); r == nil || r[2] != 6 {
-		t.Fatalf("Lookup(2) = %v", r)
-	}
-	if r := tb.Lookup(99); r != nil {
-		t.Fatalf("Lookup(99) = %v, want nil", r)
-	}
-	tb.Append([]float64{1, 1, 7, 0, 0})
-	if tb.Keyed() {
-		t.Fatal("duplicate key should not be Keyed")
 	}
 }
 

@@ -146,9 +146,6 @@ func (s *Schema) NumAttrs() int { return len(s.attrs) }
 // Attr returns the i-th attribute.
 func (s *Schema) Attr(i int) Attr { return s.attrs[i] }
 
-// Attrs returns a copy of the attribute list.
-func (s *Schema) Attrs() []Attr { return append([]Attr(nil), s.attrs...) }
-
 // Col returns the column index of the named attribute.
 func (s *Schema) Col(name string) (int, bool) {
 	i, ok := s.byName[name]
@@ -189,33 +186,6 @@ func (s *Schema) Equal(o *Schema) bool {
 		}
 	}
 	return true
-}
-
-// SubschemaOf reports whether every attribute of s appears, with the same
-// kind, in o. ⊕-combination of an effect table into the environment requires
-// the effect table's schema to be a subschema of E's (paper Section 4.2).
-func (s *Schema) SubschemaOf(o *Schema) bool {
-	for _, a := range s.attrs {
-		j, ok := o.byName[a.Name]
-		if !ok || o.attrs[j].Kind != a.Kind {
-			return false
-		}
-	}
-	return true
-}
-
-// Project returns a new schema with only the named attributes, in the given
-// order. The key attribute must be included.
-func (s *Schema) Project(names ...string) (*Schema, error) {
-	attrs := make([]Attr, 0, len(names))
-	for _, n := range names {
-		i, ok := s.byName[n]
-		if !ok {
-			return nil, fmt.Errorf("table: project: no attribute %q", n)
-		}
-		attrs = append(attrs, s.attrs[i])
-	}
-	return NewSchema(attrs...)
 }
 
 // String renders the schema as E(name:kind, …).

@@ -104,11 +104,6 @@ func TestSchemaAccessors(t *testing.T) {
 	if a := s.Attr(6); a.Name != "weaponused" || a.Kind != Max {
 		t.Fatalf("Attr(6) = %v", a)
 	}
-	attrs := s.Attrs()
-	attrs[0].Name = "mutated"
-	if s.Attr(0).Name != "key" {
-		t.Fatal("Attrs() must return a copy")
-	}
 }
 
 func TestMustColPanics(t *testing.T) {
@@ -133,39 +128,6 @@ func TestSchemaEqual(t *testing.T) {
 	}
 	if a.Equal(nil) {
 		t.Fatal("Equal(nil) should be false")
-	}
-}
-
-func TestSubschemaOf(t *testing.T) {
-	e := battleSchema(t)
-	sub := MustSchema(Attr{"key", Const}, Attr{"damage", Sum}, Attr{"inaura", Max})
-	if !sub.SubschemaOf(e) {
-		t.Fatal("sub should be a subschema of E")
-	}
-	wrongKind := MustSchema(Attr{"key", Const}, Attr{"damage", Max})
-	if wrongKind.SubschemaOf(e) {
-		t.Fatal("kind mismatch should fail SubschemaOf")
-	}
-	extra := MustSchema(Attr{"key", Const}, Attr{"mana", Sum})
-	if extra.SubschemaOf(e) {
-		t.Fatal("unknown attribute should fail SubschemaOf")
-	}
-}
-
-func TestProject(t *testing.T) {
-	e := battleSchema(t)
-	p, err := e.Project("key", "damage")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.NumAttrs() != 2 || p.Attr(1).Name != "damage" || p.Attr(1).Kind != Sum {
-		t.Fatalf("Project result wrong: %v", p)
-	}
-	if _, err := e.Project("key", "ghost"); err == nil {
-		t.Fatal("projecting a missing attribute should fail")
-	}
-	if _, err := e.Project("damage"); err == nil {
-		t.Fatal("projecting away the key should fail")
 	}
 }
 

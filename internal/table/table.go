@@ -58,9 +58,6 @@ func (t *Table) Clone() *Table {
 	return c
 }
 
-// Key returns the integer key of row i.
-func (t *Table) Key(i int) int64 { return int64(t.Rows[i][t.Schema.KeyCol()]) }
-
 // Union returns the multiset union t ⊎ o. Both tables must share an equal
 // schema.
 func (t *Table) Union(o *Table) *Table {
@@ -137,37 +134,9 @@ func (t *Table) Combine() *Table {
 	return out
 }
 
-// CombineWith returns ⊕(t ⊎ o), the R ⊕ S shortcut of the paper.
-func (t *Table) CombineWith(o *Table) *Table { return t.Union(o).Combine() }
-
-// Keyed reports whether the key attribute is unique across rows, i.e.
-// whether t is an R^⊕ in the paper's notation.
-func (t *Table) Keyed() bool {
-	kc := t.Schema.KeyCol()
-	seen := make(map[float64]bool, len(t.Rows))
-	for _, r := range t.Rows {
-		if seen[r[kc]] {
-			return false
-		}
-		seen[r[kc]] = true
-	}
-	return true
-}
-
-// Lookup returns the first row with the given key, or nil.
-func (t *Table) Lookup(key int64) []float64 {
-	kc := t.Schema.KeyCol()
-	fk := float64(key)
-	for _, r := range t.Rows {
-		if r[kc] == fk {
-			return r
-		}
-	}
-	return nil
-}
-
 // EqualContents reports whether two tables contain the same multiset of
 // rows (order-insensitive), comparing values exactly. Schemas must match.
+// Kept as the differential tests' oracle and the examples' check.
 func (t *Table) EqualContents(o *Table) bool {
 	if !t.Schema.Equal(o.Schema) || len(t.Rows) != len(o.Rows) {
 		return false

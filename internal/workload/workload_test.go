@@ -26,10 +26,14 @@ func TestGenerateBasics(t *testing.T) {
 	if env.Len() != 120 {
 		t.Fatalf("units = %d", env.Len())
 	}
-	if !env.Keyed() {
-		t.Fatal("generated army must be keyed")
-	}
 	s := env.Schema
+	keys := map[float64]bool{}
+	for _, r := range env.Rows {
+		if keys[r[s.KeyCol()]] {
+			t.Fatal("generated army must be keyed")
+		}
+		keys[r[s.KeyCol()]] = true
+	}
 	players := map[float64]int{}
 	types := map[float64]int{}
 	positions := map[[2]float64]bool{}
