@@ -429,3 +429,47 @@ func TestJoinCombineKPanics(t *testing.T) {
 	}()
 	JoinCombineK(dup, r)
 }
+
+// TestReportFigure3Pipelines: Report yields one pipeline per Apply, in
+// plan order, and each renders as its act line plus one line per stage;
+// every let of the script calls an aggregate, so each is marked a probe.
+func TestReportFigure3Pipelines(t *testing.T) {
+	prog := compile(t, figure3Script)
+	plan, err := Translate(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	Optimize(plan)
+	applies, err := plan.Applies()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports, err := Report(prog, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reports) != len(applies) {
+		t.Fatalf("%d reports for %d applies", len(reports), len(applies))
+	}
+	probes := map[string]bool{}
+	for i, r := range reports {
+		if r.Action != applies[i].Def.Name {
+			t.Errorf("report %d is for %s, want %s", i, r.Action, applies[i].Def.Name)
+		}
+		lines := strings.Split(strings.TrimSuffix(r.String(), "\n"), "\n")
+		if len(lines) != 1+len(r.Stages) || !strings.HasPrefix(lines[0], "act "+r.Action+"(") {
+			t.Errorf("report %s renders as\n%s", r.Action, r.String())
+		}
+		for _, st := range r.Stages {
+			if st.Extend != "" {
+				probes[st.Extend] = st.AggProbe
+			}
+		}
+	}
+	want := map[string]bool{"c": true, "away": true, "target": true}
+	for name, probe := range want {
+		if got, ok := probes[name]; !ok || got != probe {
+			t.Errorf("extension %s: probe %v (present %v), want %v", name, got, ok, probe)
+		}
+	}
+}

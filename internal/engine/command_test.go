@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"slices"
@@ -546,5 +547,31 @@ func TestCommandLandsInItsTicksView(t *testing.T) {
 				c.held(t, e)
 			})
 		}
+	}
+}
+
+// TestCommandOpWireNames: every operation encodes as its wire name and
+// decodes back; an unknown name is refused and an unknown code still
+// prints.
+func TestCommandOpWireNames(t *testing.T) {
+	for op, name := range map[CommandOp]string{OpSpawn: "spawn", OpDespawn: "despawn", OpSet: "set", OpTune: "tune"} {
+		if op.String() != name {
+			t.Errorf("%d.String() = %q, want %q", uint8(op), op.String(), name)
+		}
+		b, err := json.Marshal(op)
+		if err != nil || string(b) != `"`+name+`"` {
+			t.Fatalf("Marshal(%s) = %s, %v", name, b, err)
+		}
+		var back CommandOp
+		if err := json.Unmarshal(b, &back); err != nil || back != op {
+			t.Fatalf("Unmarshal(%s) = %v, %v; want %v", b, back, err, op)
+		}
+	}
+	var op CommandOp
+	if err := json.Unmarshal([]byte(`"teleport"`), &op); err == nil {
+		t.Fatal("an unknown op name decoded")
+	}
+	if s := CommandOp(200).String(); s != "op(200)" {
+		t.Errorf("CommandOp(200).String() = %q, want op(200)", s)
 	}
 }

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"bytes"
+	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -322,5 +324,45 @@ func TestSessionSubmitStampedReplay(t *testing.T) {
 	// A stamp for the wrong tick is refused, not silently misapplied.
 	if err := replay.SubmitStamped(StampedCommand{Tick: 0, Origin: "late", Cmd: Command{Op: OpSet, Key: 1, Col: "morale", Val: 1}}); err == nil {
 		t.Fatal("stale-stamped command accepted")
+	}
+}
+
+// TestSessionCompactAndJournalSince drives compaction through the
+// session facade: the fold advances the base to the session's tick, the
+// tail after it stays readable, and a window reaching into folded
+// history is refused with an error naming the base.
+func TestSessionCompactAndJournalSince(t *testing.T) {
+	s := NewSession(newEngine(t, battleProg(t), 64, Indexed, 7, nil))
+	if err := s.Submit("op", Command{Op: OpSet, Key: 1, Col: "morale", Val: 5}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Step(3); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Submit("op", Command{Op: OpSet, Key: 2, Col: "morale", Val: 6}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.JournalSince(0); err != nil || len(got) != 1 {
+		t.Fatalf("JournalSince(0) before compaction = %+v, %v; want the applied command", got, err)
+	}
+	if base := s.Compact(); base != 3 {
+		t.Fatalf("Compact returned base %d, want 3", base)
+	}
+	if got, err := s.JournalSince(3); err != nil || len(got) != 0 {
+		t.Fatalf("JournalSince(3) = %+v, %v; want an empty tail", got, err)
+	}
+	_, err := s.JournalSince(0)
+	var ce *CompactedError
+	if !errors.As(err, &ce) || ce.BaseTick != 3 {
+		t.Fatalf("JournalSince(0) after compaction = %v, want *CompactedError at base 3", err)
+	}
+	if !strings.Contains(err.Error(), "base tick 3") {
+		t.Errorf("error %q does not name the base tick", err)
+	}
+	if err := s.Step(1); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.JournalSince(3); err != nil || len(got) != 1 || got[0].Cmd.Key != 2 {
+		t.Fatalf("JournalSince(3) after a step = %+v, %v; want the second command", got, err)
 	}
 }

@@ -132,3 +132,21 @@ func TestHypotFusedTwinDiffers(t *testing.T) {
 	}
 	t.Logf("the fused twin differs on %d cases", differ)
 }
+
+func TestRectEmpty(t *testing.T) {
+	for _, c := range []struct {
+		r    Rect
+		want bool
+	}{
+		{Rect{0, 0, 4, 4}, false},
+		{Rect{2, 3, 2, 3}, false}, // a single point: closed on all sides
+		{Rect{5, 0, 4, 4}, true},  // inverted in X
+		{Rect{0, 5, 4, 4}, true},  // inverted in Y
+		{Rect{1, 1, 0, 0}, true},
+		{Rect{math.Inf(-1), math.Inf(-1), math.Inf(1), math.Inf(1)}, false},
+	} {
+		if got := c.r.Empty(); got != c.want {
+			t.Errorf("%v.Empty() = %v, want %v", c.r, got, c.want)
+		}
+	}
+}

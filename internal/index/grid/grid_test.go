@@ -246,3 +246,22 @@ func (g *Index) Count(r geom.Rect) int {
 	g.visit(r, func(int) { n++ })
 	return n
 }
+
+func TestOccupancyReset(t *testing.T) {
+	o := NewOccupancy(4)
+	o.Place(1.5, 1.5, 1)
+	o.Place(-3.2, 7.9, 2)
+	o.Reset()
+	if o.Size() != 0 {
+		t.Fatalf("Size after Reset = %d, want 0", o.Size())
+	}
+	if _, ok := o.Occupied(1.5, 1.5); ok {
+		t.Fatal("square still held after Reset")
+	}
+	if !o.Place(1.5, 1.5, 7) {
+		t.Fatal("a reset square refused a new holder")
+	}
+	if k, ok := o.Occupied(1.1, 1.9); !ok || k != 7 {
+		t.Fatalf("Occupied = %d,%v, want 7,true", k, ok)
+	}
+}

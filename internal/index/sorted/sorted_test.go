@@ -196,3 +196,42 @@ func TestResortMatchesSort(t *testing.T) {
 		}
 	}
 }
+
+func TestWorkAdd(t *testing.T) {
+	w := Work{Points: 3, Moved: 5, Fallbacks: 1}
+	w.Add(Work{Points: 10, Moved: 2})
+	w.Add(Work{})
+	if want := (Work{Points: 13, Moved: 7, Fallbacks: 1}); w != want {
+		t.Fatalf("Work = %+v, want %+v", w, want)
+	}
+}
+
+// TestGuideEqual: guides over the same values are equal bit for bit,
+// whichever storage they reuse, and a changed value or length is seen.
+func TestGuideEqual(t *testing.T) {
+	a := []float64{-3, 0, 0, 1.5, 7, 7, 40}
+	var g, h Guide
+	g.Reset(a)
+	h.Reset([]float64{9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9})
+	h.Reset(slices.Clone(a))
+	if !g.Equal(&h) || !h.Equal(&g) {
+		t.Fatal("guides over equal values differ")
+	}
+	b := slices.Clone(a)
+	b[3] = 1.25
+	var k Guide
+	k.Reset(b)
+	if g.Equal(&k) {
+		t.Fatal("guides over different values compare equal")
+	}
+	var z0, z1 Guide
+	z0.Reset([]float64{0})
+	z1.Reset([]float64{math.Copysign(0, -1)})
+	if z0.Equal(&z1) {
+		t.Fatal("guides over 0 and -0 compare equal; Equal is bitwise")
+	}
+	k.Reset(a[:5])
+	if g.Equal(&k) {
+		t.Fatal("guides over different lengths compare equal")
+	}
+}

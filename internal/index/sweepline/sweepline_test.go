@@ -385,3 +385,20 @@ func BenchmarkBruteMin(b *testing.B) {
 		brute(pts, probes, 50, segtree.Min)
 	}
 }
+
+func TestCenterHalf(t *testing.T) {
+	inf := math.Inf(1)
+	for _, c := range []struct {
+		lo, hi, center, half float64
+	}{
+		{lo: 2, hi: 10, center: 6, half: 4},
+		{lo: -5, hi: -5, center: -5, half: 0},
+		{lo: -3, hi: 1, center: -1, half: 2},
+		{lo: -inf, hi: inf, center: 0, half: inf}, // an absent axis
+	} {
+		c0, h0 := CenterHalf(c.lo, c.hi)
+		if c0 != c.center || h0 != c.half {
+			t.Errorf("CenterHalf(%v, %v) = (%v, %v), want (%v, %v)", c.lo, c.hi, c0, h0, c.center, c.half)
+		}
+	}
+}
