@@ -84,65 +84,41 @@ func usedSlots(p *Plan) map[Node]map[int]bool {
 // ownSlotRefs returns the slots referenced directly by a node's own terms.
 func ownSlotRefs(n Node) []int {
 	var out []int
-	add := func(env *Env, t ast.Term) {
-		collectTermSlots(t, env, &out)
-	}
 	switch v := n.(type) {
 	case *Select:
-		collectCondSlots(v.Cond, v.Env, &out)
+		collectSlots(v.Cond, v.Env, &out)
 	case *Extend:
-		add(v.Env, v.Value)
+		collectSlots(v.Value, v.Env, &out)
 	case *Apply:
 		for _, a := range v.Args {
-			add(v.Env, a)
+			collectSlots(a, v.Env, &out)
 		}
 	}
 	return out
 }
 
-func collectTermSlots(t ast.Term, env *Env, out *[]int) {
-	switch n := t.(type) {
-	case *ast.VarRef:
-		if s, ok := env.Lookup(n.Name); ok {
+// collectSlots appends the slots a term or condition references: its
+// variables and the bases of its attribute references other than the
+// unit's, in the order they appear.
+func collectSlots(n any, env *Env, out *[]int) {
+	ast.Inspect(n, func(x any) bool {
+		var name string
+		switch r := x.(type) {
+		case *ast.VarRef:
+			name = r.Name
+		case *ast.FieldRef:
+			if r.Base == env.Unit {
+				return true
+			}
+			name = r.Base
+		default:
+			return true
+		}
+		if s, ok := env.Lookup(name); ok {
 			*out = append(*out, s)
 		}
-	case *ast.FieldRef:
-		if n.Base != env.Unit {
-			if s, ok := env.Lookup(n.Base); ok {
-				*out = append(*out, s)
-			}
-		}
-	case *ast.Field:
-		collectTermSlots(n.X, env, out)
-	case *ast.Pair:
-		collectTermSlots(n.X, env, out)
-		collectTermSlots(n.Y, env, out)
-	case *ast.Neg:
-		collectTermSlots(n.X, env, out)
-	case *ast.Binary:
-		collectTermSlots(n.X, env, out)
-		collectTermSlots(n.Y, env, out)
-	case *ast.Call:
-		for _, a := range n.Args {
-			collectTermSlots(a, env, out)
-		}
-	}
-}
-
-func collectCondSlots(c ast.Cond, env *Env, out *[]int) {
-	switch n := c.(type) {
-	case *ast.Not:
-		collectCondSlots(n.X, env, out)
-	case *ast.And:
-		collectCondSlots(n.X, env, out)
-		collectCondSlots(n.Y, env, out)
-	case *ast.Or:
-		collectCondSlots(n.X, env, out)
-		collectCondSlots(n.Y, env, out)
-	case *ast.Compare:
-		collectTermSlots(n.X, env, out)
-		collectTermSlots(n.Y, env, out)
-	}
+		return true
+	})
 }
 
 // setInput rewires a consumer's input edge from old to new.
@@ -203,7 +179,7 @@ func applyRuleB(p *Plan) bool {
 			continue
 		}
 		var condSlots []int
-		collectCondSlots(sel.Cond, sel.Env, &condSlots)
+		collectSlots(sel.Cond, sel.Env, &condSlots)
 		reads := false
 		for _, s := range condSlots {
 			if s == e.Slot {

@@ -128,13 +128,13 @@ func reportChain(prog *sem.Program, ap *Apply, stages []stage) PipelineReport {
 		for j, c := range st.conjs {
 			cl := ClassifyConjunct(c)
 			var cslots []int
-			collectCondSlots(c, st.sel.Env, &cslots)
+			collectSlots(c, st.sel.Env, &cslots)
 			sr.Conjuncts[j] = ConjunctReport{Cond: c.String(), Class: cl, ClassName: cl.String(), Pos: c.Pos(), Pushable: len(cslots) == 0}
 		}
 		// The nearest preceding extension this guard reads is the probe
 		// it could not be pushed below (pushdownGuards stops there).
 		var condSlots []int
-		collectCondSlots(st.sel.Cond, st.sel.Env, &condSlots)
+		collectSlots(st.sel.Cond, st.sel.Env, &condSlots)
 		for k := i - 1; k >= 0; k-- {
 			ext := stages[k].ext
 			if ext == nil {

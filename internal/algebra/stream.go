@@ -216,7 +216,7 @@ func pushdownGuards(stages []stage) {
 			continue
 		}
 		var condSlots []int
-		collectCondSlots(stages[i].sel.Cond, stages[i].sel.Env, &condSlots)
+		collectSlots(stages[i].sel.Cond, stages[i].sel.Env, &condSlots)
 		reads := func(slot int) bool {
 			for _, s := range condSlots {
 				if s == slot {
@@ -311,20 +311,15 @@ func orderConjuncts(c ast.Cond) []ast.Cond {
 	return conjs
 }
 
+// termHasCall reports whether t calls a function anywhere.
 func termHasCall(t ast.Term) bool {
-	switch n := t.(type) {
-	case *ast.Field:
-		return termHasCall(n.X)
-	case *ast.Pair:
-		return termHasCall(n.X) || termHasCall(n.Y)
-	case *ast.Neg:
-		return termHasCall(n.X)
-	case *ast.Binary:
-		return termHasCall(n.X) || termHasCall(n.Y)
-	case *ast.Call:
-		return true
-	}
-	return false
+	found := false
+	ast.Inspect(t, func(x any) bool {
+		_, call := x.(*ast.Call)
+		found = found || call
+		return !found
+	})
+	return found
 }
 
 // ---------------------------------------------------------------------------

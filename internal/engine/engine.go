@@ -271,13 +271,11 @@ type Engine struct {
 	// the next view's TickWork counts from.
 	viewWork exec.Stats
 
-	// Observation-query state (see query.go): qmu guards the per-query
-	// cache of analyzers. Index providers are not
-	// here — they belong to the read view they index. queryOneShots counts
-	// the probes views answered (QueryOneShots); readers bump it while a
-	// tick runs, so it is an atomic outside Stats and reaches no checkpoint.
-	qmu           sync.Mutex
-	queries       queryState
+	// queryOneShots counts the probes read views answered
+	// (QueryOneShots); readers bump it while a tick runs, so it is an
+	// atomic outside Stats and reaches no checkpoint. Nothing else of a
+	// query lives here: its analysis is on the Query, its providers on
+	// the read view they index (query.go).
 	queryOneShots atomic.Int64
 
 	// Stats accumulates counters across ticks.
@@ -561,10 +559,9 @@ func (e *Engine) Tick() error {
 	return nil
 }
 
-// commit ages the per-query cache and publishes the tick: from here on
-// readers see it, and the previous view goes with its last reader.
+// commit publishes the tick: from here on readers see it, and the
+// previous view goes with its last reader.
 func (e *Engine) commit() {
-	e.evictIdleQueries()
 	e.tick++
 	e.Stats.Ticks++
 	e.publishView()

@@ -63,21 +63,30 @@ func (e *Engine) shards(n int) [][2]int {
 // runShards runs fn(shard, lo, hi) for every shard, concurrently when
 // there is more than one, and waits for all of them. fn must only write
 // state owned by its shard (per-shard output slots or disjoint row
-// ranges).
+// ranges). A panic in a shard is re-raised on the caller once every
+// shard has returned — the lowest panicking shard's value, so the caller
+// sees the same panic whatever the scheduling.
 func runShards(bounds [][2]int, fn func(s, lo, hi int)) {
 	if len(bounds) == 1 {
 		fn(0, bounds[0][0], bounds[0][1])
 		return
 	}
+	panics := make([]any, len(bounds))
 	var wg sync.WaitGroup
 	for s, b := range bounds {
 		wg.Add(1)
 		go func(s, lo, hi int) {
 			defer wg.Done()
+			defer func() { panics[s] = recover() }()
 			fn(s, lo, hi)
 		}(s, b[0], b[1])
 	}
 	wg.Wait()
+	for _, v := range panics {
+		if v != nil {
+			panic(v)
+		}
+	}
 }
 
 // runShardsErr is runShards for fallible shard work: it collects one

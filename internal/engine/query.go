@@ -23,6 +23,12 @@
 // provider; it is the semantics oracle the differential tests (and the
 // fan-out benchmark's baseline) use.
 //
+// Which index class answers each output is fixed by the query's program
+// and the engine's categoricals, never by a tick, so the Query owns that
+// analysis (exec.Analyzer): its first evaluation builds it and the Query
+// keeps it for as long as it lives. The engine caches nothing per query;
+// a view keeps only the memberships scanned on it.
+//
 // A Probe says whose eyes a query looks through: the world's, an
 // observer's at a position, or a live unit's. Query and QueryScan take
 // the same Probe and check it, and resolve its unit, in one place
@@ -41,8 +47,9 @@ package engine
 import (
 	"fmt"
 	"slices"
-	"sort"
+	"strings"
 	"sync"
+	"sync/atomic"
 
 	"github.com/epicscale/sgl/internal/exec"
 	"github.com/epicscale/sgl/internal/geom"
@@ -57,8 +64,9 @@ import (
 
 // Query is a compiled observation query: one or more aggregate
 // definitions checked in query mode (read-only, no effects, no Random),
-// of which the last declared is the entry point. A Query is immutable
-// and may be shared by any number of engines and goroutines.
+// of which the last declared is the entry point. A Query may be shared
+// by any number of engines and goroutines: nothing in it changes but
+// the analysis its first evaluation stores, once.
 type Query struct {
 	prog *sem.Program
 	def  *ast.AggDef
@@ -68,6 +76,33 @@ type Query struct {
 	// the query accepts: none → any, ⊆ {posx, posy} → At or Unit,
 	// anything else → Unit.
 	unitCols []int
+	// analysis is the query's index-usability analysis for the
+	// categoricals of the first engine that evaluated it (see analyzer).
+	analysis atomic.Pointer[queryAnalysis]
+}
+
+// queryAnalysis is an analyzer and the categoricals it was built for.
+type queryAnalysis struct {
+	cats []string
+	an   *exec.Analyzer
+}
+
+// analyzer returns q's index-usability analysis under categoricals cats.
+// An analysis is a pure function of (program, categoricals) and never
+// changes, so the Query keeps the first one built, for as long as the
+// Query lives: every engine with the same categoricals shares it, and an
+// engine with others builds its own and does not keep it. Concurrent
+// first callers may each build one; all but the stored one are dropped.
+func (q *Query) analyzer(cats []string) *exec.Analyzer {
+	a := q.analysis.Load()
+	if a == nil {
+		q.analysis.CompareAndSwap(nil, &queryAnalysis{cats: slices.Clone(cats), an: exec.NewAnalyzer(q.prog, cats)})
+		a = q.analysis.Load()
+	}
+	if !slices.Equal(a.cats, cats) {
+		return exec.NewAnalyzer(q.prog, cats)
+	}
+	return a.an
 }
 
 // CompileQuery parses and checks an observation query against a schema
@@ -153,179 +188,30 @@ func Unit(key int64) Probe { return Probe{kind: probeUnit, key: key} }
 // parameter, in ascending column order. Nearest outputs count as posx
 // and posy reads: the kD probe starts at the unit's position.
 func unitCols(def *ast.AggDef, schema *table.Schema) []int {
-	unit := def.Params[0]
-	cols := map[int]bool{}
-	var walkTerm func(t ast.Term)
-	walkTerm = func(t ast.Term) {
-		switch n := t.(type) {
+	var cols []int
+	ast.Inspect(def, func(n any) bool {
+		switch n := n.(type) {
 		case *ast.FieldRef:
-			if n.Base == unit {
-				if c, ok := schema.Col(n.Field); ok {
-					cols[c] = true
-				}
+			if c, ok := schema.Col(n.Field); ok && n.Base == def.Params[0] {
+				cols = append(cols, c)
 			}
-		case *ast.Field:
-			walkTerm(n.X)
-		case *ast.Pair:
-			walkTerm(n.X)
-			walkTerm(n.Y)
-		case *ast.Neg:
-			walkTerm(n.X)
-		case *ast.Binary:
-			walkTerm(n.X)
-			walkTerm(n.Y)
-		case *ast.Call:
-			for _, a := range n.Args {
-				walkTerm(a)
+		case *ast.AggOutput:
+			switch n.Func {
+			case ast.NearestKey, ast.NearestDist, ast.NearestX, ast.NearestY:
+				cols = append(cols, schema.MustCol("posx"), schema.MustCol("posy"))
 			}
 		}
-	}
-	var walkCond func(c ast.Cond)
-	walkCond = func(c ast.Cond) {
-		switch n := c.(type) {
-		case *ast.Not:
-			walkCond(n.X)
-		case *ast.And:
-			walkCond(n.X)
-			walkCond(n.Y)
-		case *ast.Or:
-			walkCond(n.X)
-			walkCond(n.Y)
-		case *ast.Compare:
-			walkTerm(n.X)
-			walkTerm(n.Y)
-		}
-	}
-	if def.Where != nil {
-		walkCond(def.Where)
-	}
-	for _, out := range def.Outputs {
-		if out.Arg != nil {
-			walkTerm(out.Arg)
-		}
-		switch out.Func {
-		case ast.NearestKey, ast.NearestDist, ast.NearestX, ast.NearestY:
-			cols[schema.MustCol("posx")] = true
-			cols[schema.MustCol("posy")] = true
-		}
-	}
-	var list []int
-	//sgl:unordered columns are collected and sorted before return
-	for c := range cols {
-		list = append(list, c)
-	}
-	sort.Ints(list)
-	return list
+		return true
+	})
+	slices.Sort(cols)
+	return slices.Compact(cols)
 }
 
-// ---------------------------------------------------------------------------
-// Per-query cache (engine side)
-
-// queryState lives on the Engine (see engine.go fields): a generation
-// counter bumped once per Tick plus one cache entry per Query, holding
-// what outlives a tick — the query's analyzer, which almost every query
-// would otherwise build afresh on a view no one has read yet. The
-// engine-wide qmu guards only the map and the recency bookkeeping.
-type queryState struct {
-	gen   uint64
-	seq   uint64 // global use counter, for LRU over the cap
-	cache map[*Query]*queryCacheEntry
-}
-
-type queryCacheEntry struct {
-	mu sync.Mutex // guards an (built by the first reader)
-	an *exec.Analyzer
-	// Recency bookkeeping, guarded by the engine's qmu.
-	lastGen uint64
-	lastSeq uint64
-}
-
-// queryEvictAfter is how many generations (ticks) a query's cached
-// analyzer survives without being evaluated. Hot spectator queries stay
-// warm; a query compiled for one request is released instead of pinning
-// its program and analyzer for the engine's lifetime.
-const queryEvictAfter = 2
-
-// maxCachedQueries bounds both per-query caches between ticks — the
-// engine's analyzers and a read view's providers: a paused world served
-// ad-hoc queries would otherwise grow an analyzer plus a membership per
-// distinct Query with no tick to release them. Past the cap the
-// least-recently-used entry is dropped.
+// maxCachedQueries bounds a read view's providers: a paused world served
+// ad-hoc queries would otherwise grow a membership per distinct Query
+// with no tick to release them. Past the cap the least-recently-used
+// provider is dropped.
 const maxCachedQueries = 64
-
-// evictIdleQueries starts a new cache generation and drops per-query
-// state that has not been used for queryEvictAfter generations; called
-// once per Tick. Index providers need no invalidation here: they hang
-// off the read view they were built on and die with it.
-func (e *Engine) evictIdleQueries() {
-	e.qmu.Lock()
-	e.queries.gen++
-	//sgl:unordered per-entry eviction touches only its own entry
-	for q, ent := range e.queries.cache {
-		if e.queries.gen-ent.lastGen > queryEvictAfter {
-			delete(e.queries.cache, q)
-		}
-	}
-	e.qmu.Unlock()
-}
-
-// queryEntry returns (creating if needed) q's cache entry and stamps its
-// recency, evicting the least-recently-used entry past the cap. Returns
-// the use stamp just assigned. Readers call it while a Tick runs;
-// everything it touches is under qmu.
-func (e *Engine) queryEntry(q *Query) (*queryCacheEntry, uint64) {
-	e.qmu.Lock()
-	if e.queries.cache == nil {
-		e.queries.cache = map[*Query]*queryCacheEntry{}
-	}
-	ent := e.queries.cache[q]
-	if ent == nil {
-		ent = &queryCacheEntry{}
-		e.queries.cache[q] = ent
-		for len(e.queries.cache) > maxCachedQueries {
-			evictLRU(e.queries.cache, q, func(ce *queryCacheEntry) uint64 { return ce.lastSeq })
-		}
-	}
-	e.queries.seq++
-	ent.lastGen, ent.lastSeq = e.queries.gen, e.queries.seq
-	seq := e.queries.seq
-	e.qmu.Unlock()
-	return ent, seq
-}
-
-// evictLRU deletes the entry of m with the smallest use stamp, sparing
-// keep (the entry just inserted). Stamps come from the engine's query-use
-// counter and are unique, so the victim never depends on iteration order;
-// evicting costs a rebuild, never an answer.
-func evictLRU[K comparable, V any](m map[K]V, keep K, stamp func(V) uint64) {
-	var victim K
-	var oldest uint64
-	found := false
-	//sgl:unordered LRU victim search is a min-fold over unique use stamps
-	for k, v := range m {
-		if k == keep {
-			continue
-		}
-		if s := stamp(v); !found || s < oldest {
-			victim, oldest, found = k, s, true
-		}
-	}
-	if found {
-		delete(m, victim)
-	}
-}
-
-// queryAnalyzer returns q's index-usability analysis, built once per
-// cache entry, and the use stamp of this evaluation.
-func (e *Engine) queryAnalyzer(q *Query) (*exec.Analyzer, uint64) {
-	ent, seq := e.queryEntry(q)
-	ent.mu.Lock()
-	defer ent.mu.Unlock()
-	if ent.an == nil {
-		ent.an = exec.NewAnalyzer(q.prog, e.opts.Categoricals)
-	}
-	return ent.an, seq
-}
 
 // ---------------------------------------------------------------------------
 // Read views
@@ -343,7 +229,7 @@ func (e *Engine) queryAnalyzer(q *Query) (*exec.Analyzer, uint64) {
 // against. A view stays valid for as long as a reader holds it, however
 // far the world has moved on. All methods are safe for concurrent use.
 type ReadView struct {
-	e      *Engine // immutable facts (schema, categoricals) and the analyzer cache
+	e      *Engine // immutable facts (schema, categoricals, position columns)
 	tick   int64
 	env    *table.Table // rows shared with neighbouring views; never written after publish
 	rs     rng.TickSource
@@ -354,9 +240,10 @@ type ReadView struct {
 
 	// provs holds one provider per query evaluated on this view, created
 	// by the first reader that asks. Bounded by maxCachedQueries for
-	// worlds that never tick.
+	// worlds that never tick; seq stamps each use for the LRU.
 	mu    sync.Mutex
 	provs map[*Query]*viewProvider
+	seq   uint64
 
 	// keys is the key → row-index table a Unit probe resolves through,
 	// shared by every query on the view: the engine's own at publish. No
@@ -505,7 +392,6 @@ func (v *ReadView) TickWork() exec.Stats { return v.work }
 // against it through a private fork. A view never builds an index (the
 // package comment says why). unit and args are only read.
 func (v *ReadView) evalIndexed(q *Query, unit, args []float64) []float64 {
-	an, seq := v.e.queryAnalyzer(q)
 	v.mu.Lock()
 	if v.provs == nil {
 		v.provs = map[*Query]*viewProvider{}
@@ -514,14 +400,15 @@ func (v *ReadView) evalIndexed(q *Query, unit, args []float64) []float64 {
 	if p == nil {
 		p = &viewProvider{}
 		v.provs[q] = p
-		for len(v.provs) > maxCachedQueries {
-			evictLRU(v.provs, q, func(cp *viewProvider) uint64 { return cp.seq })
+		if len(v.provs) > maxCachedQueries {
+			v.evictLRU(q)
 		}
 	}
-	p.seq = seq
+	v.seq++
+	p.seq = v.seq
 	v.mu.Unlock()
 	p.once.Do(func() {
-		p.prov = exec.NewIndexed(an, v.env, v.rs)
+		p.prov = exec.NewIndexed(q.analyzer(v.e.opts.Categoricals), v.env, v.rs)
 		p.prov.SeedPositions(v.positions())
 		p.prov.FreezeUnbuilt(q.def)
 	})
@@ -533,6 +420,22 @@ func (v *ReadView) evalIndexed(q *Query, unit, args []float64) []float64 {
 	vals := f.EvalAgg(q.def, unit, args)
 	p.forks.Put(f)
 	return vals
+}
+
+// evictLRU drops the provider with the smallest use stamp, sparing keep
+// (the query just inserted); called with mu held. Stamps are unique, so
+// the victim never depends on iteration order; evicting costs a rescan,
+// never an answer.
+func (v *ReadView) evictLRU(keep *Query) {
+	var victim *Query
+	var oldest uint64
+	//sgl:unordered LRU victim search is a min-fold over unique use stamps
+	for q, p := range v.provs {
+		if q != keep && (victim == nil || p.seq < oldest) {
+			victim, oldest = q, p.seq
+		}
+	}
+	delete(v.provs, victim)
 }
 
 // QueryOneShots reports how many indexed observation-query probes this
@@ -605,12 +508,9 @@ func (v *ReadView) QueryScan(q *Query, p Probe, args ...float64) ([]float64, err
 // unitAttrNames renders the unit attributes a query reads, for error
 // messages.
 func (q *Query) unitAttrNames() string {
-	s := ""
+	names := make([]string, len(q.unitCols))
 	for i, c := range q.unitCols {
-		if i > 0 {
-			s += ", "
-		}
-		s += q.prog.Schema.Attr(c).Name
+		names[i] = q.prog.Schema.Attr(c).Name
 	}
-	return s
+	return strings.Join(names, ", ")
 }

@@ -212,9 +212,9 @@ var queryCommands = map[int][]Command{
 // checks, at every view, that each zoo query answers one-shot what the
 // scan answers, at three probes. Unlike TestQueryMatchesScan, which
 // compiles afresh each tick, every query is compiled once and held, so
-// its cache entry and analyzer outlive the ticks (and, with commands,
-// the edits and tunes) they were built on; the analyzer must be the same
-// one at every tick, since a query read every tick is never evicted.
+// its analyzer outlives the ticks (and, with commands, the edits and
+// tunes) it was built on; the analyzer must be the same one at every
+// tick, since the Query owns it.
 func runHeldQueryDifferential(t *testing.T, c gridCell, commands map[int][]Command) {
 	t.Helper()
 	const ticks = 10
@@ -262,11 +262,11 @@ func runHeldQueryDifferential(t *testing.T, c gridCell, commands map[int][]Comma
 					}
 				}
 			}
-			an, _ := e.queryAnalyzer(q)
+			an := q.analysis.Load().an
 			if analyzers[i] == nil {
 				analyzers[i] = an
 			} else if an != analyzers[i] {
-				t.Fatalf("tick %d, %s: the held query's analyzer was rebuilt; a query read every tick must keep its cache entry", tick, zq.name)
+				t.Fatalf("tick %d, %s: the held query's analyzer was rebuilt; a Query keeps its analysis", tick, zq.name)
 			}
 		}
 	}
@@ -524,56 +524,98 @@ func TestCompileQueryErrors(t *testing.T) {
 	}
 }
 
-// Per-query cache state must not grow without bound when callers compile
-// queries ad hoc: entries unused for a few ticks are evicted, while a
-// query evaluated every tick stays warm.
-func TestQueryCacheEviction(t *testing.T) {
-	prog := battleProg(t)
-	e := newEngine(t, prog, 48, Indexed, 1, nil)
-	hot := compileQuery(t, `aggregate Hot(u) := count(*) over e;`)
-	for i := 0; i < 10; i++ {
-		oneShot := compileQuery(t, `aggregate Once(u) := avg(e.health) over e;`)
-		if _, err := e.ReadView().Query(oneShot, World()); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.ReadView().Query(hot, World()); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Tick(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e.qmu.Lock()
-	cached := len(e.queries.cache)
-	_, hotAlive := e.queries.cache[hot]
-	e.qmu.Unlock()
-	if !hotAlive {
-		t.Fatal("hot query evicted despite being evaluated every tick")
-	}
-	if cached > 1+queryEvictAfter+1 {
-		t.Fatalf("query cache grew to %d entries; one-shot queries are not evicted", cached)
-	}
-
-	// Between ticks both caches are capped: a paused world answering
-	// ad-hoc queries must grow neither the engine's analyzers nor the
-	// read view's providers without bound.
+// TestViewProvidersBounded: a paused world answering ad-hoc queries
+// grows its read view's providers no further than the cap.
+func TestViewProvidersBounded(t *testing.T) {
+	e := newEngine(t, battleProg(t), 48, Indexed, 1, nil)
 	for i := 0; i < 200; i++ {
 		oneShot := compileQuery(t, `aggregate Flood(u) := count(*) over e;`)
 		if _, err := e.ReadView().Query(oneShot, World()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	e.qmu.Lock()
-	cached = len(e.queries.cache)
-	e.qmu.Unlock()
-	if cached > maxCachedQueries {
-		t.Fatalf("query cache grew to %d entries without a tick (cap %d)", cached, maxCachedQueries)
-	}
 	v := e.ReadView()
 	v.mu.Lock()
 	frozen := len(v.provs)
 	v.mu.Unlock()
-	if frozen > maxCachedQueries {
-		t.Fatalf("read view holds %d providers without a tick (cap %d)", frozen, maxCachedQueries)
+	if frozen != maxCachedQueries {
+		t.Fatalf("read view holds %d providers after 200 distinct queries without a tick, want the cap, %d", frozen, maxCachedQueries)
+	}
+}
+
+// TestQueryAnalysisOwnedByQuery: a Query keeps the analysis of the first
+// engine that reads it. Read every tick on two engines with the same
+// categoricals, it keeps one analyzer throughout; read on an engine with
+// other categoricals, it answers what a Query read only there answers,
+// bit for bit, and keeps its first analyzer. First reads racing on all
+// three engines agree with those answers.
+func TestQueryAnalysisOwnedByQuery(t *testing.T) {
+	const units, seed, ticks = 64, 19, 10
+	prog := battleProg(t)
+	player := func(o *Options) { o.Categoricals = []string{"player"} }
+	a := newEngine(t, prog, units, Indexed, seed, nil)
+	b := newEngine(t, prog, units, Indexed, seed, nil)
+	c := newEngine(t, prog, units, Indexed, seed, player)
+	engines := []*Engine{a, b, c}
+	shared := make([]*Query, len(queryZoo))
+	own := make([]*Query, len(queryZoo)) // read only on c
+	first := make([]*exec.Analyzer, len(queryZoo))
+	for i, zq := range queryZoo {
+		shared[i], own[i] = compileQuery(t, zq.src), compileQuery(t, zq.src)
+	}
+	eval := func(e *Engine, q *Query, zi int) []float64 {
+		t.Helper()
+		zq := queryZoo[zi]
+		vals, err := e.ReadView().Query(q, zq.kind.probe(10, 14, 17), zq.args...)
+		if err != nil {
+			t.Fatalf("%s: %v", zq.name, err)
+		}
+		return vals
+	}
+	for tick := 0; tick < ticks; tick++ {
+		for i, zq := range queryZoo {
+			if got, want := eval(a, shared[i], i), eval(b, shared[i], i); !sameBits(got, want) {
+				t.Fatalf("tick %d, %s: equal engines answer %v and %v", tick, zq.name, got, want)
+			}
+			if got, want := eval(c, shared[i], i), eval(c, own[i], i); !sameBits(got, want) {
+				t.Fatalf("tick %d, %s: the shared query answers %v on the {player} engine, its own query %v", tick, zq.name, got, want)
+			}
+			an := shared[i].analysis.Load().an
+			if first[i] == nil {
+				first[i] = an
+			} else if an != first[i] {
+				t.Fatalf("tick %d, %s: the query's analyzer was replaced", tick, zq.name)
+			}
+			if shared[i].analyzer(c.opts.Categoricals) == an {
+				t.Fatalf("tick %d, %s: the {player} engine got the analysis built for %v", tick, zq.name, a.opts.Categoricals)
+			}
+		}
+		for _, e := range engines {
+			if err := e.Tick(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	// First reads of fresh queries, racing on every engine at once.
+	const readers = 16
+	for i, zq := range queryZoo {
+		want := [][]float64{eval(a, shared[i], i), eval(b, shared[i], i), eval(c, own[i], i)}
+		q := compileQuery(t, zq.src)
+		got := make([][]float64, readers)
+		var wg sync.WaitGroup
+		for g := 0; g < readers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				got[g], _ = engines[g%len(engines)].ReadView().Query(q, zq.kind.probe(10, 14, 17), zq.args...)
+			}(g)
+		}
+		wg.Wait()
+		for g, vals := range got {
+			if !sameBits(vals, want[g%len(engines)]) {
+				t.Fatalf("%s: racing reader %d answered %v, want %v", zq.name, g, vals, want[g%len(engines)])
+			}
+		}
 	}
 }

@@ -450,8 +450,7 @@ func TestViewMatchesBuiltIndex(t *testing.T) {
 	v := e.ReadView()
 	for zi, zq := range queryZoo {
 		q := compileQuery(t, zq.src)
-		an, _ := e.queryAnalyzer(q)
-		built := exec.NewIndexed(an, v.env, v.rs)
+		built := exec.NewIndexed(q.analyzer(e.opts.Categoricals), v.env, v.rs)
 		built.Freeze()
 		for k := 0; k < 12; k++ {
 			pr := viewProbe{zoo: zi, x: float64(4 * k % 20), y: float64((3*k + 1) % 20), key: int64(11 * k % units)}

@@ -310,7 +310,8 @@ func (p *Indexed) Freeze() { p.FreezeParallel(1) }
 // function of its partition's rows, so which worker builds it changes
 // nothing, and the per-view Stats are integer counts summed after the
 // barrier: the frozen provider — structures and Stats — is identical at
-// any workers.
+// any workers. A panic in a build unit is re-raised on the caller after
+// the barrier, the lowest panicking unit's value first.
 func (p *Indexed) FreezeParallel(workers int) {
 	p.keyLookup()
 	p.sizeCerts()
@@ -336,6 +337,7 @@ func (p *Indexed) FreezeParallel(workers int) {
 		}
 	} else {
 		views := make([]*Indexed, workers)
+		panics := make([]any, len(units))
 		var next atomic.Int64
 		var wg sync.WaitGroup
 		for w := range views {
@@ -344,12 +346,23 @@ func (p *Indexed) FreezeParallel(workers int) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for u := next.Add(1) - 1; u < int64(len(units)); u = next.Add(1) - 1 {
+				u := next.Add(1) - 1
+				defer func() {
+					if r := recover(); r != nil {
+						panics[u] = r
+					}
+				}()
+				for ; u < int64(len(units)); u = next.Add(1) - 1 {
 					v.refresh(units[u].g, units[u].part, slotOps{build: units[u].slots})
 				}
 			}()
 		}
 		wg.Wait()
+		for _, r := range panics {
+			if r != nil {
+				panic(r)
+			}
+		}
 		for _, v := range views {
 			p.Stats.Add(v.Stats)
 		}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"fmt"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -30,10 +31,10 @@ func (g *panicGame) ApplyEffects(row, effects []float64) (geom.Vec, bool) {
 	return g.Game.ApplyEffects(row, effects)
 }
 
-// registerPanicking registers a serial battle world whose mechanics panic
-// at tick k: serial, so the panic runs on the goroutine that drives the
-// tick.
-func registerPanicking(t *testing.T, reg *Registry, name string, k int64) {
+// registerPanicking registers a battle world whose mechanics panic at
+// tick k. At more than one worker the panic runs on a shard's goroutine,
+// which re-raises it on the goroutine that drives the tick.
+func registerPanicking(t *testing.T, reg *Registry, name string, k int64, workers int) *World {
 	t.Helper()
 	const units = 48
 	prog, err := compileWorldScript("")
@@ -43,25 +44,35 @@ func registerPanicking(t *testing.T, reg *Registry, name string, k int64) {
 	wspec := workload.Spec{Units: units, Density: 0.05, Seed: 3}
 	g := &panicGame{Game: game.NewMechanics(), at: (k-1)*units + 1}
 	eng, err := engine.New(prog, g, workload.Generate(wspec), engine.Options{
-		Mode: engine.Indexed, Workers: 1, Categoricals: game.Categoricals(), Seed: 3, Side: wspec.Side(), MoveSpeed: 1,
+		Mode: engine.Indexed, Workers: workers, Categoricals: game.Categoricals(), Seed: 3, Side: wspec.Side(), MoveSpeed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.register(name, engine.NewSession(eng), prog, eng.Source(), 0, false); err != nil {
+	w, err := reg.register(name, engine.NewSession(eng), prog, eng.Source(), 0, false)
+	if err != nil {
 		t.Fatal(err)
 	}
+	return w
 }
 
 // TestPanicFailsOnlyItsWorld: a panic in a world's tick — raised on its
 // clock goroutine or under a step request — fails that world alone. Its
 // requests answer 503 naming its last committed tick, the failure is
 // counted, it can still be deleted, and a sentinel world on the same
-// registry keeps ticking to the checkpoint bytes of a standalone twin.
+// registry keeps ticking to the checkpoint bytes of a standalone twin —
+// at Workers 1 and at Workers 4, where the panic is raised on a shard's
+// goroutine.
 func TestPanicFailsOnlyItsWorld(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) { runPanicFailsOnlyItsWorld(t, workers) })
+	}
+}
+
+func runPanicFailsOnlyItsWorld(t *testing.T, workers int) {
 	ts, reg := newTestServer(t)
-	registerPanicking(t, reg, "clocked", 3)
-	registerPanicking(t, reg, "stepped", 2)
+	registerPanicking(t, reg, "clocked", 3, workers)
+	registerPanicking(t, reg, "stepped", 2, workers)
 	spec := WorldSpec{Units: 64, Density: 0.03, Seed: 9, Mode: engine.Indexed, Tune: engine.Options{Workers: 1}}
 	if _, err := reg.Create("sentinel", spec); err != nil {
 		t.Fatal(err)
@@ -135,4 +146,24 @@ func TestPanicFailsOnlyItsWorld(t *testing.T) {
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Fatalf("sentinel checkpoint (%d bytes) differs from its standalone twin's (%d bytes)", got.Len(), want.Len())
 	}
+}
+
+// TestPanickingStepReleasesClock: a Step that panics still ends its
+// synchronous step, so the world's clock can start afterwards.
+func TestPanickingStepReleasesClock(t *testing.T) {
+	reg := NewRegistry()
+	defer reg.Close()
+	w := registerPanicking(t, reg, "stepped", 2, 1)
+	func() {
+		defer func() {
+			if v := recover(); v == nil {
+				t.Fatal("the step did not panic")
+			}
+		}()
+		_ = w.Step(5)
+	}()
+	if err := w.StartClock(1); err != nil {
+		t.Fatalf("StartClock after a panicking step: %v", err)
+	}
+	w.StopClock()
 }

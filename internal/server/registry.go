@@ -120,7 +120,6 @@ type World struct {
 
 	sess    *engine.Session
 	prog    *sem.Program
-	script  string // source the program was compiled from (checkpoint sidecar)
 	created time.Time
 	// warnings are the script's lint diagnostics, computed once at
 	// registration (a registered script compiles, so they are all
@@ -332,6 +331,11 @@ func (w *World) Step(n int) error {
 	}
 	w.stepping++
 	w.mu.Unlock()
+	defer func() {
+		w.mu.Lock()
+		w.stepping--
+		w.mu.Unlock()
+	}()
 	// Count the ticks that actually ran: a mid-batch error still
 	// advanced the world, and the counter must track the real clock.
 	// Stepping one tick at a time (instead of one Step(n) batch) keeps
@@ -346,9 +350,6 @@ func (w *World) Step(n int) error {
 		w.notifySubscribers()
 	}
 	w.ticks.Add(float64(w.sess.Tick() - before))
-	w.mu.Lock()
-	w.stepping--
-	w.mu.Unlock()
 	return err
 }
 
@@ -509,9 +510,9 @@ func (w *World) StopClock() {
 
 // CompiledQuery returns the compiled observation query for src, compiling
 // it at most once per world. Returning the same *engine.Query pointer for
-// the same source is what lets N spectators share one engine-side index
-// build per tick — the engine's provider cache is keyed by query
-// identity, not source text.
+// the same source is what lets N spectators share one analysis (the
+// Query owns it) and one membership scan per view — a view's providers
+// are keyed by query identity, not source text.
 func (w *World) CompiledQuery(src string) (*engine.Query, []lint.Diagnostic, error) {
 	w.qmu.Lock()
 	defer w.qmu.Unlock()
@@ -536,13 +537,12 @@ func (w *World) CompiledQuery(src string) (*engine.Query, []lint.Diagnostic, err
 	if w.queries == nil {
 		w.queries = map[string]*cachedQuery{}
 	}
-	// Bound the cache like the engine bounds its provider cache: a client
+	// Bound the cache like a read view bounds its providers: a client
 	// generating unbounded distinct sources must not pin unbounded
-	// programs. Eviction is LRU by use stamp — safe because CompileQuery
-	// is pure, so an evicted hot source merely recompiles — and keeps the
-	// popular sources (and their engine-side shared index builds) warm
-	// where dropping the whole map would cold-start every spectator at
-	// once.
+	// programs and analyses. Eviction is LRU by use stamp — safe because
+	// CompileQuery is pure, so an evicted hot source merely recompiles —
+	// and keeps the popular sources (and their analyses) warm where
+	// dropping the whole map would cold-start every spectator at once.
 	for len(w.queries) >= maxCachedQuerySources {
 		var lruSrc string
 		var lru *cachedQuery
@@ -555,13 +555,6 @@ func (w *World) CompiledQuery(src string) (*engine.Query, []lint.Diagnostic, err
 	}
 	w.queries[src] = &cachedQuery{q: q, warns: warns, seq: w.qseq}
 	return q, warns, nil
-}
-
-// cachedQueryCount reports the live compile-once cache size (tests).
-func (w *World) cachedQueryCount() int {
-	w.qmu.Lock()
-	defer w.qmu.Unlock()
-	return len(w.queries)
 }
 
 // maxCachedQuerySources bounds a world's source-text query cache.
@@ -911,7 +904,7 @@ func (r *Registry) register(name string, sess *engine.Session, prog *sem.Program
 	if err := naiveBound(sess.Engine().Mode(), sess.Engine().Env().Len()); err != nil {
 		return nil, err
 	}
-	w := &World{Name: name, sess: sess, prog: prog, script: script, created: time.Now(), subsDone: make(chan struct{}), tickCh: make(chan struct{}), replica: replica}
+	w := &World{Name: name, sess: sess, prog: prog, created: time.Now(), subsDone: make(chan struct{}), tickCh: make(chan struct{}), replica: replica}
 	// Lint the canonical source once, outside the registry lock. The
 	// program compiled, so every finding is warn-severity; []
 	// (not nil) keeps the create response's warnings field an array.

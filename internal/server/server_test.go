@@ -1112,7 +1112,7 @@ func TestServedCommandsSurviveRestore(t *testing.T) {
 
 // Script returns the SGL source this world runs, in the engine's
 // canonical printed form (the same text checkpoint v2 embeds).
-func (w *World) Script() string { return w.script }
+func (w *World) Script() string { return w.Session().Engine().Source() }
 
 // Running reports whether the clock goroutine is live.
 func (w *World) Running() bool {

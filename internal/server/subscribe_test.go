@@ -656,3 +656,10 @@ func TestRequestBodyLimit(t *testing.T) {
 	// The connection-scoped limiter must not have wedged the server.
 	create(t, ts.URL, "after", nil)
 }
+
+// cachedQueryCount reports the live compile-once cache size.
+func (w *World) cachedQueryCount() int {
+	w.qmu.Lock()
+	defer w.qmu.Unlock()
+	return len(w.queries)
+}
